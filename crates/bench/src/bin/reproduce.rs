@@ -6,7 +6,7 @@
 //!
 //! `<exp>` ∈ {table1, fig13, fig14, fig15a, fig15b, fig15c, fig15d,
 //! fig16a, fig16b, ablation, chain, storage, timeslice, wal, serve,
-//! observe, all} (default: all). Default sweeps are scaled to run
+//! observe, pointread, all} (default: all). Default sweeps are scaled to run
 //! in minutes on a laptop; `--full` uses the paper's input sizes (up to
 //! 80k–200k tuples — the quadratic `sql` baselines then take a long time,
 //! exactly as in the paper where they run for 1000+ seconds).
@@ -838,6 +838,216 @@ fn observe(full: bool) {
     );
 }
 
+/// Point statements against table size (ISSUE 13), in-process — the
+/// layer under the wire benchmark's `oltp_mix` and `timeslice`.
+///
+/// `ev` is `oltp_mix`'s table: 2 000 rows `COPY`-loaded, then grown by
+/// single-row `INSERT`s in timestamp order; at each size the p50 of
+/// `SELECT … FROM ev AS OF t WHERE k = c` just behind the newest row,
+/// through the interval index and (index off) the zone sweep. A point
+/// read does the same work at every size, so the series should be flat.
+///
+/// `hist` is `timeslice`'s shape: 100 000 Incumben-like rows in start
+/// order with 5 % swapped to random positions, `COPY`-loaded (so the
+/// index is whatever the appends made of it), probed as loaded and again
+/// after `Database::persist` bulk-rebuilds the index.
+fn pointread(_full: bool) {
+    use temporal_core::prelude::Database;
+    use temporal_sql::Session;
+
+    fn p50_us(mut samples: Vec<std::time::Duration>) -> f64 {
+        samples.sort_unstable();
+        samples[samples.len() / 2].as_secs_f64() * 1e6
+    }
+    let index_of = |db: &Database, name: &str| {
+        db.read(|catalog, _| match catalog.source(name).expect("table") {
+            TableSource::Stored(t) => t.index().expect("temporal table has an index"),
+            TableSource::Mem(_) => panic!("{name} must be persisted"),
+        })
+    };
+
+    let dir = std::env::temp_dir().join("talign_bench_pointread");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut points = Vec::new();
+
+    // Row `i` of `ev`: a key out of 200, valid for 50 ticks from tick `i`.
+    let key = |i: i64| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 200;
+    let db = Database::open(dir.join("ev")).expect("open ev dir");
+    // The reads are what is timed; skip the per-INSERT fsync while growing.
+    db.set_str("sync_mode", "off").expect("set sync_mode");
+    let mut session = Session::with_database(db.clone());
+    let csv: String = (0..2_000i64)
+        .map(|i| format!("{},{i},{i},{}\n", key(i), i + 50))
+        .collect();
+    std::fs::write(dir.join("ev.csv"), csv).expect("write ev.csv");
+    session
+        .execute("CREATE TABLE ev (k int, v int, ts int, te int) PERSISTED")
+        .expect("create ev");
+    session
+        .execute(&format!("COPY ev FROM '{}'", dir.join("ev.csv").display()))
+        .expect("copy ev");
+    let mut n = 2_000i64;
+    for target in [2_000i64, 22_400, 100_000] {
+        while n < target {
+            session
+                .execute(&format!(
+                    "INSERT INTO ev VALUES ({}, {n}, {n}, {})",
+                    key(n),
+                    n + 50
+                ))
+                .expect("insert");
+            n += 1;
+        }
+        for (series, index) in [("ev via index", "on"), ("ev via zonemap", "off")] {
+            session
+                .execute(&format!("SET enable_interval_index = {index}"))
+                .expect("set");
+            let t = n - 2;
+            let mut rows = 0;
+            let samples = (0..2_000)
+                .map(|j| {
+                    let sql = format!(
+                        "SELECT v, ts, te FROM ev AS OF {t} WHERE k = {}",
+                        key(t - j % 16)
+                    );
+                    let (dt, out) = time(|| session.query(&sql).expect("point read"));
+                    rows += out.len();
+                    dt
+                })
+                .collect();
+            points.push(Point {
+                series: series.into(),
+                n: target as usize,
+                seconds: p50_us(samples) * 1e-6,
+                output_rows: rows,
+            });
+        }
+    }
+    session
+        .execute("SET enable_interval_index = on")
+        .expect("set");
+    let index = index_of(&db, "ev");
+    println!(
+        "\nev at {n} rows: index levels={} overflow_entries={}",
+        index.levels().expect("levels"),
+        index.overflow_entries().expect("overflow")
+    );
+    let sql = format!(
+        "EXPLAIN ANALYZE SELECT v, ts, te FROM ev AS OF {} WHERE k = {}",
+        n - 2,
+        key(n - 2)
+    );
+    match session.execute(&sql).expect("explain analyze") {
+        temporal_sql::SqlOutput::Explain(plan) => println!("{plan}"),
+        other => panic!("EXPLAIN ANALYZE returned {other:?}"),
+    }
+    drop(session);
+    db.close().expect("close ev");
+
+    // `hist`: start order with 5 % of the rows swapped to random positions.
+    const HIST_ROWS: usize = 100_000;
+    let mut hist: Vec<[i64; 4]> = incumben(IncumbenSpec::scaled(HIST_ROWS))
+        .rows()
+        .iter()
+        .map(|r| [0, 1, 2, 3].map(|c| r[c].as_int().expect("int column")))
+        .collect();
+    hist.sort_unstable_by_key(|r| (r[2], r[0], r[1]));
+    let mut state = 0x5EED_0001u64;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % n
+    };
+    for _ in 0..HIST_ROWS / 20 {
+        let (a, b) = (below(HIST_ROWS), below(HIST_ROWS));
+        hist.swap(a, b);
+    }
+    let csv: String = hist
+        .iter()
+        .map(|[ssn, pcn, ts, te]| format!("{ssn},{pcn},{ts},{te}\n"))
+        .collect();
+    std::fs::write(dir.join("hist.csv"), csv).expect("write hist.csv");
+    let db = Database::open(dir.join("hist")).expect("open hist dir");
+    let mut session = Session::with_database(db.clone());
+    session
+        .execute("CREATE TABLE hist (ssn int, pcn int, ts int, te int) PERSISTED")
+        .expect("create hist");
+    session
+        .execute(&format!(
+            "COPY hist FROM '{}'",
+            dir.join("hist.csv").display()
+        ))
+        .expect("copy hist");
+    for series in ["hist as COPY-loaded", "hist after persist"] {
+        let index = index_of(&db, "hist");
+        println!(
+            "{series}: index levels={} overflow_entries={} pages={}",
+            index.levels().expect("levels"),
+            index.overflow_entries().expect("overflow"),
+            index.page_count()
+        );
+        // The index probe itself, then the keyed statement on top of it.
+        let instants: Vec<i64> = (0..32).map(|_| 365 + below(14 * 365) as i64).collect();
+        let mut pages = 0;
+        let probes = (0..20)
+            .flat_map(|_| instants.iter())
+            .map(|&v| {
+                let (dt, hit) = time(|| index.probe(Some(v), Some(v)).expect("probe"));
+                pages += hit.len();
+                dt
+            })
+            .collect();
+        points.push(Point {
+            series: format!("{series}: probe"),
+            n: HIST_ROWS,
+            seconds: p50_us(probes) * 1e-6,
+            output_rows: pages,
+        });
+        let mut rows = 0;
+        let statements = (0..20)
+            .flat_map(|_| instants.iter())
+            .map(|&v| {
+                let ssn = hist[below(HIST_ROWS)][0];
+                let sql = format!("SELECT ssn, pcn FROM hist AS OF {v} WHERE ssn = {ssn}");
+                let (dt, out) = time(|| session.query(&sql).expect("asof_key"));
+                rows += out.len();
+                dt
+            })
+            .collect();
+        points.push(Point {
+            series: format!("{series}: AS OF v WHERE ssn = k"),
+            n: HIST_ROWS,
+            seconds: p50_us(statements) * 1e-6,
+            output_rows: rows,
+        });
+        match session
+            .execute("EXPLAIN SELECT ssn, pcn FROM hist AS OF 3000 WHERE ssn = 7")
+            .expect("explain")
+        {
+            temporal_sql::SqlOutput::Explain(plan) => println!("{plan}"),
+            other => panic!("EXPLAIN returned {other:?}"),
+        }
+        db.persist("hist").expect("persist hist");
+    }
+    drop(session);
+    db.close().expect("close hist");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    println!("\n=== Pointread: p50 per statement / probe (rows or pages summed over the samples)");
+    for p in &points {
+        println!(
+            "{:<44} n={:<7} p50 {:>8.1} µs   ({})",
+            p.series,
+            p.n,
+            p.seconds * 1e6,
+            p.output_rows
+        );
+    }
+    save("pointread", &points);
+}
+
 fn table1() {
     println!("\n=== Table 1 (verified executably in semantics::properties)");
     println!("{}", render_table1());
@@ -874,6 +1084,7 @@ fn main() {
         "wal" => wal(full),
         "serve" => serve(full),
         "observe" => observe(full),
+        "pointread" => pointread(full),
         "all" => {
             table1();
             fig13(full);
@@ -891,10 +1102,11 @@ fn main() {
             wal(full);
             serve(full);
             observe(full);
+            pointread(full);
         }
         other => {
             eprintln!(
-                "unknown experiment '{other}'; use table1|fig13|fig14|fig15a|fig15b|fig15c|fig15d|fig16a|fig16b|ablation|chain|storage|timeslice|wal|serve|observe|all"
+                "unknown experiment '{other}'; use table1|fig13|fig14|fig15a|fig15b|fig15c|fig15d|fig16a|fig16b|ablation|chain|storage|timeslice|wal|serve|observe|pointread|all"
             );
             std::process::exit(2);
         }

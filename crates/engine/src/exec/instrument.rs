@@ -43,7 +43,10 @@ pub struct OperatorStats {
     pub calls: AtomicU64,
     /// Wall time spent inside this node's pulls, nanoseconds. Inclusive
     /// of children (as in PostgreSQL's `actual time`); parallel
-    /// partitions sum, so this can exceed query wall time.
+    /// partitions sum, so this can exceed query wall time. A pruning
+    /// scan's total also carries the build-time resolution of its page
+    /// set (index probe / zone sweep), which its ancestors' totals —
+    /// pulls only — do not.
     pub nanos: AtomicU64,
     /// Heap pages this node pinned and decoded (storage scans only).
     pub pages_read: AtomicU64,

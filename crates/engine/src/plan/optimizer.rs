@@ -417,8 +417,8 @@ impl Planner {
         // ties go to the index (it touches index pages, not every header).
         if self.config.enable_interval_index && (bounds.ts_le.is_some() || bounds.te_gt.is_some()) {
             if let Some(index) = table.index() {
-                let levels = index.levels().unwrap_or(1) as f64;
-                let cost = model.index_scan_cost(rows, pages, levels, sel);
+                let shape = index.shape().unwrap_or((1, 0));
+                let cost = model.index_scan_cost(rows, pages, shape, sel);
                 if cost <= best_cost {
                     best = Some(true);
                 }

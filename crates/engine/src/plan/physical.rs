@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use crate::error::EngineResult;
 use crate::exec::{
@@ -314,7 +315,28 @@ impl PhysicalPlan {
     /// the statement's heap snapshot, so a zone sweep or index probe that
     /// races a concurrent appender never hands the scan a page past the
     /// snapshot watermark.
+    ///
+    /// This runs while the executor tree is built, before any metered
+    /// pull, so under instrumentation its time — an index probe can be
+    /// most of a point query — is added to this scan's `OperatorStats`
+    /// here. (Nodes above the scan time only their pulls and do not
+    /// include it.)
     fn resolve_scan_pages(&self, state: &ExecutionState) -> EngineResult<Option<PrunedScan>> {
+        let Some(ins) = state.instrumentation() else {
+            return self.resolve_scan_pages_unmetered(state);
+        };
+        let started = Instant::now();
+        let resolved = self.resolve_scan_pages_unmetered(state);
+        ins.op(self.node_key())
+            .nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        resolved
+    }
+
+    fn resolve_scan_pages_unmetered(
+        &self,
+        state: &ExecutionState,
+    ) -> EngineResult<Option<PrunedScan>> {
         Ok(match self {
             PhysicalPlan::StorageScan {
                 table,
@@ -592,10 +614,10 @@ impl PhysicalPlan {
                 let rows = table.row_count() as f64;
                 let pages = (table.page_count() as f64).max(1.0);
                 let sel = 0.33f64.powi(bounds.bound_count() as i32);
-                let levels = table.index().and_then(|i| i.levels().ok()).unwrap_or(1) as f64;
+                let shape = table.index().and_then(|i| i.shape().ok()).unwrap_or((1, 0));
                 PlanStats::new(
                     (rows * sel).max(1.0),
-                    model.index_scan_cost(rows, pages, levels, sel),
+                    model.index_scan_cost(rows, pages, shape, sel),
                 )
             }
             PhysicalPlan::Filter { input, predicate } => {

@@ -54,6 +54,9 @@ impl Client {
             (Stream::Unix(peer), Stream::Unix(s))
         } else {
             let s = TcpStream::connect(addr)?;
+            // Requests are one write each (see `send`), so Nagle could
+            // only delay them; the clone shares the socket and the option.
+            s.set_nodelay(true)?;
             let peer = s.try_clone()?;
             (Stream::Tcp(peer), Stream::Tcp(s))
         };
@@ -75,14 +78,20 @@ impl Client {
                 "statements must be a single line on the wire",
             ));
         }
-        writeln!(self.writer, "{stmt}")?;
-        self.writer.flush()?;
+        self.send(stmt)?;
         protocol::read_response(&mut self.reader)
+    }
+
+    /// One request line in one `write`. Statement and newline sent as two
+    /// writes leave the second behind Nagle's algorithm until the server
+    /// ACKs the first, and the server's delayed ACK waits ~40 ms for a
+    /// reply it cannot produce before the newline arrives.
+    fn send(&mut self, line: &str) -> io::Result<()> {
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Send the quit marker; the server closes the connection.
     pub fn quit(mut self) -> io::Result<()> {
-        writeln!(self.writer, "\\q")?;
-        self.writer.flush()
+        self.send("\\q")
     }
 }

@@ -25,19 +25,48 @@ use std::io::{self, BufRead, Write};
 use temporal_engine::prelude::{Relation, Value};
 use temporal_sql::SqlOutput;
 
+/// Write `s` escaped for the wire (`\\`, `\t`, `\n`, `\r`) straight into
+/// `w`: the runs between escapes go out as slices of `s`, so encoding a
+/// result allocates nothing per field.
+fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        w.write_all(&bytes[start..i])?;
+        w.write_all(esc)?;
+        start = i + 1;
+    }
+    w.write_all(&bytes[start..])
+}
+
+/// Write one value as a wire field (`\N` for NULL).
+fn write_value<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
+    match v {
+        Value::Null => w.write_all(b"\\N"),
+        Value::Str(s) => write_escaped(w, s),
+        // Bool, Int and Double render without a character the wire escapes.
+        other => write!(w, "{other}"),
+    }
+}
+
+/// The bytes an in-memory `write` produced, as the `String` they are:
+/// escaping only inserts ASCII, so UTF-8 in stays UTF-8 out.
+fn into_field(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("wire fields are UTF-8")
+}
+
 /// Escape one field for the wire: `\\`, `\t`, `\n`, `\r`.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
-    out
+    let mut out = Vec::with_capacity(s.len());
+    write_escaped(&mut out, s).expect("writing to a Vec cannot fail");
+    into_field(out)
 }
 
 /// Invert [`escape`]. Unknown escapes keep the escaped character; a
@@ -63,11 +92,9 @@ pub fn unescape(s: &str) -> String {
 
 /// Serialize one value as a wire field (`\N` for NULL).
 pub fn encode_value(v: &Value) -> String {
-    match v {
-        Value::Null => "\\N".to_string(),
-        Value::Str(s) => escape(s),
-        other => escape(&other.to_string()),
-    }
+    let mut out = Vec::new();
+    write_value(&mut out, v).expect("writing to a Vec cannot fail");
+    into_field(out)
 }
 
 /// Decode one wire field (`\N` → `None`).
@@ -79,36 +106,52 @@ pub fn decode_field(field: &str) -> Option<String> {
     }
 }
 
+/// Write `fields` as one tab-separated line.
+fn write_line<W: Write, T>(
+    w: &mut W,
+    fields: impl IntoIterator<Item = T>,
+    mut field: impl FnMut(&mut W, T) -> io::Result<()>,
+) -> io::Result<()> {
+    for (i, f) in fields.into_iter().enumerate() {
+        if i > 0 {
+            w.write_all(b"\t")?;
+        }
+        field(w, f)?;
+    }
+    w.write_all(b"\n")
+}
+
 /// Write the `ROWS` framing for a result relation.
 fn write_relation<W: Write>(w: &mut W, rel: &Relation) -> io::Result<()> {
     writeln!(w, "ROWS {} {}", rel.len(), rel.schema().len())?;
-    let header: Vec<String> = rel.schema().names().into_iter().map(escape).collect();
-    writeln!(w, "{}", header.join("\t"))?;
+    write_line(w, rel.schema().names(), |w, name| write_escaped(w, name))?;
     for row in rel.iter() {
-        let fields: Vec<String> = row.values().iter().map(encode_value).collect();
-        writeln!(w, "{}", fields.join("\t"))?;
+        write_line(w, row.values(), write_value)?;
     }
-    writeln!(w, "END")
+    w.write_all(b"END\n")
 }
 
-/// Serialize one statement outcome.
+/// Serialize one statement outcome. Every field goes straight into `w`
+/// (the server hands in the connection's response buffer), so pass
+/// something buffered: a bare socket would see one `write` per field.
 pub fn write_output<W: Write>(w: &mut W, out: &SqlOutput) -> io::Result<()> {
     match out {
-        SqlOutput::Ok => writeln!(w, "OK"),
+        SqlOutput::Ok => w.write_all(b"OK\n"),
         SqlOutput::Affected(n) => writeln!(w, "AFFECTED {n}"),
         SqlOutput::Rows(rel) => write_relation(w, rel),
         SqlOutput::Explain(plan) => {
-            writeln!(w, "ROWS 1 1")?;
-            writeln!(w, "plan")?;
-            writeln!(w, "{}", escape(plan))?;
-            writeln!(w, "END")
+            w.write_all(b"ROWS 1 1\nplan\n")?;
+            write_escaped(w, plan)?;
+            w.write_all(b"\nEND\n")
         }
     }
 }
 
 /// Serialize a failure.
 pub fn write_error<W: Write>(w: &mut W, msg: &str) -> io::Result<()> {
-    writeln!(w, "ERR {}", escape(msg))
+    w.write_all(b"ERR ")?;
+    write_escaped(w, msg)?;
+    w.write_all(b"\n")
 }
 
 /// A parsed server response (the client side of [`write_output`]).

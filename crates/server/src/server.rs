@@ -16,7 +16,7 @@
 //! their WAL fsyncs through the group-commit flusher. The server itself
 //! holds no locks across statements.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -122,43 +122,19 @@ impl Server {
 
     /// Accept connections until [`ServerHandle::stop`] is called,
     /// spawning one session thread per connection.
-    pub fn serve(self) -> std::io::Result<()> {
+    pub fn serve(self) -> io::Result<()> {
         match self.listener {
+            // TCP_NODELAY: a response is one write (or a few 64 KiB
+            // ones), so Nagle has nothing to coalesce and can only hold a
+            // reply back behind the peer's delayed ACK. A connection that
+            // refuses the option still works, slower.
             Listener::Tcp(listener) => {
-                for stream in listener.incoming() {
-                    if self.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let db = self.db.clone();
-                    thread::spawn(move || {
-                        if let Ok(peer) = stream.try_clone() {
-                            let _ = serve_connection(
-                                Session::scoped(db),
-                                BufReader::new(peer),
-                                BufWriter::new(stream),
-                            );
-                        }
-                    });
-                }
+                accept_loop(&self.db, &self.stop, listener.incoming(), |s| {
+                    let _ = s.set_nodelay(true);
+                })
             }
             Listener::Unix(listener, path) => {
-                for stream in listener.incoming() {
-                    if self.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let db = self.db.clone();
-                    thread::spawn(move || {
-                        if let Ok(peer) = stream.try_clone() {
-                            let _ = serve_connection(
-                                Session::scoped(db),
-                                BufReader::new(peer),
-                                BufWriter::new(stream),
-                            );
-                        }
-                    });
-                }
+                accept_loop(&self.db, &self.stop, listener.incoming(), |_| {});
                 let _ = std::fs::remove_file(&path);
             }
         }
@@ -173,6 +149,36 @@ impl Server {
             let _ = self.serve();
         });
         handle
+    }
+}
+
+/// The accept loop of either transport: one thread and one
+/// [`Session::scoped`] per connection, reading and writing through the
+/// same socket handle (`&TcpStream` and `&UnixStream` are both `Read` and
+/// `Write`).
+fn accept_loop<S>(
+    db: &Database,
+    stop: &AtomicBool,
+    incoming: impl Iterator<Item = io::Result<S>>,
+    configure: fn(&S),
+) where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    for stream in incoming {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        configure(&stream);
+        let db = db.clone();
+        thread::spawn(move || {
+            let _ = serve_connection(
+                Session::scoped(db),
+                BufReader::new(&stream),
+                BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, &stream),
+            );
+        });
     }
 }
 
@@ -219,16 +225,22 @@ pub fn stats_relation(db: &Database) -> Relation {
     Relation::new(schema, rows).expect("stats relation is well-formed")
 }
 
+/// Capacity of a connection's response buffer: a reply up to this size
+/// leaves in one `write`, a larger one in pieces of this size, so a
+/// connection never holds more than this of an encoded result.
+const RESPONSE_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Drive one connection: read a statement per line, execute it on the
 /// connection's session, write one framed response. Lines starting with
 /// `.` are server commands (currently `.stats`); everything else is SQL.
 /// Errors are reported in-band as `ERR …`; only I/O failures end the
-/// loop early.
+/// loop early. `writer` must buffer: the response goes into it field by
+/// field and is flushed once per statement.
 fn serve_connection<R: BufRead, W: Write>(
     mut session: Session,
     reader: R,
     mut writer: W,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     session
         .database()
         .metrics()
@@ -329,6 +341,105 @@ mod tests {
         );
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 200 request/response round trips must not each wait out a kernel
+    /// timer: with the request split over two writes and Nagle on, every
+    /// statement stalls ~44 ms behind the peer's delayed ACK (≈ 8.8 s here).
+    fn assert_200_statements_are_quick(addr: &str) {
+        let mut c = Client::connect(addr).expect("connect");
+        assert_eq!(
+            c.execute("CREATE TABLE q (x int, ts int, te int)").unwrap(),
+            Response::Ok
+        );
+        assert_eq!(
+            c.execute("INSERT INTO q VALUES (1, 0, 2)").unwrap(),
+            Response::Affected(1)
+        );
+        let started = std::time::Instant::now();
+        for _ in 0..200 {
+            match c.execute("SELECT x FROM q").unwrap() {
+                Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+                other => panic!("expected rows, got {other:?}"),
+            }
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "200 trivial statements took {elapsed:?}"
+        );
+        c.quit().unwrap();
+    }
+
+    #[test]
+    fn two_hundred_statements_do_not_stall_on_the_wire() {
+        let tcp = Server::bind(Database::default(), "127.0.0.1:0")
+            .expect("bind")
+            .spawn();
+        assert_200_statements_are_quick(tcp.addr());
+        tcp.stop();
+
+        let dir = std::env::temp_dir().join(format!("tsql-quick-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addr = dir.join("db.sock").display().to_string();
+        let unix = Server::bind(Database::default(), &addr)
+            .expect("bind unix")
+            .spawn();
+        assert_200_statements_are_quick(&addr);
+        unix.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reply several response buffers long arrives whole and equal to
+    /// what the same statement returns in-process, and the connection
+    /// keeps serving afterwards.
+    #[test]
+    fn large_reply_round_trips_equal_to_the_in_process_relation() {
+        let db = Database::default();
+        let mut local = Session::with_database(db.clone());
+        local
+            .execute("CREATE TABLE big (name str, n int, ts int, te int)")
+            .unwrap();
+        for chunk in 0..10 {
+            let values: Vec<String> = (chunk * 500..(chunk + 1) * 500)
+                .map(|i| format!("('row\t{i} of the large reply', {i}, {i}, {})", i + 3))
+                .collect();
+            local
+                .execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
+                .unwrap();
+        }
+        let query = "SELECT name, n, ts, te FROM big ORDER BY n";
+        let SqlOutput::Rows(expected) = local.execute(query).unwrap() else {
+            panic!("expected rows in-process");
+        };
+        let expected: Vec<Vec<Option<String>>> = expected
+            .iter()
+            .map(|row| {
+                row.values()
+                    .iter()
+                    .map(|v| protocol::decode_field(&protocol::encode_value(v)))
+                    .collect()
+            })
+            .collect();
+        let bytes: usize = expected.iter().flatten().flatten().map(String::len).sum();
+        assert!(bytes >= 100 * 1024, "reply carries only {bytes} bytes");
+
+        let handle = Server::bind(db, "127.0.0.1:0").expect("bind").spawn();
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        for _ in 0..2 {
+            match c.execute(query).unwrap() {
+                Response::Rows { columns, rows } => {
+                    assert_eq!(columns, vec!["name", "n", "ts", "te"]);
+                    assert_eq!(rows, expected);
+                }
+                other => panic!("expected rows, got {other:?}"),
+            }
+            match c.execute("SELECT n FROM big WHERE n = 7").unwrap() {
+                Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("7".into())]]),
+                other => panic!("expected rows, got {other:?}"),
+            }
+        }
+        handle.stop();
     }
 
     #[test]

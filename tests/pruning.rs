@@ -51,6 +51,30 @@ fn oracle_as_of(rel: &TemporalRelation, v: i64) -> Vec<Row> {
         .collect()
 }
 
+/// Load `rel` (`id, ts, te`) into a fresh persisted table the way a
+/// client does: `CREATE TABLE … PERSISTED` + `COPY`. The table is never
+/// `persist`ed, so its interval index is whatever `insert_rows` appends
+/// made of it — the sorted tree for in-order rows, the overflow chain
+/// for the rest — not a bulk build.
+fn copy_load(db: &Database, dir: &std::path::Path, name: &str, rel: &TemporalRelation) {
+    let csv = dir.join(format!("{name}.csv"));
+    let lines: String = rel
+        .rows()
+        .iter()
+        .map(|r| format!("{},{},{}\n", r[0], r[1], r[2]))
+        .collect();
+    std::fs::write(&csv, lines).unwrap();
+    let mut session = Session::with_database(db.clone());
+    session
+        .execute(&format!(
+            "CREATE TABLE {name} (id int, ts int, te int) PERSISTED"
+        ))
+        .unwrap();
+    session
+        .execute(&format!("COPY {name} FROM '{}'", csv.display()))
+        .unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -71,7 +95,19 @@ proptest! {
         db.register("dd", &dd_r).unwrap();
         db.register("de", &de_r).unwrap();
         db.register("dr", &dr_r).unwrap();
-        for (name, rel) in [("dd", &dd_r), ("de", &de_r), ("dr", &dr_r)] {
+        // The same data again, COPY-loaded: appended to the index row by
+        // row instead of bulk-built (dd in ts order, dr out of order).
+        copy_load(&db, &dir, "dd_copy", &dd_r);
+        copy_load(&db, &dir, "de_copy", &de_r);
+        copy_load(&db, &dir, "dr_copy", &dr_r);
+        for (name, rel) in [
+            ("dd", &dd_r),
+            ("de", &de_r),
+            ("dr", &dr_r),
+            ("dd_copy", &dd_r),
+            ("de_copy", &de_r),
+            ("dr_copy", &dr_r),
+        ] {
             // Instants across (and beyond) each dataset's timeline.
             for v in [0, 1, (pick % (20 * n as u64)) as i64, 100, -5] {
                 let expected = oracle_as_of(rel, v);
@@ -226,6 +262,50 @@ fn interval_index_reopens_through_manifest() {
 
     assert!(db.drop_table("r").unwrap());
     assert!(!tidx.exists(), "drop_table must remove the index file");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The planner costs the shape the appends left the index in: in-order
+/// ingest keeps the sorted tree (index probe), out-of-order ingest fills
+/// the overflow chain every probe would walk (zone sweep instead).
+#[test]
+fn copy_loaded_access_path_follows_the_index_shape() {
+    let dir = scratch("copy-shape");
+    let db = Database::open(&dir).unwrap();
+    set_pruning(&db, true, true);
+    copy_load(&db, &dir, "ordered", &ddisj(3000).0);
+    copy_load(&db, &dir, "shuffled", &drand(3000, 3).0);
+    let shape = |name: &str| {
+        db.read(|catalog, _| match catalog.source(name).unwrap() {
+            TableSource::Stored(t) => t.index().expect("temporal table").shape().unwrap(),
+            TableSource::Mem(_) => panic!("{name} must be stored"),
+        })
+    };
+    assert_eq!(shape("ordered"), (2, 0), "in-order rows all enter the tree");
+    let (_, overflow_pages) = shape("shuffled");
+    assert!(overflow_pages >= 10, "random starts mostly miss the tree");
+
+    let ordered = db
+        .table("ordered")
+        .unwrap()
+        .as_of(30_000)
+        .explain()
+        .unwrap();
+    assert!(
+        ordered.contains("IndexScan on ordered using interval index"),
+        "in-order COPY should probe the index:\n{ordered}"
+    );
+    let shuffled = db
+        .table("shuffled")
+        .unwrap()
+        .as_of(5_000)
+        .explain()
+        .unwrap();
+    assert!(
+        shuffled.contains("using zonemap"),
+        "a chain-heavy index should lose to the zone sweep:\n{shuffled}"
+    );
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
