@@ -52,13 +52,19 @@ pub struct OperatorStats {
     pub pages_read: AtomicU64,
     /// Heap pages pruned before decode at this node (storage scans only).
     pub pages_skipped: AtomicU64,
+    /// Tuples on the pages read that the scan looked at — `rows` of them
+    /// survived its record-level bounds (storage scans only). Summed from
+    /// the page headers, once per page.
+    pub tuples_checked: AtomicU64,
     /// Ranged partitions built from this node (> 0 only under exchange).
     pub partitions: AtomicU64,
 }
 
 impl OperatorStats {
-    pub fn note_page_read(&self) {
+    /// One page read, holding `tuples` visible tuples.
+    pub fn note_page_read(&self, tuples: u64) {
         self.pages_read.fetch_add(1, Ordering::Relaxed);
+        self.tuples_checked.fetch_add(tuples, Ordering::Relaxed);
     }
 
     pub fn note_pages_skipped(&self, n: u64) {

@@ -5,14 +5,20 @@
 //! materialized `Arc<Relation>`, this node decodes slotted pages into
 //! [`RowBatch`]es *as they are pulled*: at any moment only the pages the
 //! buffer pool holds are in memory, so a table larger than the pool (or
-//! than RAM) scans in constant space. Both Volcano protocols pull from
-//! the same page cursor, so `next()` and `next_batch()` agree row for
-//! row. A scan may cover only a contiguous page range — the morsel shape
-//! the parallel planner hands to exchange partitions; concurrent
-//! partitions share the table's buffer pool, whose pin path is per-frame
-//! (see `temporal_store::buffer`).
+//! than RAM) scans in constant space. Both Volcano protocols pull through
+//! the same page cursor and the same decode routine, so `next()` and
+//! `next_batch()` agree row for row. A scan may cover only a contiguous
+//! page range — the morsel shape the parallel planner hands to exchange
+//! partitions; concurrent partitions share the table's buffer pool, whose
+//! pin path is per-frame (see `temporal_store::buffer`).
+//!
+//! A pruned scan also carries the [`ZoneBounds`] that selected its pages
+//! and applies them once more per record, on the encoded bytes, before a
+//! [`Row`] is built (see [`RecordBounds`]): on a page that survived
+//! pruning typically a few records of a hundred match. The bounds only
+//! ever over-approximate the `Filter` the planner keeps above the scan,
+//! so what the scan drops the filter would have dropped.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use temporal_store::HeapSnapshot;
@@ -22,7 +28,7 @@ use crate::error::EngineResult;
 use crate::exec::instrument::OperatorStats;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::schema::Schema;
-use crate::storage::StoredTable;
+use crate::storage::{RecordBounds, StoredTable, ZoneBounds};
 use crate::tuple::Row;
 
 /// Scans a [`StoredTable`] page by page. The page set is either a
@@ -35,13 +41,16 @@ pub struct StorageScanExec {
     pages: Option<Arc<Vec<u32>>>,
     next_page: u32,
     end_page: u32,
+    /// Record-level form of the pruning bounds, when the scan has any.
+    bounds: Option<RecordBounds>,
     /// The statement snapshot this scan is clamped to, resolved from the
     /// execution state on first pull (constructors don't see the state).
     /// Pages past the snapshot are skipped and the snapshot's tail page is
     /// decoded as a prefix, so the scan never observes a concurrent
     /// writer's in-flight appends.
     snapshot: Option<HeapSnapshot>,
-    pending: VecDeque<Row>,
+    /// Decoded rows the row protocol has not handed out yet.
+    row_buf: std::vec::IntoIter<Row>,
     /// Per-plan-node page ledger (`EXPLAIN ANALYZE`): when attached, page
     /// reads are credited to the originating plan node as well as to the
     /// query-wide stats. All morsels of one scan share one ledger.
@@ -50,16 +59,8 @@ pub struct StorageScanExec {
 
 impl StorageScanExec {
     pub fn new(table: Arc<StoredTable>) -> Self {
-        let end_page = table.page_count();
-        StorageScanExec {
-            table,
-            pages: None,
-            next_page: 0,
-            end_page,
-            snapshot: None,
-            pending: VecDeque::new(),
-            ledger: None,
-        }
+        let end = table.page_count();
+        Self::with_page_range(table, 0, end)
     }
 
     /// Scan only pages `start..end` (clamped) — one morsel of a
@@ -71,8 +72,9 @@ impl StorageScanExec {
             pages: None,
             next_page: start.min(end_page),
             end_page,
+            bounds: None,
             snapshot: None,
-            pending: VecDeque::new(),
+            row_buf: Vec::new().into_iter(),
             ledger: None,
         }
     }
@@ -88,14 +90,19 @@ impl StorageScanExec {
     ) -> Self {
         let end_page = end.min(pages.len() as u32);
         StorageScanExec {
-            table,
-            pages: Some(pages),
             next_page: start.min(end_page),
             end_page,
-            snapshot: None,
-            pending: VecDeque::new(),
-            ledger: None,
+            pages: Some(pages),
+            ..Self::with_page_range(table, 0, 0)
         }
+    }
+
+    /// Skip, before decoding, records that cannot satisfy `bounds`. The
+    /// caller keeps the predicate the bounds were extracted from above
+    /// the scan, exactly as for page pruning.
+    pub fn with_bounds(mut self, bounds: &ZoneBounds) -> Self {
+        self.bounds = self.table.record_bounds(bounds);
+        self
     }
 
     /// Attach a per-plan-node page ledger (see the `ledger` field).
@@ -104,32 +111,38 @@ impl StorageScanExec {
         self
     }
 
-    /// Decode pages until `pending` holds at least `want` rows or the
+    /// Decode pages into `out` until it holds at least `want` rows or the
     /// morsel's page set is exhausted. Every decode is clamped to the
     /// statement snapshot (shared across all morsels of the query via
     /// [`ExecutionState::snapshot_for`]): fully-visible pages decode
     /// whole, the snapshot's tail page decodes as a tuple prefix, and
     /// pages appended after the snapshot are skipped entirely.
-    fn refill(&mut self, want: usize, state: &ExecutionState) -> EngineResult<()> {
+    fn fill(
+        &mut self,
+        out: &mut Vec<Row>,
+        want: usize,
+        state: &ExecutionState,
+    ) -> EngineResult<()> {
         let snap = *self
             .snapshot
             .get_or_insert_with(|| state.snapshot_for(&self.table));
-        while self.pending.len() < want && self.next_page < self.end_page {
+        while out.len() < want && self.next_page < self.end_page {
             let page_no = match &self.pages {
                 Some(list) => list[self.next_page as usize],
                 None => self.next_page,
             };
             self.next_page += 1;
-            let rows = match snap.visible_tuples(page_no) {
-                None => self.table.decode_page(page_no)?,
-                Some(0) => continue,
-                Some(tail) => self.table.decode_page_prefix(page_no, tail)?,
-            };
+            let visible = snap.visible_tuples(page_no);
+            if visible == Some(0) {
+                continue;
+            }
+            let tuples = self
+                .table
+                .decode_page(page_no, visible, self.bounds.as_ref(), out)?;
             state.note_page_read();
             if let Some(ledger) = &self.ledger {
-                ledger.note_page_read();
+                ledger.note_page_read(tuples as u64);
             }
-            self.pending.extend(rows);
         }
         Ok(())
     }
@@ -141,19 +154,25 @@ impl ExecNode for StorageScanExec {
     }
 
     fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.pending.is_empty() {
-            self.refill(1, state)?;
+        if let Some(row) = self.row_buf.next() {
+            return Ok(Some(row));
         }
-        Ok(self.pending.pop_front())
+        let mut rows = Vec::new();
+        self.fill(&mut rows, 1, state)?;
+        self.row_buf = rows.into_iter();
+        Ok(self.row_buf.next())
     }
 
+    /// Batches are whole pages' worth of survivors: up to one page past
+    /// [`BATCH_SIZE`], handed over without another copy.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.refill(BATCH_SIZE, state)?;
-        if self.pending.is_empty() {
+        // Rows a preceding `next()` left behind (none unless a caller
+        // mixes the protocols) lead the batch.
+        let mut rows: Vec<Row> = self.row_buf.by_ref().collect();
+        self.fill(&mut rows, BATCH_SIZE, state)?;
+        if rows.is_empty() {
             return Ok(None);
         }
-        let take = self.pending.len().min(BATCH_SIZE);
-        let rows: Vec<Row> = self.pending.drain(..take).collect();
         Ok(Some(RowBatch::new(self.table.schema().clone(), rows)))
     }
 }

@@ -598,8 +598,10 @@ pub fn extract_zone_bounds(
 }
 
 /// Fold one `col op literal` conjunct into `bounds`, tightening any bound
-/// already present. Strict comparisons shift by one (integer domain), with
-/// saturation at the i64 edges keeping the bound conservative.
+/// already present. Comparisons whose strictness differs from the bound's
+/// shift by one (integer domain). At the i64 edges a shift that would
+/// *loosen* the conjunct saturates (still conservative); one that would
+/// tighten it (`te >= i64::MIN` as `te > i64::MIN`) contributes no bound.
 fn apply_bound(
     bounds: &mut ZoneBounds,
     c: usize,
@@ -630,12 +632,20 @@ fn apply_bound(
     } else if c == te_col {
         match op {
             CmpOp::Gt => tighten_max(&mut bounds.te_gt, v),
-            CmpOp::Ge => tighten_max(&mut bounds.te_gt, v.saturating_sub(1)),
             CmpOp::Lt => tighten_min(&mut bounds.te_lt, v),
-            CmpOp::Le => tighten_min(&mut bounds.te_lt, v.saturating_add(1)),
-            CmpOp::Eq => {
-                tighten_max(&mut bounds.te_gt, v.saturating_sub(1));
-                tighten_min(&mut bounds.te_lt, v.saturating_add(1));
+            // `te >= v` is `te > v - 1`, `te <= v` is `te < v + 1`, `=` is
+            // both; at the i64 edge that side admits every integer.
+            CmpOp::Ge | CmpOp::Le | CmpOp::Eq => {
+                if op != CmpOp::Le {
+                    if let Some(below) = v.checked_sub(1) {
+                        tighten_max(&mut bounds.te_gt, below);
+                    }
+                }
+                if op != CmpOp::Ge {
+                    if let Some(above) = v.checked_add(1) {
+                        tighten_min(&mut bounds.te_lt, above);
+                    }
+                }
             }
             CmpOp::Ne => {}
         }
@@ -773,6 +783,25 @@ mod tests {
     fn unknown_table_errors() {
         let lp = LogicalPlan::table_scan("nope", rel(0).schema().clone());
         assert!(Planner::default().run(&lp, &Catalog::new()).is_err());
+    }
+
+    #[test]
+    fn zone_bounds_over_approximate_their_conjuncts() {
+        // Columns: 0 = key, 1 = ts, 2 = te.
+        let bounds = |p: Expr| extract_zone_bounds(&p, 1, 2, Some(0));
+        let b = bounds(col(1).le(lit(7i64)).and(col(2).gt(lit(7i64))));
+        assert_eq!(b, ZoneBounds::as_of(7));
+        let b = bounds(col(2).ge(lit(5i64)).and(col(2).le(lit(9i64))));
+        assert_eq!((b.te_gt, b.te_lt), (Some(4), Some(10)));
+        // `te >= MIN` and `te <= MAX` hold for every integer: a shifted,
+        // saturated bound would exclude the edge value itself.
+        let b = bounds(col(2).ge(lit(i64::MIN)).and(col(2).le(lit(i64::MAX))));
+        assert!(b.is_empty(), "{b:?}");
+        let b = bounds(col(2).eq(lit(i64::MAX)));
+        assert_eq!((b.te_gt, b.te_lt), (Some(i64::MAX - 1), None));
+        // The loosening direction may saturate.
+        let b = bounds(col(1).lt(lit(i64::MIN)).and(col(0).gt(lit(i64::MAX))));
+        assert_eq!((b.ts_le, b.key_ge), (Some(i64::MIN), Some(i64::MAX)));
     }
 
     #[test]

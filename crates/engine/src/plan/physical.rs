@@ -20,9 +20,10 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::storage::{StoredTable, ZoneBounds};
 
-/// A pruned-scan resolution: the stored table plus the sorted list of
-/// heap pages that survived zone-map / interval-index pruning.
-type PrunedScan = (Arc<StoredTable>, Arc<Vec<u32>>);
+/// A pruned-scan resolution: the stored table, the sorted list of heap
+/// pages that survived zone-map / interval-index pruning, and the bounds
+/// that selected them — which the scan applies once more, per record.
+type PrunedScan = (Arc<StoredTable>, Arc<Vec<u32>>, ZoneBounds);
 
 /// A physical (executable) plan.
 #[derive(Debug, Clone)]
@@ -268,7 +269,7 @@ impl PhysicalPlan {
         // are formed over the *surviving* page set — pruning and
         // parallelism compose instead of fighting over the range layout.
         let pruned = self.pipeline_pruning(state)?;
-        let units = pruned.as_ref().map_or(units, |(_, pages)| pages.len());
+        let units = pruned.as_ref().map_or(units, |(_, pages, _)| pages.len());
         let ranges = crate::exec::workers::split_ranges(units, state.threads());
         if ranges.len() <= 1 {
             // Too little left to split: fall back to the serial build,
@@ -279,7 +280,7 @@ impl PhysicalPlan {
             .iter()
             .map(|&(a, b)| self.build_ranged(a, b, pruned.as_ref(), state))
             .collect::<EngineResult<Vec<_>>>()?;
-        if let Some((table, pages)) = &pruned {
+        if let Some((table, pages, _)) = &pruned {
             let skipped = u64::from(table.page_count()).saturating_sub(pages.len() as u64);
             state.note_pages_skipped(skipped);
             if let Some(ins) = state.instrumentation() {
@@ -346,7 +347,7 @@ impl PhysicalPlan {
                 let snap = state.snapshot_for(table);
                 let mut pages = table.zone_surviving_pages(bounds)?;
                 pages.retain(|&p| snap.sees_page(p));
-                Some((table.clone(), Arc::new(pages)))
+                Some((table.clone(), Arc::new(pages), *bounds))
             }
             PhysicalPlan::IndexScan { table, bounds, .. } => {
                 let config = state.config();
@@ -368,7 +369,7 @@ impl PhysicalPlan {
                             }
                             pages = kept;
                         }
-                        return Ok(Some((table.clone(), Arc::new(pages))));
+                        return Ok(Some((table.clone(), Arc::new(pages), *bounds)));
                     }
                 }
                 // Index missing or disabled: degrade to a zone sweep, or a
@@ -376,7 +377,7 @@ impl PhysicalPlan {
                 if config.enable_zonemaps {
                     let mut pages = table.zone_surviving_pages(bounds)?;
                     pages.retain(|&p| snap.sees_page(p));
-                    Some((table.clone(), Arc::new(pages)))
+                    Some((table.clone(), Arc::new(pages), *bounds))
                 } else {
                     None
                 }
@@ -436,12 +437,13 @@ impl PhysicalPlan {
             }
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
                 let scan = match pruned {
-                    Some((_, pages)) => StorageScanExec::with_page_list(
+                    Some((_, pages, bounds)) => StorageScanExec::with_page_list(
                         table.clone(),
                         pages.clone(),
                         start as u32,
                         end as u32,
-                    ),
+                    )
+                    .with_bounds(bounds),
                     None => {
                         StorageScanExec::with_page_range(table.clone(), start as u32, end as u32)
                     }
@@ -471,7 +473,7 @@ impl PhysicalPlan {
             PhysicalPlan::SeqScan { rel, .. } => Box::new(SeqScanExec::new(rel.clone())),
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
                 match self.resolve_scan_pages(state)? {
-                    Some((table, pages)) => {
+                    Some((table, pages, bounds)) => {
                         // The single serial accounting site for page skips;
                         // the parallel path accounts in `build_parallel`.
                         let skipped =
@@ -481,7 +483,8 @@ impl PhysicalPlan {
                             ins.op(self.node_key()).note_pages_skipped(skipped);
                         }
                         let n = pages.len() as u32;
-                        self.boxed_scan(StorageScanExec::with_page_list(table, pages, 0, n), state)
+                        let scan = StorageScanExec::with_page_list(table, pages, 0, n);
+                        self.boxed_scan(scan.with_bounds(&bounds), state)
                     }
                     None => self.boxed_scan(StorageScanExec::new(table.clone()), state),
                 }
@@ -866,15 +869,24 @@ impl PhysicalPlan {
             .and_then(|ins| ins.get(self.node_key()))
         {
             Some(op) => {
-                let mut s = format!(
-                    " (actual rows={} batches={} time={:.3}ms",
-                    op.rows.load(Ordering::Relaxed),
-                    op.batches.load(Ordering::Relaxed),
-                    op.millis(),
-                );
                 let pages_read = op.pages_read.load(Ordering::Relaxed);
                 let pages_skipped = op.pages_skipped.load(Ordering::Relaxed);
-                if pages_read > 0 || pages_skipped > 0 {
+                let is_scan = pages_read > 0 || pages_skipped > 0;
+                let mut s = format!(" (actual rows={}", op.rows.load(Ordering::Relaxed));
+                if is_scan {
+                    // Beside the rows the scan emitted, the tuples its
+                    // record-level bounds were tested on.
+                    s.push_str(&format!(
+                        " tuples_checked={}",
+                        op.tuples_checked.load(Ordering::Relaxed)
+                    ));
+                }
+                s.push_str(&format!(
+                    " batches={} time={:.3}ms",
+                    op.batches.load(Ordering::Relaxed),
+                    op.millis(),
+                ));
+                if is_scan {
                     s.push_str(&format!(
                         " pages_read={pages_read} pages_skipped={pages_skipped}"
                     ));

@@ -186,6 +186,59 @@ pub fn decode_row(mut rec: &[u8], arity: usize) -> EngineResult<Row> {
     Ok(Row::new(values))
 }
 
+// ---- record-level bounds -------------------------------------------------
+
+/// The [`ZoneBounds`] of a pruned scan, compiled against one table's
+/// column layout so they can be tested on an *encoded* record: the scan
+/// walks the tag bytes to the bounded columns, compares the integers in
+/// place, and decodes a [`Row`] only for records that pass.
+///
+/// Like the page-level zone check this is a conservative pre-filter, never
+/// the predicate itself: a record whose bounded column is not an integer
+/// (NULL), or whose bytes do not parse, is kept — the `Filter` above the
+/// scan decides about the former and [`decode_row`] reports the latter.
+#[derive(Debug, Clone)]
+pub struct RecordBounds {
+    /// `(column, lo, hi)`: an integer in `column` must lie in `lo..=hi`.
+    /// Ascending by column, so one forward walk serves every check.
+    checks: Vec<(usize, i64, i64)>,
+}
+
+impl RecordBounds {
+    /// Could the encoded record satisfy the bounds?
+    pub fn may_match(&self, rec: &[u8]) -> bool {
+        let (mut off, mut col) = (0usize, 0usize);
+        for &(want, lo, hi) in &self.checks {
+            while col < want {
+                let width = match rec.get(off) {
+                    Some(&TAG_NULL) => 1,
+                    Some(&TAG_BOOL) => 2,
+                    Some(&(TAG_INT | TAG_DOUBLE)) => 9,
+                    Some(&TAG_STR) => match rec.get(off + 1..off + 5) {
+                        Some(len) => {
+                            5 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize
+                        }
+                        None => return true,
+                    },
+                    _ => return true,
+                };
+                off += width;
+                col += 1;
+            }
+            if rec.get(off) == Some(&TAG_INT) {
+                let Some(bytes) = rec.get(off + 1..off + 9) else {
+                    return true;
+                };
+                let v = i64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                if v < lo || v > hi {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
 // ---- stored tables -------------------------------------------------------
 
 /// A catalog table backed by a heap file: schema + [`TableHeap`]. Appends
@@ -413,6 +466,31 @@ impl StoredTable {
         Ok(pages)
     }
 
+    /// Compile `bounds` for record-level checks against this table's
+    /// layout; `None` when no bound applies to a column it has.
+    pub fn record_bounds(&self, bounds: &ZoneBounds) -> Option<RecordBounds> {
+        let mut checks = Vec::new();
+        let mut check = |col: usize, lo: Option<i64>, hi: Option<i64>| {
+            if lo.is_some() || hi.is_some() {
+                checks.push((col, lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX)));
+            }
+        };
+        if let Some(key) = self.key_col {
+            check(key, bounds.key_ge, bounds.key_le);
+        }
+        if let Some((tsi, tei)) = self.temporal {
+            check(tsi, bounds.ts_ge, bounds.ts_le);
+            // Strict to inclusive; saturation at the i64 edges only widens
+            // the range, which a pre-filter may.
+            check(
+                tei,
+                bounds.te_gt.map(|v| v.saturating_add(1)),
+                bounds.te_lt.map(|v| v.saturating_sub(1)),
+            );
+        }
+        (!checks.is_empty()).then_some(RecordBounds { checks })
+    }
+
     /// `(ts, te)` column positions when the schema has the temporal shape.
     pub fn temporal_cols(&self) -> Option<(usize, usize)> {
         self.temporal
@@ -442,52 +520,34 @@ impl StoredTable {
         })
     }
 
-    /// Decode all rows of page `page_no` (one pinned page; the pin is
-    /// released before returning).
-    pub fn decode_page(&self, page_no: u32) -> EngineResult<Vec<Row>> {
+    /// Decode heap page `page_no` into `out` (one pinned page; the pin is
+    /// released before returning) and return how many tuples were looked
+    /// at. `visible` caps the slots considered — the partially visible
+    /// tail page of a [`HeapSnapshot`]: records appended past the
+    /// snapshot's watermark land after the prefix, so truncating the slot
+    /// range is exactly the snapshot's visibility rule. With `bounds`,
+    /// records that cannot satisfy them are skipped *before* decoding.
+    pub fn decode_page(
+        &self,
+        page_no: u32,
+        visible: Option<u16>,
+        bounds: Option<&RecordBounds>,
+        out: &mut Vec<Row>,
+    ) -> EngineResult<usize> {
         let arity = self.schema.len();
         self.heap
             .with_page(page_no, |page: &Page| {
-                let mut rows = Vec::with_capacity(page.tuple_count() as usize);
-                for rec in page.records() {
-                    let rec = rec?;
-                    match decode_row(rec, arity) {
-                        Ok(r) => rows.push(r),
-                        Err(e) => {
-                            return Err(temporal_store::StoreError::Corrupt(format!(
-                                "page {page_no}: {e}"
-                            )))
-                        }
+                let tuples = visible.map_or(page.tuple_count(), |v| v.min(page.tuple_count()));
+                for slot in 0..tuples {
+                    let rec = page.record(slot)?;
+                    if bounds.is_some_and(|b| !b.may_match(rec)) {
+                        continue;
                     }
+                    out.push(decode_row(rec, arity).map_err(|e| {
+                        temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
+                    })?);
                 }
-                Ok(rows)
-            })
-            .map_err(EngineError::from)
-    }
-
-    /// Decode at most the first `limit` tuples of heap page `page_no` —
-    /// the clamped decode used when a page is the partially-visible tail
-    /// of a [`HeapSnapshot`]. Records appended past the snapshot's
-    /// watermark land after the prefix, so truncating the record iterator
-    /// is exactly the snapshot's visibility rule.
-    pub fn decode_page_prefix(&self, page_no: u32, limit: u16) -> EngineResult<Vec<Row>> {
-        let arity = self.schema.len();
-        self.heap
-            .with_page(page_no, |page: &Page| {
-                let visible = limit.min(page.tuple_count());
-                let mut rows = Vec::with_capacity(visible as usize);
-                for rec in page.records().take(visible as usize) {
-                    let rec = rec?;
-                    match decode_row(rec, arity) {
-                        Ok(r) => rows.push(r),
-                        Err(e) => {
-                            return Err(temporal_store::StoreError::Corrupt(format!(
-                                "page {page_no}: {e}"
-                            )))
-                        }
-                    }
-                }
-                Ok(rows)
+                Ok(tuples as usize)
             })
             .map_err(EngineError::from)
     }
@@ -497,8 +557,10 @@ impl StoredTable {
     /// execution should scan via [`crate::exec::StorageScanExec`] instead.
     pub fn read_all(&self) -> EngineResult<Relation> {
         let mut rel = Relation::empty(self.schema.clone());
+        let mut rows = Vec::new();
         for page_no in 0..self.page_count() {
-            for row in self.decode_page(page_no)? {
+            self.decode_page(page_no, None, None, &mut rows)?;
+            for row in rows.drain(..) {
                 rel.push(row)?;
             }
         }
@@ -692,6 +754,43 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = 99; // unknown tag
         assert!(decode_row(&bad, 5).is_err());
+    }
+
+    #[test]
+    fn record_bounds_test_encoded_records_in_place() {
+        let path = tmp("recbounds.heap");
+        // No integer first column: key bounds have nothing to apply to.
+        let t = StoredTable::create(&path, "t", schema(), 2).unwrap();
+        assert!(t
+            .record_bounds(&ZoneBounds {
+                key_ge: Some(1),
+                ..ZoneBounds::default()
+            })
+            .is_none());
+        let as_of_5 = t.record_bounds(&ZoneBounds::as_of(5)).unwrap();
+        let encoded = |r: &Row| {
+            let mut buf = Vec::new();
+            encode_row(r, &mut buf);
+            buf
+        };
+        // Half-open [ts, te): the walk crosses a string, a double and a
+        // bool to reach the pair.
+        assert!(as_of_5.may_match(&encoded(&row("ann", 1.5, true, 5, 6))));
+        assert!(as_of_5.may_match(&encoded(&row("a-much-longer-name", 1.5, true, 0, 9))));
+        assert!(!as_of_5.may_match(&encoded(&row("ann", 1.5, true, 6, 9))));
+        assert!(!as_of_5.may_match(&encoded(&row("", 1.5, true, 0, 5))));
+        // What the bounds cannot judge is kept for the filter (NULLs) or
+        // for `decode_row` to report (bytes that do not parse).
+        let mut nulls = row("ann", 1.5, true, 9, 5).values().to_vec();
+        nulls[1] = Value::Null;
+        nulls[3] = Value::Null;
+        assert!(!as_of_5.may_match(&encoded(&Row::new(nulls.clone()))));
+        nulls[4] = Value::Null;
+        assert!(as_of_5.may_match(&encoded(&Row::new(nulls))));
+        let whole = encoded(&row("ann", 1.5, true, 6, 9));
+        assert!(as_of_5.may_match(&whole[..whole.len() - 12]));
+        assert!(as_of_5.may_match(&[99, 1, 2]));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -92,9 +92,13 @@ impl PoolStats {
 /// the short map-guard — that is what makes the eviction check
 /// (`pins == 0` while holding the guard) race-free, since a pin count can
 /// only leave zero with the guard held. On a miss the victim frame is
-/// *claimed* (pinned, unmapped) under the guard, the guard is dropped, and
-/// the disk read runs outside it under the frame's own write latch;
-/// concurrent fetches of other pages proceed in parallel with the I/O.
+/// *claimed* (pinned, unmapped), mapped to the wanted page and
+/// write-latched, all under the guard; the guard is then dropped and the
+/// disk read runs outside it under the frame latch. Concurrent fetches of
+/// other pages proceed in parallel with the I/O; a concurrent fetch of the
+/// *same* page finds the mapping, pins the frame and waits on its latch,
+/// so a page is read from disk by one thread at a time and only while no
+/// frame holds a loaded copy of it.
 /// Dirty bits are per-frame atomics set when a [`PageWriteGuard`] is
 /// released (still under the frame latch), so page writes never touch the
 /// pool mutex; write-back *clears* the bit before copying the frame out
@@ -102,7 +106,11 @@ impl PoolStats {
 /// the next flush rewrites the page — a mutation is never lost. Victim
 /// write-back stays under the map-guard: it is atomic with the victim's
 /// unmapping, so a concurrent re-fetch of the evicted page can never read
-/// the heap file before the write-back lands.
+/// the heap file before the write-back lands. Together the two rules are
+/// the **read-vs-write-back invariant** the lock-free [`DiskManager`] reads
+/// rest on: a page is written only while a loaded frame maps it (under the
+/// guard), and read only while none does — the same page is never read and
+/// written at once, with no file lock involved.
 #[derive(Debug)]
 pub struct BufferPool {
     disk: DiskManager,
@@ -266,33 +274,34 @@ impl BufferPool {
                 Err(e) => return Err(e),
             }
         };
-        // Latch the frame before releasing the map-guard, then read outside
-        // the guard: other fetches proceed concurrently with the I/O.
-        let mut frame = self.frames[idx].write().unwrap_or_else(|e| e.into_inner());
-        drop(state);
-        if let Err(e) = self.disk.read_page(id, &mut frame) {
-            drop(frame);
-            self.release_claim(idx);
-            return Err(e);
-        }
-        drop(frame);
-        self.io_reads.fetch_add(1, Ordering::Relaxed);
-        // Publish the mapping — unless a concurrent miss on the same id won
-        // the race, in which case adopt the winner's frame and release ours
-        // (one redundant read, never two frames mapped to one page).
-        let mut state = self.lock_state();
-        if let Some(&winner) = state.table.get(&id) {
-            self.pins[winner].fetch_add(1, Ordering::Acquire);
-            state.meta[winner].referenced = true;
-            drop(state);
-            self.release_claim(idx);
-            return Ok(self.guard(winner));
-        }
+        // Map and latch the frame before releasing the map-guard, then read
+        // outside the guard: other fetches proceed concurrently with the
+        // I/O, and a fetch of this same id blocks on the latch until the
+        // contents are in place (as in `allocate`).
         state.meta[idx] = FrameMeta {
             page: Some(id),
             referenced: true,
         };
         state.table.insert(id, idx);
+        let mut frame = self.frames[idx].write().unwrap_or_else(|e| e.into_inner());
+        drop(state);
+        if let Err(e) = self.disk.read_page(id, &mut frame) {
+            // Fetches that found the mapping meanwhile hold pins on this
+            // frame: leave them a blank page (which fails validation, as
+            // their own read would have), then unmap. The latch is dropped
+            // before the guard is retaken — `overwrite` takes them in the
+            // other order.
+            *frame = Page::zeroed();
+            drop(frame);
+            let mut state = self.lock_state();
+            state.table.remove(&id);
+            state.meta[idx] = FrameMeta::default();
+            drop(state);
+            self.unpin(idx);
+            return Err(e);
+        }
+        drop(frame);
+        self.io_reads.fetch_add(1, Ordering::Relaxed);
         Ok(self.guard(idx))
     }
 
@@ -330,8 +339,9 @@ impl BufferPool {
         {
             Ok(id) => id,
             Err(e) => {
+                // The claimed frame was never mapped: just drop the claim.
                 drop(state);
-                self.release_claim(idx);
+                self.unpin(idx);
                 return Err(e);
             }
         };
@@ -376,11 +386,6 @@ impl BufferPool {
         }
         self.pins[idx].store(1, Ordering::Release);
         Ok(idx)
-    }
-
-    /// Abandon a claimed-but-unpublished frame (failed I/O, lost race).
-    fn release_claim(&self, idx: usize) {
-        self.pins[idx].store(0, Ordering::Release);
     }
 
     /// Clock (second-chance) victim selection over unpinned frames.

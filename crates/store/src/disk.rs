@@ -1,38 +1,50 @@
 //! The disk manager: page-granular file I/O for one heap file.
 //!
-//! Every v3 page is CRC-stamped on its way to disk and verified on its
+//! Every heap page gets its CRC on the way to disk and is verified on the
 //! way back, so a torn or bit-rotted page surfaces as a
 //! [`StoreError::Corrupt`] at read time instead of decoding to garbage.
-//! Pre-v3 pages (and the interval index's raw node pages, which carry
-//! their own magic) pass through untouched. Writes and syncs are counted
+//! The interval index's raw node pages, which carry their own magic and
+//! no CRC field, pass through untouched. Writes and syncs are counted
 //! for observability and pass through the [`crate::failpoints`] sites
 //! the crash-matrix tests arm.
+//!
+//! Reads are positional (`pread`) and take no lock: any number of
+//! readers run in parallel with each other and with a writer, and the
+//! checksum is verified on the caller's buffer afterwards. What keeps a
+//! page from being read while it is written is not this module but the
+//! buffer pool in front of it — a page is written back only while it is
+//! resident and mapped, under the pool's map-guard, and read only when it
+//! is not (see `BufferPool`). Writers still exclude each other, because
+//! extending the file and publishing the new page count must be one step.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::error::{StoreError, StoreResult};
 use crate::failpoints::{self, Action};
 use crate::page::{Page, PageId, PAGE_SIZE};
 
-/// Reads and writes whole pages of a single heap file. Thread-safe: the
-/// file handle sits behind a mutex, and the page count is derived from the
-/// tracked file length.
+/// Reads and writes whole pages of a single heap file. Thread-safe:
+/// reads are lock-free positional reads below the atomic page count;
+/// writes, allocations and truncations serialize on `write_lock`.
 #[derive(Debug)]
 pub struct DiskManager {
     path: PathBuf,
+    file: File,
+    /// Pages in the file. Stored (`Release`) only after the write that
+    /// extends the file has completed, so a reader that observes
+    /// (`Acquire`) a count finds every page below it on disk.
+    pages: AtomicU32,
+    write_lock: Mutex<()>,
     io_writes: AtomicU64,
     io_syncs: AtomicU64,
-    inner: Mutex<DiskInner>,
 }
 
-#[derive(Debug)]
-struct DiskInner {
-    file: File,
-    pages: u32,
+fn page_offset(id: PageId) -> u64 {
+    id as u64 * PAGE_SIZE as u64
 }
 
 impl DiskManager {
@@ -83,9 +95,11 @@ impl DiskManager {
         Ok((
             DiskManager {
                 path,
+                file,
+                pages: AtomicU32::new(pages),
+                write_lock: Mutex::new(()),
                 io_writes: AtomicU64::new(0),
                 io_syncs: AtomicU64::new(0),
-                inner: Mutex::new(DiskInner { file, pages }),
             },
             trimmed,
         ))
@@ -98,7 +112,7 @@ impl DiskManager {
 
     /// Number of pages currently in the file.
     pub fn page_count(&self) -> u32 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).pages
+        self.pages.load(Ordering::Acquire)
     }
 
     /// Pages written since open (observability, like `io_reads` on the
@@ -112,20 +126,22 @@ impl DiskManager {
         self.io_syncs.load(Ordering::Relaxed)
     }
 
-    /// Read page `id` into `page`, verifying its CRC (v3 pages).
+    fn writer(&self) -> MutexGuard<'_, ()> {
+        self.write_lock.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Read page `id` into `page`, verifying the CRC of a heap page. No
+    /// lock is held, neither across the read nor across the checksum.
     pub fn read_page(&self, id: PageId, page: &mut Page) -> StoreResult<()> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if id >= inner.pages {
+        let pages = self.page_count();
+        if id >= pages {
             return Err(StoreError::Corrupt(format!(
-                "page {id} out of bounds ({} pages in {})",
-                inner.pages,
+                "page {id} out of bounds ({pages} pages in {})",
                 self.path.display()
             )));
         }
-        inner
-            .file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        inner.file.read_exact(page.as_bytes_mut())?;
+        self.file
+            .read_exact_at(page.as_bytes_mut(), page_offset(id))?;
         if !page.crc_ok() {
             return Err(StoreError::Corrupt(format!(
                 "page {id} of {} fails its checksum (torn write or bit rot)",
@@ -135,19 +151,15 @@ impl DiskManager {
         Ok(())
     }
 
-    /// Stamp the CRC (v3 pages) and write the raw block, honoring any
-    /// armed failpoint. The caller holds the inner lock.
-    fn write_block(&self, inner: &mut DiskInner, id: PageId, page: &Page) -> StoreResult<()> {
+    /// Write the page's on-disk image (CRC filled in, on a stack copy —
+    /// the caller's in-memory page is untouched), honoring any armed
+    /// failpoint. The caller holds the write lock.
+    fn write_block(&self, id: PageId, page: &Page) -> StoreResult<()> {
         if failpoints::power_cut() {
             return Err(crate::failpoints::power_cut_error());
         }
-        // Stamp the CRC on a scratch copy so the caller's in-memory page
-        // is untouched (its CRC is allowed to go stale between writes).
-        let mut scratch = page.clone();
-        scratch.stamp_crc();
-        inner
-            .file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
+        let mut block = page.disk_image();
+        let offset = page_offset(id);
         match failpoints::hit("disk::write_page") {
             Some(Action::Crash) => {
                 #[cfg(feature = "failpoints")]
@@ -156,17 +168,17 @@ impl DiskManager {
             }
             Some(Action::Torn { keep }) => {
                 let keep = keep.min(PAGE_SIZE);
-                inner.file.write_all(&scratch.as_bytes()[..keep])?;
+                self.file.write_all_at(&block[..keep], offset)?;
                 #[cfg(feature = "failpoints")]
                 failpoints::trip_power_cut();
                 return Err(crate::failpoints::power_cut_error());
             }
             Some(Action::FlipBit { offset }) => {
-                scratch.as_bytes_mut()[offset % PAGE_SIZE] ^= 1;
+                block[offset % PAGE_SIZE] ^= 1;
             }
             None => {}
         }
-        inner.file.write_all(scratch.as_bytes())?;
+        self.file.write_all_at(&block, offset)?;
         self.io_writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -174,26 +186,26 @@ impl DiskManager {
     /// Write `page` at page number `id` (must be `<=` the current count;
     /// writing at the count extends the file by one page).
     pub fn write_page(&self, id: PageId, page: &Page) -> StoreResult<()> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if id > inner.pages {
+        let _writer = self.writer();
+        let pages = self.page_count();
+        if id > pages {
             return Err(StoreError::Corrupt(format!(
-                "write would leave a hole: page {id}, file has {} pages",
-                inner.pages
+                "write would leave a hole: page {id}, file has {pages} pages"
             )));
         }
-        self.write_block(&mut inner, id, page)?;
-        if id == inner.pages {
-            inner.pages += 1;
+        self.write_block(id, page)?;
+        if id == pages {
+            self.pages.store(pages + 1, Ordering::Release);
         }
         Ok(())
     }
 
     /// Append a fresh page, returning its id.
     pub fn allocate_page(&self, page: &Page) -> StoreResult<PageId> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let id = inner.pages;
-        self.write_block(&mut inner, id, page)?;
-        inner.pages += 1;
+        let _writer = self.writer();
+        let id = self.page_count();
+        self.write_block(id, page)?;
+        self.pages.store(id + 1, Ordering::Release);
         Ok(id)
     }
 
@@ -201,16 +213,16 @@ impl DiskManager {
     /// drop a trailing page that is corrupt and covered by no WAL record
     /// (such a page can only hold unacknowledged in-flight appends).
     pub fn truncate_pages(&self, pages: u32) -> StoreResult<()> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if pages > inner.pages {
+        let _writer = self.writer();
+        let current = self.page_count();
+        if pages > current {
             return Err(StoreError::Corrupt(format!(
-                "cannot truncate {} to {pages} pages: it has {}",
-                self.path.display(),
-                inner.pages
+                "cannot truncate {} to {pages} pages: it has {current}",
+                self.path.display()
             )));
         }
-        inner.file.set_len(pages as u64 * PAGE_SIZE as u64)?;
-        inner.pages = pages;
+        self.pages.store(pages, Ordering::Release);
+        self.file.set_len(page_offset(pages))?;
         Ok(())
     }
 
@@ -224,8 +236,7 @@ impl DiskManager {
             failpoints::trip_power_cut();
             return Err(crate::failpoints::power_cut_error());
         }
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.file.sync_all()?;
+        self.file.sync_all()?;
         self.io_syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

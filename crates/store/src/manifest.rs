@@ -11,11 +11,10 @@
 //! ```
 //!
 //! (tab-separated: name, heap file, schema fingerprint in hex, row count,
-//! schema string, and — when the table has a persistent interval index —
-//! a sixth field naming the index file). The schema string is opaque to
-//! this crate — the engine layer defines and parses it. Saves are atomic
-//! (temp file + rename). Five-field lines from pre-index manifests still
-//! load: the index is simply absent.
+//! schema string, and — exactly when the table has a persistent interval
+//! index — a sixth field naming the index file). The schema string is
+//! opaque to this crate — the engine layer defines and parses it. Saves
+//! are atomic (temp file + rename).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -277,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn index_field_roundtrips_and_old_lines_still_load() {
+    fn index_field_roundtrips() {
         let dir = tmpdir("index_field");
         let mut m = Manifest::default();
         m.insert("plain", meta("plain.heap"));
@@ -289,14 +288,6 @@ mod tests {
         assert_eq!(m, back);
         assert_eq!(back.get("r").unwrap().index.as_deref(), Some("r.tidx"));
         assert_eq!(back.get("plain").unwrap().index, None);
-        // A hand-written five-field (pre-index) line loads with no index.
-        std::fs::write(
-            Manifest::path_in(&dir),
-            "old\told.heap\tabc\t7\ta:int,ts:int,te:int\n",
-        )
-        .unwrap();
-        let old = Manifest::load(&dir).unwrap();
-        assert_eq!(old.get("old").unwrap().index, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

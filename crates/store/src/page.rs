@@ -23,18 +23,14 @@
 //! zone information ([`Page::zone_clear`]) mark the zone *unknown*, which
 //! pruning must treat as "may match" — conservative by construction.
 //!
-//! ## Header versions
-//!
-//! The v3 header (`"TPG3"`, 80 bytes) extends v2's 68 bytes with a
-//! **page LSN** (the WAL sequence number of the last logged change —
-//! replay applies a record only when the page LSN proves it missing,
-//! making redo idempotent) and a **page CRC** (CRC-32C over the whole
-//! page with the CRC field zeroed, stamped by the disk manager on every
-//! write and verified on read, so a torn or bit-rotted page is detected
-//! instead of decoded). v2 (`"TPG2"`, zone map, no LSN/CRC) and v1
-//! (`"TPAG"`, no zone map either) pages are still readable; the heap
-//! treats them as full, so appends land on fresh v3 pages whose changes
-//! can be logged.
+//! The header ends with a **page LSN** (the WAL sequence number of the
+//! last logged change — replay applies a record only when the page LSN
+//! proves it missing, making redo idempotent) and a **page CRC** (CRC-32C
+//! over the whole page with the CRC field zeroed, written by the disk
+//! manager with every page and verified on read, so a torn or bit-rotted
+//! page is detected instead of decoded). There is one page format,
+//! `"TPG3"`: [`Page::validate`] rejects every other magic as an
+//! unsupported page version.
 
 use crate::crc32c::crc32c_append;
 use crate::error::{StoreError, StoreResult};
@@ -49,13 +45,9 @@ pub type PageId = u32;
 /// Slot index within a page.
 pub type SlotId = u16;
 
-const MAGIC_V3: u32 = 0x5450_4733; // "TPG3" — v3 header (page LSN + CRC)
-const MAGIC_V2: u32 = 0x5450_4732; // "TPG2" — v2 header (zone map, no LSN/CRC)
-const MAGIC_V1: u32 = 0x5450_4147; // "TPAG" — v1 header (no zone map)
-/// v3 header size — also where the slot array of a v3 page starts.
+const MAGIC: u32 = 0x5450_4733; // "TPG3"
+/// Header size — also where the slot array starts.
 const HEADER_SIZE: usize = 80;
-/// v1/v2 header size (those pages' slot arrays start here).
-const HEADER_SIZE_V2: usize = 68;
 /// Bytes per slot-array entry (offset u16 + length u16). Exposed so the
 /// heap's fits-in-tail-page check can never diverge from
 /// [`Page::insert`]'s free-space arithmetic.
@@ -73,7 +65,6 @@ const OFF_MIN_TE: usize = 36;
 const OFF_MAX_TE: usize = 44;
 const OFF_MIN_KEY: usize = 52;
 const OFF_MAX_KEY: usize = 60;
-// v3-only fields (past the v2 header end at 68).
 const OFF_LSN: usize = 68;
 const OFF_CRC: usize = 76;
 
@@ -240,10 +231,10 @@ impl Page {
     /// A fresh, empty page carrying `fingerprint` in its header. The zone
     /// map starts valid-and-empty (`min > max`): it describes all zero
     /// records, and the first append either widens it or marks it unknown.
-    /// New pages are always v3 (LSN 0, CRC stamped at write time).
+    /// The LSN starts at 0; the CRC is computed when the page is written.
     pub fn init(fingerprint: u64) -> Page {
         let mut p = Page::default();
-        p.put_u32(OFF_MAGIC, MAGIC_V3);
+        p.put_u32(OFF_MAGIC, MAGIC);
         p.put_u64(OFF_FINGERPRINT, fingerprint);
         p.put_u16(OFF_TUPLE_COUNT, 0);
         p.put_u16(OFF_LOWER, HEADER_SIZE as u16);
@@ -307,43 +298,23 @@ impl Page {
         self.get_u64(OFF_FINGERPRINT)
     }
 
-    /// Header version: 3/2/1 for the known magics, 0 for garbage.
-    pub fn version(&self) -> u8 {
-        match self.get_u32(OFF_MAGIC) {
-            MAGIC_V3 => 3,
-            MAGIC_V2 => 2,
-            MAGIC_V1 => 1,
-            _ => 0,
-        }
-    }
-
-    /// Where this page's slot array starts (version-dependent: the v3
-    /// header grew past the v2 one, so v2 slot arrays start earlier).
-    fn slot_base(&self) -> usize {
-        if self.version() == 3 {
-            HEADER_SIZE
-        } else {
-            HEADER_SIZE_V2
-        }
+    /// Does this block carry the heap-page magic? Blocks that do not —
+    /// the interval index's node pages, which share the disk manager —
+    /// have no CRC field and pass through it unchecked.
+    fn is_heap_page(&self) -> bool {
+        self.get_u32(OFF_MAGIC) == MAGIC
     }
 
     /// The page LSN: the WAL sequence number of the last logged change
-    /// (0 for never-logged and pre-v3 pages). Replay skips records whose
-    /// LSN is ≤ this, making redo idempotent.
+    /// (0 for a never-logged page). Replay skips records whose LSN is ≤
+    /// this, making redo idempotent.
     pub fn lsn(&self) -> u64 {
-        if self.version() == 3 {
-            self.get_u64(OFF_LSN)
-        } else {
-            0
-        }
+        self.get_u64(OFF_LSN)
     }
 
-    /// Stamp the page LSN (v3 pages only; a no-op on older versions,
-    /// which are never append targets).
+    /// Stamp the page LSN.
     pub fn set_lsn(&mut self, lsn: u64) {
-        if self.version() == 3 {
-            self.put_u64(OFF_LSN, lsn);
-        }
+        self.put_u64(OFF_LSN, lsn);
     }
 
     /// CRC-32C over the whole page with the CRC field zeroed.
@@ -353,20 +324,23 @@ impl Page {
         crc32c_append(crc, &self.bytes[OFF_CRC + 4..])
     }
 
-    /// Stamp the page CRC (v3 only). The disk manager calls this on
-    /// every write, so in-memory pages may carry a stale CRC but on-disk
-    /// v3 pages never do.
-    pub fn stamp_crc(&mut self) {
-        if self.version() == 3 {
-            let crc = self.compute_crc();
-            self.put_u32(OFF_CRC, crc);
+    /// The block the disk manager writes for this page: its bytes with
+    /// the CRC field filled in (heap pages; other blocks verbatim). The
+    /// CRC's definition zeroes the field, so whatever stale value the
+    /// in-memory page carries there does not matter — and it is left
+    /// alone: only on-disk heap pages are guaranteed a current CRC.
+    pub fn disk_image(&self) -> [u8; PAGE_SIZE] {
+        let mut block = *self.bytes;
+        if self.is_heap_page() {
+            block[OFF_CRC..OFF_CRC + 4].copy_from_slice(&self.compute_crc().to_le_bytes());
         }
+        block
     }
 
-    /// Does the stored CRC match the page contents? Pre-v3 pages (which
-    /// carry no CRC) always pass.
+    /// Does the stored CRC match the page contents? Blocks that are not
+    /// heap pages carry none and always pass.
     pub fn crc_ok(&self) -> bool {
-        self.version() != 3 || self.get_u32(OFF_CRC) == self.compute_crc()
+        !self.is_heap_page() || self.get_u32(OFF_CRC) == self.compute_crc()
     }
 
     /// Number of records stored in this page.
@@ -396,13 +370,8 @@ impl Page {
     // ---- zone map --------------------------------------------------------
 
     /// The page's zone map, read from the header alone (no record decode).
-    /// v1 pages predate zone maps, so theirs is reported fully unknown.
     pub fn zone(&self) -> PageZone {
-        let flags = if self.version() == 1 {
-            0
-        } else {
-            self.get_u16(OFF_ZONE_FLAGS)
-        };
+        let flags = self.get_u16(OFF_ZONE_FLAGS);
         PageZone {
             time_valid: flags & ZONE_TIME_VALID != 0,
             key_valid: flags & ZONE_KEY_VALID != 0,
@@ -445,8 +414,11 @@ impl Page {
     /// Validate the structural invariants of a page read from disk,
     /// checking its fingerprint against the expected table schema.
     pub fn validate(&self, expected_fingerprint: u64) -> StoreResult<()> {
-        if self.version() == 0 {
-            return Err(StoreError::Corrupt("bad page magic".into()));
+        if !self.is_heap_page() {
+            return Err(StoreError::Corrupt(format!(
+                "unsupported page version: magic {:#010x}, this build reads only {MAGIC:#010x} (\"TPG3\")",
+                self.get_u32(OFF_MAGIC)
+            )));
         }
         if self.fingerprint() != expected_fingerprint {
             return Err(StoreError::Corrupt(format!(
@@ -455,14 +427,13 @@ impl Page {
                 expected_fingerprint
             )));
         }
-        let base = self.slot_base();
         let (lower, upper) = (self.lower(), self.upper());
-        if lower < base || upper > PAGE_SIZE || lower > upper {
+        if lower < HEADER_SIZE || upper > PAGE_SIZE || lower > upper {
             return Err(StoreError::Corrupt(format!(
                 "page pointers out of bounds: lower={lower} upper={upper}"
             )));
         }
-        if (lower - base) / SLOT_SIZE != self.tuple_count() as usize {
+        if (lower - HEADER_SIZE) / SLOT_SIZE != self.tuple_count() as usize {
             return Err(StoreError::Corrupt(
                 "slot array length disagrees with tuple count".into(),
             ));
@@ -487,7 +458,7 @@ impl Page {
         let upper = self.upper() - record.len();
         self.bytes[upper..upper + record.len()].copy_from_slice(record);
         let slot = self.tuple_count();
-        let slot_off = self.slot_base() + slot as usize * SLOT_SIZE;
+        let slot_off = HEADER_SIZE + slot as usize * SLOT_SIZE;
         self.put_u16(slot_off, upper as u16);
         self.put_u16(slot_off + 2, record.len() as u16);
         self.put_u16(OFF_LOWER, (slot_off + SLOT_SIZE) as u16);
@@ -504,7 +475,7 @@ impl Page {
                 self.tuple_count()
             )));
         }
-        let slot_off = self.slot_base() + slot as usize * SLOT_SIZE;
+        let slot_off = HEADER_SIZE + slot as usize * SLOT_SIZE;
         let off = self.get_u16(slot_off) as usize;
         let len = self.get_u16(slot_off + 2) as usize;
         if off < self.upper() || off + len > PAGE_SIZE {
@@ -638,32 +609,26 @@ mod tests {
     }
 
     #[test]
-    fn v3_lsn_roundtrips_and_v2_reports_zero() {
+    fn lsn_roundtrips() {
         let mut p = Page::init(1);
-        assert_eq!(p.version(), 3);
         assert_eq!(p.lsn(), 0);
         p.set_lsn(99);
         assert_eq!(p.lsn(), 99);
-        // Forge a v2 page: same layout up to 68 bytes, old magic.
-        let mut v2 = Page::init(1);
-        v2.put_u32(OFF_MAGIC, MAGIC_V2);
-        v2.put_u16(OFF_LOWER, HEADER_SIZE_V2 as u16);
-        assert_eq!(v2.version(), 2);
-        assert_eq!(v2.lsn(), 0);
-        v2.set_lsn(5); // no-op on v2
-        assert_eq!(v2.lsn(), 0);
     }
 
     #[test]
-    fn v2_pages_still_insert_and_read_from_their_own_slot_base() {
-        let mut v2 = Page::init(7);
-        v2.put_u32(OFF_MAGIC, MAGIC_V2);
-        v2.put_u16(OFF_LOWER, HEADER_SIZE_V2 as u16);
-        assert_eq!(v2.insert(b"old-format").unwrap(), Some(0));
-        v2.validate(7).unwrap();
-        assert_eq!(v2.record(0).unwrap(), b"old-format");
-        // And it holds SLOT_SIZE*3 == 12 more bytes than a v3 page would.
-        assert_eq!(v2.free_space(), PAGE_SIZE - HEADER_SIZE_V2 - 10 - SLOT_SIZE);
+    fn other_magics_are_an_unsupported_version() {
+        // "TPG2", a retired format, and an interval-index node ("TIDX").
+        for magic in [0x5450_4732u32, 0x5449_4458] {
+            let mut p = Page::init(7);
+            p.put_u32(OFF_MAGIC, magic);
+            assert!(!p.is_heap_page());
+            let err = p.validate(7).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("unsupported page version")),
+                "got {err}"
+            );
+        }
     }
 
     #[test]
@@ -671,20 +636,22 @@ mod tests {
         let mut p = Page::init(3);
         p.insert(b"guarded").unwrap();
         p.zone_add(1, 5, Some(2));
-        p.stamp_crc();
+        assert!(!p.crc_ok(), "a fresh page carries no CRC yet");
+        let image = p.disk_image();
+        // A stale field does not change what is written.
+        p.put_u32(OFF_CRC, 0xdead_beef);
+        assert_eq!(p.disk_image(), image);
+        p.as_bytes_mut().copy_from_slice(&image);
         assert!(p.crc_ok());
-        // Any byte flip (outside the magic, which demotes the version,
-        // and the CRC field itself) breaks the check — probe a spread of
-        // offsets covering header, LSN, slot array, and record data.
+        // Any byte flip outside the CRC field itself (and the magic, which
+        // makes the block something other than a heap page) breaks the
+        // check — probe a spread of offsets covering header, LSN, slot
+        // array, and record data.
         for off in [5usize, 12, 40, 69, 81, 200, PAGE_SIZE - 1] {
             let mut q = p.clone();
             q.as_bytes_mut()[off] ^= 0x40;
             assert!(!q.crc_ok(), "flip at {off} went undetected");
         }
-        // Pre-v3 pages carry no CRC and always pass.
-        let mut v2 = Page::init(3);
-        v2.put_u32(OFF_MAGIC, MAGIC_V2);
-        assert!(v2.crc_ok());
     }
 
     #[test]

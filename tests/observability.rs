@@ -133,6 +133,61 @@ fn explain_analyze_over_persisted_normalize_matches_golden() {
     );
 }
 
+/// The number after `key=` on the first line of `rendered` naming a scan.
+fn scan_counter(rendered: &str, key: &str) -> u64 {
+    let line = rendered
+        .lines()
+        .find(|l| l.contains("Scan on "))
+        .unwrap_or_else(|| panic!("no scan line in:\n{rendered}"));
+    let tail = line
+        .split(&format!("{key}="))
+        .nth(1)
+        .unwrap_or_else(|| panic!("no {key}= on the scan line: {line}"));
+    tail.split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
+/// A pruned scan filters records before it decodes them, so its `actual
+/// rows` says nothing about how much it looked at: `tuples_checked` does.
+#[test]
+fn explain_analyze_reports_tuples_checked_beside_actual_rows() {
+    let dir = scratch("tuples-checked");
+    let db = Database::open(&dir).unwrap();
+    let (r, _) = ddisj(3000);
+    db.register("r", &r).unwrap();
+    let mut session = Session::scoped(db.clone());
+    let query = "SELECT * FROM r AS OF 30002";
+
+    session.execute("SET enable_zonemaps = true").unwrap();
+    session.execute("SET enable_interval_index = true").unwrap();
+    let pruned = session.explain_analyze(query).unwrap();
+    let (rows, checked) = (
+        scan_counter(&pruned, "actual rows"),
+        scan_counter(&pruned, "tuples_checked"),
+    );
+    assert_eq!(rows, 1, "the scan itself emits only the match:\n{pruned}");
+    assert!(
+        checked > rows && checked < 3000,
+        "every tuple of the pages read was checked, and only those:\n{pruned}"
+    );
+    assert!(scan_counter(&pruned, "pages_skipped") > 0, "{pruned}");
+
+    // With pruning off the scan carries no bounds and emits what it reads.
+    session.execute("SET enable_zonemaps = false").unwrap();
+    session
+        .execute("SET enable_interval_index = false")
+        .unwrap();
+    let full = session.explain_analyze(query).unwrap();
+    assert_eq!(scan_counter(&full, "actual rows"), 3000, "{full}");
+    assert_eq!(scan_counter(&full, "tuples_checked"), 3000, "{full}");
+    drop(session);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn instrumentation_never_changes_results() {
     // The same query with tracing + instrumentation on and off must
