@@ -10,8 +10,11 @@
 //!    split points (for normalization). The engine's optimizer is free to
 //!    pick nested-loop/hash/merge for this join — which is precisely what
 //!    the paper's Fig. 13 experiment measures;
-//! 2. a projection computing `P1`/`P2` (the precomputed intersection of
-//!    the r- and s-timestamps, or the split point);
+//! 2. for alignment, a projection computing `[P1, P2)`, the precomputed
+//!    intersection of the r- and s-timestamps. Normalization has nothing
+//!    to compute — its split point `P1` is a column of the join's own row,
+//!    which the sort and the sweep address where the join left it (Fig. 9
+//!    draws an explicit π there; it would only copy every join row);
 //! 3. a **sort** that partitions by the complete `r` tuple and orders each
 //!    group by `(P1, P2)` (Fig. 9);
 //! 4. the **plane sweep** over each sorted group ([`AdjustmentExec`]),
@@ -56,13 +59,39 @@ pub fn align_plan(
     s: LogicalPlan,
     theta: Option<Expr>,
 ) -> TemporalResult<LogicalPlan> {
+    intersection_sweep_plan(r, s, theta, AdjustMode::Align, "alignment")
+}
+
+/// The customized anti-join primitive (Sec. 8 future work): the plan that
+/// directly produces `r ▷ᵀ_θ s` — each `r` tuple's *maximal sub-intervals
+/// not covered by any matching `s` tuple* — using the same group
+/// construction as [`align_plan`] but a gaps-only plane sweep. No second
+/// alignment and no nontemporal anti join are needed.
+pub fn antijoin_gaps_plan(
+    r: LogicalPlan,
+    s: LogicalPlan,
+    theta: Option<Expr>,
+) -> TemporalResult<LogicalPlan> {
+    intersection_sweep_plan(r, s, theta, AdjustMode::GapsOnly, "anti-join")
+}
+
+/// Group construction shared by [`align_plan`] and [`antijoin_gaps_plan`]:
+/// left join on `θ ∧ overlap`, project the intersections, sort, sweep in
+/// `mode`.
+fn intersection_sweep_plan(
+    r: LogicalPlan,
+    s: LogicalPlan,
+    theta: Option<Expr>,
+    mode: AdjustMode,
+    what: &str,
+) -> TemporalResult<LogicalPlan> {
     let r_schema = r.schema();
     let s_schema = s.schema();
     let (wr, ws) = (r_schema.len(), s_schema.len());
     if wr < 2 || ws < 2 {
-        return Err(TemporalError::InvalidRelation(
-            "alignment arguments must carry ts/te columns".into(),
-        ));
+        return Err(TemporalError::InvalidRelation(format!(
+            "{what} arguments must carry ts/te columns"
+        )));
     }
     if let Some(e) = &theta {
         if let Some(m) = e.max_col() {
@@ -103,71 +132,13 @@ pub fn align_plan(
     let mut keys: Vec<SortKey> = (0..wr).map(|i| SortKey::asc(col(i))).collect();
     keys.push(SortKey::asc(col(wr)));
     keys.push(SortKey::asc(col(wr + 1)));
-    let sorted = projected.sort(keys);
 
     Ok(LogicalPlan::extension(Arc::new(AdjustmentNode {
-        input: sorted,
+        input: projected.sort(keys),
         out_schema: r_schema,
-        mode: AdjustMode::Align,
-    })))
-}
-
-/// The customized anti-join primitive (Sec. 8 future work): the plan that
-/// directly produces `r ▷ᵀ_θ s` — each `r` tuple's *maximal sub-intervals
-/// not covered by any matching `s` tuple* — using the same group
-/// construction as [`align_plan`] but a gaps-only plane sweep. No second
-/// alignment and no nontemporal anti join are needed.
-pub fn antijoin_gaps_plan(
-    r: LogicalPlan,
-    s: LogicalPlan,
-    theta: Option<Expr>,
-) -> TemporalResult<LogicalPlan> {
-    let r_schema = r.schema();
-    let s_schema = s.schema();
-    let (wr, ws) = (r_schema.len(), s_schema.len());
-    if wr < 2 || ws < 2 {
-        return Err(TemporalError::InvalidRelation(
-            "anti-join arguments must carry ts/te columns".into(),
-        ));
-    }
-    if let Some(e) = &theta {
-        if let Some(m) = e.max_col() {
-            if m >= wr + ws {
-                return Err(TemporalError::Incompatible(format!(
-                    "θ references column {m}, combined width is {}",
-                    wr + ws
-                )));
-            }
-        }
-    }
-    let (r_ts, r_te) = (wr - 2, wr - 1);
-    let (s_ts, s_te) = (wr + ws - 2, wr + ws - 1);
-    let overlap = col(r_ts).lt(col(s_te)).and(col(s_ts).lt(col(r_te)));
-    let cond = match theta {
-        Some(t) => t.and(overlap),
-        None => overlap,
-    };
-    let joined = r.join(s, JoinType::Left, Some(cond));
-    let mut items: Vec<(Expr, String)> = (0..wr)
-        .map(|i| (col(i), r_schema.col(i).name.clone()))
-        .collect();
-    items.push((
-        Expr::Func(Func::Greatest, vec![col(r_ts), col(s_ts)]),
-        P1.to_string(),
-    ));
-    items.push((
-        Expr::Func(Func::Least, vec![col(r_te), col(s_te)]),
-        P2.to_string(),
-    ));
-    let projected = joined.project_named(items)?;
-    let mut keys: Vec<SortKey> = (0..wr).map(|i| SortKey::asc(col(i))).collect();
-    keys.push(SortKey::asc(col(wr)));
-    keys.push(SortKey::asc(col(wr + 1)));
-    let sorted = projected.sort(keys);
-    Ok(LogicalPlan::extension(Arc::new(AdjustmentNode {
-        input: sorted,
-        out_schema: r_schema,
-        mode: AdjustMode::GapsOnly,
+        mode,
+        p1: wr,
+        p2: Some(wr + 1),
     })))
 }
 
@@ -228,23 +199,17 @@ pub fn normalize_plan(
     let cond = Expr::and_all(conjuncts).expect("non-empty");
     let joined = r.join(endpoints, JoinType::Left, Some(cond));
 
-    // Project to (r.*, P1, P2 = NULL).
-    let mut items: Vec<(Expr, String)> = (0..wr)
-        .map(|i| (col(i), r_schema.col(i).name.clone()))
-        .collect();
-    items.push((col(p1_col), P1.to_string()));
-    items.push((Expr::Lit(Value::Null), P2.to_string()));
-    let projected = joined.project_named(items)?;
-
-    // Partition by the full r tuple, order by split point.
+    // Partition by the full r tuple, order by split point — read from the
+    // join row (r.*, B, P1) as it is; a projection would add nothing.
     let mut keys: Vec<SortKey> = (0..wr).map(|i| SortKey::asc(col(i))).collect();
-    keys.push(SortKey::asc(col(wr)));
-    let sorted = projected.sort(keys);
+    keys.push(SortKey::asc(col(p1_col)));
 
     Ok(LogicalPlan::extension(Arc::new(AdjustmentNode {
-        input: sorted,
+        input: joined.sort(keys),
         out_schema: r_schema,
         mode: AdjustMode::Normalize,
+        p1: p1_col,
+        p2: None,
     })))
 }
 
@@ -281,12 +246,15 @@ pub fn normalize_eval(
 }
 
 /// Logical extension node wrapping the plane sweep. Its child plan already
-/// produces partitioned, sorted rows of shape `r_full ++ [P1, P2]`.
+/// produces partitioned, sorted rows that start with the full `r` tuple and
+/// carry `P1` (and `P2`, for the intersection modes) at the given columns.
 #[derive(Debug)]
 pub struct AdjustmentNode {
     input: LogicalPlan,
     out_schema: Schema,
     mode: AdjustMode,
+    p1: usize,
+    p2: Option<usize>,
 }
 
 impl ExtensionNode for AdjustmentNode {
@@ -308,6 +276,8 @@ impl ExtensionNode for AdjustmentNode {
             input: inputs.remove(0),
             out_schema: self.out_schema.clone(),
             mode: self.mode,
+            p1: self.p1,
+            p2: self.p2,
         })
     }
 
@@ -345,6 +315,8 @@ impl ExtensionNode for AdjustmentNode {
             child,
             self.out_schema.clone(),
             self.mode,
+            self.p1,
+            self.p2,
         )))
     }
 
@@ -375,7 +347,8 @@ pub struct AdjustmentExec {
     ts_idx: usize,
     te_idx: usize,
     p1_idx: usize,
-    p2_idx: usize,
+    /// `None` for [`AdjustMode::Normalize`], whose sweep reads only `P1`.
+    p2_idx: Option<usize>,
     started: bool,
     /// Last tuple of the group currently being finished.
     prev: Option<Row>,
@@ -401,12 +374,18 @@ pub struct AdjustmentExec {
 }
 
 impl AdjustmentExec {
-    /// `input` rows are `r_full ++ [P1, P2]`, partitioned by the full
-    /// `r` tuple and sorted by `(P1, P2)` within each partition;
-    /// `out_schema` is `r`'s schema.
-    pub fn new(input: BoxedExec, out_schema: Schema, mode: AdjustMode) -> AdjustmentExec {
+    /// `input` rows start with the full `r` tuple and hold `P1`/`P2` at
+    /// `p1_idx`/`p2_idx`, partitioned by the `r` tuple and sorted by
+    /// `(P1, P2)` within each partition; `out_schema` is `r`'s schema.
+    pub fn new(
+        input: BoxedExec,
+        out_schema: Schema,
+        mode: AdjustMode,
+        p1_idx: usize,
+        p2_idx: Option<usize>,
+    ) -> AdjustmentExec {
         let r_width = out_schema.len();
-        debug_assert_eq!(input.schema().len(), r_width + 2);
+        debug_assert!(r_width <= p1_idx && p1_idx < input.schema().len());
         AdjustmentExec {
             input,
             schema: out_schema,
@@ -414,8 +393,8 @@ impl AdjustmentExec {
             r_width,
             ts_idx: r_width - 2,
             te_idx: r_width - 1,
-            p1_idx: r_width,
-            p2_idx: r_width + 1,
+            p1_idx,
+            p2_idx,
             started: false,
             prev: None,
             curr: None,
@@ -450,13 +429,16 @@ impl AdjustmentExec {
             self.input_done = true;
             return Ok(());
         }
-        let (schema, mode) = (self.schema.clone(), self.mode);
+        let (schema, mode, p1_idx, p2_idx) =
+            (self.schema.clone(), self.mode, self.p1_idx, self.p2_idx);
         let chunks = par_run(state.threads(), ranges.len(), |i| {
             let (a, b) = ranges[i];
             let mut sub = AdjustmentExec::new(
                 Box::new(RowsExec::new(in_schema.clone(), rows[a..b].to_vec())),
                 schema.clone(),
                 mode,
+                p1_idx,
+                p2_idx,
             );
             sub.allow_parallel = false;
             temporal_engine::exec::collect_rows_batched(&mut sub, state)
@@ -466,6 +448,11 @@ impl AdjustmentExec {
         self.prev = None; // serial machinery is done; serve from outbuf
         self.outbuf = Some(chunks.concat().into_iter());
         Ok(())
+    }
+
+    /// The precomputed intersection end of a join tuple (ω rows: `None`).
+    fn p2(&self, row: &Row) -> Option<i64> {
+        self.p2_idx.and_then(|i| row[i].as_int())
     }
 
     /// Build an output tuple: the r tuple's data values over `[s, e)`.
@@ -544,7 +531,7 @@ impl AdjustmentExec {
                 let mut produced: Option<Row> = None;
                 match self.mode {
                     AdjustMode::Align => {
-                        if let (Some(p1v), Some(p2v)) = (p1, curr_row[self.p2_idx].as_int()) {
+                        if let (Some(p1v), Some(p2v)) = (p1, self.p2(&curr_row)) {
                             let candidate = self.make_out(&curr_row, p1v, p2v);
                             if self.last_out.as_ref() != Some(&candidate) {
                                 self.sweepline = self.sweepline.max(p2v);
@@ -555,7 +542,7 @@ impl AdjustmentExec {
                     AdjustMode::GapsOnly => {
                         // Advance over the covered region without emitting
                         // the intersection.
-                        if let Some(p2v) = curr_row[self.p2_idx].as_int() {
+                        if let Some(p2v) = self.p2(&curr_row) {
                             self.sweepline = self.sweepline.max(p2v);
                         }
                     }
@@ -656,7 +643,7 @@ impl ExecNode for AdjustmentExec {
                 let mut produced: Option<Row> = None;
                 match self.mode {
                     AdjustMode::Align => {
-                        if let (Some(p1v), Some(p2v)) = (p1, curr_row[self.p2_idx].as_int()) {
+                        if let (Some(p1v), Some(p2v)) = (p1, self.p2(&curr_row)) {
                             let candidate = self.make_out(&curr_row, p1v, p2v);
                             if self.last_out.as_ref() != Some(&candidate) {
                                 self.sweepline = self.sweepline.max(p2v);
@@ -665,7 +652,7 @@ impl ExecNode for AdjustmentExec {
                         }
                     }
                     AdjustMode::GapsOnly => {
-                        if let Some(p2v) = curr_row[self.p2_idx].as_int() {
+                        if let Some(p2v) = self.p2(&curr_row) {
                             self.sweepline = self.sweepline.max(p2v);
                         }
                     }
@@ -942,6 +929,8 @@ mod tests {
                 }),
                 out_schema.clone(),
                 AdjustMode::Align,
+                3,
+                Some(4),
             )
         };
         let mut exec = mk(&out_schema);

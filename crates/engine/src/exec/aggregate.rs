@@ -121,26 +121,31 @@ impl Acc {
 /// first-seen group order. A global aggregate (`group` empty) over zero
 /// rows yields one row of identity values.
 pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineResult<Vec<Row>> {
-    let mut index: FxHashMap<Row, usize> = FxHashMap::default();
-    let mut groups: Vec<(Row, Vec<Acc>)> = Vec::new();
-
-    for row in rows {
-        let mut key_vals = Vec::with_capacity(group.len());
-        for g in group {
-            key_vals.push(g.eval(row.values())?);
-        }
-        let key = Row::new(key_vals);
-        let slot = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = groups.len();
-                index.insert(key.clone(), i);
-                groups.push((key, aggs.iter().map(|a| Acc::new(a.func)).collect()));
-                i
-            }
+    // Group key → slot, in first-seen order; slot `i` owns the accumulators
+    // `accs[i * aggs.len()..][..aggs.len()]`. The index is probed with a
+    // reused scratch key, so only a new group allocates.
+    let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
+    let mut accs: Vec<Acc> = Vec::new();
+    let new_group =
+        |index: &mut FxHashMap<Vec<Value>, usize>, accs: &mut Vec<Acc>, key: &[Value]| {
+            let mut owned = Vec::with_capacity(key.len() + aggs.len());
+            owned.extend_from_slice(key);
+            index.insert(owned, index.len());
+            accs.extend(aggs.iter().map(|a| Acc::new(a.func)));
+            index.len() - 1
         };
-        let accs = &mut groups[slot].1;
-        for (acc, call) in accs.iter_mut().zip(aggs) {
+
+    let mut key: Vec<Value> = Vec::with_capacity(group.len());
+    for row in rows {
+        key.clear();
+        for g in group {
+            key.push(g.eval(row.values())?);
+        }
+        let slot = match index.get(key.as_slice()) {
+            Some(&i) => i,
+            None => new_group(&mut index, &mut accs, &key),
+        };
+        for (acc, call) in accs[slot * aggs.len()..][..aggs.len()].iter_mut().zip(aggs) {
             match &call.arg {
                 None => acc.update(None)?,
                 Some(e) => {
@@ -150,21 +155,23 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
             }
         }
     }
-
-    if groups.is_empty() && group.is_empty() {
-        groups.push((
-            Row::new(vec![]),
-            aggs.iter().map(|a| Acc::new(a.func)).collect(),
-        ));
+    if index.is_empty() && group.is_empty() {
+        new_group(&mut index, &mut accs, &[]);
     }
 
-    Ok(groups
+    // Each output row is built once, on top of the index's own key.
+    let mut out: Vec<Option<Row>> = vec![None; index.len()];
+    for (mut vals, slot) in index {
+        vals.extend(
+            accs[slot * aggs.len()..][..aggs.len()]
+                .iter()
+                .map(Acc::finish),
+        );
+        out[slot] = Some(Row::new(vals));
+    }
+    Ok(out
         .into_iter()
-        .map(|(key, accs)| {
-            let mut vals = key.to_vec();
-            vals.extend(accs.iter().map(|a| a.finish()));
-            Row::new(vals)
-        })
+        .map(|row| row.expect("every group slot has an index entry"))
         .collect())
 }
 

@@ -4,6 +4,23 @@
 //! joins always expose hashable keys — the mechanism behind the paper's
 //! fast Fig. 15d results.
 //!
+//! **Range-ordered buckets.** The group-construction joins of the
+//! adjustment primitives carry, beside their equi keys, a residual that
+//! bounds one build-side column by the probe row (`p1 > r.ts ∧ p1 < r.te`
+//! for normalization, the overlap test for alignment). When the residual
+//! is a conjunction of simple comparisons ([`CompiledPred`]) and names
+//! such a column ([`RangeSpec`]), the build keeps every bucket ordered by
+//! it — ties by build index — with the column's values in a contiguous
+//! `i64` array beside the build indices, and a probe row binary-searches
+//! its bounds into a sub-slice of its bucket instead of visiting all of
+//! it. *Every* conjunct is still evaluated on the survivors: the bounds
+//! select candidates, they never decide a match, so the only observable
+//! effect is the order of a bucket's matches. A build side holding a NULL
+//! or non-`Int` value in the column is left in build order, and a probe
+//! row whose bound is NULL or not an `Int` scans its whole bucket (NULL
+//! never compares TRUE and `Int`↔`Double` coerces — the ordered path does
+//! not second-guess the comparison).
+//!
 //! Under a parallel [`ExecutionState`] the batch path partitions both
 //! sides: the build table is assembled from per-worker hash shards
 //! (disjoint key ranges, merged without overlap), and the probe input is
@@ -14,14 +31,15 @@
 //! same flags as a serial probe. Morsel outputs concatenate in input
 //! order, keeping the parallel probe row-identical to the serial one.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
-use crate::exec::{BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{CompiledPred, Expr};
+use crate::exec::{BoxedExec, ExecNode, ExecutionState, OperatorStats};
+use crate::expr::{CmpOp, CompiledPred, Expr, PredOperand};
 use crate::hashing::{FxHashMap, FxHasher};
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -36,6 +54,142 @@ enum Phase {
     Done,
 }
 
+/// What a range conjunct compares the range column with.
+#[derive(Debug, Clone, Copy)]
+enum BoundOperand {
+    ProbeCol(usize),
+    Int(i64),
+}
+
+/// The build-side column a residual bounds by the probe row, with its
+/// bounds normalized to `column <op> operand`, `op ∈ {<, <=, >, >=}`.
+#[derive(Debug, Clone)]
+pub(crate) struct RangeSpec {
+    /// Index into the build row.
+    col: usize,
+    bounds: Vec<(CmpOp, BoundOperand)>,
+}
+
+impl RangeSpec {
+    /// The range column of `residual` over `probe ++ build` rows, if it
+    /// compiles and has one: the first build-side column bounded from both
+    /// sides by probe-side columns or integer literals, else the first
+    /// bounded from one side. A plan-time property — `EXPLAIN` prints it.
+    pub(crate) fn of(
+        residual: Option<&Expr>,
+        left_width: usize,
+        right_width: usize,
+    ) -> Option<RangeSpec> {
+        let pred = CompiledPred::compile(residual?)?;
+        let build_col = |o: PredOperand<'_>| match o {
+            PredOperand::Col(i) if (left_width..left_width + right_width).contains(&i) => {
+                Some(i - left_width)
+            }
+            _ => None,
+        };
+        let bound = |o: PredOperand<'_>| match o {
+            PredOperand::Col(i) if i < left_width => Some(BoundOperand::ProbeCol(i)),
+            PredOperand::Lit(Value::Int(x)) => Some(BoundOperand::Int(*x)),
+            _ => None,
+        };
+        let mut found: Vec<(usize, CmpOp, BoundOperand)> = Vec::new();
+        for &(op, a, b) in pred.conjuncts() {
+            if matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                continue;
+            }
+            if let (Some(c), Some(v)) = (build_col(a), bound(b)) {
+                found.push((c, op, v));
+            } else if let (Some(c), Some(v)) = (build_col(b), bound(a)) {
+                found.push((c, op.swapped(), v));
+            }
+        }
+        let bounded = |c: usize, lower: bool| {
+            found
+                .iter()
+                .any(|&(fc, op, _)| fc == c && matches!(op, CmpOp::Gt | CmpOp::Ge) == lower)
+        };
+        let col = found
+            .iter()
+            .map(|&(c, ..)| c)
+            .find(|&c| bounded(c, true) && bounded(c, false))
+            .or_else(|| found.first().map(|&(c, ..)| c))?;
+        let bounds = found
+            .into_iter()
+            .filter(|&(c, ..)| c == col)
+            .map(|(_, op, v)| (op, v))
+            .collect();
+        Some(RangeSpec { col, bounds })
+    }
+
+    /// The range column's index in the build row.
+    pub(crate) fn col(&self) -> usize {
+        self.col
+    }
+
+    /// The sub-slice of an ordered bucket (`keys` ascending) outside which
+    /// probe row `l` fails a bound; the whole slice when one of the row's
+    /// bounds is not an integer.
+    fn narrow(&self, keys: &[i64], l: &[Value]) -> Range<usize> {
+        let (mut lo, mut hi) = (0, keys.len());
+        for &(op, operand) in &self.bounds {
+            let v = match operand {
+                BoundOperand::Int(x) => x,
+                BoundOperand::ProbeCol(i) => match l.get(i) {
+                    Some(Value::Int(x)) => *x,
+                    _ => return 0..keys.len(),
+                },
+            };
+            match op {
+                CmpOp::Gt => lo = lo.max(keys.partition_point(|&k| k <= v)),
+                CmpOp::Ge => lo = lo.max(keys.partition_point(|&k| k < v)),
+                CmpOp::Lt => hi = hi.min(keys.partition_point(|&k| k < v)),
+                CmpOp::Le => hi = hi.min(keys.partition_point(|&k| k <= v)),
+                CmpOp::Eq | CmpOp::Ne => unreachable!("not a range bound"),
+            }
+        }
+        lo.min(hi)..hi
+    }
+}
+
+/// The build side's hash table, flattened: every bucket is a range of
+/// `order`, so a probe cursor is two integers.
+#[derive(Default)]
+struct BuildTable {
+    /// Join key → its bucket's range of `order`. NULL keys never join and
+    /// are absent.
+    buckets: FxHashMap<Vec<Value>, (usize, usize)>,
+    /// Build-row indices, bucket by bucket: within a bucket ascending by
+    /// `(range column, build index)` when range-ordered, else by build
+    /// index — either way the same for a serial and a sharded build.
+    order: Vec<usize>,
+    /// The range column of `order`'s rows, position for position; empty
+    /// unless the buckets are range-ordered.
+    range_keys: Vec<i64>,
+}
+
+impl BuildTable {
+    /// Flatten per-key build-index lists (ascending) into buckets, ordering
+    /// each by `range_col[index]` when the range column was all integers.
+    fn assemble(
+        groups: impl IntoIterator<Item = (Vec<Value>, Vec<usize>)>,
+        range_col: Option<Vec<i64>>,
+    ) -> BuildTable {
+        let mut table = BuildTable::default();
+        for (key, mut idxs) in groups {
+            if let Some(c) = &range_col {
+                idxs.sort_unstable_by_key(|&i| (c[i], i));
+            }
+            let start = table.order.len();
+            table.order.extend_from_slice(&idxs);
+            table.buckets.insert(key, (start, table.order.len()));
+        }
+        if let Some(c) = range_col {
+            table.range_keys = table.order.iter().map(|&i| c[i]).collect();
+        }
+        table
+    }
+}
+
 /// Hash join. Builds on the right input, probes with the left.
 pub struct HashJoinExec {
     left: BoxedExec,
@@ -45,22 +199,31 @@ pub struct HashJoinExec {
     keys: Vec<(usize, usize)>,
     /// Extra predicate over the concatenated row.
     residual: Option<Expr>,
+    /// The build column `residual` bounds by the probe row, if any.
+    range: Option<RangeSpec>,
     join_type: JoinType,
     schema: Schema,
     left_width: usize,
     right_width: usize,
+    /// `candidates_checked` ledger of this plan node, when instrumented.
+    ledger: Option<Arc<OperatorStats>>,
 
-    table: FxHashMap<Vec<Value>, Vec<usize>>,
+    table: BuildTable,
     build_rows: Vec<Row>,
     build_matched: Vec<AtomicBool>,
     built: bool,
 
+    /// Row protocol: the current probe row and its cursor into
+    /// `table.order`.
     cur_left: Option<Row>,
-    cur_cands: Vec<usize>,
-    cand_pos: usize,
+    cands: Range<usize>,
     cur_left_matched: bool,
+    key_scratch: Vec<Value>,
     phase: Phase,
 }
+
+/// Per-key build indices (ascending), as one build pass or shard yields.
+type KeyGroups = FxHashMap<Vec<Value>, Vec<usize>>;
 
 /// One shard's build input: `(key, build index)` pairs, indices ascending.
 type ShardEntries = Vec<(Vec<Value>, usize)>;
@@ -92,21 +255,30 @@ impl HashJoinExec {
             left,
             right: Some(right),
             keys,
+            range: RangeSpec::of(residual.as_ref(), left_width, right_width),
             residual,
             join_type,
             schema,
             left_width,
             right_width,
-            table: FxHashMap::default(),
+            ledger: None,
+            table: BuildTable::default(),
             build_rows: Vec::new(),
             build_matched: Vec::new(),
             built: false,
             cur_left: None,
-            cur_cands: Vec::new(),
-            cand_pos: 0,
+            cands: 0..0,
             cur_left_matched: false,
+            key_scratch: Vec::new(),
             phase: Phase::Probe,
         }
+    }
+
+    /// Count the candidates every probe row scans into `stats`
+    /// (`EXPLAIN ANALYZE`'s `candidates=`).
+    pub fn with_ledger(mut self, stats: Arc<OperatorStats>) -> Self {
+        self.ledger = Some(stats);
+        self
     }
 
     fn build(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
@@ -119,18 +291,36 @@ impl HashJoinExec {
         } else {
             crate::exec::collect_rows(right.as_mut(), state)?
         };
-        if batched && state.parallel(rows.len()) {
-            self.build_parallel(state, &rows)?;
+        let groups = if batched && state.parallel(rows.len()) {
+            self.build_parallel(state, &rows)?
         } else {
+            let mut groups = KeyGroups::default();
+            let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
             for (idx, row) in rows.iter().enumerate() {
-                let key: Vec<Value> = self.keys.iter().map(|&(_, r)| row[r].clone()).collect();
+                key.clear();
+                key.extend(self.keys.iter().map(|&(_, r)| row[r].clone()));
                 // NULL keys never join, but the row may still surface as
                 // unmatched for Right/Full joins.
-                if !key.iter().any(Value::is_null) {
-                    self.table.entry(key).or_default().push(idx);
+                if key.iter().any(Value::is_null) {
+                    continue;
+                }
+                match groups.get_mut(key.as_slice()) {
+                    Some(idxs) => idxs.push(idx),
+                    None => {
+                        groups.insert(key.clone(), vec![idx]);
+                    }
                 }
             }
-        }
+            vec![groups]
+        };
+        // The one place buckets are laid out, whichever way the groups were
+        // gathered. An all-`Int` range column orders them; one holding a
+        // NULL or a Double does not.
+        let range_col: Option<Vec<i64>> = self
+            .range
+            .as_ref()
+            .and_then(|spec| rows.iter().map(|r| r[spec.col].as_int()).collect());
+        self.table = BuildTable::assemble(groups.into_iter().flatten(), range_col);
         self.build_matched = (0..rows.len()).map(|_| AtomicBool::new(false)).collect();
         self.build_rows = rows;
         self.built = true;
@@ -139,12 +329,12 @@ impl HashJoinExec {
 
     /// Partitioned build: extract keys over contiguous chunks on workers,
     /// bucketing each chunk's keys by a deterministic key hash, then let
-    /// each worker own one hash shard (disjoint key sets) and build its map
-    /// from the moved-in buckets — no key is cloned or rescanned. Chunks
-    /// are transposed in order and bucket entries carry ascending build
-    /// indices, so candidate lists stay in build-row order — the same table
-    /// a serial build produces.
-    fn build_parallel(&mut self, state: &ExecutionState, rows: &[Row]) -> EngineResult<()> {
+    /// each worker own one hash shard (disjoint key sets) and group its
+    /// moved-in entries — no key is cloned or rescanned. Chunks are
+    /// transposed in order and entries carry ascending build indices, so
+    /// every key's index list is in build-row order — the same groups a
+    /// serial build produces.
+    fn build_parallel(&self, state: &ExecutionState, rows: &[Row]) -> EngineResult<Vec<KeyGroups>> {
         let threads = state.threads();
         let ranges = split_ranges(rows.len(), threads);
         let keys = &self.keys;
@@ -181,17 +371,14 @@ impl HashJoinExec {
                 .expect("shard input claimed once")
                 .take()
                 .expect("each shard consumed once");
-            let mut m: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
+            let mut m = KeyGroups::default();
             for (key, idx) in entries {
                 m.entry(key).or_default().push(idx);
             }
             Ok(m)
         })?;
         state.note_partitions(ranges.len() + threads);
-        for m in shards {
-            self.table.extend(m);
-        }
-        Ok(())
+        Ok(shards)
     }
 
     fn residual_ok(&self, combined: &Row) -> EngineResult<bool> {
@@ -210,8 +397,10 @@ impl HashJoinExec {
             build_matched: &self.build_matched,
             keys: &self.keys,
             residual: self.residual.as_ref(),
+            range: self.range.as_ref(),
             join_type: self.join_type,
             right_width: self.right_width,
+            ledger: self.ledger.as_deref(),
         }
     }
 }
@@ -220,16 +409,49 @@ impl HashJoinExec {
 /// fields are `Sync`; matched-marks go through atomics, so any number of
 /// workers can probe disjoint morsels concurrently.
 struct ProbeSide<'a> {
-    table: &'a FxHashMap<Vec<Value>, Vec<usize>>,
+    table: &'a BuildTable,
     build_rows: &'a [Row],
     build_matched: &'a [AtomicBool],
     keys: &'a [(usize, usize)],
     residual: Option<&'a Expr>,
+    range: Option<&'a RangeSpec>,
     join_type: JoinType,
     right_width: usize,
+    ledger: Option<&'a OperatorStats>,
 }
 
 impl ProbeSide<'_> {
+    /// Candidate selection, the one routine behind `next`, `next_batch`
+    /// and the morsel probe: the positions of `table.order` probe row `l`
+    /// has to test — its bucket, cut down to the sub-slice inside the
+    /// row's bounds when buckets are range-ordered. Callers evaluate the
+    /// whole residual on every position returned. `key` is scratch.
+    fn candidates(&self, l: &[Value], key: &mut Vec<Value>) -> Range<usize> {
+        key.clear();
+        key.extend(self.keys.iter().map(|&(lk, _)| l[lk].clone()));
+        if key.iter().any(Value::is_null) {
+            return 0..0;
+        }
+        let Some(&(start, end)) = self.table.buckets.get(key.as_slice()) else {
+            return 0..0;
+        };
+        match self.range {
+            Some(spec) if !self.table.range_keys.is_empty() => {
+                let within = spec.narrow(&self.table.range_keys[start..end], l);
+                start + within.start..start + within.end
+            }
+            _ => start..end,
+        }
+    }
+
+    fn note_candidates(&self, n: usize) {
+        if let Some(stats) = self.ledger {
+            stats
+                .candidates_checked
+                .fetch_add(n as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Probe a run of left rows. Candidate lists are read in place (no
     /// per-row clone). Simple residuals (every reduced temporal condition:
     /// equality leftovers, interval overlaps) are compiled once and
@@ -240,18 +462,13 @@ impl ProbeSide<'_> {
         let compiled = self.residual.map(|e| (CompiledPred::compile(e), e));
         let mut out: Vec<Row> = Vec::new();
         let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
-        // Scratch for the general (non-compilable) residual: candidate
-        // build indices and their materialized combined rows.
-        let mut cand_idx: Vec<usize> = Vec::new();
+        let mut checked = 0usize;
+        // Scratch for the general (non-compilable) residual: the
+        // candidates' materialized combined rows.
         let mut combined: Vec<Row> = Vec::new();
         for l in lrows {
-            key.clear();
-            key.extend(self.keys.iter().map(|&(lk, _)| l[lk].clone()));
-            let cands: &[usize] = if key.iter().any(Value::is_null) {
-                &[]
-            } else {
-                self.table.get(&key).map(Vec::as_slice).unwrap_or(&[])
-            };
+            let cands = &self.table.order[self.candidates(l.values(), &mut key)];
+            checked += cands.len();
             let mut matched = false;
             match &compiled {
                 Some((Some(pred), _)) => {
@@ -299,12 +516,10 @@ impl ProbeSide<'_> {
                     // General residual: materialize this row's candidates
                     // and evaluate the predicate vectorized over them (the
                     // row path also evaluates every candidate here).
-                    cand_idx.clear();
-                    cand_idx.extend_from_slice(cands);
                     combined.clear();
-                    combined.extend(cand_idx.iter().map(|&bi| l.concat(&self.build_rows[bi])));
+                    combined.extend(cands.iter().map(|&bi| l.concat(&self.build_rows[bi])));
                     let pass = e.eval_pred_batch(&combined)?;
-                    for ((&bi, c), ok) in cand_idx.iter().zip(combined.drain(..)).zip(pass) {
+                    for ((&bi, c), ok) in cands.iter().zip(combined.drain(..)).zip(pass) {
                         if !ok {
                             continue;
                         }
@@ -343,6 +558,7 @@ impl ProbeSide<'_> {
                 }
             }
         }
+        self.note_candidates(checked);
         Ok(out)
     }
 }
@@ -372,14 +588,12 @@ impl ExecNode for HashJoinExec {
                     if self.cur_left.is_none() {
                         match self.left.next(state)? {
                             Some(l) => {
-                                let key: Vec<Value> =
-                                    self.keys.iter().map(|&(lk, _)| l[lk].clone()).collect();
-                                self.cur_cands = if key.iter().any(Value::is_null) {
-                                    Vec::new()
-                                } else {
-                                    self.table.get(&key).cloned().unwrap_or_default()
-                                };
-                                self.cand_pos = 0;
+                                let mut key = std::mem::take(&mut self.key_scratch);
+                                let side = self.probe_side();
+                                let cands = side.candidates(l.values(), &mut key);
+                                side.note_candidates(cands.len());
+                                self.cands = cands;
+                                self.key_scratch = key;
                                 self.cur_left_matched = false;
                                 self.cur_left = Some(l);
                             }
@@ -395,9 +609,8 @@ impl ExecNode for HashJoinExec {
                     }
                     let left_row = self.cur_left.as_ref().expect("set above").clone();
                     let mut anti_matched = false;
-                    while self.cand_pos < self.cur_cands.len() {
-                        let idx = self.cur_cands[self.cand_pos];
-                        self.cand_pos += 1;
+                    while let Some(pos) = self.cands.next() {
+                        let idx = self.table.order[pos];
                         let combined = left_row.concat(&self.build_rows[idx]);
                         if self.residual_ok(&combined)? {
                             self.cur_left_matched = true;
@@ -706,5 +919,185 @@ mod tests {
         }
         let (_, _, partitions) = par_state.stats.snapshot();
         assert!(partitions > 0, "parallel probe must actually partition");
+    }
+
+    /// Random `(k, lo, hi)` probe rows and `(k, c)` build rows. `c` always
+    /// has duplicates; with `mixed` it also holds NULLs and Doubles (so the
+    /// build stays in build order). Probe bounds are always mixed, so some
+    /// probe rows fall back to their whole bucket either way.
+    fn range_tables(seed: u64, mixed: bool) -> (Arc<Relation>, Arc<Relation>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let noisy = |rng: &mut StdRng, mixed: bool| match rng.gen_range(0..10) {
+            0 if mixed => Value::Null,
+            1 if mixed => Value::Double(rng.gen_range(0..40) as f64 / 2.0),
+            _ => Value::Int(rng.gen_range(0..20)),
+        };
+        let key = |rng: &mut StdRng| match rng.gen_range(0..12) {
+            0 => Value::Null,
+            _ => Value::Int(rng.gen_range(0..4)),
+        };
+        let int_cols = |names: &[&str]| {
+            Schema::new(
+                names
+                    .iter()
+                    .map(|n| Column::new(*n, DataType::Int))
+                    .collect(),
+            )
+        };
+        let probe: Vec<Vec<Value>> = (0..90)
+            .map(|_| vec![key(&mut rng), noisy(&mut rng, true), noisy(&mut rng, true)])
+            .collect();
+        let build: Vec<Vec<Value>> = (0..120)
+            .map(|_| vec![key(&mut rng), noisy(&mut rng, mixed)])
+            .collect();
+        (
+            Relation::from_values(int_cols(&["k", "lo", "hi"]), probe)
+                .unwrap()
+                .into_shared(),
+            Relation::from_values(int_cols(&["k", "c"]), build)
+                .unwrap()
+                .into_shared(),
+        )
+    }
+
+    #[test]
+    fn range_ordered_buckets_agree_with_nested_loop_on_every_path() {
+        use crate::exec::collect_rowwise;
+        use crate::expr::lit;
+        // Concatenated row: probe (k, lo, hi) = 0..3, build (k, c) = 3..5.
+        let (lo, hi, c) = (col(1), col(2), col(4));
+        let residuals = [
+            (
+                "both strict",
+                c.clone().gt(lo.clone()).and(c.clone().lt(hi.clone())),
+            ),
+            (
+                "both, operands swapped",
+                lo.clone().le(c.clone()).and(hi.clone().ge(c.clone())),
+            ),
+            ("lower only", c.clone().ge(lo.clone())),
+            ("upper only, swapped", hi.clone().gt(c.clone())),
+            (
+                "literals",
+                c.clone().gt(lit(3i64)).and(lit(12i64).ge(c.clone())),
+            ),
+            (
+                "column and literal",
+                c.clone().ge(lo.clone()).and(c.clone().lt(lit(10i64))),
+            ),
+            (
+                "double literal is no bound",
+                c.clone().lt(lit(7.5f64)).and(c.clone().gt(lo.clone())),
+            ),
+            (
+                "bounds beside another conjunct",
+                c.clone().gt(lo).and(c.clone().ne(lit(5i64))).and(c.lt(hi)),
+            ),
+        ];
+        let par_state = || {
+            ExecutionState::new(PlannerConfig {
+                threads: 4,
+                parallel_min_rows: 1,
+                ..Default::default()
+            })
+        };
+        for (mixed, seed) in [(false, 11), (true, 12), (false, 13), (true, 14)] {
+            let (probe, build) = range_tables(seed, mixed);
+            // What an unordered probe scans: every probe row's whole bucket.
+            let whole_buckets: u64 = probe
+                .rows()
+                .iter()
+                .filter(|l| !l[0].is_null())
+                .map(|l| build.rows().iter().filter(|b| b[0] == l[0]).count() as u64)
+                .sum();
+            for (name, residual) in &residuals {
+                for jt in [
+                    JoinType::Inner,
+                    JoinType::Left,
+                    JoinType::Right,
+                    JoinType::Full,
+                    JoinType::Semi,
+                    JoinType::Anti,
+                ] {
+                    let label = format!("{name}, {jt:?}, mixed build = {mixed}, seed {seed}");
+                    let run = |state: &ExecutionState, rowwise: bool| {
+                        let stats = Arc::new(OperatorStats::default());
+                        let node = Box::new(
+                            HashJoinExec::new(
+                                Box::new(SeqScanExec::new(probe.clone())),
+                                Box::new(SeqScanExec::new(build.clone())),
+                                vec![(0, 0)],
+                                Some(residual.clone()),
+                                jt,
+                            )
+                            .with_ledger(stats.clone()),
+                        );
+                        let out = if rowwise {
+                            collect_rowwise(node, state)
+                        } else {
+                            collect(node, state)
+                        };
+                        (
+                            out.unwrap(),
+                            stats.candidates_checked.load(Ordering::Relaxed),
+                        )
+                    };
+                    let (batch, checked) = run(&ExecutionState::default(), false);
+                    let (rows, checked_rows) = run(&ExecutionState::default(), true);
+                    let (par, checked_par) = run(&par_state(), false);
+                    assert_eq!(rows.rows(), batch.rows(), "next vs next_batch: {label}");
+                    assert_eq!(par.rows(), batch.rows(), "threads 4 vs 1: {label}");
+                    assert_eq!((checked_rows, checked_par), (checked, checked), "{label}");
+
+                    let oracle = collect(
+                        Box::new(NestedLoopJoinExec::new(
+                            Box::new(SeqScanExec::new(probe.clone())),
+                            Box::new(SeqScanExec::new(build.clone())),
+                            jt,
+                            Some(col(0).eq(col(3)).and(residual.clone())),
+                        )),
+                        &ExecutionState::default(),
+                    )
+                    .unwrap();
+                    assert!(batch.same_bag(&oracle), "{label}: {batch} vs {oracle}");
+
+                    // The bounds save work exactly when the build column
+                    // is all integers.
+                    if mixed {
+                        assert_eq!(checked, whole_buckets, "{label}");
+                    } else {
+                        assert!(checked < whole_buckets, "{label}: {checked}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_column_prefers_two_sided_bounds() {
+        use crate::expr::lit;
+        // probe width 3, build width 3: build columns are 3, 4, 5.
+        let of = |e: Expr| RangeSpec::of(Some(&e), 3, 3).map(|r| r.col());
+        // One-sided on build col 0, two-sided on build col 2.
+        let e = col(3)
+            .lt(col(1))
+            .and(col(5).gt(col(1)))
+            .and(col(5).le(col(2)));
+        assert_eq!(of(e), Some(2));
+        // Only one-sided bounds: the first one.
+        assert_eq!(of(col(0).lt(col(4)).and(col(3).lt(col(1)))), Some(1));
+        // Equalities, build-vs-build and probe-only comparisons bound nothing.
+        assert_eq!(
+            of(col(3)
+                .eq(col(1))
+                .and(col(3).lt(col(4)))
+                .and(col(0).lt(lit(1i64)))),
+            None
+        );
+        // A residual that does not compile has no range column.
+        assert_eq!(of(col(3).add(lit(1i64)).lt(col(1))), None);
+        assert_eq!(RangeSpec::of(None, 3, 3).map(|r| r.col()), None);
     }
 }

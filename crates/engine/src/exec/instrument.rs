@@ -56,6 +56,11 @@ pub struct OperatorStats {
     /// survived its record-level bounds (storage scans only). Summed from
     /// the page headers, once per page.
     pub tuples_checked: AtomicU64,
+    /// Build-side candidates this node's probe rows scanned — the length of
+    /// each probe row's (range-narrowed) bucket slice, added once per probe
+    /// row (hash joins only). Against `rows` it tells how much of the scan
+    /// the residual threw away.
+    pub candidates_checked: AtomicU64,
     /// Ranged partitions built from this node (> 0 only under exchange).
     pub partitions: AtomicU64,
 }

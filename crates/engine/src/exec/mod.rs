@@ -43,6 +43,7 @@ pub use distinct::DistinctExec;
 pub use exchange::ExchangeExec;
 pub use filter::FilterExec;
 pub use hash_join::HashJoinExec;
+pub(crate) use hash_join::RangeSpec;
 pub use instrument::{Instrumentation, InstrumentedExec, OperatorStats};
 pub use interval_join::IntervalJoinExec;
 pub use limit::LimitExec;

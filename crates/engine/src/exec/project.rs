@@ -4,7 +4,7 @@
 //! ([`crate::exec::DistinctExec`]), as in standard engines.
 
 use crate::batch::RowBatch;
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::schema::Schema;
@@ -47,26 +47,46 @@ impl ExecNode for ProjectExec {
         }
     }
 
-    /// Batch path: one vectorized evaluation per output expression, then
-    /// one pass re-assembling the value columns into rows.
+    /// Batch path: computed items are evaluated vectorized, once per batch;
+    /// column references and literals are read from the input row while
+    /// the output row is assembled — they never become a value column.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        match self.input.next_batch(state)? {
-            None => Ok(None),
-            Some(batch) => {
-                let n = batch.len();
-                let mut cols = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    cols.push(e.eval_batch(batch.rows())?.into_iter());
+        let Some(batch) = self.input.next_batch(state)? else {
+            return Ok(None);
+        };
+        let width = batch
+            .rows()
+            .iter()
+            .map(Row::len)
+            .min()
+            .unwrap_or(usize::MAX);
+        let mut computed = Vec::new();
+        for e in &self.exprs {
+            match e {
+                Expr::Col(i) if *i >= width => {
+                    return Err(EngineError::Internal(format!(
+                        "column index {i} out of bounds for row of width {width}"
+                    )));
                 }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(Row::from_iter(
-                        cols.iter_mut().map(|c| c.next().expect("column length")),
-                    ));
-                }
-                Ok(Some(RowBatch::new(self.schema.clone(), rows)))
+                Expr::Col(_) | Expr::Lit(_) => {}
+                _ => computed.push(e.eval_batch(batch.rows())?.into_iter()),
             }
         }
+        let mut rows = Vec::with_capacity(batch.len());
+        for row in batch.rows() {
+            let mut computed = computed.iter_mut();
+            rows.push(Row::from_iter(self.exprs.iter().map(|e| {
+                match e {
+                    Expr::Col(i) => row[*i].clone(),
+                    Expr::Lit(v) => v.clone(),
+                    _ => computed
+                        .next()
+                        .and_then(Iterator::next)
+                        .expect("one value per computed item and row"),
+                }
+            })));
+        }
+        Ok(Some(RowBatch::new(self.schema.clone(), rows)))
     }
 }
 

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::{collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::SortKey;
+use crate::expr::{Expr, SortKey};
 use crate::schema::Schema;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -65,8 +65,44 @@ pub fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
     Ok(())
 }
 
-/// [`sort_rows`] with vectorized key decoration: each key expression is
-/// evaluated once over the whole row vector instead of once per row, and
+/// One sort key's values over a row vector: a column reference is read in
+/// place, anything computed is evaluated once, vectorized.
+enum KeyCol {
+    Ref(usize),
+    Vals(Vec<Value>),
+}
+
+impl KeyCol {
+    fn all(keys: &[SortKey], rows: &[Row]) -> EngineResult<Vec<KeyCol>> {
+        let width = rows.iter().map(Row::len).min().unwrap_or(0);
+        keys.iter()
+            .map(|k| match &k.expr {
+                Expr::Col(i) if *i < width => Ok(KeyCol::Ref(*i)),
+                // (An out-of-range reference gets the evaluator's error.)
+                e => e.eval_batch(rows).map(KeyCol::Vals),
+            })
+            .collect()
+    }
+
+    #[inline]
+    fn get<'a>(&'a self, rows: &'a [Row], ri: usize) -> &'a Value {
+        match self {
+            KeyCol::Ref(c) => &rows[ri][*c],
+            KeyCol::Vals(vals) => &vals[ri],
+        }
+    }
+}
+
+/// The key values of every row, cloned out for the general comparator.
+fn key_values(key_cols: &[KeyCol], rows: &[Row]) -> Vec<Vec<Value>> {
+    (0..rows.len())
+        .map(|ri| key_cols.iter().map(|c| c.get(rows, ri).clone()).collect())
+        .collect()
+}
+
+/// [`sort_rows`] with vectorized key decoration: column keys are read
+/// straight from the rows and each computed key expression is evaluated
+/// once over the whole row vector instead of once per row, and
 /// all-integer key sets (every temporal sort: data ids, timestamps, split
 /// points) are order-encoded into flat `i64` vectors so the comparator is
 /// a machine-word slice compare instead of a `Value` tree walk. Same order
@@ -74,11 +110,8 @@ pub fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
 /// the admitted values, with equal encodings ⇔ equal keys, so ties fall to
 /// the identical full-row comparator.
 pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
-    let mut key_cols = Vec::with_capacity(keys.len());
-    for k in keys {
-        key_cols.push(k.expr.eval_batch(rows)?);
-    }
-    if let Some(enc) = encode_int_keys(&key_cols, keys) {
+    let key_cols = KeyCol::all(keys, rows)?;
+    if let Some(enc) = encode_int_keys(&key_cols, rows, keys) {
         let k = keys.len();
         let mut decorated: Vec<(usize, Row)> = rows.drain(..).enumerate().collect();
         decorated.sort_by(|(ia, ra), (ib, rb)| {
@@ -89,21 +122,14 @@ pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<
         rows.extend(decorated.into_iter().map(|(_, r)| r));
         return Ok(());
     }
-    let mut key_cols: Vec<_> = key_cols.into_iter().map(Vec::into_iter).collect();
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
-        let kv: Vec<Value> = key_cols
-            .iter_mut()
-            .map(|c| c.next().expect("key column length"))
-            .collect();
-        decorated.push((kv, row));
-    }
+    let kvs = key_values(&key_cols, rows);
+    let mut decorated: Vec<(Vec<Value>, Row)> = kvs.into_iter().zip(rows.drain(..)).collect();
     decorated.sort_by(|(ka, ra), (kb, rb)| cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb)));
     rows.extend(decorated.into_iter().map(|(_, r)| r));
     Ok(())
 }
 
-/// Encode evaluated key columns as flat `i64`s (row-major, stride =
+/// Encode the key values of `rows` as flat `i64`s (row-major, stride =
 /// `keys.len()`) such that ascending lexicographic order of the encodings
 /// equals [`cmp_keys`] order, and equal encodings imply equal key values.
 /// NULLs map to the `i64::MIN`/`i64::MAX` sentinels per their position
@@ -111,12 +137,11 @@ pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<
 /// back to the general comparator — when any value is not Int/NULL or lies
 /// at the extremes, where sentinel/negation collisions would break the
 /// isomorphism.
-fn encode_int_keys(key_cols: &[Vec<Value>], keys: &[SortKey]) -> Option<Vec<i64>> {
-    let n = key_cols.first().map_or(0, Vec::len);
-    let mut enc = vec![0i64; n * keys.len()];
+fn encode_int_keys(key_cols: &[KeyCol], rows: &[Row], keys: &[SortKey]) -> Option<Vec<i64>> {
+    let mut enc = vec![0i64; rows.len() * keys.len()];
     for (ki, (col, key)) in key_cols.iter().zip(keys).enumerate() {
-        for (ri, v) in col.iter().enumerate() {
-            enc[ri * keys.len() + ki] = match v {
+        for ri in 0..rows.len() {
+            enc[ri * keys.len() + ki] = match col.get(rows, ri) {
                 Value::Null => {
                     // NULLS FIRST sorts below everything, NULLS LAST above
                     // — in encoding space, regardless of `desc` (cmp_keys
@@ -164,18 +189,15 @@ pub fn sort_rows_parallel(
     // Phase 1: evaluate key columns per chunk, on workers.
     let chunk_cols = par_run(threads, ranges.len(), |i| {
         let (a, b) = ranges[i];
-        let mut cols = Vec::with_capacity(k);
-        for key in keys {
-            cols.push(key.expr.eval_batch(&rows[a..b])?);
-        }
-        Ok(cols)
+        KeyCol::all(keys, &rows[a..b])
     })?;
     // The fast path / fallback decision must be global: all chunks encode,
     // or all use the general comparator (per-chunk choices could disagree).
     let chunk_encs: Option<Vec<Vec<i64>>> = if k <= ENC_WIDTH {
         chunk_cols
             .iter()
-            .map(|cols| encode_int_keys(cols, keys))
+            .zip(&ranges)
+            .map(|(cols, &(a, b))| encode_int_keys(cols, &rows[a..b], keys))
             .collect()
     } else {
         None
@@ -231,17 +253,8 @@ pub fn sort_rows_parallel(
                     .expect("chunk lock")
                     .take()
                     .expect("chunk claimed once");
-                let mut cols: Vec<_> = chunk_cols[i].iter().map(|c| c.iter().cloned()).collect();
-                let mut decorated: Vec<(Vec<Value>, Row)> = chunk
-                    .into_iter()
-                    .map(|row| {
-                        let kv: Vec<Value> = cols
-                            .iter_mut()
-                            .map(|c| c.next().expect("key column length"))
-                            .collect();
-                        (kv, row)
-                    })
-                    .collect();
+                let kvs = key_values(&chunk_cols[i], &chunk);
+                let mut decorated: Vec<(Vec<Value>, Row)> = kvs.into_iter().zip(chunk).collect();
                 decorated.sort_unstable_by(|(ka, ra), (kb, rb)| {
                     cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb))
                 });

@@ -105,6 +105,11 @@ impl<'a> CompiledPred<'a> {
         Some(CompiledPred { conjuncts })
     }
 
+    /// The compiled comparisons, in evaluation order.
+    pub(crate) fn conjuncts(&self) -> &[(CmpOp, PredOperand<'a>, PredOperand<'a>)] {
+        &self.conjuncts
+    }
+
     /// One conjunct over resolved values. Integer pairs — every temporal
     /// overlap/split-point/equality test — compare inline; everything else
     /// goes through the general [`eval_cmp`] (identical results: the inline

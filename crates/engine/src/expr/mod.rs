@@ -18,7 +18,7 @@ mod resolve;
 pub use analysis::{
     detect_overlap_pattern, split_join_condition, JoinConditionParts, OverlapPattern,
 };
-pub(crate) use batch::CompiledPred;
+pub(crate) use batch::{CompiledPred, PredOperand};
 pub use fold::fold;
 pub use resolve::resolve_name;
 

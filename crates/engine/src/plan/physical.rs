@@ -10,7 +10,8 @@ use crate::error::EngineResult;
 use crate::exec::{
     collect, BoxedExec, DistinctExec, ExchangeExec, ExecutionState, FilterExec, HashAggregateExec,
     HashJoinExec, HashSetOpExec, InstrumentedExec, IntervalJoinExec, LimitExec, MergeJoinExec,
-    NestedLoopJoinExec, OperatorStats, ProjectExec, SeqScanExec, SortExec, StorageScanExec,
+    NestedLoopJoinExec, OperatorStats, ProjectExec, RangeSpec, SeqScanExec, SortExec,
+    StorageScanExec,
 };
 use crate::expr::{AggCall, Expr, SortKey};
 use crate::plan::cost::{CostModel, PlanStats};
@@ -536,13 +537,19 @@ impl PhysicalPlan {
                 join_type,
                 keys,
                 residual,
-            } => Box::new(HashJoinExec::new(
-                left.build_subtree(state)?,
-                right.build_subtree(state)?,
-                keys.clone(),
-                residual.clone(),
-                *join_type,
-            )),
+            } => {
+                let join = HashJoinExec::new(
+                    left.build_subtree(state)?,
+                    right.build_subtree(state)?,
+                    keys.clone(),
+                    residual.clone(),
+                    *join_type,
+                );
+                match state.instrumentation() {
+                    Some(ins) => Box::new(join.with_ledger(ins.op(self.node_key()))),
+                    None => Box::new(join),
+                }
+            }
             PhysicalPlan::MergeJoin {
                 left,
                 right,
@@ -823,8 +830,22 @@ impl PhysicalPlan {
                 format!("NestedLoopJoin[{}]", join_type.name())
             }
             PhysicalPlan::HashJoin {
-                join_type, keys, ..
-            } => format!("HashJoin[{}] on {} key(s)", join_type.name(), keys.len()),
+                left,
+                right,
+                join_type,
+                keys,
+                residual,
+            } => {
+                let head = format!("HashJoin[{}] on {} key(s)", join_type.name(), keys.len());
+                let right_schema = right.schema();
+                match RangeSpec::of(residual.as_ref(), left.schema().len(), right_schema.len()) {
+                    Some(range) => format!(
+                        "{head} range-ordered on {}",
+                        right_schema.col(range.col()).qualified_name()
+                    ),
+                    None => head,
+                }
+            }
             PhysicalPlan::MergeJoin {
                 join_type, keys, ..
             } => format!("MergeJoin[{}] on {} key(s)", join_type.name(), keys.len()),
@@ -879,6 +900,14 @@ impl PhysicalPlan {
                     s.push_str(&format!(
                         " tuples_checked={}",
                         op.tuples_checked.load(Ordering::Relaxed)
+                    ));
+                }
+                if matches!(self, PhysicalPlan::HashJoin { .. }) {
+                    // Beside the rows the join emitted, the build-side
+                    // candidates its probe rows tested the residual on.
+                    s.push_str(&format!(
+                        " candidates={}",
+                        op.candidates_checked.load(Ordering::Relaxed)
                     ));
                 }
                 s.push_str(&format!(

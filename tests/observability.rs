@@ -188,6 +188,65 @@ fn explain_analyze_reports_tuples_checked_beside_actual_rows() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The number after `key=` on the first `HashJoin` line of `rendered`.
+fn join_counter(rendered: &str, key: &str) -> u64 {
+    let line = rendered
+        .lines()
+        .find(|l| l.contains("HashJoin["))
+        .unwrap_or_else(|| panic!("no hash join line in:\n{rendered}"));
+    let tail = line
+        .split(&format!("{key}="))
+        .nth(1)
+        .unwrap_or_else(|| panic!("no {key}= on the join line: {line}"));
+    tail.split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
+/// A hash join's `actual rows` hides how many build rows its residual was
+/// run on; `candidates=` shows it, and `range-ordered on` says the buckets
+/// are laid out so that a probe row only visits the ones inside its bounds.
+#[test]
+fn explain_analyze_reports_join_candidates_and_range_order() {
+    // 6 positions × ~100 incumbents: a `pcn` bucket of the normalizer's
+    // group-construction join holds ~200 end points, a handful of which
+    // lie strictly inside any one tuple's interval.
+    let r = temporal_datasets::random_like_incumben(600, 6, 9);
+    let db = Database::default();
+    db.register("inc", &r).unwrap();
+    let mut session = Session::scoped(db.clone());
+    let query = "SELECT pcn, ts, te FROM (inc r1 NORMALIZE inc r2 USING(pcn)) x";
+
+    let plan = session.explain(query).unwrap();
+    assert!(
+        plan.contains("HashJoin[Left] on 1 key(s) range-ordered on __p1"),
+        "EXPLAIN names the range column:\n{plan}"
+    );
+    let analyzed = session.explain_analyze(query).unwrap();
+    let (rows, candidates) = (
+        join_counter(&analyzed, "actual rows"),
+        join_counter(&analyzed, "candidates"),
+    );
+    // Every candidate inside the bounds matches (the residual *is* the
+    // bounds); the join's other rows are its unmatched probe rows.
+    assert!(candidates > 0 && candidates <= rows, "{analyzed}");
+    assert!(
+        candidates * 10 < 600 * 200,
+        "candidates must be the matches, not the buckets:\n{analyzed}"
+    );
+
+    // An equi join without a range residual: unordered, whole buckets.
+    let plain = "SELECT a.ssn FROM inc a JOIN inc b ON a.pcn = b.pcn AND a.ssn <> b.ssn";
+    assert!(!session.explain(plain).unwrap().contains("range-ordered"));
+    let analyzed = session.explain_analyze(plain).unwrap();
+    assert!(
+        join_counter(&analyzed, "candidates") > join_counter(&analyzed, "actual rows"),
+        "{analyzed}"
+    );
+}
+
 #[test]
 fn instrumentation_never_changes_results() {
     // The same query with tracing + instrumentation on and off must
