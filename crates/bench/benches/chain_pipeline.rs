@@ -4,13 +4,10 @@
 //! `eager` evaluates the chain one operator at a time, materializing a
 //! temporal relation between stages (N× `Planner::run`). `plan-first`
 //! compiles the whole chain into one `TemporalPlan` and executes it with a
-//! single `Planner::run` draining the executor batch-wise; the planner's
-//! rewrite pass pushes the selection across the alignment extension nodes
-//! into the base scans, so the join aligns only the surviving tuples.
-//! `plan-first-rows` drains the same compiled plan row-at-a-time (the
-//! pre-batch executor path), isolating the vectorization win, and
-//! `plan-first-norw` disables the rewrites to separate barrier removal
-//! from cross-operator optimization.
+//! single `Planner::run`; the planner's rewrite pass pushes the selection
+//! across the alignment extension nodes into the base scans, so the join
+//! aligns only the surviving tuples. `plan-first-norw` disables the
+//! rewrites to separate barrier removal from cross-operator optimization.
 //!
 //! Plans are rebuilt inside the timed closure: a composed plan carries
 //! spool caches for its shared subtrees, and reusing one plan across
@@ -36,7 +33,6 @@ fn bench(c: &mut Criterion) {
         let cap = (n / 10) as i64;
         for mode in [
             ChainMode::Eager,
-            ChainMode::PlanFirstRows,
             ChainMode::PlanFirst,
             ChainMode::PlanFirstNoRewrites,
         ] {

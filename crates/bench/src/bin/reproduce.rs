@@ -377,11 +377,10 @@ fn ablation(full: bool) {
 
 /// The plan-first chain benchmark (not a paper figure): the 3-operator
 /// query ϑᵀ ∘ σᵀ ∘ ⋈ᵀ evaluated eagerly (one `Planner::run` per operator,
-/// materializing between) vs compiled into one `TemporalPlan` — the
-/// compiled plan drained row-at-a-time (`plan-first-rows`, the PR 2 path)
-/// vs batch-wise (`plan-first`, the vectorized executor). Each point is
-/// the best of three runs, so one-off allocator/scheduler noise does not
-/// distort the row-vs-batch ratio the CI smoke step records.
+/// materializing between) vs compiled into one `TemporalPlan`, with and
+/// without the cross-operator rewrites. Each point is the best of three
+/// runs, so one-off allocator/scheduler noise does not distort the
+/// eager-vs-plan-first ratio the CI smoke step records.
 fn chain(full: bool) {
     let sizes: &[usize] = if full {
         &[2_000, 4_000, 8_000, 16_000]
@@ -396,7 +395,6 @@ fn chain(full: bool) {
         let cap = (n / 10) as i64;
         for mode in [
             ChainMode::Eager,
-            ChainMode::PlanFirstRows,
             ChainMode::PlanFirst,
             ChainMode::PlanFirstNoRewrites,
         ] {
@@ -413,7 +411,7 @@ fn chain(full: bool) {
         }
     }
     print_points(
-        "Chain (plan-first): ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — rows vs batches",
+        "Chain (plan-first): ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — eager vs plan-first",
         &points,
     );
     save("chain_pipeline", &points);

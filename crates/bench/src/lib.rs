@@ -130,14 +130,9 @@ pub enum ChainMode {
     /// evaluation style, kept as the baseline.
     Eager,
     /// The whole chain compiled into one `TemporalPlan` and executed with a
-    /// single `Planner::run` draining the executor tree **batch-wise**
-    /// (`next_batch()`, the engine's default); the rewrite pass pushes the
-    /// selection across the alignment boundaries into the base scans.
+    /// single `Planner::run`; the rewrite pass pushes the selection across
+    /// the alignment boundaries into the base scans.
     PlanFirst,
-    /// The same single compiled plan drained **row-at-a-time** (`next()`,
-    /// `PhysicalPlan::collect_rowwise`) — the PR 2 plan-first path, kept as
-    /// the baseline the vectorized batch path is measured against.
-    PlanFirstRows,
     /// Plan-first compilation with `enable_rewrites = false`: isolates the
     /// benefit of cross-operator optimization from the benefit of removing
     /// materialization barriers.
@@ -149,7 +144,6 @@ impl ChainMode {
         match self {
             ChainMode::Eager => "eager",
             ChainMode::PlanFirst => "plan-first",
-            ChainMode::PlanFirstRows => "plan-first-rows",
             ChainMode::PlanFirstNoRewrites => "plan-first-norw",
         }
     }
@@ -179,7 +173,7 @@ pub fn run_chain(
                 .expect("chain aggregation")
                 .len()
         }
-        ChainMode::PlanFirst | ChainMode::PlanFirstRows | ChainMode::PlanFirstNoRewrites => {
+        ChainMode::PlanFirst | ChainMode::PlanFirstNoRewrites => {
             let mut config = planner.config;
             config.enable_rewrites = mode != ChainMode::PlanFirstNoRewrites;
             let plan = TemporalPlan::scan(r)
@@ -189,17 +183,9 @@ pub fn run_chain(
                 .expect("chain selection")
                 .aggregation(&[1], aggs)
                 .expect("chain aggregation");
-            let planner = Planner::new(config);
-            if mode == ChainMode::PlanFirstRows {
-                // Same plan, drained through the row-at-a-time protocol.
-                let physical = plan
-                    .physical(&planner, &temporal_engine::catalog::Catalog::new())
-                    .expect("chain plan");
-                let state = ExecutionState::new(config);
-                physical.collect_rowwise(&state).expect("chain run").len()
-            } else {
-                plan.execute(&planner).expect("chain run").len()
-            }
+            plan.execute(&Planner::new(config))
+                .expect("chain run")
+                .len()
         }
     }
 }
@@ -375,10 +361,8 @@ mod tests {
         let a = run_chain(ChainMode::Eager, &r, &r, 25, &planner());
         let b = run_chain(ChainMode::PlanFirst, &r, &r, 25, &planner());
         let c = run_chain(ChainMode::PlanFirstNoRewrites, &r, &r, 25, &planner());
-        let d = run_chain(ChainMode::PlanFirstRows, &r, &r, 25, &planner());
         assert_eq!(a, b);
         assert_eq!(a, c);
-        assert_eq!(a, d);
         assert!(a > 0);
     }
 

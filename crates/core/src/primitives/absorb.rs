@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use temporal_engine::batch::{RowBatch, BATCH_SIZE};
-use temporal_engine::exec::{ExecNode, ExecutionState, SortExec};
+use temporal_engine::batch::RowBatch;
+use temporal_engine::exec::{next_chunk, ExecNode, ExecutionState, SortExec};
 use temporal_engine::plan::ExtensionNode;
 use temporal_engine::prelude::*;
 
@@ -118,10 +118,9 @@ impl ExtensionNode for AbsorbNode {
     }
 }
 
-/// Streaming absorb over sorted input. Supports both executor protocols:
-/// row-at-a-time, and batch-at-a-time (one `next_batch()` call filters a
-/// whole input batch through the same group state, so groups may span
-/// batch boundaries freely).
+/// Streaming absorb over sorted input: one `next_batch()` call filters a
+/// whole input batch through the group state, which survives between
+/// calls, so groups may span batch boundaries freely.
 pub struct AbsorbExec {
     input: BoxedExec,
     /// Data values of the current value-equivalence group.
@@ -165,22 +164,25 @@ impl AbsorbExec {
     /// [`crate::primitives::parallel`]). Falls back to serving the
     /// materialized rows serially when the input is small or one giant run.
     fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
-        use crate::primitives::parallel::{data_partition_ranges, RowsExec};
+        use crate::primitives::parallel::data_partition_ranges;
         use temporal_engine::exec::workers::par_run;
+        use temporal_engine::exec::{collect_rows, ValuesExec};
         self.allow_parallel = false;
         let schema = self.input.schema().clone();
-        let rows = temporal_engine::exec::collect_rows_batched(self.input.as_mut(), state)?;
+        let rows = collect_rows(self.input.as_mut(), state)?;
         let ranges = data_partition_ranges(&rows, self.data_width, state.threads());
         if !state.parallel(rows.len()) || ranges.len() <= 1 {
-            self.input = Box::new(RowsExec::new(schema, rows));
+            self.input = Box::new(ValuesExec::new(schema, rows));
             return Ok(());
         }
         let chunks = par_run(state.threads(), ranges.len(), |i| {
             let (a, b) = ranges[i];
-            let mut sub =
-                AbsorbExec::new(Box::new(RowsExec::new(schema.clone(), rows[a..b].to_vec())));
+            let mut sub = AbsorbExec::new(Box::new(ValuesExec::new(
+                schema.clone(),
+                rows[a..b].to_vec(),
+            )));
             sub.allow_parallel = false;
-            temporal_engine::exec::collect_rows_batched(&mut sub, state)
+            collect_rows(&mut sub, state)
         })?;
         state.note_partitions(ranges.len());
         self.outbuf = Some(chunks.concat().into_iter());
@@ -219,28 +221,15 @@ impl ExecNode for AbsorbExec {
         self.input.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        while let Some(row) = self.input.next(state)? {
-            if let Some(out) = self.admit(row)? {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Batch path: filter a whole sorted input batch through the absorb
-    /// state per call. Loops past fully absorbed batches — `Some` batches
+    /// Filter a whole sorted input batch through the absorb state per
+    /// call. Loops past fully absorbed batches — `Some` batches
     /// are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.allow_parallel && self.group.is_none() && state.threads() > 1 {
             self.try_parallel(state)?;
         }
         if let Some(it) = &mut self.outbuf {
-            let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-            if chunk.is_empty() {
-                return Ok(None);
-            }
-            return Ok(Some(RowBatch::new(self.input.schema().clone(), chunk)));
+            return Ok(next_chunk(it, self.input.schema()));
         }
         while let Some(batch) = self.input.next_batch(state)? {
             let (schema, rows) = batch.into_parts();

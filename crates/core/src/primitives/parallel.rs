@@ -13,52 +13,8 @@
 //! straddle a naive equal-size cut are pushed whole into the earlier
 //! partition by snapping each cut forward to the next data change.
 
-use temporal_engine::batch::{RowBatch, BATCH_SIZE};
-use temporal_engine::error::EngineResult;
 use temporal_engine::exec::workers::split_ranges;
-use temporal_engine::exec::{ExecNode, ExecutionState};
-use temporal_engine::schema::Schema;
 use temporal_engine::tuple::Row;
-
-/// An executor serving a pre-materialized row vector — the per-partition
-/// input source for parallel sweep workers.
-pub(crate) struct RowsExec {
-    schema: Schema,
-    rows: Vec<Row>,
-    pos: usize,
-}
-
-impl RowsExec {
-    pub(crate) fn new(schema: Schema, rows: Vec<Row>) -> RowsExec {
-        RowsExec {
-            schema,
-            rows,
-            pos: 0,
-        }
-    }
-}
-
-impl ExecNode for RowsExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
-        let row = self.rows.get(self.pos).cloned();
-        self.pos += 1;
-        Ok(row)
-    }
-
-    fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + BATCH_SIZE).min(self.rows.len());
-        let chunk = self.rows[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(Some(RowBatch::new(self.schema.clone(), chunk)))
-    }
-}
 
 /// Cut `0..rows.len()` into at most `parts` contiguous ranges whose inner
 /// boundaries coincide with a change in the first `data_width` columns.

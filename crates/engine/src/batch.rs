@@ -1,14 +1,15 @@
-//! Row batches: the unit of vectorized execution.
+//! Row batches: the unit of execution.
 //!
-//! The Volcano protocol ([`crate::exec::ExecNode::next`]) moves one row per
-//! virtual call; once whole temporal queries compile into a single deep
-//! pipeline, that per-tuple dispatch dominates the hot loops. A
-//! [`RowBatch`] amortizes it: operators exchange chunks of ~[`BATCH_SIZE`]
-//! rows, and expression evaluation ([`crate::expr::Expr::eval_batch`]) runs
-//! over a whole chunk in tight loops. Batches are row-major (`Vec<Row>`),
-//! so the row-at-a-time path and the batch path share storage and can be
-//! compared row for row; column accessors round out the API for consumers
-//! that want column-wise views (e.g. extracting endpoint vectors).
+//! Once whole temporal queries compile into a single deep pipeline, moving
+//! one row per virtual call makes per-tuple dispatch dominate the hot
+//! loops. A [`RowBatch`] amortizes it: operators exchange chunks of
+//! ~[`BATCH_SIZE`] rows through [`crate::exec::ExecNode::next_batch`] — the
+//! executor's only pull method — and expression evaluation
+//! ([`crate::expr::Expr::eval_batch`]) runs over a whole chunk in tight
+//! loops. Batches are row-major (`Vec<Row>`: a batch shares its rows with
+//! the relation or buffer they came from); column accessors round out the
+//! API for consumers that want column-wise views (e.g. extracting endpoint
+//! vectors).
 
 use crate::schema::Schema;
 use crate::tuple::Row;

@@ -4,9 +4,9 @@
 //! Grouping equality is structural (NULL groups with NULL), matching the
 //! paper's set semantics where ω values group together.
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::{AggCall, AggFunc, Expr};
 use crate::hashing::FxHashMap;
 use crate::schema::Schema;
@@ -175,7 +175,7 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
         .collect())
 }
 
-/// Hash-based grouped aggregation. Materializes on first `next()` and emits
+/// Hash-based grouped aggregation. Materializes on first pull and emits
 /// groups in first-seen input order (deterministic).
 pub struct HashAggregateExec {
     input: BoxedExec,
@@ -196,15 +196,6 @@ impl HashAggregateExec {
             out: None,
         }
     }
-
-    fn compute(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<Vec<Row>> {
-        let rows = if batched {
-            collect_rows_batched(self.input.as_mut(), state)?
-        } else {
-            collect_rows(self.input.as_mut(), state)?
-        };
-        aggregate_rows(&rows, &self.group, &self.aggs)
-    }
 }
 
 impl ExecNode for HashAggregateExec {
@@ -212,27 +203,16 @@ impl ExecNode for HashAggregateExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.out.is_none() {
-            let rows = self.compute(state, false)?;
-            self.out = Some(rows.into_iter());
-        }
-        Ok(self.out.as_mut().expect("initialized").next())
-    }
-
-    /// Batch path: drain the input batch-wise, then emit the groups a
-    /// chunk at a time (group order is first-seen input order either way).
+    /// Drain the input, then emit the groups a chunk at a time (group
+    /// order is first-seen input order).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = self.compute(state, true)?;
-            self.out = Some(rows.into_iter());
+            let rows = collect_rows(self.input.as_mut(), state)?;
+            let groups = aggregate_rows(&rows, &self.group, &self.aggs)?;
+            self.out = Some(groups.into_iter());
         }
         let it = self.out.as_mut().expect("initialized");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), chunk)))
+        Ok(next_chunk(it, &self.schema))
     }
 }
 

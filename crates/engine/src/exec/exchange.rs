@@ -13,10 +13,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::workers::par_run;
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::schema::Schema;
 use crate::tuple::Row;
 
@@ -24,8 +24,7 @@ use crate::tuple::Row;
 pub struct ExchangeExec {
     schema: Schema,
     parts: Vec<BoxedExec>,
-    /// Gathered output, filled on first pull (per protocol; a node is
-    /// driven through exactly one).
+    /// Gathered output, filled on first pull.
     out: Option<std::vec::IntoIter<Row>>,
 }
 
@@ -39,20 +38,14 @@ impl ExchangeExec {
     }
 
     /// Drain every partition on the worker pool; concatenate outputs in
-    /// partition order. `batched` selects the protocol the partition
-    /// subtrees are driven through, matching how this node itself is
-    /// driven.
-    fn gather(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
+    /// partition order.
+    fn gather(&mut self, state: &ExecutionState) -> EngineResult<()> {
         let parts: Vec<Mutex<BoxedExec>> = self.parts.drain(..).map(Mutex::new).collect();
         let outs = par_run(state.threads(), parts.len(), |i| {
             state.check_cancelled()?;
             state.stats.partitions_run.fetch_add(1, Ordering::Relaxed);
             let mut node = parts[i].lock().expect("partition claimed once");
-            if batched {
-                collect_rows_batched(node.as_mut(), state)
-            } else {
-                collect_rows(node.as_mut(), state)
-            }
+            collect_rows(node.as_mut(), state)
         })?;
         let mut rows = Vec::with_capacity(outs.iter().map(Vec::len).sum());
         for part in outs {
@@ -68,23 +61,12 @@ impl ExecNode for ExchangeExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.out.is_none() {
-            self.gather(state, false)?;
-        }
-        Ok(self.out.as_mut().expect("gathered").next())
-    }
-
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            self.gather(state, true)?;
+            self.gather(state)?;
         }
         let it = self.out.as_mut().expect("gathered");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), chunk)))
+        Ok(next_chunk(it, &self.schema))
     }
 }
 
@@ -92,7 +74,7 @@ impl ExecNode for ExchangeExec {
 mod tests {
     use super::*;
     use crate::exec::test_util::int_rel;
-    use crate::exec::{collect, collect_rowwise, SeqScanExec};
+    use crate::exec::{collect, SeqScanExec};
     use crate::plan::PlannerConfig;
 
     fn four_thread_state() -> ExecutionState {
@@ -104,24 +86,18 @@ mod tests {
     }
 
     #[test]
-    fn gathers_partitions_in_order_both_protocols() {
+    fn gathers_partitions_in_order() {
         let vals: Vec<i64> = (0..1000).collect();
         let rel = int_rel("a", &vals).into_shared();
-        let mk = || {
-            let parts: Vec<BoxedExec> = (0..4)
-                .map(|i| {
-                    Box::new(SeqScanExec::with_range(rel.clone(), i * 250, (i + 1) * 250))
-                        as BoxedExec
-                })
-                .collect();
-            ExchangeExec::new(rel.schema().clone(), parts)
-        };
-        let state = four_thread_state();
-        let batch = collect(Box::new(mk()), &state).unwrap();
-        let row = collect_rowwise(Box::new(mk()), &state).unwrap();
-        assert_eq!(batch.rows(), row.rows());
-        assert_eq!(batch.len(), 1000);
-        for (i, r) in batch.rows().iter().enumerate() {
+        let parts: Vec<BoxedExec> = (0..4)
+            .map(|i| {
+                Box::new(SeqScanExec::with_range(rel.clone(), i * 250, (i + 1) * 250)) as BoxedExec
+            })
+            .collect();
+        let exchange = ExchangeExec::new(rel.schema().clone(), parts);
+        let out = collect(Box::new(exchange), &four_thread_state()).unwrap();
+        assert_eq!(out.len(), 1000);
+        for (i, r) in out.rows().iter().enumerate() {
             assert_eq!(r[0].as_int().unwrap(), i as i64);
         }
     }

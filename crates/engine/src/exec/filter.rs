@@ -5,7 +5,6 @@ use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// Filters input rows by a predicate (NULL ⇒ dropped, per SQL).
 pub struct FilterExec {
@@ -24,16 +23,7 @@ impl ExecNode for FilterExec {
         self.input.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        while let Some(row) = self.input.next(state)? {
-            if self.predicate.eval_pred(row.values())? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Batch path: one vectorized predicate evaluation per input batch.
+    /// One vectorized predicate evaluation per input batch.
     /// Loops past batches the predicate empties — `Some` batches are never
     /// empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {

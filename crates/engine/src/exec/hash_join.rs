@@ -21,7 +21,7 @@
 //! never compares TRUE and `Int`↔`Double` coerces — the ordered path does
 //! not second-guess the comparison).
 //!
-//! Under a parallel [`ExecutionState`] the batch path partitions both
+//! Under a parallel [`ExecutionState`] the join partitions both
 //! sides: the build table is assembled from per-worker hash shards
 //! (disjoint key ranges, merged without overlap), and the probe input is
 //! split into contiguous morsels probed on workers against the shared
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
-use crate::exec::{BoxedExec, ExecNode, ExecutionState, OperatorStats};
+use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState, OperatorStats};
 use crate::expr::{CmpOp, CompiledPred, Expr, PredOperand};
 use crate::hashing::{FxHashMap, FxHasher};
 use crate::plan::JoinType;
@@ -212,13 +212,6 @@ pub struct HashJoinExec {
     build_rows: Vec<Row>,
     build_matched: Vec<AtomicBool>,
     built: bool,
-
-    /// Row protocol: the current probe row and its cursor into
-    /// `table.order`.
-    cur_left: Option<Row>,
-    cands: Range<usize>,
-    cur_left_matched: bool,
-    key_scratch: Vec<Value>,
     phase: Phase,
 }
 
@@ -266,10 +259,6 @@ impl HashJoinExec {
             build_rows: Vec::new(),
             build_matched: Vec::new(),
             built: false,
-            cur_left: None,
-            cands: 0..0,
-            cur_left_matched: false,
-            key_scratch: Vec::new(),
             phase: Phase::Probe,
         }
     }
@@ -281,17 +270,13 @@ impl HashJoinExec {
         self
     }
 
-    fn build(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
+    fn build(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if self.built {
             return Ok(());
         }
         let mut right = self.right.take().expect("build called once");
-        let rows = if batched {
-            crate::exec::collect_rows_batched(right.as_mut(), state)?
-        } else {
-            crate::exec::collect_rows(right.as_mut(), state)?
-        };
-        let groups = if batched && state.parallel(rows.len()) {
+        let rows = collect_rows(right.as_mut(), state)?;
+        let groups = if state.parallel(rows.len()) {
             self.build_parallel(state, &rows)?
         } else {
             let mut groups = KeyGroups::default();
@@ -381,13 +366,6 @@ impl HashJoinExec {
         Ok(shards)
     }
 
-    fn residual_ok(&self, combined: &Row) -> EngineResult<bool> {
-        match &self.residual {
-            None => Ok(true),
-            Some(e) => e.eval_pred(combined.values()),
-        }
-    }
-
     /// The immutable probe context: everything a worker needs to probe a
     /// morsel of left rows against the built table.
     fn probe_side(&self) -> ProbeSide<'_> {
@@ -421,8 +399,7 @@ struct ProbeSide<'a> {
 }
 
 impl ProbeSide<'_> {
-    /// Candidate selection, the one routine behind `next`, `next_batch`
-    /// and the morsel probe: the positions of `table.order` probe row `l`
+    /// Candidate selection: the positions of `table.order` probe row `l`
     /// has to test — its bucket, cut down to the sub-slice inside the
     /// row's bounds when buckets are range-ordered. Callers evaluate the
     /// whole residual on every position returned. `key` is scratch.
@@ -456,8 +433,8 @@ impl ProbeSide<'_> {
     /// per-row clone). Simple residuals (every reduced temporal condition:
     /// equality leftovers, interval overlaps) are compiled once and
     /// evaluated over the *pair* of rows, so the combined row is only
-    /// materialized for candidates that actually join — late
-    /// materialization, the batch path's main win on high-fanout probes.
+    /// materialized for candidates that actually join (late
+    /// materialization).
     fn probe(&self, lrows: &[Row], left_width: usize) -> EngineResult<Vec<Row>> {
         let compiled = self.residual.map(|e| (CompiledPred::compile(e), e));
         let mut out: Vec<Row> = Vec::new();
@@ -494,11 +471,11 @@ impl ProbeSide<'_> {
                     }
                 }
                 Some((None, e)) if matches!(self.join_type, JoinType::Semi | JoinType::Anti) => {
-                    // Semi/Anti stop at the first passing candidate; the
-                    // row path therefore never evaluates the residual past
-                    // it (nor its errors). Evaluate candidate-by-candidate
-                    // to match — batching buys nothing here anyway (at
-                    // most one output row per probe row).
+                    // Semi/Anti stop at the first passing candidate and
+                    // never evaluate the residual past it (nor surface its
+                    // errors), so go candidate by candidate — vectorizing
+                    // buys nothing here anyway (at most one output row per
+                    // probe row).
                     for &bi in cands {
                         let c = l.concat(&self.build_rows[bi]);
                         if !e.eval_pred(c.values())? {
@@ -514,8 +491,7 @@ impl ProbeSide<'_> {
                 }
                 Some((None, e)) => {
                     // General residual: materialize this row's candidates
-                    // and evaluate the predicate vectorized over them (the
-                    // row path also evaluates every candidate here).
+                    // and evaluate the predicate vectorized over them.
                     combined.clear();
                     combined.extend(cands.iter().map(|&bi| l.concat(&self.build_rows[bi])));
                     let pass = e.eval_pred_batch(&combined)?;
@@ -568,107 +544,23 @@ impl ExecNode for HashJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        self.build(state, false)?;
-        loop {
-            match self.phase {
-                Phase::Done => return Ok(None),
-                Phase::Buffered(_) => unreachable!("row path never buffers"),
-                Phase::BuildUnmatched(ref mut i) => {
-                    while *i < self.build_rows.len() {
-                        let idx = *i;
-                        *i += 1;
-                        if !self.build_matched[idx].load(Ordering::Relaxed) {
-                            return Ok(Some(self.build_rows[idx].nulls_concat(self.left_width)));
-                        }
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Probe => {
-                    if self.cur_left.is_none() {
-                        match self.left.next(state)? {
-                            Some(l) => {
-                                let mut key = std::mem::take(&mut self.key_scratch);
-                                let side = self.probe_side();
-                                let cands = side.candidates(l.values(), &mut key);
-                                side.note_candidates(cands.len());
-                                self.cands = cands;
-                                self.key_scratch = key;
-                                self.cur_left_matched = false;
-                                self.cur_left = Some(l);
-                            }
-                            None => {
-                                self.phase = if self.join_type.emits_right_unmatched() {
-                                    Phase::BuildUnmatched(0)
-                                } else {
-                                    Phase::Done
-                                };
-                                continue;
-                            }
-                        }
-                    }
-                    let left_row = self.cur_left.as_ref().expect("set above").clone();
-                    let mut anti_matched = false;
-                    while let Some(pos) = self.cands.next() {
-                        let idx = self.table.order[pos];
-                        let combined = left_row.concat(&self.build_rows[idx]);
-                        if self.residual_ok(&combined)? {
-                            self.cur_left_matched = true;
-                            self.build_matched[idx].store(true, Ordering::Relaxed);
-                            match self.join_type {
-                                JoinType::Inner
-                                | JoinType::Left
-                                | JoinType::Right
-                                | JoinType::Full => return Ok(Some(combined)),
-                                JoinType::Semi => {
-                                    self.cur_left = None;
-                                    return Ok(Some(left_row));
-                                }
-                                JoinType::Anti => {
-                                    anti_matched = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    let matched = self.cur_left_matched || anti_matched;
-                    self.cur_left = None;
-                    if !matched {
-                        match self.join_type {
-                            JoinType::Left | JoinType::Full => {
-                                return Ok(Some(left_row.concat_nulls(self.right_width)))
-                            }
-                            JoinType::Anti => return Ok(Some(left_row)),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch path: probe a whole left batch per call (serial), or — under
-    /// a parallel state — drain the left side once and probe contiguous
-    /// morsels on workers, then emit the buffered output a batch at a
-    /// time. Candidate lists are read in place (no per-row clone), and the
-    /// residual predicate is evaluated once, vectorized, over every
-    /// candidate of a batch.
+    /// Probe a whole left batch per call (serial), or — under a parallel
+    /// state — drain the left side once and probe contiguous morsels on
+    /// workers, then emit the buffered output a batch at a time.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.build(state, true)?;
+        self.build(state)?;
         loop {
             match self.phase {
                 Phase::Done => return Ok(None),
                 Phase::Buffered(ref mut it) => {
-                    let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-                    if chunk.is_empty() {
-                        self.phase = if self.join_type.emits_right_unmatched() {
-                            Phase::BuildUnmatched(0)
-                        } else {
-                            Phase::Done
-                        };
-                        continue;
+                    if let Some(batch) = next_chunk(it, &self.schema) {
+                        return Ok(Some(batch));
                     }
-                    return Ok(Some(RowBatch::new(self.schema.clone(), chunk)));
+                    self.phase = if self.join_type.emits_right_unmatched() {
+                        Phase::BuildUnmatched(0)
+                    } else {
+                        Phase::Done
+                    };
                 }
                 Phase::BuildUnmatched(ref mut i) => {
                     let mut out = Vec::new();
@@ -691,7 +583,7 @@ impl ExecNode for HashJoinExec {
                     // Morsel-parallel probe: materialize the probe input,
                     // split it into contiguous morsels, probe them on
                     // workers and concatenate in morsel order.
-                    let lrows = crate::exec::collect_rows_batched(self.left.as_mut(), state)?;
+                    let lrows = collect_rows(self.left.as_mut(), state)?;
                     let out = if state.parallel(lrows.len()) {
                         let threads = state.threads();
                         let ranges = split_ranges(lrows.len(), threads);
@@ -793,7 +685,9 @@ mod tests {
         for jt in [
             JoinType::Inner,
             JoinType::Left,
+            JoinType::Right,
             JoinType::Full,
+            JoinType::Semi,
             JoinType::Anti,
         ] {
             let h = run_hash(&l, &r, jt, residual.clone());
@@ -846,39 +740,6 @@ mod tests {
         assert_eq!(run_hash(&[(1, 1)], &[], JoinType::Full, None).len(), 1);
         assert_eq!(run_hash(&[], &[], JoinType::Full, None).len(), 0);
         assert_eq!(run_hash(&[(1, 1)], &[], JoinType::Anti, None).len(), 1);
-    }
-
-    #[test]
-    fn batch_path_is_row_for_row_identical_on_all_join_types() {
-        use crate::exec::collect_rowwise;
-        let l = [(1, 10), (2, 20), (2, 21), (4, 40), (5, 50)];
-        let r = [(2, 200), (2, 201), (3, 300), (5, 55)];
-        let residuals = [None, Some(col(1).lt(col(3)))];
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
-            for residual in &residuals {
-                let residual = residual.clone();
-                let mk = |residual: Option<Expr>| {
-                    Box::new(HashJoinExec::new(
-                        scan(&l),
-                        scan(&r),
-                        vec![(0, 0)],
-                        residual,
-                        jt,
-                    ))
-                };
-                let rows =
-                    collect_rowwise(mk(residual.clone()), &ExecutionState::default()).unwrap();
-                let batches = collect(mk(residual), &ExecutionState::default()).unwrap();
-                assert_eq!(rows.rows(), batches.rows(), "join type {jt:?}");
-            }
-        }
     }
 
     #[test]
@@ -964,7 +825,6 @@ mod tests {
 
     #[test]
     fn range_ordered_buckets_agree_with_nested_loop_on_every_path() {
-        use crate::exec::collect_rowwise;
         use crate::expr::lit;
         // Concatenated row: probe (k, lo, hi) = 0..3, build (k, c) = 3..5.
         let (lo, hi, c) = (col(1), col(2), col(4));
@@ -1022,7 +882,7 @@ mod tests {
                     JoinType::Anti,
                 ] {
                     let label = format!("{name}, {jt:?}, mixed build = {mixed}, seed {seed}");
-                    let run = |state: &ExecutionState, rowwise: bool| {
+                    let run = |state: &ExecutionState| {
                         let stats = Arc::new(OperatorStats::default());
                         let node = Box::new(
                             HashJoinExec::new(
@@ -1034,22 +894,15 @@ mod tests {
                             )
                             .with_ledger(stats.clone()),
                         );
-                        let out = if rowwise {
-                            collect_rowwise(node, state)
-                        } else {
-                            collect(node, state)
-                        };
                         (
-                            out.unwrap(),
+                            collect(node, state).unwrap(),
                             stats.candidates_checked.load(Ordering::Relaxed),
                         )
                     };
-                    let (batch, checked) = run(&ExecutionState::default(), false);
-                    let (rows, checked_rows) = run(&ExecutionState::default(), true);
-                    let (par, checked_par) = run(&par_state(), false);
-                    assert_eq!(rows.rows(), batch.rows(), "next vs next_batch: {label}");
+                    let (batch, checked) = run(&ExecutionState::default());
+                    let (par, checked_par) = run(&par_state());
                     assert_eq!(par.rows(), batch.rows(), "threads 4 vs 1: {label}");
-                    assert_eq!((checked_rows, checked_par), (checked, checked), "{label}");
+                    assert_eq!(checked_par, checked, "{label}");
 
                     let oracle = collect(
                         Box::new(NestedLoopJoinExec::new(

@@ -28,7 +28,6 @@ use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// Runtime counters of one plan node, shared by every executor instance
 /// built from it (serial node, or all ranged partitions). All relaxed
@@ -37,10 +36,8 @@ use crate::tuple::Row;
 pub struct OperatorStats {
     /// Rows this node emitted (summed over partitions).
     pub rows: AtomicU64,
-    /// Batches this node emitted via the batch protocol.
+    /// Batches this node emitted.
     pub batches: AtomicU64,
-    /// `next`/`next_batch` invocations.
-    pub calls: AtomicU64,
     /// Wall time spent inside this node's pulls, nanoseconds. Inclusive
     /// of children (as in PostgreSQL's `actual time`); parallel
     /// partitions sum, so this can exceed query wall time. A pruning
@@ -110,8 +107,7 @@ impl Instrumentation {
 }
 
 /// Transparent [`ExecNode`] wrapper that meters its inner node (see
-/// module docs). Forwards each protocol verbatim, so the wrapped node
-/// still sees exactly one drive protocol.
+/// module docs).
 pub struct InstrumentedExec {
     inner: BoxedExec,
     stats: Arc<OperatorStats>,
@@ -128,26 +124,12 @@ impl ExecNode for InstrumentedExec {
         self.inner.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        let t0 = Instant::now();
-        let out = self.inner.next(state);
-        self.stats
-            .nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        if let Ok(Some(_)) = &out {
-            self.stats.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let t0 = Instant::now();
         let out = self.inner.next_batch(state);
         self.stats
             .nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
         if let Ok(Some(batch)) = &out {
             self.stats
                 .rows
@@ -162,7 +144,7 @@ impl ExecNode for InstrumentedExec {
 mod tests {
     use super::*;
     use crate::exec::test_util::int_rel;
-    use crate::exec::{collect, collect_rowwise, SeqScanExec};
+    use crate::exec::{collect, SeqScanExec};
     use std::sync::Arc as StdArc;
 
     #[test]
@@ -177,7 +159,7 @@ mod tests {
         .unwrap();
         let wrapped = collect(
             Box::new(InstrumentedExec::new(
-                Box::new(SeqScanExec::new(StdArc::new(rel.clone()))),
+                Box::new(SeqScanExec::new(StdArc::new(rel))),
                 stats.clone(),
             )),
             &ExecutionState::default(),
@@ -186,21 +168,6 @@ mod tests {
         assert_eq!(plain.rows(), wrapped.rows());
         assert_eq!(stats.rows.load(Ordering::Relaxed), 3000);
         assert!(stats.batches.load(Ordering::Relaxed) >= 2);
-        assert!(stats.calls.load(Ordering::Relaxed) >= 3);
-
-        // Row protocol counts rows too (no batches).
-        let stats2 = ins.op(2);
-        let row_out = collect_rowwise(
-            Box::new(InstrumentedExec::new(
-                Box::new(SeqScanExec::new(StdArc::new(rel))),
-                stats2.clone(),
-            )),
-            &ExecutionState::default(),
-        )
-        .unwrap();
-        assert_eq!(row_out.rows(), plain.rows());
-        assert_eq!(stats2.rows.load(Ordering::Relaxed), 3000);
-        assert_eq!(stats2.batches.load(Ordering::Relaxed), 0);
     }
 
     #[test]

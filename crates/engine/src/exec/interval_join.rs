@@ -20,11 +20,9 @@
 //! at a time, so working memory beyond the inputs stays proportional to
 //! the active window — never to the (potentially quadratic) output.
 
-use std::collections::VecDeque;
-
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::{CompiledPred, Expr};
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -83,9 +81,6 @@ pub struct IntervalJoinExec {
     schema: Schema,
     right_width: usize,
     state: Option<SweepState>,
-    /// Matches of the left row currently being emitted (row path only);
-    /// bounded by one left row's match count, not by the whole output.
-    pending: VecDeque<Row>,
 }
 
 impl IntervalJoinExec {
@@ -118,27 +113,16 @@ impl IntervalJoinExec {
             schema,
             right_width,
             state: None,
-            pending: VecDeque::new(),
         }
     }
 
-    /// Materialize and sort both sides (once), via the protocol the caller
-    /// is driving.
-    fn ensure_state(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
+    /// Materialize and sort both sides (once).
+    fn ensure_state(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if self.state.is_some() {
             return Ok(());
         }
-        let (l_rows, r_rows) = if batched {
-            (
-                collect_rows_batched(self.left.as_mut(), state)?,
-                collect_rows_batched(self.right.as_mut(), state)?,
-            )
-        } else {
-            (
-                collect_rows(self.left.as_mut(), state)?,
-                collect_rows(self.right.as_mut(), state)?,
-            )
-        };
+        let l_rows = collect_rows(self.left.as_mut(), state)?;
+        let r_rows = collect_rows(self.right.as_mut(), state)?;
         self.state = Some(SweepState {
             l: SweepSide::new(l_rows, self.l_ts, self.l_te),
             r: SweepSide::new(r_rows, self.r_ts, self.r_te),
@@ -150,17 +134,15 @@ impl IntervalJoinExec {
     }
 
     /// Advance the sweep over **one** left row, appending its join output
-    /// to `out`. Returns `false` when the left side is exhausted.
-    /// `batch_pred` selects the protocol: `None` is the row path
-    /// (per-candidate `eval_pred` over the combined row); `Some(pred)` is
-    /// the batch path, where `pred` is the residual pre-compiled by the
-    /// caller (once per batch) and evaluated over the row *pair*, with the
-    /// combined row materialized only for passing candidates, or `None`
-    /// inside for non-compilable residuals (vectorized fallback).
+    /// to `out`. Returns `false` when the left side is exhausted. `pred`
+    /// is the residual pre-compiled by the caller (once per batch) and
+    /// evaluated over the row *pair*, with the combined row materialized
+    /// only for passing candidates; `None` for a non-compilable residual,
+    /// which is evaluated vectorized over the materialized candidates.
     fn sweep_one_left(
         &mut self,
         out: &mut Vec<Row>,
-        batch_pred: Option<Option<&CompiledPred>>,
+        pred: Option<&CompiledPred>,
     ) -> EngineResult<bool> {
         let st = self.state.as_mut().expect("state built");
         if st.next_l >= st.l.order.len() {
@@ -195,7 +177,7 @@ impl IntervalJoinExec {
 
         let left_width = self.schema.len() - self.right_width;
         let mut matched = false;
-        match (&self.residual, batch_pred) {
+        match (&self.residual, pred) {
             (None, _) => {
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
@@ -207,7 +189,7 @@ impl IntervalJoinExec {
                     }
                 }
             }
-            (Some(_), Some(Some(pred))) => {
+            (Some(_), Some(pred)) => {
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
                     if rts < lte
@@ -223,7 +205,7 @@ impl IntervalJoinExec {
                     }
                 }
             }
-            (Some(e), Some(None)) => {
+            (Some(e), None) => {
                 let mut cands: Vec<Row> = Vec::new();
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
@@ -236,18 +218,6 @@ impl IntervalJoinExec {
                     if p {
                         matched = true;
                         out.push(c);
-                    }
-                }
-            }
-            (Some(e), None) => {
-                for &j in &st.active {
-                    let (rts, rte) = st.r.pts[j].expect("admitted");
-                    if rts < lte && rte > lts {
-                        let combined = st.l.rows[li].concat(&st.r.rows[j]);
-                        if e.eval_pred(combined.values())? {
-                            matched = true;
-                            out.push(combined);
-                        }
                     }
                 }
             }
@@ -264,31 +234,17 @@ impl ExecNode for IntervalJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            self.ensure_state(state, false)?;
-            let mut buf = Vec::new();
-            if !self.sweep_one_left(&mut buf, None)? {
-                return Ok(None);
-            }
-            self.pending.extend(buf);
-        }
-    }
-
-    /// Batch path: streaming batched sweep — advance over left rows until a
-    /// batch worth of output has accumulated. The residual is compiled once
-    /// per call (from a clone of the expression, so the borrow doesn't pin
-    /// `self`), not once per left row.
+    /// Streaming sweep — advance over left rows until a batch worth of
+    /// output has accumulated. The residual is compiled once per call
+    /// (from a clone of the expression, so the borrow doesn't pin `self`),
+    /// not once per left row.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.ensure_state(state, true)?;
+        self.ensure_state(state)?;
         let residual = self.residual.clone();
         let compiled = residual.as_ref().and_then(CompiledPred::compile);
-        let mut out: Vec<Row> = self.pending.drain(..).collect();
+        let mut out: Vec<Row> = Vec::new();
         while out.len() < BATCH_SIZE {
-            if !self.sweep_one_left(&mut out, Some(compiled.as_ref()))? {
+            if !self.sweep_one_left(&mut out, compiled.as_ref())? {
                 break;
             }
         }
@@ -371,10 +327,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..20 {
             let mk = |rng: &mut StdRng| {
-                let rows: Vec<(i64, i64, i64)> = (0..rng.gen_range(0..15))
+                let rows: Vec<(i64, i64, i64)> = (0..rng.gen_range(0..25))
                     .map(|i| {
                         let s = rng.gen_range(0..30);
-                        (i, s, s + rng.gen_range(1..10))
+                        (i % 4, s, s + rng.gen_range(1..10))
                     })
                     .collect();
                 rel(&rows)
@@ -382,9 +338,17 @@ mod tests {
             let l = mk(&mut rng);
             let r = mk(&mut rng);
             for jt in [JoinType::Inner, JoinType::Left] {
-                let sweep = run_sweep(&l, &r, jt, None);
-                let nl = run_nl(&l, &r, jt, None);
-                assert!(sweep.same_bag(&nl), "{jt:?}:\n{sweep}\nvs\n{nl}");
+                // No residual, a compilable one (k = k), and one that is
+                // not (k + k < 4: the vectorized fallback).
+                for residual in [
+                    None,
+                    Some(col(0).eq(col(3))),
+                    Some(col(0).add(col(3)).lt(crate::expr::lit(4i64))),
+                ] {
+                    let sweep = run_sweep(&l, &r, jt, residual.clone());
+                    let nl = run_nl(&l, &r, jt, residual);
+                    assert!(sweep.same_bag(&nl), "{jt:?}:\n{sweep}\nvs\n{nl}");
+                }
             }
         }
     }
@@ -399,64 +363,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_is_row_for_row_identical() {
-        use crate::exec::collect_rowwise;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..10 {
-            let mk = |rng: &mut StdRng| {
-                let rows: Vec<(i64, i64, i64)> = (0..rng.gen_range(0..25))
-                    .map(|i| {
-                        let s = rng.gen_range(0..40);
-                        (i % 4, s, s + rng.gen_range(1..12))
-                    })
-                    .collect();
-                rel(&rows)
-            };
-            let l = mk(&mut rng);
-            let r = mk(&mut rng);
-            for jt in [JoinType::Inner, JoinType::Left] {
-                for residual in [None, Some(col(0).eq(col(3)))] {
-                    let mk_node = |res: Option<Expr>| {
-                        Box::new(IntervalJoinExec::new(
-                            scan(&l),
-                            scan(&r),
-                            1,
-                            2,
-                            1,
-                            2,
-                            res,
-                            jt,
-                        ))
-                    };
-                    let rows =
-                        collect_rowwise(mk_node(residual.clone()), &ExecutionState::default())
-                            .unwrap();
-                    let batches = collect(mk_node(residual), &ExecutionState::default()).unwrap();
-                    assert_eq!(rows.rows(), batches.rows(), "{jt:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_path_is_incremental() {
-        // The first next() call must not materialize the whole output:
-        // emitting a row leaves later matches unproduced in `pending` —
-        // bounded by one left row's matches, not the full cross product.
-        let l = rel(&[(1, 0, 10), (2, 0, 10), (3, 0, 10)]);
-        let r = rel(&[(7, 0, 10), (8, 0, 10), (9, 0, 10)]);
+    fn sweep_is_incremental() {
+        // 40 × 40 mutually overlapping intervals: 1600 matches. A pull
+        // stops at the left row that fills the batch — it overshoots by
+        // less than one left row's matches, never producing the whole
+        // (here quadratic) output at once.
+        let rows: Vec<(i64, i64, i64)> = (0..40).map(|i| (i, 0, 10)).collect();
+        let (l, r) = (rel(&rows), rel(&rows));
         let mut node = IntervalJoinExec::new(scan(&l), scan(&r), 1, 2, 1, 2, None, JoinType::Inner);
-        assert!(node.next(&ExecutionState::default()).unwrap().is_some());
-        // 9 matches total; after one next() only the current left row's
-        // remaining matches (2 of its 3) are buffered.
-        assert_eq!(node.pending.len(), 2);
-        let mut remaining = 0;
-        while node.next(&ExecutionState::default()).unwrap().is_some() {
-            remaining += 1;
+        let state = ExecutionState::default();
+        let first = node.next_batch(&state).unwrap().unwrap().len();
+        assert!((BATCH_SIZE..BATCH_SIZE + 40).contains(&first), "{first}");
+        let mut total = first;
+        while let Some(batch) = node.next_batch(&state).unwrap() {
+            total += batch.len();
         }
-        assert_eq!(remaining, 8);
+        assert_eq!(total, 1600);
     }
 
     #[test]

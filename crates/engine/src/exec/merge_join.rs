@@ -4,8 +4,9 @@
 //! on the key columns. Supports Inner, Left and Full joins; the planner
 //! rewrites Right joins by swapping inputs.
 
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
-use crate::exec::{BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -63,14 +64,8 @@ impl MergeJoinExec {
     }
 
     fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-        let mut l_rows = Vec::new();
-        while let Some(r) = self.left.next(state)? {
-            l_rows.push(r);
-        }
-        let mut r_rows = Vec::new();
-        while let Some(r) = self.right.next(state)? {
-            r_rows.push(r);
-        }
+        let l_rows = collect_rows(self.left.as_mut(), state)?;
+        let r_rows = collect_rows(self.right.as_mut(), state)?;
 
         let lkey =
             |row: &Row| -> Vec<Value> { self.keys.iter().map(|&(l, _)| row[l].clone()).collect() };
@@ -171,12 +166,13 @@ impl ExecNode for MergeJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
             let rows = self.compute(state)?;
             self.out = Some(rows.into_iter());
         }
-        Ok(self.out.as_mut().expect("initialized").next())
+        let it = self.out.as_mut().expect("initialized");
+        Ok(next_chunk(it, &self.schema))
     }
 }
 

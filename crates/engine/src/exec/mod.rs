@@ -1,23 +1,21 @@
-//! Volcano-style pipelined executor.
+//! Pipelined, batch-at-a-time executor.
 //!
-//! Every physical operator implements [`ExecNode`]: `next()` returns one row
-//! at a time until `None`. This mirrors the PostgreSQL executor the paper
-//! extends — their `ExecAdjustment` (Fig. 10) "is integrated into the
-//! pipelining architecture of PostgreSQL and on each invocation either a
-//! single result tuple is returned, or ω". The temporal crate's adjustment
-//! node implements this same trait.
+//! Every physical operator implements [`ExecNode`]: `next_batch()` returns
+//! a [`RowBatch`] of about [`BATCH_SIZE`] rows until `None`. This is the
+//! pull protocol of the PostgreSQL executor the paper extends — their
+//! `ExecAdjustment` (Fig. 10) "is integrated into the pipelining
+//! architecture of PostgreSQL" — with the unit of exchange widened from a
+//! tuple to a chunk, so virtual dispatch, cancellation checks and
+//! instrumentation timers tick once per batch and expression evaluation
+//! runs vectorized via [`crate::expr::Expr::eval_batch`]. The temporal
+//! crate's adjustment and absorb nodes implement this same trait.
 //!
-//! On top of the row protocol sits a **batch protocol**:
-//! [`ExecNode::next_batch`] moves a [`RowBatch`] of ~[`BATCH_SIZE`] rows
-//! per virtual call. Every node supports it — the default implementation
-//! falls back to pulling rows one at a time — and the hot operators
-//! (scan, filter, project, sort, hash join, interval join, the temporal
-//! sweeps) override it to do their work over a whole chunk, with
-//! expression evaluation vectorized via [`crate::expr::Expr::eval_batch`].
-//! The two protocols are row-for-row identical (differentially tested);
-//! a node instance must be *driven* through exactly one of them, because
-//! operators with native batch implementations keep separate pull state
-//! for each protocol.
+//! There is exactly one way to run a plan: `next_batch` is the only pull
+//! method, so an operator's state machine never depends on who its parent
+//! is, and batching and morsel parallelism apply to every plan shape.
+//! Correctness is checked against the independent references in
+//! `temporal_core::reference` (the snapshot oracle, `align_ref`,
+//! `normalize_ref`, `absorb_ref`) and per-operator nested-loop oracles.
 
 mod aggregate;
 mod distinct;
@@ -52,7 +50,7 @@ pub use nl_join::NestedLoopJoinExec;
 pub use project::ProjectExec;
 pub use scan::SeqScanExec;
 pub use setops::HashSetOpExec;
-pub use sort::{sort_rows, sort_rows_batched, sort_rows_parallel, SortExec};
+pub use sort::{sort_rows_batched, sort_rows_parallel, SortExec};
 pub use state::{ExecStats, ExecutionState};
 pub use storage_scan::StorageScanExec;
 pub use values::ValuesExec;
@@ -73,37 +71,18 @@ pub trait ExecNode: Send {
     /// The output schema.
     fn schema(&self) -> &Schema;
 
-    /// Produce the next output row, or `None` when exhausted.
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>>;
-
     /// Produce the next batch of output rows, or `None` when exhausted.
     /// Batches are never empty; their size is *about* [`BATCH_SIZE`]
     /// (operators may emit fewer or more rows per call).
-    ///
-    /// The default implementation pulls rows one at a time via
-    /// [`ExecNode::next`], so every node supports both protocols; hot
-    /// operators override it to work chunk-at-a-time. Callers must drive a
-    /// node instance through exactly one of the two protocols — operators
-    /// with native batch implementations keep separate pull state per
-    /// protocol, and mixing them on one instance may skip or repeat rows.
-    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        let mut batch = RowBatch::with_capacity(self.schema().clone(), BATCH_SIZE);
-        while batch.len() < BATCH_SIZE {
-            match self.next(state)? {
-                Some(row) => batch.push(row),
-                None => break,
-            }
-        }
-        Ok((!batch.is_empty()).then_some(batch))
-    }
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>>;
 }
 
 /// Owned, type-erased executor node.
 pub type BoxedExec = Box<dyn ExecNode>;
 
-/// Drain a node into a materialized [`Relation`], batch-wise. This is the
-/// engine's default result collection (used by `PhysicalPlan::collect` and
-/// therefore `Planner::run`).
+/// Drain a node into a materialized [`Relation`]. This is the engine's
+/// result collection (used by `PhysicalPlan::collect` and therefore
+/// `Planner::run`).
 pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Relation> {
     let mut rel = Relation::empty(node.schema().clone());
     while let Some(batch) = node.next_batch(state)? {
@@ -121,43 +100,22 @@ pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Rela
     Ok(rel)
 }
 
-/// Drain a node into a materialized [`Relation`] one row at a time — the
-/// pre-batch Volcano path, kept working so the two protocols can be
-/// differentially tested and benchmarked against each other.
-pub fn collect_rowwise(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Relation> {
-    let schema = node.schema().clone();
-    let mut rows = Vec::new();
-    while let Some(row) = node.next(state)? {
-        rows.push(row);
-    }
-    state
-        .stats
-        .rows_emitted
-        .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::Relaxed);
-    Relation::new(schema, rows)
-}
-
-/// Drain a node into a row vector via the row protocol (schema discarded).
+/// Drain a node into a row vector (schema discarded) — the
+/// materialization step of blocking operators.
 pub fn collect_rows(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    while let Some(row) = node.next(state)? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Drain a node into a row vector via the batch protocol — the
-/// materialization step of blocking operators on the batch path.
-pub fn collect_rows_batched(
-    node: &mut dyn ExecNode,
-    state: &ExecutionState,
-) -> EngineResult<Vec<Row>> {
     let mut rows = Vec::new();
     while let Some(batch) = node.next_batch(state)? {
         state.check_cancelled()?;
         rows.extend(batch.into_rows());
     }
     Ok(rows)
+}
+
+/// The emit step of every operator that materializes its result first:
+/// the next [`BATCH_SIZE`] rows of `rows` as a batch, `None` once drained.
+pub fn next_chunk(rows: &mut impl Iterator<Item = Row>, schema: &Schema) -> Option<RowBatch> {
+    let chunk: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
+    (!chunk.is_empty()).then(|| RowBatch::new(schema.clone(), chunk))
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! only applicable algorithm — which is exactly why the paper's `sql`
 //! baseline degenerates on the `Ddisj`/`Drand` workloads (Sec. 7.4).
 
+use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -28,9 +29,8 @@ pub struct NestedLoopJoinExec {
     join_type: JoinType,
     condition: Option<Expr>,
     schema: Schema,
-    cur_left: Option<Row>,
-    right_pos: usize,
-    cur_left_matched: bool,
+    /// Rows of the current left batch not yet joined.
+    left_rows: std::vec::IntoIter<Row>,
     phase: Phase,
 }
 
@@ -56,18 +56,14 @@ impl NestedLoopJoinExec {
             join_type,
             condition,
             schema,
-            cur_left: None,
-            right_pos: 0,
-            cur_left_matched: false,
+            left_rows: Vec::new().into_iter(),
             phase: Phase::Probe,
         }
     }
 
     fn materialize_right(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if let Some(mut right) = self.right.take() {
-            while let Some(r) = right.next(state)? {
-                self.right_rows.push(r);
-            }
+            self.right_rows = collect_rows(right.as_mut(), state)?;
             self.right_matched = vec![false; self.right_rows.len()];
         }
         Ok(())
@@ -79,6 +75,40 @@ impl NestedLoopJoinExec {
             Some(c) => c.eval_pred(combined.values()),
         }
     }
+
+    /// Everything one left row contributes: its matches in right-row
+    /// order (Semi/Anti stop at the first), or its unmatched form.
+    fn join_left_row(&mut self, left_row: Row, out: &mut Vec<Row>) -> EngineResult<()> {
+        let mut matched = false;
+        for i in 0..self.right_rows.len() {
+            let combined = left_row.concat(&self.right_rows[i]);
+            if !self.pred(&combined)? {
+                continue;
+            }
+            matched = true;
+            self.right_matched[i] = true;
+            match self.join_type {
+                JoinType::Inner | JoinType::Left | JoinType::Right | JoinType::Full => {
+                    out.push(combined)
+                }
+                JoinType::Semi => {
+                    out.push(left_row);
+                    return Ok(());
+                }
+                JoinType::Anti => return Ok(()),
+            }
+        }
+        if !matched {
+            match self.join_type {
+                JoinType::Left | JoinType::Full => {
+                    out.push(left_row.concat_nulls(self.right_width))
+                }
+                JoinType::Anti => out.push(left_row),
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 impl ExecNode for NestedLoopJoinExec {
@@ -86,76 +116,44 @@ impl ExecNode for NestedLoopJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
+    /// Joins left rows until the batch holds [`BATCH_SIZE`] rows, always
+    /// finishing the left row it is on — so a batch overshoots by at most
+    /// one left row's matches, and no cursor into the right side survives
+    /// a call.
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         self.materialize_right(state)?;
-        loop {
+        let mut out: Vec<Row> = Vec::new();
+        while out.len() < BATCH_SIZE {
             match self.phase {
-                Phase::Done => return Ok(None),
+                Phase::Done => break,
                 Phase::RightUnmatched(ref mut i) => {
-                    while *i < self.right_rows.len() {
-                        let idx = *i;
-                        *i += 1;
-                        if !self.right_matched[idx] {
-                            let left_width = self.schema.len() - self.right_width;
-                            return Ok(Some(self.right_rows[idx].nulls_concat(left_width)));
+                    let left_width = self.schema.len() - self.right_width;
+                    while *i < self.right_rows.len() && out.len() < BATCH_SIZE {
+                        if !self.right_matched[*i] {
+                            out.push(self.right_rows[*i].nulls_concat(left_width));
                         }
+                        *i += 1;
                     }
-                    self.phase = Phase::Done;
+                    if *i == self.right_rows.len() {
+                        self.phase = Phase::Done;
+                    }
                 }
                 Phase::Probe => {
-                    if self.cur_left.is_none() {
-                        match self.left.next(state)? {
-                            Some(l) => {
-                                self.cur_left = Some(l);
-                                self.right_pos = 0;
-                                self.cur_left_matched = false;
+                    let Some(left_row) = self.left_rows.next() else {
+                        match self.left.next_batch(state)? {
+                            Some(batch) => self.left_rows = batch.into_rows().into_iter(),
+                            None if self.join_type.emits_right_unmatched() => {
+                                self.phase = Phase::RightUnmatched(0)
                             }
-                            None => {
-                                self.phase = if self.join_type.emits_right_unmatched() {
-                                    Phase::RightUnmatched(0)
-                                } else {
-                                    Phase::Done
-                                };
-                                continue;
-                            }
+                            None => self.phase = Phase::Done,
                         }
-                    }
-                    let left_row = self.cur_left.as_ref().expect("set above").clone();
-                    while self.right_pos < self.right_rows.len() {
-                        let i = self.right_pos;
-                        self.right_pos += 1;
-                        let combined = left_row.concat(&self.right_rows[i]);
-                        if self.pred(&combined)? {
-                            self.cur_left_matched = true;
-                            self.right_matched[i] = true;
-                            match self.join_type {
-                                JoinType::Inner
-                                | JoinType::Left
-                                | JoinType::Right
-                                | JoinType::Full => return Ok(Some(combined)),
-                                JoinType::Semi => {
-                                    self.cur_left = None;
-                                    return Ok(Some(left_row));
-                                }
-                                JoinType::Anti => break,
-                            }
-                        }
-                    }
-                    // Right side exhausted (or anti-match) for this left row.
-                    let matched = self.cur_left_matched;
-                    self.cur_left = None;
-                    if !matched {
-                        match self.join_type {
-                            JoinType::Left | JoinType::Full => {
-                                return Ok(Some(left_row.concat_nulls(self.right_width)))
-                            }
-                            JoinType::Anti => return Ok(Some(left_row)),
-                            _ => {}
-                        }
-                    }
+                        continue;
+                    };
+                    self.join_left_row(left_row, &mut out)?;
                 }
             }
         }
+        Ok((!out.is_empty()).then(|| RowBatch::new(self.schema.clone(), out)))
     }
 }
 
@@ -309,14 +307,15 @@ mod tests {
 
     #[test]
     fn limit_interplay_streams() {
-        // Probe must be incremental: first row available without draining.
-        let mut node = NestedLoopJoinExec::new(
-            scan(&[(1, 1), (2, 2)]),
-            scan(&[(1, 1)]),
-            JoinType::Left,
-            keq(),
-        );
-        let first = node.next(&ExecutionState::default()).unwrap().unwrap();
-        assert_eq!(first[0], Value::Int(1));
+        // Probe must be incremental: the first batch is available without
+        // draining the left side, and stops at the left row that fills it.
+        let left: Vec<(i64, i64)> = (0..3 * BATCH_SIZE as i64).map(|i| (i, i)).collect();
+        let mut node = NestedLoopJoinExec::new(scan(&left), scan(&[(1, 1)]), JoinType::Left, keq());
+        let first = node
+            .next_batch(&ExecutionState::default())
+            .unwrap()
+            .unwrap();
+        assert_eq!(first.len(), BATCH_SIZE);
+        assert_eq!(first.rows()[0][0], Value::Int(0));
     }
 }

@@ -9,7 +9,6 @@ use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::tuple::Row;
-use crate::value::Value;
 
 /// Evaluates a list of expressions against each input row.
 pub struct ProjectExec {
@@ -34,20 +33,7 @@ impl ExecNode for ProjectExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        match self.input.next(state)? {
-            Some(row) => {
-                let mut out: Vec<Value> = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(row.values())?);
-                }
-                Ok(Some(Row::new(out)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Batch path: computed items are evaluated vectorized, once per batch;
+    /// Computed items are evaluated vectorized, once per batch;
     /// column references and literals are read from the input row while
     /// the output row is assembled — they never become a value column.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
@@ -97,6 +83,7 @@ mod tests {
     use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
     use crate::schema::{Column, DataType};
+    use crate::value::Value;
 
     #[test]
     fn projects_expressions() {

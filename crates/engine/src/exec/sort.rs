@@ -6,9 +6,9 @@
 
 use std::cmp::Ordering;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
-use crate::exec::{collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::{Expr, SortKey};
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -50,21 +50,6 @@ fn cmp_keys(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
-/// Sort a row vector in place by `keys` (decorate–sort–undecorate).
-pub fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
-        let mut kv = Vec::with_capacity(keys.len());
-        for k in keys {
-            kv.push(k.expr.eval(row.values())?);
-        }
-        decorated.push((kv, row));
-    }
-    decorated.sort_by(|(ka, ra), (kb, rb)| cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb)));
-    rows.extend(decorated.into_iter().map(|(_, r)| r));
-    Ok(())
-}
-
 /// One sort key's values over a row vector: a column reference is read in
 /// place, anything computed is evaluated once, vectorized.
 enum KeyCol {
@@ -100,15 +85,16 @@ fn key_values(key_cols: &[KeyCol], rows: &[Row]) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// [`sort_rows`] with vectorized key decoration: column keys are read
-/// straight from the rows and each computed key expression is evaluated
-/// once over the whole row vector instead of once per row, and
+/// Sort a row vector in place by `keys`, NULLs placed per key before the
+/// direction applies and ties broken by the full-row order. Column keys
+/// are read straight from the rows, each computed key expression is
+/// evaluated once over the whole row vector, and
 /// all-integer key sets (every temporal sort: data ids, timestamps, split
 /// points) are order-encoded into flat `i64` vectors so the comparator is
 /// a machine-word slice compare instead of a `Value` tree walk. Same order
-/// as `sort_rows` in every case: the encoding is an order-isomorphism on
-/// the admitted values, with equal encodings ⇔ equal keys, so ties fall to
-/// the identical full-row comparator.
+/// as the general comparator in every case: the encoding is an
+/// order-isomorphism on the admitted values, with equal encodings ⇔ equal
+/// keys, so ties fall to the identical full-row comparator.
 pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
     let key_cols = KeyCol::all(keys, rows)?;
     if let Some(enc) = encode_int_keys(&key_cols, rows, keys) {
@@ -329,23 +315,11 @@ impl ExecNode for SortExec {
         self.input.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.sorted.is_none() {
-            let mut rows = Vec::new();
-            while let Some(r) = self.input.next(state)? {
-                rows.push(r);
-            }
-            sort_rows(&mut rows, &self.keys)?;
-            self.sorted = Some(rows.into_iter());
-        }
-        Ok(self.sorted.as_mut().expect("initialized").next())
-    }
-
-    /// Batch path: materialize through the input's batch protocol, sort
-    /// with vectorized key decoration, then drain a chunk per call.
+    /// Materialize the input, sort with vectorized key decoration, then
+    /// drain a chunk per call.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.sorted.is_none() {
-            let mut rows = collect_rows_batched(self.input.as_mut(), state)?;
+            let mut rows = collect_rows(self.input.as_mut(), state)?;
             if state.parallel(rows.len()) {
                 sort_rows_parallel(&mut rows, &self.keys, state.threads())?;
             } else {
@@ -354,11 +328,7 @@ impl ExecNode for SortExec {
             self.sorted = Some(rows.into_iter());
         }
         let it = self.sorted.as_mut().expect("initialized");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.input.schema().clone(), chunk)))
+        Ok(next_chunk(it, self.input.schema()))
     }
 }
 
@@ -370,6 +340,23 @@ mod tests {
     use crate::expr::col;
     use crate::relation::Relation;
     use crate::schema::{Column, DataType};
+
+    /// Sort a row vector in place by `keys` (decorate–sort–undecorate): the
+    /// plain comparator sort that specifies the order [`sort_rows_batched`]
+    /// must reproduce, kept as its test oracle.
+    fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
+        let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+        for row in rows.drain(..) {
+            let mut kv = Vec::with_capacity(keys.len());
+            for k in keys {
+                kv.push(k.expr.eval(row.values())?);
+            }
+            decorated.push((kv, row));
+        }
+        decorated.sort_by(|(ka, ra), (kb, rb)| cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb)));
+        rows.extend(decorated.into_iter().map(|(_, r)| r));
+        Ok(())
+    }
 
     #[test]
     fn multi_key_sort_asc_desc() {
@@ -440,6 +427,56 @@ mod tests {
         let mut par = int_rows.clone();
         sort_rows_parallel(&mut par, &keys, 4).unwrap();
         assert_eq!(par, serial);
+    }
+
+    #[test]
+    fn batched_sort_matches_the_plain_comparator_sort() {
+        // Mixed key types (no integer fast path), NULLs, key ties and
+        // duplicate full rows, under every direction / NULL placement.
+        let mixed: Vec<Row> = (0..300)
+            .map(|i: i64| {
+                let a = match i % 5 {
+                    0 => Value::Null,
+                    1 => Value::Double((i % 7) as f64 / 2.0),
+                    2 => Value::str(format!("s{}", i % 3)),
+                    _ => Value::Int(i % 4),
+                };
+                let b = if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 6)
+                };
+                Row::new(vec![a, b, Value::Int(i % 2)])
+            })
+            .collect();
+        // All Int/NULL keys: the order-encoded fast path.
+        let ints: Vec<Row> = mixed
+            .iter()
+            .map(|r| Row::new(vec![r[1].clone(), r[2].clone(), r[1].clone()]))
+            .collect();
+        let key_sets = [
+            vec![SortKey::asc(col(0)), SortKey::desc(col(1))],
+            vec![SortKey::desc(col(0)), SortKey::asc(col(1))],
+            vec![SortKey::desc(col(1))],
+            vec![SortKey::asc(col(1).add(col(2))), SortKey::desc(col(0))],
+            vec![SortKey {
+                nulls_first: false,
+                ..SortKey::asc(col(0))
+            }],
+            vec![SortKey {
+                nulls_first: true,
+                ..SortKey::desc(col(1))
+            }],
+        ];
+        for rows in [&mixed, &ints] {
+            for keys in &key_sets {
+                let mut spec = rows.clone();
+                sort_rows(&mut spec, keys).unwrap();
+                let mut got = rows.clone();
+                sort_rows_batched(&mut got, keys).unwrap();
+                assert_eq!(got, spec, "keys={keys:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! materialized `Arc<Relation>`, this node decodes slotted pages into
 //! [`RowBatch`]es *as they are pulled*: at any moment only the pages the
 //! buffer pool holds are in memory, so a table larger than the pool (or
-//! than RAM) scans in constant space. Both Volcano protocols pull through
-//! the same page cursor and the same decode routine, so `next()` and
-//! `next_batch()` agree row for row. A scan may cover only a contiguous
+//! than RAM) scans in constant space. A scan may cover only a contiguous
 //! page range — the morsel shape the parallel planner hands to exchange
 //! partitions; concurrent partitions share the table's buffer pool, whose
 //! pin path is per-frame (see `temporal_store::buffer`).
@@ -49,8 +47,6 @@ pub struct StorageScanExec {
     /// decoded as a prefix, so the scan never observes a concurrent
     /// writer's in-flight appends.
     snapshot: Option<HeapSnapshot>,
-    /// Decoded rows the row protocol has not handed out yet.
-    row_buf: std::vec::IntoIter<Row>,
     /// Per-plan-node page ledger (`EXPLAIN ANALYZE`): when attached, page
     /// reads are credited to the originating plan node as well as to the
     /// query-wide stats. All morsels of one scan share one ledger.
@@ -74,7 +70,6 @@ impl StorageScanExec {
             end_page,
             bounds: None,
             snapshot: None,
-            row_buf: Vec::new().into_iter(),
             ledger: None,
         }
     }
@@ -110,23 +105,27 @@ impl StorageScanExec {
         self.ledger = Some(ledger);
         self
     }
+}
 
-    /// Decode pages into `out` until it holds at least `want` rows or the
-    /// morsel's page set is exhausted. Every decode is clamped to the
-    /// statement snapshot (shared across all morsels of the query via
+impl ExecNode for StorageScanExec {
+    fn schema(&self) -> &Schema {
+        self.table.schema()
+    }
+
+    /// Decode pages until the batch holds at least [`BATCH_SIZE`] rows or
+    /// the morsel's page set is exhausted, so batches are whole pages'
+    /// worth of survivors: up to one page past `BATCH_SIZE`, handed over
+    /// without another copy. Every decode is clamped to the statement
+    /// snapshot (shared across all morsels of the query via
     /// [`ExecutionState::snapshot_for`]): fully-visible pages decode
     /// whole, the snapshot's tail page decodes as a tuple prefix, and
     /// pages appended after the snapshot are skipped entirely.
-    fn fill(
-        &mut self,
-        out: &mut Vec<Row>,
-        want: usize,
-        state: &ExecutionState,
-    ) -> EngineResult<()> {
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let snap = *self
             .snapshot
             .get_or_insert_with(|| state.snapshot_for(&self.table));
-        while out.len() < want && self.next_page < self.end_page {
+        let mut rows: Vec<Row> = Vec::new();
+        while rows.len() < BATCH_SIZE && self.next_page < self.end_page {
             let page_no = match &self.pages {
                 Some(list) => list[self.next_page as usize],
                 None => self.next_page,
@@ -136,40 +135,14 @@ impl StorageScanExec {
             if visible == Some(0) {
                 continue;
             }
-            let tuples = self
-                .table
-                .decode_page(page_no, visible, self.bounds.as_ref(), out)?;
+            let tuples =
+                self.table
+                    .decode_page(page_no, visible, self.bounds.as_ref(), &mut rows)?;
             state.note_page_read();
             if let Some(ledger) = &self.ledger {
                 ledger.note_page_read(tuples as u64);
             }
         }
-        Ok(())
-    }
-}
-
-impl ExecNode for StorageScanExec {
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if let Some(row) = self.row_buf.next() {
-            return Ok(Some(row));
-        }
-        let mut rows = Vec::new();
-        self.fill(&mut rows, 1, state)?;
-        self.row_buf = rows.into_iter();
-        Ok(self.row_buf.next())
-    }
-
-    /// Batches are whole pages' worth of survivors: up to one page past
-    /// [`BATCH_SIZE`], handed over without another copy.
-    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        // Rows a preceding `next()` left behind (none unless a caller
-        // mixes the protocols) lead the batch.
-        let mut rows: Vec<Row> = self.row_buf.by_ref().collect();
-        self.fill(&mut rows, BATCH_SIZE, state)?;
         if rows.is_empty() {
             return Ok(None);
         }
@@ -180,7 +153,7 @@ impl ExecNode for StorageScanExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, collect_rowwise, BoxedExec};
+    use crate::exec::{collect, BoxedExec};
     use crate::schema::{Column, DataType};
     use crate::value::Value;
 
@@ -215,25 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn row_protocol_matches_batch_protocol() {
-        let t = stored("protocols.heap", 3000, 2);
-        let state = ExecutionState::default();
-        let batch = collect(
-            Box::new(StorageScanExec::new(t.clone())) as BoxedExec,
-            &state,
-        )
-        .unwrap();
-        let row = collect_rowwise(Box::new(StorageScanExec::new(t)) as BoxedExec, &state).unwrap();
-        assert_eq!(batch.rows(), row.rows());
-    }
-
-    #[test]
     fn empty_table_scans_empty() {
         let t = stored("empty.heap", 0, 2);
         let mut scan = StorageScanExec::new(t);
         let state = ExecutionState::default();
         assert!(scan.next_batch(&state).unwrap().is_none());
-        assert!(scan.next(&state).unwrap().is_none());
+        assert!(scan.next_batch(&state).unwrap().is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Inline row source (VALUES lists, constant relations).
 
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
-use crate::exec::{ExecNode, ExecutionState};
+use crate::exec::{next_chunk, ExecNode, ExecutionState};
 use crate::schema::Schema;
 use crate::tuple::Row;
 
@@ -25,8 +26,8 @@ impl ExecNode for ValuesExec {
         &self.schema
     }
 
-    fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        Ok(next_chunk(&mut self.rows, &self.schema))
     }
 }
 

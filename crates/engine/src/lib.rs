@@ -8,11 +8,10 @@
 //! The engine deliberately mirrors the parts of PostgreSQL the paper relies
 //! on:
 //!
-//! * a **Volcano-style pipelined executor** ([`exec::ExecNode`]) — the
-//!   paper's `ExecAdjustment` (Fig. 10) plugs in as one more node. A
-//!   vectorized batch protocol ([`exec::ExecNode::next_batch`]) pushes
-//!   [`batch::RowBatch`]es through the same pipelines, amortizing per-tuple
-//!   dispatch in the hot operators;
+//! * a **pipelined pull executor** ([`exec::ExecNode`]) — the paper's
+//!   `ExecAdjustment` (Fig. 10) plugs in as one more node. Its one pull
+//!   method, [`exec::ExecNode::next_batch`], moves a [`batch::RowBatch`]
+//!   per call, amortizing per-tuple dispatch in every operator;
 //! * **three join algorithms** — nested-loop, hash and sort-merge — selected
 //!   by a **cost-based planner** ([`plan::Planner`]) honouring the
 //!   PostgreSQL-style switches `enable_nestloop`, `enable_hashjoin` and

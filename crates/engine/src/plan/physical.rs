@@ -1,5 +1,5 @@
 //! Physical plans: the engine's "plan tree" with concrete algorithm
-//! choices, executable into a Volcano iterator tree.
+//! choices, executable into a tree of pull operators.
 
 use std::sync::Arc;
 
@@ -597,18 +597,10 @@ impl PhysicalPlan {
         })
     }
 
-    /// Execute and materialize the result. Drains the executor tree
-    /// batch-wise ([`crate::exec::ExecNode::next_batch`]) — the engine's
-    /// default execution path.
+    /// Execute and materialize the result, draining the executor tree
+    /// through [`crate::exec::ExecNode::next_batch`].
     pub fn collect(&self, state: &ExecutionState) -> EngineResult<Relation> {
         collect(self.execute(state)?, state)
-    }
-
-    /// Execute and materialize via the row-at-a-time Volcano protocol —
-    /// the pre-batch path, kept working so the two protocols can be
-    /// differentially tested and benchmarked against each other.
-    pub fn collect_rowwise(&self, state: &ExecutionState) -> EngineResult<Relation> {
-        crate::exec::collect_rowwise(self.execute(state)?, state)
     }
 
     /// Estimated rows/cost for this subtree.

@@ -5,7 +5,7 @@
 //! a Rust workspace:
 //!
 //! * [`engine`] — a from-scratch relational query engine standing in for
-//!   the PostgreSQL kernel (Volcano executor, nested-loop/hash/merge joins,
+//!   the PostgreSQL kernel (pull executor, nested-loop/hash/merge joins,
 //!   cost-based planner with `enable_*` switches, extension plan nodes);
 //! * [`core`] — the paper's contribution: interval-timestamped relations,
 //!   the **temporal splitter** (normalization `N_B(r; s)`) and **temporal

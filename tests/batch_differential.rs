@@ -1,13 +1,14 @@
-//! Batch/row differential tests (ISSUE 3): the vectorized batch protocol
-//! (`ExecNode::next_batch` / `PhysicalPlan::collect`) must be **row-for-row
-//! identical** — same rows, same order — to the row-at-a-time Volcano
-//! protocol (`ExecNode::next` / `PhysicalPlan::collect_rowwise`) on every
-//! operator: filter, project, the join algorithms (hash, nested-loop,
-//! interval sweep), set operations, and both temporal adjustment modes
-//! (alignment and normalization) plus the gaps-only anti-join sweep and
-//! absorb. Plus batch-boundary edge cases: empty inputs, batches emptied
-//! by a filter, inputs of exactly `BATCH_SIZE` rows, and sweep groups
-//! spanning batch boundaries.
+//! Executor-vs-reference differential tests. Every operator runs through
+//! the one execution protocol (`ExecNode::next_batch` /
+//! `PhysicalPlan::collect`) and its result must equal what the
+//! independent references compute: the point-wise snapshot oracle
+//! (`reference::oracle::evaluate_oracle`) for composed operator chains —
+//! filter, project, the join algorithms (hash, nested-loop, interval
+//! sweep), set operations, aggregation — and `align_ref`, `normalize_ref`
+//! and `absorb_ref` for the raw primitives (both adjustment modes, the
+//! gaps-only anti-join sweep, absorb). Plus batch-boundary edge cases:
+//! empty inputs, batches emptied by a filter, inputs of exactly
+//! `BATCH_SIZE` rows, and sweep/absorb groups spanning batch boundaries.
 
 mod common;
 
@@ -18,188 +19,61 @@ use temporal_alignment::engine::catalog::Catalog;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand};
 
-/// Plan once, execute through both protocols, compare row-for-row.
-fn assert_paths_identical_logical(lp: &LogicalPlan, planner: &Planner, label: &str) {
-    let physical = planner
-        .plan(lp, &Catalog::new())
-        .unwrap_or_else(|e| panic!("{label}: plan: {e}"));
-    let row_path = physical
-        .collect_rowwise(&ExecutionState::default())
-        .unwrap_or_else(|e| panic!("{label}: row path: {e}"));
-    let batch_path = physical
-        .collect(&ExecutionState::default())
-        .unwrap_or_else(|e| panic!("{label}: batch path: {e}"));
-    assert_eq!(
-        row_path.rows(),
-        batch_path.rows(),
-        "{label}: batch path diverges from row path"
+fn assert_same_set(got: &TemporalRelation, reference: &TemporalRelation, label: &str) {
+    assert!(
+        got.same_set(reference),
+        "{label}: executor diverges from the reference.\nexecutor:\n{got}\nreference:\n{reference}"
     );
 }
 
-fn assert_paths_identical(plan: &TemporalPlan, planner: &Planner, label: &str) {
-    assert_paths_identical_logical(plan.logical(), planner, label);
-}
-
-/// Apply one operator to a composed plan (as in `tests/plan_first.rs`).
-fn apply_plan(
-    op: &TemporalOp,
-    plan: TemporalPlan,
-    rhs: Option<TemporalPlan>,
-) -> TemporalResult<TemporalPlan> {
-    match op {
-        TemporalOp::Selection { predicate } => plan.selection(predicate.clone()),
-        TemporalOp::Projection { attrs } => plan.projection(attrs),
-        TemporalOp::Aggregation { group, aggs } => plan.aggregation(group, aggs.clone()),
-        TemporalOp::Union => plan.union(rhs.expect("binary")),
-        TemporalOp::Difference => plan.difference(rhs.expect("binary")),
-        TemporalOp::Intersection => plan.intersection(rhs.expect("binary")),
-        TemporalOp::CartesianProduct => plan.cartesian_product(rhs.expect("binary")),
-        TemporalOp::Join { theta } => plan.join(rhs.expect("binary"), theta.clone()),
-        TemporalOp::LeftOuterJoin { theta } => {
-            plan.left_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::RightOuterJoin { theta } => {
-            plan.right_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::FullOuterJoin { theta } => {
-            plan.full_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::AntiJoin { theta } => plan.anti_join(rhs.expect("binary"), theta.clone()),
-    }
-}
-
-/// Chains over two one-data-column relations covering filter, project,
-/// aggregation, every join family and every set operation — and, through
-/// the reductions, both adjustment modes (joins align, group-based
-/// operators and set ops normalize) plus absorb.
-fn chains_1col() -> Vec<Vec<TemporalOp>> {
-    let count = vec![(AggCall::count_star(), "cnt".to_string())];
-    vec![
-        vec![
-            TemporalOp::Join {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(1i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        // θ = None: the group-construction join is a pure overlap join, so
-        // the default planner's heuristic picks the interval sweep join —
-        // this chain differentially tests IntervalJoinExec's batch path.
-        vec![
-            TemporalOp::LeftOuterJoin { theta: None },
-            TemporalOp::Aggregation {
-                group: vec![0],
-                aggs: count.clone(),
-            },
-        ],
-        vec![
-            TemporalOp::FullOuterJoin {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Projection { attrs: vec![0, 1] },
-        ],
-        vec![
-            TemporalOp::AntiJoin {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(0i64)),
-            },
-        ],
-        vec![
-            TemporalOp::Union,
-            TemporalOp::Selection {
-                predicate: col(0).lt(lit(4i64)),
-            },
-        ],
-        vec![
-            TemporalOp::Difference,
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::Intersection,
-            TemporalOp::Aggregation {
-                group: vec![],
-                aggs: count,
-            },
-        ],
-    ]
-}
-
-fn check_chains(r: &TemporalRelation, s: &TemporalRelation, label: &str) {
+/// Execute a composed chain and compare it with the oracle, applied
+/// operator by operator.
+fn check_chains(
+    chains: &[Vec<TemporalOp>],
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    label: &str,
+) {
     let planner = Planner::default();
-    for (i, chain) in chains_1col().iter().enumerate() {
-        let mut plan = apply_plan(
-            &chain[0],
-            TemporalPlan::scan(r),
-            Some(TemporalPlan::scan(s)),
-        )
-        .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        for op in &chain[1..] {
-            plan = apply_plan(op, plan, None)
-                .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        }
-        assert_paths_identical(&plan, &planner, &format!("{label} chain {i}"));
+    for (i, chain) in chains.iter().enumerate() {
+        let label = format!("{label} chain {i}");
+        let got = common::compose_chain(chain, r, s, &label)
+            .execute(&planner)
+            .unwrap_or_else(|e| panic!("{label}: execute: {e}"));
+        assert_same_set(&got, &common::oracle_chain(chain, r, s, &label), &label);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Pipelines over the paper's synthetic datasets: batch ≡ row on Ddisj
-    /// and Deq of random sizes.
+    /// Pipelines over the paper's synthetic datasets: executor ≡ oracle on
+    /// Ddisj and Deq of random sizes.
     #[test]
-    fn batch_equals_row_on_ddisj_and_deq(n in 2usize..7) {
+    fn executor_equals_oracle_on_ddisj_and_deq(n in 2usize..7) {
+        let chains = common::differential_chains_1col();
         let (r, s) = ddisj(n);
-        check_chains(&r, &s, &format!("ddisj({n})"));
+        check_chains(&chains, &r, &s, &format!("ddisj({n})"));
         let (r, s) = deq(n);
-        check_chains(&r, &s, &format!("deq({n})"));
+        check_chains(&chains, &r, &s, &format!("deq({n})"));
     }
 
     /// Pipelines on Drand (random intervals, asymmetric schemas).
     #[test]
-    fn batch_equals_row_on_drand(n in 2usize..7, seed in 0u64..1000) {
+    fn executor_equals_oracle_on_drand(n in 2usize..7, seed in 0u64..1000) {
         let (r, s) = drand(n, seed);
-        let planner = Planner::default();
-        // concat row = (id, ts, te, a, min, max, ts, te)
-        let chains: Vec<Vec<TemporalOp>> = vec![
-            vec![
-                TemporalOp::Join { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Projection { attrs: vec![0] },
-            ],
-            vec![
-                TemporalOp::LeftOuterJoin { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Selection { predicate: col(1).ge(lit(0i64)) },
-                TemporalOp::Projection { attrs: vec![0, 1] },
-            ],
-            vec![
-                TemporalOp::AntiJoin { theta: Some(col(0).eq(col(3))) },
-                TemporalOp::Aggregation {
-                    group: vec![0],
-                    aggs: vec![(AggCall::count_star(), "cnt".to_string())],
-                },
-            ],
-        ];
-        for (i, chain) in chains.iter().enumerate() {
-            let mut plan = apply_plan(
-                &chain[0],
-                TemporalPlan::scan(&r),
-                Some(TemporalPlan::scan(&s)),
-            ).unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            for op in &chain[1..] {
-                plan = apply_plan(op, plan, None)
-                    .unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            }
-            assert_paths_identical(&plan, &planner, &format!("drand({n},{seed}) chain {i}"));
-        }
+        check_chains(
+            &common::differential_chains_drand(),
+            &r,
+            &s,
+            &format!("drand({n},{seed})"),
+        );
     }
 
-    /// The raw primitives: alignment, normalization and the gaps-only
-    /// anti-join sweep — both adjustment modes, batch ≡ row.
+    /// The raw primitives against their quadratic references: alignment,
+    /// normalization, the gaps-only anti-join sweep and absorb.
     #[test]
-    fn batch_equals_row_on_raw_primitives(seed in 0u64..500) {
+    fn executor_equals_reference_on_raw_primitives(seed in 0u64..500) {
         let r = common::random_trel(seed, 14, 4, 30);
         let s = common::random_trel(seed + 10_000, 14, 4, 30);
         let planner = Planner::default();
@@ -207,21 +81,32 @@ proptest! {
 
         let align = TemporalPlan::scan(&r)
             .align(TemporalPlan::scan(&s), Some(theta.clone()))
+            .unwrap()
+            .execute(&planner)
             .unwrap();
-        assert_paths_identical(&align, &planner, &format!("align seed {seed}"));
+        let reference = align_ref(&r, &s, &Theta::Predicate(theta.clone())).unwrap();
+        assert_same_set(&align, &reference, &format!("align seed {seed}"));
 
         let normalize = TemporalPlan::scan(&r)
             .normalize(TemporalPlan::scan(&s), &[(0, 0)])
+            .unwrap()
+            .execute(&planner)
             .unwrap();
-        assert_paths_identical(&normalize, &planner, &format!("normalize seed {seed}"));
+        let reference = normalize_ref(&r, &s, &[(0, 0)]).unwrap();
+        assert_same_set(&normalize, &reference, &format!("normalize seed {seed}"));
 
         let gaps = TemporalPlan::scan(&r)
-            .anti_join_optimized(TemporalPlan::scan(&s), Some(theta))
+            .anti_join_optimized(TemporalPlan::scan(&s), Some(theta.clone()))
+            .unwrap()
+            .execute(&planner)
             .unwrap();
-        assert_paths_identical(&gaps, &planner, &format!("gaps-only seed {seed}"));
+        let anti = TemporalOp::AntiJoin { theta: Some(theta) };
+        let reference = common::oracle_chain(&[anti], &r, &s, "gaps-only");
+        assert_same_set(&gaps, &reference, &format!("gaps-only seed {seed}"));
 
-        let absorb = TemporalPlan::scan(&r).absorb();
-        assert_paths_identical(&absorb, &planner, &format!("absorb seed {seed}"));
+        let absorb = TemporalPlan::scan(&r).absorb().execute(&planner).unwrap();
+        let reference = absorb_ref(&r).unwrap();
+        assert_same_set(&absorb, &reference, &format!("absorb seed {seed}"));
     }
 }
 
@@ -250,12 +135,20 @@ fn sweep_group_spanning_batches() {
     let planner = Planner::default();
     let normalize = TemporalPlan::scan(&r)
         .normalize(TemporalPlan::scan(&s), &[])
+        .unwrap()
+        .execute(&planner)
         .unwrap();
-    assert_paths_identical(&normalize, &planner, "giant normalize group");
+    // One piece per split point, plus one: more than a batch of output.
+    assert_eq!(normalize.len(), 2 * k as usize + 1);
+    let reference = normalize_ref(&r, &s, &[]).unwrap();
+    assert_same_set(&normalize, &reference, "giant normalize group");
     let align = TemporalPlan::scan(&r)
         .align(TemporalPlan::scan(&s), None)
+        .unwrap()
+        .execute(&planner)
         .unwrap();
-    assert_paths_identical(&align, &planner, "giant align group");
+    let reference = align_ref(&r, &s, &Theta::True).unwrap();
+    assert_same_set(&align, &reference, "giant align group");
 }
 
 /// An absorb group larger than `BATCH_SIZE` (nested same-value intervals):
@@ -276,10 +169,14 @@ fn absorb_group_spanning_batches() {
             .collect(),
     )
     .unwrap();
-    let lp = temporal_alignment::core::primitives::absorb::AbsorbNode::plan(
-        LogicalPlan::inline_scan(rel),
-    );
-    assert_paths_identical_logical(&lp, &Planner::default(), "giant absorb group");
+    let input = TemporalRelation::new(rel).unwrap();
+    let absorbed = TemporalPlan::scan(&input)
+        .absorb()
+        .execute(&Planner::default())
+        .unwrap();
+    assert_eq!(absorbed.len(), 1);
+    let reference = absorb_ref(&input).unwrap();
+    assert_same_set(&absorbed, &reference, "giant absorb group");
 }
 
 /// Inputs of exactly `BATCH_SIZE` rows: one full batch, then `None` — and
@@ -318,7 +215,9 @@ fn filter_skips_emptied_batches() {
     let hi = lo + 5;
     let lp =
         LogicalPlan::inline_scan(rel.clone()).filter(col(0).ge(lit(lo)).and(col(0).lt(lit(hi))));
-    assert_paths_identical_logical(&lp, &Planner::default(), "middle sliver filter");
+    let out = Planner::default().run(&lp, &Catalog::new()).unwrap();
+    let kept: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(kept, (lo..hi).collect::<Vec<i64>>());
     // Keep nothing at all.
     let lp = LogicalPlan::inline_scan(rel).filter(col(0).lt(lit(0i64)));
     let physical = Planner::default().plan(&lp, &Catalog::new()).unwrap();

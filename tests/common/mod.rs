@@ -1,12 +1,15 @@
 //! Shared helpers for the integration test suites: deterministic random
-//! generation of *valid* (duplicate-free) temporal relations, and fixture
-//! builders for the paper's running example.
+//! generation of *valid* (duplicate-free) temporal relations, fixture
+//! builders for the paper's running example, and the operator-chain
+//! corpus the plan-first and differential suites compose plans from.
 
 #![allow(dead_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::reference::evaluate_oracle;
+use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
 
 /// Build a one-data-column relation from `(value, ts, te)` triples.
@@ -139,4 +142,161 @@ pub fn paper_p() -> TemporalRelation {
         ],
     )
     .expect("valid fixture")
+}
+
+/// Apply one operator to a composed plan (the plan-first path).
+pub fn apply_plan(
+    op: &TemporalOp,
+    plan: TemporalPlan,
+    rhs: Option<TemporalPlan>,
+) -> TemporalResult<TemporalPlan> {
+    match op {
+        TemporalOp::Selection { predicate } => plan.selection(predicate.clone()),
+        TemporalOp::Projection { attrs } => plan.projection(attrs),
+        TemporalOp::Aggregation { group, aggs } => plan.aggregation(group, aggs.clone()),
+        TemporalOp::Union => plan.union(rhs.expect("binary")),
+        TemporalOp::Difference => plan.difference(rhs.expect("binary")),
+        TemporalOp::Intersection => plan.intersection(rhs.expect("binary")),
+        TemporalOp::CartesianProduct => plan.cartesian_product(rhs.expect("binary")),
+        TemporalOp::Join { theta } => plan.join(rhs.expect("binary"), theta.clone()),
+        TemporalOp::LeftOuterJoin { theta } => {
+            plan.left_outer_join(rhs.expect("binary"), theta.clone())
+        }
+        TemporalOp::RightOuterJoin { theta } => {
+            plan.right_outer_join(rhs.expect("binary"), theta.clone())
+        }
+        TemporalOp::FullOuterJoin { theta } => {
+            plan.full_outer_join(rhs.expect("binary"), theta.clone())
+        }
+        TemporalOp::AntiJoin { theta } => plan.anti_join(rhs.expect("binary"), theta.clone()),
+    }
+}
+
+/// Compose a chain — first operator binary over `(r, s)`, the rest unary —
+/// into one `TemporalPlan`.
+pub fn compose_chain(
+    chain: &[TemporalOp],
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    label: &str,
+) -> TemporalPlan {
+    let mut plan = apply_plan(
+        &chain[0],
+        TemporalPlan::scan(r),
+        Some(TemporalPlan::scan(s)),
+    )
+    .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", chain[0].name()));
+    for op in &chain[1..] {
+        plan = apply_plan(op, plan, None)
+            .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", op.name()));
+    }
+    plan
+}
+
+/// The same chain through the point-wise reference evaluator, operator by
+/// operator.
+pub fn oracle_chain(
+    chain: &[TemporalOp],
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    label: &str,
+) -> TemporalRelation {
+    let mut out = evaluate_oracle(&chain[0], &[r, s])
+        .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", chain[0].name()));
+    for op in &chain[1..] {
+        out = evaluate_oracle(op, &[&out])
+            .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", op.name()));
+    }
+    out
+}
+
+/// Chains over two one-data-column relations covering filter, project,
+/// aggregation, every join family and every set operation — and, through
+/// the reductions, both adjustment modes (joins align, group-based
+/// operators and set ops normalize) plus absorb, sorts and the
+/// hash/interval group-construction joins.
+pub fn differential_chains_1col() -> Vec<Vec<TemporalOp>> {
+    let count = vec![(AggCall::count_star(), "cnt".to_string())];
+    vec![
+        vec![
+            TemporalOp::Join {
+                theta: Some(col(0).eq(col(3))),
+            },
+            TemporalOp::Selection {
+                predicate: col(0).ge(lit(1i64)),
+            },
+            TemporalOp::Projection { attrs: vec![0] },
+        ],
+        // θ = None: the group-construction join is a pure overlap join, so
+        // the default planner's heuristic picks the interval sweep join.
+        vec![
+            TemporalOp::LeftOuterJoin { theta: None },
+            TemporalOp::Aggregation {
+                group: vec![0],
+                aggs: count.clone(),
+            },
+        ],
+        vec![
+            TemporalOp::FullOuterJoin {
+                theta: Some(col(0).eq(col(3))),
+            },
+            TemporalOp::Projection { attrs: vec![0, 1] },
+        ],
+        vec![
+            TemporalOp::AntiJoin {
+                theta: Some(col(0).eq(col(3))),
+            },
+            TemporalOp::Selection {
+                predicate: col(0).ge(lit(0i64)),
+            },
+        ],
+        vec![
+            TemporalOp::Union,
+            TemporalOp::Selection {
+                predicate: col(0).lt(lit(4i64)),
+            },
+        ],
+        vec![
+            TemporalOp::Difference,
+            TemporalOp::Projection { attrs: vec![0] },
+        ],
+        vec![
+            TemporalOp::Intersection,
+            TemporalOp::Aggregation {
+                group: vec![],
+                aggs: count,
+            },
+        ],
+    ]
+}
+
+/// Chains for `temporal_datasets::drand` (random intervals, asymmetric
+/// schemas): concat row = `(id, ts, te, a, min, max, ts, te)`.
+pub fn differential_chains_drand() -> Vec<Vec<TemporalOp>> {
+    vec![
+        vec![
+            TemporalOp::Join {
+                theta: Some(col(0).lt(col(3))),
+            },
+            TemporalOp::Projection { attrs: vec![0] },
+        ],
+        vec![
+            TemporalOp::LeftOuterJoin {
+                theta: Some(col(0).lt(col(3))),
+            },
+            TemporalOp::Selection {
+                predicate: col(1).ge(lit(0i64)),
+            },
+            TemporalOp::Projection { attrs: vec![0, 1] },
+        ],
+        vec![
+            TemporalOp::AntiJoin {
+                theta: Some(col(0).eq(col(3))),
+            },
+            TemporalOp::Aggregation {
+                group: vec![0],
+                aggs: vec![(AggCall::count_star(), "cnt".to_string())],
+            },
+        ],
+    ]
 }

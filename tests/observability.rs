@@ -11,6 +11,10 @@
 mod common;
 
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::reference::evaluate_oracle;
+use temporal_alignment::core::semantics::TemporalOp;
+use temporal_alignment::engine::catalog::Catalog;
+use temporal_alignment::engine::prelude::*;
 use temporal_alignment::prelude::Session;
 use temporal_alignment::server::{Client, Response, Server};
 use temporal_datasets::{ddisj, deq, drand};
@@ -287,6 +291,113 @@ fn instrumentation_never_changes_results() {
             plain.rows().len()
         );
     }
+}
+
+/// Every node of an analyzed plan ran, and ran batch-wise: no line says
+/// `never executed` and none reports `batches=0`. (The inputs below make
+/// every node emit at least one row.)
+fn assert_every_node_batched(analyzed: &str, expect_node: &str, label: &str) {
+    assert!(
+        analyzed.contains(expect_node),
+        "{label}: expected a {expect_node} node:\n{analyzed}"
+    );
+    for line in analyzed.lines() {
+        assert!(
+            line.contains("batches=") && !line.contains("batches=0 "),
+            "{label}: a node did not run through next_batch:\n{analyzed}"
+        );
+    }
+}
+
+/// Plan, run instrumented, and return `(result, EXPLAIN ANALYZE text)`.
+fn run_analyzed(plan: &TemporalPlan, config: PlannerConfig) -> (TemporalRelation, String) {
+    let physical = plan
+        .physical(&Planner::new(config), &Catalog::new())
+        .unwrap();
+    let state = ExecutionState::new(config).with_instrumentation();
+    let out = TemporalRelation::new(physical.collect(&state).unwrap()).unwrap();
+    (out, physical.explain_analyze(&state))
+}
+
+/// `Distinct`, `Limit`, the nested-loop join and the merge join used to
+/// implement only the row protocol, so they pulled their whole subtree
+/// row-at-a-time (every node beneath them reported `batches=0`) and
+/// serially. With one protocol, every node of every plan shape emits
+/// batches — and the results still equal the references.
+#[test]
+fn no_plan_shape_falls_back_to_row_at_a_time() {
+    let r = common::random_trel2(3, 60, 4, 40);
+    let s = common::random_trel2(4, 60, 4, 40);
+
+    // πᵀ (Table 2: π_{B,T}(N_B(r; r)) ends in a Distinct).
+    let op = TemporalOp::Projection { attrs: vec![0] };
+    let plan = TemporalPlan::scan(&r).projection(&[0]).unwrap();
+    let (out, analyzed) = run_analyzed(&plan, PlannerConfig::default());
+    assert_every_node_batched(&analyzed, "Distinct", "πᵀ");
+    assert!(out.same_set(&evaluate_oracle(&op, &[&r]).unwrap()), "πᵀ");
+
+    // ALIGN with no equi key under the paper-faithful planner: the group
+    // construction is a nested-loop join.
+    let plan = TemporalPlan::scan(&r)
+        .align(TemporalPlan::scan(&s), None)
+        .unwrap();
+    let (out, analyzed) = run_analyzed(&plan, PlannerConfig::paper());
+    assert_every_node_batched(&analyzed, "NestedLoopJoin", "NL-joined ALIGN");
+    assert!(out.same_set(&align_ref(&r, &s, &Theta::True).unwrap()));
+
+    // A temporal equi join with hash joins off: merge joins.
+    let theta = col(0).eq(col(4));
+    let op = TemporalOp::Join {
+        theta: Some(theta.clone()),
+    };
+    let plan = TemporalPlan::scan(&r)
+        .join(TemporalPlan::scan(&s), Some(theta))
+        .unwrap();
+    let config = PlannerConfig {
+        enable_hashjoin: false,
+        ..PlannerConfig::paper()
+    };
+    let (out, analyzed) = run_analyzed(&plan, config);
+    assert_every_node_batched(&analyzed, "MergeJoin", "merge join");
+    assert!(out.same_set(&evaluate_oracle(&op, &[&r, &s]).unwrap()));
+
+    // SQL DISTINCT and LIMIT.
+    let mut session = Session::new();
+    session.register_temporal("r", &r).unwrap();
+    let mut distinct: Vec<i64> = r.iter().map(|(d, _)| d[0].as_int().unwrap()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let query = "SELECT DISTINCT k FROM r ORDER BY k";
+    let analyzed = session.explain_analyze(query).unwrap();
+    assert_every_node_batched(&analyzed, "Distinct", query);
+    let got = session.query(query).unwrap();
+    let got: Vec<i64> = got.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(got, distinct);
+
+    let query = "SELECT k, w, ts, te FROM r ORDER BY ts, te, k, w LIMIT 7";
+    let analyzed = session.explain_analyze(query).unwrap();
+    assert_every_node_batched(&analyzed, "Limit 7", query);
+    let mut expected: Vec<Vec<i64>> = r
+        .iter()
+        .map(|(d, iv)| {
+            vec![
+                d[0].as_int().unwrap(),
+                d[1].as_int().unwrap(),
+                iv.start(),
+                iv.end(),
+            ]
+        })
+        .collect();
+    expected.sort_by_key(|v| (v[2], v[3], v[0], v[1]));
+    expected.truncate(7);
+    let got: Vec<Vec<i64>> = session
+        .query(query)
+        .unwrap()
+        .rows()
+        .iter()
+        .map(|r| r.values().iter().map(|v| v.as_int().unwrap()).collect())
+        .collect();
+    assert_eq!(got, expected);
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Parallel/serial differential tests: executing the same physical plan
 //! under `threads = 4` must be **row-for-row identical** — same rows, same
-//! order — to `threads = 1`, and both must match the row-at-a-time Volcano
-//! baseline. The parallel states use `parallel_min_rows = 1` so even the
-//! small proptest inputs actually take the partitioned code paths
-//! (exchange over scans, parallel sort, partitioned hash join build +
-//! probe, data-run-partitioned temporal sweeps).
+//! order — to `threads = 1` (whose results `tests/batch_differential.rs`
+//! checks against the references). The parallel states use
+//! `parallel_min_rows = 1` so even the small proptest inputs actually take
+//! the partitioned code paths (exchange over scans, parallel sort,
+//! partitioned hash join build + probe, data-run-partitioned temporal
+//! sweeps).
 
 mod common;
 
@@ -30,26 +31,17 @@ fn parallel_state() -> ExecutionState {
     })
 }
 
-/// Plan once, execute three ways (row baseline, serial batch, 4-worker
-/// batch), compare row-for-row.
+/// Plan once, execute serially and on 4 workers, compare row-for-row.
 fn assert_parallel_identical_logical(lp: &LogicalPlan, label: &str) {
     let physical = Planner::default()
         .plan(lp, &Catalog::new())
         .unwrap_or_else(|e| panic!("{label}: plan: {e}"));
-    let row_path = physical
-        .collect_rowwise(&serial_state())
-        .unwrap_or_else(|e| panic!("{label}: row path: {e}"));
     let serial = physical
         .collect(&serial_state())
-        .unwrap_or_else(|e| panic!("{label}: serial batch: {e}"));
+        .unwrap_or_else(|e| panic!("{label}: serial: {e}"));
     let parallel = physical
         .collect(&parallel_state())
-        .unwrap_or_else(|e| panic!("{label}: parallel batch: {e}"));
-    assert_eq!(
-        serial.rows(),
-        row_path.rows(),
-        "{label}: serial batch diverges from row path"
-    );
+        .unwrap_or_else(|e| panic!("{label}: parallel: {e}"));
     assert_eq!(
         serial.rows(),
         parallel.rows(),
@@ -61,103 +53,15 @@ fn assert_parallel_identical(plan: &TemporalPlan, label: &str) {
     assert_parallel_identical_logical(plan.logical(), label);
 }
 
-/// Apply one operator to a composed plan (as in `tests/plan_first.rs`).
-fn apply_plan(
-    op: &TemporalOp,
-    plan: TemporalPlan,
-    rhs: Option<TemporalPlan>,
-) -> TemporalResult<TemporalPlan> {
-    match op {
-        TemporalOp::Selection { predicate } => plan.selection(predicate.clone()),
-        TemporalOp::Projection { attrs } => plan.projection(attrs),
-        TemporalOp::Aggregation { group, aggs } => plan.aggregation(group, aggs.clone()),
-        TemporalOp::Union => plan.union(rhs.expect("binary")),
-        TemporalOp::Difference => plan.difference(rhs.expect("binary")),
-        TemporalOp::Intersection => plan.intersection(rhs.expect("binary")),
-        TemporalOp::CartesianProduct => plan.cartesian_product(rhs.expect("binary")),
-        TemporalOp::Join { theta } => plan.join(rhs.expect("binary"), theta.clone()),
-        TemporalOp::LeftOuterJoin { theta } => {
-            plan.left_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::RightOuterJoin { theta } => {
-            plan.right_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::FullOuterJoin { theta } => {
-            plan.full_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::AntiJoin { theta } => plan.anti_join(rhs.expect("binary"), theta.clone()),
-    }
-}
-
-/// Chains exercising every parallelized operator through the reductions:
-/// joins (hash/interval group construction), sorts, sweeps, absorb, set
-/// ops and aggregation.
-fn chains_1col() -> Vec<Vec<TemporalOp>> {
-    let count = vec![(AggCall::count_star(), "cnt".to_string())];
-    vec![
-        vec![
-            TemporalOp::Join {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(1i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::LeftOuterJoin { theta: None },
-            TemporalOp::Aggregation {
-                group: vec![0],
-                aggs: count.clone(),
-            },
-        ],
-        vec![
-            TemporalOp::FullOuterJoin {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Projection { attrs: vec![0, 1] },
-        ],
-        vec![
-            TemporalOp::AntiJoin {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(0i64)),
-            },
-        ],
-        vec![
-            TemporalOp::Union,
-            TemporalOp::Selection {
-                predicate: col(0).lt(lit(4i64)),
-            },
-        ],
-        vec![
-            TemporalOp::Difference,
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::Intersection,
-            TemporalOp::Aggregation {
-                group: vec![],
-                aggs: count,
-            },
-        ],
-    ]
-}
-
-fn check_chains(r: &TemporalRelation, s: &TemporalRelation, label: &str) {
-    for (i, chain) in chains_1col().iter().enumerate() {
-        let mut plan = apply_plan(
-            &chain[0],
-            TemporalPlan::scan(r),
-            Some(TemporalPlan::scan(s)),
-        )
-        .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        for op in &chain[1..] {
-            plan = apply_plan(op, plan, None)
-                .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        }
-        assert_parallel_identical(&plan, &format!("{label} chain {i}"));
+fn check_chains(
+    chains: &[Vec<TemporalOp>],
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    label: &str,
+) {
+    for (i, chain) in chains.iter().enumerate() {
+        let label = format!("{label} chain {i}");
+        assert_parallel_identical(&common::compose_chain(chain, r, s, &label), &label);
     }
 }
 
@@ -165,50 +69,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Pipelines over the paper's synthetic datasets: threads=4 ≡
-    /// threads=1 ≡ row path on Ddisj and Deq of random sizes.
+    /// threads=1 on Ddisj and Deq of random sizes.
     #[test]
     fn parallel_equals_serial_on_ddisj_and_deq(n in 2usize..7) {
+        let chains = common::differential_chains_1col();
         let (r, s) = ddisj(n);
-        check_chains(&r, &s, &format!("ddisj({n})"));
+        check_chains(&chains, &r, &s, &format!("ddisj({n})"));
         let (r, s) = deq(n);
-        check_chains(&r, &s, &format!("deq({n})"));
+        check_chains(&chains, &r, &s, &format!("deq({n})"));
     }
 
     /// Pipelines on Drand (random intervals, asymmetric schemas).
     #[test]
     fn parallel_equals_serial_on_drand(n in 2usize..7, seed in 0u64..1000) {
         let (r, s) = drand(n, seed);
-        // concat row = (id, ts, te, a, min, max, ts, te)
-        let chains: Vec<Vec<TemporalOp>> = vec![
-            vec![
-                TemporalOp::Join { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Projection { attrs: vec![0] },
-            ],
-            vec![
-                TemporalOp::LeftOuterJoin { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Selection { predicate: col(1).ge(lit(0i64)) },
-                TemporalOp::Projection { attrs: vec![0, 1] },
-            ],
-            vec![
-                TemporalOp::AntiJoin { theta: Some(col(0).eq(col(3))) },
-                TemporalOp::Aggregation {
-                    group: vec![0],
-                    aggs: vec![(AggCall::count_star(), "cnt".to_string())],
-                },
-            ],
-        ];
-        for (i, chain) in chains.iter().enumerate() {
-            let mut plan = apply_plan(
-                &chain[0],
-                TemporalPlan::scan(&r),
-                Some(TemporalPlan::scan(&s)),
-            ).unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            for op in &chain[1..] {
-                plan = apply_plan(op, plan, None)
-                    .unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            }
-            assert_parallel_identical(&plan, &format!("drand({n},{seed}) chain {i}"));
-        }
+        check_chains(
+            &common::differential_chains_drand(),
+            &r,
+            &s,
+            &format!("drand({n},{seed})"),
+        );
     }
 
     /// The raw primitives under parallel execution: alignment,
@@ -236,6 +116,30 @@ proptest! {
 
         let absorb = TemporalPlan::scan(&r).absorb();
         assert_parallel_identical(&absorb, &format!("absorb seed {seed}"));
+    }
+
+    /// Plan shapes whose root used to pull its subtree row-at-a-time — and
+    /// therefore serially, whatever `threads` said: πᵀ (Table 2's
+    /// `π_{B,T}(N_B(r; r))` ends in a `Distinct`) with the normalization's
+    /// join, sort and sweep beneath it, and a `Distinct`/`Limit` pair over
+    /// a filtered, sorted scan.
+    #[test]
+    fn parallel_equals_serial_under_distinct_and_limit(seed in 0u64..500, n in 0usize..40) {
+        let r = common::random_trel2(seed, 60, 4, 40);
+        let projection = TemporalPlan::scan(&r)
+            .projection(&[0])
+            .unwrap()
+            .selection(col(0).ge(lit(1i64)))
+            .unwrap();
+        assert_parallel_identical(&projection, &format!("πᵀ seed {seed}"));
+
+        let lp = LogicalPlan::inline_scan(r.rel().clone())
+            .filter(col(2).lt(lit(30i64)))
+            .project_cols(&[0, 1])
+            .distinct()
+            .sort(vec![SortKey::desc(col(1)), SortKey::asc(col(0))])
+            .limit(n);
+        assert_parallel_identical_logical(&lp, &format!("distinct/limit {n} seed {seed}"));
     }
 }
 

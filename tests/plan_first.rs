@@ -8,40 +8,11 @@ mod common;
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
-use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::catalog::Catalog;
 use temporal_alignment::engine::plan::PhysicalPlan;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand};
-
-/// Apply one operator to a composed plan (plan-first path).
-fn apply_plan(
-    op: &TemporalOp,
-    plan: TemporalPlan,
-    rhs: Option<TemporalPlan>,
-) -> TemporalResult<TemporalPlan> {
-    match op {
-        TemporalOp::Selection { predicate } => plan.selection(predicate.clone()),
-        TemporalOp::Projection { attrs } => plan.projection(attrs),
-        TemporalOp::Aggregation { group, aggs } => plan.aggregation(group, aggs.clone()),
-        TemporalOp::Union => plan.union(rhs.expect("binary")),
-        TemporalOp::Difference => plan.difference(rhs.expect("binary")),
-        TemporalOp::Intersection => plan.intersection(rhs.expect("binary")),
-        TemporalOp::CartesianProduct => plan.cartesian_product(rhs.expect("binary")),
-        TemporalOp::Join { theta } => plan.join(rhs.expect("binary"), theta.clone()),
-        TemporalOp::LeftOuterJoin { theta } => {
-            plan.left_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::RightOuterJoin { theta } => {
-            plan.right_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::FullOuterJoin { theta } => {
-            plan.full_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::AntiJoin { theta } => plan.anti_join(rhs.expect("binary"), theta.clone()),
-    }
-}
 
 /// Chains whose first operator is binary over `(r, s)` and whose remaining
 /// operators are unary — valid for two one-data-column relations.
@@ -95,17 +66,7 @@ fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation,
     let alg = TemporalAlgebra::default();
 
     // Plan-first: one composed plan, one Planner::run.
-    let mut plan = apply_plan(
-        &chain[0],
-        TemporalPlan::scan(r),
-        Some(TemporalPlan::scan(s)),
-    )
-    .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", chain[0].name()));
-    for op in &chain[1..] {
-        plan = apply_plan(op, plan, None)
-            .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", op.name()));
-    }
-    let composed = plan
+    let composed = common::compose_chain(chain, r, s, label)
         .execute(alg.planner())
         .unwrap_or_else(|e| panic!("{label}: execute: {e}"));
 
@@ -120,12 +81,7 @@ fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation,
     }
 
     // Oracle: the point-wise reference evaluator, per operator.
-    let mut oracle = evaluate_oracle(&chain[0], &[r, s])
-        .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", chain[0].name()));
-    for op in &chain[1..] {
-        oracle = evaluate_oracle(op, &[&oracle])
-            .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", op.name()));
-    }
+    let oracle = common::oracle_chain(chain, r, s, label);
 
     assert!(
         composed.same_set(&eager),

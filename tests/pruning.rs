@@ -223,35 +223,28 @@ proptest! {
         ];
 
         for threads in [1usize, 4] {
-            for rowwise in [false, true] {
-                let config = PlannerConfig {
-                    threads,
-                    parallel_min_rows: 1,
-                    enable_zonemaps: true,
-                    ..PlannerConfig::default()
-                };
-                // Pin the statement snapshot, then grow the tail page past
-                // it: the scans below must stop inside that page.
-                let state = ExecutionState::new(config);
-                let snap = state.snapshot_for(&table);
-                for _ in 0..rng.gen_range(1usize..12) {
-                    table.append_row(&random_row(&mut rng)).unwrap();
-                }
-                let run = |plan: &PhysicalPlan| if rowwise {
-                    plan.collect_rowwise(&state).unwrap()
-                } else {
-                    plan.collect(&state).unwrap()
-                };
-                let expected = run(&plain);
-                prop_assert!(expected.len() as u64 <= snap.rows);
-                for plan in &bounded {
-                    let got = run(plan);
-                    prop_assert!(
-                        got.same_bag(&expected),
-                        "seed {} threads {} rowwise {}: {} rows with {:?}, {} without\n{}",
-                        seed, threads, rowwise, got.len(), bounds, expected.len(), plan.explain()
-                    );
-                }
+            let config = PlannerConfig {
+                threads,
+                parallel_min_rows: 1,
+                enable_zonemaps: true,
+                ..PlannerConfig::default()
+            };
+            // Pin the statement snapshot, then grow the tail page past
+            // it: the scans below must stop inside that page.
+            let state = ExecutionState::new(config);
+            let snap = state.snapshot_for(&table);
+            for _ in 0..rng.gen_range(1usize..12) {
+                table.append_row(&random_row(&mut rng)).unwrap();
+            }
+            let expected = plain.collect(&state).unwrap();
+            prop_assert!(expected.len() as u64 <= snap.rows);
+            for plan in &bounded {
+                let got = plan.collect(&state).unwrap();
+                prop_assert!(
+                    got.same_bag(&expected),
+                    "seed {} threads {}: {} rows with {:?}, {} without\n{}",
+                    seed, threads, got.len(), bounds, expected.len(), plan.explain()
+                );
             }
         }
         drop(table);
