@@ -152,9 +152,13 @@ impl Default for PlannerConfig {
 impl PlannerConfig {
     /// The paper-faithful configuration: exactly PostgreSQL 9.0's join
     /// methods — the sweep interval join (a Sec. 8 future-work extension)
-    /// is neither forced nor auto-selected. The `reproduce` binary runs
-    /// every figure with this configuration so the curves keep the paper's
-    /// shape, and the per-setting presets below all build on it.
+    /// is neither forced nor auto-selected. Every other field is
+    /// `Default`'s, including those read from the environment
+    /// (`TEMPORAL_THREADS`, `TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
+    /// `TEMPORAL_INTERVAL_INDEX`): a caller that needs a fixed
+    /// configuration sets them itself, as the `reproduce` experiment table
+    /// does for each series (`temporal_bench::pin`). The per-setting
+    /// presets below all build on it.
     pub fn paper() -> Self {
         PlannerConfig {
             enable_intervaljoin_auto: false,
