@@ -8,7 +8,7 @@
 //! adjustment primitives carry, beside their equi keys, a residual that
 //! bounds one build-side column by the probe row (`p1 > r.ts ∧ p1 < r.te`
 //! for normalization, the overlap test for alignment). When the residual
-//! is a conjunction of simple comparisons ([`CompiledPred`]) and names
+//! is a conjunction of simple comparisons (a compiled [`JoinPred`]) and names
 //! such a column ([`RangeSpec`]), the build keeps every bucket ordered by
 //! it — ties by build index — with the column's values in a contiguous
 //! `i64` array beside the build indices, and a probe row binary-searches
@@ -38,8 +38,10 @@ use std::sync::{Arc, Mutex};
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState, OperatorStats};
-use crate::expr::{CmpOp, CompiledPred, Expr, PredOperand};
+use crate::exec::{
+    collect_rows, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState, OperatorStats,
+};
+use crate::expr::{CmpOp, Expr, JoinPred, PredOperand};
 use crate::hashing::{FxHashMap, FxHasher};
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -71,29 +73,28 @@ pub(crate) struct RangeSpec {
 }
 
 impl RangeSpec {
-    /// The range column of `residual` over `probe ++ build` rows, if it
-    /// compiles and has one: the first build-side column bounded from both
+    /// The range column of a residual over `probe ++ build` rows, if it
+    /// compiled and has one: the first build-side column bounded from both
     /// sides by probe-side columns or integer literals, else the first
     /// bounded from one side. A plan-time property — `EXPLAIN` prints it.
     pub(crate) fn of(
-        residual: Option<&Expr>,
+        residual: &JoinPred,
         left_width: usize,
         right_width: usize,
     ) -> Option<RangeSpec> {
-        let pred = CompiledPred::compile(residual?)?;
-        let build_col = |o: PredOperand<'_>| match o {
+        let build_col = |o: &PredOperand| match *o {
             PredOperand::Col(i) if (left_width..left_width + right_width).contains(&i) => {
                 Some(i - left_width)
             }
             _ => None,
         };
-        let bound = |o: PredOperand<'_>| match o {
+        let bound = |o: &PredOperand| match *o {
             PredOperand::Col(i) if i < left_width => Some(BoundOperand::ProbeCol(i)),
-            PredOperand::Lit(Value::Int(x)) => Some(BoundOperand::Int(*x)),
+            PredOperand::Lit(Value::Int(x)) => Some(BoundOperand::Int(x)),
             _ => None,
         };
         let mut found: Vec<(usize, CmpOp, BoundOperand)> = Vec::new();
-        for &(op, a, b) in pred.conjuncts() {
+        for &(op, ref a, ref b) in residual.compiled()?.conjuncts() {
             if matches!(op, CmpOp::Eq | CmpOp::Ne) {
                 continue;
             }
@@ -197,8 +198,8 @@ pub struct HashJoinExec {
     /// `(left column, right column)` equality pairs; SQL semantics (NULL
     /// keys never match).
     keys: Vec<(usize, usize)>,
-    /// Extra predicate over the concatenated row.
-    residual: Option<Expr>,
+    /// The residual θ over `probe ++ build`, tested on each candidate pair.
+    residual: JoinPred,
     /// The build column `residual` bounds by the probe row, if any.
     range: Option<RangeSpec>,
     join_type: JoinType,
@@ -244,11 +245,12 @@ impl HashJoinExec {
         } else {
             left.schema().clone()
         };
+        let residual = JoinPred::new(residual);
         HashJoinExec {
             left,
             right: Some(right),
             keys,
-            range: RangeSpec::of(residual.as_ref(), left_width, right_width),
+            range: RangeSpec::of(&residual, left_width, right_width),
             residual,
             join_type,
             schema,
@@ -374,7 +376,7 @@ impl HashJoinExec {
             build_rows: &self.build_rows,
             build_matched: &self.build_matched,
             keys: &self.keys,
-            residual: self.residual.as_ref(),
+            pred: &self.residual,
             range: self.range.as_ref(),
             join_type: self.join_type,
             right_width: self.right_width,
@@ -391,7 +393,7 @@ struct ProbeSide<'a> {
     build_rows: &'a [Row],
     build_matched: &'a [AtomicBool],
     keys: &'a [(usize, usize)],
-    residual: Option<&'a Expr>,
+    pred: &'a JoinPred,
     range: Option<&'a RangeSpec>,
     join_type: JoinType,
     right_width: usize,
@@ -429,110 +431,25 @@ impl ProbeSide<'_> {
         }
     }
 
-    /// Probe a run of left rows. Candidate lists are read in place (no
-    /// per-row clone). Simple residuals (every reduced temporal condition:
-    /// equality leftovers, interval overlaps) are compiled once and
-    /// evaluated over the *pair* of rows, so the combined row is only
-    /// materialized for candidates that actually join (late
-    /// materialization).
-    fn probe(&self, lrows: &[Row], left_width: usize) -> EngineResult<Vec<Row>> {
-        let compiled = self.residual.map(|e| (CompiledPred::compile(e), e));
+    /// Probe a run of left rows: each row's candidates are read in place
+    /// and θ is tested on each `(probe, build)` pair, so a row is built
+    /// only for a pair that joins.
+    fn probe(&self, lrows: &[Row]) -> EngineResult<Vec<Row>> {
         let mut out: Vec<Row> = Vec::new();
         let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
         let mut checked = 0usize;
-        // Scratch for the general (non-compilable) residual: the
-        // candidates' materialized combined rows.
-        let mut combined: Vec<Row> = Vec::new();
         for l in lrows {
             let cands = &self.table.order[self.candidates(l.values(), &mut key)];
             checked += cands.len();
-            let mut matched = false;
-            match &compiled {
-                Some((Some(pred), _)) => {
-                    // Compiled fast path: evaluate over references, concat
-                    // only on a pass.
-                    for &bi in cands {
-                        let build = &self.build_rows[bi];
-                        if !pred.matches_pair(l.values(), build.values(), left_width)? {
-                            continue;
-                        }
-                        matched = true;
-                        self.build_matched[bi].store(true, Ordering::Relaxed);
-                        match self.join_type {
-                            JoinType::Inner | JoinType::Left | JoinType::Right | JoinType::Full => {
-                                out.push(l.concat(build));
-                            }
-                            JoinType::Semi => {
-                                out.push(l.clone());
-                                break;
-                            }
-                            JoinType::Anti => break,
-                        }
-                    }
-                }
-                Some((None, e)) if matches!(self.join_type, JoinType::Semi | JoinType::Anti) => {
-                    // Semi/Anti stop at the first passing candidate and
-                    // never evaluate the residual past it (nor surface its
-                    // errors), so go candidate by candidate — vectorizing
-                    // buys nothing here anyway (at most one output row per
-                    // probe row).
-                    for &bi in cands {
-                        let c = l.concat(&self.build_rows[bi]);
-                        if !e.eval_pred(c.values())? {
-                            continue;
-                        }
-                        matched = true;
-                        self.build_matched[bi].store(true, Ordering::Relaxed);
-                        if self.join_type == JoinType::Semi {
-                            out.push(l.clone());
-                        }
-                        break;
-                    }
-                }
-                Some((None, e)) => {
-                    // General residual: materialize this row's candidates
-                    // and evaluate the predicate vectorized over them.
-                    combined.clear();
-                    combined.extend(cands.iter().map(|&bi| l.concat(&self.build_rows[bi])));
-                    let pass = e.eval_pred_batch(&combined)?;
-                    for ((&bi, c), ok) in cands.iter().zip(combined.drain(..)).zip(pass) {
-                        if !ok {
-                            continue;
-                        }
-                        matched = true;
-                        self.build_matched[bi].store(true, Ordering::Relaxed);
-                        match self.join_type {
-                            JoinType::Inner | JoinType::Left | JoinType::Right | JoinType::Full => {
-                                out.push(c);
-                            }
-                            JoinType::Semi | JoinType::Anti => unreachable!("handled above"),
-                        }
-                    }
-                }
-                None => {
-                    for &bi in cands {
-                        matched = true;
-                        self.build_matched[bi].store(true, Ordering::Relaxed);
-                        match self.join_type {
-                            JoinType::Inner | JoinType::Left | JoinType::Right | JoinType::Full => {
-                                out.push(l.concat(&self.build_rows[bi]));
-                            }
-                            JoinType::Semi => {
-                                out.push(l.clone());
-                                break;
-                            }
-                            JoinType::Anti => break,
-                        }
-                    }
-                }
-            }
-            if !matched {
-                match self.join_type {
-                    JoinType::Left | JoinType::Full => out.push(l.concat_nulls(self.right_width)),
-                    JoinType::Anti => out.push(l.clone()),
-                    _ => {}
-                }
-            }
+            join_left_row(
+                l,
+                cands.iter().map(|&bi| (bi, &self.build_rows[bi])),
+                self.pred,
+                self.join_type,
+                self.right_width,
+                |bi| self.build_matched[bi].store(true, Ordering::Relaxed),
+                &mut out,
+            )?;
         }
         self.note_candidates(checked);
         Ok(out)
@@ -588,15 +505,14 @@ impl ExecNode for HashJoinExec {
                         let threads = state.threads();
                         let ranges = split_ranges(lrows.len(), threads);
                         let side = self.probe_side();
-                        let left_width = self.left_width;
                         let chunks = par_run(threads, ranges.len(), |i| {
                             let (a, b) = ranges[i];
-                            side.probe(&lrows[a..b], left_width)
+                            side.probe(&lrows[a..b])
                         })?;
                         state.note_partitions(ranges.len());
                         chunks.concat()
                     } else {
-                        self.probe_side().probe(&lrows, self.left_width)?
+                        self.probe_side().probe(&lrows)?
                     };
                     self.phase = Phase::Buffered(out.into_iter());
                 }
@@ -609,7 +525,7 @@ impl ExecNode for HashJoinExec {
                         };
                         continue;
                     };
-                    let out = self.probe_side().probe(batch.rows(), self.left_width)?;
+                    let out = self.probe_side().probe(batch.rows())?;
                     if !out.is_empty() {
                         return Ok(Some(RowBatch::new(self.schema.clone(), out)));
                     }
@@ -622,8 +538,8 @@ impl ExecNode for HashJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_util::int2_rel;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec};
+    use crate::exec::test_util::{brute_join, int2_rel};
+    use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
     use crate::plan::PlannerConfig;
     use crate::relation::Relation;
@@ -643,8 +559,8 @@ mod tests {
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
-    /// Same join via nested loop, as the semantics oracle.
-    fn run_nl(
+    /// Same join by definition (key equality ∧ residual), as the oracle.
+    fn run_brute(
         l: &[(i64, i64)],
         r: &[(i64, i64)],
         jt: JoinType,
@@ -654,12 +570,12 @@ mod tests {
             None => col(0).eq(col(2)),
             Some(res) => col(0).eq(col(2)).and(res),
         };
-        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, Some(cond));
-        collect(Box::new(node), &ExecutionState::default()).unwrap()
+        let rel = |vals| int2_rel(("k", "v"), vals);
+        brute_join(&rel(l), &rel(r), jt, Some(&cond)).unwrap()
     }
 
     #[test]
-    fn agrees_with_nested_loop_on_all_join_types() {
+    fn agrees_with_brute_force_on_all_join_types() {
         let l = [(1, 10), (2, 20), (2, 21), (4, 40)];
         let r = [(2, 200), (2, 201), (3, 300)];
         for jt in [
@@ -671,7 +587,7 @@ mod tests {
             JoinType::Anti,
         ] {
             let h = run_hash(&l, &r, jt, None);
-            let n = run_nl(&l, &r, jt, None);
+            let n = run_brute(&l, &r, jt, None);
             assert!(h.same_bag(&n), "join type {jt:?}: {h} vs {n}");
         }
     }
@@ -691,7 +607,7 @@ mod tests {
             JoinType::Anti,
         ] {
             let h = run_hash(&l, &r, jt, residual.clone());
-            let n = run_nl(&l, &r, jt, residual.clone());
+            let n = run_brute(&l, &r, jt, residual.clone());
             assert!(h.same_bag(&n), "join type {jt:?}");
         }
     }
@@ -824,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn range_ordered_buckets_agree_with_nested_loop_on_every_path() {
+    fn range_ordered_buckets_agree_with_brute_force_on_every_path() {
         use crate::expr::lit;
         // Concatenated row: probe (k, lo, hi) = 0..3, build (k, c) = 3..5.
         let (lo, hi, c) = (col(1), col(2), col(4));
@@ -904,16 +820,8 @@ mod tests {
                     assert_eq!(par.rows(), batch.rows(), "threads 4 vs 1: {label}");
                     assert_eq!(checked_par, checked, "{label}");
 
-                    let oracle = collect(
-                        Box::new(NestedLoopJoinExec::new(
-                            Box::new(SeqScanExec::new(probe.clone())),
-                            Box::new(SeqScanExec::new(build.clone())),
-                            jt,
-                            Some(col(0).eq(col(3)).and(residual.clone())),
-                        )),
-                        &ExecutionState::default(),
-                    )
-                    .unwrap();
+                    let theta = col(0).eq(col(3)).and(residual.clone());
+                    let oracle = brute_join(&probe, &build, jt, Some(&theta)).unwrap();
                     assert!(batch.same_bag(&oracle), "{label}: {batch} vs {oracle}");
 
                     // The bounds save work exactly when the build column
@@ -929,10 +837,42 @@ mod tests {
     }
 
     #[test]
+    fn semi_and_anti_never_test_the_residual_past_the_first_match() {
+        use crate::expr::lit;
+        // Residual r.v = 5 OR r.v + 1 > 0: the second build row's `'x' + 1`
+        // is a type error, reached only past the first (matching) one.
+        let schema = int2_rel(("k", "v"), &[]).schema().clone();
+        let build = Relation::from_values(
+            schema,
+            vec![
+                vec![Value::Int(1), Value::Int(5)],
+                vec![Value::Int(1), Value::str("x")],
+            ],
+        )
+        .unwrap();
+        let residual = col(3).eq(lit(5i64)).or(col(3).add(lit(1i64)).gt(lit(0i64)));
+        for jt in [JoinType::Semi, JoinType::Anti, JoinType::Inner] {
+            let node = HashJoinExec::new(
+                scan(&[(1, 1)]),
+                Box::new(SeqScanExec::new(build.clone().into_shared())),
+                vec![(0, 0)],
+                Some(residual.clone()),
+                jt,
+            );
+            let got = collect(Box::new(node), &ExecutionState::default());
+            match jt {
+                JoinType::Semi => assert_eq!(got.unwrap().len(), 1),
+                JoinType::Anti => assert_eq!(got.unwrap().len(), 0),
+                _ => assert!(got.is_err()),
+            }
+        }
+    }
+
+    #[test]
     fn range_column_prefers_two_sided_bounds() {
         use crate::expr::lit;
         // probe width 3, build width 3: build columns are 3, 4, 5.
-        let of = |e: Expr| RangeSpec::of(Some(&e), 3, 3).map(|r| r.col());
+        let of = |e: Expr| RangeSpec::of(&JoinPred::new(Some(e)), 3, 3).map(|r| r.col());
         // One-sided on build col 0, two-sided on build col 2.
         let e = col(3)
             .lt(col(1))
@@ -951,6 +891,9 @@ mod tests {
         );
         // A residual that does not compile has no range column.
         assert_eq!(of(col(3).add(lit(1i64)).lt(col(1))), None);
-        assert_eq!(RangeSpec::of(None, 3, 3).map(|r| r.col()), None);
+        assert_eq!(
+            RangeSpec::of(&JoinPred::Always, 3, 3).map(|r| r.col()),
+            None
+        );
     }
 }

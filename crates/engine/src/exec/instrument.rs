@@ -53,10 +53,10 @@ pub struct OperatorStats {
     /// survived its record-level bounds (storage scans only). Summed from
     /// the page headers, once per page.
     pub tuples_checked: AtomicU64,
-    /// Build-side candidates this node's probe rows scanned — the length of
-    /// each probe row's (range-narrowed) bucket slice, added once per probe
-    /// row (hash joins only). Against `rows` it tells how much of the scan
-    /// the residual threw away.
+    /// Right-side candidates this join's left rows were tested against —
+    /// per left row, the length of its (range-narrowed) bucket slice in a
+    /// hash join, the whole right side in a nested loop. Against `rows` it
+    /// tells how much of the scan θ threw away.
     pub candidates_checked: AtomicU64,
     /// Ranged partitions built from this node (> 0 only under exchange).
     pub partitions: AtomicU64,

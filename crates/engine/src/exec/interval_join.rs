@@ -22,8 +22,8 @@
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{CompiledPred, Expr};
+use crate::exec::{collect_rows, join_left_row, BoxedExec, ExecNode, ExecutionState};
+use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -68,7 +68,7 @@ struct SweepState {
 /// Interval overlap join (Inner or Left). Column indices address each
 /// side's own row; the overlap condition is
 /// `left[l_ts] < right[r_te] && right[r_ts] < left[l_te]`, with an
-/// optional residual over the concatenated row.
+/// optional residual over `left ++ right`, tested on each overlapping pair.
 pub struct IntervalJoinExec {
     left: BoxedExec,
     right: BoxedExec,
@@ -76,7 +76,7 @@ pub struct IntervalJoinExec {
     l_te: usize,
     r_ts: usize,
     r_te: usize,
-    residual: Option<Expr>,
+    residual: JoinPred,
     join_type: JoinType,
     schema: Schema,
     right_width: usize,
@@ -108,7 +108,7 @@ impl IntervalJoinExec {
             l_te,
             r_ts,
             r_te,
-            residual,
+            residual: JoinPred::new(residual),
             join_type,
             schema,
             right_width,
@@ -134,16 +134,8 @@ impl IntervalJoinExec {
     }
 
     /// Advance the sweep over **one** left row, appending its join output
-    /// to `out`. Returns `false` when the left side is exhausted. `pred`
-    /// is the residual pre-compiled by the caller (once per batch) and
-    /// evaluated over the row *pair*, with the combined row materialized
-    /// only for passing candidates; `None` for a non-compilable residual,
-    /// which is evaluated vectorized over the materialized candidates.
-    fn sweep_one_left(
-        &mut self,
-        out: &mut Vec<Row>,
-        pred: Option<&CompiledPred>,
-    ) -> EngineResult<bool> {
+    /// to `out`. Returns `false` when the left side is exhausted.
+    fn sweep_one_left(&mut self, out: &mut Vec<Row>) -> EngineResult<bool> {
         let st = self.state.as_mut().expect("state built");
         if st.next_l >= st.l.order.len() {
             return Ok(false);
@@ -175,56 +167,21 @@ impl IntervalJoinExec {
         let r_pts = &st.r.pts;
         st.active.retain(|&j| r_pts[j].expect("admitted").1 > lts);
 
-        let left_width = self.schema.len() - self.right_width;
-        let mut matched = false;
-        match (&self.residual, pred) {
-            (None, _) => {
-                for &j in &st.active {
-                    let (rts, rte) = st.r.pts[j].expect("admitted");
-                    // `rte > lts` holds by the retain; re-check the start
-                    // side because left ends are not monotonic.
-                    if rts < lte && rte > lts {
-                        matched = true;
-                        out.push(st.l.rows[li].concat(&st.r.rows[j]));
-                    }
-                }
-            }
-            (Some(_), Some(pred)) => {
-                for &j in &st.active {
-                    let (rts, rte) = st.r.pts[j].expect("admitted");
-                    if rts < lte
-                        && rte > lts
-                        && pred.matches_pair(
-                            st.l.rows[li].values(),
-                            st.r.rows[j].values(),
-                            left_width,
-                        )?
-                    {
-                        matched = true;
-                        out.push(st.l.rows[li].concat(&st.r.rows[j]));
-                    }
-                }
-            }
-            (Some(e), None) => {
-                let mut cands: Vec<Row> = Vec::new();
-                for &j in &st.active {
-                    let (rts, rte) = st.r.pts[j].expect("admitted");
-                    if rts < lte && rte > lts {
-                        cands.push(st.l.rows[li].concat(&st.r.rows[j]));
-                    }
-                }
-                let pass = e.eval_pred_batch(&cands)?;
-                for (c, p) in cands.into_iter().zip(pass) {
-                    if p {
-                        matched = true;
-                        out.push(c);
-                    }
-                }
-            }
-        }
-        if !matched && self.join_type == JoinType::Left {
-            out.push(st.l.rows[li].concat_nulls(self.right_width));
-        }
+        // `rte > lts` holds by the retain; re-check the start side because
+        // left ends are not monotonic.
+        let overlapping = st.active.iter().filter_map(|&j| {
+            let (rts, rte) = r_pts[j].expect("admitted");
+            (rts < lte && rte > lts).then(|| (j, &st.r.rows[j]))
+        });
+        join_left_row(
+            &st.l.rows[li],
+            overlapping,
+            &self.residual,
+            self.join_type,
+            self.right_width,
+            |_| {},
+            out,
+        )?;
         Ok(true)
     }
 }
@@ -235,16 +192,12 @@ impl ExecNode for IntervalJoinExec {
     }
 
     /// Streaming sweep — advance over left rows until a batch worth of
-    /// output has accumulated. The residual is compiled once per call
-    /// (from a clone of the expression, so the borrow doesn't pin `self`),
-    /// not once per left row.
+    /// output has accumulated.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         self.ensure_state(state)?;
-        let residual = self.residual.clone();
-        let compiled = residual.as_ref().and_then(CompiledPred::compile);
         let mut out: Vec<Row> = Vec::new();
         while out.len() < BATCH_SIZE {
-            if !self.sweep_one_left(&mut out, compiled.as_ref())? {
+            if !self.sweep_one_left(&mut out)? {
                 break;
             }
         }
@@ -258,7 +211,8 @@ impl ExecNode for IntervalJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec};
+    use crate::exec::test_util::brute_join;
+    use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
     use crate::relation::Relation;
     use crate::schema::{Column, DataType};
@@ -287,36 +241,36 @@ mod tests {
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
-    fn run_nl(l: &Relation, r: &Relation, jt: JoinType, residual: Option<Expr>) -> Relation {
+    /// Same join by definition (overlap ∧ residual), as the oracle.
+    fn run_brute(l: &Relation, r: &Relation, jt: JoinType, residual: Option<Expr>) -> Relation {
         let overlap = col(1).lt(col(5)).and(col(4).lt(col(2)));
         let cond = match residual {
             Some(res) => overlap.and(res),
             None => overlap,
         };
-        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, Some(cond));
-        collect(Box::new(node), &ExecutionState::default()).unwrap()
+        brute_join(l, r, jt, Some(&cond)).unwrap()
     }
 
     #[test]
-    fn agrees_with_nested_loop() {
+    fn agrees_with_brute_force() {
         let l = rel(&[(1, 0, 5), (2, 3, 9), (3, 10, 12), (4, 1, 2)]);
         let r = rel(&[(7, 4, 6), (8, 0, 1), (9, 11, 15), (10, 2, 3)]);
         for jt in [JoinType::Inner, JoinType::Left] {
             let sweep = run_sweep(&l, &r, jt, None);
-            let nl = run_nl(&l, &r, jt, None);
-            assert!(sweep.same_bag(&nl), "{jt:?}:\n{sweep}\nvs\n{nl}");
+            let oracle = run_brute(&l, &r, jt, None);
+            assert!(sweep.same_bag(&oracle), "{jt:?}:\n{sweep}\nvs\n{oracle}");
         }
     }
 
     #[test]
-    fn agrees_with_nested_loop_with_residual() {
+    fn agrees_with_brute_force_with_residual() {
         let l = rel(&[(1, 0, 5), (2, 3, 9), (1, 6, 8)]);
         let r = rel(&[(1, 4, 6), (2, 0, 10), (3, 5, 7)]);
         let residual = Some(col(0).eq(col(3))); // k = k
         for jt in [JoinType::Inner, JoinType::Left] {
             let sweep = run_sweep(&l, &r, jt, residual.clone());
-            let nl = run_nl(&l, &r, jt, residual.clone());
-            assert!(sweep.same_bag(&nl), "{jt:?}");
+            let oracle = run_brute(&l, &r, jt, residual.clone());
+            assert!(sweep.same_bag(&oracle), "{jt:?}");
         }
     }
 
@@ -339,15 +293,15 @@ mod tests {
             let r = mk(&mut rng);
             for jt in [JoinType::Inner, JoinType::Left] {
                 // No residual, a compilable one (k = k), and one that is
-                // not (k + k < 4: the vectorized fallback).
+                // not (k + k < 4: the general evaluator).
                 for residual in [
                     None,
                     Some(col(0).eq(col(3))),
                     Some(col(0).add(col(3)).lt(crate::expr::lit(4i64))),
                 ] {
                     let sweep = run_sweep(&l, &r, jt, residual.clone());
-                    let nl = run_nl(&l, &r, jt, residual);
-                    assert!(sweep.same_bag(&nl), "{jt:?}:\n{sweep}\nvs\n{nl}");
+                    let oracle = run_brute(&l, &r, jt, residual);
+                    assert!(sweep.same_bag(&oracle), "{jt:?}:\n{sweep}\nvs\n{oracle}");
                 }
             }
         }

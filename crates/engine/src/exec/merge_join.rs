@@ -6,8 +6,8 @@
 
 use crate::batch::RowBatch;
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::Expr;
+use crate::exec::{collect_rows, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState};
+use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -20,7 +20,8 @@ pub struct MergeJoinExec {
     right: BoxedExec,
     /// `(left column, right column)` pairs.
     keys: Vec<(usize, usize)>,
-    residual: Option<Expr>,
+    /// Residual θ over `left ++ right`, tested on each equal-key pair.
+    residual: JoinPred,
     join_type: JoinType,
     schema: Schema,
     left_width: usize,
@@ -47,19 +48,12 @@ impl MergeJoinExec {
             left,
             right,
             keys,
-            residual,
+            residual: JoinPred::new(residual),
             join_type,
             schema,
             left_width,
             right_width,
             out: None,
-        }
-    }
-
-    fn residual_ok(&self, combined: &Row) -> EngineResult<bool> {
-        match &self.residual {
-            None => Ok(true),
-            Some(e) => e.eval_pred(combined.values()),
         }
     }
 
@@ -122,18 +116,15 @@ impl MergeJoinExec {
                     }
                     let mut r_matched = vec![false; rj - ri];
                     for lrow in &l_rows[li..lj] {
-                        let mut matched = false;
-                        for (k, rrow) in r_rows[ri..rj].iter().enumerate() {
-                            let combined = lrow.concat(rrow);
-                            if self.residual_ok(&combined)? {
-                                matched = true;
-                                r_matched[k] = true;
-                                out.push(combined);
-                            }
-                        }
-                        if !matched && matches!(self.join_type, JoinType::Left | JoinType::Full) {
-                            out.push(lrow.concat_nulls(self.right_width));
-                        }
+                        join_left_row(
+                            lrow,
+                            r_rows[ri..rj].iter().enumerate(),
+                            &self.residual,
+                            self.join_type,
+                            self.right_width,
+                            |k| r_matched[k] = true,
+                            &mut out,
+                        )?;
                     }
                     if self.join_type == JoinType::Full {
                         for (k, rrow) in r_rows[ri..rj].iter().enumerate() {
@@ -179,8 +170,8 @@ impl ExecNode for MergeJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_util::int2_rel;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec, SortExec};
+    use crate::exec::test_util::{brute_join, int2_rel};
+    use crate::exec::{collect, ExecutionState, SeqScanExec, SortExec};
     use crate::expr::{col, SortKey};
     use crate::relation::Relation;
 
@@ -199,7 +190,8 @@ mod tests {
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
-    fn run_nl(
+    /// Same join by definition (key equality ∧ residual), as the oracle.
+    fn run_brute(
         l: &[(i64, i64)],
         r: &[(i64, i64)],
         jt: JoinType,
@@ -209,17 +201,17 @@ mod tests {
             None => col(0).eq(col(2)),
             Some(res) => col(0).eq(col(2)).and(res),
         };
-        let node = NestedLoopJoinExec::new(sorted_scan(l), sorted_scan(r), jt, Some(cond));
-        collect(Box::new(node), &ExecutionState::default()).unwrap()
+        let rel = |vals| int2_rel(("k", "v"), vals);
+        brute_join(&rel(l), &rel(r), jt, Some(&cond)).unwrap()
     }
 
     #[test]
-    fn agrees_with_nested_loop() {
+    fn agrees_with_brute_force() {
         let l = [(1, 10), (2, 20), (2, 21), (4, 40), (5, 50)];
         let r = [(2, 200), (2, 201), (3, 300), (5, 500)];
         for jt in [JoinType::Inner, JoinType::Left, JoinType::Full] {
             let m = run_merge(&l, &r, jt, None);
-            let n = run_nl(&l, &r, jt, None);
+            let n = run_brute(&l, &r, jt, None);
             assert!(m.same_bag(&n), "join type {jt:?}: {m} vs {n}");
         }
     }
@@ -231,7 +223,7 @@ mod tests {
         let residual = Some(col(1).lt(col(3)));
         for jt in [JoinType::Inner, JoinType::Left, JoinType::Full] {
             let m = run_merge(&l, &r, jt, residual.clone());
-            let n = run_nl(&l, &r, jt, residual.clone());
+            let n = run_brute(&l, &r, jt, residual.clone());
             assert!(m.same_bag(&n), "join type {jt:?}");
         }
     }

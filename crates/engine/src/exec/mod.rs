@@ -15,7 +15,8 @@
 //! is, and batching and morsel parallelism apply to every plan shape.
 //! Correctness is checked against the independent references in
 //! `temporal_core::reference` (the snapshot oracle, `align_ref`,
-//! `normalize_ref`, `absorb_ref`) and per-operator nested-loop oracles.
+//! `normalize_ref`, `absorb_ref`) and, for every join operator, a
+//! brute-force join that concatenates each pair before testing θ.
 
 mod aggregate;
 mod distinct;
@@ -57,6 +58,8 @@ pub use values::ValuesExec;
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
+use crate::expr::JoinPred;
+use crate::plan::JoinType;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -118,6 +121,48 @@ pub fn next_chunk(rows: &mut impl Iterator<Item = Row>, schema: &Schema) -> Opti
     (!chunk.is_empty()).then(|| RowBatch::new(schema.clone(), chunk))
 }
 
+/// What one left row contributes to a join, the match loop of every join
+/// operator. Each candidate right row (`(index, row)`, in emit order)
+/// whose pair passes `pred` is marked and emitted as `left ++ right` — a
+/// row is built only for a pair that is emitted. Semi emits `left` at its
+/// first match and Anti stops there, so θ is never tested past it (nor
+/// does its error surface). A left row without a match is padded with
+/// `right_width` NULLs (Left/Full) or kept (Anti).
+pub(crate) fn join_left_row<'r>(
+    left: &Row,
+    cands: impl IntoIterator<Item = (usize, &'r Row)>,
+    pred: &JoinPred,
+    join_type: JoinType,
+    right_width: usize,
+    mut mark: impl FnMut(usize),
+    out: &mut Vec<Row>,
+) -> EngineResult<()> {
+    let mut matched = false;
+    for (i, right) in cands {
+        if !pred.matches(left.values(), right.values())? {
+            continue;
+        }
+        matched = true;
+        mark(i);
+        match join_type {
+            JoinType::Semi => {
+                out.push(left.clone());
+                return Ok(());
+            }
+            JoinType::Anti => return Ok(()),
+            _ => out.push(left.concat(right)),
+        }
+    }
+    if !matched {
+        match join_type {
+            JoinType::Left | JoinType::Full => out.push(left.concat_nulls(right_width)),
+            JoinType::Anti => out.push(left.clone()),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 pub(crate) mod test_util {
     use super::*;
@@ -149,5 +194,57 @@ pub(crate) mod test_util {
 
     pub fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
         rel.rows().iter().map(|r| r.to_vec()).collect()
+    }
+
+    /// A join by its definition, sharing no code with any join operator:
+    /// every pair is concatenated and θ evaluated on the row with
+    /// [`crate::expr::Expr::eval_pred`]. Left rows in order, each with its
+    /// matches in right order (Semi keeps the left row at its first match
+    /// and Anti drops it there, testing no further pair), then the
+    /// unmatched right rows — the nested loop's output order.
+    pub fn brute_join(
+        left: &Relation,
+        right: &Relation,
+        join_type: JoinType,
+        theta: Option<&crate::expr::Expr>,
+    ) -> EngineResult<Relation> {
+        let (lw, rw) = (left.schema().len(), right.schema().len());
+        let mut out = Vec::new();
+        let mut right_matched = vec![false; right.len()];
+        for l in left.rows() {
+            let mut matched = false;
+            for (j, r) in right.rows().iter().enumerate() {
+                let pair = l.concat(r);
+                if !theta.map_or(Ok(true), |t| t.eval_pred(pair.values()))? {
+                    continue;
+                }
+                matched = true;
+                right_matched[j] = true;
+                match join_type {
+                    JoinType::Semi | JoinType::Anti => break,
+                    _ => out.push(pair),
+                }
+            }
+            match join_type {
+                JoinType::Semi if matched => out.push(l.clone()),
+                JoinType::Anti if !matched => out.push(l.clone()),
+                JoinType::Left | JoinType::Full if !matched => out.push(l.concat_nulls(rw)),
+                _ => {}
+            }
+        }
+        if join_type.emits_right_unmatched() {
+            let unmatched = right.rows().iter().zip(&right_matched);
+            out.extend(
+                unmatched
+                    .filter(|(_, &m)| !m)
+                    .map(|(r, _)| r.nulls_concat(lw)),
+            );
+        }
+        let schema = if join_type.emits_right() {
+            left.schema().concat(right.schema())
+        } else {
+            left.schema().clone()
+        };
+        Relation::new(schema, out)
     }
 }

@@ -3,12 +3,25 @@
 //! Supports all join types, including the semi/anti joins that SQL
 //! `EXISTS` / `NOT EXISTS` compile to. On non-equi conditions this is the
 //! only applicable algorithm — which is exactly why the paper's `sql`
-//! baseline degenerates on the `Ddisj`/`Drand` workloads (Sec. 7.4).
+//! baseline degenerates on the `Ddisj`/`Drand` workloads (Sec. 7.4), and
+//! why the paper-faithful plans of Figs. 13(c), 14, 15a and 15c spend
+//! nearly all their time here.
+//!
+//! Every left row is tested against every materialized right row; θ is a
+//! [`JoinPred`] built once and tested on the `(left, right)` pair in
+//! place, so a pair costs the predicate and nothing else — a row is built
+//! only for a pair that is emitted. Under `EXPLAIN ANALYZE` the pairs
+//! offered to θ are counted as `candidates=`.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::Expr;
+use crate::exec::{
+    collect_rows, join_left_row, BoxedExec, ExecNode, ExecutionState, OperatorStats,
+};
+use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -27,8 +40,10 @@ pub struct NestedLoopJoinExec {
     right_matched: Vec<bool>,
     right_width: usize,
     join_type: JoinType,
-    condition: Option<Expr>,
+    pred: JoinPred,
     schema: Schema,
+    /// `candidates_checked` ledger of this plan node, when instrumented.
+    ledger: Option<Arc<OperatorStats>>,
     /// Rows of the current left batch not yet joined.
     left_rows: std::vec::IntoIter<Row>,
     phase: Phase,
@@ -54,58 +69,25 @@ impl NestedLoopJoinExec {
             right_matched: Vec::new(),
             right_width,
             join_type,
-            condition,
+            pred: JoinPred::new(condition),
             schema,
+            ledger: None,
             left_rows: Vec::new().into_iter(),
             phase: Phase::Probe,
         }
+    }
+
+    /// Count the pairs every left row is offered into `stats`
+    /// (`EXPLAIN ANALYZE`'s `candidates=`).
+    pub fn with_ledger(mut self, stats: Arc<OperatorStats>) -> Self {
+        self.ledger = Some(stats);
+        self
     }
 
     fn materialize_right(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if let Some(mut right) = self.right.take() {
             self.right_rows = collect_rows(right.as_mut(), state)?;
             self.right_matched = vec![false; self.right_rows.len()];
-        }
-        Ok(())
-    }
-
-    fn pred(&self, combined: &Row) -> EngineResult<bool> {
-        match &self.condition {
-            None => Ok(true),
-            Some(c) => c.eval_pred(combined.values()),
-        }
-    }
-
-    /// Everything one left row contributes: its matches in right-row
-    /// order (Semi/Anti stop at the first), or its unmatched form.
-    fn join_left_row(&mut self, left_row: Row, out: &mut Vec<Row>) -> EngineResult<()> {
-        let mut matched = false;
-        for i in 0..self.right_rows.len() {
-            let combined = left_row.concat(&self.right_rows[i]);
-            if !self.pred(&combined)? {
-                continue;
-            }
-            matched = true;
-            self.right_matched[i] = true;
-            match self.join_type {
-                JoinType::Inner | JoinType::Left | JoinType::Right | JoinType::Full => {
-                    out.push(combined)
-                }
-                JoinType::Semi => {
-                    out.push(left_row);
-                    return Ok(());
-                }
-                JoinType::Anti => return Ok(()),
-            }
-        }
-        if !matched {
-            match self.join_type {
-                JoinType::Left | JoinType::Full => {
-                    out.push(left_row.concat_nulls(self.right_width))
-                }
-                JoinType::Anti => out.push(left_row),
-                _ => {}
-            }
         }
         Ok(())
     }
@@ -123,6 +105,7 @@ impl ExecNode for NestedLoopJoinExec {
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         self.materialize_right(state)?;
         let mut out: Vec<Row> = Vec::new();
+        let mut probed = 0u64;
         while out.len() < BATCH_SIZE {
             match self.phase {
                 Phase::Done => break,
@@ -149,9 +132,23 @@ impl ExecNode for NestedLoopJoinExec {
                         }
                         continue;
                     };
-                    self.join_left_row(left_row, &mut out)?;
+                    probed += 1;
+                    let matched = &mut self.right_matched;
+                    join_left_row(
+                        &left_row,
+                        self.right_rows.iter().enumerate(),
+                        &self.pred,
+                        self.join_type,
+                        self.right_width,
+                        |i| matched[i] = true,
+                        &mut out,
+                    )?;
                 }
             }
+        }
+        if let Some(stats) = &self.ledger {
+            let pairs = probed * self.right_rows.len() as u64;
+            stats.candidates_checked.fetch_add(pairs, Ordering::Relaxed);
         }
         Ok((!out.is_empty()).then(|| RowBatch::new(self.schema.clone(), out)))
     }
@@ -160,28 +157,131 @@ impl ExecNode for NestedLoopJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_util::int2_rel;
+    use crate::exec::test_util::{brute_join, int2_rel, rows_of};
     use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
+    use crate::relation::Relation;
     use crate::value::Value;
+
+    const ALL_JOIN_TYPES: [JoinType; 6] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
 
     fn scan(vals: &[(i64, i64)]) -> BoxedExec {
         Box::new(SeqScanExec::new(int2_rel(("k", "v"), vals).into_shared()))
     }
 
+    fn run(l: &Relation, r: &Relation, jt: JoinType, cond: Option<Expr>) -> EngineResult<Relation> {
+        let scan = |rel: &Relation| Box::new(SeqScanExec::new(rel.clone().into_shared()));
+        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, cond);
+        collect(Box::new(node), &ExecutionState::default())
+    }
+
+    /// The join's rows — checked row for row, in order, against the
+    /// brute-force join.
     fn join(
         l: &[(i64, i64)],
         r: &[(i64, i64)],
         jt: JoinType,
         cond: Option<Expr>,
     ) -> Vec<Vec<Value>> {
-        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, cond);
-        collect(Box::new(node), &ExecutionState::default())
-            .unwrap()
-            .rows()
-            .iter()
-            .map(|r| r.to_vec())
-            .collect()
+        let (l, r) = (int2_rel(("k", "v"), l), int2_rel(("k", "v"), r));
+        let out = run(&l, &r, jt, cond.clone()).unwrap();
+        let oracle = brute_join(&l, &r, jt, cond.as_ref()).unwrap();
+        assert_eq!(out.rows(), oracle.rows(), "{jt:?}");
+        rows_of(&out)
+    }
+
+    /// Random `(k, ts, te)` rows over Int, Double, Str and NULL.
+    fn random_rel(rng: &mut rand::rngs::StdRng, n: usize) -> Relation {
+        use crate::schema::{Column, DataType};
+        use rand::Rng;
+        let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..12) {
+            0 => Value::Null,
+            1 => Value::Double(rng.gen_range(0..20) as f64 / 2.0),
+            2 => Value::str("x"),
+            _ => Value::Int(rng.gen_range(0..10)),
+        };
+        let schema = Schema::new(
+            ["k", "ts", "te"]
+                .map(|c| Column::new(c, DataType::Int))
+                .to_vec(),
+        );
+        let rows = (0..n).map(|_| (0..3).map(|_| value(rng)).collect());
+        Relation::from_values(schema, rows.collect()).unwrap()
+    }
+
+    #[test]
+    fn agrees_with_brute_force_on_random_rows_and_every_theta_shape() {
+        use crate::expr::{lit, Func};
+        use rand::SeedableRng;
+        let dur = |ts, te| Expr::Func(Func::Dur, vec![col(ts), col(te)]);
+        // Left (k, ts, te) = 0..3, right = 3..6.
+        let thetas = [
+            None,
+            Some(col(1).lt(col(5)).and(col(4).lt(col(2)))),
+            Some(col(0).eq(col(3)).and(col(4).ge(col(1)))),
+            Some(dur(1, 2).between(col(3), col(5))),
+            Some(col(0).eq(col(3)).or(col(1).is_null()).not()),
+            Some(col(1).add(col(4)).lt(lit(9i64))),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let (mut oks, mut errs) = (0, 0);
+        for _ in 0..20 {
+            let (l, r) = (random_rel(&mut rng, 12), random_rel(&mut rng, 9));
+            for theta in &thetas {
+                for jt in ALL_JOIN_TYPES {
+                    let got = run(&l, &r, jt, theta.clone());
+                    let want = brute_join(&l, &r, jt, theta.as_ref());
+                    let show = |x: &EngineResult<Relation>| {
+                        x.as_ref().map(rows_of).map_err(|e| e.to_string())
+                    };
+                    assert_eq!(show(&got), show(&want), "{jt:?} on {theta:?}");
+                    if got.is_ok() {
+                        oks += 1;
+                    } else {
+                        errs += 1;
+                    }
+                }
+            }
+        }
+        assert!(oks > 100 && errs > 50, "{oks} {errs}");
+    }
+
+    #[test]
+    fn semi_and_anti_never_test_theta_past_the_first_match() {
+        use crate::expr::lit;
+        // θ = r.k = 1 OR r.v + 1 > 0: the second right row's `'x' + 1` is
+        // a type error, reached only by a join that tests past the first
+        // (matching) right row.
+        let schema = int2_rel(("k", "v"), &[]).schema().clone();
+        let l = int2_rel(("k", "v"), &[(1, 1)]);
+        let r = Relation::from_values(
+            schema,
+            vec![
+                vec![Value::Int(1), Value::Int(5)],
+                vec![Value::Int(2), Value::str("x")],
+            ],
+        )
+        .unwrap();
+        let theta = col(2).eq(lit(1i64)).or(col(3).add(lit(1i64)).gt(lit(0i64)));
+        for jt in ALL_JOIN_TYPES {
+            let got = run(&l, &r, jt, Some(theta.clone()));
+            let want = brute_join(&l, &r, jt, Some(&theta));
+            match jt {
+                JoinType::Semi | JoinType::Anti => {
+                    let (got, want) = (got.unwrap(), want.unwrap());
+                    assert_eq!(got.rows(), want.rows(), "{jt:?}");
+                    assert_eq!(got.len(), usize::from(jt == JoinType::Semi), "{jt:?}");
+                }
+                _ => assert!(got.is_err() && want.is_err(), "{jt:?}"),
+            }
+        }
     }
 
     // condition: l.k = r.k  (left width 2)

@@ -18,147 +18,14 @@
 //! batch path the first failing expression node.
 
 use crate::error::{EngineError, EngineResult};
-use crate::expr::eval::{bool_pair, eval_cmp, kleene_and, kleene_not};
-use crate::expr::{ArithOp, CmpOp, Expr, Func};
+use crate::expr::eval::{bool_pair, eval_cmp, kleene_and, kleene_not, Columns};
+use crate::expr::{ArithOp, CmpOp, CompiledPred, Expr, Func, PredOperand};
 use crate::tuple::Row;
 use crate::value::{num_add, num_div, num_mul, num_sub, Value};
 
 #[inline]
 fn live(mask: Option<&[bool]>, i: usize) -> bool {
     mask.is_none_or(|m| m[i])
-}
-
-/// One operand of a compiled simple comparison.
-#[derive(Clone, Copy)]
-pub(crate) enum PredOperand<'a> {
-    Col(usize),
-    Lit(&'a Value),
-}
-
-impl<'a> PredOperand<'a> {
-    fn of(e: &Expr) -> Option<PredOperand<'_>> {
-        match e {
-            Expr::Col(i) => Some(PredOperand::Col(*i)),
-            Expr::Lit(v) => Some(PredOperand::Lit(v)),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn resolve<'r>(&'r self, row: &'r [Value]) -> EngineResult<&'r Value> {
-        match self {
-            PredOperand::Col(i) => row.get(*i).ok_or_else(|| {
-                EngineError::Internal(format!(
-                    "column index {i} out of bounds for row of width {}",
-                    row.len()
-                ))
-            }),
-            PredOperand::Lit(v) => Ok(v),
-        }
-    }
-
-    /// Resolve against a *logical* concatenation `left ++ right` without
-    /// materializing it — late materialization for join candidates.
-    #[inline]
-    fn resolve_pair<'r>(
-        &'r self,
-        left: &'r [Value],
-        right: &'r [Value],
-        left_width: usize,
-    ) -> EngineResult<&'r Value> {
-        match self {
-            PredOperand::Col(i) if *i < left_width => left.get(*i).ok_or_else(|| {
-                EngineError::Internal(format!("column index {i} out of bounds for join pair"))
-            }),
-            PredOperand::Col(i) => right.get(*i - left_width).ok_or_else(|| {
-                EngineError::Internal(format!("column index {i} out of bounds for join pair"))
-            }),
-            PredOperand::Lit(v) => Ok(v),
-        }
-    }
-}
-
-/// A predicate compiled for batch evaluation: a conjunction of simple
-/// comparisons (`Col/Lit op Col/Lit`), evaluated left to right over value
-/// references with the row path's short-circuit order. Comparisons only
-/// yield `Bool`/`NULL`, so the Kleene conjunction reduces to "every
-/// conjunct is exactly TRUE" — bit-for-bit the row evaluator's
-/// `eval_pred`, with no tree walk, no `Box` chasing and no value clones.
-pub(crate) struct CompiledPred<'a> {
-    conjuncts: Vec<(CmpOp, PredOperand<'a>, PredOperand<'a>)>,
-}
-
-impl<'a> CompiledPred<'a> {
-    /// `None` when the predicate has a shape the fast path cannot prove
-    /// equivalent (function calls, arithmetic, OR, …) — callers fall back
-    /// to the general evaluator.
-    pub(crate) fn compile(expr: &'a Expr) -> Option<CompiledPred<'a>> {
-        let mut conjuncts = Vec::new();
-        for c in expr.conjuncts() {
-            match c {
-                Expr::Cmp(op, a, b) => {
-                    conjuncts.push((*op, PredOperand::of(a)?, PredOperand::of(b)?));
-                }
-                _ => return None,
-            }
-        }
-        Some(CompiledPred { conjuncts })
-    }
-
-    /// The compiled comparisons, in evaluation order.
-    pub(crate) fn conjuncts(&self) -> &[(CmpOp, PredOperand<'a>, PredOperand<'a>)] {
-        &self.conjuncts
-    }
-
-    /// One conjunct over resolved values. Integer pairs — every temporal
-    /// overlap/split-point/equality test — compare inline; everything else
-    /// goes through the general [`eval_cmp`] (identical results: the inline
-    /// arm mirrors `sql_cmp`'s `(Int, Int)` case, and NULL compares to
-    /// nothing either way).
-    #[inline]
-    fn cmp_true(op: CmpOp, va: &Value, vb: &Value) -> bool {
-        match (va, vb) {
-            (Value::Int(x), Value::Int(y)) => match op {
-                CmpOp::Eq => x == y,
-                CmpOp::Ne => x != y,
-                CmpOp::Lt => x < y,
-                CmpOp::Le => x <= y,
-                CmpOp::Gt => x > y,
-                CmpOp::Ge => x >= y,
-            },
-            _ => eval_cmp(op, va, vb) == Value::Bool(true),
-        }
-    }
-
-    /// The predicate over one row (`eval_pred`-identical).
-    #[inline]
-    pub(crate) fn matches(&self, row: &[Value]) -> EngineResult<bool> {
-        for (op, a, b) in &self.conjuncts {
-            if !Self::cmp_true(*op, a.resolve(row)?, b.resolve(row)?) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The predicate over the logical concatenation of a join pair,
-    /// without building the combined row.
-    #[inline]
-    pub(crate) fn matches_pair(
-        &self,
-        left: &[Value],
-        right: &[Value],
-        left_width: usize,
-    ) -> EngineResult<bool> {
-        for (op, a, b) in &self.conjuncts {
-            let va = a.resolve_pair(left, right, left_width)?;
-            let vb = b.resolve_pair(left, right, left_width)?;
-            if !Self::cmp_true(*op, va, vb) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
 }
 
 fn any_live(mask: Option<&[bool]>, n: usize) -> bool {
@@ -232,7 +99,7 @@ impl Expr {
                     }
                 }
                 Expr::Func(f @ (Func::Greatest | Func::Least), args) if !args.is_empty() => {
-                    let operands: Option<Vec<PredOperand<'_>>> =
+                    let operands: Option<Vec<PredOperand>> =
                         args.iter().map(PredOperand::of).collect();
                     if let Some(operands) = operands {
                         let mut out = Vec::with_capacity(n);
@@ -281,12 +148,7 @@ impl Expr {
                 let mut out = Vec::with_capacity(n);
                 for (r, row) in rows.iter().enumerate() {
                     if live(mask, r) {
-                        out.push(row.values().get(*i).cloned().ok_or_else(|| {
-                            EngineError::Internal(format!(
-                                "column index {i} out of bounds for row of width {}",
-                                row.len()
-                            ))
-                        })?);
+                        out.push(row.values().col(*i)?.clone());
                     } else {
                         out.push(Value::Null);
                     }

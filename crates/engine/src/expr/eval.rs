@@ -1,36 +1,86 @@
 //! Expression interpretation with SQL three-valued logic.
+//!
+//! One evaluator serves every input shape: it is generic over
+//! [`Columns`], where column `i` comes from — a row slice, or a join's
+//! `(left, right)` pair read as `left ++ right` without building it
+//! ([`Pair`]). Both answer the same values and the same errors, so a join
+//! predicate tested on the pair is indistinguishable from one tested on
+//! the concatenated row.
 
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{ArithOp, CmpOp, Expr, Func};
 use crate::value::{num_add, num_div, num_mul, num_sub, Value};
 
+/// Where an expression's input column `i` comes from.
+pub(crate) trait Columns {
+    /// Column `i`, or the out-of-bounds error of a row that is too narrow.
+    fn col(&self, i: usize) -> EngineResult<&Value>;
+}
+
+fn out_of_bounds(i: usize, width: usize) -> EngineError {
+    EngineError::Internal(format!(
+        "column index {i} out of bounds for row of width {width}"
+    ))
+}
+
+impl Columns for [Value] {
+    #[inline]
+    fn col(&self, i: usize) -> EngineResult<&Value> {
+        self.get(i).ok_or_else(|| out_of_bounds(i, self.len()))
+    }
+}
+
+/// A join pair `(left, right)` read as the row `left ++ right`.
+#[derive(Clone, Copy)]
+pub(crate) struct Pair<'a>(pub &'a [Value], pub &'a [Value]);
+
+impl Columns for Pair<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> EngineResult<&Value> {
+        let Pair(left, right) = *self;
+        match left.get(i) {
+            Some(v) => Ok(v),
+            None => right
+                .get(i - left.len())
+                .ok_or_else(|| out_of_bounds(i, left.len() + right.len())),
+        }
+    }
+}
+
 impl Expr {
     /// Evaluate against a row (a slice of values).
     pub fn eval(&self, row: &[Value]) -> EngineResult<Value> {
+        self.eval_in(row)
+    }
+
+    /// Evaluate as a predicate (see [`Expr::eval_pred`]) over the row
+    /// `left ++ right`, without building it: the same result, and the same
+    /// error, as `eval_pred` on the concatenation.
+    pub(crate) fn eval_pred_pair(&self, left: &[Value], right: &[Value]) -> EngineResult<bool> {
+        self.eval_pred_in(&Pair(left, right))
+    }
+
+    /// Evaluate against the columns of `row`.
+    fn eval_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<Value> {
         match self {
-            Expr::Col(i) => row.get(*i).cloned().ok_or_else(|| {
-                EngineError::Internal(format!(
-                    "column index {i} out of bounds for row of width {}",
-                    row.len()
-                ))
-            }),
+            Expr::Col(i) => row.col(*i).cloned(),
             Expr::Name(n) => Err(EngineError::Internal(format!(
                 "unresolved column name '{n}' reached the executor — \
                  resolve the expression against the input schema first"
             ))),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Cmp(op, a, b) => {
-                let va = a.eval(row)?;
-                let vb = b.eval(row)?;
+                let va = a.eval_in(row)?;
+                let vb = b.eval_in(row)?;
                 Ok(eval_cmp(*op, &va, &vb))
             }
             Expr::And(a, b) => {
                 // Kleene AND: false dominates NULL.
-                let va = a.eval(row)?;
+                let va = a.eval_in(row)?;
                 if va == Value::Bool(false) {
                     return Ok(Value::Bool(false));
                 }
-                let vb = b.eval(row)?;
+                let vb = b.eval_in(row)?;
                 if vb == Value::Bool(false) {
                     return Ok(Value::Bool(false));
                 }
@@ -41,11 +91,11 @@ impl Expr {
             }
             Expr::Or(a, b) => {
                 // Kleene OR: true dominates NULL.
-                let va = a.eval(row)?;
+                let va = a.eval_in(row)?;
                 if va == Value::Bool(true) {
                     return Ok(Value::Bool(true));
                 }
-                let vb = b.eval(row)?;
+                let vb = b.eval_in(row)?;
                 if vb == Value::Bool(true) {
                     return Ok(Value::Bool(true));
                 }
@@ -54,7 +104,7 @@ impl Expr {
                 }
                 bool_pair(&va, &vb, "OR", |x, y| x || y)
             }
-            Expr::Not(a) => match a.eval(row)? {
+            Expr::Not(a) => match a.eval_in(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 other => Err(EngineError::TypeError(format!(
@@ -62,7 +112,7 @@ impl Expr {
                     other.type_name()
                 ))),
             },
-            Expr::Neg(a) => match a.eval(row)? {
+            Expr::Neg(a) => match a.eval_in(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => i
                     .checked_neg()
@@ -75,8 +125,8 @@ impl Expr {
                 ))),
             },
             Expr::Arith(op, a, b) => {
-                let va = a.eval(row)?;
-                let vb = b.eval(row)?;
+                let va = a.eval_in(row)?;
+                let vb = b.eval_in(row)?;
                 match op {
                     ArithOp::Add => num_add(&va, &vb),
                     ArithOp::Sub => num_sub(&va, &vb),
@@ -91,9 +141,9 @@ impl Expr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
+                let v = expr.eval_in(row)?;
+                let lo = low.eval_in(row)?;
+                let hi = high.eval_in(row)?;
                 let ge_lo = eval_cmp(CmpOp::Ge, &v, &lo);
                 let le_hi = eval_cmp(CmpOp::Le, &v, &hi);
                 // v BETWEEN lo AND hi ≡ v >= lo AND v <= hi (Kleene).
@@ -101,7 +151,7 @@ impl Expr {
                 Ok(if *negated { kleene_not(&both) } else { both })
             }
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_in(row)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
         }
@@ -110,7 +160,11 @@ impl Expr {
     /// Evaluate as a predicate: NULL (unknown) is treated as `false`, as in
     /// SQL `WHERE`/`ON` clauses.
     pub fn eval_pred(&self, row: &[Value]) -> EngineResult<bool> {
-        match self.eval(row)? {
+        self.eval_pred_in(row)
+    }
+
+    fn eval_pred_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<bool> {
+        match self.eval_in(row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
             other => Err(EngineError::TypeError(format!(
@@ -171,7 +225,7 @@ pub(crate) fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> Value {
     }
 }
 
-fn eval_func(f: Func, args: &[Expr], row: &[Value]) -> EngineResult<Value> {
+fn eval_func<C: Columns + ?Sized>(f: Func, args: &[Expr], row: &C) -> EngineResult<Value> {
     let arity = |want: usize| -> EngineResult<()> {
         if args.len() == want {
             Ok(())
@@ -187,8 +241,8 @@ fn eval_func(f: Func, args: &[Expr], row: &[Value]) -> EngineResult<Value> {
         Func::Dur => {
             // DUR(ts, te) = te - ts, the duration of [ts, te).
             arity(2)?;
-            let ts = args[0].eval(row)?;
-            let te = args[1].eval(row)?;
+            let ts = args[0].eval_in(row)?;
+            let te = args[1].eval_in(row)?;
             num_sub(&te, &ts)
         }
         Func::Greatest | Func::Least => {
@@ -200,7 +254,7 @@ fn eval_func(f: Func, args: &[Expr], row: &[Value]) -> EngineResult<Value> {
             }
             let mut best: Option<Value> = None;
             for a in args {
-                let v = a.eval(row)?;
+                let v = a.eval_in(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
@@ -234,7 +288,7 @@ fn eval_func(f: Func, args: &[Expr], row: &[Value]) -> EngineResult<Value> {
         }
         Func::Coalesce => {
             for a in args {
-                let v = a.eval(row)?;
+                let v = a.eval_in(row)?;
                 if !v.is_null() {
                     return Ok(v);
                 }
@@ -243,7 +297,7 @@ fn eval_func(f: Func, args: &[Expr], row: &[Value]) -> EngineResult<Value> {
         }
         Func::Abs => {
             arity(1)?;
-            match args[0].eval(row)? {
+            match args[0].eval_in(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => i
                     .checked_abs()

@@ -7,19 +7,21 @@
 //! ([`Expr::resolve`]) binds them to positions against a concrete
 //! [`Schema`] — with did-you-mean suggestions for unknown columns — before
 //! planning. Join predicates are evaluated over the concatenation
-//! `left ++ right` of the two input rows, as in the paper's θ conditions.
+//! `left ++ right` of the two input rows, as in the paper's θ conditions —
+//! read in place from the pair, never built just to be tested.
 
 mod analysis;
 mod batch;
 mod eval;
 mod fold;
+mod pred;
 mod resolve;
 
 pub use analysis::{
     detect_overlap_pattern, split_join_condition, JoinConditionParts, OverlapPattern,
 };
-pub(crate) use batch::{CompiledPred, PredOperand};
 pub use fold::fold;
+pub(crate) use pred::{CompiledPred, JoinPred, PredOperand};
 pub use resolve::resolve_name;
 
 use std::fmt;

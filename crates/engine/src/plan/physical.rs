@@ -13,7 +13,7 @@ use crate::exec::{
     NestedLoopJoinExec, OperatorStats, ProjectExec, RangeSpec, SeqScanExec, SortExec,
     StorageScanExec,
 };
-use crate::expr::{AggCall, Expr, SortKey};
+use crate::expr::{AggCall, Expr, JoinPred, SortKey};
 use crate::plan::cost::{CostModel, PlanStats};
 use crate::plan::logical::ExtensionNode;
 use crate::plan::{JoinType, PlannerConfig, SetOpKind};
@@ -525,12 +525,18 @@ impl PhysicalPlan {
                 right,
                 join_type,
                 condition,
-            } => Box::new(NestedLoopJoinExec::new(
-                left.build_subtree(state)?,
-                right.build_subtree(state)?,
-                *join_type,
-                condition.clone(),
-            )),
+            } => {
+                let join = NestedLoopJoinExec::new(
+                    left.build_subtree(state)?,
+                    right.build_subtree(state)?,
+                    *join_type,
+                    condition.clone(),
+                );
+                match state.instrumentation() {
+                    Some(ins) => Box::new(join.with_ledger(ins.op(self.node_key()))),
+                    None => Box::new(join),
+                }
+            }
             PhysicalPlan::HashJoin {
                 left,
                 right,
@@ -818,8 +824,20 @@ impl PhysicalPlan {
                 format!("HashAggregate ({} group cols)", group.len())
             }
             PhysicalPlan::Distinct { .. } => "Distinct".to_string(),
-            PhysicalPlan::NestedLoopJoin { join_type, .. } => {
-                format!("NestedLoopJoin[{}]", join_type.name())
+            PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                join_type,
+                condition,
+            } => {
+                let head = format!("NestedLoopJoin[{}]", join_type.name());
+                match condition {
+                    Some(c) => {
+                        let combined = left.schema().concat(&right.schema());
+                        format!("{head}: {}", c.display(Some(&combined)))
+                    }
+                    None => head,
+                }
             }
             PhysicalPlan::HashJoin {
                 left,
@@ -830,7 +848,8 @@ impl PhysicalPlan {
             } => {
                 let head = format!("HashJoin[{}] on {} key(s)", join_type.name(), keys.len());
                 let right_schema = right.schema();
-                match RangeSpec::of(residual.as_ref(), left.schema().len(), right_schema.len()) {
+                let residual = JoinPred::new(residual.clone());
+                match RangeSpec::of(&residual, left.schema().len(), right_schema.len()) {
                     Some(range) => format!(
                         "{head} range-ordered on {}",
                         right_schema.col(range.col()).qualified_name()
@@ -894,9 +913,12 @@ impl PhysicalPlan {
                         op.tuples_checked.load(Ordering::Relaxed)
                     ));
                 }
-                if matches!(self, PhysicalPlan::HashJoin { .. }) {
-                    // Beside the rows the join emitted, the build-side
-                    // candidates its probe rows tested the residual on.
+                if matches!(
+                    self,
+                    PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. }
+                ) {
+                    // Beside the rows the join emitted, the right-side
+                    // candidates its left rows were tested against.
                     s.push_str(&format!(
                         " candidates={}",
                         op.candidates_checked.load(Ordering::Relaxed)

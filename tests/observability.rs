@@ -194,14 +194,19 @@ fn explain_analyze_reports_tuples_checked_beside_actual_rows() {
 
 /// The number after `key=` on the first `HashJoin` line of `rendered`.
 fn join_counter(rendered: &str, key: &str) -> u64 {
+    node_counter(rendered, "HashJoin[", key)
+}
+
+/// The number after `key=` on the first line of `rendered` naming `node`.
+fn node_counter(rendered: &str, node: &str, key: &str) -> u64 {
     let line = rendered
         .lines()
-        .find(|l| l.contains("HashJoin["))
-        .unwrap_or_else(|| panic!("no hash join line in:\n{rendered}"));
+        .find(|l| l.contains(node))
+        .unwrap_or_else(|| panic!("no {node} line in:\n{rendered}"));
     let tail = line
         .split(&format!("{key}="))
         .nth(1)
-        .unwrap_or_else(|| panic!("no {key}= on the join line: {line}"));
+        .unwrap_or_else(|| panic!("no {key}= on the {node} line: {line}"));
     tail.split(|c: char| !c.is_ascii_digit())
         .next()
         .unwrap()
@@ -247,6 +252,29 @@ fn explain_analyze_reports_join_candidates_and_range_order() {
     let analyzed = session.explain_analyze(plain).unwrap();
     assert!(
         join_counter(&analyzed, "candidates") > join_counter(&analyzed, "actual rows"),
+        "{analyzed}"
+    );
+}
+
+/// The nested loop tests θ on every pair: EXPLAIN prints θ, and EXPLAIN
+/// ANALYZE counts the pairs as `candidates=` — |r|·|s| for the
+/// group-construction join of an ALIGN under the paper-faithful planner.
+#[test]
+fn explain_analyze_counts_the_nested_loop_pairs() {
+    let r = common::random_trel2(5, 70, 4, 40);
+    let s = common::random_trel2(6, 50, 4, 40);
+    let plan = TemporalPlan::scan(&r)
+        .align(TemporalPlan::scan(&s), None)
+        .unwrap();
+    let (out, analyzed) = run_analyzed(&plan, PlannerConfig::paper());
+    assert!(out.same_set(&align_ref(&r, &s, &Theta::True).unwrap()));
+    assert!(
+        analyzed.contains("NestedLoopJoin[Left]: ("),
+        "the nested loop prints its θ:\n{analyzed}"
+    );
+    assert_eq!(
+        node_counter(&analyzed, "NestedLoopJoin[", "candidates"),
+        (r.len() * s.len()) as u64,
         "{analyzed}"
     );
 }
