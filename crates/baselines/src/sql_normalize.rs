@@ -13,8 +13,6 @@
 
 use temporal_core::error::TemporalResult;
 use temporal_core::primitives::adjustment::normalize_plan;
-use temporal_core::trel::TemporalRelation;
-use temporal_engine::catalog::Catalog;
 use temporal_engine::prelude::*;
 
 /// Positive part: identical to the `sql` baseline's join part.
@@ -128,104 +126,53 @@ pub fn sqlnorm_full_outer_join_plan(
         .set_op(SetOpKind::Union, neg_s))
 }
 
-/// Evaluate [`sqlnorm_left_outer_join_plan`] on materialized relations.
-pub fn sqlnorm_left_outer_join(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    theta: Option<Expr>,
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = sqlnorm_left_outer_join_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        theta,
-    )?;
-    TemporalRelation::new(planner.run(&plan, &Catalog::new())?)
-}
-
-/// Evaluate [`sqlnorm_full_outer_join_plan`] on materialized relations.
-pub fn sqlnorm_full_outer_join(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    theta: Option<Expr>,
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = sqlnorm_full_outer_join_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        theta,
-    )?;
-    TemporalRelation::new(planner.run(&plan, &Catalog::new())?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use temporal_core::algebra::TemporalAlgebra;
-    use temporal_core::interval::Interval;
-
-    fn rel(q: &str, rows: &[(i64, i64, i64)]) -> TemporalRelation {
-        TemporalRelation::from_rows(
-            Schema::new(vec![Column::qualified(q, "k", DataType::Int)]),
-            rows.iter()
-                .map(|&(k, s, e)| (vec![Value::Int(k)], Interval::of(s, e)))
-                .collect(),
-        )
-        .unwrap()
-    }
+    use crate::test_util::{assert_matches_reduction, rel, run};
+    use temporal_core::semantics::TemporalOp;
 
     #[test]
     fn matches_reduction_on_loj() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 8), (2, 5, 12), (1, 9, 14)]);
         let s = rel("s", &[(1, 2, 4), (2, 6, 15), (1, 5, 11)]);
-        let theta = col(0).eq(col(3));
-        let fast = alg.left_outer_join(&r, &s, Some(theta.clone())).unwrap();
-        let sqlnorm = sqlnorm_left_outer_join(&r, &s, Some(theta), alg.planner()).unwrap();
-        assert!(
-            fast.same_set(&sqlnorm),
-            "align:\n{fast}\nsqlnorm:\n{sqlnorm}"
-        );
+        let op = TemporalOp::LeftOuterJoin {
+            theta: Some(col(0).eq(col(3))),
+        };
+        assert_matches_reduction(sqlnorm_left_outer_join_plan, &op, &r, &s);
     }
 
     #[test]
     fn matches_reduction_on_foj() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 8), (2, 3, 6)]);
         let s = rel("s", &[(1, 2, 10), (3, 20, 30)]);
-        let theta = col(0).eq(col(3));
-        let fast = alg.full_outer_join(&r, &s, Some(theta.clone())).unwrap();
-        let sqlnorm = sqlnorm_full_outer_join(&r, &s, Some(theta), alg.planner()).unwrap();
-        assert!(
-            fast.same_set(&sqlnorm),
-            "align:\n{fast}\nsqlnorm:\n{sqlnorm}"
-        );
+        let op = TemporalOp::FullOuterJoin {
+            theta: Some(col(0).eq(col(3))),
+        };
+        assert_matches_reduction(sqlnorm_full_outer_join_plan, &op, &r, &s);
     }
 
     #[test]
     fn adjacent_join_intervals_merge_correctly_in_negative_part() {
         // J covers [2,4) and [4,6) adjacently: the gap computation must
         // not leave a phantom tuple at the seam.
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 10)]);
         let s = rel("s", &[(1, 2, 4), (1, 4, 6)]);
-        let theta = col(0).eq(col(3));
-        let fast = alg.left_outer_join(&r, &s, Some(theta.clone())).unwrap();
-        let sqlnorm = sqlnorm_left_outer_join(&r, &s, Some(theta), alg.planner()).unwrap();
-        assert!(
-            fast.same_set(&sqlnorm),
-            "align:\n{fast}\nsqlnorm:\n{sqlnorm}"
-        );
+        let op = TemporalOp::LeftOuterJoin {
+            theta: Some(col(0).eq(col(3))),
+        };
+        assert_matches_reduction(sqlnorm_left_outer_join_plan, &op, &r, &s);
     }
 
     #[test]
     fn empty_sides() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 5)]);
         let empty = rel("s", &[]);
-        let out = sqlnorm_left_outer_join(&r, &empty, None, alg.planner()).unwrap();
+        let loj = TemporalOp::LeftOuterJoin { theta: None };
+        let out = run(sqlnorm_left_outer_join_plan, &loj, &r, &empty);
         assert_eq!(out.len(), 1);
-        let out = sqlnorm_full_outer_join(&empty, &r, None, alg.planner()).unwrap();
+        let foj = TemporalOp::FullOuterJoin { theta: None };
+        let out = run(sqlnorm_full_outer_join_plan, &foj, &empty, &r);
         assert_eq!(out.len(), 1);
     }
 }

@@ -10,8 +10,6 @@
 //! construction automatically yields exactly the *maximal* gaps.
 
 use temporal_core::error::{TemporalError, TemporalResult};
-use temporal_core::trel::TemporalRelation;
-use temporal_engine::catalog::Catalog;
 use temporal_engine::prelude::*;
 
 const P1: &str = "__p1";
@@ -227,36 +225,6 @@ pub fn sql_full_outer_join_plan(
         .set_op(SetOpKind::Union, neg_s))
 }
 
-/// Evaluate [`sql_left_outer_join_plan`] on materialized relations.
-pub fn sql_left_outer_join(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    theta: Option<Expr>,
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = sql_left_outer_join_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        theta,
-    )?;
-    TemporalRelation::new(planner.run(&plan, &Catalog::new())?)
-}
-
-/// Evaluate [`sql_full_outer_join_plan`] on materialized relations.
-pub fn sql_full_outer_join(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    theta: Option<Expr>,
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = sql_full_outer_join_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        theta,
-    )?;
-    TemporalRelation::new(planner.run(&plan, &Catalog::new())?)
-}
-
 /// The SQL this construction corresponds to (for documentation and the
 /// SQL-front-end tests), for the θ-free left outer join of `r(a, ts, te)`
 /// and `s(b, ts, te)`.
@@ -281,57 +249,44 @@ pub fn sql_left_outer_join_text() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use temporal_core::algebra::TemporalAlgebra;
+    use crate::test_util::{assert_matches_reduction, rel, run};
     use temporal_core::interval::Interval;
+    use temporal_core::semantics::TemporalOp;
 
-    fn rel(q: &str, rows: &[(i64, i64, i64)]) -> TemporalRelation {
-        TemporalRelation::from_rows(
-            Schema::new(vec![Column::qualified(q, "k", DataType::Int)]),
-            rows.iter()
-                .map(|&(k, s, e)| (vec![Value::Int(k)], Interval::of(s, e)))
-                .collect(),
-        )
-        .unwrap()
-    }
+    const LOJ: TemporalOp = TemporalOp::LeftOuterJoin { theta: None };
 
     #[test]
     fn matches_reduction_on_simple_loj() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 8), (2, 5, 12)]);
         let s = rel("s", &[(7, 2, 4), (8, 6, 15)]);
-        let fast = alg.left_outer_join(&r, &s, None).unwrap();
-        let sql = sql_left_outer_join(&r, &s, None, alg.planner()).unwrap();
-        assert!(fast.same_set(&sql), "align:\n{fast}\nsql:\n{sql}");
+        assert_matches_reduction(sql_left_outer_join_plan, &LOJ, &r, &s);
     }
 
     #[test]
     fn matches_reduction_with_theta() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 8), (2, 5, 12), (1, 9, 14)]);
         let s = rel("s", &[(1, 2, 4), (2, 6, 15), (1, 5, 11)]);
-        let theta = col(0).eq(col(3)); // r.k = s.k
-        let fast = alg.left_outer_join(&r, &s, Some(theta.clone())).unwrap();
-        let sql = sql_left_outer_join(&r, &s, Some(theta), alg.planner()).unwrap();
-        assert!(fast.same_set(&sql), "align:\n{fast}\nsql:\n{sql}");
+        let op = TemporalOp::LeftOuterJoin {
+            theta: Some(col(0).eq(col(3))), // r.k = s.k
+        };
+        assert_matches_reduction(sql_left_outer_join_plan, &op, &r, &s);
     }
 
     #[test]
     fn matches_reduction_on_full_outer_join() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 8), (2, 3, 6)]);
         let s = rel("s", &[(1, 2, 10), (3, 20, 30)]);
-        let theta = col(0).eq(col(3));
-        let fast = alg.full_outer_join(&r, &s, Some(theta.clone())).unwrap();
-        let sql = sql_full_outer_join(&r, &s, Some(theta), alg.planner()).unwrap();
-        assert!(fast.same_set(&sql), "align:\n{fast}\nsql:\n{sql}");
+        let op = TemporalOp::FullOuterJoin {
+            theta: Some(col(0).eq(col(3))),
+        };
+        assert_matches_reduction(sql_full_outer_join_plan, &op, &r, &s);
     }
 
     #[test]
     fn disjoint_data_keeps_whole_intervals() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 0, 5), (2, 20, 25)]);
         let s = rel("s", &[(9, 10, 15)]);
-        let sql = sql_left_outer_join(&r, &s, None, alg.planner()).unwrap();
+        let sql = run(sql_left_outer_join_plan, &LOJ, &r, &s);
         // no overlaps: every r tuple survives whole, ω-padded.
         assert_eq!(sql.len(), 2);
         for (d, _) in sql.iter() {
@@ -341,10 +296,9 @@ mod tests {
 
     #[test]
     fn fully_covered_r_has_no_negative_rows() {
-        let alg = TemporalAlgebra::default();
         let r = rel("r", &[(1, 2, 6)]);
         let s = rel("s", &[(9, 0, 10)]);
-        let sql = sql_left_outer_join(&r, &s, None, alg.planner()).unwrap();
+        let sql = run(sql_left_outer_join_plan, &LOJ, &r, &s);
         assert_eq!(sql.len(), 1);
         let (d, iv) = sql.iter().next().unwrap();
         assert_eq!(d[1], Value::Int(9));

@@ -253,7 +253,6 @@ fn config_json(c: &PlannerConfig) -> Json {
         ("enable_nestloop", c.enable_nestloop),
         ("enable_hashjoin", c.enable_hashjoin),
         ("enable_mergejoin", c.enable_mergejoin),
-        ("enable_intervaljoin", c.enable_intervaljoin),
         ("enable_intervaljoin_auto", c.enable_intervaljoin_auto),
         ("enable_rewrites", c.enable_rewrites),
     ];

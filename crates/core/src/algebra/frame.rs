@@ -38,17 +38,8 @@ const DEFAULT_WAL_CHECKPOINT_PAGES: u64 = 256;
 /// How long a mutating call waits for the writer lock before giving up
 /// with [`EngineError::Busy`] — long enough that writers queueing behind a
 /// checkpoint succeed, short enough that a wedged writer surfaces as an
-/// error instead of a hang. Overridable via `TEMPORAL_WRITER_WAIT_MS`
-/// (re-read per acquisition, so servers and tests can tune it live).
-const WRITER_WAIT_MS: u64 = 10_000;
-
-fn writer_wait() -> Duration {
-    let ms = std::env::var("TEMPORAL_WRITER_WAIT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(WRITER_WAIT_MS);
-    Duration::from_millis(ms)
-}
+/// error instead of a hang.
+const WRITER_WAIT: Duration = Duration::from_secs(10);
 
 /// The on-disk side of an opened database: the directory, its manifest,
 /// the write-ahead log, and the per-table buffer pool size used when
@@ -135,7 +126,7 @@ struct DbShared {
     state: RwLock<DbState>,
     /// Serializes every mutating entry point (registration, insert, drop,
     /// persist, checkpoint). Acquisition is bounded: a writer that cannot
-    /// get the lock within [`writer_wait`] fails with
+    /// get the lock within [`WRITER_WAIT`] fails with
     /// [`EngineError::Busy`] instead of hanging — concurrent writers are
     /// *serialized*, never interleaved, which is what keeps the
     /// append/WAL/manifest triple free of lost updates.
@@ -357,10 +348,15 @@ impl Database {
     }
 
     /// Acquire the writer lock with a bounded wait (see `DbShared::writer`
-    /// and [`writer_wait`]). All mutating entry points funnel through this
+    /// and [`WRITER_WAIT`]). All mutating entry points funnel through this
     /// before touching catalog, heap files, WAL or manifest.
     fn writer_lock(&self) -> TemporalResult<MutexGuard<'_, ()>> {
-        let deadline = Instant::now() + writer_wait();
+        self.writer_lock_within(WRITER_WAIT)
+    }
+
+    /// [`Database::writer_lock`], giving up after `wait`.
+    fn writer_lock_within(&self, wait: Duration) -> TemporalResult<MutexGuard<'_, ()>> {
+        let deadline = Instant::now() + wait;
         loop {
             match self.inner.writer.try_lock() {
                 Ok(guard) => return Ok(guard),
@@ -1267,8 +1263,9 @@ impl TemporalFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TemporalAlgebra;
     use crate::interval::Interval;
+    use crate::reference::evaluate_oracle;
+    use crate::semantics::TemporalOp;
 
     fn staff() -> TemporalRelation {
         TemporalRelation::from_rows(
@@ -1325,7 +1322,7 @@ mod tests {
     }
 
     #[test]
-    fn qualified_join_matches_algebra() {
+    fn qualified_join_matches_the_oracle() {
         let db = db();
         let frame = db
             .table("staff")
@@ -1336,11 +1333,14 @@ mod tests {
             )
             .collect()
             .unwrap();
-        let alg = TemporalAlgebra::default();
-        let eager = alg
-            .join(&staff(), &oncall(), Some(col(1usize).eq(col(2usize + 2))))
-            .unwrap();
-        assert!(frame.same_set(&eager), "frame:\n{frame}\neager:\n{eager}");
+        let op = TemporalOp::Join {
+            theta: Some(col(1usize).eq(col(2usize + 2))),
+        };
+        let oracle = evaluate_oracle(&op, &[&staff(), &oncall()]).unwrap();
+        assert!(
+            frame.same_set(&oracle),
+            "frame:\n{frame}\noracle:\n{oracle}"
+        );
     }
 
     #[test]
@@ -1592,23 +1592,14 @@ mod tests {
         // Hold the writer lock directly (the test module sees through the
         // handle) and verify a competing writer gives up with Busy.
         let _held = db.inner.writer.lock().unwrap();
-        std::env::set_var("TEMPORAL_WRITER_WAIT_MS", "50");
         let db2 = db.clone();
         let err = std::thread::spawn(move || {
-            db2.insert_rows(
-                "staff",
-                vec![Row::new(vec![
-                    Value::str("zoe"),
-                    Value::str("ml"),
-                    Value::Int(1),
-                    Value::Int(4),
-                ])],
-            )
-            .unwrap_err()
+            db2.writer_lock_within(Duration::from_millis(50))
+                .map(|_| ())
+                .unwrap_err()
         })
         .join()
         .unwrap();
-        std::env::remove_var("TEMPORAL_WRITER_WAIT_MS");
         assert!(err.to_string().contains("busy"), "{err}");
         // Readers are unaffected by a held writer lock.
         assert_eq!(db.table("staff").unwrap().collect().unwrap().len(), 3);

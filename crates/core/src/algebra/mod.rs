@@ -19,221 +19,15 @@ pub use reduction::{
     reduce_setop, self_pairs,
 };
 
-use temporal_engine::prelude::*;
-
-use crate::error::TemporalResult;
-use crate::primitives::absorb;
-use crate::trel::TemporalRelation;
-
-/// The eager, positional compatibility surface of the temporal algebra:
-/// holds the planner (and hence the join-method switches) used for all
-/// reduced queries.
-///
-/// Every method is a thin wrapper that compiles a one-operator
-/// [`TemporalPlan`] — the same plans [`TemporalFrame`] builds — and
-/// executes it immediately. New code should prefer the name-based, lazy
-/// [`Database`] / [`TemporalFrame`] front door, which composes whole
-/// multi-operator queries into one pipeline and shares a catalog with the
-/// SQL surface; `TemporalAlgebra` remains for positional, one-shot calls
-/// over materialized relations.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TemporalAlgebra {
-    planner: Planner,
-}
-
-impl TemporalAlgebra {
-    pub fn new(config: PlannerConfig) -> Self {
-        TemporalAlgebra {
-            planner: Planner::new(config),
-        }
-    }
-
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// Start a composed plan over a materialized relation — the entry
-    /// point for plan-first, multi-operator queries.
-    pub fn plan(&self, r: &TemporalRelation) -> TemporalPlan {
-        TemporalPlan::scan(r)
-    }
-
-    /// Execute a composed plan with this algebra's planner.
-    pub fn run(&self, plan: &TemporalPlan) -> TemporalResult<TemporalRelation> {
-        plan.execute(&self.planner)
-    }
-
-    // ---- tuple-based operators (aligner) --------------------------------
-
-    /// σᵀ_θ(r) = σ_θ(r): temporal selection needs no adjustment.
-    pub fn selection(
-        &self,
-        r: &TemporalRelation,
-        predicate: Expr,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).selection(predicate)?)
-    }
-
-    /// ×ᵀ: temporal Cartesian product,
-    /// `α((rΦ_true s) ⋈_{r.T=s.T} (sΦ_true r))`.
-    pub fn cartesian_product(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-    ) -> TemporalResult<TemporalRelation> {
-        self.join(r, s, None)
-    }
-
-    /// ⋈ᵀ_θ: temporal inner join,
-    /// `α((rΦ_θ s) ⋈_{θ ∧ r.T=s.T} (sΦ_θ r))`. `theta` is expressed over
-    /// the concatenation of full `r` and `s` rows.
-    pub fn join(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).join(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// ⟕ᵀ_θ: temporal left outer join (Table 2, Left O. Join).
-    pub fn left_outer_join(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).left_outer_join(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// ⟖ᵀ_θ: temporal right outer join.
-    pub fn right_outer_join(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).right_outer_join(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// ⟗ᵀ_θ: temporal full outer join.
-    pub fn full_outer_join(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).full_outer_join(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// ▷ᵀ_θ: temporal anti join,
-    /// `(rΦ_θ s) ▷_{θ ∧ r.T=s.T} (sΦ_θ r)` — no absorb (Table 2).
-    pub fn anti_join(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).anti_join(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// ▷ᵀ_θ via the *customized* primitive (Sec. 8 future work): a single
-    /// gaps-only plane sweep produces the result directly — no second
-    /// alignment, no nontemporal anti join. Semantically identical to
-    /// [`TemporalAlgebra::anti_join`].
-    pub fn anti_join_optimized(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).anti_join_optimized(TemporalPlan::scan(s), theta)?)
-    }
-
-    // ---- group-based operators (splitter) -------------------------------
-
-    /// πᵀ_B(r) = π_{B,T}(N_B(r; r)) with set semantics; `b` are data-column
-    /// indices.
-    pub fn projection(
-        &self,
-        r: &TemporalRelation,
-        b: &[usize],
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).projection(b)?)
-    }
-
-    /// ϑᵀ: temporal aggregation `_Bϑ_F(r) = _{B,T}ϑ_F(N_B(r; r))`.
-    /// Aggregate arguments may reference any input column (e.g. a
-    /// propagated timestamp: `AVG(DUR(us, ue))`). Output schema:
-    /// `B…, aggregates…, ts, te`.
-    pub fn aggregation(
-        &self,
-        r: &TemporalRelation,
-        b: &[usize],
-        aggs: Vec<(AggCall, String)>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).aggregation(b, aggs)?)
-    }
-
-    /// ∪ᵀ: temporal union `N_A(r; s) ∪ N_A(s; r)`.
-    pub fn union(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).union(TemporalPlan::scan(s))?)
-    }
-
-    /// −ᵀ: temporal difference `N_A(r; s) − N_A(s; r)`.
-    pub fn difference(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).difference(TemporalPlan::scan(s))?)
-    }
-
-    /// ∩ᵀ: temporal intersection `N_A(r; s) ∩ N_A(s; r)`.
-    pub fn intersection(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).intersection(TemporalPlan::scan(s))?)
-    }
-
-    // ---- primitives, exposed for composition ----------------------------
-
-    /// The alignment primitive `r Φ_θ s` itself (plane-sweep execution).
-    pub fn align(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        theta: Option<Expr>,
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).align(TemporalPlan::scan(s), theta)?)
-    }
-
-    /// The normalization primitive `N_B(r; s)` itself.
-    pub fn normalize(
-        &self,
-        r: &TemporalRelation,
-        s: &TemporalRelation,
-        b: &[(usize, usize)],
-    ) -> TemporalResult<TemporalRelation> {
-        self.run(&TemporalPlan::scan(r).normalize(TemporalPlan::scan(s), b)?)
-    }
-
-    /// The absorb operator α.
-    pub fn absorb(&self, r: &TemporalRelation) -> TemporalResult<TemporalRelation> {
-        absorb::absorb(r)
-    }
-}
-
+/// The reduction rules of Table 2, one operator at a time, through
+/// [`crate::semantics::TemporalOp::evaluate`].
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use temporal_engine::prelude::*;
+
     use crate::interval::Interval;
+    use crate::semantics::TemporalOp;
+    use crate::trel::TemporalRelation;
 
     fn rel(rows: &[(&str, i64, i64)]) -> TemporalRelation {
         TemporalRelation::from_rows(
@@ -243,6 +37,10 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    fn eval(op: TemporalOp, args: &[&TemporalRelation]) -> TemporalRelation {
+        op.evaluate(&Planner::default(), args).unwrap()
     }
 
     fn pairs(out: &TemporalRelation) -> Vec<(String, i64, i64)> {
@@ -265,27 +63,25 @@ mod tests {
 
     #[test]
     fn selection_preserves_timestamps() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 5), ("b", 2, 9)]);
-        let out = alg.selection(&r, col(0).eq(lit(Value::str("a")))).unwrap();
+        let predicate = col(0).eq(lit(Value::str("a")));
+        let out = eval(TemporalOp::Selection { predicate }, &[&r]);
         assert_eq!(pairs(&out), vec![("a".into(), 0, 5)]);
     }
 
     #[test]
     fn inner_join_intersects_timestamps() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 5)]);
         let s = rel(&[("x", 3, 9)]);
-        let out = alg.join(&r, &s, None).unwrap();
+        let out = eval(TemporalOp::Join { theta: None }, &[&r, &s]);
         assert_eq!(pairs(&out), vec![("a,x".into(), 3, 5)]);
     }
 
     #[test]
     fn left_outer_join_pads_uncovered_parts() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 8)]);
         let s = rel(&[("x", 2, 4)]);
-        let out = alg.left_outer_join(&r, &s, None).unwrap();
+        let out = eval(TemporalOp::LeftOuterJoin { theta: None }, &[&r, &s]);
         assert_eq!(
             pairs(&out),
             vec![
@@ -298,10 +94,9 @@ mod tests {
 
     #[test]
     fn full_outer_join_pads_both_sides() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 4)]);
         let s = rel(&[("x", 2, 6)]);
-        let out = alg.full_outer_join(&r, &s, None).unwrap();
+        let out = eval(TemporalOp::FullOuterJoin { theta: None }, &[&r, &s]);
         assert_eq!(
             pairs(&out),
             vec![
@@ -314,19 +109,17 @@ mod tests {
 
     #[test]
     fn anti_join_keeps_uncovered_parts_only() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 8)]);
         let s = rel(&[("x", 2, 4)]);
-        let out = alg.anti_join(&r, &s, None).unwrap();
+        let out = eval(TemporalOp::AntiJoin { theta: None }, &[&r, &s]);
         assert_eq!(pairs(&out), vec![("a".into(), 0, 2), ("a".into(), 4, 8)]);
     }
 
     #[test]
     fn difference_removes_covered_spans() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 8), ("b", 0, 3)]);
         let s = rel(&[("a", 2, 5)]);
-        let out = alg.difference(&r, &s).unwrap();
+        let out = eval(TemporalOp::Difference, &[&r, &s]);
         assert_eq!(
             pairs(&out),
             vec![("a".into(), 0, 2), ("a".into(), 5, 8), ("b".into(), 0, 3),]
@@ -335,10 +128,9 @@ mod tests {
 
     #[test]
     fn union_is_change_preserving_not_coalescing() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 10)]);
         let s = rel(&[("a", 5, 20)]);
-        let out = alg.union(&r, &s).unwrap();
+        let out = eval(TemporalOp::Union, &[&r, &s]);
         // fragments [0,5), [5,10), [10,20) — lineage changes at 5 and 10.
         assert_eq!(
             pairs(&out),
@@ -352,16 +144,14 @@ mod tests {
 
     #[test]
     fn intersection_keeps_common_spans() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 10)]);
         let s = rel(&[("a", 5, 20), ("b", 0, 10)]);
-        let out = alg.intersection(&r, &s).unwrap();
+        let out = eval(TemporalOp::Intersection, &[&r, &s]);
         assert_eq!(pairs(&out), vec![("a".into(), 5, 10)]);
     }
 
     #[test]
     fn projection_merges_only_at_change_points() {
-        let alg = TemporalAlgebra::default();
         let r = TemporalRelation::from_rows(
             Schema::new(vec![
                 Column::new("k", DataType::Str),
@@ -373,7 +163,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = alg.projection(&r, &[0]).unwrap();
+        let out = eval(TemporalOp::Projection { attrs: vec![0] }, &[&r]);
         // fragments: [0,3), [3,5) (both tuples), [5,9) — π keeps each once.
         assert_eq!(
             pairs(&out),
@@ -383,11 +173,12 @@ mod tests {
 
     #[test]
     fn aggregation_counts_per_fragment() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 5), ("b", 3, 9)]);
-        let out = alg
-            .aggregation(&r, &[], vec![(AggCall::count_star(), "cnt".to_string())])
-            .unwrap();
+        let op = TemporalOp::Aggregation {
+            group: vec![],
+            aggs: vec![(AggCall::count_star(), "cnt".to_string())],
+        };
+        let out = eval(op, &[&r]);
         assert_eq!(
             pairs(&out),
             vec![("1".into(), 0, 3), ("1".into(), 5, 9), ("2".into(), 3, 5),]
@@ -396,24 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn cartesian_product_equals_join_true() {
-        let alg = TemporalAlgebra::default();
-        let r = rel(&[("a", 0, 5), ("b", 1, 3)]);
-        let s = rel(&[("x", 2, 8)]);
-        let c = alg.cartesian_product(&r, &s).unwrap();
-        let j = alg.join(&r, &s, None).unwrap();
-        assert!(c.same_set(&j));
-    }
-
-    #[test]
     fn example9_absorb_in_cartesian_product() {
         // Paper Example 9: r = {(a,[1,9)), (b,[3,7))}, s = {(c,[1,9)),
         // (d,[3,7))}; the equality join produces a temporal duplicate
         // (a,c,[3,7)) ⊂ (a,c,[1,9)) which α removes.
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 1, 9), ("b", 3, 7)]);
         let s = rel(&[("c", 1, 9), ("d", 3, 7)]);
-        let out = alg.cartesian_product(&r, &s).unwrap();
+        let out = eval(TemporalOp::CartesianProduct, &[&r, &s]);
         assert_eq!(
             pairs(&out),
             vec![
@@ -427,7 +207,6 @@ mod tests {
 
     #[test]
     fn setops_require_union_compatibility() {
-        let alg = TemporalAlgebra::default();
         let r = rel(&[("a", 0, 5)]);
         let s = TemporalRelation::from_rows(
             Schema::new(vec![
@@ -437,6 +216,8 @@ mod tests {
             vec![(vec![Value::str("a"), Value::Int(1)], Interval::of(0, 5))],
         )
         .unwrap();
-        assert!(alg.union(&r, &s).is_err());
+        assert!(TemporalOp::Union
+            .evaluate(&Planner::default(), &[&r, &s])
+            .is_err());
     }
 }

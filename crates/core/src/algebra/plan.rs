@@ -400,8 +400,9 @@ impl TemporalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TemporalAlgebra;
     use crate::interval::Interval;
+    use crate::reference::evaluate_oracle;
+    use crate::semantics::TemporalOp;
     use crate::trel::TemporalRelation;
 
     fn rel(rows: &[(i64, i64, i64)]) -> TemporalRelation {
@@ -415,36 +416,39 @@ mod tests {
     }
 
     #[test]
-    fn chained_plan_matches_eager_evaluation() {
-        // ϑᵀ_count(σᵀ_{k ≥ 1}(r ⋈ᵀ_{r.k = s.k} s)), one run vs three.
+    fn chained_plan_matches_the_oracle() {
+        // ϑᵀ_count(σᵀ_{k ≥ 1}(r ⋈ᵀ_{r.k = s.k} s)) in one run, against the
+        // point-wise oracle applied operator by operator.
         let r = rel(&[(1, 0, 8), (2, 5, 12), (3, 1, 3)]);
         let s = rel(&[(1, 2, 4), (2, 6, 15), (2, 1, 5)]);
-        let theta = col(0).eq(col(3));
-        let planner = Planner::default();
+        let join = TemporalOp::Join {
+            theta: Some(col(0).eq(col(3))),
+        };
+        let select = TemporalOp::Selection {
+            predicate: col(0).ge(lit(1i64)),
+        };
+        let count = TemporalOp::Aggregation {
+            group: vec![0],
+            aggs: vec![(AggCall::count_star(), "cnt".to_string())],
+        };
 
-        let plan = TemporalPlan::scan(&r)
-            .join(TemporalPlan::scan(&s), Some(theta.clone()))
-            .unwrap()
-            .selection(col(0).ge(lit(1i64)))
-            .unwrap()
-            .aggregation(&[0], vec![(AggCall::count_star(), "cnt".to_string())])
+        let joined = join
+            .plan(vec![TemporalPlan::scan(&r), TemporalPlan::scan(&s)])
             .unwrap();
-        let composed = plan.execute(&planner).unwrap();
+        let selected = select.plan(vec![joined]).unwrap();
+        let composed = count
+            .plan(vec![selected])
+            .unwrap()
+            .execute(&Planner::default())
+            .unwrap();
 
-        let alg = TemporalAlgebra::default();
-        let joined = alg.join(&r, &s, Some(theta)).unwrap();
-        let selected = alg.selection(&joined, col(0).ge(lit(1i64))).unwrap();
-        let eager = alg
-            .aggregation(
-                &selected,
-                &[0],
-                vec![(AggCall::count_star(), "cnt".to_string())],
-            )
-            .unwrap();
+        let joined = evaluate_oracle(&join, &[&r, &s]).unwrap();
+        let selected = evaluate_oracle(&select, &[&joined]).unwrap();
+        let oracle = evaluate_oracle(&count, &[&selected]).unwrap();
 
         assert!(
-            composed.same_set(&eager),
-            "composed:\n{composed}\neager:\n{eager}"
+            composed.same_set(&oracle),
+            "composed:\n{composed}\noracle:\n{oracle}"
         );
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Each function takes logical plans whose last two columns are the
 //! interval (the temporal-relation convention) and returns the reduced
-//! nontemporal plan. These are used both by
-//! [`crate::algebra::TemporalAlgebra`] on materialized relations and by
-//! the SQL front end / baselines for composition.
+//! nontemporal plan. These are used both by [`crate::algebra::TemporalPlan`]
+//! and by the SQL front end / baselines for composition.
 
 use temporal_engine::prelude::*;
 

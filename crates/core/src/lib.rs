@@ -30,10 +30,14 @@
 //!
 //! ## Reduction rules (Sec. 5, Table 2)
 //!
-//! [`algebra::TemporalAlgebra`] exposes every operator of the sequenced
+//! [`algebra::TemporalPlan`] composes every operator of the sequenced
 //! temporal algebra, each implemented *only* through its reduction to
 //! nontemporal operators plus adjustment, timestamp-equality and the
-//! absorb operator α ([`primitives::absorb`]).
+//! absorb operator α ([`primitives::absorb`]), into one logical plan that
+//! a single `Planner::run` executes. [`semantics::TemporalOp`] names the
+//! same operators positionally: [`semantics::TemporalOp::plan`] compiles
+//! one onto `TemporalPlan`, and [`semantics::TemporalOp::evaluate`] runs
+//! it over materialized relations.
 //!
 //! ## The front door (frames)
 //!
@@ -68,8 +72,11 @@
 //! )
 //! .unwrap();
 //!
-//! let alg = TemporalAlgebra::default();
-//! let q = alg.left_outer_join(&r, &p, None).unwrap();
+//! let q = TemporalPlan::scan(&r)
+//!     .left_outer_join(TemporalPlan::scan(&p), None)
+//!     .unwrap()
+//!     .execute(&Planner::default())
+//!     .unwrap();
 //! // ann joins the price over [0,5) and stands alone over [5,7).
 //! assert_eq!(q.len(), 2);
 //! ```
@@ -87,17 +94,15 @@ pub mod trel;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::algebra::{
-        Database, SessionGuard, TemporalAlgebra, TemporalFrame, TemporalPlan,
-    };
+    pub use crate::algebra::{Database, SessionGuard, TemporalFrame, TemporalPlan};
     pub use crate::allen::{relate, AllenRelation};
     pub use crate::coalesce::{coalesce, snapshot_equivalent};
     pub use crate::date::{date_interval, fmt_day, Date};
     pub use crate::error::{TemporalError, TemporalResult};
     pub use crate::interval::{month, Interval, TimePoint};
-    pub use crate::primitives::absorb::{absorb, absorb_ref, AbsorbNode};
+    pub use crate::primitives::absorb::{absorb_ref, AbsorbNode};
     pub use crate::primitives::adjustment::{
-        align_eval, align_plan, antijoin_gaps_plan, normalize_eval, normalize_plan, AdjustMode,
+        align_plan, antijoin_gaps_plan, normalize_plan, AdjustMode,
     };
     pub use crate::primitives::aligner::{align, align_ref, Theta};
     pub use crate::primitives::extend::{extend, extend_named, extend_plan};

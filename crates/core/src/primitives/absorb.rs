@@ -37,15 +37,6 @@ pub fn absorb_ref(r: &TemporalRelation) -> TemporalResult<TemporalRelation> {
     TemporalRelation::from_rows(r.data_schema(), out)
 }
 
-/// Plane-sweep absorb: sort value-equivalent tuples by (ts ASC, te DESC);
-/// a tuple survives iff its `te` exceeds every earlier `te` in its group.
-pub fn absorb(r: &TemporalRelation) -> TemporalResult<TemporalRelation> {
-    let node = AbsorbNode::new(LogicalPlan::inline_scan(r.rel().clone()));
-    let plan = LogicalPlan::extension(Arc::new(node));
-    let out = Planner::default().run(&plan, &temporal_engine::catalog::Catalog::new())?;
-    TemporalRelation::new(out)
-}
-
 /// Logical extension node for α. Self-contained: sorts its input itself.
 #[derive(Debug)]
 pub struct AbsorbNode {
@@ -250,6 +241,12 @@ impl ExecNode for AbsorbExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::TemporalPlan;
+
+    /// α as a one-operator plan.
+    fn absorbed(r: &TemporalRelation) -> TemporalResult<TemporalRelation> {
+        TemporalPlan::scan(r).absorb().execute(&Planner::default())
+    }
 
     fn rel(rows: &[(&str, i64, i64)]) -> TemporalRelation {
         TemporalRelation::from_rows(
@@ -266,7 +263,7 @@ mod tests {
         // Paper Example 9: (a,c,[1,9)) absorbs (a,c,[3,7)).
         let r = rel(&[("ac", 1, 9), ("ac", 3, 7), ("ad", 3, 7)]);
         let expected = rel(&[("ac", 1, 9), ("ad", 3, 7)]);
-        let fast = absorb(&r).unwrap();
+        let fast = absorbed(&r).unwrap();
         let slow = absorb_ref(&r).unwrap();
         assert!(fast.same_set(&expected), "{fast}");
         assert!(slow.same_set(&expected));
@@ -276,7 +273,7 @@ mod tests {
     fn keeps_equal_intervals_and_overlapping_non_contained() {
         // equal intervals: kept once; overlap without containment: both.
         let r = rel(&[("x", 0, 5), ("x", 3, 8)]);
-        let out = absorb(&r).unwrap();
+        let out = absorbed(&r).unwrap();
         assert!(out.same_set(&r));
     }
 
@@ -291,28 +288,28 @@ mod tests {
         )
         .unwrap();
         let r = TemporalRelation::new(rel_dup).unwrap();
-        let out = absorb(&r).unwrap();
+        let out = absorbed(&r).unwrap();
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn same_start_longer_interval_absorbs_shorter() {
         let r = rel(&[("x", 0, 9), ("x", 0, 5)]);
-        let out = absorb(&r).unwrap();
+        let out = absorbed(&r).unwrap();
         assert!(out.same_set(&rel(&[("x", 0, 9)])));
     }
 
     #[test]
     fn same_end_earlier_start_absorbs() {
         let r = rel(&[("x", 0, 9), ("x", 4, 9)]);
-        let out = absorb(&r).unwrap();
+        let out = absorbed(&r).unwrap();
         assert!(out.same_set(&rel(&[("x", 0, 9)])));
     }
 
     #[test]
     fn chains_of_absorption() {
         let r = rel(&[("x", 0, 10), ("x", 1, 9), ("x", 2, 8), ("y", 2, 8)]);
-        let out = absorb(&r).unwrap();
+        let out = absorbed(&r).unwrap();
         assert!(out.same_set(&rel(&[("x", 0, 10), ("y", 2, 8)])));
     }
 
@@ -327,7 +324,7 @@ mod tests {
         ];
         for rows in cases {
             let r = rel(&rows);
-            let fast = absorb(&r).unwrap();
+            let fast = absorbed(&r).unwrap();
             let slow = absorb_ref(&r).unwrap();
             assert!(fast.same_set(&slow), "case {rows:?}: {fast} vs {slow}");
         }

@@ -28,7 +28,6 @@ use temporal_engine::plan::{CostModel, ExtensionNode, PlanStats};
 use temporal_engine::prelude::*;
 
 use crate::error::{TemporalError, TemporalResult};
-use crate::trel::TemporalRelation;
 
 /// Internal column names for the adjusted-point columns of the sweep input.
 const P1: &str = "__p1";
@@ -211,38 +210,6 @@ pub fn normalize_plan(
         p1: p1_col,
         p2: None,
     })))
-}
-
-/// Evaluate `r Φ_θ s` to a materialized relation with the given planner.
-pub fn align_eval(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    theta: Option<Expr>,
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = align_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        theta,
-    )?;
-    let out = planner.run(&plan, &temporal_engine::catalog::Catalog::new())?;
-    TemporalRelation::new(out)
-}
-
-/// Evaluate `N_B(r; s)` to a materialized relation with the given planner.
-pub fn normalize_eval(
-    r: &TemporalRelation,
-    s: &TemporalRelation,
-    b: &[(usize, usize)],
-    planner: &Planner,
-) -> TemporalResult<TemporalRelation> {
-    let plan = normalize_plan(
-        LogicalPlan::inline_scan(r.rel().clone()),
-        LogicalPlan::inline_scan(s.rel().clone()),
-        b,
-    )?;
-    let out = planner.run(&plan, &temporal_engine::catalog::Catalog::new())?;
-    TemporalRelation::new(out)
 }
 
 /// Logical extension node wrapping the plane sweep. Its child plan already
@@ -599,9 +566,11 @@ impl ExecNode for AdjustmentExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::TemporalPlan;
     use crate::interval::Interval;
     use crate::primitives::aligner::{align_ref, Theta};
     use crate::primitives::splitter::{normalize_ref, self_normalize_ref};
+    use crate::trel::TemporalRelation;
 
     fn rel(name: &str, rows: &[(&str, i64, i64)]) -> TemporalRelation {
         TemporalRelation::from_rows(
@@ -617,11 +586,33 @@ mod tests {
         Planner::default()
     }
 
+    /// `r Φ_θ s` as a one-operator plan.
+    fn aligned(
+        r: &TemporalRelation,
+        s: &TemporalRelation,
+        theta: Option<Expr>,
+        planner: &Planner,
+    ) -> TemporalRelation {
+        let plan = TemporalPlan::scan(r).align(TemporalPlan::scan(s), theta);
+        plan.unwrap().execute(planner).unwrap()
+    }
+
+    /// `N_B(r; s)` as a one-operator plan.
+    fn normalized(
+        r: &TemporalRelation,
+        s: &TemporalRelation,
+        b: &[(usize, usize)],
+        planner: &Planner,
+    ) -> TemporalRelation {
+        let plan = TemporalPlan::scan(r).normalize(TemporalPlan::scan(s), b);
+        plan.unwrap().execute(planner).unwrap()
+    }
+
     #[test]
     fn align_matches_reference_no_theta() {
         let r = rel("r", &[("a", 0, 10), ("b", 2, 8), ("a", 12, 15)]);
         let s = rel("s", &[("x", 1, 3), ("y", 4, 6), ("z", 5, 9), ("w", 20, 22)]);
-        let fast = align_eval(&r, &s, None, &planner()).unwrap();
+        let fast = aligned(&r, &s, None, &planner());
         let slow = align_ref(&r, &s, &Theta::True).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
     }
@@ -632,7 +623,7 @@ mod tests {
         let r = rel("r", &[("a", 0, 10), ("b", 0, 10)]);
         let s = rel("s", &[("a", 2, 4), ("a", 3, 6), ("b", 8, 12)]);
         let theta = col(0).eq(col(3));
-        let fast = align_eval(&r, &s, Some(theta.clone()), &planner()).unwrap();
+        let fast = aligned(&r, &s, Some(theta.clone()), &planner());
         let slow = align_ref(&r, &s, &Theta::Predicate(theta)).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
     }
@@ -677,7 +668,7 @@ mod tests {
         .unwrap();
         // concat columns: r = (a,b,ts,te) s = (c,d,ts,te) → b = 1, d = 5.
         let theta = col(1).eq(col(5));
-        let fast = align_eval(&r, &s, Some(theta.clone()), &planner()).unwrap();
+        let fast = aligned(&r, &s, Some(theta.clone()), &planner());
         // Expected (from walking Fig. 9/11):
         // r1: gap [1,2), ∩s1 [2,5), ∩s2 [3,4), tail [5,7)
         // r2: ∩s2 [3,4), ∩s1 [3,5), gap [5,7), ∩s3 [7,9)
@@ -734,11 +725,11 @@ mod tests {
         let r = rel("r", &[("a", 0, 10), ("b", 2, 8), ("a", 12, 15)]);
         let s = rel("s", &[("a", 1, 3), ("b", 4, 6), ("a", 5, 9), ("a", 20, 22)]);
         // N_{} — every s tuple splits every r tuple.
-        let fast = normalize_eval(&r, &s, &[], &planner()).unwrap();
+        let fast = normalized(&r, &s, &[], &planner());
         let slow = normalize_ref(&r, &s, &[]).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
         // N_{v} — only same-letter tuples split.
-        let fast = normalize_eval(&r, &s, &[(0, 0)], &planner()).unwrap();
+        let fast = normalized(&r, &s, &[(0, 0)], &planner());
         let slow = normalize_ref(&r, &s, &[(0, 0)]).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
     }
@@ -746,7 +737,7 @@ mod tests {
     #[test]
     fn self_normalization_matches_paper_fig3() {
         let r = rel("r", &[("ann", 1, 8), ("joe", 2, 6), ("ann", 8, 12)]);
-        let fast = normalize_eval(&r, &r, &[], &planner()).unwrap();
+        let fast = normalized(&r, &r, &[], &planner());
         let slow = self_normalize_ref(&r, &[]).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
         assert_eq!(fast.len(), 5); // Fig. 3 has five result tuples
@@ -844,8 +835,8 @@ mod tests {
         });
         // Alignment (with and without θ).
         for theta in [None, Some(theta)] {
-            let a = align_eval(&r, &s, theta.clone(), &serial).unwrap();
-            let b = align_eval(&r, &s, theta, &par).unwrap();
+            let a = aligned(&r, &s, theta.clone(), &serial);
+            let b = aligned(&r, &s, theta, &par);
             assert_eq!(
                 a.rel().rows(),
                 b.rel().rows(),
@@ -854,8 +845,8 @@ mod tests {
         }
         // Normalization (grouped and ungrouped).
         for b in [&[][..], &[(0usize, 0usize)][..]] {
-            let x = normalize_eval(&r, &s, b, &serial).unwrap();
-            let y = normalize_eval(&r, &s, b, &par).unwrap();
+            let x = normalized(&r, &s, b, &serial);
+            let y = normalized(&r, &s, b, &par);
             assert_eq!(
                 x.rel().rows(),
                 y.rel().rows(),
@@ -880,9 +871,9 @@ mod tests {
     fn adjustment_handles_empty_inputs() {
         let r = rel("r", &[]);
         let s = rel("s", &[("x", 0, 5)]);
-        let out = align_eval(&r, &s, None, &planner()).unwrap();
+        let out = aligned(&r, &s, None, &planner());
         assert!(out.is_empty());
-        let out = normalize_eval(&s, &r, &[], &planner()).unwrap();
+        let out = normalized(&s, &r, &[], &planner());
         assert!(out.same_set(&s)); // nothing to split against
     }
 
@@ -899,7 +890,7 @@ mod tests {
                 ("v", 26, 28),
             ],
         );
-        let out = align_eval(&r, &s, None, &planner()).unwrap();
+        let out = aligned(&r, &s, None, &planner());
         let (n, m) = (r.len() as i64, s.len() as i64);
         assert!((out.len() as i64) <= 2 * n * m + n, "|out| = {}", out.len());
     }
@@ -909,15 +900,14 @@ mod tests {
         let r = rel("r", &[("a", 0, 10), ("b", 3, 12), ("a", 15, 20)]);
         let s = rel("s", &[("a", 2, 6), ("b", 4, 8), ("a", 9, 18)]);
         let theta = col(0).eq(col(3));
-        let reference = align_eval(
+        let reference = aligned(
             &r,
             &s,
             Some(theta.clone()),
             &Planner::new(PlannerConfig::nestloop_only()),
-        )
-        .unwrap();
+        );
         for config in [PlannerConfig::all_enabled(), PlannerConfig::no_merge()] {
-            let out = align_eval(&r, &s, Some(theta.clone()), &Planner::new(config)).unwrap();
+            let out = aligned(&r, &s, Some(theta.clone()), &Planner::new(config));
             assert!(out.same_set(&reference));
         }
     }

@@ -250,7 +250,6 @@ pub fn evaluate_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TemporalAlgebra;
     use crate::interval::Interval;
 
     fn rel(rows: &[(&str, i64, i64)]) -> TemporalRelation {
@@ -293,23 +292,25 @@ mod tests {
 
     #[test]
     fn oracle_matches_reduction_on_difference() {
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let r = rel(&[("a", 0, 8), ("b", 0, 3)]);
         let s = rel(&[("a", 2, 5)]);
-        let fast = alg.difference(&r, &s).unwrap();
+        let fast = TemporalOp::Difference
+            .evaluate(&planner, &[&r, &s])
+            .unwrap();
         let slow = evaluate_oracle(&TemporalOp::Difference, &[&r, &s]).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
     }
 
     #[test]
     fn oracle_matches_reduction_on_aggregation() {
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let r = rel(&[("a", 0, 5), ("b", 3, 9), ("c", 4, 6)]);
         let op = TemporalOp::Aggregation {
             group: vec![],
             aggs: vec![(AggCall::count_star(), "cnt".to_string())],
         };
-        let fast = op.evaluate(&alg, &[&r]).unwrap();
+        let fast = op.evaluate(&planner, &[&r]).unwrap();
         let slow = evaluate_oracle(&op, &[&r]).unwrap();
         assert!(fast.same_set(&slow), "fast:\n{fast}\nslow:\n{slow}");
     }

@@ -70,7 +70,6 @@ pub fn check_change_preservation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TemporalAlgebra;
     use crate::interval::Interval;
     use temporal_engine::prelude::*;
 
@@ -86,10 +85,10 @@ mod tests {
 
     #[test]
     fn reduced_union_is_change_preserving() {
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let r = rel(&[("a", 0, 10)]);
         let s = rel(&[("a", 5, 20)]);
-        let out = alg.union(&r, &s).unwrap();
+        let out = TemporalOp::Union.evaluate(&planner, &[&r, &s]).unwrap();
         let v = check_change_preservation(&TemporalOp::Union, &[&r, &s], &out).unwrap();
         assert!(v.is_empty(), "{v:?}");
     }
@@ -140,9 +139,9 @@ mod tests {
             vec![(vec![Value::Int(40)], Interval::of(ym(2012, 1), ym(2012, 6)))],
         )
         .unwrap();
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let op = TemporalOp::LeftOuterJoin { theta: None };
-        let out = op.evaluate(&alg, &[&r, &p]).unwrap();
+        let out = op.evaluate(&planner, &[&r, &p]).unwrap();
         let v = check_change_preservation(&op, &[&r, &p], &out).unwrap();
         assert!(v.is_empty(), "{v:?}\n{out}");
         // ω rows: [6,8) and [8,12) — not coalesced.

@@ -4,7 +4,7 @@
 
 use temporal_engine::prelude::*;
 
-use crate::algebra::TemporalAlgebra;
+use crate::algebra::TemporalPlan;
 use crate::error::{TemporalError, TemporalResult};
 use crate::trel::TemporalRelation;
 
@@ -99,12 +99,10 @@ impl TemporalOp {
         }
     }
 
-    /// Evaluate through the reduction rules of Table 2.
-    pub fn evaluate(
-        &self,
-        alg: &TemporalAlgebra,
-        args: &[&TemporalRelation],
-    ) -> TemporalResult<TemporalRelation> {
+    /// Compose this operator over `args` (one plan per argument, in order)
+    /// through the reduction rules of Table 2 — the one positional dispatch
+    /// onto [`TemporalPlan`].
+    pub fn plan(&self, args: Vec<TemporalPlan>) -> TemporalResult<TemporalPlan> {
         if args.len() != self.arity() {
             return Err(TemporalError::Incompatible(format!(
                 "{} expects {} argument(s), got {}",
@@ -113,28 +111,34 @@ impl TemporalOp {
                 args.len()
             )));
         }
+        let mut args = args.into_iter();
+        let r = args.next().expect("arity checked");
+        let mut s = || args.next().expect("arity checked");
         match self {
-            TemporalOp::Selection { predicate } => alg.selection(args[0], predicate.clone()),
-            TemporalOp::Projection { attrs } => alg.projection(args[0], attrs),
-            TemporalOp::Aggregation { group, aggs } => {
-                alg.aggregation(args[0], group, aggs.clone())
-            }
-            TemporalOp::Union => alg.union(args[0], args[1]),
-            TemporalOp::Difference => alg.difference(args[0], args[1]),
-            TemporalOp::Intersection => alg.intersection(args[0], args[1]),
-            TemporalOp::CartesianProduct => alg.cartesian_product(args[0], args[1]),
-            TemporalOp::Join { theta } => alg.join(args[0], args[1], theta.clone()),
-            TemporalOp::LeftOuterJoin { theta } => {
-                alg.left_outer_join(args[0], args[1], theta.clone())
-            }
-            TemporalOp::RightOuterJoin { theta } => {
-                alg.right_outer_join(args[0], args[1], theta.clone())
-            }
-            TemporalOp::FullOuterJoin { theta } => {
-                alg.full_outer_join(args[0], args[1], theta.clone())
-            }
-            TemporalOp::AntiJoin { theta } => alg.anti_join(args[0], args[1], theta.clone()),
+            TemporalOp::Selection { predicate } => r.selection(predicate.clone()),
+            TemporalOp::Projection { attrs } => r.projection(attrs),
+            TemporalOp::Aggregation { group, aggs } => r.aggregation(group, aggs.clone()),
+            TemporalOp::Union => r.union(s()),
+            TemporalOp::Difference => r.difference(s()),
+            TemporalOp::Intersection => r.intersection(s()),
+            TemporalOp::CartesianProduct => r.cartesian_product(s()),
+            TemporalOp::Join { theta } => r.join(s(), theta.clone()),
+            TemporalOp::LeftOuterJoin { theta } => r.left_outer_join(s(), theta.clone()),
+            TemporalOp::RightOuterJoin { theta } => r.right_outer_join(s(), theta.clone()),
+            TemporalOp::FullOuterJoin { theta } => r.full_outer_join(s(), theta.clone()),
+            TemporalOp::AntiJoin { theta } => r.anti_join(s(), theta.clone()),
         }
+    }
+
+    /// Evaluate over materialized relations: [`TemporalOp::plan`] over
+    /// their scans, executed with `planner`.
+    pub fn evaluate(
+        &self,
+        planner: &Planner,
+        args: &[&TemporalRelation],
+    ) -> TemporalResult<TemporalRelation> {
+        let scans = args.iter().map(|r| TemporalPlan::scan(r)).collect();
+        self.plan(scans)?.execute(planner)
     }
 
     /// The data-column schema of the operator's result (excluding ts/te).
@@ -198,10 +202,15 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_checks_arity() {
-        let alg = TemporalAlgebra::default();
+    fn plan_checks_arity() {
         let r = rel();
-        assert!(TemporalOp::Union.evaluate(&alg, &[&r]).is_err());
+        assert!(TemporalOp::Union
+            .evaluate(&Planner::default(), &[&r])
+            .is_err());
+        let scans = vec![TemporalPlan::scan(&r), TemporalPlan::scan(&r)];
+        assert!(TemporalOp::Projection { attrs: vec![0] }
+            .plan(scans)
+            .is_err());
     }
 
     #[test]

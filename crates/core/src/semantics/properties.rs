@@ -11,7 +11,6 @@
 
 use temporal_engine::prelude::*;
 
-use crate::algebra::TemporalAlgebra;
 use crate::error::TemporalResult;
 use crate::semantics::op::TemporalOp;
 use crate::trel::TemporalRelation;
@@ -156,9 +155,9 @@ fn remap_op(op: &TemporalOp, dr: usize, ds: usize) -> TemporalOp {
 pub fn check_schema_robust(
     op: &TemporalOp,
     args: &[&TemporalRelation],
-    alg: &TemporalAlgebra,
+    planner: &Planner,
 ) -> TemporalResult<bool> {
-    let plain = op.evaluate(alg, args)?;
+    let plain = op.evaluate(planner, args)?;
     let extended: Vec<TemporalRelation> = args
         .iter()
         .enumerate()
@@ -168,7 +167,7 @@ pub fn check_schema_robust(
     let dr = args[0].data_width();
     let ds = args.get(1).map_or(0, |s| s.data_width());
     let ext_op = remap_op(op, dr, ds);
-    let ext_result = match ext_op.evaluate(alg, &ext_refs) {
+    let ext_result = match ext_op.evaluate(planner, &ext_refs) {
         Ok(r) => r,
         // Evaluation failures on extended arguments (e.g. broken union
         // compatibility) are themselves evidence of non-robustness.
@@ -194,7 +193,7 @@ pub fn check_schema_robust(
 pub fn check_timestamp_propagating(
     op: &TemporalOp,
     args: &[&TemporalRelation],
-    alg: &TemporalAlgebra,
+    planner: &Planner,
 ) -> TemporalResult<bool> {
     let extended: Vec<TemporalRelation> = args
         .iter()
@@ -205,7 +204,7 @@ pub fn check_timestamp_propagating(
     let dr = args[0].data_width();
     let ds = args.get(1).map_or(0, |s| s.data_width());
     let ext_op = remap_op(op, dr, ds);
-    let ext_result = match ext_op.evaluate(alg, &ext_refs) {
+    let ext_result = match ext_op.evaluate(planner, &ext_refs) {
         Ok(r) => r,
         Err(_) => return Ok(false),
     };
@@ -305,7 +304,7 @@ mod tests {
 
     #[test]
     fn table1_claims_verified_executably() {
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let (rr, ss) = (r(), s());
         for (op, robust, propagating) in ops_with_claims() {
             let args: Vec<&TemporalRelation> = if op.arity() == 1 {
@@ -313,7 +312,7 @@ mod tests {
             } else {
                 vec![&rr, &ss]
             };
-            let got_robust = check_schema_robust(&op, &args, &alg).unwrap();
+            let got_robust = check_schema_robust(&op, &args, &planner).unwrap();
             assert_eq!(
                 got_robust,
                 robust,
@@ -321,7 +320,7 @@ mod tests {
                 op.name()
             );
             if got_robust {
-                let got_prop = check_timestamp_propagating(&op, &args, &alg).unwrap();
+                let got_prop = check_timestamp_propagating(&op, &args, &planner).unwrap();
                 assert_eq!(
                     got_prop,
                     propagating,

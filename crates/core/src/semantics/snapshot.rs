@@ -56,7 +56,6 @@ pub fn check_snapshot_reducibility(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TemporalAlgebra;
     use crate::interval::Interval;
     use temporal_engine::prelude::*;
 
@@ -79,11 +78,11 @@ mod tests {
 
     #[test]
     fn reduced_join_is_snapshot_reducible() {
-        let alg = TemporalAlgebra::default();
+        let planner = Planner::default();
         let r = rel(&[("a", 0, 8), ("b", 1, 4)]);
         let s = rel(&[("x", 2, 6), ("y", 5, 10)]);
         let op = TemporalOp::FullOuterJoin { theta: None };
-        let result = op.evaluate(&alg, &[&r, &s]).unwrap();
+        let result = op.evaluate(&planner, &[&r, &s]).unwrap();
         let violations = check_snapshot_reducibility(&op, &[&r, &s], &result).unwrap();
         assert!(violations.is_empty(), "violations at {violations:?}");
     }

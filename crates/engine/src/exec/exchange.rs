@@ -10,7 +10,6 @@
 //! unpartitioned pipeline, because partitions are contiguous input ranges
 //! of order-preserving operators (scan / filter / project).
 
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use crate::batch::RowBatch;
@@ -43,7 +42,7 @@ impl ExchangeExec {
         let parts: Vec<Mutex<BoxedExec>> = self.parts.drain(..).map(Mutex::new).collect();
         let outs = par_run(state.threads(), parts.len(), |i| {
             state.check_cancelled()?;
-            state.stats.partitions_run.fetch_add(1, Ordering::Relaxed);
+            state.note_partitions(1);
             let mut node = parts[i].lock().expect("partition claimed once");
             collect_rows(node.as_mut(), state)
         })?;

@@ -11,9 +11,10 @@
 //!
 //! Storage scans additionally carry a per-node page ledger: the plan
 //! builder hands the scan its own `OperatorStats`, and every page decode
-//! or prune lands there as well as in the query-wide
-//! [`crate::exec::ExecStats`]. That is what lets `EXPLAIN ANALYZE` show
-//! `pages=12/37` on the exact scan that did the pruning.
+//! or prune lands there. That is what lets `EXPLAIN ANALYZE` show
+//! `pages_read=12 pages_skipped=37` on the exact scan that did the
+//! pruning — and the only place pages are counted, so a plain run counts
+//! none.
 //!
 //! When instrumentation is off (the default), no wrapper is inserted
 //! anywhere — the executor runs the exact same code it ran before this

@@ -52,7 +52,7 @@ pub use project::ProjectExec;
 pub use scan::SeqScanExec;
 pub use setops::HashSetOpExec;
 pub use sort::{sort_rows_batched, sort_rows_parallel, SortExec};
-pub use state::{ExecStats, ExecutionState};
+pub use state::ExecutionState;
 pub use storage_scan::StorageScanExec;
 pub use values::ValuesExec;
 
@@ -90,14 +90,6 @@ pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Rela
     let mut rel = Relation::empty(node.schema().clone());
     while let Some(batch) = node.next_batch(state)? {
         state.check_cancelled()?;
-        state
-            .stats
-            .rows_emitted
-            .fetch_add(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        state
-            .stats
-            .batches_emitted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         rel.push_batch(batch)?;
     }
     Ok(rel)

@@ -6,7 +6,7 @@
 //! planner setting reads the state's GUC snapshot, a node that shares a
 //! materialized intermediate (a spool) registers it in the state's
 //! concurrency-keyed cache, and every node observes the same cancellation
-//! flag and contributes to the same per-query stats. The state is `Sync`,
+//! flag and counts its partition tasks in one place. The state is `Sync`,
 //! so exchange workers on different partitions of the same plan can share
 //! it — this is the contract that makes morsel-driven parallelism possible.
 
@@ -22,42 +22,6 @@ use crate::plan::PlannerConfig;
 use crate::relation::Relation;
 use crate::storage::StoredTable;
 
-/// Monotonic per-query execution counters. All relaxed atomics: the stats
-/// are diagnostic, never load-bearing for correctness.
-#[derive(Debug, Default)]
-pub struct ExecStats {
-    /// Rows materialized by the top-level collect.
-    pub rows_emitted: AtomicU64,
-    /// Batches materialized by the top-level collect.
-    pub batches_emitted: AtomicU64,
-    /// Partition tasks executed by exchange/parallel operators.
-    pub partitions_run: AtomicU64,
-    /// Heap pages pinned and decoded by storage scans.
-    pub pages_read: AtomicU64,
-    /// Heap pages pruned before decode (zone map or interval index said
-    /// the page cannot satisfy the scan's bounds).
-    pub pages_skipped: AtomicU64,
-}
-
-impl ExecStats {
-    /// Snapshot `(rows, batches, partitions)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.rows_emitted.load(Ordering::Relaxed),
-            self.batches_emitted.load(Ordering::Relaxed),
-            self.partitions_run.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot `(pages_read, pages_skipped)` — the scan-pruning ledger.
-    pub fn pages(&self) -> (u64, u64) {
-        (
-            self.pages_read.load(Ordering::Relaxed),
-            self.pages_skipped.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// One spool slot: the shared materialized intermediate, locked
 /// independently of the registry map so fills don't serialize lookups.
 type SpoolSlot = Arc<Mutex<Option<Arc<Relation>>>>;
@@ -71,8 +35,10 @@ pub struct ExecutionState {
     /// Cooperative cancellation: checked at batch boundaries by the
     /// collect loops and by exchange workers between morsels.
     cancelled: AtomicBool,
-    /// Per-query counters.
-    pub stats: ExecStats,
+    /// Partition tasks executed by exchange/parallel operators — relaxed,
+    /// diagnostic only. (Rows, batches and pages are counted per plan node
+    /// in [`crate::exec::OperatorStats`] under [`Self::with_instrumentation`].)
+    pub partitions_run: AtomicU64,
     /// Spool registry: shared materialized intermediates, keyed by the
     /// plan node's address. The outer map guard is held only to look up or
     /// insert a slot; materialization happens under the slot's own lock,
@@ -97,7 +63,7 @@ impl ExecutionState {
         ExecutionState {
             config,
             cancelled: AtomicBool::new(false),
-            stats: ExecStats::default(),
+            partitions_run: AtomicU64::new(0),
             spools: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(HashMap::new()),
             instrument: None,
@@ -150,19 +116,7 @@ impl ExecutionState {
 
     /// Record that a parallel operator ran `n` partition tasks.
     pub fn note_partitions(&self, n: usize) {
-        self.stats
-            .partitions_run
-            .fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Record one heap page pinned and decoded by a storage scan.
-    pub fn note_page_read(&self) {
-        self.stats.pages_read.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` heap pages pruned before decode.
-    pub fn note_pages_skipped(&self, n: u64) {
-        self.stats.pages_skipped.fetch_add(n, Ordering::Relaxed);
+        self.partitions_run.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Request cooperative cancellation of this execution.

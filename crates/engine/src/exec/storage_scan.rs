@@ -48,8 +48,8 @@ pub struct StorageScanExec {
     /// writer's in-flight appends.
     snapshot: Option<HeapSnapshot>,
     /// Per-plan-node page ledger (`EXPLAIN ANALYZE`): when attached, page
-    /// reads are credited to the originating plan node as well as to the
-    /// query-wide stats. All morsels of one scan share one ledger.
+    /// reads are credited to the originating plan node. All morsels of one
+    /// scan share one ledger; a plain run counts nothing.
     ledger: Option<Arc<OperatorStats>>,
 }
 
@@ -138,7 +138,6 @@ impl ExecNode for StorageScanExec {
             let tuples =
                 self.table
                     .decode_page(page_no, visible, self.bounds.as_ref(), &mut rows)?;
-            state.note_page_read();
             if let Some(ledger) = &self.ledger {
                 ledger.note_page_read(tuples as u64);
             }
@@ -202,18 +201,17 @@ mod tests {
         let pages = t.page_count();
         assert!(pages >= 4);
         let list: Arc<Vec<u32>> = Arc::new((0..pages).step_by(2).collect());
-        let state = ExecutionState::default();
+        let ledger = Arc::new(OperatorStats::default());
         let out = collect(
-            Box::new(StorageScanExec::with_page_list(
-                t.clone(),
-                list.clone(),
-                0,
-                list.len() as u32,
-            )) as BoxedExec,
-            &state,
+            Box::new(
+                StorageScanExec::with_page_list(t.clone(), list.clone(), 0, list.len() as u32)
+                    .with_ledger(ledger.clone()),
+            ) as BoxedExec,
+            &ExecutionState::default(),
         )
         .unwrap();
-        assert_eq!(state.stats.pages().0, list.len() as u64);
+        let pages_read = ledger.pages_read.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(pages_read, list.len() as u64);
         let whole = collect(
             Box::new(StorageScanExec::new(t)) as BoxedExec,
             &ExecutionState::default(),

@@ -75,9 +75,7 @@ pub mod prelude {
     pub use crate::batch::{RowBatch, BATCH_SIZE};
     pub use crate::catalog::{Catalog, TableSource};
     pub use crate::error::{EngineError, EngineResult};
-    pub use crate::exec::{
-        BoxedExec, ExecNode, ExecStats, ExecutionState, Instrumentation, OperatorStats,
-    };
+    pub use crate::exec::{BoxedExec, ExecNode, ExecutionState, Instrumentation, OperatorStats};
     pub use crate::expr::{
         col, lit, name, AggCall, AggFunc, ArithOp, CmpOp, ColumnRef, Expr, Func, SortKey,
     };

@@ -1,9 +1,9 @@
 //! A unified, dependency-free metrics registry.
 //!
 //! Before this module, runtime counters were scattered across the
-//! workspace: per-query [`crate::exec::ExecStats`] in the engine, buffer
-//! pool / disk manager I/O counters in the store, WAL commit/sync
-//! watermarks on the database front door, pruning ledgers inside scans.
+//! workspace: per-operator [`crate::exec::OperatorStats`] in the engine,
+//! buffer pool / disk manager I/O counters in the store, WAL commit/sync
+//! watermarks on the database front door.
 //! Each had its own ad-hoc accessor and none composed. The registry gives
 //! every layer one vocabulary — named [`Counter`]s, [`Gauge`]s and
 //! fixed-bucket latency [`Histogram`]s — behind a snapshot/diff API, so a
@@ -19,7 +19,7 @@
 //! register their instruments once at startup).
 //!
 //! Naming convention: `component.metric` with dots as separators —
-//! `pool.io_reads`, `wal.syncs`, `exec.rows_emitted`,
+//! `pool.io_reads`, `wal.syncs`, `session.statements`,
 //! `server.statements`. Snapshots render in `BTreeMap` order, so related
 //! metrics group together in every dump.
 

@@ -26,17 +26,12 @@ pub struct PlannerConfig {
     pub enable_nestloop: bool,
     pub enable_hashjoin: bool,
     pub enable_mergejoin: bool,
-    /// Force-allow the sweep-based interval overlap join — the paper's
-    /// future-work extension (Sec. 8) — as a join candidate whenever it is
-    /// applicable. Off by default; [`PlannerConfig::paper`] keeps it off
-    /// for the paper-faithful benchmark runs.
-    pub enable_intervaljoin: bool,
-    /// Heuristic auto-enablement of the sweep interval join: when the join
-    /// condition is a pure interval-overlap pattern *without* hashable equi
-    /// keys (the shape the temporal primitives' group-construction join
-    /// takes when θ carries no equality), the sweep candidate is costed
-    /// against the nested loop and the cheaper plan wins. On by default —
-    /// no manual `SET enable_intervaljoin = on` needed; switch off (or use
+    /// The sweep-based interval overlap join — the paper's future-work
+    /// extension (Sec. 8): when the join condition is a pure
+    /// interval-overlap pattern *without* hashable equi keys (the shape the
+    /// temporal primitives' group-construction join takes when θ carries no
+    /// equality), the sweep candidate is costed against the nested loop and
+    /// the cheaper plan wins. On by default; switch off (or use
     /// [`PlannerConfig::paper`]) to reproduce the paper's PostgreSQL
     /// behaviour, which has no such operator.
     pub enable_intervaljoin_auto: bool,
@@ -135,7 +130,6 @@ impl Default for PlannerConfig {
             enable_nestloop: true,
             enable_hashjoin: true,
             enable_mergejoin: true,
-            enable_intervaljoin: false,
             enable_intervaljoin_auto: true,
             enable_rewrites: true,
             enable_zonemaps: default_zonemaps(),
@@ -152,7 +146,7 @@ impl Default for PlannerConfig {
 impl PlannerConfig {
     /// The paper-faithful configuration: exactly PostgreSQL 9.0's join
     /// methods — the sweep interval join (a Sec. 8 future-work extension)
-    /// is neither forced nor auto-selected. Every other field is
+    /// is never a candidate. Every other field is
     /// `Default`'s, including those read from the environment
     /// (`TEMPORAL_THREADS`, `TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
     /// `TEMPORAL_INTERVAL_INDEX`): a caller that needs a fixed
@@ -195,7 +189,6 @@ impl PlannerConfig {
             "enable_nestloop" => self.enable_nestloop = value,
             "enable_hashjoin" => self.enable_hashjoin = value,
             "enable_mergejoin" => self.enable_mergejoin = value,
-            "enable_intervaljoin" => self.enable_intervaljoin = value,
             "enable_intervaljoin_auto" => self.enable_intervaljoin_auto = value,
             "enable_rewrites" => self.enable_rewrites = value,
             "enable_zonemaps" => self.enable_zonemaps = value,
@@ -530,11 +523,10 @@ impl Planner {
         }
 
         // Interval sweep join: considered when the condition is an overlap
-        // pattern without hashable keys and the join is Inner/Left — either
-        // forced (`enable_intervaljoin`) or, by default, auto-detected
-        // (`enable_intervaljoin_auto`) and left to compete on cost with
-        // the nested loop.
-        if (self.config.enable_intervaljoin || self.config.enable_intervaljoin_auto)
+        // pattern without hashable keys and the join is Inner/Left
+        // (`enable_intervaljoin_auto`), left to compete on cost with the
+        // nested loop.
+        if self.config.enable_intervaljoin_auto
             && parts.equi_keys.is_empty()
             && matches!(join_type, JoinType::Inner | JoinType::Left)
         {

@@ -283,7 +283,6 @@ impl PhysicalPlan {
             .collect::<EngineResult<Vec<_>>>()?;
         if let Some((table, pages, _)) = &pruned {
             let skipped = u64::from(table.page_count()).saturating_sub(pages.len() as u64);
-            state.note_pages_skipped(skipped);
             if let Some(ins) = state.instrumentation() {
                 ins.op(self.pipeline_leaf().node_key())
                     .note_pages_skipped(skipped);
@@ -479,7 +478,6 @@ impl PhysicalPlan {
                         // the parallel path accounts in `build_parallel`.
                         let skipped =
                             u64::from(table.page_count()).saturating_sub(pages.len() as u64);
-                        state.note_pages_skipped(skipped);
                         if let Some(ins) = state.instrumentation() {
                             ins.op(self.node_key()).note_pages_skipped(skipped);
                         }

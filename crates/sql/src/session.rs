@@ -15,7 +15,7 @@ use temporal_core::trel::TemporalRelation;
 use temporal_engine::prelude::*;
 
 use crate::analyzer::Analyzer;
-use crate::ast::{AstExpr, CopyDirection, SetValue, Statement};
+use crate::ast::{AstExpr, CopyDirection, SelectStmt, SetValue, Statement};
 use crate::csv::{relation_to_csv, rows_from_csv};
 use crate::error::{SqlError, SqlResult};
 use crate::parser::parse_statement;
@@ -195,6 +195,26 @@ impl Session {
         tracer.record_since(sql, "query", t0, 0);
     }
 
+    /// Analyze and plan a SELECT under the shared lock; the caller
+    /// executes after it is dropped (the physical plan captures its scans),
+    /// so a long query never blocks concurrent registration or SET. A
+    /// scoped session plans with its local config overlay.
+    fn plan_select(&self, sel: &SelectStmt) -> SqlResult<PhysicalPlan> {
+        let local = self.local;
+        self.db.read(|catalog, shared| {
+            let planner;
+            let planner = match local {
+                Some(cfg) => {
+                    planner = Planner::new(cfg);
+                    &planner
+                }
+                None => shared,
+            };
+            let plan = Analyzer::new(catalog).analyze(sel)?;
+            planner.plan(&plan, catalog).map_err(SqlError::from)
+        })
+    }
+
     fn run_statement(&mut self, sql: &str, stmt: Statement) -> SqlResult<SqlOutput> {
         match stmt {
             Statement::Set { name, value } => {
@@ -225,20 +245,8 @@ impl Session {
             Statement::Explain { analyze, query } => match *query {
                 Statement::Select(sel) => {
                     let config = self.config();
-                    let local = self.local;
                     let trace_t0 = (analyze && config.trace).then(|| self.db.tracer().now_us());
-                    let physical = self.db.read(|catalog, shared| {
-                        let planner;
-                        let planner = match local {
-                            Some(cfg) => {
-                                planner = Planner::new(cfg);
-                                &planner
-                            }
-                            None => shared,
-                        };
-                        let plan = Analyzer::new(catalog).analyze(&sel)?;
-                        planner.plan(&plan, catalog).map_err(SqlError::from)
-                    })?;
+                    let physical = self.plan_select(&sel)?;
                     let text = if analyze {
                         // ANALYZE really executes (result discarded) with
                         // per-operator instrumentation — outside the shared
@@ -270,26 +278,10 @@ impl Session {
                 ))),
             },
             Statement::Select(sel) => {
-                // Analyze and plan under the shared lock; execute after
-                // dropping it (the physical plan captures its scans), so a
-                // long query never blocks concurrent registration or SET.
-                // A scoped session plans with its local config overlay.
                 let config = self.config();
-                let local = self.local;
                 let trace_t0 = config.trace.then(|| self.db.tracer().now_us());
                 let plan_t0 = trace_t0.map(|_| self.db.tracer().now_us());
-                let physical = self.db.read(|catalog, shared| {
-                    let planner;
-                    let planner = match local {
-                        Some(cfg) => {
-                            planner = Planner::new(cfg);
-                            &planner
-                        }
-                        None => shared,
-                    };
-                    let plan = Analyzer::new(catalog).analyze(&sel)?;
-                    planner.plan(&plan, catalog).map_err(SqlError::from)
-                })?;
+                let physical = self.plan_select(&sel)?;
                 if let Some(t0) = plan_t0 {
                     self.db.tracer().record_since("plan", "plan", t0, 0);
                 }

@@ -7,22 +7,38 @@ mod common;
 
 use common::{random_trel, rel1};
 use temporal_alignment::baselines::{
-    sql_full_outer_join, sql_left_outer_join, sqlnorm_full_outer_join, sqlnorm_left_outer_join,
+    sql_full_outer_join_plan, sql_left_outer_join_plan, sqlnorm_full_outer_join_plan,
+    sqlnorm_left_outer_join_plan,
 };
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::datasets::{ddisj, deq, drand, incumben, prefix, IncumbenSpec};
 use temporal_alignment::engine::prelude::*;
 
-fn assert_all_equal_loj(
+type Build = fn(LogicalPlan, LogicalPlan, Option<Expr>) -> TemporalResult<LogicalPlan>;
+
+/// `align` (the reduction of `op`) against the `sql` and `sql+normalize`
+/// plans of the same outer join.
+fn assert_all_equal(
+    op: TemporalOp,
+    [sql, sqlnorm]: [Build; 2],
     r: &TemporalRelation,
     s: &TemporalRelation,
-    theta: Option<Expr>,
     label: &str,
 ) {
-    let alg = TemporalAlgebra::default();
-    let align = alg.left_outer_join(r, s, theta.clone()).unwrap();
-    let sql = sql_left_outer_join(r, s, theta.clone(), alg.planner()).unwrap();
-    let sqlnorm = sqlnorm_left_outer_join(r, s, theta, alg.planner()).unwrap();
+    let planner = Planner::default();
+    let baseline = |build: Build| {
+        let plan = build(
+            TemporalPlan::scan(r).into_logical(),
+            TemporalPlan::scan(s).into_logical(),
+            op.theta().cloned(),
+        );
+        let plan = TemporalPlan::from_logical(plan.unwrap()).unwrap();
+        plan.execute(&planner).unwrap()
+    };
+    let align = op.evaluate(&planner, &[r, s]).unwrap();
+    let sql = baseline(sql);
+    let sqlnorm = baseline(sqlnorm);
     assert!(
         align.same_set(&sql),
         "{label}: align vs sql differ.\nalign:\n{align}\nsql:\n{sql}"
@@ -33,24 +49,24 @@ fn assert_all_equal_loj(
     );
 }
 
+fn assert_all_equal_loj(
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    theta: Option<Expr>,
+    label: &str,
+) {
+    let baselines = [sql_left_outer_join_plan, sqlnorm_left_outer_join_plan];
+    assert_all_equal(TemporalOp::LeftOuterJoin { theta }, baselines, r, s, label);
+}
+
 fn assert_all_equal_foj(
     r: &TemporalRelation,
     s: &TemporalRelation,
     theta: Option<Expr>,
     label: &str,
 ) {
-    let alg = TemporalAlgebra::default();
-    let align = alg.full_outer_join(r, s, theta.clone()).unwrap();
-    let sql = sql_full_outer_join(r, s, theta.clone(), alg.planner()).unwrap();
-    let sqlnorm = sqlnorm_full_outer_join(r, s, theta, alg.planner()).unwrap();
-    assert!(
-        align.same_set(&sql),
-        "{label}: align vs sql differ.\nalign:\n{align}\nsql:\n{sql}"
-    );
-    assert!(
-        align.same_set(&sqlnorm),
-        "{label}: align vs sql+normalize differ.\nalign:\n{align}\nsqlnorm:\n{sqlnorm}"
-    );
+    let baselines = [sql_full_outer_join_plan, sqlnorm_full_outer_join_plan];
+    assert_all_equal(TemporalOp::FullOuterJoin { theta }, baselines, r, s, label);
 }
 
 #[test]
@@ -121,7 +137,6 @@ fn sql_baseline_is_quadratic_shaped_on_ddisj() {
     // NOT EXISTS anti join has no usable equi keys, so the planner must
     // fall back to a nested loop (the cause of Fig. 15a's quadratic sql
     // curve).
-    use temporal_alignment::baselines::sql_outer_join::sql_left_outer_join_plan;
     let (r, s) = ddisj(20);
     let plan = sql_left_outer_join_plan(
         LogicalPlan::inline_scan(r.rel().clone()),

@@ -144,34 +144,6 @@ pub fn paper_p() -> TemporalRelation {
     .expect("valid fixture")
 }
 
-/// Apply one operator to a composed plan (the plan-first path).
-pub fn apply_plan(
-    op: &TemporalOp,
-    plan: TemporalPlan,
-    rhs: Option<TemporalPlan>,
-) -> TemporalResult<TemporalPlan> {
-    match op {
-        TemporalOp::Selection { predicate } => plan.selection(predicate.clone()),
-        TemporalOp::Projection { attrs } => plan.projection(attrs),
-        TemporalOp::Aggregation { group, aggs } => plan.aggregation(group, aggs.clone()),
-        TemporalOp::Union => plan.union(rhs.expect("binary")),
-        TemporalOp::Difference => plan.difference(rhs.expect("binary")),
-        TemporalOp::Intersection => plan.intersection(rhs.expect("binary")),
-        TemporalOp::CartesianProduct => plan.cartesian_product(rhs.expect("binary")),
-        TemporalOp::Join { theta } => plan.join(rhs.expect("binary"), theta.clone()),
-        TemporalOp::LeftOuterJoin { theta } => {
-            plan.left_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::RightOuterJoin { theta } => {
-            plan.right_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::FullOuterJoin { theta } => {
-            plan.full_outer_join(rhs.expect("binary"), theta.clone())
-        }
-        TemporalOp::AntiJoin { theta } => plan.anti_join(rhs.expect("binary"), theta.clone()),
-    }
-}
-
 /// Compose a chain — first operator binary over `(r, s)`, the rest unary —
 /// into one `TemporalPlan`.
 pub fn compose_chain(
@@ -180,14 +152,12 @@ pub fn compose_chain(
     s: &TemporalRelation,
     label: &str,
 ) -> TemporalPlan {
-    let mut plan = apply_plan(
-        &chain[0],
-        TemporalPlan::scan(r),
-        Some(TemporalPlan::scan(s)),
-    )
-    .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", chain[0].name()));
+    let mut plan = chain[0]
+        .plan(vec![TemporalPlan::scan(r), TemporalPlan::scan(s)])
+        .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", chain[0].name()));
     for op in &chain[1..] {
-        plan = apply_plan(op, plan, None)
+        plan = op
+            .plan(vec![plan])
             .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", op.name()));
     }
     plan

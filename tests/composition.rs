@@ -80,15 +80,15 @@ fn join_then_aggregate() {
     // headcount of matched reservation-price pairs over time:
     // ϑ_count(R ⋈ᵀ P)
     let (r, p) = (paper_r(), paper_p());
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     let join_op = TemporalOp::Join { theta: None };
-    let joined = join_op.evaluate(&alg, &[&r, &p]).unwrap();
+    let joined = join_op.evaluate(&planner, &[&r, &p]).unwrap();
     assert!(joined.is_duplicate_free());
     let agg_op = TemporalOp::Aggregation {
         group: vec![],
         aggs: vec![(AggCall::count_star(), "cnt".to_string())],
     };
-    let out = agg_op.evaluate(&alg, &[&joined]).unwrap();
+    let out = agg_op.evaluate(&planner, &[&joined]).unwrap();
     assert!(out.is_duplicate_free());
     check_pipeline_snapshots(&[join_op, agg_op], &[&r, &p], &out);
 }
@@ -97,12 +97,12 @@ fn join_then_aggregate() {
 fn difference_then_projection() {
     let r = random_trel(61, 10, 3, 20);
     let s = random_trel(62, 10, 3, 20);
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     let diff_op = TemporalOp::Difference;
-    let diffed = diff_op.evaluate(&alg, &[&r, &s]).unwrap();
+    let diffed = diff_op.evaluate(&planner, &[&r, &s]).unwrap();
     assert!(diffed.is_duplicate_free());
     let proj_op = TemporalOp::Projection { attrs: vec![0] };
-    let out = proj_op.evaluate(&alg, &[&diffed]).unwrap();
+    let out = proj_op.evaluate(&planner, &[&diffed]).unwrap();
     assert!(out.is_duplicate_free());
     check_pipeline_snapshots(&[diff_op, proj_op], &[&r, &s], &out);
 }
@@ -113,12 +113,12 @@ fn join_of_join_results() {
     let r = random_trel(71, 8, 2, 16);
     let s = random_trel(72, 8, 2, 16);
     let u = random_trel(73, 8, 2, 16);
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     let j1 = TemporalOp::Join { theta: None };
-    let rs = j1.evaluate(&alg, &[&r, &s]).unwrap();
+    let rs = j1.evaluate(&planner, &[&r, &s]).unwrap();
     assert!(rs.is_duplicate_free());
     let j2 = TemporalOp::Join { theta: None };
-    let out = j2.evaluate(&alg, &[&rs, &u]).unwrap();
+    let out = j2.evaluate(&planner, &[&rs, &u]).unwrap();
     assert!(out.is_duplicate_free());
     check_pipeline_snapshots(&[j1, j2], &[&r, &s, &u], &out);
 }
@@ -128,17 +128,17 @@ fn union_then_difference_then_aggregate() {
     let a = random_trel(81, 8, 2, 14);
     let b = random_trel(82, 8, 2, 14);
     let c = random_trel(83, 8, 2, 14);
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     let u_op = TemporalOp::Union;
-    let ab = u_op.evaluate(&alg, &[&a, &b]).unwrap();
+    let ab = u_op.evaluate(&planner, &[&a, &b]).unwrap();
     let d_op = TemporalOp::Difference;
-    let abc = d_op.evaluate(&alg, &[&ab, &c]).unwrap();
+    let abc = d_op.evaluate(&planner, &[&ab, &c]).unwrap();
     assert!(abc.is_duplicate_free());
     let agg_op = TemporalOp::Aggregation {
         group: vec![0],
         aggs: vec![(AggCall::count_star(), "cnt".to_string())],
     };
-    let out = agg_op.evaluate(&alg, &[&abc]).unwrap();
+    let out = agg_op.evaluate(&planner, &[&abc]).unwrap();
     check_pipeline_snapshots(&[u_op, d_op, agg_op], &[&a, &b, &c], &out);
 }
 
@@ -146,20 +146,20 @@ fn union_then_difference_then_aggregate() {
 fn outer_join_feeds_selection_and_antijoin() {
     let r = random_trel(91, 8, 2, 14);
     let s = random_trel(92, 8, 2, 14);
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     let loj = TemporalOp::LeftOuterJoin { theta: None };
-    let joined = loj.evaluate(&alg, &[&r, &s]).unwrap();
+    let joined = loj.evaluate(&planner, &[&r, &s]).unwrap();
     // keep only the ω-padded rows (negative part): s-side is NULL
     let sel = TemporalOp::Selection {
         predicate: col(1).is_null(),
     };
-    let negative = sel.evaluate(&alg, &[&joined]).unwrap();
+    let negative = sel.evaluate(&planner, &[&joined]).unwrap();
     assert!(negative.is_duplicate_free());
     check_pipeline_snapshots(&[loj, sel], &[&r, &s], &negative);
 
     // The ω rows must exactly be the anti join's result (projected).
     let anti = TemporalOp::AntiJoin { theta: None };
-    let anti_out = anti.evaluate(&alg, &[&r, &s]).unwrap();
+    let anti_out = anti.evaluate(&planner, &[&r, &s]).unwrap();
     let projected = negative.project_data(&[0]).unwrap();
     assert!(
         projected.same_set(&anti_out),

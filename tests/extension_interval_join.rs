@@ -4,21 +4,14 @@
 //! efficiently" (θ without equality predicates). The default planner
 //! auto-detects the overlap pattern (`enable_intervaljoin_auto`) and costs
 //! the sweep against the nested loop; `PlannerConfig::paper()` keeps the
-//! paper-faithful behaviour, and `enable_intervaljoin` force-allows the
-//! candidate. Results must be identical either way.
+//! paper-faithful behaviour. Results must be identical either way.
 
 mod common;
 
 use common::random_trel;
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
-
-fn sweep_config() -> PlannerConfig {
-    PlannerConfig {
-        enable_intervaljoin: true,
-        ..PlannerConfig::paper()
-    }
-}
 
 #[test]
 fn heuristic_picks_interval_join_paper_config_does_not() {
@@ -53,15 +46,6 @@ fn heuristic_picks_interval_join_paper_config_does_not() {
         "heuristic must pick the sweep join:\n{}",
         auto_physical.explain()
     );
-
-    let sweep_physical = Planner::new(sweep_config()).plan(&plan, &catalog).unwrap();
-    assert!(
-        sweep_physical
-            .explain()
-            .contains("IntervalJoin[Left] (sweep)"),
-        "forced extension must pick the sweep join:\n{}",
-        sweep_physical.explain()
-    );
 }
 
 #[test]
@@ -69,20 +53,24 @@ fn alignment_results_identical_with_and_without_sweep_join() {
     for seed in 0..8u64 {
         let r = random_trel(seed + 400, 12, 3, 24);
         let s = random_trel(seed + 500, 12, 3, 24);
-        let base = TemporalAlgebra::default();
-        let ext = TemporalAlgebra::new(sweep_config());
+        let paper = Planner::new(PlannerConfig::paper());
+        let sweep = Planner::default();
 
-        let a = base.align(&r, &s, None).unwrap();
-        let b = ext.align(&r, &s, None).unwrap();
+        let align = TemporalPlan::scan(&r)
+            .align(TemporalPlan::scan(&s), None)
+            .unwrap();
+        let a = align.execute(&paper).unwrap();
+        let b = align.execute(&sweep).unwrap();
         assert!(a.same_set(&b), "align mismatch at seed {seed}");
 
-        let a = base.left_outer_join(&r, &s, None).unwrap();
-        let b = ext.left_outer_join(&r, &s, None).unwrap();
-        assert!(a.same_set(&b), "LOJ mismatch at seed {seed}");
-
-        let a = base.anti_join(&r, &s, None).unwrap();
-        let b = ext.anti_join(&r, &s, None).unwrap();
-        assert!(a.same_set(&b), "antijoin mismatch at seed {seed}");
+        for op in [
+            TemporalOp::LeftOuterJoin { theta: None },
+            TemporalOp::AntiJoin { theta: None },
+        ] {
+            let a = op.evaluate(&paper, &[&r, &s]).unwrap();
+            let b = op.evaluate(&sweep, &[&r, &s]).unwrap();
+            assert!(a.same_set(&b), "{} mismatch at seed {seed}", op.name());
+        }
     }
 }
 
@@ -96,7 +84,7 @@ fn equality_theta_still_uses_hash_join_when_sweep_enabled() {
         Some(col(0).eq(col(3))),
     )
     .unwrap();
-    let physical = Planner::new(sweep_config())
+    let physical = Planner::default()
         .plan(&plan, &temporal_engine::catalog::Catalog::new())
         .unwrap();
     let text = physical.explain();
@@ -116,29 +104,39 @@ fn sql_set_switch_controls_the_extension() {
     // The heuristic is on by default, so a fresh session sweeps.
     let auto = session.explain(q).unwrap();
     assert!(auto.contains("IntervalJoin"), "{auto}");
-    // Switching the heuristic off restores the paper's nested loop …
+    // Switching it off restores the paper's nested loop …
     session
         .execute("SET enable_intervaljoin_auto = off")
         .unwrap();
     let off = session.explain(q).unwrap();
     assert!(!off.contains("IntervalJoin"), "{off}");
-    // … and the manual force-switch still works on top of that.
-    session.execute("SET enable_intervaljoin = on").unwrap();
-    let forced = session.explain(q).unwrap();
-    assert!(forced.contains("IntervalJoin"), "{forced}");
+    // … and switching it back on restores the sweep join.
+    session
+        .execute("SET enable_intervaljoin_auto = on")
+        .unwrap();
+    let on = session.explain(q).unwrap();
+    assert!(on.contains("IntervalJoin"), "{on}");
 }
 
 #[test]
 fn optimized_antijoin_equals_generic_reduction() {
     // Sec. 8 future work: the gaps-only sweep must produce exactly the
     // Table 2 anti join, on fixtures and random inputs.
-    let base = TemporalAlgebra::default();
+    let planner = Planner::default();
     for seed in 0..10u64 {
         let r = random_trel(seed + 600, 12, 3, 24);
         let s = random_trel(seed + 700, 12, 3, 24);
         for theta in [None, Some(col(0).eq(col(3))), Some(col(0).lt(col(3)))] {
-            let generic = base.anti_join(&r, &s, theta.clone()).unwrap();
-            let fast = base.anti_join_optimized(&r, &s, theta).unwrap();
+            let generic = TemporalOp::AntiJoin {
+                theta: theta.clone(),
+            }
+            .evaluate(&planner, &[&r, &s])
+            .unwrap();
+            let fast = TemporalPlan::scan(&r)
+                .anti_join_optimized(TemporalPlan::scan(&s), theta)
+                .unwrap()
+                .execute(&planner)
+                .unwrap();
             assert!(
                 fast.same_set(&generic),
                 "seed {seed}: generic:\n{generic}\nfast:\n{fast}"

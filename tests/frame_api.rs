@@ -1,9 +1,8 @@
-//! The name-based, lazy frame front door (ISSUE 4): `TemporalFrame`
-//! pipelines must agree row-for-row with the eager `TemporalAlgebra` and
-//! the point-wise `reference::oracle`; name resolution must fail helpfully
-//! (unknown / ambiguous / qualified); and the Rust and SQL surfaces must
-//! share one `Database` — same catalog, same planner, same physical plan
-//! for equivalent queries.
+//! The name-based, lazy frame front door: `TemporalFrame` pipelines must
+//! agree with the point-wise `reference::oracle` and the primitives'
+//! references; name resolution must fail helpfully (unknown / ambiguous /
+//! qualified); and the Rust and SQL surfaces must share one `Database` —
+//! same catalog, same planner, same physical plan for equivalent queries.
 
 mod common;
 
@@ -41,52 +40,7 @@ fn apply_frame(op: &TemporalOp, frame: TemporalFrame, rhs: Option<TemporalFrame>
     }
 }
 
-/// Chains whose first operator is binary over `(r, s)` and whose remaining
-/// operators are unary — valid for two one-data-column relations.
-fn chains_1col() -> Vec<Vec<TemporalOp>> {
-    let count = vec![(AggCall::count_star(), "cnt".to_string())];
-    vec![
-        vec![
-            TemporalOp::Join {
-                theta: Some(col(0usize).eq(col(3usize))),
-            },
-            TemporalOp::Selection {
-                predicate: col(0usize).ge(lit(1i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::LeftOuterJoin { theta: None },
-            TemporalOp::Aggregation {
-                group: vec![0],
-                aggs: count.clone(),
-            },
-        ],
-        vec![
-            TemporalOp::Union,
-            TemporalOp::Selection {
-                predicate: col(0usize).lt(lit(4i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::Difference,
-            TemporalOp::Aggregation {
-                group: vec![],
-                aggs: count,
-            },
-        ],
-        vec![
-            TemporalOp::AntiJoin {
-                theta: Some(col(0usize).eq(col(3usize))),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-    ]
-}
-
-/// Evaluate a chain three ways — lazy frame, eager algebra, oracle — and
-/// assert all agree.
+/// Evaluate a chain as a lazy frame and assert it agrees with the oracle.
 fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation, label: &str) {
     let db = Database::new();
     let mut frame = apply_frame(&chain[0], db.frame(r), Some(db.frame(s)));
@@ -96,28 +50,7 @@ fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation,
     let collected = frame
         .collect()
         .unwrap_or_else(|e| panic!("{label}: frame collect: {e}"));
-
-    let alg = TemporalAlgebra::default();
-    let mut eager = chain[0]
-        .evaluate(&alg, &[r, s])
-        .unwrap_or_else(|e| panic!("{label}: eager {}: {e}", chain[0].name()));
-    for op in &chain[1..] {
-        eager = op
-            .evaluate(&alg, &[&eager])
-            .unwrap_or_else(|e| panic!("{label}: eager {}: {e}", op.name()));
-    }
-
-    let mut oracle = evaluate_oracle(&chain[0], &[r, s])
-        .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", chain[0].name()));
-    for op in &chain[1..] {
-        oracle = evaluate_oracle(op, &[&oracle])
-            .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", op.name()));
-    }
-
-    assert!(
-        collected.same_set(&eager),
-        "{label}: frame vs eager mismatch.\nframe:\n{collected}\neager:\n{eager}"
-    );
+    let oracle = common::oracle_chain(chain, r, s, label);
     assert!(
         collected.same_set(&oracle),
         "{label}: frame vs oracle mismatch.\nframe:\n{collected}\noracle:\n{oracle}"
@@ -127,17 +60,14 @@ fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Frame pipelines over the paper's synthetic datasets: frame ≡ eager
-    /// ≡ oracle on Ddisj and Deq of random sizes.
+    /// Frame pipelines over the paper's synthetic datasets: frame ≡ oracle
+    /// on Ddisj and Deq of random sizes.
     #[test]
     fn frame_pipelines_agree_on_ddisj_and_deq(n in 2usize..6) {
-        let (r, s) = ddisj(n);
-        for (i, chain) in chains_1col().iter().enumerate() {
-            check_chain(chain, &r, &s, &format!("ddisj({n}) chain {i}"));
-        }
-        let (r, s) = deq(n);
-        for (i, chain) in chains_1col().iter().enumerate() {
-            check_chain(chain, &r, &s, &format!("deq({n}) chain {i}"));
+        for (name, (r, s)) in [("ddisj", ddisj(n)), ("deq", deq(n))] {
+            for (i, chain) in common::differential_chains_1col().iter().enumerate() {
+                check_chain(chain, &r, &s, &format!("{name}({n}) chain {i}"));
+            }
         }
     }
 
@@ -145,37 +75,20 @@ proptest! {
     #[test]
     fn frame_pipelines_agree_on_drand(n in 2usize..6, seed in 0u64..1000) {
         let (r, s) = drand(n, seed);
-        // concat row = (id, ts, te, a, min, max, ts, te)
-        let chains: Vec<Vec<TemporalOp>> = vec![
-            vec![
-                TemporalOp::Join { theta: Some(col(0usize).lt(col(3usize))) },
-                TemporalOp::Projection { attrs: vec![0] },
-                TemporalOp::Aggregation {
-                    group: vec![],
-                    aggs: vec![(AggCall::count_star(), "cnt".to_string())],
-                },
-            ],
-            vec![
-                TemporalOp::AntiJoin { theta: Some(col(0usize).eq(col(3usize))) },
-                TemporalOp::Selection { predicate: col(0usize).ge(lit(0i64)) },
-                TemporalOp::Projection { attrs: vec![0] },
-            ],
-            vec![
-                TemporalOp::FullOuterJoin { theta: Some(col(0usize).lt(col(3usize))) },
-                TemporalOp::Projection { attrs: vec![0, 1] },
-            ],
-        ];
-        for (i, chain) in chains.iter().enumerate() {
+        for (i, chain) in common::differential_chains_drand().iter().enumerate() {
             check_chain(chain, &r, &s, &format!("drand({n}, {seed}) chain {i}"));
         }
     }
 }
 
-// ---- acceptance: every TemporalAlgebra operator via frames -------------
+// ---- acceptance: every operator of the algebra via frames --------------
 
-/// Every operator reachable from `TemporalAlgebra` is expressible through
-/// `TemporalFrame` with *name-based* expressions, and agrees with the
-/// eager evaluation.
+/// Every operator of the sequenced algebra — each `TemporalOp`, the three
+/// primitives and the customized anti join — is expressible through
+/// `TemporalFrame` with *name-based* expressions, and agrees with an
+/// independent reference: the oracle for the operators, `align_ref` /
+/// `normalize_ref` / `absorb_ref` for the primitives, the generic anti
+/// join for the customized one.
 #[test]
 fn every_algebra_operator_is_expressible_via_frames() {
     let r = rel1("r", &[(1, 0, 8), (2, 5, 12), (3, 1, 3)]);
@@ -183,96 +96,106 @@ fn every_algebra_operator_is_expressible_via_frames() {
     let db = Database::new();
     db.register("r", &r).unwrap();
     db.register("s", &s).unwrap();
-    let alg = TemporalAlgebra::default();
 
     let rf = || db.table("r").unwrap();
     let sf = || db.table("s").unwrap();
     let theta_named = || col("r.k").eq(col("s.k"));
-    let theta_pos = || col(0usize).eq(col(3usize));
+    let theta = || Some(col(0usize).eq(col(3usize)));
     let count = || vec![(AggCall::count_star(), "cnt".to_string())];
+    let oracle = |op: TemporalOp| {
+        let args: &[&TemporalRelation] = if op.arity() == 1 { &[&r] } else { &[&r, &s] };
+        evaluate_oracle(&op, args).unwrap()
+    };
 
     let cases: Vec<(&str, TemporalFrame, TemporalRelation)> = vec![
         (
             "selection",
             rf().filter(col("k").ge(lit(2i64))),
-            alg.selection(&r, col(0usize).ge(lit(2i64))).unwrap(),
+            oracle(TemporalOp::Selection {
+                predicate: col(0usize).ge(lit(2i64)),
+            }),
         ),
         (
             "cartesian_product",
             rf().cartesian_product(sf()),
-            alg.cartesian_product(&r, &s).unwrap(),
+            oracle(TemporalOp::CartesianProduct),
         ),
         (
             "join",
             rf().temporal_join(sf(), theta_named()),
-            alg.join(&r, &s, Some(theta_pos())).unwrap(),
+            oracle(TemporalOp::Join { theta: theta() }),
         ),
         (
             "left_outer_join",
             rf().left_outer_join(sf(), theta_named()),
-            alg.left_outer_join(&r, &s, Some(theta_pos())).unwrap(),
+            oracle(TemporalOp::LeftOuterJoin { theta: theta() }),
         ),
         (
             "right_outer_join",
             rf().right_outer_join(sf(), theta_named()),
-            alg.right_outer_join(&r, &s, Some(theta_pos())).unwrap(),
+            oracle(TemporalOp::RightOuterJoin { theta: theta() }),
         ),
         (
             "full_outer_join",
             rf().full_outer_join(sf(), theta_named()),
-            alg.full_outer_join(&r, &s, Some(theta_pos())).unwrap(),
+            oracle(TemporalOp::FullOuterJoin { theta: theta() }),
         ),
         (
             "anti_join",
             rf().anti_join(sf(), theta_named()),
-            alg.anti_join(&r, &s, Some(theta_pos())).unwrap(),
+            oracle(TemporalOp::AntiJoin { theta: theta() }),
         ),
         (
             "anti_join_optimized",
             rf().anti_join_optimized(sf(), theta_named()),
-            alg.anti_join_optimized(&r, &s, Some(theta_pos())).unwrap(),
+            TemporalOp::AntiJoin { theta: theta() }
+                .evaluate(&Planner::default(), &[&r, &s])
+                .unwrap(),
         ),
         (
             "projection",
             rf().select(&["k"]),
-            alg.projection(&r, &[0]).unwrap(),
+            oracle(TemporalOp::Projection { attrs: vec![0] }),
         ),
         (
             "aggregation",
             rf().aggregate(&["k"], count()),
-            alg.aggregation(&r, &[0], count()).unwrap(),
+            oracle(TemporalOp::Aggregation {
+                group: vec![0],
+                aggs: count(),
+            }),
         ),
-        ("union", rf().union(sf()), alg.union(&r, &s).unwrap()),
+        ("union", rf().union(sf()), oracle(TemporalOp::Union)),
         (
             "difference",
             rf().difference(sf()),
-            alg.difference(&r, &s).unwrap(),
+            oracle(TemporalOp::Difference),
         ),
         (
             "intersection",
             rf().intersection(sf()),
-            alg.intersection(&r, &s).unwrap(),
+            oracle(TemporalOp::Intersection),
         ),
         (
             "align",
             rf().align(sf(), theta_named()),
-            alg.align(&r, &s, Some(theta_pos())).unwrap(),
+            align_ref(&r, &s, &Theta::from_option(theta())).unwrap(),
         ),
         (
             "normalize",
             rf().normalize_using(sf(), &["k"]),
-            alg.normalize(&r, &s, &[(0, 0)]).unwrap(),
+            normalize_ref(&r, &s, &[(0, 0)]).unwrap(),
         ),
-        ("absorb", rf().absorb(), alg.absorb(&r).unwrap()),
+        ("absorb", rf().absorb(), absorb_ref(&r).unwrap()),
     ];
 
-    for (op, frame, eager) in cases {
+    for (op, frame, reference) in cases {
         let collected = frame
             .collect()
             .unwrap_or_else(|e| panic!("{op}: frame collect: {e}"));
         assert!(
-            collected.same_set(&eager),
-            "{op}: frame vs algebra mismatch.\nframe:\n{collected}\nalgebra:\n{eager}"
+            collected.same_set(&reference),
+            "{op}: frame vs reference mismatch.\nframe:\n{collected}\nreference:\n{reference}"
         );
     }
 }

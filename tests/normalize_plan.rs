@@ -27,7 +27,11 @@ fn planners() -> [(&'static str, Planner); 2] {
 fn check(label: &str, r: &TemporalRelation, s: &TemporalRelation, b: &[(usize, usize)]) {
     let slow = normalize_ref(r, s, b).unwrap();
     for (how, planner) in planners() {
-        let fast = normalize_eval(r, s, b, &planner).unwrap();
+        let fast = TemporalPlan::scan(r)
+            .normalize(TemporalPlan::scan(s), b)
+            .unwrap()
+            .execute(&planner)
+            .unwrap();
         assert!(
             fast.same_set(&slow),
             "{label} on {b:?}, {how}:\nfast:\n{fast}\nslow:\n{slow}"
@@ -62,7 +66,11 @@ fn self_normalization_on_a_skewed_key_matches_the_reference() {
         let slow = self_normalize_ref(&r, b).unwrap();
         let pairs: Vec<(usize, usize)> = b.iter().map(|&i| (i, i)).collect();
         for (how, planner) in planners() {
-            let fast = normalize_eval(&r, &r, &pairs, &planner).unwrap();
+            let fast = TemporalPlan::scan(&r)
+                .normalize(TemporalPlan::scan(&r), &pairs)
+                .unwrap()
+                .execute(&planner)
+                .unwrap();
             assert!(fast.same_set(&slow), "N_{b:?}, {how}");
         }
     }
@@ -81,8 +89,16 @@ fn bag_duplicate_tuples_collapse_into_one_group() {
     .unwrap();
     for b in [&[][..], &[(0, 0)][..]] {
         for (how, planner) in planners() {
-            let once = normalize_eval(&r, &s, b, &planner).unwrap();
-            let twice = normalize_eval(&doubled, &s, b, &planner).unwrap();
+            let once = TemporalPlan::scan(&r)
+                .normalize(TemporalPlan::scan(&s), b)
+                .unwrap()
+                .execute(&planner)
+                .unwrap();
+            let twice = TemporalPlan::scan(&doubled)
+                .normalize(TemporalPlan::scan(&s), b)
+                .unwrap()
+                .execute(&planner)
+                .unwrap();
             assert_eq!(
                 once.rel().rows(),
                 twice.rel().rows(),

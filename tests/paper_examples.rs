@@ -5,6 +5,7 @@ mod common;
 
 use common::{paper_p, paper_r};
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
 use temporal_core::interval::month::ym;
 
@@ -23,14 +24,13 @@ fn assert_rows(out: &TemporalRelation, expected: &[(Vec<Value>, (i64, i64))]) {
 #[test]
 fn fig1b_query_q1() {
     let (r, p) = (paper_r(), paper_p());
-    let alg = TemporalAlgebra::default();
 
     let ur = extend(&r).unwrap();
     // U(R) = (n, us, ue, ts, te), P = (a, min, max, ts, te):
     // DUR(us, ue) BETWEEN min AND max.
     let theta = Expr::Func(Func::Dur, vec![col(1), col(2)]).between(col(6), col(7));
-    let q1 = alg
-        .left_outer_join(&ur, &p, Some(theta))
+    let q1 = TemporalOp::LeftOuterJoin { theta: Some(theta) }
+        .evaluate(&Planner::default(), &[&ur, &p])
         .unwrap()
         .project_data(&[0, 3, 4, 5]) // drop us, ue (Def. 4's π_E)
         .unwrap();
@@ -73,8 +73,11 @@ fn fig1b_query_q1() {
 #[test]
 fn fig3_normalization() {
     let r = paper_r();
-    let alg = TemporalAlgebra::default();
-    let out = alg.normalize(&r, &r, &[]).unwrap();
+    let out = TemporalPlan::scan(&r)
+        .normalize(TemporalPlan::scan(&r), &[])
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
     assert_rows(
         &out,
         &[
@@ -92,11 +95,14 @@ fn fig3_normalization() {
 #[test]
 fn fig4_alignment_of_prices() {
     let (r, p) = (paper_r(), paper_p());
-    let alg = TemporalAlgebra::default();
     let ur = extend(&r).unwrap();
     // P ++ U(R): P = (a, min, max, ts, te), U(R) = (n, us, ue, ts, te).
     let theta = Expr::Func(Func::Dur, vec![col(6), col(7)]).between(col(1), col(2));
-    let out = alg.align(&p, &ur, Some(theta)).unwrap();
+    let out = TemporalPlan::scan(&p)
+        .align(TemporalPlan::scan(&ur), Some(theta))
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
 
     let s = |a: i64, min: i64, max: i64| vec![Value::Int(a), Value::Int(min), Value::Int(max)];
     assert_rows(
@@ -123,12 +129,13 @@ fn fig4_alignment_of_prices() {
 #[test]
 fn fig7_aggregation_q2() {
     let r = paper_r();
-    let alg = TemporalAlgebra::default();
     let ur = extend(&r).unwrap();
     let avg = AggCall::new(AggFunc::Avg, Expr::Func(Func::Dur, vec![col(1), col(2)]));
-    let out = alg
-        .aggregation(&ur, &[], vec![(avg, "avg_dur".to_string())])
-        .unwrap();
+    let q2 = TemporalOp::Aggregation {
+        group: vec![],
+        aggs: vec![(avg, "avg_dur".to_string())],
+    };
+    let out = q2.evaluate(&Planner::default(), &[&ur]).unwrap();
     assert_rows(
         &out,
         &[
@@ -146,11 +153,10 @@ fn fig7_aggregation_q2() {
 #[test]
 fn example2_extended_snapshot_at_january() {
     let (r, p) = (paper_r(), paper_p());
-    let alg = TemporalAlgebra::default();
     let ur = extend(&r).unwrap();
     let theta = Expr::Func(Func::Dur, vec![col(1), col(2)]).between(col(6), col(7));
-    let q1 = alg
-        .left_outer_join(&ur, &p, Some(theta))
+    let q1 = TemporalOp::LeftOuterJoin { theta: Some(theta) }
+        .evaluate(&Planner::default(), &[&ur, &p])
         .unwrap()
         .project_data(&[0, 3, 4, 5])
         .unwrap();
@@ -171,10 +177,13 @@ fn example2_extended_snapshot_at_january() {
 /// Lemma 1 base case (Fig. 5): n = 1, m = 2 → exactly 5 aligned tuples.
 #[test]
 fn fig5_lemma1_base_case() {
-    let alg = TemporalAlgebra::default();
     let r = common::rel1("r", &[(0, 1, 12)]);
     let s = common::rel1("s", &[(1, 2, 4), (2, 6, 9)]);
-    let out = alg.align(&r, &s, None).unwrap();
+    let out = TemporalPlan::scan(&r)
+        .align(TemporalPlan::scan(&s), None)
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
     assert_eq!(out.len(), 5);
 }
 
@@ -182,7 +191,6 @@ fn fig5_lemma1_base_case() {
 /// by the Cartesian product's reduction.
 #[test]
 fn example9_absorb() {
-    let alg = TemporalAlgebra::default();
     let r = TemporalRelation::from_rows(
         Schema::new(vec![Column::new("x", DataType::Str)]),
         vec![
@@ -199,7 +207,9 @@ fn example9_absorb() {
         ],
     )
     .unwrap();
-    let out = alg.cartesian_product(&r, &s).unwrap();
+    let out = TemporalOp::CartesianProduct
+        .evaluate(&Planner::default(), &[&r, &s])
+        .unwrap();
     // z1, z3, z4, z5 of Example 9 — z2 = (a, c, [3,7)) absorbed.
     assert_eq!(out.len(), 4);
     assert!(!out

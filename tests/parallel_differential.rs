@@ -9,6 +9,8 @@
 
 mod common;
 
+use std::sync::atomic::Ordering;
+
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::core::semantics::TemporalOp;
@@ -186,7 +188,7 @@ fn exact_partition_boundaries() {
     let par_state = parallel_state();
     let parallel = physical.collect(&par_state).unwrap();
     assert_eq!(serial.rows(), parallel.rows());
-    let (_, _, partitions) = par_state.stats.snapshot();
+    let partitions = par_state.partitions_run.load(Ordering::Relaxed);
     assert!(
         partitions > 1,
         "exact-boundary input must still run partitioned, got {partitions}"

@@ -1,6 +1,6 @@
-//! Plan-first compilation (ISSUE 2): composed `TemporalPlan` pipelines
-//! must agree with the old per-operator (eager) evaluation and with the
-//! point-wise `reference::oracle`, and a multi-operator temporal query
+//! Plan-first compilation: composed `TemporalPlan` pipelines must agree
+//! with the point-wise `reference::oracle` whichever join methods and
+//! rewrites the planner is allowed, and a multi-operator temporal query
 //! must compile into a *single* physical tree — one `Planner::run`, no
 //! intermediate materialization barriers.
 
@@ -8,137 +8,69 @@ mod common;
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::catalog::Catalog;
 use temporal_alignment::engine::plan::PhysicalPlan;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand};
 
-/// Chains whose first operator is binary over `(r, s)` and whose remaining
-/// operators are unary — valid for two one-data-column relations.
-fn chains_1col() -> Vec<Vec<TemporalOp>> {
-    let count = vec![(AggCall::count_star(), "cnt".to_string())];
-    vec![
-        vec![
-            TemporalOp::Join {
-                theta: Some(col(0).eq(col(3))),
+/// Compose each chain into one plan and assert it agrees with the oracle
+/// under the default planner, the paper's nested-loop-only setting and
+/// with the cross-operator rewrites off.
+fn check_chains(
+    chains: &[Vec<TemporalOp>],
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    label: &str,
+) {
+    let planners = [
+        ("default", PlannerConfig::default()),
+        ("nestloop only", PlannerConfig::nestloop_only()),
+        (
+            "no rewrites",
+            PlannerConfig {
+                enable_rewrites: false,
+                ..Default::default()
             },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(1i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::LeftOuterJoin { theta: None },
-            TemporalOp::Selection {
-                predicate: col(0).ge(lit(0i64)),
-            },
-            TemporalOp::Aggregation {
-                group: vec![0],
-                aggs: count.clone(),
-            },
-        ],
-        vec![
-            TemporalOp::Union,
-            TemporalOp::Selection {
-                predicate: col(0).lt(lit(4i64)),
-            },
-            TemporalOp::Projection { attrs: vec![0] },
-        ],
-        vec![
-            TemporalOp::Difference,
-            TemporalOp::Aggregation {
-                group: vec![],
-                aggs: count,
-            },
-        ],
-        vec![
-            TemporalOp::FullOuterJoin {
-                theta: Some(col(0).eq(col(3))),
-            },
-            TemporalOp::Projection { attrs: vec![0, 1] },
-        ],
-    ]
-}
-
-/// Evaluate a chain three ways and assert all agree.
-fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation, label: &str) {
-    let alg = TemporalAlgebra::default();
-
-    // Plan-first: one composed plan, one Planner::run.
-    let composed = common::compose_chain(chain, r, s, label)
-        .execute(alg.planner())
-        .unwrap_or_else(|e| panic!("{label}: execute: {e}"));
-
-    // Eager: one TemporalAlgebra call per operator, materializing between.
-    let mut eager = chain[0]
-        .evaluate(&alg, &[r, s])
-        .unwrap_or_else(|e| panic!("{label}: eager {}: {e}", chain[0].name()));
-    for op in &chain[1..] {
-        eager = op
-            .evaluate(&alg, &[&eager])
-            .unwrap_or_else(|e| panic!("{label}: eager {}: {e}", op.name()));
+        ),
+    ];
+    for (i, chain) in chains.iter().enumerate() {
+        let label = format!("{label} chain {i}");
+        let plan = common::compose_chain(chain, r, s, &label);
+        let oracle = common::oracle_chain(chain, r, s, &label);
+        for (how, config) in planners {
+            let composed = plan
+                .execute(&Planner::new(config))
+                .unwrap_or_else(|e| panic!("{label}, {how}: execute: {e}"));
+            assert!(
+                composed.same_set(&oracle),
+                "{label}, {how}: plan-first vs oracle mismatch.\ncomposed:\n{composed}\noracle:\n{oracle}"
+            );
+        }
     }
-
-    // Oracle: the point-wise reference evaluator, per operator.
-    let oracle = common::oracle_chain(chain, r, s, label);
-
-    assert!(
-        composed.same_set(&eager),
-        "{label}: plan-first vs eager mismatch.\ncomposed:\n{composed}\neager:\n{eager}"
-    );
-    assert!(
-        composed.same_set(&oracle),
-        "{label}: plan-first vs oracle mismatch.\ncomposed:\n{composed}\noracle:\n{oracle}"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pipelines over the paper's synthetic datasets: plan-first ≡ eager ≡
-    /// oracle on Ddisj and Deq of random sizes.
+    /// Pipelines over the paper's synthetic datasets: plan-first ≡ oracle
+    /// on Ddisj and Deq of random sizes.
     #[test]
     fn pipelines_agree_on_ddisj_and_deq(n in 2usize..6) {
+        let chains = common::differential_chains_1col();
         let (r, s) = ddisj(n);
-        for (i, chain) in chains_1col().iter().enumerate() {
-            check_chain(chain, &r, &s, &format!("ddisj({n}) chain {i}"));
-        }
+        check_chains(&chains, &r, &s, &format!("ddisj({n})"));
         let (r, s) = deq(n);
-        for (i, chain) in chains_1col().iter().enumerate() {
-            check_chain(chain, &r, &s, &format!("deq({n}) chain {i}"));
-        }
+        check_chains(&chains, &r, &s, &format!("deq({n})"));
     }
 
-    /// Pipelines on Drand (random intervals, asymmetric schemas): the
-    /// tuple-based chain θ-joins r's id against s's category column.
+    /// Pipelines on Drand (random intervals, asymmetric schemas).
     #[test]
     fn pipelines_agree_on_drand(n in 2usize..6, seed in 0u64..1000) {
         let (r, s) = drand(n, seed);
-        // concat row = (id, ts, te, a, min, max, ts, te)
-        let chains: Vec<Vec<TemporalOp>> = vec![
-            vec![
-                TemporalOp::Join { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Projection { attrs: vec![0] },
-                TemporalOp::Aggregation {
-                    group: vec![],
-                    aggs: vec![(AggCall::count_star(), "cnt".to_string())],
-                },
-            ],
-            vec![
-                TemporalOp::AntiJoin { theta: Some(col(0).eq(col(3))) },
-                TemporalOp::Selection { predicate: col(0).ge(lit(0i64)) },
-                TemporalOp::Projection { attrs: vec![0] },
-            ],
-            vec![
-                TemporalOp::LeftOuterJoin { theta: Some(col(0).lt(col(3))) },
-                TemporalOp::Selection { predicate: col(1).ge(lit(0i64)) },
-                TemporalOp::Projection { attrs: vec![0, 1] },
-            ],
-        ];
-        for (i, chain) in chains.iter().enumerate() {
-            check_chain(chain, &r, &s, &format!("drand({n}, {seed}) chain {i}"));
-        }
+        let chains = common::differential_chains_drand();
+        check_chains(&chains, &r, &s, &format!("drand({n}, {seed})"));
     }
 }
 
@@ -195,18 +127,25 @@ fn three_operator_chain_compiles_to_single_tree() {
         "selection should be pushed below the root:\n{text}"
     );
 
-    // And the whole thing — one Planner::run — matches eager evaluation.
-    let alg = TemporalAlgebra::default();
+    // And the whole thing — one Planner::run — matches the oracle.
     let composed = plan.execute(&planner).unwrap();
-    let joined = alg
-        .join(
-            &alg.selection(&r, col(0).ge(lit(5i64))).unwrap(),
-            &s,
-            Some(col(0).lt(col(3))),
-        )
-        .unwrap();
-    let eager = alg.selection(&joined, col(0).lt(lit(40i64))).unwrap();
-    assert!(composed.same_set(&eager));
+    let chain = [
+        TemporalOp::Join {
+            theta: Some(col(0).lt(col(3))),
+        },
+        TemporalOp::Selection {
+            predicate: col(0).lt(lit(40i64)),
+        },
+    ];
+    let selected = evaluate_oracle(
+        &TemporalOp::Selection {
+            predicate: col(0).ge(lit(5i64)),
+        },
+        &[&r],
+    )
+    .unwrap();
+    let oracle = common::oracle_chain(&chain, &selected, &s, "σ ∘ ⋈ ∘ σ");
+    assert!(composed.same_set(&oracle));
 }
 
 /// Group-based composition: the composed operand is spooled (shared
@@ -223,7 +162,7 @@ fn group_based_chain_spools_composed_operand() {
     let text = plan.explain(&planner, &Catalog::new()).unwrap();
     assert!(text.contains("Spool"), "{text}");
     let composed = plan.execute(&planner).unwrap();
-    let alg = TemporalAlgebra::default();
-    let eager = alg.projection(&alg.union(&r, &s).unwrap(), &[0]).unwrap();
-    assert!(composed.same_set(&eager));
+    let chain = [TemporalOp::Union, TemporalOp::Projection { attrs: vec![0] }];
+    let oracle = common::oracle_chain(&chain, &r, &s, "πᵀ ∘ ∪ᵀ");
+    assert!(composed.same_set(&oracle));
 }

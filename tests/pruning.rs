@@ -6,6 +6,7 @@
 //! (c) survive a drop/reopen through the manifest, with the frame and SQL
 //! surfaces choosing the same access path.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -32,15 +33,25 @@ fn set_pruning(db: &Database, zonemaps: bool, index: bool) {
     db.set("enable_interval_index", index).unwrap();
 }
 
-/// Execute `table AS OF v` with an inspectable [`ExecutionState`]:
-/// returns the result rows plus the `(pages_read, pages_skipped)`
-/// counters of that single execution.
+/// Execute `table AS OF v` instrumented: returns the result rows plus the
+/// `(pages_read, pages_skipped)` the plan's scans credited to their
+/// operator stats in that single execution.
 fn run_as_of(db: &Database, table: &str, v: i64) -> (Vec<Row>, (u64, u64)) {
     let plan = db.table(table).unwrap().as_of(v).into_plan().unwrap();
     let physical = db.physical(&plan).unwrap();
-    let state = ExecutionState::new(db.config());
+    let state = ExecutionState::new(db.config()).with_instrumentation();
     let rel = physical.collect(&state).unwrap();
-    (rel.rows().to_vec(), state.stats.pages())
+    let pages =
+        physical
+            .operator_stats(&state)
+            .iter()
+            .fold((0, 0), |(read, skipped), (_, _, op)| {
+                (
+                    read + op.pages_read.load(Ordering::Relaxed),
+                    skipped + op.pages_skipped.load(Ordering::Relaxed),
+                )
+            });
+    (rel.rows().to_vec(), pages)
 }
 
 /// Brute-force timeslice over the raw rows (trailing `ts`, `te`).

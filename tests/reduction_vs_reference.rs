@@ -54,9 +54,8 @@ fn binary_ops() -> Vec<TemporalOp> {
 }
 
 fn check(op: &TemporalOp, args: &[&TemporalRelation], label: &str) {
-    let alg = TemporalAlgebra::default();
     let fast = op
-        .evaluate(&alg, args)
+        .evaluate(&Planner::default(), args)
         .unwrap_or_else(|e| panic!("{label}: {} failed: {e}", op.name()));
     let slow = evaluate_oracle(op, args)
         .unwrap_or_else(|e| panic!("{label}: oracle for {} failed: {e}", op.name()));
@@ -175,8 +174,7 @@ fn join_method_switches_agree_with_oracle() {
         PlannerConfig::no_merge(),
         PlannerConfig::nestloop_only(),
     ] {
-        let alg = TemporalAlgebra::new(config);
-        let fast = op.evaluate(&alg, &[&r, &s]).unwrap();
+        let fast = op.evaluate(&Planner::new(config), &[&r, &s]).unwrap();
         assert!(fast.same_set(&slow));
     }
 }

@@ -92,8 +92,11 @@ proptest! {
         r in arb_trel(6, 3, 20),
         s in arb_trel(6, 3, 20),
     ) {
-        let alg = TemporalAlgebra::default();
-        let out = alg.align(&r, &s, None).unwrap();
+        let out = TemporalPlan::scan(&r)
+            .align(TemporalPlan::scan(&s), None)
+            .unwrap()
+            .execute(&Planner::default())
+            .unwrap();
         let (n, m) = (r.len(), s.len());
         prop_assert!(out.len() <= 2 * n * m + n);
     }
@@ -106,8 +109,7 @@ proptest! {
         r in arb_trel(6, 3, 14),
         s in arb_trel(6, 3, 14),
     ) {
-        let alg = TemporalAlgebra::default();
-        let result = op.evaluate(&alg, &[&r, &s]).unwrap();
+        let result = op.evaluate(&Planner::default(), &[&r, &s]).unwrap();
         let sr = check_snapshot_reducibility(&op, &[&r, &s], &result).unwrap();
         prop_assert!(sr.is_empty(), "snapshot violations at {sr:?} for {}", op.name());
         let cp = check_change_preservation(&op, &[&r, &s], &result).unwrap();
@@ -128,8 +130,7 @@ proptest! {
                 aggs: vec![(AggCall::count_star(), "c".to_string())],
             },
         };
-        let alg = TemporalAlgebra::default();
-        let result = op.evaluate(&alg, &[&r]).unwrap();
+        let result = op.evaluate(&Planner::default(), &[&r]).unwrap();
         let sr = check_snapshot_reducibility(&op, &[&r], &result).unwrap();
         prop_assert!(sr.is_empty(), "snapshot violations at {sr:?} for {}", op.name());
         let cp = check_change_preservation(&op, &[&r], &result).unwrap();
@@ -139,8 +140,11 @@ proptest! {
     /// α is idempotent and results are always duplicate-free relations.
     #[test]
     fn absorb_idempotent(r in arb_trel(8, 3, 20)) {
-        let once = absorb(&r).unwrap();
-        let twice = absorb(&once).unwrap();
+        let absorb = |r: &TemporalRelation| {
+            TemporalPlan::scan(r).absorb().execute(&Planner::default()).unwrap()
+        };
+        let once = absorb(&r);
+        let twice = absorb(&once);
         prop_assert!(once.same_set(&twice));
     }
 
@@ -148,20 +152,26 @@ proptest! {
     /// keeps its whole timestamp as one uncovered piece).
     #[test]
     fn alignment_with_empty_group_is_identity(r in arb_trel(8, 3, 20)) {
-        let alg = TemporalAlgebra::default();
         let empty = TemporalRelation::from_rows(
             Schema::new(vec![Column::new("k", DataType::Int)]),
             vec![],
         ).unwrap();
-        let out = alg.align(&r, &empty, None).unwrap();
+        let out = TemporalPlan::scan(&r)
+            .align(TemporalPlan::scan(&empty), None)
+            .unwrap()
+            .execute(&Planner::default())
+            .unwrap();
         prop_assert!(out.same_set(&r));
     }
 
     /// Self-normalization on all attributes never changes the snapshots.
     #[test]
     fn normalization_preserves_snapshots(r in arb_trel(8, 3, 16)) {
-        let alg = TemporalAlgebra::default();
-        let out = alg.normalize(&r, &r, &[(0, 0)]).unwrap();
+        let out = TemporalPlan::scan(&r)
+            .normalize(TemporalPlan::scan(&r), &[(0, 0)])
+            .unwrap()
+            .execute(&Planner::default())
+            .unwrap();
         for t in r.endpoints() {
             prop_assert!(out.timeslice(t).same_set(&r.timeslice(t)));
         }
@@ -174,8 +184,7 @@ proptest! {
         r in arb_trel(5, 2, 12),
         s in arb_trel(5, 2, 12),
     ) {
-        let alg = TemporalAlgebra::default();
-        let out = alg.union(&r, &s).unwrap();
+        let out = TemporalOp::Union.evaluate(&Planner::default(), &[&r, &s]).unwrap();
         for t in 0..12 {
             let expected_len = {
                 let mut u = r.timeslice(t);

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{random_trel, random_trel2};
-use temporal_alignment::baselines::{sql_full_outer_join, sqlnorm_full_outer_join};
+use temporal_alignment::baselines::{sql_full_outer_join_plan, sqlnorm_full_outer_join_plan};
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::{
@@ -24,7 +24,7 @@ fn rounds() -> u64 {
 
 #[test]
 fn soak_all_operators_against_oracle() {
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     for round in 0..rounds() {
         let seed = 10_000 + round * 17;
         let r = random_trel(seed, 24, 5, 40);
@@ -63,7 +63,7 @@ fn soak_all_operators_against_oracle() {
             } else {
                 vec![&r, &s]
             };
-            let fast = op.evaluate(&alg, &args).unwrap();
+            let fast = op.evaluate(&planner, &args).unwrap();
             let slow = evaluate_oracle(&op, &args).unwrap();
             assert!(
                 fast.same_set(&slow),
@@ -86,27 +86,30 @@ fn soak_baselines_and_planner_settings() {
         let r = random_trel2(seed, 18, 3, 30);
         let s = random_trel2(seed + 1, 18, 3, 30);
         let theta = Some(col(0).eq(col(4)));
+        let op = TemporalOp::FullOuterJoin {
+            theta: theta.clone(),
+        };
         // Reference result under nestloop-only planning.
-        let reference = TemporalAlgebra::new(PlannerConfig::nestloop_only())
-            .full_outer_join(&r, &s, theta.clone())
+        let reference = op
+            .evaluate(&Planner::new(PlannerConfig::nestloop_only()), &[&r, &s])
             .unwrap();
         for config in [
             PlannerConfig::all_enabled(),
             PlannerConfig::no_merge(),
-            PlannerConfig {
-                enable_intervaljoin: true,
-                ..Default::default()
-            },
+            PlannerConfig::default(),
         ] {
-            let out = TemporalAlgebra::new(config)
-                .full_outer_join(&r, &s, theta.clone())
-                .unwrap();
+            let out = op.evaluate(&Planner::new(config), &[&r, &s]).unwrap();
             assert!(out.same_set(&reference), "round {round}: {config:?}");
         }
-        let planner = Planner::default();
-        let sql = sql_full_outer_join(&r, &s, theta.clone(), &planner).unwrap();
+        let baseline = |build: fn(_, _, _) -> TemporalResult<LogicalPlan>| {
+            let scan = |t: &TemporalRelation| TemporalPlan::scan(t).into_logical();
+            let plan = build(scan(&r), scan(&s), theta.clone()).unwrap();
+            let plan = TemporalPlan::from_logical(plan).unwrap();
+            plan.execute(&Planner::default()).unwrap()
+        };
+        let sql = baseline(sql_full_outer_join_plan);
         assert!(sql.same_set(&reference), "round {round}: sql baseline");
-        let sqlnorm = sqlnorm_full_outer_join(&r, &s, theta.clone(), &planner).unwrap();
+        let sqlnorm = baseline(sqlnorm_full_outer_join_plan);
         assert!(sqlnorm.same_set(&reference), "round {round}: sql+normalize");
     }
 }
@@ -115,12 +118,14 @@ fn soak_baselines_and_planner_settings() {
 fn soak_coalesce_snapshot_equivalence() {
     // Coalescing any change-preserving result yields a snapshot-equivalent
     // relation (and absorb never changes snapshots either).
-    let alg = TemporalAlgebra::default();
+    let planner = Planner::default();
     for round in 0..rounds() {
         let seed = 30_000 + round * 7;
         let r = random_trel(seed, 20, 4, 32);
         let s = random_trel(seed + 1, 20, 4, 32);
-        let out = alg.left_outer_join(&r, &s, None).unwrap();
+        let out = TemporalOp::LeftOuterJoin { theta: None }
+            .evaluate(&planner, &[&r, &s])
+            .unwrap();
         let merged = coalesce(&out).unwrap();
         for t in out.endpoints() {
             assert!(

@@ -6,6 +6,7 @@ mod common;
 
 use common::{paper_p, paper_r, random_trel};
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
 use temporal_alignment::sql::Session;
 
@@ -20,8 +21,11 @@ fn sql_align_agrees_with_algebra_align() {
     let sql_out = session
         .query_temporal("SELECT * FROM (r ALIGN s ON r.k = s.k) x")
         .unwrap();
-    let alg = TemporalAlgebra::default();
-    let api_out = alg.align(&r, &s, Some(col(0).eq(col(3)))).unwrap();
+    let api_out = TemporalPlan::scan(&r)
+        .align(TemporalPlan::scan(&s), Some(col(0).eq(col(3))))
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
     assert!(
         sql_out.same_set(&api_out),
         "sql:\n{sql_out}\napi:\n{api_out}"
@@ -39,8 +43,11 @@ fn sql_normalize_agrees_with_algebra_normalize() {
     let sql_out = session
         .query_temporal("SELECT * FROM (r NORMALIZE s USING(k)) x")
         .unwrap();
-    let alg = TemporalAlgebra::default();
-    let api_out = alg.normalize(&r, &s, &[(0, 0)]).unwrap();
+    let api_out = TemporalPlan::scan(&r)
+        .normalize(TemporalPlan::scan(&s), &[(0, 0)])
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
     assert!(sql_out.same_set(&api_out));
 }
 
@@ -62,8 +69,11 @@ fn full_reduction_rule_via_sql_matches_algebra_join() {
              ON x.k = y.k AND x.ts = y.ts AND x.te = y.te",
         )
         .unwrap();
-    let alg = TemporalAlgebra::default();
-    let api_out = alg.join(&r, &s, Some(col(0).eq(col(3)))).unwrap();
+    let api_out = TemporalOp::Join {
+        theta: Some(col(0).eq(col(3))),
+    }
+    .evaluate(&Planner::default(), &[&r, &s])
+    .unwrap();
     assert!(
         sql_out.same_set(&api_out),
         "sql:\n{sql_out}\napi:\n{api_out}"
@@ -187,10 +197,13 @@ fn right_and_full_outer_joins_via_sql() {
              ON x.k = y.k AND x.ts = y.ts AND x.te = y.te",
         )
         .unwrap();
-    let alg = TemporalAlgebra::default();
-    let api_out = alg
-        .right_outer_join(&r, &s, Some(col(0).eq(col(3))))
-        .unwrap();
+    let planner = Planner::default();
+    let theta = Some(col(0).eq(col(3)));
+    let api_out = TemporalOp::RightOuterJoin {
+        theta: theta.clone(),
+    }
+    .evaluate(&planner, &[&r, &s])
+    .unwrap();
     assert!(
         sql_out.same_set(&api_out),
         "sql:\n{sql_out}\napi:\n{api_out}"
@@ -204,8 +217,8 @@ fn right_and_full_outer_joins_via_sql() {
              ON x.k = y.k AND x.ts = y.ts AND x.te = y.te",
         )
         .unwrap();
-    let api_out = alg
-        .full_outer_join(&r, &s, Some(col(0).eq(col(3))))
+    let api_out = TemporalOp::FullOuterJoin { theta }
+        .evaluate(&planner, &[&r, &s])
         .unwrap();
     assert!(
         sql_out.same_set(&api_out),
@@ -260,8 +273,11 @@ fn sql_normalize_empty_using_matches_fig3_semantics() {
     let out = session
         .query_temporal("SELECT * FROM (r r1 NORMALIZE r r2 USING()) x")
         .unwrap();
-    let alg = TemporalAlgebra::default();
-    let api = alg.normalize(&r, &r, &[]).unwrap();
+    let api = TemporalPlan::scan(&r)
+        .normalize(TemporalPlan::scan(&r), &[])
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
     assert!(out.same_set(&api));
     assert_eq!(out.len(), 5); // Fig. 3
 }
