@@ -11,6 +11,8 @@ use std::sync::Arc;
 
 use temporal_engine::batch::RowBatch;
 use temporal_engine::exec::{next_chunk, ExecNode, ExecutionState, SortExec};
+
+use crate::primitives::adjustment::{check_interval, int_in};
 use temporal_engine::plan::ExtensionNode;
 use temporal_engine::prelude::*;
 
@@ -111,23 +113,23 @@ impl ExtensionNode for AbsorbNode {
 
 /// Streaming absorb over sorted input: one `next_batch()` call filters a
 /// whole input batch through the group state, which survives between
-/// calls, so groups may span batch boundaries freely.
+/// calls, so groups may span batch boundaries freely. The intervals are
+/// read as integers from the batch's columns and the survivors gathered.
 pub struct AbsorbExec {
     input: BoxedExec,
-    /// Data values of the current value-equivalence group.
-    group: Option<Row>,
+    /// The last row seen (its batch and index): the current group's data.
+    prev: Option<(RowBatch, usize)>,
     /// Largest `te` seen so far within the group.
     max_te: i64,
     data_width: usize,
     ts_idx: usize,
     te_idx: usize,
-    /// Last emitted row (for exact-duplicate elimination).
-    last: Option<Row>,
+    started: bool,
     /// May this node split its input into data-run partitions and absorb
     /// them on workers? False for the per-partition sub-sweeps.
     allow_parallel: bool,
     /// Output of a partitioned parallel absorb, drained a batch at a time.
-    outbuf: Option<std::vec::IntoIter<Row>>,
+    outbuf: Option<(RowBatch, usize)>,
 }
 
 impl AbsorbExec {
@@ -135,12 +137,12 @@ impl AbsorbExec {
         let n = input.schema().len();
         AbsorbExec {
             input,
-            group: None,
+            prev: None,
             max_te: i64::MIN,
             data_width: n - 2,
             ts_idx: n - 2,
             te_idx: n - 1,
-            last: None,
+            started: false,
             allow_parallel: true,
             outbuf: None,
         }
@@ -157,53 +159,48 @@ impl AbsorbExec {
     fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
         use crate::primitives::parallel::data_partition_ranges;
         use temporal_engine::exec::workers::par_run;
-        use temporal_engine::exec::{collect_rows, ValuesExec};
+        use temporal_engine::exec::{collect_batch, ValuesExec};
         self.allow_parallel = false;
-        let schema = self.input.schema().clone();
-        let rows = collect_rows(self.input.as_mut(), state)?;
-        let ranges = data_partition_ranges(&rows, self.data_width, state.threads());
-        if !state.parallel(rows.len()) || ranges.len() <= 1 {
-            self.input = Box::new(ValuesExec::new(schema, rows));
+        let all = collect_batch(self.input.as_mut(), state)?;
+        let ranges = data_partition_ranges(&all, self.data_width, state.threads());
+        if !state.parallel(all.len()) || ranges.len() <= 1 {
+            self.input = Box::new(ValuesExec::new(all));
             return Ok(());
         }
         let chunks = par_run(state.threads(), ranges.len(), |i| {
             let (a, b) = ranges[i];
-            let mut sub = AbsorbExec::new(Box::new(ValuesExec::new(
-                schema.clone(),
-                rows[a..b].to_vec(),
-            )));
+            let mut sub = AbsorbExec::new(Box::new(ValuesExec::new(all.slice(a..b))));
             sub.allow_parallel = false;
-            collect_rows(&mut sub, state)
+            collect_batch(&mut sub, state)
         })?;
         state.note_partitions(ranges.len());
-        self.outbuf = Some(chunks.concat().into_iter());
+        self.outbuf = Some((RowBatch::concat(all.schema().clone(), &chunks), 0));
         Ok(())
     }
 
-    /// Feed one sorted input row through the absorb state; returns the row
-    /// if it survives. Input is sorted by (data…, ts ASC, te DESC): a row
-    /// is absorbed iff some earlier tuple of its group covers it, i.e.
-    /// `max_te ≥ te`; exact duplicates are dropped too.
-    fn admit(&mut self, row: Row) -> EngineResult<Option<Row>> {
-        let te = row[self.te_idx].expect_int("absorb te")?;
-        row[self.ts_idx].expect_int("absorb ts")?;
-        let same_group = match &self.group {
-            Some(g) => g.values()[..self.data_width] == row.values()[..self.data_width],
-            None => false,
-        };
-        if !same_group {
-            self.group = Some(row.clone());
-            self.max_te = te;
-            self.last = Some(row.clone());
-            return Ok(Some(row));
+    /// Which rows of a sorted input batch survive. Input is sorted by
+    /// (data…, ts ASC, te DESC): a row is absorbed iff some earlier tuple
+    /// of its group covers it, i.e. `max_te ≥ te` — which also drops exact
+    /// duplicates.
+    fn admit(&mut self, b: &RowBatch) -> EngineResult<Vec<bool>> {
+        let mut keep = Vec::with_capacity(b.len());
+        for i in 0..b.len() {
+            let te = int_in(b, self.te_idx, i, "absorb te")?;
+            let ts = int_in(b, self.ts_idx, i, "absorb ts")?;
+            check_interval("absorb", ts, te)?;
+            let same_group = match (i, &self.prev) {
+                (0, None) => false,
+                (0, Some((pb, pi))) => pb.rows_eq(*pi, b, 0, 0..self.data_width),
+                _ => b.rows_eq(i - 1, b, i, 0..self.data_width),
+            };
+            let kept = !same_group || te > self.max_te;
+            self.max_te = if same_group { self.max_te.max(te) } else { te };
+            keep.push(kept);
         }
-        if te > self.max_te && self.last.as_ref() != Some(&row) {
-            self.max_te = te;
-            self.last = Some(row.clone());
-            return Ok(Some(row));
+        if !b.is_empty() {
+            self.prev = Some((b.clone(), b.len() - 1));
         }
-        self.max_te = self.max_te.max(te);
-        Ok(None)
+        Ok(keep)
     }
 }
 
@@ -216,22 +213,17 @@ impl ExecNode for AbsorbExec {
     /// call. Loops past fully absorbed batches — `Some` batches
     /// are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        if self.allow_parallel && self.group.is_none() && state.threads() > 1 {
+        if self.allow_parallel && !self.started && state.threads() > 1 {
             self.try_parallel(state)?;
         }
-        if let Some(it) = &mut self.outbuf {
-            return Ok(next_chunk(it, self.input.schema()));
+        self.started = true;
+        if let Some((all, pos)) = &mut self.outbuf {
+            return Ok(next_chunk(all, pos));
         }
         while let Some(batch) = self.input.next_batch(state)? {
-            let (schema, rows) = batch.into_parts();
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if let Some(kept) = self.admit(row)? {
-                    out.push(kept);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(RowBatch::new(schema, out)));
+            let keep = self.admit(&batch)?;
+            if keep.contains(&true) {
+                return Ok(Some(batch.filter(&keep)));
             }
         }
         Ok(None)

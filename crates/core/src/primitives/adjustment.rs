@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use temporal_engine::batch::{RowBatch, BATCH_SIZE};
+use temporal_engine::batch::{ColumnVec, RowBatch, BATCH_SIZE};
 use temporal_engine::exec::{next_chunk, ExecNode, ExecutionState};
 use temporal_engine::plan::{CostModel, ExtensionNode, PlanStats};
 use temporal_engine::prelude::*;
@@ -305,36 +305,139 @@ impl ExtensionNode for AdjustmentNode {
 /// PostgreSQL original — with the unit of exchange a batch: one
 /// `next_batch()` call sweeps on through the sorted groups, pulling the
 /// input a batch at a time, until it has a batch of adjusted tuples.
+///
+/// The sweep reads `ts`, `te`, `P1` and `P2` as integers straight from the
+/// input's columns and emits, per adjusted tuple, the index of the input
+/// row whose data it carries plus its `[s, e)`: an output batch is the
+/// data columns gathered at those indices beside two `i64` columns.
 pub struct AdjustmentExec {
     input: BoxedExec,
     schema: Schema,
-    mode: AdjustMode,
     r_width: usize,
-    ts_idx: usize,
-    te_idx: usize,
-    p1_idx: usize,
-    /// `None` for [`AdjustMode::Normalize`], whose sweep reads only `P1`.
-    p2_idx: Option<usize>,
+    sweep: Sweep,
     started: bool,
-    /// Last tuple of the group currently being finished.
-    prev: Option<Row>,
-    /// Tuple currently under the sweep line.
-    curr: Option<Row>,
-    /// Are `prev` and `curr` from the same group (same full r tuple)?
-    sameleft: bool,
-    sweepline: i64,
-    /// Last produced tuple — consecutive duplicate suppression (the
-    /// `out ≠ (curr.A, curr.P1, curr.P2)` test of Fig. 10).
-    last_out: Option<Row>,
-    /// Input buffer, refilled a batch at a time.
-    inbuf: std::collections::VecDeque<Row>,
+    /// The input not yet swept; row `pos` is the first row of a group.
+    window: RowBatch,
+    pos: usize,
+    /// An input batch pulled while the window still had tuples to emit.
+    pending: Option<RowBatch>,
     input_done: bool,
     /// May this node split its input into data-run partitions and sweep
     /// them on workers? True for planner-built nodes, false for the
     /// per-partition sub-sweeps (no nested fan-out).
     allow_parallel: bool,
     /// Output of a partitioned parallel sweep, drained a batch at a time.
-    outbuf: Option<std::vec::IntoIter<Row>>,
+    outbuf: Option<(RowBatch, usize)>,
+}
+
+/// The Fig. 10 sweep over one group at a time, and the state it carries
+/// from group to group.
+struct Sweep {
+    mode: AdjustMode,
+    ts_idx: usize,
+    te_idx: usize,
+    p1_idx: usize,
+    /// `None` for [`AdjustMode::Normalize`], whose sweep reads only `P1`.
+    p2_idx: Option<usize>,
+    /// `[s, e)` of the last produced tuple, and whether its data equal the
+    /// data of the group being swept — together the consecutive-duplicate
+    /// test `out ≠ (curr.A, curr.P1, curr.P2)` of Fig. 10.
+    last_out: Option<(i64, i64)>,
+    last_same_data: bool,
+}
+
+/// The adjusted tuples of one call: the input row each one's data come
+/// from, and its interval.
+#[derive(Default)]
+struct Adjusted {
+    src: Vec<u32>,
+    ts: Vec<i64>,
+    te: Vec<i64>,
+}
+
+/// Column `c` of row `i` as an integer, with `Value::expect_int`'s error
+/// (`what: expected int, got …`) otherwise.
+pub(crate) fn int_in(batch: &RowBatch, c: usize, i: usize, what: &str) -> EngineResult<i64> {
+    match batch.column(c).int_at(i) {
+        Some(x) => Ok(x),
+        None => batch.value(c, i).expect_int(what),
+    }
+}
+
+/// `[s, e)` must be non-empty — the invariant `TemporalRelation::new`
+/// checks, applied to rows that reach a sweep from a SQL table.
+pub(crate) fn check_interval(what: &str, s: i64, e: i64) -> EngineResult<()> {
+    if s < e {
+        Ok(())
+    } else {
+        Err(EngineError::Evaluation(format!(
+            "{what}: empty interval [{s}, {e})"
+        )))
+    }
+}
+
+impl Sweep {
+    /// Sweep the group `s..g` of `w` (Fig. 10): the uncovered pieces
+    /// before each split point, the intersections (alignment), and the
+    /// uncovered tail of the `r` tuple's interval.
+    fn group(&mut self, w: &RowBatch, s: usize, g: usize, out: &mut Adjusted) -> EngineResult<()> {
+        let ts = int_in(w, self.ts_idx, s, "adjustment ts")?;
+        let te = int_in(w, self.te_idx, s, "adjustment te")?;
+        check_interval("adjustment", ts, te)?;
+        let (p1c, p2c) = (w.column(self.p1_idx), self.p2_idx.map(|c| w.column(c)));
+        let p2_at = |i: usize| p2c.and_then(|c| c.int_at(i));
+        let mut push = |this: &mut Self, i: usize, s: i64, e: i64| {
+            out.src.push(i as u32);
+            out.ts.push(s);
+            out.te.push(e);
+            this.last_out = Some((s, e));
+            this.last_same_data = true;
+        };
+        let mut sweepline = ts;
+        for i in s..g {
+            let p1 = p1c.int_at(i);
+            // First block: the uncovered piece [sweepline, P1).
+            if let Some(p1v) = p1 {
+                if sweepline < p1v {
+                    push(self, i, sweepline, p1v);
+                    sweepline = p1v;
+                }
+            }
+            // Second block (also entered when P1 is ω, i.e. the r tuple
+            // matched nothing): the precomputed intersection [P1, P2),
+            // unless it repeats the previous output.
+            match self.mode {
+                AdjustMode::Align => {
+                    if let (Some(p1v), Some(p2v)) = (p1, p2_at(i)) {
+                        let repeat = self.last_same_data && self.last_out == Some((p1v, p2v));
+                        if !repeat {
+                            sweepline = sweepline.max(p2v);
+                            push(self, i, p1v, p2v);
+                        }
+                    }
+                }
+                // Advance over the covered region without emitting the
+                // intersection.
+                AdjustMode::GapsOnly => {
+                    if let Some(p2v) = p2_at(i) {
+                        sweepline = sweepline.max(p2v);
+                    }
+                }
+                AdjustMode::Normalize => {}
+            }
+        }
+        // Third block: the group ended — the uncovered tail.
+        if sweepline < te {
+            push(self, g - 1, sweepline, te);
+        }
+        // The duplicate test compares data across groups only through the
+        // last output, which (alignment emits at least one tuple per
+        // non-empty group) came from this group.
+        if g < w.len() {
+            self.last_same_data &= w.rows_eq(g - 1, w, g, 0..self.ts_idx);
+        }
+        Ok(())
+    }
 }
 
 impl AdjustmentExec {
@@ -351,21 +454,22 @@ impl AdjustmentExec {
         let r_width = out_schema.len();
         debug_assert!(r_width <= p1_idx && p1_idx < input.schema().len());
         AdjustmentExec {
+            window: RowBatch::empty(input.schema().clone()),
             input,
             schema: out_schema,
-            mode,
             r_width,
-            ts_idx: r_width - 2,
-            te_idx: r_width - 1,
-            p1_idx,
-            p2_idx,
+            sweep: Sweep {
+                mode,
+                ts_idx: r_width - 2,
+                te_idx: r_width - 1,
+                p1_idx,
+                p2_idx,
+                last_out: None,
+                last_same_data: false,
+            },
             started: false,
-            prev: None,
-            curr: None,
-            sameleft: true,
-            sweepline: 0,
-            last_out: None,
-            inbuf: std::collections::VecDeque::new(),
+            pos: 0,
+            pending: None,
             input_done: false,
             allow_parallel: true,
             outbuf: None,
@@ -382,66 +486,38 @@ impl AdjustmentExec {
     fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
         use super::parallel::data_partition_ranges;
         use temporal_engine::exec::workers::par_run;
-        use temporal_engine::exec::{collect_rows, ValuesExec};
+        use temporal_engine::exec::{collect_batch, ValuesExec};
         self.allow_parallel = false;
-        let in_schema = self.input.schema().clone();
-        let rows = collect_rows(self.input.as_mut(), state)?;
-        let ranges = data_partition_ranges(&rows, self.ts_idx, state.threads());
-        if !state.parallel(rows.len()) || ranges.len() <= 1 {
-            self.inbuf = rows.into();
+        let all = collect_batch(self.input.as_mut(), state)?;
+        let ranges = data_partition_ranges(&all, self.sweep.ts_idx, state.threads());
+        if !state.parallel(all.len()) || ranges.len() <= 1 {
+            self.window = all;
             self.input_done = true;
             return Ok(());
         }
-        let (schema, mode, p1_idx, p2_idx) =
-            (self.schema.clone(), self.mode, self.p1_idx, self.p2_idx);
+        let (schema, mode) = (self.schema.clone(), self.sweep.mode);
+        let (p1_idx, p2_idx) = (self.sweep.p1_idx, self.sweep.p2_idx);
         let chunks = par_run(state.threads(), ranges.len(), |i| {
             let (a, b) = ranges[i];
-            let mut sub = AdjustmentExec::new(
-                Box::new(ValuesExec::new(in_schema.clone(), rows[a..b].to_vec())),
-                schema.clone(),
-                mode,
-                p1_idx,
-                p2_idx,
-            );
+            let input = Box::new(ValuesExec::new(all.slice(a..b)));
+            let mut sub = AdjustmentExec::new(input, schema.clone(), mode, p1_idx, p2_idx);
             sub.allow_parallel = false;
-            collect_rows(&mut sub, state)
+            collect_batch(&mut sub, state)
         })?;
         state.note_partitions(ranges.len());
-        self.started = true;
-        self.prev = None; // serial machinery is done; serve from outbuf
-        self.outbuf = Some(chunks.concat().into_iter());
+        self.outbuf = Some((RowBatch::concat(self.schema.clone(), &chunks), 0));
         Ok(())
     }
 
-    /// The precomputed intersection end of a join tuple (ω rows: `None`).
-    fn p2(&self, row: &Row) -> Option<i64> {
-        self.p2_idx.and_then(|i| row[i].as_int())
-    }
-
-    /// Build an output tuple: the r tuple's data values over `[s, e)`.
-    fn make_out(&self, row: &Row, s: i64, e: i64) -> Row {
-        let mut vals = Vec::with_capacity(self.r_width);
-        vals.extend_from_slice(&row.values()[..self.ts_idx]);
-        vals.push(Value::Int(s));
-        vals.push(Value::Int(e));
-        Row::new(vals)
-    }
-
-    /// The next input tuple, refilling the buffer from the input a batch
-    /// at a time.
-    fn fetch_input(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        loop {
-            if let Some(row) = self.inbuf.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.input_done {
-                return Ok(None);
-            }
-            match self.input.next_batch(state)? {
-                Some(batch) => self.inbuf.extend(batch.into_rows()),
-                None => self.input_done = true,
-            }
-        }
+    /// The output batch of `out`: the data columns of the window gathered
+    /// at the source rows, beside the adjusted `ts`/`te`.
+    fn emit(&self, out: Adjusted) -> RowBatch {
+        let data = &self.window.columns()[..self.sweep.ts_idx];
+        let mut columns: Vec<Arc<ColumnVec>> =
+            data.iter().map(|c| Arc::new(c.gather(&out.src))).collect();
+        columns.push(Arc::new(ColumnVec::from_ints(out.ts)));
+        columns.push(Arc::new(ColumnVec::from_ints(out.te)));
+        RowBatch::new(self.schema.clone(), out.src.len(), columns)
     }
 }
 
@@ -450,116 +526,56 @@ impl ExecNode for AdjustmentExec {
         &self.schema
     }
 
-    /// The plane sweep of Fig. 10, re-entrant at batch granularity: the
-    /// sweep state (`prev`, `curr`, `sameleft`, `sweepline`) survives
-    /// between calls, and each call runs the loop until a batch of
-    /// adjusted tuples has been emitted or the input is exhausted.
+    /// The plane sweep of Fig. 10, re-entrant at batch granularity: each
+    /// call sweeps whole groups of the input window until a batch of
+    /// adjusted tuples has been produced or the input is exhausted. A
+    /// group is swept once its end is in the window; the window is
+    /// refilled (keeping the unfinished group) only after the tuples
+    /// gathered from it have been emitted, since they index it.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.allow_parallel && !self.started && state.threads() > 1 {
             self.try_parallel(state)?;
         }
-        if let Some(it) = &mut self.outbuf {
-            return Ok(next_chunk(it, &self.schema));
+        self.started = true;
+        if let Some((all, pos)) = &mut self.outbuf {
+            return Ok(next_chunk(all, pos));
         }
-        if !self.started {
-            self.started = true;
-            self.curr = self.fetch_input(state)?;
-            self.prev = self.curr.clone();
-            self.sameleft = true;
-            if let Some(c) = &self.curr {
-                self.sweepline = c[self.ts_idx].expect_int("adjustment ts")?;
+        let mut out = Adjusted::default();
+        while out.src.len() < BATCH_SIZE {
+            let (w, s) = (&self.window, self.pos);
+            // The group starting at `s` ends before `g`.
+            let mut g = s + 1;
+            while g < w.len() && w.rows_eq(s, w, g, 0..self.r_width) {
+                g += 1;
             }
-        }
-        let mut out: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
-        while out.len() < BATCH_SIZE {
-            if self.prev.is_none() {
-                break; // prev = ω: input exhausted
-            }
-            if self.sameleft {
-                let curr_row = self
-                    .curr
-                    .take()
-                    .expect("sameleft group has a current tuple");
-                let p1 = curr_row[self.p1_idx].as_int();
-                if let Some(p1v) = p1 {
-                    if self.sweepline < p1v {
-                        // Fig. 10, first block: emit the uncovered piece
-                        // [sweepline, P1), advance the sweep line and
-                        // revisit the same tuple.
-                        let o = self.make_out(&curr_row, self.sweepline, p1v);
-                        self.sweepline = p1v;
-                        self.last_out = Some(o.clone());
-                        out.push(o);
-                        self.curr = Some(curr_row);
-                        continue;
-                    }
-                }
-                // Fig. 10, second block (also entered when P1 is ω, i.e.
-                // the r tuple matched nothing): emit the precomputed
-                // intersection [P1, P2) unless it repeats the previous
-                // output, then fetch the next tuple.
-                let mut produced: Option<Row> = None;
-                match self.mode {
-                    AdjustMode::Align => {
-                        if let (Some(p1v), Some(p2v)) = (p1, self.p2(&curr_row)) {
-                            let candidate = self.make_out(&curr_row, p1v, p2v);
-                            if self.last_out.as_ref() != Some(&candidate) {
-                                self.sweepline = self.sweepline.max(p2v);
-                                produced = Some(candidate);
-                            }
-                        }
-                    }
-                    AdjustMode::GapsOnly => {
-                        // Advance over the covered region without emitting
-                        // the intersection.
-                        if let Some(p2v) = self.p2(&curr_row) {
-                            self.sweepline = self.sweepline.max(p2v);
-                        }
-                    }
-                    AdjustMode::Normalize => {}
-                }
-                // On an input error, put the taken tuple back so the node
-                // stays re-entrant and re-errors cleanly on the next poll.
-                let next = match self.fetch_input(state) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        self.curr = Some(curr_row);
-                        return Err(e);
-                    }
+            if g >= w.len() && !self.input_done {
+                // The group may continue in the next input batch.
+                let next = match self.pending.take() {
+                    Some(b) => Some(b),
+                    None => self.input.next_batch(state)?,
                 };
-                self.sameleft = match &next {
-                    Some(n) => n.values()[..self.r_width] == curr_row.values()[..self.r_width],
-                    None => false,
-                };
-                self.prev = Some(curr_row);
-                self.curr = next;
-                if let Some(o) = produced {
-                    self.last_out = Some(o.clone());
-                    out.push(o);
+                match next {
+                    None => self.input_done = true,
+                    Some(b) if !out.src.is_empty() => {
+                        self.pending = Some(b);
+                        break;
+                    }
+                    Some(b) if s >= w.len() => (self.window, self.pos) = (b, 0),
+                    Some(b) => {
+                        let rest = w.slice(s..w.len());
+                        let schema = rest.schema().clone();
+                        (self.window, self.pos) = (RowBatch::concat(schema, &[rest, b]), 0);
+                    }
                 }
-            } else {
-                // Fig. 10, third block: the group ended — emit the tail of
-                // the r tuple's timestamp if uncovered, then reset for the
-                // next group.
-                let prev_row = self.prev.as_ref().expect("checked above");
-                let prev_te = prev_row[self.te_idx].expect_int("adjustment te")?;
-                let produced = (self.sweepline < prev_te)
-                    .then(|| self.make_out(prev_row, self.sweepline, prev_te));
-                self.prev = self.curr.clone();
-                if let Some(c) = &self.curr {
-                    self.sweepline = c[self.ts_idx].expect_int("adjustment ts")?;
-                }
-                self.sameleft = true;
-                if let Some(o) = produced {
-                    self.last_out = Some(o.clone());
-                    out.push(o);
-                }
+                continue;
             }
+            if s >= w.len() {
+                break; // input exhausted
+            }
+            self.sweep.group(&self.window, s, g, &mut out)?;
+            self.pos = g;
         }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), out)))
+        Ok((!out.src.is_empty()).then(|| self.emit(out)))
     }
 }
 
@@ -772,7 +788,10 @@ mod tests {
             fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
                 if !self.emitted {
                     self.emitted = true;
-                    Ok(Some(RowBatch::new(self.schema.clone(), vec![Self::row()])))
+                    Ok(Some(RowBatch::from_rows(
+                        self.schema.clone(),
+                        &[Self::row()],
+                    )))
                 } else {
                     Err(EngineError::Internal("input failed".into()))
                 }

@@ -13,8 +13,8 @@
 //! straddle a naive equal-size cut are pushed whole into the earlier
 //! partition by snapping each cut forward to the next data change.
 
+use temporal_engine::batch::RowBatch;
 use temporal_engine::exec::workers::split_ranges;
-use temporal_engine::tuple::Row;
 
 /// Cut `0..rows.len()` into at most `parts` contiguous ranges whose inner
 /// boundaries coincide with a change in the first `data_width` columns.
@@ -22,7 +22,7 @@ use temporal_engine::tuple::Row;
 /// range; ranges are never empty. Skewed inputs may yield fewer than
 /// `parts` ranges (a single giant run yields one).
 pub(crate) fn data_partition_ranges(
-    rows: &[Row],
+    rows: &RowBatch,
     data_width: usize,
     parts: usize,
 ) -> Vec<(usize, usize)> {
@@ -37,7 +37,7 @@ pub(crate) fn data_partition_ranges(
         }
         // Snap the cut forward to the next data change so no run straddles.
         let mut t = target;
-        while t < n && rows[t].values()[..data_width] == rows[t - 1].values()[..data_width] {
+        while t < n && rows.rows_eq(t, rows, t - 1, 0..data_width) {
             t += 1;
         }
         if t < n && t > *cuts.last().expect("non-empty") {
@@ -51,10 +51,19 @@ pub(crate) fn data_partition_ranges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temporal_engine::prelude::{Column, DataType, Row, Schema};
     use temporal_engine::value::Value;
 
     fn row(d: i64, t: i64) -> Row {
         Row::new(vec![Value::Int(d), Value::Int(t)])
+    }
+
+    fn batch(rows: &[Row]) -> RowBatch {
+        let schema = Schema::new(vec![
+            Column::new("d", DataType::Int),
+            Column::new("t", DataType::Int),
+        ]);
+        RowBatch::from_rows(schema, rows)
     }
 
     #[test]
@@ -67,7 +76,7 @@ mod tests {
             }
         }
         for parts in 1..=6 {
-            let ranges = data_partition_ranges(&rows, 1, parts);
+            let ranges = data_partition_ranges(&batch(&rows), 1, parts);
             assert_eq!(ranges.first().unwrap().0, 0);
             assert_eq!(ranges.last().unwrap().1, rows.len());
             for w in ranges.windows(2) {
@@ -89,11 +98,11 @@ mod tests {
     #[test]
     fn one_giant_run_yields_one_partition() {
         let rows: Vec<Row> = (0..20).map(|t| row(7, t)).collect();
-        assert_eq!(data_partition_ranges(&rows, 1, 4), vec![(0, 20)]);
+        assert_eq!(data_partition_ranges(&batch(&rows), 1, 4), vec![(0, 20)]);
     }
 
     #[test]
     fn empty_input_yields_no_partitions() {
-        assert!(data_partition_ranges(&[], 1, 4).is_empty());
+        assert!(data_partition_ranges(&batch(&[]), 1, 4).is_empty());
     }
 }

@@ -146,12 +146,12 @@ impl TemporalRelation {
     }
 
     fn validate_intervals(&self) -> TemporalResult<()> {
-        let (ts, te) = (self.ts_idx(), self.te_idx());
-        for (i, row) in self.rel.rows().iter().enumerate() {
-            let s = row[ts].as_int().ok_or_else(|| {
+        let (ts, te) = (self.rel.ints(self.ts_idx()), self.rel.ints(self.te_idx()));
+        for (i, (s, e)) in ts.into_iter().zip(te).enumerate() {
+            let s = s.ok_or_else(|| {
                 TemporalError::InvalidRelation(format!("row {i}: ts is not a non-NULL Int"))
             })?;
-            let e = row[te].as_int().ok_or_else(|| {
+            let e = e.ok_or_else(|| {
                 TemporalError::InvalidRelation(format!("row {i}: te is not a non-NULL Int"))
             })?;
             if s >= e {

@@ -6,8 +6,8 @@
 
 use crate::batch::RowBatch;
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{AggCall, AggFunc, Expr};
+use crate::exec::{drain, next_chunk, BoxedExec, ExecNode, ExecutionState};
+use crate::expr::{AggCall, AggFunc, BatchRow, Columns, Expr};
 use crate::hashing::FxHashMap;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -121,6 +121,17 @@ impl Acc {
 /// first-seen group order. A global aggregate (`group` empty) over zero
 /// rows yields one row of identity values.
 pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineResult<Vec<Row>> {
+    let groups = aggregate(rows.iter().map(Row::values), group, aggs)?;
+    Ok(groups.into_iter().map(Row::new).collect())
+}
+
+/// [`aggregate_rows`] over any rows the evaluator reads, group values
+/// then aggregate values per group.
+fn aggregate<C: Columns>(
+    rows: impl IntoIterator<Item = C>,
+    group: &[Expr],
+    aggs: &[AggCall],
+) -> EngineResult<Vec<Vec<Value>>> {
     // Group key → slot, in first-seen order; slot `i` owns the accumulators
     // `accs[i * aggs.len()..][..aggs.len()]`. The index is probed with a
     // reused scratch key, so only a new group allocates.
@@ -139,7 +150,7 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
     for row in rows {
         key.clear();
         for g in group {
-            key.push(g.eval(row.values())?);
+            key.push(g.eval_in(&row)?);
         }
         let slot = match index.get(key.as_slice()) {
             Some(&i) => i,
@@ -149,7 +160,7 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
             match &call.arg {
                 None => acc.update(None)?,
                 Some(e) => {
-                    let v = e.eval(row.values())?;
+                    let v = e.eval_in(&row)?;
                     acc.update(Some(&v))?;
                 }
             }
@@ -160,19 +171,16 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
     }
 
     // Each output row is built once, on top of the index's own key.
-    let mut out: Vec<Option<Row>> = vec![None; index.len()];
+    let mut out: Vec<Vec<Value>> = vec![Vec::new(); index.len()];
     for (mut vals, slot) in index {
         vals.extend(
             accs[slot * aggs.len()..][..aggs.len()]
                 .iter()
                 .map(Acc::finish),
         );
-        out[slot] = Some(Row::new(vals));
+        out[slot] = vals;
     }
-    Ok(out
-        .into_iter()
-        .map(|row| row.expect("every group slot has an index entry"))
-        .collect())
+    Ok(out)
 }
 
 /// Hash-based grouped aggregation. Materializes on first pull and emits
@@ -182,7 +190,7 @@ pub struct HashAggregateExec {
     group: Vec<Expr>,
     aggs: Vec<AggCall>,
     schema: Schema,
-    out: Option<std::vec::IntoIter<Row>>,
+    out: Option<(RowBatch, usize)>,
 }
 
 impl HashAggregateExec {
@@ -203,16 +211,20 @@ impl ExecNode for HashAggregateExec {
         &self.schema
     }
 
-    /// Drain the input, then emit the groups a chunk at a time (group
-    /// order is first-seen input order).
+    /// Drain the input and fold it (each row read in place from its
+    /// batch), then emit the groups a chunk at a time (group order is
+    /// first-seen input order).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = collect_rows(self.input.as_mut(), state)?;
-            let groups = aggregate_rows(&rows, &self.group, &self.aggs)?;
-            self.out = Some(groups.into_iter());
+            let batches = drain(self.input.as_mut(), state)?;
+            let rows = batches
+                .iter()
+                .flat_map(|b| (0..b.len()).map(move |i| BatchRow(b, i)));
+            let groups = aggregate(rows, &self.group, &self.aggs)?;
+            self.out = Some((RowBatch::from_rows(self.schema.clone(), &groups), 0));
         }
-        let it = self.out.as_mut().expect("initialized");
-        Ok(next_chunk(it, &self.schema))
+        let (all, pos) = self.out.as_mut().expect("initialized");
+        Ok(next_chunk(all, pos))
     }
 }
 

@@ -5,13 +5,13 @@ use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::hashing::FxHashSet;
 use crate::schema::Schema;
-use crate::tuple::Row;
+use crate::value::Value;
 
 /// Emits each distinct row once, in first-occurrence order. Structural row
 /// equality: NULL = NULL (SQL `DISTINCT` semantics).
 pub struct DistinctExec {
     input: BoxedExec,
-    seen: FxHashSet<Row>,
+    seen: FxHashSet<Vec<Value>>,
 }
 
 impl DistinctExec {
@@ -32,10 +32,10 @@ impl ExecNode for DistinctExec {
     /// `Some` batches are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         while let Some(batch) = self.input.next_batch(state)? {
-            let (schema, mut rows) = batch.into_parts();
-            rows.retain(|row| self.seen.insert(row.clone()));
-            if !rows.is_empty() {
-                return Ok(Some(RowBatch::new(schema, rows)));
+            let row = |i| batch.columns().iter().map(|c| c.value(i)).collect();
+            let keep: Vec<bool> = (0..batch.len()).map(|i| self.seen.insert(row(i))).collect();
+            if keep.contains(&true) {
+                return Ok(Some(batch.filter(&keep)));
             }
         }
         Ok(None)

@@ -15,16 +15,15 @@ use std::sync::Mutex;
 use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::workers::par_run;
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{drain, BoxedExec, ExecNode, ExecutionState};
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// Materializing gather over partitioned subtrees (see module docs).
 pub struct ExchangeExec {
     schema: Schema,
     parts: Vec<BoxedExec>,
-    /// Gathered output, filled on first pull.
-    out: Option<std::vec::IntoIter<Row>>,
+    /// Gathered output batches, filled on first pull.
+    out: Option<std::vec::IntoIter<RowBatch>>,
 }
 
 impl ExchangeExec {
@@ -36,7 +35,7 @@ impl ExchangeExec {
         }
     }
 
-    /// Drain every partition on the worker pool; concatenate outputs in
+    /// Drain every partition on the worker pool; keep the batches in
     /// partition order.
     fn gather(&mut self, state: &ExecutionState) -> EngineResult<()> {
         let parts: Vec<Mutex<BoxedExec>> = self.parts.drain(..).map(Mutex::new).collect();
@@ -44,13 +43,9 @@ impl ExchangeExec {
             state.check_cancelled()?;
             state.note_partitions(1);
             let mut node = parts[i].lock().expect("partition claimed once");
-            collect_rows(node.as_mut(), state)
+            drain(node.as_mut(), state)
         })?;
-        let mut rows = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-        for part in outs {
-            rows.extend(part);
-        }
-        self.out = Some(rows.into_iter());
+        self.out = Some(outs.into_iter().flatten().collect::<Vec<_>>().into_iter());
         Ok(())
     }
 }
@@ -65,7 +60,7 @@ impl ExecNode for ExchangeExec {
             self.gather(state)?;
         }
         let it = self.out.as_mut().expect("gathered");
-        Ok(next_chunk(it, &self.schema))
+        Ok(it.next().map(|b| b.with_schema(self.schema.clone())))
     }
 }
 

@@ -23,17 +23,15 @@ impl ExecNode for FilterExec {
         self.input.schema()
     }
 
-    /// One vectorized predicate evaluation per input batch.
+    /// One vectorized predicate evaluation per input batch; the survivors
+    /// are gathered (a batch that survives whole passes on uncopied).
     /// Loops past batches the predicate empties — `Some` batches are never
     /// empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         while let Some(batch) = self.input.next_batch(state)? {
-            let keep = self.predicate.eval_pred_batch(batch.rows())?;
-            let (schema, mut rows) = batch.into_parts();
-            let mut it = keep.into_iter();
-            rows.retain(|_| it.next().expect("mask covers the batch"));
-            if !rows.is_empty() {
-                return Ok(Some(RowBatch::new(schema, rows)));
+            let keep = self.predicate.eval_pred_batch(&batch)?;
+            if keep.contains(&true) {
+                return Ok(Some(batch.filter(&keep)));
             }
         }
         Ok(None)

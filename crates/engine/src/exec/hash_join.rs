@@ -35,23 +35,23 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
 use crate::exec::{
-    collect_rows, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState, OperatorStats,
+    collect_batch, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState, JoinPairs,
+    OperatorStats,
 };
 use crate::expr::{CmpOp, Expr, JoinPred, PredOperand};
 use crate::hashing::{FxHashMap, FxHasher};
 use crate::plan::JoinType;
 use crate::schema::Schema;
-use crate::tuple::Row;
 use crate::value::Value;
 
 enum Phase {
     Probe,
     /// Morsel-parallel probe output, drained a batch at a time.
-    Buffered(std::vec::IntoIter<Row>),
+    Buffered(Option<RowBatch>, usize),
     BuildUnmatched(usize),
     Done,
 }
@@ -128,16 +128,17 @@ impl RangeSpec {
     }
 
     /// The sub-slice of an ordered bucket (`keys` ascending) outside which
-    /// probe row `l` fails a bound; the whole slice when one of the row's
-    /// bounds is not an integer.
-    fn narrow(&self, keys: &[i64], l: &[Value]) -> Range<usize> {
+    /// row `li` of probe batch `left` fails a bound; the whole slice when
+    /// one of the row's bounds is not an integer.
+    fn narrow(&self, keys: &[i64], left: &RowBatch, li: usize) -> Range<usize> {
         let (mut lo, mut hi) = (0, keys.len());
         for &(op, operand) in &self.bounds {
             let v = match operand {
                 BoundOperand::Int(x) => x,
-                BoundOperand::ProbeCol(i) => match l.get(i) {
-                    Some(Value::Int(x)) => *x,
-                    _ => return 0..keys.len(),
+                BoundOperand::ProbeCol(i) => match left.columns().get(i).and_then(|c| c.int_at(li))
+                {
+                    Some(x) => x,
+                    None => return 0..keys.len(),
                 },
             };
             match op {
@@ -204,13 +205,12 @@ pub struct HashJoinExec {
     range: Option<RangeSpec>,
     join_type: JoinType,
     schema: Schema,
-    left_width: usize,
-    right_width: usize,
     /// `candidates_checked` ledger of this plan node, when instrumented.
     ledger: Option<Arc<OperatorStats>>,
 
     table: BuildTable,
-    build_rows: Vec<Row>,
+    /// The whole build side, one batch.
+    build: RowBatch,
     build_matched: Vec<AtomicBool>,
     built: bool,
     phase: Phase,
@@ -228,6 +228,19 @@ fn key_shard(key: &[Value], shards: usize) -> usize {
     let mut h = FxHasher::default();
     key.hash(&mut h);
     (h.finish() as usize) % shards
+}
+
+/// Fill `key` with the values of columns `cols` at row `i`; `false` when
+/// one is NULL (NULL keys never join).
+fn read_key(
+    batch: &RowBatch,
+    i: usize,
+    cols: impl Iterator<Item = usize>,
+    key: &mut Vec<Value>,
+) -> bool {
+    key.clear();
+    key.extend(cols.map(|c| batch.value(c, i)));
+    !key.iter().any(Value::is_null)
 }
 
 impl HashJoinExec {
@@ -248,17 +261,15 @@ impl HashJoinExec {
         let residual = JoinPred::new(residual);
         HashJoinExec {
             left,
+            build: RowBatch::empty(right.schema().clone()),
             right: Some(right),
             keys,
             range: RangeSpec::of(&residual, left_width, right_width),
             residual,
             join_type,
             schema,
-            left_width,
-            right_width,
             ledger: None,
             table: BuildTable::default(),
-            build_rows: Vec::new(),
             build_matched: Vec::new(),
             built: false,
             phase: Phase::Probe,
@@ -277,18 +288,16 @@ impl HashJoinExec {
             return Ok(());
         }
         let mut right = self.right.take().expect("build called once");
-        let rows = collect_rows(right.as_mut(), state)?;
-        let groups = if state.parallel(rows.len()) {
-            self.build_parallel(state, &rows)?
+        let build = collect_batch(right.as_mut(), state)?;
+        let groups = if state.parallel(build.len()) {
+            self.build_parallel(state, &build)?
         } else {
             let mut groups = KeyGroups::default();
             let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
-            for (idx, row) in rows.iter().enumerate() {
-                key.clear();
-                key.extend(self.keys.iter().map(|&(_, r)| row[r].clone()));
+            for idx in 0..build.len() {
                 // NULL keys never join, but the row may still surface as
                 // unmatched for Right/Full joins.
-                if key.iter().any(Value::is_null) {
+                if !read_key(&build, idx, self.keys.iter().map(|&(_, r)| r), &mut key) {
                     continue;
                 }
                 match groups.get_mut(key.as_slice()) {
@@ -303,13 +312,13 @@ impl HashJoinExec {
         // The one place buckets are laid out, whichever way the groups were
         // gathered. An all-`Int` range column orders them; one holding a
         // NULL or a Double does not.
-        let range_col: Option<Vec<i64>> = self
-            .range
-            .as_ref()
-            .and_then(|spec| rows.iter().map(|r| r[spec.col].as_int()).collect());
+        let range_col: Option<Vec<i64>> = self.range.as_ref().and_then(|spec| {
+            let c = build.column(spec.col);
+            (0..build.len()).map(|i| c.int_at(i)).collect()
+        });
         self.table = BuildTable::assemble(groups.into_iter().flatten(), range_col);
-        self.build_matched = (0..rows.len()).map(|_| AtomicBool::new(false)).collect();
-        self.build_rows = rows;
+        self.build_matched = (0..build.len()).map(|_| AtomicBool::new(false)).collect();
+        self.build = build;
         self.built = true;
         Ok(())
     }
@@ -321,21 +330,25 @@ impl HashJoinExec {
     /// transposed in order and entries carry ascending build indices, so
     /// every key's index list is in build-row order — the same groups a
     /// serial build produces.
-    fn build_parallel(&self, state: &ExecutionState, rows: &[Row]) -> EngineResult<Vec<KeyGroups>> {
+    fn build_parallel(
+        &self,
+        state: &ExecutionState,
+        build: &RowBatch,
+    ) -> EngineResult<Vec<KeyGroups>> {
         let threads = state.threads();
-        let ranges = split_ranges(rows.len(), threads);
+        let ranges = split_ranges(build.len(), threads);
         let keys = &self.keys;
         // chunk → shard → (key, build index), indices ascending per bucket.
         let chunk_buckets = par_run(threads, ranges.len(), |i| {
             let (a, b) = ranges[i];
             let mut buckets: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); threads];
-            for (idx, row) in rows[a..b].iter().enumerate() {
-                let key: Vec<Value> = keys.iter().map(|&(_, r)| row[r].clone()).collect();
+            let mut key = Vec::with_capacity(keys.len());
+            for idx in a..b {
                 // NULL keys never join, but the row may still surface as
                 // unmatched for Right/Full joins.
-                if !key.iter().any(Value::is_null) {
+                if read_key(build, idx, keys.iter().map(|&(_, r)| r), &mut key) {
                     let shard = key_shard(&key, threads);
-                    buckets[shard].push((key, a + idx));
+                    buckets[shard].push((key.clone(), idx));
                 }
             }
             Ok(buckets)
@@ -373,13 +386,12 @@ impl HashJoinExec {
     fn probe_side(&self) -> ProbeSide<'_> {
         ProbeSide {
             table: &self.table,
-            build_rows: &self.build_rows,
+            build: &self.build,
             build_matched: &self.build_matched,
             keys: &self.keys,
             pred: &self.residual,
             range: self.range.as_ref(),
             join_type: self.join_type,
-            right_width: self.right_width,
             ledger: self.ledger.as_deref(),
         }
     }
@@ -390,25 +402,22 @@ impl HashJoinExec {
 /// workers can probe disjoint morsels concurrently.
 struct ProbeSide<'a> {
     table: &'a BuildTable,
-    build_rows: &'a [Row],
+    build: &'a RowBatch,
     build_matched: &'a [AtomicBool],
     keys: &'a [(usize, usize)],
     pred: &'a JoinPred,
     range: Option<&'a RangeSpec>,
     join_type: JoinType,
-    right_width: usize,
     ledger: Option<&'a OperatorStats>,
 }
 
 impl ProbeSide<'_> {
-    /// Candidate selection: the positions of `table.order` probe row `l`
+    /// Candidate selection: the positions of `table.order` probe row `li`
     /// has to test — its bucket, cut down to the sub-slice inside the
     /// row's bounds when buckets are range-ordered. Callers evaluate the
     /// whole residual on every position returned. `key` is scratch.
-    fn candidates(&self, l: &[Value], key: &mut Vec<Value>) -> Range<usize> {
-        key.clear();
-        key.extend(self.keys.iter().map(|&(lk, _)| l[lk].clone()));
-        if key.iter().any(Value::is_null) {
+    fn candidates(&self, left: &RowBatch, li: usize, key: &mut Vec<Value>) -> Range<usize> {
+        if !read_key(left, li, self.keys.iter().map(|&(l, _)| l), key) {
             return 0..0;
         }
         let Some(&(start, end)) = self.table.buckets.get(key.as_slice()) else {
@@ -416,7 +425,7 @@ impl ProbeSide<'_> {
         };
         match self.range {
             Some(spec) if !self.table.range_keys.is_empty() => {
-                let within = spec.narrow(&self.table.range_keys[start..end], l);
+                let within = spec.narrow(&self.table.range_keys[start..end], left, li);
                 start + within.start..start + within.end
             }
             _ => start..end,
@@ -431,22 +440,22 @@ impl ProbeSide<'_> {
         }
     }
 
-    /// Probe a run of left rows: each row's candidates are read in place
-    /// and θ is tested on each `(probe, build)` pair, so a row is built
-    /// only for a pair that joins.
-    fn probe(&self, lrows: &[Row]) -> EngineResult<Vec<Row>> {
-        let mut out: Vec<Row> = Vec::new();
+    /// Probe rows `rows` of `left`: each row's candidates are read in place
+    /// and θ is tested on each `(probe, build)` pair; the pairs that join
+    /// come back as indices.
+    fn probe(&self, left: &RowBatch, rows: Range<usize>) -> EngineResult<JoinPairs> {
+        let mut out = JoinPairs::default();
         let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
         let mut checked = 0usize;
-        for l in lrows {
-            let cands = &self.table.order[self.candidates(l.values(), &mut key)];
+        let mut pred = self.pred.bind(left, self.build);
+        for li in rows {
+            let cands = &self.table.order[self.candidates(left, li, &mut key)];
             checked += cands.len();
             join_left_row(
-                l,
-                cands.iter().map(|&bi| (bi, &self.build_rows[bi])),
-                self.pred,
+                li,
+                cands.iter().copied(),
+                &mut pred,
                 self.join_type,
-                self.right_width,
                 |bi| self.build_matched[bi].store(true, Ordering::Relaxed),
                 &mut out,
             )?;
@@ -469,8 +478,8 @@ impl ExecNode for HashJoinExec {
         loop {
             match self.phase {
                 Phase::Done => return Ok(None),
-                Phase::Buffered(ref mut it) => {
-                    if let Some(batch) = next_chunk(it, &self.schema) {
+                Phase::Buffered(ref all, ref mut pos) => {
+                    if let Some(batch) = all.as_ref().and_then(|all| next_chunk(all, pos)) {
                         return Ok(Some(batch));
                     }
                     self.phase = if self.join_type.emits_right_unmatched() {
@@ -479,42 +488,43 @@ impl ExecNode for HashJoinExec {
                         Phase::Done
                     };
                 }
-                Phase::BuildUnmatched(ref mut i) => {
-                    let mut out = Vec::new();
-                    while *i < self.build_rows.len() && out.len() < BATCH_SIZE {
-                        let idx = *i;
-                        *i += 1;
-                        if !self.build_matched[idx].load(Ordering::Relaxed) {
-                            out.push(self.build_rows[idx].nulls_concat(self.left_width));
-                        }
-                    }
-                    if matches!(self.phase, Phase::BuildUnmatched(i) if i >= self.build_rows.len())
-                    {
+                Phase::BuildUnmatched(ref mut next) => {
+                    let matched = |i: usize| self.build_matched[i].load(Ordering::Relaxed);
+                    let out = JoinPairs::unmatched_right(self.build.len(), next, matched);
+                    if *next >= self.build.len() {
                         self.phase = Phase::Done;
                     }
-                    if !out.is_empty() {
-                        return Ok(Some(RowBatch::new(self.schema.clone(), out)));
+                    let none = RowBatch::empty(self.left.schema().clone());
+                    let batch = out.into_batch(&self.schema, &none, &self.build, self.join_type);
+                    if batch.is_some() {
+                        return Ok(batch);
                     }
                 }
                 Phase::Probe if state.threads() > 1 => {
                     // Morsel-parallel probe: materialize the probe input,
                     // split it into contiguous morsels, probe them on
                     // workers and concatenate in morsel order.
-                    let lrows = collect_rows(self.left.as_mut(), state)?;
-                    let out = if state.parallel(lrows.len()) {
+                    let left = collect_batch(self.left.as_mut(), state)?;
+                    let pairs = if state.parallel(left.len()) {
                         let threads = state.threads();
-                        let ranges = split_ranges(lrows.len(), threads);
+                        let ranges = split_ranges(left.len(), threads);
                         let side = self.probe_side();
                         let chunks = par_run(threads, ranges.len(), |i| {
                             let (a, b) = ranges[i];
-                            side.probe(&lrows[a..b])
+                            side.probe(&left, a..b)
                         })?;
                         state.note_partitions(ranges.len());
-                        chunks.concat()
+                        let mut pairs = JoinPairs::default();
+                        for mut chunk in chunks {
+                            pairs.left.append(&mut chunk.left);
+                            pairs.right.append(&mut chunk.right);
+                        }
+                        pairs
                     } else {
-                        self.probe_side().probe(&lrows)?
+                        self.probe_side().probe(&left, 0..left.len())?
                     };
-                    self.phase = Phase::Buffered(out.into_iter());
+                    let all = pairs.into_batch(&self.schema, &left, &self.build, self.join_type);
+                    self.phase = Phase::Buffered(all, 0);
                 }
                 Phase::Probe => {
                     let Some(batch) = self.left.next_batch(state)? else {
@@ -525,9 +535,10 @@ impl ExecNode for HashJoinExec {
                         };
                         continue;
                     };
-                    let out = self.probe_side().probe(batch.rows())?;
-                    if !out.is_empty() {
-                        return Ok(Some(RowBatch::new(self.schema.clone(), out)));
+                    let pairs = self.probe_side().probe(&batch, 0..batch.len())?;
+                    let out = pairs.into_batch(&self.schema, &batch, &self.build, self.join_type);
+                    if out.is_some() {
+                        return Ok(out);
                     }
                 }
             }

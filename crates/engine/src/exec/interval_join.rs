@@ -20,28 +20,27 @@
 //! at a time, so working memory beyond the inputs stays proportional to
 //! the active window — never to the (potentially quadratic) output.
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{RowBatch, BATCH_SIZE, NULL_ROW};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, join_left_row, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{Expr, JoinPred};
+use crate::exec::{collect_batch, join_left_row, BoxedExec, ExecNode, ExecutionState, JoinPairs};
+use crate::expr::{BoundJoin, Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
-/// One side of the sweep: materialized rows, their endpoints, and the
+/// One side of the sweep: the materialized rows, their endpoints, and the
 /// start-order permutation.
 struct SweepSide {
-    rows: Vec<Row>,
+    rows: RowBatch,
     /// `None` for rows with NULL (or non-int) endpoints — they never match.
     pts: Vec<Option<(i64, i64)>>,
     order: Vec<usize>,
 }
 
 impl SweepSide {
-    fn new(rows: Vec<Row>, ts: usize, te: usize) -> SweepSide {
-        let pts: Vec<Option<(i64, i64)>> = rows
-            .iter()
-            .map(|r| Some((r[ts].as_int()?, r[te].as_int()?)))
+    fn new(rows: RowBatch, ts: usize, te: usize) -> SweepSide {
+        let (ts, te) = (rows.column(ts), rows.column(te));
+        let pts: Vec<Option<(i64, i64)>> = (0..rows.len())
+            .map(|i| Some((ts.int_at(i)?, te.int_at(i)?)))
             .collect();
         // Sort indices by interval start (NULL-endpoint rows sort first
         // and are handled as never-matching).
@@ -51,10 +50,16 @@ impl SweepSide {
     }
 }
 
-/// The sweep's mutable cursor state, built on first pull.
+/// Both sides and the sweep's cursor, built on first pull.
 struct SweepState {
     l: SweepSide,
     r: SweepSide,
+    cursor: Cursor,
+}
+
+/// The sweep's mutable cursor state.
+#[derive(Default)]
+struct Cursor {
     /// Position in `l.order` of the next left row to process.
     next_l: usize,
     /// Position in `r.order` of the next right row to admit.
@@ -79,7 +84,6 @@ pub struct IntervalJoinExec {
     residual: JoinPred,
     join_type: JoinType,
     schema: Schema,
-    right_width: usize,
     state: Option<SweepState>,
 }
 
@@ -99,7 +103,6 @@ impl IntervalJoinExec {
             matches!(join_type, JoinType::Inner | JoinType::Left),
             "interval join supports Inner/Left, got {join_type:?}"
         );
-        let right_width = right.schema().len();
         let schema = left.schema().concat(right.schema());
         IntervalJoinExec {
             left,
@@ -111,7 +114,6 @@ impl IntervalJoinExec {
             residual: JoinPred::new(residual),
             join_type,
             schema,
-            right_width,
             state: None,
         }
     }
@@ -121,67 +123,64 @@ impl IntervalJoinExec {
         if self.state.is_some() {
             return Ok(());
         }
-        let l_rows = collect_rows(self.left.as_mut(), state)?;
-        let r_rows = collect_rows(self.right.as_mut(), state)?;
+        let l_rows = collect_batch(self.left.as_mut(), state)?;
+        let r_rows = collect_batch(self.right.as_mut(), state)?;
         self.state = Some(SweepState {
             l: SweepSide::new(l_rows, self.l_ts, self.l_te),
             r: SweepSide::new(r_rows, self.r_ts, self.r_te),
-            next_l: 0,
-            next_r: 0,
-            active: Vec::new(),
+            cursor: Cursor::default(),
         });
         Ok(())
     }
+}
 
+impl Cursor {
     /// Advance the sweep over **one** left row, appending its join output
     /// to `out`. Returns `false` when the left side is exhausted.
-    fn sweep_one_left(&mut self, out: &mut Vec<Row>) -> EngineResult<bool> {
-        let st = self.state.as_mut().expect("state built");
-        if st.next_l >= st.l.order.len() {
+    fn sweep_one_left(
+        &mut self,
+        (l, r): (&SweepSide, &SweepSide),
+        pred: &mut BoundJoin<'_>,
+        join_type: JoinType,
+        out: &mut JoinPairs,
+    ) -> EngineResult<bool> {
+        if self.next_l >= l.order.len() {
             return Ok(false);
         }
-        let li = st.l.order[st.next_l];
-        st.next_l += 1;
-        let Some((lts, lte)) = st.l.pts[li] else {
-            if self.join_type == JoinType::Left {
-                out.push(st.l.rows[li].concat_nulls(self.right_width));
+        let li = l.order[self.next_l];
+        self.next_l += 1;
+        let Some((lts, lte)) = l.pts[li] else {
+            if join_type == JoinType::Left {
+                out.push(li, NULL_ROW as usize);
             }
             return Ok(true);
         };
         // Admit right rows starting before this left interval ends.
-        while st.next_r < st.r.order.len() {
-            let j = st.r.order[st.next_r];
-            match st.r.pts[j] {
+        while self.next_r < r.order.len() {
+            let j = r.order[self.next_r];
+            match r.pts[j] {
                 Some((rts, _)) if rts < lte => {
-                    st.active.push(j);
-                    st.next_r += 1;
+                    self.active.push(j);
+                    self.next_r += 1;
                 }
                 Some(_) => break,
                 None => {
-                    st.next_r += 1; // NULL endpoints never match
+                    self.next_r += 1; // NULL endpoints never match
                 }
             }
         }
         // Drop candidates that ended at or before this left start —
         // they can never match later lefts either (starts ascend).
-        let r_pts = &st.r.pts;
-        st.active.retain(|&j| r_pts[j].expect("admitted").1 > lts);
+        let r_pts = &r.pts;
+        self.active.retain(|&j| r_pts[j].expect("admitted").1 > lts);
 
         // `rte > lts` holds by the retain; re-check the start side because
         // left ends are not monotonic.
-        let overlapping = st.active.iter().filter_map(|&j| {
+        let overlapping = self.active.iter().copied().filter(|&j| {
             let (rts, rte) = r_pts[j].expect("admitted");
-            (rts < lte && rte > lts).then(|| (j, &st.r.rows[j]))
+            rts < lte && rte > lts
         });
-        join_left_row(
-            &st.l.rows[li],
-            overlapping,
-            &self.residual,
-            self.join_type,
-            self.right_width,
-            |_| {},
-            out,
-        )?;
+        join_left_row(li, overlapping, pred, join_type, |_| {}, out)?;
         Ok(true)
     }
 }
@@ -195,16 +194,15 @@ impl ExecNode for IntervalJoinExec {
     /// output has accumulated.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         self.ensure_state(state)?;
-        let mut out: Vec<Row> = Vec::new();
+        let SweepState { l, r, cursor } = self.state.as_mut().expect("state built");
+        let mut pred = self.residual.bind(&l.rows, &r.rows);
+        let mut out = JoinPairs::default();
         while out.len() < BATCH_SIZE {
-            if !self.sweep_one_left(&mut out)? {
+            if !cursor.sweep_one_left((l, r), &mut pred, self.join_type, &mut out)? {
                 break;
             }
         }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), out)))
+        Ok(out.into_batch(&self.schema, &l.rows, &r.rows, self.join_type))
     }
 }
 

@@ -32,10 +32,9 @@ impl ExecNode for LimitExec {
         }
         match self.input.next_batch(state)? {
             Some(batch) => {
-                let (schema, mut rows) = batch.into_parts();
-                rows.truncate(self.remaining);
-                self.remaining -= rows.len();
-                Ok(Some(RowBatch::new(schema, rows)))
+                let n = batch.len().min(self.remaining);
+                self.remaining -= n;
+                Ok(Some(batch.slice(0..n)))
             }
             None => {
                 self.remaining = 0;
@@ -85,7 +84,7 @@ mod tests {
         let mut sizes = Vec::new();
         let mut next = 0i64;
         while let Some(batch) = limit.next_batch(&state).unwrap() {
-            for row in batch.rows() {
+            for row in batch.to_rows() {
                 assert_eq!(row[0].as_int(), Some(next), "a prefix, in input order");
                 next += 1;
             }

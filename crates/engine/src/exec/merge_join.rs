@@ -4,17 +4,20 @@
 //! on the key columns. Supports Inner, Left and Full joins; the planner
 //! rewrites Right joins by swapping inputs.
 
-use crate::batch::RowBatch;
+use std::cmp::Ordering;
+
+use crate::batch::{RowBatch, NULL_ROW};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{
+    collect_batch, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState, JoinPairs,
+};
 use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
-use crate::tuple::Row;
 use crate::value::Value;
 
-/// Merge join over sorted inputs. Output is computed group-by-group and
-/// streamed from an internal queue.
+/// Merge join over sorted inputs. Output is computed group-by-group as
+/// index pairs, gathered once and streamed a chunk at a time.
 pub struct MergeJoinExec {
     left: BoxedExec,
     right: BoxedExec,
@@ -24,9 +27,7 @@ pub struct MergeJoinExec {
     residual: JoinPred,
     join_type: JoinType,
     schema: Schema,
-    left_width: usize,
-    right_width: usize,
-    out: Option<std::vec::IntoIter<Row>>,
+    out: Option<(Option<RowBatch>, usize)>,
 }
 
 impl MergeJoinExec {
@@ -41,8 +42,6 @@ impl MergeJoinExec {
             matches!(join_type, JoinType::Inner | JoinType::Left | JoinType::Full),
             "merge join supports Inner/Left/Full, got {join_type:?}"
         );
-        let left_width = left.schema().len();
-        let right_width = right.schema().len();
         let schema = left.schema().concat(right.schema());
         MergeJoinExec {
             left,
@@ -51,85 +50,88 @@ impl MergeJoinExec {
             residual: JoinPred::new(residual),
             join_type,
             schema,
-            left_width,
-            right_width,
             out: None,
         }
     }
 
-    fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-        let l_rows = collect_rows(self.left.as_mut(), state)?;
-        let r_rows = collect_rows(self.right.as_mut(), state)?;
-
-        let lkey =
-            |row: &Row| -> Vec<Value> { self.keys.iter().map(|&(l, _)| row[l].clone()).collect() };
-        let rkey =
-            |row: &Row| -> Vec<Value> { self.keys.iter().map(|&(_, r)| row[r].clone()).collect() };
+    fn compute(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        let l = collect_batch(self.left.as_mut(), state)?;
+        let r = collect_batch(self.right.as_mut(), state)?;
+        let key_of = |b: &RowBatch, i: usize, right: bool| -> Vec<Value> {
+            self.keys
+                .iter()
+                .map(|&(lc, rc)| b.value(if right { rc } else { lc }, i))
+                .collect()
+        };
+        let lkeys: Vec<Vec<Value>> = (0..l.len()).map(|i| key_of(&l, i, false)).collect();
+        let rkeys: Vec<Vec<Value>> = (0..r.len()).map(|i| key_of(&r, i, true)).collect();
         let has_null = |k: &[Value]| k.iter().any(Value::is_null);
+        let outer_left = matches!(self.join_type, JoinType::Left | JoinType::Full);
+        let full = self.join_type == JoinType::Full;
 
-        let mut out = Vec::new();
-
+        let mut out = JoinPairs::default();
+        const PAD: usize = NULL_ROW as usize;
         // Rows with NULL keys can never match; handle per join type.
         // They sort to the front (NULLs first), but a NULL may appear in a
         // later key column, so partition explicitly.
-        let (l_null, l_rows): (Vec<Row>, Vec<Row>) =
-            l_rows.into_iter().partition(|r| has_null(&lkey(r)));
-        let (r_null, r_rows): (Vec<Row>, Vec<Row>) =
-            r_rows.into_iter().partition(|r| has_null(&rkey(r)));
-        if matches!(self.join_type, JoinType::Left | JoinType::Full) {
-            for r in &l_null {
-                out.push(r.concat_nulls(self.right_width));
-            }
+        let (l_null, l_rows): (Vec<usize>, Vec<usize>) =
+            (0..l.len()).partition(|&i| has_null(&lkeys[i]));
+        let (r_null, r_rows): (Vec<usize>, Vec<usize>) =
+            (0..r.len()).partition(|&i| has_null(&rkeys[i]));
+        if outer_left {
+            l_null.iter().for_each(|&i| out.push(i, PAD));
         }
-        if self.join_type == JoinType::Full {
-            for r in &r_null {
-                out.push(r.nulls_concat(self.left_width));
-            }
+        if full {
+            r_null.iter().for_each(|&i| out.push(PAD, i));
         }
 
+        let mut pred = self.residual.bind(&l, &r);
         let (mut li, mut ri) = (0usize, 0usize);
         while li < l_rows.len() && ri < r_rows.len() {
-            let lk = lkey(&l_rows[li]);
-            let rk = rkey(&r_rows[ri]);
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => {
-                    if matches!(self.join_type, JoinType::Left | JoinType::Full) {
-                        out.push(l_rows[li].concat_nulls(self.right_width));
+            let lk = &lkeys[l_rows[li]];
+            let rk = &rkeys[r_rows[ri]];
+            match lk.cmp(rk) {
+                Ordering::Less => {
+                    if outer_left {
+                        out.push(l_rows[li], PAD);
                     }
                     li += 1;
                 }
-                std::cmp::Ordering::Greater => {
-                    if self.join_type == JoinType::Full {
-                        out.push(r_rows[ri].nulls_concat(self.left_width));
+                Ordering::Greater => {
+                    if full {
+                        out.push(PAD, r_rows[ri]);
                     }
                     ri += 1;
                 }
-                std::cmp::Ordering::Equal => {
+                Ordering::Equal => {
                     // Gather the equal-key groups on both sides.
                     let mut lj = li + 1;
-                    while lj < l_rows.len() && lkey(&l_rows[lj]) == lk {
+                    while lj < l_rows.len() && lkeys[l_rows[lj]] == *lk {
                         lj += 1;
                     }
                     let mut rj = ri + 1;
-                    while rj < r_rows.len() && rkey(&r_rows[rj]) == rk {
+                    while rj < r_rows.len() && rkeys[r_rows[rj]] == *rk {
                         rj += 1;
                     }
-                    let mut r_matched = vec![false; rj - ri];
-                    for lrow in &l_rows[li..lj] {
+                    let group = &r_rows[ri..rj];
+                    let mut r_matched = vec![false; group.len()];
+                    for &lrow in &l_rows[li..lj] {
                         join_left_row(
                             lrow,
-                            r_rows[ri..rj].iter().enumerate(),
-                            &self.residual,
+                            group.iter().copied(),
+                            &mut pred,
                             self.join_type,
-                            self.right_width,
-                            |k| r_matched[k] = true,
+                            |k| {
+                                let pos = group.partition_point(|&g| g < k);
+                                r_matched[pos] = true;
+                            },
                             &mut out,
                         )?;
                     }
-                    if self.join_type == JoinType::Full {
-                        for (k, rrow) in r_rows[ri..rj].iter().enumerate() {
+                    if full {
+                        for (k, &rrow) in group.iter().enumerate() {
                             if !r_matched[k] {
-                                out.push(rrow.nulls_concat(self.left_width));
+                                out.push(PAD, rrow);
                             }
                         }
                     }
@@ -138,17 +140,13 @@ impl MergeJoinExec {
                 }
             }
         }
-        if matches!(self.join_type, JoinType::Left | JoinType::Full) {
-            for lrow in &l_rows[li..] {
-                out.push(lrow.concat_nulls(self.right_width));
-            }
+        if outer_left {
+            l_rows[li..].iter().for_each(|&i| out.push(i, PAD));
         }
-        if self.join_type == JoinType::Full {
-            for rrow in &r_rows[ri..] {
-                out.push(rrow.nulls_concat(self.left_width));
-            }
+        if full {
+            r_rows[ri..].iter().for_each(|&i| out.push(PAD, i));
         }
-        Ok(out)
+        Ok(out.into_batch(&self.schema, &l, &r, self.join_type))
     }
 }
 
@@ -159,11 +157,10 @@ impl ExecNode for MergeJoinExec {
 
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = self.compute(state)?;
-            self.out = Some(rows.into_iter());
+            self.out = Some((self.compute(state)?, 0));
         }
-        let it = self.out.as_mut().expect("initialized");
-        Ok(next_chunk(it, &self.schema))
+        let (all, pos) = self.out.as_mut().expect("initialized");
+        Ok(all.as_ref().and_then(|all| next_chunk(all, pos)))
     }
 }
 

@@ -1,7 +1,8 @@
 //! Pipelined, batch-at-a-time executor.
 //!
 //! Every physical operator implements [`ExecNode`]: `next_batch()` returns
-//! a [`RowBatch`] of about [`BATCH_SIZE`] rows until `None`. This is the
+//! a [`RowBatch`] of about [`BATCH_SIZE`] rows — typed columns — until
+//! `None`. This is the
 //! pull protocol of the PostgreSQL executor the paper extends — their
 //! `ExecAdjustment` (Fig. 10) "is integrated into the pipelining
 //! architecture of PostgreSQL" — with the unit of exchange widened from a
@@ -17,6 +18,11 @@
 //! `temporal_core::reference` (the snapshot oracle, `align_ref`,
 //! `normalize_ref`, `absorb_ref`) and, for every join operator, a
 //! brute-force join that concatenates each pair before testing θ.
+//!
+//! Operators never build a [`crate::tuple::Row`]: joins collect `(left,
+//! right)` index pairs (`JoinPairs`) and gather each column once, sort
+//! computes a permutation and gathers, filter gathers its survivors, and a
+//! projection of a column reference passes the column's `Arc` on.
 
 mod aggregate;
 mod distinct;
@@ -51,18 +57,17 @@ pub use nl_join::NestedLoopJoinExec;
 pub use project::ProjectExec;
 pub use scan::SeqScanExec;
 pub use setops::HashSetOpExec;
-pub use sort::{sort_rows_batched, sort_rows_parallel, SortExec};
+pub use sort::{sort_permutation, SortExec};
 pub use state::ExecutionState;
 pub use storage_scan::StorageScanExec;
 pub use values::ValuesExec;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{RowBatch, BATCH_SIZE, NULL_ROW};
 use crate::error::EngineResult;
-use crate::expr::JoinPred;
+use crate::expr::BoundJoin;
 use crate::plan::JoinType;
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// A pipelined executor node.
 ///
@@ -83,74 +88,129 @@ pub trait ExecNode: Send {
 /// Owned, type-erased executor node.
 pub type BoxedExec = Box<dyn ExecNode>;
 
-/// Drain a node into a materialized [`Relation`]. This is the engine's
-/// result collection (used by `PhysicalPlan::collect` and therefore
-/// `Planner::run`).
+/// Drain a node into a materialized [`Relation`] that keeps the batches it
+/// received. This is the engine's result collection (used by
+/// `PhysicalPlan::collect` and therefore `Planner::run`).
 pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Relation> {
-    let mut rel = Relation::empty(node.schema().clone());
-    while let Some(batch) = node.next_batch(state)? {
-        state.check_cancelled()?;
-        rel.push_batch(batch)?;
-    }
-    Ok(rel)
+    let schema = node.schema().clone();
+    let batches = drain(node.as_mut(), state)?;
+    Relation::from_batches(schema, batches)
 }
 
-/// Drain a node into a row vector (schema discarded) — the
-/// materialization step of blocking operators.
-pub fn collect_rows(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-    let mut rows = Vec::new();
+/// Drain a node into its batches.
+pub fn drain(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<Vec<RowBatch>> {
+    let mut batches = Vec::new();
     while let Some(batch) = node.next_batch(state)? {
         state.check_cancelled()?;
-        rows.extend(batch.into_rows());
+        batches.push(batch);
     }
-    Ok(rows)
+    Ok(batches)
+}
+
+/// Drain a node into one batch — the materialization step of blocking
+/// operators.
+pub fn collect_batch(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<RowBatch> {
+    let schema = node.schema().clone();
+    Ok(RowBatch::concat(schema, &drain(node, state)?))
 }
 
 /// The emit step of every operator that materializes its result first:
-/// the next [`BATCH_SIZE`] rows of `rows` as a batch, `None` once drained.
-pub fn next_chunk(rows: &mut impl Iterator<Item = Row>, schema: &Schema) -> Option<RowBatch> {
-    let chunk: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
-    (!chunk.is_empty()).then(|| RowBatch::new(schema.clone(), chunk))
+/// the next [`BATCH_SIZE`] rows of `all` from `*pos`, `None` once drained.
+pub fn next_chunk(all: &RowBatch, pos: &mut usize) -> Option<RowBatch> {
+    let start = *pos;
+    let end = (start + BATCH_SIZE).min(all.len());
+    *pos = end;
+    (start < end).then(|| all.slice(start..end))
 }
 
-/// What one left row contributes to a join, the match loop of every join
-/// operator. Each candidate right row (`(index, row)`, in emit order)
-/// whose pair passes `pred` is marked and emitted as `left ++ right` — a
-/// row is built only for a pair that is emitted. Semi emits `left` at its
-/// first match and Anti stops there, so θ is never tested past it (nor
-/// does its error surface). A left row without a match is padded with
-/// `right_width` NULLs (Left/Full) or kept (Anti).
-pub(crate) fn join_left_row<'r>(
-    left: &Row,
-    cands: impl IntoIterator<Item = (usize, &'r Row)>,
-    pred: &JoinPred,
+/// A join's output as `(left row, right row)` index pairs ([`NULL_ROW`]:
+/// the ω-padded side), gathered into a batch once — every output column
+/// is one gather, and no row is built.
+#[derive(Debug, Default)]
+pub(crate) struct JoinPairs {
+    left: Vec<u32>,
+    right: Vec<u32>,
+}
+
+impl JoinPairs {
+    #[inline]
+    pub(crate) fn push(&mut self, l: usize, r: usize) {
+        self.left.push(l as u32);
+        self.right.push(r as u32);
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.left.len()
+    }
+
+    /// The pairs `(ω, r)` of the right rows from `*next` on (up to a batch
+    /// of them) that `matched` does not flag — the tail of Right/Full.
+    pub(crate) fn unmatched_right(
+        n: usize,
+        next: &mut usize,
+        matched: impl Fn(usize) -> bool,
+    ) -> Self {
+        let mut out = JoinPairs::default();
+        while *next < n && out.len() < BATCH_SIZE {
+            if !matched(*next) {
+                out.push(NULL_ROW as usize, *next);
+            }
+            *next += 1;
+        }
+        out
+    }
+
+    /// The output batch — `left` and (for joins that emit it) `right`
+    /// gathered at the pairs — or `None` for no pairs.
+    pub(crate) fn into_batch(
+        self,
+        schema: &Schema,
+        left: &RowBatch,
+        right: &RowBatch,
+        join_type: JoinType,
+    ) -> Option<RowBatch> {
+        let right = join_type
+            .emits_right()
+            .then_some((right, self.right.as_slice()));
+        (!self.left.is_empty()).then(|| RowBatch::join(schema.clone(), left, &self.left, right))
+    }
+}
+
+/// What left row `li` contributes to a join, the match loop of every join
+/// operator. Each candidate right row (in emit order) whose pair passes
+/// `pred` is marked and emitted as the pair `(li, right)` — nothing is
+/// built for a pair that fails. Semi emits `li` at its first match and
+/// Anti stops there, so θ is never tested past it (nor does its error
+/// surface). A left row without a match is padded with NULLs (Left/Full)
+/// or kept (Anti).
+pub(crate) fn join_left_row(
+    li: usize,
+    cands: impl IntoIterator<Item = usize>,
+    pred: &mut BoundJoin<'_>,
     join_type: JoinType,
-    right_width: usize,
     mut mark: impl FnMut(usize),
-    out: &mut Vec<Row>,
+    out: &mut JoinPairs,
 ) -> EngineResult<()> {
     let mut matched = false;
-    for (i, right) in cands {
-        if !pred.matches(left.values(), right.values())? {
+    pred.set_left(li);
+    for ri in cands {
+        if !pred.matches(ri)? {
             continue;
         }
         matched = true;
-        mark(i);
+        mark(ri);
         match join_type {
             JoinType::Semi => {
-                out.push(left.clone());
+                out.push(li, NULL_ROW as usize);
                 return Ok(());
             }
             JoinType::Anti => return Ok(()),
-            _ => out.push(left.concat(right)),
+            _ => out.push(li, ri),
         }
     }
-    if !matched {
-        match join_type {
-            JoinType::Left | JoinType::Full => out.push(left.concat_nulls(right_width)),
-            JoinType::Anti => out.push(left.clone()),
-            _ => {}
-        }
+    if !matched && matches!(join_type, JoinType::Left | JoinType::Full | JoinType::Anti) {
+        out.push(li, NULL_ROW as usize);
     }
     Ok(())
 }

@@ -19,12 +19,11 @@ use std::sync::Arc;
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::{
-    collect_rows, join_left_row, BoxedExec, ExecNode, ExecutionState, OperatorStats,
+    collect_batch, join_left_row, BoxedExec, ExecNode, ExecutionState, JoinPairs, OperatorStats,
 };
 use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 enum Phase {
     Probe,
@@ -36,16 +35,17 @@ enum Phase {
 pub struct NestedLoopJoinExec {
     left: BoxedExec,
     right: Option<BoxedExec>,
-    right_rows: Vec<Row>,
+    /// The whole right side, one batch.
+    right_rows: RowBatch,
     right_matched: Vec<bool>,
-    right_width: usize,
     join_type: JoinType,
     pred: JoinPred,
     schema: Schema,
     /// `candidates_checked` ledger of this plan node, when instrumented.
     ledger: Option<Arc<OperatorStats>>,
-    /// Rows of the current left batch not yet joined.
-    left_rows: std::vec::IntoIter<Row>,
+    /// The current left batch and its next row to join.
+    left_rows: RowBatch,
+    left_pos: usize,
     phase: Phase,
 }
 
@@ -56,23 +56,22 @@ impl NestedLoopJoinExec {
         join_type: JoinType,
         condition: Option<Expr>,
     ) -> Self {
-        let right_width = right.schema().len();
         let schema = if join_type.emits_right() {
             left.schema().concat(right.schema())
         } else {
             left.schema().clone()
         };
         NestedLoopJoinExec {
+            right_rows: RowBatch::empty(right.schema().clone()),
+            left_rows: RowBatch::empty(left.schema().clone()),
             left,
             right: Some(right),
-            right_rows: Vec::new(),
             right_matched: Vec::new(),
-            right_width,
             join_type,
             pred: JoinPred::new(condition),
             schema,
             ledger: None,
-            left_rows: Vec::new().into_iter(),
+            left_pos: 0,
             phase: Phase::Probe,
         }
     }
@@ -86,7 +85,7 @@ impl NestedLoopJoinExec {
 
     fn materialize_right(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if let Some(mut right) = self.right.take() {
-            self.right_rows = collect_rows(right.as_mut(), state)?;
+            self.right_rows = collect_batch(right.as_mut(), state)?;
             self.right_matched = vec![false; self.right_rows.len()];
         }
         Ok(())
@@ -98,59 +97,64 @@ impl ExecNode for NestedLoopJoinExec {
         &self.schema
     }
 
-    /// Joins left rows until the batch holds [`BATCH_SIZE`] rows, always
-    /// finishing the left row it is on — so a batch overshoots by at most
-    /// one left row's matches, and no cursor into the right side survives
-    /// a call.
+    /// Joins left rows of the current left batch until the output holds
+    /// [`BATCH_SIZE`] rows, always finishing the left row it is on — so a
+    /// batch overshoots by at most one left row's matches, and no cursor
+    /// into the right side survives a call.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         self.materialize_right(state)?;
-        let mut out: Vec<Row> = Vec::new();
-        let mut probed = 0u64;
-        while out.len() < BATCH_SIZE {
-            match self.phase {
-                Phase::Done => break,
-                Phase::RightUnmatched(ref mut i) => {
-                    let left_width = self.schema.len() - self.right_width;
-                    while *i < self.right_rows.len() && out.len() < BATCH_SIZE {
-                        if !self.right_matched[*i] {
-                            out.push(self.right_rows[*i].nulls_concat(left_width));
-                        }
-                        *i += 1;
-                    }
-                    if *i == self.right_rows.len() {
+        loop {
+            let out = match self.phase {
+                Phase::Done => return Ok(None),
+                Phase::RightUnmatched(ref mut next) => {
+                    let matched = &self.right_matched;
+                    let out = JoinPairs::unmatched_right(matched.len(), next, |i| matched[i]);
+                    if *next >= matched.len() {
                         self.phase = Phase::Done;
                     }
+                    out
+                }
+                Phase::Probe if self.left_pos >= self.left_rows.len() => {
+                    match self.left.next_batch(state)? {
+                        Some(batch) => (self.left_rows, self.left_pos) = (batch, 0),
+                        None if self.join_type.emits_right_unmatched() => {
+                            self.phase = Phase::RightUnmatched(0)
+                        }
+                        None => self.phase = Phase::Done,
+                    }
+                    continue;
                 }
                 Phase::Probe => {
-                    let Some(left_row) = self.left_rows.next() else {
-                        match self.left.next_batch(state)? {
-                            Some(batch) => self.left_rows = batch.into_rows().into_iter(),
-                            None if self.join_type.emits_right_unmatched() => {
-                                self.phase = Phase::RightUnmatched(0)
-                            }
-                            None => self.phase = Phase::Done,
-                        }
-                        continue;
-                    };
-                    probed += 1;
-                    let matched = &mut self.right_matched;
-                    join_left_row(
-                        &left_row,
-                        self.right_rows.iter().enumerate(),
-                        &self.pred,
-                        self.join_type,
-                        self.right_width,
-                        |i| matched[i] = true,
-                        &mut out,
-                    )?;
+                    let mut out = JoinPairs::default();
+                    let mut pred = self.pred.bind(&self.left_rows, &self.right_rows);
+                    let (start, matched) = (self.left_pos, &mut self.right_matched);
+                    let mut mask = Vec::new();
+                    while self.left_pos < self.left_rows.len() && out.len() < BATCH_SIZE {
+                        let (li, n) = (self.left_pos, self.right_rows.len());
+                        pred.set_left(li);
+                        pred.mask(n, &mut mask);
+                        let cands = (0..n).filter(|&ri| mask[ri]);
+                        let mark = |i| matched[i] = true;
+                        join_left_row(li, cands, &mut pred, self.join_type, mark, &mut out)?;
+                        self.left_pos += 1;
+                    }
+                    if let Some(stats) = &self.ledger {
+                        let pairs = (self.left_pos - start) as u64 * self.right_rows.len() as u64;
+                        stats.candidates_checked.fetch_add(pairs, Ordering::Relaxed);
+                    }
+                    out
                 }
+            };
+            let batch = out.into_batch(
+                &self.schema,
+                &self.left_rows,
+                &self.right_rows,
+                self.join_type,
+            );
+            if batch.is_some() {
+                return Ok(batch);
             }
         }
-        if let Some(stats) = &self.ledger {
-            let pairs = probed * self.right_rows.len() as u64;
-            stats.candidates_checked.fetch_add(pairs, Ordering::Relaxed);
-        }
-        Ok((!out.is_empty()).then(|| RowBatch::new(self.schema.clone(), out)))
     }
 }
 
@@ -416,6 +420,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(first.len(), BATCH_SIZE);
-        assert_eq!(first.rows()[0][0], Value::Int(0));
+        assert_eq!(first.value(0, 0), Value::Int(0));
     }
 }

@@ -4,13 +4,12 @@
 //! ([`crate::exec::DistinctExec`]), as in standard engines.
 
 use crate::batch::RowBatch;
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
-/// Evaluates a list of expressions against each input row.
+/// Evaluates a list of expressions against each input batch.
 pub struct ProjectExec {
     input: BoxedExec,
     exprs: Vec<Expr>,
@@ -33,46 +32,22 @@ impl ExecNode for ProjectExec {
         &self.schema
     }
 
-    /// Computed items are evaluated vectorized, once per batch;
-    /// column references and literals are read from the input row while
-    /// the output row is assembled — they never become a value column.
+    /// Each item is one vectorized evaluation per batch; a column
+    /// reference re-binds the input column (an `Arc` clone, no copy).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let Some(batch) = self.input.next_batch(state)? else {
             return Ok(None);
         };
-        let width = batch
-            .rows()
+        let columns = self
+            .exprs
             .iter()
-            .map(Row::len)
-            .min()
-            .unwrap_or(usize::MAX);
-        let mut computed = Vec::new();
-        for e in &self.exprs {
-            match e {
-                Expr::Col(i) if *i >= width => {
-                    return Err(EngineError::Internal(format!(
-                        "column index {i} out of bounds for row of width {width}"
-                    )));
-                }
-                Expr::Col(_) | Expr::Lit(_) => {}
-                _ => computed.push(e.eval_batch(batch.rows())?.into_iter()),
-            }
-        }
-        let mut rows = Vec::with_capacity(batch.len());
-        for row in batch.rows() {
-            let mut computed = computed.iter_mut();
-            rows.push(Row::from_iter(self.exprs.iter().map(|e| {
-                match e {
-                    Expr::Col(i) => row[*i].clone(),
-                    Expr::Lit(v) => v.clone(),
-                    _ => computed
-                        .next()
-                        .and_then(Iterator::next)
-                        .expect("one value per computed item and row"),
-                }
-            })));
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), rows)))
+            .map(|e| e.eval_batch(&batch))
+            .collect::<EngineResult<Vec<_>>>()?;
+        Ok(Some(RowBatch::new(
+            self.schema.clone(),
+            batch.len(),
+            columns,
+        )))
     }
 }
 

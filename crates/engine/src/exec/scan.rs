@@ -2,13 +2,13 @@
 
 use std::sync::Arc;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::relation::Relation;
 use crate::schema::Schema;
 
-/// Scans an `Arc<Relation>`; row clones are `Arc` bumps, not deep copies.
+/// Scans an `Arc<Relation>`; its column batches pass on without a copy.
 /// A scan may cover only a contiguous row range — the morsel shape the
 /// parallel planner hands to exchange partitions.
 pub struct SeqScanExec {
@@ -40,16 +40,14 @@ impl ExecNode for SeqScanExec {
         self.rel.schema()
     }
 
-    /// Clone a contiguous chunk of the backing relation (each clone is an
-    /// `Arc` bump).
+    /// The next chunk of the backing relation's batches: a whole stored
+    /// batch passes on as `Arc` clones of its columns.
     fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        if self.pos >= self.end {
-            return Ok(None);
+        let batch = self.rel.batch_at(self.pos, self.end, self.rel.schema());
+        if let Some(b) = &batch {
+            self.pos += b.len();
         }
-        let end = (self.pos + BATCH_SIZE).min(self.end);
-        let chunk = self.rel.rows()[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(Some(RowBatch::new(self.rel.schema().clone(), chunk)))
+        Ok(batch)
     }
 }
 

@@ -1,20 +1,18 @@
 //! Set operations ∪, ∩, − with set semantics (duplicates eliminated), the
 //! semantics the paper assumes for temporal relations (Sec. 3.1).
 
-use crate::batch::RowBatch;
+use crate::batch::{RowBatch, RowSet};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
-use crate::hashing::FxHashSet;
+use crate::exec::{collect_batch, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::plan::SetOpKind;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// Hash-based UNION / INTERSECT / EXCEPT.
 pub struct HashSetOpExec {
     kind: SetOpKind,
     left: BoxedExec,
     right: BoxedExec,
-    out: Option<std::vec::IntoIter<Row>>,
+    out: Option<(RowBatch, usize)>,
 }
 
 impl HashSetOpExec {
@@ -34,39 +32,29 @@ impl HashSetOpExec {
         })
     }
 
-    fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-        let left_rows = collect_rows(self.left.as_mut(), state)?;
-        let right_rows = collect_rows(self.right.as_mut(), state)?;
-        let mut out = Vec::new();
-        match self.kind {
-            SetOpKind::Union => {
-                let mut seen: FxHashSet<Row> = FxHashSet::default();
-                for r in left_rows.into_iter().chain(right_rows) {
-                    if seen.insert(r.clone()) {
-                        out.push(r);
-                    }
+    /// The surviving rows of `left ++ right`, gathered once.
+    fn compute(&mut self, state: &ExecutionState) -> EngineResult<RowBatch> {
+        let schema = self.left.schema().clone();
+        let left = collect_batch(self.left.as_mut(), state)?;
+        let right = collect_batch(self.right.as_mut(), state)?;
+        let n_left = left.len();
+        let both = RowBatch::concat(schema, &[left, right]);
+        let mut seen = RowSet::new(&both);
+        let keep: Vec<usize> = match self.kind {
+            SetOpKind::Union => (0..both.len()).filter(|&i| seen.insert(i)).collect(),
+            SetOpKind::Intersect | SetOpKind::Except => {
+                let mut right_set = RowSet::new(&both);
+                for i in n_left..both.len() {
+                    right_set.insert(i);
                 }
+                let want = self.kind == SetOpKind::Intersect;
+                (0..n_left)
+                    .filter(|&i| right_set.contains(i) == want && seen.insert(i))
+                    .collect()
             }
-            SetOpKind::Intersect => {
-                let right_set: FxHashSet<Row> = right_rows.into_iter().collect();
-                let mut seen: FxHashSet<Row> = FxHashSet::default();
-                for r in left_rows {
-                    if right_set.contains(&r) && seen.insert(r.clone()) {
-                        out.push(r);
-                    }
-                }
-            }
-            SetOpKind::Except => {
-                let right_set: FxHashSet<Row> = right_rows.into_iter().collect();
-                let mut seen: FxHashSet<Row> = FxHashSet::default();
-                for r in left_rows {
-                    if !right_set.contains(&r) && seen.insert(r.clone()) {
-                        out.push(r);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        };
+        let keep: Vec<u32> = keep.into_iter().map(|i| i as u32).collect();
+        Ok(both.gather(&keep))
     }
 }
 
@@ -79,11 +67,10 @@ impl ExecNode for HashSetOpExec {
     /// a time.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = self.compute(state)?;
-            self.out = Some(rows.into_iter());
+            self.out = Some((self.compute(state)?, 0));
         }
-        let it = self.out.as_mut().expect("initialized");
-        Ok(next_chunk(it, self.left.schema()))
+        let (all, pos) = self.out.as_mut().expect("initialized");
+        Ok(next_chunk(all, pos))
     }
 }
 

@@ -5,13 +5,13 @@
 //! timestamps); this node provides that ordering.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::batch::RowBatch;
+use crate::batch::{ColumnVec, RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, next_chunk, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{Expr, SortKey};
+use crate::exec::{collect_batch, BoxedExec, ExecNode, ExecutionState};
+use crate::expr::SortKey;
 use crate::schema::Schema;
-use crate::tuple::Row;
 use crate::value::Value;
 
 /// Compare two evaluated key vectors under the given sort keys.
@@ -50,72 +50,155 @@ fn cmp_keys(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
-/// One sort key's values over a row vector: a column reference is read in
-/// place, anything computed is evaluated once, vectorized.
-enum KeyCol {
-    Ref(usize),
-    Vals(Vec<Value>),
-}
-
-impl KeyCol {
-    fn all(keys: &[SortKey], rows: &[Row]) -> EngineResult<Vec<KeyCol>> {
-        let width = rows.iter().map(Row::len).min().unwrap_or(0);
-        keys.iter()
-            .map(|k| match &k.expr {
-                Expr::Col(i) if *i < width => Ok(KeyCol::Ref(*i)),
-                // (An out-of-range reference gets the evaluator's error.)
-                e => e.eval_batch(rows).map(KeyCol::Vals),
-            })
-            .collect()
+/// The permutation that sorts `batch` by `keys`, NULLs placed per key
+/// before the direction applies and ties broken by the full-row order —
+/// gather the batch at it to sort. Each key is one vectorized evaluation
+/// (a column reference is the input column itself), and all-integer key
+/// sets (every temporal sort: data ids, timestamps, split points) are
+/// order-encoded and packed into one `u64`/`u128` per row, sorted inline
+/// beside the row index, so the comparator is one integer compare instead
+/// of a `Value` tree walk. Same order as the general comparator in every
+/// case: encoding and packing are order-isomorphisms on the admitted
+/// values, with equal packs ⇔ equal keys, so ties fall to the identical
+/// full-row comparator. Key sets that do not pack take the general
+/// comparator.
+///
+/// With `threads > 1` the index range is cut into chunks sorted on
+/// workers and k-way merged. The comparator is a **total order** (key
+/// order, then the full row), so the merged permutation sorts the batch
+/// row-identically to the serial one however the input was chunked.
+pub fn sort_permutation(
+    batch: &RowBatch,
+    keys: &[SortKey],
+    threads: usize,
+) -> EngineResult<Vec<u32>> {
+    let n = batch.len();
+    let key_cols = keys
+        .iter()
+        .map(|k| k.expr.eval_batch(batch))
+        .collect::<EngineResult<Vec<_>>>()?;
+    let k = keys.len();
+    // The common case: every row's keys pack into one integer, sorted
+    // inline beside the row index.
+    fn packed<K: Ord + Copy + Send + Sync>(
+        keys: Vec<K>,
+        batch: &RowBatch,
+        threads: usize,
+    ) -> EngineResult<Vec<u32>> {
+        let items: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
+        let by = |a: &(K, u32), b: &(K, u32)| {
+            a.0.cmp(&b.0)
+                .then_with(|| batch.cmp_rows(a.1 as usize, b.1 as usize))
+        };
+        Ok(sort_runs(items, threads, by)?
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect())
     }
-
-    #[inline]
-    fn get<'a>(&'a self, rows: &'a [Row], ri: usize) -> &'a Value {
-        match self {
-            KeyCol::Ref(c) => &rows[ri][*c],
-            KeyCol::Vals(vals) => &vals[ri],
+    match encode_int_keys(&key_cols, n, keys).and_then(|enc| pack_keys(&enc, n, k)) {
+        Some((p, bits)) if bits <= 64 => {
+            packed(p.into_iter().map(|x| x as u64).collect(), batch, threads)
+        }
+        Some((p, _)) => packed(p, batch, threads),
+        None => {
+            let kvs: Vec<Vec<Value>> = (0..n)
+                .map(|i| key_cols.iter().map(|c| c.value(i)).collect())
+                .collect();
+            let by = |a: &u32, b: &u32| {
+                let (a, b) = (*a as usize, *b as usize);
+                cmp_keys(keys, &kvs[a], &kvs[b]).then_with(|| batch.cmp_rows(a, b))
+            };
+            sort_runs((0..n as u32).collect(), threads, by)
         }
     }
 }
 
-/// The key values of every row, cloned out for the general comparator.
-fn key_values(key_cols: &[KeyCol], rows: &[Row]) -> Vec<Vec<Value>> {
-    (0..rows.len())
-        .map(|ri| key_cols.iter().map(|c| c.get(rows, ri).clone()).collect())
-        .collect()
-}
-
-/// Sort a row vector in place by `keys`, NULLs placed per key before the
-/// direction applies and ties broken by the full-row order. Column keys
-/// are read straight from the rows, each computed key expression is
-/// evaluated once over the whole row vector, and
-/// all-integer key sets (every temporal sort: data ids, timestamps, split
-/// points) are order-encoded into flat `i64` vectors so the comparator is
-/// a machine-word slice compare instead of a `Value` tree walk. Same order
-/// as the general comparator in every case: the encoding is an
-/// order-isomorphism on the admitted values, with equal encodings ⇔ equal
-/// keys, so ties fall to the identical full-row comparator.
-pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
-    let key_cols = KeyCol::all(keys, rows)?;
-    if let Some(enc) = encode_int_keys(&key_cols, rows, keys) {
-        let k = keys.len();
-        let mut decorated: Vec<(usize, Row)> = rows.drain(..).enumerate().collect();
-        decorated.sort_by(|(ia, ra), (ib, rb)| {
-            enc[ia * k..ia * k + k]
-                .cmp(&enc[ib * k..ib * k + k])
-                .then_with(|| ra.cmp(rb))
-        });
-        rows.extend(decorated.into_iter().map(|(_, r)| r));
-        return Ok(());
+/// Pack each row's order-encoded keys (see [`encode_int_keys`]) into one
+/// `u128`, key by key from the most significant bits down, each key as its
+/// offset from the key's smallest value in as many bits as its span needs
+/// (the NULL sentinels take the slots below and above the span). Unsigned
+/// order of the packed integers is the lexicographic order of the
+/// encodings, and equal packs ⇔ equal encodings. `None` when the spans
+/// need more than 128 bits; else the packs and the bits they use.
+fn pack_keys(enc: &[i64], n: usize, k: usize) -> Option<(Vec<u128>, u32)> {
+    let mut fields = Vec::with_capacity(k);
+    let mut total = 0u32;
+    for ki in 0..k {
+        let vals = (0..n)
+            .map(|r| enc[r * k + ki])
+            .filter(|&v| v != i64::MIN && v != i64::MAX);
+        let (lo, hi) = vals.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let span = if lo > hi {
+            0
+        } else {
+            (hi as i128 - lo as i128) as u128
+        };
+        let bits = 128 - (span + 2).leading_zeros();
+        total += bits;
+        if total > 128 {
+            return None;
+        }
+        fields.push((lo, span, bits));
     }
-    let kvs = key_values(&key_cols, rows);
-    let mut decorated: Vec<(Vec<Value>, Row)> = kvs.into_iter().zip(rows.drain(..)).collect();
-    decorated.sort_by(|(ka, ra), (kb, rb)| cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb)));
-    rows.extend(decorated.into_iter().map(|(_, r)| r));
-    Ok(())
+    let packs = (0..n)
+        .map(|r| {
+            fields
+                .iter()
+                .enumerate()
+                .fold(0u128, |acc, (ki, &(lo, span, bits))| {
+                    let off = match enc[r * k + ki] {
+                        i64::MIN => 0,
+                        i64::MAX => span + 2,
+                        v => (v as i128 - lo as i128) as u128 + 1,
+                    };
+                    acc.checked_shl(bits).unwrap_or(0) | off
+                })
+        })
+        .collect();
+    Some((packs, total))
 }
 
-/// Encode the key values of `rows` as flat `i64`s (row-major, stride =
+/// `items` sorted by `by` (a total order) — split into runs sorted on
+/// `threads` workers and k-way merged when `threads > 1`.
+fn sort_runs<T: Copy + Send + Sync>(
+    mut items: Vec<T>,
+    threads: usize,
+    by: impl Fn(&T, &T) -> Ordering + Sync,
+) -> EngineResult<Vec<T>> {
+    use crate::exec::workers::{par_run, split_ranges};
+    let ranges = split_ranges(items.len(), threads.max(1));
+    if ranges.len() <= 1 {
+        items.sort_unstable_by(&by);
+        return Ok(items);
+    }
+    let runs = par_run(threads, ranges.len(), |i| {
+        let (a, b) = ranges[i];
+        let mut run = items[a..b].to_vec();
+        run.sort_unstable_by(&by);
+        Ok(run)
+    })?;
+    // K-way merge of the runs' heads.
+    let mut heads: Vec<usize> = vec![0; runs.len()];
+    items.clear();
+    loop {
+        let mut best: Option<usize> = None;
+        for (r, run) in runs.iter().enumerate() {
+            let Some(cand) = run.get(heads[r]) else {
+                continue;
+            };
+            best = match best {
+                Some(b) if by(&runs[b][heads[b]], cand) != Ordering::Greater => Some(b),
+                _ => Some(r),
+            };
+        }
+        let Some(b) = best else { break };
+        items.push(runs[b][heads[b]]);
+        heads[b] += 1;
+    }
+    Ok(items)
+}
+
+/// Encode the key values of `n` rows as flat `i64`s (row-major, stride =
 /// `keys.len()`) such that ascending lexicographic order of the encodings
 /// equals [`cmp_keys`] order, and equal encodings imply equal key values.
 /// NULLs map to the `i64::MIN`/`i64::MAX` sentinels per their position
@@ -123,26 +206,26 @@ pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<
 /// back to the general comparator — when any value is not Int/NULL or lies
 /// at the extremes, where sentinel/negation collisions would break the
 /// isomorphism.
-fn encode_int_keys(key_cols: &[KeyCol], rows: &[Row], keys: &[SortKey]) -> Option<Vec<i64>> {
-    let mut enc = vec![0i64; rows.len() * keys.len()];
+fn encode_int_keys(key_cols: &[Arc<ColumnVec>], n: usize, keys: &[SortKey]) -> Option<Vec<i64>> {
+    let mut enc = vec![0i64; n * keys.len()];
     for (ki, (col, key)) in key_cols.iter().zip(keys).enumerate() {
-        for ri in 0..rows.len() {
-            enc[ri * keys.len() + ki] = match col.get(rows, ri) {
-                Value::Null => {
-                    // NULLS FIRST sorts below everything, NULLS LAST above
-                    // — in encoding space, regardless of `desc` (cmp_keys
-                    // places NULLs before applying the direction).
+        for ri in 0..n {
+            enc[ri * keys.len() + ki] = match col.int_at(ri) {
+                // NULLS FIRST sorts below everything, NULLS LAST above —
+                // in encoding space, regardless of `desc` (cmp_keys places
+                // NULLs before applying the direction).
+                None if col.is_null(ri) => {
                     if key.nulls_first {
                         i64::MIN
                     } else {
                         i64::MAX
                     }
                 }
-                Value::Int(x) if *x > i64::MIN + 1 && *x < i64::MAX - 1 => {
+                Some(x) if x > i64::MIN + 1 && x < i64::MAX - 1 => {
                     if key.desc {
                         -x
                     } else {
-                        *x
+                        x
                     }
                 }
                 _ => return None,
@@ -152,152 +235,12 @@ fn encode_int_keys(key_cols: &[KeyCol], rows: &[Row], keys: &[SortKey]) -> Optio
     Some(enc)
 }
 
-/// Parallel sort: evaluate key columns over contiguous chunks on workers,
-/// sort per-chunk index runs in parallel, then k-way merge the runs.
-///
-/// The comparator is shared with the serial paths and is a **total
-/// order** — key comparison falls through to the full-row comparator on
-/// ties — so the merged output is row-identical to [`sort_rows_batched`]
-/// regardless of how the input was chunked.
-pub fn sort_rows_parallel(
-    rows: &mut Vec<Row>,
-    keys: &[SortKey],
-    threads: usize,
-) -> EngineResult<()> {
-    use crate::exec::workers::{par_run, split_ranges};
-    use std::sync::Mutex;
-    let n = rows.len();
-    let ranges = split_ranges(n, threads);
-    if ranges.len() <= 1 {
-        return sort_rows_batched(rows, keys);
-    }
-    let k = keys.len();
-    // Phase 1: evaluate key columns per chunk, on workers.
-    let chunk_cols = par_run(threads, ranges.len(), |i| {
-        let (a, b) = ranges[i];
-        KeyCol::all(keys, &rows[a..b])
-    })?;
-    // The fast path / fallback decision must be global: all chunks encode,
-    // or all use the general comparator (per-chunk choices could disagree).
-    let chunk_encs: Option<Vec<Vec<i64>>> = if k <= ENC_WIDTH {
-        chunk_cols
-            .iter()
-            .zip(&ranges)
-            .map(|(cols, &(a, b))| encode_int_keys(cols, &rows[a..b], keys))
-            .collect()
-    } else {
-        None
-    };
-    // Move the rows out into their chunks so workers can own them.
-    let mut drained = std::mem::take(rows).into_iter();
-    let chunk_rows: Vec<Mutex<Option<Vec<Row>>>> = ranges
-        .iter()
-        .map(|&(a, b)| Mutex::new(Some(drained.by_ref().take(b - a).collect())))
-        .collect();
-
-    // Phase 2: each worker sorts its chunk locally — decorated, contiguous,
-    // rows moved not cloned — producing a sorted run (keys + rows aligned).
-    // Phase 3 merges the runs' heads; the comparator is a total order (key
-    // order, full-row tiebreak), so the result is row-identical to the
-    // serial sort however the input was chunked.
-    match chunk_encs {
-        Some(encs) => {
-            let enc_slots: Vec<Mutex<Option<Vec<i64>>>> =
-                encs.into_iter().map(|e| Mutex::new(Some(e))).collect();
-            let runs = par_run(threads, ranges.len(), |i| {
-                let chunk = chunk_rows[i]
-                    .lock()
-                    .expect("chunk lock")
-                    .take()
-                    .expect("chunk claimed once");
-                let enc = enc_slots[i]
-                    .lock()
-                    .expect("enc lock")
-                    .take()
-                    .expect("enc claimed once");
-                // Pad the per-row encoding to a fixed, `Copy` width; the
-                // padding is equal on every row so it never affects order.
-                let mut decorated: Vec<([i64; ENC_WIDTH], Row)> = chunk
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, row)| {
-                        let mut a = [0i64; ENC_WIDTH];
-                        a[..k].copy_from_slice(&enc[j * k..j * k + k]);
-                        (a, row)
-                    })
-                    .collect();
-                decorated
-                    .sort_unstable_by(|(ea, ra), (eb, rb)| ea.cmp(eb).then_with(|| ra.cmp(rb)));
-                Ok(decorated)
-            })?;
-            merge_runs(rows, runs, |a, b| a.cmp(b));
-        }
-        None => {
-            let runs = par_run(threads, ranges.len(), |i| {
-                let chunk = chunk_rows[i]
-                    .lock()
-                    .expect("chunk lock")
-                    .take()
-                    .expect("chunk claimed once");
-                let kvs = key_values(&chunk_cols[i], &chunk);
-                let mut decorated: Vec<(Vec<Value>, Row)> = kvs.into_iter().zip(chunk).collect();
-                decorated.sort_unstable_by(|(ka, ra), (kb, rb)| {
-                    cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb))
-                });
-                Ok(decorated)
-            })?;
-            merge_runs(rows, runs, |a, b| cmp_keys(keys, a, b));
-        }
-    }
-    Ok(())
-}
-
-/// Fixed per-row width of the `Copy` integer key encoding in the parallel
-/// sort (real key counts are 1–4; wider key sets take the general path).
-const ENC_WIDTH: usize = 6;
-
-/// K-way merge of sorted decorated runs into `out`, draining the runs by
-/// move. Key order with full-row tiebreak is a total order, so the merge
-/// is deterministic.
-fn merge_runs<K>(
-    out: &mut Vec<Row>,
-    runs: Vec<Vec<(K, Row)>>,
-    key_cmp: impl Fn(&K, &K) -> Ordering,
-) {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    out.reserve(total);
-    let mut iters: Vec<std::vec::IntoIter<(K, Row)>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(K, Row)>> = iters.iter_mut().map(Iterator::next).collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (c, head) in heads.iter().enumerate() {
-            if let Some((ck, cr)) = head {
-                best = match best {
-                    Some(b) => {
-                        let (bk, br) = heads[b].as_ref().expect("best head present");
-                        if key_cmp(ck, bk).then_with(|| cr.cmp(br)) == Ordering::Less {
-                            Some(c)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                    None => Some(c),
-                };
-            }
-        }
-        let Some(c) = best else { break };
-        let (_, row) = heads[c].take().expect("selected head present");
-        heads[c] = iters[c].next();
-        out.push(row);
-    }
-}
-
 /// Materializing sort node.
 pub struct SortExec {
     input: BoxedExec,
     keys: Vec<SortKey>,
-    sorted: Option<std::vec::IntoIter<Row>>,
+    /// The materialized input, its sorted permutation and the emit cursor.
+    sorted: Option<(RowBatch, Vec<u32>, usize)>,
 }
 
 impl SortExec {
@@ -315,20 +258,24 @@ impl ExecNode for SortExec {
         self.input.schema()
     }
 
-    /// Materialize the input, sort with vectorized key decoration, then
-    /// drain a chunk per call.
+    /// Materialize the input, compute the sorting permutation, then
+    /// gather a chunk of it per call.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.sorted.is_none() {
-            let mut rows = collect_rows(self.input.as_mut(), state)?;
-            if state.parallel(rows.len()) {
-                sort_rows_parallel(&mut rows, &self.keys, state.threads())?;
+            let batch = collect_batch(self.input.as_mut(), state)?;
+            let threads = if state.parallel(batch.len()) {
+                state.threads()
             } else {
-                sort_rows_batched(&mut rows, &self.keys)?;
-            }
-            self.sorted = Some(rows.into_iter());
+                1
+            };
+            let perm = sort_permutation(&batch, &self.keys, threads)?;
+            self.sorted = Some((batch, perm, 0));
         }
-        let it = self.sorted.as_mut().expect("initialized");
-        Ok(next_chunk(it, self.input.schema()))
+        let (batch, perm, pos) = self.sorted.as_mut().expect("initialized");
+        let start = *pos;
+        let end = (start + BATCH_SIZE).min(perm.len());
+        *pos = end;
+        Ok((start < end).then(|| batch.gather(&perm[start..end])))
     }
 }
 
@@ -340,6 +287,25 @@ mod tests {
     use crate::expr::col;
     use crate::relation::Relation;
     use crate::schema::{Column, DataType};
+    use crate::tuple::Row;
+
+    /// `rows` sorted through [`sort_permutation`] on `threads` workers.
+    fn sort_rows_batched(
+        rows: &mut Vec<Row>,
+        keys: &[SortKey],
+        threads: usize,
+    ) -> EngineResult<()> {
+        let width = rows.first().map_or(0, Row::len);
+        let schema = Schema::new(
+            (0..width)
+                .map(|i| Column::new(format!("c{i}"), DataType::Int))
+                .collect(),
+        );
+        let batch = RowBatch::from_rows(schema, rows);
+        let perm = sort_permutation(&batch, keys, threads)?;
+        *rows = batch.gather(&perm).to_rows();
+        Ok(())
+    }
 
     /// Sort a row vector in place by `keys` (decorate–sort–undecorate): the
     /// plain comparator sort that specifies the order [`sort_rows_batched`]
@@ -412,10 +378,10 @@ mod tests {
         rows.extend(rows.clone()); // duplicate full rows
         let keys = vec![SortKey::asc(col(0)), SortKey::desc(col(1))];
         let mut serial = rows.clone();
-        sort_rows_batched(&mut serial, &keys).unwrap();
+        sort_rows_batched(&mut serial, &keys, 1).unwrap();
         for threads in [2, 3, 4, 8] {
             let mut par = rows.clone();
-            sort_rows_parallel(&mut par, &keys, threads).unwrap();
+            sort_rows_batched(&mut par, &keys, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
         // All-int keys (fast path) too.
@@ -423,9 +389,9 @@ mod tests {
             .map(|i: i64| Row::new(vec![Value::Int(i % 13), Value::Int(999 - i)]))
             .collect();
         let mut serial = int_rows.clone();
-        sort_rows_batched(&mut serial, &keys).unwrap();
+        sort_rows_batched(&mut serial, &keys, 1).unwrap();
         let mut par = int_rows.clone();
-        sort_rows_parallel(&mut par, &keys, 4).unwrap();
+        sort_rows_batched(&mut par, &keys, 4).unwrap();
         assert_eq!(par, serial);
     }
 
@@ -472,9 +438,11 @@ mod tests {
             for keys in &key_sets {
                 let mut spec = rows.clone();
                 sort_rows(&mut spec, keys).unwrap();
-                let mut got = rows.clone();
-                sort_rows_batched(&mut got, keys).unwrap();
-                assert_eq!(got, spec, "keys={keys:?}");
+                for threads in [1, 3] {
+                    let mut got = rows.clone();
+                    sort_rows_batched(&mut got, keys, threads).unwrap();
+                    assert_eq!(got, spec, "keys={keys:?}");
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
 //!
 //! Unlike [`crate::exec::SeqScanExec`], which walks an already
 //! materialized `Arc<Relation>`, this node decodes slotted pages into
-//! [`RowBatch`]es *as they are pulled*: at any moment only the pages the
+//! [`RowBatch`]es *as they are pulled*, each record's values straight
+//! into the batch's typed columns: at any moment only the pages the
 //! buffer pool holds are in memory, so a table larger than the pool (or
 //! than RAM) scans in constant space. A scan may cover only a contiguous
 //! page range — the morsel shape the parallel planner hands to exchange
@@ -11,8 +12,8 @@
 //! pin path is per-frame (see `temporal_store::buffer`).
 //!
 //! A pruned scan also carries the [`ZoneBounds`] that selected its pages
-//! and applies them once more per record, on the encoded bytes, before a
-//! [`Row`] is built (see [`RecordBounds`]): on a page that survived
+//! and applies them once more per record, on the encoded bytes, before
+//! the record is decoded (see [`RecordBounds`]): on a page that survived
 //! pruning typically a few records of a hundred match. The bounds only
 //! ever over-approximate the `Filter` the planner keeps above the scan,
 //! so what the scan drops the filter would have dropped.
@@ -21,13 +22,12 @@ use std::sync::Arc;
 
 use temporal_store::HeapSnapshot;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{BatchBuilder, RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::instrument::OperatorStats;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::schema::Schema;
 use crate::storage::{RecordBounds, StoredTable, ZoneBounds};
-use crate::tuple::Row;
 
 /// Scans a [`StoredTable`] page by page. The page set is either a
 /// contiguous range (the classic full-scan morsel) or an explicit list of
@@ -124,8 +124,8 @@ impl ExecNode for StorageScanExec {
         let snap = *self
             .snapshot
             .get_or_insert_with(|| state.snapshot_for(&self.table));
-        let mut rows: Vec<Row> = Vec::new();
-        while rows.len() < BATCH_SIZE && self.next_page < self.end_page {
+        let mut out = BatchBuilder::new(self.table.schema().len());
+        while out.len() < BATCH_SIZE && self.next_page < self.end_page {
             let page_no = match &self.pages {
                 Some(list) => list[self.next_page as usize],
                 None => self.next_page,
@@ -137,15 +137,15 @@ impl ExecNode for StorageScanExec {
             }
             let tuples =
                 self.table
-                    .decode_page(page_no, visible, self.bounds.as_ref(), &mut rows)?;
+                    .decode_page(page_no, visible, self.bounds.as_ref(), &mut out)?;
             if let Some(ledger) = &self.ledger {
                 ledger.note_page_read(tuples as u64);
             }
         }
-        if rows.is_empty() {
+        if out.is_empty() {
             return Ok(None);
         }
-        Ok(Some(RowBatch::new(self.table.schema().clone(), rows)))
+        Ok(Some(out.finish(self.table.schema().clone())))
     }
 }
 
@@ -154,6 +154,7 @@ mod tests {
     use super::*;
     use crate::exec::{collect, BoxedExec};
     use crate::schema::{Column, DataType};
+    use crate::tuple::Row;
     use crate::value::Value;
 
     fn stored(name: &str, n: i64, pool: usize) -> Arc<StoredTable> {

@@ -17,11 +17,13 @@
 //! a batch would fail: the row path reports the first failing row, the
 //! batch path the first failing expression node.
 
+use std::sync::Arc;
+
+use crate::batch::{ColumnData, ColumnVec, RowBatch};
 use crate::error::{EngineError, EngineResult};
-use crate::expr::eval::{bool_pair, eval_cmp, kleene_and, kleene_not, Columns};
+use crate::expr::eval::{bool_pair, eval_cmp, kleene_and, kleene_not, BatchRow, Columns};
 use crate::expr::{ArithOp, CmpOp, CompiledPred, Expr, Func, PredOperand};
-use crate::tuple::Row;
-use crate::value::{num_add, num_div, num_mul, num_sub, Value};
+use crate::value::{int_arith, num_add, num_div, num_mul, num_sub, Value};
 
 #[inline]
 fn live(mask: Option<&[bool]>, i: usize) -> bool {
@@ -35,12 +37,79 @@ fn any_live(mask: Option<&[bool]>, n: usize) -> bool {
     }
 }
 
+/// An integer input of a column kernel: an `Int` column, or a literal
+/// (`None`: NULL).
+enum IntIn {
+    Col(Arc<ColumnVec>),
+    Lit(Option<i64>),
+}
+
+impl IntIn {
+    /// `e` over `batch`, when it is an integer column or literal that the
+    /// typed path evaluates.
+    fn of(e: &Expr, batch: &RowBatch) -> EngineResult<Option<IntIn>> {
+        Ok(match e {
+            Expr::Lit(Value::Int(x)) => Some(IntIn::Lit(Some(*x))),
+            Expr::Lit(Value::Null) => Some(IntIn::Lit(None)),
+            Expr::Lit(_) => None,
+            _ => e
+                .eval_typed(batch)?
+                .filter(|c| c.ints().is_some())
+                .map(IntIn::Col),
+        })
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<i64> {
+        match self {
+            IntIn::Col(c) => c.int_at(i),
+            IntIn::Lit(x) => *x,
+        }
+    }
+}
+
+/// Row-wise `f` over integer inputs: NULL wherever an input is NULL.
+fn int_kernel<T>(
+    n: usize,
+    ins: &[IntIn],
+    mut f: impl FnMut(&[i64]) -> EngineResult<T>,
+) -> EngineResult<(Vec<T>, Vec<bool>)>
+where
+    T: Default,
+{
+    let mut out = Vec::with_capacity(n);
+    let mut valid = Vec::with_capacity(n);
+    let mut args = vec![0i64; ins.len()];
+    'rows: for i in 0..n {
+        for (a, input) in args.iter_mut().zip(ins) {
+            match input.get(i) {
+                Some(x) => *a = x,
+                None => {
+                    out.push(T::default());
+                    valid.push(false);
+                    continue 'rows;
+                }
+            }
+        }
+        out.push(f(&args)?);
+        valid.push(true);
+    }
+    Ok((out, valid))
+}
+
 impl Expr {
-    /// Evaluate against every row of a batch at once. Returns one value per
-    /// row, in row order — exactly what per-row [`Expr::eval`] calls would
-    /// produce.
-    pub fn eval_batch(&self, rows: &[Row]) -> EngineResult<Vec<Value>> {
-        self.eval_batch_masked(rows, None)
+    /// Evaluate against every row of a batch at once. Returns one column,
+    /// row for row exactly what per-row [`Expr::eval`] calls would produce.
+    /// A column reference is the input column itself (an `Arc` clone);
+    /// integer arithmetic, comparisons, `DUR` and `GREATEST`/`LEAST` over
+    /// `Int` columns run as `i64` kernels through the engine's one checked
+    /// integer arithmetic ([`int_arith`]).
+    pub fn eval_batch(&self, batch: &RowBatch) -> EngineResult<Arc<ColumnVec>> {
+        if let Some(c) = self.eval_typed(batch)? {
+            return Ok(c);
+        }
+        let vals = self.eval_batch_masked(batch, None)?;
+        Ok(Arc::new(ColumnVec::from_values(vals)))
     }
 
     /// Evaluate as a predicate over a batch: NULL ⇒ `false`, as in SQL
@@ -48,38 +117,131 @@ impl Expr {
     ///
     /// Predicates that are conjunctions of simple comparisons (the shape of
     /// every reduced temporal condition: equi residuals, interval overlaps,
-    /// split-point bounds) take a compiled fast path that evaluates over
-    /// value *references* in one pass — no per-node value columns at all.
-    pub fn eval_pred_batch(&self, rows: &[Row]) -> EngineResult<Vec<bool>> {
+    /// split-point bounds) take the compiled path, bound to the batch's
+    /// `i64` columns — no per-node value columns at all.
+    pub fn eval_pred_batch(&self, batch: &RowBatch) -> EngineResult<Vec<bool>> {
         if let Some(conjuncts) = CompiledPred::compile(self) {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                out.push(conjuncts.matches(row.values())?);
-            }
-            return Ok(out);
+            let mut bound = conjuncts.bind(batch, None);
+            return (0..batch.len())
+                .map(|i| {
+                    bound.set_left(i);
+                    bound.matches(0)
+                })
+                .collect();
         }
-        let vals = self.eval_batch(rows)?;
-        let mut out = Vec::with_capacity(vals.len());
-        for v in vals {
-            match v {
-                Value::Bool(b) => out.push(b),
-                Value::Null => out.push(false),
-                other => {
-                    return Err(EngineError::TypeError(format!(
-                        "predicate evaluated to {}, expected bool",
-                        other.type_name()
-                    )))
+        let col = self.eval_batch(batch)?;
+        if let ColumnData::Bool(v) = col.data() {
+            return Ok((0..v.len()).map(|i| v[i] && !col.is_null(i)).collect());
+        }
+        (0..col.len())
+            .map(|i| match col.value(i) {
+                Value::Bool(b) => Ok(b),
+                Value::Null => Ok(false),
+                other => Err(EngineError::TypeError(format!(
+                    "predicate evaluated to {}, expected bool",
+                    other.type_name()
+                ))),
+            })
+            .collect()
+    }
+
+    /// The typed column path: `None` when this expression is not one the
+    /// kernels cover (or its inputs are not integer columns), and the
+    /// caller falls back to the value path. Only shapes that evaluate every
+    /// operand on every row are covered, so no short-circuit of the row
+    /// path is skipped.
+    fn eval_typed(&self, batch: &RowBatch) -> EngineResult<Option<Arc<ColumnVec>>> {
+        let n = batch.len();
+        let ints2 = |a: &Expr, b: &Expr| -> EngineResult<Option<[IntIn; 2]>> {
+            Ok(match IntIn::of(a, batch)? {
+                Some(x) => IntIn::of(b, batch)?.map(|y| [x, y]),
+                None => None,
+            })
+        };
+        let arith = |op: char, ins: [IntIn; 2]| -> EngineResult<Option<Arc<ColumnVec>>> {
+            let (vals, valid) = int_kernel(n, &ins, |a| int_arith(op, a[0], a[1]))?;
+            Ok(Some(Arc::new(ColumnVec::masked(
+                ColumnData::Int(vals),
+                valid,
+            ))))
+        };
+        match self {
+            Expr::Col(i) if *i < batch.width() => Ok(Some(batch.column(*i).clone())),
+            Expr::Lit(v) => Ok(Some(Arc::new(ColumnVec::constant(v, n)))),
+            Expr::Arith(op, a, b) => match ints2(a, b)? {
+                Some(ins) => {
+                    let op = match op {
+                        ArithOp::Add => '+',
+                        ArithOp::Sub => '-',
+                        ArithOp::Mul => '*',
+                        ArithOp::Div => '/',
+                    };
+                    arith(op, ins)
                 }
+                None => Ok(None),
+            },
+            // DUR(ts, te) = te - ts.
+            Expr::Func(Func::Dur, args) if args.len() == 2 => match ints2(&args[1], &args[0])? {
+                Some(ins) => arith('-', ins),
+                None => Ok(None),
+            },
+            Expr::Cmp(op, a, b) => match ints2(a, b)? {
+                Some(ins) => {
+                    let (vals, valid) = int_kernel(n, &ins, |a| {
+                        Ok(match op {
+                            CmpOp::Eq => a[0] == a[1],
+                            CmpOp::Ne => a[0] != a[1],
+                            CmpOp::Lt => a[0] < a[1],
+                            CmpOp::Le => a[0] <= a[1],
+                            CmpOp::Gt => a[0] > a[1],
+                            CmpOp::Ge => a[0] >= a[1],
+                        })
+                    })?;
+                    Ok(Some(Arc::new(ColumnVec::masked(
+                        ColumnData::Bool(vals),
+                        valid,
+                    ))))
+                }
+                None => Ok(None),
+            },
+            // Only column and literal arguments: the row path stops at the
+            // first NULL argument, which cannot be observed when no
+            // argument can fail.
+            Expr::Func(f @ (Func::Greatest | Func::Least), args)
+                if !args.is_empty() && args.iter().all(|a| PredOperand::of(a).is_some()) =>
+            {
+                let ins: Option<Vec<IntIn>> = args
+                    .iter()
+                    .map(|a| IntIn::of(a, batch))
+                    .collect::<EngineResult<_>>()?;
+                let Some(ins) = ins else { return Ok(None) };
+                let greatest = *f == Func::Greatest;
+                let (vals, valid) = int_kernel(n, &ins, |a| {
+                    Ok(if greatest {
+                        a.iter().copied().max()
+                    } else {
+                        a.iter().copied().min()
+                    }
+                    .expect("non-empty"))
+                })?;
+                Ok(Some(Arc::new(ColumnVec::masked(
+                    ColumnData::Int(vals),
+                    valid,
+                ))))
             }
+            _ => Ok(None),
         }
-        Ok(out)
     }
 
     /// Masked batch evaluation: compute this expression for the rows where
     /// `mask` is true (`None` = all rows). Slots with a false mask hold
     /// `Value::Null` placeholders and are never inspected by callers.
-    fn eval_batch_masked(&self, rows: &[Row], mask: Option<&[bool]>) -> EngineResult<Vec<Value>> {
-        let n = rows.len();
+    fn eval_batch_masked(
+        &self,
+        batch: &RowBatch,
+        mask: Option<&[bool]>,
+    ) -> EngineResult<Vec<Value>> {
+        let n = batch.len();
         // Unmasked fast paths for the projection shapes the temporal
         // reductions produce (comparisons and GREATEST/LEAST over columns
         // and literals): evaluate over value references in one pass, with
@@ -91,9 +253,10 @@ impl Expr {
                 Expr::Cmp(op, a, b) => {
                     if let (Some(a), Some(b)) = (PredOperand::of(a), PredOperand::of(b)) {
                         let mut out = Vec::with_capacity(n);
-                        for row in rows {
-                            let vals = row.values();
-                            out.push(eval_cmp(*op, a.resolve(vals)?, b.resolve(vals)?));
+                        for r in 0..n {
+                            let row = BatchRow(batch, r);
+                            let (va, vb) = (a.resolve(&row)?, b.resolve(&row)?);
+                            out.push(eval_cmp(*op, &va, &vb));
                         }
                         return Ok(out);
                     }
@@ -103,20 +266,20 @@ impl Expr {
                         args.iter().map(PredOperand::of).collect();
                     if let Some(operands) = operands {
                         let mut out = Vec::with_capacity(n);
-                        'rows: for row in rows {
-                            let vals = row.values();
-                            let mut best = operands[0].resolve(vals)?;
+                        'rows: for r in 0..n {
+                            let row = BatchRow(batch, r);
+                            let mut best = operands[0].resolve(&row)?;
                             if best.is_null() {
                                 out.push(Value::Null);
                                 continue;
                             }
                             for o in &operands[1..] {
-                                let v = o.resolve(vals)?;
+                                let v = o.resolve(&row)?;
                                 if v.is_null() {
                                     out.push(Value::Null);
                                     continue 'rows;
                                 }
-                                let keep_new = match v.sql_cmp(best) {
+                                let keep_new = match v.sql_cmp(&best) {
                                     Some(ord) => {
                                         if *f == Func::Greatest {
                                             ord.is_gt()
@@ -135,7 +298,7 @@ impl Expr {
                                     best = v;
                                 }
                             }
-                            out.push(best.clone());
+                            out.push(best.into_owned());
                         }
                         return Ok(out);
                     }
@@ -146,9 +309,9 @@ impl Expr {
         match self {
             Expr::Col(i) => {
                 let mut out = Vec::with_capacity(n);
-                for (r, row) in rows.iter().enumerate() {
+                for r in 0..n {
                     if live(mask, r) {
-                        out.push(row.values().col(*i)?.clone());
+                        out.push(BatchRow(batch, r).col(*i)?.into_owned());
                     } else {
                         out.push(Value::Null);
                     }
@@ -161,8 +324,8 @@ impl Expr {
             ))),
             Expr::Lit(v) => Ok(vec![v.clone(); n]),
             Expr::Cmp(op, a, b) => {
-                let va = a.eval_batch_masked(rows, mask)?;
-                let vb = b.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
+                let vb = b.eval_batch_masked(batch, mask)?;
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     out.push(if live(mask, i) {
@@ -176,11 +339,11 @@ impl Expr {
             Expr::And(a, b) => {
                 // Kleene AND: false dominates NULL; the right side is only
                 // evaluated where the left side is not false.
-                let va = a.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
                 let bmask: Vec<bool> = (0..n)
                     .map(|i| live(mask, i) && va[i] != Value::Bool(false))
                     .collect();
-                let vb = b.eval_batch_masked(rows, Some(&bmask))?;
+                let vb = b.eval_batch_masked(batch, Some(&bmask))?;
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     if !live(mask, i) {
@@ -198,11 +361,11 @@ impl Expr {
             Expr::Or(a, b) => {
                 // Kleene OR: true dominates NULL; the right side is only
                 // evaluated where the left side is not true.
-                let va = a.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
                 let bmask: Vec<bool> = (0..n)
                     .map(|i| live(mask, i) && va[i] != Value::Bool(true))
                     .collect();
-                let vb = b.eval_batch_masked(rows, Some(&bmask))?;
+                let vb = b.eval_batch_masked(batch, Some(&bmask))?;
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     if !live(mask, i) {
@@ -218,7 +381,7 @@ impl Expr {
                 Ok(out)
             }
             Expr::Not(a) => {
-                let va = a.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
                 let mut out = Vec::with_capacity(n);
                 for (i, v) in va.into_iter().enumerate() {
                     out.push(if !live(mask, i) {
@@ -239,7 +402,7 @@ impl Expr {
                 Ok(out)
             }
             Expr::Neg(a) => {
-                let va = a.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
                 let mut out = Vec::with_capacity(n);
                 for (i, v) in va.into_iter().enumerate() {
                     out.push(if !live(mask, i) {
@@ -263,8 +426,8 @@ impl Expr {
                 Ok(out)
             }
             Expr::Arith(op, a, b) => {
-                let va = a.eval_batch_masked(rows, mask)?;
-                let vb = b.eval_batch_masked(rows, mask)?;
+                let va = a.eval_batch_masked(batch, mask)?;
+                let vb = b.eval_batch_masked(batch, mask)?;
                 let f = match op {
                     ArithOp::Add => num_add,
                     ArithOp::Sub => num_sub,
@@ -281,16 +444,16 @@ impl Expr {
                 }
                 Ok(out)
             }
-            Expr::Func(f, args) => eval_func_batch(*f, args, rows, mask),
+            Expr::Func(f, args) => eval_func_batch(*f, args, batch, mask),
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
             } => {
-                let v = expr.eval_batch_masked(rows, mask)?;
-                let lo = low.eval_batch_masked(rows, mask)?;
-                let hi = high.eval_batch_masked(rows, mask)?;
+                let v = expr.eval_batch_masked(batch, mask)?;
+                let lo = low.eval_batch_masked(batch, mask)?;
+                let hi = high.eval_batch_masked(batch, mask)?;
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     out.push(if live(mask, i) {
@@ -309,7 +472,7 @@ impl Expr {
                 Ok(out)
             }
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval_batch_masked(rows, mask)?;
+                let v = expr.eval_batch_masked(batch, mask)?;
                 let mut out = Vec::with_capacity(n);
                 for (i, vi) in v.iter().enumerate() {
                     out.push(if live(mask, i) {
@@ -327,10 +490,10 @@ impl Expr {
 fn eval_func_batch(
     f: Func,
     args: &[Expr],
-    rows: &[Row],
+    batch: &RowBatch,
     mask: Option<&[bool]>,
 ) -> EngineResult<Vec<Value>> {
-    let n = rows.len();
+    let n = batch.len();
     // Arity errors surface only when the row path would actually evaluate
     // the call, i.e. when at least one row is selected.
     if !any_live(mask, n) {
@@ -350,8 +513,8 @@ fn eval_func_batch(
     match f {
         Func::Dur => {
             arity(2)?;
-            let ts = args[0].eval_batch_masked(rows, mask)?;
-            let te = args[1].eval_batch_masked(rows, mask)?;
+            let ts = args[0].eval_batch_masked(batch, mask)?;
+            let te = args[1].eval_batch_masked(batch, mask)?;
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 out.push(if live(mask, i) {
@@ -377,7 +540,7 @@ fn eval_func_batch(
                 if !alive.iter().any(|&x| x) {
                     break;
                 }
-                let vs = a.eval_batch_masked(rows, Some(&alive))?;
+                let vs = a.eval_batch_masked(batch, Some(&alive))?;
                 for (i, v) in vs.into_iter().enumerate() {
                     if !alive[i] {
                         continue;
@@ -420,7 +583,7 @@ fn eval_func_batch(
                 if !alive.iter().any(|&x| x) {
                     break;
                 }
-                let vs = a.eval_batch_masked(rows, Some(&alive))?;
+                let vs = a.eval_batch_masked(batch, Some(&alive))?;
                 for (i, v) in vs.into_iter().enumerate() {
                     if alive[i] && !v.is_null() {
                         out[i] = v;
@@ -432,7 +595,7 @@ fn eval_func_batch(
         }
         Func::Abs => {
             arity(1)?;
-            let vs = args[0].eval_batch_masked(rows, mask)?;
+            let vs = args[0].eval_batch_masked(batch, mask)?;
             let mut out = Vec::with_capacity(n);
             for (i, v) in vs.into_iter().enumerate() {
                 out.push(if !live(mask, i) {
@@ -462,30 +625,46 @@ fn eval_func_batch(
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::schema::{Column, DataType, Schema};
+    use crate::tuple::Row;
 
-    fn rows(vals: Vec<Vec<Value>>) -> Vec<Row> {
-        vals.into_iter().map(Row::new).collect()
+    fn batch(vals: Vec<Vec<Value>>) -> (RowBatch, Vec<Row>) {
+        let width = vals.first().map_or(1, Vec::len);
+        let schema = Schema::new(
+            (0..width)
+                .map(|i| Column::new(format!("c{i}"), DataType::Int))
+                .collect(),
+        );
+        let rows: Vec<Row> = vals.into_iter().map(Row::new).collect();
+        (RowBatch::from_rows(schema, &rows), rows)
     }
 
-    /// Batch evaluation must agree value-for-value with per-row evaluation.
-    fn assert_matches_rowwise(e: &Expr, rs: &[Row]) {
-        let batch = e.eval_batch(rs).unwrap();
+    /// Batch evaluation must agree value-for-value with per-row evaluation
+    /// (errors included, on single-row batches).
+    fn assert_matches_rowwise(e: &Expr, b: &RowBatch, rs: &[Row]) {
+        let col = e.eval_batch(b).unwrap();
         for (i, r) in rs.iter().enumerate() {
-            assert_eq!(batch[i], e.eval(r.values()).unwrap(), "row {i} of {e}");
+            assert_eq!(col.value(i), e.eval(r.values()).unwrap(), "row {i} of {e}");
         }
     }
 
     #[test]
     fn scalar_ops_match_rowwise() {
-        let rs = rows(vec![
+        let (b, rs) = batch(vec![
             vec![Value::Int(1), Value::Int(5)],
             vec![Value::Null, Value::Int(2)],
             vec![Value::Int(-3), Value::Null],
             vec![Value::Int(7), Value::Int(7)],
         ]);
+        let (mixed, mixed_rows) = batch(vec![
+            vec![Value::Int(1), Value::Double(5.5)],
+            vec![Value::Double(2.5), Value::Int(2)],
+            vec![Value::Null, Value::Null],
+        ]);
         for e in [
             col(0).add(col(1)),
             col(0).sub(col(1)).mul(lit(2i64)),
+            col(0).div(lit(2i64)),
             col(0).lt(col(1)),
             col(0).eq(col(1)),
             col(0).is_null(),
@@ -497,25 +676,46 @@ mod tests {
             Expr::Neg(Box::new(col(0))),
             Expr::Func(Func::Dur, vec![col(0), col(1)]),
             Expr::Func(Func::Greatest, vec![col(0), col(1)]),
-            Expr::Func(Func::Least, vec![col(0), col(1)]),
+            Expr::Func(Func::Least, vec![col(0), col(1), lit(3i64)]),
             Expr::Func(Func::Coalesce, vec![col(0), col(1), lit(9i64)]),
             Expr::Func(Func::Abs, vec![col(0)]),
         ] {
-            assert_matches_rowwise(&e, &rs);
+            assert_matches_rowwise(&e, &b, &rs);
+            assert_matches_rowwise(&e, &mixed, &mixed_rows);
+        }
+    }
+
+    #[test]
+    fn integer_kernels_fail_like_the_row_path() {
+        let (b, rs) = batch(vec![vec![Value::Int(i64::MIN), Value::Int(-1)]]);
+        for e in [
+            col(0).div(col(1)),
+            col(0).sub(lit(1i64)),
+            col(0).mul(col(1)),
+            Expr::Func(Func::Dur, vec![lit(1i64), col(0)]),
+            col(1).div(lit(0i64)),
+        ] {
+            let row = e.eval(rs[0].values()).unwrap_err().to_string();
+            assert_eq!(e.eval_batch(&b).unwrap_err().to_string(), row, "{e}");
         }
     }
 
     #[test]
     fn pred_batch_matches_rowwise() {
-        let rs = rows(vec![
+        let (b, rs) = batch(vec![
             vec![Value::Int(1)],
             vec![Value::Null],
             vec![Value::Int(5)],
         ]);
-        let e = col(0).gt(lit(2i64));
-        let batch = e.eval_pred_batch(&rs).unwrap();
-        for (i, r) in rs.iter().enumerate() {
-            assert_eq!(batch[i], e.eval_pred(r.values()).unwrap());
+        for e in [
+            col(0).gt(lit(2i64)),
+            col(0).add(lit(1i64)).gt(lit(2i64)),
+            col(0).is_null().or(col(0).lt(lit(3i64))),
+        ] {
+            let got = e.eval_pred_batch(&b).unwrap();
+            for (i, r) in rs.iter().enumerate() {
+                assert_eq!(got[i], e.eval_pred(r.values()).unwrap(), "{e}");
+            }
         }
     }
 
@@ -523,37 +723,38 @@ mod tests {
     fn and_short_circuit_skips_errors_like_the_row_path() {
         // Row 0: left is false, so the erroring right side (`1 + 'x'`) is
         // never evaluated — in either path. Row 1 would error in both.
-        let rs = rows(vec![vec![Value::Int(1), Value::str("x")]]);
+        let (b, rs) = batch(vec![vec![Value::Int(1), Value::str("x")]]);
         let e = col(0).gt(lit(5i64)).and(col(0).add(col(1)).gt(lit(0i64)));
         assert!(e.eval(rs[0].values()).is_ok());
-        assert_eq!(e.eval_batch(&rs).unwrap(), vec![Value::Bool(false)]);
+        assert_eq!(e.eval_batch(&b).unwrap().value(0), Value::Bool(false));
         let e = col(0).gt(lit(0i64)).and(col(0).add(col(1)).gt(lit(0i64)));
         assert!(e.eval(rs[0].values()).is_err());
-        assert!(e.eval_batch(&rs).is_err());
+        assert!(e.eval_batch(&b).is_err());
     }
 
     #[test]
     fn or_short_circuit_skips_errors_like_the_row_path() {
-        let rs = rows(vec![vec![Value::Int(1), Value::str("x")]]);
+        let (b, rs) = batch(vec![vec![Value::Int(1), Value::str("x")]]);
         let e = col(0).gt(lit(0i64)).or(col(0).add(col(1)).gt(lit(0i64)));
         assert!(e.eval(rs[0].values()).is_ok());
-        assert_eq!(e.eval_batch(&rs).unwrap(), vec![Value::Bool(true)]);
+        assert_eq!(e.eval_batch(&b).unwrap().value(0), Value::Bool(true));
     }
 
     #[test]
     fn coalesce_stops_at_first_non_null_like_the_row_path() {
         // The second argument would error (Int + Str), but the first is
         // non-NULL, so neither path evaluates it.
-        let rs = rows(vec![vec![Value::Int(1), Value::str("x")]]);
+        let (b, rs) = batch(vec![vec![Value::Int(1), Value::str("x")]]);
         let e = Expr::Func(Func::Coalesce, vec![col(0), col(0).add(col(1))]);
         assert_eq!(e.eval(rs[0].values()).unwrap(), Value::Int(1));
-        assert_eq!(e.eval_batch(&rs).unwrap(), vec![Value::Int(1)]);
+        assert_eq!(e.eval_batch(&b).unwrap().value(0), Value::Int(1));
     }
 
     #[test]
     fn empty_batch_evaluates_to_empty() {
+        let (b, _) = batch(vec![]);
         let e = col(0).add(lit(1i64));
-        assert!(e.eval_batch(&[]).unwrap().is_empty());
-        assert!(e.eval_pred_batch(&[]).unwrap().is_empty());
+        assert!(e.eval_batch(&b).unwrap().is_empty());
+        assert!(e.eval_pred_batch(&b).unwrap().is_empty());
     }
 }

@@ -1,12 +1,16 @@
 //! Expression interpretation with SQL three-valued logic.
 //!
 //! One evaluator serves every input shape: it is generic over
-//! [`Columns`], where column `i` comes from — a row slice, or a join's
-//! `(left, right)` pair read as `left ++ right` without building it
-//! ([`Pair`]). Both answer the same values and the same errors, so a join
-//! predicate tested on the pair is indistinguishable from one tested on
-//! the concatenated row.
+//! [`Columns`], where column `i` comes from — a row slice, a row of a
+//! column batch ([`BatchRow`]), or a join's `(left, right)` pair read as
+//! `left ++ right` without building it ([`BatchPair`], [`RowThenBatch`]). All of
+//! them answer the same values and the same errors, so a join predicate
+//! tested on the pair is indistinguishable from one tested on the
+//! concatenated row.
 
+use std::borrow::Cow;
+
+use crate::batch::RowBatch;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{ArithOp, CmpOp, Expr, Func};
 use crate::value::{num_add, num_div, num_mul, num_sub, Value};
@@ -14,7 +18,7 @@ use crate::value::{num_add, num_div, num_mul, num_sub, Value};
 /// Where an expression's input column `i` comes from.
 pub(crate) trait Columns {
     /// Column `i`, or the out-of-bounds error of a row that is too narrow.
-    fn col(&self, i: usize) -> EngineResult<&Value>;
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>>;
 }
 
 fn out_of_bounds(i: usize, width: usize) -> EngineError {
@@ -23,26 +27,77 @@ fn out_of_bounds(i: usize, width: usize) -> EngineError {
     ))
 }
 
-impl Columns for [Value] {
+impl<C: Columns + ?Sized> Columns for &C {
     #[inline]
-    fn col(&self, i: usize) -> EngineResult<&Value> {
-        self.get(i).ok_or_else(|| out_of_bounds(i, self.len()))
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>> {
+        (**self).col(i)
     }
 }
 
-/// A join pair `(left, right)` read as the row `left ++ right`.
-#[derive(Clone, Copy)]
-pub(crate) struct Pair<'a>(pub &'a [Value], pub &'a [Value]);
-
-impl Columns for Pair<'_> {
+impl Columns for [Value] {
     #[inline]
-    fn col(&self, i: usize) -> EngineResult<&Value> {
-        let Pair(left, right) = *self;
-        match left.get(i) {
-            Some(v) => Ok(v),
-            None => right
-                .get(i - left.len())
-                .ok_or_else(|| out_of_bounds(i, left.len() + right.len())),
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>> {
+        self.get(i)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| out_of_bounds(i, self.len()))
+    }
+}
+
+/// Row `.1` of the column batch `.0`, read in place.
+#[derive(Clone, Copy)]
+pub(crate) struct BatchRow<'a>(pub &'a RowBatch, pub usize);
+
+impl Columns for BatchRow<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>> {
+        let BatchRow(batch, row) = *self;
+        match batch.columns().get(i) {
+            Some(c) => Ok(Cow::Owned(c.value(row))),
+            None => Err(out_of_bounds(i, batch.width())),
+        }
+    }
+}
+
+/// A left row's values followed by row `.2` of batch `.1`, read as one
+/// row without building it — a general join θ reads the left row's
+/// values once per left row, not once per pair.
+#[derive(Clone, Copy)]
+pub(crate) struct RowThenBatch<'a>(pub &'a [Value], pub &'a RowBatch, pub usize);
+
+impl Columns for RowThenBatch<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>> {
+        let RowThenBatch(left, right, ri) = *self;
+        if let Some(v) = left.get(i) {
+            return Ok(Cow::Borrowed(v));
+        }
+        match right.columns().get(i - left.len()) {
+            Some(c) => Ok(Cow::Owned(c.value(ri))),
+            None => Err(out_of_bounds(i, left.len() + right.width())),
+        }
+    }
+}
+
+/// Row `li` of batch `left` followed by row `ri` of batch `right`, read as
+/// one row without building it.
+#[derive(Clone, Copy)]
+pub(crate) struct BatchPair<'a> {
+    pub left: &'a RowBatch,
+    pub li: usize,
+    pub right: &'a RowBatch,
+    pub ri: usize,
+}
+
+impl Columns for BatchPair<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> EngineResult<Cow<'_, Value>> {
+        let lw = self.left.width();
+        if i < lw {
+            return Ok(Cow::Owned(self.left.value(i, self.li)));
+        }
+        match self.right.columns().get(i - lw) {
+            Some(c) => Ok(Cow::Owned(c.value(self.ri))),
+            None => Err(out_of_bounds(i, lw + self.right.width())),
         }
     }
 }
@@ -53,17 +108,10 @@ impl Expr {
         self.eval_in(row)
     }
 
-    /// Evaluate as a predicate (see [`Expr::eval_pred`]) over the row
-    /// `left ++ right`, without building it: the same result, and the same
-    /// error, as `eval_pred` on the concatenation.
-    pub(crate) fn eval_pred_pair(&self, left: &[Value], right: &[Value]) -> EngineResult<bool> {
-        self.eval_pred_in(&Pair(left, right))
-    }
-
     /// Evaluate against the columns of `row`.
-    fn eval_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<Value> {
+    pub(crate) fn eval_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<Value> {
         match self {
-            Expr::Col(i) => row.col(*i).cloned(),
+            Expr::Col(i) => row.col(*i).map(Cow::into_owned),
             Expr::Name(n) => Err(EngineError::Internal(format!(
                 "unresolved column name '{n}' reached the executor — \
                  resolve the expression against the input schema first"
@@ -163,7 +211,7 @@ impl Expr {
         self.eval_pred_in(row)
     }
 
-    fn eval_pred_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<bool> {
+    pub(crate) fn eval_pred_in<C: Columns + ?Sized>(&self, row: &C) -> EngineResult<bool> {
         match self.eval_in(row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),

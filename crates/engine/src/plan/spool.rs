@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::{collect, BoxedExec, ExecNode, ExecutionState};
 use crate::plan::cost::{CostModel, PlanStats};
@@ -133,19 +133,15 @@ impl ExecNode for SpoolExec {
         &self.schema
     }
 
-    /// Serve a contiguous chunk of the shared materialization (row clones
-    /// are `Arc` bumps).
+    /// Serve the next chunk of the shared materialization (whole stored
+    /// batches pass on as `Arc` clones of their columns).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        let pos = self.pos;
-        let rel = self.materialized(state)?;
-        let rows = rel.rows();
-        if pos >= rows.len() {
-            return Ok(None);
+        let (pos, schema) = (self.pos, self.schema.clone());
+        let batch = self.materialized(state)?.batch_at(pos, usize::MAX, &schema);
+        if let Some(b) = &batch {
+            self.pos += b.len();
         }
-        let end = (pos + BATCH_SIZE).min(rows.len());
-        let chunk = rows[pos..end].to_vec();
-        self.pos = end;
-        Ok(Some(RowBatch::new(self.schema.clone(), chunk)))
+        Ok(batch)
     }
 }
 
@@ -177,7 +173,7 @@ mod tests {
             }
             let rows = self.rel.rows()[self.pos..].to_vec();
             self.pos += rows.len();
-            Ok((!rows.is_empty()).then(|| RowBatch::new(self.rel.schema().clone(), rows)))
+            Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.rel.schema().clone(), &rows)))
         }
     }
 

@@ -1,28 +1,60 @@
-//! In-memory relations: a schema plus a vector of rows.
+//! In-memory relations: a schema plus its rows.
 //!
 //! The paper assumes *set-based semantics with duplicate-free temporal
 //! relations* (Sec. 3.1); [`Relation::dedup`] and [`Relation::same_set`]
-//! support that discipline, while row storage itself is a plain vector so
+//! support that discipline, while row storage itself is a plain sequence so
 //! executor nodes control when deduplication happens.
+//!
+//! A relation holds its rows in one of two shapes, and builds the other
+//! lazily, once, on first use: the column batches the executor produced
+//! ([`Relation::from_batches`] — how every query result arrives, and what a
+//! scan of it and the wire encoder read back without building a row), or
+//! `Arc` rows ([`Relation::new`] — how the API and tests construct
+//! relations, and what [`Relation::rows`] hands out).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::{EngineError, EngineResult};
 use crate::schema::Schema;
 use crate::tuple::Row;
 use crate::value::Value;
 
+/// The shared storage of a relation: at least one shape is present.
+#[derive(Debug, Default)]
+struct RelData {
+    len: usize,
+    batches: OnceLock<Vec<RowBatch>>,
+    rows: OnceLock<Vec<Row>>,
+}
+
+impl RelData {
+    fn of_rows(rows: Vec<Row>) -> RelData {
+        RelData {
+            len: rows.len(),
+            batches: OnceLock::new(),
+            rows: OnceLock::from(rows),
+        }
+    }
+}
+
 /// A materialized relation.
 ///
-/// The row vector is behind an `Arc`, so cloning a relation — and schema
-/// re-attachment via [`Relation::with_schema`] — shares storage instead of
+/// The storage is behind an `Arc`, so cloning a relation — and schema
+/// re-attachment via [`Relation::with_schema`] — shares it instead of
 /// copying it; mutation goes through copy-on-write.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    rows: Arc<Vec<Row>>,
+    data: Arc<RelData>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows() == other.rows()
+    }
 }
 
 impl Relation {
@@ -39,7 +71,7 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            rows: Arc::new(rows),
+            data: Arc::new(RelData::of_rows(rows)),
         })
     }
 
@@ -48,11 +80,31 @@ impl Relation {
         Relation::new(schema, rows.into_iter().map(Row::new).collect())
     }
 
+    /// Keep the batches an executor produced (arity-checked). No row is
+    /// built until [`Relation::rows`] asks for one.
+    pub fn from_batches(schema: Schema, batches: Vec<RowBatch>) -> EngineResult<Self> {
+        if let Some(b) = batches.iter().find(|b| b.width() != schema.len()) {
+            return Err(EngineError::SchemaMismatch(format!(
+                "batch has {} columns, schema has {}",
+                b.width(),
+                schema.len()
+            )));
+        }
+        Ok(Relation {
+            schema,
+            data: Arc::new(RelData {
+                len: batches.iter().map(RowBatch::len).sum(),
+                batches: OnceLock::from(batches),
+                rows: OnceLock::new(),
+            }),
+        })
+    }
+
     /// The empty relation over `schema`.
     pub fn empty(schema: Schema) -> Self {
         Relation {
             schema,
-            rows: Arc::new(Vec::new()),
+            data: Arc::new(RelData::of_rows(Vec::new())),
         }
     }
 
@@ -61,23 +113,86 @@ impl Relation {
         &self.schema
     }
 
-    #[inline]
+    /// The rows, built from the batches on first use.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.data.rows.get_or_init(|| {
+            let batches = self.data.batches.get().expect("one shape is present");
+            batches.iter().flat_map(RowBatch::to_rows).collect()
+        })
+    }
+
+    /// The rows as column batches, built from the rows on first use. The
+    /// batches carry the schema they were built under; readers re-attach
+    /// [`Relation::schema`].
+    pub fn batches(&self) -> &[RowBatch] {
+        self.data.batches.get_or_init(|| {
+            let rows = self.data.rows.get().expect("one shape is present");
+            rows.chunks(BATCH_SIZE)
+                .map(|chunk| RowBatch::from_rows(self.schema.clone(), chunk))
+                .collect()
+        })
+    }
+
+    /// Column `c` as integers (`None`: NULL or not an integer), read from
+    /// whichever shape is present.
+    pub fn ints(&self, c: usize) -> Vec<Option<i64>> {
+        match self.data.rows.get() {
+            Some(rows) => rows.iter().map(|r| r[c].as_int()).collect(),
+            None => self
+                .batches()
+                .iter()
+                .flat_map(|b| (0..b.len()).map(move |i| b.column(c).int_at(i)))
+                .collect(),
+        }
+    }
+
+    /// Up to [`BATCH_SIZE`] rows starting at row `pos`, never crossing a
+    /// stored batch (so a scan of collected batches hands them on without
+    /// a copy), under `schema`; `None` at `end`.
+    pub fn batch_at(&self, pos: usize, end: usize, schema: &Schema) -> Option<RowBatch> {
+        let end = end.min(self.len());
+        if pos >= end {
+            return None;
+        }
+        let mut start = 0;
+        for b in self.batches() {
+            if pos < start + b.len() {
+                let from = pos - start;
+                let to = (end - start).min(b.len()).min(from + BATCH_SIZE);
+                return Some(b.slice(from..to).with_schema(schema.clone()));
+            }
+            start += b.len();
+        }
+        None
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.data.len == 0
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
-        self.rows.iter()
+        self.rows().iter()
+    }
+
+    /// Mutate the rows, copying them first when the storage is shared or
+    /// holds batches (which the mutation would leave stale).
+    fn with_rows_mut<R>(&mut self, f: impl FnOnce(&mut Vec<Row>) -> R) -> R {
+        let owned = Arc::get_mut(&mut self.data)
+            .is_some_and(|d| d.batches.get().is_none() && d.rows.get().is_some());
+        if !owned {
+            self.data = Arc::new(RelData::of_rows(self.rows().to_vec()));
+        }
+        let data = Arc::get_mut(&mut self.data).expect("unshared after the copy");
+        let rows = data.rows.get_mut().expect("rows present");
+        let out = f(rows);
+        data.len = rows.len();
+        out
     }
 
     /// Append a row (arity-checked). Copy-on-write when the rows are shared.
@@ -89,35 +204,31 @@ impl Relation {
                 self.schema.len()
             )));
         }
-        Arc::make_mut(&mut self.rows).push(row);
-        Ok(())
-    }
-
-    /// Append all rows of a batch (arity-checked). Copy-on-write when the
-    /// rows are shared. This is how batch-wise result collection
-    /// ([`crate::exec::collect`]) materializes executor output.
-    pub fn push_batch(&mut self, batch: crate::batch::RowBatch) -> EngineResult<()> {
-        let rows = batch.into_rows();
-        for r in &rows {
-            if r.len() != self.schema.len() {
-                return Err(EngineError::SchemaMismatch(format!(
-                    "batch row has {} values, schema has {} columns",
-                    r.len(),
-                    self.schema.len()
-                )));
-            }
-        }
-        Arc::make_mut(&mut self.rows).extend(rows);
+        self.with_rows_mut(|rows| rows.push(row));
         Ok(())
     }
 
     /// Consume and return the rows (copies only if still shared).
     pub fn into_rows(self) -> Vec<Row> {
-        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
+        match Arc::try_unwrap(self.data) {
+            Ok(mut data) if data.rows.get().is_some() => data.rows.take().expect("present"),
+            Ok(data) => Relation {
+                schema: self.schema,
+                data: Arc::new(data),
+            }
+            .rows()
+            .to_vec(),
+            Err(shared) => Relation {
+                schema: self.schema,
+                data: shared,
+            }
+            .rows()
+            .to_vec(),
+        }
     }
 
     /// Replace the schema (e.g. to attach qualifiers). Arity must match.
-    /// The rows are shared with `self`, not copied.
+    /// The storage is shared with `self`, not copied.
     pub fn with_schema(&self, schema: Schema) -> EngineResult<Relation> {
         if schema.len() != self.schema.len() {
             return Err(EngineError::SchemaMismatch(format!(
@@ -128,20 +239,20 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            rows: Arc::clone(&self.rows),
+            data: Arc::clone(&self.data),
         })
     }
 
     /// Remove duplicate rows (set semantics), preserving first occurrence.
     pub fn dedup(&mut self) {
-        let mut seen: HashSet<Row> = HashSet::with_capacity(self.rows.len());
-        Arc::make_mut(&mut self.rows).retain(|r| seen.insert(r.clone()));
+        let mut seen: HashSet<Row> = HashSet::with_capacity(self.len());
+        self.with_rows_mut(|rows| rows.retain(|r| seen.insert(r.clone())));
     }
 
     /// True iff the relation contains no duplicate rows.
     pub fn is_set(&self) -> bool {
-        let mut seen: HashSet<&Row> = HashSet::with_capacity(self.rows.len());
-        self.rows.iter().all(|r| seen.insert(r))
+        let mut seen: HashSet<&Row> = HashSet::with_capacity(self.len());
+        self.rows().iter().all(|r| seen.insert(r))
     }
 
     /// A copy with rows in canonical (sorted) order — for comparisons and
@@ -154,28 +265,28 @@ impl Relation {
     /// Sort the rows in canonical order, consuming the relation. Only
     /// copies the row vector if it is still shared with another relation.
     pub fn into_sorted(mut self) -> Relation {
-        Arc::make_mut(&mut self.rows).sort();
+        self.with_rows_mut(|rows| rows.sort());
         self
     }
 
     /// Set equality: same rows regardless of order or multiplicity.
     pub fn same_set(&self, other: &Relation) -> bool {
-        let a: HashSet<&Row> = self.rows.iter().collect();
-        let b: HashSet<&Row> = other.rows.iter().collect();
+        let a: HashSet<&Row> = self.rows().iter().collect();
+        let b: HashSet<&Row> = other.rows().iter().collect();
         a == b
     }
 
     /// Bag equality: same rows with the same multiplicities. Counts row
     /// occurrences instead of cloning and sorting both row vectors.
     pub fn same_bag(&self, other: &Relation) -> bool {
-        if self.rows.len() != other.rows.len() {
+        if self.len() != other.len() {
             return false;
         }
-        let mut counts: HashMap<&Row, i64> = HashMap::with_capacity(self.rows.len());
-        for r in self.rows.iter() {
+        let mut counts: HashMap<&Row, i64> = HashMap::with_capacity(self.len());
+        for r in self.rows() {
             *counts.entry(r).or_insert(0) += 1;
         }
-        for r in other.rows.iter() {
+        for r in other.rows() {
             match counts.get_mut(r) {
                 Some(c) => *c -= 1,
                 None => return false,
@@ -199,7 +310,7 @@ impl Relation {
             .collect();
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         let rendered: Vec<Vec<String>> = self
-            .rows
+            .rows()
             .iter()
             .map(|r| {
                 r.values()
@@ -237,7 +348,7 @@ impl Relation {
             out.push('\n');
         }
         sep(&mut out, &widths);
-        out.push_str(&format!("({} rows)\n", self.rows.len()));
+        out.push_str(&format!("({} rows)\n", self.len()));
         out
     }
 }
@@ -317,6 +428,36 @@ mod tests {
             .unwrap();
         assert_eq!(renamed.len(), 4);
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn batch_backed_relation_builds_rows_once_and_scans_without_copying() {
+        let rows = sample().into_rows();
+        let schema = sample().schema().clone();
+        let batches = vec![
+            RowBatch::from_rows(schema.clone(), &rows[..2]),
+            RowBatch::from_rows(schema.clone(), &rows[2..]),
+        ];
+        let mut rel = Relation::from_batches(schema.clone(), batches).unwrap();
+        assert_eq!(rel.len(), 3);
+        assert_eq!(rel.ints(0), vec![Some(1), Some(2), Some(1)]);
+        // A chunk never crosses a stored batch, and a whole one is the
+        // stored columns themselves.
+        let first = rel.batch_at(0, usize::MAX, &schema).unwrap();
+        assert_eq!(first.len(), 2);
+        assert!(Arc::ptr_eq(first.column(0), rel.batches()[0].column(0)));
+        assert_eq!(rel.batch_at(1, 3, &schema).unwrap().to_rows(), rows[1..2]);
+        assert!(rel.batch_at(3, usize::MAX, &schema).is_none());
+        assert_eq!(rel.rows(), rows.as_slice());
+        // Mutation drops the batches it would leave stale.
+        rel.push(Row::new(vec![Value::Int(5), Value::str("w")]))
+            .unwrap();
+        assert_eq!(rel.len(), 4);
+        assert_eq!(rel.batches().iter().map(RowBatch::len).sum::<usize>(), 4);
+        assert_eq!(
+            rel.batch_at(3, 4, &schema).unwrap().value(0, 0),
+            Value::Int(5)
+        );
     }
 
     #[test]

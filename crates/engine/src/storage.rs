@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use temporal_store::{AppendBatch, HeapSnapshot, IndexEntry, Page, PageId, TableHeap};
 
+use crate::batch::{BatchBuilder, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::hashing::FxHasher;
 use crate::relation::Relation;
@@ -139,7 +140,28 @@ pub fn encode_row(row: &Row, buf: &mut Vec<u8>) {
 
 /// Decode a record produced by [`encode_row`] back into a row of `arity`
 /// values.
-pub fn decode_row(mut rec: &[u8], arity: usize) -> EngineResult<Row> {
+pub fn decode_row(rec: &[u8], arity: usize) -> EngineResult<Row> {
+    let mut values = Vec::with_capacity(arity);
+    decode_record(rec, arity, |_, v| values.push(v))?;
+    Ok(Row::new(values))
+}
+
+/// Decode a record produced by [`encode_row`] straight into one column
+/// builder per value — the scan's decode, which builds no row.
+pub fn decode_into(rec: &[u8], out: &mut [ColumnBuilder]) -> EngineResult<()> {
+    decode_record(rec, out.len(), |c, v| match v {
+        Value::Int(x) => out[c].push_int(x),
+        v => out[c].push(v),
+    })
+}
+
+/// Walk the `arity` values of a record, handing each to `sink` with its
+/// column position.
+fn decode_record(
+    mut rec: &[u8],
+    arity: usize,
+    mut sink: impl FnMut(usize, Value),
+) -> EngineResult<()> {
     fn take<'a>(rec: &mut &'a [u8], n: usize) -> EngineResult<&'a [u8]> {
         if rec.len() < n {
             return Err(EngineError::Storage(
@@ -150,32 +172,34 @@ pub fn decode_row(mut rec: &[u8], arity: usize) -> EngineResult<Row> {
         *rec = tail;
         Ok(head)
     }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
+    for c in 0..arity {
         let tag = take(&mut rec, 1)?[0];
-        values.push(match tag {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => Value::Bool(take(&mut rec, 1)?[0] != 0),
-            TAG_INT => Value::Int(i64::from_le_bytes(
-                take(&mut rec, 8)?.try_into().expect("8 bytes"),
-            )),
-            TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
-                take(&mut rec, 8)?.try_into().expect("8 bytes"),
-            ))),
-            TAG_STR => {
-                let len =
-                    u32::from_le_bytes(take(&mut rec, 4)?.try_into().expect("4 bytes")) as usize;
-                let bytes = take(&mut rec, len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| EngineError::Storage("non-UTF8 string in record".into()))?;
-                Value::str(s)
-            }
-            other => {
-                return Err(EngineError::Storage(format!(
-                    "unknown value tag {other} in record"
-                )))
-            }
-        });
+        sink(
+            c,
+            match tag {
+                TAG_NULL => Value::Null,
+                TAG_BOOL => Value::Bool(take(&mut rec, 1)?[0] != 0),
+                TAG_INT => Value::Int(i64::from_le_bytes(
+                    take(&mut rec, 8)?.try_into().expect("8 bytes"),
+                )),
+                TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
+                    take(&mut rec, 8)?.try_into().expect("8 bytes"),
+                ))),
+                TAG_STR => {
+                    let len = u32::from_le_bytes(take(&mut rec, 4)?.try_into().expect("4 bytes"))
+                        as usize;
+                    let bytes = take(&mut rec, len)?;
+                    let s = std::str::from_utf8(bytes)
+                        .map_err(|_| EngineError::Storage("non-UTF8 string in record".into()))?;
+                    Value::str(s)
+                }
+                other => {
+                    return Err(EngineError::Storage(format!(
+                        "unknown value tag {other} in record"
+                    )))
+                }
+            },
+        );
     }
     if !rec.is_empty() {
         return Err(EngineError::Storage(format!(
@@ -183,7 +207,7 @@ pub fn decode_row(mut rec: &[u8], arity: usize) -> EngineResult<Row> {
             rec.len()
         )));
     }
-    Ok(Row::new(values))
+    Ok(())
 }
 
 // ---- record-level bounds -------------------------------------------------
@@ -532,9 +556,8 @@ impl StoredTable {
         page_no: u32,
         visible: Option<u16>,
         bounds: Option<&RecordBounds>,
-        out: &mut Vec<Row>,
+        out: &mut BatchBuilder,
     ) -> EngineResult<usize> {
-        let arity = self.schema.len();
         self.heap
             .with_page(page_no, |page: &Page| {
                 let tuples = visible.map_or(page.tuple_count(), |v| v.min(page.tuple_count()));
@@ -543,9 +566,9 @@ impl StoredTable {
                     if bounds.is_some_and(|b| !b.may_match(rec)) {
                         continue;
                     }
-                    out.push(decode_row(rec, arity).map_err(|e| {
+                    decode_into(rec, out.columns_mut()).map_err(|e| {
                         temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
-                    })?);
+                    })?;
                 }
                 Ok(tuples as usize)
             })
@@ -556,15 +579,11 @@ impl StoredTable {
     /// compatibility path behind [`crate::catalog::Catalog::get`]; query
     /// execution should scan via [`crate::exec::StorageScanExec`] instead.
     pub fn read_all(&self) -> EngineResult<Relation> {
-        let mut rel = Relation::empty(self.schema.clone());
-        let mut rows = Vec::new();
+        let mut out = BatchBuilder::new(self.schema.len());
         for page_no in 0..self.page_count() {
-            self.decode_page(page_no, None, None, &mut rows)?;
-            for row in rows.drain(..) {
-                rel.push(row)?;
-            }
+            self.decode_page(page_no, None, None, &mut out)?;
         }
-        Ok(rel)
+        Relation::from_batches(self.schema.clone(), vec![out.finish(self.schema.clone())])
     }
 
     /// Write back dirty pages and sync the heap file (and the interval

@@ -81,6 +81,12 @@ impl Row {
     }
 }
 
+impl AsRef<[Value]> for Row {
+    fn as_ref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl Index<usize> for Row {
     type Output = Value;
     #[inline]

@@ -254,17 +254,17 @@ impl From<String> for Value {
 
 /// Checked SQL addition with numeric coercion; NULL-propagating.
 pub fn num_add(a: &Value, b: &Value) -> EngineResult<Value> {
-    num_binop(a, b, "+", i64::checked_add, |x, y| x + y)
+    num_binop(a, b, '+', |x, y| x + y)
 }
 
 /// Checked SQL subtraction with numeric coercion; NULL-propagating.
 pub fn num_sub(a: &Value, b: &Value) -> EngineResult<Value> {
-    num_binop(a, b, "-", i64::checked_sub, |x, y| x - y)
+    num_binop(a, b, '-', |x, y| x - y)
 }
 
 /// Checked SQL multiplication with numeric coercion; NULL-propagating.
 pub fn num_mul(a: &Value, b: &Value) -> EngineResult<Value> {
-    num_binop(a, b, "*", i64::checked_mul, |x, y| x * y)
+    num_binop(a, b, '*', |x, y| x * y)
 }
 
 /// SQL division. Integer division by zero is an error; `Int/Int` is integer
@@ -274,8 +274,7 @@ pub fn num_div(a: &Value, b: &Value) -> EngineResult<Value> {
         return Ok(Value::Null);
     }
     match (a, b) {
-        (Value::Int(_), Value::Int(0)) => Err(EngineError::Evaluation("division by zero".into())),
-        (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x / y)),
+        (Value::Int(x), Value::Int(y)) => int_div(*x, *y).map(Value::Int),
         _ => {
             let (x, y) = coerce_doubles(a, b, "/")?;
             Ok(Value::Double(x / y))
@@ -283,22 +282,39 @@ pub fn num_div(a: &Value, b: &Value) -> EngineResult<Value> {
     }
 }
 
-fn num_binop(
-    a: &Value,
-    b: &Value,
-    op: &str,
-    int_op: fn(i64, i64) -> Option<i64>,
-    dbl_op: fn(f64, f64) -> f64,
-) -> EngineResult<Value> {
+/// Checked integer `x op y` for `op` one of `+ - * /`: the one integer
+/// arithmetic of the engine, shared by the row evaluator and the column
+/// kernels so both fail alike (`i64::MIN / -1` overflows, `/ 0` is an
+/// error).
+pub fn int_arith(op: char, x: i64, y: i64) -> EngineResult<i64> {
+    let r = match op {
+        '+' => x.checked_add(y),
+        '-' => x.checked_sub(y),
+        '*' => x.checked_mul(y),
+        _ => return int_div(x, y),
+    };
+    r.ok_or_else(|| overflow(x, op, y))
+}
+
+fn int_div(x: i64, y: i64) -> EngineResult<i64> {
+    if y == 0 {
+        return Err(EngineError::Evaluation("division by zero".into()));
+    }
+    x.checked_div(y).ok_or_else(|| overflow(x, '/', y))
+}
+
+fn overflow(x: i64, op: char, y: i64) -> EngineError {
+    EngineError::Evaluation(format!("integer overflow in {x} {op} {y}"))
+}
+
+fn num_binop(a: &Value, b: &Value, op: char, dbl_op: fn(f64, f64) -> f64) -> EngineResult<Value> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
     }
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => int_op(*x, *y)
-            .map(Value::Int)
-            .ok_or_else(|| EngineError::Evaluation(format!("integer overflow in {x} {op} {y}"))),
+        (Value::Int(x), Value::Int(y)) => int_arith(op, *x, *y).map(Value::Int),
         _ => {
-            let (x, y) = coerce_doubles(a, b, op)?;
+            let (x, y) = coerce_doubles(a, b, &op.to_string())?;
             Ok(Value::Double(dbl_op(x, y)))
         }
     }
@@ -399,6 +415,25 @@ mod tests {
             Value::Int(3)
         );
         assert!(num_add(&Value::Int(1), &Value::str("x")).is_err());
+    }
+
+    #[test]
+    fn integer_division_overflow_is_an_error_not_a_panic() {
+        let err = num_div(&Value::Int(i64::MIN), &Value::Int(-1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            EngineError::Evaluation(format!("integer overflow in {} / -1", i64::MIN)).to_string()
+        );
+        assert_eq!(
+            int_arith('/', i64::MIN, -1).unwrap_err().to_string(),
+            err.to_string()
+        );
+        assert_eq!(
+            num_div(&Value::Int(i64::MIN), &Value::Int(1)).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert!(int_arith('/', 1, 0).is_err());
+        assert_eq!(int_arith('-', 3, 5).unwrap(), -2);
     }
 
     #[test]

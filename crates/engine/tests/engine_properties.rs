@@ -190,3 +190,76 @@ proptest! {
         prop_assert_eq!(total, rows.len() as i64);
     }
 }
+
+/// The sort's packed integer keys order rows like the plain comparator
+/// (NULL placement per key, then the direction, then the full row) at
+/// every key span: a few values (packed into a `u64`), ~2^41 per key (a
+/// `u128`), and ~2^64 per key (too wide to pack: the general comparator).
+#[test]
+fn sort_orders_like_the_comparator_at_every_key_width() {
+    use std::cmp::Ordering;
+    let pools: [&[i64]; 3] = [
+        &[0, 3, -2],
+        &[-(1 << 40), 7, 1 << 40],
+        &[i64::MIN + 2, -1, 0, i64::MAX - 2],
+    ];
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut pick = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let nulls_last_desc = SortKey {
+        nulls_first: false,
+        ..SortKey::desc(col(0))
+    };
+    let key_sets = [
+        vec![SortKey::asc(col(0))],
+        vec![SortKey::desc(col(1)), SortKey::asc(col(0))],
+        vec![SortKey::asc(col(2)), nulls_last_desc, SortKey::asc(col(1))],
+    ];
+    let schema = Schema::new(
+        ["a", "b", "c"]
+            .map(|c| Column::new(c, DataType::Int))
+            .to_vec(),
+    );
+    for pool in pools {
+        let rows: Vec<Vec<Value>> = (0..200)
+            .map(|_| {
+                (0..3)
+                    .map(|_| match pick(pool.len() + 1) {
+                        0 => Value::Null,
+                        j => Value::Int(pool[j - 1]),
+                    })
+                    .collect()
+            })
+            .collect();
+        let rel = Relation::from_values(schema.clone(), rows).unwrap();
+        for keys in &key_sets {
+            let key_cmp = |a: &Row, b: &Row| -> Ordering {
+                for k in keys {
+                    let Expr::Col(c) = k.expr else { unreachable!() };
+                    let o = match (a[c].is_null(), b[c].is_null()) {
+                        (true, true) => Ordering::Equal,
+                        (true, false) if k.nulls_first => Ordering::Less,
+                        (true, false) => Ordering::Greater,
+                        (false, true) if k.nulls_first => Ordering::Greater,
+                        (false, true) => Ordering::Less,
+                        (false, false) if k.desc => b[c].cmp(&a[c]),
+                        (false, false) => a[c].cmp(&b[c]),
+                    };
+                    if o.is_ne() {
+                        return o;
+                    }
+                }
+                a.cmp(b)
+            };
+            let mut want = rel.rows().to_vec();
+            want.sort_by(key_cmp);
+            let plan = LogicalPlan::inline_scan(rel.clone()).sort(keys.clone());
+            let got = Planner::default().run(&plan, &Catalog::new()).unwrap();
+            assert_eq!(got.rows(), want.as_slice(), "keys={keys:?} pool={pool:?}");
+        }
+    }
+}

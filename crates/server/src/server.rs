@@ -320,6 +320,33 @@ mod tests {
         handle.stop();
     }
 
+    /// `i64::MIN / -1` overflows: the statement fails in-band (it is
+    /// folded while planning) and the same connection answers the next
+    /// statement.
+    #[test]
+    fn integer_overflow_is_an_error_reply_not_a_dropped_connection() {
+        let handle = Server::bind(Database::default(), "127.0.0.1:0")
+            .expect("bind")
+            .spawn();
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        c.execute("CREATE TABLE t (x int, ts int, te int)").unwrap();
+        c.execute("INSERT INTO t VALUES (1, 0, 2)").unwrap();
+        for q in [
+            "SELECT (0 - 9223372036854775807 - 1) / -1 FROM t",
+            "SELECT (x - 9223372036854775807 - 2) / -1 FROM t",
+        ] {
+            match c.execute(q).unwrap() {
+                Response::Error(msg) => assert!(msg.contains("integer overflow"), "{q}: {msg}"),
+                other => panic!("{q}: expected an error, got {other:?}"),
+            }
+        }
+        match c.execute("SELECT x FROM t").unwrap() {
+            Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        handle.stop();
+    }
+
     #[test]
     fn unix_socket_server_round_trip() {
         let dir = std::env::temp_dir().join(format!("tsql-sock-{}", std::process::id()));

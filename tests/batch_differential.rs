@@ -110,6 +110,79 @@ proptest! {
     }
 }
 
+/// A duplicate-free relation over `(k Int, name Str, x Double, ts, te)`:
+/// data columns of three types, so the batches carry `Str` and `Double`
+/// columns (with `-0.0` beside `0.0`) through every operator.
+fn random_mixed_trel(seed: u64, max_rows: usize) -> TemporalRelation {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut kept: Vec<(Vec<Value>, Interval)> = Vec::new();
+    for _ in 0..max_rows {
+        let data = vec![
+            Value::Int(rng.gen_range(0..3)),
+            Value::str(["ann", "joe", "a\tb"][rng.gen_range(0..3)]),
+            Value::Double([-0.0, 0.0, 1.5, 2.5][rng.gen_range(0..4)]),
+        ];
+        let ts = rng.gen_range(0..19);
+        let iv = Interval::of(ts, rng.gen_range(ts + 1..=20));
+        if kept
+            .iter()
+            .all(|(d, iv2)| *d != data || (!iv2.overlaps(&iv) && *iv2 != iv))
+        {
+            kept.push((data, iv));
+        }
+    }
+    TemporalRelation::from_rows(
+        Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("name", DataType::Str),
+            Column::new("x", DataType::Double),
+        ]),
+        kept,
+    )
+    .expect("constructed duplicate free")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The chain corpus over string and double data columns: θ reads the
+    /// concat row `(k, name, x, ts, te, k, name, x, ts, te)`; a join's
+    /// result has data columns `(k, name, x, k, name, x)`.
+    #[test]
+    fn executor_equals_oracle_on_str_and_double_columns(seed in 0u64..1000) {
+        let r = random_mixed_trel(seed, 10);
+        let s = random_mixed_trel(seed + 5_000, 10);
+        let count = vec![(AggCall::count_star(), "cnt".to_string())];
+        let chains = vec![
+            vec![
+                TemporalOp::Join { theta: Some(col(1).eq(col(6))) },
+                TemporalOp::Selection { predicate: col(2).ge(lit(0.0f64)) },
+                TemporalOp::Projection { attrs: vec![1, 2] },
+            ],
+            // (A projection keeps only columns that are never ω: the
+            // executor's projection groups by SQL equality, under which ω
+            // never equals ω, while the oracle groups ω with ω.)
+            vec![
+                TemporalOp::LeftOuterJoin { theta: Some(col(2).lt(col(7))) },
+                TemporalOp::Projection { attrs: vec![1, 2] },
+            ],
+            vec![TemporalOp::FullOuterJoin {
+                theta: Some(col(0).eq(col(5)).and(col(1).ne(col(6)))),
+            }],
+            vec![TemporalOp::AntiJoin { theta: Some(col(1).eq(col(6))) }],
+            vec![
+                TemporalOp::Union,
+                TemporalOp::Aggregation { group: vec![1], aggs: count.clone() },
+            ],
+            vec![TemporalOp::Difference, TemporalOp::Projection { attrs: vec![2] }],
+            vec![TemporalOp::Intersection],
+        ];
+        check_chains(&chains, &r, &s, &format!("mixed({seed})"));
+    }
+}
+
 // ---- batch-boundary edge cases ---------------------------------------
 
 /// A sweep group larger than `BATCH_SIZE`: one r tuple split at ~1.5·1024

@@ -302,3 +302,39 @@ fn distinct_and_absorb_quantifiers_differ() {
     let absorbed = session.query("SELECT ABSORB k, ts, te FROM t").unwrap();
     assert_eq!(absorbed.len(), 2);
 }
+
+#[test]
+fn temporal_operators_reject_empty_and_inverted_intervals() {
+    // Any table with two trailing Int columns is accepted (INSERT does not
+    // validate intervals); the temporal operators do, in-band.
+    let mut session = Session::new();
+    session
+        .execute("CREATE TABLE t (k int, ts int, te int)")
+        .unwrap();
+    session
+        .execute("INSERT INTO t VALUES (1, 0, 5), (2, 9, 3), (3, 4, 4)")
+        .unwrap();
+    for (q, what) in [
+        ("SELECT * FROM (t r1 ALIGN t r2 ON true) x", "adjustment"),
+        (
+            "SELECT * FROM (t r1 NORMALIZE t r2 USING()) x",
+            "adjustment",
+        ),
+        ("SELECT ABSORB k, ts, te FROM t", "absorb"),
+    ] {
+        let err = session.query(q).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{what}: empty interval [9, 3)")),
+            "{q}: {err}"
+        );
+    }
+    // An empty interval alone is rejected too.
+    session
+        .execute("CREATE TABLE e (k int, ts int, te int)")
+        .unwrap();
+    session.execute("INSERT INTO e VALUES (3, 4, 4)").unwrap();
+    let err = session
+        .query("SELECT * FROM (e r1 NORMALIZE e r2 USING()) x")
+        .unwrap_err();
+    assert!(err.to_string().contains("empty interval [4, 4)"), "{err}");
+}
