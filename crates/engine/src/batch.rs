@@ -23,13 +23,16 @@
 //! [`gather`](RowBatch::gather) every column once; [`NULL_ROW`] in a gather
 //! index produces the ω padding of outer joins. Rows ([`Row`]) are built
 //! only at the API edge ([`RowBatch::row`], [`crate::relation::Relation::rows`]).
+//!
+//! Every hash operator groups rows through one `KeyTable`, which hashes key
+//! columns in place (`hash_rows`) and compares them with
+//! [`ColumnVec::eq_at`] or `ColumnVec::join_eq_at`.
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use crate::hashing::{FxHashMap, FxHasher};
+use crate::hashing::{mix, mix_bytes, FxHashMap};
 use crate::schema::Schema;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -60,6 +63,27 @@ pub enum ColumnData {
 fn empty_str() -> Arc<str> {
     static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
     EMPTY.get_or_init(|| Arc::from("")).clone()
+}
+
+/// What an `Int` adds to a row hash: the integer, rounded as SQL rounds
+/// it to compare with a `Double` (exact up to 2⁵³).
+#[inline]
+fn int_word(x: i64) -> u64 {
+    (x as f64) as i64 as u64
+}
+
+/// `v` folded into the running row hash `h` — a function of the value
+/// alone, and the same for an `Int` and the `Double` SQL calls equal (an
+/// integral double adds its integer, any other double its bits).
+fn value_hash(h: u64, v: &Value) -> u64 {
+    match v {
+        Value::Null => mix(h, 0x9e37_79b9_7f4a_7c15),
+        Value::Bool(b) => mix(h, 0x2545_f491_4f6c_dd1d ^ *b as u64),
+        Value::Int(x) => mix(h, int_word(*x)),
+        Value::Double(x) if (*x as i64) as f64 == *x => mix(h, *x as i64 as u64),
+        Value::Double(x) => mix(h, x.to_bits()),
+        Value::Str(s) => mix(mix_bytes(h, s.as_bytes()), 0xff),
+    }
 }
 
 /// One typed column: the values plus, for typed columns, a validity mask
@@ -227,19 +251,38 @@ impl ColumnVec {
         }
     }
 
-    /// Feed row `i` to `h`, consistently with [`ColumnVec::eq_at`] between
-    /// rows of one column.
+    /// SQL `=` of row `i` and row `j` of `other` is TRUE — exactly
+    /// `self.value(i).sql_eq(&other.value(j)) == Some(true)`: never for a
+    /// NULL, and `Int` against `Double` numerically.
     #[inline]
-    pub fn hash_at<H: Hasher>(&self, i: usize, h: &mut H) {
-        if self.is_null(i) {
-            return h.write_u8(0);
+    pub(crate) fn join_eq_at(&self, i: usize, other: &ColumnVec, j: usize) -> bool {
+        use ColumnData::{Double, Int, Mixed};
+        match (&self.data, &other.data) {
+            (Mixed(_), _) | (_, Mixed(_)) | (Int(_), Double(_)) | (Double(_), Int(_)) => {
+                self.value(i).sql_eq(&other.value(j)) == Some(true)
+            }
+            // One type, or two that never compare equal: structural.
+            _ => !self.is_null(i) && self.eq_at(i, other, j),
         }
-        match &self.data {
-            ColumnData::Int(v) => h.write_i64(v[i]),
-            ColumnData::Double(v) => h.write_u64(v[i].to_bits()),
-            ColumnData::Bool(v) => h.write_u8(2 + u8::from(v[i])),
-            ColumnData::Str(v) => v[i].hash(h),
-            ColumnData::Mixed(v) => v[i].hash(h),
+    }
+
+    /// Fold every row's value into its running hash `hashes[i]` by
+    /// `value_hash`, which does not depend on the column's representation;
+    /// so [`ColumnVec::eq_at`] and [`ColumnVec::join_eq_at`] both imply
+    /// equal hashes, across columns and batches.
+    pub(crate) fn hash_into(&self, hashes: &mut [u64]) {
+        debug_assert_eq!(hashes.len(), self.len());
+        match (&self.data, &self.valid) {
+            (ColumnData::Int(v), None) => {
+                for (h, &x) in hashes.iter_mut().zip(v) {
+                    *h = mix(*h, int_word(x));
+                }
+            }
+            _ => {
+                for (i, h) in hashes.iter_mut().enumerate() {
+                    *h = value_hash(*h, &self.value(i));
+                }
+            }
         }
     }
 
@@ -681,61 +724,170 @@ impl RowBatch {
     }
 }
 
-/// A set of rows of one batch under structural row equality, holding row
-/// indices: a row hash maps to the newest member with it, and members with
-/// the same hash are chained — nothing is allocated per row.
-pub struct RowSet<'a> {
-    batch: &'a RowBatch,
-    heads: FxHashMap<u64, u32>,
-    chain: Vec<u32>,
+/// The row hashes of key columns `keys` over `n` rows, column at a time.
+pub(crate) fn hash_rows(keys: &[Arc<ColumnVec>], n: usize) -> Vec<u64> {
+    let mut hashes = vec![0u64; n];
+    keys.iter().for_each(|c| c.hash_into(&mut hashes));
+    // The multiply mixes upwards; hash tables index by the low bits.
+    hashes.iter_mut().for_each(|h| *h = h.rotate_left(26));
+    hashes
 }
 
-impl<'a> RowSet<'a> {
-    pub fn new(batch: &'a RowBatch) -> Self {
-        RowSet {
-            batch,
-            heads: FxHashMap::default(),
-            chain: vec![NULL_ROW; batch.len()],
+/// How a [`KeyTable`] compares keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyEq {
+    /// Structural equality ([`ColumnVec::eq_at`], NULL = NULL): GROUP BY,
+    /// DISTINCT and the set operations.
+    Group,
+    /// SQL `=` ([`ColumnVec::join_eq_at`]): a key holding a NULL is never
+    /// added and matches nothing — a join's equi-keys.
+    Join,
+}
+
+/// The engine's one hash table — behind the hash join, HashAggregate,
+/// DISTINCT and the set operations. It splits rows of `width` key columns
+/// into *groups* of equal keys, numbered in first-seen order: a row hash
+/// ([`hash_rows`]) maps to the newest group with it, groups sharing a hash
+/// are chained, and a group's key is its first row, read in place from the
+/// key columns it came in. Groups are structurally distinct; lookups
+/// compare under the table's [`KeyEq`].
+#[derive(Debug)]
+pub(crate) struct KeyTable {
+    mode: KeyEq,
+    width: usize,
+    heads: FxHashMap<u64, u32>,
+    /// Per group, the next older group with its hash ([`NULL_ROW`]: none).
+    next: Vec<u32>,
+    /// Per group, its first row: `(chunk, row)` of `chunks`.
+    first: Vec<(u32, u32)>,
+    chunks: Vec<Vec<Arc<ColumnVec>>>,
+}
+
+impl KeyTable {
+    pub fn new(mode: KeyEq, width: usize) -> Self {
+        let (heads, next, first, chunks) = Default::default();
+        KeyTable {
+            mode,
+            width,
+            heads,
+            next,
+            first,
+            chunks,
         }
     }
 
-    fn hash(&self, i: usize) -> u64 {
-        let mut h = FxHasher::default();
-        for c in self.batch.columns() {
-            c.hash_at(i, &mut h);
-        }
-        h.finish()
+    /// The number of groups.
+    pub fn len(&self) -> usize {
+        self.first.len()
     }
 
-    /// Is a member equal to row `i`? Walks the chain from member `j`.
-    fn find(&self, mut j: u32, i: usize) -> bool {
-        let width = self.batch.width();
-        while j != NULL_ROW {
-            if self.batch.rows_eq(j as usize, self.batch, i, 0..width) {
-                return true;
+    /// The groups on the chain of `hash` whose key equals row `i` of
+    /// `keys` — as SQL `=` when `join`, else structurally — newest first.
+    fn chain<'a>(
+        &'a self,
+        keys: &'a [Arc<ColumnVec>],
+        i: usize,
+        hash: u64,
+        join: bool,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let mut g = self.heads.get(&hash).copied().unwrap_or(NULL_ROW);
+        std::iter::from_fn(move || {
+            while g != NULL_ROW {
+                let ((c, r), here) = (self.first[g as usize], g);
+                g = self.next[g as usize];
+                let mut cols = keys.iter().zip(&self.chunks[c as usize]);
+                if cols.all(|(k, m)| match join {
+                    true => k.join_eq_at(i, m, r as usize),
+                    false => k.eq_at(i, m, r as usize),
+                }) {
+                    return Some(here);
+                }
             }
-            j = self.chain[j as usize];
-        }
-        false
+            None
+        })
     }
 
-    /// Is a row equal to row `i` a member?
-    pub fn contains(&self, i: usize) -> bool {
-        self.heads
-            .get(&self.hash(i))
-            .is_some_and(|&j| self.find(j, i))
+    /// The groups equal to row `i` of `keys` (hashed `hash`) under the
+    /// table's equality, newest first: at most one in group mode; in join
+    /// mode every SQL-equal group — more than one only when a key column
+    /// mixes `Int` and `Double`.
+    pub fn matches<'a>(
+        &'a self,
+        keys: &'a [Arc<ColumnVec>],
+        i: usize,
+        hash: u64,
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.chain(keys, i, hash, self.mode == KeyEq::Join)
     }
 
-    /// Add row `i`; `false` when an equal row is already a member.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let h = self.hash(i);
-        let head = self.heads.get(&h).copied().unwrap_or(NULL_ROW);
-        if self.find(head, i) {
-            return false;
+    /// Add rows `rows` of `keys` (hashed by [`hash_rows`]), in that order:
+    /// each joins the group of its key or starts the next one. Returns each
+    /// row's group ([`NULL_ROW`]: a join-mode key holding a NULL). The
+    /// table keeps `keys` (`Arc` clones) while they hold a group's key.
+    pub fn insert(
+        &mut self,
+        keys: &[Arc<ColumnVec>],
+        hashes: &[u64],
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Vec<u32> {
+        debug_assert_eq!(keys.len(), self.width);
+        let (before, chunk) = (self.len(), self.chunks.len() as u32);
+        self.chunks.push(keys.to_vec());
+        let skip_nulls = self.mode == KeyEq::Join;
+        let ids = rows.into_iter().map(|i| {
+            if skip_nulls && keys.iter().any(|c| c.is_null(i)) {
+                return NULL_ROW;
+            }
+            if let Some(g) = self.chain(keys, i, hashes[i], false).next() {
+                return g;
+            }
+            let g = self.len() as u32;
+            self.next
+                .push(self.heads.insert(hashes[i], g).unwrap_or(NULL_ROW));
+            self.first.push((chunk, i as u32));
+            g
+        });
+        let ids = ids.collect();
+        if self.len() == before {
+            self.chunks.pop();
         }
-        self.chain[i] = head;
-        self.heads.insert(h, i as u32);
-        true
+        ids
+    }
+
+    /// [`KeyTable::insert`] all `n` rows of one batch of key columns, then
+    /// keep only the new groups' keys, gathered into columns of the table's
+    /// own (the batch is not retained). Returns each row's group; the new
+    /// groups' keys are `self.keys(before..self.len())`.
+    pub fn group(&mut self, keys: &[Arc<ColumnVec>], n: usize) -> Vec<u32> {
+        let before = self.len();
+        let ids = self.insert(keys, &hash_rows(keys, n), 0..n);
+        let fresh = &mut self.first[before..];
+        // Every row new: the batch is its own new keys.
+        if !fresh.is_empty() && fresh.len() < n {
+            let rows: Vec<u32> = fresh.iter().map(|&(_, r)| r).collect();
+            fresh.iter_mut().zip(0..).for_each(|(f, k)| f.1 = k);
+            let gathered = keys.iter().map(|c| Arc::new(c.gather(&rows)));
+            *self.chunks.last_mut().expect("new groups") = gathered.collect();
+        }
+        ids
+    }
+
+    /// The keys of groups `groups`, in group order, one column per key
+    /// column — `groups` spanning whole [`KeyTable::group`] calls.
+    pub fn keys(&self, groups: Range<usize>) -> Vec<Arc<ColumnVec>> {
+        let chunk = |g: usize| self.first[g].0 as usize;
+        let chunks = match groups.is_empty() {
+            true => &[],
+            false => &self.chunks[chunk(groups.start)..=chunk(groups.end - 1)],
+        };
+        let column = |c: usize| match chunks {
+            [] => Arc::new(ColumnVec::nulls(0)),
+            [one] => one[c].clone(),
+            _ => Arc::new(ColumnVec::concat(
+                &chunks.iter().map(|k| k[c].as_ref()).collect::<Vec<_>>(),
+            )),
+        };
+        (0..self.width).map(column).collect()
     }
 }
 
@@ -834,6 +986,123 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `vals` as a typed column where its values allow one, else `Mixed`;
+    /// and always as a `Mixed` column.
+    fn both_reprs(vals: &[Value]) -> [Arc<ColumnVec>; 2] {
+        let mixed = ColumnVec {
+            data: ColumnData::Mixed(vals.to_vec()),
+            valid: None,
+        };
+        [
+            Arc::new(ColumnVec::from_values(vals.iter().cloned())),
+            Arc::new(mixed),
+        ]
+    }
+
+    #[test]
+    fn equal_values_hash_alike_in_every_representation() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let big = 1i64 << 53;
+        for kind in 0..5 {
+            for _ in 0..20 {
+                let mut a: Vec<Value> = (0..12).map(|_| value(&mut rng, kind)).collect();
+                let b: Vec<Value> = (0..12)
+                    .map(|_| {
+                        let kind = rng.gen_range(0..5);
+                        value(&mut rng, kind)
+                    })
+                    .collect();
+                // Integers past 2⁵³, beside the double they round to.
+                a.extend([
+                    Value::Int(big + 1),
+                    Value::Double(big as f64),
+                    Value::Int(i64::MAX),
+                ]);
+                a.push(Value::Double(i64::MAX as f64));
+                for ca in both_reprs(&a) {
+                    for cb in both_reprs(&b).into_iter().chain(both_reprs(&a)) {
+                        let ha = hash_rows(std::slice::from_ref(&ca), ca.len());
+                        let hb = hash_rows(std::slice::from_ref(&cb), cb.len());
+                        for (i, hi) in ha.iter().enumerate() {
+                            for (j, hj) in hb.iter().enumerate() {
+                                let (x, y) = (ca.value(i), cb.value(j));
+                                assert_eq!(ca.eq_at(i, &cb, j), x == y, "{x:?} {y:?}");
+                                let sql = x.sql_eq(&y) == Some(true);
+                                assert_eq!(ca.join_eq_at(i, &cb, j), sql, "{x:?} = {y:?}");
+                                if x == y || sql {
+                                    assert_eq!(hi, hj, "{x:?} and {y:?} hash apart");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_table_groups_like_a_map_of_value_keys() {
+        use std::collections::HashMap;
+        let mut rng = StdRng::seed_from_u64(29);
+        for mode in [KeyEq::Group, KeyEq::Join] {
+            let mut table = KeyTable::new(mode, 2);
+            let mut reference: HashMap<Vec<Value>, u32> = HashMap::new();
+            let mut kept: Vec<Vec<Value>> = Vec::new();
+            for n in [0, 5, 40, 1, 40] {
+                // Two key columns; the second mixes Int and Double.
+                let rows: Vec<Row> = (0..n)
+                    .map(|_| Row::new(vec![value(&mut rng, 0), value(&mut rng, 4)]))
+                    .collect();
+                let batch = RowBatch::from_rows(schema(2), &rows);
+                let before = table.len();
+                let ids = match mode {
+                    KeyEq::Group => table.group(batch.columns(), n),
+                    KeyEq::Join => {
+                        table.insert(batch.columns(), &hash_rows(batch.columns(), n), 0..n)
+                    }
+                };
+                for (row, &id) in rows.iter().zip(&ids) {
+                    if mode == KeyEq::Join && row.values().iter().any(Value::is_null) {
+                        assert_eq!(id, NULL_ROW);
+                        continue;
+                    }
+                    let next = reference.len() as u32;
+                    assert_eq!(id, *reference.entry(row.to_vec()).or_insert(next));
+                    if id == next {
+                        kept.push(row.to_vec());
+                    }
+                }
+                if mode == KeyEq::Group {
+                    let keys = table.keys(before..table.len());
+                    for (g, want) in kept[before..].iter().enumerate() {
+                        let got: Vec<Value> = keys.iter().map(|c| c.value(g)).collect();
+                        assert_eq!(&got, want);
+                    }
+                }
+                // Every group SQL-equal to a probe row, and no other.
+                let hashes = hash_rows(batch.columns(), n);
+                for (i, row) in rows.iter().enumerate() {
+                    let got: Vec<u32> = table.matches(batch.columns(), i, hashes[i]).collect();
+                    let mut want: Vec<u32> = (0..table.len() as u32)
+                        .filter(|&g| {
+                            let k = &kept[g as usize];
+                            match mode {
+                                KeyEq::Group => k.as_slice() == row.values(),
+                                KeyEq::Join => k
+                                    .iter()
+                                    .zip(row.values())
+                                    .all(|(a, b)| a.sql_eq(b) == Some(true)),
+                            }
+                        })
+                        .collect();
+                    want.reverse();
+                    assert_eq!(got, want, "{mode:?} {row:?}");
+                }
+            }
+            assert_eq!(table.len(), kept.len());
         }
     }
 

@@ -2,18 +2,24 @@
 //!
 //! Output layout: group expressions first, then one column per aggregate.
 //! Grouping equality is structural (NULL groups with NULL), matching the
-//! paper's set semantics where ω values group together.
+//! paper's set semantics where ω values group together. Group keys are
+//! evaluated a batch at a time and grouped by the engine's one
+//! [`KeyTable`], which keeps each group's first key row in typed columns:
+//! those columns *are* the output's key columns, so no key is ever a
+//! `Value` and no output row is built. `COUNT(*)` is a count per group;
+//! the other calls fold an [`Acc`] per group.
 
-use crate::batch::RowBatch;
+use std::sync::Arc;
+
+use crate::batch::{ColumnVec, KeyEq, KeyTable, RowBatch};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{drain, next_chunk, BoxedExec, ExecNode, ExecutionState};
-use crate::expr::{AggCall, AggFunc, BatchRow, Columns, Expr};
-use crate::hashing::FxHashMap;
-use crate::schema::Schema;
+use crate::exec::{next_chunk, BoxedExec, ExecNode, ExecutionState};
+use crate::expr::{AggCall, AggFunc, Expr};
+use crate::schema::{Column, DataType, Schema};
 use crate::tuple::Row;
 use crate::value::{num_add, Value};
 
-/// One accumulator per (group, aggregate call).
+/// The accumulator of a call with an argument, per group.
 #[derive(Debug, Clone)]
 enum Acc {
     Count(i64),
@@ -34,68 +40,31 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) -> EngineResult<()> {
+    /// Fold in `v`; NULLs are skipped.
+    fn update(&mut self, v: &Value) -> EngineResult<()> {
+        use std::cmp::Ordering::{Greater, Less};
+        if v.is_null() {
+            return Ok(());
+        }
+        let beats =
+            |cur: &Option<Value>, want| cur.as_ref().is_none_or(|c| v.sql_cmp(c) == Some(want));
         match self {
-            Acc::Count(c) => {
-                // CountStar passes None ⇒ always count; Count skips NULLs.
-                match v {
-                    None => *c += 1,
-                    Some(val) if !val.is_null() => *c += 1,
-                    _ => {}
-                }
-            }
+            Acc::Count(c) => *c += 1,
             Acc::Sum(acc) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *acc = Some(match acc.take() {
-                            None => val.clone(),
-                            Some(cur) => num_add(&cur, val)?,
-                        });
-                    }
-                }
+                *acc = Some(match acc.take() {
+                    None => v.clone(),
+                    Some(cur) => num_add(&cur, v)?,
+                })
             }
             Acc::Avg { sum, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let d = val.as_double().ok_or_else(|| {
-                            EngineError::TypeError(format!(
-                                "avg over non-numeric {}",
-                                val.type_name()
-                            ))
-                        })?;
-                        *sum += d;
-                        *count += 1;
-                    }
-                }
+                *sum += v.as_double().ok_or_else(|| {
+                    EngineError::TypeError(format!("avg over non-numeric {}", v.type_name()))
+                })?;
+                *count += 1;
             }
-            Acc::Min(acc) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match acc {
-                            None => true,
-                            Some(cur) => matches!(val.sql_cmp(cur), Some(std::cmp::Ordering::Less)),
-                        };
-                        if replace {
-                            *acc = Some(val.clone());
-                        }
-                    }
-                }
-            }
-            Acc::Max(acc) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match acc {
-                            None => true,
-                            Some(cur) => {
-                                matches!(val.sql_cmp(cur), Some(std::cmp::Ordering::Greater))
-                            }
-                        };
-                        if replace {
-                            *acc = Some(val.clone());
-                        }
-                    }
-                }
-            }
+            Acc::Min(acc) if beats(acc, Less) => *acc = Some(v.clone()),
+            Acc::Max(acc) if beats(acc, Greater) => *acc = Some(v.clone()),
+            Acc::Min(_) | Acc::Max(_) => {}
         }
         Ok(())
     }
@@ -104,87 +73,113 @@ impl Acc {
         match self {
             Acc::Count(c) => Value::Int(*c),
             Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
-            Acc::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(sum / *count as f64)
-                }
-            }
+            Acc::Avg { count: 0, .. } => Value::Null,
+            Acc::Avg { sum, count } => Value::Double(sum / *count as f64),
         }
     }
 }
 
-/// Aggregate a row set directly (shared by [`HashAggregateExec`] and by the
-/// temporal reference oracle, so both use byte-identical aggregate
-/// semantics). Output rows are `group values ++ aggregate values`, in
-/// first-seen group order. A global aggregate (`group` empty) over zero
-/// rows yields one row of identity values.
+/// One aggregate call's state, a slot per group.
+enum Slots {
+    /// `COUNT(*)` (the one call without an argument): a count per group.
+    Count(Vec<i64>),
+    Acc(Vec<Acc>),
+}
+
+/// The one aggregation kernel, behind [`HashAggregateExec`] and
+/// [`aggregate_rows`]: a [`KeyTable`] in group mode numbers each input
+/// row's group, and every aggregate call keeps a slot per group, fed a
+/// column at a time.
+struct Grouping<'a> {
+    group: &'a [Expr],
+    aggs: &'a [AggCall],
+    table: KeyTable,
+    slots: Vec<Slots>,
+}
+
+impl<'a> Grouping<'a> {
+    fn new(group: &'a [Expr], aggs: &'a [AggCall]) -> Self {
+        let slots = aggs.iter().map(|a| match a.arg {
+            None => Slots::Count(Vec::new()),
+            Some(_) => Slots::Acc(Vec::new()),
+        });
+        let (table, slots) = (KeyTable::new(KeyEq::Group, group.len()), slots.collect());
+        Grouping {
+            group,
+            aggs,
+            table,
+            slots,
+        }
+    }
+
+    /// Fold one batch in.
+    fn add(&mut self, batch: &RowBatch) -> EngineResult<()> {
+        let keys = self.group.iter().map(|g| g.eval_batch(batch));
+        let ids = self
+            .table
+            .group(&keys.collect::<EngineResult<Vec<_>>>()?, batch.len());
+        let n = self.table.len();
+        for (slots, call) in self.slots.iter_mut().zip(self.aggs) {
+            match (slots, &call.arg) {
+                (Slots::Count(counts), _) => {
+                    counts.resize(n, 0);
+                    ids.iter().for_each(|&g| counts[g as usize] += 1);
+                }
+                (Slots::Acc(accs), Some(arg)) => {
+                    accs.resize_with(n, || Acc::new(call.func));
+                    let arg = arg.eval_batch(batch)?;
+                    for (i, &g) in ids.iter().enumerate() {
+                        accs[g as usize].update(&arg.value(i))?;
+                    }
+                }
+                (Slots::Acc(_), None) => unreachable!("only COUNT(*) has no argument"),
+            }
+        }
+        Ok(())
+    }
+
+    /// The group values then one value per call, a column each, group by
+    /// group in first-seen order. A global aggregate (`group` empty) over
+    /// zero rows yields one group of identity values.
+    fn finish(self) -> (usize, Vec<Arc<ColumnVec>>) {
+        let mut columns = self.table.keys(0..self.table.len());
+        let n = self.table.len().max(usize::from(self.group.is_empty()));
+        columns.extend(self.slots.into_iter().zip(self.aggs).map(|(slots, call)| {
+            Arc::new(match slots {
+                Slots::Count(mut counts) => {
+                    counts.resize(n, 0);
+                    ColumnVec::from_ints(counts)
+                }
+                Slots::Acc(mut accs) => {
+                    accs.resize_with(n, || Acc::new(call.func));
+                    ColumnVec::from_values(accs.iter().map(Acc::finish))
+                }
+            })
+        }));
+        (n, columns)
+    }
+}
+
+/// Aggregate a row set directly — the reference oracle's entry, running
+/// the kernel of [`HashAggregateExec`] over one batch of `rows`, so both
+/// use byte-identical aggregate semantics. Output rows are `group values
+/// ++ aggregate values`, in first-seen group order. A global aggregate
+/// (`group` empty) over zero rows yields one row of identity values.
 pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineResult<Vec<Row>> {
-    let groups = aggregate(rows.iter().map(Row::values), group, aggs)?;
-    Ok(groups.into_iter().map(Row::new).collect())
+    let mut grouping = Grouping::new(group, aggs);
+    if let Some(first) = rows.first() {
+        // Expressions read columns by position; the names are placeholders.
+        let cols = (0..first.len()).map(|i| Column::new(format!("c{i}"), DataType::Int));
+        grouping.add(&RowBatch::from_rows(Schema::new(cols.collect()), rows))?;
+    }
+    let (n, columns) = grouping.finish();
+    Ok((0..n)
+        .map(|i| columns.iter().map(|c| c.value(i)).collect())
+        .collect())
 }
 
-/// [`aggregate_rows`] over any rows the evaluator reads, group values
-/// then aggregate values per group.
-fn aggregate<C: Columns>(
-    rows: impl IntoIterator<Item = C>,
-    group: &[Expr],
-    aggs: &[AggCall],
-) -> EngineResult<Vec<Vec<Value>>> {
-    // Group key → slot, in first-seen order; slot `i` owns the accumulators
-    // `accs[i * aggs.len()..][..aggs.len()]`. The index is probed with a
-    // reused scratch key, so only a new group allocates.
-    let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    let mut accs: Vec<Acc> = Vec::new();
-    let new_group =
-        |index: &mut FxHashMap<Vec<Value>, usize>, accs: &mut Vec<Acc>, key: &[Value]| {
-            let mut owned = Vec::with_capacity(key.len() + aggs.len());
-            owned.extend_from_slice(key);
-            index.insert(owned, index.len());
-            accs.extend(aggs.iter().map(|a| Acc::new(a.func)));
-            index.len() - 1
-        };
-
-    let mut key: Vec<Value> = Vec::with_capacity(group.len());
-    for row in rows {
-        key.clear();
-        for g in group {
-            key.push(g.eval_in(&row)?);
-        }
-        let slot = match index.get(key.as_slice()) {
-            Some(&i) => i,
-            None => new_group(&mut index, &mut accs, &key),
-        };
-        for (acc, call) in accs[slot * aggs.len()..][..aggs.len()].iter_mut().zip(aggs) {
-            match &call.arg {
-                None => acc.update(None)?,
-                Some(e) => {
-                    let v = e.eval_in(&row)?;
-                    acc.update(Some(&v))?;
-                }
-            }
-        }
-    }
-    if index.is_empty() && group.is_empty() {
-        new_group(&mut index, &mut accs, &[]);
-    }
-
-    // Each output row is built once, on top of the index's own key.
-    let mut out: Vec<Vec<Value>> = vec![Vec::new(); index.len()];
-    for (mut vals, slot) in index {
-        vals.extend(
-            accs[slot * aggs.len()..][..aggs.len()]
-                .iter()
-                .map(Acc::finish),
-        );
-        out[slot] = vals;
-    }
-    Ok(out)
-}
-
-/// Hash-based grouped aggregation. Materializes on first pull and emits
-/// groups in first-seen input order (deterministic).
+/// Hash-based grouped aggregation. Folds its input a batch at a time on
+/// first pull and emits groups in first-seen input order (deterministic).
 pub struct HashAggregateExec {
     input: BoxedExec,
     group: Vec<Expr>,
@@ -211,17 +206,17 @@ impl ExecNode for HashAggregateExec {
         &self.schema
     }
 
-    /// Drain the input and fold it (each row read in place from its
-    /// batch), then emit the groups a chunk at a time (group order is
-    /// first-seen input order).
+    /// Fold the input a batch at a time, then emit the groups a chunk at a
+    /// time (group order is first-seen input order).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let batches = drain(self.input.as_mut(), state)?;
-            let rows = batches
-                .iter()
-                .flat_map(|b| (0..b.len()).map(move |i| BatchRow(b, i)));
-            let groups = aggregate(rows, &self.group, &self.aggs)?;
-            self.out = Some((RowBatch::from_rows(self.schema.clone(), &groups), 0));
+            let mut grouping = Grouping::new(&self.group, &self.aggs);
+            while let Some(batch) = self.input.next_batch(state)? {
+                state.check_cancelled()?;
+                grouping.add(&batch)?;
+            }
+            let (n, columns) = grouping.finish();
+            self.out = Some((RowBatch::new(self.schema.clone(), n, columns), 0));
         }
         let (all, pos) = self.out.as_mut().expect("initialized");
         Ok(next_chunk(all, pos))

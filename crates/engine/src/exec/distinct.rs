@@ -1,24 +1,29 @@
 //! Duplicate elimination (set semantics), streaming.
+//!
+//! Rows are grouped by the engine's one [`KeyTable`] in group mode — the
+//! whole row is the key — and a row is emitted when it starts a group.
+//! The table keeps its own copy of the distinct rows seen so far (the
+//! first row of each group, gathered per batch), and that copy is also
+//! what the batch emits.
 
-use crate::batch::RowBatch;
+use crate::batch::{KeyEq, KeyTable, RowBatch};
 use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
-use crate::hashing::FxHashSet;
 use crate::schema::Schema;
-use crate::value::Value;
 
 /// Emits each distinct row once, in first-occurrence order. Structural row
 /// equality: NULL = NULL (SQL `DISTINCT` semantics).
 pub struct DistinctExec {
     input: BoxedExec,
-    seen: FxHashSet<Vec<Value>>,
+    seen: KeyTable,
 }
 
 impl DistinctExec {
     pub fn new(input: BoxedExec) -> Self {
+        let width = input.schema().len();
         DistinctExec {
             input,
-            seen: FxHashSet::default(),
+            seen: KeyTable::new(KeyEq::Group, width),
         }
     }
 }
@@ -32,10 +37,12 @@ impl ExecNode for DistinctExec {
     /// `Some` batches are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         while let Some(batch) = self.input.next_batch(state)? {
-            let row = |i| batch.columns().iter().map(|c| c.value(i)).collect();
-            let keep: Vec<bool> = (0..batch.len()).map(|i| self.seen.insert(row(i))).collect();
-            if keep.contains(&true) {
-                return Ok(Some(batch.filter(&keep)));
+            let before = self.seen.len();
+            self.seen.group(batch.columns(), batch.len());
+            let fresh = before..self.seen.len();
+            if !fresh.is_empty() {
+                let (n, columns) = (fresh.len(), self.seen.keys(fresh));
+                return Ok(Some(RowBatch::new(batch.schema().clone(), n, columns)));
             }
         }
         Ok(None)

@@ -21,21 +21,31 @@
 //! never compares TRUE and `Int`↔`Double` coerces — the ordered path does
 //! not second-guess the comparison).
 //!
-//! Under a parallel [`ExecutionState`] the join partitions both
-//! sides: the build table is assembled from per-worker hash shards
-//! (disjoint key ranges, merged without overlap), and the probe input is
-//! split into contiguous morsels probed on workers against the shared
-//! read-only table. Matched-flags on the build side are atomic booleans —
-//! monotonic false→true marks, order-independent — so even Right/Full
-//! joins probe in parallel and the trailing unmatched-scan observes the
-//! same flags as a serial probe. Morsel outputs concatenate in input
-//! order, keeping the parallel probe row-identical to the serial one.
+//! **Keys.** The build side's keys are grouped by the engine's one
+//! [`KeyTable`] in join mode: equi-keys match exactly when the replaced
+//! `=` conjuncts are TRUE (a NULL never matches; an `Int` matches the
+//! `Double` it equals), the hash of each build and probe row is computed
+//! once, a column at a time, straight from the typed key columns, and a
+//! probe reads the build keys in place — no key is copied into a `Value`.
+//! The build numbers each row's group and counting-sorts the rows into
+//! contiguous buckets of one `order` array, one bucket per group.
+//!
+//! Under a parallel [`ExecutionState`] the join partitions both sides:
+//! the build rows are sharded by their row hash and each worker groups one
+//! shard into a key table of its own (a probe looks up the shard of its
+//! hash), and the probe input is split into contiguous morsels probed on
+//! workers against the shared read-only table. Matched-flags on the build
+//! side are atomic booleans — monotonic false→true marks,
+//! order-independent — so even Right/Full joins probe in parallel and the
+//! trailing unmatched-scan observes the same flags as a serial probe.
+//! Morsel outputs concatenate in input order, keeping the parallel probe
+//! row-identical to the serial one.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::batch::RowBatch;
+use crate::batch::{hash_rows, ColumnVec, KeyEq, KeyTable, RowBatch, NULL_ROW};
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
 use crate::exec::{
@@ -43,7 +53,6 @@ use crate::exec::{
     OperatorStats,
 };
 use crate::expr::{CmpOp, Expr, JoinPred, PredOperand};
-use crate::hashing::{FxHashMap, FxHasher};
 use crate::plan::JoinType;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -153,42 +162,98 @@ impl RangeSpec {
     }
 }
 
-/// The build side's hash table, flattened: every bucket is a range of
-/// `order`, so a probe cursor is two integers.
+/// The build side's hash table, flattened: the build keys' groups (a
+/// [`KeyTable`] in join mode) index contiguous ranges of `order`, so a
+/// probe cursor is two integers.
 #[derive(Default)]
 struct BuildTable {
-    /// Join key → its bucket's range of `order`. NULL keys never join and
-    /// are absent.
-    buckets: FxHashMap<Vec<Value>, (usize, usize)>,
-    /// Build-row indices, bucket by bucket: within a bucket ascending by
-    /// `(range column, build index)` when range-ordered, else by build
-    /// index — either way the same for a serial and a sharded build.
-    order: Vec<usize>,
+    /// One key table, or one per hash shard of a partitioned build — shard
+    /// [`shard_of`]`(hash)` holds the groups of every build row with that
+    /// hash and numbers them from `bases[shard]` on. NULL keys never join
+    /// and are in no group.
+    shards: Vec<KeyTable>,
+    bases: Vec<u32>,
+    /// Group `g`'s build rows are `order[bounds[g]..bounds[g + 1]]`:
+    /// ascending by `(range column, build index)` when range-ordered, else
+    /// by build index — either way the same for a serial and a sharded
+    /// build.
+    bounds: Vec<u32>,
+    order: Vec<u32>,
     /// The range column of `order`'s rows, position for position; empty
     /// unless the buckets are range-ordered.
     range_keys: Vec<i64>,
 }
 
+/// The shard of a row hash among `shards` (the hash's high half, which the
+/// key tables do not index by).
+fn shard_of(hash: u64, shards: usize) -> usize {
+    (((hash >> 32) * shards as u64) >> 32) as usize
+}
+
 impl BuildTable {
-    /// Flatten per-key build-index lists (ascending) into buckets, ordering
-    /// each by `range_col[index]` when the range column was all integers.
-    fn assemble(
-        groups: impl IntoIterator<Item = (Vec<Value>, Vec<usize>)>,
-        range_col: Option<Vec<i64>>,
-    ) -> BuildTable {
-        let mut table = BuildTable::default();
-        for (key, mut idxs) in groups {
-            if let Some(c) = &range_col {
-                idxs.sort_unstable_by_key(|&i| (c[i], i));
-            }
-            let start = table.order.len();
-            table.order.extend_from_slice(&idxs);
-            table.buckets.insert(key, (start, table.order.len()));
+    /// Lay out the buckets: counting-sort the build rows by group (`ids`,
+    /// the global group of each row), ordering each bucket by
+    /// `range_col[index]` when the range column was all integers.
+    fn assemble(shards: Vec<KeyTable>, ids: &[u32], range_col: Option<Vec<i64>>) -> BuildTable {
+        let (mut bases, mut groups) = (Vec::new(), 0);
+        for table in &shards {
+            bases.push(groups as u32);
+            groups += table.len();
         }
+        let mut bounds = vec![0u32; groups + 1];
+        for &g in ids.iter().filter(|&&g| g != NULL_ROW) {
+            bounds[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            bounds[g + 1] += bounds[g];
+        }
+        let mut fill = bounds.clone();
+        let mut order = vec![0u32; bounds[groups] as usize];
+        for (i, &g) in ids.iter().enumerate().filter(|&(_, &g)| g != NULL_ROW) {
+            order[fill[g as usize] as usize] = i as u32;
+            fill[g as usize] += 1;
+        }
+        let mut range_keys = Vec::new();
         if let Some(c) = range_col {
-            table.range_keys = table.order.iter().map(|&i| c[i]).collect();
+            for w in bounds.windows(2) {
+                order[w[0] as usize..w[1] as usize].sort_unstable_by_key(|&i| (c[i as usize], i));
+            }
+            range_keys = order.iter().map(|&i| c[i as usize]).collect();
         }
-        table
+        BuildTable {
+            shards,
+            bases,
+            bounds,
+            order,
+            range_keys,
+        }
+    }
+
+    /// The ranges of `order` probe row `li` of `left` has to test, one per
+    /// group whose key is SQL-equal to the row's (probe key columns
+    /// `probe_keys`, row hash `hash`) — each cut down to the sub-slice
+    /// inside the row's bounds when buckets are range-ordered.
+    fn candidates(
+        &self,
+        probe_keys: &[Arc<ColumnVec>],
+        hash: u64,
+        left: &RowBatch,
+        li: usize,
+        range: Option<&RangeSpec>,
+        out: &mut Vec<Range<usize>>,
+    ) {
+        let s = shard_of(hash, self.shards.len());
+        for g in self.shards[s].matches(probe_keys, li, hash) {
+            let g = (self.bases[s] + g) as usize;
+            let (start, end) = (self.bounds[g] as usize, self.bounds[g + 1] as usize);
+            out.push(match range {
+                Some(spec) if !self.range_keys.is_empty() => {
+                    let within = spec.narrow(&self.range_keys[start..end], left, li);
+                    start + within.start..start + within.end
+                }
+                _ => start..end,
+            });
+        }
     }
 }
 
@@ -214,33 +279,6 @@ pub struct HashJoinExec {
     build_matched: Vec<AtomicBool>,
     built: bool,
     phase: Phase,
-}
-
-/// Per-key build indices (ascending), as one build pass or shard yields.
-type KeyGroups = FxHashMap<Vec<Value>, Vec<usize>>;
-
-/// One shard's build input: `(key, build index)` pairs, indices ascending.
-type ShardEntries = Vec<(Vec<Value>, usize)>;
-
-/// Deterministic shard of a build key (FxHash, same per process).
-fn key_shard(key: &[Value], shards: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    (h.finish() as usize) % shards
-}
-
-/// Fill `key` with the values of columns `cols` at row `i`; `false` when
-/// one is NULL (NULL keys never join).
-fn read_key(
-    batch: &RowBatch,
-    i: usize,
-    cols: impl Iterator<Item = usize>,
-    key: &mut Vec<Value>,
-) -> bool {
-    key.clear();
-    key.extend(cols.map(|c| batch.value(c, i)));
-    !key.iter().any(Value::is_null)
 }
 
 impl HashJoinExec {
@@ -289,26 +327,19 @@ impl HashJoinExec {
         }
         let mut right = self.right.take().expect("build called once");
         let build = collect_batch(right.as_mut(), state)?;
-        let groups = if state.parallel(build.len()) {
-            self.build_parallel(state, &build)?
-        } else {
-            let mut groups = KeyGroups::default();
-            let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
-            for idx in 0..build.len() {
-                // NULL keys never join, but the row may still surface as
-                // unmatched for Right/Full joins.
-                if !read_key(&build, idx, self.keys.iter().map(|&(_, r)| r), &mut key) {
-                    continue;
-                }
-                match groups.get_mut(key.as_slice()) {
-                    Some(idxs) => idxs.push(idx),
-                    None => {
-                        groups.insert(key.clone(), vec![idx]);
-                    }
-                }
-            }
-            vec![groups]
+        let keys: Vec<Arc<ColumnVec>> = self
+            .keys
+            .iter()
+            .map(|&(_, r)| build.column(r).clone())
+            .collect();
+        let hashes = hash_rows(&keys, build.len());
+        // NULL keys never join, but the row may still surface as unmatched
+        // for Right/Full joins.
+        let shards = match state.parallel(build.len()) {
+            true => state.threads(),
+            false => 1,
         };
+        let (shards, ids) = Self::group_keys(state, shards, &keys, &hashes)?;
         // The one place buckets are laid out, whichever way the groups were
         // gathered. An all-`Int` range column orders them; one holding a
         // NULL or a Double does not.
@@ -316,69 +347,47 @@ impl HashJoinExec {
             let c = build.column(spec.col);
             (0..build.len()).map(|i| c.int_at(i)).collect()
         });
-        self.table = BuildTable::assemble(groups.into_iter().flatten(), range_col);
+        self.table = BuildTable::assemble(shards, &ids, range_col);
         self.build_matched = (0..build.len()).map(|_| AtomicBool::new(false)).collect();
         self.build = build;
         self.built = true;
         Ok(())
     }
 
-    /// Partitioned build: extract keys over contiguous chunks on workers,
-    /// bucketing each chunk's keys by a deterministic key hash, then let
-    /// each worker own one hash shard (disjoint key sets) and group its
-    /// moved-in entries — no key is cloned or rescanned. Chunks are
-    /// transposed in order and entries carry ascending build indices, so
-    /// every key's index list is in build-row order — the same groups a
-    /// serial build produces.
-    fn build_parallel(
-        &self,
+    /// Group the build rows into `shards` key tables: table `s` groups, in
+    /// ascending order, the rows whose hash falls in shard `s` (on workers
+    /// when there are several). Every row with a given hash lands in one
+    /// shard in build order, so each key's rows — and the order of the
+    /// groups sharing a hash — are those of one serial table. Returns the
+    /// tables and each row's group, numbered across shards in shard order.
+    fn group_keys(
         state: &ExecutionState,
-        build: &RowBatch,
-    ) -> EngineResult<Vec<KeyGroups>> {
-        let threads = state.threads();
-        let ranges = split_ranges(build.len(), threads);
-        let keys = &self.keys;
-        // chunk → shard → (key, build index), indices ascending per bucket.
-        let chunk_buckets = par_run(threads, ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut buckets: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); threads];
-            let mut key = Vec::with_capacity(keys.len());
-            for idx in a..b {
-                // NULL keys never join, but the row may still surface as
-                // unmatched for Right/Full joins.
-                if read_key(build, idx, keys.iter().map(|&(_, r)| r), &mut key) {
-                    let shard = key_shard(&key, threads);
-                    buckets[shard].push((key.clone(), idx));
+        shards: usize,
+        keys: &[Arc<ColumnVec>],
+        hashes: &[u64],
+    ) -> EngineResult<(Vec<KeyTable>, Vec<u32>)> {
+        let in_shard =
+            |s: usize| (0..hashes.len()).filter(move |&i| shard_of(hashes[i], shards) == s);
+        let mut tables = par_run(shards, shards, |s| {
+            let mut table = KeyTable::new(KeyEq::Join, keys.len());
+            let ids = table.insert(keys, hashes, in_shard(s));
+            Ok((table, ids))
+        })?;
+        if shards == 1 {
+            let (table, ids) = tables.pop().expect("one shard");
+            return Ok((vec![table], ids));
+        }
+        state.note_partitions(shards);
+        let (mut ids, mut base) = (vec![NULL_ROW; hashes.len()], 0);
+        for (s, (table, local)) in tables.iter().enumerate() {
+            for (i, &g) in in_shard(s).zip(local) {
+                if g != NULL_ROW {
+                    ids[i] = base + g;
                 }
             }
-            Ok(buckets)
-        })?;
-        // Transpose by move: shard → entries in ascending index order
-        // (chunks are visited in range order).
-        let mut shard_entries: Vec<ShardEntries> = vec![Vec::new(); threads];
-        for mut chunk in chunk_buckets {
-            for (shard, bucket) in chunk.drain(..).enumerate() {
-                shard_entries[shard].extend(bucket);
-            }
+            base += table.len() as u32;
         }
-        let shard_slots: Vec<Mutex<Option<ShardEntries>>> = shard_entries
-            .into_iter()
-            .map(|e| Mutex::new(Some(e)))
-            .collect();
-        let shards = par_run(threads, threads, |w| {
-            let entries = shard_slots[w]
-                .lock()
-                .expect("shard input claimed once")
-                .take()
-                .expect("each shard consumed once");
-            let mut m = KeyGroups::default();
-            for (key, idx) in entries {
-                m.entry(key).or_default().push(idx);
-            }
-            Ok(m)
-        })?;
-        state.note_partitions(ranges.len() + threads);
-        Ok(shards)
+        Ok((tables.into_iter().map(|(table, _)| table).collect(), ids))
     }
 
     /// The immutable probe context: everything a worker needs to probe a
@@ -412,26 +421,6 @@ struct ProbeSide<'a> {
 }
 
 impl ProbeSide<'_> {
-    /// Candidate selection: the positions of `table.order` probe row `li`
-    /// has to test — its bucket, cut down to the sub-slice inside the
-    /// row's bounds when buckets are range-ordered. Callers evaluate the
-    /// whole residual on every position returned. `key` is scratch.
-    fn candidates(&self, left: &RowBatch, li: usize, key: &mut Vec<Value>) -> Range<usize> {
-        if !read_key(left, li, self.keys.iter().map(|&(l, _)| l), key) {
-            return 0..0;
-        }
-        let Some(&(start, end)) = self.table.buckets.get(key.as_slice()) else {
-            return 0..0;
-        };
-        match self.range {
-            Some(spec) if !self.table.range_keys.is_empty() => {
-                let within = spec.narrow(&self.table.range_keys[start..end], left, li);
-                start + within.start..start + within.end
-            }
-            _ => start..end,
-        }
-    }
-
     fn note_candidates(&self, n: usize) {
         if let Some(stats) = self.ledger {
             stats
@@ -440,20 +429,34 @@ impl ProbeSide<'_> {
         }
     }
 
-    /// Probe rows `rows` of `left`: each row's candidates are read in place
-    /// and θ is tested on each `(probe, build)` pair; the pairs that join
-    /// come back as indices.
-    fn probe(&self, left: &RowBatch, rows: Range<usize>) -> EngineResult<JoinPairs> {
+    /// Probe rows `rows` of `left` (its probe-key row hashes `hashes`):
+    /// each row's candidates — its buckets, cut down to the sub-slices
+    /// inside the row's bounds when range-ordered — are read in place and
+    /// θ is tested on each `(probe, build)` pair; the pairs that join come
+    /// back as indices.
+    fn probe(
+        &self,
+        left: &RowBatch,
+        hashes: &[u64],
+        rows: Range<usize>,
+    ) -> EngineResult<JoinPairs> {
         let mut out = JoinPairs::default();
-        let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
+        let probe_keys = self.probe_keys(left);
+        let mut spans: Vec<Range<usize>> = Vec::new();
         let mut checked = 0usize;
         let mut pred = self.pred.bind(left, self.build);
         for li in rows {
-            let cands = &self.table.order[self.candidates(left, li, &mut key)];
-            checked += cands.len();
+            spans.clear();
+            self.table
+                .candidates(&probe_keys, hashes[li], left, li, self.range, &mut spans);
+            checked += spans.iter().map(ExactSizeIterator::len).sum::<usize>();
+            let cands = spans
+                .iter()
+                .flat_map(|span| &self.table.order[span.clone()])
+                .map(|&bi| bi as usize);
             join_left_row(
                 li,
-                cands.iter().copied(),
+                cands,
                 &mut pred,
                 self.join_type,
                 |bi| self.build_matched[bi].store(true, Ordering::Relaxed),
@@ -462,6 +465,19 @@ impl ProbeSide<'_> {
         }
         self.note_candidates(checked);
         Ok(out)
+    }
+
+    /// The probe-key columns of `left`.
+    fn probe_keys(&self, left: &RowBatch) -> Vec<Arc<ColumnVec>> {
+        self.keys
+            .iter()
+            .map(|&(l, _)| left.column(l).clone())
+            .collect()
+    }
+
+    /// The probe-key row hashes of `left`.
+    fn hashes(&self, left: &RowBatch) -> Vec<u64> {
+        hash_rows(&self.probe_keys(left), left.len())
     }
 }
 
@@ -509,9 +525,10 @@ impl ExecNode for HashJoinExec {
                         let threads = state.threads();
                         let ranges = split_ranges(left.len(), threads);
                         let side = self.probe_side();
+                        let hashes = side.hashes(&left);
                         let chunks = par_run(threads, ranges.len(), |i| {
                             let (a, b) = ranges[i];
-                            side.probe(&left, a..b)
+                            side.probe(&left, &hashes, a..b)
                         })?;
                         state.note_partitions(ranges.len());
                         let mut pairs = JoinPairs::default();
@@ -521,7 +538,8 @@ impl ExecNode for HashJoinExec {
                         }
                         pairs
                     } else {
-                        self.probe_side().probe(&left, 0..left.len())?
+                        let side = self.probe_side();
+                        side.probe(&left, &side.hashes(&left), 0..left.len())?
                     };
                     let all = pairs.into_batch(&self.schema, &left, &self.build, self.join_type);
                     self.phase = Phase::Buffered(all, 0);
@@ -535,7 +553,8 @@ impl ExecNode for HashJoinExec {
                         };
                         continue;
                     };
-                    let pairs = self.probe_side().probe(&batch, 0..batch.len())?;
+                    let side = self.probe_side();
+                    let pairs = side.probe(&batch, &side.hashes(&batch), 0..batch.len())?;
                     let out = pairs.into_batch(&self.schema, &batch, &self.build, self.join_type);
                     if out.is_some() {
                         return Ok(out);

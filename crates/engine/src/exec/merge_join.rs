@@ -2,11 +2,14 @@
 //!
 //! The planner guarantees both inputs arrive sorted ascending (NULLs first)
 //! on the key columns. Supports Inner, Left and Full joins; the planner
-//! rewrites Right joins by swapping inputs.
+//! rewrites Right joins by swapping inputs. Keys match under SQL `=`, as
+//! in every join (a NULL never; an `Int` and the `Double` it equals do),
+//! compared in place on the key columns.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::batch::{RowBatch, NULL_ROW};
+use crate::batch::{ColumnData, ColumnVec, RowBatch, NULL_ROW};
 use crate::error::EngineResult;
 use crate::exec::{
     collect_batch, join_left_row, next_chunk, BoxedExec, ExecNode, ExecutionState, JoinPairs,
@@ -14,7 +17,6 @@ use crate::exec::{
 use crate::expr::{Expr, JoinPred};
 use crate::plan::JoinType;
 use crate::schema::Schema;
-use crate::value::Value;
 
 /// Merge join over sorted inputs. Output is computed group-by-group as
 /// index pairs, gathered once and streamed a chunk at a time.
@@ -57,15 +59,9 @@ impl MergeJoinExec {
     fn compute(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let l = collect_batch(self.left.as_mut(), state)?;
         let r = collect_batch(self.right.as_mut(), state)?;
-        let key_of = |b: &RowBatch, i: usize, right: bool| -> Vec<Value> {
-            self.keys
-                .iter()
-                .map(|&(lc, rc)| b.value(if right { rc } else { lc }, i))
-                .collect()
-        };
-        let lkeys: Vec<Vec<Value>> = (0..l.len()).map(|i| key_of(&l, i, false)).collect();
-        let rkeys: Vec<Vec<Value>> = (0..r.len()).map(|i| key_of(&r, i, true)).collect();
-        let has_null = |k: &[Value]| k.iter().any(Value::is_null);
+        let keys = MergeKeys::new(self.keys.iter().map(|&(a, b)| (l.column(a), r.column(b))));
+        let (lk, rk) = (&keys.left, &keys.right);
+        let has_null = |k: &[&ColumnVec], i: usize| k.iter().any(|c| c.is_null(i));
         let outer_left = matches!(self.join_type, JoinType::Left | JoinType::Full);
         let full = self.join_type == JoinType::Full;
 
@@ -75,9 +71,9 @@ impl MergeJoinExec {
         // They sort to the front (NULLs first), but a NULL may appear in a
         // later key column, so partition explicitly.
         let (l_null, l_rows): (Vec<usize>, Vec<usize>) =
-            (0..l.len()).partition(|&i| has_null(&lkeys[i]));
+            (0..l.len()).partition(|&i| has_null(lk, i));
         let (r_null, r_rows): (Vec<usize>, Vec<usize>) =
-            (0..r.len()).partition(|&i| has_null(&rkeys[i]));
+            (0..r.len()).partition(|&i| has_null(rk, i));
         if outer_left {
             l_null.iter().for_each(|&i| out.push(i, PAD));
         }
@@ -88,9 +84,8 @@ impl MergeJoinExec {
         let mut pred = self.residual.bind(&l, &r);
         let (mut li, mut ri) = (0usize, 0usize);
         while li < l_rows.len() && ri < r_rows.len() {
-            let lk = &lkeys[l_rows[li]];
-            let rk = &rkeys[r_rows[ri]];
-            match lk.cmp(rk) {
+            let (lrow, rrow) = (l_rows[li], r_rows[ri]);
+            match keys.cmp(lk, lrow, rk, rrow) {
                 Ordering::Less => {
                     if outer_left {
                         out.push(l_rows[li], PAD);
@@ -106,19 +101,20 @@ impl MergeJoinExec {
                 Ordering::Equal => {
                     // Gather the equal-key groups on both sides.
                     let mut lj = li + 1;
-                    while lj < l_rows.len() && lkeys[l_rows[lj]] == *lk {
+                    while lj < l_rows.len() && keys.cmp(lk, l_rows[lj], lk, lrow).is_eq() {
                         lj += 1;
                     }
                     let mut rj = ri + 1;
-                    while rj < r_rows.len() && rkeys[r_rows[rj]] == *rk {
+                    while rj < r_rows.len() && keys.cmp(rk, r_rows[rj], rk, rrow).is_eq() {
                         rj += 1;
                     }
                     let group = &r_rows[ri..rj];
                     let mut r_matched = vec![false; group.len()];
                     for &lrow in &l_rows[li..lj] {
+                        let cands = group.iter().copied();
                         join_left_row(
                             lrow,
-                            group.iter().copied(),
+                            cands.filter(|&rrow| keys.rest_eq(lrow, rrow)),
                             &mut pred,
                             self.join_type,
                             |k| {
@@ -147,6 +143,53 @@ impl MergeJoinExec {
             r_rows[ri..].iter().for_each(|&i| out.push(PAD, i));
         }
         Ok(out.into_batch(&self.schema, &l, &r, self.join_type))
+    }
+}
+
+/// The key columns of both sides and how the merge compares them. The
+/// leading `exact` pairs hold one type on both sides, so the structural
+/// order decides and its equality is SQL `=`. The next pair compares
+/// numbers by value, `Int` and `Double` alike — an order the inputs' sort
+/// refines, so its equal keys stay adjacent — and it and every later pair
+/// are tested with SQL `=` pair by pair.
+struct MergeKeys<'a> {
+    left: Vec<&'a ColumnVec>,
+    right: Vec<&'a ColumnVec>,
+    exact: usize,
+}
+
+impl<'a> MergeKeys<'a> {
+    fn new(pairs: impl Iterator<Item = (&'a Arc<ColumnVec>, &'a Arc<ColumnVec>)>) -> Self {
+        let (left, right): (Vec<&ColumnVec>, Vec<&ColumnVec>) =
+            pairs.map(|(a, b)| (a.as_ref(), b.as_ref())).unzip();
+        let one_type = |(a, b): &(&&ColumnVec, &&ColumnVec)| {
+            std::mem::discriminant(a.data()) == std::mem::discriminant(b.data())
+                && !matches!(a.data(), ColumnData::Mixed(_))
+        };
+        let exact = left.iter().zip(&right).take_while(one_type).count();
+        MergeKeys { left, right, exact }
+    }
+
+    /// Row `i` of key columns `a` against row `j` of `b` (either side's).
+    fn cmp(&self, a: &[&ColumnVec], i: usize, b: &[&ColumnVec], j: usize) -> Ordering {
+        let structural = (0..self.exact).map(|k| a[k].cmp_at(i, b[k], j));
+        let next = a.get(self.exact).zip(b.get(self.exact));
+        let by_value = next.map(|(x, y)| {
+            let (x, y) = (x.value(i), y.value(j));
+            match (x.as_double(), y.as_double()) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                _ => x.cmp(&y),
+            }
+        });
+        structural
+            .chain(by_value)
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Are the keys past the exact ones SQL-equal for the pair `(li, ri)`?
+    fn rest_eq(&self, li: usize, ri: usize) -> bool {
+        (self.exact..self.left.len()).all(|k| self.left[k].join_eq_at(li, self.right[k], ri))
     }
 }
 

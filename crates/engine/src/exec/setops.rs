@@ -1,7 +1,7 @@
 //! Set operations ∪, ∩, − with set semantics (duplicates eliminated), the
 //! semantics the paper assumes for temporal relations (Sec. 3.1).
 
-use crate::batch::{RowBatch, RowSet};
+use crate::batch::{hash_rows, KeyEq, KeyTable, RowBatch};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{collect_batch, next_chunk, BoxedExec, ExecNode, ExecutionState};
 use crate::plan::SetOpKind;
@@ -32,29 +32,31 @@ impl HashSetOpExec {
         })
     }
 
-    /// The surviving rows of `left ++ right`, gathered once.
+    /// The surviving rows: the distinct rows of `left ++ right` (UNION) or
+    /// of the left rows found (INTERSECT) or not found (EXCEPT) among the
+    /// right rows, in first-seen order.
     fn compute(&mut self, state: &ExecutionState) -> EngineResult<RowBatch> {
         let schema = self.left.schema().clone();
         let left = collect_batch(self.left.as_mut(), state)?;
         let right = collect_batch(self.right.as_mut(), state)?;
-        let n_left = left.len();
-        let both = RowBatch::concat(schema, &[left, right]);
-        let mut seen = RowSet::new(&both);
-        let keep: Vec<usize> = match self.kind {
-            SetOpKind::Union => (0..both.len()).filter(|&i| seen.insert(i)).collect(),
+        let rows = match self.kind {
+            SetOpKind::Union => RowBatch::concat(schema.clone(), &[left, right]),
             SetOpKind::Intersect | SetOpKind::Except => {
-                let mut right_set = RowSet::new(&both);
-                for i in n_left..both.len() {
-                    right_set.insert(i);
-                }
+                let mut right_set = KeyTable::new(KeyEq::Group, schema.len());
+                right_set.group(right.columns(), right.len());
+                let (cols, hashes) = (left.columns(), hash_rows(left.columns(), left.len()));
                 let want = self.kind == SetOpKind::Intersect;
-                (0..n_left)
-                    .filter(|&i| right_set.contains(i) == want && seen.insert(i))
-                    .collect()
+                let found = |i: usize| right_set.matches(cols, i, hashes[i]).next().is_some();
+                let keep: Vec<u32> = (0..left.len())
+                    .filter(|&i| found(i) == want)
+                    .map(|i| i as u32)
+                    .collect();
+                left.gather(&keep)
             }
         };
-        let keep: Vec<u32> = keep.into_iter().map(|i| i as u32).collect();
-        Ok(both.gather(&keep))
+        let mut seen = KeyTable::new(KeyEq::Group, schema.len());
+        seen.group(rows.columns(), rows.len());
+        Ok(RowBatch::new(schema, seen.len(), seen.keys(0..seen.len())))
     }
 }
 

@@ -20,7 +20,6 @@ mod resolve;
 pub use analysis::{
     detect_overlap_pattern, split_join_condition, JoinConditionParts, OverlapPattern,
 };
-pub(crate) use eval::{BatchRow, Columns};
 pub use fold::fold;
 pub(crate) use pred::{BoundJoin, CompiledPred, JoinPred, PredOperand};
 pub use resolve::resolve_name;

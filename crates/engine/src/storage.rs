@@ -9,7 +9,6 @@
 //! [`crate::exec::StorageScanExec`], which decodes pages straight into
 //! [`crate::batch::RowBatch`]es without ever materializing the table.
 
-use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -17,7 +16,7 @@ use temporal_store::{AppendBatch, HeapSnapshot, IndexEntry, Page, PageId, TableH
 
 use crate::batch::{BatchBuilder, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
-use crate::hashing::FxHasher;
+use crate::hashing::mix_bytes;
 use crate::relation::Relation;
 use crate::schema::{Column, DataType, Schema};
 use crate::tuple::Row;
@@ -97,9 +96,7 @@ pub fn schema_from_string(s: &str) -> EngineResult<Schema> {
 /// heap file: an FxHash of the serialized (unqualified) schema, so a heap
 /// can never be decoded under the wrong column layout.
 pub fn schema_fingerprint(schema: &Schema) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(schema_to_string(schema).as_bytes());
-    h.finish()
+    mix_bytes(0, schema_to_string(schema).as_bytes())
 }
 
 // ---- row codec -----------------------------------------------------------

@@ -9,6 +9,10 @@
 //! gaps-only anti-join sweep, absorb). Plus batch-boundary edge cases:
 //! empty inputs, batches emptied by a filter, inputs of exactly
 //! `BATCH_SIZE` rows, and sweep/absorb groups spanning batch boundaries.
+//! And the key table behind every hash operator, over key columns that
+//! switch representation from batch to batch: the hash join against the
+//! brute-force nested loop, HashAggregate and DISTINCT against a grouping
+//! by owned `Vec<Value>` keys.
 
 mod common;
 
@@ -297,4 +301,248 @@ fn filter_skips_emptied_batches() {
     let state = ExecutionState::default();
     let mut exec = physical.execute(&state).unwrap();
     assert!(exec.next_batch(&state).unwrap().is_none());
+}
+
+// ---- the key table: hash join, HashAggregate, DISTINCT -----------------
+
+mod key_table {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{HashMap, HashSet};
+    use std::sync::Arc;
+    use temporal_alignment::engine::exec::{
+        collect, DistinctExec, HashAggregateExec, HashJoinExec, MergeJoinExec, NestedLoopJoinExec,
+        SeqScanExec, SortExec,
+    };
+    use temporal_alignment::engine::value::num_add;
+
+    /// A key value of `kind` — 0 Int, 1 Double (NaN, −0.0 and integral
+    /// values among them), 2 Str, 3 Bool, 4 Int or Double — NULL one time
+    /// in six. Small domains, so keys collide within and across kinds.
+    fn key(rng: &mut StdRng, kind: usize) -> Value {
+        if rng.gen_range(0..6) == 0 {
+            return Value::Null;
+        }
+        let double = |rng: &mut StdRng| {
+            let d = [f64::NAN, -0.0, 0.0, 1.0, 2.0, 0.5];
+            Value::Double(d[rng.gen_range(0..d.len())])
+        };
+        match kind {
+            0 => Value::Int(rng.gen_range(-1..3)),
+            1 => double(rng),
+            2 => Value::str(["a", "b"][rng.gen_range(0..2)]),
+            3 => Value::Bool(rng.gen_range(0..2) == 0),
+            _ if rng.gen_range(0..2) == 0 => Value::Int(rng.gen_range(-1..3)),
+            _ => double(rng),
+        }
+    }
+
+    /// `(k0, k1, v)` rows in batches of 1–7 rows. Each batch draws the kind
+    /// of each key column anew, so a column is `Int` in one batch and
+    /// `Double`, `Str` or `Mixed` in the next; `v` is a small integer, NULL
+    /// or a Double now and then.
+    fn keyed_rel(rng: &mut StdRng, batches: usize) -> Arc<Relation> {
+        let schema = Schema::new(vec![
+            Column::new("k0", DataType::Int),
+            Column::new("k1", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let batches = (0..batches)
+            .map(|_| {
+                let kinds = [rng.gen_range(0..5), rng.gen_range(0..5)];
+                let rows: Vec<Row> = (0..rng.gen_range(1..8))
+                    .map(|_| {
+                        let v = match rng.gen_range(0..12) {
+                            0 => Value::Null,
+                            1 => Value::Double(2.5),
+                            _ => Value::Int(rng.gen_range(0..8)),
+                        };
+                        Row::new(vec![key(rng, kinds[0]), key(rng, kinds[1]), v])
+                    })
+                    .collect();
+                RowBatch::from_rows(schema.clone(), &rows)
+            })
+            .collect();
+        Relation::from_batches(schema, batches)
+            .unwrap()
+            .into_shared()
+    }
+
+    fn scan(rel: &Arc<Relation>) -> BoxedExec {
+        Box::new(SeqScanExec::new(rel.clone()))
+    }
+
+    fn par_state() -> ExecutionState {
+        ExecutionState::new(PlannerConfig {
+            threads: 4,
+            parallel_min_rows: 1,
+            ..Default::default()
+        })
+    }
+
+    /// Every join type of the hash join on two keys, serial and with four
+    /// threads, with and without a range-ordered residual, against the
+    /// nested loop testing `k0 = k0 ∧ k1 = k1 ∧ residual` on every pair —
+    /// and the merge join's three join types over the sorted inputs.
+    #[test]
+    fn hash_join_equals_the_nested_loop() {
+        let mut rng = StdRng::seed_from_u64(28);
+        // Over `probe (k0, k1, v) ++ build (k0, k1, v)`: build v bounded
+        // by probe v from below and a literal from above.
+        let ranged = col(5).gt(col(2)).and(col(5).le(lit(6i64)));
+        for round in 0..40 {
+            let (l, r) = (
+                keyed_rel(&mut rng, 1 + round % 5),
+                keyed_rel(&mut rng, 1 + round % 7),
+            );
+            for residual in [None, Some(ranged.clone())] {
+                for jt in [
+                    JoinType::Inner,
+                    JoinType::Left,
+                    JoinType::Right,
+                    JoinType::Full,
+                    JoinType::Semi,
+                    JoinType::Anti,
+                ] {
+                    let label = format!("round {round}, {jt:?}, residual {residual:?}");
+                    let hash = || -> BoxedExec {
+                        Box::new(HashJoinExec::new(
+                            scan(&l),
+                            scan(&r),
+                            vec![(0, 0), (1, 1)],
+                            residual.clone(),
+                            jt,
+                        ))
+                    };
+                    let serial = collect(hash(), &ExecutionState::default()).unwrap();
+                    let par = collect(hash(), &par_state()).unwrap();
+                    assert_eq!(par.rows(), serial.rows(), "threads 4 vs 1: {label}");
+                    let keys = col(0).eq(col(3)).and(col(1).eq(col(4)));
+                    let theta = match &residual {
+                        None => keys,
+                        Some(res) => keys.and(res.clone()),
+                    };
+                    let nl = NestedLoopJoinExec::new(scan(&l), scan(&r), jt, Some(theta));
+                    let want = collect(Box::new(nl), &ExecutionState::default()).unwrap();
+                    assert!(serial.same_bag(&want), "{label}:\n{serial}\nvs\n{want}");
+                    if matches!(jt, JoinType::Inner | JoinType::Left | JoinType::Full) {
+                        let sorted = |rel| -> BoxedExec {
+                            let keys = vec![SortKey::asc(col(0)), SortKey::asc(col(1))];
+                            Box::new(SortExec::new(scan(rel), keys))
+                        };
+                        let merge = MergeJoinExec::new(
+                            sorted(&l),
+                            sorted(&r),
+                            vec![(0, 0), (1, 1)],
+                            residual.clone(),
+                            jt,
+                        );
+                        let got = collect(Box::new(merge), &ExecutionState::default()).unwrap();
+                        assert!(
+                            got.same_bag(&want),
+                            "merge join, {label}:\n{got}\nvs\n{want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grouping by owned keys, the way the executor grouped before the key
+    /// table: a map from the group's `Vec<Value>` key to its slot, groups
+    /// in first-seen order, COUNT(*), COUNT, SUM, MIN and MAX of column 2.
+    fn aggregate_by_value_keys(rows: &[Row], group: &[usize]) -> Vec<Vec<Value>> {
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut out: Vec<(Vec<Value>, [Value; 5])> = Vec::new();
+        for row in rows {
+            let key: Vec<Value> = group.iter().map(|&c| row[c].clone()).collect();
+            let slot = *index.entry(key.clone()).or_insert_with(|| {
+                let empty = [
+                    Value::Int(0),
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ];
+                out.push((key, empty));
+                out.len() - 1
+            });
+            let [count_star, count, sum, min, max] = &mut out[slot].1;
+            *count_star = Value::Int(count_star.as_int().unwrap() + 1);
+            let v = &row[2];
+            if v.is_null() {
+                continue;
+            }
+            *count = Value::Int(count.as_int().unwrap() + 1);
+            *sum = if sum.is_null() {
+                v.clone()
+            } else {
+                num_add(sum, v).unwrap()
+            };
+            if min.is_null() || v.sql_cmp(min) == Some(std::cmp::Ordering::Less) {
+                *min = v.clone();
+            }
+            if max.is_null() || v.sql_cmp(max) == Some(std::cmp::Ordering::Greater) {
+                *max = v.clone();
+            }
+        }
+        if out.is_empty() && group.is_empty() {
+            let empty = [
+                Value::Int(0),
+                Value::Int(0),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ];
+            out.push((Vec::new(), empty));
+        }
+        out.into_iter()
+            .map(|(mut key, aggs)| {
+                key.extend(aggs);
+                key
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_aggregate_and_distinct_equal_grouping_by_value_keys() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let v = || col(2);
+        let aggs = vec![
+            AggCall::count_star(),
+            AggCall::new(AggFunc::Count, v()),
+            AggCall::new(AggFunc::Sum, v()),
+            AggCall::new(AggFunc::Min, v()),
+            AggCall::new(AggFunc::Max, v()),
+        ];
+        for round in 0..60 {
+            let rel = keyed_rel(&mut rng, round % 9);
+            let rows = rel.rows();
+            for group in [vec![], vec![0], vec![1, 0]] {
+                let names = group.iter().map(|c| format!("g{c}"));
+                let names = names.chain(["cs", "c", "s", "mn", "mx"].map(String::from));
+                let schema = Schema::new(names.map(|n| Column::new(n, DataType::Int)).collect());
+                let agg = HashAggregateExec::new(
+                    scan(&rel),
+                    group.iter().map(|&c| col(c)).collect(),
+                    aggs.clone(),
+                    schema,
+                );
+                let got = collect(Box::new(agg), &ExecutionState::default()).unwrap();
+                let got: Vec<Vec<Value>> = got.rows().iter().map(|r| r.to_vec()).collect();
+                let want = aggregate_by_value_keys(rows, &group);
+                assert_eq!(got, want, "round {round}, group by {group:?}");
+            }
+            let distinct = collect(
+                Box::new(DistinctExec::new(scan(&rel))),
+                &ExecutionState::default(),
+            )
+            .unwrap();
+            let mut seen = HashSet::new();
+            let want: Vec<&Row> = rows.iter().filter(|r| seen.insert(r.to_vec())).collect();
+            let got: Vec<&Row> = distinct.rows().iter().collect();
+            assert_eq!(got, want, "round {round}: DISTINCT");
+        }
+    }
 }

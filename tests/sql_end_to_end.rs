@@ -338,3 +338,43 @@ fn temporal_operators_reject_empty_and_inverted_intervals() {
         .unwrap_err();
     assert!(err.to_string().contains("empty interval [4, 4)"), "{err}");
 }
+
+#[test]
+fn int_double_equi_join_matches_under_every_join_method() {
+    // `a.x = b.y` compares an int with a double numerically, so (1, 1.0)
+    // joins; and 0 = -0.0 is false, as it is for θ evaluated row by row.
+    let mut session = Session::new();
+    for stmt in [
+        "CREATE TABLE a (x int, ts int, te int)",
+        "CREATE TABLE b (y double, ts int, te int)",
+        "INSERT INTO a VALUES (1, 0, 5), (2, 0, 5), (0, 3, 4)",
+        "INSERT INTO b VALUES (1.0, 0, 5), (-0.0, 1, 2)",
+    ] {
+        session.execute(stmt).unwrap();
+    }
+    let q = "SELECT a.x, b.y FROM a JOIN b ON a.x = b.y";
+    for (method, on) in [
+        ("NestedLoopJoin", "enable_nestloop"),
+        ("HashJoin", "enable_hashjoin"),
+        ("MergeJoin", "enable_mergejoin"),
+    ] {
+        for knob in ["enable_nestloop", "enable_hashjoin", "enable_mergejoin"] {
+            let value = if knob == on { "on" } else { "off" };
+            session.execute(&format!("SET {knob} = {value}")).unwrap();
+        }
+        let plan = session.explain(q).unwrap();
+        assert!(plan.contains(method), "{method} expected:\n{plan}");
+        let rows: Vec<Vec<Value>> = session
+            .query(q)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.to_vec())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![vec![Value::Int(1), Value::Double(1.0)]],
+            "{method}"
+        );
+    }
+}
