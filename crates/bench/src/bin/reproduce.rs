@@ -256,12 +256,7 @@ fn config_json(c: &PlannerConfig) -> Json {
         ("enable_intervaljoin_auto", c.enable_intervaljoin_auto),
         ("enable_rewrites", c.enable_rewrites),
     ];
-    let mut fields = vec![
-        ("threads", int(c.threads)),
-        ("parallel_min_rows", int(c.parallel_min_rows)),
-    ];
-    fields.extend(flags.map(|(k, v)| (k, Json::Bool(v))));
-    Json::Obj(fields)
+    Json::Obj(flags.map(|(k, v)| (k, Json::Bool(v))).into())
 }
 
 fn curve_json(c: &Curve) -> Json {

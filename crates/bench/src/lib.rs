@@ -124,14 +124,13 @@ pub struct Experiment {
 }
 
 /// `base` with every setting `PlannerConfig::default()` reads from the
-/// environment (`TEMPORAL_THREADS`, `TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
-/// `TEMPORAL_INTERVAL_INDEX`) fixed: `threads` as given, tracing off,
-/// both pruning layers on. `PlannerConfig::paper()` inherits those
-/// defaults, so without this `TEMPORAL_THREADS=4` would silently run the
-/// paper's figures on four threads.
-pub fn pin(base: PlannerConfig, threads: usize) -> PlannerConfig {
+/// environment (`TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
+/// `TEMPORAL_INTERVAL_INDEX`) fixed: tracing off, both pruning layers on.
+/// `PlannerConfig::paper()` inherits those defaults, so without this
+/// `TEMPORAL_TRACE=on` would silently run the paper's figures
+/// instrumented.
+pub fn pin(base: PlannerConfig) -> PlannerConfig {
     PlannerConfig {
-        threads,
         trace: false,
         enable_zonemaps: true,
         enable_interval_index: true,
@@ -140,7 +139,7 @@ pub fn pin(base: PlannerConfig, threads: usize) -> PlannerConfig {
 }
 
 fn paper() -> PlannerConfig {
-    pin(PlannerConfig::paper(), 1)
+    pin(PlannerConfig::paper())
 }
 
 fn series(
@@ -157,23 +156,21 @@ fn series(
     }
 }
 
-/// The default planner (sweep interval join auto-selected) at one and two
-/// threads: what the extensions buy beside a figure's paper shape.
-fn defaults(label: &str, query: &'static str, plan: PlanFn) -> Vec<Series> {
-    [1, 2]
-        .map(|t| {
-            let label = format!("{label} (default, t={t})");
-            series(label, query, pin(PlannerConfig::default(), t), plan)
-        })
-        .into()
+/// The default planner (sweep interval join auto-selected): what the
+/// extensions buy beside a figure's paper shape. The label keeps the
+/// `t=1` of the committed runs, so a series is one name across them all.
+fn default_planner(label: &str, query: &'static str, plan: PlanFn) -> Series {
+    let label = format!("{label} (default, t=1)");
+    series(label, query, pin(PlannerConfig::default()), plan)
 }
 
-/// The paper's method under the paper-faithful planner, then
-/// [`defaults`].
+/// The paper's method under the paper-faithful planner, then under the
+/// [`default_planner`].
 fn method(label: &str, query: &'static str, plan: PlanFn) -> Vec<Series> {
-    let mut out = vec![series(label, query, paper(), plan)];
-    out.extend(defaults(label, query, plan));
-    out
+    vec![
+        series(label, query, paper(), plan),
+        default_planner(label, query, plan),
+    ]
 }
 
 /// An outer-join figure: the given baselines under the paper-faithful
@@ -300,7 +297,7 @@ fn incumben_prefix(n: usize) -> Data {
 }
 
 /// The experiment table: Figs. 13–16 (each with its paper-faithful series
-/// and the default planner at `threads` = 1 and 2), the anti-join
+/// and the default planner), the anti-join
 /// ablation, and the `chain`, `storage` and `timeslice` rows.
 pub fn experiments() -> Vec<Experiment> {
     let o1 = || {
@@ -316,7 +313,7 @@ pub fn experiments() -> Vec<Experiment> {
     let unpruned = PlannerConfig {
         enable_zonemaps: false,
         enable_interval_index: false,
-        ..pin(PlannerConfig::default(), 1)
+        ..pin(PlannerConfig::default())
     };
     vec![
         Experiment {
@@ -329,8 +326,8 @@ pub fn experiments() -> Vec<Experiment> {
             // optimizer (merge, then hash, then nestloop); our cost model
             // prefers hash, so (b) disables hash. Every setting still runs
             // the best *enabled* method, which is the figure's claim.
-            series: [
-                series("(a) all", "N{ssn}", pin(PlannerConfig::all_enabled(), 1), n_ssn),
+            series: vec![
+                series("(a) all", "N{ssn}", pin(PlannerConfig::all_enabled()), n_ssn),
                 series(
                     "(b) -hash",
                     "N{ssn}",
@@ -343,13 +340,11 @@ pub fn experiments() -> Vec<Experiment> {
                 series(
                     "(c) nestloop",
                     "N{ssn}",
-                    pin(PlannerConfig::nestloop_only(), 1),
+                    pin(PlannerConfig::nestloop_only()),
                     n_ssn,
                 ),
-            ]
-            .into_iter()
-            .chain(defaults("N{ssn}", "N{ssn}", n_ssn))
-            .collect(),
+                default_planner("N{ssn}", "N{ssn}", n_ssn),
+            ],
         },
         Experiment {
             id: "fig14",
@@ -455,7 +450,7 @@ pub fn experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "chain",
-            title: "Chain: ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — one plan, rewrites off, threads 2 and 4",
+            title: "Chain: ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — one plan, and with rewrites off",
             quick: &[500, 1_000, 2_000, 4_000, 8_000],
             full: &[2_000, 4_000, 8_000, 16_000],
             data: incumben_prefix,
@@ -470,8 +465,6 @@ pub fn experiments() -> Vec<Experiment> {
                     },
                     chain,
                 ),
-                series("plan-first (t=2)", "chain", pin(PlannerConfig::paper(), 2), chain),
-                series("plan-first (t=4)", "chain", pin(PlannerConfig::paper(), 4), chain),
             ],
         },
         Experiment {
@@ -509,7 +502,7 @@ pub fn experiments() -> Vec<Experiment> {
                     },
                     as_of,
                 ),
-                series("index", "AS OF", pin(PlannerConfig::default(), 1), as_of),
+                series("index", "AS OF", pin(PlannerConfig::default()), as_of),
             ],
         },
     ]
@@ -684,20 +677,15 @@ mod tests {
         }
     }
 
-    /// CI runs the suite under `TEMPORAL_THREADS=4`, `TEMPORAL_TRACE=on`
-    /// and `TEMPORAL_ZONEMAPS=0 TEMPORAL_INTERVAL_INDEX=0`; none of them
-    /// may reach a series.
+    /// CI runs the suite under `TEMPORAL_TRACE=on` and
+    /// `TEMPORAL_ZONEMAPS=0 TEMPORAL_INTERVAL_INDEX=0`; none of them may
+    /// reach a series.
     #[test]
-    fn every_series_pins_threads_trace_and_pruning() {
+    fn every_series_pins_trace_and_pruning() {
         for exp in experiments() {
             for s in &exp.series {
                 let c = s.config;
                 let what = format!("{} / {}", exp.id, s.label);
-                let threads = s
-                    .label
-                    .split_once("t=")
-                    .map_or(1, |(_, t)| t.trim_end_matches(')').parse().expect("t=N"));
-                assert_eq!(c.threads, threads, "{what}");
                 assert!(!c.trace, "{what}");
                 let pruning = match (exp.id, s.label.as_str()) {
                     ("storage", _) | ("timeslice", "full-scan") => (false, false),

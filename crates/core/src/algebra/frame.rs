@@ -823,8 +823,8 @@ impl Database {
             .map_err(TemporalError::from)
     }
 
-    /// Set an integer GUC by name (e.g. `threads`, `parallel_min_rows`) —
-    /// applies to every frame and SQL session sharing this database.
+    /// Set an integer GUC by name (e.g. `slow_query_ms`) — applies to
+    /// every frame and SQL session sharing this database.
     /// `wal_checkpoint_pages` (how many pages' worth of WAL accumulate
     /// before an automatic checkpoint) is handled here too; like
     /// `sync_mode` it is accepted but inert on an in-memory database.
@@ -1250,7 +1250,7 @@ impl TemporalFrame {
     /// instrumentation (the result is discarded), and render the same
     /// physical tree as [`TemporalFrame::explain`] annotated with actual
     /// rows, batches, wall-time and access-path counters (pages
-    /// read/skipped, parallel partitions) next to the optimizer's
+    /// read/skipped, join candidates) next to the optimizer's
     /// estimates — the same rendering SQL `EXPLAIN ANALYZE` produces.
     pub fn explain_analyze(&self) -> TemporalResult<String> {
         let physical = self.db.physical(self.plan()?)?;

@@ -369,16 +369,10 @@ impl TemporalPlan {
         Ok(planner.plan(&self.plan, catalog)?)
     }
 
-    /// EXPLAIN the whole composed query as one physical tree. Under a
-    /// parallel configuration the execution shape (exchanges, partition
-    /// counts) is shown too — the same rendering SQL `EXPLAIN` produces.
+    /// EXPLAIN the whole composed query as one physical tree — the same
+    /// rendering SQL `EXPLAIN` produces.
     pub fn explain(&self, planner: &Planner, catalog: &Catalog) -> TemporalResult<String> {
-        let physical = self.physical(planner, catalog)?;
-        Ok(if planner.config.threads > 1 {
-            physical.explain_parallel(&planner.config)
-        } else {
-            physical.explain()
-        })
+        Ok(self.physical(planner, catalog)?.explain())
     }
 
     /// Execute the whole composed query with a **single** `Planner::run`.

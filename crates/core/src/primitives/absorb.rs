@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use temporal_engine::batch::RowBatch;
-use temporal_engine::exec::{next_chunk, ExecNode, ExecutionState, SortExec};
+use temporal_engine::exec::{ExecNode, ExecutionState, SortExec};
 
 use crate::primitives::adjustment::{check_interval, int_in};
 use temporal_engine::plan::ExtensionNode;
@@ -124,12 +124,6 @@ pub struct AbsorbExec {
     data_width: usize,
     ts_idx: usize,
     te_idx: usize,
-    started: bool,
-    /// May this node split its input into data-run partitions and absorb
-    /// them on workers? False for the per-partition sub-sweeps.
-    allow_parallel: bool,
-    /// Output of a partitioned parallel absorb, drained a batch at a time.
-    outbuf: Option<(RowBatch, usize)>,
 }
 
 impl AbsorbExec {
@@ -142,40 +136,7 @@ impl AbsorbExec {
             data_width: n - 2,
             ts_idx: n - 2,
             te_idx: n - 1,
-            started: false,
-            allow_parallel: true,
-            outbuf: None,
         }
-    }
-
-    /// Partitioned absorb: materialize the sorted input, cut it at data-run
-    /// boundaries (absorption groups never straddle a cut — the cut snaps
-    /// forward past any group that would) and run an independent serial
-    /// absorb per partition on workers. The absorb state fully resets at
-    /// every data change, so the concatenation in partition order is
-    /// row-identical to one serial pass (see
-    /// [`crate::primitives::parallel`]). Falls back to serving the
-    /// materialized rows serially when the input is small or one giant run.
-    fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
-        use crate::primitives::parallel::data_partition_ranges;
-        use temporal_engine::exec::workers::par_run;
-        use temporal_engine::exec::{collect_batch, ValuesExec};
-        self.allow_parallel = false;
-        let all = collect_batch(self.input.as_mut(), state)?;
-        let ranges = data_partition_ranges(&all, self.data_width, state.threads());
-        if !state.parallel(all.len()) || ranges.len() <= 1 {
-            self.input = Box::new(ValuesExec::new(all));
-            return Ok(());
-        }
-        let chunks = par_run(state.threads(), ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut sub = AbsorbExec::new(Box::new(ValuesExec::new(all.slice(a..b))));
-            sub.allow_parallel = false;
-            collect_batch(&mut sub, state)
-        })?;
-        state.note_partitions(ranges.len());
-        self.outbuf = Some((RowBatch::concat(all.schema().clone(), &chunks), 0));
-        Ok(())
     }
 
     /// Which rows of a sorted input batch survive. Input is sorted by
@@ -213,13 +174,6 @@ impl ExecNode for AbsorbExec {
     /// call. Loops past fully absorbed batches — `Some` batches
     /// are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        if self.allow_parallel && !self.started && state.threads() > 1 {
-            self.try_parallel(state)?;
-        }
-        self.started = true;
-        if let Some((all, pos)) = &mut self.outbuf {
-            return Ok(next_chunk(all, pos));
-        }
         while let Some(batch) = self.input.next_batch(state)? {
             let keep = self.admit(&batch)?;
             if keep.contains(&true) {
@@ -320,33 +274,6 @@ mod tests {
             let slow = absorb_ref(&r).unwrap();
             assert!(fast.same_set(&slow), "case {rows:?}: {fast} vs {slow}");
         }
-    }
-
-    #[test]
-    fn parallel_absorb_is_row_identical_to_serial() {
-        // Long runs per value (runs straddle naive cut points), nested and
-        // duplicated intervals.
-        let names = ["a", "b", "c"];
-        let mut rows: Vec<(&str, i64, i64)> = Vec::new();
-        for i in 0..150i64 {
-            let v = names[(i % 3) as usize];
-            rows.push((v, i % 11, i % 11 + 1 + i % 13));
-            if i % 10 == 0 {
-                rows.push((v, i % 11, i % 11 + 1 + i % 13)); // exact duplicate
-            }
-        }
-        let r = rel(&rows);
-        let plan = AbsorbNode::plan(LogicalPlan::inline_scan(r.rel().clone()));
-        let catalog = temporal_engine::catalog::Catalog::new();
-        let serial = Planner::default().run(&plan, &catalog).unwrap();
-        let par = Planner::new(PlannerConfig {
-            threads: 4,
-            parallel_min_rows: 1,
-            ..Default::default()
-        })
-        .run(&plan, &catalog)
-        .unwrap();
-        assert_eq!(serial.rows(), par.rows(), "absorb must be row-identical");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use temporal_engine::batch::{ColumnVec, RowBatch, BATCH_SIZE};
-use temporal_engine::exec::{next_chunk, ExecNode, ExecutionState};
+use temporal_engine::exec::{ExecNode, ExecutionState};
 use temporal_engine::plan::{CostModel, ExtensionNode, PlanStats};
 use temporal_engine::prelude::*;
 
@@ -315,19 +315,12 @@ pub struct AdjustmentExec {
     schema: Schema,
     r_width: usize,
     sweep: Sweep,
-    started: bool,
     /// The input not yet swept; row `pos` is the first row of a group.
     window: RowBatch,
     pos: usize,
     /// An input batch pulled while the window still had tuples to emit.
     pending: Option<RowBatch>,
     input_done: bool,
-    /// May this node split its input into data-run partitions and sweep
-    /// them on workers? True for planner-built nodes, false for the
-    /// per-partition sub-sweeps (no nested fan-out).
-    allow_parallel: bool,
-    /// Output of a partitioned parallel sweep, drained a batch at a time.
-    outbuf: Option<(RowBatch, usize)>,
 }
 
 /// The Fig. 10 sweep over one group at a time, and the state it carries
@@ -467,46 +460,10 @@ impl AdjustmentExec {
                 last_out: None,
                 last_same_data: false,
             },
-            started: false,
             pos: 0,
             pending: None,
             input_done: false,
-            allow_parallel: true,
-            outbuf: None,
         }
-    }
-
-    /// Partitioned sweep: materialize the (already sorted) input, cut it at
-    /// data-run boundaries and sweep each partition with an independent
-    /// serial sub-sweep on a worker. Concatenated in partition order this is
-    /// row-identical to one serial sweep (see [`super::parallel`]); groups
-    /// that would straddle a cut are pushed whole into the earlier
-    /// partition. Falls back to the serial machinery (input pre-buffered)
-    /// when the input is too small or collapses into one run.
-    fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
-        use super::parallel::data_partition_ranges;
-        use temporal_engine::exec::workers::par_run;
-        use temporal_engine::exec::{collect_batch, ValuesExec};
-        self.allow_parallel = false;
-        let all = collect_batch(self.input.as_mut(), state)?;
-        let ranges = data_partition_ranges(&all, self.sweep.ts_idx, state.threads());
-        if !state.parallel(all.len()) || ranges.len() <= 1 {
-            self.window = all;
-            self.input_done = true;
-            return Ok(());
-        }
-        let (schema, mode) = (self.schema.clone(), self.sweep.mode);
-        let (p1_idx, p2_idx) = (self.sweep.p1_idx, self.sweep.p2_idx);
-        let chunks = par_run(state.threads(), ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let input = Box::new(ValuesExec::new(all.slice(a..b)));
-            let mut sub = AdjustmentExec::new(input, schema.clone(), mode, p1_idx, p2_idx);
-            sub.allow_parallel = false;
-            collect_batch(&mut sub, state)
-        })?;
-        state.note_partitions(ranges.len());
-        self.outbuf = Some((RowBatch::concat(self.schema.clone(), &chunks), 0));
-        Ok(())
     }
 
     /// The output batch of `out`: the data columns of the window gathered
@@ -533,13 +490,6 @@ impl ExecNode for AdjustmentExec {
     /// refilled (keeping the unfinished group) only after the tuples
     /// gathered from it have been emitted, since they index it.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        if self.allow_parallel && !self.started && state.threads() > 1 {
-            self.try_parallel(state)?;
-        }
-        self.started = true;
-        if let Some((all, pos)) = &mut self.outbuf {
-            return Ok(next_chunk(all, pos));
-        }
         let mut out = Adjusted::default();
         while out.src.len() < BATCH_SIZE {
             let (w, s) = (&self.window, self.pos);
@@ -824,66 +774,6 @@ mod tests {
         let state = ExecutionState::default();
         assert!(exec.next_batch(&state).is_err());
         assert!(exec.next_batch(&state).is_err(), "re-poll must re-error");
-    }
-
-    #[test]
-    fn parallel_sweep_is_row_identical_to_serial() {
-        // Many groups with shared data values (so data-runs span several
-        // r-tuples and some runs straddle naive cut points), gaps, overlaps
-        // and unmatched tuples. Compare the full planned pipeline under a
-        // 4-worker state against the serial planner, for every sweep mode.
-        let mut r_rows: Vec<(&str, i64, i64)> = Vec::new();
-        let names = ["a", "b", "c", "d", "e"];
-        for i in 0..120i64 {
-            let v = names[(i % 5) as usize];
-            r_rows.push((v, i % 37, i % 37 + 3 + i % 7));
-        }
-        let mut s_rows: Vec<(&str, i64, i64)> = Vec::new();
-        for i in 0..90i64 {
-            let v = names[(i % 4) as usize];
-            s_rows.push((v, i % 29, i % 29 + 2 + i % 5));
-        }
-        let r = rel("r", &r_rows);
-        let s = rel("s", &s_rows);
-        let theta = col(0).eq(col(3));
-        let serial = Planner::default();
-        let par = Planner::new(PlannerConfig {
-            threads: 4,
-            parallel_min_rows: 1,
-            ..Default::default()
-        });
-        // Alignment (with and without θ).
-        for theta in [None, Some(theta)] {
-            let a = aligned(&r, &s, theta.clone(), &serial);
-            let b = aligned(&r, &s, theta, &par);
-            assert_eq!(
-                a.rel().rows(),
-                b.rel().rows(),
-                "align must be row-identical"
-            );
-        }
-        // Normalization (grouped and ungrouped).
-        for b in [&[][..], &[(0usize, 0usize)][..]] {
-            let x = normalized(&r, &s, b, &serial);
-            let y = normalized(&r, &s, b, &par);
-            assert_eq!(
-                x.rel().rows(),
-                y.rel().rows(),
-                "normalize must be row-identical"
-            );
-        }
-        // Gaps-only (anti-join primitive).
-        let catalog = temporal_engine::catalog::Catalog::new();
-        let gaps = |p: &Planner| {
-            let plan = antijoin_gaps_plan(
-                LogicalPlan::inline_scan(r.rel().clone()),
-                LogicalPlan::inline_scan(s.rel().clone()),
-                None,
-            )
-            .unwrap();
-            p.run(&plan, &catalog).unwrap()
-        };
-        assert_eq!(gaps(&serial).rows(), gaps(&par).rows());
     }
 
     #[test]

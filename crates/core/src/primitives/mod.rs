@@ -21,5 +21,4 @@ pub mod absorb;
 pub mod adjustment;
 pub mod aligner;
 pub mod extend;
-pub(crate) mod parallel;
 pub mod splitter;

@@ -4,10 +4,7 @@
 //! [`ExecutionState::with_instrumentation`], the plan builder wraps every
 //! executor node in an [`InstrumentedExec`] that times each pull and
 //! counts rows/batches into a shared [`OperatorStats`], keyed by the
-//! *plan node's address* in the [`Instrumentation`] registry. Parallel
-//! partitions of one plan node share one `OperatorStats` — their atomics
-//! aggregate, so a scan split into four morsels reports the total rows
-//! and the summed per-partition time (like summing parallel workers).
+//! *plan node's address* in the [`Instrumentation`] registry.
 //!
 //! Storage scans additionally carry a per-node page ledger: the plan
 //! builder hands the scan its own `OperatorStats`, and every page decode
@@ -30,18 +27,16 @@ use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::schema::Schema;
 
-/// Runtime counters of one plan node, shared by every executor instance
-/// built from it (serial node, or all ranged partitions). All relaxed
-/// atomics — diagnostic only.
+/// Runtime counters of one plan node. All relaxed atomics — diagnostic
+/// only.
 #[derive(Debug, Default)]
 pub struct OperatorStats {
-    /// Rows this node emitted (summed over partitions).
+    /// Rows this node emitted.
     pub rows: AtomicU64,
     /// Batches this node emitted.
     pub batches: AtomicU64,
     /// Wall time spent inside this node's pulls, nanoseconds. Inclusive
-    /// of children (as in PostgreSQL's `actual time`); parallel
-    /// partitions sum, so this can exceed query wall time. A pruning
+    /// of children (as in PostgreSQL's `actual time`). A pruning
     /// scan's total also carries the build-time resolution of its page
     /// set (index probe / zone sweep), which its ancestors' totals —
     /// pulls only — do not.
@@ -59,8 +54,6 @@ pub struct OperatorStats {
     /// hash join, the whole right side in a nested loop. Against `rows` it
     /// tells how much of the scan θ threw away.
     pub candidates_checked: AtomicU64,
-    /// Ranged partitions built from this node (> 0 only under exchange).
-    pub partitions: AtomicU64,
 }
 
 impl OperatorStats {

@@ -13,7 +13,8 @@
 //!
 //! There is exactly one way to run a plan: `next_batch` is the only pull
 //! method, so an operator's state machine never depends on who its parent
-//! is, and batching and morsel parallelism apply to every plan shape.
+//! is, and batching applies to every plan shape. Execution is serial: one
+//! thread pulls the whole tree, as in the PostgreSQL executor.
 //! Correctness is checked against the independent references in
 //! `temporal_core::reference` (the snapshot oracle, `align_ref`,
 //! `normalize_ref`, `absorb_ref`) and, for every join operator, a
@@ -26,7 +27,6 @@
 
 mod aggregate;
 mod distinct;
-mod exchange;
 mod filter;
 mod hash_join;
 pub mod instrument;
@@ -40,12 +40,9 @@ mod setops;
 mod sort;
 mod state;
 mod storage_scan;
-mod values;
-pub mod workers;
 
 pub use aggregate::{aggregate_rows, HashAggregateExec};
 pub use distinct::DistinctExec;
-pub use exchange::ExchangeExec;
 pub use filter::FilterExec;
 pub use hash_join::HashJoinExec;
 pub(crate) use hash_join::RangeSpec;
@@ -60,7 +57,6 @@ pub use setops::HashSetOpExec;
 pub use sort::{sort_permutation, SortExec};
 pub use state::ExecutionState;
 pub use storage_scan::StorageScanExec;
-pub use values::ValuesExec;
 
 use crate::batch::{RowBatch, BATCH_SIZE, NULL_ROW};
 use crate::error::EngineResult;
@@ -71,11 +67,10 @@ use crate::schema::Schema;
 
 /// A pipelined executor node.
 ///
-/// Nodes are `Send` so an exchange operator can hand a partition's subtree
-/// to a worker thread; shared read-only inputs (`Arc<Relation>`, stored
-/// tables) make that safe. All per-query context arrives through the
+/// A tree is built and pulled by the one thread that runs the statement,
+/// so nodes need not be `Send`. All per-query context arrives through the
 /// [`ExecutionState`] passed to every pull — nodes hold no config copies.
-pub trait ExecNode: Send {
+pub trait ExecNode {
     /// The output schema.
     fn schema(&self) -> &Schema;
 

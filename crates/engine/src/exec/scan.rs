@@ -9,29 +9,14 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// Scans an `Arc<Relation>`; its column batches pass on without a copy.
-/// A scan may cover only a contiguous row range — the morsel shape the
-/// parallel planner hands to exchange partitions.
 pub struct SeqScanExec {
     rel: Arc<Relation>,
     pos: usize,
-    end: usize,
 }
 
 impl SeqScanExec {
     pub fn new(rel: Arc<Relation>) -> Self {
-        let end = rel.len();
-        SeqScanExec { rel, pos: 0, end }
-    }
-
-    /// Scan only rows `start..end` (clamped to the relation) — one morsel
-    /// of a partitioned scan.
-    pub fn with_range(rel: Arc<Relation>, start: usize, end: usize) -> Self {
-        let end = end.min(rel.len());
-        SeqScanExec {
-            rel,
-            pos: start.min(end),
-            end,
-        }
+        SeqScanExec { rel, pos: 0 }
     }
 }
 
@@ -43,7 +28,7 @@ impl ExecNode for SeqScanExec {
     /// The next chunk of the backing relation's batches: a whole stored
     /// batch passes on as `Arc` clones of its columns.
     fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        let batch = self.rel.batch_at(self.pos, self.end, self.rel.schema());
+        let batch = self.rel.batch_at(self.pos, self.rel.schema());
         if let Some(b) = &batch {
             self.pos += b.len();
         }
@@ -72,18 +57,5 @@ mod tests {
         let state = ExecutionState::default();
         assert!(scan.next_batch(&state).unwrap().is_none());
         assert!(scan.next_batch(&state).unwrap().is_none());
-    }
-
-    #[test]
-    fn ranged_scan_covers_exactly_its_morsel() {
-        let rel = int_rel("a", &[0, 1, 2, 3, 4]).into_shared();
-        let scan: BoxedExec = Box::new(SeqScanExec::with_range(rel.clone(), 1, 4));
-        let out = collect(scan, &ExecutionState::default()).unwrap();
-        let vals: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(vals, vec![1, 2, 3]);
-        // Out-of-bounds ranges clamp.
-        let scan: BoxedExec = Box::new(SeqScanExec::with_range(rel, 4, 99));
-        let out = collect(scan, &ExecutionState::default()).unwrap();
-        assert_eq!(out.len(), 1);
     }
 }

@@ -62,16 +62,7 @@ fn cmp_keys(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
 /// values, with equal packs ⇔ equal keys, so ties fall to the identical
 /// full-row comparator. Key sets that do not pack take the general
 /// comparator.
-///
-/// With `threads > 1` the index range is cut into chunks sorted on
-/// workers and k-way merged. The comparator is a **total order** (key
-/// order, then the full row), so the merged permutation sorts the batch
-/// row-identically to the serial one however the input was chunked.
-pub fn sort_permutation(
-    batch: &RowBatch,
-    keys: &[SortKey],
-    threads: usize,
-) -> EngineResult<Vec<u32>> {
+pub fn sort_permutation(batch: &RowBatch, keys: &[SortKey]) -> EngineResult<Vec<u32>> {
     let n = batch.len();
     let key_cols = keys
         .iter()
@@ -80,37 +71,30 @@ pub fn sort_permutation(
     let k = keys.len();
     // The common case: every row's keys pack into one integer, sorted
     // inline beside the row index.
-    fn packed<K: Ord + Copy + Send + Sync>(
-        keys: Vec<K>,
-        batch: &RowBatch,
-        threads: usize,
-    ) -> EngineResult<Vec<u32>> {
-        let items: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
-        let by = |a: &(K, u32), b: &(K, u32)| {
+    fn packed<K: Ord + Copy>(keys: Vec<K>, batch: &RowBatch) -> Vec<u32> {
+        let mut items: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
+        items.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| batch.cmp_rows(a.1 as usize, b.1 as usize))
-        };
-        Ok(sort_runs(items, threads, by)?
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect())
+        });
+        items.into_iter().map(|(_, i)| i).collect()
     }
-    match encode_int_keys(&key_cols, n, keys).and_then(|enc| pack_keys(&enc, n, k)) {
-        Some((p, bits)) if bits <= 64 => {
-            packed(p.into_iter().map(|x| x as u64).collect(), batch, threads)
-        }
-        Some((p, _)) => packed(p, batch, threads),
+    let perm = match encode_int_keys(&key_cols, n, keys).and_then(|enc| pack_keys(&enc, n, k)) {
+        Some((p, bits)) if bits <= 64 => packed(p.into_iter().map(|x| x as u64).collect(), batch),
+        Some((p, _)) => packed(p, batch),
         None => {
             let kvs: Vec<Vec<Value>> = (0..n)
                 .map(|i| key_cols.iter().map(|c| c.value(i)).collect())
                 .collect();
-            let by = |a: &u32, b: &u32| {
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            perm.sort_unstable_by(|a, b| {
                 let (a, b) = (*a as usize, *b as usize);
                 cmp_keys(keys, &kvs[a], &kvs[b]).then_with(|| batch.cmp_rows(a, b))
-            };
-            sort_runs((0..n as u32).collect(), threads, by)
+            });
+            perm
         }
-    }
+    };
+    Ok(perm)
 }
 
 /// Pack each row's order-encoded keys (see [`encode_int_keys`]) into one
@@ -156,46 +140,6 @@ fn pack_keys(enc: &[i64], n: usize, k: usize) -> Option<(Vec<u128>, u32)> {
         })
         .collect();
     Some((packs, total))
-}
-
-/// `items` sorted by `by` (a total order) — split into runs sorted on
-/// `threads` workers and k-way merged when `threads > 1`.
-fn sort_runs<T: Copy + Send + Sync>(
-    mut items: Vec<T>,
-    threads: usize,
-    by: impl Fn(&T, &T) -> Ordering + Sync,
-) -> EngineResult<Vec<T>> {
-    use crate::exec::workers::{par_run, split_ranges};
-    let ranges = split_ranges(items.len(), threads.max(1));
-    if ranges.len() <= 1 {
-        items.sort_unstable_by(&by);
-        return Ok(items);
-    }
-    let runs = par_run(threads, ranges.len(), |i| {
-        let (a, b) = ranges[i];
-        let mut run = items[a..b].to_vec();
-        run.sort_unstable_by(&by);
-        Ok(run)
-    })?;
-    // K-way merge of the runs' heads.
-    let mut heads: Vec<usize> = vec![0; runs.len()];
-    items.clear();
-    loop {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(cand) = run.get(heads[r]) else {
-                continue;
-            };
-            best = match best {
-                Some(b) if by(&runs[b][heads[b]], cand) != Ordering::Greater => Some(b),
-                _ => Some(r),
-            };
-        }
-        let Some(b) = best else { break };
-        items.push(runs[b][heads[b]]);
-        heads[b] += 1;
-    }
-    Ok(items)
 }
 
 /// Encode the key values of `n` rows as flat `i64`s (row-major, stride =
@@ -263,12 +207,7 @@ impl ExecNode for SortExec {
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.sorted.is_none() {
             let batch = collect_batch(self.input.as_mut(), state)?;
-            let threads = if state.parallel(batch.len()) {
-                state.threads()
-            } else {
-                1
-            };
-            let perm = sort_permutation(&batch, &self.keys, threads)?;
+            let perm = sort_permutation(&batch, &self.keys)?;
             self.sorted = Some((batch, perm, 0));
         }
         let (batch, perm, pos) = self.sorted.as_mut().expect("initialized");
@@ -289,12 +228,8 @@ mod tests {
     use crate::schema::{Column, DataType};
     use crate::tuple::Row;
 
-    /// `rows` sorted through [`sort_permutation`] on `threads` workers.
-    fn sort_rows_batched(
-        rows: &mut Vec<Row>,
-        keys: &[SortKey],
-        threads: usize,
-    ) -> EngineResult<()> {
+    /// `rows` sorted through [`sort_permutation`].
+    fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
         let width = rows.first().map_or(0, Row::len);
         let schema = Schema::new(
             (0..width)
@@ -302,7 +237,7 @@ mod tests {
                 .collect(),
         );
         let batch = RowBatch::from_rows(schema, rows);
-        let perm = sort_permutation(&batch, keys, threads)?;
+        let perm = sort_permutation(&batch, keys)?;
         *rows = batch.gather(&perm).to_rows();
         Ok(())
     }
@@ -362,40 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sort_is_row_identical_to_serial() {
-        // Mixed data: duplicate keys, duplicate full rows, NULLs (breaking
-        // the int fast path), and enough rows for several chunks.
-        let mut rows: Vec<Row> = (0..997)
-            .map(|i: i64| {
-                let a = if i % 97 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 13)
-                };
-                Row::new(vec![a, Value::Int(i % 7)])
-            })
-            .collect();
-        rows.extend(rows.clone()); // duplicate full rows
-        let keys = vec![SortKey::asc(col(0)), SortKey::desc(col(1))];
-        let mut serial = rows.clone();
-        sort_rows_batched(&mut serial, &keys, 1).unwrap();
-        for threads in [2, 3, 4, 8] {
-            let mut par = rows.clone();
-            sort_rows_batched(&mut par, &keys, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        // All-int keys (fast path) too.
-        let int_rows: Vec<Row> = (0..1000)
-            .map(|i: i64| Row::new(vec![Value::Int(i % 13), Value::Int(999 - i)]))
-            .collect();
-        let mut serial = int_rows.clone();
-        sort_rows_batched(&mut serial, &keys, 1).unwrap();
-        let mut par = int_rows.clone();
-        sort_rows_batched(&mut par, &keys, 4).unwrap();
-        assert_eq!(par, serial);
-    }
-
-    #[test]
     fn batched_sort_matches_the_plain_comparator_sort() {
         // Mixed key types (no integer fast path), NULLs, key ties and
         // duplicate full rows, under every direction / NULL placement.
@@ -438,11 +339,9 @@ mod tests {
             for keys in &key_sets {
                 let mut spec = rows.clone();
                 sort_rows(&mut spec, keys).unwrap();
-                for threads in [1, 3] {
-                    let mut got = rows.clone();
-                    sort_rows_batched(&mut got, keys, threads).unwrap();
-                    assert_eq!(got, spec, "keys={keys:?}");
-                }
+                let mut got = rows.clone();
+                sort_rows_batched(&mut got, keys).unwrap();
+                assert_eq!(got, spec, "keys={keys:?}");
             }
         }
     }

@@ -1,17 +1,14 @@
 //! Shared per-query execution state.
 //!
 //! One [`ExecutionState`] is created per plan execution and threaded by
-//! reference through every [`crate::exec::ExecNode`] call. It replaces the
-//! per-node config copies of the pre-parallel executor: a node that needs a
-//! planner setting reads the state's GUC snapshot, a node that shares a
-//! materialized intermediate (a spool) registers it in the state's
-//! concurrency-keyed cache, and every node observes the same cancellation
-//! flag and counts its partition tasks in one place. The state is `Sync`,
-//! so exchange workers on different partitions of the same plan can share
-//! it — this is the contract that makes morsel-driven parallelism possible.
+//! reference through every [`crate::exec::ExecNode`] call: a node that
+//! needs a planner setting reads the state's GUC snapshot, a node that
+//! shares a materialized intermediate (a spool) registers it in the
+//! state's cache, every scan of a table reads the one heap snapshot the
+//! statement pinned, and every node observes the same cancellation flag.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use temporal_store::HeapSnapshot;
@@ -30,25 +27,21 @@ type SpoolSlot = Arc<Mutex<Option<Arc<Relation>>>>;
 #[derive(Debug)]
 pub struct ExecutionState {
     /// GUC snapshot taken at execution start. Immutable for the lifetime
-    /// of the query, so every worker sees the same settings.
+    /// of the query, so every operator sees the same settings.
     config: PlannerConfig,
     /// Cooperative cancellation: checked at batch boundaries by the
-    /// collect loops and by exchange workers between morsels.
+    /// collect loops.
     cancelled: AtomicBool,
-    /// Partition tasks executed by exchange/parallel operators — relaxed,
-    /// diagnostic only. (Rows, batches and pages are counted per plan node
-    /// in [`crate::exec::OperatorStats`] under [`Self::with_instrumentation`].)
-    pub partitions_run: AtomicU64,
     /// Spool registry: shared materialized intermediates, keyed by the
     /// plan node's address. The outer map guard is held only to look up or
     /// insert a slot; materialization happens under the slot's own lock,
-    /// so two workers hitting the same spool serialize on that spool only
-    /// and nested spools cannot deadlock the registry.
+    /// so a spool that fills from a subtree reading another spool cannot
+    /// deadlock the registry.
     spools: Mutex<HashMap<usize, SpoolSlot>>,
     /// Heap snapshots pinned by this query, keyed by table identity
     /// (`Arc` pointer). The first scan of a table captures its snapshot;
-    /// every later scan — other morsels, other plan nodes, the pruning
-    /// page resolver — reuses it, so one statement sees one consistent
+    /// every later scan — other plan nodes, the pruning page resolver —
+    /// reuses it, so one statement sees one consistent
     /// prefix of each table no matter how writers race it.
     snapshots: Mutex<HashMap<usize, HeapSnapshot>>,
     /// Per-operator instrumentation registry (`EXPLAIN ANALYZE`, tracing,
@@ -63,7 +56,6 @@ impl ExecutionState {
         ExecutionState {
             config,
             cancelled: AtomicBool::new(false),
-            partitions_run: AtomicU64::new(0),
             spools: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(HashMap::new()),
             instrument: None,
@@ -97,26 +89,6 @@ impl ExecutionState {
     /// The GUC snapshot this query runs under.
     pub fn config(&self) -> &PlannerConfig {
         &self.config
-    }
-
-    /// Effective worker count for parallel operators (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.config.threads.max(1)
-    }
-
-    /// Minimum input rows before an operator goes parallel.
-    pub fn parallel_min_rows(&self) -> usize {
-        self.config.parallel_min_rows
-    }
-
-    /// True when `threads` and the input size warrant a parallel path.
-    pub fn parallel(&self, input_rows: usize) -> bool {
-        self.threads() > 1 && input_rows >= self.parallel_min_rows().max(2)
-    }
-
-    /// Record that a parallel operator ran `n` partition tasks.
-    pub fn note_partitions(&self, n: usize) {
-        self.partitions_run.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Request cooperative cancellation of this execution.

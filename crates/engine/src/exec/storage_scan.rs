@@ -6,10 +6,7 @@
 //! [`RowBatch`]es *as they are pulled*, each record's values straight
 //! into the batch's typed columns: at any moment only the pages the
 //! buffer pool holds are in memory, so a table larger than the pool (or
-//! than RAM) scans in constant space. A scan may cover only a contiguous
-//! page range — the morsel shape the parallel planner hands to exchange
-//! partitions; concurrent partitions share the table's buffer pool, whose
-//! pin path is per-frame (see `temporal_store::buffer`).
+//! than RAM) scans in constant space.
 //!
 //! A pruned scan also carries the [`ZoneBounds`] that selected its pages
 //! and applies them once more per record, on the encoded bytes, before
@@ -29,9 +26,9 @@ use crate::exec::{ExecNode, ExecutionState};
 use crate::schema::Schema;
 use crate::storage::{RecordBounds, StoredTable, ZoneBounds};
 
-/// Scans a [`StoredTable`] page by page. The page set is either a
-/// contiguous range (the classic full-scan morsel) or an explicit list of
-/// surviving pages handed down by the pruning access paths.
+/// Scans a [`StoredTable`] page by page. The page set is either the
+/// whole heap or an explicit list of surviving pages handed down by the
+/// pruning access paths.
 pub struct StorageScanExec {
     table: Arc<StoredTable>,
     /// When `Some`, `next_page..end_page` index into this list instead of
@@ -48,47 +45,33 @@ pub struct StorageScanExec {
     /// writer's in-flight appends.
     snapshot: Option<HeapSnapshot>,
     /// Per-plan-node page ledger (`EXPLAIN ANALYZE`): when attached, page
-    /// reads are credited to the originating plan node. All morsels of one
-    /// scan share one ledger; a plain run counts nothing.
+    /// reads are credited to the originating plan node; a plain run counts
+    /// nothing.
     ledger: Option<Arc<OperatorStats>>,
 }
 
 impl StorageScanExec {
+    /// Scan every page of the heap.
     pub fn new(table: Arc<StoredTable>) -> Self {
-        let end = table.page_count();
-        Self::with_page_range(table, 0, end)
-    }
-
-    /// Scan only pages `start..end` (clamped) — one morsel of a
-    /// partitioned heap scan.
-    pub fn with_page_range(table: Arc<StoredTable>, start: u32, end: u32) -> Self {
-        let end_page = end.min(table.page_count());
         StorageScanExec {
+            end_page: table.page_count(),
             table,
             pages: None,
-            next_page: start.min(end_page),
-            end_page,
+            next_page: 0,
             bounds: None,
             snapshot: None,
             ledger: None,
         }
     }
 
-    /// Scan positions `start..end` (clamped) of an explicit page list —
-    /// one morsel of a pruned scan, where `pages` is the surviving page
-    /// set resolved by a zone-map sweep or an interval-index probe.
-    pub fn with_page_list(
-        table: Arc<StoredTable>,
-        pages: Arc<Vec<u32>>,
-        start: u32,
-        end: u32,
-    ) -> Self {
-        let end_page = end.min(pages.len() as u32);
+    /// Scan only the listed pages, in list order — a pruned scan, where
+    /// `pages` is the surviving page set resolved by a zone-map sweep or an
+    /// interval-index probe.
+    pub fn with_page_list(table: Arc<StoredTable>, pages: Arc<Vec<u32>>) -> Self {
         StorageScanExec {
-            next_page: start.min(end_page),
-            end_page,
+            end_page: pages.len() as u32,
             pages: Some(pages),
-            ..Self::with_page_range(table, 0, 0)
+            ..Self::new(table)
         }
     }
 
@@ -113,10 +96,10 @@ impl ExecNode for StorageScanExec {
     }
 
     /// Decode pages until the batch holds at least [`BATCH_SIZE`] rows or
-    /// the morsel's page set is exhausted, so batches are whole pages'
-    /// worth of survivors: up to one page past `BATCH_SIZE`, handed over
-    /// without another copy. Every decode is clamped to the statement
-    /// snapshot (shared across all morsels of the query via
+    /// the page set is exhausted, so batches are whole pages' worth of
+    /// survivors: up to one page past `BATCH_SIZE`, handed over without
+    /// another copy. Every decode is clamped to the statement snapshot
+    /// (shared by every scan of the table in the query via
     /// [`ExecutionState::snapshot_for`]): fully-visible pages decode
     /// whole, the snapshot's tail page decodes as a tuple prefix, and
     /// pages appended after the snapshot are skipped entirely.
@@ -205,7 +188,7 @@ mod tests {
         let ledger = Arc::new(OperatorStats::default());
         let out = collect(
             Box::new(
-                StorageScanExec::with_page_list(t.clone(), list.clone(), 0, list.len() as u32)
+                StorageScanExec::with_page_list(t.clone(), list.clone())
                     .with_ledger(ledger.clone()),
             ) as BoxedExec,
             &ExecutionState::default(),
@@ -243,7 +226,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.row_count(), 2500);
-        // Full scan under the pinned state sees exactly the old prefix…
+        // Full scan under the pinned state sees exactly the old prefix.
         let out = collect(
             Box::new(StorageScanExec::new(t.clone())) as BoxedExec,
             &state,
@@ -251,17 +234,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1000);
         assert_eq!(out.rows().last().unwrap()[0], Value::Int(999));
-        // …and so does a morsel over the (now larger) live page range.
-        let part = collect(
-            Box::new(StorageScanExec::with_page_range(
-                t.clone(),
-                0,
-                t.page_count(),
-            )) as BoxedExec,
-            &state,
-        )
-        .unwrap();
-        assert_eq!(part.len(), 1000);
         // A fresh state snapshots the current heap and sees everything.
         let fresh = collect(
             Box::new(StorageScanExec::new(t)) as BoxedExec,
@@ -269,29 +241,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh.len(), 2500);
-    }
-
-    #[test]
-    fn page_range_morsels_cover_the_table_exactly() {
-        let t = stored("morsels.heap", 4000, 4);
-        let pages = t.page_count();
-        assert!(pages >= 2);
-        let state = ExecutionState::default();
-        let whole = collect(
-            Box::new(StorageScanExec::new(t.clone())) as BoxedExec,
-            &state,
-        )
-        .unwrap();
-        let mid = pages / 2;
-        let mut rows = Vec::new();
-        for (s, e) in [(0, mid), (mid, pages)] {
-            let part = collect(
-                Box::new(StorageScanExec::with_page_range(t.clone(), s, e)) as BoxedExec,
-                &state,
-            )
-            .unwrap();
-            rows.extend(part.rows().to_vec());
-        }
-        assert_eq!(rows, whole.rows());
     }
 }

@@ -44,24 +44,13 @@ pub struct PlannerConfig {
     /// (or first-key-column) range conjuncts skip pages whose header
     /// min/max synopsis cannot match. On by default; the
     /// `TEMPORAL_ZONEMAPS` environment variable (0/false/off) flips the
-    /// default, mirroring `TEMPORAL_THREADS` (how CI runs the fallback
-    /// suite).
+    /// default (how CI runs the fallback suite).
     pub enable_zonemaps: bool,
     /// Interval-index access path: `AS OF` timeslices (and any filter with
     /// `ts <=` / `te >` bounds) may probe the table's persistent interval
     /// index instead of sweeping zone maps, when the cost model prefers it.
     /// On by default; `TEMPORAL_INTERVAL_INDEX` flips the default.
     pub enable_interval_index: bool,
-    /// Worker threads for parallel execution (the `threads` GUC). 1 =
-    /// serial. The default comes from the `TEMPORAL_THREADS` environment
-    /// variable when set (how CI runs the whole suite at `threads = 4`),
-    /// else 1. Parallel operators are exact: any `threads` value produces
-    /// row-identical output.
-    pub threads: usize,
-    /// Minimum input rows before an operator takes its parallel path (the
-    /// `parallel_min_rows` GUC) — spawn overhead dwarfs the work below
-    /// this. Tests lower it to 1 to exercise parallel code on small data.
-    pub parallel_min_rows: usize,
     /// Span tracing (`SET trace = on`): statements run instrumented and
     /// the session layer records query/plan/operator spans into the
     /// database's ring-buffer tracer (dumpable as chrome-trace JSON via
@@ -75,17 +64,6 @@ pub struct PlannerConfig {
     /// their text and per-operator breakdown to stderr.
     pub slow_query_ms: usize,
     pub cost_model: CostModel,
-}
-
-/// Default worker count: `TEMPORAL_THREADS` env var when set, else 1.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("TEMPORAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, 256))
-    })
 }
 
 /// An on-by-default boolean env override: only `0`, `false` or `off`
@@ -121,9 +99,6 @@ fn default_trace() -> bool {
     })
 }
 
-/// Default parallel threshold (rows).
-pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 256;
-
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
@@ -134,8 +109,6 @@ impl Default for PlannerConfig {
             enable_rewrites: true,
             enable_zonemaps: default_zonemaps(),
             enable_interval_index: default_interval_index(),
-            threads: default_threads(),
-            parallel_min_rows: DEFAULT_PARALLEL_MIN_ROWS,
             trace: default_trace(),
             slow_query_ms: 0,
             cost_model: CostModel::default(),
@@ -148,8 +121,7 @@ impl PlannerConfig {
     /// methods — the sweep interval join (a Sec. 8 future-work extension)
     /// is never a candidate. Every other field is
     /// `Default`'s, including those read from the environment
-    /// (`TEMPORAL_THREADS`, `TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
-    /// `TEMPORAL_INTERVAL_INDEX`): a caller that needs a fixed
+    /// (`TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`, `TEMPORAL_INTERVAL_INDEX`): a caller that needs a fixed
     /// configuration sets them itself, as the `reproduce` experiment table
     /// does for each series (`temporal_bench::pin`). The per-setting
     /// presets below all build on it.
@@ -203,16 +175,10 @@ impl PlannerConfig {
         Ok(())
     }
 
-    /// Set an integer-valued setting by its GUC name (`SET threads = 4`).
+    /// Set an integer-valued setting by its GUC name (`SET slow_query_ms =
+    /// 100`).
     pub fn set_int(&mut self, name: &str, value: i64) -> EngineResult<()> {
-        let positive = |v: i64| -> EngineResult<usize> {
-            usize::try_from(v).ok().filter(|&v| v >= 1).ok_or_else(|| {
-                EngineError::Unsupported(format!("setting '{name}' requires a value ≥ 1"))
-            })
-        };
         match name {
-            "threads" => self.threads = positive(value)?.min(256),
-            "parallel_min_rows" => self.parallel_min_rows = positive(value)?,
             // 0 is meaningful here: it turns slow-statement logging off.
             "slow_query_ms" => {
                 self.slow_query_ms = usize::try_from(value).map_err(|_| {

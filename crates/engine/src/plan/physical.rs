@@ -8,15 +8,15 @@ use std::time::Instant;
 
 use crate::error::EngineResult;
 use crate::exec::{
-    collect, BoxedExec, DistinctExec, ExchangeExec, ExecutionState, FilterExec, HashAggregateExec,
-    HashJoinExec, HashSetOpExec, InstrumentedExec, IntervalJoinExec, LimitExec, MergeJoinExec,
+    collect, BoxedExec, DistinctExec, ExecutionState, FilterExec, HashAggregateExec, HashJoinExec,
+    HashSetOpExec, InstrumentedExec, IntervalJoinExec, LimitExec, MergeJoinExec,
     NestedLoopJoinExec, OperatorStats, ProjectExec, RangeSpec, SeqScanExec, SortExec,
     StorageScanExec,
 };
 use crate::expr::{AggCall, Expr, JoinPred, SortKey};
 use crate::plan::cost::{CostModel, PlanStats};
 use crate::plan::logical::ExtensionNode;
-use crate::plan::{JoinType, PlannerConfig, SetOpKind};
+use crate::plan::{JoinType, SetOpKind};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::storage::{StoredTable, ZoneBounds};
@@ -193,25 +193,13 @@ impl PhysicalPlan {
     /// carry no per-execution state (a spool's cache lives in `state`'s
     /// registry), so the same plan can be executed repeatedly — each run
     /// under a fresh [`ExecutionState`] observes current table contents.
-    /// When the state's GUC snapshot enables parallelism, scan pipelines
-    /// are partitioned into morsels behind an exchange operator.
     pub fn execute(&self, state: &ExecutionState) -> EngineResult<BoxedExec> {
         self.build_subtree(state)
     }
 
-    /// Recursive build entry: partition this subtree behind an exchange
-    /// when it is a scan pipeline worth splitting, otherwise build the
-    /// serial operator and recurse on children (which get the same
-    /// chance).
+    /// Recursive build entry: this node's operator over its children's,
+    /// metered when the state instruments.
     fn build_subtree(&self, state: &ExecutionState) -> EngineResult<BoxedExec> {
-        if state.threads() > 1 {
-            if let Some(exec) = self.build_parallel(state)? {
-                // The per-partition pipelines are already instrumented
-                // node by node (`build_ranged`); wrapping the exchange
-                // under the same keys again would double-count.
-                return Ok(exec);
-            }
-        }
         let exec = self.build_exec_tree(state)?;
         Ok(self.instrumented(exec, state))
     }
@@ -238,72 +226,6 @@ impl PhysicalPlan {
         match state.instrumentation() {
             Some(ins) => Box::new(scan.with_ledger(ins.op(self.node_key()))),
             None => Box::new(scan),
-        }
-    }
-
-    /// The leaf scan of a filter/project pipeline (`self` when not a
-    /// pipeline) — the node page-skip accounting attributes to.
-    fn pipeline_leaf(&self) -> &PhysicalPlan {
-        match self {
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.pipeline_leaf()
-            }
-            leaf => leaf,
-        }
-    }
-
-    /// If this subtree is a partitionable scan pipeline (filter/project
-    /// chains over a single scan) large enough to be worth splitting,
-    /// build it as up to `state.threads()` contiguous-range partitions
-    /// behind an [`ExchangeExec`]; otherwise `None`. Partitions concatenate
-    /// in input order, so the exchange output is row-identical to the
-    /// serial pipeline.
-    fn build_parallel(&self, state: &ExecutionState) -> EngineResult<Option<BoxedExec>> {
-        let Some(units) = self.pipeline_units() else {
-            return Ok(None);
-        };
-        let rows = self.pipeline_rows().unwrap_or(0);
-        if !state.parallel(rows) {
-            return Ok(None);
-        }
-        // Resolve page pruning at the pipeline's leaf first, so partitions
-        // are formed over the *surviving* page set — pruning and
-        // parallelism compose instead of fighting over the range layout.
-        let pruned = self.pipeline_pruning(state)?;
-        let units = pruned.as_ref().map_or(units, |(_, pages, _)| pages.len());
-        let ranges = crate::exec::workers::split_ranges(units, state.threads());
-        if ranges.len() <= 1 {
-            // Too little left to split: fall back to the serial build,
-            // which re-resolves the page set and accounts the skips.
-            return Ok(None);
-        }
-        let parts = ranges
-            .iter()
-            .map(|&(a, b)| self.build_ranged(a, b, pruned.as_ref(), state))
-            .collect::<EngineResult<Vec<_>>>()?;
-        if let Some((table, pages, _)) = &pruned {
-            let skipped = u64::from(table.page_count()).saturating_sub(pages.len() as u64);
-            if let Some(ins) = state.instrumentation() {
-                ins.op(self.pipeline_leaf().node_key())
-                    .note_pages_skipped(skipped);
-            }
-        }
-        if let Some(ins) = state.instrumentation() {
-            ins.op(self.node_key())
-                .partitions
-                .fetch_add(ranges.len() as u64, Ordering::Relaxed);
-        }
-        Ok(Some(Box::new(ExchangeExec::new(self.schema(), parts))))
-    }
-
-    /// Resolve the pruned page set at the leaf of a scan pipeline, if the
-    /// leaf is a pruning scan and the GUC snapshot keeps pruning on.
-    fn pipeline_pruning(&self, state: &ExecutionState) -> EngineResult<Option<PrunedScan>> {
-        match self {
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.pipeline_pruning(state)
-            }
-            leaf => leaf.resolve_scan_pages(state),
         }
     }
 
@@ -386,103 +308,19 @@ impl PhysicalPlan {
         })
     }
 
-    /// Partition units of a scan pipeline: rows for an in-memory scan,
-    /// pages for a storage scan; `None` when the subtree is not a pure
-    /// pipeline over a single scan.
-    fn pipeline_units(&self) -> Option<usize> {
-        match self {
-            PhysicalPlan::SeqScan { rel, .. } => Some(rel.len()),
-            PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
-                Some(table.page_count() as usize)
-            }
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.pipeline_units()
-            }
-            _ => None,
-        }
-    }
-
-    /// Source row count of a scan pipeline (for the parallelism size
-    /// gate); `None` when not a pipeline.
-    fn pipeline_rows(&self) -> Option<usize> {
-        match self {
-            PhysicalPlan::SeqScan { rel, .. } => Some(rel.len()),
-            PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
-                Some(table.row_count() as usize)
-            }
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.pipeline_rows()
-            }
-            _ => None,
-        }
-    }
-
-    /// Build one ranged partition of a scan pipeline: the leaf scan is
-    /// restricted to `[start, end)` partition units, the filter/project
-    /// chain above it is rebuilt per partition. With `pruned` set, the
-    /// units index into the surviving page list rather than the raw page
-    /// range. Under instrumentation every partition's node is wrapped
-    /// under its plan node's key, so the partitions of one node aggregate
-    /// into one stats slot.
-    fn build_ranged(
-        &self,
-        start: usize,
-        end: usize,
-        pruned: Option<&PrunedScan>,
-        state: &ExecutionState,
-    ) -> EngineResult<BoxedExec> {
-        let exec: BoxedExec = match self {
-            PhysicalPlan::SeqScan { rel, .. } => {
-                Box::new(SeqScanExec::with_range(rel.clone(), start, end))
-            }
-            PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
-                let scan = match pruned {
-                    Some((_, pages, bounds)) => StorageScanExec::with_page_list(
-                        table.clone(),
-                        pages.clone(),
-                        start as u32,
-                        end as u32,
-                    )
-                    .with_bounds(bounds),
-                    None => {
-                        StorageScanExec::with_page_range(table.clone(), start as u32, end as u32)
-                    }
-                };
-                self.boxed_scan(scan, state)
-            }
-            PhysicalPlan::Filter { input, predicate } => Box::new(FilterExec::new(
-                input.build_ranged(start, end, pruned, state)?,
-                predicate.clone(),
-            )),
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => Box::new(ProjectExec::new(
-                input.build_ranged(start, end, pruned, state)?,
-                exprs.clone(),
-                schema.clone(),
-            )),
-            other => unreachable!("build_ranged on non-pipeline node {other:?}"),
-        };
-        Ok(self.instrumented(exec, state))
-    }
-
     fn build_exec_tree(&self, state: &ExecutionState) -> EngineResult<BoxedExec> {
         Ok(match self {
             PhysicalPlan::SeqScan { rel, .. } => Box::new(SeqScanExec::new(rel.clone())),
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
                 match self.resolve_scan_pages(state)? {
                     Some((table, pages, bounds)) => {
-                        // The single serial accounting site for page skips;
-                        // the parallel path accounts in `build_parallel`.
+                        // The one accounting site for page skips.
                         let skipped =
                             u64::from(table.page_count()).saturating_sub(pages.len() as u64);
                         if let Some(ins) = state.instrumentation() {
                             ins.op(self.node_key()).note_pages_skipped(skipped);
                         }
-                        let n = pages.len() as u32;
-                        let scan = StorageScanExec::with_page_list(table, pages, 0, n);
+                        let scan = StorageScanExec::with_page_list(table, pages);
                         self.boxed_scan(scan.with_bounds(&bounds), state)
                     }
                     None => self.boxed_scan(StorageScanExec::new(table.clone()), state),
@@ -720,55 +558,11 @@ impl PhysicalPlan {
     pub fn explain(&self) -> String {
         let model = CostModel::default();
         let mut out = String::new();
-        self.explain_into(&mut out, 0, &model, None);
+        self.explain_into(&mut out, 0, &model);
         out
     }
 
-    /// EXPLAIN with the parallelism the given GUC snapshot would produce:
-    /// a header with the effective worker count, and an `Exchange` line
-    /// above every scan pipeline that execution would split into ranged
-    /// partitions (`execute` inserts the exchange at build time, so the
-    /// plan tree itself stays serial — this prints the execution shape).
-    pub fn explain_parallel(&self, config: &PlannerConfig) -> String {
-        let state = ExecutionState::new(*config);
-        let model = CostModel::default();
-        let mut out = format!(
-            "Parallelism: threads={} (parallel_min_rows={})\n",
-            state.threads(),
-            state.parallel_min_rows()
-        );
-        self.explain_into(&mut out, 0, &model, Some(&state));
-        out
-    }
-
-    fn explain_into(
-        &self,
-        out: &mut String,
-        indent: usize,
-        model: &CostModel,
-        par: Option<&ExecutionState>,
-    ) {
-        // Would execution put an exchange over this pipeline? Mirror the
-        // `build_parallel` gate exactly, then print the partition shape and
-        // the (serial, per-partition) pipeline below it.
-        if let Some(state) = par {
-            if state.threads() > 1 {
-                if let Some(units) = self.pipeline_units() {
-                    let rows = self.pipeline_rows().unwrap_or(0);
-                    let ranges = crate::exec::workers::split_ranges(units, state.threads());
-                    if state.parallel(rows) && ranges.len() > 1 {
-                        let pad = "  ".repeat(indent);
-                        out.push_str(&format!(
-                            "{pad}Exchange ({} partitions over {} units, gather in order)\n",
-                            ranges.len(),
-                            units,
-                        ));
-                        self.explain_into(out, indent + 1, model, None);
-                        return;
-                    }
-                }
-            }
-        }
+    fn explain_into(&self, out: &mut String, indent: usize, model: &CostModel) {
         let pad = "  ".repeat(indent);
         let st = self.stats(model);
         out.push_str(&format!(
@@ -778,7 +572,7 @@ impl PhysicalPlan {
             st.cost
         ));
         for c in self.children() {
-            c.explain_into(out, indent + 1, model, par);
+            c.explain_into(out, indent + 1, model);
         }
     }
 
@@ -870,9 +664,8 @@ impl PhysicalPlan {
     /// Render this (already executed) plan annotated with the actual
     /// per-operator counters the instrumented `state` collected: rows and
     /// batches emitted, wall time inside the operator (inclusive of
-    /// children; parallel partitions sum), pages read/skipped for storage
-    /// scans, and the partition count at the root of an exchanged
-    /// pipeline. The tree shape and estimates are exactly [`Self::explain`]'s,
+    /// children), pages read/skipped and tuples checked for storage scans,
+    /// and the candidates a join tested. The tree shape and estimates are exactly [`Self::explain`]'s,
     /// so plan-shape assertions hold across both.
     ///
     /// `state` must be the state the plan was executed under — operator
@@ -931,10 +724,6 @@ impl PhysicalPlan {
                     s.push_str(&format!(
                         " pages_read={pages_read} pages_skipped={pages_skipped}"
                     ));
-                }
-                let partitions = op.partitions.load(Ordering::Relaxed);
-                if partitions > 0 {
-                    s.push_str(&format!(" partitions={partitions}"));
                 }
                 s.push(')');
                 s

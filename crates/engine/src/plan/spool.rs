@@ -16,8 +16,7 @@
 //! keyed by the spool node's identity — not in the plan. A plan therefore
 //! carries no execution state at all: re-running it under a fresh state
 //! observes current table contents, and two concurrent executions of the
-//! same plan (or two exchange workers inside one execution) cannot step on
-//! each other's cache.
+//! same plan cannot step on each other's cache.
 
 use std::sync::Arc;
 
@@ -137,7 +136,7 @@ impl ExecNode for SpoolExec {
     /// batches pass on as `Arc` clones of their columns).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let (pos, schema) = (self.pos, self.schema.clone());
-        let batch = self.materialized(state)?.batch_at(pos, usize::MAX, &schema);
+        let batch = self.materialized(state)?.batch_at(pos, &schema);
         if let Some(b) = &batch {
             self.pos += b.len();
         }

@@ -148,9 +148,9 @@ impl Relation {
 
     /// Up to [`BATCH_SIZE`] rows starting at row `pos`, never crossing a
     /// stored batch (so a scan of collected batches hands them on without
-    /// a copy), under `schema`; `None` at `end`.
-    pub fn batch_at(&self, pos: usize, end: usize, schema: &Schema) -> Option<RowBatch> {
-        let end = end.min(self.len());
+    /// a copy), under `schema`; `None` at the end.
+    pub fn batch_at(&self, pos: usize, schema: &Schema) -> Option<RowBatch> {
+        let end = self.len();
         if pos >= end {
             return None;
         }
@@ -443,21 +443,18 @@ mod tests {
         assert_eq!(rel.ints(0), vec![Some(1), Some(2), Some(1)]);
         // A chunk never crosses a stored batch, and a whole one is the
         // stored columns themselves.
-        let first = rel.batch_at(0, usize::MAX, &schema).unwrap();
+        let first = rel.batch_at(0, &schema).unwrap();
         assert_eq!(first.len(), 2);
         assert!(Arc::ptr_eq(first.column(0), rel.batches()[0].column(0)));
-        assert_eq!(rel.batch_at(1, 3, &schema).unwrap().to_rows(), rows[1..2]);
-        assert!(rel.batch_at(3, usize::MAX, &schema).is_none());
+        assert_eq!(rel.batch_at(1, &schema).unwrap().to_rows(), rows[1..2]);
+        assert!(rel.batch_at(3, &schema).is_none());
         assert_eq!(rel.rows(), rows.as_slice());
         // Mutation drops the batches it would leave stale.
         rel.push(Row::new(vec![Value::Int(5), Value::str("w")]))
             .unwrap();
         assert_eq!(rel.len(), 4);
         assert_eq!(rel.batches().iter().map(RowBatch::len).sum::<usize>(), 4);
-        assert_eq!(
-            rel.batch_at(3, 4, &schema).unwrap().value(0, 0),
-            Value::Int(5)
-        );
+        assert_eq!(rel.batch_at(3, &schema).unwrap().value(0, 0), Value::Int(5));
     }
 
     #[test]

@@ -322,7 +322,7 @@ mod tests {
 
     /// `i64::MIN / -1` overflows: the statement fails in-band (it is
     /// folded while planning) and the same connection answers the next
-    /// statement.
+    /// statement. So does a `SET` of a setting that does not exist.
     #[test]
     fn integer_overflow_is_an_error_reply_not_a_dropped_connection() {
         let handle = Server::bind(Database::default(), "127.0.0.1:0")
@@ -339,6 +339,13 @@ mod tests {
                 Response::Error(msg) => assert!(msg.contains("integer overflow"), "{q}: {msg}"),
                 other => panic!("{q}: expected an error, got {other:?}"),
             }
+        }
+        match c.execute("SET threads = 4").unwrap() {
+            Response::Error(msg) => assert!(
+                msg.contains("unknown integer planner setting 'threads'"),
+                "{msg}"
+            ),
+            other => panic!("expected an error, got {other:?}"),
         }
         match c.execute("SELECT x FROM t").unwrap() {
             Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),

@@ -9,7 +9,7 @@ use temporal_engine::schema::DataType;
 pub enum Statement {
     Select(SelectStmt),
     /// `SET <guc> = on|off|true|false|<int>` — planner switches (Sec. 7.2)
-    /// and integer GUCs such as `threads`.
+    /// and integer GUCs such as `slow_query_ms`.
     Set {
         name: String,
         value: SetValue,

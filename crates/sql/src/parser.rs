@@ -860,9 +860,9 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match parse_statement("SET threads = 4").unwrap() {
+        match parse_statement("SET slow_query_ms = 4").unwrap() {
             Statement::Set { name, value } => {
-                assert_eq!(name, "threads");
+                assert_eq!(name, "slow_query_ms");
                 assert_eq!(value, SetValue::Int(4));
             }
             other => panic!("{other:?}"),

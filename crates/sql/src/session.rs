@@ -264,10 +264,6 @@ impl Session {
                             &state,
                         );
                         physical.explain_analyze(&state)
-                    } else if config.threads > 1 {
-                        // Under a parallel configuration, show the execution
-                        // shape (exchanges, partition counts) too.
-                        physical.explain_parallel(&config)
                     } else {
                         physical.explain()
                     };

@@ -49,13 +49,8 @@ fn all_examples_match_their_golden_output() {
 
     let mut failures = Vec::new();
     for example in EXAMPLES {
-        // Pin the examples to the serial default: EXPLAIN output depends on
-        // the `threads` GUC, and golden files can only match one setting.
-        // Parallel EXPLAIN rendering has its own golden test
-        // (tests/explain_parallel.rs).
         let output = Command::new(&cargo)
             .current_dir(manifest_dir)
-            .env("TEMPORAL_THREADS", "1")
             .args(["run", "--release", "--quiet", "--example", example])
             .output()
             .unwrap_or_else(|e| panic!("failed to spawn cargo for example {example}: {e}"));

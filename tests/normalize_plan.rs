@@ -2,42 +2,25 @@
 //! sweep read the split point from the group-construction join's own row
 //! `(r.*, B, P1)`; no projection sits between them. These tests pin that
 //! plan shape and check the pipeline against the quadratic reference
-//! normalizer on the Sec. 7 datasets, grouped and `N_{}`, serial and
-//! with the morsel-parallel join/sort/sweep — and that bag-duplicate `r`
-//! tuples still collapse into one group.
+//! normalizer on the Sec. 7 datasets, grouped and `N_{}` — and that
+//! bag-duplicate `r` tuples still collapse into one group.
 
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand, random_like_incumben};
 
-fn planners() -> [(&'static str, Planner); 2] {
-    [
-        ("serial", Planner::default()),
-        (
-            "threads = 4",
-            Planner::new(PlannerConfig {
-                threads: 4,
-                parallel_min_rows: 1,
-                ..Default::default()
-            }),
-        ),
-    ]
-}
-
 fn check(label: &str, r: &TemporalRelation, s: &TemporalRelation, b: &[(usize, usize)]) {
     let slow = normalize_ref(r, s, b).unwrap();
-    for (how, planner) in planners() {
-        let fast = TemporalPlan::scan(r)
-            .normalize(TemporalPlan::scan(s), b)
-            .unwrap()
-            .execute(&planner)
-            .unwrap();
-        assert!(
-            fast.same_set(&slow),
-            "{label} on {b:?}, {how}:\nfast:\n{fast}\nslow:\n{slow}"
-        );
-        assert_eq!(fast.len(), slow.len(), "{label}: no extra copies");
-    }
+    let fast = TemporalPlan::scan(r)
+        .normalize(TemporalPlan::scan(s), b)
+        .unwrap()
+        .execute(&Planner::default())
+        .unwrap();
+    assert!(
+        fast.same_set(&slow),
+        "{label} on {b:?}:\nfast:\n{fast}\nslow:\n{slow}"
+    );
+    assert_eq!(fast.len(), slow.len(), "{label}: no extra copies");
 }
 
 #[test]
@@ -65,14 +48,12 @@ fn self_normalization_on_a_skewed_key_matches_the_reference() {
     for b in [&[][..], &[1][..], &[0, 1][..]] {
         let slow = self_normalize_ref(&r, b).unwrap();
         let pairs: Vec<(usize, usize)> = b.iter().map(|&i| (i, i)).collect();
-        for (how, planner) in planners() {
-            let fast = TemporalPlan::scan(&r)
-                .normalize(TemporalPlan::scan(&r), &pairs)
-                .unwrap()
-                .execute(&planner)
-                .unwrap();
-            assert!(fast.same_set(&slow), "N_{b:?}, {how}");
-        }
+        let fast = TemporalPlan::scan(&r)
+            .normalize(TemporalPlan::scan(&r), &pairs)
+            .unwrap()
+            .execute(&Planner::default())
+            .unwrap();
+        assert!(fast.same_set(&slow), "N_{b:?}");
     }
 }
 
@@ -87,25 +68,24 @@ fn bag_duplicate_tuples_collapse_into_one_group() {
         .unwrap(),
     )
     .unwrap();
+    let planner = Planner::default();
     for b in [&[][..], &[(0, 0)][..]] {
-        for (how, planner) in planners() {
-            let once = TemporalPlan::scan(&r)
-                .normalize(TemporalPlan::scan(&s), b)
-                .unwrap()
-                .execute(&planner)
-                .unwrap();
-            let twice = TemporalPlan::scan(&doubled)
-                .normalize(TemporalPlan::scan(&s), b)
-                .unwrap()
-                .execute(&planner)
-                .unwrap();
-            assert_eq!(
-                once.rel().rows(),
-                twice.rel().rows(),
-                "N_{b:?}, {how}: duplicates of an r tuple must add nothing"
-            );
-            assert!(twice.same_set(&normalize_ref(&doubled, &s, b).unwrap()));
-        }
+        let once = TemporalPlan::scan(&r)
+            .normalize(TemporalPlan::scan(&s), b)
+            .unwrap()
+            .execute(&planner)
+            .unwrap();
+        let twice = TemporalPlan::scan(&doubled)
+            .normalize(TemporalPlan::scan(&s), b)
+            .unwrap()
+            .execute(&planner)
+            .unwrap();
+        assert_eq!(
+            once.rel().rows(),
+            twice.rel().rows(),
+            "N_{b:?}: duplicates of an r tuple must add nothing"
+        );
+        assert!(twice.same_set(&normalize_ref(&doubled, &s, b).unwrap()));
     }
 }
 

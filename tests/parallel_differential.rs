@@ -1,58 +1,69 @@
-//! Parallel/serial differential tests: executing the same physical plan
-//! under `threads = 4` must be **row-for-row identical** — same rows, same
-//! order — to `threads = 1` (whose results `tests/batch_differential.rs`
-//! checks against the references). The parallel states use
-//! `parallel_min_rows = 1` so even the small proptest inputs actually take
-//! the partitioned code paths (exchange over scans, parallel sort,
-//! partitioned hash join build + probe, data-run-partitioned temporal
-//! sweeps).
+//! Parallel/serial differential tests. The executor runs each statement
+//! on one thread, but statements run in parallel: the server gives every
+//! connection its own thread over one shared database. Executing the same
+//! physical plan on four threads at once must be **row-for-row
+//! identical** — same rows, same order — to executing it alone (whose
+//! results `tests/batch_differential.rs` checks against the references).
+//! Shared plan state — `Arc`'d scan inputs, spooled operands, the
+//! statement cost model — must never leak from one execution into another.
 
 mod common;
 
-use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread;
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::catalog::Catalog;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand};
 
-fn serial_state() -> ExecutionState {
-    ExecutionState::new(PlannerConfig {
-        threads: 1,
-        ..Default::default()
-    })
-}
+/// Executions that run at once against the one physical plan.
+const CONCURRENT: usize = 4;
 
-fn parallel_state() -> ExecutionState {
-    ExecutionState::new(PlannerConfig {
-        threads: 4,
-        parallel_min_rows: 1,
-        ..Default::default()
-    })
-}
-
-/// Plan once, execute serially and on 4 workers, compare row-for-row.
-fn assert_parallel_identical_logical(lp: &LogicalPlan, label: &str) {
-    let physical = Planner::default()
-        .plan(lp, &Catalog::new())
-        .unwrap_or_else(|e| panic!("{label}: plan: {e}"));
-    let serial = physical
-        .collect(&serial_state())
-        .unwrap_or_else(|e| panic!("{label}: serial: {e}"));
-    let parallel = physical
-        .collect(&parallel_state())
-        .unwrap_or_else(|e| panic!("{label}: parallel: {e}"));
-    assert_eq!(
-        serial.rows(),
-        parallel.rows(),
-        "{label}: threads=4 diverges from threads=1"
+/// Plan once, execute alone and then on [`CONCURRENT`] threads at once,
+/// compare row-for-row; returns the rows of the lone execution.
+fn assert_parallel_identical_logical(lp: &LogicalPlan, label: &str) -> Relation {
+    let physical = Arc::new(
+        Planner::default()
+            .plan(lp, &Catalog::new())
+            .unwrap_or_else(|e| panic!("{label}: plan: {e}")),
     );
+    let serial = physical
+        .collect(&ExecutionState::default())
+        .unwrap_or_else(|e| panic!("{label}: serial: {e}"));
+    let workers: Vec<_> = (0..CONCURRENT)
+        .map(|_| {
+            let physical = Arc::clone(&physical);
+            thread::spawn(move || physical.collect(&ExecutionState::default()))
+        })
+        .collect();
+    for (i, worker) in workers.into_iter().enumerate() {
+        let parallel = worker
+            .join()
+            .unwrap_or_else(|_| panic!("{label}: execution {i} panicked"))
+            .unwrap_or_else(|e| panic!("{label}: execution {i}: {e}"));
+        assert_eq!(
+            serial.rows(),
+            parallel.rows(),
+            "{label}: concurrent execution {i} diverges from the lone one"
+        );
+    }
+    serial
 }
 
-fn assert_parallel_identical(plan: &TemporalPlan, label: &str) {
-    assert_parallel_identical_logical(plan.logical(), label);
+fn assert_parallel_identical(plan: &TemporalPlan, label: &str) -> TemporalRelation {
+    let rel = assert_parallel_identical_logical(plan.logical(), label);
+    TemporalRelation::new(rel).unwrap_or_else(|e| panic!("{label}: temporal result: {e}"))
+}
+
+fn assert_same_set(got: &TemporalRelation, reference: &TemporalRelation, label: &str) {
+    assert!(
+        got.same_set(reference),
+        "{label}: executor diverges from the reference.\nexecutor:\n{got}\nreference:\n{reference}"
+    );
 }
 
 fn check_chains(
@@ -70,8 +81,8 @@ fn check_chains(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pipelines over the paper's synthetic datasets: threads=4 ≡
-    /// threads=1 on Ddisj and Deq of random sizes.
+    /// Pipelines over the paper's synthetic datasets: concurrent ≡ lone
+    /// execution on Ddisj and Deq of random sizes.
     #[test]
     fn parallel_equals_serial_on_ddisj_and_deq(n in 2usize..7) {
         let chains = common::differential_chains_1col();
@@ -93,7 +104,7 @@ proptest! {
         );
     }
 
-    /// The raw primitives under parallel execution: alignment,
+    /// The raw primitives executed concurrently: alignment,
     /// normalization, the gaps-only sweep and absorb.
     #[test]
     fn parallel_equals_serial_on_raw_primitives(seed in 0u64..500) {
@@ -120,20 +131,24 @@ proptest! {
         assert_parallel_identical(&absorb, &format!("absorb seed {seed}"));
     }
 
-    /// Plan shapes whose root used to pull its subtree row-at-a-time — and
-    /// therefore serially, whatever `threads` said: πᵀ (Table 2's
-    /// `π_{B,T}(N_B(r; r))` ends in a `Distinct`) with the normalization's
-    /// join, sort and sweep beneath it, and a `Distinct`/`Limit` pair over
-    /// a filtered, sorted scan.
+    /// Plan shapes that end in a `Distinct`: πᵀ (Table 2's
+    /// `π_{B,T}(N_B(r; r))`) with the normalization's join, sort and sweep
+    /// beneath it, checked against the oracle, and a `Distinct`/`Limit`
+    /// pair over a filtered, sorted scan, checked against the same steps
+    /// done by hand.
     #[test]
     fn parallel_equals_serial_under_distinct_and_limit(seed in 0u64..500, n in 0usize..40) {
         let r = common::random_trel2(seed, 60, 4, 40);
+        let predicate = col(0).ge(lit(1i64));
         let projection = TemporalPlan::scan(&r)
             .projection(&[0])
             .unwrap()
-            .selection(col(0).ge(lit(1i64)))
+            .selection(predicate.clone())
             .unwrap();
-        assert_parallel_identical(&projection, &format!("πᵀ seed {seed}"));
+        let got = assert_parallel_identical(&projection, &format!("πᵀ seed {seed}"));
+        let projected = evaluate_oracle(&TemporalOp::Projection { attrs: vec![0] }, &[&r]).unwrap();
+        let reference = evaluate_oracle(&TemporalOp::Selection { predicate }, &[&projected]).unwrap();
+        assert_same_set(&got, &reference, &format!("πᵀ seed {seed}"));
 
         let lp = LogicalPlan::inline_scan(r.rel().clone())
             .filter(col(2).lt(lit(30i64)))
@@ -141,56 +156,48 @@ proptest! {
             .distinct()
             .sort(vec![SortKey::desc(col(1)), SortKey::asc(col(0))])
             .limit(n);
-        assert_parallel_identical_logical(&lp, &format!("distinct/limit {n} seed {seed}"));
+        let got = assert_parallel_identical_logical(&lp, &format!("distinct/limit {n} seed {seed}"));
+        let got: Vec<Vec<Value>> = got.rows().iter().map(|r| r.to_vec()).collect();
+        let mut want: Vec<Vec<Value>> = r
+            .rel()
+            .rows()
+            .iter()
+            .filter(|r| r[2].as_int().unwrap() < 30)
+            .map(|r| r.values()[..2].to_vec())
+            .collect();
+        want.sort_by(|a, b| b[1].cmp(&a[1]).then_with(|| a[0].cmp(&b[0])));
+        want.dedup();
+        want.truncate(n);
+        prop_assert_eq!(got, want, "distinct/limit {} seed {}", n, seed);
     }
 }
 
-// ---- partition-boundary edge cases -----------------------------------
+// ---- skewed sweep groups ---------------------------------------------
 
-/// Sweep groups that straddle the naive equal-size partition cuts: 3
-/// oversized groups over 4 workers force every cut to snap forward past a
-/// group, and one group dwarfs the others (skew).
+/// Runs of one data value over many r tuples, one of which dwarfs the
+/// others (50, 400 and 73 tuples): the sweep's duplicate test and absorb's
+/// group state carry from tuple to tuple, and every group must be swept
+/// whole — concurrent executions agree with the lone one, and all agree
+/// with `align_ref`/`absorb_ref`.
 #[test]
 fn boundary_straddling_groups_are_swept_whole() {
     let mut r_rows: Vec<(i64, i64, i64)> = Vec::new();
-    // Group 0: 50 tuples; group 1: 400 tuples (dwarfs the rest); group 2: 73.
     for (k, count) in [(0i64, 50i64), (1, 400), (2, 73)] {
-        for i in 0..count {
-            r_rows.push((k, 3 * i, 3 * i + 2));
-        }
+        r_rows.extend((0..count).map(|i| (k, 3 * i, 3 * i + 2)));
     }
     let r = common::rel1("r", &r_rows);
     let s_rows: Vec<(i64, i64, i64)> = (0..200).map(|i| (i % 3, 6 * i + 1, 6 * i + 4)).collect();
     let s = common::rel1("s", &s_rows);
 
+    let theta = col(0).eq(col(3));
     let align = TemporalPlan::scan(&r)
-        .align(TemporalPlan::scan(&s), Some(col(0).eq(col(3))))
+        .align(TemporalPlan::scan(&s), Some(theta.clone()))
         .unwrap();
-    assert_parallel_identical(&align, "straddling align");
-    let absorb = TemporalPlan::scan(&r).absorb();
-    assert_parallel_identical(&absorb, "straddling absorb");
-}
+    let got = assert_parallel_identical(&align, "skewed align");
+    let reference = align_ref(&r, &s, &Theta::Predicate(theta)).unwrap();
+    assert_same_set(&got, &reference, "skewed align");
 
-/// Exact-boundary case: the input size divides evenly by the worker count
-/// AND every data-run boundary coincides with a naive cut point, so the
-/// snap loop takes zero steps. The partitioned sweep must still agree and
-/// must actually have partitioned (not fallen back to serial).
-#[test]
-fn exact_partition_boundaries() {
-    // 400 rows, 4 workers → cuts at 100/200/300; data changes exactly there.
-    let rows: Vec<(i64, i64, i64)> = (0..400).map(|i| (i / 100, 2 * i, 2 * i + 1)).collect();
-    let r = common::rel1("r", &rows);
-    let plan = TemporalPlan::scan(&r).absorb();
-    let physical = Planner::default()
-        .plan(plan.logical(), &Catalog::new())
-        .unwrap();
-    let serial = physical.collect(&serial_state()).unwrap();
-    let par_state = parallel_state();
-    let parallel = physical.collect(&par_state).unwrap();
-    assert_eq!(serial.rows(), parallel.rows());
-    let partitions = par_state.partitions_run.load(Ordering::Relaxed);
-    assert!(
-        partitions > 1,
-        "exact-boundary input must still run partitioned, got {partitions}"
-    );
+    let absorb = TemporalPlan::scan(&r).absorb();
+    let got = assert_parallel_identical(&absorb, "skewed absorb");
+    assert_same_set(&got, &absorb_ref(&r).unwrap(), "skewed absorb");
 }

@@ -168,7 +168,7 @@ proptest! {
     /// of the temporal pair, NULL `ts`/`te`, integer and non-integer
     /// first columns), random bounds and a snapshot that ends inside the
     /// tail page, `scan(bounds) + filter` and `scan + filter` return the
-    /// same bag — serial and partitioned, row and batch protocol.
+    /// same bag.
     #[test]
     fn record_bounds_never_change_a_filtered_scan(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -233,30 +233,26 @@ proptest! {
             filtered(PhysicalPlan::IndexScan { table: table.clone(), label, bounds }),
         ];
 
-        for threads in [1usize, 4] {
-            let config = PlannerConfig {
-                threads,
-                parallel_min_rows: 1,
-                enable_zonemaps: true,
-                ..PlannerConfig::default()
-            };
-            // Pin the statement snapshot, then grow the tail page past
-            // it: the scans below must stop inside that page.
-            let state = ExecutionState::new(config);
-            let snap = state.snapshot_for(&table);
-            for _ in 0..rng.gen_range(1usize..12) {
-                table.append_row(&random_row(&mut rng)).unwrap();
-            }
-            let expected = plain.collect(&state).unwrap();
-            prop_assert!(expected.len() as u64 <= snap.rows);
-            for plan in &bounded {
-                let got = plan.collect(&state).unwrap();
-                prop_assert!(
-                    got.same_bag(&expected),
-                    "seed {} threads {}: {} rows with {:?}, {} without\n{}",
-                    seed, threads, got.len(), bounds, expected.len(), plan.explain()
-                );
-            }
+        let config = PlannerConfig {
+            enable_zonemaps: true,
+            ..PlannerConfig::default()
+        };
+        // Pin the statement snapshot, then grow the tail page past it:
+        // the scans below must stop inside that page.
+        let state = ExecutionState::new(config);
+        let snap = state.snapshot_for(&table);
+        for _ in 0..rng.gen_range(1usize..12) {
+            table.append_row(&random_row(&mut rng)).unwrap();
+        }
+        let expected = plain.collect(&state).unwrap();
+        prop_assert!(expected.len() as u64 <= snap.rows);
+        for plan in &bounded {
+            let got = plan.collect(&state).unwrap();
+            prop_assert!(
+                got.same_bag(&expected),
+                "seed {}: {} rows with {:?}, {} without\n{}",
+                seed, got.len(), bounds, expected.len(), plan.explain()
+            );
         }
         drop(table);
         std::fs::remove_dir_all(&dir).unwrap();

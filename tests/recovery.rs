@@ -323,7 +323,7 @@ fn missing_storage_files_are_a_clear_error() {
 
 /// `SET sync_mode` round-trips through the SQL surface (including the
 /// `off` spelling, which lexes as a boolean) and the frame surface, and
-/// rejects junk with a helpful message.
+/// rejects junk — and unknown settings — with a helpful message.
 #[test]
 fn sync_mode_is_settable_through_both_surfaces() {
     let dir = scratch("sync-mode");
@@ -350,6 +350,25 @@ fn sync_mode_is_settable_through_both_surfaces() {
     );
     let err = db.set_str("no_such_setting", "x").unwrap_err();
     assert!(err.to_string().contains("no_such_setting"));
+    // Integer settings the planner does not know (`threads` and
+    // `parallel_min_rows` among them) are rejected in-band, and the session
+    // keeps answering.
+    session
+        .execute("CREATE TABLE t (k int, ts int, te int)")
+        .unwrap();
+    session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
+    for stmt in [
+        "SET threads = 4",
+        "SET parallel_min_rows = 1",
+        "SET nonsense_guc = 4",
+    ] {
+        let err = session.execute(stmt).unwrap_err().to_string();
+        assert!(
+            err.contains("unknown integer planner setting"),
+            "{stmt}: {err}"
+        );
+        assert_eq!(session.query("SELECT k FROM t").unwrap().len(), 1);
+    }
 
     // In-memory databases accept the setting as an inert no-op and
     // report no mode at all.
