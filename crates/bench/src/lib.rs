@@ -107,7 +107,6 @@ pub struct Series {
     /// What the series computes: series of one experiment with the same
     /// `query` must return the same number of rows at every `n`.
     pub query: &'static str,
-    /// Pinned by [`pin`]: nothing in it comes from the environment.
     pub config: PlannerConfig,
     pub plan: PlanFn,
 }
@@ -121,25 +120,6 @@ pub struct Experiment {
     pub full: &'static [usize],
     pub data: fn(usize) -> Data,
     pub series: Vec<Series>,
-}
-
-/// `base` with every setting `PlannerConfig::default()` reads from the
-/// environment (`TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`,
-/// `TEMPORAL_INTERVAL_INDEX`) fixed: tracing off, both pruning layers on.
-/// `PlannerConfig::paper()` inherits those defaults, so without this
-/// `TEMPORAL_TRACE=on` would silently run the paper's figures
-/// instrumented.
-pub fn pin(base: PlannerConfig) -> PlannerConfig {
-    PlannerConfig {
-        trace: false,
-        enable_zonemaps: true,
-        enable_interval_index: true,
-        ..base
-    }
-}
-
-fn paper() -> PlannerConfig {
-    pin(PlannerConfig::paper())
 }
 
 fn series(
@@ -161,14 +141,14 @@ fn series(
 /// `t=1` of the committed runs, so a series is one name across them all.
 fn default_planner(label: &str, query: &'static str, plan: PlanFn) -> Series {
     let label = format!("{label} (default, t=1)");
-    series(label, query, pin(PlannerConfig::default()), plan)
+    series(label, query, PlannerConfig::default(), plan)
 }
 
 /// The paper's method under the paper-faithful planner, then under the
 /// [`default_planner`].
 fn method(label: &str, query: &'static str, plan: PlanFn) -> Vec<Series> {
     vec![
-        series(label, query, paper(), plan),
+        series(label, query, PlannerConfig::paper(), plan),
         default_planner(label, query, plan),
     ]
 }
@@ -178,7 +158,7 @@ fn method(label: &str, query: &'static str, plan: PlanFn) -> Vec<Series> {
 fn outer_join(query: &'static str, baselines: &[(&str, PlanFn)], align: PlanFn) -> Vec<Series> {
     let mut out: Vec<Series> = baselines
         .iter()
-        .map(|&(label, plan)| series(label, query, paper(), plan))
+        .map(|&(label, plan)| series(label, query, PlannerConfig::paper(), plan))
         .collect();
     out.extend(method("align", query, align));
     out
@@ -313,7 +293,7 @@ pub fn experiments() -> Vec<Experiment> {
     let unpruned = PlannerConfig {
         enable_zonemaps: false,
         enable_interval_index: false,
-        ..pin(PlannerConfig::default())
+        ..PlannerConfig::default()
     };
     vec![
         Experiment {
@@ -327,20 +307,20 @@ pub fn experiments() -> Vec<Experiment> {
             // prefers hash, so (b) disables hash. Every setting still runs
             // the best *enabled* method, which is the figure's claim.
             series: vec![
-                series("(a) all", "N{ssn}", pin(PlannerConfig::all_enabled()), n_ssn),
+                series("(a) all", "N{ssn}", PlannerConfig::all_enabled(), n_ssn),
                 series(
                     "(b) -hash",
                     "N{ssn}",
                     PlannerConfig {
                         enable_hashjoin: false,
-                        ..paper()
+                        ..PlannerConfig::paper()
                     },
                     n_ssn,
                 ),
                 series(
                     "(c) nestloop",
                     "N{ssn}",
-                    pin(PlannerConfig::nestloop_only()),
+                    PlannerConfig::nestloop_only(),
                     n_ssn,
                 ),
                 default_planner("N{ssn}", "N{ssn}", n_ssn),
@@ -444,8 +424,8 @@ pub fn experiments() -> Vec<Experiment> {
             full: &[10_000, 20_000, 40_000],
             data: incumben_prefix,
             series: vec![
-                series("generic", "r ▷ᵀ r", paper(), |d| antijoin(d, false)),
-                series("gaps-only", "r ▷ᵀ r", paper(), |d| antijoin(d, true)),
+                series("generic", "r ▷ᵀ r", PlannerConfig::paper(), |d| antijoin(d, false)),
+                series("gaps-only", "r ▷ᵀ r", PlannerConfig::paper(), |d| antijoin(d, true)),
             ],
         },
         Experiment {
@@ -455,13 +435,13 @@ pub fn experiments() -> Vec<Experiment> {
             full: &[2_000, 4_000, 8_000, 16_000],
             data: incumben_prefix,
             series: vec![
-                series("plan-first", "chain", paper(), chain),
+                series("plan-first", "chain", PlannerConfig::paper(), chain),
                 series(
                     "plan-first-norw",
                     "chain",
                     PlannerConfig {
                         enable_rewrites: false,
-                        ..paper()
+                        ..PlannerConfig::paper()
                     },
                     chain,
                 ),
@@ -502,7 +482,7 @@ pub fn experiments() -> Vec<Experiment> {
                     },
                     as_of,
                 ),
-                series("index", "AS OF", pin(PlannerConfig::default()), as_of),
+                series("index", "AS OF", PlannerConfig::default(), as_of),
             ],
         },
     ]
@@ -677,9 +657,8 @@ mod tests {
         }
     }
 
-    /// CI runs the suite under `TEMPORAL_TRACE=on` and
-    /// `TEMPORAL_ZONEMAPS=0 TEMPORAL_INTERVAL_INDEX=0`; none of them may
-    /// reach a series.
+    /// Every series runs untraced, with both pruning layers on except
+    /// where its row measures them.
     #[test]
     fn every_series_pins_trace_and_pruning() {
         for exp in experiments() {

@@ -142,8 +142,8 @@ struct DbShared {
     /// Unified observability registry: named counters, gauges and latency
     /// histograms from every layer (server sessions/statements, SQL
     /// session latencies) accumulate here; store-side counters (buffer
-    /// pools, WAL) are *polled* into gauges at
-    /// [`Database::metrics_snapshot`] time, so their hot paths stay plain
+    /// pools, WAL) are *polled* into each
+    /// [`Database::metrics_snapshot`], so their hot paths stay plain
     /// atomic increments.
     metrics: MetricsRegistry,
     /// Ring-buffer span tracer behind the `trace` GUC: statement, plan
@@ -494,7 +494,7 @@ impl Database {
     /// and save the manifest, and truncate the WAL (everything logged so
     /// far is now on the data pages). A no-op on an in-memory database.
     /// Checkpoints also fire automatically once the log outgrows the
-    /// `wal_checkpoint_pages` threshold (see [`Database::set_int`]).
+    /// `wal_checkpoint_pages` threshold (see [`Database::set`]).
     pub fn checkpoint(&self) -> TemporalResult<()> {
         let _writer = self.writer_lock()?;
         let epoch = self.epoch();
@@ -523,8 +523,8 @@ impl Database {
     }
 
     /// The WAL durability policy of a persisted database (`None` when
-    /// in-memory). Defaults to [`SyncMode::Commit`], overridable via the
-    /// `TEMPORAL_SYNC_MODE` environment variable or `set_str`.
+    /// in-memory). Starts as [`SyncMode::Commit`]; `SET sync_mode`
+    /// changes it ([`Database::set`]).
     pub fn sync_mode(&self) -> Option<SyncMode> {
         self.state().storage.as_ref().map(|r| r.wal.mode())
     }
@@ -566,59 +566,46 @@ impl Database {
     }
 
     /// The database-wide span tracer. Populated while the `trace` GUC is
-    /// on (`SET trace = on`, or `TEMPORAL_TRACE=1` at startup); dump with
-    /// tsql `.trace <file>` as chrome-trace JSON.
+    /// on (`SET trace = on`); dump with tsql `.trace <file>` as
+    /// chrome-trace JSON.
     pub fn tracer(&self) -> &Tracer {
         &self.inner.tracer
     }
 
-    /// One coherent snapshot of every metric: polls the store-side
-    /// counters (buffer pools, WAL) and ambient state (epoch, open
-    /// sessions) into gauges, then snapshots the whole registry. Two
-    /// snapshots [`MetricsSnapshot::diff`] into an interval view with
-    /// percentiles recomputed over just that window.
+    /// One coherent snapshot of every metric: the registry, plus the
+    /// store-side totals (buffer pools, WAL) polled in as counters and
+    /// ambient state (pool capacity, epoch, open sessions) as gauges. Two
+    /// snapshots [`MetricsSnapshot::diff`] into an interval view — the
+    /// `pool.*` / `wal.*` traffic of just that window, with percentiles
+    /// recomputed over it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let m = &self.inner.metrics;
+        let mut snap = self.inner.metrics.snapshot();
+        let mut totals = Vec::new();
         if let Some(pool) = self.pool_stats() {
-            m.gauge("pool.fetches").set(pool.fetches);
-            m.gauge("pool.io_reads").set(pool.io_reads);
-            m.gauge("pool.io_writes").set(pool.io_writes);
-            m.gauge("pool.io_syncs").set(pool.io_syncs);
-            m.gauge("pool.evictions").set(pool.evictions);
-            m.gauge("pool.capacity").set(pool.capacity);
+            totals.extend([
+                ("pool.fetches", pool.fetches),
+                ("pool.io_reads", pool.io_reads),
+                ("pool.io_writes", pool.io_writes),
+                ("pool.io_syncs", pool.io_syncs),
+                ("pool.evictions", pool.evictions),
+            ]);
+            snap.gauges.insert("pool.capacity".into(), pool.capacity);
         }
         if let Some(wal) = self.wal_stats() {
-            m.gauge("wal.commits").set(wal.commits);
-            m.gauge("wal.syncs").set(wal.syncs);
-            m.gauge("wal.bytes").set(wal.bytes);
-            m.gauge("wal.checkpoints").set(wal.checkpoints);
+            totals.extend([
+                ("wal.commits", wal.commits),
+                ("wal.syncs", wal.syncs),
+                ("wal.bytes", wal.bytes),
+                ("wal.checkpoints", wal.checkpoints),
+            ]);
         }
-        m.gauge("db.epoch").set(self.epoch());
-        m.gauge("db.sessions").set(self.open_sessions() as u64);
-        m.snapshot()
-    }
-
-    /// Set a string-valued setting by name. Currently that is
-    /// `sync_mode` — when the WAL fsyncs — with values `off` (never:
-    /// fastest, a crash can lose recent commits), `commit` (once per
-    /// acknowledged batch; the default) or `always` (on every record).
-    /// Accepted but inert on an in-memory database, so scripts run
-    /// against either backing.
-    pub fn set_str(&self, name: &str, value: &str) -> TemporalResult<()> {
-        if name.eq_ignore_ascii_case("sync_mode") {
-            let mode = SyncMode::parse(value).ok_or_else(|| {
-                TemporalError::Unsupported(format!(
-                    "sync_mode accepts off, commit or always (got {value:?})"
-                ))
-            })?;
-            if let Some(root) = &self.state().storage {
-                root.wal.set_mode(mode);
-            }
-            return Ok(());
+        for (name, total) in totals {
+            snap.counters.insert(name.into(), total);
         }
-        Err(TemporalError::Unsupported(format!(
-            "unknown string setting {name:?} (expected sync_mode)"
-        )))
+        snap.gauges.insert("db.epoch".into(), self.epoch());
+        snap.gauges
+            .insert("db.sessions".into(), self.open_sessions() as u64);
+        snap
     }
 
     /// Persist table `name` into the database's storage directory: its
@@ -813,38 +800,62 @@ impl Database {
 
     // ---- configuration ---------------------------------------------------
 
-    /// Set a planner switch by its GUC name (e.g. `enable_mergejoin`) —
-    /// applies to every frame and SQL session sharing this database.
-    pub fn set(&self, guc: &str, value: bool) -> TemporalResult<()> {
-        self.state_mut()
-            .planner
-            .config
-            .set(guc, value)
-            .map_err(TemporalError::from)
-    }
-
-    /// Set an integer GUC by name (e.g. `slow_query_ms`) — applies to
-    /// every frame and SQL session sharing this database.
-    /// `wal_checkpoint_pages` (how many pages' worth of WAL accumulate
-    /// before an automatic checkpoint) is handled here too; like
-    /// `sync_mode` it is accepted but inert on an in-memory database.
-    pub fn set_int(&self, guc: &str, value: i64) -> TemporalResult<()> {
-        if guc.eq_ignore_ascii_case("wal_checkpoint_pages") {
-            if value <= 0 {
-                return Err(TemporalError::Unsupported(
-                    "wal_checkpoint_pages must be positive".into(),
-                ));
+    /// Set a setting by its GUC name. The storage-global settings live
+    /// here, since there is one WAL per database:
+    /// - `sync_mode`: when the WAL fsyncs — `off` (never: fastest, a crash
+    ///   can lose recent commits), `commit` (once per acknowledged batch;
+    ///   the default) or `always` (on every record);
+    /// - `wal_checkpoint_pages`: how many pages' worth of WAL accumulate
+    ///   before an automatic checkpoint.
+    ///
+    /// Both are accepted but inert on an in-memory database, so scripts
+    /// run against either backing. Every other name is a planner setting
+    /// ([`PlannerConfig::set`]): it lands in `local` when given — a scoped
+    /// session's overlay, so other connections keep their settings — and
+    /// otherwise in the shared planner every frame and SQL session on this
+    /// database plans with.
+    pub fn set(
+        &self,
+        name: &str,
+        value: impl Into<SettingValue>,
+        local: Option<&mut PlannerConfig>,
+    ) -> TemporalResult<()> {
+        match (name.to_ascii_lowercase().as_str(), value.into()) {
+            // `on`/`off` lex as booleans; they are spellings of sync modes.
+            ("sync_mode", SettingValue::Bool(on)) => {
+                self.set(name, if on { "on" } else { "off" }, local)
             }
-            if let Some(root) = &mut self.state_mut().storage {
-                root.checkpoint_pages = value as u64;
+            ("sync_mode", SettingValue::Str(word)) => {
+                let mode = SyncMode::parse(&word).ok_or_else(|| {
+                    TemporalError::Unsupported(format!(
+                        "sync_mode accepts off, commit or always (got {word:?})"
+                    ))
+                })?;
+                if let Some(root) = &self.state().storage {
+                    root.wal.set_mode(mode);
+                }
+                Ok(())
             }
-            return Ok(());
+            ("wal_checkpoint_pages", SettingValue::Int(pages)) => {
+                if pages <= 0 {
+                    return Err(TemporalError::Unsupported(
+                        "wal_checkpoint_pages must be positive".into(),
+                    ));
+                }
+                if let Some(root) = &mut self.state_mut().storage {
+                    root.checkpoint_pages = pages as u64;
+                }
+                Ok(())
+            }
+            (_, SettingValue::Str(_)) => Err(TemporalError::Unsupported(format!(
+                "unknown string setting {name:?} (expected sync_mode)"
+            ))),
+            (_, value) => match local {
+                Some(config) => config.set(name, value),
+                None => self.state_mut().planner.config.set(name, value),
+            }
+            .map_err(TemporalError::from),
         }
-        self.state_mut()
-            .planner
-            .config
-            .set_int(guc, value)
-            .map_err(TemporalError::from)
     }
 
     /// A copy of the current planner configuration.
@@ -1449,8 +1460,8 @@ mod tests {
     #[test]
     fn guc_changes_apply_to_frames() {
         let db = db();
-        db.set("enable_hashjoin", false).unwrap();
-        db.set("enable_mergejoin", false).unwrap();
+        db.set("enable_hashjoin", false, None).unwrap();
+        db.set("enable_mergejoin", false, None).unwrap();
         let plan = db
             .table("staff")
             .unwrap()
@@ -1461,7 +1472,7 @@ mod tests {
             .explain()
             .unwrap();
         assert!(plan.contains("NestedLoopJoin"), "{plan}");
-        assert!(db.set("enable_time_travel", true).is_err());
+        assert!(db.set("enable_time_travel", true, None).is_err());
     }
 
     fn storage_dir(name: &str) -> std::path::PathBuf {

@@ -84,6 +84,7 @@ pub mod prelude {
     };
     pub use crate::plan::{
         ExtensionNode, JoinType, LogicalPlan, PhysicalPlan, Planner, PlannerConfig, SetOpKind,
+        SettingValue,
     };
     pub use crate::relation::Relation;
     pub use crate::schema::{Column, DataType, Schema};

@@ -10,7 +10,7 @@ mod spool;
 
 pub use cost::{CostModel, PlanStats, DISABLE_COST};
 pub use logical::{ExtensionNode, LogicalPlan};
-pub use optimizer::{Planner, PlannerConfig};
+pub use optimizer::{Planner, PlannerConfig, SettingValue};
 pub use physical::PhysicalPlan;
 pub use spool::{SpoolExec, SpoolNode};
 

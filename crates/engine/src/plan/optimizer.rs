@@ -42,21 +42,17 @@ pub struct PlannerConfig {
     pub enable_rewrites: bool,
     /// Zone-map scan pruning: storage scans under a filter with temporal
     /// (or first-key-column) range conjuncts skip pages whose header
-    /// min/max synopsis cannot match. On by default; the
-    /// `TEMPORAL_ZONEMAPS` environment variable (0/false/off) flips the
-    /// default (how CI runs the fallback suite).
+    /// min/max synopsis cannot match. On by default.
     pub enable_zonemaps: bool,
     /// Interval-index access path: `AS OF` timeslices (and any filter with
     /// `ts <=` / `te >` bounds) may probe the table's persistent interval
     /// index instead of sweeping zone maps, when the cost model prefers it.
-    /// On by default; `TEMPORAL_INTERVAL_INDEX` flips the default.
+    /// On by default.
     pub enable_interval_index: bool,
     /// Span tracing (`SET trace = on`): statements run instrumented and
     /// the session layer records query/plan/operator spans into the
     /// database's ring-buffer tracer (dumpable as chrome-trace JSON via
-    /// tsql `.trace <file>`). Off by default; the `TEMPORAL_TRACE`
-    /// environment variable (1/true/on) flips the default — how CI runs
-    /// the whole suite traced.
+    /// tsql `.trace <file>`). Off by default.
     pub trace: bool,
     /// Slow-statement logging threshold in milliseconds (`SET
     /// slow_query_ms = N`). 0 — the default — disables it; above 0 every
@@ -66,37 +62,31 @@ pub struct PlannerConfig {
     pub cost_model: CostModel,
 }
 
-/// An on-by-default boolean env override: only `0`, `false` or `off`
-/// (case-insensitive) disable the feature.
-fn env_flag(var: &str) -> bool {
-    !matches!(
-        std::env::var(var).map(|v| v.trim().to_ascii_lowercase()),
-        Ok(ref v) if v == "0" || v == "false" || v == "off"
-    )
+/// The right-hand side of a `SET`: `on`/`off`/`true`/`false`, an integer,
+/// or a bare word (`SET sync_mode = commit`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SettingValue {
+    Bool(bool),
+    Int(i64),
+    Str(String),
 }
 
-/// Default zone-map pruning state (`TEMPORAL_ZONEMAPS`, default on).
-fn default_zonemaps() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| env_flag("TEMPORAL_ZONEMAPS"))
+impl From<bool> for SettingValue {
+    fn from(v: bool) -> Self {
+        SettingValue::Bool(v)
+    }
 }
 
-/// Default interval-index state (`TEMPORAL_INTERVAL_INDEX`, default on).
-fn default_interval_index() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| env_flag("TEMPORAL_INTERVAL_INDEX"))
+impl From<i64> for SettingValue {
+    fn from(v: i64) -> Self {
+        SettingValue::Int(v)
+    }
 }
 
-/// Default tracing state (`TEMPORAL_TRACE`, default off — the inverse
-/// polarity of [`env_flag`]: only `1`, `true` or `on` enable it).
-fn default_trace() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| {
-        matches!(
-            std::env::var("TEMPORAL_TRACE").map(|v| v.trim().to_ascii_lowercase()),
-            Ok(ref v) if v == "1" || v == "true" || v == "on"
-        )
-    })
+impl From<&str> for SettingValue {
+    fn from(v: &str) -> Self {
+        SettingValue::Str(v.to_string())
+    }
 }
 
 impl Default for PlannerConfig {
@@ -107,9 +97,9 @@ impl Default for PlannerConfig {
             enable_mergejoin: true,
             enable_intervaljoin_auto: true,
             enable_rewrites: true,
-            enable_zonemaps: default_zonemaps(),
-            enable_interval_index: default_interval_index(),
-            trace: default_trace(),
+            enable_zonemaps: true,
+            enable_interval_index: true,
+            trace: false,
             slow_query_ms: 0,
             cost_model: CostModel::default(),
         }
@@ -119,12 +109,8 @@ impl Default for PlannerConfig {
 impl PlannerConfig {
     /// The paper-faithful configuration: exactly PostgreSQL 9.0's join
     /// methods — the sweep interval join (a Sec. 8 future-work extension)
-    /// is never a candidate. Every other field is
-    /// `Default`'s, including those read from the environment
-    /// (`TEMPORAL_TRACE`, `TEMPORAL_ZONEMAPS`, `TEMPORAL_INTERVAL_INDEX`): a caller that needs a fixed
-    /// configuration sets them itself, as the `reproduce` experiment table
-    /// does for each series (`temporal_bench::pin`). The per-setting
-    /// presets below all build on it.
+    /// is never a candidate. Every other field is `Default`'s. The
+    /// per-setting presets below all build on it.
     pub fn paper() -> Self {
         PlannerConfig {
             enable_intervaljoin_auto: false,
@@ -155,41 +141,38 @@ impl PlannerConfig {
         }
     }
 
-    /// Set a switch by its PostgreSQL GUC name.
-    pub fn set(&mut self, name: &str, value: bool) -> EngineResult<()> {
-        match name {
-            "enable_nestloop" => self.enable_nestloop = value,
-            "enable_hashjoin" => self.enable_hashjoin = value,
-            "enable_mergejoin" => self.enable_mergejoin = value,
-            "enable_intervaljoin_auto" => self.enable_intervaljoin_auto = value,
-            "enable_rewrites" => self.enable_rewrites = value,
-            "enable_zonemaps" => self.enable_zonemaps = value,
-            "enable_interval_index" => self.enable_interval_index = value,
-            "trace" => self.trace = value,
-            other => {
-                return Err(EngineError::Unsupported(format!(
-                    "unknown planner setting '{other}'"
-                )))
+    /// Set a planner setting by its PostgreSQL GUC name: the boolean
+    /// switches (`enable_mergejoin = off`, `trace = on`, …) and the
+    /// integer `slow_query_ms`. The planner has no string settings.
+    pub fn set(&mut self, name: &str, value: impl Into<SettingValue>) -> EngineResult<()> {
+        let unknown = |kind: &str| {
+            Err(EngineError::Unsupported(format!(
+                "unknown {kind} setting '{name}'"
+            )))
+        };
+        match value.into() {
+            SettingValue::Bool(on) => {
+                let switch = match name {
+                    "enable_nestloop" => &mut self.enable_nestloop,
+                    "enable_hashjoin" => &mut self.enable_hashjoin,
+                    "enable_mergejoin" => &mut self.enable_mergejoin,
+                    "enable_intervaljoin_auto" => &mut self.enable_intervaljoin_auto,
+                    "enable_rewrites" => &mut self.enable_rewrites,
+                    "enable_zonemaps" => &mut self.enable_zonemaps,
+                    "enable_interval_index" => &mut self.enable_interval_index,
+                    "trace" => &mut self.trace,
+                    _ => return unknown("planner"),
+                };
+                *switch = on;
             }
-        }
-        Ok(())
-    }
-
-    /// Set an integer-valued setting by its GUC name (`SET slow_query_ms =
-    /// 100`).
-    pub fn set_int(&mut self, name: &str, value: i64) -> EngineResult<()> {
-        match name {
             // 0 is meaningful here: it turns slow-statement logging off.
-            "slow_query_ms" => {
-                self.slow_query_ms = usize::try_from(value).map_err(|_| {
+            SettingValue::Int(v) if name == "slow_query_ms" => {
+                self.slow_query_ms = usize::try_from(v).map_err(|_| {
                     EngineError::Unsupported(format!("setting '{name}' requires a value ≥ 0"))
                 })?
             }
-            other => {
-                return Err(EngineError::Unsupported(format!(
-                    "unknown integer planner setting '{other}'"
-                )))
-            }
+            SettingValue::Int(_) => return unknown("integer planner"),
+            SettingValue::Str(_) => return unknown("string"),
         }
         Ok(())
     }

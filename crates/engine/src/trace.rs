@@ -1,11 +1,10 @@
 //! A lightweight span tracer with chrome-trace export.
 //!
-//! `SET trace = on` (or `TEMPORAL_TRACE=on` in the environment) makes the
-//! session layer record one span per query, plan and operator into the
-//! database's [`Tracer`] — a fixed-capacity ring buffer of completed
-//! spans. The buffer is bounded so a long-lived server can leave tracing
-//! on without growing memory: when full, the oldest spans fall off and a
-//! drop counter records how many were lost.
+//! `SET trace = on` makes the session layer record one span per query,
+//! plan and operator into the database's [`Tracer`] — a fixed-capacity
+//! ring buffer of completed spans. The buffer is bounded so a long-lived
+//! server can leave tracing on without growing memory: when full, the
+//! oldest spans fall off and a drop counter records how many were lost.
 //!
 //! [`Tracer::chrome_trace_json`] renders the buffer as a Chrome trace
 //! event array (the `chrome://tracing` / Perfetto "X" complete-event

@@ -395,10 +395,7 @@ fn main() {
             continue;
         }
         let stmt = std::mem::take(&mut buffer);
-        let before = timer.then(|| {
-            let db = session.database();
-            (Instant::now(), db.pool_stats(), db.wal_stats())
-        });
+        let before = timer.then(|| (Instant::now(), session.database().metrics_snapshot()));
         match session.execute(stmt.trim().trim_end_matches(';')) {
             Ok(SqlOutput::Rows(rel)) => println!("{}", rel.to_table()),
             Ok(SqlOutput::Explain(plan)) => println!("{plan}"),
@@ -406,22 +403,17 @@ fn main() {
             Ok(SqlOutput::Affected(n)) => println!("AFFECTED {n}"),
             Err(e) => println!("error: {e}"),
         }
-        if let Some((t0, pool0, wal0)) = before {
-            let db = session.database();
+        if let Some((t0, snap0)) = before {
+            let delta = session.database().metrics_snapshot().diff(&snap0);
+            let counter = |name: &str| delta.counters.get(name).copied();
             let mut report = format!("Time: {:.3} ms", t0.elapsed().as_secs_f64() * 1e3);
-            if let (Some(a), Some(b)) = (pool0, db.pool_stats()) {
-                report.push_str(&format!(
-                    "  pool: +{} fetches +{} reads",
-                    b.fetches.saturating_sub(a.fetches),
-                    b.io_reads.saturating_sub(a.io_reads),
-                ));
+            if let (Some(fetches), Some(reads)) =
+                (counter("pool.fetches"), counter("pool.io_reads"))
+            {
+                report.push_str(&format!("  pool: +{fetches} fetches +{reads} reads"));
             }
-            if let (Some(a), Some(b)) = (wal0, db.wal_stats()) {
-                report.push_str(&format!(
-                    "  wal: +{} commits +{} syncs",
-                    b.commits.saturating_sub(a.commits),
-                    b.syncs.saturating_sub(a.syncs),
-                ));
+            if let (Some(commits), Some(syncs)) = (counter("wal.commits"), counter("wal.syncs")) {
+                report.push_str(&format!("  wal: +{commits} commits +{syncs} syncs"));
             }
             eprintln!("{report}");
         }

@@ -185,7 +185,7 @@ fn accept_loop<S>(
 /// Build the server's `.stats` result: one `(name, value)` row per
 /// metric. Counters and gauges come from one [`Database::metrics_snapshot`]
 /// (which polls the buffer pools and the WAL into `pool.*` / `wal.*`
-/// gauges); the derived ratios — group-commit fsyncs-per-commit and
+/// counters); the derived ratios — group-commit fsyncs-per-commit and
 /// buffer-pool hit rate — and the statement-latency percentiles
 /// (`session.statement_us.p50_us` …) are appended after it.
 pub fn stats_relation(db: &Database) -> Relation {

@@ -1,6 +1,7 @@
 //! Abstract syntax tree for the SQL dialect (the "parse tree" of the
 //! paper's Fig. 12a).
 
+use temporal_engine::plan::SettingValue;
 use temporal_engine::schema::DataType;
 
 /// A parsed statement.
@@ -8,11 +9,12 @@ use temporal_engine::schema::DataType;
 #[allow(clippy::large_enum_variant)]
 pub enum Statement {
     Select(SelectStmt),
-    /// `SET <guc> = on|off|true|false|<int>` — planner switches (Sec. 7.2)
-    /// and integer GUCs such as `slow_query_ms`.
+    /// `SET <guc> = on|off|true|false|<int>|<word>` — planner switches
+    /// (Sec. 7.2), integer GUCs such as `slow_query_ms` and string ones
+    /// such as `sync_mode`.
     Set {
         name: String,
-        value: SetValue,
+        value: SettingValue,
     },
     /// `EXPLAIN [ANALYZE] <select>` — print the physical plan. With
     /// `ANALYZE` the query is *executed* under per-operator
@@ -71,16 +73,6 @@ pub enum Quantifier {
     All,
     Distinct,
     Absorb,
-}
-
-/// The right-hand side of a `SET` statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SetValue {
-    Bool(bool),
-    Int(i64),
-    /// A bare identifier, for string-valued settings such as
-    /// `SET sync_mode = commit`.
-    Ident(String),
 }
 
 /// Set operation chaining.

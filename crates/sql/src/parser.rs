@@ -8,6 +8,7 @@ use crate::ast::*;
 use crate::error::{SqlError, SqlResult};
 use crate::lexer::lex;
 use crate::token::{Kw, Token};
+use temporal_engine::plan::SettingValue;
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> SqlResult<Statement> {
@@ -93,15 +94,15 @@ impl Parser {
             let name = self.expect_ident()?;
             self.expect(Token::Eq)?;
             let value = match self.advance() {
-                Token::Keyword(Kw::True) => SetValue::Bool(true),
-                Token::Keyword(Kw::False) => SetValue::Bool(false),
+                Token::Keyword(Kw::True) => SettingValue::Bool(true),
+                Token::Keyword(Kw::False) => SettingValue::Bool(false),
                 // `on` happens to lex as the ON keyword.
-                Token::Keyword(Kw::On) => SetValue::Bool(true),
-                Token::Ident(s) if s == "off" => SetValue::Bool(false),
-                Token::Int(v) => SetValue::Int(v),
+                Token::Keyword(Kw::On) => SettingValue::Bool(true),
+                Token::Ident(s) if s == "off" => SettingValue::Bool(false),
+                Token::Int(v) => SettingValue::Int(v),
                 // Other bare identifiers are string-valued settings, e.g.
                 // `SET sync_mode = commit`.
-                Token::Ident(s) => SetValue::Ident(s),
+                Token::Ident(s) => SettingValue::Str(s),
                 other => {
                     return Err(SqlError::Parse(format!(
                         "expected on/off/true/false, an integer or an identifier, found {other}"
@@ -856,14 +857,14 @@ mod tests {
         match parse_statement("SET enable_mergejoin = off").unwrap() {
             Statement::Set { name, value } => {
                 assert_eq!(name, "enable_mergejoin");
-                assert_eq!(value, SetValue::Bool(false));
+                assert_eq!(value, SettingValue::Bool(false));
             }
             other => panic!("{other:?}"),
         }
         match parse_statement("SET slow_query_ms = 4").unwrap() {
             Statement::Set { name, value } => {
                 assert_eq!(name, "slow_query_ms");
-                assert_eq!(value, SetValue::Int(4));
+                assert_eq!(value, SettingValue::Int(4));
             }
             other => panic!("{other:?}"),
         }

@@ -15,7 +15,7 @@ use temporal_core::trel::TemporalRelation;
 use temporal_engine::prelude::*;
 
 use crate::analyzer::Analyzer;
-use crate::ast::{AstExpr, CopyDirection, SelectStmt, SetValue, Statement};
+use crate::ast::{AstExpr, CopyDirection, SelectStmt, Statement};
 use crate::csv::{relation_to_csv, rows_from_csv};
 use crate::error::{SqlError, SqlResult};
 use crate::parser::parse_statement;
@@ -218,28 +218,9 @@ impl Session {
     fn run_statement(&mut self, sql: &str, stmt: Statement) -> SqlResult<SqlOutput> {
         match stmt {
             Statement::Set { name, value } => {
-                match (&mut self.local, value) {
-                    // `sync_mode` is string-valued, but `off`/`on` lex as
-                    // booleans — route them back to their spellings. Like
-                    // `wal_checkpoint_pages` it is storage-global (one
-                    // WAL), so it bypasses the session overlay.
-                    (_, SetValue::Bool(b)) if name.eq_ignore_ascii_case("sync_mode") => {
-                        self.db.set_str(&name, if b { "on" } else { "off" })
-                    }
-                    (_, SetValue::Ident(v)) => self.db.set_str(&name, &v),
-                    (_, SetValue::Int(i)) if name.eq_ignore_ascii_case("wal_checkpoint_pages") => {
-                        self.db.set_int(&name, i)
-                    }
-                    // Scoped session: planner switches land in the local
-                    // overlay, other connections keep their settings.
-                    (Some(local), SetValue::Bool(b)) => local.set(&name, b).map_err(Into::into),
-                    (Some(local), SetValue::Int(i)) => local.set_int(&name, i).map_err(Into::into),
-                    (None, SetValue::Bool(b)) => self.db.set(&name, b),
-                    (None, SetValue::Int(i)) => self.db.set_int(&name, i),
-                }
-                .map_err(|e: temporal_core::prelude::TemporalError| {
-                    SqlError::Analyze(e.to_string())
-                })?;
+                self.db
+                    .set(&name, value, self.local.as_mut())
+                    .map_err(|e| SqlError::Analyze(e.to_string()))?;
                 Ok(SqlOutput::Ok)
             }
             Statement::Explain { analyze, query } => match *query {
@@ -511,7 +492,7 @@ mod tests {
         // shared planner).
         a.execute("SET enable_mergejoin = off").unwrap();
         assert!(!b.config().enable_mergejoin);
-        db.set("enable_mergejoin", true).unwrap();
+        db.set("enable_mergejoin", true, None).unwrap();
         assert!(a.config().enable_mergejoin);
     }
 
@@ -567,7 +548,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(db.sql("SET enable_hashjoin = off").is_ok());
         assert!(!db.config().enable_hashjoin);
-        db.set("enable_hashjoin", true).unwrap();
+        db.set("enable_hashjoin", true, None).unwrap();
     }
 
     #[test]

@@ -70,7 +70,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 
 use crate::crc32c::{crc32c, crc32c_append};
 use crate::error::{StoreError, StoreResult};
@@ -88,8 +88,7 @@ const FRAME_HEADER: usize = 16; // len + crc + lsn
 /// header means the length field itself is garbage.
 const MAX_PAYLOAD: u32 = (PAGE_SIZE as u32) * 4;
 
-/// When the log is fsynced. Parsed from the `sync_mode` GUC or the
-/// `TEMPORAL_SYNC_MODE` environment variable.
+/// When the log is fsynced. Parsed from the `sync_mode` GUC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SyncMode {
@@ -99,13 +98,13 @@ pub enum SyncMode {
     Off = 0,
     /// Fsync once per logical operation (the default).
     Commit = 1,
-    /// Fsync after every record — the paranoid setting CI uses to catch
+    /// Fsync after every record — the paranoid setting that catches
     /// ordering bugs that only matter when syncs are real.
     Always = 2,
 }
 
 impl SyncMode {
-    /// Parse a GUC/env spelling; `None` for anything unrecognized.
+    /// Parse a GUC spelling; `None` for anything unrecognized.
     pub fn parse(s: &str) -> Option<SyncMode> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "false" | "0" => Some(SyncMode::Off),
@@ -113,18 +112,6 @@ impl SyncMode {
             "always" => Some(SyncMode::Always),
             _ => None,
         }
-    }
-
-    /// The default mode: `TEMPORAL_SYNC_MODE` if set and valid, else
-    /// `commit`. Read once per process.
-    pub fn from_env() -> SyncMode {
-        static DEFAULT: OnceLock<SyncMode> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            std::env::var("TEMPORAL_SYNC_MODE")
-                .ok()
-                .and_then(|s| SyncMode::parse(&s))
-                .unwrap_or(SyncMode::Commit)
-        })
     }
 
     fn from_u8(v: u8) -> SyncMode {
@@ -494,7 +481,8 @@ impl Wal {
     /// Open (creating if absent) the log of `dir` and scan it. The scan
     /// validates every frame; the first torn or corrupt one truncates the
     /// file there with a warning on stderr — recovery then replays
-    /// whatever consistent prefix survived.
+    /// whatever consistent prefix survived. The log starts in
+    /// [`SyncMode::Commit`].
     pub fn open(dir: &Path) -> StoreResult<(Wal, WalScan)> {
         std::fs::create_dir_all(dir)?;
         let path = Self::path_in(dir);
@@ -583,7 +571,7 @@ impl Wal {
         file.seek(SeekFrom::Start(valid_end as u64))?;
         let wal = Wal {
             path,
-            mode: AtomicU8::new(SyncMode::from_env() as u8),
+            mode: AtomicU8::new(SyncMode::Commit as u8),
             appended_records: AtomicU64::new(0),
             appended_bytes: AtomicU64::new(0),
             syncs: AtomicU64::new(0),

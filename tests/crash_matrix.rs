@@ -95,7 +95,7 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
     let base_rows = base.rows().to_vec();
 
     let db = Database::open_with_pool(&dir, POOL).unwrap();
-    db.set_str("sync_mode", mode).unwrap();
+    db.set("sync_mode", mode, None).unwrap();
     failpoints::arm_nth(site, action, skip);
 
     // Scripted workload; `acked` counts operations acknowledged with Ok
@@ -186,8 +186,8 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
     for v in [0i64, 13 * INSERTS / 2] {
         let expected = oracle_as_of(&rows, v);
         for (zm, ix) in [(true, true), (false, false)] {
-            db.set("enable_zonemaps", zm).unwrap();
-            db.set("enable_interval_index", ix).unwrap();
+            db.set("enable_zonemaps", zm, None).unwrap();
+            db.set("enable_interval_index", ix, None).unwrap();
             assert_eq!(
                 run_as_of(&db, "r", v),
                 expected,

@@ -323,8 +323,8 @@ fn frame_explain_matches_sql_explain() {
     );
 
     // The shared planner's GUCs steer both surfaces identically.
-    db.set("enable_hashjoin", false).unwrap();
-    db.set("enable_mergejoin", false).unwrap();
+    db.set("enable_hashjoin", false, None).unwrap();
+    db.set("enable_mergejoin", false, None).unwrap();
     let frame_join = db
         .table("t")
         .unwrap()

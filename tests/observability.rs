@@ -436,9 +436,7 @@ fn set_trace_records_spans_and_dumps_chrome_trace() {
     db.register("s", &s).unwrap();
     let mut session = Session::scoped(db.clone());
 
-    // No spans while tracing is off (SET explicitly: the session default
-    // follows the TEMPORAL_TRACE environment variable).
-    session.execute("SET trace = off").unwrap();
+    // No spans while tracing is off, the default.
     session.query("SELECT * FROM r").unwrap();
     assert!(db.tracer().is_empty(), "trace = off must record nothing");
 
@@ -585,4 +583,39 @@ fn metrics_snapshot_diff_isolates_an_interval() {
         rendered.contains("session.statement_us count=5"),
         "{rendered}"
     );
+
+    // The polled store totals diff the same way: on a persisted table the
+    // interval view holds only the window's buffer-pool and WAL traffic,
+    // not the lifetime totals.
+    let dir = scratch("metrics-diff");
+    let db = Database::open(&dir).unwrap();
+    let mut session = Session::scoped(db.clone());
+    session
+        .execute("CREATE TABLE t (k int, ts int, te int)")
+        .unwrap();
+    session
+        .execute("INSERT INTO t VALUES (1, 0, 5), (2, 3, 9)")
+        .unwrap();
+    session.query("SELECT * FROM t").unwrap();
+
+    let before = db.metrics_snapshot();
+    for k in 0..3 {
+        session
+            .execute(&format!("INSERT INTO t VALUES ({k}, 0, 5)"))
+            .unwrap();
+    }
+    session.query("SELECT * FROM t").unwrap();
+    let after = db.metrics_snapshot();
+    let delta = after.diff(&before);
+
+    assert!(before.counters["wal.commits"] > 0, "setup committed");
+    assert_eq!(delta.counters.get("wal.commits"), Some(&3));
+    let fetches = delta.counters["pool.fetches"];
+    assert!(
+        fetches > 0 && fetches < after.counters["pool.fetches"],
+        "interval fetches {fetches} of {} in total",
+        after.counters["pool.fetches"]
+    );
+    drop((session, db));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -29,8 +29,8 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 /// Flip both pruning GUCs on the shared planner.
 fn set_pruning(db: &Database, zonemaps: bool, index: bool) {
-    db.set("enable_zonemaps", zonemaps).unwrap();
-    db.set("enable_interval_index", index).unwrap();
+    db.set("enable_zonemaps", zonemaps, None).unwrap();
+    db.set("enable_interval_index", index, None).unwrap();
 }
 
 /// Execute `table AS OF v` instrumented: returns the result rows plus the
@@ -141,7 +141,6 @@ proptest! {
                 }
             }
         }
-        set_pruning(&db, true, true);
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -271,9 +270,6 @@ fn selective_as_of_skips_pages() {
     // case for pruning.
     let (r, _) = ddisj(3000);
     db.register("r", &r).unwrap();
-    // Explicit: these assertions need pruning on even when the suite
-    // runs with TEMPORAL_ZONEMAPS=0 / TEMPORAL_INTERVAL_INDEX=0.
-    set_pruning(&db, true, true);
     let total = db.read(|catalog, _| match catalog.source("r").unwrap() {
         TableSource::Stored(t) => t.page_count() as u64,
         TableSource::Mem(_) => panic!("r must be stored"),
@@ -353,9 +349,6 @@ fn interval_index_reopens_through_manifest() {
     let db = Database::open(&dir).unwrap();
     let (r, _) = drand(3000, 42);
     db.register("r", &r).unwrap();
-    // Explicit: these assertions need pruning on even when the suite
-    // runs with TEMPORAL_ZONEMAPS=0 / TEMPORAL_INTERVAL_INDEX=0.
-    set_pruning(&db, true, true);
     let tidx = dir.join("r.tidx");
     assert!(tidx.exists(), "persist must build {}", tidx.display());
 
@@ -371,7 +364,6 @@ fn interval_index_reopens_through_manifest() {
 
     // Reopen: the manifest's index column re-attaches the .tidx file.
     let db = Database::open(&dir).unwrap();
-    set_pruning(&db, true, true); // fresh planner re-reads the env defaults
     let explain = db.table("r").unwrap().as_of(v).explain().unwrap();
     assert!(
         explain.contains("IndexScan on r using interval index"),
@@ -401,7 +393,6 @@ fn interval_index_reopens_through_manifest() {
 fn copy_loaded_access_path_follows_the_index_shape() {
     let dir = scratch("copy-shape");
     let db = Database::open(&dir).unwrap();
-    set_pruning(&db, true, true);
     copy_load(&db, &dir, "ordered", &ddisj(3000).0);
     copy_load(&db, &dir, "shuffled", &drand(3000, 3).0);
     let shape = |name: &str| {
@@ -446,9 +437,6 @@ fn explain_access_path_identical_on_both_surfaces() {
     let db = Database::open(&dir).unwrap();
     let (r, _) = drand(3000, 7);
     db.register("r", &r).unwrap();
-    // Explicit: these assertions need pruning on even when the suite
-    // runs with TEMPORAL_ZONEMAPS=0 / TEMPORAL_INTERVAL_INDEX=0.
-    set_pruning(&db, true, true);
     let v = 4000;
 
     let frame_explain = db.table("r").unwrap().as_of(v).explain().unwrap();

@@ -74,8 +74,8 @@ fn assert_pruning_consistent(db: &Database, table: &str, rows: &[Row], instants:
     for &v in instants {
         let expected = oracle_as_of(rows, v);
         for (zm, ix) in [(true, true), (true, false), (false, true), (false, false)] {
-            db.set("enable_zonemaps", zm).unwrap();
-            db.set("enable_interval_index", ix).unwrap();
+            db.set("enable_zonemaps", zm, None).unwrap();
+            db.set("enable_interval_index", ix, None).unwrap();
             let got = run_as_of(db, table, v);
             assert_eq!(
                 got, expected,
@@ -83,8 +83,8 @@ fn assert_pruning_consistent(db: &Database, table: &str, rows: &[Row], instants:
             );
         }
     }
-    db.set("enable_zonemaps", true).unwrap();
-    db.set("enable_interval_index", true).unwrap();
+    db.set("enable_zonemaps", true, None).unwrap();
+    db.set("enable_interval_index", true, None).unwrap();
 }
 
 /// Committed inserts survive a crash: nothing was flushed or
@@ -340,7 +340,7 @@ fn sync_mode_is_settable_through_both_surfaces() {
         session.execute(stmt).unwrap();
         assert_eq!(db.sync_mode(), Some(want), "{stmt}");
     }
-    db.set_str("sync_mode", "always").unwrap();
+    db.set("sync_mode", "always", None).unwrap();
     assert_eq!(db.sync_mode(), Some(SyncMode::Always));
 
     let err = session.execute("SET sync_mode = bananas").unwrap_err();
@@ -348,7 +348,7 @@ fn sync_mode_is_settable_through_both_surfaces() {
         err.to_string().contains("off, commit or always"),
         "unhelpful error: {err}"
     );
-    let err = db.set_str("no_such_setting", "x").unwrap_err();
+    let err = db.set("no_such_setting", "x", None).unwrap_err();
     assert!(err.to_string().contains("no_such_setting"));
     // Integer settings the planner does not know (`threads` and
     // `parallel_min_rows` among them) are rejected in-band, and the session
@@ -374,7 +374,7 @@ fn sync_mode_is_settable_through_both_surfaces() {
     // report no mode at all.
     let mem = Database::new();
     assert_eq!(mem.sync_mode(), None);
-    mem.set_str("sync_mode", "always").unwrap();
+    mem.set("sync_mode", "always", None).unwrap();
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -388,7 +388,7 @@ fn checkpoints_bound_the_wal() {
     let db = Database::open(&dir).unwrap();
     let (base, _) = ddisj(10);
     db.register("r", &base).unwrap();
-    db.set_int("wal_checkpoint_pages", 1).unwrap();
+    db.set("wal_checkpoint_pages", 1, None).unwrap();
 
     let wal_path = dir.join("wal.log");
     let mut peak = 0u64;
@@ -416,7 +416,7 @@ fn checkpoints_bound_the_wal() {
     let db = Database::open(&dir).unwrap();
     assert_eq!(collect_rows(&db, "r"), rows);
 
-    let err = db.set_int("wal_checkpoint_pages", 0).unwrap_err();
+    let err = db.set("wal_checkpoint_pages", 0, None).unwrap_err();
     assert!(err.to_string().contains("positive"), "{err}");
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -9,8 +9,9 @@
 //! snapshot-isolation property directly on [`Database`]: concurrent
 //! readers against one appender only ever see whole batches.
 //!
-//! The whole file also runs under `TEMPORAL_SYNC_MODE=always` in CI —
-//! the group-commit flusher then batches the per-record fsyncs too.
+//! The hammer runs once per durability policy, `sync_mode = commit` and
+//! `always` — under `always` the group-commit flusher batches the
+//! per-record fsyncs too.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,11 +112,25 @@ fn pairs_of(resp: Response, ctx: &str) -> Vec<(i64, i64)> {
 /// ≥ 8 concurrent clients — 4 writers (INSERT and COPY), 4 readers
 /// (plain scans + NORMALIZE alignment) — against one served database:
 /// every read is a consistent prefix, the final state matches the
-/// serial oracle, and the data survives a reopen.
+/// serial oracle, and the data survives a reopen. Once with a commit-time
+/// fsync, once with every WAL record synced.
 #[test]
 fn eight_clients_hammer_one_server_against_the_serial_oracle() {
-    let dir = scratch("hammer");
+    for sync_mode in ["commit", "always"] {
+        hammer(sync_mode);
+    }
+}
+
+/// One hammer run with the shared database's WAL in `sync_mode`.
+fn hammer(sync_mode: &str) {
+    let dir = scratch(&format!("hammer-{sync_mode}"));
     let db = Database::open(&dir).expect("open db");
+    db.sql(&format!("SET sync_mode = {sync_mode}"))
+        .expect("set sync_mode");
+    assert_eq!(
+        db.sync_mode().map(|m| m.to_string()).as_deref(),
+        Some(sync_mode)
+    );
     db.sql("CREATE TABLE ev (w int, seq int, ts int, te int)")
         .expect("create");
     let server = Server::bind(db.clone(), "127.0.0.1:0").expect("bind");

@@ -378,3 +378,58 @@ fn int_double_equi_join_matches_under_every_join_method() {
         );
     }
 }
+
+/// `SET trace = on` is result-transparent on this file's paper queries:
+/// a scoped session returns identical rows, in identical order, with
+/// tracing on and off, and the tracer records spans only while it is on.
+#[test]
+fn trace_on_and_off_return_identical_rows() {
+    let db = Database::default();
+    let mut session = Session::scoped(db.clone());
+    session
+        .register_temporal("r", &random_trel(5, 10, 3, 20))
+        .unwrap();
+    session
+        .register_temporal("s", &random_trel(6, 10, 3, 20))
+        .unwrap();
+    session.register_temporal("res", &paper_r()).unwrap();
+    session.register_temporal("price", &paper_p()).unwrap();
+    let queries = [
+        "SELECT * FROM (r ALIGN s ON r.k = s.k) x",
+        "SELECT * FROM (r NORMALIZE s USING(k)) x",
+        "SELECT ABSORB x.k, y.k, x.ts, x.te \
+         FROM (r ALIGN s ON r.k = s.k) x \
+         JOIN (s ALIGN r ON s.k = r.k) y \
+         ON x.k = y.k AND x.ts = y.ts AND x.te = y.te",
+        "SELECT ABSORB x.k, y.k, coalesce(x.ts, y.ts) ts, coalesce(x.te, y.te) te \
+         FROM (r ALIGN s ON r.k = s.k) x \
+         FULL OUTER JOIN (s ALIGN r ON s.k = r.k) y \
+         ON x.k = y.k AND x.ts = y.ts AND x.te = y.te",
+        "SELECT k, count(*) c, max(te) - min(ts) span FROM r GROUP BY k ORDER BY k",
+        "WITH a AS (SELECT k, ts, te FROM r WHERE k > 0) \
+         SELECT count(*) c FROM a WHERE te - ts >= 2",
+        "SELECT n FROM res WHERE NOT EXISTS \
+         (SELECT * FROM price WHERE price.a = 40 AND price.ts <= res.ts AND res.te <= price.te)",
+        "SELECT * FROM (res r1 NORMALIZE res r2 USING()) x",
+    ];
+    for q in queries {
+        session.execute("SET trace = off").unwrap();
+        let plain = session.query(q).unwrap();
+        assert!(db.tracer().is_empty(), "trace = off recorded spans: {q}");
+        session.execute("SET trace = on").unwrap();
+        let traced = session.query(q).unwrap();
+        assert_eq!(plain.rows(), traced.rows(), "tracing changed the rows: {q}");
+        let spans = db.tracer().spans();
+        assert!(
+            spans.iter().any(|sp| sp.cat == "query"),
+            "no query span: {q}"
+        );
+        assert!(
+            spans.iter().any(|sp| sp.cat == "operator"),
+            "no operator spans: {q}"
+        );
+        db.tracer().clear();
+    }
+    // The overlay is the session's own: the shared planner never traced.
+    assert!(!db.config().trace);
+}
