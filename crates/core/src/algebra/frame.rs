@@ -23,8 +23,8 @@ use temporal_engine::catalog::Catalog;
 use temporal_engine::prelude::*;
 use temporal_engine::recovery;
 use temporal_engine::storage::{
-    self, heap_path, index_path, IntervalIndex, Manifest, PoolStats, StoredTable, SyncMode,
-    TableMeta, Wal, WalStats, DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
+    self, heap_path, Manifest, PoolStats, StoredTable, SyncMode, TableMeta, Wal,
+    DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
 };
 
 use crate::algebra::TemporalPlan;
@@ -115,8 +115,10 @@ impl DbState {
 /// writer lock, the open-session refcount and the change epoch.
 ///
 /// Lock hierarchy (outer → inner): `writer` → `state` → heap tail lock →
-/// buffer-frame latch → WAL inner. Every mutating entry point follows this
-/// order, so two sessions can never deadlock against each other.
+/// interval-index lock → buffer-frame latch → WAL inner. Every mutating
+/// entry point follows this order, so two sessions can never deadlock
+/// against each other. (The index lock is held over frame latches only
+/// while a first probe builds the index from a heap scan.)
 #[derive(Debug, Default)]
 struct DbShared {
     /// Catalog + planner + storage metadata. Readers (planning, catalog
@@ -289,8 +291,8 @@ impl Database {
         std::fs::create_dir_all(&dir)
             .map_err(|e| engine_storage_err(format!("create {}: {e}", dir.display())))?;
         // Crash recovery first: replay whatever consistent prefix survives
-        // in the WAL over the heap files, rebuild touched indexes, and get
-        // back the settled manifest plus the live log handle.
+        // in the WAL over the heap files and get back the settled manifest
+        // plus the live log handle.
         let (manifest, wal, report) = recovery::recover(&dir, pool_pages)?;
         let db = Database::new();
         let epoch = manifest.epoch();
@@ -300,9 +302,10 @@ impl Database {
             for (name, meta) in manifest.iter() {
                 let schema = storage::schema_from_string(&meta.schema)?;
                 // Trust the manifest's cached row count: pages validate
-                // lazily on every pinned access, so open stays
-                // O(manifest), not O(data). (Recovery already recounted
-                // any table it replayed into.)
+                // lazily on every pinned access, and the interval index
+                // builds on the first probe, so open stays O(manifest),
+                // not O(data). (Recovery already recounted any table it
+                // replayed into.)
                 let table = StoredTable::open_with_count(
                     dir.join(&meta.file),
                     name.clone(),
@@ -310,14 +313,6 @@ impl Database {
                     pool_pages,
                     meta.rows,
                 )?;
-                // Reattach the interval index leniently: a missing or
-                // unreadable index file only loses the pruning fast path,
-                // never the table (scans degrade to zone maps / full).
-                if let Some(index_file) = &meta.index {
-                    if let Ok(index) = IntervalIndex::open(dir.join(index_file), pool_pages) {
-                        table.attach_index(index);
-                    }
-                }
                 table.attach_wal(Arc::clone(&wal));
                 state
                     .catalog
@@ -529,32 +524,6 @@ impl Database {
         self.state().storage.as_ref().map(|r| r.wal.mode())
     }
 
-    /// WAL counters of a persisted database (`None` when in-memory):
-    /// commits acknowledged, fsyncs issued, bytes appended and
-    /// checkpoints taken. [`WalStats::group_commit_ratio`]
-    /// (syncs ÷ commits) drops below 1 as soon as committers overlap on
-    /// the group-commit flusher — `reproduce -- serve` and the server's
-    /// `.stats` both report it.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.state().storage.as_ref().map(|r| r.wal.stats())
-    }
-
-    /// Aggregated buffer-pool counters across every stored table's pool
-    /// (`None` when in-memory): fetches, disk reads (misses), write-backs,
-    /// syncs, evictions and total capacity. [`PoolStats::hit_rate`] is
-    /// `1 − io_reads/fetches` over the aggregate.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        let state = self.state();
-        state.storage.as_ref()?;
-        let mut total = PoolStats::default();
-        for name in state.catalog.list_tables() {
-            if let Ok(TableSource::Stored(table)) = state.catalog.source(&name) {
-                total.merge(&table.pool_stats());
-            }
-        }
-        Some(total)
-    }
-
     // ---- observability ---------------------------------------------------
 
     /// The database-wide metrics registry. Any layer holding a handle can
@@ -580,27 +549,12 @@ impl Database {
     /// recomputed over it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.inner.metrics.snapshot();
-        let mut totals = Vec::new();
-        if let Some(pool) = self.pool_stats() {
-            totals.extend([
-                ("pool.fetches", pool.fetches),
-                ("pool.io_reads", pool.io_reads),
-                ("pool.io_writes", pool.io_writes),
-                ("pool.io_syncs", pool.io_syncs),
-                ("pool.evictions", pool.evictions),
-            ]);
-            snap.gauges.insert("pool.capacity".into(), pool.capacity);
-        }
-        if let Some(wal) = self.wal_stats() {
-            totals.extend([
-                ("wal.commits", wal.commits),
-                ("wal.syncs", wal.syncs),
-                ("wal.bytes", wal.bytes),
-                ("wal.checkpoints", wal.checkpoints),
-            ]);
-        }
-        for (name, total) in totals {
-            snap.counters.insert(name.into(), total);
+        {
+            let state = self.state();
+            if let Some(root) = &state.storage {
+                poll_pools(&state.catalog, &mut snap);
+                poll_wal(&root.wal, &mut snap);
+            }
         }
         snap.gauges.insert("db.epoch".into(), self.epoch());
         snap.gauges
@@ -644,21 +598,16 @@ impl Database {
             let state = self.state();
             state.catalog.source(name).map_err(TemporalError::from)?
         };
+        // Validate the whole batch up front so a bad row cannot leave a
+        // prefix durably appended, or a value of the wrong type in a
+        // column.
+        let schema = match &source {
+            TableSource::Stored(table) => table.schema(),
+            TableSource::Mem(rel) => rel.schema(),
+        };
+        let rows = conform_rows(name, schema, rows)?;
         match source {
             TableSource::Stored(table) => {
-                // Validate the whole batch up front so a bad row cannot
-                // leave a prefix durably appended (the in-memory branch is
-                // naturally all-or-nothing; match its semantics for the
-                // foreseeable error class).
-                let arity = table.schema().len();
-                for (i, r) in rows.iter().enumerate() {
-                    if r.len() != arity {
-                        return Err(TemporalError::from(EngineError::SchemaMismatch(format!(
-                            "row {i} has {} values, table '{name}' has {arity} columns",
-                            r.len()
-                        ))));
-                    }
-                }
                 // Appends publish to new snapshots atomically: readers see
                 // the whole batch or none of it.
                 {
@@ -721,18 +670,11 @@ impl Database {
             .as_mut()
             .expect("persist_into requires a storage root");
         let table = StoredTable::persist_relation(&root.dir, name, rel, root.pool_pages)?;
-        let index = table.index_file_name();
-        if index.is_none() {
-            // A non-temporal replacement must not leave a stale index from
-            // a previous temporal incarnation of the name behind.
-            let _ = std::fs::remove_file(index_path(&root.dir, name));
-        }
         let meta = TableMeta {
             file: format!("{name}.{}", storage::HEAP_EXT),
             fingerprint: storage::schema_fingerprint(table.schema()),
             rows: table.row_count(),
             schema: storage::schema_to_string(table.schema()),
-            index,
         };
         // Log the (re)creation *after* its files are in place and *before*
         // the manifest write: a crash in between replays the upsert from
@@ -744,7 +686,6 @@ impl Database {
                 fingerprint: meta.fingerprint,
                 rows: meta.rows,
                 schema: meta.schema.clone(),
-                index: meta.index.clone(),
             })
             .and_then(|_| root.wal.commit())
             .map_err(EngineError::from)?;
@@ -774,9 +715,6 @@ impl Database {
             root.manifest.set_epoch(epoch);
             root.manifest.save(&root.dir).map_err(EngineError::from)?;
         }
-        // The index is derived data — a failed removal cannot resurrect
-        // the table, so it is best-effort.
-        let _ = std::fs::remove_file(index_path(&root.dir, name));
         let path = heap_path(&root.dir, name);
         match std::fs::remove_file(&path) {
             Ok(()) => Ok(()),
@@ -930,6 +868,81 @@ fn engine_storage_err(msg: String) -> TemporalError {
     TemporalError::from(EngineError::Storage(msg))
 }
 
+/// Sum every stored table's buffer-pool counters into `snap`: `pool.*`
+/// counters, and the frames of all pools as the `pool.capacity` gauge.
+fn poll_pools(catalog: &Catalog, snap: &mut MetricsSnapshot) {
+    let pools: Vec<PoolStats> = catalog
+        .list_tables()
+        .iter()
+        .filter_map(|name| match catalog.source(name) {
+            Ok(TableSource::Stored(table)) => Some(table.pool_stats()),
+            _ => None,
+        })
+        .collect();
+    let sum = |field: fn(&PoolStats) -> u64| pools.iter().map(field).sum::<u64>();
+    for (name, total) in [
+        ("pool.fetches", sum(|p| p.fetches)),
+        ("pool.io_reads", sum(|p| p.io_reads)),
+        ("pool.io_writes", sum(|p| p.io_writes)),
+        ("pool.io_syncs", sum(|p| p.io_syncs)),
+        ("pool.evictions", sum(|p| p.evictions)),
+    ] {
+        snap.counters.insert(name.into(), total);
+    }
+    snap.gauges
+        .insert("pool.capacity".into(), sum(|p| p.capacity));
+}
+
+/// The log's counters into `snap` as `wal.*` counters.
+fn poll_wal(wal: &Wal, snap: &mut MetricsSnapshot) {
+    let wal = wal.stats();
+    for (name, total) in [
+        ("wal.commits", wal.commits),
+        ("wal.syncs", wal.syncs),
+        ("wal.bytes", wal.bytes),
+        ("wal.checkpoints", wal.checkpoints),
+    ] {
+        snap.counters.insert(name.into(), total);
+    }
+}
+
+/// Check a batch bound for a table of `schema` before anything is
+/// appended: each row's arity, and each value's type against its
+/// column's. NULL fits any column and an `Int` bound for a `double`
+/// column is widened; any other mismatch names the row and the column.
+fn conform_rows(name: &str, schema: &Schema, rows: Vec<Row>) -> TemporalResult<Vec<Row>> {
+    let arity = schema.len();
+    let mismatch = |msg: String| TemporalError::from(EngineError::SchemaMismatch(msg));
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, row)| {
+            if row.len() != arity {
+                return Err(mismatch(format!(
+                    "row {i} has {} values, table '{name}' has {arity} columns",
+                    row.len()
+                )));
+            }
+            let mut widened: Option<Vec<Value>> = None;
+            for (c, (v, col)) in row.values().iter().zip(schema.cols()).enumerate() {
+                match (v, v.dtype()) {
+                    (_, None) => {}
+                    (_, Some(t)) if t == col.dtype => {}
+                    (Value::Int(x), _) if col.dtype == DataType::Double => {
+                        widened.get_or_insert_with(|| row.to_vec())[c] = Value::Double(*x as f64);
+                    }
+                    (_, Some(t)) => {
+                        return Err(mismatch(format!(
+                            "row {i}: column '{}' of table '{name}' is {}, got {t} {v}",
+                            col.name, col.dtype
+                        )))
+                    }
+                }
+            }
+            Ok(widened.map_or(row, Row::new))
+        })
+        .collect()
+}
+
 /// A lazy, name-based temporal query: operators of the sequenced temporal
 /// algebra compose into one [`TemporalPlan`]; [`TemporalFrame::collect`]
 /// plans, optimizes and executes the whole pipeline in a single
@@ -1050,7 +1063,7 @@ impl TemporalFrame {
     /// for `filter(ts <= v AND te > v)` on the half-open `[ts, te)`
     /// convention. The canonical range shape lets the planner's
     /// access-path selection serve it from page zone maps or the
-    /// persistent interval index; SQL's `FROM t AS OF v` lowers to the
+    /// in-memory interval index; SQL's `FROM t AS OF v` lowers to the
     /// same predicate, so both surfaces plan identically.
     pub fn as_of(self, v: i64) -> TemporalFrame {
         self.lift(|p| {

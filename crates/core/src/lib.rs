@@ -108,5 +108,4 @@ pub mod prelude {
     pub use crate::primitives::extend::{extend, extend_named, extend_plan};
     pub use crate::primitives::splitter::{normalize_ref, self_normalize_ref, split};
     pub use crate::trel::{temporal_schema, TemporalRelation, TE, TS};
-    pub use temporal_engine::storage::{PoolStats, WalStats};
 }

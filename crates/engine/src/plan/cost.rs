@@ -25,10 +25,6 @@ impl PlanStats {
 /// Additive penalty for disabled access paths (PostgreSQL uses 1.0e10).
 pub const DISABLE_COST: f64 = 1.0e10;
 
-/// Interval-index fanout: 20-byte `(ts, te, page)` entries in 4 KiB
-/// nodes. Only used for costing, so a rough constant is fine.
-pub const INDEX_ENTRIES_PER_PAGE: f64 = 204.0;
-
 /// Cost constants, named after their PostgreSQL counterparts.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
@@ -221,22 +217,12 @@ impl CostModel {
         pages * self.cpu_operator_cost + sel.sqrt() * self.full_scan_cost(rows, pages)
     }
 
-    /// Interval-index probe: descend `levels` internal pages, read the
-    /// matching share of the leaf level and **all** `overflow_pages` of
-    /// the unsorted overflow chain (out-of-order appends, which no bound
-    /// can skip), then read the surviving fraction of the heap — the
-    /// index pinpoints pages, so the heap share is `sel` itself, not the
-    /// zone sweep's clustering-degraded `√sel`.
-    pub fn index_scan_cost(
-        &self,
-        rows: f64,
-        pages: f64,
-        (levels, overflow_pages): (u16, u64),
-        sel: f64,
-    ) -> f64 {
-        let leaf_pages = (rows / INDEX_ENTRIES_PER_PAGE).max(1.0);
-        (f64::from(levels.max(1)) + sel * leaf_pages + overflow_pages as f64) * self.seq_page_cost
-            + sel * self.full_scan_cost(rows, pages)
+    /// Interval-index probe: test the matching share of the in-memory
+    /// entries, then read the surviving fraction of the heap — the index
+    /// pinpoints pages, so the heap share is `sel` itself, not the zone
+    /// sweep's clustering-degraded `√sel`.
+    pub fn index_scan_cost(&self, rows: f64, pages: f64, sel: f64) -> f64 {
+        sel * (rows * self.cpu_operator_cost + self.full_scan_cost(rows, pages))
     }
 }
 
@@ -296,35 +282,15 @@ mod tests {
         // index beats the clustering-pessimistic zone sweep on a big table.
         let full = m.full_scan_cost(rows, pages);
         let zone = m.zone_scan_cost(rows, pages, 0.01);
-        let index = m.index_scan_cost(rows, pages, (2, 0), 0.01);
+        let index = m.index_scan_cost(rows, pages, 0.01);
         assert!(zone < full && index < full);
         assert!(index < zone);
         // The index also wins at the modest sizes a timeslice probe sees
-        // (the leaf share is tiny next to the zone sweep's √sel heap read).
+        // (the entry share is tiny next to the zone sweep's √sel heap read).
         let (rows, pages) = (3_000.0, 21.0);
-        assert!(
-            m.index_scan_cost(rows, pages, (1, 0), 0.109) < m.zone_scan_cost(rows, pages, 0.109)
-        );
+        assert!(m.index_scan_cost(rows, pages, 0.109) < m.zone_scan_cost(rows, pages, 0.109));
         // An unselective predicate keeps the full scan competitive.
         assert!(m.zone_scan_cost(rows, pages, 1.0) > full.min(m.full_scan_cost(rows, pages)));
-    }
-
-    #[test]
-    fn overflow_chain_flips_the_index_to_the_zone_sweep() {
-        let m = CostModel::default();
-        // An AS OF probe (two bounds) on 22 400 rows in 110 heap pages.
-        let (rows, pages, sel) = (22_400.0, 110.0, 0.33f64.powi(2));
-        let zone = m.zone_scan_cost(rows, pages, sel);
-        let index = |overflow_pages| m.index_scan_cost(rows, pages, (2, overflow_pages), sel);
-        assert!(index(0) < zone);
-        // Every probe reads the whole chain, so the index stops paying
-        // once the chain costs what the sweep's extra heap share does.
-        let flip = ((zone - index(0)) / m.seq_page_cost).ceil() as u64;
-        assert!((2..pages as u64).contains(&flip), "flip at {flip} pages");
-        assert!(index(flip - 1) < zone);
-        assert!(index(flip + 1) > zone);
-        // A table whose index is all chain (110 pages of entries) sweeps.
-        assert!(index(110) > zone);
     }
 
     #[test]

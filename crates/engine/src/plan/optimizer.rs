@@ -45,7 +45,7 @@ pub struct PlannerConfig {
     /// min/max synopsis cannot match. On by default.
     pub enable_zonemaps: bool,
     /// Interval-index access path: `AS OF` timeslices (and any filter with
-    /// `ts <=` / `te >` bounds) may probe the table's persistent interval
+    /// `ts <=` / `te >` bounds) may probe the table's in-memory interval
     /// index instead of sweeping zone maps, when the cost model prefers it.
     /// On by default.
     pub enable_interval_index: bool,
@@ -359,16 +359,14 @@ impl Planner {
                 best = Some(false);
             }
         }
-        // The index serves probes with an upper start / lower end bound;
-        // ties go to the index (it touches index pages, not every header).
-        if self.config.enable_interval_index && (bounds.ts_le.is_some() || bounds.te_gt.is_some()) {
-            if let Some(index) = table.index() {
-                let shape = index.shape().unwrap_or((1, 0));
-                let cost = model.index_scan_cost(rows, pages, shape, sel);
-                if cost <= best_cost {
-                    best = Some(true);
-                }
-            }
+        // Every temporal table has an index. It serves probes with an
+        // upper start / lower end bound; ties go to it (it reads no page
+        // header).
+        if self.config.enable_interval_index
+            && (bounds.ts_le.is_some() || bounds.te_gt.is_some())
+            && model.index_scan_cost(rows, pages, sel) <= best_cost
+        {
+            best = Some(true);
         }
         match best {
             None => input,

@@ -44,11 +44,11 @@ pub enum PhysicalPlan {
         label: String,
         bounds: Option<ZoneBounds>,
     },
-    /// Probe the table's persistent interval index (a B+tree on
-    /// valid-start with max-valid-end augmentation) for the page set that
+    /// Probe the table's in-memory interval index (entries sorted on
+    /// valid-start, with a max-valid-end per block) for the page set that
     /// can overlap the bounds, then scan only those pages. Degrades to a
-    /// zone-map sweep or a full scan when the index or the GUCs are
-    /// unavailable at execution time — never errors on a missing index.
+    /// zone-map sweep or a full scan when the GUCs turn the index off at
+    /// execution time.
     IndexScan {
         table: Arc<StoredTable>,
         label: String,
@@ -275,10 +275,7 @@ impl PhysicalPlan {
                 let config = state.config();
                 let snap = state.snapshot_for(table);
                 if config.enable_interval_index {
-                    if let Some(index) = table.index() {
-                        let mut pages = index
-                            .probe(bounds.ts_le, bounds.te_gt)
-                            .map_err(crate::error::EngineError::from)?;
+                    if let Some(mut pages) = table.probe_index(bounds.ts_le, bounds.te_gt)? {
                         pages.retain(|&p| snap.sees_page(p));
                         if config.enable_zonemaps {
                             // Zone re-check: the index only knows ts/te, the
@@ -294,7 +291,7 @@ impl PhysicalPlan {
                         return Ok(Some((table.clone(), Arc::new(pages), *bounds)));
                     }
                 }
-                // Index missing or disabled: degrade to a zone sweep, or a
+                // Index disabled: degrade to a zone sweep, or a
                 // full scan when zone maps are off too.
                 if config.enable_zonemaps {
                     let mut pages = table.zone_surviving_pages(bounds)?;
@@ -458,10 +455,9 @@ impl PhysicalPlan {
                 let rows = table.row_count() as f64;
                 let pages = (table.page_count() as f64).max(1.0);
                 let sel = 0.33f64.powi(bounds.bound_count() as i32);
-                let shape = table.index().and_then(|i| i.shape().ok()).unwrap_or((1, 0));
                 PlanStats::new(
                     (rows * sel).max(1.0),
-                    model.index_scan_cost(rows, pages, shape, sel),
+                    model.index_scan_cost(rows, pages, sel),
                 )
             }
             PhysicalPlan::Filter { input, predicate } => {

@@ -10,10 +10,9 @@
 //! is truncated with a warning — recovery always reopens to the longest
 //! consistent prefix of the committed history, never refuses.
 //!
-//! The interval index is *derived* data: rather than logging index-page
-//! writes, recovery rebuilds the index of every touched temporal table
-//! from a full heap scan (atomically — temp file, then rename), so after
-//! recovery the index answers exactly like a from-scratch rebuild.
+//! The interval index lives in memory only, so recovery has nothing to
+//! do for it: a recovered table builds its index from a heap scan on its
+//! first probe, like any opened table.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -22,10 +21,7 @@ use std::sync::Arc;
 use temporal_store::{Manifest, TableHeap, TableMeta, Wal, WalRecord};
 
 use crate::error::{EngineError, EngineResult};
-use crate::schema::Schema;
-use crate::storage::{
-    self, index_path, schema_from_string, temporal_cols, IntervalIndex, INDEX_EXT,
-};
+use crate::storage;
 
 /// What one recovery pass did — surfaced so callers (and tests) can tell
 /// a clean open from an actual replay.
@@ -40,7 +36,7 @@ pub struct RecoveryReport {
     pub wal_tail_truncated: bool,
     /// Torn heap pages dropped because no durable record covered them.
     pub pages_trimmed: u32,
-    /// Tables whose heaps were replayed into (indexes rebuilt).
+    /// Tables whose heaps were replayed into.
     pub tables_touched: Vec<String>,
 }
 
@@ -55,14 +51,14 @@ impl RecoveryReport {
 struct RecoveringTable {
     heap: TableHeap,
     fingerprint: u64,
-    schema: Schema,
+    /// The manifest's schema string, carried over as it is.
+    schema: String,
     file: String,
 }
 
 /// Open (or create) the WAL of `dir`, replay its surviving records over
 /// the directory's heap files, settle every touched table (trim torn
-/// tails, recount rows, rebuild interval indexes) and re-save the
-/// manifest. Returns the post-recovery manifest, the live WAL handle and
+/// tails, recount rows) and re-save the manifest. Returns the post-recovery manifest, the live WAL handle and
 /// a report of what happened.
 ///
 /// Also verifies — after replay, which may legitimately remove entries —
@@ -90,7 +86,6 @@ pub fn recover(
                 fingerprint,
                 rows,
                 schema,
-                index,
             } => {
                 // The create/replace logs *after* its files are renamed
                 // into place, so a missing heap means the operation never
@@ -103,7 +98,6 @@ pub fn recover(
                             fingerprint: *fingerprint,
                             rows: *rows,
                             schema: schema.clone(),
-                            index: index.clone().filter(|i| dir.join(i).is_file()),
                         },
                     );
                     // Later heap records must target the new incarnation.
@@ -123,7 +117,6 @@ pub fn recover(
                 }
                 open.remove(name);
                 let _ = std::fs::remove_file(storage::heap_path(dir, name));
-                let _ = std::fs::remove_file(index_path(dir, name));
             }
             WalRecord::HeapAppend {
                 table,
@@ -163,21 +156,18 @@ pub fn recover(
     }
 
     // Settle every heap the replay touched: drop torn tails the log did
-    // not cover, recount rows from the (validated) pages, flush, and
-    // rebuild derived state.
+    // not cover, recount rows from the (validated) pages and flush.
     for (name, t) in &open {
         report.pages_trimmed += t.heap.trim_corrupt_tail()?;
         let rows = t.heap.recount_rows()?;
         t.heap.flush()?;
-        let index = rebuild_index(dir, name, t, pool_pages)?;
         manifest.insert(
             name.clone(),
             TableMeta {
                 file: t.file.clone(),
                 fingerprint: t.fingerprint,
                 rows,
-                schema: storage::schema_to_string(&t.schema),
-                index,
+                schema: t.schema.clone(),
             },
         );
         manifest_dirty = true;
@@ -229,64 +219,14 @@ fn recovering<'a>(
             path.display()
         );
     }
-    let schema = schema_from_string(&meta.schema)?;
     open.insert(
         table.to_string(),
         RecoveringTable {
             heap,
             fingerprint,
-            schema,
+            schema: meta.schema.clone(),
             file: meta.file.clone(),
         },
     );
     Ok(open.get(table))
-}
-
-/// Rebuild the interval index of a touched table from a full heap scan
-/// (temp file + rename), returning the manifest index field. Non-temporal
-/// tables get any stale index file removed instead.
-fn rebuild_index(
-    dir: &Path,
-    name: &str,
-    t: &RecoveringTable,
-    pool_pages: usize,
-) -> EngineResult<Option<String>> {
-    let idx_path = index_path(dir, name);
-    let Some((tsi, tei)) = temporal_cols(&t.schema) else {
-        let _ = std::fs::remove_file(&idx_path);
-        return Ok(None);
-    };
-    let arity = t.schema.len();
-    let mut entries = Vec::new();
-    for page_no in 0..t.heap.page_count() {
-        t.heap.with_page(page_no, |page| {
-            for rec in page.records() {
-                let row = storage::decode_row(rec?, arity).map_err(|e| {
-                    temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
-                })?;
-                let values = row.values();
-                if let (crate::value::Value::Int(ts), crate::value::Value::Int(te)) =
-                    (&values[tsi], &values[tei])
-                {
-                    entries.push((*ts, *te, page_no));
-                }
-            }
-            Ok(())
-        })?;
-    }
-    let tmp = dir.join(format!(".{name}.{INDEX_EXT}.tmp"));
-    let index = IntervalIndex::build(&tmp, pool_pages, entries)?;
-    index.flush()?;
-    drop(index);
-    std::fs::rename(&tmp, &idx_path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        EngineError::Storage(format!(
-            "rename {} → {}: {e}",
-            tmp.display(),
-            idx_path.display()
-        ))
-    })?;
-    Ok(idx_path
-        .file_name()
-        .map(|f| f.to_string_lossy().into_owned()))
 }

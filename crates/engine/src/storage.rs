@@ -10,7 +10,7 @@
 //! [`crate::batch::RowBatch`]es without ever materializing the table.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use temporal_store::{AppendBatch, HeapSnapshot, IndexEntry, Page, PageId, TableHeap};
 
@@ -24,9 +24,6 @@ use crate::value::Value;
 
 /// File extension of heap files inside a database directory.
 pub const HEAP_EXT: &str = "heap";
-
-/// File extension of interval-index files inside a database directory.
-pub const INDEX_EXT: &str = "tidx";
 
 pub use temporal_store::{
     IntervalIndex, Manifest, PageZone, PoolStats, SyncMode, TableMeta, Wal, WalRecord, WalStats,
@@ -274,8 +271,9 @@ pub struct StoredTable {
     temporal: Option<(usize, usize)>,
     /// First column, when it participates in the zone-map key bounds.
     key_col: Option<usize>,
-    /// Persistent interval index over `(ts, te)`, when one is attached.
-    index: Mutex<Option<Arc<IntervalIndex>>>,
+    /// In-memory interval index over `(ts, te)`; `Some` exactly when the
+    /// table is temporal.
+    index: Option<IntervalIndex>,
 }
 
 impl StoredTable {
@@ -314,7 +312,7 @@ impl StoredTable {
             heap,
             temporal,
             key_col,
-            index: Mutex::new(None),
+            index: temporal.map(|_| IntervalIndex::default()),
         }
     }
 
@@ -408,12 +406,12 @@ impl StoredTable {
     }
 
     /// Append one row (arity-checked against the table schema), stamping
-    /// the page's zone map and maintaining the interval index when one is
-    /// attached. Returns the heap page the row landed on.
+    /// the page's zone map and maintaining the interval index. Returns the
+    /// heap page the row landed on.
     pub fn append_row(&self, row: &Row) -> EngineResult<PageId> {
         let (page, entry) = self.append_row_inner(row)?;
-        if let (Some(entry), Some(index)) = (entry, self.index()) {
-            index.append(&[entry])?;
+        if let (Some(entry), Some(index)) = (entry, &self.index) {
+            index.append(vec![entry]);
         }
         Ok(page)
     }
@@ -462,10 +460,8 @@ impl StoredTable {
             let (_, entry) = self.append_row_inner(r)?;
             entries.extend(entry);
         }
-        if !entries.is_empty() {
-            if let Some(index) = self.index() {
-                index.append(&entries)?;
-            }
+        if let Some(index) = &self.index {
+            index.append(entries);
         }
         Ok(())
     }
@@ -522,23 +518,40 @@ impl StoredTable {
         self.key_col
     }
 
-    /// The attached interval index, if any.
-    pub fn index(&self) -> Option<Arc<IntervalIndex>> {
-        self.index.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    /// The heap pages that may hold a record with `ts <= ts_le` and
+    /// `te > te_gt` (see [`IntervalIndex::probe`]); `None` for a table
+    /// that is not temporal. The first probe of an opened or recovered
+    /// table builds its index from a heap scan.
+    pub fn probe_index(
+        &self,
+        ts_le: Option<i64>,
+        te_gt: Option<i64>,
+    ) -> EngineResult<Option<Vec<PageId>>> {
+        let Some(index) = &self.index else {
+            return Ok(None);
+        };
+        index.probe(ts_le, te_gt, || self.index_entries()).map(Some)
     }
 
-    /// Attach an interval index to this table.
-    pub fn attach_index(&self, index: IntervalIndex) {
-        *self.index.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(index));
-    }
-
-    /// The index file name (for the manifest), when an index is attached.
-    pub fn index_file_name(&self) -> Option<String> {
-        self.index().and_then(|i| {
-            i.path()
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-        })
+    /// One index entry per heap record with `Int` bounds — a full scan.
+    fn index_entries(&self) -> EngineResult<Vec<IndexEntry>> {
+        let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
+        let arity = self.schema.len();
+        let mut entries = Vec::with_capacity(self.row_count() as usize);
+        for page_no in 0..self.page_count() {
+            self.heap.with_page(page_no, |page| {
+                for rec in page.records() {
+                    let row = decode_row(rec?, arity).map_err(|e| {
+                        temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
+                    })?;
+                    if let (Value::Int(ts), Value::Int(te)) = (&row[tsi], &row[tei]) {
+                        entries.push((*ts, *te, page_no));
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok(entries)
     }
 
     /// Decode heap page `page_no` into `out` (one pinned page; the pin is
@@ -583,35 +596,25 @@ impl StoredTable {
         Relation::from_batches(self.schema.clone(), vec![out.finish(self.schema.clone())])
     }
 
-    /// Write back dirty pages and sync the heap file (and the interval
-    /// index, when one is attached).
+    /// Write back dirty pages and sync the heap file.
     pub fn flush(&self) -> EngineResult<()> {
-        self.heap.flush()?;
-        if let Some(index) = self.index() {
-            index.flush()?;
-        }
-        Ok(())
+        Ok(self.heap.flush()?)
     }
 
     /// Route every append through the database WAL: the heap logs each
     /// acknowledged row (a full-page image on a page's first touch per
     /// checkpoint epoch, a logical record afterwards) and its buffer pool
     /// syncs the log before any dirty page write-back. The interval index
-    /// is *not* logged — it is derived data, rebuilt during recovery.
+    /// is in memory only: a reopened table rebuilds it on its first probe.
     pub fn attach_wal(&self, wal: Arc<temporal_store::Wal>) {
         self.heap.attach_wal(wal, self.name.clone());
     }
 
-    /// Flush and close the table's buffer pools, surfacing the I/O errors
+    /// Flush and close the table's buffer pool, surfacing the I/O errors
     /// the silent drop path would swallow. The table must not be used
     /// afterwards.
     pub fn close(&self) -> EngineResult<()> {
-        self.heap.close()?;
-        if let Some(index) = self.index() {
-            index.flush()?;
-            index.pool().close()?;
-        }
-        Ok(())
+        Ok(self.heap.close()?)
     }
 
     /// Create a stored table at `dir/<name>.heap` and fill it with the
@@ -649,30 +652,17 @@ impl StoredTable {
                 path.display()
             ))
         })?;
-        let table = StoredTable::open_with_count(
+        let mut table = StoredTable::open_with_count(
             &path,
             name,
             rel.schema().clone(),
             pool_pages,
             rel.len() as u64,
         )?;
-        // Temporal tables get a freshly bulk-loaded interval index (same
-        // temp-then-rename discipline; the heap stays valid without it).
-        if table.temporal_cols().is_some() {
-            let idx_path = index_path(dir, name);
-            let idx_tmp = dir.join(format!(".{name}.{INDEX_EXT}.tmp"));
-            let index = IntervalIndex::build(&idx_tmp, pool_pages, entries)?;
-            index.flush()?;
-            drop(index);
-            std::fs::rename(&idx_tmp, &idx_path).map_err(|e| {
-                let _ = std::fs::remove_file(&idx_tmp);
-                EngineError::Storage(format!(
-                    "rename {} → {}: {e}",
-                    idx_tmp.display(),
-                    idx_path.display()
-                ))
-            })?;
-            table.attach_index(IntervalIndex::open(&idx_path, pool_pages)?);
+        // The rows just written are the whole table: index them now
+        // instead of on the first probe.
+        if table.index.is_some() {
+            table.index = Some(IntervalIndex::new(entries));
         }
         Ok(Arc::new(table))
     }
@@ -681,11 +671,6 @@ impl StoredTable {
 /// The heap file path of table `name` inside database directory `dir`.
 pub fn heap_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.{HEAP_EXT}"))
-}
-
-/// The interval-index file path of table `name` inside directory `dir`.
-pub fn index_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.{INDEX_EXT}"))
 }
 
 /// A table name becomes both a file name (`<name>.heap`) and a manifest
@@ -737,6 +722,56 @@ mod tests {
         let p = dir.join(name);
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// An opened table builds its index on the first probe, from a heap
+    /// scan, while an appender keeps adding rows. Rows reach the heap
+    /// before their appender takes the index lock, so a probe must find
+    /// the page of every row appended before it began, whichever of the
+    /// build and the append takes the lock first.
+    #[test]
+    fn the_first_probe_builds_the_index_without_losing_a_racing_append() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        let path = tmp("lazy_race.heap");
+        for round in 0..8 {
+            // Row `i` is valid at `i` only, so `AS OF i` matches it alone.
+            let mut pages = Vec::new();
+            {
+                let t = StoredTable::create(&path, "t", schema(), 8).unwrap();
+                for i in 0..1_000 {
+                    pages.push(t.append_row(&row("a", 0.0, true, i, i + 1)).unwrap());
+                }
+                t.flush().unwrap();
+            }
+            let t = StoredTable::open(&path, "t", schema(), 8).unwrap();
+            let pages = Mutex::new(pages);
+            let appended = AtomicUsize::new(1_000);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for i in 1_000..1_300 {
+                        let page = t.append_row(&row("b", 0.0, true, i, i + 1)).unwrap();
+                        pages.lock().unwrap().push(page);
+                        appended.fetch_add(1, Ordering::Release);
+                    }
+                });
+                loop {
+                    let before = appended.load(Ordering::Acquire);
+                    let v = before as i64 - 1;
+                    let got = t.probe_index(Some(v), Some(v)).unwrap().unwrap();
+                    let want = pages.lock().unwrap()[v as usize];
+                    assert!(
+                        got.contains(&want),
+                        "round {round}: AS OF {v} missed page {want}: {got:?}"
+                    );
+                    if before == 1_300 {
+                        break;
+                    }
+                }
+            });
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! * `.checkpoint` — flush everything and truncate the WAL,
 //! * `.stats` — dump the metrics registry (also works over `--connect`:
 //!   the server answers it with a name/value result),
-//! * `.bufstats` — aggregated buffer-pool counters and hit rate,
 //! * `.timer on|off` — print wall-time plus pool/WAL deltas after each
 //!   statement,
 //! * `.trace <file>` — dump recorded spans (`SET trace = on` records
@@ -122,18 +121,6 @@ fn meta_command(session: &mut Session, timer: &mut bool, line: &str) -> bool {
         ".stats" => {
             println!("{}", stats_relation(session.database()).to_table());
         }
-        ".bufstats" => match session.database().pool_stats() {
-            None => println!("(in-memory database — no buffer pools; .open <dir> first)"),
-            Some(p) => {
-                println!("fetches    {}", p.fetches);
-                println!("io_reads   {}", p.io_reads);
-                println!("io_writes  {}", p.io_writes);
-                println!("io_syncs   {}", p.io_syncs);
-                println!("evictions  {}", p.evictions);
-                println!("capacity   {}", p.capacity);
-                println!("hit_rate   {:.3}", p.hit_rate());
-            }
-        },
         ".timer" => match parts.next() {
             Some("on") => {
                 *timer = true;

@@ -185,9 +185,10 @@ fn accept_loop<S>(
 /// Build the server's `.stats` result: one `(name, value)` row per
 /// metric. Counters and gauges come from one [`Database::metrics_snapshot`]
 /// (which polls the buffer pools and the WAL into `pool.*` / `wal.*`
-/// counters); the derived ratios — group-commit fsyncs-per-commit and
-/// buffer-pool hit rate — and the statement-latency percentiles
-/// (`session.statement_us.p50_us` …) are appended after it.
+/// counters); the ratios derived from that snapshot's counters —
+/// group-commit fsyncs-per-commit and buffer-pool hit rate — and the
+/// statement-latency percentiles (`session.statement_us.p50_us` …) are
+/// appended after it.
 pub fn stats_relation(db: &Database) -> Relation {
     let snap = db.metrics_snapshot();
     let mut pairs: Vec<(String, String)> = Vec::new();
@@ -198,14 +199,24 @@ pub fn stats_relation(db: &Database) -> Relation {
     for (k, v) in &snap.gauges {
         pairs.push((k.clone(), v.to_string()));
     }
-    if let Some(wal) = db.wal_stats() {
-        pairs.push((
-            "wal.group_commit_ratio".into(),
-            format!("{:.3}", wal.group_commit_ratio()),
-        ));
+    let counter = |name: &str| snap.counters.get(name).copied();
+    if let (Some(commits), Some(syncs)) = (counter("wal.commits"), counter("wal.syncs")) {
+        // Fsyncs per commit; 0 before the first commit.
+        let ratio = if commits == 0 {
+            0.0
+        } else {
+            syncs as f64 / commits as f64
+        };
+        pairs.push(("wal.group_commit_ratio".into(), format!("{ratio:.3}")));
     }
-    if let Some(pool) = db.pool_stats() {
-        pairs.push(("pool.hit_rate".into(), format!("{:.3}", pool.hit_rate())));
+    if let (Some(fetches), Some(reads)) = (counter("pool.fetches"), counter("pool.io_reads")) {
+        // Fetches served without a disk read; 1 before the first fetch.
+        let hit_rate = if fetches == 0 {
+            1.0
+        } else {
+            1.0 - reads.min(fetches) as f64 / fetches as f64
+        };
+        pairs.push(("pool.hit_rate".into(), format!("{hit_rate:.3}")));
     }
     let pct = |p: Option<u64>| p.map_or("-".to_string(), |v| v.to_string());
     for (k, h) in &snap.histograms {
@@ -347,6 +358,30 @@ mod tests {
             ),
             other => panic!("expected an error, got {other:?}"),
         }
+        match c.execute("SELECT x FROM t").unwrap() {
+            Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn a_mistyped_insert_is_an_error_reply_and_the_session_goes_on() {
+        let handle = Server::bind(Database::default(), "127.0.0.1:0")
+            .expect("bind")
+            .spawn();
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        c.execute("CREATE TABLE t (x int, ts int, te int)").unwrap();
+        for q in [
+            "INSERT INTO t VALUES ('abc', 0, 5)",
+            "INSERT INTO t VALUES (1, 'z', 5)",
+        ] {
+            match c.execute(q).unwrap() {
+                Response::Error(msg) => assert!(msg.contains("row 0: column"), "{q}: {msg}"),
+                other => panic!("{q}: expected an error, got {other:?}"),
+            }
+        }
+        c.execute("INSERT INTO t VALUES (1, 0, 2)").unwrap();
         match c.execute("SELECT x FROM t").unwrap() {
             Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),
             other => panic!("expected rows, got {other:?}"),

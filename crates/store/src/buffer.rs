@@ -41,10 +41,8 @@ struct PoolState {
     hand: usize,
 }
 
-/// Point-in-time counters of one buffer pool — or, via
-/// [`PoolStats::merge`], of every pool in a database. The observability
-/// surface behind `Database::pool_stats` and the tsql `.bufstats`
-/// dot-command.
+/// Point-in-time counters of one buffer pool. `Database::metrics_snapshot`
+/// sums them over every pool into its `pool.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Fetch calls (hits + misses).
@@ -57,30 +55,8 @@ pub struct PoolStats {
     pub io_syncs: u64,
     /// Resident pages displaced by clock eviction.
     pub evictions: u64,
-    /// Pool frames (summed when merged).
+    /// Pool frames.
     pub capacity: u64,
-}
-
-impl PoolStats {
-    /// Fraction of fetches served without a disk read, in `[0, 1]`. An
-    /// untouched pool reports 1.0 (nothing has missed yet).
-    pub fn hit_rate(&self) -> f64 {
-        if self.fetches == 0 {
-            1.0
-        } else {
-            1.0 - (self.io_reads.min(self.fetches) as f64 / self.fetches as f64)
-        }
-    }
-
-    /// Accumulate another pool's counters (database-wide aggregation).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.fetches += other.fetches;
-        self.io_reads += other.io_reads;
-        self.io_writes += other.io_writes;
-        self.io_syncs += other.io_syncs;
-        self.evictions += other.evictions;
-        self.capacity += other.capacity;
-    }
 }
 
 /// A pinning page cache in front of one [`DiskManager`].

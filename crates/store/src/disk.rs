@@ -3,8 +3,9 @@
 //! Every heap page gets its CRC on the way to disk and is verified on the
 //! way back, so a torn or bit-rotted page surfaces as a
 //! [`StoreError::Corrupt`] at read time instead of decoding to garbage.
-//! The interval index's raw node pages, which carry their own magic and
-//! no CRC field, pass through untouched. Writes and syncs are counted
+//! A block without the heap-page magic (a retired page format) has no CRC
+//! field and passes through to [`crate::page::Page::validate`], which
+//! names its version. Writes and syncs are counted
 //! for observability and pass through the [`crate::failpoints`] sites
 //! the crash-matrix tests arm.
 //!

@@ -11,10 +11,10 @@
 //! ```
 //!
 //! (tab-separated: name, heap file, schema fingerprint in hex, row count,
-//! schema string, and — exactly when the table has a persistent interval
-//! index — a sixth field naming the index file). The schema string is
-//! opaque to this crate — the engine layer defines and parses it. Saves
-//! are atomic (temp file + rename).
+//! schema string). The schema string is opaque to this crate — the engine
+//! layer defines and parses it. Saves are atomic (temp file + rename).
+//! Directories written while the interval index was a file carry a sixth
+//! field naming it; loading ignores that field, and the file is never read.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,9 +37,6 @@ pub struct TableMeta {
     pub rows: u64,
     /// Schema description, opaque at this layer.
     pub schema: String,
-    /// Interval-index file name (relative to the database directory),
-    /// if the table has a persistent interval index.
-    pub index: Option<String>,
 }
 
 /// The table-name → [`TableMeta`] map of one database directory.
@@ -81,6 +78,7 @@ impl Manifest {
                 }
                 continue;
             }
+            // A sixth field is the retired interval-index file: ignored.
             let fields: Vec<&str> = line.split('\t').collect();
             if fields.len() != 5 && fields.len() != 6 {
                 return Err(StoreError::Corrupt(format!(
@@ -102,7 +100,6 @@ impl Manifest {
                     fingerprint,
                     rows,
                     schema: fields[4].to_string(),
-                    index: fields.get(5).map(|s| s.to_string()),
                 },
             );
         }
@@ -119,13 +116,7 @@ impl Manifest {
         out.push('\n');
         out.push_str(&format!("# epoch {}\n", self.epoch));
         for (name, meta) in &self.tables {
-            let index = meta.index.as_deref().unwrap_or("");
-            for field in [
-                name.as_str(),
-                meta.file.as_str(),
-                meta.schema.as_str(),
-                index,
-            ] {
+            for field in [name.as_str(), meta.file.as_str(), meta.schema.as_str()] {
                 if field.contains('\t') || field.contains('\n') {
                     return Err(StoreError::Corrupt(format!(
                         "manifest field may not contain tabs or newlines: {field:?}"
@@ -133,14 +124,9 @@ impl Manifest {
                 }
             }
             out.push_str(&format!(
-                "{name}\t{}\t{:x}\t{}\t{}",
+                "{name}\t{}\t{:x}\t{}\t{}\n",
                 meta.file, meta.fingerprint, meta.rows, meta.schema
             ));
-            if let Some(index) = &meta.index {
-                out.push('\t');
-                out.push_str(index);
-            }
-            out.push('\n');
         }
         let tmp = dir.join(format!(".{MANIFEST_FILE}.tmp"));
         match crate::failpoints::hit("manifest::save") {
@@ -173,7 +159,7 @@ impl Manifest {
 
     /// Check that every file the manifest references exists in `dir`,
     /// returning a [`StoreError::Missing`] naming the first absent heap
-    /// or index file. Run at open time: failing fast with a clear error
+    /// file. Run at open time: failing fast with a clear error
     /// beats a confusing mid-query I/O failure from a half-copied
     /// database directory.
     pub fn verify_files(&self, dir: &Path) -> StoreResult<()> {
@@ -184,15 +170,6 @@ impl Manifest {
                     "table {name:?}: heap file {} referenced by the manifest does not exist",
                     heap.display()
                 )));
-            }
-            if let Some(index) = &meta.index {
-                let index = dir.join(index);
-                if !index.is_file() {
-                    return Err(StoreError::Missing(format!(
-                        "table {name:?}: index file {} referenced by the manifest does not exist",
-                        index.display()
-                    )));
-                }
             }
         }
         Ok(())
@@ -258,7 +235,6 @@ mod tests {
             fingerprint: 0xdead_beef,
             rows: 12,
             schema: "a:int,ts:int,te:int".to_string(),
-            index: None,
         }
     }
 
@@ -276,18 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn index_field_roundtrips() {
-        let dir = tmpdir("index_field");
-        let mut m = Manifest::default();
-        m.insert("plain", meta("plain.heap"));
-        let mut with_index = meta("r.heap");
-        with_index.index = Some("r.tidx".to_string());
-        m.insert("r", with_index);
-        m.save(&dir).unwrap();
+    fn a_sixth_field_loads_ignored_and_saves_dropped() {
+        let dir = tmpdir("sixth_field");
+        std::fs::write(
+            Manifest::path_in(&dir),
+            "r\tr.heap\tdeadbeef\t12\ta:int,ts:int,te:int\tr.tidx\n\
+             plain\tplain.heap\tdeadbeef\t12\ta:int,ts:int,te:int\n",
+        )
+        .unwrap();
         let back = Manifest::load(&dir).unwrap();
-        assert_eq!(m, back);
-        assert_eq!(back.get("r").unwrap().index.as_deref(), Some("r.tidx"));
-        assert_eq!(back.get("plain").unwrap().index, None);
+        assert_eq!(back.get("r"), Some(&meta("r.heap")));
+        assert_eq!(back.get("plain"), Some(&meta("plain.heap")));
+        // `verify_files` does not look for the index file it named.
+        std::fs::write(dir.join("r.heap"), b"").unwrap();
+        std::fs::write(dir.join("plain.heap"), b"").unwrap();
+        back.verify_files(&dir).unwrap();
+        back.save(&dir).unwrap();
+        let text = std::fs::read_to_string(Manifest::path_in(&dir)).unwrap();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            assert_eq!(line.split('\t').count(), 5, "{line:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -340,16 +324,10 @@ mod tests {
     fn verify_files_names_the_missing_file() {
         let dir = tmpdir("verify");
         let mut m = Manifest::default();
-        let mut r = meta("r.heap");
-        r.index = Some("r.tidx".to_string());
-        m.insert("r", r);
-        // Nothing on disk yet: the heap is reported first.
+        m.insert("r", meta("r.heap"));
         let err = m.verify_files(&dir).unwrap_err();
         assert!(matches!(&err, StoreError::Missing(msg) if msg.contains("r.heap")));
         std::fs::write(dir.join("r.heap"), b"").unwrap();
-        let err = m.verify_files(&dir).unwrap_err();
-        assert!(matches!(&err, StoreError::Missing(msg) if msg.contains("r.tidx")));
-        std::fs::write(dir.join("r.tidx"), b"").unwrap();
         m.verify_files(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

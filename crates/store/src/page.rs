@@ -298,9 +298,9 @@ impl Page {
         self.get_u64(OFF_FINGERPRINT)
     }
 
-    /// Does this block carry the heap-page magic? Blocks that do not —
-    /// the interval index's node pages, which share the disk manager —
-    /// have no CRC field and pass through it unchecked.
+    /// Does this block carry the heap-page magic? Blocks that do not — a
+    /// retired page format — have no CRC field to check; the disk manager
+    /// passes them through and [`Page::validate`] rejects them.
     fn is_heap_page(&self) -> bool {
         self.get_u32(OFF_MAGIC) == MAGIC
     }
@@ -618,7 +618,7 @@ mod tests {
 
     #[test]
     fn other_magics_are_an_unsupported_version() {
-        // "TPG2", a retired format, and an interval-index node ("TIDX").
+        // "TPG2", a retired format, and a block of some other file.
         for magic in [0x5450_4732u32, 0x5449_4458] {
             let mut p = Page::init(7);
             p.put_u32(OFF_MAGIC, magic);

@@ -37,8 +37,8 @@
 //!
 //! ## Checkpoints and sync policy
 //!
-//! A checkpoint is sharp: the caller flushes every heap and index and
-//! saves the manifest *first*, then [`Wal::checkpoint`] atomically
+//! A checkpoint is sharp: the caller flushes every heap and saves the
+//! manifest *first*, then [`Wal::checkpoint`] atomically
 //! replaces the log with a fresh one holding a single
 //! [`WalRecord::Checkpoint`] (temp file + fsync + rename). A crash
 //! between the flush and the swap merely replays records whose page LSNs
@@ -138,15 +138,14 @@ impl std::fmt::Display for SyncMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A table was created or replaced: the manifest entry to (re)apply.
-    /// Logged after the heap/index files are in place, so replay skips
-    /// entries whose files vanished (the create never completed).
+    /// Logged after the heap file is in place, so replay skips entries
+    /// whose file vanished (the create never completed).
     TableUpsert {
         name: String,
         file: String,
         fingerprint: u64,
         rows: u64,
         schema: String,
-        index: Option<String>,
     },
     /// A table was dropped: remove the manifest entry and its files.
     TableDrop { name: String },
@@ -257,7 +256,6 @@ impl WalRecord {
                 fingerprint,
                 rows,
                 schema,
-                index,
             } => {
                 out.push(TAG_TABLE_UPSERT);
                 put_str(&mut out, name)?;
@@ -265,13 +263,6 @@ impl WalRecord {
                 out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.extend_from_slice(&rows.to_le_bytes());
                 put_str(&mut out, schema)?;
-                match index {
-                    Some(ix) => {
-                        out.push(1);
-                        put_str(&mut out, ix)?;
-                    }
-                    None => out.push(0),
-                }
             }
             WalRecord::TableDrop { name } => {
                 out.push(TAG_TABLE_DROP);
@@ -331,22 +322,28 @@ impl WalRecord {
                 let fingerprint = c.u64()?;
                 let rows = c.u64()?;
                 let schema = c.str()?;
-                let index = match c.u8()? {
-                    0 => None,
-                    1 => Some(c.str()?),
-                    f => {
-                        return Err(StoreError::Corrupt(format!(
-                            "WAL table-upsert has bad index flag {f}"
-                        )))
+                // Logs written while the interval index was a file end the
+                // record with its name (flag 1 + string) or flag 0; the
+                // field is read past, so such a log replays in full.
+                if c.pos < c.buf.len() {
+                    match c.u8()? {
+                        0 => {}
+                        1 => {
+                            c.str()?;
+                        }
+                        f => {
+                            return Err(StoreError::Corrupt(format!(
+                                "WAL table-upsert has bad index flag {f}"
+                            )))
+                        }
                     }
-                };
+                }
                 WalRecord::TableUpsert {
                     name,
                     file,
                     fingerprint,
                     rows,
                     schema,
-                    index,
                 }
             }
             TAG_TABLE_DROP => WalRecord::TableDrop { name: c.str()? },
@@ -408,9 +405,9 @@ pub struct WalScan {
 }
 
 /// Named snapshot of the log's observability counters — what
-/// `Database::wal_stats` and the server's `.stats` report. The
-/// group-commit amortization ratio is `syncs as f64 / commits as f64`
-/// (below 1 means concurrent committers shared fsyncs).
+/// `Database::metrics_snapshot` publishes as its `wal.*` counters. The
+/// server's `.stats` derives the group-commit ratio `syncs / commits`
+/// from them (below 1 means concurrent committers shared fsyncs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Commit durability points requested ([`Wal::commit`]).
@@ -421,18 +418,6 @@ pub struct WalStats {
     pub bytes: u64,
     /// Checkpoints taken since open.
     pub checkpoints: u64,
-}
-
-impl WalStats {
-    /// Fsyncs per commit — the group-commit amortization ratio. Reports
-    /// 0.0 before the first commit.
-    pub fn group_commit_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.syncs as f64 / self.commits as f64
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -857,7 +842,7 @@ impl Wal {
 
     /// Atomically replace the log with a fresh one holding a single
     /// checkpoint record. The caller must have flushed and synced every
-    /// heap and index and saved the manifest *before* calling this. LSNs
+    /// heap and saved the manifest *before* calling this. LSNs
     /// keep increasing across the swap.
     pub fn checkpoint(&self) -> StoreResult<u64> {
         if failpoints::power_cut() {
@@ -917,7 +902,6 @@ mod tests {
                 fingerprint: 0xfeed,
                 rows: 3,
                 schema: "a:int,ts:int,te:int".into(),
-                index: Some("r.tidx".into()),
             },
             WalRecord::HeapPageImage {
                 table: "r".into(),
@@ -953,6 +937,48 @@ mod tests {
             WalRecord::decode(&WalRecord::Checkpoint.encode().unwrap()).unwrap(),
             WalRecord::Checkpoint
         );
+    }
+
+    /// A log written while the interval index was a file ends each table
+    /// upsert in the index field (flag 1 + file name, or flag 0). Every
+    /// record replays with the field ignored — none is taken for a torn
+    /// tail, which would drop it and every committed record after it.
+    #[test]
+    fn a_log_with_index_fields_replays_every_record() {
+        let dir = tmpdir("index-field");
+        drop(Wal::open(&dir).unwrap());
+        let upsert = |name: &str| WalRecord::TableUpsert {
+            name: name.into(),
+            file: format!("{name}.heap"),
+            fingerprint: 0xfeed,
+            rows: 3,
+            schema: "a:int,ts:int,te:int".into(),
+        };
+        let mut indexed = upsert("r").encode().unwrap();
+        indexed.push(1);
+        put_str(&mut indexed, "r.tidx").unwrap();
+        let mut plain = upsert("plain").encode().unwrap();
+        plain.push(0);
+        let append = sample_records()[2].clone();
+        let path = Wal::path_in(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for (lsn, payload) in (1u64..).zip([indexed, plain, append.encode().unwrap()]) {
+            let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &payload);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes.extend_from_slice(&lsn.to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let (_, scan) = Wal::open(&dir).unwrap();
+        assert!(!scan.tail_truncated);
+        let back: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(back, vec![upsert("r"), upsert("plain"), append]);
+        // A flag that format never wrote is still corruption.
+        let mut bad = upsert("r").encode().unwrap();
+        bad.push(7);
+        assert!(WalRecord::decode(&bad).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

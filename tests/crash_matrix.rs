@@ -22,8 +22,9 @@
 //!   *detect* them — recovery either repairs from a full-page image,
 //!   truncates the corrupt WAL tail, or surfaces a corruption error,
 //!   but never serves garbage;
-//! * the rebuilt interval index and zone maps answer `AS OF`
-//!   timeslices identically to a brute-force oracle over the
+//! * the recovered table plans its `AS OF` timeslices on the interval
+//!   index (built in memory by the first probe), and the index and the
+//!   zone maps answer them identically to a brute-force oracle over the
 //!   recovered rows;
 //! * the recovered database is writable and survives a further clean
 //!   close/reopen.
@@ -182,7 +183,12 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
         );
     }
 
-    // The rebuilt interval index and zone maps answer like the oracle.
+    // The interval index and zone maps answer like the oracle.
+    let explain = db.table("r").unwrap().as_of(0).explain().unwrap();
+    assert!(
+        explain.contains("IndexScan on r using interval index"),
+        "[{case}] the recovered table lost the index path:\n{explain}"
+    );
     for v in [0i64, 13 * INSERTS / 2] {
         let expected = oracle_as_of(&rows, v);
         for (zm, ix) in [(true, true), (false, false)] {

@@ -1,5 +1,5 @@
 //! Page pruning end to end (ISSUE 7): per-page zone maps and the
-//! persistent interval index must (a) never change results — on, off, and
+//! in-memory interval index must (a) never change results — on, off, and
 //! in-memory execution agree row-for-row on the paper's synthetic
 //! datasets, (b) demonstrably skip pages on selective `AS OF` timeslices
 //! (asserted through the `pages_read` / `pages_skipped` counters), and
@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::engine::batch::BatchBuilder;
 use temporal_alignment::engine::prelude::*;
 use temporal_alignment::engine::storage::ZoneBounds;
 use temporal_alignment::sql::{DatabaseSqlExt, Session};
@@ -67,15 +68,13 @@ fn oracle_as_of(rel: &TemporalRelation, v: i64) -> Vec<Row> {
         .collect()
 }
 
-/// Load `rel` (`id, ts, te`) into a fresh persisted table the way a
+/// Load `rows` (`id, ts, te`) into a fresh persisted table the way a
 /// client does: `CREATE TABLE … PERSISTED` + `COPY`. The table is never
-/// `persist`ed, so its interval index is whatever `insert_rows` appends
-/// made of it — the sorted tree for in-order rows, the overflow chain
-/// for the rest — not a bulk build.
-fn copy_load(db: &Database, dir: &std::path::Path, name: &str, rel: &TemporalRelation) {
+/// `persist`ed, so its interval index holds what `insert_rows` appended
+/// to it, not a build from the whole relation.
+fn copy_load(db: &Database, dir: &std::path::Path, name: &str, rows: &[Row]) {
     let csv = dir.join(format!("{name}.csv"));
-    let lines: String = rel
-        .rows()
+    let lines: String = rows
         .iter()
         .map(|r| format!("{},{},{}\n", r[0], r[1], r[2]))
         .collect();
@@ -113,9 +112,9 @@ proptest! {
         db.register("dr", &dr_r).unwrap();
         // The same data again, COPY-loaded: appended to the index row by
         // row instead of bulk-built (dd in ts order, dr out of order).
-        copy_load(&db, &dir, "dd_copy", &dd_r);
-        copy_load(&db, &dir, "de_copy", &de_r);
-        copy_load(&db, &dir, "dr_copy", &dr_r);
+        copy_load(&db, &dir, "dd_copy", dd_r.rows());
+        copy_load(&db, &dir, "de_copy", de_r.rows());
+        copy_load(&db, &dir, "dr_copy", dr_r.rows());
         for (name, rel) in [
             ("dd", &dd_r),
             ("de", &de_r),
@@ -228,7 +227,7 @@ proptest! {
                 label: label.clone(),
                 bounds: Some(bounds),
             }),
-            // No index is attached: degrades to the zone sweep.
+            // A created table's first probe builds its index from the heap.
             filtered(PhysicalPlan::IndexScan { table: table.clone(), label, bounds }),
         ];
 
@@ -340,17 +339,16 @@ fn boundary_intervals_never_drift() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The interval index is registered in the manifest and survives a
-/// drop/reopen: the reopened database still plans an IndexScan, answers
-/// identically, and `drop_table` removes the index file with the heap.
+/// A persisted table survives a drop/reopen through the manifest: the
+/// reopened database still plans an IndexScan — its index is built in
+/// memory by the first probe — answers identically, and keeps the index
+/// current across appends. No index file is ever written.
 #[test]
 fn interval_index_reopens_through_manifest() {
     let dir = scratch("index-reopen");
     let db = Database::open(&dir).unwrap();
     let (r, _) = drand(3000, 42);
     db.register("r", &r).unwrap();
-    let tidx = dir.join("r.tidx");
-    assert!(tidx.exists(), "persist must build {}", tidx.display());
 
     let v = 5000;
     let explain = db.table("r").unwrap().as_of(v).explain().unwrap();
@@ -362,7 +360,6 @@ fn interval_index_reopens_through_manifest() {
     assert_eq!(before, oracle_as_of(&r, v));
     drop(db);
 
-    // Reopen: the manifest's index column re-attaches the .tidx file.
     let db = Database::open(&dir).unwrap();
     let explain = db.table("r").unwrap().as_of(v).explain().unwrap();
     assert!(
@@ -373,58 +370,132 @@ fn interval_index_reopens_through_manifest() {
     assert_eq!(before, after, "reopen changed the timeslice");
     assert!(read + skipped > 0);
 
-    // Appends maintain the index without a rebuild.
+    // Appends maintain the built index.
     let extra: Row = vec![Value::Int(9999), Value::Int(v), Value::Int(v + 1)].into();
     db.insert_rows("r", vec![extra.clone()]).unwrap();
     let (appended, _) = run_as_of(&db, "r", v);
     assert_eq!(appended.len(), after.len() + 1);
     assert!(appended.contains(&extra));
+    assert_no_index_files(&dir);
 
     assert!(db.drop_table("r").unwrap());
-    assert!(!tidx.exists(), "drop_table must remove the index file");
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The planner costs the shape the appends left the index in: in-order
-/// ingest keeps the sorted tree (index probe), out-of-order ingest fills
-/// the overflow chain every probe would walk (zone sweep instead).
-#[test]
-fn copy_loaded_access_path_follows_the_index_shape() {
-    let dir = scratch("copy-shape");
-    let db = Database::open(&dir).unwrap();
-    copy_load(&db, &dir, "ordered", &ddisj(3000).0);
-    copy_load(&db, &dir, "shuffled", &drand(3000, 3).0);
-    let shape = |name: &str| {
-        db.read(|catalog, _| match catalog.source(name).unwrap() {
-            TableSource::Stored(t) => t.index().expect("temporal table").shape().unwrap(),
-            TableSource::Mem(_) => panic!("{name} must be stored"),
-        })
-    };
-    assert_eq!(shape("ordered"), (2, 0), "in-order rows all enter the tree");
-    let (_, overflow_pages) = shape("shuffled");
-    assert!(overflow_pages >= 10, "random starts mostly miss the tree");
+/// The directory holds no `*.tidx` file and every manifest line has the
+/// five fields of a table without an index file.
+fn assert_no_index_files(dir: &std::path::Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        assert_ne!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("tidx"),
+            "an index file was written: {}",
+            path.display()
+        );
+    }
+    let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
+    for line in manifest.lines().filter(|l| !l.starts_with('#')) {
+        assert_eq!(line.split('\t').count(), 5, "manifest line {line:?}");
+    }
+}
 
-    let ordered = db
-        .table("ordered")
-        .unwrap()
-        .as_of(30_000)
-        .explain()
-        .unwrap();
-    assert!(
-        ordered.contains("IndexScan on ordered using interval index"),
-        "in-order COPY should probe the index:\n{ordered}"
-    );
-    let shuffled = db
-        .table("shuffled")
-        .unwrap()
-        .as_of(5_000)
-        .explain()
-        .unwrap();
-    assert!(
-        shuffled.contains("using zonemap"),
-        "a chain-heavy index should lose to the zone sweep:\n{shuffled}"
-    );
+/// Heap pages of `table` holding a row valid at `v`.
+fn pages_with_a_match(db: &Database, table: &str, v: i64) -> u64 {
+    db.read(|catalog, _| match catalog.source(table).unwrap() {
+        TableSource::Stored(t) => (0..t.page_count())
+            .filter(|&page| {
+                let mut out = BatchBuilder::new(t.schema().len());
+                t.decode_page(page, None, None, &mut out).unwrap();
+                let rows = Relation::from_batches(
+                    t.schema().clone(),
+                    vec![out.finish(t.schema().clone())],
+                )
+                .unwrap();
+                rows.rows().iter().any(|r| {
+                    matches!((&r[1], &r[2]),
+                        (Value::Int(ts), Value::Int(te)) if *ts <= v && *te > v)
+                })
+            })
+            .count() as u64,
+        TableSource::Mem(_) => panic!("{table} must be stored"),
+    })
+}
+
+/// A heap whose order is independent of time is the case zone maps cannot
+/// prune, and what the interval index is for. COPY-load one shuffled, add
+/// single out-of-order INSERTs, reopen it cleanly, then after a crash
+/// (the handle leaked, so only the WAL holds the last inserts). After
+/// every step each timeslice plans an IndexScan, answers like the oracle
+/// and reads only pages that hold a matching row.
+#[test]
+fn shuffled_heap_is_served_by_the_index_across_inserts_and_reopens() {
+    let dir = scratch("shuffled");
+    let db = Database::open(&dir).unwrap();
+    let mut rows = ddisj(3000).0.rows().to_vec();
+    let mut rng = StdRng::seed_from_u64(5);
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.gen_range(0..=i));
+    }
+    copy_load(&db, &dir, "s", &rows);
+    let check = |db: &Database, rows: &[Row], step: &str| {
+        for v in [0, 7, 2_500, 17_777, 29_995, 40_000] {
+            let explain = db.table("s").unwrap().as_of(v).explain().unwrap();
+            assert!(
+                explain.contains("IndexScan on s using interval index"),
+                "{step}: AS OF {v} did not probe the index:\n{explain}"
+            );
+            let (mut got, (read, _)) = run_as_of(db, "s", v);
+            let mut expected: Vec<Row> = rows
+                .iter()
+                .filter(|r| {
+                    matches!((&r[1], &r[2]),
+                    (Value::Int(ts), Value::Int(te)) if *ts <= v && *te > v)
+                })
+                .cloned()
+                .collect();
+            got.sort();
+            expected.sort();
+            assert_eq!(got, expected, "{step}: AS OF {v}");
+            let matching = pages_with_a_match(db, "s", v);
+            assert!(
+                read <= matching,
+                "{step}: AS OF {v} read {read} pages, {matching} hold a match"
+            );
+        }
+        assert_no_index_files(&dir);
+    };
+    check(&db, &rows, "COPY");
+    let mut insert = |db: &Database, rows: &mut Vec<Row>, n: i64| {
+        for i in 0..n {
+            let ts = rng.gen_range(0..30_000i64);
+            let r: Row = vec![Value::Int(10_000 + i), Value::Int(ts), Value::Int(ts + 3)].into();
+            db.insert_rows("s", vec![r.clone()]).unwrap();
+            rows.push(r);
+        }
+    };
+    insert(&db, &mut rows, 20);
+    check(&db, &rows, "INSERT");
+
+    db.close().unwrap();
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    // Opening reads the first and the tail page of the heap, whatever its
+    // size; the index is built by the first probe.
+    let fetched = |db: &Database| db.metrics_snapshot().counters["pool.fetches"];
+    assert!(fetched(&db) <= 2, "open fetched {} pages", fetched(&db));
+    check(&db, &rows, "clean reopen");
+    let pages = db.read(|catalog, _| match catalog.source("s").unwrap() {
+        TableSource::Stored(t) => u64::from(t.page_count()),
+        TableSource::Mem(_) => unreachable!(),
+    });
+    assert!(fetched(&db) >= pages, "the first probe scans the heap");
+
+    insert(&db, &mut rows, 20);
+    std::mem::forget(db);
+    let db = Database::open(&dir).unwrap();
+    check(&db, &rows, "crash");
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,8 +5,10 @@
 //! state and never refuses to open; bit flips are detected and
 //! truncated with a warning; missing storage files are a clear error;
 //! `sync_mode` / `wal_checkpoint_pages` are settable through both
-//! surfaces; and the rebuilt interval index + zone maps answer `AS OF`
-//! timeslices identically to a brute-force oracle after recovery.
+//! surfaces; the interval index (built in memory on the first probe) and
+//! the zone maps answer `AS OF` timeslices identically to a brute-force
+//! oracle after recovery; and a directory written while the index was a
+//! file opens and replays every record.
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
@@ -69,7 +71,8 @@ fn run_as_of(db: &Database, table: &str, v: i64) -> Vec<Row> {
 
 /// After recovery the pruned access paths (zone maps, interval index)
 /// must answer timeslices identically to both the brute-force oracle
-/// and the unpruned scan — i.e. the rebuilt index is consistent.
+/// and the unpruned scan — i.e. the index built from the recovered heap
+/// is consistent.
 fn assert_pruning_consistent(db: &Database, table: &str, rows: &[Row], instants: &[i64]) {
     for &v in instants {
         let expected = oracle_as_of(rows, v);
@@ -89,7 +92,7 @@ fn assert_pruning_consistent(db: &Database, table: &str, rows: &[Row], instants:
 
 /// Committed inserts survive a crash: nothing was flushed or
 /// checkpointed, so every row after the base registration exists only
-/// in the WAL — reopen must replay them and rebuild the index.
+/// in the WAL — reopen must replay them, and the index must see them.
 #[test]
 fn committed_inserts_survive_a_crash() {
     let dir = scratch("crash-basic");
@@ -285,9 +288,9 @@ fn corrupt_wal_is_truncated_never_fatal() {
     std::fs::remove_dir_all(&seed_dir).unwrap();
 }
 
-/// A database directory missing a heap or index file the manifest
-/// references is rejected with a clear error naming the file — not a
-/// panic, not a silently empty table.
+/// A database directory missing a heap file the manifest references is
+/// rejected with a clear error naming the file — not a panic, not a
+/// silently empty table.
 #[test]
 fn missing_storage_files_are_a_clear_error() {
     let dir = scratch("missing-files");
@@ -298,19 +301,6 @@ fn missing_storage_files_are_a_clear_error() {
         db.close().unwrap();
     }
 
-    // Missing index file.
-    let tidx = dir.join("r.tidx");
-    let saved = std::fs::read(&tidx).unwrap();
-    std::fs::remove_file(&tidx).unwrap();
-    let err = Database::open(&dir).expect_err("open must reject a missing .tidx");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("missing storage file") && msg.contains("r.tidx"),
-        "unhelpful error: {msg}"
-    );
-    std::fs::write(&tidx, saved).unwrap();
-
-    // Missing heap file.
     std::fs::remove_file(dir.join("r.heap")).unwrap();
     let err = Database::open(&dir).expect_err("open must reject a missing heap");
     let msg = err.to_string();
@@ -318,6 +308,85 @@ fn missing_storage_files_are_a_clear_error() {
         msg.contains("missing storage file") && msg.contains("r.heap"),
         "unhelpful error: {msg}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory written while the interval index was a file: manifest
+/// lines carry a sixth field naming `<table>.tidx`, the file sits beside
+/// the heap, and each WAL table-upsert ends in the index field. It opens
+/// with the field ignored and the stale file never read (it holds
+/// garbage here), and its WAL replays in full — the upsert is not taken
+/// for a torn tail, which would drop the committed inserts after it.
+#[test]
+fn a_directory_with_index_files_opens_and_replays_every_record() {
+    let dir = scratch("index-file-era");
+    let (base, _) = ddisj(200);
+    let mut expected = base.rows().to_vec();
+    let db = Database::open(&dir).unwrap();
+    db.register("r", &base).unwrap();
+    for i in 0..10 {
+        let r = row(5000 + i, 3 * i, 3 * i + 40);
+        db.insert_rows("r", vec![r.clone()]).unwrap();
+        expected.push(r);
+    }
+    crash(db);
+
+    // Rewrite the directory into that format.
+    let manifest = dir.join("manifest.tsv");
+    let text: String = std::fs::read_to_string(&manifest)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let sixth = if l.starts_with("r\t") { "\tr.tidx" } else { "" };
+            format!("{l}{sixth}\n")
+        })
+        .collect();
+    std::fs::write(&manifest, text).unwrap();
+    std::fs::write(dir.join("r.tidx"), vec![0xA5u8; 3 * 4096]).unwrap();
+    let wal_path = dir.join("wal.log");
+    let wal = std::fs::read(&wal_path).unwrap();
+    let mut old = wal[..8].to_vec();
+    let mut upserts = 0;
+    for start in frame_starts(&wal) {
+        let len = u32::from_le_bytes(wal[start..start + 4].try_into().unwrap()) as usize;
+        let lsn = &wal[start + 8..start + 16];
+        let mut payload = wal[start + 16..start + 16 + len].to_vec();
+        if payload[0] == 1 {
+            // Table upsert: flag 1, then the u16-prefixed file name.
+            payload.push(1);
+            payload.extend_from_slice(&6u16.to_le_bytes());
+            payload.extend_from_slice(b"r.tidx");
+            upserts += 1;
+        }
+        let crc =
+            temporal_store::crc32c::crc32c_append(temporal_store::crc32c::crc32c(lsn), &payload);
+        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        old.extend_from_slice(&crc.to_le_bytes());
+        old.extend_from_slice(lsn);
+        old.extend_from_slice(&payload);
+    }
+    assert_eq!(upserts, 1, "the register's upsert is in the log");
+    std::fs::write(&wal_path, old).unwrap();
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(
+        collect_rows(&db, "r"),
+        expected,
+        "a record after the upsert was dropped"
+    );
+    let explain = db.table("r").unwrap().as_of(20).explain().unwrap();
+    assert!(
+        explain.contains("IndexScan on r using interval index"),
+        "{explain}"
+    );
+    assert_pruning_consistent(&db, "r", &expected, &[0, 20, 1000, 100_000]);
+    // The next save writes five fields; the stale file stays unread.
+    db.checkpoint().unwrap();
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text
+        .lines()
+        .all(|l| l.starts_with('#') || l.split('\t').count() == 5));
+    drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -447,7 +516,7 @@ proptest! {
 
     /// Crash recovery on the paper's synthetic datasets: register a
     /// base relation, append committed rows, crash, reopen — the
-    /// recovered table equals base + inserts exactly, and the rebuilt
+    /// recovered table equals base + inserts exactly, and the
     /// interval index / zone maps answer timeslices like the oracle.
     #[test]
     fn crash_recovery_round_trip_on_synthetic_datasets(

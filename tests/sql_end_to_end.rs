@@ -339,6 +339,74 @@ fn temporal_operators_reject_empty_and_inverted_intervals() {
     assert!(err.to_string().contains("empty interval [4, 4)"), "{err}");
 }
 
+/// `INSERT` checks each value against its column's type before anything
+/// is appended, as `COPY` does: NULL passes, an int widens into a double
+/// column, and anything else is an in-band error naming the row and the
+/// column that leaves the table unchanged — in memory and persisted.
+#[test]
+fn insert_checks_value_types_on_both_backings() {
+    let dir = std::env::temp_dir().join(format!("talign_insert_types-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    let mut session = Session::with_database(db.clone());
+    for (t, backing) in [("m", ""), ("p", " PERSISTED")] {
+        session
+            .execute(&format!(
+                "CREATE TABLE {t} (x int, y double, ts int, te int){backing}"
+            ))
+            .unwrap();
+        session
+            .execute(&format!(
+                "INSERT INTO {t} VALUES (1, 2.5, 0, 5), (NULL, 3, 1, 6)"
+            ))
+            .unwrap();
+        for (bad, column, got) in [
+            ("('abc', 1.0, 0, 5)", "x", "got str abc"),
+            ("(1, 1.0, 'z', 5)", "ts", "got str z"),
+            ("(1, true, 0, 5)", "y", "got bool true"),
+            ("(1.5, 1.0, 0, 5)", "x", "got double 1.5"),
+        ] {
+            // A good first row, then the bad one: neither is appended.
+            let err = session
+                .execute(&format!("INSERT INTO {t} VALUES (7, 7.0, 7, 8), {bad}"))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("row 1: column '{column}'")) && err.contains(got),
+                "{t} {bad}: {err}"
+            );
+        }
+        let rows: Vec<Vec<Value>> = session
+            .query(&format!("SELECT x, y, ts, te FROM {t}"))
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.to_vec())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec![
+                    Value::Int(1),
+                    Value::Double(2.5),
+                    Value::Int(0),
+                    Value::Int(5)
+                ],
+                vec![
+                    Value::Null,
+                    Value::Double(3.0),
+                    Value::Int(1),
+                    Value::Int(6)
+                ],
+            ],
+            "{t}"
+        );
+    }
+    drop(session);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn int_double_equi_join_matches_under_every_join_method() {
     // `a.x = b.y` compares an int with a double numerically, so (1, 1.0)
