@@ -610,11 +610,7 @@ impl Database {
             TableSource::Stored(table) => {
                 // Appends publish to new snapshots atomically: readers see
                 // the whole batch or none of it.
-                {
-                    let batch = table.begin_batch();
-                    table.append_rows(rows.iter())?;
-                    drop(batch);
-                }
+                table.append_rows(rows.iter())?;
                 let epoch = self.bump_epoch();
                 let wal = {
                     // Short exclusive section: manifest row count +

@@ -45,6 +45,9 @@ pub struct OperatorStats {
     pub pages_read: AtomicU64,
     /// Heap pages pruned before decode at this node (storage scans only).
     pub pages_skipped: AtomicU64,
+    /// Of `pages_skipped`, the pages only the key filter dropped: their
+    /// zone maps admitted a pinned key the filter proves absent.
+    pub key_filtered: AtomicU64,
     /// Tuples on the pages read that the scan looked at — `rows` of them
     /// survived its record-level bounds (storage scans only). Summed from
     /// the page headers, once per page.
@@ -63,8 +66,10 @@ impl OperatorStats {
         self.tuples_checked.fetch_add(tuples, Ordering::Relaxed);
     }
 
-    pub fn note_pages_skipped(&self, n: u64) {
+    /// `n` pages pruned, `key_filtered` of them by the key filter alone.
+    pub fn note_pages_skipped(&self, n: u64, key_filtered: u64) {
         self.pages_skipped.fetch_add(n, Ordering::Relaxed);
+        self.key_filtered.fetch_add(key_filtered, Ordering::Relaxed);
     }
 
     /// Wall time in milliseconds.

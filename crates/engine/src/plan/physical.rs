@@ -22,9 +22,10 @@ use crate::schema::Schema;
 use crate::storage::{StoredTable, ZoneBounds};
 
 /// A pruned-scan resolution: the stored table, the sorted list of heap
-/// pages that survived zone-map / interval-index pruning, and the bounds
-/// that selected them — which the scan applies once more, per record.
-type PrunedScan = (Arc<StoredTable>, Arc<Vec<u32>>, ZoneBounds);
+/// pages that survived zone-map / interval-index / key-filter pruning, the
+/// bounds that selected them — which the scan applies once more, per
+/// record — and how many pages the key filter alone dropped.
+type PrunedScan = (Arc<StoredTable>, Arc<Vec<u32>>, ZoneBounds, u64);
 
 /// A physical (executable) plan.
 #[derive(Debug, Clone)]
@@ -267,9 +268,9 @@ impl PhysicalPlan {
                 ..
             } if state.config().enable_zonemaps => {
                 let snap = state.snapshot_for(table);
-                let mut pages = table.zone_surviving_pages(bounds)?;
-                pages.retain(|&p| snap.sees_page(p));
-                Some((table.clone(), Arc::new(pages), *bounds))
+                let visible = (0..table.page_count()).filter(|&p| snap.sees_page(p));
+                let (pages, key_filtered) = table.pages_may_match(visible, bounds)?;
+                Some((table.clone(), Arc::new(pages), *bounds, key_filtered))
             }
             PhysicalPlan::IndexScan { table, bounds, .. } => {
                 let config = state.config();
@@ -277,26 +278,27 @@ impl PhysicalPlan {
                 if config.enable_interval_index {
                     if let Some(mut pages) = table.probe_index(bounds.ts_le, bounds.te_gt)? {
                         pages.retain(|&p| snap.sees_page(p));
+                        let mut key_filtered = 0;
                         if config.enable_zonemaps {
                             // Zone re-check: the index only knows ts/te, the
-                            // zones also carry key bounds and lower ts bounds.
-                            let mut kept = Vec::with_capacity(pages.len());
-                            for page in pages {
-                                if table.zone_of(page)?.may_match(bounds) {
-                                    kept.push(page);
-                                }
-                            }
-                            pages = kept;
+                            // zones and key filters also know the key and
+                            // lower ts bounds.
+                            (pages, key_filtered) = table.pages_may_match(pages, bounds)?;
                         }
-                        return Ok(Some((table.clone(), Arc::new(pages), *bounds)));
+                        return Ok(Some((
+                            table.clone(),
+                            Arc::new(pages),
+                            *bounds,
+                            key_filtered,
+                        )));
                     }
                 }
                 // Index disabled: degrade to a zone sweep, or a
                 // full scan when zone maps are off too.
                 if config.enable_zonemaps {
-                    let mut pages = table.zone_surviving_pages(bounds)?;
-                    pages.retain(|&p| snap.sees_page(p));
-                    Some((table.clone(), Arc::new(pages), *bounds))
+                    let visible = (0..table.page_count()).filter(|&p| snap.sees_page(p));
+                    let (pages, key_filtered) = table.pages_may_match(visible, bounds)?;
+                    Some((table.clone(), Arc::new(pages), *bounds, key_filtered))
                 } else {
                     None
                 }
@@ -310,12 +312,13 @@ impl PhysicalPlan {
             PhysicalPlan::SeqScan { rel, .. } => Box::new(SeqScanExec::new(rel.clone())),
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
                 match self.resolve_scan_pages(state)? {
-                    Some((table, pages, bounds)) => {
+                    Some((table, pages, bounds, key_filtered)) => {
                         // The one accounting site for page skips.
                         let skipped =
                             u64::from(table.page_count()).saturating_sub(pages.len() as u64);
                         if let Some(ins) = state.instrumentation() {
-                            ins.op(self.node_key()).note_pages_skipped(skipped);
+                            ins.op(self.node_key())
+                                .note_pages_skipped(skipped, key_filtered);
                         }
                         let scan = StorageScanExec::with_page_list(table, pages);
                         self.boxed_scan(scan.with_bounds(&bounds), state)
@@ -720,6 +723,10 @@ impl PhysicalPlan {
                     s.push_str(&format!(
                         " pages_read={pages_read} pages_skipped={pages_skipped}"
                     ));
+                    let key_filtered = op.key_filtered.load(Ordering::Relaxed);
+                    if key_filtered > 0 {
+                        s.push_str(&format!(" key_filtered={key_filtered}"));
+                    }
                 }
                 s.push(')');
                 s

@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use temporal_store::{AppendBatch, HeapSnapshot, IndexEntry, Page, PageId, TableHeap};
+use temporal_store::{HeapSnapshot, IndexRows, Page, PageId, TableHeap};
 
 use crate::batch::{BatchBuilder, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
@@ -271,8 +271,9 @@ pub struct StoredTable {
     temporal: Option<(usize, usize)>,
     /// First column, when it participates in the zone-map key bounds.
     key_col: Option<usize>,
-    /// In-memory interval index over `(ts, te)`; `Some` exactly when the
-    /// table is temporal.
+    /// In-memory interval index over `(ts, te)`, with a key filter per
+    /// page when `key_col` is set; `Some` exactly when the table is
+    /// temporal.
     index: Option<IntervalIndex>,
 }
 
@@ -382,13 +383,6 @@ impl StoredTable {
         self.heap.snapshot()
     }
 
-    /// Defer snapshot publication of subsequent appends until the guard
-    /// drops — a multi-row write becomes visible to new snapshots
-    /// atomically instead of row by row.
-    pub fn begin_batch(&self) -> AppendBatch<'_> {
-        self.heap.begin_batch()
-    }
-
     /// Disk reads performed so far (buffer pool misses).
     pub fn io_reads(&self) -> u64 {
         self.heap.pool().io_reads()
@@ -405,20 +399,15 @@ impl StoredTable {
         self.heap.pool().capacity()
     }
 
-    /// Append one row (arity-checked against the table schema), stamping
-    /// the page's zone map and maintaining the interval index. Returns the
-    /// heap page the row landed on.
+    /// Append one row; see [`Self::append_rows`]. Returns the heap page
+    /// the row landed on.
     pub fn append_row(&self, row: &Row) -> EngineResult<PageId> {
-        let (page, entry) = self.append_row_inner(row)?;
-        if let (Some(entry), Some(index)) = (entry, &self.index) {
-            index.append(vec![entry]);
-        }
-        Ok(page)
+        Ok(self.append_rows([row])?.expect("one row appended"))
     }
 
-    /// Append + zone-stamp one row; the index entry (if any) is returned
-    /// to the caller instead of applied, so bulk paths can batch.
-    fn append_row_inner(&self, row: &Row) -> EngineResult<(PageId, Option<IndexEntry>)> {
+    /// Append + zone-stamp one row, collecting what the index learns of it
+    /// into `indexed`.
+    fn append_row_inner(&self, row: &Row, indexed: &mut IndexRows) -> EngineResult<PageId> {
         if row.len() != self.schema.len() {
             return Err(EngineError::SchemaMismatch(format!(
                 "row has {} values, stored table '{}' has {} columns",
@@ -431,39 +420,63 @@ impl StoredTable {
         encode_row(row, &mut buf);
         let values = row.values();
         // Rows with NULL (or non-Int) temporal attributes poison the
-        // page's zone map and are left out of the index: the canonical
-        // temporal range conjuncts evaluate to false on them, so neither
-        // pruning layer can lose such a row.
+        // page's zone map and are left out of the interval entries: the
+        // canonical temporal range conjuncts evaluate to false on them, so
+        // neither pruning layer can lose such a row. Their key still goes
+        // into the page's key filter.
         let interval = self
             .temporal
             .and_then(|(tsi, tei)| match (&values[tsi], &values[tei]) {
                 (Value::Int(ts), Value::Int(te)) => Some((*ts, *te)),
                 _ => None,
             });
+        let key = self.key_of(values);
         let page = match interval {
-            Some((ts, te)) => {
-                let key = self.key_col.and_then(|k| match &values[k] {
-                    Value::Int(v) => Some(*v),
-                    _ => None,
-                });
-                self.heap.append_with_zone(&buf, ts, te, key)?
-            }
+            Some((ts, te)) => self.heap.append_with_zone(&buf, ts, te, key.flatten())?,
             None => self.heap.append(&buf)?,
         };
-        Ok((page, interval.map(|(ts, te)| (ts, te, page))))
+        indexed
+            .intervals
+            .extend(interval.map(|(ts, te)| (ts, te, page)));
+        if let Some(key) = key {
+            indexed.add_key(page, key);
+        }
+        Ok(page)
     }
 
-    /// Append many rows, batching the interval-index maintenance.
-    pub fn append_rows<'r>(&self, rows: impl IntoIterator<Item = &'r Row>) -> EngineResult<()> {
-        let mut entries = Vec::new();
-        for r in rows {
-            let (_, entry) = self.append_row_inner(r)?;
-            entries.extend(entry);
-        }
+    /// The key of a row of a table with a key column: `Some(None)` for a
+    /// NULL (or non-integer) key.
+    fn key_of(&self, values: &[Value]) -> Option<Option<i64>> {
+        self.key_col.map(|k| match &values[k] {
+            Value::Int(v) => Some(*v),
+            _ => None,
+        })
+    }
+
+    /// Append rows (each arity-checked against the table schema), stamping
+    /// the pages' zone maps and maintaining the interval index. New
+    /// snapshots see the rows only once the index holds them, and all of
+    /// them at once. A row that fails ends the batch: the rows before it
+    /// stay appended, indexed and published. Returns the heap page of the
+    /// last row.
+    pub fn append_rows<'r>(
+        &self,
+        rows: impl IntoIterator<Item = &'r Row>,
+    ) -> EngineResult<Option<PageId>> {
+        // Publication waits for the batch scope, closed after the index
+        // update.
+        let batch = self.heap.begin_batch();
+        let mut indexed = IndexRows::default();
+        let mut last = None;
+        let appended = rows.into_iter().try_for_each(|r| {
+            last = Some(self.append_row_inner(r, &mut indexed)?);
+            Ok(())
+        });
         if let Some(index) = &self.index {
-            index.append(entries);
+            index.append(indexed);
         }
-        Ok(())
+        drop(batch);
+        appended.map(|()| last)
     }
 
     /// Header-only zone map of heap page `page_no`.
@@ -471,16 +484,31 @@ impl StoredTable {
         self.heap.zone_of(page_no).map_err(EngineError::from)
     }
 
-    /// The heap pages whose zone maps may satisfy `bounds`, in order.
-    /// Pages with poisoned (unknown) zones always survive.
-    pub fn zone_surviving_pages(&self, bounds: &ZoneBounds) -> EngineResult<Vec<PageId>> {
+    /// The pages of `candidates` that may hold a record satisfying
+    /// `bounds` — the one admission check of both pruned scans: the page's
+    /// zone map and, when the bounds pin the key (`key_ge == key_le`), its
+    /// key filter. Poisoned zones and filters always admit. Returns the
+    /// survivors in order and how many pages the key filter alone
+    /// dropped. The first key check of an opened or recovered table builds
+    /// its index from a heap scan.
+    pub fn pages_may_match(
+        &self,
+        candidates: impl IntoIterator<Item = PageId>,
+        bounds: &ZoneBounds,
+    ) -> EngineResult<(Vec<PageId>, u64)> {
         let mut pages = Vec::new();
-        for page_no in 0..self.page_count() {
+        for page_no in candidates {
             if self.zone_of(page_no)?.may_match(bounds) {
                 pages.push(page_no);
             }
         }
-        Ok(pages)
+        let zoned = pages.len();
+        let pinned = bounds.key_ge.filter(|&k| bounds.key_le == Some(k));
+        if let (Some(index), Some(key)) = (&self.index, pinned) {
+            index.retain_key(&mut pages, key, || self.index_rows())?;
+        }
+        let key_filtered = (zoned - pages.len()) as u64;
+        Ok((pages, key_filtered))
     }
 
     /// Compile `bounds` for record-level checks against this table's
@@ -530,14 +558,14 @@ impl StoredTable {
         let Some(index) = &self.index else {
             return Ok(None);
         };
-        index.probe(ts_le, te_gt, || self.index_entries()).map(Some)
+        index.probe(ts_le, te_gt, || self.index_rows()).map(Some)
     }
 
-    /// One index entry per heap record with `Int` bounds — a full scan.
-    fn index_entries(&self) -> EngineResult<Vec<IndexEntry>> {
+    /// What the index holds of every heap record — a full scan.
+    fn index_rows(&self) -> EngineResult<IndexRows> {
         let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
         let arity = self.schema.len();
-        let mut entries = Vec::with_capacity(self.row_count() as usize);
+        let mut indexed = IndexRows::default();
         for page_no in 0..self.page_count() {
             self.heap.with_page(page_no, |page| {
                 for rec in page.records() {
@@ -545,13 +573,16 @@ impl StoredTable {
                         temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
                     })?;
                     if let (Value::Int(ts), Value::Int(te)) = (&row[tsi], &row[tei]) {
-                        entries.push((*ts, *te, page_no));
+                        indexed.intervals.push((*ts, *te, page_no));
+                    }
+                    if let Some(key) = self.key_of(row.values()) {
+                        indexed.add_key(page_no, key);
                     }
                 }
                 Ok(())
             })?;
         }
-        Ok(entries)
+        Ok(indexed)
     }
 
     /// Decode heap page `page_no` into `out` (one pinned page; the pin is
@@ -634,15 +665,14 @@ impl StoredTable {
             .map_err(|e| EngineError::Storage(format!("create {}: {e}", dir.display())))?;
         let path = heap_path(dir, name);
         let tmp = dir.join(format!(".{name}.{HEAP_EXT}.tmp"));
-        let entries = {
+        let indexed = {
             let table = StoredTable::create(&tmp, name, rel.schema().clone(), pool_pages)?;
-            let mut entries = Vec::new();
+            let mut indexed = IndexRows::default();
             for r in rel.rows() {
-                let (_, entry) = table.append_row_inner(r)?;
-                entries.extend(entry);
+                table.append_row_inner(r, &mut indexed)?;
             }
             table.flush()?;
-            entries
+            indexed
         };
         std::fs::rename(&tmp, &path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
@@ -662,7 +692,7 @@ impl StoredTable {
         // The rows just written are the whole table: index them now
         // instead of on the first probe.
         if table.index.is_some() {
-            table.index = Some(IntervalIndex::new(entries));
+            table.index = Some(IntervalIndex::new(indexed));
         }
         Ok(Arc::new(table))
     }
@@ -768,6 +798,68 @@ mod tests {
                     if before == 1_300 {
                         break;
                     }
+                }
+            });
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A reader takes a snapshot, then runs a key-pinned IndexScan, while
+    /// `append_row` keeps adding rows: every row the snapshot can see must
+    /// come back, because a row is published only once the index holds
+    /// its interval and its key.
+    #[test]
+    fn a_key_pinned_index_scan_returns_every_row_its_snapshot_sees() {
+        use crate::exec::ExecutionState;
+        use crate::plan::{PhysicalPlan, PlannerConfig};
+
+        let keyed = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("ts", DataType::Int),
+            Column::new("te", DataType::Int),
+        ]);
+        // Row `i` has key `i` and is valid at `i` only.
+        let row = |i: i64| Row::new(vec![Value::Int(i), Value::Int(i), Value::Int(i + 1)]);
+        let path = tmp("key_race.heap");
+        for round in 0..4 {
+            let t = Arc::new(StoredTable::create(&path, "t", keyed.clone(), 8).unwrap());
+            t.append_row(&row(0)).unwrap();
+            // Two readers on top of the appender: more threads than the
+            // cores of a small box, so an appender preempted between its
+            // steps widens any window between publishing and indexing.
+            let reader = || loop {
+                // The newest row the snapshot sees: the last tuple of its
+                // tail page.
+                let state = ExecutionState::new(PlannerConfig::default());
+                let snap = state.snapshot_for(&t);
+                let mut tail = BatchBuilder::new(3);
+                t.decode_page(snap.pages - 1, Some(snap.tail_tuples), None, &mut tail)
+                    .unwrap();
+                let tail = Relation::from_batches(keyed.clone(), vec![tail.finish(keyed.clone())])
+                    .unwrap();
+                let Value::Int(v) = tail.rows().last().expect("a visible row")[0] else {
+                    unreachable!("keys are integers")
+                };
+                let scan = PhysicalPlan::IndexScan {
+                    table: t.clone(),
+                    label: "t".into(),
+                    bounds: ZoneBounds {
+                        key_ge: Some(v),
+                        key_le: Some(v),
+                        ..ZoneBounds::as_of(v)
+                    },
+                };
+                let got = scan.collect(&state).unwrap();
+                assert_eq!(got.rows(), [row(v)], "round {round}: row {v} is visible");
+                if v == 1_999 {
+                    break;
+                }
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(reader);
+                scope.spawn(reader);
+                for i in 1..2_000 {
+                    t.append_row(&row(i)).unwrap();
                 }
             });
         }

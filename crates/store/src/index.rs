@@ -28,6 +28,11 @@
 //! *before* it takes the lock, so either the build scan sees them or the
 //! appender finds the index built and adds them (both, at worst — a
 //! harmless duplicate).
+//!
+//! Beside the intervals the index keeps one key filter per heap page of a
+//! table with a key column (see `KeyFilter`): the same derived, advisory
+//! pruning, built and appended with the entries under the same lock. It
+//! may reject page `p` for key `k` only if no record on `p` has key `k`.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -36,10 +41,122 @@ use crate::page::PageId;
 /// One index entry: the record's interval and the heap page holding it.
 pub type IndexEntry = (i64, i64, PageId);
 
+/// What a run of heap records contributes to the index.
+#[derive(Debug, Default)]
+pub struct IndexRows {
+    /// One entry per record with integer bounds.
+    pub intervals: Vec<IndexEntry>,
+    /// The keys of the records, one filter per run of records on a page.
+    filters: Vec<(PageId, KeyFilter)>,
+}
+
+impl IndexRows {
+    /// Note a record of a table with a key column — whatever its bounds —
+    /// on heap page `page`; `key` is `None` for a NULL (or non-integer)
+    /// key.
+    pub fn add_key(&mut self, page: PageId, key: Option<i64>) {
+        match self.filters.last_mut() {
+            Some((last, filter)) if *last == page => filter.add(key),
+            _ => {
+                let mut filter = KeyFilter::default();
+                filter.add(key);
+                self.filters.push((page, filter));
+            }
+        }
+    }
+}
+
 /// Entries summarized by one `max_te`.
 const BLOCK: usize = 64;
 
-/// A built index: the sorted entries and their block maxima.
+/// 64-bit words of one page's key filter: 1 024 bits, 128 bytes.
+const FILTER_WORDS: usize = 16;
+
+/// The keys of one heap page: a Bloom filter of 1 024 bits with five
+/// probes, each ten bits of one 64-bit mix of the key — about 1 % false
+/// positives at the ~100 keys a page of four integers holds. A page
+/// holding a NULL key is *poisoned*: every bit is set, so it admits every
+/// key.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyFilter([u64; FILTER_WORDS]);
+
+impl KeyFilter {
+    const POISONED: KeyFilter = KeyFilter([u64::MAX; FILTER_WORDS]);
+
+    /// The five bit positions of `key` (a splitmix64 finalizer).
+    fn bits(key: i64) -> impl Iterator<Item = usize> {
+        let mut h = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+        (0..5).map(move |i| (h >> (10 * i)) as usize % (64 * FILTER_WORDS))
+    }
+
+    fn add(&mut self, key: Option<i64>) {
+        match key {
+            Some(key) => {
+                for b in KeyFilter::bits(key) {
+                    self.0[b / 64] |= 1 << (b % 64);
+                }
+            }
+            None => *self = KeyFilter::POISONED,
+        }
+    }
+
+    fn may_hold(&self, key: i64) -> bool {
+        KeyFilter::bits(key).all(|b| self.0[b / 64] & (1 << (b % 64)) != 0)
+    }
+
+    fn union(&mut self, other: &KeyFilter) {
+        for (word, bits) in self.0.iter_mut().zip(other.0) {
+            *word |= bits;
+        }
+    }
+}
+
+/// A built index: the interval entries and the per-page key filters.
+#[derive(Debug)]
+struct Built {
+    intervals: Entries,
+    /// `filters[p]` holds the keys of heap page `p`; empty for a table
+    /// without a key column.
+    filters: Vec<KeyFilter>,
+}
+
+impl Built {
+    fn new(rows: IndexRows) -> Built {
+        let mut built = Built {
+            intervals: Entries::new(rows.intervals),
+            filters: Vec::new(),
+        };
+        built.add_filters(&rows.filters);
+        built
+    }
+
+    fn insert(&mut self, rows: IndexRows) {
+        self.intervals.insert(rows.intervals);
+        self.add_filters(&rows.filters);
+    }
+
+    fn add_filters(&mut self, filters: &[(PageId, KeyFilter)]) {
+        for (page, filter) in filters {
+            let page = *page as usize;
+            if self.filters.len() <= page {
+                self.filters.resize(page + 1, KeyFilter::default());
+            }
+            self.filters[page].union(filter);
+        }
+    }
+
+    /// A page the filters do not cover admits every key.
+    fn may_hold(&self, page: PageId, key: i64) -> bool {
+        self.filters
+            .get(page as usize)
+            .is_none_or(|filter| filter.may_hold(key))
+    }
+}
+
+/// The sorted interval entries and their block maxima.
 #[derive(Debug)]
 struct Entries {
     /// Ascending by `(ts, te, page)`.
@@ -155,60 +272,84 @@ impl Entries {
 }
 
 /// The interval index of one table. It starts unbuilt (see [`Default`])
-/// unless created from its full entry set with [`IntervalIndex::new`].
+/// unless created from its full row set with [`IntervalIndex::new`].
 #[derive(Debug, Default)]
 pub struct IntervalIndex {
     /// `None` until built.
-    entries: RwLock<Option<Entries>>,
+    built: RwLock<Option<Built>>,
 }
 
 impl IntervalIndex {
-    /// A built index over the full entry set.
-    pub fn new(entries: Vec<IndexEntry>) -> IntervalIndex {
+    /// A built index over the full row set.
+    pub fn new(rows: IndexRows) -> IntervalIndex {
         IntervalIndex {
-            entries: RwLock::new(Some(Entries::new(entries))),
+            built: RwLock::new(Some(Built::new(rows))),
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Option<Entries>> {
-        self.entries.read().unwrap_or_else(|e| e.into_inner())
+    fn read(&self) -> RwLockReadGuard<'_, Option<Built>> {
+        self.built.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Option<Entries>> {
-        self.entries.write().unwrap_or_else(|e| e.into_inner())
+    fn write(&self) -> RwLockWriteGuard<'_, Option<Built>> {
+        self.built.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Index the freshly-appended rows behind `entries`. The caller must
-    /// have written those rows to the heap already; an unbuilt index
-    /// ignores them, because the scan that builds it will see them.
-    pub fn append(&self, entries: Vec<IndexEntry>) {
-        if entries.is_empty() {
+    /// Index the freshly-appended records behind `rows`. The caller must
+    /// have written them to the heap already, and publish them to
+    /// snapshots only after this returns; an unbuilt index ignores them,
+    /// because the scan that builds it will see them.
+    pub fn append(&self, rows: IndexRows) {
+        if rows.intervals.is_empty() && rows.filters.is_empty() {
             return;
         }
         if let Some(built) = self.write().as_mut() {
-            built.insert(entries);
+            built.insert(rows);
         }
+    }
+
+    /// Run `f` on the built index under the read lock. An unbuilt index
+    /// is first built, under the write lock, from the rows `scan` returns
+    /// — every record in the heap.
+    fn with_built<R, E>(
+        &self,
+        scan: impl FnOnce() -> Result<IndexRows, E>,
+        f: impl FnOnce(&Built) -> R,
+    ) -> Result<R, E> {
+        if let Some(built) = self.read().as_ref() {
+            return Ok(f(built));
+        }
+        let mut built = self.write();
+        if built.is_none() {
+            *built = Some(Built::new(scan()?));
+        }
+        Ok(f(built.as_ref().expect("built above")))
     }
 
     /// The set of heap pages that may hold a record with `ts <= ts_le`
     /// and `te > te_gt` (an `AS OF v` probe passes `Some(v)` for both; a
     /// `None` side is unbounded), sorted ascending and deduplicated. An
-    /// unbuilt index is first built, under the write lock, from the
-    /// entries `scan` returns — one per record in the heap.
+    /// unbuilt index is first built, under the write lock, from the rows
+    /// `scan` returns — every record in the heap.
     pub fn probe<E>(
         &self,
         ts_le: Option<i64>,
         te_gt: Option<i64>,
-        scan: impl FnOnce() -> Result<Vec<IndexEntry>, E>,
+        scan: impl FnOnce() -> Result<IndexRows, E>,
     ) -> Result<Vec<PageId>, E> {
-        if let Some(built) = self.read().as_ref() {
-            return Ok(built.probe(ts_le, te_gt));
-        }
-        let mut entries = self.write();
-        if entries.is_none() {
-            *entries = Some(Entries::new(scan()?));
-        }
-        Ok(entries.as_ref().expect("built above").probe(ts_le, te_gt))
+        self.with_built(scan, |built| built.intervals.probe(ts_le, te_gt))
+    }
+
+    /// Drop from `pages` every page whose key filter proves it holds no
+    /// record with key `key`, under one read lock for the whole list. An
+    /// unbuilt index is built first, as by [`Self::probe`].
+    pub fn retain_key<E>(
+        &self,
+        pages: &mut Vec<PageId>,
+        key: i64,
+        scan: impl FnOnce() -> Result<IndexRows, E>,
+    ) -> Result<(), E> {
+        self.with_built(scan, |built| pages.retain(|&p| built.may_hold(p, key)))
     }
 }
 
@@ -216,6 +357,23 @@ impl IntervalIndex {
 mod tests {
     use super::*;
     use std::convert::Infallible;
+
+    /// Index rows without keys.
+    fn rows(intervals: Vec<IndexEntry>) -> IndexRows {
+        IndexRows {
+            intervals,
+            filters: Vec::new(),
+        }
+    }
+
+    /// Index rows with keys only.
+    fn keyed(keys: &[(PageId, Option<i64>)]) -> IndexRows {
+        let mut rows = IndexRows::default();
+        for &(page, key) in keys {
+            rows.add_key(page, key);
+        }
+        rows
+    }
 
     /// Brute-force oracle over raw entries.
     fn oracle(entries: &[IndexEntry], ts_le: i64, te_gt: i64) -> Vec<PageId> {
@@ -300,7 +458,7 @@ mod tests {
                 (ts, ts + 1 + (i % 40), (i / 10) as PageId)
             })
             .collect();
-        let idx = IntervalIndex::new(entries.clone());
+        let idx = IntervalIndex::new(rows(entries.clone()));
         for v in [-1i64, 0, 13, 250, 499, 540, 1000] {
             assert_eq!(
                 probe(&idx, Some(v), Some(v)),
@@ -321,7 +479,7 @@ mod tests {
     fn appends_past_a_bulk_load() {
         let mut entries: Vec<IndexEntry> =
             (0..300i64).map(|i| (i, i + 5, (i / 7) as PageId)).collect();
-        let idx = IntervalIndex::new(entries.clone());
+        let idx = IntervalIndex::new(rows(entries.clone()));
         // Appends past the last key extend the entries, earlier ones merge
         // into the middle; probes see both.
         let fresh: Vec<IndexEntry> = (0..450i64)
@@ -330,8 +488,8 @@ mod tests {
         let late: Vec<IndexEntry> = (0..250i64)
             .map(|i| (500 + i, 2000 + i, (200 + i / 7) as PageId))
             .collect();
-        idx.append(fresh.clone());
-        idx.append(late.clone());
+        idx.append(rows(fresh.clone()));
+        idx.append(rows(late.clone()));
         entries.extend_from_slice(&fresh);
         entries.extend_from_slice(&late);
         assert_probes_match(&idx, &entries, 2, 300);
@@ -342,10 +500,10 @@ mod tests {
         // One batch per shape an ingest produces: single rows in order,
         // a timestamp-ordered COPY with 500 swapped pairs, rows that start
         // before everything indexed, and duplicates of indexed entries.
-        let idx = IntervalIndex::new(Vec::new());
+        let idx = IntervalIndex::new(rows(Vec::new()));
         let mut entries = Vec::new();
         for e in in_order_entries(300) {
-            idx.append(vec![e]);
+            idx.append(rows(vec![e]));
             entries.push(e);
         }
         let mut swapped: Vec<IndexEntry> = in_order_entries(20_000)
@@ -357,13 +515,13 @@ mod tests {
             let (a, b) = (rng.below(20_000) as usize, rng.below(20_000) as usize);
             swapped.swap(a, b);
         }
-        idx.append(swapped.clone());
+        idx.append(rows(swapped.clone()));
         entries.extend_from_slice(&swapped);
         let early: Vec<IndexEntry> = (0..333).map(|i| (-i, 3 * i, 9_000)).collect();
-        idx.append(early.clone());
+        idx.append(rows(early.clone()));
         entries.extend_from_slice(&early);
         let again = entries[1_000..1_100].to_vec();
-        idx.append(again.clone());
+        idx.append(rows(again.clone()));
         entries.extend_from_slice(&again);
         assert_probes_match(&idx, &entries, 3, 300);
     }
@@ -376,20 +534,23 @@ mod tests {
         let events: Vec<IndexEntry> = (0..10_000i64)
             .map(|i| (i, i + 50, (i / 100) as PageId))
             .collect();
-        let appended = IntervalIndex::new(Vec::new());
+        let appended = IntervalIndex::new(rows(Vec::new()));
         for &e in &events {
-            appended.append(vec![e]);
+            appended.append(rows(vec![e]));
         }
-        let built = IntervalIndex::new(events.clone());
+        let built = IntervalIndex::new(rows(events.clone()));
         for idx in [&appended, &built] {
-            let held = idx.read().as_ref().map(|e| e.sorted.len());
+            let held = idx.read().as_ref().map(|e| e.intervals.sorted.len());
             assert_eq!(held, Some(100));
             assert_probes_match(idx, &events, 6, 300);
         }
         // Disjoint intervals on one page do not fold.
         let gaps: Vec<IndexEntry> = (0..1_000i64).map(|i| (3 * i, 3 * i + 2, 0)).collect();
-        let idx = IntervalIndex::new(gaps.clone());
-        assert_eq!(idx.read().as_ref().map(|e| e.sorted.len()), Some(1_000));
+        let idx = IntervalIndex::new(rows(gaps.clone()));
+        assert_eq!(
+            idx.read().as_ref().map(|e| e.intervals.sorted.len()),
+            Some(1_000)
+        );
         assert_probes_match(&idx, &gaps, 7, 300);
     }
 
@@ -398,13 +559,13 @@ mod tests {
         let idx = IntervalIndex::default();
         // Appends before the build are skipped: their rows are in the heap,
         // which the scan reads.
-        idx.append(vec![(0, 10, 99)]);
+        idx.append(rows(vec![(0, 10, 99)]));
         let heap = in_order_entries(5_000);
         let mut scans = 0;
         let got = idx
             .probe(Some(40), Some(40), || -> Result<_, Infallible> {
                 scans += 1;
-                Ok(heap.clone())
+                Ok(rows(heap.clone()))
             })
             .unwrap();
         assert_eq!(got, oracle(&heap, 40, 40));
@@ -415,7 +576,7 @@ mod tests {
         let idx = IntervalIndex::default();
         assert_eq!(idx.probe(None, None, || Err("io")), Err("io"));
         let got = idx.probe(Some(40), Some(40), || -> Result<_, Infallible> {
-            Ok(heap.clone())
+            Ok(rows(heap.clone()))
         });
         assert_eq!(got.unwrap(), oracle(&heap, 40, 40));
     }
@@ -426,7 +587,7 @@ mod tests {
 
         // One heap page per entry, so a missed entry is a missing page;
         // every tenth batch arrives out of order.
-        let idx = IntervalIndex::new(Vec::new());
+        let idx = IntervalIndex::new(rows(Vec::new()));
         let mut entries: Vec<IndexEntry> = (0..60_000i64)
             .map(|i| (i / 2, i / 2 + 1 + i % 7, i as PageId))
             .collect();
@@ -442,7 +603,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for batch in entries.chunks(97) {
-                    idx.append(batch.to_vec());
+                    idx.append(rows(batch.to_vec()));
                     // Release: the count is published after its entries.
                     appended.fetch_add(batch.len(), Ordering::Release);
                 }
@@ -467,12 +628,100 @@ mod tests {
         assert_probes_match(&idx, &entries, 5, 100);
     }
 
+    /// Keep the pages of `0..pages` whose filter may hold `key`.
+    fn pages_with(idx: &IntervalIndex, pages: PageId, key: i64) -> Vec<PageId> {
+        let mut kept: Vec<PageId> = (0..pages).collect();
+        idx.retain_key(&mut kept, key, || -> Result<_, Infallible> {
+            panic!("the index was built")
+        })
+        .unwrap();
+        kept
+    }
+
+    /// 100 keys a page, drawn from a wide domain plus both `i64` edges,
+    /// duplicates on several pages, and one NULL on page 7.
+    fn keyed_rows(pages: PageId) -> Vec<(PageId, Option<i64>)> {
+        let mut rng = Rng(0x5EED);
+        let mut keys: Vec<(PageId, Option<i64>)> = (0..pages * 100)
+            .map(|i| (i / 100, Some(rng.below(1 << 40) - (1 << 39))))
+            .collect();
+        keys[0].1 = Some(i64::MIN);
+        keys[150].1 = Some(i64::MAX);
+        keys[250].1 = Some(42);
+        keys[950].1 = Some(42);
+        keys[720].1 = None;
+        keys
+    }
+
+    #[test]
+    fn key_filters_never_reject_a_page_holding_the_key() {
+        let keys = keyed_rows(40);
+        let built = IntervalIndex::new(keyed(&keys));
+        // The same keys one row at a time, past a build from an empty heap.
+        let appended = IntervalIndex::default();
+        appended
+            .retain_key(&mut Vec::new(), 0, || -> Result<_, Infallible> {
+                Ok(IndexRows::default())
+            })
+            .unwrap();
+        for &key in &keys {
+            appended.append(keyed(&[key]));
+        }
+        for idx in [&built, &appended] {
+            for &(page, key) in &keys {
+                let Some(key) = key else { continue };
+                assert!(
+                    pages_with(idx, 40, key).contains(&page),
+                    "key {key} on page {page} rejected"
+                );
+            }
+            // The NULL poisons its page: it admits any key.
+            assert!(pages_with(idx, 40, 7).contains(&7));
+            // A page no key reached is not covered, so it admits every key.
+            assert!(pages_with(idx, 41, 42).contains(&40));
+        }
+    }
+
+    #[test]
+    fn key_filter_false_positives_stay_under_two_percent_at_100_keys_a_page() {
+        let keys = keyed_rows(200);
+        let idx = IntervalIndex::new(keyed(&keys));
+        // Keys outside the drawn domain are on no page; only the poisoned
+        // page 7 must admit them.
+        let (mut admitted, mut probes) = (0, 0);
+        for key in (1i64 << 40..).take(500) {
+            let kept = pages_with(&idx, 200, key);
+            assert!(kept.contains(&7));
+            admitted += kept.len() - 1;
+            probes += 199;
+        }
+        let rate = admitted as f64 / probes as f64;
+        assert!(rate <= 0.02, "false-positive rate {rate:.4}");
+    }
+
+    #[test]
+    fn an_unbuilt_index_builds_its_key_filters_on_the_first_key_check() {
+        let idx = IntervalIndex::default();
+        idx.append(keyed(&[(3, Some(5))]));
+        let mut pages = vec![0, 1, 2, 3];
+        idx.retain_key(&mut pages, 5, || -> Result<_, Infallible> {
+            let mut heap = keyed(&[(0, Some(4)), (1, Some(5)), (2, None), (3, Some(6))]);
+            heap.intervals.push((0, 1, 1));
+            Ok(heap)
+        })
+        .unwrap();
+        // Page 3's key came from the skipped append, which the scan stands
+        // in for; page 2 is poisoned.
+        assert_eq!(pages, [1, 2]);
+        assert_eq!(probe(&idx, None, None), [1]);
+    }
+
     #[test]
     fn empty_index_probes_empty() {
-        let idx = IntervalIndex::new(Vec::new());
+        let idx = IntervalIndex::new(rows(Vec::new()));
         assert!(probe(&idx, Some(0), Some(0)).is_empty());
         assert!(probe(&idx, None, None).is_empty());
-        idx.append(Vec::new());
+        idx.append(rows(Vec::new()));
         assert!(probe(&idx, None, None).is_empty());
     }
 }

@@ -68,7 +68,7 @@ pub use buffer::{BufferPool, PageGuard, PageWriteGuard, PoolStats, DEFAULT_POOL_
 pub use disk::DiskManager;
 pub use error::{StoreError, StoreResult};
 pub use heap::{AppendBatch, HeapSnapshot, TableHeap};
-pub use index::{IndexEntry, IntervalIndex};
+pub use index::{IndexEntry, IndexRows, IntervalIndex};
 pub use manifest::{Manifest, TableMeta, MANIFEST_FILE};
 pub use page::{Page, PageId, PageZone, SlotId, ZoneBounds, MAX_RECORD_SIZE, PAGE_SIZE};
 pub use wal::{SyncMode, Wal, WalRecord, WalScan, WalStats, WAL_FILE};
