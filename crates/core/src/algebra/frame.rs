@@ -118,7 +118,8 @@ impl DbState {
 /// interval-index lock → buffer-frame latch → WAL inner. Every mutating
 /// entry point follows this order, so two sessions can never deadlock
 /// against each other. (The index lock is held over frame latches only
-/// while a first probe builds the index from a heap scan.)
+/// while the first probe or zone check builds the index from a heap
+/// scan.)
 #[derive(Debug, Default)]
 struct DbShared {
     /// Catalog + planner + storage metadata. Readers (planning, catalog
@@ -303,7 +304,7 @@ impl Database {
                 let schema = storage::schema_from_string(&meta.schema)?;
                 // Trust the manifest's cached row count: pages validate
                 // lazily on every pinned access, and the interval index
-                // builds on the first probe, so open stays O(manifest),
+                // builds on first use, so open stays O(manifest),
                 // not O(data). (Recovery already recounted any table it
                 // replayed into.)
                 let table = StoredTable::open_with_count(

@@ -360,8 +360,8 @@ impl Planner {
             }
         }
         // Every temporal table has an index. It serves probes with an
-        // upper start / lower end bound; ties go to it (it reads no page
-        // header).
+        // upper start / lower end bound; ties go to it (it checks the
+        // zones of only the pages its probe returns).
         if self.config.enable_interval_index
             && (bounds.ts_le.is_some() || bounds.te_gt.is_some())
             && model.index_scan_cost(rows, pages, sel) <= best_cost

@@ -21,11 +21,11 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::storage::{StoredTable, ZoneBounds};
 
-/// A pruned-scan resolution: the stored table, the sorted list of heap
-/// pages that survived zone-map / interval-index / key-filter pruning, the
-/// bounds that selected them — which the scan applies once more, per
-/// record — and how many pages the key filter alone dropped.
-type PrunedScan = (Arc<StoredTable>, Arc<Vec<u32>>, ZoneBounds, u64);
+/// A pruned-scan resolution: the sorted list of heap pages that survived
+/// zone-map / interval-index / key-filter pruning, the bounds that
+/// selected them — which the scan applies once more, per record — and how
+/// many pages the key filter alone dropped.
+type PrunedScan = (Vec<u32>, ZoneBounds, u64);
 
 /// A physical (executable) plan.
 #[derive(Debug, Clone)]
@@ -36,10 +36,10 @@ pub enum PhysicalPlan {
     },
     /// Streaming scan over a heap-file table: pages decode into batches
     /// through the table's buffer pool, never materializing the heap.
-    /// With `bounds` set, page zone maps prune pages whose min/max
-    /// summaries cannot satisfy the bounds — header-only checks, no row
-    /// decoding; the planner keeps the originating filter on top, so the
-    /// over-approximate page set never changes results.
+    /// With `bounds` set, the zone maps the interval index keeps prune
+    /// pages whose min/max summaries cannot satisfy the bounds — checks in
+    /// memory, no page read; the planner keeps the originating filter on
+    /// top, so the over-approximate page set never changes results.
     StorageScan {
         table: Arc<StoredTable>,
         label: String,
@@ -261,50 +261,40 @@ impl PhysicalPlan {
         &self,
         state: &ExecutionState,
     ) -> EngineResult<Option<PrunedScan>> {
-        Ok(match self {
+        let config = state.config();
+        let (table, bounds, probe) = match self {
             PhysicalPlan::StorageScan {
                 table,
                 bounds: Some(bounds),
                 ..
-            } if state.config().enable_zonemaps => {
-                let snap = state.snapshot_for(table);
-                let visible = (0..table.page_count()).filter(|&p| snap.sees_page(p));
-                let (pages, key_filtered) = table.pages_may_match(visible, bounds)?;
-                Some((table.clone(), Arc::new(pages), *bounds, key_filtered))
-            }
+            } => (table, bounds, false),
             PhysicalPlan::IndexScan { table, bounds, .. } => {
-                let config = state.config();
-                let snap = state.snapshot_for(table);
-                if config.enable_interval_index {
-                    if let Some(mut pages) = table.probe_index(bounds.ts_le, bounds.te_gt)? {
-                        pages.retain(|&p| snap.sees_page(p));
-                        let mut key_filtered = 0;
-                        if config.enable_zonemaps {
-                            // Zone re-check: the index only knows ts/te, the
-                            // zones and key filters also know the key and
-                            // lower ts bounds.
-                            (pages, key_filtered) = table.pages_may_match(pages, bounds)?;
-                        }
-                        return Ok(Some((
-                            table.clone(),
-                            Arc::new(pages),
-                            *bounds,
-                            key_filtered,
-                        )));
-                    }
-                }
-                // Index disabled: degrade to a zone sweep, or a
-                // full scan when zone maps are off too.
-                if config.enable_zonemaps {
-                    let visible = (0..table.page_count()).filter(|&p| snap.sees_page(p));
-                    let (pages, key_filtered) = table.pages_may_match(visible, bounds)?;
-                    Some((table.clone(), Arc::new(pages), *bounds, key_filtered))
-                } else {
-                    None
-                }
+                (table, bounds, config.enable_interval_index)
             }
-            _ => None,
-        })
+            _ => return Ok(None),
+        };
+        let snap = state.snapshot_for(table);
+        let probed = if probe {
+            table.probe_index(bounds.ts_le, bounds.te_gt)?
+        } else {
+            None
+        };
+        // Without an index probe, the candidates are every page: a zone
+        // sweep, or a full scan when zone maps are off too.
+        let mut pages = match probed {
+            Some(pages) => pages,
+            None if config.enable_zonemaps => (0..snap.pages).collect(),
+            None => return Ok(None),
+        };
+        pages.retain(|&p| snap.sees_page(p));
+        // The index knows only ts/te; the zone maps and key filters also
+        // know the key and the lower ts / upper te bounds.
+        let key_filtered = if config.enable_zonemaps {
+            table.admit_pages(&mut pages, bounds)?
+        } else {
+            0
+        };
+        Ok(Some((pages, *bounds, key_filtered)))
     }
 
     fn build_exec_tree(&self, state: &ExecutionState) -> EngineResult<BoxedExec> {
@@ -312,15 +302,18 @@ impl PhysicalPlan {
             PhysicalPlan::SeqScan { rel, .. } => Box::new(SeqScanExec::new(rel.clone())),
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
                 match self.resolve_scan_pages(state)? {
-                    Some((table, pages, bounds, key_filtered)) => {
-                        // The one accounting site for page skips.
-                        let skipped =
-                            u64::from(table.page_count()).saturating_sub(pages.len() as u64);
+                    Some((pages, bounds, key_filtered)) => {
+                        // The one accounting site for page skips: every
+                        // page the statement snapshot sees is either read
+                        // or skipped, as on a full scan, which reads them
+                        // all.
                         if let Some(ins) = state.instrumentation() {
+                            let snap = state.snapshot_for(table);
+                            let seen = (0..snap.pages).filter(|&p| snap.sees_page(p)).count();
                             ins.op(self.node_key())
-                                .note_pages_skipped(skipped, key_filtered);
+                                .note_pages_skipped((seen - pages.len()) as u64, key_filtered);
                         }
-                        let scan = StorageScanExec::with_page_list(table, pages);
+                        let scan = StorageScanExec::with_page_list(table.clone(), Arc::new(pages));
                         self.boxed_scan(scan.with_bounds(&bounds), state)
                     }
                     None => self.boxed_scan(StorageScanExec::new(table.clone()), state),

@@ -10,9 +10,10 @@
 //! is truncated with a warning — recovery always reopens to the longest
 //! consistent prefix of the committed history, never refuses.
 //!
-//! The interval index lives in memory only, so recovery has nothing to
-//! do for it: a recovered table builds its index from a heap scan on its
-//! first probe, like any opened table.
+//! The interval index — with the zone maps and key filters that prune
+//! pages — lives in memory only, so recovery has nothing to do for it: a
+//! recovered table builds its index from a heap scan on first use, like
+//! any opened table.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -122,11 +123,10 @@ pub fn recover(
                 table,
                 fingerprint,
                 page,
-                zone,
                 record,
             } => match recovering(&mut open, &manifest, dir, table, *fingerprint, pool_pages)? {
                 Some(t) => {
-                    if t.heap.redo_append(*page, record, *zone, *lsn)? {
+                    if t.heap.redo_append(*page, record, *lsn)? {
                         report.replayed += 1;
                     } else {
                         report.skipped += 1;

@@ -26,8 +26,8 @@ use crate::value::Value;
 pub const HEAP_EXT: &str = "heap";
 
 pub use temporal_store::{
-    IntervalIndex, Manifest, PageZone, PoolStats, SyncMode, TableMeta, Wal, WalRecord, WalStats,
-    ZoneBounds, DEFAULT_POOL_PAGES as DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
+    IntervalIndex, Manifest, PoolStats, SyncMode, TableMeta, Wal, WalRecord, WalStats, ZoneBounds,
+    DEFAULT_POOL_PAGES as DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
 };
 
 /// The `(ts, te)` column positions when `schema` has the temporal shape —
@@ -43,8 +43,8 @@ pub fn temporal_cols(schema: &Schema) -> Option<(usize, usize)> {
     }
 }
 
-/// The zone-map key column: the first column, when it is `Int` and not
-/// itself one of the temporal columns.
+/// The key column of the pruning summaries: the first column, when it is
+/// `Int` and not itself one of the temporal columns.
 fn zone_key_col(schema: &Schema) -> Option<usize> {
     let (ts, _) = temporal_cols(schema)?;
     (ts > 0 && schema.cols()[0].dtype == DataType::Int).then_some(0)
@@ -269,11 +269,10 @@ pub struct StoredTable {
     heap: TableHeap,
     /// `(ts, te)` positions when the schema has the temporal shape.
     temporal: Option<(usize, usize)>,
-    /// First column, when it participates in the zone-map key bounds.
+    /// First column, when it participates in the key bounds.
     key_col: Option<usize>,
-    /// In-memory interval index over `(ts, te)`, with a key filter per
-    /// page when `key_col` is set; `Some` exactly when the table is
-    /// temporal.
+    /// In-memory interval index over `(ts, te)`, with a zone map and a
+    /// key filter per page; `Some` exactly when the table is temporal.
     index: Option<IntervalIndex>,
 }
 
@@ -405,8 +404,8 @@ impl StoredTable {
         Ok(self.append_rows([row])?.expect("one row appended"))
     }
 
-    /// Append + zone-stamp one row, collecting what the index learns of it
-    /// into `indexed`.
+    /// Append one row, collecting what the index learns of it into
+    /// `indexed`.
     fn append_row_inner(&self, row: &Row, indexed: &mut IndexRows) -> EngineResult<PageId> {
         if row.len() != self.schema.len() {
             return Err(EngineError::SchemaMismatch(format!(
@@ -418,46 +417,34 @@ impl StoredTable {
         }
         let mut buf = Vec::with_capacity(64);
         encode_row(row, &mut buf);
-        let values = row.values();
-        // Rows with NULL (or non-Int) temporal attributes poison the
-        // page's zone map and are left out of the interval entries: the
-        // canonical temporal range conjuncts evaluate to false on them, so
-        // neither pruning layer can lose such a row. Their key still goes
-        // into the page's key filter.
-        let interval = self
-            .temporal
-            .and_then(|(tsi, tei)| match (&values[tsi], &values[tei]) {
-                (Value::Int(ts), Value::Int(te)) => Some((*ts, *te)),
-                _ => None,
-            });
-        let key = self.key_of(values);
-        let page = match interval {
-            Some((ts, te)) => self.heap.append_with_zone(&buf, ts, te, key.flatten())?,
-            None => self.heap.append(&buf)?,
-        };
-        indexed
-            .intervals
-            .extend(interval.map(|(ts, te)| (ts, te, page)));
-        if let Some(key) = key {
-            indexed.add_key(page, key);
+        let page = self.heap.append(&buf)?;
+        if self.temporal.is_some() {
+            self.index_row(row.values(), page, indexed);
         }
         Ok(page)
     }
 
-    /// The key of a row of a table with a key column: `Some(None)` for a
-    /// NULL (or non-integer) key.
-    fn key_of(&self, values: &[Value]) -> Option<Option<i64>> {
-        self.key_col.map(|k| match &values[k] {
-            Value::Int(v) => Some(*v),
+    /// Note in `indexed` what the index learns of a row on heap page
+    /// `page`. A row with a NULL (or non-Int) temporal attribute is left
+    /// out of the interval entries and poisons its page's time zone: the
+    /// canonical temporal range conjuncts evaluate to false on it, so no
+    /// pruning can lose it. A NULL key poisons the page's key zone and
+    /// filter.
+    fn index_row(&self, values: &[Value], page: PageId, indexed: &mut IndexRows) {
+        let int = |col: usize| match values[col] {
+            Value::Int(v) => Some(v),
             _ => None,
-        })
+        };
+        let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
+        let interval = int(tsi).zip(int(tei));
+        indexed.add(page, interval, self.key_col.and_then(int));
     }
 
-    /// Append rows (each arity-checked against the table schema), stamping
-    /// the pages' zone maps and maintaining the interval index. New
-    /// snapshots see the rows only once the index holds them, and all of
-    /// them at once. A row that fails ends the batch: the rows before it
-    /// stay appended, indexed and published. Returns the heap page of the
+    /// Append rows (each arity-checked against the table schema),
+    /// maintaining the interval index. New snapshots see the rows only
+    /// once the index holds them, and all of them at once. A row that
+    /// fails ends the batch: the rows before it stay appended, indexed and
+    /// published. Returns the heap page of the
     /// last row.
     pub fn append_rows<'r>(
         &self,
@@ -479,36 +466,18 @@ impl StoredTable {
         appended.map(|()| last)
     }
 
-    /// Header-only zone map of heap page `page_no`.
-    pub fn zone_of(&self, page_no: u32) -> EngineResult<PageZone> {
-        self.heap.zone_of(page_no).map_err(EngineError::from)
-    }
-
-    /// The pages of `candidates` that may hold a record satisfying
-    /// `bounds` — the one admission check of both pruned scans: the page's
-    /// zone map and, when the bounds pin the key (`key_ge == key_le`), its
-    /// key filter. Poisoned zones and filters always admit. Returns the
-    /// survivors in order and how many pages the key filter alone
-    /// dropped. The first key check of an opened or recovered table builds
-    /// its index from a heap scan.
-    pub fn pages_may_match(
-        &self,
-        candidates: impl IntoIterator<Item = PageId>,
-        bounds: &ZoneBounds,
-    ) -> EngineResult<(Vec<PageId>, u64)> {
-        let mut pages = Vec::new();
-        for page_no in candidates {
-            if self.zone_of(page_no)?.may_match(bounds) {
-                pages.push(page_no);
-            }
+    /// Drop from `pages` every page on which no record can satisfy
+    /// `bounds` — the one admission check of both pruned scans: the
+    /// page's zone map and, when the bounds pin the key (`key_ge ==
+    /// key_le`), its key filter (see [`IntervalIndex::admit`]). A table
+    /// that is not temporal keeps every page. Returns how many pages the
+    /// key filter alone dropped. The first check on an opened or
+    /// recovered table builds its index from a heap scan.
+    pub fn admit_pages(&self, pages: &mut Vec<PageId>, bounds: &ZoneBounds) -> EngineResult<u64> {
+        match &self.index {
+            Some(index) => index.admit(pages, bounds, || self.index_rows()),
+            None => Ok(0),
         }
-        let zoned = pages.len();
-        let pinned = bounds.key_ge.filter(|&k| bounds.key_le == Some(k));
-        if let (Some(index), Some(key)) = (&self.index, pinned) {
-            index.retain_key(&mut pages, key, || self.index_rows())?;
-        }
-        let key_filtered = (zoned - pages.len()) as u64;
-        Ok((pages, key_filtered))
     }
 
     /// Compile `bounds` for record-level checks against this table's
@@ -541,7 +510,7 @@ impl StoredTable {
         self.temporal
     }
 
-    /// The zone-map key column position, if one participates.
+    /// The key column position, if one participates in the key bounds.
     pub fn key_col(&self) -> Option<usize> {
         self.key_col
     }
@@ -563,7 +532,6 @@ impl StoredTable {
 
     /// What the index holds of every heap record — a full scan.
     fn index_rows(&self) -> EngineResult<IndexRows> {
-        let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
         let arity = self.schema.len();
         let mut indexed = IndexRows::default();
         for page_no in 0..self.page_count() {
@@ -572,12 +540,7 @@ impl StoredTable {
                     let row = decode_row(rec?, arity).map_err(|e| {
                         temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
                     })?;
-                    if let (Value::Int(ts), Value::Int(te)) = (&row[tsi], &row[tei]) {
-                        indexed.intervals.push((*ts, *te, page_no));
-                    }
-                    if let Some(key) = self.key_of(row.values()) {
-                        indexed.add_key(page_no, key);
-                    }
+                    self.index_row(row.values(), page_no, &mut indexed);
                 }
                 Ok(())
             })?;
@@ -636,7 +599,8 @@ impl StoredTable {
     /// acknowledged row (a full-page image on a page's first touch per
     /// checkpoint epoch, a logical record afterwards) and its buffer pool
     /// syncs the log before any dirty page write-back. The interval index
-    /// is in memory only: a reopened table rebuilds it on its first probe.
+    /// and its zone maps are in memory only: a reopened table rebuilds
+    /// them on first use.
     pub fn attach_wal(&self, wal: Arc<temporal_store::Wal>) {
         self.heap.attach_wal(wal, self.name.clone());
     }
@@ -690,7 +654,7 @@ impl StoredTable {
             rel.len() as u64,
         )?;
         // The rows just written are the whole table: index them now
-        // instead of on the first probe.
+        // instead of on first use.
         if table.index.is_some() {
             table.index = Some(IntervalIndex::new(indexed));
         }

@@ -2,12 +2,12 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
-use crate::page::{Page, PageId, PageZone, PAGE_SIZE};
+use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::wal::{Wal, WalRecord};
 
 /// Where a logged heap sends its append records.
@@ -101,12 +101,6 @@ pub struct TableHeap {
     rows: AtomicU64,
     /// Append cursor: the page currently taking inserts.
     tail: Mutex<Option<PageId>>,
-    /// Zone maps of *frozen* pages (every page before the tail — the heap
-    /// is append-only, so those can never change again), indexed by page
-    /// id. Lets repeated pruning passes skip pages without re-pinning them
-    /// through the pool; lookups share a read lock, so concurrent zone
-    /// sweeps do not take turns.
-    zone_cache: RwLock<Vec<Option<PageZone>>>,
     /// When attached, every append is logged here before it is
     /// acknowledged: a full-page image on the page's first touch per
     /// checkpoint epoch, a logical record afterwards.
@@ -141,7 +135,6 @@ impl TableHeap {
             fingerprint,
             rows: AtomicU64::new(0),
             tail: Mutex::new(None),
-            zone_cache: RwLock::new(Vec::new()),
             wal: Mutex::new(None),
             visible: AtomicU64::new(0),
             visible_rows: AtomicU64::new(0),
@@ -187,7 +180,6 @@ impl TableHeap {
             fingerprint,
             rows: AtomicU64::new(rows),
             tail: Mutex::new(pages.checked_sub(1)),
-            zone_cache: RwLock::new(Vec::new()),
             wal: Mutex::new(None),
             visible: AtomicU64::new(0),
             visible_rows: AtomicU64::new(0),
@@ -218,7 +210,6 @@ impl TableHeap {
                 fingerprint,
                 rows: AtomicU64::new(0),
                 tail: Mutex::new(pages.checked_sub(1)),
-                zone_cache: RwLock::new(Vec::new()),
                 wal: Mutex::new(None),
                 visible: AtomicU64::new(0),
                 visible_rows: AtomicU64::new(0),
@@ -316,35 +307,9 @@ impl TableHeap {
     }
 
     /// Append one record, spilling into a fresh page when the tail page is
-    /// full. The record carries no zone information, so the tail page's
-    /// zone map is marked unknown. Returns the page that took the record.
+    /// full. Returns the page that took the record — the heap position an
+    /// interval index entry points at.
     pub fn append(&self, record: &[u8]) -> StoreResult<PageId> {
-        self.append_inner(record, None)
-    }
-
-    /// Append one record whose valid-time interval is `[ts, te)` (and
-    /// whose first key column, when integer, is `key`), widening the tail
-    /// page's zone map. Returns the page that took the record — the heap
-    /// position an interval index entry points at.
-    pub fn append_with_zone(
-        &self,
-        record: &[u8],
-        ts: i64,
-        te: i64,
-        key: Option<i64>,
-    ) -> StoreResult<PageId> {
-        self.append_inner(record, Some((ts, te, key)))
-    }
-
-    fn append_inner(
-        &self,
-        record: &[u8],
-        zone: Option<(i64, i64, Option<i64>)>,
-    ) -> StoreResult<PageId> {
-        let stamp = |page: &mut Page| match zone {
-            Some((ts, te, key)) => page.zone_add(ts, te, key),
-            None => page.zone_clear(),
-        };
         let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(id) = *tail {
             let guard = self.pool.fetch(id)?;
@@ -360,8 +325,7 @@ impl TableHeap {
                 let mut page = guard.write();
                 let inserted = page.insert(record)?;
                 debug_assert!(inserted.is_some(), "free-space check guaranteed fit");
-                stamp(&mut page);
-                self.log_append(&mut page, id, record, zone)?;
+                self.log_append(&mut page, id, record)?;
                 let tail_tuples = page.tuple_count();
                 drop(page);
                 self.rows.fetch_add(1, Ordering::Relaxed);
@@ -377,12 +341,11 @@ impl TableHeap {
                 record.len()
             )));
         }
-        stamp(&mut page);
         // The tail lock serializes allocations on this heap, so the next
         // page id is known before `allocate` runs — the WAL record (and
         // the page's LSN) must exist before the page can hit disk.
         let next = self.pool.disk().page_count();
-        self.log_append(&mut page, next, record, zone)?;
+        self.log_append(&mut page, next, record)?;
         let tail_tuples = page.tuple_count();
         let (id, _guard) = self.pool.allocate(page)?;
         debug_assert_eq!(id, next, "tail lock serializes heap allocation");
@@ -397,13 +360,7 @@ impl TableHeap {
     /// the current checkpoint epoch, a logical record afterwards. The
     /// returned LSN is stamped onto the in-memory page so redo can tell
     /// whether the on-disk copy already contains this change.
-    fn log_append(
-        &self,
-        page: &mut Page,
-        id: PageId,
-        record: &[u8],
-        zone: Option<(i64, i64, Option<i64>)>,
-    ) -> StoreResult<()> {
+    fn log_append(&self, page: &mut Page, id: PageId, record: &[u8]) -> StoreResult<()> {
         let sink = self.wal.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let Some(sink) = sink else { return Ok(()) };
         let lsn = if sink.wal.first_touch(&sink.table, id) {
@@ -418,7 +375,6 @@ impl TableHeap {
                 table: sink.table.clone(),
                 fingerprint: self.fingerprint,
                 page: id,
-                zone,
                 record: record.to_vec(),
             })?
         };
@@ -462,7 +418,6 @@ impl TableHeap {
         page.as_bytes_mut().copy_from_slice(image);
         page.set_lsn(lsn);
         self.pool.overwrite(id, page)?;
-        self.forget_zone(id);
         let pages = self.page_count();
         *tail = pages.checked_sub(1);
         Ok(true)
@@ -472,13 +427,7 @@ impl TableHeap {
     /// the page's LSN shows the insert already happened. The page must
     /// exist: the WAL images every page before logging logical appends
     /// against it, so a missing page means the log is inconsistent.
-    pub fn redo_append(
-        &self,
-        id: PageId,
-        record: &[u8],
-        zone: Option<(i64, i64, Option<i64>)>,
-        lsn: u64,
-    ) -> StoreResult<bool> {
+    pub fn redo_append(&self, id: PageId, record: &[u8], lsn: u64) -> StoreResult<bool> {
         let _tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
         if id >= self.page_count() {
             return Err(StoreError::Corrupt(format!(
@@ -496,10 +445,6 @@ impl TableHeap {
                 "wal replays a {}-byte record that does not fit page {id}",
                 record.len()
             )));
-        }
-        match zone {
-            Some((ts, te, key)) => page.zone_add(ts, te, key),
-            None => page.zone_clear(),
         }
         page.set_lsn(lsn);
         Ok(true)
@@ -532,7 +477,6 @@ impl TableHeap {
             );
             self.pool.discard_from(last);
             self.pool.disk().truncate_pages(last)?;
-            self.forget_zone(last);
             trimmed += 1;
             pages = last;
         }
@@ -550,47 +494,6 @@ impl TableHeap {
         self.rows.store(rows, Ordering::Relaxed);
         self.refresh_visible()?;
         Ok(rows)
-    }
-
-    /// The zone map of page `id`, from the header alone — no record is
-    /// decoded. Frozen pages (everything before the append tail) are
-    /// cached, so a pruning pass over a previously-scanned heap touches
-    /// the pool only for pages it has never seen.
-    pub fn zone_of(&self, id: PageId) -> StoreResult<PageZone> {
-        let cached = self
-            .zone_cache
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id as usize)
-            .copied()
-            .flatten();
-        if let Some(zone) = cached {
-            return Ok(zone);
-        }
-        // Only pages strictly before the tail are immutable. `pending`
-        // names the tail lock-free (it is stored after every append, so it
-        // can only lag — a page it calls frozen is frozen); the decision
-        // is taken *before* reading, which is safe because a page that is
-        // frozen now can never be written again.
-        let (pages, _) = HeapSnapshot::unpack(self.pending.load(Ordering::Acquire));
-        let frozen = id + 1 < pages;
-        let zone = self.with_page(id, |page| Ok(page.zone()))?;
-        if frozen {
-            let mut cache = self.zone_cache.write().unwrap_or_else(|e| e.into_inner());
-            if cache.len() <= id as usize {
-                cache.resize(id as usize + 1, None);
-            }
-            cache[id as usize] = Some(zone);
-        }
-        Ok(zone)
-    }
-
-    /// Drop the cached zone of page `id` (recovery rewrote or removed it).
-    fn forget_zone(&self, id: PageId) {
-        let mut cache = self.zone_cache.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = cache.get_mut(id as usize) {
-            *slot = None;
-        }
     }
 
     /// Run `f` over the pinned page `id` (validated). The pin is released
@@ -683,55 +586,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn zone_maps_persist_and_zone_of_caches_frozen_pages() {
-        use crate::page::ZoneBounds;
-        let path = heap_path("zones.heap");
-        let heap = TableHeap::create(&path, 5, 2).unwrap();
-        let record = [3u8; 512];
-        for i in 0..40i64 {
-            heap.append_with_zone(&record, i, i + 10, Some(i % 4))
-                .unwrap();
-        }
-        heap.flush().unwrap();
-        let pages = heap.page_count();
-        assert!(pages > 1);
-        drop(heap);
-
-        let heap = TableHeap::open(&path, 5, 2).unwrap();
-        // Every page's zone is readable header-only and consistent with
-        // the appended intervals; rows i live on page i/7 (7 per page).
-        let z0 = heap.zone_of(0).unwrap();
-        assert!(z0.time_valid && z0.key_valid);
-        assert_eq!(z0.min_ts, 0);
-        assert_eq!(z0.max_te, 6 + 10);
-        assert!(z0.may_match(&ZoneBounds::as_of(3)));
-        let zl = heap.zone_of(pages - 1).unwrap();
-        assert!(!zl.may_match(&ZoneBounds::as_of(3)));
-        // Frozen pages come from the cache on the second read even after
-        // the pool evicted them (pool=2 < pages).
-        let io_before = heap.pool().io_reads();
-        for id in 0..pages {
-            heap.zone_of(id).unwrap();
-        }
-        let io_mid = heap.pool().io_reads();
-        for id in 0..pages - 1 {
-            heap.zone_of(id).unwrap();
-        }
-        assert_eq!(
-            heap.pool().io_reads(),
-            io_mid,
-            "frozen zones must be cached"
-        );
-        assert!(io_mid > io_before);
-        // A plain (zone-less) append poisons only the tail page's zone.
-        heap.append(&[9u8; 8]).unwrap();
-        let z_tail = heap.zone_of(heap.page_count() - 1).unwrap();
-        assert!(!z_tail.time_valid);
-        assert!(z_tail.may_match(&ZoneBounds::as_of(-999)));
-        std::fs::remove_file(&path).unwrap();
-    }
-
     fn wal_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("talign_store_heap_wal")
@@ -747,9 +601,8 @@ mod tests {
         let (wal, _) = Wal::open(&dir).unwrap();
         let heap = TableHeap::create(dir.join("t.heap"), 7, 4).unwrap();
         heap.attach_wal(Arc::new(wal), "t");
-        for i in 0..3i64 {
-            heap.append_with_zone(&[i as u8; 16], i, i + 1, Some(i))
-                .unwrap();
+        for i in 0..3u8 {
+            heap.append(&[i; 16]).unwrap();
         }
         drop(heap);
         let (_, scan) = Wal::open(&dir).unwrap();
@@ -763,7 +616,7 @@ mod tests {
         for rec in &recs[1..] {
             assert!(matches!(
                 rec,
-                WalRecord::HeapAppend { table, page: 0, zone: Some(_), .. } if table == "t"
+                WalRecord::HeapAppend { table, page: 0, .. } if table == "t"
             ));
         }
     }
@@ -777,8 +630,8 @@ mod tests {
         let heap = TableHeap::create(&path, 9, 4).unwrap();
         heap.attach_wal(Arc::clone(&wal), "t");
         let record = [5u8; 900];
-        for i in 0..10i64 {
-            heap.append_with_zone(&record, i, i + 2, None).unwrap();
+        for _ in 0..10 {
+            heap.append(&record).unwrap();
         }
         wal.commit().unwrap();
         // Crash: the heap's dirty pages never reach disk.
@@ -795,10 +648,8 @@ mod tests {
                     WalRecord::HeapPageImage { page, image, .. } => {
                         heap.redo_page_image(*page, image, *lsn).unwrap();
                     }
-                    WalRecord::HeapAppend {
-                        page, zone, record, ..
-                    } => {
-                        heap.redo_append(*page, record, *zone, *lsn).unwrap();
+                    WalRecord::HeapAppend { page, record, .. } => {
+                        heap.redo_append(*page, record, *lsn).unwrap();
                     }
                     other => panic!("unexpected record {other:?}"),
                 }

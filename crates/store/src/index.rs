@@ -1,6 +1,7 @@
 //! The interval index: an in-memory map from valid-time intervals to the
-//! heap pages that hold them. It is derived from the heap and never
-//! written to disk.
+//! heap pages that hold them, with every page's zone map and key filter
+//! beside it — all the state that prunes pages. It is derived from the
+//! heap and never written to disk.
 //!
 //! One entry per heap record with integer bounds: `(ts, te, heap_page)`.
 //! Entries are kept sorted by `ts`, and every block of 64 consecutive
@@ -20,19 +21,22 @@
 //! exact; only a probe for intervals containing all of `(B, A]` can get a
 //! page whose records each cover part of it.
 //!
-//! A table that was opened or recovered builds its index on the first
-//! probe, from a heap scan the caller supplies; appends that run before
-//! then skip it. Everything sits behind one `RwLock`, so a probe sees
-//! every entry appended before it began. No interleaving of the build
+//! A table that was opened or recovered builds its index on first use (a
+//! probe or an admission check), from a heap scan the caller supplies;
+//! appends that run before then skip it. Everything sits behind one
+//! `RwLock`, so a probe sees every entry appended before it began. No interleaving of the build
 //! with appends loses an entry: an appender writes its rows to the heap
 //! *before* it takes the lock, so either the build scan sees them or the
 //! appender finds the index built and adds them (both, at worst — a
 //! harmless duplicate).
 //!
-//! Beside the intervals the index keeps one key filter per heap page of a
-//! table with a key column (see `KeyFilter`): the same derived, advisory
-//! pruning, built and appended with the entries under the same lock. It
-//! may reject page `p` for key `k` only if no record on `p` has key `k`.
+//! Beside the intervals the index keeps a summary of every heap page (see
+//! `PageSummary`): its **zone map** — min/max of its records' `ts`, `te`
+//! and key — and a **key filter**. The same derived, advisory pruning,
+//! built and appended with the entries under the same lock:
+//! [`IntervalIndex::admit`] checks a scan's [`ZoneBounds`] against both,
+//! for a whole page list under one read lock. A summary may reject page
+//! `p` only if no record on `p` can satisfy the bounds.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -41,28 +45,99 @@ use crate::page::PageId;
 /// One index entry: the record's interval and the heap page holding it.
 pub type IndexEntry = (i64, i64, PageId);
 
+/// A conjunction of one-sided bounds a pruned scan pushes down: a record
+/// matches only if it satisfies every `Some` bound. `ts_le: Some(v)`
+/// means `ts <= v`, `te_gt: Some(v)` means `te > v`, and so on; an
+/// `AS OF v` timeslice is exactly `{ts_le: v, te_gt: v}` under the
+/// half-open `[ts, te)` convention.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ZoneBounds {
+    pub ts_le: Option<i64>,
+    pub ts_ge: Option<i64>,
+    pub te_gt: Option<i64>,
+    pub te_lt: Option<i64>,
+    pub key_le: Option<i64>,
+    pub key_ge: Option<i64>,
+}
+
+impl ZoneBounds {
+    /// The timeslice bounds: rows whose interval contains `v`.
+    pub fn as_of(v: i64) -> ZoneBounds {
+        ZoneBounds {
+            ts_le: Some(v),
+            te_gt: Some(v),
+            ..ZoneBounds::default()
+        }
+    }
+
+    /// No bound at all — matches everything, prunes nothing.
+    pub fn is_empty(&self) -> bool {
+        self == &ZoneBounds::default()
+    }
+
+    /// Number of bounds set — a crude selectivity proxy for costing.
+    pub fn bound_count(&self) -> usize {
+        [
+            self.ts_le,
+            self.ts_ge,
+            self.te_gt,
+            self.te_lt,
+            self.key_le,
+            self.key_ge,
+        ]
+        .iter()
+        .filter(|b| b.is_some())
+        .count()
+    }
+
+    /// The key the bounds pin (`key_ge == key_le`), if any.
+    fn pinned_key(&self) -> Option<i64> {
+        self.key_ge.filter(|&k| self.key_le == Some(k))
+    }
+}
+
+impl std::fmt::Display for ZoneBounds {
+    /// The EXPLAIN rendering of the bounds, e.g. `ts<=7, te>7`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut sep = "";
+        for (name, op, v) in [
+            ("ts", ">=", self.ts_ge),
+            ("ts", "<=", self.ts_le),
+            ("te", ">", self.te_gt),
+            ("te", "<", self.te_lt),
+            ("key", ">=", self.key_ge),
+            ("key", "<=", self.key_le),
+        ] {
+            if let Some(v) = v {
+                write!(f, "{sep}{name}{op}{v}")?;
+                sep = ", ";
+            }
+        }
+        Ok(())
+    }
+}
+
 /// What a run of heap records contributes to the index.
 #[derive(Debug, Default)]
 pub struct IndexRows {
     /// One entry per record with integer bounds.
-    pub intervals: Vec<IndexEntry>,
-    /// The keys of the records, one filter per run of records on a page.
-    filters: Vec<(PageId, KeyFilter)>,
+    intervals: Vec<IndexEntry>,
+    /// One summary per run of records on a page.
+    pages: Vec<(PageId, PageSummary)>,
 }
 
 impl IndexRows {
-    /// Note a record of a table with a key column — whatever its bounds —
-    /// on heap page `page`; `key` is `None` for a NULL (or non-integer)
-    /// key.
-    pub fn add_key(&mut self, page: PageId, key: Option<i64>) {
-        match self.filters.last_mut() {
-            Some((last, filter)) if *last == page => filter.add(key),
-            _ => {
-                let mut filter = KeyFilter::default();
-                filter.add(key);
-                self.filters.push((page, filter));
-            }
+    /// Note one record on heap page `page`: its interval — `None` when a
+    /// bound is NULL or not an integer — and its key — `None` when it is
+    /// NULL, or when the table has no key column.
+    pub fn add(&mut self, page: PageId, interval: Option<(i64, i64)>, key: Option<i64>) {
+        self.intervals
+            .extend(interval.map(|(ts, te)| (ts, te, page)));
+        if self.pages.last().is_none_or(|(last, _)| *last != page) {
+            self.pages.push((page, PageSummary::EMPTY));
         }
+        let (_, summary) = self.pages.last_mut().expect("pushed above");
+        summary.add(interval, key);
     }
 }
 
@@ -74,15 +149,11 @@ const FILTER_WORDS: usize = 16;
 
 /// The keys of one heap page: a Bloom filter of 1 024 bits with five
 /// probes, each ten bits of one 64-bit mix of the key — about 1 % false
-/// positives at the ~100 keys a page of four integers holds. A page
-/// holding a NULL key is *poisoned*: every bit is set, so it admits every
-/// key.
-#[derive(Debug, Clone, Copy, Default)]
+/// positives at the ~100 keys a page of four integers holds.
+#[derive(Debug, Clone, Copy)]
 struct KeyFilter([u64; FILTER_WORDS]);
 
 impl KeyFilter {
-    const POISONED: KeyFilter = KeyFilter([u64::MAX; FILTER_WORDS]);
-
     /// The five bit positions of `key` (a splitmix64 finalizer).
     fn bits(key: i64) -> impl Iterator<Item = usize> {
         let mut h = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -92,14 +163,9 @@ impl KeyFilter {
         (0..5).map(move |i| (h >> (10 * i)) as usize % (64 * FILTER_WORDS))
     }
 
-    fn add(&mut self, key: Option<i64>) {
-        match key {
-            Some(key) => {
-                for b in KeyFilter::bits(key) {
-                    self.0[b / 64] |= 1 << (b % 64);
-                }
-            }
-            None => *self = KeyFilter::POISONED,
+    fn add(&mut self, key: i64) {
+        for b in KeyFilter::bits(key) {
+            self.0[b / 64] |= 1 << (b % 64);
         }
     }
 
@@ -114,45 +180,143 @@ impl KeyFilter {
     }
 }
 
-/// A built index: the interval entries and the per-page key filters.
+/// What the index knows of one heap page: min/max of its records' `ts`,
+/// `te` and key (`(min, max)` pairs), and the key filter. A record with a
+/// NULL or non-integer bound *poisons* the time side, one with a NULL key
+/// (or any record of a table without a key column) the key side: a
+/// poisoned side admits every bound. An empty summary (`min > max`)
+/// admits nothing — it describes no record.
+#[derive(Debug, Clone, Copy)]
+struct PageSummary {
+    ts: (i64, i64),
+    te: (i64, i64),
+    key: (i64, i64),
+    time_poisoned: bool,
+    key_poisoned: bool,
+    keys: KeyFilter,
+}
+
+impl PageSummary {
+    const EMPTY: PageSummary = PageSummary {
+        ts: (i64::MAX, i64::MIN),
+        te: (i64::MAX, i64::MIN),
+        key: (i64::MAX, i64::MIN),
+        time_poisoned: false,
+        key_poisoned: false,
+        keys: KeyFilter([0; FILTER_WORDS]),
+    };
+
+    /// What stands for a page no record reached: it admits everything.
+    const UNKNOWN: PageSummary = PageSummary {
+        time_poisoned: true,
+        key_poisoned: true,
+        ..PageSummary::EMPTY
+    };
+
+    fn add(&mut self, interval: Option<(i64, i64)>, key: Option<i64>) {
+        match interval {
+            Some((ts, te)) => {
+                widen(&mut self.ts, (ts, ts));
+                widen(&mut self.te, (te, te));
+            }
+            None => self.time_poisoned = true,
+        }
+        match key {
+            Some(key) => {
+                widen(&mut self.key, (key, key));
+                self.keys.add(key);
+            }
+            None => self.key_poisoned = true,
+        }
+    }
+
+    fn union(&mut self, other: &PageSummary) {
+        widen(&mut self.ts, other.ts);
+        widen(&mut self.te, other.te);
+        widen(&mut self.key, other.key);
+        self.time_poisoned |= other.time_poisoned;
+        self.key_poisoned |= other.key_poisoned;
+        self.keys.union(&other.keys);
+    }
+
+    /// Could a record on the page satisfy `b`, by the min/max alone?
+    fn zone_admits(&self, b: &ZoneBounds) -> bool {
+        let time = self.time_poisoned
+            || (b.ts_le.is_none_or(|v| self.ts.0 <= v)
+                && b.ts_ge.is_none_or(|v| self.ts.1 >= v)
+                && b.te_gt.is_none_or(|v| self.te.1 > v)
+                && b.te_lt.is_none_or(|v| self.te.0 < v));
+        let key = self.key_poisoned
+            || (b.key_le.is_none_or(|v| self.key.0 <= v)
+                && b.key_ge.is_none_or(|v| self.key.1 >= v));
+        time && key
+    }
+
+    /// Could the page hold key `key`, by the filter?
+    fn may_hold(&self, key: i64) -> bool {
+        self.key_poisoned || self.keys.may_hold(key)
+    }
+}
+
+/// Widen the `(min, max)` range `into` to cover `(lo, hi)`.
+fn widen(into: &mut (i64, i64), (lo, hi): (i64, i64)) {
+    into.0 = into.0.min(lo);
+    into.1 = into.1.max(hi);
+}
+
+/// A built index: the interval entries and the page summaries.
 #[derive(Debug)]
 struct Built {
     intervals: Entries,
-    /// `filters[p]` holds the keys of heap page `p`; empty for a table
-    /// without a key column.
-    filters: Vec<KeyFilter>,
+    /// `pages[p]` summarizes heap page `p`.
+    pages: Vec<PageSummary>,
 }
 
 impl Built {
     fn new(rows: IndexRows) -> Built {
         let mut built = Built {
             intervals: Entries::new(rows.intervals),
-            filters: Vec::new(),
+            pages: Vec::new(),
         };
-        built.add_filters(&rows.filters);
+        built.add_pages(&rows.pages);
         built
     }
 
     fn insert(&mut self, rows: IndexRows) {
         self.intervals.insert(rows.intervals);
-        self.add_filters(&rows.filters);
+        self.add_pages(&rows.pages);
     }
 
-    fn add_filters(&mut self, filters: &[(PageId, KeyFilter)]) {
-        for (page, filter) in filters {
+    fn add_pages(&mut self, pages: &[(PageId, PageSummary)]) {
+        for (page, summary) in pages {
             let page = *page as usize;
-            if self.filters.len() <= page {
-                self.filters.resize(page + 1, KeyFilter::default());
+            if page < self.pages.len() {
+                self.pages[page].union(summary);
+            } else {
+                self.pages.resize(page, PageSummary::UNKNOWN);
+                self.pages.push(*summary);
             }
-            self.filters[page].union(filter);
         }
     }
 
-    /// A page the filters do not cover admits every key.
-    fn may_hold(&self, page: PageId, key: i64) -> bool {
-        self.filters
-            .get(page as usize)
-            .is_none_or(|filter| filter.may_hold(key))
+    /// Keep the pages of `pages` whose summary admits `bounds` (a page
+    /// no summary covers admits everything); returns how many the key
+    /// filter alone dropped.
+    fn admit(&self, pages: &mut Vec<PageId>, bounds: &ZoneBounds) -> u64 {
+        let pinned = bounds.pinned_key();
+        let mut key_filtered = 0;
+        pages.retain(|&p| {
+            let Some(summary) = self.pages.get(p as usize) else {
+                return true;
+            };
+            if !summary.zone_admits(bounds) {
+                return false;
+            }
+            let kept = pinned.is_none_or(|k| summary.may_hold(k));
+            key_filtered += u64::from(!kept);
+            kept
+        });
+        key_filtered
     }
 }
 
@@ -300,7 +464,7 @@ impl IntervalIndex {
     /// snapshots only after this returns; an unbuilt index ignores them,
     /// because the scan that builds it will see them.
     pub fn append(&self, rows: IndexRows) {
-        if rows.intervals.is_empty() && rows.filters.is_empty() {
+        if rows.intervals.is_empty() && rows.pages.is_empty() {
             return;
         }
         if let Some(built) = self.write().as_mut() {
@@ -340,16 +504,18 @@ impl IntervalIndex {
         self.with_built(scan, |built| built.intervals.probe(ts_le, te_gt))
     }
 
-    /// Drop from `pages` every page whose key filter proves it holds no
-    /// record with key `key`, under one read lock for the whole list. An
+    /// Drop from `pages` every page on which no record can satisfy
+    /// `bounds`: the page's zone map rules it out, or the bounds pin the
+    /// key and its key filter rejects it. One read lock covers the whole
+    /// list. Returns how many pages the key filter alone dropped. An
     /// unbuilt index is built first, as by [`Self::probe`].
-    pub fn retain_key<E>(
+    pub fn admit<E>(
         &self,
         pages: &mut Vec<PageId>,
-        key: i64,
+        bounds: &ZoneBounds,
         scan: impl FnOnce() -> Result<IndexRows, E>,
-    ) -> Result<(), E> {
-        self.with_built(scan, |built| pages.retain(|&p| built.may_hold(p, key)))
+    ) -> Result<u64, E> {
+        self.with_built(scan, |built| built.admit(pages, bounds))
     }
 }
 
@@ -358,21 +524,40 @@ mod tests {
     use super::*;
     use std::convert::Infallible;
 
-    /// Index rows without keys.
+    /// Index rows with interval entries only (no page summaries).
     fn rows(intervals: Vec<IndexEntry>) -> IndexRows {
         IndexRows {
             intervals,
-            filters: Vec::new(),
+            pages: Vec::new(),
         }
     }
 
-    /// Index rows with keys only.
+    /// Index rows of records with keys and NULL bounds.
     fn keyed(keys: &[(PageId, Option<i64>)]) -> IndexRows {
         let mut rows = IndexRows::default();
         for &(page, key) in keys {
-            rows.add_key(page, key);
+            rows.add(page, None, key);
         }
         rows
+    }
+
+    /// Bounds pinning the key to `k`.
+    fn key_is(k: i64) -> ZoneBounds {
+        ZoneBounds {
+            key_ge: Some(k),
+            key_le: Some(k),
+            ..ZoneBounds::default()
+        }
+    }
+
+    /// The pages of `0..pages` a built index admits for `bounds`.
+    fn admitted(idx: &IntervalIndex, pages: PageId, bounds: ZoneBounds) -> Vec<PageId> {
+        let mut kept: Vec<PageId> = (0..pages).collect();
+        idx.admit(&mut kept, &bounds, || -> Result<_, Infallible> {
+            panic!("the index was built")
+        })
+        .unwrap();
+        kept
     }
 
     /// Brute-force oracle over raw entries.
@@ -628,14 +813,9 @@ mod tests {
         assert_probes_match(&idx, &entries, 5, 100);
     }
 
-    /// Keep the pages of `0..pages` whose filter may hold `key`.
+    /// The pages of `0..pages` admitted for a lookup of `key`.
     fn pages_with(idx: &IntervalIndex, pages: PageId, key: i64) -> Vec<PageId> {
-        let mut kept: Vec<PageId> = (0..pages).collect();
-        idx.retain_key(&mut kept, key, || -> Result<_, Infallible> {
-            panic!("the index was built")
-        })
-        .unwrap();
-        kept
+        admitted(idx, pages, key_is(key))
     }
 
     /// 100 keys a page, drawn from a wide domain plus both `i64` edges,
@@ -660,7 +840,7 @@ mod tests {
         // The same keys one row at a time, past a build from an empty heap.
         let appended = IntervalIndex::default();
         appended
-            .retain_key(&mut Vec::new(), 0, || -> Result<_, Infallible> {
+            .admit(&mut Vec::new(), &key_is(0), || -> Result<_, Infallible> {
                 Ok(IndexRows::default())
             })
             .unwrap();
@@ -686,14 +866,21 @@ mod tests {
     fn key_filter_false_positives_stay_under_two_percent_at_100_keys_a_page() {
         let keys = keyed_rows(200);
         let idx = IntervalIndex::new(keyed(&keys));
+        let built = idx.read();
+        let pages = &built.as_ref().expect("built").pages;
         // Keys outside the drawn domain are on no page; only the poisoned
-        // page 7 must admit them.
+        // page 7's filter must admit them. (The filters alone: the key
+        // min/max would reject most of these keys by itself.)
         let (mut admitted, mut probes) = (0, 0);
         for key in (1i64 << 40..).take(500) {
-            let kept = pages_with(&idx, 200, key);
-            assert!(kept.contains(&7));
-            admitted += kept.len() - 1;
-            probes += 199;
+            for (page, summary) in pages.iter().enumerate() {
+                if page == 7 {
+                    assert!(summary.may_hold(key));
+                } else {
+                    admitted += usize::from(summary.may_hold(key));
+                    probes += 1;
+                }
+            }
         }
         let rate = admitted as f64 / probes as f64;
         assert!(rate <= 0.02, "false-positive rate {rate:.4}");
@@ -704,9 +891,9 @@ mod tests {
         let idx = IntervalIndex::default();
         idx.append(keyed(&[(3, Some(5))]));
         let mut pages = vec![0, 1, 2, 3];
-        idx.retain_key(&mut pages, 5, || -> Result<_, Infallible> {
-            let mut heap = keyed(&[(0, Some(4)), (1, Some(5)), (2, None), (3, Some(6))]);
-            heap.intervals.push((0, 1, 1));
+        idx.admit(&mut pages, &key_is(5), || -> Result<_, Infallible> {
+            let mut heap = keyed(&[(0, Some(4)), (2, None), (3, Some(6))]);
+            heap.add(1, Some((0, 1)), Some(5));
             Ok(heap)
         })
         .unwrap();
@@ -717,11 +904,85 @@ mod tests {
     }
 
     #[test]
-    fn empty_index_probes_empty() {
+    fn zone_maps_widen_and_prune() {
+        // Page 0 holds [2, 6) with key 10 and [4, 9) with key 3.
+        let mut page = IndexRows::default();
+        page.add(0, Some((2, 6)), Some(10));
+        page.add(0, Some((4, 9)), Some(3));
+        let idx = IntervalIndex::new(page);
+        let admits = |bounds: ZoneBounds| admitted(&idx, 1, bounds) == [0];
+        let only = |set: fn(&mut ZoneBounds)| {
+            let mut bounds = ZoneBounds::default();
+            set(&mut bounds);
+            bounds
+        };
+        // AS OF 5: some interval may contain 5 (min ts 2 <= 5 < max te 9).
+        assert!(admits(ZoneBounds::as_of(5)));
+        // AS OF 1: every interval starts at 2 or later; AS OF 9: every one
+        // has ended by 9 (half-open).
+        assert!(!admits(ZoneBounds::as_of(1)));
+        assert!(!admits(ZoneBounds::as_of(9)));
+        // Starts span [2, 4], ends [6, 9], keys [3, 10].
+        assert!(admits(only(|b| b.ts_ge = Some(4))));
+        assert!(!admits(only(|b| b.ts_ge = Some(5))));
+        assert!(admits(only(|b| b.te_lt = Some(7))));
+        assert!(!admits(only(|b| b.te_lt = Some(6))));
+        assert!(admits(only(|b| b.key_ge = Some(10))));
+        assert!(!admits(only(|b| b.key_ge = Some(11))));
+        assert!(!admits(only(|b| b.key_le = Some(2))));
+        // An append widens the page's zone.
+        let mut more = IndexRows::default();
+        more.add(0, Some((20, 30)), Some(50));
+        idx.append(more);
+        assert!(admits(ZoneBounds::as_of(25)));
+        assert!(admits(only(|b| b.key_ge = Some(11))));
+        assert!(!admits(ZoneBounds::as_of(30)));
+    }
+
+    #[test]
+    fn poisoned_zones_never_prune() {
+        let mut rows = IndexRows::default();
+        // Page 0: a NULL bound poisons the time side alone.
+        rows.add(0, Some((2, 6)), Some(1));
+        rows.add(0, None, Some(2));
+        // Page 1: a NULL key poisons the key side (zone and filter) alone.
+        rows.add(1, Some((2, 6)), Some(1));
+        rows.add(1, Some((3, 5)), None);
+        let idx = IntervalIndex::new(rows);
+        assert_eq!(admitted(&idx, 2, ZoneBounds::as_of(-12_345)), [0]);
+        let key_above = ZoneBounds {
+            key_ge: Some(999),
+            ..ZoneBounds::default()
+        };
+        assert_eq!(admitted(&idx, 2, key_above), [1]);
+        assert_eq!(admitted(&idx, 2, key_is(999)), [1]);
+        assert_eq!(admitted(&idx, 2, key_is(2)), [0, 1]);
+        assert!(admitted(
+            &idx,
+            2,
+            ZoneBounds {
+                key_ge: Some(999),
+                ..ZoneBounds::as_of(-12_345)
+            }
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn an_empty_index_probes_empty_and_admits_what_it_does_not_cover() {
         let idx = IntervalIndex::new(rows(Vec::new()));
         assert!(probe(&idx, Some(0), Some(0)).is_empty());
         assert!(probe(&idx, None, None).is_empty());
         idx.append(rows(Vec::new()));
         assert!(probe(&idx, None, None).is_empty());
+        // No summary covers a page no record reached, so it admits every
+        // bound — here every page, then the pages before the one a record
+        // reached.
+        assert_eq!(admitted(&idx, 3, ZoneBounds::as_of(5)), [0, 1, 2]);
+        let mut far = IndexRows::default();
+        far.add(2, Some((0, 1)), Some(7));
+        idx.append(far);
+        assert_eq!(admitted(&idx, 4, ZoneBounds::as_of(5)), [0, 1, 3]);
+        assert_eq!(admitted(&idx, 4, key_is(7)), [0, 1, 2, 3]);
     }
 }

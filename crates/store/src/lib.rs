@@ -15,6 +15,10 @@
 //!   write-back, so scans over files larger than the pool stream;
 //! * [`heap::TableHeap`] — an append-only heap file behind a pool, the
 //!   physical shape of one table;
+//! * [`index::IntervalIndex`] — what prunes a temporal table's pages, in
+//!   memory only: its interval entries and, per heap page, a zone map
+//!   (min/max of `ts`, `te` and the key) and a key filter, checked against
+//!   a scan's [`ZoneBounds`] under one read lock;
 //! * [`manifest::Manifest`] — the `manifest.tsv` catalog-metadata file of
 //!   a database directory (table name → heap file, schema fingerprint,
 //!   opaque schema string);
@@ -68,7 +72,7 @@ pub use buffer::{BufferPool, PageGuard, PageWriteGuard, PoolStats, DEFAULT_POOL_
 pub use disk::DiskManager;
 pub use error::{StoreError, StoreResult};
 pub use heap::{AppendBatch, HeapSnapshot, TableHeap};
-pub use index::{IndexEntry, IndexRows, IntervalIndex};
+pub use index::{IndexEntry, IndexRows, IntervalIndex, ZoneBounds};
 pub use manifest::{Manifest, TableMeta, MANIFEST_FILE};
-pub use page::{Page, PageId, PageZone, SlotId, ZoneBounds, MAX_RECORD_SIZE, PAGE_SIZE};
+pub use page::{Page, PageId, SlotId, MAX_RECORD_SIZE, PAGE_SIZE};
 pub use wal::{SyncMode, Wal, WalRecord, WalScan, WalStats, WAL_FILE};

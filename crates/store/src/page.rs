@@ -14,14 +14,10 @@
 //! the owning table (so a page can never be decoded under the wrong
 //! schema), the **tuple count**, the slot/free-space pointers `lower`
 //! (end of the slot array, grows up) and `upper` (start of record data,
-//! grows down) — `upper - lower` is the free space — and a **zone map**:
-//! min/max of the valid-time start (`ts`) and end (`te`) plus min/max of
-//! the first key column over every record in the page. The zone map is
-//! maintained by [`Page::zone_add`] on append and lets a scan decide from
-//! the header alone that no record in the page can satisfy a temporal
-//! range predicate, skipping the decode entirely. Appends that carry no
-//! zone information ([`Page::zone_clear`]) mark the zone *unknown*, which
-//! pruning must treat as "may match" — conservative by construction.
+//! grows down) — `upper - lower` is the free space. Bytes 18–67 are
+//! reserved: written as zero and never read, so a page on which an older
+//! build filled them still validates. What a pruned scan knows of a page
+//! lives in memory, in [`crate::index::IntervalIndex`].
 //!
 //! The header ends with a **page LSN** (the WAL sequence number of the
 //! last logged change — replay applies a record only when the page LSN
@@ -58,144 +54,12 @@ const OFF_FINGERPRINT: usize = 4;
 const OFF_TUPLE_COUNT: usize = 12;
 const OFF_LOWER: usize = 14;
 const OFF_UPPER: usize = 16;
-const OFF_ZONE_FLAGS: usize = 18;
-const OFF_MIN_TS: usize = 20;
-const OFF_MAX_TS: usize = 28;
-const OFF_MIN_TE: usize = 36;
-const OFF_MAX_TE: usize = 44;
-const OFF_MIN_KEY: usize = 52;
-const OFF_MAX_KEY: usize = 60;
+// Bytes 18..68 are reserved (zero).
 const OFF_LSN: usize = 68;
 const OFF_CRC: usize = 76;
 
-/// Zone flag: the temporal min/max fields describe every record.
-const ZONE_TIME_VALID: u16 = 1;
-/// Zone flag: the key min/max fields describe every record.
-const ZONE_KEY_VALID: u16 = 2;
-
 /// The largest record a page can hold (one slot plus the data).
 pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
-
-/// The per-page zone map: min/max synopses over every record's valid-time
-/// interval (`[ts, te)`) and first key column. `time_valid` / `key_valid`
-/// distinguish a *known* zone from an unknown one (some record was
-/// appended without zone information): unknown zones must never prune.
-/// An empty-but-valid zone (fresh page) has `min > max`, so every bound
-/// check fails and the page prunes away — correct, it holds no records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageZone {
-    pub time_valid: bool,
-    pub key_valid: bool,
-    pub min_ts: i64,
-    pub max_ts: i64,
-    pub min_te: i64,
-    pub max_te: i64,
-    pub min_key: i64,
-    pub max_key: i64,
-}
-
-/// A conjunction of one-sided bounds a pruned scan pushes down: a record
-/// matches only if it satisfies every `Some` bound. `ts_le: Some(v)`
-/// means `ts <= v`, `te_gt: Some(v)` means `te > v`, and so on; an
-/// `AS OF v` timeslice is exactly `{ts_le: v, te_gt: v}` under the
-/// half-open `[ts, te)` convention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZoneBounds {
-    pub ts_le: Option<i64>,
-    pub ts_ge: Option<i64>,
-    pub te_gt: Option<i64>,
-    pub te_lt: Option<i64>,
-    pub key_le: Option<i64>,
-    pub key_ge: Option<i64>,
-}
-
-impl ZoneBounds {
-    /// The timeslice bounds: rows whose interval contains `v`.
-    pub fn as_of(v: i64) -> ZoneBounds {
-        ZoneBounds {
-            ts_le: Some(v),
-            te_gt: Some(v),
-            ..ZoneBounds::default()
-        }
-    }
-
-    /// No bound at all — matches everything, prunes nothing.
-    pub fn is_empty(&self) -> bool {
-        self == &ZoneBounds::default()
-    }
-
-    /// True when the temporal side carries at least one bound.
-    pub fn has_time(&self) -> bool {
-        self.ts_le.is_some() || self.ts_ge.is_some() || self.te_gt.is_some() || self.te_lt.is_some()
-    }
-
-    /// Number of bounds set — a crude selectivity proxy for costing.
-    pub fn bound_count(&self) -> usize {
-        [
-            self.ts_le,
-            self.ts_ge,
-            self.te_gt,
-            self.te_lt,
-            self.key_le,
-            self.key_ge,
-        ]
-        .iter()
-        .filter(|b| b.is_some())
-        .count()
-    }
-}
-
-impl std::fmt::Display for ZoneBounds {
-    /// The EXPLAIN rendering of the bounds, e.g. `ts<=7, te>7`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        for (name, op, v) in [
-            ("ts", ">=", self.ts_ge),
-            ("ts", "<=", self.ts_le),
-            ("te", ">", self.te_gt),
-            ("te", "<", self.te_lt),
-            ("key", ">=", self.key_ge),
-            ("key", "<=", self.key_le),
-        ] {
-            if let Some(v) = v {
-                write!(f, "{sep}{name}{op}{v}")?;
-                sep = ", ";
-            }
-        }
-        Ok(())
-    }
-}
-
-impl PageZone {
-    /// Could any record in a page with this zone satisfy `bounds`? False
-    /// positives are fine (the filter above the scan re-checks rows);
-    /// false negatives would drop rows, so unknown zones always match.
-    pub fn may_match(&self, bounds: &ZoneBounds) -> bool {
-        if self.time_valid {
-            if bounds.ts_le.is_some_and(|v| self.min_ts > v) {
-                return false;
-            }
-            if bounds.ts_ge.is_some_and(|v| self.max_ts < v) {
-                return false;
-            }
-            if bounds.te_gt.is_some_and(|v| self.max_te <= v) {
-                return false;
-            }
-            if bounds.te_lt.is_some_and(|v| self.min_te >= v) {
-                return false;
-            }
-        }
-        if self.key_valid {
-            if bounds.key_le.is_some_and(|v| self.min_key > v) {
-                return false;
-            }
-            if bounds.key_ge.is_some_and(|v| self.max_key < v) {
-                return false;
-            }
-        }
-        true
-    }
-}
 
 /// A fixed-size slotted page. The in-memory representation is exactly the
 /// on-disk representation: reading and writing a page is a plain block
@@ -228,10 +92,8 @@ impl Page {
         Page::default()
     }
 
-    /// A fresh, empty page carrying `fingerprint` in its header. The zone
-    /// map starts valid-and-empty (`min > max`): it describes all zero
-    /// records, and the first append either widens it or marks it unknown.
-    /// The LSN starts at 0; the CRC is computed when the page is written.
+    /// A fresh, empty page carrying `fingerprint` in its header. The LSN
+    /// starts at 0; the CRC is computed when the page is written.
     pub fn init(fingerprint: u64) -> Page {
         let mut p = Page::default();
         p.put_u32(OFF_MAGIC, MAGIC);
@@ -239,13 +101,6 @@ impl Page {
         p.put_u16(OFF_TUPLE_COUNT, 0);
         p.put_u16(OFF_LOWER, HEADER_SIZE as u16);
         p.put_u16(OFF_UPPER, PAGE_SIZE as u16);
-        p.put_u16(OFF_ZONE_FLAGS, ZONE_TIME_VALID | ZONE_KEY_VALID);
-        p.put_i64(OFF_MIN_TS, i64::MAX);
-        p.put_i64(OFF_MAX_TS, i64::MIN);
-        p.put_i64(OFF_MIN_TE, i64::MAX);
-        p.put_i64(OFF_MAX_TE, i64::MIN);
-        p.put_i64(OFF_MIN_KEY, i64::MAX);
-        p.put_i64(OFF_MAX_KEY, i64::MIN);
         p
     }
 
@@ -283,14 +138,6 @@ impl Page {
 
     fn put_u64(&mut self, off: usize, v: u64) {
         self.bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    fn get_i64(&self, off: usize) -> i64 {
-        self.get_u64(off) as i64
-    }
-
-    fn put_i64(&mut self, off: usize, v: i64) {
-        self.put_u64(off, v as u64);
     }
 
     /// Schema fingerprint stamped at init time.
@@ -365,50 +212,6 @@ impl Page {
     /// the check [`Page::insert`] performs.
     pub fn fits(&self, len: usize) -> bool {
         self.free_space() >= len + SLOT_SIZE
-    }
-
-    // ---- zone map --------------------------------------------------------
-
-    /// The page's zone map, read from the header alone (no record decode).
-    pub fn zone(&self) -> PageZone {
-        let flags = self.get_u16(OFF_ZONE_FLAGS);
-        PageZone {
-            time_valid: flags & ZONE_TIME_VALID != 0,
-            key_valid: flags & ZONE_KEY_VALID != 0,
-            min_ts: self.get_i64(OFF_MIN_TS),
-            max_ts: self.get_i64(OFF_MAX_TS),
-            min_te: self.get_i64(OFF_MIN_TE),
-            max_te: self.get_i64(OFF_MAX_TE),
-            min_key: self.get_i64(OFF_MIN_KEY),
-            max_key: self.get_i64(OFF_MAX_KEY),
-        }
-    }
-
-    /// Widen the zone map for one appended record with interval
-    /// `[ts, te)` and (optionally) its first key column. `key: None`
-    /// marks the key zone unknown — the record has no integer key, so
-    /// key-based pruning can no longer be trusted for this page.
-    pub fn zone_add(&mut self, ts: i64, te: i64, key: Option<i64>) {
-        self.put_i64(OFF_MIN_TS, self.get_i64(OFF_MIN_TS).min(ts));
-        self.put_i64(OFF_MAX_TS, self.get_i64(OFF_MAX_TS).max(ts));
-        self.put_i64(OFF_MIN_TE, self.get_i64(OFF_MIN_TE).min(te));
-        self.put_i64(OFF_MAX_TE, self.get_i64(OFF_MAX_TE).max(te));
-        match key {
-            Some(k) => {
-                self.put_i64(OFF_MIN_KEY, self.get_i64(OFF_MIN_KEY).min(k));
-                self.put_i64(OFF_MAX_KEY, self.get_i64(OFF_MAX_KEY).max(k));
-            }
-            None => {
-                let flags = self.get_u16(OFF_ZONE_FLAGS);
-                self.put_u16(OFF_ZONE_FLAGS, flags & !ZONE_KEY_VALID);
-            }
-        }
-    }
-
-    /// Mark the whole zone map unknown: a record was appended without
-    /// zone information, so header-only pruning must pass this page.
-    pub fn zone_clear(&mut self) {
-        self.put_u16(OFF_ZONE_FLAGS, 0);
     }
 
     /// Validate the structural invariants of a page read from disk,
@@ -563,52 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_map_widens_and_prunes() {
-        let mut p = Page::init(0);
-        // A fresh page has a valid-but-empty zone: everything prunes.
-        assert!(p.zone().time_valid);
-        assert!(!p.zone().may_match(&ZoneBounds::as_of(5)));
-        p.insert(b"r1").unwrap();
-        p.zone_add(2, 6, Some(10));
-        p.insert(b"r2").unwrap();
-        p.zone_add(4, 9, Some(3));
-        let z = p.zone();
-        assert_eq!((z.min_ts, z.max_ts, z.min_te, z.max_te), (2, 4, 6, 9));
-        assert_eq!((z.min_key, z.max_key), (3, 10));
-        // AS OF 5: some interval may contain 5 (min_ts=2 ≤ 5 < max_te=9).
-        assert!(z.may_match(&ZoneBounds::as_of(5)));
-        // AS OF 1: every interval starts at ≥ 2 — prune.
-        assert!(!z.may_match(&ZoneBounds::as_of(1)));
-        // AS OF 9: every interval ends by 9 (half-open) — prune.
-        assert!(!z.may_match(&ZoneBounds::as_of(9)));
-        // Key bounds: keys span [3, 10].
-        assert!(z.may_match(&ZoneBounds {
-            key_ge: Some(10),
-            ..ZoneBounds::default()
-        }));
-        assert!(!z.may_match(&ZoneBounds {
-            key_ge: Some(11),
-            ..ZoneBounds::default()
-        }));
-    }
-
-    #[test]
-    fn unknown_zones_never_prune() {
-        let mut p = Page::init(0);
-        p.insert(b"r1").unwrap();
-        p.zone_add(2, 6, None); // no key → key zone unknown
-        let z = p.zone();
-        assert!(z.time_valid);
-        assert!(!z.key_valid);
-        assert!(z.may_match(&ZoneBounds {
-            key_ge: Some(999),
-            ..ZoneBounds::default()
-        }));
-        p.zone_clear(); // a zone-less append poisons the whole map
-        assert!(p.zone().may_match(&ZoneBounds::as_of(-12345)));
-    }
-
-    #[test]
     fn lsn_roundtrips() {
         let mut p = Page::init(1);
         assert_eq!(p.lsn(), 0);
@@ -635,7 +392,6 @@ mod tests {
     fn crc_catches_any_single_byte_corruption() {
         let mut p = Page::init(3);
         p.insert(b"guarded").unwrap();
-        p.zone_add(1, 5, Some(2));
         assert!(!p.crc_ok(), "a fresh page carries no CRC yet");
         let image = p.disk_image();
         // A stale field does not change what is written.
@@ -652,16 +408,5 @@ mod tests {
             q.as_bytes_mut()[off] ^= 0x40;
             assert!(!q.crc_ok(), "flip at {off} went undetected");
         }
-    }
-
-    #[test]
-    fn zone_map_survives_byte_roundtrip() {
-        let mut p = Page::init(3);
-        p.insert(b"r").unwrap();
-        p.zone_add(-7, 40, Some(1));
-        let mut q = Page::zeroed();
-        q.as_bytes_mut().copy_from_slice(p.as_bytes());
-        q.validate(3).unwrap();
-        assert_eq!(q.zone(), p.zone());
     }
 }

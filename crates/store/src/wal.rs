@@ -156,8 +156,6 @@ pub enum WalRecord {
         table: String,
         fingerprint: u64,
         page: PageId,
-        /// Zone-map delta: `None` poisons the page zone, `Some` widens it.
-        zone: Option<(i64, i64, Option<i64>)>,
         record: Vec<u8>,
     },
     /// Full post-modification image of a heap page — the first record
@@ -174,9 +172,13 @@ pub enum WalRecord {
 
 const TAG_TABLE_UPSERT: u8 = 1;
 const TAG_TABLE_DROP: u8 = 2;
-const TAG_HEAP_APPEND: u8 = 3;
+/// A heap append as logs written while pages carried zone maps hold it:
+/// a zone field (flag 0, 1 or 2, then 0, 16 or 24 bytes) before the
+/// record. Replay reads past the field.
+const TAG_HEAP_APPEND_ZONED: u8 = 3;
 const TAG_HEAP_PAGE_IMAGE: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
+const TAG_HEAP_APPEND: u8 = 6;
 
 fn put_str(out: &mut Vec<u8>, s: &str) -> StoreResult<()> {
     let len = u16::try_from(s.len()).map_err(|_| {
@@ -224,10 +226,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn i64(&mut self) -> StoreResult<i64> {
-        Ok(self.u64()? as i64)
-    }
-
     fn str(&mut self) -> StoreResult<String> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
@@ -272,24 +270,12 @@ impl WalRecord {
                 table,
                 fingerprint,
                 page,
-                zone,
                 record,
             } => {
                 out.push(TAG_HEAP_APPEND);
                 put_str(&mut out, table)?;
                 out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.extend_from_slice(&page.to_le_bytes());
-                match zone {
-                    None => out.push(0),
-                    Some((ts, te, key)) => {
-                        out.push(if key.is_some() { 2 } else { 1 });
-                        out.extend_from_slice(&ts.to_le_bytes());
-                        out.extend_from_slice(&te.to_le_bytes());
-                        if let Some(k) = key {
-                            out.extend_from_slice(&k.to_le_bytes());
-                        }
-                    }
-                }
                 out.extend_from_slice(&(record.len() as u32).to_le_bytes());
                 out.extend_from_slice(record);
             }
@@ -347,30 +333,29 @@ impl WalRecord {
                 }
             }
             TAG_TABLE_DROP => WalRecord::TableDrop { name: c.str()? },
-            TAG_HEAP_APPEND => {
+            tag @ (TAG_HEAP_APPEND | TAG_HEAP_APPEND_ZONED) => {
                 let table = c.str()?;
                 let fingerprint = c.u64()?;
                 let page = c.u32()?;
-                let zone = match c.u8()? {
-                    0 => None,
-                    1 => Some((c.i64()?, c.i64()?, None)),
-                    2 => {
-                        let (ts, te) = (c.i64()?, c.i64()?);
-                        Some((ts, te, Some(c.i64()?)))
-                    }
-                    f => {
-                        return Err(StoreError::Corrupt(format!(
-                            "WAL heap-append has bad zone flag {f}"
-                        )))
-                    }
-                };
+                if tag == TAG_HEAP_APPEND_ZONED {
+                    let width = match c.u8()? {
+                        0 => 0,
+                        1 => 16,
+                        2 => 24,
+                        f => {
+                            return Err(StoreError::Corrupt(format!(
+                                "WAL heap-append has bad zone flag {f}"
+                            )))
+                        }
+                    };
+                    c.take(width)?;
+                }
                 let len = c.u32()? as usize;
                 let record = c.take(len)?.to_vec();
                 WalRecord::HeapAppend {
                     table,
                     fingerprint,
                     page,
-                    zone,
                     record,
                 }
             }
@@ -913,14 +898,12 @@ mod tests {
                 table: "r".into(),
                 fingerprint: 0xfeed,
                 page: 0,
-                zone: Some((1, 9, Some(42))),
                 record: vec![1, 2, 3, 4],
             },
             WalRecord::HeapAppend {
                 table: "r".into(),
                 fingerprint: 0xfeed,
                 page: 0,
-                zone: None,
                 record: vec![],
             },
             WalRecord::TableDrop { name: "s".into() },
@@ -979,6 +962,29 @@ mod tests {
         bad.push(7);
         assert!(WalRecord::decode(&bad).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log written while heap pages carried zone maps logs each append
+    /// under the old tag with a zone field before the record: none (flag
+    /// 0), `ts, te` (flag 1) or `ts, te, key` (flag 2). Each replays as
+    /// the same append with the field ignored; a flag that format never
+    /// wrote is still corruption.
+    #[test]
+    fn a_log_with_zone_fields_replays_every_record() {
+        let append = sample_records()[2].clone();
+        let plain = append.encode().unwrap();
+        // Tag, table ("r"), fingerprint and page: 1 + 3 + 8 + 4 bytes.
+        let (head, tail) = plain.split_at(16);
+        for (flag, width) in [(0u8, 0usize), (1, 16), (2, 24)] {
+            let mut zoned = head.to_vec();
+            zoned[0] = TAG_HEAP_APPEND_ZONED;
+            zoned.push(flag);
+            zoned.extend(std::iter::repeat_n(0x5a, width));
+            zoned.extend_from_slice(tail);
+            assert_eq!(WalRecord::decode(&zoned).unwrap(), append, "flag {flag}");
+            zoned[16] = 3;
+            assert!(WalRecord::decode(&zoned).is_err(), "flag 3");
+        }
     }
 
     #[test]

@@ -42,17 +42,21 @@ fn run_as_of(db: &Database, table: &str, v: i64) -> (Vec<Row>, (u64, u64)) {
     let physical = db.physical(&plan).unwrap();
     let state = ExecutionState::new(db.config()).with_instrumentation();
     let rel = physical.collect(&state).unwrap();
-    let pages =
-        physical
-            .operator_stats(&state)
-            .iter()
-            .fold((0, 0), |(read, skipped), (_, _, op)| {
-                (
-                    read + op.pages_read.load(Ordering::Relaxed),
-                    skipped + op.pages_skipped.load(Ordering::Relaxed),
-                )
-            });
-    (rel.rows().to_vec(), pages)
+    (rel.rows().to_vec(), pages_touched(&physical, &state))
+}
+
+/// The `(pages_read, pages_skipped)` the scans of `physical` credited to
+/// their operator stats in the execution under `state`.
+fn pages_touched(physical: &PhysicalPlan, state: &ExecutionState) -> (u64, u64) {
+    physical
+        .operator_stats(state)
+        .iter()
+        .fold((0, 0), |(read, skipped), (_, _, op)| {
+            (
+                read + op.pages_read.load(Ordering::Relaxed),
+                skipped + op.pages_skipped.load(Ordering::Relaxed),
+            )
+        })
 }
 
 /// Brute-force timeslice over the raw rows (trailing `ts`, `te`).
@@ -223,25 +227,22 @@ proptest! {
             conjuncts.extend(bounds.key_ge.map(|v| col(key).ge(lit(v))));
         }
         let predicate = conjuncts.into_iter().reduce(Expr::and).unwrap();
-        let filtered = |input: PhysicalPlan| PhysicalPlan::Filter {
-            input: Box::new(input),
-            predicate: predicate.clone(),
-        };
-        let label = "t".to_string();
-        let plain = filtered(PhysicalPlan::StorageScan {
-            table: table.clone(),
-            label: label.clone(),
-            bounds: None,
-        });
-        let bounded = [
-            filtered(PhysicalPlan::StorageScan {
+        // The unpruned scan and the two pruned ones over `table`, each
+        // under the filter.
+        let plans = |table: &Arc<StoredTable>| {
+            let filtered = |input: PhysicalPlan| PhysicalPlan::Filter {
+                input: Box::new(input),
+                predicate: predicate.clone(),
+            };
+            let scan = |bounds| PhysicalPlan::StorageScan {
                 table: table.clone(),
-                label: label.clone(),
-                bounds: Some(bounds),
-            }),
-            // A created table's first probe builds its index from the heap.
-            filtered(PhysicalPlan::IndexScan { table: table.clone(), label, bounds }),
-        ];
+                label: "t".into(),
+                bounds,
+            };
+            let index = PhysicalPlan::IndexScan { table: table.clone(), label: "t".into(), bounds };
+            (filtered(scan(None)), [filtered(scan(Some(bounds))), filtered(index)])
+        };
+        let (plain, bounded) = plans(&table);
 
         let config = PlannerConfig {
             enable_zonemaps: true,
@@ -264,7 +265,23 @@ proptest! {
                 seed, got.len(), bounds, expected.len(), plan.explain()
             );
         }
-        drop(table);
+
+        // The same table closed and reopened: its index, zone maps and key
+        // filters come from the first-use heap scan, not from appends.
+        table.close().unwrap();
+        let reopened = Arc::new(StoredTable::open(dir.join("t.heap"), "t", schema.clone(), 4).unwrap());
+        let (plain, bounded) = plans(&reopened);
+        let state = ExecutionState::new(config);
+        let expected = plain.collect(&state).unwrap();
+        for plan in &bounded {
+            let got = plan.collect(&state).unwrap();
+            prop_assert!(
+                got.same_bag(&expected),
+                "seed {} reopened: {} rows with {:?}, {} without\n{}",
+                seed, got.len(), bounds, expected.len(), plan.explain()
+            );
+        }
+        drop((table, reopened));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -316,6 +333,64 @@ fn selective_as_of_skips_pages() {
     let (rows, (read_off, skipped_off)) = run_as_of(&db, "r", v);
     assert_eq!(rows.len(), 1);
     assert_eq!((read_off, skipped_off), (total, 0));
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every page the statement snapshot sees is either read or skipped, on
+/// every access path — as a full scan reads them all. Pages appended after
+/// the snapshot are neither: pruning did not skip them, the snapshot never
+/// saw them.
+#[test]
+fn skipped_pages_count_against_the_statement_snapshot() {
+    let dir = scratch("skips-snapshot");
+    let db = Database::open(&dir).unwrap();
+    let (r, _) = ddisj(3000);
+    db.register("r", &r).unwrap();
+    let table = db.read(|catalog, _| match catalog.source("r").unwrap() {
+        TableSource::Stored(t) => t,
+        TableSource::Mem(_) => panic!("r must be stored"),
+    });
+    let v = 20 * 1500 + 2;
+    let plan = db.table("r").unwrap().as_of(v).into_plan().unwrap();
+    let mut next = 1_000_000i64;
+    for (zm, ix, path) in [
+        (true, true, "IndexScan"),
+        (true, false, "using zonemap"),
+        (false, true, "IndexScan"),
+        (false, false, "StorageScan on r ["),
+    ] {
+        set_pruning(&db, zm, ix);
+        let physical = db.physical(&plan).unwrap();
+        assert!(physical.explain().contains(path), "{}", physical.explain());
+        let state = ExecutionState::new(db.config()).with_instrumentation();
+        let snap = state.snapshot_for(&table);
+        // Two pages of rows past the snapshot, none of them valid at `v`.
+        let pages = table.page_count();
+        while table.page_count() < pages + 2 {
+            let rows: Vec<Row> = (0..50)
+                .map(|i| {
+                    vec![
+                        Value::Int(next + i),
+                        Value::Int(next + i),
+                        Value::Int(next + i + 1),
+                    ]
+                    .into()
+                })
+                .collect();
+            db.insert_rows("r", rows).unwrap();
+            next += 50;
+        }
+        let rows = physical.collect(&state).unwrap();
+        assert_eq!(rows.len(), 1, "ddisj AS OF mid-slot hits exactly one row");
+        let (read, skipped) = pages_touched(&physical, &state);
+        assert_eq!(
+            read + skipped,
+            u64::from(snap.pages),
+            "{path}: read {read} + skipped {skipped} pages of a {}-page snapshot",
+            snap.pages
+        );
+    }
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
