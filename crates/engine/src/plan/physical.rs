@@ -279,14 +279,17 @@ impl PhysicalPlan {
         } else {
             None
         };
-        // Without an index probe, the candidates are every page: a zone
-        // sweep, or a full scan when zone maps are off too.
+        // Without an index probe, the candidates are every page the
+        // snapshot sees: a zone sweep, or a full scan when zone maps are
+        // off too.
         let mut pages = match probed {
-            Some(pages) => pages,
-            None if config.enable_zonemaps => (0..snap.pages).collect(),
+            Some(mut pages) => {
+                pages.retain(|&p| snap.sees_page(p));
+                pages
+            }
+            None if config.enable_zonemaps => (0..snap.visible_pages()).collect(),
             None => return Ok(None),
         };
-        pages.retain(|&p| snap.sees_page(p));
         // The index knows only ts/te; the zone maps and key filters also
         // know the key and the lower ts / upper te bounds.
         let key_filtered = if config.enable_zonemaps {
@@ -308,10 +311,9 @@ impl PhysicalPlan {
                         // or skipped, as on a full scan, which reads them
                         // all.
                         if let Some(ins) = state.instrumentation() {
-                            let snap = state.snapshot_for(table);
-                            let seen = (0..snap.pages).filter(|&p| snap.sees_page(p)).count();
+                            let seen = state.snapshot_for(table).visible_pages();
                             ins.op(self.node_key())
-                                .note_pages_skipped((seen - pages.len()) as u64, key_filtered);
+                                .note_pages_skipped(seen as u64 - pages.len() as u64, key_filtered);
                         }
                         let scan = StorageScanExec::with_page_list(table.clone(), Arc::new(pages));
                         self.boxed_scan(scan.with_bounds(&bounds), state)

@@ -61,6 +61,12 @@ impl HeapSnapshot {
         page + 1 < self.pages || (page + 1 == self.pages && self.tail_tuples > 0)
     }
 
+    /// How many pages this snapshot exposes a tuple of: the pages
+    /// `sees_page` admits, `0 .. visible_pages()`.
+    pub fn visible_pages(&self) -> u32 {
+        self.pages - u32::from(self.pages > 0 && self.tail_tuples == 0)
+    }
+
     fn pack(pages: u32, tail_tuples: u16) -> u64 {
         ((pages as u64) << 16) | tail_tuples as u64
     }
@@ -742,6 +748,17 @@ mod tests {
         assert_eq!(total, 10, "snapshot caps decoding at its prefix");
         assert!(snap.sees_page(0));
         assert!(!snap.sees_page(heap.page_count()));
+        for pages in 0..3 {
+            for tail_tuples in 0..2 {
+                let snap = HeapSnapshot {
+                    pages,
+                    tail_tuples,
+                    rows: 0,
+                };
+                let seen = (0..pages + 1).filter(|&p| snap.sees_page(p)).count();
+                assert_eq!(snap.visible_pages() as usize, seen, "{snap:?}");
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

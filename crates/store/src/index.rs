@@ -30,13 +30,14 @@
 //! appender finds the index built and adds them (both, at worst — a
 //! harmless duplicate).
 //!
-//! Beside the intervals the index keeps a summary of every heap page (see
-//! `PageSummary`): its **zone map** — min/max of its records' `ts`, `te`
-//! and key — and a **key filter**. The same derived, advisory pruning,
-//! built and appended with the entries under the same lock:
-//! [`IntervalIndex::admit`] checks a scan's [`ZoneBounds`] against both,
-//! for a whole page list under one read lock. A summary may reject page
-//! `p` only if no record on `p` can satisfy the bounds.
+//! Beside the intervals the index keeps every heap page's **zone map**
+//! (see `PageSummary`) — min/max of its records' `ts`, `te` and key — and,
+//! for a table with a key column, its **key filter** (see `KeyFilter`).
+//! The same derived, advisory pruning, built and appended with the
+//! entries under the same lock: [`IntervalIndex::admit`] checks a scan's
+//! [`ZoneBounds`] against both, for a whole page list under one read
+//! lock. Either may reject page `p` only if no record on `p` can satisfy
+//! the bounds.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -124,6 +125,8 @@ pub struct IndexRows {
     intervals: Vec<IndexEntry>,
     /// One summary per run of records on a page.
     pages: Vec<(PageId, PageSummary)>,
+    /// The non-NULL keys, one filter per run of keyed records on a page.
+    filters: Vec<(PageId, KeyFilter)>,
 }
 
 impl IndexRows {
@@ -138,6 +141,13 @@ impl IndexRows {
         }
         let (_, summary) = self.pages.last_mut().expect("pushed above");
         summary.add(interval, key);
+        if let Some(key) = key {
+            if self.filters.last().is_none_or(|(last, _)| *last != page) {
+                self.filters.push((page, KeyFilter::default()));
+            }
+            let (_, filter) = self.filters.last_mut().expect("pushed above");
+            filter.add(key);
+        }
     }
 }
 
@@ -150,7 +160,7 @@ const FILTER_WORDS: usize = 16;
 /// The keys of one heap page: a Bloom filter of 1 024 bits with five
 /// probes, each ten bits of one 64-bit mix of the key — about 1 % false
 /// positives at the ~100 keys a page of four integers holds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct KeyFilter([u64; FILTER_WORDS]);
 
 impl KeyFilter {
@@ -180,12 +190,12 @@ impl KeyFilter {
     }
 }
 
-/// What the index knows of one heap page: min/max of its records' `ts`,
-/// `te` and key (`(min, max)` pairs), and the key filter. A record with a
-/// NULL or non-integer bound *poisons* the time side, one with a NULL key
-/// (or any record of a table without a key column) the key side: a
-/// poisoned side admits every bound. An empty summary (`min > max`)
-/// admits nothing — it describes no record.
+/// The zone map of one heap page: min/max of its records' `ts`, `te` and
+/// key (`(min, max)` pairs). A record with a NULL or non-integer bound
+/// *poisons* the time side, one with a NULL key (or any record of a table
+/// without a key column) the key side: a poisoned side admits every
+/// bound, and every key whatever the page's key filter says. An empty
+/// summary (`min > max`) admits nothing — it describes no record.
 #[derive(Debug, Clone, Copy)]
 struct PageSummary {
     ts: (i64, i64),
@@ -193,7 +203,6 @@ struct PageSummary {
     key: (i64, i64),
     time_poisoned: bool,
     key_poisoned: bool,
-    keys: KeyFilter,
 }
 
 impl PageSummary {
@@ -203,7 +212,6 @@ impl PageSummary {
         key: (i64::MAX, i64::MIN),
         time_poisoned: false,
         key_poisoned: false,
-        keys: KeyFilter([0; FILTER_WORDS]),
     };
 
     /// What stands for a page no record reached: it admits everything.
@@ -222,10 +230,7 @@ impl PageSummary {
             None => self.time_poisoned = true,
         }
         match key {
-            Some(key) => {
-                widen(&mut self.key, (key, key));
-                self.keys.add(key);
-            }
+            Some(key) => widen(&mut self.key, (key, key)),
             None => self.key_poisoned = true,
         }
     }
@@ -236,7 +241,6 @@ impl PageSummary {
         widen(&mut self.key, other.key);
         self.time_poisoned |= other.time_poisoned;
         self.key_poisoned |= other.key_poisoned;
-        self.keys.union(&other.keys);
     }
 
     /// Could a record on the page satisfy `b`, by the min/max alone?
@@ -251,11 +255,6 @@ impl PageSummary {
                 && b.key_ge.is_none_or(|v| self.key.1 >= v));
         time && key
     }
-
-    /// Could the page hold key `key`, by the filter?
-    fn may_hold(&self, key: i64) -> bool {
-        self.key_poisoned || self.keys.may_hold(key)
-    }
 }
 
 /// Widen the `(min, max)` range `into` to cover `(lo, hi)`.
@@ -264,12 +263,16 @@ fn widen(into: &mut (i64, i64), (lo, hi): (i64, i64)) {
     into.1 = into.1.max(hi);
 }
 
-/// A built index: the interval entries and the page summaries.
+/// A built index: the interval entries, the page summaries and the key
+/// filters.
 #[derive(Debug)]
 struct Built {
     intervals: Entries,
     /// `pages[p]` summarizes heap page `p`.
     pages: Vec<PageSummary>,
+    /// `filters[p]` holds the keys of heap page `p`; empty for a table
+    /// without a key column.
+    filters: Vec<KeyFilter>,
 }
 
 impl Built {
@@ -277,17 +280,18 @@ impl Built {
         let mut built = Built {
             intervals: Entries::new(rows.intervals),
             pages: Vec::new(),
+            filters: Vec::new(),
         };
-        built.add_pages(&rows.pages);
+        built.add_pages(&rows.pages, &rows.filters);
         built
     }
 
     fn insert(&mut self, rows: IndexRows) {
         self.intervals.insert(rows.intervals);
-        self.add_pages(&rows.pages);
+        self.add_pages(&rows.pages, &rows.filters);
     }
 
-    fn add_pages(&mut self, pages: &[(PageId, PageSummary)]) {
+    fn add_pages(&mut self, pages: &[(PageId, PageSummary)], filters: &[(PageId, KeyFilter)]) {
         for (page, summary) in pages {
             let page = *page as usize;
             if page < self.pages.len() {
@@ -297,6 +301,21 @@ impl Built {
                 self.pages.push(*summary);
             }
         }
+        for (page, filter) in filters {
+            let page = *page as usize;
+            if self.filters.len() <= page {
+                self.filters.resize(page + 1, KeyFilter::default());
+            }
+            self.filters[page].union(filter);
+        }
+    }
+
+    /// Could heap page `page` hold key `key`, by its summary and filter?
+    /// A page neither covers admits every key.
+    fn may_hold(&self, page: PageId, key: i64) -> bool {
+        let page = page as usize;
+        self.pages.get(page).is_none_or(|s| s.key_poisoned)
+            || self.filters.get(page).is_none_or(|f| f.may_hold(key))
     }
 
     /// Keep the pages of `pages` whose summary admits `bounds` (a page
@@ -312,7 +331,7 @@ impl Built {
             if !summary.zone_admits(bounds) {
                 return false;
             }
-            let kept = pinned.is_none_or(|k| summary.may_hold(k));
+            let kept = pinned.is_none_or(|k| self.may_hold(p, k));
             key_filtered += u64::from(!kept);
             kept
         });
@@ -528,7 +547,7 @@ mod tests {
     fn rows(intervals: Vec<IndexEntry>) -> IndexRows {
         IndexRows {
             intervals,
-            pages: Vec::new(),
+            ..IndexRows::default()
         }
     }
 
@@ -867,17 +886,17 @@ mod tests {
         let keys = keyed_rows(200);
         let idx = IntervalIndex::new(keyed(&keys));
         let built = idx.read();
-        let pages = &built.as_ref().expect("built").pages;
+        let built = built.as_ref().expect("built");
         // Keys outside the drawn domain are on no page; only the poisoned
-        // page 7's filter must admit them. (The filters alone: the key
-        // min/max would reject most of these keys by itself.)
+        // page 7 must admit them. (The filters alone: the key min/max
+        // would reject most of these keys by itself.)
         let (mut admitted, mut probes) = (0, 0);
         for key in (1i64 << 40..).take(500) {
-            for (page, summary) in pages.iter().enumerate() {
+            for page in 0..200 {
                 if page == 7 {
-                    assert!(summary.may_hold(key));
+                    assert!(built.may_hold(page, key));
                 } else {
-                    admitted += usize::from(summary.may_hold(key));
+                    admitted += usize::from(built.may_hold(page, key));
                     probes += 1;
                 }
             }
@@ -966,6 +985,18 @@ mod tests {
             }
         )
         .is_empty());
+    }
+
+    #[test]
+    fn a_table_without_keys_holds_no_key_filters() {
+        let mut rows = IndexRows::default();
+        rows.add(0, Some((1, 5)), None);
+        rows.add(3, Some((2, 6)), None);
+        let idx = IntervalIndex::new(rows);
+        assert!(idx.read().as_ref().expect("built").filters.is_empty());
+        assert_eq!(admitted(&idx, 4, key_is(9)), [0, 1, 2, 3]);
+        assert_eq!(admitted(&idx, 4, ZoneBounds::as_of(5)), [1, 2, 3]);
+        assert_eq!(admitted(&idx, 4, ZoneBounds::as_of(6)), [1, 2]);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   physical shape of one table;
 //! * [`index::IntervalIndex`] — what prunes a temporal table's pages, in
 //!   memory only: its interval entries and, per heap page, a zone map
-//!   (min/max of `ts`, `te` and the key) and a key filter, checked against
-//!   a scan's [`ZoneBounds`] under one read lock;
+//!   (min/max of `ts`, `te` and the key) and — for a table with a key
+//!   column — a key filter, checked against a scan's [`ZoneBounds`] under
+//!   one read lock;
 //! * [`manifest::Manifest`] — the `manifest.tsv` catalog-metadata file of
 //!   a database directory (table name → heap file, schema fingerprint,
 //!   opaque schema string);

@@ -172,13 +172,12 @@ pub enum WalRecord {
 
 const TAG_TABLE_UPSERT: u8 = 1;
 const TAG_TABLE_DROP: u8 = 2;
-/// A heap append as logs written while pages carried zone maps hold it:
-/// a zone field (flag 0, 1 or 2, then 0, 16 or 24 bytes) before the
-/// record. Replay reads past the field.
-const TAG_HEAP_APPEND_ZONED: u8 = 3;
+/// A heap append carries a zone flag byte before the record: 0 here.
+/// Logs written while pages carried zone maps also hold flag 1 or 2 with
+/// 16 or 24 bytes of zone after it; replay reads past them.
+const TAG_HEAP_APPEND: u8 = 3;
 const TAG_HEAP_PAGE_IMAGE: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
-const TAG_HEAP_APPEND: u8 = 6;
 
 fn put_str(out: &mut Vec<u8>, s: &str) -> StoreResult<()> {
     let len = u16::try_from(s.len()).map_err(|_| {
@@ -276,6 +275,7 @@ impl WalRecord {
                 put_str(&mut out, table)?;
                 out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.extend_from_slice(&page.to_le_bytes());
+                out.push(0);
                 out.extend_from_slice(&(record.len() as u32).to_le_bytes());
                 out.extend_from_slice(record);
             }
@@ -333,23 +333,21 @@ impl WalRecord {
                 }
             }
             TAG_TABLE_DROP => WalRecord::TableDrop { name: c.str()? },
-            tag @ (TAG_HEAP_APPEND | TAG_HEAP_APPEND_ZONED) => {
+            TAG_HEAP_APPEND => {
                 let table = c.str()?;
                 let fingerprint = c.u64()?;
                 let page = c.u32()?;
-                if tag == TAG_HEAP_APPEND_ZONED {
-                    let width = match c.u8()? {
-                        0 => 0,
-                        1 => 16,
-                        2 => 24,
-                        f => {
-                            return Err(StoreError::Corrupt(format!(
-                                "WAL heap-append has bad zone flag {f}"
-                            )))
-                        }
-                    };
-                    c.take(width)?;
-                }
+                let width = match c.u8()? {
+                    0 => 0,
+                    1 => 16,
+                    2 => 24,
+                    f => {
+                        return Err(StoreError::Corrupt(format!(
+                            "WAL heap-append has bad zone flag {f}"
+                        )))
+                    }
+                };
+                c.take(width)?;
                 let len = c.u32()? as usize;
                 let record = c.take(len)?.to_vec();
                 WalRecord::HeapAppend {
@@ -964,20 +962,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A log written while heap pages carried zone maps logs each append
-    /// under the old tag with a zone field before the record: none (flag
-    /// 0), `ts, te` (flag 1) or `ts, te, key` (flag 2). Each replays as
-    /// the same append with the field ignored; a flag that format never
-    /// wrote is still corruption.
+    /// A log written while heap pages carried zone maps holds a zone after
+    /// the append's flag byte: none (flag 0), `ts, te` (flag 1) or
+    /// `ts, te, key` (flag 2). Each replays as the same append with the
+    /// zone ignored; a flag that format never wrote is still corruption.
     #[test]
     fn a_log_with_zone_fields_replays_every_record() {
         let append = sample_records()[2].clone();
         let plain = append.encode().unwrap();
-        // Tag, table ("r"), fingerprint and page: 1 + 3 + 8 + 4 bytes.
+        // Tag, table ("r"), fingerprint and page: 1 + 3 + 8 + 4 bytes,
+        // then the flag byte this build writes as 0.
         let (head, tail) = plain.split_at(16);
+        assert_eq!(tail[0], 0);
+        let tail = &tail[1..];
         for (flag, width) in [(0u8, 0usize), (1, 16), (2, 24)] {
             let mut zoned = head.to_vec();
-            zoned[0] = TAG_HEAP_APPEND_ZONED;
             zoned.push(flag);
             zoned.extend(std::iter::repeat_n(0x5a, width));
             zoned.extend_from_slice(tail);
