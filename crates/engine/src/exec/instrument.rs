@@ -48,9 +48,8 @@ pub struct OperatorStats {
     /// Of `pages_skipped`, the pages only the key filter dropped: their
     /// zone maps admitted a pinned key the filter proves absent.
     pub key_filtered: AtomicU64,
-    /// Tuples on the pages read that the scan looked at — `rows` of them
-    /// survived its record-level bounds (storage scans only). Summed from
-    /// the page headers, once per page.
+    /// Tuples in the slot ranges read that the scan looked at — `rows`
+    /// of them survived its record-level bounds (storage scans only).
     pub tuples_checked: AtomicU64,
     /// Right-side candidates this join's left rows were tested against —
     /// per left row, the length of its (range-narrowed) bucket slice in a
@@ -60,7 +59,7 @@ pub struct OperatorStats {
 }
 
 impl OperatorStats {
-    /// One page read, holding `tuples` visible tuples.
+    /// One page read, `tuples` of its tuples looked at.
     pub fn note_page_read(&self, tuples: u64) {
         self.pages_read.fetch_add(1, Ordering::Relaxed);
         self.tuples_checked.fetch_add(tuples, Ordering::Relaxed);

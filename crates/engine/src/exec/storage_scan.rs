@@ -8,34 +8,40 @@
 //! buffer pool holds are in memory, so a table larger than the pool (or
 //! than RAM) scans in constant space.
 //!
-//! A pruned scan also carries the [`ZoneBounds`] that selected its pages
+//! Every page is read as slot ranges clipped to the statement snapshot,
+//! under one pin: a full scan or a zone sweep reads each page whole
+//! ([`ALL_SLOTS`]), an index scan only the ranges its probe named — the
+//! slots of the entries that matched, so on a page holding ten matches of
+//! a hundred records it walks the few dozen slots around them, not the
+//! hundred.
+//!
+//! A pruned scan also carries the [`ZoneBounds`] that selected its slots
 //! and applies them once more per record, on the encoded bytes, before
-//! the record is decoded (see [`RecordBounds`]): on a page that survived
-//! pruning typically a few records of a hundred match. The bounds only
-//! ever over-approximate the `Filter` the planner keeps above the scan,
-//! so what the scan drops the filter would have dropped.
+//! the record is decoded (see [`RecordBounds`]). The bounds only ever
+//! over-approximate the `Filter` the planner keeps above the scan, so
+//! what the scan drops the filter would have dropped.
 
 use std::sync::Arc;
 
-use temporal_store::HeapSnapshot;
+use temporal_store::{HeapSnapshot, PageId};
 
 use crate::batch::{BatchBuilder, RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::instrument::OperatorStats;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::schema::Schema;
-use crate::storage::{RecordBounds, StoredTable, ZoneBounds};
+use crate::storage::{RecordBounds, SlotRange, StoredTable, ZoneBounds, ALL_SLOTS};
 
 /// Scans a [`StoredTable`] page by page. The page set is either the
-/// whole heap or an explicit list of surviving pages handed down by the
-/// pruning access paths.
+/// whole heap or an explicit list of surviving slot ranges handed down by
+/// the pruning access paths.
 pub struct StorageScanExec {
     table: Arc<StoredTable>,
-    /// When `Some`, `next_page..end_page` index into this list instead of
-    /// being page numbers themselves.
-    pages: Option<Arc<Vec<u32>>>,
-    next_page: u32,
-    end_page: u32,
+    /// When `Some`, `next..end` index into this list instead of being
+    /// page numbers themselves.
+    pages: Option<Arc<Vec<SlotRange>>>,
+    next: usize,
+    end: usize,
     /// Record-level form of the pruning bounds, when the scan has any.
     bounds: Option<RecordBounds>,
     /// The statement snapshot this scan is clamped to, resolved from the
@@ -54,22 +60,23 @@ impl StorageScanExec {
     /// Scan every page of the heap.
     pub fn new(table: Arc<StoredTable>) -> Self {
         StorageScanExec {
-            end_page: table.page_count(),
+            end: table.page_count() as usize,
             table,
             pages: None,
-            next_page: 0,
+            next: 0,
             bounds: None,
             snapshot: None,
             ledger: None,
         }
     }
 
-    /// Scan only the listed pages, in list order — a pruned scan, where
-    /// `pages` is the surviving page set resolved by a zone-map sweep or an
-    /// interval-index probe.
-    pub fn with_page_list(table: Arc<StoredTable>, pages: Arc<Vec<u32>>) -> Self {
+    /// Scan only the listed slot ranges, in list order — a pruned scan,
+    /// where `pages` is what survived a zone-map sweep (whole pages) or
+    /// an interval-index probe. The list must be ascending by page, and a
+    /// page's ranges disjoint, or a record decodes twice.
+    pub fn with_page_list(table: Arc<StoredTable>, pages: Arc<Vec<SlotRange>>) -> Self {
         StorageScanExec {
-            end_page: pages.len() as u32,
+            end: pages.len(),
             pages: Some(pages),
             ..Self::new(table)
         }
@@ -98,29 +105,41 @@ impl ExecNode for StorageScanExec {
     /// Decode pages until the batch holds at least [`BATCH_SIZE`] rows or
     /// the page set is exhausted, so batches are whole pages' worth of
     /// survivors: up to one page past `BATCH_SIZE`, handed over without
-    /// another copy. Every decode is clamped to the statement snapshot
-    /// (shared by every scan of the table in the query via
-    /// [`ExecutionState::snapshot_for`]): fully-visible pages decode
-    /// whole, the snapshot's tail page decodes as a tuple prefix, and
-    /// pages appended after the snapshot are skipped entirely.
+    /// another copy. A page's ranges decode under one pin, each clamped
+    /// to the statement snapshot (shared by every scan of the table in
+    /// the query via [`ExecutionState::snapshot_for`]): on fully-visible
+    /// pages as they are, on the snapshot's tail page up to the
+    /// watermark, and on pages appended after the snapshot not at all.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let snap = *self
             .snapshot
             .get_or_insert_with(|| state.snapshot_for(&self.table));
         let mut out = BatchBuilder::new(self.table.schema().len());
-        while out.len() < BATCH_SIZE && self.next_page < self.end_page {
-            let page_no = match &self.pages {
-                Some(list) => list[self.next_page as usize],
-                None => self.next_page,
+        while out.len() < BATCH_SIZE && self.next < self.end {
+            let whole = [(self.next as PageId, ALL_SLOTS)];
+            let ranges = match &self.pages {
+                Some(list) => {
+                    let rest = &list[self.next..self.end];
+                    &rest[..rest.partition_point(|(p, _)| *p == rest[0].0)]
+                }
+                None => &whole[..],
             };
-            self.next_page += 1;
-            let visible = snap.visible_tuples(page_no);
-            if visible == Some(0) {
+            self.next += ranges.len();
+            let page_no = ranges[0].0;
+            let visible = |(_, slots): &SlotRange| snap.visible_slots(page_no, slots.clone());
+            if ranges
+                .iter()
+                .map(visible)
+                .all(|slots| slots.start == slots.end)
+            {
                 continue;
             }
-            let tuples =
-                self.table
-                    .decode_page(page_no, visible, self.bounds.as_ref(), &mut out)?;
+            let tuples = self.table.decode_page(
+                page_no,
+                ranges.iter().map(visible),
+                self.bounds.as_ref(),
+                &mut out,
+            )?;
             if let Some(ledger) = &self.ledger {
                 ledger.note_page_read(tuples as u64);
             }
@@ -139,6 +158,7 @@ mod tests {
     use crate::schema::{Column, DataType};
     use crate::tuple::Row;
     use crate::value::Value;
+    use temporal_store::SlotId;
 
     fn stored(name: &str, n: i64, pool: usize) -> Arc<StoredTable> {
         let dir = std::env::temp_dir().join("talign_engine_scan_tests");
@@ -184,7 +204,8 @@ mod tests {
         let t = stored("pagelist.heap", 4000, 4);
         let pages = t.page_count();
         assert!(pages >= 4);
-        let list: Arc<Vec<u32>> = Arc::new((0..pages).step_by(2).collect());
+        let list: Arc<Vec<SlotRange>> =
+            Arc::new((0..pages).step_by(2).map(|p| (p, ALL_SLOTS)).collect());
         let ledger = Arc::new(OperatorStats::default());
         let out = collect(
             Box::new(
@@ -212,6 +233,40 @@ mod tests {
             })
             .collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_page_listed_in_several_ranges_is_read_once() {
+        let t = stored("ranges.heap", 1000, 4);
+        let held = |page| {
+            t.decode_page(page, [ALL_SLOTS], None, &mut BatchBuilder::new(2))
+                .unwrap() as i64
+        };
+        let (p0, p1) = (held(0), held(1));
+        let list = vec![(0, 0..3), (0, 5..7), (1, 1..2), (1, 4..SlotId::MAX)];
+        let ledger = Arc::new(OperatorStats::default());
+        let out = collect(
+            Box::new(
+                StorageScanExec::with_page_list(t.clone(), Arc::new(list))
+                    .with_ledger(ledger.clone()),
+            ) as BoxedExec,
+            &ExecutionState::default(),
+        )
+        .unwrap();
+        let ids: Vec<i64> = out
+            .rows()
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(i) => i,
+                _ => unreachable!(),
+            })
+            .collect();
+        let mut want = vec![0, 1, 2, 5, 6, p0 + 1];
+        want.extend(p0 + 4..p0 + p1);
+        assert_eq!(ids, want);
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(load(&ledger.pages_read), 2);
+        assert_eq!(load(&ledger.tuples_checked), want.len() as u64);
     }
 
     #[test]

@@ -19,13 +19,13 @@ use crate::plan::logical::ExtensionNode;
 use crate::plan::{JoinType, SetOpKind};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::storage::{StoredTable, ZoneBounds};
+use crate::storage::{SlotRange, StoredTable, ZoneBounds, ALL_SLOTS};
 
-/// A pruned-scan resolution: the sorted list of heap pages that survived
-/// zone-map / interval-index / key-filter pruning, the bounds that
-/// selected them — which the scan applies once more, per record — and how
-/// many pages the key filter alone dropped.
-type PrunedScan = (Vec<u32>, ZoneBounds, u64);
+/// A pruned-scan resolution: the slot ranges, ascending by page, that
+/// survived zone-map / interval-index / key-filter pruning, the bounds
+/// that selected them — which the scan applies once more, per record —
+/// and how many pages the key filter alone dropped.
+type PrunedScan = (Vec<SlotRange>, ZoneBounds, u64);
 
 /// A physical (executable) plan.
 #[derive(Debug, Clone)]
@@ -280,14 +280,19 @@ impl PhysicalPlan {
             None
         };
         // Without an index probe, the candidates are every page the
-        // snapshot sees: a zone sweep, or a full scan when zone maps are
-        // off too.
+        // snapshot sees, whole: a zone sweep, or a full scan when zone
+        // maps are off too.
         let mut pages = match probed {
             Some(mut pages) => {
-                pages.retain(|&p| snap.sees_page(p));
+                pages.retain_mut(|(p, slots)| {
+                    *slots = snap.visible_slots(*p, slots.clone());
+                    slots.start < slots.end
+                });
                 pages
             }
-            None if config.enable_zonemaps => (0..snap.visible_pages()).collect(),
+            None if config.enable_zonemaps => {
+                (0..snap.visible_pages()).map(|p| (p, ALL_SLOTS)).collect()
+            }
             None => return Ok(None),
         };
         // The index knows only ts/te; the zone maps and key filters also
@@ -311,9 +316,10 @@ impl PhysicalPlan {
                         // or skipped, as on a full scan, which reads them
                         // all.
                         if let Some(ins) = state.instrumentation() {
-                            let seen = state.snapshot_for(table).visible_pages();
+                            let seen = state.snapshot_for(table).visible_pages() as usize;
+                            let read = pages.chunk_by(|a, b| a.0 == b.0).count();
                             ins.op(self.node_key())
-                                .note_pages_skipped(seen as u64 - pages.len() as u64, key_filtered);
+                                .note_pages_skipped((seen - read) as u64, key_filtered);
                         }
                         let scan = StorageScanExec::with_page_list(table.clone(), Arc::new(pages));
                         self.boxed_scan(scan.with_bounds(&bounds), state)

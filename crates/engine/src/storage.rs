@@ -9,10 +9,11 @@
 //! [`crate::exec::StorageScanExec`], which decodes pages straight into
 //! [`crate::batch::RowBatch`]es without ever materializing the table.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use temporal_store::{HeapSnapshot, IndexRows, Page, PageId, TableHeap};
+use temporal_store::{HeapSnapshot, IndexRows, Page, PageId, SlotId, TableHeap};
 
 use crate::batch::{BatchBuilder, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
@@ -26,8 +27,8 @@ use crate::value::Value;
 pub const HEAP_EXT: &str = "heap";
 
 pub use temporal_store::{
-    IntervalIndex, Manifest, PoolStats, SyncMode, TableMeta, Wal, WalRecord, WalStats, ZoneBounds,
-    DEFAULT_POOL_PAGES as DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
+    IntervalIndex, Manifest, PoolStats, SlotRange, SyncMode, TableMeta, Wal, WalRecord, WalStats,
+    ZoneBounds, ALL_SLOTS, DEFAULT_POOL_PAGES as DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
 };
 
 /// The `(ts, te)` column positions when `schema` has the temporal shape —
@@ -417,27 +418,25 @@ impl StoredTable {
         }
         let mut buf = Vec::with_capacity(64);
         encode_row(row, &mut buf);
-        let page = self.heap.append(&buf)?;
+        let (page, slot) = self.heap.append(&buf)?;
         if self.temporal.is_some() {
-            self.index_row(row.values(), page, indexed);
+            self.index_row(row.values(), page, slot, indexed);
         }
         Ok(page)
     }
 
-    /// Note in `indexed` what the index learns of a row on heap page
-    /// `page`. A row with a NULL (or non-Int) temporal attribute is left
-    /// out of the interval entries and poisons its page's time zone: the
-    /// canonical temporal range conjuncts evaluate to false on it, so no
-    /// pruning can lose it. A NULL key poisons the page's key zone and
-    /// filter.
-    fn index_row(&self, values: &[Value], page: PageId, indexed: &mut IndexRows) {
+    /// Note in `indexed` what the index learns of the row in slot `slot`
+    /// of heap page `page`. A NULL (or non-Int) temporal attribute
+    /// poisons the page's time zone, and the row's index entry admits
+    /// every bound on that side, so a bound on the other side alone still
+    /// finds it. A NULL key poisons the page's key zone and filter.
+    fn index_row(&self, values: &[Value], page: PageId, slot: SlotId, indexed: &mut IndexRows) {
         let int = |col: usize| match values[col] {
             Value::Int(v) => Some(v),
             _ => None,
         };
         let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
-        let interval = int(tsi).zip(int(tei));
-        indexed.add(page, interval, self.key_col.and_then(int));
+        indexed.add(page, slot, int(tsi), int(tei), self.key_col.and_then(int));
     }
 
     /// Append rows (each arity-checked against the table schema),
@@ -466,16 +465,21 @@ impl StoredTable {
         appended.map(|()| last)
     }
 
-    /// Drop from `pages` every page on which no record can satisfy
-    /// `bounds` — the one admission check of both pruned scans: the
-    /// page's zone map and, when the bounds pin the key (`key_ge ==
-    /// key_le`), its key filter (see [`IntervalIndex::admit`]). A table
-    /// that is not temporal keeps every page. Returns how many pages the
-    /// key filter alone dropped. The first check on an opened or
-    /// recovered table builds its index from a heap scan.
-    pub fn admit_pages(&self, pages: &mut Vec<PageId>, bounds: &ZoneBounds) -> EngineResult<u64> {
+    /// Drop from `slots` — ascending by page — the ranges of every page
+    /// on which no record can satisfy `bounds` — the one admission check
+    /// of both pruned scans: the page's zone map and, when the bounds pin
+    /// the key (`key_ge == key_le`), its key filter (see
+    /// [`IntervalIndex::admit`]). A table that is not temporal keeps
+    /// every page. Returns how many pages the key filter alone dropped.
+    /// The first check on an opened or recovered table builds its index
+    /// from a heap scan.
+    pub fn admit_pages(
+        &self,
+        slots: &mut Vec<SlotRange>,
+        bounds: &ZoneBounds,
+    ) -> EngineResult<u64> {
         match &self.index {
-            Some(index) => index.admit(pages, bounds, || self.index_rows()),
+            Some(index) => index.admit(slots, bounds, || self.index_rows()),
             None => Ok(0),
         }
     }
@@ -515,15 +519,15 @@ impl StoredTable {
         self.key_col
     }
 
-    /// The heap pages that may hold a record with `ts <= ts_le` and
-    /// `te > te_gt` (see [`IntervalIndex::probe`]); `None` for a table
-    /// that is not temporal. The first probe of an opened or recovered
-    /// table builds its index from a heap scan.
+    /// The slot ranges that may hold a record with `ts <= ts_le` and
+    /// `te > te_gt`, ascending by page (see [`IntervalIndex::probe`]);
+    /// `None` for a table that is not temporal. The first probe of an
+    /// opened or recovered table builds its index from a heap scan.
     pub fn probe_index(
         &self,
         ts_le: Option<i64>,
         te_gt: Option<i64>,
-    ) -> EngineResult<Option<Vec<PageId>>> {
+    ) -> EngineResult<Option<Vec<SlotRange>>> {
         let Some(index) = &self.index else {
             return Ok(None);
         };
@@ -536,11 +540,11 @@ impl StoredTable {
         let mut indexed = IndexRows::default();
         for page_no in 0..self.page_count() {
             self.heap.with_page(page_no, |page| {
-                for rec in page.records() {
+                for (slot, rec) in (0..).zip(page.records()) {
                     let row = decode_row(rec?, arity).map_err(|e| {
                         temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
                     })?;
-                    self.index_row(row.values(), page_no, &mut indexed);
+                    self.index_row(row.values(), page_no, slot, &mut indexed);
                 }
                 Ok(())
             })?;
@@ -548,33 +552,39 @@ impl StoredTable {
         Ok(indexed)
     }
 
-    /// Decode heap page `page_no` into `out` (one pinned page; the pin is
-    /// released before returning) and return how many tuples were looked
-    /// at. `visible` caps the slots considered — the partially visible
-    /// tail page of a [`HeapSnapshot`]: records appended past the
-    /// snapshot's watermark land after the prefix, so truncating the slot
+    /// Decode the slot ranges `slots` of heap page `page_no` — the slots
+    /// of them the page holds, range by range — into `out` (one pinned
+    /// page; the pin is released before returning) and return how many
+    /// tuples were looked at. A whole page is `0..`[`SlotId::MAX`]
+    /// ([`ALL_SLOTS`]); a scan clips each range to its [`HeapSnapshot`]
+    /// first (see [`HeapSnapshot::visible_slots`]): records appended past
+    /// the snapshot's watermark land after the prefix, so truncating the
     /// range is exactly the snapshot's visibility rule. With `bounds`,
     /// records that cannot satisfy them are skipped *before* decoding.
     pub fn decode_page(
         &self,
         page_no: u32,
-        visible: Option<u16>,
+        slots: impl IntoIterator<Item = Range<SlotId>>,
         bounds: Option<&RecordBounds>,
         out: &mut BatchBuilder,
     ) -> EngineResult<usize> {
         self.heap
             .with_page(page_no, |page: &Page| {
-                let tuples = visible.map_or(page.tuple_count(), |v| v.min(page.tuple_count()));
-                for slot in 0..tuples {
-                    let rec = page.record(slot)?;
-                    if bounds.is_some_and(|b| !b.may_match(rec)) {
-                        continue;
+                let mut tuples = 0;
+                for slots in slots {
+                    let slots = slots.start..slots.end.min(page.tuple_count());
+                    tuples += slots.len();
+                    for slot in slots {
+                        let rec = page.record(slot)?;
+                        if bounds.is_some_and(|b| !b.may_match(rec)) {
+                            continue;
+                        }
+                        decode_into(rec, out.columns_mut()).map_err(|e| {
+                            temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
+                        })?;
                     }
-                    decode_into(rec, out.columns_mut()).map_err(|e| {
-                        temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
-                    })?;
                 }
-                Ok(tuples as usize)
+                Ok(tuples)
             })
             .map_err(EngineError::from)
     }
@@ -585,7 +595,7 @@ impl StoredTable {
     pub fn read_all(&self) -> EngineResult<Relation> {
         let mut out = BatchBuilder::new(self.schema.len());
         for page_no in 0..self.page_count() {
-            self.decode_page(page_no, None, None, &mut out)?;
+            self.decode_page(page_no, [ALL_SLOTS], None, &mut out)?;
         }
         Relation::from_batches(self.schema.clone(), vec![out.finish(self.schema.clone())])
     }
@@ -718,53 +728,129 @@ mod tests {
         p
     }
 
+    /// `table AS OF v` through an index scan under `state`.
+    fn index_as_of(
+        table: &Arc<StoredTable>,
+        v: i64,
+        state: &crate::exec::ExecutionState,
+    ) -> Relation {
+        let scan = crate::plan::PhysicalPlan::IndexScan {
+            table: table.clone(),
+            label: "t".into(),
+            bounds: ZoneBounds::as_of(v),
+        };
+        scan.collect(state).unwrap()
+    }
+
     /// An opened table builds its index on the first probe, from a heap
     /// scan, while an appender keeps adding rows. Rows reach the heap
     /// before their appender takes the index lock, so a probe must find
-    /// the page of every row appended before it began, whichever of the
-    /// build and the append takes the lock first.
+    /// every row appended before it began, whichever of the build and the
+    /// append takes the lock first — and a row both index, which the
+    /// probe then holds twice, must still come back once.
     #[test]
     fn the_first_probe_builds_the_index_without_losing_a_racing_append() {
+        use crate::exec::ExecutionState;
+        use crate::plan::{PhysicalPlan, PlannerConfig};
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
 
         let path = tmp("lazy_race.heap");
+        // Row `i` is valid at `i` only, so `AS OF i` matches it alone.
+        let label = |i: i64| if i < 1_000 { "a" } else { "b" };
+        let nth = |i: i64| row(label(i), 0.0, true, i, i + 1);
         for round in 0..8 {
-            // Row `i` is valid at `i` only, so `AS OF i` matches it alone.
-            let mut pages = Vec::new();
             {
                 let t = StoredTable::create(&path, "t", schema(), 8).unwrap();
                 for i in 0..1_000 {
-                    pages.push(t.append_row(&row("a", 0.0, true, i, i + 1)).unwrap());
+                    t.append_row(&nth(i)).unwrap();
                 }
                 t.flush().unwrap();
             }
-            let t = StoredTable::open(&path, "t", schema(), 8).unwrap();
-            let pages = Mutex::new(pages);
+            let t = Arc::new(StoredTable::open(&path, "t", schema(), 8).unwrap());
             let appended = AtomicUsize::new(1_000);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     for i in 1_000..1_300 {
-                        let page = t.append_row(&row("b", 0.0, true, i, i + 1)).unwrap();
-                        pages.lock().unwrap().push(page);
+                        t.append_row(&nth(i)).unwrap();
                         appended.fetch_add(1, Ordering::Release);
                     }
                 });
                 loop {
                     let before = appended.load(Ordering::Acquire);
                     let v = before as i64 - 1;
-                    let got = t.probe_index(Some(v), Some(v)).unwrap().unwrap();
-                    let want = pages.lock().unwrap()[v as usize];
-                    assert!(
-                        got.contains(&want),
-                        "round {round}: AS OF {v} missed page {want}: {got:?}"
-                    );
+                    let state = ExecutionState::new(PlannerConfig::default());
+                    let got = index_as_of(&t, v, &state);
+                    assert_eq!(got.rows(), [nth(v)], "round {round}: AS OF {v}");
                     if before == 1_300 {
                         break;
                     }
                 }
             });
+            // Every row live after -1: each once, in heap order.
+            let all = PhysicalPlan::IndexScan {
+                table: t.clone(),
+                label: "t".into(),
+                bounds: ZoneBounds {
+                    te_gt: Some(-1),
+                    ..ZoneBounds::default()
+                },
+            };
+            let all = all
+                .collect(&ExecutionState::new(PlannerConfig::default()))
+                .unwrap();
+            let want: Vec<Row> = (0..1_300).map(nth).collect();
+            assert_eq!(all.rows(), &want[..], "round {round}");
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A probe that runs after the statement snapshot also names slots
+    /// appended since; the scan reads only the slots the snapshot sees,
+    /// and a page none of whose named slots it sees counts as skipped.
+    #[test]
+    fn tail_page_ranges_are_clipped_to_the_snapshot() {
+        use crate::exec::ExecutionState;
+        use crate::plan::{PhysicalPlan, PlannerConfig};
+        use std::sync::atomic::Ordering;
+
+        let path = tmp("tail_clip.heap");
+        let t = Arc::new(StoredTable::create(&path, "t", schema(), 8).unwrap());
+        // Rows valid at 0 and at 5 take turns: AS OF 5 matches the odd
+        // slots of every page.
+        let nth = |i: i64| row("r", 0.0, true, 5 * (i % 2), 5 * (i % 2) + 1);
+        for i in 0..300 {
+            t.append_row(&nth(i)).unwrap();
+        }
+        // The tail page's last visible row is valid at 0; the rows that
+        // follow it past the snapshot are valid at 7.
+        t.append_row(&nth(0)).unwrap();
+        let state = ExecutionState::new(PlannerConfig::default()).with_instrumentation();
+        let snap = state.snapshot_for(&t);
+        for _ in 0..5 {
+            t.append_row(&row("late", 0.0, true, 7, 8)).unwrap();
+        }
+        assert_eq!(
+            t.page_count(),
+            snap.pages,
+            "the late rows share the tail page"
+        );
+        let got = index_as_of(&t, 5, &state);
+        assert_eq!(got.len(), 150);
+        let late = PhysicalPlan::IndexScan {
+            table: t.clone(),
+            label: "t".into(),
+            bounds: ZoneBounds::as_of(7),
+        };
+        let got = late.collect(&state).unwrap();
+        assert!(got.is_empty(), "AS OF 7 sees no late row: {:?}", got.rows());
+        let (_, _, op) = &late.operator_stats(&state)[0];
+        assert_eq!(op.pages_read.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            op.pages_skipped.load(Ordering::Relaxed),
+            u64::from(snap.visible_pages())
+        );
+        let fresh = ExecutionState::new(PlannerConfig::default());
+        assert_eq!(index_as_of(&t, 7, &fresh).len(), 5);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -797,8 +883,13 @@ mod tests {
                 let state = ExecutionState::new(PlannerConfig::default());
                 let snap = state.snapshot_for(&t);
                 let mut tail = BatchBuilder::new(3);
-                t.decode_page(snap.pages - 1, Some(snap.tail_tuples), None, &mut tail)
-                    .unwrap();
+                t.decode_page(
+                    snap.pages - 1,
+                    std::iter::once(0..snap.tail_tuples),
+                    None,
+                    &mut tail,
+                )
+                .unwrap();
                 let tail = Relation::from_batches(keyed.clone(), vec![tail.finish(keyed.clone())])
                     .unwrap();
                 let Value::Int(v) = tail.rows().last().expect("a visible row")[0] else {

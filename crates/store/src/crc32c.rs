@@ -8,6 +8,13 @@
 //! feature detection), a safe slicing-by-8 table walk for every other
 //! machine, and the bytewise loop the on-disk formats were first written
 //! with, kept as the oracle the tests compare the other two against.
+//!
+//! The instruction takes three cycles to deliver its result but can start
+//! one every cycle, so one dependent chain runs it at a third of its
+//! throughput. The hardware path therefore runs three chains over
+//! consecutive `BLOCK`-byte blocks and joins them with `shift` — the
+//! CRC's linearity: the state after `a ++ b` is the state after `a`
+//! carried across `b.len()` zero bytes, xor the state of `b` from zero.
 
 /// Reflected Castagnoli polynomial (0x1EDC6F41 bit-reversed).
 const POLY: u32 = 0x82F6_3B78;
@@ -46,6 +53,56 @@ const fn build_tables() -> [[u32; 256]; 8] {
 }
 
 static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// Bytes each of the hardware path's three interleaved chains covers
+/// before they are joined: three blocks fill most of a page five times.
+const BLOCK: usize = 256;
+
+/// `SHIFT[k][b]` is the raw state reached from state `b << 8k` across
+/// [`BLOCK`] zero bytes. Carrying a state across zeros is linear in its
+/// bits, so it is the xor of the four bytes' entries (see [`shift`]).
+const fn build_shift_tables() -> [[u32; 256]; 4] {
+    // The image of every single bit, one zero bit at a time.
+    let mut bits = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut crc = 1u32 << i;
+        let mut n = 0;
+        while n < 8 * BLOCK {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            n += 1;
+        }
+        bits[i] = crc;
+        i += 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 1usize;
+        while b < 256 {
+            // `b` with its lowest set bit cleared, plus that bit's image.
+            let low = b.trailing_zeros() as usize;
+            tables[k][b] = tables[k][b & (b - 1)] ^ bits[8 * k + low];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+static SHIFT: [[u32; 256]; 4] = build_shift_tables();
+
+/// The raw state `c` carried across [`BLOCK`] zero bytes.
+fn shift(c: u32) -> u32 {
+    SHIFT[0][(c & 0xff) as usize]
+        ^ SHIFT[1][((c >> 8) & 0xff) as usize]
+        ^ SHIFT[2][((c >> 16) & 0xff) as usize]
+        ^ SHIFT[3][(c >> 24) as usize]
+}
 
 /// CRC-32C of `bytes`.
 pub fn crc32c(bytes: &[u8]) -> u32 {
@@ -96,6 +153,7 @@ fn sliced(mut c: u32, bytes: &[u8]) -> u32 {
 /// `append` over the raw state that must only run when `detected()` holds.
 #[cfg(target_arch = "x86_64")]
 mod hw {
+    use super::{shift, BLOCK};
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
     pub fn detected() -> bool {
@@ -105,11 +163,28 @@ mod hw {
     /// # Safety
     /// The CPU must support SSE4.2.
     #[target_feature(enable = "sse4.2")]
-    pub unsafe fn append(c: u32, bytes: &[u8]) -> u32 {
+    pub unsafe fn append(mut c: u32, bytes: &[u8]) -> u32 {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        let mut blocks = bytes.chunks_exact(3 * BLOCK);
+        for block in &mut blocks {
+            let (a, rest) = block.split_at(BLOCK);
+            let (b, d) = rest.split_at(BLOCK);
+            let (mut c0, mut c1, mut c2) = (u64::from(c), 0, 0);
+            for ((x, y), z) in a
+                .chunks_exact(8)
+                .zip(b.chunks_exact(8))
+                .zip(d.chunks_exact(8))
+            {
+                c0 = _mm_crc32_u64(c0, word(x));
+                c1 = _mm_crc32_u64(c1, word(y));
+                c2 = _mm_crc32_u64(c2, word(z));
+            }
+            c = shift(shift(c0 as u32) ^ c1 as u32) ^ c2 as u32;
+        }
+        let mut chunks = blocks.remainder().chunks_exact(8);
         let mut c = u64::from(c);
-        let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            c = _mm_crc32_u64(c, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+            c = _mm_crc32_u64(c, word(chunk));
         }
         let mut c = c as u32;
         for &b in chunks.remainder() {
@@ -121,6 +196,7 @@ mod hw {
 
 #[cfg(target_arch = "aarch64")]
 mod hw {
+    use super::{shift, BLOCK};
     use std::arch::aarch64::{__crc32cb, __crc32cd};
 
     pub fn detected() -> bool {
@@ -131,9 +207,26 @@ mod hw {
     /// The CPU must support the `crc` extension.
     #[target_feature(enable = "crc")]
     pub unsafe fn append(mut c: u32, bytes: &[u8]) -> u32 {
-        let mut chunks = bytes.chunks_exact(8);
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        let mut blocks = bytes.chunks_exact(3 * BLOCK);
+        for block in &mut blocks {
+            let (a, rest) = block.split_at(BLOCK);
+            let (b, d) = rest.split_at(BLOCK);
+            let (mut c0, mut c1, mut c2) = (c, 0, 0);
+            for ((x, y), z) in a
+                .chunks_exact(8)
+                .zip(b.chunks_exact(8))
+                .zip(d.chunks_exact(8))
+            {
+                c0 = __crc32cd(c0, word(x));
+                c1 = __crc32cd(c1, word(y));
+                c2 = __crc32cd(c2, word(z));
+            }
+            c = shift(shift(c0) ^ c1) ^ c2;
+        }
+        let mut chunks = blocks.remainder().chunks_exact(8);
         for chunk in &mut chunks {
-            c = __crc32cd(c, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+            c = __crc32cd(c, word(chunk));
         }
         for &b in chunks.remainder() {
             c = __crc32cb(c, b);
@@ -215,6 +308,53 @@ mod tests {
             assert_eq!(crc32c_append(crc32c(a), b), whole, "split {split}");
             assert_eq!(!sliced(sliced(!0, a), b), whole, "sliced split {split}");
         }
+    }
+
+    #[test]
+    fn the_shift_table_carries_a_state_across_a_block_of_zeros() {
+        let zeros = [0u8; BLOCK];
+        let mut s = 0x0123_4567_89AB_CDEFu64;
+        for _ in 0..1_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let c = s as u32;
+            assert_eq!(shift(c), bytewise(c, &zeros), "state {c:#010x}");
+        }
+    }
+
+    #[test]
+    fn every_path_agrees_around_block_boundaries() {
+        // Every length within 24 bytes of a multiple of the three chains'
+        // span, up to eight spans, from a non-zero running state and off
+        // the 8-byte grid.
+        let span = 3 * BLOCK;
+        let data = random_bytes(8 * span + 32, 0x2545_F491_4F6C_DD1D);
+        for k in 1..=8 {
+            for len in k * span - 24..=k * span + 24 {
+                for start in [0, 5] {
+                    let buf = &data[start..start + len];
+                    let want = reference(0xDEAD_BEEF, buf);
+                    assert_eq!(
+                        crc32c_append(0xDEAD_BEEF, buf),
+                        want,
+                        "len {len} at {start}"
+                    );
+                    assert_eq!(!sliced(!0xDEAD_BEEF, buf), want, "sliced, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_checksum_split_matches_the_whole_page() {
+        // `Page::compute_crc`: 76 header bytes, the CRC field as zeros,
+        // then the 4 016 bytes after it.
+        let mut page = random_bytes(4096, 0x5851_F42D_4C95_7F2D);
+        page[76..80].fill(0);
+        let split = crc32c_append(crc32c_append(crc32c(&page[..76]), &[0; 4]), &page[80..]);
+        assert_eq!(split, reference(0, &page));
+        assert_eq!(crc32c(&page), reference(0, &page));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Append-only heap files: ordered pages of variable-length records.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -7,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use crate::buffer::BufferPool;
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
-use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::page::{Page, PageId, SlotId, PAGE_SIZE};
 use crate::wal::{Wal, WalRecord};
 
 /// Where a logged heap sends its append records.
@@ -44,25 +45,20 @@ impl HeapSnapshot {
         rows: 0,
     };
 
-    /// How many tuples of `page` this snapshot exposes: `None` means the
-    /// whole page (it is frozen below the snapshot tail), `Some(k)` caps
-    /// decoding at the first `k` slots (`Some(0)` for pages past the
-    /// snapshot entirely).
-    pub fn visible_tuples(&self, page: PageId) -> Option<u16> {
-        match (page + 1).cmp(&self.pages) {
-            std::cmp::Ordering::Less => None,
-            std::cmp::Ordering::Equal => Some(self.tail_tuples),
-            std::cmp::Ordering::Greater => Some(0),
-        }
+    /// The part of slots `slots` of `page` this snapshot exposes: all of
+    /// them on a page below the tail (it is frozen), those under the
+    /// watermark on the tail page, none on a page past the snapshot.
+    pub fn visible_slots(&self, page: PageId, slots: Range<SlotId>) -> Range<SlotId> {
+        let end = match (page + 1).cmp(&self.pages) {
+            std::cmp::Ordering::Less => slots.end,
+            std::cmp::Ordering::Equal => slots.end.min(self.tail_tuples),
+            std::cmp::Ordering::Greater => 0,
+        };
+        slots.start.min(end)..end
     }
 
-    /// Does this snapshot expose any tuple of `page`?
-    pub fn sees_page(&self, page: PageId) -> bool {
-        page + 1 < self.pages || (page + 1 == self.pages && self.tail_tuples > 0)
-    }
-
-    /// How many pages this snapshot exposes a tuple of: the pages
-    /// `sees_page` admits, `0 .. visible_pages()`.
+    /// How many pages this snapshot exposes a tuple of: `0 ..
+    /// visible_pages()`.
     pub fn visible_pages(&self) -> u32 {
         self.pages - u32::from(self.pages > 0 && self.tail_tuples == 0)
     }
@@ -313,9 +309,9 @@ impl TableHeap {
     }
 
     /// Append one record, spilling into a fresh page when the tail page is
-    /// full. Returns the page that took the record — the heap position an
-    /// interval index entry points at.
-    pub fn append(&self, record: &[u8]) -> StoreResult<PageId> {
+    /// full. Returns the page and slot that took the record — the heap
+    /// position an interval index entry points at.
+    pub fn append(&self, record: &[u8]) -> StoreResult<(PageId, SlotId)> {
         let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(id) = *tail {
             let guard = self.pool.fetch(id)?;
@@ -329,24 +325,25 @@ impl TableHeap {
             };
             if fits {
                 let mut page = guard.write();
-                let inserted = page.insert(record)?;
-                debug_assert!(inserted.is_some(), "free-space check guaranteed fit");
+                let slot = page
+                    .insert(record)?
+                    .expect("the free-space check guaranteed a fit");
                 self.log_append(&mut page, id, record)?;
                 let tail_tuples = page.tuple_count();
                 drop(page);
                 self.rows.fetch_add(1, Ordering::Relaxed);
                 self.note_append(id + 1, tail_tuples);
-                return Ok(id);
+                return Ok((id, slot));
             }
         }
         // Tail missing or full: start a new page.
         let mut page = Page::init(self.fingerprint);
-        if page.insert(record)?.is_none() {
+        let Some(slot) = page.insert(record)? else {
             return Err(StoreError::Capacity(format!(
                 "record of {} bytes does not fit an empty page",
                 record.len()
             )));
-        }
+        };
         // The tail lock serializes allocations on this heap, so the next
         // page id is known before `allocate` runs — the WAL record (and
         // the page's LSN) must exist before the page can hit disk.
@@ -358,7 +355,7 @@ impl TableHeap {
         *tail = Some(id);
         self.rows.fetch_add(1, Ordering::Relaxed);
         self.note_append(id + 1, tail_tuples);
-        Ok(id)
+        Ok((id, slot))
     }
 
     /// Log one acknowledged append to the attached WAL (no-op when
@@ -531,6 +528,7 @@ impl TableHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ALL_SLOTS;
     use std::path::PathBuf;
 
     fn heap_path(name: &str) -> PathBuf {
@@ -739,15 +737,14 @@ mod tests {
         let mut total = 0u64;
         for id in 0..heap.page_count() {
             let on_page = heap.with_page(id, |p| Ok(p.tuple_count())).unwrap();
-            let visible = match snap.visible_tuples(id) {
-                None => on_page,
-                Some(k) => k.min(on_page),
-            };
-            total += visible as u64;
+            total += snap.visible_slots(id, 0..on_page).len() as u64;
         }
         assert_eq!(total, 10, "snapshot caps decoding at its prefix");
-        assert!(snap.sees_page(0));
-        assert!(!snap.sees_page(heap.page_count()));
+        let sees = |snap: &HeapSnapshot, page| !snap.visible_slots(page, ALL_SLOTS).is_empty();
+        assert!(sees(&snap, 0));
+        assert!(!sees(&snap, heap.page_count()));
+        // A range past the watermark of the tail page is empty.
+        assert!(snap.visible_slots(snap.pages - 1, 9..12).is_empty());
         for pages in 0..3 {
             for tail_tuples in 0..2 {
                 let snap = HeapSnapshot {
@@ -755,7 +752,7 @@ mod tests {
                     tail_tuples,
                     rows: 0,
                 };
-                let seen = (0..pages + 1).filter(|&p| snap.sees_page(p)).count();
+                let seen = (0..pages + 1).filter(|&p| sees(&snap, p)).count();
                 assert_eq!(snap.visible_pages() as usize, seen, "{snap:?}");
             }
         }
@@ -844,9 +841,11 @@ mod tests {
                 retry(|| {
                     heap.with_page(id, |page| {
                         // A stale copy of the tail page would be short.
-                        let visible = snap.visible_tuples(id).unwrap_or(page.tuple_count());
-                        assert!(visible <= page.tuple_count(), "page {id} lost tuples");
-                        for slot in 0..visible {
+                        assert!(
+                            id + 1 < snap.pages || snap.tail_tuples <= page.tuple_count(),
+                            "page {id} lost tuples"
+                        );
+                        for slot in snap.visible_slots(id, 0..page.tuple_count()) {
                             let rec = page.record(slot)?;
                             let seq = u64::from_le_bytes(rec[..8].try_into().unwrap());
                             assert_eq!(seq, next, "page {id} slot {slot}");

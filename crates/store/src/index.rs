@@ -3,23 +3,31 @@
 //! beside it — all the state that prunes pages. It is derived from the
 //! heap and never written to disk.
 //!
-//! One entry per heap record with integer bounds: `(ts, te, heap_page)`.
-//! Entries are kept sorted by `ts`, and every block of 64 consecutive
-//! entries carries the largest `te` inside it — the augmentation of an
-//! interval tree, one level deep. A timeslice/overlap probe
-//! `ts <= B ∧ te > A` binary-searches the last entry starting at or
-//! before `B`, skips every block up to it whose `max_te` is at most `A`
-//! and scans the rest. The answer is the *set of heap pages* that may
-//! hold matching records — the scan still re-filters them, so a false
-//! positive (or a duplicate entry) costs time, never correctness.
+//! One entry per heap record: `(ts, te, page, first_slot, last_slot)`,
+//! the record's interval and its position — a NULL (or non-integer) bound
+//! stands as the value every bound on its side admits (`i64::MIN` for
+//! `ts`, `i64::MAX` for `te`), so a probe finds the record whenever its
+//! other bound can match. Entries are kept sorted by `ts`, and every
+//! block of 64 consecutive entries carries the largest `te` inside it —
+//! the augmentation of an interval tree, one level deep. A
+//! timeslice/overlap probe `ts <= B ∧ te > A` binary-searches the last
+//! entry starting at or before `B`, skips every block up to it whose
+//! `max_te` is at most `A` and scans the rest. The answer is, for every
+//! heap page that may hold a matching record, the slot ranges of the
+//! entries that matched: sorted, coalesced and disjoint, so no slot is
+//! named twice even when the index holds an entry twice. The scan
+//! decodes only those slots and still re-filters them, so a slot that
+//! does not match costs time, never correctness.
 //!
 //! Appends sort their batch and merge it in; a batch that starts at or
 //! past the last entry — all of a timestamp-ordered ingest — is a plain
 //! extend. Neighbouring entries on one page whose intervals overlap are
-//! folded into one. That keeps a time-ordered heap at about one entry per
-//! page and leaves every probe with `A <= B` (an `AS OF`, an overlap)
-//! exact; only a probe for intervals containing all of `(B, A]` can get a
-//! page whose records each cover part of it.
+//! folded into one, whose slot range is the union of theirs. That keeps a
+//! time-ordered heap at about one entry per page and leaves the pages of
+//! every probe with `A <= B` (an `AS OF`, an overlap) exact; only a probe
+//! for intervals containing all of `(B, A]` can get a page whose records
+//! each cover part of it. Within a page, a folded entry's slot range may
+//! span records of other entries between its first and last slot.
 //!
 //! A table that was opened or recovered builds its index on first use (a
 //! probe or an admission check), from a heap scan the caller supplies;
@@ -28,7 +36,7 @@
 //! with appends loses an entry: an appender writes its rows to the heap
 //! *before* it takes the lock, so either the build scan sees them or the
 //! appender finds the index built and adds them (both, at worst — a
-//! harmless duplicate).
+//! duplicate, whose slots the probe's coalescing names once).
 //!
 //! Beside the intervals the index keeps every heap page's **zone map**
 //! (see `PageSummary`) — min/max of its records' `ts`, `te` and key — and,
@@ -39,12 +47,22 @@
 //! lock. Either may reject page `p` only if no record on `p` can satisfy
 //! the bounds.
 
+use std::ops::Range;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::page::PageId;
+use crate::page::{PageId, SlotId};
 
-/// One index entry: the record's interval and the heap page holding it.
-pub type IndexEntry = (i64, i64, PageId);
+/// One index entry: `(ts, te, page, first_slot, last_slot)` — the
+/// interval of the records it summarizes and where they lie, slots
+/// `first_slot..=last_slot` of heap page `page`.
+pub type IndexEntry = (i64, i64, PageId, SlotId, SlotId);
+
+/// Slots `start..end` of one heap page: what a pruned scan decodes.
+pub type SlotRange = (PageId, Range<SlotId>);
+
+/// Every slot of a page — the range of a page a scan reads whole; a
+/// reader clips it to the records the page holds.
+pub const ALL_SLOTS: Range<SlotId> = 0..SlotId::MAX;
 
 /// A conjunction of one-sided bounds a pruned scan pushes down: a record
 /// matches only if it satisfies every `Some` bound. `ts_le: Some(v)`
@@ -121,7 +139,7 @@ impl std::fmt::Display for ZoneBounds {
 /// What a run of heap records contributes to the index.
 #[derive(Debug, Default)]
 pub struct IndexRows {
-    /// One entry per record with integer bounds.
+    /// One entry per record.
     intervals: Vec<IndexEntry>,
     /// One summary per run of records on a page.
     pages: Vec<(PageId, PageSummary)>,
@@ -130,17 +148,29 @@ pub struct IndexRows {
 }
 
 impl IndexRows {
-    /// Note one record on heap page `page`: its interval — `None` when a
-    /// bound is NULL or not an integer — and its key — `None` when it is
-    /// NULL, or when the table has no key column.
-    pub fn add(&mut self, page: PageId, interval: Option<(i64, i64)>, key: Option<i64>) {
-        self.intervals
-            .extend(interval.map(|(ts, te)| (ts, te, page)));
+    /// Note the record in slot `slot` of heap page `page`: its bounds —
+    /// `None` when NULL or not an integer — and its key — `None` when it
+    /// is NULL, or when the table has no key column.
+    pub fn add(
+        &mut self,
+        page: PageId,
+        slot: SlotId,
+        ts: Option<i64>,
+        te: Option<i64>,
+        key: Option<i64>,
+    ) {
+        self.intervals.push((
+            ts.unwrap_or(i64::MIN),
+            te.unwrap_or(i64::MAX),
+            page,
+            slot,
+            slot,
+        ));
         if self.pages.last().is_none_or(|(last, _)| *last != page) {
             self.pages.push((page, PageSummary::EMPTY));
         }
         let (_, summary) = self.pages.last_mut().expect("pushed above");
-        summary.add(interval, key);
+        summary.add(ts.zip(te), key);
         if let Some(key) = key {
             if self.filters.last().is_none_or(|(last, _)| *last != page) {
                 self.filters.push((page, KeyFilter::default()));
@@ -318,13 +348,14 @@ impl Built {
             || self.filters.get(page).is_none_or(|f| f.may_hold(key))
     }
 
-    /// Keep the pages of `pages` whose summary admits `bounds` (a page
-    /// no summary covers admits everything); returns how many the key
-    /// filter alone dropped.
-    fn admit(&self, pages: &mut Vec<PageId>, bounds: &ZoneBounds) -> u64 {
+    /// Keep the ranges of `slots` whose page's summary admits `bounds` (a
+    /// page no summary covers admits everything); returns how many pages
+    /// the key filter alone dropped. A page's ranges are adjacent.
+    fn admit(&self, slots: &mut Vec<SlotRange>, bounds: &ZoneBounds) -> u64 {
         let pinned = bounds.pinned_key();
         let mut key_filtered = 0;
-        pages.retain(|&p| {
+        let mut last = None;
+        slots.retain(|&(p, _)| {
             let Some(summary) = self.pages.get(p as usize) else {
                 return true;
             };
@@ -332,7 +363,7 @@ impl Built {
                 return false;
             }
             let kept = pinned.is_none_or(|k| self.may_hold(p, k));
-            key_filtered += u64::from(!kept);
+            key_filtered += u64::from(!kept && last.replace(p) != Some(p));
             kept
         });
         key_filtered
@@ -342,7 +373,7 @@ impl Built {
 /// The sorted interval entries and their block maxima.
 #[derive(Debug)]
 struct Entries {
-    /// Ascending by `(ts, te, page)`.
+    /// Ascending by `ts` (and, unfolded, by the whole entry).
     sorted: Vec<IndexEntry>,
     /// `max_te[b]` is the largest `te` of `sorted[b * BLOCK..][..BLOCK]`.
     max_te: Vec<i64>,
@@ -351,15 +382,31 @@ struct Entries {
 /// Fold `next` into `last` — the entry before it in sorted order — when
 /// both name the same page and their intervals overlap or touch. Their
 /// union is then one interval, so the folded entry answers every
-/// timeslice exactly as the two did, and the order is kept: `last`'s `te`
-/// can only grow to `next`'s. A time-ordered heap, whose records on a
-/// page mostly overlap their neighbours, keeps about one entry per page.
+/// timeslice exactly as the two did, and the order by `ts` is kept:
+/// `last`'s `te` can only grow to `next`'s. Its slot range grows to the
+/// hull of both. A time-ordered heap, whose records on a page mostly
+/// overlap their neighbours, keeps about one entry per page.
 fn fold(next: &mut IndexEntry, last: &mut IndexEntry) -> bool {
     let folds = last.2 == next.2 && next.0 <= last.1;
     if folds {
         last.1 = last.1.max(next.1);
+        last.3 = last.3.min(next.3);
+        last.4 = last.4.max(next.4);
     }
     folds
+}
+
+/// Add slots `slots` of `page` to `ranges`, merged into the last range
+/// when that one is on the same page and overlaps or touches them.
+fn push_range(ranges: &mut Vec<SlotRange>, page: PageId, slots: Range<SlotId>) {
+    if let Some((last_page, last)) = ranges.last_mut() {
+        if *last_page == page && slots.start <= last.end && last.start <= slots.end {
+            last.start = last.start.min(slots.start);
+            last.end = last.end.max(slots.end);
+            return;
+        }
+    }
+    ranges.push((page, slots));
 }
 
 impl Entries {
@@ -430,27 +477,30 @@ impl Entries {
         self.refresh_blocks(from);
     }
 
-    fn probe(&self, ts_le: Option<i64>, te_gt: Option<i64>) -> Vec<PageId> {
+    fn probe(&self, ts_le: Option<i64>, te_gt: Option<i64>) -> Vec<SlotRange> {
         let te_ok = |te: i64| te_gt.is_none_or(|b| te > b);
         let end = ts_le.map_or(self.sorted.len(), |b| {
             self.sorted.partition_point(|e| e.0 <= b)
         });
-        let mut hits: Vec<PageId> = Vec::new();
+        let mut hits: Vec<SlotRange> = Vec::new();
         for (block, &max_te) in self.sorted[..end].chunks(BLOCK).zip(&self.max_te) {
             if !te_ok(max_te) {
                 continue;
             }
-            for &(_, te, page) in block {
-                // Neighbouring entries mostly share a heap page: drop the
-                // repeats here, the rest after the sort.
-                if te_ok(te) && hits.last() != Some(&page) {
-                    hits.push(page);
+            for &(_, te, page, first, last) in block {
+                // Neighbouring entries mostly share a heap page: merge
+                // their ranges here, the rest after the sort.
+                if te_ok(te) {
+                    push_range(&mut hits, page, first..last + 1);
                 }
             }
         }
-        hits.sort_unstable();
-        hits.dedup();
-        hits
+        hits.sort_unstable_by_key(|(page, slots)| (*page, slots.start));
+        let mut ranges = Vec::with_capacity(hits.len());
+        for (page, slots) in hits {
+            push_range(&mut ranges, page, slots);
+        }
+        ranges
     }
 }
 
@@ -509,38 +559,41 @@ impl IntervalIndex {
         Ok(f(built.as_ref().expect("built above")))
     }
 
-    /// The set of heap pages that may hold a record with `ts <= ts_le`
-    /// and `te > te_gt` (an `AS OF v` probe passes `Some(v)` for both; a
-    /// `None` side is unbounded), sorted ascending and deduplicated. An
-    /// unbuilt index is first built, under the write lock, from the rows
-    /// `scan` returns — every record in the heap.
+    /// The slots that may hold a record with `ts <= ts_le` and
+    /// `te > te_gt` (an `AS OF v` probe passes `Some(v)` for both; a
+    /// `None` side is unbounded): ascending by page and then by slot,
+    /// with no two ranges of a page overlapping or touching. An unbuilt
+    /// index is first built, under the write lock, from the rows `scan`
+    /// returns — every record in the heap.
     pub fn probe<E>(
         &self,
         ts_le: Option<i64>,
         te_gt: Option<i64>,
         scan: impl FnOnce() -> Result<IndexRows, E>,
-    ) -> Result<Vec<PageId>, E> {
+    ) -> Result<Vec<SlotRange>, E> {
         self.with_built(scan, |built| built.intervals.probe(ts_le, te_gt))
     }
 
-    /// Drop from `pages` every page on which no record can satisfy
+    /// Drop from `slots` — ascending by page, as [`Self::probe`] returns
+    /// them — the ranges of every page on which no record can satisfy
     /// `bounds`: the page's zone map rules it out, or the bounds pin the
     /// key and its key filter rejects it. One read lock covers the whole
     /// list. Returns how many pages the key filter alone dropped. An
     /// unbuilt index is built first, as by [`Self::probe`].
     pub fn admit<E>(
         &self,
-        pages: &mut Vec<PageId>,
+        slots: &mut Vec<SlotRange>,
         bounds: &ZoneBounds,
         scan: impl FnOnce() -> Result<IndexRows, E>,
     ) -> Result<u64, E> {
-        self.with_built(scan, |built| built.admit(pages, bounds))
+        self.with_built(scan, |built| built.admit(slots, bounds))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::convert::Infallible;
 
     /// Index rows with interval entries only (no page summaries).
@@ -551,13 +604,35 @@ mod tests {
         }
     }
 
-    /// Index rows of records with keys and NULL bounds.
+    /// Index rows of records with keys and NULL bounds, numbered in
+    /// slot order on each page.
     fn keyed(keys: &[(PageId, Option<i64>)]) -> IndexRows {
         let mut rows = IndexRows::default();
+        let mut slots = HashMap::new();
         for &(page, key) in keys {
-            rows.add(page, None, key);
+            rows.add(page, next_slot(&mut slots, page), None, None, key);
         }
         rows
+    }
+
+    /// The next free slot of `page`, as a heap hands them out.
+    fn next_slot(slots: &mut HashMap<PageId, SlotId>, page: PageId) -> SlotId {
+        let slot = slots.entry(page).or_insert(0);
+        *slot += 1;
+        *slot - 1
+    }
+
+    /// One entry per `(ts, te, page)` record, each in the next slot of
+    /// its page.
+    fn numbered(records: impl IntoIterator<Item = (i64, i64, PageId)>) -> Vec<IndexEntry> {
+        let mut slots = HashMap::new();
+        records
+            .into_iter()
+            .map(|(ts, te, page)| {
+                let slot = next_slot(&mut slots, page);
+                (ts, te, page, slot, slot)
+            })
+            .collect()
     }
 
     /// Bounds pinning the key to `k`.
@@ -571,32 +646,67 @@ mod tests {
 
     /// The pages of `0..pages` a built index admits for `bounds`.
     fn admitted(idx: &IntervalIndex, pages: PageId, bounds: ZoneBounds) -> Vec<PageId> {
-        let mut kept: Vec<PageId> = (0..pages).collect();
+        let mut kept = (0..pages).map(|p| (p, ALL_SLOTS)).collect();
         idx.admit(&mut kept, &bounds, || -> Result<_, Infallible> {
             panic!("the index was built")
         })
         .unwrap();
-        kept
+        pages_of(&kept)
     }
 
-    /// Brute-force oracle over raw entries.
-    fn oracle(entries: &[IndexEntry], ts_le: i64, te_gt: i64) -> Vec<PageId> {
-        let mut hits: Vec<PageId> = entries
+    /// Brute-force oracle over raw entries: the entries that match.
+    fn matching(entries: &[IndexEntry], ts_le: i64, te_gt: i64) -> Vec<IndexEntry> {
+        entries
             .iter()
-            .filter(|&&(ts, te, _)| ts <= ts_le && te > te_gt)
-            .map(|&(_, _, p)| p)
+            .filter(|&&(ts, te, ..)| ts <= ts_le && te > te_gt)
+            .copied()
+            .collect()
+    }
+
+    /// Brute-force oracle over raw entries: the pages that match.
+    fn oracle(entries: &[IndexEntry], ts_le: i64, te_gt: i64) -> Vec<PageId> {
+        let mut hits: Vec<PageId> = matching(entries, ts_le, te_gt)
+            .iter()
+            .map(|e| e.2)
             .collect();
         hits.sort_unstable();
         hits.dedup();
         hits
     }
 
-    /// Probe a built index.
-    fn probe(idx: &IntervalIndex, ts_le: Option<i64>, te_gt: Option<i64>) -> Vec<PageId> {
-        idx.probe(ts_le, te_gt, || -> Result<_, Infallible> {
-            panic!("the index was built")
-        })
-        .unwrap()
+    /// Probe a built index, checking that the ranges it returns ascend
+    /// and that no two of one page overlap or touch.
+    fn probe(idx: &IntervalIndex, ts_le: Option<i64>, te_gt: Option<i64>) -> Vec<SlotRange> {
+        let ranges = idx
+            .probe(ts_le, te_gt, || -> Result<_, Infallible> {
+                panic!("the index was built")
+            })
+            .unwrap();
+        for (page, slots) in &ranges {
+            assert!(slots.start < slots.end, "empty range on page {page}");
+        }
+        for pair in ranges.windows(2) {
+            let ((a, x), (b, y)) = (&pair[0], &pair[1]);
+            assert!(
+                a < b || (a == b && x.end < y.start),
+                "ranges {pair:?} are out of order, overlap or touch"
+            );
+        }
+        ranges
+    }
+
+    /// The pages `ranges` name, once each.
+    fn pages_of(ranges: &[SlotRange]) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = ranges.iter().map(|(page, _)| *page).collect();
+        pages.dedup();
+        pages
+    }
+
+    /// Does one of `ranges` (as `probe` returns them) hold slot `slot`
+    /// of `page`?
+    fn covers(ranges: &[SlotRange], page: PageId, slot: SlotId) -> bool {
+        let after = ranges.partition_point(|(p, slots)| (*p, slots.start) <= (page, slot));
+        after > 0 && ranges[after - 1].0 == page && ranges[after - 1].1.contains(&slot)
     }
 
     /// Deterministic pseudo-random stream (xorshift64), values in `0..n`.
@@ -612,32 +722,41 @@ mod tests {
     }
 
     /// `probe` ≡ brute force over `pairs` random `(ts_le, te_gt)` bounds
-    /// drawn around the entries' key range, plus the unbounded probes. A
-    /// probe for intervals containing `(ts_le, te_gt]` may also return a
-    /// page whose folded entries each cover part of it, never miss one.
+    /// drawn around the entries' key range, plus the unbounded probes:
+    /// the ranges cover the slots of every matching entry, on exactly the
+    /// matching pages. A probe for intervals containing `(ts_le, te_gt]`
+    /// may also return a page whose folded entries each cover part of it,
+    /// never miss one.
     fn assert_probes_match(idx: &IntervalIndex, entries: &[IndexEntry], seed: u64, pairs: usize) {
         let max_ts = entries.iter().map(|e| e.0).max().unwrap_or(0);
         let mut rng = Rng(seed);
+        let check = |ts_le: Option<i64>, te_gt: Option<i64>| {
+            let got = probe(idx, ts_le, te_gt);
+            let (b, a) = (ts_le.unwrap_or(i64::MAX), te_gt.unwrap_or(i64::MIN));
+            for &(ts, te, page, first, last) in &matching(entries, b, a) {
+                for slot in first..=last {
+                    assert!(
+                        covers(&got, page, slot),
+                        "probe({ts_le:?}, {te_gt:?}) missed slot {slot} of page {page} ({ts}, {te})"
+                    );
+                }
+            }
+            if a <= b {
+                assert_eq!(
+                    pages_of(&got),
+                    oracle(entries, b, a),
+                    "probe(ts <= {ts_le:?}, te > {te_gt:?})"
+                );
+            }
+        };
         for _ in 0..pairs {
             let ts_le = rng.below(max_ts + 20) - 10;
             let te_gt = rng.below(max_ts + 20) - 10;
-            let got = probe(idx, Some(ts_le), Some(te_gt));
-            let want = oracle(entries, ts_le, te_gt);
-            if te_gt <= ts_le {
-                assert_eq!(got, want, "probe(ts <= {ts_le}, te > {te_gt})");
-            } else {
-                let missed: Vec<_> = want.iter().filter(|p| !got.contains(p)).collect();
-                assert!(
-                    missed.is_empty(),
-                    "probe(ts <= {ts_le}, te > {te_gt}) missed {missed:?}"
-                );
-            }
+            check(Some(ts_le), Some(te_gt));
         }
-        assert_eq!(probe(idx, None, None), oracle(entries, i64::MAX, i64::MIN));
-        assert_eq!(
-            probe(idx, None, Some(max_ts / 2)),
-            oracle(entries, i64::MAX, max_ts / 2)
-        );
+        check(None, None);
+        check(None, Some(max_ts / 2));
+        check(Some(max_ts / 2), None);
     }
 
     /// Timestamp-ordered entries with ties, a few long-lived intervals
@@ -645,34 +764,30 @@ mod tests {
     /// per page.
     fn in_order_entries(n: i64) -> Vec<IndexEntry> {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-        (0..n)
-            .map(|i| {
-                let ts = i / 3;
-                let len = if rng.below(50) == 0 { 5_000 } else { 1 };
-                (ts, ts + len + rng.below(30), (i / 6) as PageId)
-            })
-            .collect()
+        numbered((0..n).map(|i| {
+            let ts = i / 3;
+            let len = if rng.below(50) == 0 { 5_000 } else { 1 };
+            (ts, ts + len + rng.below(30), (i / 6) as PageId)
+        }))
     }
 
     #[test]
     fn bulk_load_probe_matches_oracle() {
-        let entries: Vec<IndexEntry> = (0..2000i64)
-            .map(|i| {
-                let ts = (i * 37) % 500;
-                (ts, ts + 1 + (i % 40), (i / 10) as PageId)
-            })
-            .collect();
+        let entries = numbered((0..2000i64).map(|i| {
+            let ts = (i * 37) % 500;
+            (ts, ts + 1 + (i % 40), (i / 10) as PageId)
+        }));
         let idx = IntervalIndex::new(rows(entries.clone()));
         for v in [-1i64, 0, 13, 250, 499, 540, 1000] {
             assert_eq!(
-                probe(&idx, Some(v), Some(v)),
+                pages_of(&probe(&idx, Some(v), Some(v))),
                 oracle(&entries, v, v),
                 "AS OF {v}"
             );
         }
         // Overlap-style probe with distinct bounds.
         assert_eq!(
-            probe(&idx, Some(400), Some(100)),
+            pages_of(&probe(&idx, Some(400), Some(100))),
             oracle(&entries, 400, 100)
         );
         // Unbounded sides return everything on that side — no sentinel values.
@@ -681,17 +796,12 @@ mod tests {
 
     #[test]
     fn appends_past_a_bulk_load() {
-        let mut entries: Vec<IndexEntry> =
-            (0..300i64).map(|i| (i, i + 5, (i / 7) as PageId)).collect();
+        let mut entries = numbered((0..300i64).map(|i| (i, i + 5, (i / 7) as PageId)));
         let idx = IntervalIndex::new(rows(entries.clone()));
         // Appends past the last key extend the entries, earlier ones merge
         // into the middle; probes see both.
-        let fresh: Vec<IndexEntry> = (0..450i64)
-            .map(|i| (1000 + i, 1002 + i, (100 + i / 7) as PageId))
-            .collect();
-        let late: Vec<IndexEntry> = (0..250i64)
-            .map(|i| (500 + i, 2000 + i, (200 + i / 7) as PageId))
-            .collect();
+        let fresh = numbered((0..450i64).map(|i| (1000 + i, 1002 + i, (100 + i / 7) as PageId)));
+        let late = numbered((0..250i64).map(|i| (500 + i, 2000 + i, (200 + i / 7) as PageId)));
         idx.append(rows(fresh.clone()));
         idx.append(rows(late.clone()));
         entries.extend_from_slice(&fresh);
@@ -712,7 +822,7 @@ mod tests {
         }
         let mut swapped: Vec<IndexEntry> = in_order_entries(20_000)
             .into_iter()
-            .map(|(ts, te, page)| (ts + 100, te + 100, page + 50))
+            .map(|(ts, te, page, first, last)| (ts + 100, te + 100, page + 50, first, last))
             .collect();
         let mut rng = Rng(17);
         for _ in 0..500 {
@@ -721,7 +831,7 @@ mod tests {
         }
         idx.append(rows(swapped.clone()));
         entries.extend_from_slice(&swapped);
-        let early: Vec<IndexEntry> = (0..333).map(|i| (-i, 3 * i, 9_000)).collect();
+        let early = numbered((0..333).map(|i| (-i, 3 * i, 9_000)));
         idx.append(rows(early.clone()));
         entries.extend_from_slice(&early);
         let again = entries[1_000..1_100].to_vec();
@@ -735,9 +845,7 @@ mod tests {
         // An event log in time order, 100 rows a page, each valid for 50
         // ticks: single-row appends and a bulk build both keep one entry
         // per page, and every probe still answers like the raw entries.
-        let events: Vec<IndexEntry> = (0..10_000i64)
-            .map(|i| (i, i + 50, (i / 100) as PageId))
-            .collect();
+        let events = numbered((0..10_000i64).map(|i| (i, i + 50, (i / 100) as PageId)));
         let appended = IntervalIndex::new(rows(Vec::new()));
         for &e in &events {
             appended.append(rows(vec![e]));
@@ -749,7 +857,7 @@ mod tests {
             assert_probes_match(idx, &events, 6, 300);
         }
         // Disjoint intervals on one page do not fold.
-        let gaps: Vec<IndexEntry> = (0..1_000i64).map(|i| (3 * i, 3 * i + 2, 0)).collect();
+        let gaps = numbered((0..1_000i64).map(|i| (3 * i, 3 * i + 2, 0)));
         let idx = IntervalIndex::new(rows(gaps.clone()));
         assert_eq!(
             idx.read().as_ref().map(|e| e.intervals.sorted.len()),
@@ -763,7 +871,7 @@ mod tests {
         let idx = IntervalIndex::default();
         // Appends before the build are skipped: their rows are in the heap,
         // which the scan reads.
-        idx.append(rows(vec![(0, 10, 99)]));
+        idx.append(rows(vec![(0, 10, 99, 0, 0)]));
         let heap = in_order_entries(5_000);
         let mut scans = 0;
         let got = idx
@@ -772,7 +880,7 @@ mod tests {
                 Ok(rows(heap.clone()))
             })
             .unwrap();
-        assert_eq!(got, oracle(&heap, 40, 40));
+        assert_eq!(pages_of(&got), oracle(&heap, 40, 40));
         assert_eq!(scans, 1);
         // Built now: later probes never scan (`probe` panics if they do).
         assert_probes_match(&idx, &heap, 4, 200);
@@ -782,7 +890,7 @@ mod tests {
         let got = idx.probe(Some(40), Some(40), || -> Result<_, Infallible> {
             Ok(rows(heap.clone()))
         });
-        assert_eq!(got.unwrap(), oracle(&heap, 40, 40));
+        assert_eq!(pages_of(&got.unwrap()), oracle(&heap, 40, 40));
     }
 
     #[test]
@@ -793,7 +901,7 @@ mod tests {
         // every tenth batch arrives out of order.
         let idx = IntervalIndex::new(rows(Vec::new()));
         let mut entries: Vec<IndexEntry> = (0..60_000i64)
-            .map(|i| (i / 2, i / 2 + 1 + i % 7, i as PageId))
+            .map(|i| (i / 2, i / 2 + 1 + i % 7, i as PageId, 0, 0))
             .collect();
         for (n, batch) in entries.chunks_mut(97).enumerate() {
             if n % 10 == 9 {
@@ -817,7 +925,7 @@ mod tests {
                 let before = appended.load(Ordering::Acquire);
                 let ts_le = rng.below(30_000);
                 let te_gt = ts_le - rng.below(5);
-                let got = probe(&idx, Some(ts_le), Some(te_gt));
+                let got = pages_of(&probe(&idx, Some(ts_le), Some(te_gt)));
                 for page in oracle(&entries[..before], ts_le, te_gt) {
                     assert!(
                         got.binary_search(&page).is_ok(),
@@ -909,25 +1017,30 @@ mod tests {
     fn an_unbuilt_index_builds_its_key_filters_on_the_first_key_check() {
         let idx = IntervalIndex::default();
         idx.append(keyed(&[(3, Some(5))]));
-        let mut pages = vec![0, 1, 2, 3];
+        let mut pages = (0..4).map(|p| (p, ALL_SLOTS)).collect();
         idx.admit(&mut pages, &key_is(5), || -> Result<_, Infallible> {
             let mut heap = keyed(&[(0, Some(4)), (2, None), (3, Some(6))]);
-            heap.add(1, Some((0, 1)), Some(5));
+            heap.add(1, 0, Some(0), Some(1), Some(5));
             Ok(heap)
         })
         .unwrap();
         // Page 3's key came from the skipped append, which the scan stands
         // in for; page 2 is poisoned.
-        assert_eq!(pages, [1, 2]);
-        assert_eq!(probe(&idx, None, None), [1]);
+        assert_eq!(pages_of(&pages), [1, 2]);
+        // Every record is in the entries: those with NULL bounds match
+        // every probe.
+        assert_eq!(
+            probe(&idx, Some(5), Some(5)),
+            [(0, 0..1), (2, 0..1), (3, 0..1)]
+        );
     }
 
     #[test]
     fn zone_maps_widen_and_prune() {
         // Page 0 holds [2, 6) with key 10 and [4, 9) with key 3.
         let mut page = IndexRows::default();
-        page.add(0, Some((2, 6)), Some(10));
-        page.add(0, Some((4, 9)), Some(3));
+        page.add(0, 0, Some(2), Some(6), Some(10));
+        page.add(0, 1, Some(4), Some(9), Some(3));
         let idx = IntervalIndex::new(page);
         let admits = |bounds: ZoneBounds| admitted(&idx, 1, bounds) == [0];
         let only = |set: fn(&mut ZoneBounds)| {
@@ -951,7 +1064,7 @@ mod tests {
         assert!(!admits(only(|b| b.key_le = Some(2))));
         // An append widens the page's zone.
         let mut more = IndexRows::default();
-        more.add(0, Some((20, 30)), Some(50));
+        more.add(0, 2, Some(20), Some(30), Some(50));
         idx.append(more);
         assert!(admits(ZoneBounds::as_of(25)));
         assert!(admits(only(|b| b.key_ge = Some(11))));
@@ -962,11 +1075,11 @@ mod tests {
     fn poisoned_zones_never_prune() {
         let mut rows = IndexRows::default();
         // Page 0: a NULL bound poisons the time side alone.
-        rows.add(0, Some((2, 6)), Some(1));
-        rows.add(0, None, Some(2));
+        rows.add(0, 0, Some(2), Some(6), Some(1));
+        rows.add(0, 1, Some(3), None, Some(2));
         // Page 1: a NULL key poisons the key side (zone and filter) alone.
-        rows.add(1, Some((2, 6)), Some(1));
-        rows.add(1, Some((3, 5)), None);
+        rows.add(1, 0, Some(2), Some(6), Some(1));
+        rows.add(1, 1, Some(3), Some(5), None);
         let idx = IntervalIndex::new(rows);
         assert_eq!(admitted(&idx, 2, ZoneBounds::as_of(-12_345)), [0]);
         let key_above = ZoneBounds {
@@ -990,8 +1103,8 @@ mod tests {
     #[test]
     fn a_table_without_keys_holds_no_key_filters() {
         let mut rows = IndexRows::default();
-        rows.add(0, Some((1, 5)), None);
-        rows.add(3, Some((2, 6)), None);
+        rows.add(0, 0, Some(1), Some(5), None);
+        rows.add(3, 0, Some(2), Some(6), None);
         let idx = IntervalIndex::new(rows);
         assert!(idx.read().as_ref().expect("built").filters.is_empty());
         assert_eq!(admitted(&idx, 4, key_is(9)), [0, 1, 2, 3]);
@@ -1011,9 +1124,115 @@ mod tests {
         // reached.
         assert_eq!(admitted(&idx, 3, ZoneBounds::as_of(5)), [0, 1, 2]);
         let mut far = IndexRows::default();
-        far.add(2, Some((0, 1)), Some(7));
+        far.add(2, 0, Some(0), Some(1), Some(7));
         idx.append(far);
         assert_eq!(admitted(&idx, 4, ZoneBounds::as_of(5)), [0, 1, 3]);
         assert_eq!(admitted(&idx, 4, key_is(7)), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn an_entry_with_its_slot_range_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<IndexEntry>(), 24);
+    }
+
+    #[test]
+    fn folding_unions_slot_ranges() {
+        // Page 0 holds [0, 10) in slot 0, [20, 30) in slot 1 and [5, 25)
+        // in slot 2: in `ts` order each overlaps the union before it.
+        // Page 1's two records are disjoint and stay apart.
+        let records = vec![
+            (0, 10, 0, 0, 0),
+            (20, 30, 0, 1, 1),
+            (5, 25, 0, 2, 2),
+            (40, 45, 1, 0, 0),
+            (50, 55, 1, 1, 1),
+        ];
+        let built = IntervalIndex::new(rows(records.clone()));
+        // Appended one at a time in `ts` order, they fold as they arrive.
+        let appended = IntervalIndex::new(rows(Vec::new()));
+        let mut in_order = records.clone();
+        in_order.sort_unstable();
+        for e in in_order {
+            appended.append(rows(vec![e]));
+        }
+        for idx in [&built, &appended] {
+            let held = idx.read().as_ref().map(|b| b.intervals.sorted.clone());
+            assert_eq!(
+                held.as_deref(),
+                Some(&[(0, 30, 0, 0, 2), (40, 45, 1, 0, 0), (50, 55, 1, 1, 1)][..])
+            );
+            // The folded entry names its whole hull: slot 1 does not hold
+            // 7, but lies between slots that might.
+            assert_eq!(probe(idx, Some(7), Some(7)), [(0, 0..3)]);
+            assert_eq!(probe(idx, Some(52), Some(52)), [(1, 1..2)]);
+            // Two ranges of one page that touch come back as one.
+            assert_eq!(probe(idx, None, Some(41)), [(1, 0..2)]);
+        }
+    }
+
+    #[test]
+    fn probe_ranges_are_coalesced_even_with_duplicate_entries() {
+        // A build that raced an append holds some records twice. Records
+        // on a page are disjoint in time, so nothing folds, and the
+        // inverted ones (te < ts) never fold even with their duplicate.
+        let mut records = numbered((0..2_000i64).map(|i| (3 * i, 3 * i + 2, (i / 50) as PageId)));
+        for e in records.iter_mut().step_by(7) {
+            (e.0, e.1) = (e.1 + 10, e.0);
+        }
+        let idx = IntervalIndex::new(rows(records.clone()));
+        idx.append(rows(records[500..900].to_vec()));
+        idx.append(rows(records[850..1_000].to_vec()));
+        let mut twice = records.clone();
+        twice.extend_from_slice(&records[500..1_000]);
+        // `probe` asserts the ranges are disjoint and never touch;
+        // `assert_probes_match` that they cover every matching slot.
+        assert_probes_match(&idx, &twice, 8, 300);
+        // Every record of pages 10..20 is live after 1 500: one range per
+        // page, each slot once.
+        let all: Vec<_> = probe(&idx, None, Some(1_500))
+            .into_iter()
+            .filter(|(page, _)| (10..20).contains(page))
+            .collect();
+        assert_eq!(all, (10..20).map(|p| (p, 0..50)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_null_bound_admits_every_bound_on_its_side() {
+        let mut rows = IndexRows::default();
+        rows.add(0, 0, Some(3), None, None);
+        rows.add(1, 0, None, Some(8), None);
+        rows.add(2, 0, None, None, None);
+        rows.add(3, 0, Some(50), Some(60), None);
+        let idx = IntervalIndex::new(rows);
+        // `ts <= 5` alone can hold for a NULL `te`, `te > 7` alone for a
+        // NULL `ts`.
+        assert_eq!(pages_of(&probe(&idx, Some(5), None)), [0, 1, 2]);
+        assert_eq!(pages_of(&probe(&idx, None, Some(7))), [0, 1, 2, 3]);
+        assert_eq!(pages_of(&probe(&idx, Some(55), Some(55))), [0, 2, 3]);
+        assert_eq!(pages_of(&probe(&idx, Some(2), Some(7))), [1, 2]);
+    }
+
+    #[test]
+    fn a_page_with_several_ranges_counts_once_when_its_key_filter_drops_it() {
+        let mut rows = IndexRows::default();
+        // Keys 1 and 9 on both pages: their zones admit key 5, their
+        // filters reject it.
+        for slot in 0..6 {
+            let (ts, key) = (10 * i64::from(slot), 1 + 8 * i64::from(slot % 2));
+            rows.add(0, slot, Some(ts), Some(ts + 5), Some(key));
+            rows.add(1, slot, Some(ts), Some(ts + 5), Some(key));
+        }
+        let idx = IntervalIndex::new(rows);
+        // `te > 22` matches slots 2..6 of both pages.
+        let mut slots = probe(&idx, None, Some(22));
+        assert_eq!(slots, [(0, 2..6), (1, 2..6)]);
+        slots.insert(1, (0, 7..9));
+        let dropped = idx
+            .admit(&mut slots, &key_is(5), || -> Result<_, Infallible> {
+                panic!("the index was built")
+            })
+            .unwrap();
+        assert!(slots.is_empty());
+        assert_eq!(dropped, 2);
     }
 }

@@ -172,12 +172,36 @@ fn explain_analyze_reports_tuples_checked_beside_actual_rows() {
         scan_counter(&pruned, "actual rows"),
         scan_counter(&pruned, "tuples_checked"),
     );
+    // Ddisj's intervals never touch, so no index entry folds: the probe
+    // names the one slot that matches.
     assert_eq!(rows, 1, "the scan itself emits only the match:\n{pruned}");
+    assert_eq!(checked, 1, "only the slot the index names:\n{pruned}");
+    assert!(scan_counter(&pruned, "pages_skipped") > 0, "{pruned}");
+
+    // Row `i` holds [i, i + 3): each overlaps the next, so a page's
+    // entries fold into one whose slot range is the whole page, and the
+    // scan checks the page's tuples for the three that match.
+    session
+        .execute("CREATE TABLE f (id int, ts int, te int) PERSISTED")
+        .unwrap();
+    let values: Vec<String> = (0..3000)
+        .map(|i| format!("({i}, {i}, {})", i + 3))
+        .collect();
+    session
+        .execute(&format!("INSERT INTO f VALUES {}", values.join(", ")))
+        .unwrap();
+    let folded = session
+        .explain_analyze("SELECT * FROM f AS OF 1500")
+        .unwrap();
+    let (rows, checked) = (
+        scan_counter(&folded, "actual rows"),
+        scan_counter(&folded, "tuples_checked"),
+    );
+    assert_eq!(rows, 3, "{folded}");
     assert!(
         checked > rows && checked < 3000,
-        "every tuple of the pages read was checked, and only those:\n{pruned}"
+        "the slots of the folded entries were checked, and only those:\n{folded}"
     );
-    assert!(scan_counter(&pruned, "pages_skipped") > 0, "{pruned}");
 
     // With pruning off the scan carries no bounds and emits what it reads.
     session.execute("SET enable_zonemaps = false").unwrap();

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::engine::batch::BatchBuilder;
 use temporal_alignment::engine::prelude::*;
-use temporal_alignment::engine::storage::ZoneBounds;
+use temporal_alignment::engine::storage::{ZoneBounds, ALL_SLOTS};
 use temporal_alignment::sql::{DatabaseSqlExt, Session};
 use temporal_datasets::{ddisj, deq, drand};
 
@@ -161,6 +161,33 @@ proptest! {
     }
 }
 
+/// The bounds of row `i` of a table whose time spans `0..span` with four
+/// rows a tick: mostly rising starts and short durations; one row in 100
+/// starts anywhere instead, a quarter of those with a NULL `ts`, `te` or
+/// both; one in 500 lasts long. A NULL-bound row may match a probe on its
+/// other side, and a long one many probes, so both stay few enough that
+/// a timeslice still skips pages.
+fn clustered_interval(rng: &mut StdRng, i: i64, span: i64) -> (Value, Value) {
+    let displaced = rng.gen_bool(0.01);
+    let ts = if displaced {
+        rng.gen_range(-5..span + 5)
+    } else {
+        i / 4
+    };
+    let te = ts
+        + if rng.gen_bool(0.002) {
+            rng.gen_range(1..span)
+        } else {
+            rng.gen_range(1..8)
+        };
+    match (displaced, rng.gen_range(0..12)) {
+        (true, 0) => (Value::Null, Value::Int(te)),
+        (true, 1) => (Value::Int(ts), Value::Null),
+        (true, 2) => (Value::Null, Value::Null),
+        _ => (Value::Int(ts), Value::Int(te)),
+    }
+}
+
 /// A random value for a column of type `dtype`, NULL one time in eight.
 fn random_value(rng: &mut StdRng, dtype: DataType) -> Value {
     if rng.gen_bool(0.125) {
@@ -177,12 +204,14 @@ fn random_value(rng: &mut StdRng, dtype: DataType) -> Value {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Record-level bounds may only drop what the filter above the scan
-    /// drops: over random layouts (variable-width and NULL columns ahead
-    /// of the temporal pair, NULL `ts`/`te`, integer and non-integer
-    /// first columns), random bounds and a snapshot that ends inside the
-    /// tail page, `scan(bounds) + filter` and `scan + filter` return the
-    /// same bag.
+    /// Record-level bounds and the pruning in front of them may only
+    /// drop what the filter above the scan drops: over random layouts
+    /// (variable-width and NULL columns ahead of the temporal pair,
+    /// integer and non-integer first columns), time-clustered rows — so
+    /// pages and their slot ranges are really cut — with displaced rows
+    /// and NULL `ts`/`te` among them, random bounds and a snapshot that
+    /// ends inside the tail page, `scan(bounds) + filter` and `scan +
+    /// filter` return the same bag.
     #[test]
     fn record_bounds_never_change_a_filtered_scan(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -194,28 +223,38 @@ proptest! {
         cols.push(Column::new("te", DataType::Int));
         let schema = Schema::new(cols);
         let (tsi, tei) = (schema.len() - 2, schema.len() - 1);
-        let random_row = |rng: &mut StdRng| -> Row {
-            schema.cols().iter().map(|c| random_value(rng, c.dtype)).collect::<Vec<_>>().into()
+        let n = rng.gen_range(3_000usize..5_000);
+        // Four rows a tick, so time spans `0..span`.
+        let span = n as i64 / 4;
+        let mut next = 0;
+        let mut clustered_row = |rng: &mut StdRng| -> Row {
+            let mut values: Vec<Value> =
+                schema.cols().iter().map(|c| random_value(rng, c.dtype)).collect();
+            let (ts, te) = clustered_interval(rng, next, span);
+            next += 1;
+            values[tsi] = ts;
+            values[tei] = te;
+            values.into()
         };
 
         let dir = scratch("record-bounds");
         std::fs::create_dir_all(&dir).unwrap();
         let table = Arc::new(StoredTable::create(dir.join("t.heap"), "t", schema.clone(), 4).unwrap());
-        for _ in 0..rng.gen_range(1usize..600) {
-            table.append_row(&random_row(&mut rng)).unwrap();
+        for _ in 0..n {
+            table.append_row(&clustered_row(&mut rng)).unwrap();
         }
 
         // Random bounds, and the predicate they over-approximate. Key
         // bounds are set either way; the predicate can only name the first
         // column when the table treats it as the (integer) zone key.
-        let mut pick = |p: f64| rng.gen_bool(p).then(|| rng.gen_range(-8i64..45));
+        let mut pick = |p: f64, hi: i64| rng.gen_bool(p).then(|| rng.gen_range(-8..hi));
         let bounds = ZoneBounds {
-            ts_le: pick(0.6),
-            ts_ge: pick(0.3),
-            te_gt: pick(0.6),
-            te_lt: pick(0.3),
-            key_le: pick(0.4),
-            key_ge: pick(0.4),
+            ts_le: pick(0.6, span + 8),
+            ts_ge: pick(0.3, span + 8),
+            te_gt: pick(0.6, span + 8),
+            te_lt: pick(0.3, span + 8),
+            key_le: pick(0.4, 45),
+            key_ge: pick(0.4, 45),
         };
         let mut conjuncts = vec![lit(true)];
         conjuncts.extend(bounds.ts_le.map(|v| col(tsi).le(lit(v))));
@@ -250,10 +289,10 @@ proptest! {
         };
         // Pin the statement snapshot, then grow the tail page past it:
         // the scans below must stop inside that page.
-        let state = ExecutionState::new(config);
+        let state = ExecutionState::new(config).with_instrumentation();
         let snap = state.snapshot_for(&table);
         for _ in 0..rng.gen_range(1usize..12) {
-            table.append_row(&random_row(&mut rng)).unwrap();
+            table.append_row(&clustered_row(&mut rng)).unwrap();
         }
         let expected = plain.collect(&state).unwrap();
         prop_assert!(expected.len() as u64 <= snap.rows);
@@ -265,6 +304,24 @@ proptest! {
                 seed, got.len(), bounds, expected.len(), plan.explain()
             );
         }
+        // The data cut pages and slot ranges: a timeslice in the middle
+        // skips pages, and checks fewer tuples than the snapshot holds.
+        let as_of = PhysicalPlan::IndexScan {
+            table: table.clone(),
+            label: "t".into(),
+            bounds: ZoneBounds::as_of(span / 2),
+        };
+        as_of.collect(&state).unwrap();
+        let (_, _, op) = &as_of.operator_stats(&state)[0];
+        let (skipped, checked) = (
+            op.pages_skipped.load(Ordering::Relaxed),
+            op.tuples_checked.load(Ordering::Relaxed),
+        );
+        prop_assert!(skipped > 0, "seed {}: AS OF {} skipped no page", seed, span / 2);
+        prop_assert!(
+            checked < snap.rows,
+            "seed {}: AS OF {} checked {} of {} tuples", seed, span / 2, checked, snap.rows
+        );
 
         // The same table closed and reopened: its index, zone maps and key
         // filters come from the first-use heap scan, not from appends.
@@ -494,7 +551,7 @@ fn pages_with_a_match(db: &Database, table: &str, keep: impl Fn(&Row) -> bool) -
         TableSource::Stored(t) => (0..t.page_count())
             .filter(|&page| {
                 let mut out = BatchBuilder::new(t.schema().len());
-                t.decode_page(page, None, None, &mut out).unwrap();
+                t.decode_page(page, [ALL_SLOTS], None, &mut out).unwrap();
                 let rows = Relation::from_batches(
                     t.schema().clone(),
                     vec![out.finish(t.schema().clone())],
@@ -509,10 +566,14 @@ fn pages_with_a_match(db: &Database, table: &str, keep: impl Fn(&Row) -> bool) -
 
 /// A heap whose order is independent of time is the case zone maps cannot
 /// prune, and what the interval index is for. COPY-load one shuffled, add
-/// single out-of-order INSERTs, reopen it cleanly, then after a crash
-/// (the handle leaked, so only the WAL holds the last inserts). After
-/// every step each timeslice plans an IndexScan, answers like the oracle
-/// and reads only pages that hold a matching row.
+/// single out-of-order INSERTs and rows with a NULL bound, reopen it
+/// cleanly, then after a crash (the handle leaked, so only the WAL holds
+/// the last inserts). After every step each timeslice plans an
+/// IndexScan, answers like the oracle and reads only pages that hold a
+/// matching row, and a bound on one side alone — which a row with a NULL
+/// on the other side can satisfy — answers like the oracle too. After
+/// the reopen and the crash the index, and its slot ranges, come from
+/// the first-use heap scan.
 #[test]
 fn shuffled_heap_is_served_by_the_index_across_inserts_and_reopens() {
     let dir = scratch("shuffled");
@@ -542,14 +603,34 @@ fn shuffled_heap_is_served_by_the_index_across_inserts_and_reopens() {
             got.sort();
             expected.sort();
             assert_eq!(got, expected, "{step}: AS OF {v}");
+            // A NULL bound admits every bound on its side, so a row with
+            // one may bring its page in when its other bound matches.
             let matching = pages_with_a_match(db, "s", |r| {
-                matches!((&r[1], &r[2]),
-                    (Value::Int(ts), Value::Int(te)) if *ts <= v && *te > v)
+                let int = |v: &Value, null| if let Value::Int(x) = v { *x } else { null };
+                int(&r[1], i64::MIN) <= v && int(&r[2], i64::MAX) > v
             });
             assert!(
                 read <= matching,
-                "{step}: AS OF {v} read {read} pages, {matching} hold a match"
+                "{step}: AS OF {v} read {read} pages, {matching} hold a row that may match"
             );
+            let mut session = Session::with_database(db.clone());
+            for (column, op) in [(1, "<="), (2, ">")] {
+                let name = ["id", "ts", "te"][column];
+                let sql = format!("SELECT * FROM s WHERE {name} {op} {v}");
+                let mut got = session.query(&sql).unwrap().rows().to_vec();
+                let mut expected: Vec<Row> = rows
+                    .iter()
+                    .filter(|r| match r[column] {
+                        Value::Int(x) if op == "<=" => x <= v,
+                        Value::Int(x) => x > v,
+                        _ => false,
+                    })
+                    .cloned()
+                    .collect();
+                got.sort();
+                expected.sort();
+                assert_eq!(got, expected, "{step}: {sql}");
+            }
         }
         assert_no_index_files(&dir);
     };
@@ -563,6 +644,26 @@ fn shuffled_heap_is_served_by_the_index_across_inserts_and_reopens() {
         }
     };
     insert(&db, &mut rows, 20);
+    let mut session = Session::with_database(db.clone());
+    for i in 0..10i64 {
+        let ts = 2_999 * i + 7;
+        for (id, ts, te) in [
+            (20_000 + i, Some(ts), None),
+            (21_000 + i, None, Some(ts + 3)),
+        ] {
+            let sql = |b: Option<i64>| b.map_or("NULL".into(), |b| b.to_string());
+            session
+                .execute(&format!(
+                    "INSERT INTO s VALUES ({id}, {}, {})",
+                    sql(ts),
+                    sql(te)
+                ))
+                .unwrap();
+            let value = |b: Option<i64>| b.map_or(Value::Null, Value::Int);
+            rows.push(vec![Value::Int(id), value(ts), value(te)].into());
+        }
+    }
+    drop(session);
     check(&db, &rows, "INSERT");
 
     db.close().unwrap();
