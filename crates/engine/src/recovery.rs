@@ -8,7 +8,9 @@
 //! WAL images every page the first time it is touched in a checkpoint
 //! epoch, before logging logical appends against it), and a torn WAL tail
 //! is truncated with a warning — recovery always reopens to the longest
-//! consistent prefix of the committed history, never refuses.
+//! consistent prefix of the committed history, never refuses. The one
+//! directory it refuses is one whose log carries another format version
+//! (`Wal::open`), and it does so before reading or writing anything else.
 //!
 //! The interval index — with the zone maps and key filters that prune
 //! pages — lives in memory only, so recovery has nothing to do for it: a
@@ -70,8 +72,11 @@ pub fn recover(
     dir: &Path,
     pool_pages: usize,
 ) -> EngineResult<(Manifest, Arc<Wal>, RecoveryReport)> {
-    let mut manifest = Manifest::load(dir).map_err(EngineError::from)?;
+    // The log first: it is where the format version is checked, so a
+    // directory of another version is refused before anything else in it
+    // is read.
     let (wal, scan) = Wal::open(dir).map_err(EngineError::from)?;
+    let mut manifest = Manifest::load(dir).map_err(EngineError::from)?;
     let mut report = RecoveryReport {
         wal_tail_truncated: scan.tail_truncated,
         ..RecoveryReport::default()

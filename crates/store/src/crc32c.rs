@@ -348,11 +348,13 @@ mod tests {
 
     #[test]
     fn a_page_checksum_split_matches_the_whole_page() {
-        // `Page::compute_crc`: 76 header bytes, the CRC field as zeros,
-        // then the 4 016 bytes after it.
-        let mut page = random_bytes(4096, 0x5851_F42D_4C95_7F2D);
-        page[76..80].fill(0);
-        let split = crc32c_append(crc32c_append(crc32c(&page[..76]), &[0; 4]), &page[80..]);
+        // `Page::compute_crc`: the header bytes before the CRC field, the
+        // field as zeros, then the rest of the page.
+        use crate::page::{OFF_CRC, PAGE_SIZE};
+        let mut page = random_bytes(PAGE_SIZE, 0x5851_F42D_4C95_7F2D);
+        page[OFF_CRC..OFF_CRC + 4].fill(0);
+        let head = crc32c(&page[..OFF_CRC]);
+        let split = crc32c_append(crc32c_append(head, &[0; 4]), &page[OFF_CRC + 4..]);
         assert_eq!(split, reference(0, &page));
         assert_eq!(crc32c(&page), reference(0, &page));
     }

@@ -3,7 +3,7 @@
 //! Every heap page gets its CRC on the way to disk and is verified on the
 //! way back, so a torn or bit-rotted page surfaces as a
 //! [`StoreError::Corrupt`] at read time instead of decoding to garbage.
-//! A block without the heap-page magic (a retired page format) has no CRC
+//! A block without the heap-page magic (another format version) has no CRC
 //! field and passes through to [`crate::page::Page::validate`], which
 //! names its version. Writes and syncs are counted
 //! for observability and pass through the [`crate::failpoints`] sites

@@ -15,6 +15,8 @@ pub enum StoreError {
     /// The manifest references a file that does not exist on disk — the
     /// database directory is incomplete (partial copy, deleted heap).
     Missing(String),
+    /// The directory was written in another on-disk format version.
+    Incompatible(String),
 }
 
 impl fmt::Display for StoreError {
@@ -24,6 +26,7 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
             StoreError::Capacity(m) => write!(f, "storage capacity: {m}"),
             StoreError::Missing(m) => write!(f, "missing storage file: {m}"),
+            StoreError::Incompatible(m) => write!(f, "incompatible storage format: {m}"),
         }
     }
 }

@@ -437,26 +437,17 @@ impl Entries {
 
     fn insert(&mut self, mut batch: Vec<IndexEntry>) {
         if self.sorted.is_empty() {
+            // The batch's own buffer becomes the index: no copy of it.
             *self = Entries::new(batch);
             return;
         }
         batch.sort_unstable();
+        batch.dedup_by(fold);
         let Some(&first) = batch.first() else {
             return;
         };
         let old = self.sorted.len();
         let from = self.sorted.partition_point(|e| *e <= first);
-        if from == old {
-            // In order: extend, folding as the entries arrive.
-            for mut next in batch {
-                let last = self.sorted.last_mut().expect("non-empty");
-                if !fold(&mut next, last) {
-                    self.sorted.push(next);
-                }
-            }
-            self.refresh_blocks(old - 1);
-            return;
-        }
         // Entries before `from` sort at or before the whole batch and stay
         // where they are; the tail `from..old` merges with the batch from
         // the back into the room the extend made.
@@ -474,7 +465,19 @@ impl Entries {
                 j -= 1;
             }
         }
-        self.refresh_blocks(from);
+        // Fold in place, as a build does, from the last entry that kept
+        // its place: the ones before it were folded already.
+        let start = from.saturating_sub(1);
+        let mut kept = start;
+        for k in start + 1..self.sorted.len() {
+            let mut next = self.sorted[k];
+            if !fold(&mut next, &mut self.sorted[kept]) {
+                kept += 1;
+                self.sorted[kept] = next;
+            }
+        }
+        self.sorted.truncate(kept + 1);
+        self.refresh_blocks(start);
     }
 
     fn probe(&self, ts_le: Option<i64>, te_gt: Option<i64>) -> Vec<SlotRange> {
@@ -864,6 +867,23 @@ mod tests {
             Some(1_000)
         );
         assert_probes_match(&idx, &gaps, 7, 300);
+    }
+
+    #[test]
+    fn an_out_of_order_append_folds_like_a_build() {
+        // The third row overlaps both earlier ones on their page: appended
+        // one row at a time, the three fold into one entry, as built.
+        let events = numbered([(0, 10, 0), (20, 30, 0), (5, 25, 0)]);
+        let appended = IntervalIndex::new(rows(Vec::new()));
+        for &e in &events {
+            appended.append(rows(vec![e]));
+        }
+        let built = IntervalIndex::new(rows(events.clone()));
+        for idx in [&appended, &built] {
+            let held = idx.read().as_ref().map(|e| e.intervals.sorted.len());
+            assert_eq!(held, Some(1));
+            assert_probes_match(idx, &events, 8, 100);
+        }
     }
 
     #[test]

@@ -70,6 +70,13 @@ pub mod manifest;
 pub mod page;
 pub mod wal;
 
+/// The on-disk format version of a database directory. The WAL header
+/// carries it, the manifest's first line names it and the heap-page magic
+/// ends in it (`"TPG4"`). [`wal::Wal::open`] refuses a log of another
+/// version before reading a record of it; nothing in such a directory is
+/// read past or rewritten.
+pub const FORMAT_VERSION: u32 = 4;
+
 pub use buffer::{BufferPool, PageGuard, PageWriteGuard, PoolStats, DEFAULT_POOL_PAGES};
 pub use disk::DiskManager;
 pub use error::{StoreError, StoreResult};

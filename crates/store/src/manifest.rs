@@ -6,15 +6,15 @@
 //! file — trivially inspectable, no external dependencies:
 //!
 //! ```text
-//! # temporal-store manifest v1
+//! # temporal-store manifest v4
 //! staff <TAB> staff.heap <TAB> 1f00dcafe <TAB> 3 <TAB> person:str,team:str,ts:int,te:int
 //! ```
 //!
 //! (tab-separated: name, heap file, schema fingerprint in hex, row count,
 //! schema string). The schema string is opaque to this crate — the engine
 //! layer defines and parses it. Saves are atomic (temp file + rename).
-//! Directories written while the interval index was a file carry a sixth
-//! field naming it; loading ignores that field, and the file is never read.
+//! The first line names the [`crate::FORMAT_VERSION`] the directory was
+//! written in; the WAL header is where the version is checked.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -23,8 +23,6 @@ use crate::error::{StoreError, StoreResult};
 
 /// Manifest file name inside a database directory.
 pub const MANIFEST_FILE: &str = "manifest.tsv";
-
-const HEADER: &str = "# temporal-store manifest v1";
 
 /// Per-table metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,11 +76,10 @@ impl Manifest {
                 }
                 continue;
             }
-            // A sixth field is the retired interval-index file: ignored.
             let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 5 && fields.len() != 6 {
+            if fields.len() != 5 {
                 return Err(StoreError::Corrupt(format!(
-                    "manifest line {}: expected 5 or 6 tab-separated fields, got {}",
+                    "manifest line {}: expected 5 tab-separated fields, got {}",
                     i + 1,
                     fields.len()
                 )));
@@ -112,9 +109,11 @@ impl Manifest {
             return Err(crate::failpoints::power_cut_error());
         }
         std::fs::create_dir_all(dir)?;
-        let mut out = String::from(HEADER);
-        out.push('\n');
-        out.push_str(&format!("# epoch {}\n", self.epoch));
+        let mut out = format!(
+            "# temporal-store manifest v{}\n# epoch {}\n",
+            crate::FORMAT_VERSION,
+            self.epoch
+        );
         for (name, meta) in &self.tables {
             for field in [name.as_str(), meta.file.as_str(), meta.schema.as_str()] {
                 if field.contains('\t') || field.contains('\n') {
@@ -252,30 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sixth_field_loads_ignored_and_saves_dropped() {
-        let dir = tmpdir("sixth_field");
-        std::fs::write(
-            Manifest::path_in(&dir),
-            "r\tr.heap\tdeadbeef\t12\ta:int,ts:int,te:int\tr.tidx\n\
-             plain\tplain.heap\tdeadbeef\t12\ta:int,ts:int,te:int\n",
-        )
-        .unwrap();
-        let back = Manifest::load(&dir).unwrap();
-        assert_eq!(back.get("r"), Some(&meta("r.heap")));
-        assert_eq!(back.get("plain"), Some(&meta("plain.heap")));
-        // `verify_files` does not look for the index file it named.
-        std::fs::write(dir.join("r.heap"), b"").unwrap();
-        std::fs::write(dir.join("plain.heap"), b"").unwrap();
-        back.verify_files(&dir).unwrap();
-        back.save(&dir).unwrap();
-        let text = std::fs::read_to_string(Manifest::path_in(&dir)).unwrap();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(line.split('\t').count(), 5, "{line:?}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn epoch_roundtrips_and_defaults_to_zero() {
         let dir = tmpdir("epoch");
         let mut m = Manifest::default();
@@ -306,8 +281,10 @@ mod tests {
     #[test]
     fn corrupt_lines_are_rejected() {
         let dir = tmpdir("corrupt");
-        std::fs::write(Manifest::path_in(&dir), "r\tonly-two-fields\n").unwrap();
-        assert!(matches!(Manifest::load(&dir), Err(StoreError::Corrupt(_))));
+        for line in ["r\tonly-two-fields\n", "r\tr.heap\tbeef\t1\ta:int\tsixth\n"] {
+            std::fs::write(Manifest::path_in(&dir), line).unwrap();
+            assert!(matches!(Manifest::load(&dir), Err(StoreError::Corrupt(_))));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

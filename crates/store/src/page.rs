@@ -7,26 +7,24 @@
 //! +--------------------------------- PAGE_SIZE ---------------------------------+
 //! | header | slot 0 | slot 1 | …  ->  free space  <-  … | record 1 | record 0 |
 //! +------------------------------------------------------------------------------+
-//!   80 B     4 B each (offset,len)                         grows downward
+//!   30 B     4 B each (offset,len)                         grows downward
 //! ```
 //!
 //! The fixed header carries a magic number, the **schema fingerprint** of
 //! the owning table (so a page can never be decoded under the wrong
 //! schema), the **tuple count**, the slot/free-space pointers `lower`
 //! (end of the slot array, grows up) and `upper` (start of record data,
-//! grows down) — `upper - lower` is the free space. Bytes 18–67 are
-//! reserved: written as zero and never read, so a page on which an older
-//! build filled them still validates. What a pruned scan knows of a page
-//! lives in memory, in [`crate::index::IntervalIndex`].
+//! grows down) — `upper - lower` is the free space. What a pruned scan
+//! knows of a page lives in memory, in [`crate::index::IntervalIndex`].
 //!
 //! The header ends with a **page LSN** (the WAL sequence number of the
 //! last logged change — replay applies a record only when the page LSN
 //! proves it missing, making redo idempotent) and a **page CRC** (CRC-32C
 //! over the whole page with the CRC field zeroed, written by the disk
 //! manager with every page and verified on read, so a torn or bit-rotted
-//! page is detected instead of decoded). There is one page format,
-//! `"TPG3"`: [`Page::validate`] rejects every other magic as an
-//! unsupported page version.
+//! page is detected instead of decoded). The magic ends in the
+//! [`crate::FORMAT_VERSION`] (`"TPG4"`): [`Page::validate`] rejects every
+//! other magic as an unsupported page version.
 
 use crate::crc32c::crc32c_append;
 use crate::error::{StoreError, StoreResult};
@@ -41,9 +39,10 @@ pub type PageId = u32;
 /// Slot index within a page.
 pub type SlotId = u16;
 
-const MAGIC: u32 = 0x5450_4733; // "TPG3"
+/// `"TPG"` followed by the format version's digit.
+const MAGIC: u32 = u32::from_be_bytes(*b"TPG0") + crate::FORMAT_VERSION;
 /// Header size — also where the slot array starts.
-const HEADER_SIZE: usize = 80;
+const HEADER_SIZE: usize = 30;
 /// Bytes per slot-array entry (offset u16 + length u16). Exposed so the
 /// heap's fits-in-tail-page check can never diverge from
 /// [`Page::insert`]'s free-space arithmetic.
@@ -54,9 +53,8 @@ const OFF_FINGERPRINT: usize = 4;
 const OFF_TUPLE_COUNT: usize = 12;
 const OFF_LOWER: usize = 14;
 const OFF_UPPER: usize = 16;
-// Bytes 18..68 are reserved (zero).
-const OFF_LSN: usize = 68;
-const OFF_CRC: usize = 76;
+const OFF_LSN: usize = 18;
+pub(crate) const OFF_CRC: usize = 26;
 
 /// The largest record a page can hold (one slot plus the data).
 pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
@@ -146,8 +144,8 @@ impl Page {
     }
 
     /// Does this block carry the heap-page magic? Blocks that do not — a
-    /// retired page format — have no CRC field to check; the disk manager
-    /// passes them through and [`Page::validate`] rejects them.
+    /// page of another format version — have no CRC field to check; the
+    /// disk manager passes them through and [`Page::validate`] rejects them.
     fn is_heap_page(&self) -> bool {
         self.get_u32(OFF_MAGIC) == MAGIC
     }
@@ -219,8 +217,9 @@ impl Page {
     pub fn validate(&self, expected_fingerprint: u64) -> StoreResult<()> {
         if !self.is_heap_page() {
             return Err(StoreError::Corrupt(format!(
-                "unsupported page version: magic {:#010x}, this build reads only {MAGIC:#010x} (\"TPG3\")",
-                self.get_u32(OFF_MAGIC)
+                "unsupported page version: magic {:#010x}, this build reads only {MAGIC:#010x} (\"TPG{}\")",
+                self.get_u32(OFF_MAGIC),
+                crate::FORMAT_VERSION
             )));
         }
         if self.fingerprint() != expected_fingerprint {
@@ -375,8 +374,8 @@ mod tests {
 
     #[test]
     fn other_magics_are_an_unsupported_version() {
-        // "TPG2", a retired format, and a block of some other file.
-        for magic in [0x5450_4732u32, 0x5449_4458] {
+        // "TPG3", the previous format, and a block of some other file.
+        for magic in [0x5450_4733u32, 0x5449_4458] {
             let mut p = Page::init(7);
             p.put_u32(OFF_MAGIC, magic);
             assert!(!p.is_heap_page());
@@ -403,7 +402,7 @@ mod tests {
         // makes the block something other than a heap page) breaks the
         // check — probe a spread of offsets covering header, LSN, slot
         // array, and record data.
-        for off in [5usize, 12, 40, 69, 81, 200, PAGE_SIZE - 1] {
+        for off in [5, 12, OFF_LSN + 1, HEADER_SIZE + 1, 200, PAGE_SIZE - 1] {
             let mut q = p.clone();
             q.as_bytes_mut()[off] ^= 0x40;
             assert!(!q.crc_ok(), "flip at {off} went undetected");

@@ -9,8 +9,8 @@
 //!
 //! ## Framing
 //!
-//! The file starts with an 8-byte header (`"TWAL"` magic + format
-//! version), followed by records framed as
+//! The file starts with an 8-byte header (`"TWAL"` magic + the
+//! [`crate::FORMAT_VERSION`]), followed by records framed as
 //!
 //! ```text
 //! [len: u32][crc32c: u32][lsn: u64][payload: len bytes]
@@ -22,7 +22,11 @@
 //! what makes replay idempotent. The scan on open stops at the first
 //! frame that is short, oversized, fails its CRC, or fails to decode,
 //! truncates the file there, and warns: a torn tail degrades to losing
-//! unacknowledged work, never to refusing to open.
+//! unacknowledged work, never to refusing to open. A header too short or
+//! without the magic starts a fresh log the same way. A header with the
+//! magic and another format version is the one case open refuses: the
+//! log belongs to another build, and nothing in the directory is read
+//! past or rewritten.
 //!
 //! ## Full-page images
 //!
@@ -76,13 +80,14 @@ use crate::crc32c::{crc32c, crc32c_append};
 use crate::error::{StoreError, StoreResult};
 use crate::failpoints::{self, Action};
 use crate::page::{PageId, PAGE_SIZE};
+use crate::FORMAT_VERSION;
 
 /// WAL file name inside a database directory.
 pub const WAL_FILE: &str = "wal.log";
 
 const WAL_MAGIC: u32 = 0x5457_414C; // "TWAL"
-const WAL_VERSION: u32 = 1;
-const HEADER_LEN: u64 = 8;
+/// The file header: the magic, then the format version, little-endian.
+const HEADER: [u8; 8] = ((FORMAT_VERSION as u64) << 32 | WAL_MAGIC as u64).to_le_bytes();
 const FRAME_HEADER: usize = 16; // len + crc + lsn
 /// Upper bound on a plausible payload — anything larger in a frame
 /// header means the length field itself is garbage.
@@ -172,9 +177,6 @@ pub enum WalRecord {
 
 const TAG_TABLE_UPSERT: u8 = 1;
 const TAG_TABLE_DROP: u8 = 2;
-/// A heap append carries a zone flag byte before the record: 0 here.
-/// Logs written while pages carried zone maps also hold flag 1 or 2 with
-/// 16 or 24 bytes of zone after it; replay reads past them.
 const TAG_HEAP_APPEND: u8 = 3;
 const TAG_HEAP_PAGE_IMAGE: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
@@ -275,7 +277,6 @@ impl WalRecord {
                 put_str(&mut out, table)?;
                 out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.extend_from_slice(&page.to_le_bytes());
-                out.push(0);
                 out.extend_from_slice(&(record.len() as u32).to_le_bytes());
                 out.extend_from_slice(record);
             }
@@ -308,22 +309,6 @@ impl WalRecord {
                 let fingerprint = c.u64()?;
                 let rows = c.u64()?;
                 let schema = c.str()?;
-                // Logs written while the interval index was a file end the
-                // record with its name (flag 1 + string) or flag 0; the
-                // field is read past, so such a log replays in full.
-                if c.pos < c.buf.len() {
-                    match c.u8()? {
-                        0 => {}
-                        1 => {
-                            c.str()?;
-                        }
-                        f => {
-                            return Err(StoreError::Corrupt(format!(
-                                "WAL table-upsert has bad index flag {f}"
-                            )))
-                        }
-                    }
-                }
                 WalRecord::TableUpsert {
                     name,
                     file,
@@ -337,17 +322,6 @@ impl WalRecord {
                 let table = c.str()?;
                 let fingerprint = c.u64()?;
                 let page = c.u32()?;
-                let width = match c.u8()? {
-                    0 => 0,
-                    1 => 16,
-                    2 => 24,
-                    f => {
-                        return Err(StoreError::Corrupt(format!(
-                            "WAL heap-append has bad zone flag {f}"
-                        )))
-                    }
-                };
-                c.take(width)?;
                 let len = c.u32()? as usize;
                 let record = c.take(len)?.to_vec();
                 WalRecord::HeapAppend {
@@ -450,7 +424,9 @@ impl Wal {
     /// validates every frame; the first torn or corrupt one truncates the
     /// file there with a warning on stderr — recovery then replays
     /// whatever consistent prefix survived. The log starts in
-    /// [`SyncMode::Commit`].
+    /// [`SyncMode::Commit`]. A log of another format version is a
+    /// [`StoreError::Incompatible`], returned before anything is scanned
+    /// or written.
     pub fn open(dir: &Path) -> StoreResult<(Wal, WalScan)> {
         std::fs::create_dir_all(dir)?;
         let path = Self::path_in(dir);
@@ -462,36 +438,33 @@ impl Wal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            file.write_all(&WAL_MAGIC.to_le_bytes())?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
-            bytes.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-            bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        }
-        if bytes.len() < HEADER_LEN as usize
-            || bytes[0..4] != WAL_MAGIC.to_le_bytes()
-            || bytes[4..8] != WAL_VERSION.to_le_bytes()
-        {
-            // A mangled header means nothing in the file can be trusted;
-            // start a fresh log rather than refuse to open.
-            eprintln!(
-                "temporal-store: WAL header of {} is corrupt — starting a fresh log",
+        if bytes.len() >= HEADER.len() && bytes[..4] == HEADER[..4] && bytes[4..8] != HEADER[4..] {
+            let found = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+            return Err(StoreError::Incompatible(format!(
+                "{} has format version {found}; this build reads only version {FORMAT_VERSION}",
                 path.display()
-            );
+            )));
+        }
+        if !bytes.starts_with(&HEADER) {
+            // A new log, or a mangled header: nothing in the file can be
+            // trusted, so start a fresh log rather than refuse to open.
+            if !bytes.is_empty() {
+                eprintln!(
+                    "temporal-store: WAL header of {} is corrupt — starting a fresh log",
+                    path.display()
+                );
+            }
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&WAL_MAGIC.to_le_bytes())?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
+            file.write_all(&HEADER)?;
             // Keep `bytes` mirroring the file so the scan below lands on
-            // `valid_end == HEADER_LEN` — seeking to 0 here would let the
+            // `valid_end == HEADER.len()` — seeking to 0 here would let the
             // next append overwrite the header we just rewrote.
-            bytes.clear();
-            bytes.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-            bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
+            bytes = HEADER.to_vec();
         }
         let mut records: Vec<(u64, WalRecord)> = Vec::new();
         let mut max_lsn = 0u64;
-        let mut pos = (HEADER_LEN as usize).min(bytes.len());
+        let mut pos = HEADER.len();
         let mut valid_end = pos;
         let mut tail_truncated = false;
         while pos + FRAME_HEADER <= bytes.len() {
@@ -554,7 +527,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 next_lsn: max_lsn + 1,
-                bytes_since_checkpoint: (valid_end as u64).saturating_sub(HEADER_LEN),
+                bytes_since_checkpoint: (valid_end - HEADER.len()) as u64,
                 imaged: HashSet::new(),
             }),
         };
@@ -837,8 +810,7 @@ impl Wal {
         let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &payload);
         let tmp = self.path.with_extension("log.tmp");
         let mut out = File::create(&tmp)?;
-        out.write_all(&WAL_MAGIC.to_le_bytes())?;
-        out.write_all(&WAL_VERSION.to_le_bytes())?;
+        out.write_all(&HEADER)?;
         out.write_all(&(payload.len() as u32).to_le_bytes())?;
         out.write_all(&crc.to_le_bytes())?;
         out.write_all(&lsn.to_le_bytes())?;
@@ -910,79 +882,15 @@ mod tests {
 
     #[test]
     fn record_codec_roundtrips() {
-        for rec in sample_records() {
-            let bytes = rec.encode().unwrap();
+        for rec in sample_records().into_iter().chain([WalRecord::Checkpoint]) {
+            let mut bytes = rec.encode().unwrap();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
-        }
-        assert_eq!(
-            WalRecord::decode(&WalRecord::Checkpoint.encode().unwrap()).unwrap(),
-            WalRecord::Checkpoint
-        );
-    }
-
-    /// A log written while the interval index was a file ends each table
-    /// upsert in the index field (flag 1 + file name, or flag 0). Every
-    /// record replays with the field ignored — none is taken for a torn
-    /// tail, which would drop it and every committed record after it.
-    #[test]
-    fn a_log_with_index_fields_replays_every_record() {
-        let dir = tmpdir("index-field");
-        drop(Wal::open(&dir).unwrap());
-        let upsert = |name: &str| WalRecord::TableUpsert {
-            name: name.into(),
-            file: format!("{name}.heap"),
-            fingerprint: 0xfeed,
-            rows: 3,
-            schema: "a:int,ts:int,te:int".into(),
-        };
-        let mut indexed = upsert("r").encode().unwrap();
-        indexed.push(1);
-        put_str(&mut indexed, "r.tidx").unwrap();
-        let mut plain = upsert("plain").encode().unwrap();
-        plain.push(0);
-        let append = sample_records()[2].clone();
-        let path = Wal::path_in(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        for (lsn, payload) in (1u64..).zip([indexed, plain, append.encode().unwrap()]) {
-            let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &payload);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            bytes.extend_from_slice(&lsn.to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(&path, bytes).unwrap();
-        let (_, scan) = Wal::open(&dir).unwrap();
-        assert!(!scan.tail_truncated);
-        let back: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(back, vec![upsert("r"), upsert("plain"), append]);
-        // A flag that format never wrote is still corruption.
-        let mut bad = upsert("r").encode().unwrap();
-        bad.push(7);
-        assert!(WalRecord::decode(&bad).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A log written while heap pages carried zone maps holds a zone after
-    /// the append's flag byte: none (flag 0), `ts, te` (flag 1) or
-    /// `ts, te, key` (flag 2). Each replays as the same append with the
-    /// zone ignored; a flag that format never wrote is still corruption.
-    #[test]
-    fn a_log_with_zone_fields_replays_every_record() {
-        let append = sample_records()[2].clone();
-        let plain = append.encode().unwrap();
-        // Tag, table ("r"), fingerprint and page: 1 + 3 + 8 + 4 bytes,
-        // then the flag byte this build writes as 0.
-        let (head, tail) = plain.split_at(16);
-        assert_eq!(tail[0], 0);
-        let tail = &tail[1..];
-        for (flag, width) in [(0u8, 0usize), (1, 16), (2, 24)] {
-            let mut zoned = head.to_vec();
-            zoned.push(flag);
-            zoned.extend(std::iter::repeat_n(0x5a, width));
-            zoned.extend_from_slice(tail);
-            assert_eq!(WalRecord::decode(&zoned).unwrap(), append, "flag {flag}");
-            zoned[16] = 3;
-            assert!(WalRecord::decode(&zoned).is_err(), "flag 3");
+            // A byte the format never wrote is corruption.
+            bytes.push(0);
+            assert!(
+                WalRecord::decode(&bytes).is_err(),
+                "{rec:?} + trailing byte"
+            );
         }
     }
 
@@ -1047,7 +955,7 @@ mod tests {
         let path = Wal::path_in(&dir);
         let pristine = std::fs::read(&path).unwrap();
         let mut corrupt = pristine.clone();
-        let mid = HEADER_LEN as usize + (pristine.len() - HEADER_LEN as usize) / 2;
+        let mid = HEADER.len() + (pristine.len() - HEADER.len()) / 2;
         corrupt[mid] ^= 0x10;
         std::fs::write(&path, &corrupt).unwrap();
         let (_, scan) = Wal::open(&dir).unwrap();

@@ -6,10 +6,9 @@
 //! truncated with a warning; missing storage files are a clear error;
 //! `sync_mode` / `wal_checkpoint_pages` are settable through both
 //! surfaces; the interval index (built in memory on the first probe) and
-//! the zone maps answer `AS OF` timeslices identically to a brute-force
-//! oracle after recovery; and directories written while the index was a
-//! file, or while pages and WAL appends carried zone maps, open and
-//! replay every record.
+//! the zone maps answer `AS OF` timeslices and key lookups identically to
+//! a brute-force oracle after recovery; and a directory whose log carries
+//! another format version is refused at open and left byte-identical.
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
@@ -99,6 +98,8 @@ fn assert_pruning_consistent(db: &Database, table: &str, rows: &[Row], instants:
 /// Committed inserts survive a crash: nothing was flushed or
 /// checkpointed, so every row after the base registration exists only
 /// in the WAL — reopen must replay them, and the index must see them.
+/// Rows with a NULL key or a NULL start come back too, and `id = c`,
+/// alone and `AS OF`, answers like the oracle under every pruning setting.
 #[test]
 fn committed_inserts_survive_a_crash() {
     let dir = scratch("crash-basic");
@@ -108,7 +109,17 @@ fn committed_inserts_survive_a_crash() {
     let db = Database::open(&dir).unwrap();
     db.register("r", &base).unwrap();
     for i in 0..40 {
-        let r = row(1000 + i, 7 * i, 7 * i + 5);
+        let id = if i % 10 == 3 {
+            Value::Null
+        } else {
+            Value::Int(1000 + i)
+        };
+        let ts = if i % 10 == 6 {
+            Value::Null
+        } else {
+            Value::Int(7 * i)
+        };
+        let r: Row = vec![id, ts, Value::Int(7 * i + 5)].into();
         db.insert_rows("r", vec![r.clone()]).unwrap();
         expected.push(r);
     }
@@ -116,17 +127,42 @@ fn committed_inserts_survive_a_crash() {
 
     let db = Database::open(&dir).unwrap();
     assert_eq!(
-        collect_rows(&db, "r"),
+        engine_rows(&db, db.table("r").unwrap()),
         expected,
         "recovery lost or reordered committed rows"
     );
     assert_pruning_consistent(&db, "r", &expected, &[0, 35, 140, 999, 100_000]);
+    for c in [7, 1010, 1013, 1016, 5000] {
+        for as_of in [None, Some(70)] {
+            let want: Vec<Row> = match as_of {
+                Some(v) => oracle_as_of(&expected, v),
+                None => expected.clone(),
+            }
+            .into_iter()
+            .filter(|r| r[0] == Value::Int(c))
+            .collect();
+            for (zm, ix) in [(true, true), (true, false), (false, true), (false, false)] {
+                db.set("enable_zonemaps", zm, None).unwrap();
+                db.set("enable_interval_index", ix, None).unwrap();
+                let frame = db.table("r").unwrap();
+                let frame = match as_of {
+                    Some(v) => frame.as_of(v),
+                    None => frame,
+                };
+                let got = engine_rows(&db, frame.filter(col("id").eq(lit(c))));
+                assert_eq!(
+                    got, want,
+                    "id = {c}, AS OF {as_of:?} (zonemaps={zm}, index={ix})"
+                );
+            }
+        }
+    }
 
     // A second crash-free reopen sees the checkpointed state unchanged
     // (recovery that did work checkpoints, so the WAL does not regrow).
     db.close().unwrap();
     let db = Database::open(&dir).unwrap();
-    assert_eq!(collect_rows(&db, "r"), expected);
+    assert_eq!(engine_rows(&db, db.table("r").unwrap()), expected);
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -317,163 +353,67 @@ fn missing_storage_files_are_a_clear_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A directory written while the interval index was a file: manifest
-/// lines carry a sixth field naming `<table>.tidx`, the file sits beside
-/// the heap, and each WAL table-upsert ends in the index field. It opens
-/// with the field ignored and the stale file never read (it holds
-/// garbage here), and its WAL replays in full — the upsert is not taken
-/// for a torn tail, which would drop the committed inserts after it.
+/// The bytes of every file in `dir`, by name.
+fn dir_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A directory whose log carries another format version — an older
+/// one or a newer one — is refused at open with an error naming both
+/// versions, and every file in it is left as it was: its acknowledged,
+/// un-checkpointed records are neither replayed nor discarded. With the
+/// version restored, the same directory opens with every row.
 #[test]
-fn a_directory_with_index_files_opens_and_replays_every_record() {
-    let dir = scratch("index-file-era");
-    let (base, _) = ddisj(200);
+fn another_format_version_is_refused_and_left_untouched() {
+    let seed_dir = scratch("version-seed");
+    let (base, _) = ddisj(20);
     let mut expected = base.rows().to_vec();
-    let db = Database::open(&dir).unwrap();
+    let db = Database::open(&seed_dir).unwrap();
     db.register("r", &base).unwrap();
-    for i in 0..10 {
-        let r = row(5000 + i, 3 * i, 3 * i + 40);
+    for i in 0..5 {
+        let r = row(700 + i, 4 * i, 4 * i + 3);
         db.insert_rows("r", vec![r.clone()]).unwrap();
         expected.push(r);
     }
     crash(db);
 
-    // Rewrite the directory into that format.
-    let manifest = dir.join("manifest.tsv");
-    let text: String = std::fs::read_to_string(&manifest)
-        .unwrap()
-        .lines()
-        .map(|l| {
-            let sixth = if l.starts_with("r\t") { "\tr.tidx" } else { "" };
-            format!("{l}{sixth}\n")
-        })
-        .collect();
-    std::fs::write(&manifest, text).unwrap();
-    std::fs::write(dir.join("r.tidx"), vec![0xA5u8; 3 * 4096]).unwrap();
-    let wal_path = dir.join("wal.log");
-    let wal = std::fs::read(&wal_path).unwrap();
-    let mut old = wal[..8].to_vec();
-    let mut upserts = 0;
-    for start in frame_starts(&wal) {
-        let len = u32::from_le_bytes(wal[start..start + 4].try_into().unwrap()) as usize;
-        let lsn = &wal[start + 8..start + 16];
-        let mut payload = wal[start + 16..start + 16 + len].to_vec();
-        if payload[0] == 1 {
-            // Table upsert: flag 1, then the u16-prefixed file name.
-            payload.push(1);
-            payload.extend_from_slice(&6u16.to_le_bytes());
-            payload.extend_from_slice(b"r.tidx");
-            upserts += 1;
-        }
-        let crc =
-            temporal_store::crc32c::crc32c_append(temporal_store::crc32c::crc32c(lsn), &payload);
-        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        old.extend_from_slice(&crc.to_le_bytes());
-        old.extend_from_slice(lsn);
-        old.extend_from_slice(&payload);
+    let current = temporal_store::FORMAT_VERSION;
+    for version in [1, current + 1] {
+        let dir = scratch(&format!("version-{version}"));
+        copy_dir(&seed_dir, &dir);
+        let wal = dir.join("wal.log");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&wal, &bytes).unwrap();
+        let before = dir_bytes(&dir);
+        let msg = Database::open(&dir)
+            .expect_err("another format version must be refused")
+            .to_string();
+        assert!(
+            msg.contains(&format!("format version {version}"))
+                && msg.contains(&format!("reads only version {current}")),
+            "the error must name both versions: {msg}"
+        );
+        assert!(
+            dir_bytes(&dir) == before,
+            "a refused open changed the directory (version {version})"
+        );
+        bytes[4..8].copy_from_slice(&current.to_le_bytes());
+        std::fs::write(&wal, &bytes).unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(collect_rows(&db, "r"), expected, "version {version}");
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(upserts, 1, "the register's upsert is in the log");
-    std::fs::write(&wal_path, old).unwrap();
-
-    let db = Database::open(&dir).unwrap();
-    assert_eq!(
-        collect_rows(&db, "r"),
-        expected,
-        "a record after the upsert was dropped"
-    );
-    let explain = db.table("r").unwrap().as_of(20).explain().unwrap();
-    assert!(
-        explain.contains("IndexScan on r using interval index"),
-        "{explain}"
-    );
-    assert_pruning_consistent(&db, "r", &expected, &[0, 20, 1000, 100_000]);
-    // The next save writes five fields; the stale file stays unread.
-    db.checkpoint().unwrap();
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text
-        .lines()
-        .all(|l| l.starts_with('#') || l.split('\t').count() == 5));
-    drop(db);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Row `i` of the fixture's temporal table `h (k, v, ts, te)`: every 50th
-/// key and every 60th start are NULL.
-fn fixture_h_row(i: i64) -> Row {
-    let k = if i % 50 == 49 {
-        Value::Null
-    } else {
-        Value::Int(i % 40)
-    };
-    let ts = if i % 60 == 59 {
-        Value::Null
-    } else {
-        Value::Int(3 * i)
-    };
-    vec![k, Value::Int(i), ts, Value::Int(3 * i + 5 + (i % 7) * 10)].into()
-}
-
-/// A crashed directory written before zone maps moved into the interval
-/// index (`tests/fixtures/zoned_wal_crash`): that build's `tsql` ran
-/// `tests/fixtures/zoned_wal_crash.sql` — a temporal table `h` and a plain
-/// table `p`, filled by un-checkpointed `INSERT`s — and was ended with
-/// `kill -9` once every statement was acknowledged. Its pages carry zone
-/// maps in header bytes 18–67, and after the page images its WAL logs
-/// each append under the old tag with a zone field: none (`p`, and `h`'s
-/// NULL starts), `ts, te` (`h`'s NULL keys) and `ts, te, key`. It opens
-/// with every acknowledged row, and pruned and unpruned `AS OF` and `WHERE
-/// k = c` answer like the oracle. A decoder that does not read past the
-/// zone field truncates the log at the first such append.
-#[test]
-fn a_directory_with_zone_fields_opens_and_replays_every_record() {
-    let dir = scratch("zoned-wal");
-    copy_dir(
-        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/zoned_wal_crash"),
-        &dir,
-    );
-    let h: Vec<Row> = (0..240).map(fixture_h_row).collect();
-    let p: Vec<Row> = (0..60i64)
-        .map(|i| vec![Value::str(format!("n{i}")), Value::Int(i * i)].into())
-        .collect();
-    let db = Database::open(&dir).unwrap();
-    let all = |table: &str| {
-        let mut session = Session::with_database(db.clone());
-        session
-            .query(&format!("SELECT * FROM {table}"))
-            .unwrap()
-            .rows()
-            .to_vec()
-    };
-    assert_eq!(all("h"), h, "h lost acknowledged rows");
-    assert_eq!(all("p"), p, "p lost acknowledged rows");
-    assert_pruning_consistent(&db, "h", &h, &[0, 3, 150, 360, 717, 2_000]);
-    for c in [0, 7, 39, 40] {
-        for as_of in [None, Some(300)] {
-            let keep = |r: &Row| {
-                let valid = |v: i64| {
-                    matches!((&r[2], &r[3]),
-                    (Value::Int(ts), Value::Int(te)) if *ts <= v && *te > v)
-                };
-                r[0] == Value::Int(c) && as_of.is_none_or(valid)
-            };
-            let want: Vec<Row> = h.iter().filter(|r| keep(r)).cloned().collect();
-            for (zm, ix) in [(true, true), (true, false), (false, true), (false, false)] {
-                db.set("enable_zonemaps", zm, None).unwrap();
-                db.set("enable_interval_index", ix, None).unwrap();
-                let frame = db.table("h").unwrap();
-                let frame = match as_of {
-                    Some(v) => frame.as_of(v),
-                    None => frame,
-                };
-                let got = engine_rows(&db, frame.filter(col("k").eq(lit(c))));
-                assert_eq!(
-                    got, want,
-                    "k = {c}, AS OF {as_of:?} (zonemaps={zm}, index={ix})"
-                );
-            }
-        }
-    }
-    drop(db);
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&seed_dir).unwrap();
 }
 
 /// `SET sync_mode` round-trips through the SQL surface (including the
@@ -578,7 +518,8 @@ fn checkpoints_bound_the_wal() {
 }
 
 /// DDL is redo-logged too: a table created (or dropped) right before a
-/// crash exists (or stays gone) after reopen.
+/// crash exists (or stays gone) after reopen — a plain (non-temporal)
+/// table with the rows its `INSERT`s logged.
 #[test]
 fn ddl_survives_a_crash() {
     let dir = scratch("ddl-crash");
@@ -588,11 +529,23 @@ fn ddl_survives_a_crash() {
     db.register("keep", &r).unwrap();
     db.register("goner", &s).unwrap();
     assert!(db.drop_table("goner").unwrap());
+    Session::with_database(db.clone())
+        .execute("CREATE TABLE p (name str, n int) PERSISTED")
+        .unwrap();
+    let p: Vec<Row> = (0..60i64)
+        .map(|i| vec![Value::str(format!("n{i}")), Value::Int(i * i)].into())
+        .collect();
+    for chunk in p.chunks(10) {
+        db.insert_rows("p", chunk.to_vec()).unwrap();
+    }
     crash(db);
 
     let db = Database::open(&dir).unwrap();
-    assert_eq!(db.list_tables(), vec!["keep".to_string()]);
+    assert_eq!(db.list_tables(), vec!["keep".to_string(), "p".to_string()]);
     assert_eq!(collect_rows(&db, "keep"), r.rows().to_vec());
+    let mut session = Session::with_database(db.clone());
+    assert_eq!(session.query("SELECT * FROM p").unwrap().rows().to_vec(), p);
+    drop(session);
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
