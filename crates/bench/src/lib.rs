@@ -23,7 +23,7 @@ use temporal_baselines::sql_normalize::{
     sqlnorm_full_outer_join_plan, sqlnorm_left_outer_join_plan,
 };
 use temporal_baselines::sql_outer_join::{sql_full_outer_join_plan, sql_left_outer_join_plan};
-use temporal_core::prelude::{extend, Database, TemporalPlan, TemporalRelation};
+use temporal_core::prelude::{extend, TemporalPlan, TemporalRelation};
 use temporal_datasets::{ddisj, deq, drand, incumben, random_like_incumben, IncumbenSpec};
 use temporal_engine::prelude::*;
 
@@ -239,14 +239,15 @@ fn chain(d: &Data) -> LogicalPlan {
     let cap = (d.r.len() / 10) as i64;
     r.join(s, o3_theta())
         .and_then(|p| p.selection(col(0).lt(lit(cap))))
-        .and_then(|p| p.aggregation(&[1], vec![(AggCall::count_star(), "cnt".into())]))
+        .and_then(|p| p.aggregation(&[1], vec![(AggCall::count_star(), "cnt")]))
         .expect("chain")
         .into_logical()
 }
 
 /// The persisted table `r`, filtered.
 fn stored(d: &Data, predicate: Expr) -> LogicalPlan {
-    TemporalPlan::table("r", d.r.schema().clone())
+    let (db, _) = d.stored.as_ref().expect("a persisted point");
+    TemporalPlan::table(db, "r")
         .and_then(|p| p.selection(predicate))
         .expect("σ over table r")
         .into_logical()

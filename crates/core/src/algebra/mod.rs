@@ -8,11 +8,9 @@
 //! equality, with the absorb operator α as a final post-processing step
 //! for tuple-based operators.
 
-mod frame;
 mod plan;
 mod reduction;
 
-pub use frame::{Database, SessionGuard, TemporalFrame};
 pub use plan::TemporalPlan;
 pub use reduction::{
     reduce_aggregation, reduce_antijoin, reduce_join, reduce_projection, reduce_selection,

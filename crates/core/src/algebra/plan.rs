@@ -22,18 +22,27 @@
 //! * the planner's rewrite pass pushes non-timestamp selections across
 //!   the alignment/normalization/absorb extension nodes (via their
 //!   pass-through hooks), so a late σᵀ filters base relations early.
+//!
+//! `TemporalPlan` is also the name-based front door over a [`Database`]:
+//! [`TemporalPlan::table`] scans a catalog table with its columns
+//! qualified by the table name, every column argument is a [`ColumnRef`]
+//! (a position or a name such as `"staff.team"`), and a builder error —
+//! an unknown or ambiguous name, incompatible schemas — is returned by the
+//! step that causes it. Nothing executes until [`TemporalPlan::run`].
 
 use temporal_engine::catalog::Catalog;
+use temporal_engine::expr::resolve_name;
 use temporal_engine::plan::SpoolNode;
 use temporal_engine::prelude::*;
 
 use crate::error::{TemporalError, TemporalResult};
 use crate::primitives::absorb::AbsorbNode;
 use crate::primitives::adjustment::{align_plan, antijoin_gaps_plan, normalize_plan};
+use crate::trel::TemporalRelation;
 
 use super::{
     reduce_aggregation, reduce_antijoin, reduce_join, reduce_projection, reduce_selection,
-    reduce_setop, self_pairs,
+    reduce_setop,
 };
 
 /// A composed temporal query: a logical plan whose output is a temporal
@@ -84,14 +93,57 @@ impl TemporalPlan {
     // ---- sources --------------------------------------------------------
 
     /// Scan a materialized temporal relation (shares its rows, no copy).
-    pub fn scan(r: &crate::trel::TemporalRelation) -> TemporalPlan {
+    pub fn scan(r: &TemporalRelation) -> TemporalPlan {
         TemporalPlan {
             plan: LogicalPlan::inline_scan(r.rel().clone()),
         }
     }
 
-    /// Scan a catalog table whose schema is temporal.
-    pub fn table(name: impl Into<String>, schema: Schema) -> TemporalResult<TemporalPlan> {
+    /// Scan table `name` of `db`, whose schema must be temporal. Columns
+    /// are qualified with the table name, so `col("staff.team")`
+    /// resolves. Only the schema is read here: the plan runs against the
+    /// catalog's rows at [`TemporalPlan::run`] time (a persisted table's
+    /// pages stream then).
+    ///
+    /// ```
+    /// use temporal_core::prelude::*;
+    /// use temporal_engine::prelude::*;
+    ///
+    /// let db = Database::new();
+    /// let staff = TemporalRelation::from_rows(
+    ///     Schema::new(vec![
+    ///         Column::new("person", DataType::Str),
+    ///         Column::new("team", DataType::Str),
+    ///     ]),
+    ///     vec![
+    ///         (vec![Value::str("ann"), Value::str("db")], Interval::of(0, 8)),
+    ///         (vec![Value::str("joe"), Value::str("db")], Interval::of(2, 6)),
+    ///     ],
+    /// )
+    /// .unwrap();
+    /// let oncall = TemporalRelation::from_rows(
+    ///     Schema::new(vec![Column::new("team", DataType::Str)]),
+    ///     vec![(vec![Value::str("db")], Interval::of(3, 5))],
+    /// )
+    /// .unwrap();
+    /// db.register("staff", &staff).unwrap();
+    /// db.register("oncall", &oncall).unwrap();
+    ///
+    /// // Who was staffed while their team was on call? (⋈ᵀ then ϑᵀ)
+    /// let theta = col("staff.team").eq(col("oncall.team"));
+    /// let headcount = TemporalPlan::table(&db, "staff")
+    ///     .unwrap()
+    ///     .join(TemporalPlan::table(&db, "oncall").unwrap(), Some(theta))
+    ///     .unwrap()
+    ///     .aggregation(&[] as &[usize], vec![(AggCall::count_star(), "cnt")])
+    ///     .unwrap()
+    ///     .run(&db)
+    ///     .unwrap();
+    /// assert!(headcount.iter().all(|(d, _)| d[0] == Value::Int(2)));
+    /// ```
+    pub fn table(db: &Database, name: &str) -> TemporalResult<TemporalPlan> {
+        let schema = db.read(|catalog, _| catalog.schema_of(name))?;
+        let schema = schema.with_qualifier(name);
         check_temporal(&schema, "table")?;
         Ok(TemporalPlan {
             plan: LogicalPlan::table_scan(name, schema),
@@ -136,7 +188,11 @@ impl TemporalPlan {
 
     /// ⋈ᵀ_θ: temporal inner join; `theta` is over the concatenation of
     /// full `self` and `other` rows.
-    pub fn join(self, other: TemporalPlan, theta: Option<Expr>) -> TemporalResult<TemporalPlan> {
+    pub fn join(
+        self,
+        other: TemporalPlan,
+        theta: impl Into<Option<Expr>>,
+    ) -> TemporalResult<TemporalPlan> {
         self.reduced_join(other, JoinType::Inner, theta)
     }
 
@@ -144,7 +200,7 @@ impl TemporalPlan {
     pub fn left_outer_join(
         self,
         other: TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         self.reduced_join(other, JoinType::Left, theta)
     }
@@ -153,7 +209,7 @@ impl TemporalPlan {
     pub fn right_outer_join(
         self,
         other: TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         self.reduced_join(other, JoinType::Right, theta)
     }
@@ -162,7 +218,7 @@ impl TemporalPlan {
     pub fn full_outer_join(
         self,
         other: TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         self.reduced_join(other, JoinType::Full, theta)
     }
@@ -171,7 +227,7 @@ impl TemporalPlan {
         self,
         other: TemporalPlan,
         join_type: JoinType,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         Ok(TemporalPlan {
@@ -188,7 +244,7 @@ impl TemporalPlan {
     pub fn anti_join(
         self,
         other: TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         Ok(TemporalPlan {
@@ -200,7 +256,7 @@ impl TemporalPlan {
     pub fn anti_join_optimized(
         self,
         other: TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         // The gaps-only plan references each operand once.
@@ -214,9 +270,9 @@ impl TemporalPlan {
     fn resolve_theta(
         &self,
         other: &TemporalPlan,
-        theta: Option<Expr>,
+        theta: impl Into<Option<Expr>>,
     ) -> TemporalResult<Option<Expr>> {
-        match theta {
+        match theta.into() {
             Some(t) if t.has_names() => {
                 let combined = self.plan.schema().concat(&other.plan.schema());
                 Ok(Some(t.resolve(&combined)?))
@@ -227,22 +283,26 @@ impl TemporalPlan {
 
     // ---- group-based operators (splitter) -------------------------------
 
-    /// πᵀ_B(r) = π_{B,T}(N_B(r; r)); `b` are data-column indices.
-    pub fn projection(self, b: &[usize]) -> TemporalResult<TemporalPlan> {
+    /// πᵀ_B(r) = π_{B,T}(N_B(r; r)); `b` are data columns, by position or
+    /// by name.
+    pub fn projection<C: Into<ColumnRef> + Clone>(self, b: &[C]) -> TemporalResult<TemporalPlan> {
+        let b = resolve_columns(&self.plan.schema(), b)?;
         Ok(TemporalPlan {
-            plan: reduce_projection(shared_operand(self.plan), b)?,
+            plan: reduce_projection(shared_operand(self.plan), &b)?,
         })
     }
 
-    /// ϑᵀ: temporal aggregation `_Bϑ_F(r) = _{B,T}ϑ_F(N_B(r; r))`.
-    /// Output schema: `B…, aggregates…, ts, te`. Named column references
-    /// in aggregate arguments are resolved against the input schema.
-    pub fn aggregation(
+    /// ϑᵀ: temporal aggregation `_Bϑ_F(r) = _{B,T}ϑ_F(N_B(r; r))`, grouped
+    /// by the data columns `b` (by position or by name). Output schema:
+    /// `B…, aggregates…, ts, te`. Named column references in aggregate
+    /// arguments are resolved against the input schema.
+    pub fn aggregation<C: Into<ColumnRef> + Clone>(
         self,
-        b: &[usize],
-        aggs: Vec<(AggCall, String)>,
+        b: &[C],
+        aggs: Vec<(AggCall, impl Into<String>)>,
     ) -> TemporalResult<TemporalPlan> {
         let schema = self.plan.schema();
+        let b = resolve_columns(&schema, b)?;
         let aggs = aggs
             .into_iter()
             .map(|(AggCall { func, arg }, alias)| {
@@ -250,11 +310,11 @@ impl TemporalPlan {
                     Some(e) if e.has_names() => Some(e.resolve(&schema)?),
                     other => other,
                 };
-                Ok((AggCall { func, arg }, alias))
+                Ok((AggCall { func, arg }, alias.into()))
             })
             .collect::<TemporalResult<Vec<_>>>()?;
         Ok(TemporalPlan {
-            plan: reduce_aggregation(shared_operand(self.plan), b, aggs)?,
+            plan: reduce_aggregation(shared_operand(self.plan), &b, aggs)?,
         })
     }
 
@@ -282,7 +342,11 @@ impl TemporalPlan {
     // ---- primitives, exposed for composition ----------------------------
 
     /// The alignment primitive `r Φ_θ s` itself.
-    pub fn align(self, other: TemporalPlan, theta: Option<Expr>) -> TemporalResult<TemporalPlan> {
+    pub fn align(
+        self,
+        other: TemporalPlan,
+        theta: impl Into<Option<Expr>>,
+    ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         Ok(TemporalPlan {
             plan: align_plan(self.plan, other.plan, theta)?,
@@ -290,14 +354,25 @@ impl TemporalPlan {
     }
 
     /// The normalization primitive `N_B(r; s)` itself; `b` pairs
-    /// `(self data column, other data column)`.
-    pub fn normalize(
+    /// `(self data column, other data column)`, each by position or by
+    /// name in its own side's schema.
+    pub fn normalize<C: Into<ColumnRef> + Clone>(
         self,
         other: TemporalPlan,
-        b: &[(usize, usize)],
+        b: &[(C, C)],
     ) -> TemporalResult<TemporalPlan> {
+        let (ls, rs) = (self.plan.schema(), other.plan.schema());
+        let b = b
+            .iter()
+            .map(|(l, r)| {
+                Ok((
+                    resolve_column(&ls, l.clone())?,
+                    resolve_column(&rs, r.clone())?,
+                ))
+            })
+            .collect::<TemporalResult<Vec<_>>>()?;
         Ok(TemporalPlan {
-            plan: normalize_plan(self.plan, shared_operand(other.plan), b)?,
+            plan: normalize_plan(self.plan, shared_operand(other.plan), &b)?,
         })
     }
 
@@ -336,16 +411,6 @@ impl TemporalPlan {
         }
     }
 
-    /// πᵀ in self-normalizing form on explicit pairs is rarely needed;
-    /// grouping pairs `(i, i)` for `N_B(r; r)` come from [`self_pairs`].
-    pub fn self_normalize(self, b: &[usize]) -> TemporalResult<TemporalPlan> {
-        let pairs = self_pairs(b);
-        let shared = shared_operand(self.plan);
-        Ok(TemporalPlan {
-            plan: normalize_plan(shared.clone(), shared, &pairs)?,
-        })
-    }
-
     // ---- reflection and execution ---------------------------------------
 
     /// The composed logical plan.
@@ -363,32 +428,65 @@ impl TemporalPlan {
         self.plan.schema()
     }
 
-    /// The optimized physical plan for the whole composed query — one
-    /// tree, costed end to end.
-    pub fn physical(&self, planner: &Planner, catalog: &Catalog) -> TemporalResult<PhysicalPlan> {
-        Ok(planner.plan(&self.plan, catalog)?)
+    /// Plan and optimize against `db` under its shared lock, returning the
+    /// self-contained physical plan (it captures its scans) and the
+    /// configuration to execute it with.
+    fn physical(&self, db: &Database) -> TemporalResult<(PhysicalPlan, PlannerConfig)> {
+        let (physical, config) =
+            db.read(|catalog, planner| (planner.plan(&self.plan, catalog), planner.config));
+        Ok((physical?, config))
     }
 
-    /// EXPLAIN the whole composed query as one physical tree — the same
-    /// rendering SQL `EXPLAIN` produces.
-    pub fn explain(&self, planner: &Planner, catalog: &Catalog) -> TemporalResult<String> {
-        Ok(self.physical(planner, catalog)?.explain())
+    /// Run the whole composed query against `db` with a **single**
+    /// physical plan. The shared lock is held only while planning, so
+    /// execution never blocks concurrent registration or `SET`.
+    pub fn run(&self, db: &Database) -> TemporalResult<TemporalRelation> {
+        let (physical, config) = self.physical(db)?;
+        let out = physical.collect(&ExecutionState::new(config))?;
+        TemporalRelation::new(out)
     }
 
-    /// Execute the whole composed query with a **single** `Planner::run`.
-    pub fn execute(&self, planner: &Planner) -> TemporalResult<crate::trel::TemporalRelation> {
-        self.execute_on(planner, &Catalog::new())
+    /// EXPLAIN the whole composed query against `db` as one costed
+    /// physical tree — the same rendering SQL `EXPLAIN` produces.
+    pub fn explain(&self, db: &Database) -> TemporalResult<String> {
+        Ok(self.physical(db)?.0.explain())
     }
 
-    /// Execute against a catalog (for plans over [`TemporalPlan::table`]).
-    pub fn execute_on(
-        &self,
-        planner: &Planner,
-        catalog: &Catalog,
-    ) -> TemporalResult<crate::trel::TemporalRelation> {
-        let out = planner.run(&self.plan, catalog)?;
-        crate::trel::TemporalRelation::new(out)
+    /// EXPLAIN ANALYZE: run the query against `db` with per-operator
+    /// instrumentation (the result is discarded) and render the
+    /// [`TemporalPlan::explain`] tree annotated with actual rows, batches,
+    /// wall-time and access-path counters — the same rendering SQL
+    /// `EXPLAIN ANALYZE` produces.
+    pub fn explain_analyze(&self, db: &Database) -> TemporalResult<String> {
+        let (physical, config) = self.physical(db)?;
+        let state = ExecutionState::new(config).with_instrumentation();
+        physical.collect(&state)?;
+        Ok(physical.explain_analyze(&state))
     }
+
+    /// Execute a plan over [`TemporalPlan::scan`] sources only (no catalog
+    /// tables) with `planner`.
+    pub fn execute(&self, planner: &Planner) -> TemporalResult<TemporalRelation> {
+        TemporalRelation::new(planner.run(&self.plan, &Catalog::new())?)
+    }
+}
+
+/// Resolve one column argument against `schema`: a position is taken as
+/// is (the operator checks its range), a name is looked up.
+fn resolve_column(schema: &Schema, c: impl Into<ColumnRef>) -> TemporalResult<usize> {
+    match c.into() {
+        ColumnRef::Index(i) => Ok(i),
+        ColumnRef::Named(n) => Ok(resolve_name(&n, schema)?),
+    }
+}
+
+fn resolve_columns<C: Into<ColumnRef> + Clone>(
+    schema: &Schema,
+    cols: &[C],
+) -> TemporalResult<Vec<usize>> {
+    cols.iter()
+        .map(|c| resolve_column(schema, c.clone()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -453,7 +551,8 @@ mod tests {
         let plan = TemporalPlan::scan(&r)
             .join(TemporalPlan::scan(&r), None)
             .unwrap();
-        let text = plan.explain(&Planner::default(), &Catalog::new()).unwrap();
+        let db = Database::new();
+        let text = plan.explain(&db).unwrap();
         assert!(!text.contains("Spool"), "{text}");
         // Group-based operator over a composed input: the join result is
         // referenced three times by the self-normalization and must spool.
@@ -462,9 +561,7 @@ mod tests {
             .unwrap()
             .projection(&[0])
             .unwrap();
-        let text = nested
-            .explain(&Planner::default(), &Catalog::new())
-            .unwrap();
+        let text = nested.explain(&db).unwrap();
         assert!(text.contains("Spool"), "{text}");
     }
 
@@ -503,15 +600,44 @@ mod tests {
     }
 
     #[test]
-    fn table_sources_execute_against_catalog() {
+    fn table_sources_run_against_the_database() {
         let r = rel(&[(1, 0, 5), (2, 2, 8)]);
-        let mut catalog = Catalog::new();
-        catalog.register("t", r.rel().clone()).unwrap();
-        let plan = TemporalPlan::table("t", r.schema().clone())
+        let db = Database::new();
+        db.register("r", &r).unwrap();
+        let plan = TemporalPlan::table(&db, "r")
             .unwrap()
-            .selection(col(0).eq(lit(2i64)))
+            .selection(col("r.k").eq(lit(2i64)))
             .unwrap();
-        let out = plan.execute_on(&Planner::default(), &catalog).unwrap();
-        assert_eq!(out.len(), 1);
+        assert_eq!(plan.run(&db).unwrap().len(), 1);
+        // A plan holds no database handle: run against a database without
+        // its table, it fails at planning.
+        let err = plan.run(&Database::new()).unwrap_err();
+        assert_eq!(err.to_string(), "unknown table: r");
+    }
+
+    #[test]
+    fn column_lists_take_positions_or_names() {
+        let r = rel(&[(1, 0, 5), (2, 3, 9)]);
+        let db = Database::new();
+        db.register("r", &r).unwrap();
+        let table = || TemporalPlan::table(&db, "r").unwrap();
+        let by_name = table().projection(&["k"]).unwrap().run(&db).unwrap();
+        let by_position = table().projection(&[0]).unwrap().run(&db).unwrap();
+        assert!(by_name.same_set(&by_position));
+        let err = table().projection(&["q"]).unwrap_err().to_string();
+        assert!(err.contains("unknown column 'q'"), "{err}");
+        let counted = table()
+            .aggregation(&["r.k"], vec![(AggCall::count_star(), "cnt")])
+            .unwrap();
+        assert_eq!(counted.schema().names(), vec!["k", "cnt", "ts", "te"]);
+        let normalized = table()
+            .normalize(TemporalPlan::scan(&r), &[("k", "k")])
+            .unwrap()
+            .run(&db)
+            .unwrap();
+        let reference = table()
+            .normalize(TemporalPlan::scan(&r), &[(0, 0)])
+            .unwrap();
+        assert!(normalized.same_set(&reference.run(&db).unwrap()));
     }
 }

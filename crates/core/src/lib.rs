@@ -39,12 +39,15 @@
 //! one onto `TemporalPlan`, and [`semantics::TemporalOp::evaluate`] runs
 //! it over materialized relations.
 //!
-//! ## The front door (frames)
+//! ## The front door
 //!
-//! [`algebra::Database`] owns the shared catalog + planner, and
-//! [`algebra::TemporalFrame`] is the lazy, name-based builder over the
-//! plan-first pipeline: `db.table("r")?.filter(col("team").eq(lit("db")))
-//! .collect()?`. The SQL surface (`temporal-sql`) wraps the same
+//! The database object — catalog, planner, storage, WAL, sessions — is the
+//! kernel's, as in the paper's PostgreSQL integration: it lives in the
+//! engine (`temporal_engine::db::Database`). This crate holds only the
+//! algebra. [`algebra::TemporalPlan::table`] starts a name-based plan over
+//! one of the database's tables and [`algebra::TemporalPlan::run`] runs
+//! it: `TemporalPlan::table(&db, "r")?.selection(col("team").eq(lit("db")))?
+//! .run(&db)?`. The SQL surface (`temporal-sql`) plans through the same
 //! `Database`, so both surfaces see one catalog and one planner.
 //!
 //! ## Verification layer
@@ -94,7 +97,7 @@ pub mod trel;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::algebra::{Database, SessionGuard, TemporalFrame, TemporalPlan};
+    pub use crate::algebra::TemporalPlan;
     pub use crate::allen::{relate, AllenRelation};
     pub use crate::coalesce::{coalesce, snapshot_equivalent};
     pub use crate::date::{date_interval, fmt_day, Date};

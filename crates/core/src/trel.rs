@@ -289,6 +289,14 @@ impl fmt::Display for TemporalRelation {
     }
 }
 
+/// The underlying relation, sharing the rows — what a catalog registers
+/// (`db.register("r", &rel)`).
+impl From<&TemporalRelation> for Relation {
+    fn from(r: &TemporalRelation) -> Relation {
+        r.rel.clone()
+    }
+}
+
 /// Build the schema of a temporal relation from data columns.
 pub fn temporal_schema(data_cols: Vec<Column>) -> Schema {
     let mut cols = data_cols;

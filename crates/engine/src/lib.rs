@@ -56,6 +56,7 @@
 
 pub mod batch;
 pub mod catalog;
+pub mod db;
 pub mod error;
 pub mod exec;
 pub mod expr;
@@ -74,6 +75,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::batch::{RowBatch, BATCH_SIZE};
     pub use crate::catalog::{Catalog, TableSource};
+    pub use crate::db::{Database, SessionGuard};
     pub use crate::error::{EngineError, EngineResult};
     pub use crate::exec::{BoxedExec, ExecNode, ExecutionState, Instrumentation, OperatorStats};
     pub use crate::expr::{

@@ -107,8 +107,8 @@ fn demo_session() -> Session {
         ],
     )
     .expect("demo fixture");
-    session.register_temporal("r", &r).expect("register r");
-    session.register_temporal("p", &p).expect("register p");
+    session.register("r", &r).expect("register r");
+    session.register("p", &p).expect("register p");
     session
 }
 

@@ -8,8 +8,8 @@
 //!
 //! The serving model (DESIGN.md "Serving & concurrency"):
 //!
-//! * one shared [`temporal_core::prelude::Database`] — one catalog, one
-//!   buffer pool per table, one WAL;
+//! * one shared [`temporal_engine::db::Database`] — the engine's
+//!   database object: one catalog, one buffer pool per table, one WAL;
 //! * one [`temporal_sql::Session`] per connection
 //!   ([`temporal_sql::Session::scoped`]): planner `SET`s stay
 //!   connection-local, and the session refcount keeps close-time

@@ -24,8 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use temporal_core::prelude::Database;
-use temporal_engine::prelude::{Column, DataType, Relation, Row, Schema, Value};
+use temporal_engine::prelude::{Column, DataType, Database, Relation, Row, Schema, Value};
 use temporal_sql::{Session, SqlOutput};
 
 use crate::protocol;

@@ -168,8 +168,9 @@ impl<'a> Analyzer<'a> {
 
     /// Lower `AS OF <expr>` to the canonical timeslice predicate
     /// `ts <= v AND te > v` over the table's trailing `(ts, te)` columns —
-    /// the same range shape [`TemporalFrame::as_of`] produces, so both
-    /// surfaces hit the planner's access-path selection identically.
+    /// the range shape the planner's access-path selection serves from
+    /// zone maps or the interval index (a Rust plan gets the same path
+    /// from a `selection` of this shape).
     fn apply_as_of(
         &self,
         plan: LogicalPlan,

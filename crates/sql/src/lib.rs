@@ -32,7 +32,7 @@
 //!     vec![(vec![Value::str("ann")], Interval::of(0, 7))],
 //! )
 //! .unwrap();
-//! session.register_temporal("r", &r).unwrap();
+//! session.register("r", &r).unwrap();
 //! let out = session
 //!     .query("SELECT n, ts, te FROM (r r1 NORMALIZE r r2 USING()) x")
 //!     .unwrap();
@@ -112,8 +112,8 @@ mod tests {
             ],
         )
         .unwrap();
-        s.register_temporal("r", &r).unwrap();
-        s.register_temporal("p", &p).unwrap();
+        s.register("r", &r).unwrap();
+        s.register("p", &p).unwrap();
         s
     }
 

@@ -1,16 +1,15 @@
-//! A SQL session over the shared [`Database`] front door.
+//! A SQL session over the engine's shared [`Database`].
 //!
-//! The session no longer owns a private catalog/planner pair: it wraps a
-//! [`Database`] handle — the same object behind the Rust
-//! `TemporalFrame` API — so tables registered through either surface are
-//! visible to both, and a `SET` statement reconfigures the one shared
-//! planner. [`DatabaseSqlExt`] adds `db.sql("…")` directly on
-//! [`Database`], making SQL a method call away from any frame code.
+//! The session owns no catalog or planner of its own: it wraps a
+//! [`Database`] handle — the same object Rust `TemporalPlan`s run
+//! against — so tables registered through either surface are visible to
+//! both, and a `SET` statement reconfigures the one shared planner.
+//! [`DatabaseSqlExt`] adds `db.sql("…")` directly on [`Database`], making
+//! SQL a method call away from any plan code.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use temporal_core::prelude::{Database, SessionGuard};
 use temporal_core::trel::TemporalRelation;
 use temporal_engine::prelude::*;
 
@@ -49,7 +48,7 @@ impl SqlOutput {
 ///
 /// The session is a view over one shared [`Database`]: statements are
 /// analyzed against its catalog and executed with its planner, and `SET`
-/// mutates the shared planner configuration — so frames and other
+/// mutates the shared planner configuration — so plans and other
 /// sessions on the same database observe the change. (The [`Analyzer`] is
 /// a zero-allocation view over the catalog and is constructed per
 /// statement.)
@@ -77,9 +76,8 @@ impl Session {
         Session::default()
     }
 
-    /// A session over an existing [`Database`] — the unified front door:
-    /// tables registered on `db` (or via frames) are queryable here, and
-    /// vice versa.
+    /// A session over an existing [`Database`]: tables registered on `db`
+    /// are queryable here, and vice versa.
     pub fn with_database(db: Database) -> Session {
         Session {
             db,
@@ -108,24 +106,12 @@ impl Session {
         &self.db
     }
 
-    /// Register a plain relation as a table.
-    pub fn register_table(&mut self, name: impl Into<String>, rel: Relation) -> SqlResult<()> {
-        self.db
-            .register_relation(name, rel)
-            .map_err(|e| SqlError::Engine(e.to_string()))
-    }
-
-    /// Register a temporal relation (its ts/te columns become ordinary
-    /// Int columns, as in the paper's PostgreSQL implementation). Routed
-    /// through the shared catalog; rows are shared, not copied.
-    pub fn register_temporal(
-        &mut self,
-        name: impl Into<String>,
-        rel: &TemporalRelation,
-    ) -> SqlResult<()> {
-        self.db
-            .register(name, rel)
-            .map_err(|e| SqlError::Engine(e.to_string()))
+    /// Register a relation — a plain `Relation`, or `&TemporalRelation`,
+    /// whose ts/te columns become ordinary Int columns as in the paper's
+    /// PostgreSQL implementation — as a table of the shared catalog. Rows
+    /// are shared, not copied.
+    pub fn register(&mut self, name: impl Into<String>, rel: impl Into<Relation>) -> SqlResult<()> {
+        Ok(self.db.register(name, rel)?)
     }
 
     /// The planner configuration this session executes under: the local
@@ -304,19 +290,14 @@ impl Session {
                         .map(|(n, t)| Column::new(n, t))
                         .collect(),
                 );
-                // On a durable database register_relation already writes
-                // the heap file + manifest entry; PERSISTED only asserts
-                // that durability is available.
-                self.db
-                    .register_relation(&name, Relation::empty(schema))
-                    .map_err(|e| SqlError::Engine(e.to_string()))?;
+                // On a durable database register already writes the heap
+                // file + manifest entry; PERSISTED only asserts that
+                // durability is available.
+                self.db.register(&name, Relation::empty(schema))?;
                 Ok(SqlOutput::Ok)
             }
             Statement::DropTable { name } => {
-                let existed = self
-                    .db
-                    .drop_table(&name)
-                    .map_err(|e| SqlError::Engine(e.to_string()))?;
+                let existed = self.db.drop_table(&name)?;
                 if !existed {
                     return Err(SqlError::Engine(format!("unknown table: {name}")));
                 }
@@ -335,17 +316,11 @@ impl Session {
                     let text = std::fs::read_to_string(&path)
                         .map_err(|e| SqlError::Engine(format!("read {path}: {e}")))?;
                     let rows = rows_from_csv(&text, &schema)?;
-                    let n = self
-                        .db
-                        .insert_rows(&table, rows)
-                        .map_err(|e| SqlError::Engine(e.to_string()))?;
+                    let n = self.db.insert_rows(&table, rows)?;
                     Ok(SqlOutput::Affected(n))
                 }
                 CopyDirection::To => {
-                    let rel = self
-                        .db
-                        .relation(&table)
-                        .map_err(|e| SqlError::Engine(e.to_string()))?;
+                    let rel = self.db.relation(&table)?;
                     let n = rel.len();
                     std::fs::write(&path, relation_to_csv(&rel))
                         .map_err(|e| SqlError::Engine(format!("write {path}: {e}")))?;
@@ -362,10 +337,7 @@ impl Session {
                             .map(Row::new)
                     })
                     .collect::<SqlResult<Vec<_>>>()?;
-                let n = self
-                    .db
-                    .insert_rows(&table, rows)
-                    .map_err(|e| SqlError::Engine(e.to_string()))?;
+                let n = self.db.insert_rows(&table, rows)?;
                 Ok(SqlOutput::Affected(n))
             }
         }
@@ -417,8 +389,8 @@ fn literal_value(e: AstExpr) -> SqlResult<Value> {
     })
 }
 
-/// SQL as a method on [`Database`]: the Rust frame API and `db.sql("…")`
-/// execute against the same catalog and planner.
+/// SQL as a method on [`Database`]: Rust plans and `db.sql("…")` execute
+/// against the same catalog and planner.
 ///
 /// ```
 /// use temporal_core::prelude::*;
@@ -606,7 +578,7 @@ mod tests {
         assert!(err.contains("storage directory"), "{err}");
 
         // Durable database: the heap file appears and survives reopen.
-        let db = temporal_core::prelude::Database::open(&dir).unwrap();
+        let db = Database::open(&dir).unwrap();
         let mut s = Session::with_database(db);
         s.execute("CREATE TABLE t (name str, ts int, te int) PERSISTED")
             .unwrap();
@@ -617,7 +589,7 @@ mod tests {
             .unwrap();
         drop(s);
 
-        let db = temporal_core::prelude::Database::open(&dir).unwrap();
+        let db = Database::open(&dir).unwrap();
         let mut s = Session::with_database(db);
         assert_eq!(s.query("SELECT * FROM t").unwrap().len(), 2);
         // The planner scans persisted tables as streaming page scans.
@@ -627,16 +599,13 @@ mod tests {
     }
 
     #[test]
-    fn register_via_session_query_via_frames() {
+    fn register_takes_plain_and_temporal_relations() {
         let db = Database::new();
         let mut s = Session::with_database(db.clone());
-        s.register_temporal("r", &rel()).unwrap();
-        let frame = db
-            .table("r")
-            .unwrap()
-            .filter(col("n").eq(lit("ann")))
-            .collect()
-            .unwrap();
-        assert_eq!(frame.len(), 1);
+        s.register("r", &rel()).unwrap();
+        s.register("plain", rel().into_rel()).unwrap();
+        assert_eq!(db.list_tables(), vec!["plain".to_string(), "r".to_string()]);
+        let err = s.register("r", &rel()).unwrap_err().to_string();
+        assert_eq!(err, "execution error: duplicate table: r");
     }
 }

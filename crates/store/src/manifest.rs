@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! # temporal-store manifest v4
+//! # epoch 17
 //! staff <TAB> staff.heap <TAB> 1f00dcafe <TAB> 3 <TAB> person:str,team:str,ts:int,te:int
 //! ```
 //!
@@ -14,7 +15,8 @@
 //! schema string). The schema string is opaque to this crate — the engine
 //! layer defines and parses it. Saves are atomic (temp file + rename).
 //! The first line names the [`crate::FORMAT_VERSION`] the directory was
-//! written in; the WAL header is where the version is checked.
+//! written in; the WAL header is where the version is checked. The
+//! `# epoch` line carries the database's change epoch and is required.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,8 +46,8 @@ pub struct Manifest {
     /// Snapshot epoch: bumped by every committed write batch and saved
     /// with the manifest, so a reopened database resumes its version
     /// counter instead of restarting at zero. Serialized as a
-    /// `# epoch <n>` comment line — pre-epoch loaders skip it, and a
-    /// manifest without one loads as epoch 0.
+    /// `# epoch <n>` comment line, which every saved manifest has: a file
+    /// without one is refused as corrupt.
     epoch: u64,
 }
 
@@ -55,7 +57,8 @@ impl Manifest {
         dir.join(MANIFEST_FILE)
     }
 
-    /// Load the manifest of `dir`; a missing file is an empty manifest.
+    /// Load the manifest of `dir`; a missing file is an empty manifest, a
+    /// file without its `# epoch` line is [`StoreError::Corrupt`].
     pub fn load(dir: &Path) -> StoreResult<Manifest> {
         let path = Self::path_in(dir);
         let text = match std::fs::read_to_string(&path) {
@@ -66,13 +69,13 @@ impl Manifest {
             Err(e) => return Err(e.into()),
         };
         let mut tables = BTreeMap::new();
-        let mut epoch = 0u64;
+        let mut epoch = None;
         for (i, line) in text.lines().enumerate() {
             if line.starts_with('#') || line.trim().is_empty() {
                 if let Some(rest) = line.strip_prefix("# epoch ") {
-                    epoch = rest.trim().parse::<u64>().map_err(|_| {
+                    epoch = Some(rest.trim().parse::<u64>().map_err(|_| {
                         StoreError::Corrupt(format!("manifest line {}: bad epoch", i + 1))
-                    })?;
+                    })?);
                 }
                 continue;
             }
@@ -100,6 +103,9 @@ impl Manifest {
                 },
             );
         }
+        let epoch = epoch.ok_or_else(|| {
+            StoreError::Corrupt(format!("{} has no `# epoch` line", path.display()))
+        })?;
         Ok(Manifest { tables, epoch })
     }
 
@@ -251,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_roundtrips_and_defaults_to_zero() {
+    fn epoch_roundtrips_and_a_manifest_without_one_is_refused() {
         let dir = tmpdir("epoch");
         let mut m = Manifest::default();
         m.insert("r", meta("r.heap"));
@@ -261,13 +267,16 @@ mod tests {
         let back = Manifest::load(&dir).unwrap();
         assert_eq!(back.epoch(), 41);
         assert_eq!(back, m);
-        // A pre-epoch manifest (no comment line) loads as epoch 0.
+        // Every saved manifest has the epoch line: a file without one is
+        // refused, not read as epoch 0.
         std::fs::write(
             Manifest::path_in(&dir),
             "old\told.heap\tabc\t7\ta:int,ts:int,te:int\n",
         )
         .unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap().epoch(), 0);
+        let err = Manifest::load(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("no `# epoch` line"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

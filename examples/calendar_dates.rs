@@ -1,6 +1,6 @@
 //! Day-granularity temporal data with civil dates, plus the side-car
 //! utilities: Allen's interval relations and explicit coalescing — with
-//! the sequenced queries going through the name-based frame API.
+//! the sequenced queries going through name-based `TemporalPlan`s.
 //!
 //! Run with: `cargo run --example calendar_dates`
 
@@ -49,22 +49,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.register("bookings", &bookings)?;
 
     // Occupied-rooms count over time (sequenced aggregation)…
-    let occupancy = db
-        .table("bookings")?
-        .aggregate(&[], vec![(AggCall::count_star(), "occupied")])
-        .collect()?;
+    let no_groups: &[&str] = &[];
+    let occupancy = TemporalPlan::table(&db, "bookings")?
+        .aggregation(no_groups, vec![(AggCall::count_star(), "occupied")])?
+        .run(&db)?;
     println!(
         "occupancy (change preserving):\n{}",
         occupancy.sorted().to_table_with(fmt_day)
     );
 
     // … and ann's presence: change-preserved fragments vs the coalesced
-    // view. A lazy frame chains the filter and projection into one plan.
-    let ann_rooms = db
-        .table("bookings")?
-        .filter(col("guest").eq(lit("ann")))
-        .select(&["guest"])
-        .collect()?;
+    // view. The filter and projection chain into one plan.
+    let ann_rooms = TemporalPlan::table(&db, "bookings")?
+        .selection(col("guest").eq(lit("ann")))?
+        .projection(&["guest"])?
+        .run(&db)?;
     println!(
         "ann (change preserving):\n{}",
         ann_rooms.sorted().to_table_with(fmt_day)

@@ -2,7 +2,7 @@
 //! (the kind of data the paper's evaluation uses).
 //!
 //! Demonstrates the group-based operators on a generated dataset through
-//! the name-based frame API: temporal aggregation (staffing level over
+//! name-based `TemporalPlan`s: temporal aggregation (staffing level over
 //! time), temporal difference (periods where a position was held by
 //! someone else), temporal projection, and the anti join (employment
 //! gaps) as an aliased self-join.
@@ -26,12 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let db = Database::new();
     db.register("assignments", &data)?;
+    let assignments = || TemporalPlan::table(&db, "assignments");
 
     // 1. Staffing level over time: how many assignments are active?
-    let staffing = db
-        .table("assignments")?
-        .aggregate(&[], vec![(AggCall::count_star(), "active")])
-        .collect()?;
+    let no_groups: &[&str] = &[];
+    let staffing = assignments()?
+        .aggregation(no_groups, vec![(AggCall::count_star(), "active")])?
+        .run(&db)?;
     let peak = staffing
         .iter()
         .map(|(d, _)| d[0].as_int().unwrap())
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Per-position occupancy: distinct (pcn, T) spans where the
     //    position is staffed — a temporal projection onto pcn.
-    let occupancy = db.table("assignments")?.select(&["pcn"]).collect()?;
+    let occupancy = assignments()?.projection(&["pcn"])?.run(&db)?;
     println!(
         "per-position occupancy fragments: {} (from {} assignments)",
         occupancy.len(),
@@ -52,23 +53,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Employee 0's assignment history.
-    let emp0 = db
-        .table("assignments")?
-        .filter(col("ssn").eq(lit(0i64)))
-        .collect()?;
+    let emp0 = assignments()?
+        .selection(col("ssn").eq(lit(0i64)))?
+        .run(&db)?;
     println!("employee 0 history:\n{emp0}");
 
     // 4. Temporal difference: spans where position 0 was staffed but NOT
     //    by employee 0.
-    let pos0 = db
-        .table("assignments")?
-        .filter(col("pcn").eq(lit(0i64)))
-        .select(&["pcn"]);
-    let pos0_by_emp0 = db
-        .table("assignments")?
-        .filter(col("pcn").eq(lit(0i64)).and(col("ssn").eq(lit(0i64))))
-        .select(&["pcn"]);
-    let pos0_by_others = pos0.difference(pos0_by_emp0).collect()?;
+    let pos0 = assignments()?
+        .selection(col("pcn").eq(lit(0i64)))?
+        .projection(&["pcn"])?;
+    let pos0_by_emp0 = assignments()?
+        .selection(col("pcn").eq(lit(0i64)).and(col("ssn").eq(lit(0i64))))?
+        .projection(&["pcn"])?;
+    let pos0_by_others = pos0.difference(pos0_by_emp0)?.run(&db)?;
     println!(
         "position 0 staffed-by-others fragments: {}",
         pos0_by_others.len()
@@ -77,16 +75,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Anti join: assignments during which the employee's position had
     //    no *other* overlapping assignment (sole incumbency) — an aliased
     //    self-join: same position, different employee.
-    let mine = db.table("assignments")?.alias("mine");
-    let theirs = db.table("assignments")?.alias("theirs");
+    let mine = assignments()?.aliased("mine");
+    let theirs = assignments()?.aliased("theirs");
     let sole = mine
         .anti_join(
             theirs,
             col("mine.pcn")
                 .eq(col("theirs.pcn"))
                 .and(col("mine.ssn").ne(col("theirs.ssn"))),
-        )
-        .collect()?;
+        )?
+        .run(&db)?;
     println!(
         "sole-incumbency fragments: {} (from {} assignments)",
         sole.len(),

@@ -1,6 +1,6 @@
 //! The paper's running example (Example 1, Figs. 1–7): a hotel with
-//! seasonal price categories and reservations, on the name-based frame
-//! API.
+//! seasonal price categories and reservations, on name-based
+//! `TemporalPlan`s over a `Database`.
 //!
 //! Reproduces:
 //! * query Q1 = R ⟕ᵀ_{Min ≤ DUR(R.T) ≤ Max} P (Fig. 1b) — a temporal left
@@ -71,32 +71,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::new();
     db.register("r", &reservations())?;
     db.register("p", &prices())?;
+    let table = |name| TemporalPlan::table(&db, name);
     println!(
         "R (reservations):\n{}",
-        db.table("r")?.collect()?.to_table_with(mfmt)
+        table("r")?.run(&db)?.to_table_with(mfmt)
     );
-    println!(
-        "P (prices):\n{}",
-        db.table("p")?.collect()?.to_table_with(mfmt)
-    );
+    println!("P (prices):\n{}", table("p")?.run(&db)?.to_table_with(mfmt));
 
     // ---- Q1 (Fig. 1b) ----------------------------------------------------
     // The join predicate references R.T, so we propagate R's timestamp
     // first (extended snapshot reducibility): U(R) gains data columns
     // us/ue that θ can reference by name.
-    let ur = db.table("r")?.extend();
+    let ur = table("r")?.extend()?;
     println!(
         "U(R) (timestamps propagated):\n{}",
-        ur.collect()?.to_table_with(mfmt)
+        ur.run(&db)?.to_table_with(mfmt)
     );
 
     // θ: Min ≤ DUR(us, ue) ≤ Max — every operand by name.
     let theta = dur_u().between(col("min"), col("max"));
 
-    let q1_with_u = ur
-        .clone()
-        .left_outer_join(db.table("p")?, theta)
-        .collect()?;
+    let q1_with_u = ur.clone().left_outer_join(table("p")?, theta)?.run(&db)?;
     // Drop the propagated timestamps (Def. 4's final projection): keep
     // (n, a, min, max, T).
     let q1 = q1_with_u.project_data(&[0, 3, 4, 5])?;
@@ -112,10 +107,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(omega_rows, 2);
 
     // ---- Fig. 3: normalization N_{}(R; R) ---------------------------------
-    let n = db
-        .table("r")?
-        .normalize_using(db.table("r")?, &[])
-        .collect()?;
+    let no_columns: &[(&str, &str)] = &[];
+    let n = table("r")?.normalize(table("r")?, no_columns)?.run(&db)?;
     println!(
         "N_{{}}(R; R)   (Fig. 3):\n{}",
         n.sorted().to_table_with(mfmt)
@@ -124,10 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Fig. 4: alignment of P with respect to U(R) ----------------------
     // θ ≡ Min ≤ DUR(U) ≤ Max over P ++ U(R) rows — the same names
     // resolve regardless of which side of the alignment carries them.
-    let aligned_p = db
-        .table("p")?
-        .align(ur.clone(), dur_u().between(col("min"), col("max")))
-        .collect()?;
+    let aligned_p = table("p")?
+        .align(ur.clone(), dur_u().between(col("min"), col("max")))?
+        .run(&db)?;
     println!(
         "P Φ_θ U(R)   (Fig. 4):\n{}",
         aligned_p.sorted().to_table_with(mfmt)
@@ -137,9 +129,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // AVG over the duration of the *original* reservation intervals, so it
     // operates on U(R); grouping attributes B = {} (a single group per
     // normalized fragment).
+    let group_by: &[&str] = &[];
     let q2 = ur
-        .aggregate(&[], vec![(AggCall::new(AggFunc::Avg, dur_u()), "avg_dur")])
-        .collect()?;
+        .aggregation(
+            group_by,
+            vec![(AggCall::new(AggFunc::Avg, dur_u()), "avg_dur")],
+        )?
+        .run(&db)?;
     println!(
         "Q2 = ϑᵀ AVG(DUR(R.T)) (R)   (Fig. 7):\n{}",
         q2.sorted().to_table_with(mfmt)

@@ -4,7 +4,7 @@
 //! Shows *why* the two ω-tuples z3/z4 of Fig. 1(b) must not be coalesced —
 //! their lineage differs (z3 derives from reservation r1, z4 from r3) —
 //! and demonstrates the checker rejecting a coalesced result. The audited
-//! query itself is built with the lazy frame API; the semantic checkers
+//! query itself is a name-based `TemporalPlan`; the semantic checkers
 //! take the operator description ([`TemporalOp`]) they verify against.
 //!
 //! Run with: `cargo run --example lineage_audit`
@@ -43,14 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
 
-    // The audited query, as a lazy frame: R ⟕ᵀ P.
+    // The audited query, as a plan over the registered tables: R ⟕ᵀ P.
     let db = Database::new();
     db.register("r", &r)?;
     db.register("p", &p)?;
-    let result = db
-        .table("r")?
-        .left_outer_join(db.table("p")?, None)
-        .collect()?;
+    let result = TemporalPlan::table(&db, "r")?
+        .left_outer_join(TemporalPlan::table(&db, "p")?, None)?
+        .run(&db)?;
     println!("R ⟕ᵀ P:\n{}", result.sorted().to_table_with(mfmt));
 
     // The checkers verify a result against the operator it claims to

@@ -1,6 +1,7 @@
 //! Quickstart: register two interval-timestamped relations in a
-//! [`Database`] and compose lazy, name-based temporal queries over them —
-//! every pipeline compiles to one plan and runs on `collect()`.
+//! [`Database`] and compose name-based temporal queries over them with
+//! [`TemporalPlan`] — every pipeline compiles to one plan and runs on
+//! `run(&db)`.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -40,50 +41,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("oncall windows:\n{oncall}");
 
     // One Database owns the catalog and planner behind both the Rust
-    // frames below and `db.sql(...)`.
+    // plans below and `db.sql(...)`.
     let db = Database::new();
     db.register("staff", &staff)?;
     db.register("oncall", &oncall)?;
+    let table = |name| TemporalPlan::table(&db, name);
 
     // Temporal inner join: who was staffed while their team was on call?
     // θ references columns by (qualified) name.
     let theta = col("staff.team").eq(col("oncall.team"));
-    let on_duty = db
-        .table("staff")?
-        .temporal_join(db.table("oncall")?, theta.clone())
-        .collect()?;
+    let on_duty = table("staff")?
+        .join(table("oncall")?, theta.clone())?
+        .run(&db)?;
     println!("on duty (⋈ᵀ):\n{on_duty}");
 
     // Temporal left outer join: everyone, with ω where no on-call window.
-    let coverage = db
-        .table("staff")?
-        .left_outer_join(db.table("oncall")?, theta.clone())
-        .collect()?;
+    let coverage = table("staff")?
+        .left_outer_join(table("oncall")?, theta.clone())?
+        .run(&db)?;
     println!("coverage (⟕ᵀ):\n{coverage}");
 
     // Temporal anti join: staffed periods with no on-call window at all.
-    let idle = db
-        .table("staff")?
-        .anti_join(db.table("oncall")?, theta.clone())
-        .collect()?;
+    let idle = table("staff")?
+        .anti_join(table("oncall")?, theta.clone())?
+        .run(&db)?;
     println!("not on call (▷ᵀ):\n{idle}");
 
     // Temporal aggregation: headcount over time.
-    let headcount = db
-        .table("staff")?
-        .aggregate(&[], vec![(AggCall::count_star(), "headcount")])
-        .collect()?;
+    let no_groups: &[&str] = &[];
+    let headcount = table("staff")?
+        .aggregation(no_groups, vec![(AggCall::count_star(), "headcount")])?
+        .run(&db)?;
     println!("headcount over time (ϑᵀ):\n{headcount}");
 
-    // Frames are lazy: a whole pipeline — filter, join, aggregate — is
-    // one physical plan, inspectable before anything runs.
-    let pipeline = db
-        .table("staff")?
-        .filter(col("team").eq(lit("db")))
-        .temporal_join(db.table("oncall")?, theta)
-        .aggregate(&[], vec![(AggCall::count_star(), "cnt")]);
-    println!("EXPLAIN of the composed pipeline:\n{}", pipeline.explain()?);
-    println!("…and its result:\n{}", pipeline.collect()?);
+    // Plans are lazy: a whole pipeline — filter, join, aggregate — is one
+    // physical plan, inspectable before anything runs.
+    let pipeline = table("staff")?
+        .selection(col("team").eq(lit("db")))?
+        .join(table("oncall")?, theta)?
+        .aggregation(no_groups, vec![(AggCall::count_star(), "cnt")])?;
+    println!(
+        "EXPLAIN of the composed pipeline:\n{}",
+        pipeline.explain(&db)?
+    );
+    println!("…and its result:\n{}", pipeline.run(&db)?);
 
     // Every result is snapshot reducible: check one snapshot by hand.
     let t = 4;

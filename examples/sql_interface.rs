@@ -1,8 +1,8 @@
-//! The SQL surface of Sec. 6.2/6.3 behind the shared [`Database`] front
-//! door: `ALIGN`, `NORMALIZE … USING()`, `ABSORB`, the `DUR` UDF, planner
+//! The SQL surface of Sec. 6.2/6.3 behind the shared [`Database`]:
+//! `ALIGN`, `NORMALIZE … USING()`, `ABSORB`, the `DUR` UDF, planner
 //! switches (`SET enable_mergejoin = off`) and `EXPLAIN` — the workflow
-//! of the paper's Fig. 13 experiment — plus the Rust frame API running
-//! against the *same* catalog via `db.sql(...)`.
+//! of the paper's Fig. 13 experiment — plus a Rust [`TemporalPlan`]
+//! running against the *same* catalog as `db.sql(...)`.
 //!
 //! Run with: `cargo run --example sql_interface`
 
@@ -11,7 +11,7 @@ use temporal_alignment::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One Database is the front door for both surfaces: tables registered
-    // here are visible to SQL statements and Rust frames alike.
+    // here are visible to SQL statements and Rust plans alike.
     let db = Database::new();
 
     // The running example's relations.
@@ -82,22 +82,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- Q2 (temporal aggregation):");
     println!("{}", db.sql_rows(q2)?.sorted().to_table());
 
-    // ---- The same catalog, from the Rust frame API ------------------------
-    // A σᵀ written as a frame and as SQL: one catalog, one planner, and
-    // EXPLAIN renders the identical physical plan for both.
-    let frame = db.table("r")?.filter(col("n").eq(lit("ann")));
-    let frame_plan = frame.explain()?;
+    // ---- The same catalog, from a Rust plan --------------------------------
+    // A σᵀ written as a TemporalPlan and as SQL: one catalog, one planner,
+    // and EXPLAIN renders the identical physical plan for both.
+    let rust_plan = TemporalPlan::table(&db, "r")?
+        .selection(col("n").eq(lit("ann")))?
+        .explain(&db)?;
     let sql_plan = db.sql_explain("SELECT * FROM r WHERE n = 'ann'")?;
     println!("-- frame EXPLAIN == SQL EXPLAIN:");
-    println!("{frame_plan}");
-    assert_eq!(frame_plan, sql_plan);
+    println!("{rust_plan}");
+    assert_eq!(rust_plan, sql_plan);
 
     // ---- EXPLAIN and the join-method switches -----------------------------
     let probe = "SELECT * FROM (r r1 NORMALIZE r r2 USING(n)) x";
     println!("-- EXPLAIN with all join methods enabled:");
     println!("{}", db.sql_explain(probe)?);
 
-    // SET goes through the same shared planner the frames use.
+    // SET goes through the same shared planner Rust plans use.
     db.sql("SET enable_mergejoin = off")?;
     db.sql("SET enable_hashjoin = off")?;
     println!("-- EXPLAIN with merge and hash joins disabled (nested loop only):");

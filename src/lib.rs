@@ -6,7 +6,8 @@
 //!
 //! * [`engine`] — a from-scratch relational query engine standing in for
 //!   the PostgreSQL kernel (pull executor, nested-loop/hash/merge joins,
-//!   cost-based planner with `enable_*` switches, extension plan nodes);
+//!   cost-based planner with `enable_*` switches, extension plan nodes),
+//!   and the kernel's database object: catalog, storage, WAL, sessions;
 //! * [`core`] — the paper's contribution: interval-timestamped relations,
 //!   the **temporal splitter** (normalization `N_B(r; s)`) and **temporal
 //!   aligner** (`r Φ_θ s`) primitives, the **absorb** operator α,
@@ -37,10 +38,10 @@ pub use temporal_server as server;
 pub use temporal_sql as sql;
 
 /// One-stop imports for applications: the [`core`] and [`engine`]
-/// preludes (types, `col`/`lit`/`name` builders, [`core::prelude::Database`],
-/// [`core::prelude::TemporalFrame`]) plus the SQL session and the
-/// [`sql::DatabaseSqlExt`] trait that puts `db.sql("…")` on the shared
-/// [`core::prelude::Database`] front door.
+/// preludes (types, `col`/`lit`/`name` builders, [`core::prelude::TemporalPlan`],
+/// and the engine's [`engine::prelude::Database`] every plan and session
+/// runs against) plus the SQL session and the [`sql::DatabaseSqlExt`]
+/// trait that puts `db.sql("…")` on that `Database`.
 pub mod prelude {
     pub use temporal_core::prelude::*;
     pub use temporal_engine::prelude::*;

@@ -41,9 +41,10 @@ fn check_chains(
     let planner = Planner::default();
     for (i, chain) in chains.iter().enumerate() {
         let label = format!("{label} chain {i}");
-        let got = common::compose_chain(chain, r, s, &label)
-            .execute(&planner)
-            .unwrap_or_else(|e| panic!("{label}: execute: {e}"));
+        let got =
+            common::compose_chain(chain, TemporalPlan::scan(r), TemporalPlan::scan(s), &label)
+                .execute(&planner)
+                .unwrap_or_else(|e| panic!("{label}: execute: {e}"));
         assert_same_set(&got, &common::oracle_chain(chain, r, s, &label), &label);
     }
 }
@@ -211,7 +212,7 @@ fn sweep_group_spanning_batches() {
     .unwrap();
     let planner = Planner::default();
     let normalize = TemporalPlan::scan(&r)
-        .normalize(TemporalPlan::scan(&s), &[])
+        .normalize(TemporalPlan::scan(&s), &[] as &[(usize, usize)])
         .unwrap()
         .execute(&planner)
         .unwrap();

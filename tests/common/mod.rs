@@ -144,16 +144,16 @@ pub fn paper_p() -> TemporalRelation {
     .expect("valid fixture")
 }
 
-/// Compose a chain — first operator binary over `(r, s)`, the rest unary —
-/// into one `TemporalPlan`.
+/// Compose a chain — first operator binary over the sources `(r, s)`, the
+/// rest unary — into one `TemporalPlan`.
 pub fn compose_chain(
     chain: &[TemporalOp],
-    r: &TemporalRelation,
-    s: &TemporalRelation,
+    r: TemporalPlan,
+    s: TemporalPlan,
     label: &str,
 ) -> TemporalPlan {
     let mut plan = chain[0]
-        .plan(vec![TemporalPlan::scan(r), TemporalPlan::scan(s)])
+        .plan(vec![r, s])
         .unwrap_or_else(|e| panic!("{label}: compose {}: {e}", chain[0].name()));
     for op in &chain[1..] {
         plan = op
@@ -269,4 +269,21 @@ pub fn differential_chains_drand() -> Vec<Vec<TemporalOp>> {
             },
         ],
     ]
+}
+
+/// `plan AS OF v`: the timeslice `ts <= v AND te > v` over the plan's
+/// trailing `(ts, te)` — the range shape SQL's `FROM t AS OF v` lowers
+/// to, so both surfaces get the same access path.
+pub fn as_of(plan: TemporalPlan, v: i64) -> TemporalPlan {
+    let n = plan.schema().len();
+    plan.selection(col(n - 2).le(lit(v)).and(col(n - 1).gt(lit(v))))
+        .unwrap()
+}
+
+/// Plan `plan` against `db` with its shared planner, for a test that
+/// executes it under its own `ExecutionState` to read the operator
+/// counters (pages read and skipped) of that one execution.
+pub fn physical(db: &Database, plan: &TemporalPlan) -> PhysicalPlan {
+    db.read(|catalog, planner| planner.plan(plan.logical(), catalog))
+        .unwrap()
 }

@@ -32,6 +32,9 @@
 //! Everything runs in a single `#[test]` because failpoints are
 //! process-global.
 
+mod common;
+
+use common::{as_of, physical};
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::ddisj;
@@ -47,9 +50,9 @@ fn scratch(name: &str) -> std::path::PathBuf {
 }
 
 fn collect_rows(db: &Database, table: &str) -> Vec<Row> {
-    db.table(table)
+    TemporalPlan::table(db, table)
         .unwrap()
-        .collect()
+        .run(db)
         .unwrap()
         .rel()
         .rows()
@@ -77,10 +80,9 @@ fn oracle_as_of(rows: &[Row], v: i64) -> Vec<Row> {
 }
 
 fn run_as_of(db: &Database, table: &str, v: i64) -> Vec<Row> {
-    let plan = db.table(table).unwrap().as_of(v).into_plan().unwrap();
-    let physical = db.physical(&plan).unwrap();
+    let plan = as_of(TemporalPlan::table(db, table).unwrap(), v);
     let state = ExecutionState::new(db.config());
-    physical.collect(&state).unwrap().rows().to_vec()
+    physical(db, &plan).collect(&state).unwrap().rows().to_vec()
 }
 
 const INSERTS: i64 = 20;
@@ -184,7 +186,9 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
     }
 
     // The interval index and zone maps answer like the oracle.
-    let explain = db.table("r").unwrap().as_of(0).explain().unwrap();
+    let explain = as_of(TemporalPlan::table(&db, "r").unwrap(), 0)
+        .explain(&db)
+        .unwrap();
     assert!(
         explain.contains("IndexScan on r using interval index"),
         "[{case}] the recovered table lost the index path:\n{explain}"

@@ -12,7 +12,7 @@ use temporal_alignment::sql::Session;
 fn set_threads_rejects_nonsense() {
     let rows: Vec<(i64, i64, i64)> = (0..600).map(|i| (i % 7, i, i + 1)).collect();
     let mut session = Session::new();
-    session.register_temporal("r", &rel1("r", &rows)).unwrap();
+    session.register("r", &rel1("r", &rows)).unwrap();
     let query = "SELECT * FROM r WHERE k < 3";
     let plan = session.explain(query).unwrap();
     let result = session.query(query).unwrap();

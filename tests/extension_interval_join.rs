@@ -99,7 +99,7 @@ fn sql_set_switch_controls_the_extension() {
     use temporal_alignment::sql::Session;
     let r = random_trel(41, 20, 4, 30);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
     let q = "SELECT * FROM (r r1 ALIGN r r2 ON 1 = 1) x";
     // The heuristic is on by default, so a fresh session sweeps.
     let auto = session.explain(q).unwrap();

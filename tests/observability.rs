@@ -1,5 +1,5 @@
 //! Observability end to end (ISSUE 10): `EXPLAIN ANALYZE` on the SQL and
-//! frame surfaces, the metrics registry behind the server's `.stats`
+//! Rust plan surfaces, the metrics registry behind the server's `.stats`
 //! command, span tracing under `SET trace = on`, and the guarantee that
 //! instrumentation never changes results.
 //!
@@ -88,15 +88,16 @@ fn explain_analyze_over_persisted_normalize_matches_golden() {
         "every operator in the tree must have run:\n{analyzed}"
     );
 
-    // The frame surface over the same logical query renders the same
-    // physical tree with its own (independently collected) counters. The
-    // SQL side carries one extra root Project (the `SELECT *` wrapper);
-    // below it the trees must be identical.
-    let frame = db
-        .table("r")
+    // A Rust plan of the same logical query renders the same physical
+    // tree with its own (independently collected) counters. The SQL side
+    // carries one extra root Project (the `SELECT *` wrapper); below it
+    // the trees must be identical.
+    let from_plan = TemporalPlan::table(&db, "r")
         .unwrap()
-        .normalize_using(db.table("s").unwrap(), &["id"]);
-    let from_frame = frame.explain_analyze().unwrap();
+        .normalize(TemporalPlan::table(&db, "s").unwrap(), &[("id", "id")])
+        .unwrap()
+        .explain_analyze(&db)
+        .unwrap();
     let mut sql_shape = tree_shape(&analyzed);
     assert_eq!(sql_shape.first().map(String::as_str), Some("Project"));
     sql_shape.remove(0);
@@ -108,11 +109,11 @@ fn explain_analyze_over_persisted_normalize_matches_golden() {
     }
     assert_eq!(
         sql_shape,
-        tree_shape(&from_frame),
-        "SQL and frame EXPLAIN ANALYZE must print identical operator trees:\
-         \n-- sql --\n{analyzed}\n-- frame --\n{from_frame}"
+        tree_shape(&from_plan),
+        "SQL and Rust EXPLAIN ANALYZE must print identical operator trees:\
+         \n-- sql --\n{analyzed}\n-- rust --\n{from_plan}"
     );
-    assert!(from_frame.contains("actual rows="));
+    assert!(from_plan.contains("actual rows="));
 
     // Pin the full rendering (minus wall-clock) against the golden file.
     let rendered = format!("-- EXPLAIN ANALYZE {query}\n{}", normalize_times(&analyzed));
@@ -319,8 +320,8 @@ fn instrumentation_never_changes_results() {
     ];
     for (name, (r, s)) in workloads {
         let mut session = Session::new();
-        session.register_temporal("r", &r).unwrap();
-        session.register_temporal("s", &s).unwrap();
+        session.register("r", &r).unwrap();
+        session.register("s", &s).unwrap();
         let query = "SELECT * FROM (r r1 NORMALIZE r r2 USING()) x";
 
         session.execute("SET trace = off").unwrap();
@@ -363,8 +364,8 @@ fn assert_every_node_batched(analyzed: &str, expect_node: &str, label: &str) {
 
 /// Plan, run instrumented, and return `(result, EXPLAIN ANALYZE text)`.
 fn run_analyzed(plan: &TemporalPlan, config: PlannerConfig) -> (TemporalRelation, String) {
-    let physical = plan
-        .physical(&Planner::new(config), &Catalog::new())
+    let physical = Planner::new(config)
+        .plan(plan.logical(), &Catalog::new())
         .unwrap();
     let state = ExecutionState::new(config).with_instrumentation();
     let out = TemporalRelation::new(physical.collect(&state).unwrap()).unwrap();
@@ -415,7 +416,7 @@ fn no_plan_shape_falls_back_to_row_at_a_time() {
 
     // SQL DISTINCT and LIMIT.
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
     let mut distinct: Vec<i64> = r.iter().map(|(d, _)| d[0].as_int().unwrap()).collect();
     distinct.sort_unstable();
     distinct.dedup();

@@ -74,7 +74,7 @@ fn fig1b_query_q1() {
 fn fig3_normalization() {
     let r = paper_r();
     let out = TemporalPlan::scan(&r)
-        .normalize(TemporalPlan::scan(&r), &[])
+        .normalize(TemporalPlan::scan(&r), &[] as &[(usize, usize)])
         .unwrap()
         .execute(&Planner::default())
         .unwrap();

@@ -74,7 +74,10 @@ fn check_chains(
 ) {
     for (i, chain) in chains.iter().enumerate() {
         let label = format!("{label} chain {i}");
-        assert_parallel_identical(&common::compose_chain(chain, r, s, &label), &label);
+        assert_parallel_identical(
+            &common::compose_chain(chain, TemporalPlan::scan(r), TemporalPlan::scan(s), &label),
+            &label,
+        );
     }
 }
 

@@ -22,11 +22,11 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Rows of a frame collect, as plain vectors (schema qualifiers aside).
+/// Rows of a plan over `table`, as plain vectors (schema qualifiers aside).
 fn collect_rows(db: &Database, table: &str) -> Vec<Row> {
-    db.table(table)
+    TemporalPlan::table(db, table)
         .unwrap()
-        .collect()
+        .run(db)
         .unwrap()
         .rel()
         .rows()
@@ -96,24 +96,18 @@ fn acceptance_join_and_alignment_survive_reopen_with_tiny_pool() {
     let run = |db: &Database| {
         // ⋈ᵀ (reduced through the alignment primitives) + an explicit
         // alignment (Φ) + temporal aggregation — the full vertical slice.
+        let table = |name| TemporalPlan::table(db, name).unwrap();
         let theta = col("r.id").eq(col("s.a"));
-        let join = db
-            .table("r")
+        let join = table("r").join(table("s"), theta).unwrap().run(db).unwrap();
+        let align = table("r")
+            .align(table("s"), col("r.id").le(col("s.a")))
             .unwrap()
-            .temporal_join(db.table("s").unwrap(), theta)
-            .collect()
+            .run(db)
             .unwrap();
-        let align = db
-            .table("r")
+        let agg = table("r")
+            .aggregation(&["id"], vec![(AggCall::count_star(), "cnt")])
             .unwrap()
-            .align(db.table("s").unwrap(), col("r.id").le(col("s.a")))
-            .collect()
-            .unwrap();
-        let agg = db
-            .table("r")
-            .unwrap()
-            .aggregate(&["id"], vec![(AggCall::count_star(), "cnt")])
-            .collect()
+            .run(db)
             .unwrap();
         (
             join.rel().to_table(),
@@ -194,12 +188,12 @@ fn surfaces_share_persisted_tables_across_reopen() {
             .unwrap();
     }
     let db = Database::open(&dir).unwrap();
-    // Rust frame surface over the SQL-created table:
-    let out = db
-        .table("m")
+    // Rust plan surface over the SQL-created table:
+    let out = TemporalPlan::table(&db, "m")
         .unwrap()
-        .filter(col("name").eq(lit("ann")))
-        .collect()
+        .selection(col("name").eq(lit("ann")))
+        .unwrap()
+        .run(&db)
         .unwrap();
     assert_eq!(out.len(), 2);
     // And the stored backing is real (not a rehydrated memory table).

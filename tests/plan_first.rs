@@ -37,7 +37,8 @@ fn check_chains(
     ];
     for (i, chain) in chains.iter().enumerate() {
         let label = format!("{label} chain {i}");
-        let plan = common::compose_chain(chain, r, s, &label);
+        let plan =
+            common::compose_chain(chain, TemporalPlan::scan(r), TemporalPlan::scan(s), &label);
         let oracle = common::oracle_chain(chain, r, s, &label);
         for (how, config) in planners {
             let composed = plan
@@ -91,8 +92,9 @@ fn three_operator_chain_compiles_to_single_tree() {
         .selection(col(0).lt(lit(40i64)))
         .unwrap();
 
-    let planner = Planner::default();
-    let physical = plan.physical(&planner, &Catalog::new()).unwrap();
+    let physical = Planner::default()
+        .plan(plan.logical(), &Catalog::new())
+        .unwrap();
     let text = physical.explain();
 
     // One tree containing the whole reduction: both alignments and the
@@ -128,7 +130,7 @@ fn three_operator_chain_compiles_to_single_tree() {
     );
 
     // And the whole thing — one Planner::run — matches the oracle.
-    let composed = plan.execute(&planner).unwrap();
+    let composed = plan.execute(&Planner::default()).unwrap();
     let chain = [
         TemporalOp::Join {
             theta: Some(col(0).lt(col(3))),
@@ -158,10 +160,9 @@ fn group_based_chain_spools_composed_operand() {
         .unwrap()
         .projection(&[0])
         .unwrap();
-    let planner = Planner::default();
-    let text = plan.explain(&planner, &Catalog::new()).unwrap();
+    let text = plan.explain(&Database::new()).unwrap();
     assert!(text.contains("Spool"), "{text}");
-    let composed = plan.execute(&planner).unwrap();
+    let composed = plan.execute(&Planner::default()).unwrap();
     let chain = [TemporalOp::Union, TemporalOp::Projection { attrs: vec![0] }];
     let oracle = common::oracle_chain(&chain, &r, &s, "πᵀ ∘ ∪ᵀ");
     assert!(composed.same_set(&oracle));

@@ -3,12 +3,15 @@
 //! in-memory execution agree row-for-row on the paper's synthetic
 //! datasets, (b) demonstrably skip pages on selective `AS OF` timeslices
 //! (asserted through the `pages_read` / `pages_skipped` counters), and
-//! (c) survive a drop/reopen through the manifest, with the frame and SQL
-//! surfaces choosing the same access path.
+//! (c) survive a drop/reopen through the manifest, with the Rust plan and
+//! SQL surfaces choosing the same access path.
+
+mod common;
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use common::{as_of, physical};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,8 +41,7 @@ fn set_pruning(db: &Database, zonemaps: bool, index: bool) {
 /// `(pages_read, pages_skipped)` the plan's scans credited to their
 /// operator stats in that single execution.
 fn run_as_of(db: &Database, table: &str, v: i64) -> (Vec<Row>, (u64, u64)) {
-    let plan = db.table(table).unwrap().as_of(v).into_plan().unwrap();
-    let physical = db.physical(&plan).unwrap();
+    let physical = physical(db, &as_of(TemporalPlan::table(db, table).unwrap(), v));
     let state = ExecutionState::new(db.config()).with_instrumentation();
     let rel = physical.collect(&state).unwrap();
     (rel.rows().to_vec(), pages_touched(&physical, &state))
@@ -74,9 +76,9 @@ fn oracle_as_of(rel: &TemporalRelation, v: i64) -> Vec<Row> {
 
 /// Load `rows` into a fresh persisted table of `columns` (default `id
 /// int, ts int, te int`) the way a client does: `CREATE TABLE …
-/// PERSISTED` + `COPY`. The table is never `persist`ed, so its interval
-/// index holds what `insert_rows` appended to it, not a build from the
-/// whole relation.
+/// PERSISTED` + `COPY`. The table is never registered whole, so its
+/// interval index holds what `insert_rows` appended to it, not a build
+/// from the whole relation.
 fn copy_load(db: &Database, dir: &std::path::Path, name: &str, rows: &[Row]) {
     copy_load_columns(db, dir, name, "id int, ts int, te int", rows);
 }
@@ -409,7 +411,7 @@ fn skipped_pages_count_against_the_statement_snapshot() {
         TableSource::Mem(_) => panic!("r must be stored"),
     });
     let v = 20 * 1500 + 2;
-    let plan = db.table("r").unwrap().as_of(v).into_plan().unwrap();
+    let plan = as_of(TemporalPlan::table(&db, "r").unwrap(), v);
     let mut next = 1_000_000i64;
     for (zm, ix, path) in [
         (true, true, "IndexScan"),
@@ -418,7 +420,7 @@ fn skipped_pages_count_against_the_statement_snapshot() {
         (false, false, "StorageScan on r ["),
     ] {
         set_pruning(&db, zm, ix);
-        let physical = db.physical(&plan).unwrap();
+        let physical = physical(&db, &plan);
         assert!(physical.explain().contains(path), "{}", physical.explain());
         let state = ExecutionState::new(db.config()).with_instrumentation();
         let snap = state.snapshot_for(&table);
@@ -495,7 +497,9 @@ fn interval_index_reopens_through_manifest() {
     db.register("r", &r).unwrap();
 
     let v = 5000;
-    let explain = db.table("r").unwrap().as_of(v).explain().unwrap();
+    let explain = as_of(TemporalPlan::table(&db, "r").unwrap(), v)
+        .explain(&db)
+        .unwrap();
     assert!(
         explain.contains("IndexScan on r using interval index"),
         "expected an IndexScan access path, got:\n{explain}"
@@ -505,7 +509,9 @@ fn interval_index_reopens_through_manifest() {
     drop(db);
 
     let db = Database::open(&dir).unwrap();
-    let explain = db.table("r").unwrap().as_of(v).explain().unwrap();
+    let explain = as_of(TemporalPlan::table(&db, "r").unwrap(), v)
+        .explain(&db)
+        .unwrap();
     assert!(
         explain.contains("IndexScan on r using interval index"),
         "reopened database lost the index path:\n{explain}"
@@ -586,7 +592,9 @@ fn shuffled_heap_is_served_by_the_index_across_inserts_and_reopens() {
     copy_load(&db, &dir, "s", &rows);
     let check = |db: &Database, rows: &[Row], step: &str| {
         for v in [0, 7, 2_500, 17_777, 29_995, 40_000] {
-            let explain = db.table("s").unwrap().as_of(v).explain().unwrap();
+            let explain = as_of(TemporalPlan::table(db, "s").unwrap(), v)
+                .explain(db)
+                .unwrap();
             assert!(
                 explain.contains("IndexScan on s using interval index"),
                 "{step}: AS OF {v} did not probe the index:\n{explain}"
@@ -782,35 +790,36 @@ fn key_lookups_read_only_the_pages_holding_the_key() {
                 matches!((&r[2], &r[3]),
                 (Value::Int(ts), Value::Int(te)) if *ts <= t && *te > t)
             };
-            let k = || db.table("k").unwrap();
+            let k = || TemporalPlan::table(db, "k").unwrap();
             let lookups = [
-                ("k = c", k().filter(col("id").eq(lit(c))), false),
+                ("k = c", k().selection(col("id").eq(lit(c))), false),
                 (
                     "k BETWEEN c AND c",
-                    k().filter(col("id").between(lit(c), lit(c))),
+                    k().selection(col("id").between(lit(c), lit(c))),
                     false,
                 ),
                 (
                     "AS OF t WHERE k = c",
-                    k().as_of(t).filter(col("id").eq(lit(c))),
+                    as_of(k(), t).selection(col("id").eq(lit(c))),
                     true,
                 ),
             ];
-            for (shape, frame, as_of) in lookups {
+            for (shape, plan, timeslice) in lookups {
+                let plan = plan.unwrap();
                 let mut want: Vec<Row> = rows
                     .iter()
-                    .filter(|r| has_key(r) && (!as_of || valid(r)))
+                    .filter(|r| has_key(r) && (!timeslice || valid(r)))
                     .cloned()
                     .collect();
                 want.sort();
                 for zonemaps in [true, false] {
                     set_pruning(db, zonemaps, true);
-                    let mut got = frame.collect().unwrap().rows().to_vec();
+                    let mut got = plan.run(db).unwrap().rows().to_vec();
                     got.sort();
                     assert_eq!(got, want, "{step}: {shape}, c = {c}, zonemaps {zonemaps}");
                 }
                 set_pruning(db, true, true);
-                let analyzed = frame.explain_analyze().unwrap();
+                let analyzed = plan.explain_analyze(db).unwrap();
                 let read = scan_counter(&analyzed, "pages_read");
                 assert!(
                     read as f64 <= holding as f64 + 0.03 * heap_pages,
@@ -826,8 +835,11 @@ fn key_lookups_read_only_the_pages_holding_the_key() {
             }
         }
         for name in ["n7", "n70"] {
-            let frame = db.table("s").unwrap().filter(col("name").eq(lit(name)));
-            let mut got = frame.collect().unwrap().rows().to_vec();
+            let plan = TemporalPlan::table(db, "s")
+                .unwrap()
+                .selection(col("name").eq(lit(name)))
+                .unwrap();
+            let mut got = plan.run(db).unwrap().rows().to_vec();
             let mut want: Vec<Row> = named
                 .iter()
                 .filter(|r| r[0] == Value::str(name))
@@ -836,7 +848,7 @@ fn key_lookups_read_only_the_pages_holding_the_key() {
             got.sort();
             want.sort();
             assert_eq!(got, want, "{step}: name = {name}");
-            let analyzed = frame.explain_analyze().unwrap();
+            let analyzed = plan.explain_analyze(db).unwrap();
             assert!(!analyzed.contains("key_filtered"), "{analyzed}");
         }
     };
@@ -862,7 +874,7 @@ fn key_lookups_read_only_the_pages_holding_the_key() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The frame and SQL surfaces print the same chosen access path for the
+/// The Rust plan and SQL surfaces print the same chosen access path for the
 /// same timeslice — `AS OF` lowers to one canonical predicate.
 #[test]
 fn explain_access_path_identical_on_both_surfaces() {
@@ -872,7 +884,9 @@ fn explain_access_path_identical_on_both_surfaces() {
     db.register("r", &r).unwrap();
     let v = 4000;
 
-    let frame_explain = db.table("r").unwrap().as_of(v).explain().unwrap();
+    let rust_explain = as_of(TemporalPlan::table(&db, "r").unwrap(), v)
+        .explain(&db)
+        .unwrap();
     let mut session = Session::with_database(db.clone());
     let sql_explain = session
         .explain(&format!("SELECT * FROM r AS OF {v}"))
@@ -885,10 +899,10 @@ fn explain_access_path_identical_on_both_surfaces() {
             .map(str::to_string)
             .unwrap_or_else(|| panic!("no scan line in:\n{s}"))
     };
-    let (f, s) = (scan_line(&frame_explain), scan_line(&sql_explain));
+    let (f, s) = (scan_line(&rust_explain), scan_line(&sql_explain));
     assert_eq!(
         f, s,
-        "access paths diverge:\n{frame_explain}\nvs\n{sql_explain}"
+        "access paths diverge:\n{rust_explain}\nvs\n{sql_explain}"
     );
     assert!(
         f.contains("using interval index") || f.contains("using zonemap"),
@@ -899,7 +913,9 @@ fn explain_access_path_identical_on_both_surfaces() {
     // plain storage scan on both surfaces.
     db.sql("SET enable_zonemaps = false").unwrap();
     db.sql("SET enable_interval_index = false").unwrap();
-    let off = db.table("r").unwrap().as_of(v).explain().unwrap();
+    let off = as_of(TemporalPlan::table(&db, "r").unwrap(), v)
+        .explain(&db)
+        .unwrap();
     let off_line = scan_line(&off);
     assert!(
         off_line.starts_with("StorageScan on r ["),

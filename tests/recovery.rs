@@ -10,6 +10,9 @@
 //! a brute-force oracle after recovery; and a directory whose log carries
 //! another format version is refused at open and left byte-identical.
 
+mod common;
+
+use common::{as_of, physical};
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::engine::prelude::*;
@@ -26,11 +29,11 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Rows of a frame collect, as plain vectors.
+/// Rows of a plan over `table`, as plain vectors.
 fn collect_rows(db: &Database, table: &str) -> Vec<Row> {
-    db.table(table)
+    TemporalPlan::table(db, table)
         .unwrap()
-        .collect()
+        .run(db)
         .unwrap()
         .rel()
         .rows()
@@ -63,15 +66,14 @@ fn oracle_as_of(rows: &[Row], v: i64) -> Vec<Row> {
 
 /// Execute `table AS OF v` and return the rows.
 fn run_as_of(db: &Database, table: &str, v: i64) -> Vec<Row> {
-    engine_rows(db, db.table(table).unwrap().as_of(v))
+    engine_rows(db, as_of(TemporalPlan::table(db, table).unwrap(), v))
 }
 
-/// Execute `frame` in the engine and return the rows — unlike a frame
-/// collect, rows with NULL bounds come back too.
-fn engine_rows(db: &Database, frame: TemporalFrame) -> Vec<Row> {
-    let physical = db.physical(&frame.into_plan().unwrap()).unwrap();
+/// Execute `plan` in the engine and return the rows — unlike
+/// `TemporalPlan::run`, rows with NULL bounds come back too.
+fn engine_rows(db: &Database, plan: TemporalPlan) -> Vec<Row> {
     let state = ExecutionState::new(db.config());
-    physical.collect(&state).unwrap().rows().to_vec()
+    physical(db, &plan).collect(&state).unwrap().rows().to_vec()
 }
 
 /// After recovery the pruned access paths (zone maps, interval index)
@@ -127,14 +129,14 @@ fn committed_inserts_survive_a_crash() {
 
     let db = Database::open(&dir).unwrap();
     assert_eq!(
-        engine_rows(&db, db.table("r").unwrap()),
+        engine_rows(&db, TemporalPlan::table(&db, "r").unwrap()),
         expected,
         "recovery lost or reordered committed rows"
     );
     assert_pruning_consistent(&db, "r", &expected, &[0, 35, 140, 999, 100_000]);
     for c in [7, 1010, 1013, 1016, 5000] {
-        for as_of in [None, Some(70)] {
-            let want: Vec<Row> = match as_of {
+        for slice in [None, Some(70)] {
+            let want: Vec<Row> = match slice {
                 Some(v) => oracle_as_of(&expected, v),
                 None => expected.clone(),
             }
@@ -144,15 +146,15 @@ fn committed_inserts_survive_a_crash() {
             for (zm, ix) in [(true, true), (true, false), (false, true), (false, false)] {
                 db.set("enable_zonemaps", zm, None).unwrap();
                 db.set("enable_interval_index", ix, None).unwrap();
-                let frame = db.table("r").unwrap();
-                let frame = match as_of {
-                    Some(v) => frame.as_of(v),
-                    None => frame,
+                let plan = TemporalPlan::table(&db, "r").unwrap();
+                let plan = match slice {
+                    Some(v) => as_of(plan, v),
+                    None => plan,
                 };
-                let got = engine_rows(&db, frame.filter(col("id").eq(lit(c))));
+                let got = engine_rows(&db, plan.selection(col("id").eq(lit(c))).unwrap());
                 assert_eq!(
                     got, want,
-                    "id = {c}, AS OF {as_of:?} (zonemaps={zm}, index={ix})"
+                    "id = {c}, AS OF {slice:?} (zonemaps={zm}, index={ix})"
                 );
             }
         }
@@ -162,7 +164,10 @@ fn committed_inserts_survive_a_crash() {
     // (recovery that did work checkpoints, so the WAL does not regrow).
     db.close().unwrap();
     let db = Database::open(&dir).unwrap();
-    assert_eq!(engine_rows(&db, db.table("r").unwrap()), expected);
+    assert_eq!(
+        engine_rows(&db, TemporalPlan::table(&db, "r").unwrap()),
+        expected
+    );
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }

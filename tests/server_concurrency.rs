@@ -259,12 +259,10 @@ fn hammer(sync_mode: &str) {
     db.close().expect("close");
     drop(db);
     let db = Database::open(&dir).expect("reopen");
-    let n = db
-        .table("ev")
+    let n = TemporalPlan::table(&db, "ev")
         .expect("table")
-        .collect()
-        .expect("collect")
-        .rel()
+        .run(&db)
+        .expect("run")
         .len();
     assert_eq!(n, WRITERS * BATCHES * BATCH, "rows after reopen");
     drop(db);
@@ -335,13 +333,11 @@ proptest! {
                 let mut sweeps = 0u32;
                 while !done.load(Ordering::Acquire) || sweeps < 2 {
                     sweeps += 1;
-                    let rel = db
-                        .table("t")
+                    let rel = TemporalPlan::table(&db, "t")
                         .expect("table")
-                        .collect()
-                        .expect("collect")
-                        .rel()
-                        .clone();
+                        .run(&db)
+                        .expect("run")
+                        .into_rel();
                     assert_eq!(
                         rel.len() % batch,
                         0,
@@ -372,7 +368,7 @@ proptest! {
         for t in threads {
             t.join().expect("reader thread");
         }
-        let rel = db.table("t").unwrap().collect().unwrap().rel().clone();
+        let rel = db.relation("t").unwrap();
         prop_assert_eq!(rel.len(), batch * batches);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);

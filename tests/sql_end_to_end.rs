@@ -15,8 +15,8 @@ fn sql_align_agrees_with_algebra_align() {
     let r = random_trel(5, 10, 3, 20);
     let s = random_trel(6, 10, 3, 20);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
-    session.register_temporal("s", &s).unwrap();
+    session.register("r", &r).unwrap();
+    session.register("s", &s).unwrap();
 
     let sql_out = session
         .query_temporal("SELECT * FROM (r ALIGN s ON r.k = s.k) x")
@@ -37,8 +37,8 @@ fn sql_normalize_agrees_with_algebra_normalize() {
     let r = random_trel(7, 10, 3, 20);
     let s = random_trel(8, 10, 3, 20);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
-    session.register_temporal("s", &s).unwrap();
+    session.register("r", &r).unwrap();
+    session.register("s", &s).unwrap();
 
     let sql_out = session
         .query_temporal("SELECT * FROM (r NORMALIZE s USING(k)) x")
@@ -58,8 +58,8 @@ fn full_reduction_rule_via_sql_matches_algebra_join() {
     let r = random_trel(9, 8, 2, 16);
     let s = random_trel(10, 8, 2, 16);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
-    session.register_temporal("s", &s).unwrap();
+    session.register("r", &r).unwrap();
+    session.register("s", &s).unwrap();
 
     let sql_out = session
         .query_temporal(
@@ -86,7 +86,7 @@ fn planner_switches_steer_the_group_construction_join() {
     // left outer join follows the enabled join methods.
     let r = random_trel(11, 40, 6, 60);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
 
     let q = "SELECT * FROM (r r1 NORMALIZE r r2 USING(k)) x";
 
@@ -121,8 +121,8 @@ fn snodgrass_not_exists_formulation_runs_via_sql() {
     let r = paper_r();
     let p = paper_p();
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
-    session.register_temporal("p", &p).unwrap();
+    session.register("r", &r).unwrap();
+    session.register("p", &p).unwrap();
 
     // For each reservation: does any price period cover its whole span?
     let out = session
@@ -149,7 +149,7 @@ fn snodgrass_not_exists_formulation_runs_via_sql() {
 fn group_by_aggregates_with_arithmetic() {
     let r = random_trel(13, 12, 3, 20);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
     let out = session
         .query(
             "SELECT k, count(*) c, max(te) - min(ts) span \
@@ -169,7 +169,7 @@ fn group_by_aggregates_with_arithmetic() {
 fn explain_renders_temporal_nodes() {
     let r = paper_r();
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
     let plan = session
         .explain("SELECT * FROM (r r1 ALIGN r r2 ON r1.n = r2.n) x")
         .unwrap();
@@ -185,8 +185,8 @@ fn right_and_full_outer_joins_via_sql() {
     let r = random_trel(51, 8, 3, 16);
     let s = random_trel(52, 8, 3, 16);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
-    session.register_temporal("s", &s).unwrap();
+    session.register("r", &r).unwrap();
+    session.register("s", &s).unwrap();
 
     // Right outer join of aligned relations per Table 2.
     let sql_out = session
@@ -230,7 +230,7 @@ fn right_and_full_outer_joins_via_sql() {
 fn from_subqueries_and_nested_ctes() {
     let r = random_trel(53, 10, 3, 18);
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
 
     // Subquery in FROM with aggregation on top.
     let out = session
@@ -269,12 +269,12 @@ fn sql_normalize_empty_using_matches_fig3_semantics() {
     // N_{}(R; R) through SQL on the paper's reservations.
     let r = paper_r();
     let mut session = Session::new();
-    session.register_temporal("r", &r).unwrap();
+    session.register("r", &r).unwrap();
     let out = session
         .query_temporal("SELECT * FROM (r r1 NORMALIZE r r2 USING()) x")
         .unwrap();
     let api = TemporalPlan::scan(&r)
-        .normalize(TemporalPlan::scan(&r), &[])
+        .normalize(TemporalPlan::scan(&r), &[] as &[(usize, usize)])
         .unwrap()
         .execute(&Planner::default())
         .unwrap();
@@ -296,7 +296,7 @@ fn distinct_and_absorb_quantifiers_differ() {
     )
     .unwrap();
     let mut session = Session::new();
-    session.register_table("t", rel).unwrap();
+    session.register("t", rel).unwrap();
     let distinct = session.query("SELECT DISTINCT k, ts, te FROM t").unwrap();
     assert_eq!(distinct.len(), 3);
     let absorbed = session.query("SELECT ABSORB k, ts, te FROM t").unwrap();
@@ -454,14 +454,10 @@ fn int_double_equi_join_matches_under_every_join_method() {
 fn trace_on_and_off_return_identical_rows() {
     let db = Database::default();
     let mut session = Session::scoped(db.clone());
-    session
-        .register_temporal("r", &random_trel(5, 10, 3, 20))
-        .unwrap();
-    session
-        .register_temporal("s", &random_trel(6, 10, 3, 20))
-        .unwrap();
-    session.register_temporal("res", &paper_r()).unwrap();
-    session.register_temporal("price", &paper_p()).unwrap();
+    session.register("r", &random_trel(5, 10, 3, 20)).unwrap();
+    session.register("s", &random_trel(6, 10, 3, 20)).unwrap();
+    session.register("res", &paper_r()).unwrap();
+    session.register("price", &paper_p()).unwrap();
     let queries = [
         "SELECT * FROM (r ALIGN s ON r.k = s.k) x",
         "SELECT * FROM (r NORMALIZE s USING(k)) x",
