@@ -9,16 +9,24 @@
 //!    its group of matching `s` tuples (for alignment) or the candidate
 //!    split points (for normalization). The engine's optimizer is free to
 //!    pick nested-loop/hash/merge for this join — which is precisely what
-//!    the paper's Fig. 13 experiment measures;
+//!    the paper's Fig. 13 experiment measures. Every join method emits a
+//!    left row's matches together, so each `r` tuple reaches the sweep as
+//!    one run of rows; normalization joins `DISTINCT r`, so that a bag
+//!    duplicate of an `r` tuple adds no second run;
 //! 2. for alignment, a projection computing `[P1, P2)`, the precomputed
 //!    intersection of the r- and s-timestamps. Normalization has nothing
 //!    to compute — its split point `P1` is a column of the join's own row,
-//!    which the sort and the sweep address where the join left it (Fig. 9
-//!    draws an explicit π there; it would only copy every join row);
-//! 3. a **sort** that partitions by the complete `r` tuple and orders each
-//!    group by `(P1, P2)` (Fig. 9);
-//! 4. the **plane sweep** over each sorted group ([`AdjustmentExec`]),
-//!    which emits a batch of adjusted tuples per pull, fully pipelined.
+//!    which the sweep addresses where the join left it (Fig. 9 draws an
+//!    explicit π there; it would only copy every join row);
+//! 3. for alignment, a **sort** that partitions by the complete `r` tuple
+//!    and orders each group by `(P1, P2)` (Fig. 9): Fig. 10's duplicate
+//!    test compares adjacent groups, so it needs the total order. For
+//!    normalization, **the sweep orders each group's split points** itself
+//!    — the hash join's range-ordered buckets usually deliver them
+//!    ascending already — and no sort stands between the join and the
+//!    sweep;
+//! 4. the **plane sweep** over each group ([`AdjustmentExec`]), which
+//!    emits a batch of adjusted tuples per pull, fully pipelined.
 
 use std::sync::Arc;
 
@@ -196,15 +204,16 @@ pub fn normalize_plan(
     conjuncts.push(col(p1_col).gt(col(r_ts)));
     conjuncts.push(col(p1_col).lt(col(r_te)));
     let cond = Expr::and_all(conjuncts).expect("non-empty");
-    let joined = r.join(endpoints, JoinType::Left, Some(cond));
+    // Every join method emits each left row's matches together, so the
+    // sweep sees each r tuple's split points as one run and orders them
+    // itself: no sort. DISTINCT makes the runs one per distinct r tuple —
+    // a bag duplicate adds nothing, as when a sort collapsed it.
+    let joined = r.distinct().join(endpoints, JoinType::Left, Some(cond));
 
-    // Partition by the full r tuple, order by split point — read from the
-    // join row (r.*, B, P1) as it is; a projection would add nothing.
-    let mut keys: Vec<SortKey> = (0..wr).map(|i| SortKey::asc(col(i))).collect();
-    keys.push(SortKey::asc(col(p1_col)));
-
+    // The sweep reads the split point from the join row (r.*, B, P1) as it
+    // is; a projection would add nothing.
     Ok(LogicalPlan::extension(Arc::new(AdjustmentNode {
-        input: joined.sort(keys),
+        input: joined,
         out_schema: r_schema,
         mode: AdjustMode::Normalize,
         p1: p1_col,
@@ -212,9 +221,10 @@ pub fn normalize_plan(
     })))
 }
 
-/// Logical extension node wrapping the plane sweep. Its child plan already
-/// produces partitioned, sorted rows that start with the full `r` tuple and
-/// carry `P1` (and `P2`, for the intersection modes) at the given columns.
+/// Logical extension node wrapping the plane sweep. Its child plan produces
+/// rows that start with the full `r` tuple and carry `P1` (and `P2`, for
+/// the intersection modes) at the given columns, each `r` tuple's rows
+/// together (sorted by `(r.*, P1, P2)` for the intersection modes).
 #[derive(Debug)]
 pub struct AdjustmentNode {
     input: LogicalPlan,
@@ -303,8 +313,8 @@ impl ExtensionNode for AdjustmentNode {
 /// The paper's `ExecAdjustment` (Fig. 10): a pipelined plane sweep over
 /// groups of join tuples, integrated into the executor pipeline like the
 /// PostgreSQL original — with the unit of exchange a batch: one
-/// `next_batch()` call sweeps on through the sorted groups, pulling the
-/// input a batch at a time, until it has a batch of adjusted tuples.
+/// `next_batch()` call sweeps on through the groups, pulling the input a
+/// batch at a time, until it has a batch of adjusted tuples.
 ///
 /// The sweep reads `ts`, `te`, `P1` and `P2` as integers straight from the
 /// input's columns and emits, per adjusted tuple, the index of the input
@@ -337,6 +347,8 @@ struct Sweep {
     /// test `out ≠ (curr.A, curr.P1, curr.P2)` of Fig. 10.
     last_out: Option<(i64, i64)>,
     last_same_data: bool,
+    /// Normalization's split points of the group being swept, ascending.
+    points: Vec<i64>,
 }
 
 /// The adjusted tuples of one call: the input row each one's data come
@@ -346,6 +358,14 @@ struct Adjusted {
     src: Vec<u32>,
     ts: Vec<i64>,
     te: Vec<i64>,
+}
+
+impl Adjusted {
+    fn push(&mut self, src: usize, s: i64, e: i64) {
+        self.src.push(src as u32);
+        self.ts.push(s);
+        self.te.push(e);
+    }
 }
 
 /// Column `c` of row `i` as an integer, with `Value::expect_int`'s error
@@ -377,12 +397,14 @@ impl Sweep {
         let ts = int_in(w, self.ts_idx, s, "adjustment ts")?;
         let te = int_in(w, self.te_idx, s, "adjustment te")?;
         check_interval("adjustment", ts, te)?;
+        if self.mode == AdjustMode::Normalize {
+            self.split(w, s, g, ts, te, out);
+            return Ok(());
+        }
         let (p1c, p2c) = (w.column(self.p1_idx), self.p2_idx.map(|c| w.column(c)));
         let p2_at = |i: usize| p2c.and_then(|c| c.int_at(i));
         let mut push = |this: &mut Self, i: usize, s: i64, e: i64| {
-            out.src.push(i as u32);
-            out.ts.push(s);
-            out.te.push(e);
+            out.push(i, s, e);
             this.last_out = Some((s, e));
             this.last_same_data = true;
         };
@@ -416,6 +438,7 @@ impl Sweep {
                         sweepline = sweepline.max(p2v);
                     }
                 }
+                // Swept by `split`.
                 AdjustMode::Normalize => {}
             }
         }
@@ -431,12 +454,38 @@ impl Sweep {
         }
         Ok(())
     }
+
+    /// Normalization's sweep of the group `s..g`, one `r` tuple valid over
+    /// `[ts, te)`: the pieces between consecutive split points. The join
+    /// delivers a group's split points in its own order — ascending from
+    /// range-ordered hash buckets, in build or right-input order otherwise
+    /// — so they are sorted here unless already ascending. No state
+    /// crosses groups, so the groups may come in any order.
+    fn split(&mut self, w: &RowBatch, s: usize, g: usize, ts: i64, te: i64, out: &mut Adjusted) {
+        let p1c = w.column(self.p1_idx);
+        self.points.clear();
+        // The ω row of an r tuple without a split point has P1 = NULL.
+        self.points.extend((s..g).filter_map(|i| p1c.int_at(i)));
+        if !self.points.is_sorted() {
+            self.points.sort_unstable();
+        }
+        let mut sweepline = ts;
+        for &p in self.points.iter().chain([&te]) {
+            if sweepline < p {
+                out.push(s, sweepline, p);
+                sweepline = p;
+            }
+        }
+    }
 }
 
 impl AdjustmentExec {
     /// `input` rows start with the full `r` tuple and hold `P1`/`P2` at
-    /// `p1_idx`/`p2_idx`, partitioned by the `r` tuple and sorted by
-    /// `(P1, P2)` within each partition; `out_schema` is `r`'s schema.
+    /// `p1_idx`/`p2_idx`, each `r` tuple's rows together; `out_schema` is
+    /// `r`'s schema. Alignment and the gaps-only sweep need their input
+    /// sorted by `(r.*, P1, P2)` — the duplicate test compares adjacent
+    /// groups — while normalization orders each group's split points
+    /// itself and needs the groups of distinct `r` tuples only.
     pub fn new(
         input: BoxedExec,
         out_schema: Schema,
@@ -459,6 +508,7 @@ impl AdjustmentExec {
                 p2_idx,
                 last_out: None,
                 last_same_data: false,
+                points: Vec::new(),
             },
             pos: 0,
             pending: None,

@@ -1046,9 +1046,12 @@ mod tests {
                 }
             })
         };
-        // Each read pins one snapshot; batches of 5 publish atomically,
-        // so every observed count is the 3 seed rows plus a multiple of 5.
+        // Each read pins one snapshot — a planned scan and the catalog's
+        // whole-table read alike; batches of 5 publish atomically, so
+        // every observed count is the 3 seed rows plus a multiple of 5.
         for _ in 0..50 {
+            let n = db.relation("staff").unwrap().len();
+            assert_eq!((n - 3) % 5, 0, "torn batch visible: {n} rows");
             let n = rows_of(&db, "staff");
             assert_eq!((n - 3) % 5, 0, "torn batch visible: {n} rows");
         }

@@ -59,7 +59,7 @@ pub use state::ExecutionState;
 pub use storage_scan::StorageScanExec;
 
 use crate::batch::{RowBatch, BATCH_SIZE, NULL_ROW};
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::expr::BoundJoin;
 use crate::plan::JoinType;
 use crate::relation::Relation;
@@ -95,11 +95,27 @@ pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Rela
 /// Drain a node into its batches.
 pub fn drain(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<Vec<RowBatch>> {
     let mut batches = Vec::new();
+    for_each_batch(node, state, |batch| {
+        batches.push(batch);
+        Ok::<_, EngineError>(())
+    })?;
+    Ok(batches)
+}
+
+/// Hand every batch of `node` to `f` as the node yields it, checking for
+/// cancellation between batches — the one pull loop behind [`drain`] and
+/// a caller that streams a result (the SQL session into its sink). An
+/// error of `f` stops the pull.
+pub fn for_each_batch<E: From<EngineError>>(
+    node: &mut dyn ExecNode,
+    state: &ExecutionState,
+    mut f: impl FnMut(RowBatch) -> Result<(), E>,
+) -> Result<(), E> {
     while let Some(batch) = node.next_batch(state)? {
         state.check_cancelled()?;
-        batches.push(batch);
+        f(batch)?;
     }
-    Ok(batches)
+    Ok(())
 }
 
 /// Drain a node into one batch — the materialization step of blocking

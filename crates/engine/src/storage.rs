@@ -589,13 +589,17 @@ impl StoredTable {
             .map_err(EngineError::from)
     }
 
-    /// Materialize the whole table (streamed page by page) — the
+    /// Materialize the table as one [`HeapSnapshot`] sees it (streamed
+    /// page by page, each page clipped to the snapshot as a scan clips
+    /// it, so a concurrent append batch shows whole or not at all) — the
     /// compatibility path behind [`crate::catalog::Catalog::get`]; query
     /// execution should scan via [`crate::exec::StorageScanExec`] instead.
     pub fn read_all(&self) -> EngineResult<Relation> {
+        let snapshot = self.snapshot();
         let mut out = BatchBuilder::new(self.schema.len());
-        for page_no in 0..self.page_count() {
-            self.decode_page(page_no, [ALL_SLOTS], None, &mut out)?;
+        for page_no in 0..snapshot.visible_pages() {
+            let slots = snapshot.visible_slots(page_no, ALL_SLOTS);
+            self.decode_page(page_no, [slots], None, &mut out)?;
         }
         Relation::from_batches(self.schema.clone(), vec![out.finish(self.schema.clone())])
     }

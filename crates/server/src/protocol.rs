@@ -11,9 +11,16 @@
 //!   * `OK` — statement succeeded with no result (SET, CREATE TABLE, …),
 //!   * `AFFECTED <n>` — statement appended/changed `n` rows (INSERT, COPY),
 //!   * `ERR <message>` — failure; `<message>` is escaped onto one line,
-//!   * `ROWS <nrows> <ncols>` — followed by one header line of
-//!     tab-separated column names, `<nrows>` tab-separated data lines,
-//!     and a trailing `END` line.
+//!   * `ROWS <ncols>` — followed by one header line of tab-separated
+//!     column names, the tab-separated data lines, the end-of-rows line
+//!     `\.`, and a trailer: `END <nrows>` (the count of data lines, which
+//!     the client checks) or `ERR <message>` when the statement failed
+//!     after rows went out (the client drops them and reports the error).
+//!
+//! The server writes a SELECT's rows as the executor yields them, so the
+//! row count can only follow them. `\.` (PostgreSQL `COPY`'s end marker)
+//! is never a data line: every `\` of a field is escaped. A statement
+//! that fails before its first row answers a plain `ERR` line.
 //!
 //! Fields escape `\` as `\\`, tab as `\t`, newline as `\n`, and carriage
 //! return as `\r`; SQL `NULL` is the bare field `\N` (as in PostgreSQL's
@@ -23,8 +30,11 @@
 use std::io::{self, BufRead, Write};
 
 use temporal_engine::batch::{ColumnData, ColumnVec};
-use temporal_engine::prelude::{Relation, Value};
-use temporal_sql::SqlOutput;
+use temporal_engine::prelude::{Relation, RowBatch, Schema, Value};
+use temporal_sql::{ResultSink, SqlError, SqlOutput, SqlResult};
+
+/// The line that ends a `ROWS` block's data lines.
+const END_OF_ROWS: &str = "\\.";
 
 /// Write `s` escaped for the wire (`\\`, `\t`, `\n`, `\r`) straight into
 /// `w`: the runs between escapes go out as slices of `s`, so encoding a
@@ -73,8 +83,13 @@ pub fn escape(s: &str) -> String {
 /// Invert [`escape`]. Unknown escapes keep the escaped character; a
 /// trailing lone backslash is kept literally.
 pub fn unescape(s: &str) -> String {
+    // Most fields hold no escape: copy them whole.
+    let Some(first) = s.find('\\') else {
+        return s.to_string();
+    };
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
+    out.push_str(&s[..first]);
+    let mut chars = s[first..].chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
             out.push(c);
@@ -157,18 +172,33 @@ fn write_field<W: Write>(w: &mut W, c: &ColumnVec, i: usize) -> io::Result<()> {
     }
 }
 
-/// Write the `ROWS` framing for a result relation, straight from the
-/// column batches the executor produced: each field is read from its
-/// typed column, so encoding a query result builds no row.
-fn write_relation<W: Write>(w: &mut W, rel: &Relation) -> io::Result<()> {
-    writeln!(w, "ROWS {} {}", rel.len(), rel.schema().len())?;
-    write_line(w, rel.schema().names(), |w, name| write_escaped(w, name))?;
-    for batch in rel.batches() {
-        for i in 0..batch.len() {
-            write_line(w, batch.columns(), |w, c| write_field(w, c, i))?;
-        }
+/// The head of a `ROWS` block: the column count and the names line.
+fn write_rows_header<W: Write>(w: &mut W, schema: &Schema) -> io::Result<()> {
+    writeln!(w, "ROWS {}", schema.len())?;
+    write_line(w, schema.names(), |w, name| write_escaped(w, name))
+}
+
+/// The data lines of one batch, straight from its columns: each field is
+/// read from its typed column, so encoding a query result builds no row.
+fn write_batch<W: Write>(w: &mut W, batch: &RowBatch) -> io::Result<()> {
+    for i in 0..batch.len() {
+        write_line(w, batch.columns(), |w, c| write_field(w, c, i))?;
     }
-    w.write_all(b"END\n")
+    Ok(())
+}
+
+/// The end of a `ROWS` block whose `nrows` data lines all went out.
+fn write_rows_end<W: Write>(w: &mut W, nrows: usize) -> io::Result<()> {
+    writeln!(w, "{END_OF_ROWS}\nEND {nrows}")
+}
+
+/// The `ROWS` framing of a whole result relation.
+fn write_relation<W: Write>(w: &mut W, rel: &Relation) -> io::Result<()> {
+    write_rows_header(w, rel.schema())?;
+    for batch in rel.batches() {
+        write_batch(w, batch)?;
+    }
+    write_rows_end(w, rel.len())
 }
 
 /// Serialize one statement outcome. Every field goes straight into `w`
@@ -180,9 +210,10 @@ pub fn write_output<W: Write>(w: &mut W, out: &SqlOutput) -> io::Result<()> {
         SqlOutput::Affected(n) => writeln!(w, "AFFECTED {n}"),
         SqlOutput::Rows(rel) => write_relation(w, rel),
         SqlOutput::Explain(plan) => {
-            w.write_all(b"ROWS 1 1\nplan\n")?;
+            w.write_all(b"ROWS 1\nplan\n")?;
             write_escaped(w, plan)?;
-            w.write_all(b"\nEND\n")
+            w.write_all(b"\n")?;
+            write_rows_end(w, 1)
         }
     }
 }
@@ -192,6 +223,97 @@ pub fn write_error<W: Write>(w: &mut W, msg: &str) -> io::Result<()> {
     w.write_all(b"ERR ")?;
     write_escaped(w, msg)?;
     w.write_all(b"\n")
+}
+
+/// One statement's reply, written while the statement runs: the
+/// [`ResultSink`] the server executes each statement into, over the
+/// connection's response buffer. A SELECT's `ROWS` head goes out with
+/// its first batch (or at the end, for an empty result), each batch as
+/// it arrives; nothing is written before, so a statement that fails
+/// before its first row answers a plain `ERR` line. [`ReplyWriter::finish`]
+/// writes the trailer. A failed write stops the statement, and `finish`
+/// returns that I/O error.
+pub struct ReplyWriter<'a, W: Write> {
+    w: &'a mut W,
+    /// A SELECT's schema, until its head is written.
+    pending: Option<Schema>,
+    /// Data lines written, once the head is out.
+    rows: Option<usize>,
+    io: Option<io::Error>,
+}
+
+impl<'a, W: Write> ReplyWriter<'a, W> {
+    pub fn new(w: &'a mut W) -> Self {
+        ReplyWriter {
+            w,
+            pending: None,
+            rows: None,
+            io: None,
+        }
+    }
+
+    /// Keep a failed write's error for [`ReplyWriter::finish`] and stop
+    /// the statement.
+    fn sent(&mut self, res: io::Result<()>) -> SqlResult<()> {
+        res.map_err(|e| {
+            let stop = SqlError::Engine(format!("sending the reply: {e}"));
+            self.io = Some(e);
+            stop
+        })
+    }
+
+    /// Write the head of the pending `ROWS` block, if any.
+    fn head(&mut self) -> io::Result<()> {
+        if let Some(schema) = self.pending.take() {
+            write_rows_header(self.w, &schema)?;
+            self.rows = Some(0);
+        }
+        Ok(())
+    }
+
+    /// End the reply of a statement whose execution returned `result`:
+    /// `END <nrows>` after rows, `ERR` (after `\.` once rows went out) for
+    /// a failure. Returns the I/O error that stopped the statement, if
+    /// one did. Nothing is flushed.
+    pub fn finish(mut self, result: SqlResult<()>) -> io::Result<()> {
+        if let Some(e) = self.io.take() {
+            return Err(e);
+        }
+        match (result, self.rows) {
+            (Ok(()), _) => {
+                self.head()?;
+                match self.rows {
+                    Some(n) => write_rows_end(self.w, n),
+                    None => Ok(()),
+                }
+            }
+            (Err(e), None) => write_error(self.w, &e.to_string()),
+            (Err(e), Some(_)) => {
+                writeln!(self.w, "{END_OF_ROWS}")?;
+                write_error(self.w, &e.to_string())
+            }
+        }
+    }
+}
+
+impl<W: Write> ResultSink for ReplyWriter<'_, W> {
+    fn schema(&mut self, schema: &Schema) -> SqlResult<()> {
+        self.pending = Some(schema.clone());
+        Ok(())
+    }
+
+    fn batch(&mut self, batch: RowBatch) -> SqlResult<()> {
+        let res = self.head().and_then(|()| write_batch(self.w, &batch));
+        if let Some(n) = &mut self.rows {
+            *n += batch.len();
+        }
+        self.sent(res)
+    }
+
+    fn output(&mut self, out: SqlOutput) -> SqlResult<()> {
+        let res = write_output(self.w, &out);
+        self.sent(res)
+    }
 }
 
 /// A parsed server response (the client side of [`write_output`]).
@@ -234,24 +356,24 @@ impl Response {
     }
 }
 
-fn read_line<R: BufRead>(r: &mut R) -> io::Result<String> {
-    let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+/// Read the next line into `line` (reused from line to line) and return
+/// it without its line break.
+fn read_line<'a, R: BufRead>(r: &mut R, line: &'a mut String) -> io::Result<&'a str> {
+    line.clear();
+    let n = r.read_line(line)?;
     if n == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-response",
         ));
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(line)
+    Ok(line.trim_end_matches(['\n', '\r']))
 }
 
 /// Read one full response from the server.
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
-    let status = read_line(r)?;
+    let mut buf = String::new();
+    let status = read_line(r, &mut buf)?.to_string();
     if status == "OK" {
         return Ok(Response::Ok);
     }
@@ -261,11 +383,8 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
         })?;
         return Ok(Response::Affected(n));
     }
-    if let Some(rest) = status.strip_prefix("ERR ") {
-        return Ok(Response::Error(unescape(rest)));
-    }
-    if status == "ERR" {
-        return Ok(Response::Error(String::new()));
+    if let Some(msg) = error_message(&status) {
+        return Ok(Response::Error(msg));
     }
     let Some(rest) = status.strip_prefix("ROWS ") else {
         return Err(io::Error::new(
@@ -273,35 +392,29 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
             format!("unexpected response line: {status}"),
         ));
     };
-    let mut parts = rest.split_whitespace();
-    let (nrows, ncols) = match (
-        parts.next().and_then(|p| p.parse::<usize>().ok()),
-        parts.next().and_then(|p| p.parse::<usize>().ok()),
-    ) {
-        (Some(r), Some(c)) => (r, c),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad ROWS header: {status}"),
-            ))
-        }
-    };
-    let header = read_line(r)?;
-    let columns: Vec<String> = if ncols == 0 {
-        Vec::new()
-    } else {
-        header.split('\t').map(unescape).collect()
-    };
+    let ncols = rest.trim().parse::<usize>().map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad ROWS header: {status}"),
+        )
+    })?;
+    let columns: Vec<String> = fields(read_line(r, &mut buf)?, ncols)
+        .map(unescape)
+        .collect();
     if columns.len() != ncols {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("header has {} columns, expected {ncols}", columns.len()),
         ));
     }
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let line = read_line(r)?;
-        let row: Vec<Option<String>> = line.split('\t').map(decode_field).collect();
+    let mut rows = Vec::new();
+    loop {
+        let line = read_line(r, &mut buf)?;
+        if line == END_OF_ROWS {
+            break;
+        }
+        let mut row = Vec::with_capacity(ncols);
+        row.extend(fields(line, ncols).map(decode_field));
         if row.len() != ncols {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -310,14 +423,40 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
         }
         rows.push(row);
     }
-    let end = read_line(r)?;
-    if end != "END" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("missing END terminator, got: {end}"),
-        ));
+    let trailer = read_line(r, &mut buf)?;
+    if let Some(n) = trailer.strip_prefix("END ") {
+        if n.trim().parse::<usize>().ok() != Some(rows.len()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{trailer} after {} rows", rows.len()),
+            ));
+        }
+        return Ok(Response::Rows { columns, rows });
     }
-    Ok(Response::Rows { columns, rows })
+    // The statement failed after its first rows went out: they are not
+    // its result.
+    match error_message(trailer) {
+        Some(msg) => Ok(Response::Error(msg)),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("missing END trailer, got: {trailer}"),
+        )),
+    }
+}
+
+/// The tab-separated fields of a line of an `ncols`-column block (the
+/// lines of a 0-column block are empty).
+fn fields(line: &str, ncols: usize) -> impl Iterator<Item = &str> {
+    line.split('\t')
+        .take(if ncols == 0 { 0 } else { usize::MAX })
+}
+
+/// The unescaped message of an `ERR` line, if `line` is one.
+fn error_message(line: &str) -> Option<String> {
+    match line.strip_prefix("ERR ") {
+        Some(msg) => Some(unescape(msg)),
+        None => (line == "ERR").then(String::new),
+    }
 }
 
 #[cfg(test)]
@@ -368,12 +507,12 @@ mod tests {
     /// The row-wise encoder the column-wise one replaced: every row's
     /// values, rendered through `Value`.
     fn write_relation_by_rows(w: &mut Vec<u8>, rel: &Relation) {
-        writeln!(w, "ROWS {} {}", rel.len(), rel.schema().len()).unwrap();
+        writeln!(w, "ROWS {}", rel.schema().len()).unwrap();
         write_line(w, rel.schema().names(), write_escaped).unwrap();
         for row in rel.iter() {
             write_line(w, row.values(), write_value).unwrap();
         }
-        w.write_all(b"END\n").unwrap();
+        writeln!(w, "\\.\nEND {}", rel.len()).unwrap();
     }
 
     #[test]

@@ -241,11 +241,12 @@ pub fn stats_relation(db: &Database) -> Relation {
 const RESPONSE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Drive one connection: read a statement per line, execute it on the
-/// connection's session, write one framed response. Lines starting with
-/// `.` are server commands (currently `.stats`); everything else is SQL.
-/// Errors are reported in-band as `ERR …`; only I/O failures end the
-/// loop early. `writer` must buffer: the response goes into it field by
-/// field and is flushed once per statement.
+/// connection's session, write one framed response while it executes.
+/// Lines starting with `.` are server commands (currently `.stats`);
+/// everything else is SQL. Errors are reported in-band as `ERR …`; only
+/// I/O failures (a client gone mid-reply among them) end the loop early.
+/// `writer` must buffer: the response goes into it field by field and is
+/// flushed once per statement.
 fn serve_connection<R: BufRead, W: Write>(
     mut session: Session,
     reader: R,
@@ -282,10 +283,12 @@ fn serve_connection<R: BufRead, W: Write>(
         }
         let stmt = stmt.trim_end_matches(';').trim();
         statements.inc();
-        match session.execute(stmt) {
-            Ok(out) => protocol::write_output(&mut writer, &out)?,
-            Err(e) => protocol::write_error(&mut writer, &e.to_string())?,
-        }
+        // Each batch is encoded as the executor yields it; the buffer
+        // writes itself out whenever it fills and is flushed once at the
+        // statement's end, so a small reply is still one write.
+        let mut reply = protocol::ReplyWriter::new(&mut writer);
+        let result = session.execute_into(stmt, &mut reply);
+        reply.finish(result)?;
         writer.flush()?;
     }
     Ok(())
@@ -506,6 +509,172 @@ mod tests {
                 Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("7".into())]]),
                 other => panic!("expected rows, got {other:?}"),
             }
+        }
+        handle.stop();
+    }
+
+    /// `big(name, n, ts, te)`: `rows` rows of ≈ 50 bytes on the wire each,
+    /// `n` = the row's position, except the last row's `n`, which is
+    /// `last_n`.
+    fn big_table(db: &Database, rows: i64, last_n: i64) {
+        let schema = Schema::new(vec![
+            Column::new("name", DataType::Str),
+            Column::new("n", DataType::Int),
+            Column::new("ts", DataType::Int),
+            Column::new("te", DataType::Int),
+        ]);
+        let rows = (0..rows)
+            .map(|i| {
+                let n = if i + 1 == rows { last_n } else { i };
+                Row::new(vec![
+                    Value::str(format!("row {i} of a reply several buffers long")),
+                    Value::Int(n),
+                    Value::Int(i),
+                    Value::Int(i + 3),
+                ])
+            })
+            .collect();
+        db.register("big", Relation::new(schema, rows).unwrap())
+            .unwrap();
+    }
+
+    /// Everything the server answers to `stmt` on a fresh connection
+    /// that quits after it.
+    fn raw_reply(addr: &str, stmt: &str) -> Vec<u8> {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(format!("{stmt}\n\\q\n").as_bytes()).unwrap();
+        let mut out = Vec::new();
+        s.read_to_end(&mut out).unwrap();
+        out
+    }
+
+    /// A statement whose last batch overflows fails after more than a
+    /// response buffer of its rows went out: the client reports the
+    /// error, not the partial rows, and the connection goes on.
+    #[test]
+    fn a_statement_failing_after_its_first_rows_is_an_error_reply() {
+        let db = Database::default();
+        big_table(&db, 5_000, i64::MAX / 2 + 1);
+        let handle = Server::bind(db, "127.0.0.1:0").expect("bind").spawn();
+        let query = "SELECT name, n * 2 FROM big";
+
+        let raw = raw_reply(handle.addr(), query);
+        let text = String::from_utf8(raw).unwrap();
+        let (rows, trailer) = text.split_once("\n\\.\n").expect("an end-of-rows line");
+        assert!(rows.starts_with("ROWS 2\nname\t"), "{}", &rows[..40]);
+        assert!(rows.len() > RESPONSE_BUFFER_BYTES, "{} bytes", rows.len());
+        assert!(
+            trailer.starts_with("ERR ") && trailer.contains("integer overflow"),
+            "{trailer}"
+        );
+
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        match c.execute(query).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("integer overflow"), "{msg}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        match c.execute("SELECT n FROM big WHERE n = 7").unwrap() {
+            Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("7".into())]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        handle.stop();
+    }
+
+    /// A statement that fails before its first row answers one plain
+    /// `ERR` line, exactly the statement's error escaped.
+    #[test]
+    fn a_statement_failing_before_its_first_row_is_a_plain_err_line() {
+        let db = Database::default();
+        big_table(&db, 3, i64::MAX);
+        let query = "SELECT n + 1 FROM big WHERE n > 5";
+        let err = Session::with_database(db.clone())
+            .execute(query)
+            .unwrap_err();
+        let mut want = Vec::new();
+        protocol::write_error(&mut want, &err.to_string()).unwrap();
+        let line = String::from_utf8(want.clone()).unwrap();
+        assert!(line.starts_with("ERR execution error: "), "{line}");
+        assert!(line.contains("integer overflow"), "{line}");
+
+        let handle = Server::bind(db, "127.0.0.1:0").expect("bind").spawn();
+        assert_eq!(raw_reply(handle.addr(), query), want);
+        handle.stop();
+    }
+
+    /// Values that look like the framing's own lines travel as data.
+    #[test]
+    fn framing_words_round_trip_as_values() {
+        let values = [
+            Value::str("END"),
+            Value::str("\\."),
+            Value::str("ERR x"),
+            Value::str("\\N"),
+            Value::Null,
+            Value::str(""),
+            Value::str("END 6"),
+        ];
+        let db = Database::default();
+        let schema = Schema::new(vec![Column::new("v", DataType::Str)]);
+        let rows = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        db.register("w", Relation::new(schema, rows).unwrap())
+            .unwrap();
+        let handle = Server::bind(db, "127.0.0.1:0").expect("bind").spawn();
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        let want: Vec<Vec<Option<String>>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => vec![Some(s.to_string())],
+                _ => vec![None],
+            })
+            .collect();
+        for _ in 0..2 {
+            match c.execute("SELECT v FROM w").unwrap() {
+                Response::Rows { columns, rows } => {
+                    assert_eq!(columns, vec!["v"]);
+                    assert_eq!(rows, want);
+                }
+                other => panic!("expected rows, got {other:?}"),
+            }
+        }
+        handle.stop();
+    }
+
+    /// A client that leaves in the middle of a reply ends its own
+    /// connection — its session closes — and no other.
+    #[test]
+    fn a_client_leaving_mid_reply_ends_only_its_connection() {
+        let db = Database::default();
+        big_table(&db, 8_000, 7_999);
+        let handle = Server::bind(db.clone(), "127.0.0.1:0")
+            .expect("bind")
+            .spawn();
+        let mut stays = Client::connect(handle.addr()).expect("connect");
+        assert_eq!(
+            stays.execute("SET enable_mergejoin = off").unwrap(),
+            Response::Ok
+        );
+        for _ in 0..3 {
+            let mut leaves = TcpStream::connect(handle.addr()).expect("connect");
+            leaves
+                .write_all(b"SELECT name, n, ts, te FROM big\n")
+                .unwrap();
+            let mut first = [0u8; 7];
+            leaves.read_exact(&mut first).unwrap();
+            assert_eq!(&first, b"ROWS 4\n");
+            drop(leaves);
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while db.open_sessions() > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} sessions still open",
+                db.open_sessions()
+            );
+            thread::sleep(std::time::Duration::from_millis(5));
+        }
+        match stays.execute("SELECT count(*) FROM big").unwrap() {
+            Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("8000".into())]]),
+            other => panic!("expected rows, got {other:?}"),
         }
         handle.stop();
     }

@@ -51,7 +51,7 @@ pub mod token;
 pub use analyzer::Analyzer;
 pub use error::{SqlError, SqlResult};
 pub use parser::parse_statement;
-pub use session::{DatabaseSqlExt, Session, SqlOutput};
+pub use session::{DatabaseSqlExt, ResultSink, Session, SqlOutput};
 
 #[cfg(test)]
 mod tests {

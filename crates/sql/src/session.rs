@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use temporal_core::trel::TemporalRelation;
+use temporal_engine::exec::for_each_batch;
 use temporal_engine::prelude::*;
 
 use crate::analyzer::Analyzer;
@@ -30,6 +31,58 @@ pub enum SqlOutput {
     Ok,
     /// A statement that affected `n` rows (e.g. COPY).
     Affected(usize),
+}
+
+/// Where [`Session::execute_into`] delivers a statement's outcome: a
+/// SELECT's schema, then its batches as the executor yields them; any
+/// other statement's one [`SqlOutput`]. An error a method returns stops
+/// the statement and is the statement's error.
+pub trait ResultSink {
+    /// A SELECT's result schema, before its first batch.
+    fn schema(&mut self, schema: &Schema) -> SqlResult<()>;
+    /// The next batch of a SELECT's result (never empty).
+    fn batch(&mut self, batch: RowBatch) -> SqlResult<()>;
+    /// The outcome of a statement other than a SELECT.
+    fn output(&mut self, out: SqlOutput) -> SqlResult<()>;
+}
+
+/// The sink behind [`Session::execute`]: a SELECT's batches collected
+/// into one [`Relation`], or the statement's [`SqlOutput`].
+#[derive(Default)]
+struct Collect {
+    schema: Option<Schema>,
+    batches: Vec<RowBatch>,
+    out: Option<SqlOutput>,
+}
+
+impl ResultSink for Collect {
+    fn schema(&mut self, schema: &Schema) -> SqlResult<()> {
+        self.schema = Some(schema.clone());
+        Ok(())
+    }
+
+    fn batch(&mut self, batch: RowBatch) -> SqlResult<()> {
+        self.batches.push(batch);
+        Ok(())
+    }
+
+    fn output(&mut self, out: SqlOutput) -> SqlResult<()> {
+        self.out = Some(out);
+        Ok(())
+    }
+}
+
+impl Collect {
+    fn finish(self) -> SqlResult<SqlOutput> {
+        match (self.schema, self.out) {
+            (Some(schema), _) => Ok(SqlOutput::Rows(Relation::from_batches(
+                schema,
+                self.batches,
+            )?)),
+            (None, Some(out)) => Ok(out),
+            (None, None) => Err(SqlError::Engine("statement produced no outcome".into())),
+        }
+    }
 }
 
 impl SqlOutput {
@@ -124,15 +177,27 @@ impl Session {
         }
     }
 
-    /// Execute one statement. Every statement's wall-time is recorded in
-    /// the shared `session.statement_us` latency histogram (what the
-    /// server's `.stats` reports percentiles over); the `trace` and
-    /// `slow_query_ms` GUCs add spans / slow-statement logs on the query
-    /// paths.
+    /// Execute one statement and return its outcome, a SELECT's batches
+    /// collected into one [`Relation`]: [`Session::execute_into`] with a
+    /// collecting sink.
     pub fn execute(&mut self, sql: &str) -> SqlResult<SqlOutput> {
+        let mut sink = Collect::default();
+        self.execute_into(sql, &mut sink)?;
+        sink.finish()
+    }
+
+    /// Execute one statement into `sink`: a SELECT's batches go to it as
+    /// the executor yields them (the server encodes each onto the wire
+    /// before the next is computed), any other statement's outcome once.
+    /// Every statement's wall-time — a SELECT's including the time its
+    /// sink takes — is recorded in the shared `session.statement_us`
+    /// latency histogram (what the server's `.stats` reports percentiles
+    /// over); the `trace` and `slow_query_ms` GUCs add spans /
+    /// slow-statement logs on the query paths.
+    pub fn execute_into(&mut self, sql: &str, sink: &mut dyn ResultSink) -> SqlResult<()> {
         let stmt = parse_statement(sql)?;
         let started = Instant::now();
-        let out = self.run_statement(sql, stmt);
+        let out = self.run_statement(sql, stmt, sink);
         let metrics = self.db.metrics();
         metrics.counter("session.statements").inc();
         if out.is_err() {
@@ -201,8 +266,47 @@ impl Session {
         })
     }
 
-    fn run_statement(&mut self, sql: &str, stmt: Statement) -> SqlResult<SqlOutput> {
-        match stmt {
+    /// Plan and run a SELECT, handing `sink` its schema and then each
+    /// batch as the executor yields it.
+    fn run_select(
+        &mut self,
+        sql: &str,
+        sel: &SelectStmt,
+        sink: &mut dyn ResultSink,
+    ) -> SqlResult<()> {
+        let config = self.config();
+        let trace_t0 = config.trace.then(|| self.db.tracer().now_us());
+        let plan_t0 = trace_t0.map(|_| self.db.tracer().now_us());
+        let physical = self.plan_select(sel)?;
+        if let Some(t0) = plan_t0 {
+            self.db.tracer().record_since("plan", "plan", t0, 0);
+        }
+        // `trace` and `slow_query_ms` both need per-operator numbers;
+        // plain runs skip instrumentation entirely (the timing wrappers
+        // are never built), keeping the hot path untouched.
+        let observe = config.trace || config.slow_query_ms > 0;
+        let state = if observe {
+            ExecutionState::new(config).with_instrumentation()
+        } else {
+            ExecutionState::new(config)
+        };
+        let started = Instant::now();
+        let mut root = physical.execute(&state)?;
+        sink.schema(root.schema())?;
+        for_each_batch(root.as_mut(), &state, |batch| sink.batch(batch))?;
+        if observe {
+            self.observe_query(sql, &config, started.elapsed(), trace_t0, &physical, &state);
+        }
+        Ok(())
+    }
+
+    fn run_statement(
+        &mut self,
+        sql: &str,
+        stmt: Statement,
+        sink: &mut dyn ResultSink,
+    ) -> SqlResult<()> {
+        let out = match stmt {
             Statement::Set { name, value } => {
                 self.db
                     .set(&name, value, self.local.as_mut())
@@ -240,38 +344,7 @@ impl Session {
                     "EXPLAIN supports SELECT statements, got {other:?}"
                 ))),
             },
-            Statement::Select(sel) => {
-                let config = self.config();
-                let trace_t0 = config.trace.then(|| self.db.tracer().now_us());
-                let plan_t0 = trace_t0.map(|_| self.db.tracer().now_us());
-                let physical = self.plan_select(&sel)?;
-                if let Some(t0) = plan_t0 {
-                    self.db.tracer().record_since("plan", "plan", t0, 0);
-                }
-                // `trace` and `slow_query_ms` both need per-operator
-                // numbers; plain runs skip instrumentation entirely (the
-                // timing wrappers are never built), keeping the hot path
-                // untouched.
-                let observe = config.trace || config.slow_query_ms > 0;
-                let state = if observe {
-                    ExecutionState::new(config).with_instrumentation()
-                } else {
-                    ExecutionState::new(config)
-                };
-                let started = Instant::now();
-                let rel = physical.collect(&state).map_err(SqlError::from)?;
-                if observe {
-                    self.observe_query(
-                        sql,
-                        &config,
-                        started.elapsed(),
-                        trace_t0,
-                        &physical,
-                        &state,
-                    );
-                }
-                Ok(SqlOutput::Rows(rel))
-            }
+            Statement::Select(sel) => return self.run_select(sql, &sel, sink),
             Statement::CreateTable {
                 name,
                 columns,
@@ -340,7 +413,8 @@ impl Session {
                 let n = self.db.insert_rows(&table, rows)?;
                 Ok(SqlOutput::Affected(n))
             }
-        }
+        };
+        sink.output(out?)
     }
 
     /// Execute a query and return its rows.
