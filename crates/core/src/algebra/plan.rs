@@ -31,7 +31,6 @@
 //! step that causes it. Nothing executes until [`TemporalPlan::run`].
 
 use temporal_engine::catalog::Catalog;
-use temporal_engine::expr::resolve_name;
 use temporal_engine::plan::SpoolNode;
 use temporal_engine::prelude::*;
 
@@ -476,7 +475,7 @@ impl TemporalPlan {
 fn resolve_column(schema: &Schema, c: impl Into<ColumnRef>) -> TemporalResult<usize> {
     match c.into() {
         ColumnRef::Index(i) => Ok(i),
-        ColumnRef::Named(n) => Ok(resolve_name(&n, schema)?),
+        ColumnRef::Named(n) => Ok(schema.index_of(&n)?),
     }
 }
 
@@ -625,7 +624,7 @@ mod tests {
         let by_position = table().projection(&[0]).unwrap().run(&db).unwrap();
         assert!(by_name.same_set(&by_position));
         let err = table().projection(&["q"]).unwrap_err().to_string();
-        assert!(err.contains("unknown column 'q'"), "{err}");
+        assert!(err.contains("unknown column: q"), "{err}");
         let counted = table()
             .aggregation(&["r.k"], vec![(AggCall::count_star(), "cnt")])
             .unwrap();

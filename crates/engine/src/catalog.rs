@@ -47,6 +47,24 @@ impl TableSource {
     }
 }
 
+impl From<Relation> for TableSource {
+    fn from(rel: Relation) -> Self {
+        TableSource::Mem(Arc::new(rel))
+    }
+}
+
+impl From<Arc<Relation>> for TableSource {
+    fn from(rel: Arc<Relation>) -> Self {
+        TableSource::Mem(rel)
+    }
+}
+
+impl From<Arc<StoredTable>> for TableSource {
+    fn from(table: Arc<StoredTable>) -> Self {
+        TableSource::Stored(table)
+    }
+}
+
 /// Maps table names to their sources.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -58,57 +76,25 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register an in-memory table; errors if the name is taken.
-    pub fn register(&mut self, name: impl Into<String>, rel: Relation) -> EngineResult<()> {
-        self.register_shared(name, Arc::new(rel))
-    }
-
-    /// Register an already-shared relation (no copy); errors if the name
-    /// is taken.
-    pub fn register_shared(
+    /// Register a table — a [`Relation`], an already-shared
+    /// `Arc<Relation>` (no copy) or an `Arc<StoredTable>`; errors if the
+    /// name is taken.
+    pub fn register(
         &mut self,
         name: impl Into<String>,
-        rel: Arc<Relation>,
-    ) -> EngineResult<()> {
-        self.register_source(name, TableSource::Mem(rel))
-    }
-
-    /// Register a heap-file-backed table; errors if the name is taken.
-    pub fn register_stored(
-        &mut self,
-        name: impl Into<String>,
-        table: Arc<StoredTable>,
-    ) -> EngineResult<()> {
-        self.register_source(name, TableSource::Stored(table))
-    }
-
-    /// Register any source; errors if the name is taken.
-    pub fn register_source(
-        &mut self,
-        name: impl Into<String>,
-        source: TableSource,
+        source: impl Into<TableSource>,
     ) -> EngineResult<()> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable(name));
         }
-        self.tables.insert(name, source);
+        self.tables.insert(name, source.into());
         Ok(())
     }
 
-    /// Register or replace an in-memory table.
-    pub fn register_or_replace(&mut self, name: impl Into<String>, rel: Relation) {
-        self.register_or_replace_shared(name, Arc::new(rel));
-    }
-
-    /// Register or replace a table with an already-shared relation.
-    pub fn register_or_replace_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) {
-        self.tables.insert(name.into(), TableSource::Mem(rel));
-    }
-
-    /// Register or replace a heap-file-backed table.
-    pub fn register_or_replace_stored(&mut self, name: impl Into<String>, table: Arc<StoredTable>) {
-        self.tables.insert(name.into(), TableSource::Stored(table));
+    /// Register a table, replacing any table of that name.
+    pub fn register_or_replace(&mut self, name: impl Into<String>, source: impl Into<TableSource>) {
+        self.tables.insert(name.into(), source.into());
     }
 
     /// Look up a table as a materialized relation. In-memory tables are
@@ -139,11 +125,6 @@ impl Catalog {
         self.tables.remove(name)
     }
 
-    /// Names of all registered tables, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Owned list of all registered table names, sorted.
     pub fn list_tables(&self) -> Vec<String> {
         self.tables.keys().cloned().collect()
@@ -167,6 +148,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::schema::{Column, DataType};
+    use crate::storage::PoolCounters;
     use crate::tuple::Row;
     use crate::value::Value;
 
@@ -180,7 +162,7 @@ mod tests {
         c.register("t", rel()).unwrap();
         assert!(c.get("t").is_ok());
         assert!(c.get("u").is_err());
-        assert_eq!(c.table_names(), vec!["t"]);
+        assert_eq!(c.list_tables(), vec!["t"]);
         assert_eq!(c.schema_of("t").unwrap().names(), vec!["a"]);
     }
 
@@ -209,27 +191,19 @@ mod tests {
         let path = dir.join("cat.heap");
         let _ = std::fs::remove_file(&path);
         let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
-        let t = StoredTable::create(&path, "t", schema, 2).unwrap();
+        let t = StoredTable::create(&path, "t", schema, 2, &PoolCounters::default()).unwrap();
         t.append_row(&Row::new(vec![Value::Int(41)])).unwrap();
         t.flush().unwrap();
 
         let mut c = Catalog::new();
-        c.register_stored("t", Arc::new(t)).unwrap();
+        c.register("t", Arc::new(t)).unwrap();
         assert!(c.source("t").unwrap().is_stored());
         assert_eq!(c.source("t").unwrap().row_count(), 1);
         assert_eq!(c.schema_of("t").unwrap().names(), vec!["a"]);
         // Compatibility accessor materializes.
         let rel = c.get("t").unwrap();
         assert_eq!(rel.rows()[0][0], Value::Int(41));
-        assert!(c
-            .register_stored(
-                "t",
-                match c.source("t").unwrap() {
-                    TableSource::Stored(t) => t,
-                    _ => unreachable!(),
-                }
-            )
-            .is_err());
+        assert!(c.register("t", c.source("t").unwrap()).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -22,7 +22,7 @@ use crate::recovery;
 use crate::relation::Relation;
 use crate::schema::{DataType, Schema};
 use crate::storage::{
-    self, heap_path, Manifest, PoolStats, StoredTable, SyncMode, TableMeta, Wal,
+    self, heap_path, Manifest, PoolCounters, StoredTable, SyncMode, TableMeta, Wal,
     DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
 };
 use crate::trace::Tracer;
@@ -47,6 +47,9 @@ struct StorageRoot {
     dir: PathBuf,
     manifest: Manifest,
     pool_pages: usize,
+    /// The `pool.*` counters of the database's registry, which every
+    /// buffer pool opened under this directory counts into.
+    counters: PoolCounters,
     /// The directory's write-ahead log: every mutation is logged (and,
     /// under `sync_mode` `commit`/`always`, synced) before it is
     /// acknowledged, so `Database::open` can redo it after a crash.
@@ -141,11 +144,12 @@ struct DbShared {
     /// cheaply whether anything changed between statements.
     epoch: AtomicU64,
     /// Unified observability registry: named counters, gauges and latency
-    /// histograms from every layer (server sessions/statements, SQL
-    /// session latencies) accumulate here; store-side counters (buffer
-    /// pools, WAL) are *polled* into each
-    /// [`Database::metrics_snapshot`], so their hot paths stay plain
-    /// atomic increments.
+    /// histograms from every layer accumulate here. The buffer pools,
+    /// their disk managers and the WAL take their `pool.*` / `wal.*`
+    /// counters from it when they are opened and bump them where the work
+    /// happens; the SQL session and the server add statement counts and
+    /// latencies. Counters are cumulative from [`Database::open`]: a
+    /// dropped or replaced table's pool work stays counted.
     metrics: MetricsRegistry,
     /// Ring-buffer span tracer behind the `trace` GUC: statement, plan
     /// and operator spans land here and dump as chrome-trace JSON
@@ -262,8 +266,9 @@ impl Database {
         // Crash recovery first: replay whatever consistent prefix survives
         // in the WAL over the heap files and get back the settled manifest
         // plus the live log handle.
-        let (manifest, wal, report) = recovery::recover(&dir, pool_pages)?;
         let db = Database::new();
+        let (manifest, wal, report) = recovery::recover(&dir, pool_pages, db.metrics())?;
+        let counters = PoolCounters::new(db.metrics());
         let epoch = manifest.epoch();
         db.inner.epoch.store(epoch, Ordering::Release);
         {
@@ -281,16 +286,16 @@ impl Database {
                     schema,
                     pool_pages,
                     meta.rows,
+                    &counters,
                 )?;
                 table.attach_wal(Arc::clone(&wal));
-                state
-                    .catalog
-                    .register_stored(name.clone(), Arc::new(table))?;
+                state.catalog.register(name.clone(), Arc::new(table))?;
             }
             state.storage = Some(StorageRoot {
                 dir,
                 manifest,
                 pool_pages,
+                counters,
                 wal,
                 checkpoint_pages: DEFAULT_WAL_CHECKPOINT_PAGES,
             });
@@ -548,9 +553,7 @@ impl Database {
                     new_rel.push(r)?;
                 }
                 self.bump_epoch();
-                self.state_mut()
-                    .catalog
-                    .register_or_replace_shared(name, Arc::new(new_rel));
+                self.state_mut().catalog.register_or_replace(name, new_rel);
             }
         }
         Ok(n)
@@ -558,10 +561,11 @@ impl Database {
 
     // ---- observability ---------------------------------------------------
 
-    /// The database-wide metrics registry. Any layer holding a handle can
-    /// register counters/gauges/histograms by name (`server.statements`,
-    /// `session.statement_us`, …); they all land in one
-    /// [`Database::metrics_snapshot`].
+    /// The database-wide metrics registry. The buffer pools and the WAL
+    /// count into it (`pool.*`, `wal.*`), and any layer holding a handle
+    /// can register counters/gauges/histograms by name
+    /// (`server.statements`, `session.statement_us`, …); they all land in
+    /// one [`Database::metrics_snapshot`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
     }
@@ -573,19 +577,28 @@ impl Database {
         &self.inner.tracer
     }
 
-    /// One coherent snapshot of every metric: the registry, plus the
-    /// store-side totals (buffer pools, WAL) polled in as counters and
-    /// ambient state (pool capacity, epoch, open sessions) as gauges. Two
-    /// snapshots [`MetricsSnapshot::diff`] into an interval view — the
-    /// `pool.*` / `wal.*` traffic of just that window, with percentiles
-    /// recomputed over it.
+    /// One snapshot of every metric: the registry's instruments, plus
+    /// three instantaneous readings as gauges — `pool.capacity` (the
+    /// frames of the open tables' pools, on a persisted database),
+    /// `db.epoch` and `db.sessions`. Two snapshots
+    /// [`MetricsSnapshot::diff`] into an interval view — the `pool.*` /
+    /// `wal.*` traffic of just that window, with percentiles recomputed
+    /// over it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.inner.metrics.snapshot();
         {
             let state = self.state();
-            if let Some(root) = &state.storage {
-                poll_pools(&state.catalog, &mut snap);
-                poll_wal(&root.wal, &mut snap);
+            if state.storage.is_some() {
+                let catalog = &state.catalog;
+                let frames = catalog
+                    .list_tables()
+                    .iter()
+                    .filter_map(|name| match catalog.source(name) {
+                        Ok(TableSource::Stored(table)) => Some(table.pool_pages() as u64),
+                        _ => None,
+                    })
+                    .sum();
+                snap.gauges.insert("pool.capacity".into(), frames);
             }
         }
         snap.gauges.insert("db.epoch".into(), self.epoch());
@@ -677,7 +690,8 @@ fn persist_into(
     rel: &Relation,
     epoch: u64,
 ) -> EngineResult<()> {
-    let table = StoredTable::persist_relation(&root.dir, name, rel, root.pool_pages)?;
+    let table =
+        StoredTable::persist_relation(&root.dir, name, rel, root.pool_pages, &root.counters)?;
     let meta = TableMeta {
         file: format!("{name}.{}", storage::HEAP_EXT),
         fingerprint: storage::schema_fingerprint(table.schema()),
@@ -700,7 +714,7 @@ fn persist_into(
     root.manifest.set_epoch(epoch);
     root.manifest.save(&root.dir)?;
     table.attach_wal(Arc::clone(&root.wal));
-    catalog.register_or_replace_stored(name, table);
+    catalog.register_or_replace(name, table);
     Ok(())
 }
 
@@ -726,44 +740,6 @@ fn remove_persisted(root: &mut StorageRoot, name: &str, epoch: u64) -> EngineRes
             "remove {}: {e}",
             path.display()
         ))),
-    }
-}
-
-/// Sum every stored table's buffer-pool counters into `snap`: `pool.*`
-/// counters, and the frames of all pools as the `pool.capacity` gauge.
-fn poll_pools(catalog: &Catalog, snap: &mut MetricsSnapshot) {
-    let pools: Vec<PoolStats> = catalog
-        .list_tables()
-        .iter()
-        .filter_map(|name| match catalog.source(name) {
-            Ok(TableSource::Stored(table)) => Some(table.pool_stats()),
-            _ => None,
-        })
-        .collect();
-    let sum = |field: fn(&PoolStats) -> u64| pools.iter().map(field).sum::<u64>();
-    for (name, total) in [
-        ("pool.fetches", sum(|p| p.fetches)),
-        ("pool.io_reads", sum(|p| p.io_reads)),
-        ("pool.io_writes", sum(|p| p.io_writes)),
-        ("pool.io_syncs", sum(|p| p.io_syncs)),
-        ("pool.evictions", sum(|p| p.evictions)),
-    ] {
-        snap.counters.insert(name.into(), total);
-    }
-    snap.gauges
-        .insert("pool.capacity".into(), sum(|p| p.capacity));
-}
-
-/// The log's counters into `snap` as `wal.*` counters.
-fn poll_wal(wal: &Wal, snap: &mut MetricsSnapshot) {
-    let wal = wal.stats();
-    for (name, total) in [
-        ("wal.commits", wal.commits),
-        ("wal.syncs", wal.syncs),
-        ("wal.bytes", wal.bytes),
-        ("wal.checkpoints", wal.checkpoints),
-    ] {
-        snap.counters.insert(name.into(), total);
     }
 }
 

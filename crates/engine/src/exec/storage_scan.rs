@@ -158,7 +158,7 @@ mod tests {
     use crate::schema::{Column, DataType};
     use crate::tuple::Row;
     use crate::value::Value;
-    use temporal_store::SlotId;
+    use temporal_store::{PoolCounters, SlotId};
 
     fn stored(name: &str, n: i64, pool: usize) -> Arc<StoredTable> {
         let dir = std::env::temp_dir().join("talign_engine_scan_tests");
@@ -169,7 +169,7 @@ mod tests {
             Column::new("id", DataType::Int),
             Column::new("label", DataType::Str),
         ]);
-        let t = StoredTable::create(&path, "t", schema, pool).unwrap();
+        let t = StoredTable::create(&path, "t", schema, pool, &PoolCounters::default()).unwrap();
         for i in 0..n {
             t.append_row(&Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))]))
                 .unwrap();

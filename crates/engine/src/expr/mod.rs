@@ -22,7 +22,6 @@ pub use analysis::{
 };
 pub use fold::fold;
 pub(crate) use pred::{BoundJoin, CompiledPred, JoinPred, PredOperand};
-pub use resolve::resolve_name;
 
 use std::fmt;
 

@@ -4,11 +4,12 @@
 //! `col("team")` / `name("r1.team")` stay symbolic until a plan operator
 //! knows its input schema, at which point [`Expr::resolve`] rewrites every
 //! named reference into the positional [`Expr::Col`] form the planner and
-//! executors work on. Unknown names produce a did-you-mean error listing
-//! the closest existing column; ambiguous names report the candidate
-//! qualifiers so the user can qualify the reference.
+//! executors work on, through [`Schema::index_of`] — the rule the SQL
+//! analyzer resolves by too. Unknown names produce a did-you-mean error
+//! naming the closest existing column; ambiguous names report the
+//! candidate qualifiers so the user can qualify the reference.
 
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::expr::Expr;
 use crate::schema::Schema;
 
@@ -39,7 +40,7 @@ impl Expr {
     /// ambiguous ones with the qualified candidates.
     pub fn resolve(&self, schema: &Schema) -> EngineResult<Expr> {
         match self {
-            Expr::Name(n) => Ok(Expr::Col(resolve_name(n, schema)?)),
+            Expr::Name(n) => Ok(Expr::Col(schema.index_of(n)?)),
             Expr::Col(_) | Expr::Lit(_) => Ok(self.clone()),
             Expr::Cmp(op, a, b) => Ok(Expr::Cmp(
                 *op,
@@ -86,85 +87,6 @@ impl Expr {
     }
 }
 
-/// Resolve one (possibly qualified) column name against `schema`.
-pub fn resolve_name(reference: &str, schema: &Schema) -> EngineResult<usize> {
-    let (qualifier, base) = match reference.split_once('.') {
-        Some((q, n)) => (Some(q), n),
-        None => (None, reference),
-    };
-    // Collect every matching position ourselves (instead of re-parsing
-    // `Schema::resolve`'s error text) so unknown vs. ambiguous is decided
-    // structurally.
-    let matches: Vec<usize> = schema
-        .cols()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            c.name == base
-                && match qualifier {
-                    None => true,
-                    Some(q) => c.qualifier.as_deref() == Some(q),
-                }
-        })
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [i] => Ok(*i),
-        [] => {
-            let mut err = format!("unknown column '{reference}'");
-            if let Some(best) = closest_column(reference, schema) {
-                err.push_str(&format!(" — did you mean '{best}'?"));
-            }
-            Err(EngineError::UnknownColumn(err))
-        }
-        many => {
-            let candidates: Vec<String> = many
-                .iter()
-                .map(|&i| schema.col(i).qualified_name())
-                .collect();
-            Err(EngineError::UnknownColumn(format!(
-                "ambiguous column reference '{reference}' — qualify it as one of: {}",
-                candidates.join(", ")
-            )))
-        }
-    }
-}
-
-/// The closest existing column name (qualified or bare) by edit distance,
-/// if any is close enough to plausibly be a typo.
-fn closest_column(reference: &str, schema: &Schema) -> Option<String> {
-    let lower = reference.to_ascii_lowercase();
-    let mut best: Option<(usize, String)> = None;
-    for c in schema.cols() {
-        for cand in [c.qualified_name(), c.name.clone()] {
-            let d = levenshtein(&lower, &cand.to_ascii_lowercase());
-            if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, cand));
-            }
-        }
-    }
-    // A suggestion further than half the reference away is noise.
-    best.filter(|(d, _)| *d <= (reference.len() / 2).max(2))
-        .map(|(_, n)| n)
-}
-
-/// Classic two-row Levenshtein distance.
-fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,39 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_name_lists_candidates() {
-        let err = col("team").resolve(&schema()).unwrap_err().to_string();
-        assert!(err.contains("ambiguous"), "{err}");
-        assert!(err.contains("r.team") && err.contains("s.team"), "{err}");
-    }
-
-    #[test]
-    fn unknown_name_suggests_closest() {
-        let err = col("persn").resolve(&schema()).unwrap_err().to_string();
-        assert!(err.contains("did you mean 'person'"), "{err}");
-        let err = col("r.tem").resolve(&schema()).unwrap_err().to_string();
-        assert!(err.contains("did you mean 'r.team'"), "{err}");
-    }
-
-    #[test]
-    fn hopeless_name_gets_no_suggestion() {
-        let err = col("zzzzzzzzzz")
-            .resolve(&schema())
-            .unwrap_err()
-            .to_string();
-        assert!(!err.contains("did you mean"), "{err}");
-    }
-
-    #[test]
     fn positional_references_pass_through() {
         let e = col(0usize).eq(lit(1i64));
         assert_eq!(e.resolve(&schema()).unwrap(), e);
-    }
-
-    #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("team", "team"), 0);
     }
 }

@@ -61,7 +61,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod hashing;
-pub mod metrics;
 pub mod plan;
 pub mod recovery;
 pub mod relation;
@@ -70,6 +69,11 @@ pub mod storage;
 pub mod trace;
 pub mod tuple;
 pub mod value;
+
+/// The metrics registry lives with the store, whose buffer pools and
+/// log count into it; the engine and the server add their own instruments
+/// to the same registry.
+pub use temporal_store::metrics;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {

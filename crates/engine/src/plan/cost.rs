@@ -32,10 +32,6 @@ pub struct CostModel {
     pub cpu_tuple_cost: f64,
     /// Cost to evaluate one operator/function (`cpu_operator_cost`).
     pub cpu_operator_cost: f64,
-    /// Cost to read one heap page sequentially (`seq_page_cost`) — only
-    /// used by the access-path selection below; node `stats()` keep the
-    /// page-blind shapes so plans cost identically to earlier releases.
-    pub seq_page_cost: f64,
 }
 
 impl Default for CostModel {
@@ -43,7 +39,6 @@ impl Default for CostModel {
         CostModel {
             cpu_tuple_cost: 0.01,
             cpu_operator_cost: 0.0025,
-            seq_page_cost: 1.0,
         }
     }
 }
@@ -193,37 +188,6 @@ impl CostModel {
     pub fn spool(&self, input: PlanStats) -> PlanStats {
         PlanStats::new(input.rows, input.cost + input.rows * self.cpu_tuple_cost)
     }
-
-    // ---- access-path selection for pruned storage scans ----------------
-    //
-    // These cost *alternatives for the same scan* against each other (full
-    // scan vs zone-pruned scan vs interval-index probe) and are used only
-    // by the planner's access-path choice — they are deliberately separate
-    // from the node `stats()` methods above, whose legacy page-blind
-    // estimates are pinned by golden EXPLAIN output.
-
-    /// Read every page, decode every row.
-    pub fn full_scan_cost(&self, rows: f64, pages: f64) -> f64 {
-        pages * self.seq_page_cost + rows * self.cpu_tuple_cost
-    }
-
-    /// Zone-map pruned scan: one header check per page, then the
-    /// surviving pages are read and decoded. Zone pruning only drops a
-    /// page when *every* row on it misses the bounds, so its page-level
-    /// selectivity degrades with clustering — `√sel` is the standard
-    /// pessimism (BRIN-style: perfect on sorted data, useless on random),
-    /// whereas the interval index identifies matching pages exactly.
-    pub fn zone_scan_cost(&self, rows: f64, pages: f64, sel: f64) -> f64 {
-        pages * self.cpu_operator_cost + sel.sqrt() * self.full_scan_cost(rows, pages)
-    }
-
-    /// Interval-index probe: test the matching share of the in-memory
-    /// entries, then read the surviving fraction of the heap — the index
-    /// pinpoints pages, so the heap share is `sel` itself, not the zone
-    /// sweep's clustering-degraded `√sel`.
-    pub fn index_scan_cost(&self, rows: f64, pages: f64, sel: f64) -> f64 {
-        sel * (rows * self.cpu_operator_cost + self.full_scan_cost(rows, pages))
-    }
 }
 
 /// Crude predicate selectivity: equality 0.1 per conjunct, range 0.33,
@@ -272,25 +236,6 @@ mod tests {
         let rows = m.join_rows(l, r, 1, false, false);
         let mj = m.merge_join(l, r, rows);
         assert!(mj.cost > l.cost + r.cost);
-    }
-
-    #[test]
-    fn access_paths_order_sensibly() {
-        let m = CostModel::default();
-        let (rows, pages) = (1_000_000.0, 20_000.0);
-        // A selective probe: both pruned paths beat the full scan, and the
-        // index beats the clustering-pessimistic zone sweep on a big table.
-        let full = m.full_scan_cost(rows, pages);
-        let zone = m.zone_scan_cost(rows, pages, 0.01);
-        let index = m.index_scan_cost(rows, pages, 0.01);
-        assert!(zone < full && index < full);
-        assert!(index < zone);
-        // The index also wins at the modest sizes a timeslice probe sees
-        // (the entry share is tiny next to the zone sweep's √sel heap read).
-        let (rows, pages) = (3_000.0, 21.0);
-        assert!(m.index_scan_cost(rows, pages, 0.109) < m.zone_scan_cost(rows, pages, 0.109));
-        // An unselective predicate keeps the full scan competitive.
-        assert!(m.zone_scan_cost(rows, pages, 1.0) > full.min(m.full_scan_cost(rows, pages)));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::relation::Relation;
 use crate::storage::ZoneBounds;
 use crate::value::Value;
 
-/// Planner switches and cost constants (PostgreSQL GUC equivalents).
+/// Planner switches (PostgreSQL GUC equivalents).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     pub enable_nestloop: bool,
@@ -46,8 +46,7 @@ pub struct PlannerConfig {
     pub enable_zonemaps: bool,
     /// Interval-index access path: `AS OF` timeslices (and any filter with
     /// `ts <=` / `te >` bounds) may probe the table's in-memory interval
-    /// index instead of sweeping zone maps, when the cost model prefers it.
-    /// On by default.
+    /// index instead of sweeping zone maps. On by default.
     pub enable_interval_index: bool,
     /// Span tracing (`SET trace = on`): statements run instrumented and
     /// the session layer records query/plan/operator spans into the
@@ -59,7 +58,6 @@ pub struct PlannerConfig {
     /// statement runs instrumented and those at or over the threshold log
     /// their text and per-operator breakdown to stderr.
     pub slow_query_ms: usize,
-    pub cost_model: CostModel,
 }
 
 /// The right-hand side of a `SET`: `on`/`off`/`true`/`false`, an integer,
@@ -101,7 +99,6 @@ impl Default for PlannerConfig {
             enable_interval_index: true,
             trace: false,
             slow_query_ms: 0,
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -320,17 +317,21 @@ impl Planner {
         })
     }
 
-    /// Cost-based access-path selection for a storage scan under a filter.
-    /// When the (folded, pushed-down) predicate carries range conjuncts
-    /// over the table's temporal columns (or its first key column), three
-    /// candidates compete: the full scan, a zone-map pruned scan, and an
-    /// interval-index probe. The chosen path only narrows the *page set*;
+    /// Access-path selection for a storage scan under a filter. When the
+    /// (folded, pushed-down) predicate carries range conjuncts over the
+    /// table's temporal columns (or its first key column), the scan is
+    /// pruned: an interval-index probe when a bound limits `ts` from above
+    /// or `te` from below (the index serves exactly those), else a
+    /// zone-map pruned scan. The chosen path only narrows the *page set*;
     /// the caller keeps the full filter on top, so an over-approximate
     /// page set can never change results.
+    ///
+    /// The choice needs no costing: under the planner's [`CostModel`] a
+    /// zone sweep (one check per page, then `√sel` of the heap) always
+    /// undercuts the full scan, and an index probe (`sel` of the entries
+    /// and of the heap) never loses to the zone sweep, at every
+    /// selectivity a bound can estimate (`0.33ⁿ`).
     fn choose_access_path(&self, input: PhysicalPlan, predicate: &Expr) -> PhysicalPlan {
-        if !self.config.enable_zonemaps && !self.config.enable_interval_index {
-            return input;
-        }
         let PhysicalPlan::StorageScan {
             table,
             label,
@@ -346,40 +347,21 @@ impl Planner {
         if bounds.is_empty() {
             return input;
         }
-        let model = &self.config.cost_model;
-        let rows = table.row_count() as f64;
-        let pages = (table.page_count() as f64).max(1.0);
-        let sel = 0.33f64.powi(bounds.bound_count() as i32);
-        let mut best_cost = model.full_scan_cost(rows, pages);
-        let mut best = None;
-        if self.config.enable_zonemaps {
-            let cost = model.zone_scan_cost(rows, pages, sel);
-            if cost < best_cost {
-                best_cost = cost;
-                best = Some(false);
-            }
-        }
-        // Every temporal table has an index. It serves probes with an
-        // upper start / lower end bound; ties go to it (it checks the
-        // zones of only the pages its probe returns).
-        if self.config.enable_interval_index
-            && (bounds.ts_le.is_some() || bounds.te_gt.is_some())
-            && model.index_scan_cost(rows, pages, sel) <= best_cost
-        {
-            best = Some(true);
-        }
-        match best {
-            None => input,
-            Some(false) => PhysicalPlan::StorageScan {
-                table: table.clone(),
-                label: label.clone(),
-                bounds: Some(bounds),
-            },
-            Some(true) => PhysicalPlan::IndexScan {
+        // Every temporal table has an index.
+        if self.config.enable_interval_index && (bounds.ts_le.is_some() || bounds.te_gt.is_some()) {
+            PhysicalPlan::IndexScan {
                 table: table.clone(),
                 label: label.clone(),
                 bounds,
-            },
+            }
+        } else if self.config.enable_zonemaps {
+            PhysicalPlan::StorageScan {
+                table: table.clone(),
+                label: label.clone(),
+                bounds: Some(bounds),
+            }
+        } else {
+            input
         }
     }
 
@@ -399,7 +381,7 @@ impl Planner {
         join_type: JoinType,
         condition: Option<Expr>,
     ) -> EngineResult<PhysicalPlan> {
-        let model = &self.config.cost_model;
+        let model = &CostModel::default();
         let left_width = left.schema().len();
         let parts = split_join_condition(condition.as_ref(), left_width);
 

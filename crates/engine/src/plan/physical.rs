@@ -459,9 +459,12 @@ impl PhysicalPlan {
                 let rows = table.row_count() as f64;
                 let pages = (table.page_count() as f64).max(1.0);
                 let sel = 0.33f64.powi(bounds.bound_count() as i32);
+                // The probe tests `sel` of the entries, then reads `sel` of
+                // the heap, at one cost unit a page plus the decode.
+                let heap = pages + rows * model.cpu_tuple_cost;
                 PlanStats::new(
                     (rows * sel).max(1.0),
-                    model.index_scan_cost(rows, pages, sel),
+                    sel * (rows * model.cpu_operator_cost + heap),
                 )
             }
             PhysicalPlan::Filter { input, predicate } => {

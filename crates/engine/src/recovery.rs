@@ -21,7 +21,9 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use temporal_store::{Manifest, TableHeap, TableMeta, Wal, WalRecord};
+use temporal_store::{
+    Manifest, MetricsRegistry, PoolCounters, TableHeap, TableMeta, Wal, WalRecord,
+};
 
 use crate::error::{EngineError, EngineResult};
 use crate::storage;
@@ -62,7 +64,8 @@ struct RecoveringTable {
 /// Open (or create) the WAL of `dir`, replay its surviving records over
 /// the directory's heap files, settle every touched table (trim torn
 /// tails, recount rows) and re-save the manifest. Returns the post-recovery manifest, the live WAL handle and
-/// a report of what happened.
+/// a report of what happened. The log and the replayed heaps count into
+/// the `wal.*` and `pool.*` counters of `metrics`.
 ///
 /// Also verifies — after replay, which may legitimately remove entries —
 /// that every file the manifest references exists, so a half-copied
@@ -71,11 +74,13 @@ struct RecoveringTable {
 pub fn recover(
     dir: &Path,
     pool_pages: usize,
+    metrics: &MetricsRegistry,
 ) -> EngineResult<(Manifest, Arc<Wal>, RecoveryReport)> {
     // The log first: it is where the format version is checked, so a
     // directory of another version is refused before anything else in it
     // is read.
-    let (wal, scan) = Wal::open(dir).map_err(EngineError::from)?;
+    let (wal, scan) = Wal::open(dir, metrics).map_err(EngineError::from)?;
+    let counters = PoolCounters::new(metrics);
     let mut manifest = Manifest::load(dir).map_err(EngineError::from)?;
     let mut report = RecoveryReport {
         wal_tail_truncated: scan.tail_truncated,
@@ -129,7 +134,15 @@ pub fn recover(
                 fingerprint,
                 page,
                 record,
-            } => match recovering(&mut open, &manifest, dir, table, *fingerprint, pool_pages)? {
+            } => match recovering(
+                &mut open,
+                &manifest,
+                dir,
+                table,
+                *fingerprint,
+                pool_pages,
+                &counters,
+            )? {
                 Some(t) => {
                     if t.heap.redo_append(*page, record, *lsn)? {
                         report.replayed += 1;
@@ -144,7 +157,15 @@ pub fn recover(
                 fingerprint,
                 page,
                 image,
-            } => match recovering(&mut open, &manifest, dir, table, *fingerprint, pool_pages)? {
+            } => match recovering(
+                &mut open,
+                &manifest,
+                dir,
+                table,
+                *fingerprint,
+                pool_pages,
+                &counters,
+            )? {
                 Some(t) => {
                     if t.heap.redo_page_image(*page, image, *lsn)? {
                         report.replayed += 1;
@@ -198,6 +219,7 @@ fn recovering<'a>(
     table: &str,
     fingerprint: u64,
     pool_pages: usize,
+    counters: &PoolCounters,
 ) -> EngineResult<Option<&'a RecoveringTable>> {
     if let Some(t) = open.get(table) {
         // NLL limitation: re-borrow immutably below instead of returning
@@ -217,7 +239,7 @@ fn recovering<'a>(
     if !path.is_file() {
         return Ok(None);
     }
-    let (heap, trimmed) = TableHeap::open_for_recovery(&path, fingerprint, pool_pages)?;
+    let (heap, trimmed) = TableHeap::open_for_recovery(&path, fingerprint, pool_pages, counters)?;
     if trimmed {
         eprintln!(
             "temporal-engine: trimmed a partial trailing page of {} during recovery",

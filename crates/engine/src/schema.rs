@@ -104,8 +104,8 @@ impl Schema {
         self.cols.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Resolve `name`, which may be `"col"` or `"alias.col"`. Errors if the
-    /// name is unknown or ambiguous.
+    /// Resolve `name`, which may be `"col"` or `"alias.col"`; see
+    /// [`Schema::resolve`].
     pub fn index_of(&self, name: &str) -> EngineResult<usize> {
         match name.split_once('.') {
             Some((q, n)) => self.resolve(Some(q), n),
@@ -118,34 +118,58 @@ impl Schema {
         self.index_of(name).ok()
     }
 
-    /// Resolve a possibly-qualified column reference.
+    /// Resolve a possibly-qualified column reference — the one name
+    /// rule of the SQL analyzer and the Rust plan builder. An unknown name
+    /// errors with the closest existing column as a did-you-mean, an
+    /// ambiguous one with its qualified candidates.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> EngineResult<usize> {
-        let mut found: Option<usize> = None;
-        for (i, c) in self.cols.iter().enumerate() {
-            let name_ok = c.name == name;
-            let qual_ok = match qualifier {
-                None => true,
-                Some(q) => c.qualifier.as_deref() == Some(q),
-            };
-            if name_ok && qual_ok {
-                if found.is_some() {
-                    return Err(EngineError::UnknownColumn(format!(
-                        "ambiguous column reference '{}'",
-                        match qualifier {
-                            Some(q) => format!("{q}.{name}"),
-                            None => name.to_string(),
-                        }
-                    )));
+        let mut matches = self.cols.iter().enumerate().filter(|(_, c)| {
+            c.name == name && qualifier.is_none_or(|q| c.qualifier.as_deref() == Some(q))
+        });
+        let reference = || match qualifier {
+            Some(q) => format!("{q}.{name}"),
+            None => name.to_string(),
+        };
+        let Some((i, first)) = matches.next() else {
+            let reference = reference();
+            return Err(EngineError::UnknownColumn(
+                match self.closest_column(&reference) {
+                    Some(best) => format!("{reference} — did you mean '{best}'?"),
+                    None => reference,
+                },
+            ));
+        };
+        let Some((_, second)) = matches.next() else {
+            return Ok(i);
+        };
+        let candidates: Vec<String> = [first, second]
+            .into_iter()
+            .chain(matches.map(|(_, c)| c))
+            .map(Column::qualified_name)
+            .collect();
+        Err(EngineError::UnknownColumn(format!(
+            "{} is ambiguous — qualify it as one of: {}",
+            reference(),
+            candidates.join(", ")
+        )))
+    }
+
+    /// The closest existing column name (qualified or bare) by edit
+    /// distance, if any is close enough to plausibly be a typo.
+    fn closest_column(&self, reference: &str) -> Option<String> {
+        let lower = reference.to_ascii_lowercase();
+        let mut best: Option<(usize, String)> = None;
+        for c in &self.cols {
+            for cand in [c.qualified_name(), c.name.clone()] {
+                let d = levenshtein(&lower, &cand.to_ascii_lowercase());
+                if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
+                    best = Some((d, cand));
                 }
-                found = Some(i);
             }
         }
-        found.ok_or_else(|| {
-            EngineError::UnknownColumn(match qualifier {
-                Some(q) => format!("{q}.{name}"),
-                None => name.to_string(),
-            })
-        })
+        // A suggestion further than half the reference away is noise.
+        best.filter(|(d, _)| *d <= (reference.len() / 2).max(2))
+            .map(|(_, n)| n)
     }
 
     /// Concatenate two schemas (as a join output does).
@@ -220,6 +244,23 @@ impl fmt::Display for Schema {
     }
 }
 
+/// Classic two-row Levenshtein distance.
+fn levenshtein(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut cur = vec![0usize; b.len() + 1];
+    for (i, ca) in a.iter().enumerate() {
+        cur[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[b.len()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,17 +287,32 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_unqualified_errors() {
-        let s = sample();
-        let err = s.index_of("a").unwrap_err();
-        assert!(err.to_string().contains("ambiguous"));
+    fn ambiguous_name_lists_qualified_candidates() {
+        let err = sample().index_of("a").unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "unknown column: a is ambiguous — qualify it as one of: r.a, s.a"
+        );
     }
 
     #[test]
-    fn unknown_column_errors() {
+    fn unknown_name_suggests_the_closest_column() {
         let s = sample();
-        assert!(s.index_of("zzz").is_err());
+        let err = s.index_of("tz").unwrap_err().to_string();
+        assert_eq!(err, "unknown column: tz — did you mean 'ts'?");
+        let err = s.resolve(Some("r"), "tss").unwrap_err().to_string();
+        assert!(err.contains("did you mean 'r.ts'"), "{err}");
+        // A hopeless name gets no suggestion.
+        let err = s.index_of("zzzzzzzzzz").unwrap_err().to_string();
+        assert_eq!(err, "unknown column: zzzzzzzzzz");
         assert!(s.index_of("q.a").is_err());
+    }
+
+    #[test]
+    fn levenshtein_basics() {
+        assert_eq!(levenshtein("", "abc"), 3);
+        assert_eq!(levenshtein("kitten", "sitting"), 3);
+        assert_eq!(levenshtein("team", "team"), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::value::Value;
 pub const HEAP_EXT: &str = "heap";
 
 pub use temporal_store::{
-    IntervalIndex, Manifest, PoolStats, SlotRange, SyncMode, TableMeta, Wal, WalRecord, WalStats,
+    IntervalIndex, Manifest, PoolCounters, SlotRange, SyncMode, TableMeta, Wal, WalRecord,
     ZoneBounds, ALL_SLOTS, DEFAULT_POOL_PAGES as DEFAULT_BUFFER_POOL_PAGES, PAGE_SIZE,
 };
 
@@ -279,14 +279,16 @@ pub struct StoredTable {
 
 impl StoredTable {
     /// Create a fresh heap file for `name` at `path` (truncating any
-    /// previous file). Column names must round-trip through the manifest
-    /// schema string, so names containing `,`, `:`, tabs or newlines are
-    /// rejected here — before anything is written.
+    /// previous file), its pool counting into `counters`. Column names
+    /// must round-trip through the manifest schema string, so names
+    /// containing `,`, `:`, tabs or newlines are rejected here — before
+    /// anything is written.
     pub fn create(
         path: impl AsRef<Path>,
         name: impl Into<String>,
         schema: Schema,
         pool_pages: usize,
+        counters: &PoolCounters,
     ) -> EngineResult<StoredTable> {
         let schema = schema.without_qualifiers();
         for c in schema.cols() {
@@ -299,7 +301,7 @@ impl StoredTable {
             }
         }
         let path = path.as_ref().to_path_buf();
-        let heap = TableHeap::create(&path, schema_fingerprint(&schema), pool_pages)?;
+        let heap = TableHeap::create(&path, schema_fingerprint(&schema), pool_pages, counters)?;
         Ok(StoredTable::assemble(name.into(), schema, path, heap))
     }
 
@@ -324,10 +326,11 @@ impl StoredTable {
         name: impl Into<String>,
         schema: Schema,
         pool_pages: usize,
+        counters: &PoolCounters,
     ) -> EngineResult<StoredTable> {
         let schema = schema.without_qualifiers();
         let path = path.as_ref().to_path_buf();
-        let heap = TableHeap::open(&path, schema_fingerprint(&schema), pool_pages)?;
+        let heap = TableHeap::open(&path, schema_fingerprint(&schema), pool_pages, counters)?;
         Ok(StoredTable::assemble(name.into(), schema, path, heap))
     }
 
@@ -342,11 +345,17 @@ impl StoredTable {
         schema: Schema,
         pool_pages: usize,
         rows: u64,
+        counters: &PoolCounters,
     ) -> EngineResult<StoredTable> {
         let schema = schema.without_qualifiers();
         let path = path.as_ref().to_path_buf();
-        let heap =
-            TableHeap::open_with_count(&path, schema_fingerprint(&schema), pool_pages, rows)?;
+        let heap = TableHeap::open_with_count(
+            &path,
+            schema_fingerprint(&schema),
+            pool_pages,
+            rows,
+            counters,
+        )?;
         Ok(StoredTable::assemble(name.into(), schema, path, heap))
     }
 
@@ -381,17 +390,6 @@ impl StoredTable {
     /// blocking writers (see [`HeapSnapshot`]).
     pub fn snapshot(&self) -> HeapSnapshot {
         self.heap.snapshot()
-    }
-
-    /// Disk reads performed so far (buffer pool misses).
-    pub fn io_reads(&self) -> u64 {
-        self.heap.pool().io_reads()
-    }
-
-    /// Full buffer-pool counters of this table's heap pool (fetches,
-    /// misses, write-backs, syncs, evictions, capacity).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.heap.pool().stats()
     }
 
     /// Buffer pool frame count.
@@ -631,12 +629,14 @@ impl StoredTable {
     /// point used by the `Database` front door. **Atomic**: the rows are
     /// written to a temporary file which is renamed over the final path
     /// only once complete, so a failure (or crash) mid-persist leaves any
-    /// previous heap file for `name` untouched.
+    /// previous heap file for `name` untouched. Both pools, the one that
+    /// writes the file and the table's own, count into `counters`.
     pub fn persist_relation(
         dir: &Path,
         name: &str,
         rel: &Relation,
         pool_pages: usize,
+        counters: &PoolCounters,
     ) -> EngineResult<Arc<StoredTable>> {
         validate_table_name(name)?;
         std::fs::create_dir_all(dir)
@@ -644,12 +644,15 @@ impl StoredTable {
         let path = heap_path(dir, name);
         let tmp = dir.join(format!(".{name}.{HEAP_EXT}.tmp"));
         let indexed = {
-            let table = StoredTable::create(&tmp, name, rel.schema().clone(), pool_pages)?;
+            let table =
+                StoredTable::create(&tmp, name, rel.schema().clone(), pool_pages, counters)?;
             let mut indexed = IndexRows::default();
             for r in rel.rows() {
                 table.append_row_inner(r, &mut indexed)?;
             }
-            table.flush()?;
+            // Close, not flush: the pool's drop hook would sync the file
+            // a second time.
+            table.close()?;
             indexed
         };
         std::fs::rename(&tmp, &path).map_err(|e| {
@@ -666,6 +669,7 @@ impl StoredTable {
             rel.schema().clone(),
             pool_pages,
             rel.len() as u64,
+            counters,
         )?;
         // The rows just written are the whole table: index them now
         // instead of on first use.
@@ -764,13 +768,16 @@ mod tests {
         let nth = |i: i64| row(label(i), 0.0, true, i, i + 1);
         for round in 0..8 {
             {
-                let t = StoredTable::create(&path, "t", schema(), 8).unwrap();
+                let t =
+                    StoredTable::create(&path, "t", schema(), 8, &PoolCounters::default()).unwrap();
                 for i in 0..1_000 {
                     t.append_row(&nth(i)).unwrap();
                 }
                 t.flush().unwrap();
             }
-            let t = Arc::new(StoredTable::open(&path, "t", schema(), 8).unwrap());
+            let t = Arc::new(
+                StoredTable::open(&path, "t", schema(), 8, &PoolCounters::default()).unwrap(),
+            );
             let appended = AtomicUsize::new(1_000);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
@@ -818,7 +825,9 @@ mod tests {
         use std::sync::atomic::Ordering;
 
         let path = tmp("tail_clip.heap");
-        let t = Arc::new(StoredTable::create(&path, "t", schema(), 8).unwrap());
+        let t = Arc::new(
+            StoredTable::create(&path, "t", schema(), 8, &PoolCounters::default()).unwrap(),
+        );
         // Rows valid at 0 and at 5 take turns: AS OF 5 matches the odd
         // slots of every page.
         let nth = |i: i64| row("r", 0.0, true, 5 * (i % 2), 5 * (i % 2) + 1);
@@ -876,7 +885,10 @@ mod tests {
         let row = |i: i64| Row::new(vec![Value::Int(i), Value::Int(i), Value::Int(i + 1)]);
         let path = tmp("key_race.heap");
         for round in 0..4 {
-            let t = Arc::new(StoredTable::create(&path, "t", keyed.clone(), 8).unwrap());
+            let t = Arc::new(
+                StoredTable::create(&path, "t", keyed.clone(), 8, &PoolCounters::default())
+                    .unwrap(),
+            );
             t.append_row(&row(0)).unwrap();
             // Two readers on top of the appender: more threads than the
             // cores of a small box, so an appender preempted between its
@@ -962,7 +974,7 @@ mod tests {
     fn record_bounds_test_encoded_records_in_place() {
         let path = tmp("recbounds.heap");
         // No integer first column: key bounds have nothing to apply to.
-        let t = StoredTable::create(&path, "t", schema(), 2).unwrap();
+        let t = StoredTable::create(&path, "t", schema(), 2, &PoolCounters::default()).unwrap();
         assert!(t
             .record_bounds(&ZoneBounds {
                 key_ge: Some(1),
@@ -1025,18 +1037,18 @@ mod tests {
             .map(|i| row(&format!("name-{i}"), i as f64 / 2.0, i % 2 == 0, i, i + 5))
             .collect();
         {
-            let t = StoredTable::create(&path, "t", schema(), 4).unwrap();
+            let t = StoredTable::create(&path, "t", schema(), 4, &PoolCounters::default()).unwrap();
             t.append_rows(&rows).unwrap();
             t.flush().unwrap();
             assert_eq!(t.row_count(), 500);
             assert!(t.page_count() > 4, "table must exceed its pool");
         }
-        let t = StoredTable::open(&path, "t", schema(), 4).unwrap();
+        let t = StoredTable::open(&path, "t", schema(), 4, &PoolCounters::default()).unwrap();
         let all = t.read_all().unwrap();
         assert_eq!(all.rows(), &rows[..]);
         // The wrong schema cannot open the heap.
         let wrong = Schema::new(vec![Column::new("z", DataType::Int)]);
-        assert!(StoredTable::open(&path, "t", wrong, 4).is_err());
+        assert!(StoredTable::open(&path, "t", wrong, 4, &PoolCounters::default()).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1049,14 +1061,14 @@ mod tests {
         // Unpersistable column names are rejected before the heap exists.
         let path = tmp("badcol.heap");
         let bad_schema = Schema::new(vec![Column::new("a,b", DataType::Int)]);
-        assert!(StoredTable::create(&path, "t", bad_schema, 2).is_err());
+        assert!(StoredTable::create(&path, "t", bad_schema, 2, &PoolCounters::default()).is_err());
         assert!(!path.exists());
     }
 
     #[test]
     fn append_row_checks_arity() {
         let path = tmp("arity.heap");
-        let t = StoredTable::create(&path, "t", schema(), 2).unwrap();
+        let t = StoredTable::create(&path, "t", schema(), 2, &PoolCounters::default()).unwrap();
         assert!(t.append_row(&Row::new(vec![Value::Int(1)])).is_err());
         std::fs::remove_file(&path).unwrap();
     }

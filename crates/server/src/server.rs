@@ -183,10 +183,11 @@ fn accept_loop<S>(
 
 /// Build the server's `.stats` result: one `(name, value)` row per
 /// metric. Counters and gauges come from one [`Database::metrics_snapshot`]
-/// (which polls the buffer pools and the WAL into `pool.*` / `wal.*`
-/// counters); the ratios derived from that snapshot's counters —
-/// group-commit fsyncs-per-commit and buffer-pool hit rate — and the
-/// statement-latency percentiles (`session.statement_us.p50_us` …) are
+/// — the registry the buffer pools and the WAL count `pool.*` / `wal.*`
+/// into, beside the session's and the server's own instruments; the
+/// ratios derived from that snapshot's counters — group-commit
+/// fsyncs-per-commit and buffer-pool hit rate — and the
+/// statement-latency percentiles (`session.statement_us.p50` …) are
 /// appended after it.
 pub fn stats_relation(db: &Database) -> Relation {
     let snap = db.metrics_snapshot();

@@ -11,11 +11,12 @@
 //! the heap in memory.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::page::{Page, PageId};
 use crate::wal::Wal;
 
@@ -41,22 +42,35 @@ struct PoolState {
     hand: usize,
 }
 
-/// Point-in-time counters of one buffer pool. `Database::metrics_snapshot`
-/// sums them over every pool into its `pool.*` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Fetch calls (hits + misses).
-    pub fetches: u64,
-    /// Cache misses (pages read from disk).
-    pub io_reads: u64,
-    /// Pages written to disk (write-backs and appends).
-    pub io_writes: u64,
-    /// Fsyncs issued on the heap file(s).
-    pub io_syncs: u64,
-    /// Resident pages displaced by clock eviction.
-    pub evictions: u64,
-    /// Pool frames.
-    pub capacity: u64,
+/// The `pool.*` counters of a database's registry, resolved once and
+/// handed to every pool and disk manager it opens, so all of them add to
+/// the same totals and no name lookup sits on the fetch path.
+/// `PoolCounters::default()` is a private set, for a standalone pool.
+#[derive(Debug, Clone, Default)]
+pub struct PoolCounters {
+    /// `pool.fetches`: [`BufferPool::fetch`] calls (hits + misses).
+    pub fetches: Arc<Counter>,
+    /// `pool.io_reads`: cache misses, i.e. pages read from disk.
+    pub io_reads: Arc<Counter>,
+    /// `pool.io_writes`: pages written to disk (write-backs and appends).
+    pub io_writes: Arc<Counter>,
+    /// `pool.io_syncs`: fsyncs issued on heap files.
+    pub io_syncs: Arc<Counter>,
+    /// `pool.evictions`: resident pages displaced by clock eviction.
+    pub evictions: Arc<Counter>,
+}
+
+impl PoolCounters {
+    /// The `pool.*` counters of `metrics`.
+    pub fn new(metrics: &MetricsRegistry) -> PoolCounters {
+        PoolCounters {
+            fetches: metrics.counter("pool.fetches"),
+            io_reads: metrics.counter("pool.io_reads"),
+            io_writes: metrics.counter("pool.io_writes"),
+            io_syncs: metrics.counter("pool.io_syncs"),
+            evictions: metrics.counter("pool.evictions"),
+        }
+    }
 }
 
 /// A pinning page cache in front of one [`DiskManager`].
@@ -97,15 +111,12 @@ pub struct BufferPool {
     /// Per-frame dirty bits, set lock-free on [`PageWriteGuard`] release.
     dirty: Vec<AtomicBool>,
     state: Mutex<PoolState>,
-    /// Pages read from disk (cache misses) — observable evidence that a
-    /// scan streamed rather than materialized.
-    io_reads: AtomicU64,
-    /// Total [`BufferPool::fetch`] calls (hits + misses); with `io_reads`
-    /// this yields the pool hit rate.
-    fetches: AtomicU64,
-    /// Resident pages displaced to make room (clock victims that held a
-    /// mapped page).
-    evictions: AtomicU64,
+    /// `pool.fetches`, `pool.io_reads` and `pool.evictions` (clock
+    /// victims that held a mapped page); the disk manager counts the
+    /// writes and syncs.
+    fetches: Arc<Counter>,
+    io_reads: Arc<Counter>,
+    evictions: Arc<Counter>,
     /// The database WAL, when this pool backs a logged heap: synced
     /// before any dirty page reaches disk (the write-*ahead* invariant,
     /// see [`Wal::sync_for_write_ahead`]).
@@ -120,8 +131,8 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames over `disk`.
-    pub fn new(disk: DiskManager, capacity: usize) -> BufferPool {
+    /// A pool of `capacity` frames over `disk`, counting into `counters`.
+    pub fn new(disk: DiskManager, capacity: usize, counters: &PoolCounters) -> BufferPool {
         let capacity = capacity.max(1);
         BufferPool {
             disk,
@@ -135,9 +146,9 @@ impl BufferPool {
                 meta: vec![FrameMeta::default(); capacity],
                 hand: 0,
             }),
-            io_reads: AtomicU64::new(0),
-            fetches: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            fetches: Arc::clone(&counters.fetches),
+            io_reads: Arc::clone(&counters.io_reads),
+            evictions: Arc::clone(&counters.evictions),
             wal: Mutex::new(None),
             closed: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -170,43 +181,6 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Total pages read from disk so far (cache misses).
-    pub fn io_reads(&self) -> u64 {
-        self.io_reads.load(Ordering::Relaxed)
-    }
-
-    /// Total pages written to disk so far (write-backs and appends).
-    pub fn io_writes(&self) -> u64 {
-        self.disk.io_writes()
-    }
-
-    /// Total fsyncs issued on the heap file so far.
-    pub fn io_syncs(&self) -> u64 {
-        self.disk.io_syncs()
-    }
-
-    /// Total [`BufferPool::fetch`] calls so far (hits + misses).
-    pub fn fetches(&self) -> u64 {
-        self.fetches.load(Ordering::Relaxed)
-    }
-
-    /// Resident pages displaced by clock eviction so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of this pool's counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            fetches: self.fetches(),
-            io_reads: self.io_reads(),
-            io_writes: self.io_writes(),
-            io_syncs: self.io_syncs(),
-            evictions: self.evictions(),
-            capacity: self.capacity() as u64,
-        }
-    }
-
     /// Page ids currently resident, sorted — test observability.
     pub fn cached_pages(&self) -> Vec<PageId> {
         let state = self.lock_state();
@@ -224,7 +198,7 @@ impl BufferPool {
     /// pool mutex only for the table lookup; the miss path performs its
     /// disk read outside the mutex (see the type-level docs).
     pub fn fetch(&self, id: PageId) -> StoreResult<PageGuard<'_>> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
+        self.fetches.inc();
         let mut state = self.lock_state();
         let mut attempts = 0;
         let idx = loop {
@@ -277,7 +251,7 @@ impl BufferPool {
             return Err(e);
         }
         drop(frame);
-        self.io_reads.fetch_add(1, Ordering::Relaxed);
+        self.io_reads.inc();
         Ok(self.guard(idx))
     }
 
@@ -358,7 +332,7 @@ impl BufferPool {
             }
             state.table.remove(&old_id);
             state.meta[idx] = FrameMeta::default();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
         }
         self.pins[idx].store(1, Ordering::Release);
         Ok(idx)
@@ -584,17 +558,28 @@ mod tests {
     use std::path::PathBuf;
 
     fn pool(name: &str, pages: u32, capacity: usize) -> (BufferPool, PathBuf) {
+        counting_pool(name, pages, capacity, &PoolCounters::default())
+    }
+
+    /// A pool over `pages` fresh pages, counting into `counters` (the
+    /// page writes that set the file up are counted too).
+    fn counting_pool(
+        name: &str,
+        pages: u32,
+        capacity: usize,
+        counters: &PoolCounters,
+    ) -> (BufferPool, PathBuf) {
         let dir = std::env::temp_dir().join("talign_store_buffer_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        let disk = DiskManager::open(&path).unwrap();
+        let disk = DiskManager::open(&path, counters).unwrap();
         for i in 0..pages {
             let mut p = Page::init(0);
             p.insert(format!("page-{i}").as_bytes()).unwrap();
             disk.allocate_page(&p).unwrap();
         }
-        (BufferPool::new(disk, capacity), path)
+        (BufferPool::new(disk, capacity, counters), path)
     }
 
     #[test]
@@ -604,9 +589,10 @@ mod tests {
             let g = pool.fetch(0).unwrap();
             assert_eq!(g.read().record(0).unwrap(), b"page-0");
         }
-        assert_eq!(pool.io_reads(), 1);
+        assert_eq!(pool.io_reads.get(), 1);
         let _ = pool.fetch(0).unwrap();
-        assert_eq!(pool.io_reads(), 1, "second fetch must hit the cache");
+        assert_eq!(pool.io_reads.get(), 1, "second fetch must hit the cache");
+        assert_eq!(pool.fetches.get(), 2);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -675,7 +661,7 @@ mod tests {
             g.write().insert(b"persisted-on-drop").unwrap();
         }
         drop(pool);
-        let disk = DiskManager::open(&path).unwrap();
+        let disk = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         let mut raw = Page::zeroed();
         disk.read_page(0, &mut raw).unwrap();
         assert_eq!(raw.record(1).unwrap(), b"persisted-on-drop");
@@ -750,18 +736,23 @@ mod tests {
 
     #[test]
     fn close_flushes_and_disarms_the_drop_hook() {
-        let (pool, path) = pool("close.heap", 1, 1);
+        let counters = PoolCounters::default();
+        let (pool, path) = counting_pool("close.heap", 1, 1, &counters);
         {
             let g = pool.fetch(0).unwrap();
             g.write().insert(b"closed-cleanly").unwrap();
         }
-        let (writes_before, syncs_before) = (pool.io_writes(), pool.io_syncs());
+        let (writes_before, syncs_before) = (counters.io_writes.get(), counters.io_syncs.get());
         pool.close().unwrap();
         assert!(!pool.is_poisoned());
-        assert_eq!(pool.io_writes(), writes_before + 1, "one dirty write-back");
-        assert_eq!(pool.io_syncs(), syncs_before + 1);
+        assert_eq!(
+            counters.io_writes.get(),
+            writes_before + 1,
+            "one dirty write-back"
+        );
+        assert_eq!(counters.io_syncs.get(), syncs_before + 1);
         drop(pool);
-        let disk = DiskManager::open(&path).unwrap();
+        let disk = DiskManager::open(&path, &counters).unwrap();
         let mut raw = Page::zeroed();
         disk.read_page(0, &mut raw).unwrap();
         assert_eq!(raw.record(1).unwrap(), b"closed-cleanly");
@@ -820,7 +811,8 @@ mod tests {
                 "page {i}"
             );
         }
-        assert_eq!(pool.io_reads(), 8);
+        assert_eq!(pool.io_reads.get(), 8);
+        assert_eq!(pool.evictions.get(), 6);
         assert_eq!(pool.cached_pages().len(), 2);
         std::fs::remove_file(path).unwrap();
     }

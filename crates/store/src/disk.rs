@@ -5,8 +5,8 @@
 //! [`StoreError::Corrupt`] at read time instead of decoding to garbage.
 //! A block without the heap-page magic (another format version) has no CRC
 //! field and passes through to [`crate::page::Page::validate`], which
-//! names its version. Writes and syncs are counted
-//! for observability and pass through the [`crate::failpoints`] sites
+//! names its version. Writes and syncs count into the database's
+//! `pool.io_writes` / `pool.io_syncs` and pass through the [`crate::failpoints`] sites
 //! the crash-matrix tests arm.
 //!
 //! Reads are positional (`pread`) and take no lock: any number of
@@ -21,11 +21,13 @@
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::buffer::PoolCounters;
 use crate::error::{StoreError, StoreResult};
 use crate::failpoints::{self, Action};
+use crate::metrics::Counter;
 use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Reads and writes whole pages of a single heap file. Thread-safe:
@@ -40,8 +42,8 @@ pub struct DiskManager {
     /// (`Acquire`) a count finds every page below it on disk.
     pages: AtomicU32,
     write_lock: Mutex<()>,
-    io_writes: AtomicU64,
-    io_syncs: AtomicU64,
+    io_writes: Arc<Counter>,
+    io_syncs: Arc<Counter>,
 }
 
 fn page_offset(id: PageId) -> u64 {
@@ -52,8 +54,9 @@ impl DiskManager {
     /// Open (or create) the heap file at `path`. A file length that is
     /// not a multiple of the page size is rejected as corrupt — recovery
     /// uses [`DiskManager::open_trimming`] to repair such torn tails.
-    pub fn open(path: impl AsRef<Path>) -> StoreResult<DiskManager> {
-        let (dm, trimmed) = Self::open_inner(path.as_ref(), false)?;
+    /// Page writes and syncs count into `counters`.
+    pub fn open(path: impl AsRef<Path>, counters: &PoolCounters) -> StoreResult<DiskManager> {
+        let (dm, trimmed) = Self::open_inner(path.as_ref(), false, counters)?;
         debug_assert!(!trimmed);
         Ok(dm)
     }
@@ -62,11 +65,18 @@ impl DiskManager {
     /// *down* to whole pages. Only recovery does this: the discarded
     /// partial page is re-materialized from the WAL's full-page image.
     /// Returns whether anything was trimmed.
-    pub fn open_trimming(path: impl AsRef<Path>) -> StoreResult<(DiskManager, bool)> {
-        Self::open_inner(path.as_ref(), true)
+    pub fn open_trimming(
+        path: impl AsRef<Path>,
+        counters: &PoolCounters,
+    ) -> StoreResult<(DiskManager, bool)> {
+        Self::open_inner(path.as_ref(), true, counters)
     }
 
-    fn open_inner(path: &Path, trim: bool) -> StoreResult<(DiskManager, bool)> {
+    fn open_inner(
+        path: &Path,
+        trim: bool,
+        counters: &PoolCounters,
+    ) -> StoreResult<(DiskManager, bool)> {
         let path = path.to_path_buf();
         let file = OpenOptions::new()
             .read(true)
@@ -99,8 +109,8 @@ impl DiskManager {
                 file,
                 pages: AtomicU32::new(pages),
                 write_lock: Mutex::new(()),
-                io_writes: AtomicU64::new(0),
-                io_syncs: AtomicU64::new(0),
+                io_writes: Arc::clone(&counters.io_writes),
+                io_syncs: Arc::clone(&counters.io_syncs),
             },
             trimmed,
         ))
@@ -114,17 +124,6 @@ impl DiskManager {
     /// Number of pages currently in the file.
     pub fn page_count(&self) -> u32 {
         self.pages.load(Ordering::Acquire)
-    }
-
-    /// Pages written since open (observability, like `io_reads` on the
-    /// buffer pool).
-    pub fn io_writes(&self) -> u64 {
-        self.io_writes.load(Ordering::Relaxed)
-    }
-
-    /// Fsyncs issued since open.
-    pub fn io_syncs(&self) -> u64 {
-        self.io_syncs.load(Ordering::Relaxed)
     }
 
     fn writer(&self) -> MutexGuard<'_, ()> {
@@ -180,7 +179,7 @@ impl DiskManager {
             None => {}
         }
         self.file.write_all_at(&block, offset)?;
-        self.io_writes.fetch_add(1, Ordering::Relaxed);
+        self.io_writes.inc();
         Ok(())
     }
 
@@ -238,7 +237,7 @@ impl DiskManager {
             return Err(crate::failpoints::power_cut_error());
         }
         self.file.sync_all()?;
-        self.io_syncs.fetch_add(1, Ordering::Relaxed);
+        self.io_syncs.inc();
         Ok(())
     }
 }
@@ -257,14 +256,15 @@ mod tests {
     fn allocate_write_read_roundtrip() {
         let path = tmpfile("roundtrip.heap");
         let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path).unwrap();
+        let counters = PoolCounters::default();
+        let dm = DiskManager::open(&path, &counters).unwrap();
         assert_eq!(dm.page_count(), 0);
         let mut p = Page::init(9);
         p.insert(b"payload").unwrap();
         let id = dm.allocate_page(&p).unwrap();
         assert_eq!(id, 0);
         assert_eq!(dm.page_count(), 1);
-        assert_eq!(dm.io_writes(), 1);
+        assert_eq!(counters.io_writes.get(), 1);
 
         let mut back = Page::zeroed();
         dm.read_page(0, &mut back).unwrap();
@@ -275,7 +275,7 @@ mod tests {
 
         // Reopen sees the same page count.
         drop(dm);
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         assert_eq!(dm.page_count(), 1);
         assert!(dm.read_page(1, &mut back).is_err());
         std::fs::remove_file(&path).unwrap();
@@ -285,9 +285,9 @@ mod tests {
     fn rejects_torn_files_and_holes() {
         let path = tmpfile("torn.heap");
         std::fs::write(&path, vec![0u8; PAGE_SIZE + 1]).unwrap();
-        assert!(DiskManager::open(&path).is_err());
+        assert!(DiskManager::open(&path, &PoolCounters::default()).is_err());
         // The trimming open rounds the length down instead.
-        let (dm, trimmed) = DiskManager::open_trimming(&path).unwrap();
+        let (dm, trimmed) = DiskManager::open_trimming(&path, &PoolCounters::default()).unwrap();
         assert!(trimmed);
         assert_eq!(dm.page_count(), 1);
         drop(dm);
@@ -295,7 +295,7 @@ mod tests {
 
         let path = tmpfile("holes.heap");
         let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         assert!(dm.write_page(3, &Page::init(0)).is_err());
         std::fs::remove_file(&path).unwrap();
     }
@@ -304,7 +304,7 @@ mod tests {
     fn corrupted_page_fails_its_checksum_on_read() {
         let path = tmpfile("bitrot.heap");
         let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         let mut p = Page::init(1);
         p.insert(b"precious").unwrap();
         dm.allocate_page(&p).unwrap();
@@ -313,7 +313,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[PAGE_SIZE - 3] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         let mut back = Page::zeroed();
         let err = dm.read_page(0, &mut back).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "got {err}");
@@ -326,7 +326,7 @@ mod tests {
     fn truncate_pages_drops_the_tail() {
         let path = tmpfile("trunc.heap");
         let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&path, &PoolCounters::default()).unwrap();
         dm.allocate_page(&Page::init(0)).unwrap();
         dm.allocate_page(&Page::init(0)).unwrap();
         assert_eq!(dm.page_count(), 2);
@@ -344,11 +344,12 @@ mod tests {
     fn sync_is_counted() {
         let path = tmpfile("sync.heap");
         let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path).unwrap();
-        assert_eq!(dm.io_syncs(), 0);
+        let counters = PoolCounters::default();
+        let dm = DiskManager::open(&path, &counters).unwrap();
+        assert_eq!(counters.io_syncs.get(), 0);
         dm.sync().unwrap();
         dm.sync().unwrap();
-        assert_eq!(dm.io_syncs(), 2);
+        assert_eq!(counters.io_syncs.get(), 2);
         drop(dm);
         std::fs::remove_file(&path).unwrap();
     }

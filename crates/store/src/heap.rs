@@ -5,7 +5,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PoolCounters};
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
 use crate::page::{Page, PageId, SlotId, PAGE_SIZE};
@@ -121,19 +121,20 @@ pub struct TableHeap {
 
 impl TableHeap {
     /// Create a fresh (empty) heap file at `path`, truncating any previous
-    /// file, with `pool_pages` buffer frames.
+    /// file, with `pool_pages` buffer frames counting into `counters`.
     pub fn create(
         path: impl AsRef<Path>,
         fingerprint: u64,
         pool_pages: usize,
+        counters: &PoolCounters,
     ) -> StoreResult<Self> {
         let path = path.as_ref();
         if path.exists() {
             std::fs::remove_file(path)?;
         }
-        let disk = DiskManager::open(path)?;
+        let disk = DiskManager::open(path, counters)?;
         Ok(TableHeap {
-            pool: BufferPool::new(disk, pool_pages),
+            pool: BufferPool::new(disk, pool_pages, counters),
             fingerprint,
             rows: AtomicU64::new(0),
             tail: Mutex::new(None),
@@ -147,8 +148,13 @@ impl TableHeap {
 
     /// Open an existing heap file, validating every page header against
     /// `fingerprint` and counting rows (pages stream through the pool).
-    pub fn open(path: impl AsRef<Path>, fingerprint: u64, pool_pages: usize) -> StoreResult<Self> {
-        let heap = Self::open_with_count(path, fingerprint, pool_pages, 0)?;
+    pub fn open(
+        path: impl AsRef<Path>,
+        fingerprint: u64,
+        pool_pages: usize,
+        counters: &PoolCounters,
+    ) -> StoreResult<Self> {
+        let heap = Self::open_with_count(path, fingerprint, pool_pages, 0, counters)?;
         let mut rows = 0u64;
         for id in 0..heap.page_count() {
             rows += heap.with_page(id, |page| Ok(page.tuple_count() as u64))?;
@@ -168,9 +174,10 @@ impl TableHeap {
         fingerprint: u64,
         pool_pages: usize,
         rows: u64,
+        counters: &PoolCounters,
     ) -> StoreResult<Self> {
-        let disk = DiskManager::open(path)?;
-        let pool = BufferPool::new(disk, pool_pages);
+        let disk = DiskManager::open(path, counters)?;
+        let pool = BufferPool::new(disk, pool_pages, counters);
         let pages = pool.disk().page_count();
         // Validate the first page eagerly: catches opening under the
         // wrong schema immediately, without reading the whole heap.
@@ -202,9 +209,10 @@ impl TableHeap {
         path: impl AsRef<Path>,
         fingerprint: u64,
         pool_pages: usize,
+        counters: &PoolCounters,
     ) -> StoreResult<(Self, bool)> {
-        let (disk, trimmed) = DiskManager::open_trimming(path)?;
-        let pool = BufferPool::new(disk, pool_pages);
+        let (disk, trimmed) = DiskManager::open_trimming(path, counters)?;
+        let pool = BufferPool::new(disk, pool_pages, counters);
         let pages = pool.disk().page_count();
         Ok((
             TableHeap {
@@ -542,7 +550,7 @@ mod tests {
     #[test]
     fn append_spills_across_pages_and_reopens() {
         let path = heap_path("spill.heap");
-        let heap = TableHeap::create(&path, 0xfeed, 2).unwrap();
+        let heap = TableHeap::create(&path, 0xfeed, 2, &PoolCounters::default()).unwrap();
         let record = [7u8; 512];
         for _ in 0..40 {
             heap.append(&record).unwrap();
@@ -553,7 +561,7 @@ mod tests {
         let pages = heap.page_count();
         drop(heap);
 
-        let heap = TableHeap::open(&path, 0xfeed, 2).unwrap();
+        let heap = TableHeap::open(&path, 0xfeed, 2, &PoolCounters::default()).unwrap();
         assert_eq!(heap.row_count(), 40);
         assert_eq!(heap.page_count(), pages);
         let mut seen = 0;
@@ -579,12 +587,12 @@ mod tests {
     #[test]
     fn wrong_fingerprint_refuses_to_open() {
         let path = heap_path("fp.heap");
-        let heap = TableHeap::create(&path, 1, 2).unwrap();
+        let heap = TableHeap::create(&path, 1, 2, &PoolCounters::default()).unwrap();
         heap.append(b"x").unwrap();
         heap.flush().unwrap();
         drop(heap);
         assert!(matches!(
-            TableHeap::open(&path, 2, 2),
+            TableHeap::open(&path, 2, 2, &PoolCounters::default()),
             Err(StoreError::Corrupt(_))
         ));
         std::fs::remove_file(&path).unwrap();
@@ -602,14 +610,14 @@ mod tests {
     #[test]
     fn attached_wal_gets_an_image_then_logical_records() {
         let dir = wal_dir("fpi");
-        let (wal, _) = Wal::open(&dir).unwrap();
-        let heap = TableHeap::create(dir.join("t.heap"), 7, 4).unwrap();
+        let (wal, _) = Wal::open(&dir, &crate::metrics::MetricsRegistry::new()).unwrap();
+        let heap = TableHeap::create(dir.join("t.heap"), 7, 4, &PoolCounters::default()).unwrap();
         heap.attach_wal(Arc::new(wal), "t");
         for i in 0..3u8 {
             heap.append(&[i; 16]).unwrap();
         }
         drop(heap);
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &crate::metrics::MetricsRegistry::new()).unwrap();
         assert!(!scan.tail_truncated);
         let recs: Vec<&WalRecord> = scan.records.iter().map(|(_, r)| r).collect();
         assert_eq!(recs.len(), 3);
@@ -628,10 +636,10 @@ mod tests {
     #[test]
     fn redo_rebuilds_unflushed_appends_and_is_idempotent() {
         let dir = wal_dir("redo");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &crate::metrics::MetricsRegistry::new()).unwrap();
         let wal = Arc::new(wal);
         let path = dir.join("t.heap");
-        let heap = TableHeap::create(&path, 9, 4).unwrap();
+        let heap = TableHeap::create(&path, 9, 4, &PoolCounters::default()).unwrap();
         heap.attach_wal(Arc::clone(&wal), "t");
         let record = [5u8; 900];
         for _ in 0..10 {
@@ -642,8 +650,9 @@ mod tests {
         std::mem::forget(heap);
         drop(wal);
 
-        let (_, scan) = Wal::open(&dir).unwrap();
-        let (heap, trimmed) = TableHeap::open_for_recovery(&path, 9, 4).unwrap();
+        let (_, scan) = Wal::open(&dir, &crate::metrics::MetricsRegistry::new()).unwrap();
+        let (heap, trimmed) =
+            TableHeap::open_for_recovery(&path, 9, 4, &PoolCounters::default()).unwrap();
         assert!(!trimmed);
         for _ in 0..2 {
             // The second pass must be a no-op: LSNs make redo idempotent.
@@ -679,7 +688,7 @@ mod tests {
     fn trim_corrupt_tail_drops_only_the_torn_last_page() {
         use std::io::{Seek, SeekFrom, Write};
         let path = heap_path("torn.heap");
-        let heap = TableHeap::create(&path, 3, 4).unwrap();
+        let heap = TableHeap::create(&path, 3, 4, &PoolCounters::default()).unwrap();
         let record = [1u8; 900];
         for _ in 0..10 {
             heap.append(&record).unwrap();
@@ -687,7 +696,7 @@ mod tests {
         assert!(heap.page_count() >= 2);
         heap.close().unwrap();
         let rows_before_last = {
-            let heap = TableHeap::open(&path, 3, 4).unwrap();
+            let heap = TableHeap::open(&path, 3, 4, &PoolCounters::default()).unwrap();
             let last = heap.page_count() - 1;
             heap.row_count()
                 - heap
@@ -702,7 +711,8 @@ mod tests {
         f.write_all(&vec![0xAB; PAGE_SIZE / 2]).unwrap();
         drop(f);
 
-        let (heap, trimmed) = TableHeap::open_for_recovery(&path, 3, 4).unwrap();
+        let (heap, trimmed) =
+            TableHeap::open_for_recovery(&path, 3, 4, &PoolCounters::default()).unwrap();
         assert!(!trimmed);
         assert_eq!(heap.trim_corrupt_tail().unwrap(), 1);
         assert_eq!(heap.recount_rows().unwrap(), rows_before_last);
@@ -715,7 +725,7 @@ mod tests {
     #[test]
     fn snapshots_expose_a_stable_prefix() {
         let path = heap_path("snap.heap");
-        let heap = TableHeap::create(&path, 2, 4).unwrap();
+        let heap = TableHeap::create(&path, 2, 4, &PoolCounters::default()).unwrap();
         assert_eq!(heap.snapshot(), HeapSnapshot::EMPTY);
         let record = [1u8; 512];
         for _ in 0..10 {
@@ -762,7 +772,7 @@ mod tests {
     #[test]
     fn batch_scope_publishes_atomically() {
         let path = heap_path("batch.heap");
-        let heap = TableHeap::create(&path, 2, 4).unwrap();
+        let heap = TableHeap::create(&path, 2, 4, &PoolCounters::default()).unwrap();
         heap.append(&[0u8; 64]).unwrap();
         let batch = heap.begin_batch();
         for _ in 0..5 {
@@ -789,7 +799,7 @@ mod tests {
     #[test]
     fn reopen_restores_the_watermark() {
         let path = heap_path("snap_reopen.heap");
-        let heap = TableHeap::create(&path, 4, 4).unwrap();
+        let heap = TableHeap::create(&path, 4, 4, &PoolCounters::default()).unwrap();
         for _ in 0..7 {
             heap.append(&[9u8; 128]).unwrap();
         }
@@ -798,11 +808,11 @@ mod tests {
         drop(heap);
         // Fast path (manifest-trusted count) and slow path both publish
         // the full heap.
-        let heap = TableHeap::open_with_count(&path, 4, 4, 7).unwrap();
+        let heap = TableHeap::open_with_count(&path, 4, 4, 7, &PoolCounters::default()).unwrap();
         let snap = heap.snapshot();
         assert_eq!((snap.pages, snap.rows), (pages, 7));
         drop(heap);
-        let heap = TableHeap::open(&path, 4, 4).unwrap();
+        let heap = TableHeap::open(&path, 4, 4, &PoolCounters::default()).unwrap();
         let snap = heap.snapshot();
         assert_eq!((snap.pages, snap.rows), (pages, 7));
         std::fs::remove_file(&path).unwrap();
@@ -819,7 +829,8 @@ mod tests {
         const ROWS: u64 = 6_000;
         const READERS: usize = 4;
         let path = heap_path("race.heap");
-        let heap = TableHeap::create(&path, 11, 4).unwrap();
+        let counters = PoolCounters::default();
+        let heap = TableHeap::create(&path, 11, 4, &counters).unwrap();
         let done = std::sync::atomic::AtomicBool::new(false);
         let start = std::sync::Barrier::new(READERS + 1);
         // Five threads pin through four frames, so "every frame pinned"
@@ -892,11 +903,11 @@ mod tests {
             });
         });
         assert_eq!(scan(&heap), ROWS);
-        assert!(heap.pool().io_reads() > heap.page_count() as u64);
+        assert!(counters.io_reads.get() > heap.page_count() as u64);
         heap.close().unwrap();
         drop(heap);
         // What reached the disk is what was appended.
-        let heap = TableHeap::open(&path, 11, 4).unwrap();
+        let heap = TableHeap::open(&path, 11, 4, &PoolCounters::default()).unwrap();
         assert_eq!(scan(&heap), ROWS);
         std::fs::remove_file(&path).unwrap();
     }
@@ -904,11 +915,11 @@ mod tests {
     #[test]
     fn create_truncates_previous_contents() {
         let path = heap_path("trunc.heap");
-        let heap = TableHeap::create(&path, 1, 2).unwrap();
+        let heap = TableHeap::create(&path, 1, 2, &PoolCounters::default()).unwrap();
         heap.append(b"old").unwrap();
         heap.flush().unwrap();
         drop(heap);
-        let heap = TableHeap::create(&path, 1, 2).unwrap();
+        let heap = TableHeap::create(&path, 1, 2, &PoolCounters::default()).unwrap();
         assert_eq!(heap.row_count(), 0);
         assert_eq!(heap.page_count(), 0);
         std::fs::remove_file(&path).unwrap();

@@ -28,6 +28,9 @@
 //!   directory: CRC-framed, LSN-stamped records with a [`wal::SyncMode`]
 //!   policy and sharp checkpoints, the substrate for the engine's
 //!   redo-only crash recovery;
+//! * [`metrics`] — the registry of named counters, gauges and latency
+//!   histograms the pools and the log count into (`pool.*`, `wal.*`),
+//!   and the layers above add their own instruments to;
 //! * [`failpoints`] — named fault-injection sites (crash / torn write /
 //!   bit flip) on every write path, active only under the `failpoints`
 //!   cargo feature, driving the crash-matrix recovery suite.
@@ -41,14 +44,16 @@
 //!
 //! ```
 //! use temporal_store::heap::TableHeap;
+//! use temporal_store::PoolCounters;
 //!
 //! let path = std::env::temp_dir().join("talign_store_doc.heap");
-//! let heap = TableHeap::create(&path, 0xabc, 4).unwrap();
+//! let counters = PoolCounters::default();
+//! let heap = TableHeap::create(&path, 0xabc, 4, &counters).unwrap();
 //! heap.append(b"first").unwrap();
 //! heap.append(b"second").unwrap();
 //! heap.flush().unwrap();
 //!
-//! let reopened = TableHeap::open(&path, 0xabc, 4).unwrap();
+//! let reopened = TableHeap::open(&path, 0xabc, 4, &counters).unwrap();
 //! assert_eq!(reopened.row_count(), 2);
 //! reopened
 //!     .with_page(0, |page| {
@@ -56,6 +61,7 @@
 //!         Ok(())
 //!     })
 //!     .unwrap();
+//! assert_eq!(counters.io_reads.get(), 1);
 //! std::fs::remove_file(&path).unwrap();
 //! ```
 
@@ -67,6 +73,7 @@ pub mod failpoints;
 pub mod heap;
 pub mod index;
 pub mod manifest;
+pub mod metrics;
 pub mod page;
 pub mod wal;
 
@@ -77,11 +84,12 @@ pub mod wal;
 /// read past or rewritten.
 pub const FORMAT_VERSION: u32 = 4;
 
-pub use buffer::{BufferPool, PageGuard, PageWriteGuard, PoolStats, DEFAULT_POOL_PAGES};
+pub use buffer::{BufferPool, PageGuard, PageWriteGuard, PoolCounters, DEFAULT_POOL_PAGES};
 pub use disk::DiskManager;
 pub use error::{StoreError, StoreResult};
 pub use heap::{AppendBatch, HeapSnapshot, TableHeap};
 pub use index::{IndexEntry, IndexRows, IntervalIndex, SlotRange, ZoneBounds, ALL_SLOTS};
 pub use manifest::{Manifest, TableMeta, MANIFEST_FILE};
+pub use metrics::MetricsRegistry;
 pub use page::{Page, PageId, SlotId, MAX_RECORD_SIZE, PAGE_SIZE};
-pub use wal::{SyncMode, Wal, WalRecord, WalScan, WalStats, WAL_FILE};
+pub use wal::{SyncMode, Wal, WalRecord, WalScan, WAL_FILE};

@@ -1,22 +1,23 @@
-//! A unified, dependency-free metrics registry.
-//!
-//! Before this module, runtime counters were scattered across the
-//! workspace: per-operator [`crate::exec::OperatorStats`] in the engine,
-//! buffer pool / disk manager I/O counters in the store, WAL commit/sync
-//! watermarks on the database front door.
-//! Each had its own ad-hoc accessor and none composed. The registry gives
-//! every layer one vocabulary — named [`Counter`]s, [`Gauge`]s and
-//! fixed-bucket latency [`Histogram`]s — behind a snapshot/diff API, so a
+//! The metrics registry: one dependency-free vocabulary for every
+//! runtime counter of a database — named [`Counter`]s, [`Gauge`]s and
+//! fixed-bucket latency [`Histogram`]s behind a snapshot/diff API, so a
 //! caller can bracket any region of work with two snapshots and read off
 //! exactly what happened in between.
+//!
+//! Each layer pushes into the registry where its work happens: the buffer
+//! pools and disk managers count `pool.*`, the write-ahead log `wal.*`,
+//! the SQL session and the server their statements and latencies. A
+//! component takes its instruments once, at construction, and keeps the
+//! `Arc`s; a standalone pool or log (as in a unit test) is given a
+//! registry of its own. Counters are cumulative and never decrease, so a
+//! [`MetricsSnapshot::diff`] of two snapshots is the work of the window
+//! between them, whatever tables were created or dropped in it.
 //!
 //! Everything here is `std` atomics: recording a counter is one relaxed
 //! `fetch_add`, recording a histogram sample is a short branchless scan
 //! over at most [`LATENCY_BUCKET_BOUNDS`]`.len()` bounds plus two
 //! `fetch_add`s. There are no locks on the hot path — the registry's maps
-//! are locked only to *look up or create* an instrument, and callers are
-//! expected to cache the returned `Arc` (the store, engine and server all
-//! register their instruments once at startup).
+//! are locked only to *look up or create* an instrument.
 //!
 //! Naming convention: `component.metric` with dots as separators —
 //! `pool.io_reads`, `wal.syncs`, `session.statements`,
@@ -203,7 +204,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The delta from `earlier` to `self`: counters subtract (saturating,
-    /// so a registry reset never underflows), gauges keep their current
+    /// though a registry's counters never decrease), gauges keep their current
     /// value (an instantaneous reading has no meaningful delta), and
     /// histograms subtract bucket-wise with percentiles recomputed over
     /// the interval's samples only.

@@ -66,7 +66,7 @@
 //! touching the disk at all. Under `sync_mode=always` the same election
 //! runs per record, so even the paranoid mode batches concurrent
 //! writers into shared syncs. One fsync can thus retire any number of
-//! concurrent commits — `io_syncs / commits < 1` as soon as two
+//! concurrent commits — `wal.syncs / wal.commits < 1` as soon as two
 //! sessions commit at once.
 
 use std::collections::HashSet;
@@ -74,11 +74,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::crc32c::{crc32c, crc32c_append};
 use crate::error::{StoreError, StoreResult};
 use crate::failpoints::{self, Action};
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::FORMAT_VERSION;
 
@@ -361,22 +362,6 @@ pub struct WalScan {
     pub tail_truncated: bool,
 }
 
-/// Named snapshot of the log's observability counters — what
-/// `Database::metrics_snapshot` publishes as its `wal.*` counters. The
-/// server's `.stats` derives the group-commit ratio `syncs / commits`
-/// from them (below 1 means concurrent committers shared fsyncs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Commit durability points requested ([`Wal::commit`]).
-    pub commits: u64,
-    /// Fsyncs issued on the log.
-    pub syncs: u64,
-    /// Frame bytes appended since open (never resets).
-    pub bytes: u64,
-    /// Checkpoints taken since open.
-    pub checkpoints: u64,
-}
-
 #[derive(Debug)]
 struct WalInner {
     file: File,
@@ -392,16 +377,16 @@ struct WalInner {
 pub struct Wal {
     path: PathBuf,
     mode: AtomicU8,
-    appended_records: AtomicU64,
-    /// Frame bytes appended since open (headers included) — unlike the
-    /// per-epoch `bytes_since_checkpoint`, this never resets.
-    appended_bytes: AtomicU64,
-    syncs: AtomicU64,
-    /// Commit durability points requested via [`Wal::commit`] — the
-    /// denominator of the group-commit amortization ratio.
-    commits: AtomicU64,
-    /// Checkpoints taken since open.
-    checkpoints: AtomicU64,
+    /// `wal.commits`: durability points requested via [`Wal::commit`] —
+    /// with `wal.syncs` (fsyncs issued on the log) the group-commit
+    /// amortization ratio, below 1 when concurrent committers share one.
+    commits: Arc<Counter>,
+    syncs: Arc<Counter>,
+    /// `wal.bytes`: frame bytes appended (headers included) — unlike
+    /// the per-epoch `bytes_since_checkpoint`, this never resets.
+    bytes: Arc<Counter>,
+    /// `wal.checkpoints`: checkpoints taken.
+    checkpoints: Arc<Counter>,
     /// Highest LSN handed out by [`Wal::append`].
     last_lsn: AtomicU64,
     /// Group-commit watermark: every record with LSN ≤ this is fsynced.
@@ -424,10 +409,11 @@ impl Wal {
     /// validates every frame; the first torn or corrupt one truncates the
     /// file there with a warning on stderr — recovery then replays
     /// whatever consistent prefix survived. The log starts in
-    /// [`SyncMode::Commit`]. A log of another format version is a
+    /// [`SyncMode::Commit`] and counts into the `wal.*` counters of
+    /// `metrics`. A log of another format version is a
     /// [`StoreError::Incompatible`], returned before anything is scanned
     /// or written.
-    pub fn open(dir: &Path) -> StoreResult<(Wal, WalScan)> {
+    pub fn open(dir: &Path, metrics: &MetricsRegistry) -> StoreResult<(Wal, WalScan)> {
         std::fs::create_dir_all(dir)?;
         let path = Self::path_in(dir);
         let mut file = OpenOptions::new()
@@ -513,11 +499,10 @@ impl Wal {
         let wal = Wal {
             path,
             mode: AtomicU8::new(SyncMode::Commit as u8),
-            appended_records: AtomicU64::new(0),
-            appended_bytes: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
+            commits: metrics.counter("wal.commits"),
+            syncs: metrics.counter("wal.syncs"),
+            bytes: metrics.counter("wal.bytes"),
+            checkpoints: metrics.counter("wal.checkpoints"),
             last_lsn: AtomicU64::new(max_lsn),
             // Everything already in the file is as durable as it will
             // ever be, so open starts with the watermark caught up.
@@ -551,43 +536,6 @@ impl Wal {
     /// Change the sync policy (the `sync_mode` GUC).
     pub fn set_mode(&self, mode: SyncMode) {
         self.mode.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// Records appended since open (observability).
-    pub fn records_appended(&self) -> u64 {
-        self.appended_records.load(Ordering::Relaxed)
-    }
-
-    /// Fsyncs issued on the log since open (observability).
-    pub fn syncs(&self) -> u64 {
-        self.syncs.load(Ordering::Relaxed)
-    }
-
-    /// Commit durability points requested since open (observability):
-    /// `syncs() / commits()` below 1 is group commit amortizing fsyncs.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    /// Frame bytes appended since open (never resets, unlike
-    /// [`Wal::bytes_since_checkpoint`]).
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoints taken since open.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// One-shot snapshot of the log's observability counters.
-    pub fn stats(&self) -> WalStats {
-        WalStats {
-            commits: self.commits(),
-            syncs: self.syncs(),
-            bytes: self.appended_bytes(),
-            checkpoints: self.checkpoints(),
-        }
     }
 
     /// Highest LSN handed out so far.
@@ -669,9 +617,7 @@ impl Wal {
             inner.imaged.retain(|(t, _)| *t != name);
         }
         self.last_lsn.store(lsn, Ordering::SeqCst);
-        self.appended_records.fetch_add(1, Ordering::Relaxed);
-        self.appended_bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.bytes.add(frame.len() as u64);
         if self.mode() == SyncMode::Always {
             // Per-record durability, but through the group flusher:
             // concurrent appenders share one fsync instead of queueing
@@ -696,7 +642,7 @@ impl Wal {
         // watermark exactly `next_lsn - 1`.
         let durable_upto = inner.next_lsn.saturating_sub(1);
         inner.file.sync_data()?;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.syncs.inc();
         self.synced_lsn.fetch_max(durable_upto, Ordering::SeqCst);
         Ok(())
     }
@@ -721,7 +667,7 @@ impl Wal {
             (inner.file.try_clone()?, inner.next_lsn.saturating_sub(1))
         };
         file.sync_data()?;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.syncs.inc();
         self.synced_lsn.fetch_max(durable_upto, Ordering::SeqCst);
         Ok(())
     }
@@ -770,7 +716,7 @@ impl Wal {
     /// (amortized across concurrent committers by the group flusher),
     /// no-op under `off`.
     pub fn commit(&self) -> StoreResult<()> {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.commits.inc();
         if self.mode() == SyncMode::Off {
             return Ok(());
         }
@@ -816,7 +762,7 @@ impl Wal {
         out.write_all(&lsn.to_le_bytes())?;
         out.write_all(&payload)?;
         out.sync_all()?;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.syncs.inc();
         if let Some(Action::Crash | Action::Torn { .. }) = failpoints::hit("wal::checkpoint") {
             #[cfg(feature = "failpoints")]
             failpoints::trip_power_cut();
@@ -831,7 +777,7 @@ impl Wal {
         inner.imaged.clear();
         self.last_lsn.fetch_max(lsn, Ordering::SeqCst);
         self.synced_lsn.fetch_max(lsn, Ordering::SeqCst);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.checkpoints.inc();
         Ok(lsn)
     }
 }
@@ -899,7 +845,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let recs = sample_records();
         {
-            let (wal, scan) = Wal::open(&dir).unwrap();
+            let (wal, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
             assert!(scan.records.is_empty());
             assert!(!scan.tail_truncated);
             let mut last = 0;
@@ -910,7 +856,7 @@ mod tests {
             }
             wal.commit().unwrap();
         }
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert!(!scan.tail_truncated);
         let back: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!(back, recs);
@@ -921,7 +867,7 @@ mod tests {
     fn torn_tail_truncates_to_last_good_record() {
         let dir = tmpdir("torn");
         {
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
             for rec in sample_records() {
                 wal.append(&rec).unwrap();
             }
@@ -932,12 +878,12 @@ mod tests {
         // Chop the file mid-way through the last record: scan keeps the
         // prefix and truncates the file to it.
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert!(scan.tail_truncated);
         assert_eq!(scan.records.len(), sample_records().len() - 1);
         assert!(std::fs::metadata(&path).unwrap().len() < full.len() as u64 - 3);
         // The truncated log is clean on the next open.
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert!(!scan.tail_truncated);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -946,7 +892,7 @@ mod tests {
     fn bit_flip_in_any_record_drops_it_and_the_suffix() {
         let dir = tmpdir("bitflip");
         {
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
             for rec in sample_records() {
                 wal.append(&rec).unwrap();
             }
@@ -958,7 +904,7 @@ mod tests {
         let mid = HEADER.len() + (pristine.len() - HEADER.len()) / 2;
         corrupt[mid] ^= 0x10;
         std::fs::write(&path, &corrupt).unwrap();
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert!(scan.tail_truncated);
         assert!(scan.records.len() < sample_records().len());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -967,7 +913,7 @@ mod tests {
     #[test]
     fn checkpoint_resets_log_and_keeps_lsns_monotonic() {
         let dir = tmpdir("checkpoint");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         let mut last = 0;
         for rec in sample_records() {
             last = wal.append(&rec).unwrap();
@@ -982,7 +928,7 @@ mod tests {
         assert!(post > ck);
         drop(wal);
         // Replay sees only the post-checkpoint record.
-        let (_, scan) = Wal::open(&dir).unwrap();
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].0, post);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -991,7 +937,7 @@ mod tests {
     #[test]
     fn first_touch_tracks_per_epoch_and_per_table() {
         let dir = tmpdir("first_touch");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         assert!(wal.first_touch("r", 0));
         assert!(!wal.first_touch("r", 0));
         assert!(wal.first_touch("r", 1));
@@ -1014,31 +960,31 @@ mod tests {
         assert_eq!(SyncMode::parse(" always "), Some(SyncMode::Always));
         assert_eq!(SyncMode::parse("fsync-maybe"), None);
         let dir = tmpdir("sync_counts");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         wal.set_mode(SyncMode::Off);
         wal.append(&WalRecord::TableDrop { name: "a".into() })
             .unwrap();
         wal.commit().unwrap();
-        assert_eq!(wal.syncs(), 0);
+        assert_eq!(wal.syncs.get(), 0);
         wal.set_mode(SyncMode::Always);
         wal.append(&WalRecord::TableDrop { name: "b".into() })
             .unwrap();
-        assert_eq!(wal.syncs(), 1);
+        assert_eq!(wal.syncs.get(), 1);
         wal.set_mode(SyncMode::Commit);
         wal.append(&WalRecord::TableDrop { name: "c".into() })
             .unwrap();
-        assert_eq!(wal.syncs(), 1);
+        assert_eq!(wal.syncs.get(), 1);
         wal.commit().unwrap();
-        assert_eq!(wal.syncs(), 2);
+        assert_eq!(wal.syncs.get(), 2);
         wal.commit().unwrap(); // nothing new to sync
-        assert_eq!(wal.syncs(), 2);
+        assert_eq!(wal.syncs.get(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn commit_watermark_tracks_durability() {
         let dir = tmpdir("watermark");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         wal.set_mode(SyncMode::Commit);
         let base = wal.synced_lsn();
         let a = wal
@@ -1052,20 +998,20 @@ mod tests {
         wal.commit().unwrap();
         assert!(wal.synced_lsn() >= b);
         assert!(wal.synced_lsn() >= a);
-        assert_eq!(wal.syncs(), 1);
-        assert_eq!(wal.commits(), 1);
+        assert_eq!(wal.syncs.get(), 1);
+        assert_eq!(wal.commits.get(), 1);
         // A second commit with nothing new is covered by the watermark.
         wal.commit().unwrap();
-        assert_eq!(wal.syncs(), 1);
-        assert_eq!(wal.commits(), 2);
+        assert_eq!(wal.syncs.get(), 1);
+        assert_eq!(wal.commits.get(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_commits_share_one_fsync() {
-        use std::sync::{Arc, Barrier};
+        use std::sync::Barrier;
         let dir = tmpdir("group_commit");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         wal.set_mode(SyncMode::Commit);
         let wal = Arc::new(wal);
         let n = 8;
@@ -1090,17 +1036,16 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(wal.commits(), n as u64);
-        assert_eq!(wal.syncs(), 1);
+        assert_eq!(wal.commits.get(), n as u64);
+        assert_eq!(wal.syncs.get(), 1);
         assert_eq!(wal.synced_lsn(), wal.last_lsn());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn always_mode_group_commits_across_appenders() {
-        use std::sync::Arc;
         let dir = tmpdir("group_always");
-        let (wal, _) = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
         wal.set_mode(SyncMode::Always);
         let wal = Arc::new(wal);
         let n = 4;
@@ -1125,8 +1070,8 @@ mod tests {
         // concurrent appenders may share flushes, so the sync count never
         // exceeds the record count.
         assert_eq!(wal.synced_lsn(), wal.last_lsn());
-        assert!(wal.syncs() <= (n * per) as u64);
-        assert!(wal.syncs() >= 1);
+        assert!(wal.syncs.get() <= (n * per) as u64);
+        assert!(wal.syncs.get() >= 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

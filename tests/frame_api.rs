@@ -187,8 +187,29 @@ fn unknown_column_gets_did_you_mean() {
         .selection(col("v").eq(lit(1i64)))
         .unwrap_err()
         .to_string();
-    assert!(err.contains("unknown column 'v'"), "{err}");
-    assert!(err.contains("did you mean"), "{err}");
+    assert!(err.contains("unknown column: v — did you mean"), "{err}");
+}
+
+/// SQL resolves names by the same rule, so it gets the same message.
+#[test]
+fn sql_unknown_column_gets_the_same_did_you_mean() {
+    let db = Database::new();
+    db.register("r", &rel2("r", &[(1, 10, 0, 5)])).unwrap();
+    let rust = TemporalPlan::table(&db, "r")
+        .unwrap()
+        .selection(col("v").eq(lit(1i64)))
+        .unwrap_err()
+        .to_string();
+    let sql = Session::with_database(db)
+        .query("SELECT v FROM r")
+        .unwrap_err()
+        .to_string();
+    let message = rust.split_once("unknown column: ").unwrap().1;
+    assert!(
+        sql.ends_with(&format!("unknown column: {message}")),
+        "{sql} vs {rust}"
+    );
+    assert!(sql.contains("did you mean"), "{sql}");
 }
 
 #[test]

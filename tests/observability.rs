@@ -609,7 +609,7 @@ fn metrics_snapshot_diff_isolates_an_interval() {
         "{rendered}"
     );
 
-    // The polled store totals diff the same way: on a persisted table the
+    // The store's counters diff the same way: on a persisted table the
     // interval view holds only the window's buffer-pool and WAL traffic,
     // not the lifetime totals.
     let dir = scratch("metrics-diff");
@@ -641,6 +641,65 @@ fn metrics_snapshot_diff_isolates_an_interval() {
         "interval fetches {fetches} of {} in total",
         after.counters["pool.fetches"]
     );
+    drop((session, db));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Fails when a `pool.*` or `wal.*` counter of `later` is below its value
+/// in `earlier`.
+fn assert_store_counters_never_fall(
+    earlier: &MetricsSnapshot,
+    later: &MetricsSnapshot,
+    what: &str,
+) {
+    for (name, &was) in &earlier.counters {
+        if name.starts_with("pool.") || name.starts_with("wal.") {
+            let now = later.counters[name];
+            assert!(now >= was, "{what} took {name} from {was} down to {now}");
+        }
+    }
+}
+
+/// The store counts into the registry where the work happens, so its
+/// counters are cumulative: dropping a table keeps that table's pool work
+/// counted, a window that contains a `DROP TABLE` reports exactly the
+/// work the other tables did in it, and re-creating the table resets
+/// nothing.
+#[test]
+fn store_counters_survive_drop_and_recreate() {
+    let dir = scratch("counters-drop");
+    let db = Database::open_with_pool(&dir, 2).unwrap();
+    let (a, b) = ddisj(400);
+    db.register("a", &a).unwrap();
+    db.register("b", &b).unwrap();
+    let mut session = Session::scoped(db.clone());
+    // `b` has pool traffic before the window.
+    for _ in 0..3 {
+        assert_eq!(session.query("SELECT * FROM b").unwrap().len(), 400);
+    }
+    let before = db.metrics_snapshot();
+    session.query("SELECT * FROM a").unwrap();
+    let scan_a = db.metrics_snapshot().diff(&before).counters["pool.fetches"];
+    assert!(
+        scan_a > 2,
+        "a scan of `a` streams its pages: {scan_a} fetches"
+    );
+
+    let before = db.metrics_snapshot();
+    session.query("SELECT * FROM a").unwrap();
+    session.execute("DROP TABLE b").unwrap();
+    let after = db.metrics_snapshot();
+    assert_eq!(
+        after.diff(&before).counters["pool.fetches"],
+        scan_a,
+        "the window holds the scan of `a`, whatever became of `b`"
+    );
+    assert_store_counters_never_fall(&before, &after, "DROP TABLE b");
+
+    session
+        .execute("CREATE TABLE b (id int, ts int, te int)")
+        .unwrap();
+    assert_store_counters_never_fall(&after, &db.metrics_snapshot(), "CREATE TABLE b");
     drop((session, db));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::engine::batch::BatchBuilder;
 use temporal_alignment::engine::prelude::*;
-use temporal_alignment::engine::storage::{ZoneBounds, ALL_SLOTS};
+use temporal_alignment::engine::storage::{PoolCounters, ZoneBounds, ALL_SLOTS};
 use temporal_alignment::sql::{DatabaseSqlExt, Session};
 use temporal_datasets::{ddisj, deq, drand};
 
@@ -241,7 +241,7 @@ proptest! {
 
         let dir = scratch("record-bounds");
         std::fs::create_dir_all(&dir).unwrap();
-        let table = Arc::new(StoredTable::create(dir.join("t.heap"), "t", schema.clone(), 4).unwrap());
+        let table = Arc::new(StoredTable::create(dir.join("t.heap"), "t", schema.clone(), 4, &PoolCounters::default()).unwrap());
         for _ in 0..n {
             table.append_row(&clustered_row(&mut rng)).unwrap();
         }
@@ -328,7 +328,7 @@ proptest! {
         // The same table closed and reopened: its index, zone maps and key
         // filters come from the first-use heap scan, not from appends.
         table.close().unwrap();
-        let reopened = Arc::new(StoredTable::open(dir.join("t.heap"), "t", schema.clone(), 4).unwrap());
+        let reopened = Arc::new(StoredTable::open(dir.join("t.heap"), "t", schema.clone(), 4, &PoolCounters::default()).unwrap());
         let (plain, bounded) = plans(&reopened);
         let state = ExecutionState::new(config);
         let expected = plain.collect(&state).unwrap();
