@@ -5,26 +5,24 @@
 //! Both temporal alignment (Def. 11, `isalign = true`) and temporal
 //! normalization (Def. 9, `isalign = false`) are implemented as:
 //!
-//! 1. a **nontemporal left outer join** that attaches, to every `r` tuple,
-//!    its group of matching `s` tuples (for alignment) or the candidate
-//!    split points (for normalization). The engine's optimizer is free to
-//!    pick nested-loop/hash/merge for this join — which is precisely what
-//!    the paper's Fig. 13 experiment measures. Every join method emits a
-//!    left row's matches together, so each `r` tuple reaches the sweep as
-//!    one run of rows; normalization joins `DISTINCT r`, so that a bag
-//!    duplicate of an `r` tuple adds no second run;
+//! 1. a **nontemporal left outer join** of `DISTINCT r` that attaches, to
+//!    every `r` tuple, its group of matching `s` tuples (for alignment) or
+//!    the candidate split points (for normalization). The engine's
+//!    optimizer is free to pick nested-loop/hash/merge for this join —
+//!    which is precisely what the paper's Fig. 13 experiment measures.
+//!    Every join method emits a left row's matches together, so each `r`
+//!    tuple reaches the sweep as one run of rows, and the DISTINCT keeps a
+//!    bag duplicate of an `r` tuple from adding a second run;
 //! 2. for alignment, a projection computing `[P1, P2)`, the precomputed
 //!    intersection of the r- and s-timestamps. Normalization has nothing
 //!    to compute — its split point `P1` is a column of the join's own row,
 //!    which the sweep addresses where the join left it (Fig. 9 draws an
 //!    explicit π there; it would only copy every join row);
-//! 3. for alignment, a **sort** that partitions by the complete `r` tuple
-//!    and orders each group by `(P1, P2)` (Fig. 9): Fig. 10's duplicate
-//!    test compares adjacent groups, so it needs the total order. For
-//!    normalization, **the sweep orders each group's split points** itself
-//!    — the hash join's range-ordered buckets usually deliver them
-//!    ascending already — and no sort stands between the join and the
-//!    sweep;
+//! 3. no sort: Fig. 9 sorts by `(r.*, P1, P2)`, but the sweep needs only
+//!    each group's points in order, so **the sweep orders each group's
+//!    points itself** — the hash join's range-ordered buckets usually
+//!    deliver them ascending already — and drops repeated intersections
+//!    (Def. 10's intersections are a set);
 //! 4. the **plane sweep** over each group ([`AdjustmentExec`]), which
 //!    emits a batch of adjusted tuples per pull, fully pipelined.
 
@@ -83,8 +81,8 @@ pub fn antijoin_gaps_plan(
 }
 
 /// Group construction shared by [`align_plan`] and [`antijoin_gaps_plan`]:
-/// left join on `θ ∧ overlap`, project the intersections, sort, sweep in
-/// `mode`.
+/// left join `DISTINCT r` on `θ ∧ overlap`, project the intersections,
+/// sweep in `mode`.
 fn intersection_sweep_plan(
     r: LogicalPlan,
     s: LogicalPlan,
@@ -119,7 +117,9 @@ fn intersection_sweep_plan(
         Some(t) => t.and(overlap),
         None => overlap,
     };
-    let joined = r.join(s, JoinType::Left, Some(cond));
+    // As for normalization: each distinct r tuple's matches arrive as one
+    // run, and the sweep orders and deduplicates its intersections itself.
+    let joined = r.distinct().join(s, JoinType::Left, Some(cond));
 
     // Project to (r.*, P1, P2) where [P1, P2) = r.T ∩ s.T (NULL for ω rows).
     let mut items: Vec<(Expr, String)> = (0..wr)
@@ -135,13 +135,8 @@ fn intersection_sweep_plan(
     ));
     let projected = joined.project_named(items)?;
 
-    // Partition by the full r tuple, order groups by (P1, P2) — Fig. 9.
-    let mut keys: Vec<SortKey> = (0..wr).map(|i| SortKey::asc(col(i))).collect();
-    keys.push(SortKey::asc(col(wr)));
-    keys.push(SortKey::asc(col(wr + 1)));
-
     Ok(LogicalPlan::extension(Arc::new(AdjustmentNode {
-        input: projected.sort(keys),
+        input: projected,
         out_schema: r_schema,
         mode,
         p1: wr,
@@ -224,7 +219,7 @@ pub fn normalize_plan(
 /// Logical extension node wrapping the plane sweep. Its child plan produces
 /// rows that start with the full `r` tuple and carry `P1` (and `P2`, for
 /// the intersection modes) at the given columns, each `r` tuple's rows
-/// together (sorted by `(r.*, P1, P2)` for the intersection modes).
+/// together.
 #[derive(Debug)]
 pub struct AdjustmentNode {
     input: LogicalPlan,
@@ -333,8 +328,8 @@ pub struct AdjustmentExec {
     input_done: bool,
 }
 
-/// The Fig. 10 sweep over one group at a time, and the state it carries
-/// from group to group.
+/// The Fig. 10 sweep over one group at a time. No state crosses groups,
+/// so the groups may come in any order.
 struct Sweep {
     mode: AdjustMode,
     ts_idx: usize,
@@ -342,13 +337,11 @@ struct Sweep {
     p1_idx: usize,
     /// `None` for [`AdjustMode::Normalize`], whose sweep reads only `P1`.
     p2_idx: Option<usize>,
-    /// `[s, e)` of the last produced tuple, and whether its data equal the
-    /// data of the group being swept — together the consecutive-duplicate
-    /// test `out ≠ (curr.A, curr.P1, curr.P2)` of Fig. 10.
-    last_out: Option<(i64, i64)>,
-    last_same_data: bool,
     /// Normalization's split points of the group being swept, ascending.
     points: Vec<i64>,
+    /// The intersections `[P1, P2)` of the group being swept, ascending
+    /// and distinct.
+    pairs: Vec<(i64, i64)>,
 }
 
 /// The adjusted tuples of one call: the input row each one's data come
@@ -391,66 +384,45 @@ pub(crate) fn check_interval(what: &str, s: i64, e: i64) -> EngineResult<()> {
 
 impl Sweep {
     /// Sweep the group `s..g` of `w` (Fig. 10): the uncovered pieces
-    /// before each split point, the intersections (alignment), and the
-    /// uncovered tail of the `r` tuple's interval.
+    /// before each intersection, the intersections (alignment), and the
+    /// uncovered tail of the `r` tuple's interval. The join delivers a
+    /// group's intersections in its own order and once per matching `s`
+    /// tuple, so they are sorted here unless already ascending, then
+    /// deduplicated — Def. 10's set of intersections.
     fn group(&mut self, w: &RowBatch, s: usize, g: usize, out: &mut Adjusted) -> EngineResult<()> {
         let ts = int_in(w, self.ts_idx, s, "adjustment ts")?;
         let te = int_in(w, self.te_idx, s, "adjustment te")?;
         check_interval("adjustment", ts, te)?;
-        if self.mode == AdjustMode::Normalize {
+        let Some(p2_idx) = self.p2_idx else {
             self.split(w, s, g, ts, te, out);
             return Ok(());
-        }
-        let (p1c, p2c) = (w.column(self.p1_idx), self.p2_idx.map(|c| w.column(c)));
-        let p2_at = |i: usize| p2c.and_then(|c| c.int_at(i));
-        let mut push = |this: &mut Self, i: usize, s: i64, e: i64| {
-            out.push(i, s, e);
-            this.last_out = Some((s, e));
-            this.last_same_data = true;
         };
+        let (p1c, p2c) = (w.column(self.p1_idx), w.column(p2_idx));
+        self.pairs.clear();
+        // The ω row of an r tuple that matched nothing has NULL P1 and P2.
+        self.pairs
+            .extend((s..g).filter_map(|i| Some((p1c.int_at(i)?, p2c.int_at(i)?))));
+        if !self.pairs.is_sorted() {
+            self.pairs.sort_unstable();
+        }
+        self.pairs.dedup();
         let mut sweepline = ts;
-        for i in s..g {
-            let p1 = p1c.int_at(i);
+        for &(p1, p2) in &self.pairs {
             // First block: the uncovered piece [sweepline, P1).
-            if let Some(p1v) = p1 {
-                if sweepline < p1v {
-                    push(self, i, sweepline, p1v);
-                    sweepline = p1v;
-                }
+            if sweepline < p1 {
+                out.push(s, sweepline, p1);
+                sweepline = p1;
             }
-            // Second block (also entered when P1 is ω, i.e. the r tuple
-            // matched nothing): the precomputed intersection [P1, P2),
-            // unless it repeats the previous output.
-            match self.mode {
-                AdjustMode::Align => {
-                    if let (Some(p1v), Some(p2v)) = (p1, p2_at(i)) {
-                        let repeat = self.last_same_data && self.last_out == Some((p1v, p2v));
-                        if !repeat {
-                            sweepline = sweepline.max(p2v);
-                            push(self, i, p1v, p2v);
-                        }
-                    }
-                }
-                // Advance over the covered region without emitting the
-                // intersection.
-                AdjustMode::GapsOnly => {
-                    if let Some(p2v) = p2_at(i) {
-                        sweepline = sweepline.max(p2v);
-                    }
-                }
-                // Swept by `split`.
-                AdjustMode::Normalize => {}
+            // Second block: the intersection [P1, P2) (alignment only),
+            // then the sweepline moves over the covered region.
+            if self.mode == AdjustMode::Align {
+                out.push(s, p1, p2);
             }
+            sweepline = sweepline.max(p2);
         }
         // Third block: the group ended — the uncovered tail.
         if sweepline < te {
-            push(self, g - 1, sweepline, te);
-        }
-        // The duplicate test compares data across groups only through the
-        // last output, which (alignment emits at least one tuple per
-        // non-empty group) came from this group.
-        if g < w.len() {
-            self.last_same_data &= w.rows_eq(g - 1, w, g, 0..self.ts_idx);
+            out.push(s, sweepline, te);
         }
         Ok(())
     }
@@ -459,8 +431,7 @@ impl Sweep {
     /// `[ts, te)`: the pieces between consecutive split points. The join
     /// delivers a group's split points in its own order — ascending from
     /// range-ordered hash buckets, in build or right-input order otherwise
-    /// — so they are sorted here unless already ascending. No state
-    /// crosses groups, so the groups may come in any order.
+    /// — so they are sorted here unless already ascending.
     fn split(&mut self, w: &RowBatch, s: usize, g: usize, ts: i64, te: i64, out: &mut Adjusted) {
         let p1c = w.column(self.p1_idx);
         self.points.clear();
@@ -481,11 +452,9 @@ impl Sweep {
 
 impl AdjustmentExec {
     /// `input` rows start with the full `r` tuple and hold `P1`/`P2` at
-    /// `p1_idx`/`p2_idx`, each `r` tuple's rows together; `out_schema` is
-    /// `r`'s schema. Alignment and the gaps-only sweep need their input
-    /// sorted by `(r.*, P1, P2)` — the duplicate test compares adjacent
-    /// groups — while normalization orders each group's split points
-    /// itself and needs the groups of distinct `r` tuples only.
+    /// `p1_idx`/`p2_idx`, each distinct `r` tuple's rows together, in any
+    /// order; `out_schema` is `r`'s schema. The sweep orders each group's
+    /// points itself.
     pub fn new(
         input: BoxedExec,
         out_schema: Schema,
@@ -506,9 +475,8 @@ impl AdjustmentExec {
                 te_idx: r_width - 1,
                 p1_idx,
                 p2_idx,
-                last_out: None,
-                last_same_data: false,
                 points: Vec::new(),
+                pairs: Vec::new(),
             },
             pos: 0,
             pending: None,
@@ -734,6 +702,35 @@ mod tests {
         assert!(fast.same_set(&expected), "got:\n{fast}");
         let slow = align_ref(&r, &s, &Theta::Predicate(theta)).unwrap();
         assert!(fast.same_set(&slow));
+    }
+
+    /// Two value-equivalent overlapping `r` tuples: the second one's
+    /// intersection `[5, 10)` repeats the first one's last output, and is
+    /// still an intersection of its own (Def. 10), so its sweep moves past
+    /// it to the gap `[10, 12)`. Under every join method.
+    #[test]
+    fn value_equivalent_r_tuples_are_aligned_independently() {
+        let ints = |name: &str, rows: &[(i64, i64, i64)]| {
+            TemporalRelation::from_rows(
+                Schema::new(vec![Column::qualified(name, "k", DataType::Int)]),
+                rows.iter()
+                    .map(|&(k, s, e)| (vec![Value::Int(k)], Interval::of(s, e)))
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let r = ints("r", &[(1, 0, 10), (1, 5, 20)]);
+        let s = ints("s", &[(7, 5, 10), (8, 12, 20)]);
+        let slow = align_ref(&r, &s, &Theta::True).unwrap();
+        let want = ints(
+            "r",
+            &[(1, 0, 5), (1, 5, 10), (1, 5, 10), (1, 10, 12), (1, 12, 20)],
+        );
+        assert!(slow.same_set(&want), "reference:\n{slow}");
+        for config in [PlannerConfig::all_enabled(), PlannerConfig::nestloop_only()] {
+            let fast = aligned(&r, &s, None, &Planner::new(config));
+            assert_eq!(fast.sorted().rel().rows(), slow.sorted().rel().rows());
+        }
     }
 
     #[test]

@@ -44,12 +44,11 @@ pub struct StorageScanExec {
     end: usize,
     /// Record-level form of the pruning bounds, when the scan has any.
     bounds: Option<RecordBounds>,
-    /// The statement snapshot this scan is clamped to, resolved from the
-    /// execution state on first pull (constructors don't see the state).
-    /// Pages past the snapshot are skipped and the snapshot's tail page is
-    /// decoded as a prefix, so the scan never observes a concurrent
-    /// writer's in-flight appends.
-    snapshot: Option<HeapSnapshot>,
+    /// The statement snapshot this scan is clamped to, fixed when the scan
+    /// is built: a whole-heap scan ends at its last visible page, pages
+    /// past it are skipped and its tail page is decoded as a prefix, so the
+    /// scan never observes a concurrent writer's in-flight appends.
+    snapshot: HeapSnapshot,
     /// Per-plan-node page ledger (`EXPLAIN ANALYZE`): when attached, page
     /// reads are credited to the originating plan node; a plain run counts
     /// nothing.
@@ -57,15 +56,16 @@ pub struct StorageScanExec {
 }
 
 impl StorageScanExec {
-    /// Scan every page of the heap.
-    pub fn new(table: Arc<StoredTable>) -> Self {
+    /// Scan every page of the heap that `snapshot` (the statement's, from
+    /// [`ExecutionState::snapshot_for`]) sees.
+    pub fn new(table: Arc<StoredTable>, snapshot: HeapSnapshot) -> Self {
         StorageScanExec {
-            end: table.page_count() as usize,
+            end: snapshot.visible_pages() as usize,
             table,
             pages: None,
             next: 0,
             bounds: None,
-            snapshot: None,
+            snapshot,
             ledger: None,
         }
     }
@@ -74,11 +74,15 @@ impl StorageScanExec {
     /// where `pages` is what survived a zone-map sweep (whole pages) or
     /// an interval-index probe. The list must be ascending by page, and a
     /// page's ranges disjoint, or a record decodes twice.
-    pub fn with_page_list(table: Arc<StoredTable>, pages: Arc<Vec<SlotRange>>) -> Self {
+    pub fn with_page_list(
+        table: Arc<StoredTable>,
+        snapshot: HeapSnapshot,
+        pages: Arc<Vec<SlotRange>>,
+    ) -> Self {
         StorageScanExec {
             end: pages.len(),
             pages: Some(pages),
-            ..Self::new(table)
+            ..Self::new(table, snapshot)
         }
     }
 
@@ -110,10 +114,8 @@ impl ExecNode for StorageScanExec {
     /// the query via [`ExecutionState::snapshot_for`]): on fully-visible
     /// pages as they are, on the snapshot's tail page up to the
     /// watermark, and on pages appended after the snapshot not at all.
-    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        let snap = *self
-            .snapshot
-            .get_or_insert_with(|| state.snapshot_for(&self.table));
+    fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        let snap = self.snapshot;
         let mut out = BatchBuilder::new(self.table.schema().len());
         while out.len() < BATCH_SIZE && self.next < self.end {
             let whole = [(self.next as PageId, ALL_SLOTS)];
@@ -155,6 +157,7 @@ impl ExecNode for StorageScanExec {
 mod tests {
     use super::*;
     use crate::exec::{collect, BoxedExec};
+    use crate::plan::PhysicalPlan;
     use crate::schema::{Column, DataType};
     use crate::tuple::Row;
     use crate::value::Value;
@@ -178,11 +181,16 @@ mod tests {
         Arc::new(t)
     }
 
+    /// A scan of every page `t` holds now.
+    fn whole(t: &Arc<StoredTable>) -> StorageScanExec {
+        StorageScanExec::new(t.clone(), t.snapshot())
+    }
+
     #[test]
     fn batch_scan_streams_and_preserves_order() {
         let t = stored("order.heap", 5000, 2);
         assert!(t.page_count() > 2);
-        let scan: BoxedExec = Box::new(StorageScanExec::new(t.clone()));
+        let scan: BoxedExec = Box::new(whole(&t));
         let out = collect(scan, &ExecutionState::default()).unwrap();
         assert_eq!(out.len(), 5000);
         for (i, r) in out.rows().iter().enumerate() {
@@ -193,7 +201,7 @@ mod tests {
     #[test]
     fn empty_table_scans_empty() {
         let t = stored("empty.heap", 0, 2);
-        let mut scan = StorageScanExec::new(t);
+        let mut scan = whole(&t);
         let state = ExecutionState::default();
         assert!(scan.next_batch(&state).unwrap().is_none());
         assert!(scan.next_batch(&state).unwrap().is_none());
@@ -209,7 +217,7 @@ mod tests {
         let ledger = Arc::new(OperatorStats::default());
         let out = collect(
             Box::new(
-                StorageScanExec::with_page_list(t.clone(), list.clone())
+                StorageScanExec::with_page_list(t.clone(), t.snapshot(), list.clone())
                     .with_ledger(ledger.clone()),
             ) as BoxedExec,
             &ExecutionState::default(),
@@ -217,11 +225,7 @@ mod tests {
         .unwrap();
         let pages_read = ledger.pages_read.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(pages_read, list.len() as u64);
-        let whole = collect(
-            Box::new(StorageScanExec::new(t)) as BoxedExec,
-            &ExecutionState::default(),
-        )
-        .unwrap();
+        let whole = collect(Box::new(whole(&t)) as BoxedExec, &ExecutionState::default()).unwrap();
         assert!(!out.is_empty() && out.len() < whole.len());
         // Rows on even pages only, in page order.
         let ids: Vec<i64> = out
@@ -247,7 +251,7 @@ mod tests {
         let ledger = Arc::new(OperatorStats::default());
         let out = collect(
             Box::new(
-                StorageScanExec::with_page_list(t.clone(), Arc::new(list))
+                StorageScanExec::with_page_list(t.clone(), t.snapshot(), Arc::new(list))
                     .with_ledger(ledger.clone()),
             ) as BoxedExec,
             &ExecutionState::default(),
@@ -283,18 +287,43 @@ mod tests {
         assert_eq!(t.row_count(), 2500);
         // Full scan under the pinned state sees exactly the old prefix.
         let out = collect(
-            Box::new(StorageScanExec::new(t.clone())) as BoxedExec,
+            Box::new(StorageScanExec::new(t.clone(), snap)) as BoxedExec,
             &state,
         )
         .unwrap();
         assert_eq!(out.len(), 1000);
         assert_eq!(out.rows().last().unwrap()[0], Value::Int(999));
         // A fresh state snapshots the current heap and sees everything.
-        let fresh = collect(
-            Box::new(StorageScanExec::new(t)) as BoxedExec,
-            &ExecutionState::default(),
-        )
-        .unwrap();
+        let fresh = collect(Box::new(whole(&t)) as BoxedExec, &ExecutionState::default()).unwrap();
         assert_eq!(fresh.len(), 2500);
+    }
+
+    /// The statement snapshot is fixed when the executor tree is built, not
+    /// on the first pull: a batch appended in between that spills onto a
+    /// new page shows none of its rows, on the old tail page or the new.
+    #[test]
+    fn a_scan_sees_the_snapshot_of_its_build_not_of_its_first_pull() {
+        let t = stored("snapbuild.heap", 1000, 4);
+        let state = ExecutionState::default();
+        let plan = PhysicalPlan::StorageScan {
+            table: t.clone(),
+            label: "t".into(),
+            bounds: None,
+        };
+        let scan = plan.execute(&state).unwrap();
+        let pages = t.page_count();
+        let mut next = 1000;
+        while t.page_count() == pages {
+            t.append_row(&Row::new(vec![
+                Value::Int(next),
+                Value::str(format!("r{next}")),
+            ]))
+            .unwrap();
+            next += 1;
+        }
+        assert!(next > 1001, "the old tail page had room for some rows");
+        let out = collect(scan, &state).unwrap();
+        assert_eq!(out.len(), 1000, "rows appended after the build leaked in");
+        assert_eq!(out.rows().last().unwrap()[0], Value::Int(999));
     }
 }

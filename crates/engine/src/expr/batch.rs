@@ -101,9 +101,9 @@ impl Expr {
     /// Evaluate against every row of a batch at once. Returns one column,
     /// row for row exactly what per-row [`Expr::eval`] calls would produce.
     /// A column reference is the input column itself (an `Arc` clone);
-    /// integer arithmetic, comparisons, `DUR` and `GREATEST`/`LEAST` over
-    /// `Int` columns run as `i64` kernels through the engine's one checked
-    /// integer arithmetic ([`int_arith`]).
+    /// integer arithmetic, comparisons, `DUR`, `GREATEST`/`LEAST` and
+    /// `COALESCE` over `Int` columns run as `i64` kernels through the
+    /// engine's one checked integer arithmetic ([`int_arith`]).
     pub fn eval_batch(&self, batch: &RowBatch) -> EngineResult<Arc<ColumnVec>> {
         if let Some(c) = self.eval_typed(batch)? {
             return Ok(c);
@@ -158,6 +158,15 @@ impl Expr {
                 None => None,
             })
         };
+        // Only column and literal arguments: no argument can fail, so the
+        // row path's stop at the first NULL (GREATEST/LEAST) or non-NULL
+        // (COALESCE) argument cannot be observed.
+        let int_args = |args: &[Expr]| -> EngineResult<Option<Vec<IntIn>>> {
+            if args.is_empty() || args.iter().any(|a| PredOperand::of(a).is_none()) {
+                return Ok(None);
+            }
+            args.iter().map(|a| IntIn::of(a, batch)).collect()
+        };
         let arith = |op: char, ins: [IntIn; 2]| -> EngineResult<Option<Arc<ColumnVec>>> {
             let (vals, valid) = int_kernel(n, &ins, |a| int_arith(op, a[0], a[1]))?;
             Ok(Some(Arc::new(ColumnVec::masked(
@@ -204,17 +213,10 @@ impl Expr {
                 }
                 None => Ok(None),
             },
-            // Only column and literal arguments: the row path stops at the
-            // first NULL argument, which cannot be observed when no
-            // argument can fail.
-            Expr::Func(f @ (Func::Greatest | Func::Least), args)
-                if !args.is_empty() && args.iter().all(|a| PredOperand::of(a).is_some()) =>
-            {
-                let ins: Option<Vec<IntIn>> = args
-                    .iter()
-                    .map(|a| IntIn::of(a, batch))
-                    .collect::<EngineResult<_>>()?;
-                let Some(ins) = ins else { return Ok(None) };
+            Expr::Func(f @ (Func::Greatest | Func::Least), args) => {
+                let Some(ins) = int_args(args)? else {
+                    return Ok(None);
+                };
                 let greatest = *f == Func::Greatest;
                 let (vals, valid) = int_kernel(n, &ins, |a| {
                     Ok(if greatest {
@@ -224,6 +226,22 @@ impl Expr {
                     }
                     .expect("non-empty"))
                 })?;
+                Ok(Some(Arc::new(ColumnVec::masked(
+                    ColumnData::Int(vals),
+                    valid,
+                ))))
+            }
+            // The first valid argument, else NULL.
+            Expr::Func(Func::Coalesce, args) => {
+                let Some(ins) = int_args(args)? else {
+                    return Ok(None);
+                };
+                let (vals, valid) = (0..n)
+                    .map(|i| match ins.iter().find_map(|a| a.get(i)) {
+                        Some(x) => (x, true),
+                        None => (0, false),
+                    })
+                    .unzip();
                 Ok(Some(Arc::new(ColumnVec::masked(
                     ColumnData::Int(vals),
                     valid,
@@ -748,6 +766,50 @@ mod tests {
         let e = Expr::Func(Func::Coalesce, vec![col(0), col(0).add(col(1))]);
         assert_eq!(e.eval(rs[0].values()).unwrap(), Value::Int(1));
         assert_eq!(e.eval_batch(&b).unwrap().value(0), Value::Int(1));
+    }
+
+    #[test]
+    fn coalesce_kernel_matches_rowwise() {
+        let coalesce = |args: Vec<Expr>| Expr::Func(Func::Coalesce, args);
+        // A NULL in every argument position, and rows NULL throughout.
+        let (b, rs) = batch(vec![
+            vec![Value::Null, Value::Int(2), Value::Int(3)],
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Int(1), Value::Int(2), Value::Null],
+            vec![Value::Null, Value::Null, Value::Int(3)],
+            vec![Value::Null, Value::Null, Value::Null],
+        ]);
+        let (nulls, null_rows) = batch(vec![vec![Value::Null; 3]; 3]);
+        for e in [
+            coalesce(vec![col(0), col(1), col(2)]),
+            coalesce(vec![col(2), col(1), col(0)]),
+            coalesce(vec![lit(7i64), col(0)]),
+            coalesce(vec![col(0), col(1), lit(9i64)]),
+            coalesce(vec![col(0), lit(Value::Null), col(2)]),
+            coalesce(vec![col(1)]),
+        ] {
+            assert!(e.eval_typed(&b).unwrap().is_some(), "{e} takes the kernel");
+            assert_matches_rowwise(&e, &b, &rs);
+            assert_matches_rowwise(&e, &nulls, &null_rows);
+        }
+        // An Int column beside a Double or Str argument: the value path.
+        let (mixed, mixed_rows) = batch(vec![
+            vec![Value::Null, Value::Double(2.5), Value::str("x")],
+            vec![Value::Int(1), Value::Double(0.5), Value::str("y")],
+            vec![Value::Null, Value::Null, Value::Null],
+        ]);
+        for e in [
+            coalesce(vec![col(0), col(1)]),
+            coalesce(vec![col(0), col(2)]),
+            coalesce(vec![col(0), lit(1.5)]),
+            coalesce(vec![col(0), lit("z")]),
+        ] {
+            assert!(
+                e.eval_typed(&mixed).unwrap().is_none(),
+                "{e} takes the value path"
+            );
+            assert_matches_rowwise(&e, &mixed, &mixed_rows);
+        }
     }
 
     #[test]

@@ -309,6 +309,9 @@ impl PhysicalPlan {
         Ok(match self {
             PhysicalPlan::SeqScan { rel, .. } => Box::new(SeqScanExec::new(rel.clone())),
             PhysicalPlan::StorageScan { table, .. } | PhysicalPlan::IndexScan { table, .. } => {
+                // One statement snapshot, fixed here, before any page
+                // list is resolved or any page is read.
+                let snap = state.snapshot_for(table);
                 match self.resolve_scan_pages(state)? {
                     Some((pages, bounds, key_filtered)) => {
                         // The one accounting site for page skips: every
@@ -316,15 +319,16 @@ impl PhysicalPlan {
                         // or skipped, as on a full scan, which reads them
                         // all.
                         if let Some(ins) = state.instrumentation() {
-                            let seen = state.snapshot_for(table).visible_pages() as usize;
+                            let seen = snap.visible_pages() as usize;
                             let read = pages.chunk_by(|a, b| a.0 == b.0).count();
                             ins.op(self.node_key())
                                 .note_pages_skipped((seen - read) as u64, key_filtered);
                         }
-                        let scan = StorageScanExec::with_page_list(table.clone(), Arc::new(pages));
+                        let scan =
+                            StorageScanExec::with_page_list(table.clone(), snap, Arc::new(pages));
                         self.boxed_scan(scan.with_bounds(&bounds), state)
                     }
-                    None => self.boxed_scan(StorageScanExec::new(table.clone()), state),
+                    None => self.boxed_scan(StorageScanExec::new(table.clone(), snap), state),
                 }
             }
             PhysicalPlan::Filter { input, predicate } => Box::new(FilterExec::new(

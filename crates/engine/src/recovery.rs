@@ -182,11 +182,11 @@ pub fn recover(
     }
 
     // Settle every heap the replay touched: drop torn tails the log did
-    // not cover, recount rows from the (validated) pages and flush.
+    // not cover and recount rows from the (validated) pages; `close`
+    // below flushes and syncs each once.
     for (name, t) in &open {
         report.pages_trimmed += t.heap.trim_corrupt_tail()?;
         let rows = t.heap.recount_rows()?;
-        t.heap.flush()?;
         manifest.insert(
             name.clone(),
             TableMeta {

@@ -287,3 +287,70 @@ pub fn physical(db: &Database, plan: &TemporalPlan) -> PhysicalPlan {
     db.read(|catalog, planner| planner.plan(plan.logical(), catalog))
         .unwrap()
 }
+
+// ---- the adjustment plans under every join method (normalize_plan.rs,
+// align_plan.rs) -----------------------------------------------------------
+
+pub fn int(v: i64) -> Value {
+    Value::Int(v)
+}
+
+pub fn dbl(v: f64) -> Value {
+    Value::Double(v)
+}
+
+pub const NULL: Value = Value::Null;
+
+/// A table as SQL may hold it — NULL data, a key column mixing `Int` and
+/// `Double`, NULL bounds — with data columns `names` and then `ts`, `te`.
+pub fn table(name: &str, names: &[&str], rows: Vec<Vec<Value>>) -> Relation {
+    let mut cols: Vec<Column> = names
+        .iter()
+        .map(|n| Column::qualified(name, *n, DataType::Int))
+        .collect();
+    cols.push(Column::qualified(name, "ts", DataType::Int));
+    cols.push(Column::qualified(name, "te", DataType::Int));
+    Relation::from_values(Schema::new(cols), rows).unwrap()
+}
+
+/// The planner settings that force each join method the planner has for
+/// a group-construction join: hash, merge and nested loop for a keyed
+/// condition, nested loop and the interval join for an overlap alone.
+pub fn join_methods(keyed: bool) -> Vec<(&'static str, PlannerConfig)> {
+    let only = |hash: bool, merge: bool, nestloop: bool, interval: bool| PlannerConfig {
+        enable_hashjoin: hash,
+        enable_mergejoin: merge,
+        enable_nestloop: nestloop,
+        enable_intervaljoin_auto: interval,
+        ..PlannerConfig::default()
+    };
+    if keyed {
+        vec![
+            ("HashJoin", only(true, false, false, false)),
+            ("MergeJoin", only(false, true, false, false)),
+            ("NestedLoopJoin", only(false, false, true, false)),
+        ]
+    } else {
+        vec![
+            ("NestedLoopJoin", only(false, false, true, false)),
+            ("IntervalJoin", only(false, false, false, true)),
+        ]
+    }
+}
+
+/// `s` rows listed latest first, so a join that keeps the right side's
+/// order (the nested loop, the interval join's active set) delivers each
+/// group's points out of order.
+pub fn s_descending() -> Relation {
+    table(
+        "s",
+        &["k"],
+        vec![
+            vec![int(1), int(15), int(18)],
+            vec![int(2), int(11), int(30)],
+            vec![int(1), int(9), int(13)],
+            vec![int(2), int(5), int(7)],
+            vec![int(1), int(2), int(4)],
+        ],
+    )
+}

@@ -14,6 +14,10 @@ use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand, random_like_incumben};
 
+mod common;
+
+use common::{dbl, int, join_methods, s_descending, table, NULL};
+
 fn check(label: &str, r: &TemporalRelation, s: &TemporalRelation, b: &[(usize, usize)]) {
     let slow = normalize_ref(r, s, b).unwrap();
     let fast = TemporalPlan::scan(r)
@@ -119,53 +123,6 @@ fn the_sweep_reads_the_join_row_directly() {
 
 // ---- every join method, on the inputs the sweep must get right --------
 
-fn int(v: i64) -> Value {
-    Value::Int(v)
-}
-
-fn dbl(v: f64) -> Value {
-    Value::Double(v)
-}
-
-const NULL: Value = Value::Null;
-
-/// A table as SQL may hold it — NULL data, a key column mixing `Int` and
-/// `Double`, NULL bounds — with data columns `names` and then `ts`, `te`.
-fn table(name: &str, names: &[&str], rows: Vec<Vec<Value>>) -> Relation {
-    let mut cols: Vec<Column> = names
-        .iter()
-        .map(|n| Column::qualified(name, *n, DataType::Int))
-        .collect();
-    cols.push(Column::qualified(name, "ts", DataType::Int));
-    cols.push(Column::qualified(name, "te", DataType::Int));
-    Relation::from_values(Schema::new(cols), rows).unwrap()
-}
-
-/// The planner settings that force each join method the planner has for
-/// the group-construction join: hash, merge and nested loop for a keyed
-/// normalization, nested loop and the interval join for `N_{}`.
-fn join_methods(keyed: bool) -> Vec<(&'static str, PlannerConfig)> {
-    let only = |hash: bool, merge: bool, nestloop: bool, interval: bool| PlannerConfig {
-        enable_hashjoin: hash,
-        enable_mergejoin: merge,
-        enable_nestloop: nestloop,
-        enable_intervaljoin_auto: interval,
-        ..PlannerConfig::default()
-    };
-    if keyed {
-        vec![
-            ("HashJoin", only(true, false, false, false)),
-            ("MergeJoin", only(false, true, false, false)),
-            ("NestedLoopJoin", only(false, false, true, false)),
-        ]
-    } else {
-        vec![
-            ("NestedLoopJoin", only(false, false, true, false)),
-            ("IntervalJoin", only(false, false, false, true)),
-        ]
-    }
-}
-
 /// `N_b(r; s)` planned under `config`, after checking that `join` feeds
 /// the sweep directly and joins `DISTINCT r`.
 fn run_under(
@@ -258,23 +215,6 @@ fn check_oracle_projection(label: &str, r: &Relation, b: &[usize]) {
             "{label}, π_{b:?} under {join}:\ngot:\n{got}\nwant:\n{want}"
         );
     }
-}
-
-/// `s` rows listed latest first, so a join that keeps the right side's
-/// order (the nested loop, the interval join's active set) delivers each
-/// group's split points out of order.
-fn s_descending() -> Relation {
-    table(
-        "s",
-        &["k"],
-        vec![
-            vec![int(1), int(15), int(18)],
-            vec![int(2), int(11), int(30)],
-            vec![int(1), int(9), int(13)],
-            vec![int(2), int(5), int(7)],
-            vec![int(1), int(2), int(4)],
-        ],
-    )
 }
 
 #[test]

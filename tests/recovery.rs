@@ -172,6 +172,36 @@ fn committed_inserts_survive_a_crash() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Recovery syncs each heap it replayed into once, when it closes it;
+/// `Database::open`'s checkpoint then syncs each table once more. A
+/// table the log does not touch is synced by the checkpoint alone.
+#[test]
+fn recovery_syncs_each_replayed_heap_once() {
+    let dir = scratch("crash-syncs");
+    let (base, _) = ddisj(20);
+    let db = Database::open(&dir).unwrap();
+    for name in ["a", "b", "untouched"] {
+        db.register(name, &base).unwrap();
+    }
+    db.checkpoint().unwrap();
+    for name in ["a", "b"] {
+        db.insert_rows(name, vec![row(1_000, 0, 5)]).unwrap();
+    }
+    crash(db);
+
+    let db = Database::open(&dir).unwrap();
+    let syncs = db.metrics_snapshot().counters["pool.io_syncs"];
+    // Two replayed heaps closed by recovery, three tables checkpointed.
+    assert_eq!(
+        syncs,
+        2 + 3,
+        "pool.io_syncs after replaying two of three tables"
+    );
+    assert_eq!(collect_rows(&db, "a").len(), 21);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Parse the WAL's frame boundaries: byte offsets where each record
 /// starts, after the 8-byte file header. Frame = `[len u32][crc u32]
 /// [lsn u64][payload]`.

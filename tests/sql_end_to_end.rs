@@ -6,6 +6,7 @@ mod common;
 
 use common::{paper_p, paper_r, random_trel};
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
 use temporal_alignment::sql::Session;
@@ -224,6 +225,53 @@ fn right_and_full_outer_joins_via_sql() {
         sql_out.same_set(&api_out),
         "sql:\n{sql_out}\napi:\n{api_out}"
     );
+}
+
+/// `r ⟕ᵀ s` by its reduction, where two value-equivalent `r` tuples
+/// overlap: at t = 7 both match `s`'s 7, and the second tuple's
+/// intersection `[5, 10)` (the first one's, repeated) must not hide its gap
+/// `[10, 12)` — once returned as `(1, ω, [5, 12))`.
+#[test]
+fn left_outer_join_of_value_equivalent_tuples_matches_the_oracle() {
+    let r = TemporalRelation::from_rows(
+        Schema::new(vec![Column::qualified("r", "k", DataType::Int)]),
+        vec![
+            (vec![Value::Int(1)], Interval::of(0, 10)),
+            (vec![Value::Int(1)], Interval::of(5, 20)),
+        ],
+    )
+    .unwrap();
+    let s = TemporalRelation::from_rows(
+        Schema::new(vec![Column::qualified("s", "k", DataType::Int)]),
+        vec![
+            (vec![Value::Int(7)], Interval::of(5, 10)),
+            (vec![Value::Int(8)], Interval::of(12, 20)),
+        ],
+    )
+    .unwrap();
+    let want = evaluate_oracle(&TemporalOp::LeftOuterJoin { theta: None }, &[&r, &s]).unwrap();
+    let mut session = Session::new();
+    session.register("r", &r).unwrap();
+    session.register("s", &s).unwrap();
+    for (hash, nestloop) in [(true, true), (true, false), (false, true)] {
+        session
+            .execute(&format!("SET enable_hashjoin = {hash}"))
+            .unwrap();
+        session
+            .execute(&format!("SET enable_nestloop = {nestloop}"))
+            .unwrap();
+        let got = session
+            .query_temporal(
+                "SELECT ABSORB x.k, y.k, x.ts, x.te \
+                 FROM (r ALIGN s ON true) x \
+                 LEFT OUTER JOIN (s ALIGN r ON true) y ON x.ts = y.ts AND x.te = y.te",
+            )
+            .unwrap();
+        assert!(
+            got.same_set(&want),
+            "hash={hash} nestloop={nestloop}:\ngot:\n{got}\nwant:\n{want}"
+        );
+    }
 }
 
 #[test]
