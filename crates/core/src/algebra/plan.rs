@@ -15,10 +15,11 @@
 //!
 //! * the reduction rules are self-referencing (a reduced θ-join aligns
 //!   `r` with `s` *and* `s` with `r`; group-based operators normalize
-//!   their input against itself), so a composed operand would be
-//!   re-executed several times — unless it is a cheap-to-rescan leaf, the
-//!   builder wraps it in a [`SpoolNode`] whose clones share one
-//!   materialization;
+//!   their input against itself), so a composed operand occurs several
+//!   times in the plan — the planner evaluates each composed subplan a
+//!   plan repeats once, behind one spool
+//!   ([`temporal_engine::plan::share`]), and leaves cheap-to-rescan leaves
+//!   as they are;
 //! * the planner's rewrite pass pushes non-timestamp selections across
 //!   the alignment/normalization/absorb extension nodes (via their
 //!   pass-through hooks), so a late σᵀ filters base relations early.
@@ -31,7 +32,6 @@
 //! step that causes it. Nothing executes until [`TemporalPlan::run`].
 
 use temporal_engine::catalog::Catalog;
-use temporal_engine::plan::SpoolNode;
 use temporal_engine::prelude::*;
 
 use crate::error::{TemporalError, TemporalResult};
@@ -50,31 +50,6 @@ use super::{
 #[derive(Debug, Clone)]
 pub struct TemporalPlan {
     plan: LogicalPlan,
-}
-
-/// Is this subtree cheap to execute more than once? Leaf scans share their
-/// relation, and a pipelined filter/projection over them re-evaluates a
-/// few expressions per row — cheaper than materializing, and it keeps the
-/// subtree transparent to filter pushdown.
-fn cheap_to_rescan(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::TableScan { .. } | LogicalPlan::InlineScan { .. } => true,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            cheap_to_rescan(input)
-        }
-        _ => false,
-    }
-}
-
-/// An operand that the reduction rules will reference more than once:
-/// cheap subtrees are used as-is, composed subtrees are spooled so every
-/// reference shares one materialization.
-fn shared_operand(plan: LogicalPlan) -> LogicalPlan {
-    if cheap_to_rescan(&plan) {
-        plan
-    } else {
-        SpoolNode::shared(plan)
-    }
 }
 
 fn check_temporal(schema: &Schema, what: &str) -> TemporalResult<()> {
@@ -230,12 +205,7 @@ impl TemporalPlan {
     ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         Ok(TemporalPlan {
-            plan: reduce_join(
-                shared_operand(self.plan),
-                shared_operand(other.plan),
-                join_type,
-                theta,
-            )?,
+            plan: reduce_join(self.plan, other.plan, join_type, theta)?,
         })
     }
 
@@ -247,7 +217,7 @@ impl TemporalPlan {
     ) -> TemporalResult<TemporalPlan> {
         let theta = self.resolve_theta(&other, theta)?;
         Ok(TemporalPlan {
-            plan: reduce_antijoin(shared_operand(self.plan), shared_operand(other.plan), theta)?,
+            plan: reduce_antijoin(self.plan, other.plan, theta)?,
         })
     }
 
@@ -287,7 +257,7 @@ impl TemporalPlan {
     pub fn projection<C: Into<ColumnRef> + Clone>(self, b: &[C]) -> TemporalResult<TemporalPlan> {
         let b = resolve_columns(&self.plan.schema(), b)?;
         Ok(TemporalPlan {
-            plan: reduce_projection(shared_operand(self.plan), &b)?,
+            plan: reduce_projection(self.plan, &b)?,
         })
     }
 
@@ -313,7 +283,7 @@ impl TemporalPlan {
             })
             .collect::<TemporalResult<Vec<_>>>()?;
         Ok(TemporalPlan {
-            plan: reduce_aggregation(shared_operand(self.plan), &b, aggs)?,
+            plan: reduce_aggregation(self.plan, &b, aggs)?,
         })
     }
 
@@ -334,7 +304,7 @@ impl TemporalPlan {
 
     fn setop(self, kind: SetOpKind, other: TemporalPlan) -> TemporalResult<TemporalPlan> {
         Ok(TemporalPlan {
-            plan: reduce_setop(kind, shared_operand(self.plan), shared_operand(other.plan))?,
+            plan: reduce_setop(kind, self.plan, other.plan)?,
         })
     }
 
@@ -371,7 +341,7 @@ impl TemporalPlan {
             })
             .collect::<TemporalResult<Vec<_>>>()?;
         Ok(TemporalPlan {
-            plan: normalize_plan(self.plan, shared_operand(other.plan), &b)?,
+            plan: normalize_plan(self.plan, other.plan, &b)?,
         })
     }
 

@@ -7,10 +7,12 @@
 //! implementation also removes exact duplicate rows, which the surrounding
 //! set semantics requires anyway.
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
-use temporal_engine::batch::RowBatch;
-use temporal_engine::exec::{ExecNode, ExecutionState, SortExec};
+use temporal_engine::batch::{group_rows, RowBatch, BATCH_SIZE};
+use temporal_engine::exec::{collect_batch, ExecNode, ExecutionState};
 
 use crate::primitives::adjustment::{check_interval, int_in};
 use temporal_engine::plan::ExtensionNode;
@@ -39,7 +41,7 @@ pub fn absorb_ref(r: &TemporalRelation) -> TemporalResult<TemporalRelation> {
     TemporalRelation::from_rows(r.data_schema(), out)
 }
 
-/// Logical extension node for α. Self-contained: sorts its input itself.
+/// Logical extension node for α. Self-contained: groups its input itself.
 #[derive(Debug)]
 pub struct AbsorbNode {
     input: LogicalPlan,
@@ -77,14 +79,20 @@ impl ExtensionNode for AbsorbNode {
         self.schema.clone()
     }
 
+    /// α has no parameters: two absorbs over equal inputs are one.
+    fn same_computation(&self, other: &dyn ExtensionNode) -> bool {
+        other.as_any().is::<AbsorbNode>()
+    }
+
     fn estimate(
         &self,
         input_stats: &[temporal_engine::plan::PlanStats],
         model: &temporal_engine::plan::CostModel,
     ) -> temporal_engine::plan::PlanStats {
-        // Sorting dominates; absorb itself is one comparison per tuple.
-        let sorted = model.sort(input_stats[0]);
-        model.sweep(sorted, input_stats[0].rows * 0.9, 1.0)
+        // One hash-table insert per tuple to group it, then a comparison
+        // per tuple within its group.
+        let grouped = model.distinct(input_stats[0]);
+        model.sweep(grouped, input_stats[0].rows * 0.9, 1.0)
     }
 
     /// Absorption groups are keyed by *all* data columns, so a selection on
@@ -95,15 +103,7 @@ impl ExtensionNode for AbsorbNode {
     }
 
     fn build_exec(&self, mut children: Vec<BoxedExec>) -> EngineResult<BoxedExec> {
-        let child = children.remove(0);
-        let n = child.schema().len();
-        let (ts, te) = (n - 2, n - 1);
-        // Sort by all data columns, then ts ASC, te DESC.
-        let mut keys: Vec<SortKey> = (0..ts).map(|i| SortKey::asc(col(i))).collect();
-        keys.push(SortKey::asc(col(ts)));
-        keys.push(SortKey::desc(col(te)));
-        let sorted = Box::new(SortExec::new(child, keys));
-        Ok(Box::new(AbsorbExec::new(sorted)))
+        Ok(Box::new(AbsorbExec::new(children.remove(0))))
     }
 
     fn explain(&self) -> String {
@@ -111,58 +111,78 @@ impl ExtensionNode for AbsorbNode {
     }
 }
 
-/// Streaming absorb over sorted input: one `next_batch()` call filters a
-/// whole input batch through the group state, which survives between
-/// calls, so groups may span batch boundaries freely. The intervals are
-/// read as integers from the batch's columns and the survivors gathered.
+/// α over its whole input: the first pull collects the input, groups the
+/// rows by all data columns in a hash table (NULL = NULL) and keeps, in
+/// each group, the rows whose interval no other row of the group properly
+/// contains — and one row of each exact duplicate. The survivors come out
+/// in input order, [`BATCH_SIZE`] rows a pull.
 pub struct AbsorbExec {
     input: BoxedExec,
-    /// The last row seen (its batch and index): the current group's data.
-    prev: Option<(RowBatch, usize)>,
-    /// Largest `te` seen so far within the group.
-    max_te: i64,
-    data_width: usize,
-    ts_idx: usize,
-    te_idx: usize,
+    /// The collected input and its surviving rows, once computed.
+    out: Option<(RowBatch, Vec<u32>)>,
+    pos: usize,
 }
 
 impl AbsorbExec {
     pub fn new(input: BoxedExec) -> AbsorbExec {
-        let n = input.schema().len();
         AbsorbExec {
             input,
-            prev: None,
-            max_te: i64::MIN,
-            data_width: n - 2,
-            ts_idx: n - 2,
-            te_idx: n - 1,
+            out: None,
+            pos: 0,
         }
     }
+}
 
-    /// Which rows of a sorted input batch survive. Input is sorted by
-    /// (data…, ts ASC, te DESC): a row is absorbed iff some earlier tuple
-    /// of its group covers it, i.e. `max_te ≥ te` — which also drops exact
-    /// duplicates.
-    fn admit(&mut self, b: &RowBatch) -> EngineResult<Vec<bool>> {
-        let mut keep = Vec::with_capacity(b.len());
-        for i in 0..b.len() {
-            let te = int_in(b, self.te_idx, i, "absorb te")?;
-            let ts = int_in(b, self.ts_idx, i, "absorb ts")?;
-            check_interval("absorb", ts, te)?;
-            let same_group = match (i, &self.prev) {
-                (0, None) => false,
-                (0, Some((pb, pi))) => pb.rows_eq(*pi, b, 0, 0..self.data_width),
-                _ => b.rows_eq(i - 1, b, i, 0..self.data_width),
-            };
-            let kept = !same_group || te > self.max_te;
-            self.max_te = if same_group { self.max_te.max(te) } else { te };
-            keep.push(kept);
-        }
-        if !b.is_empty() {
-            self.prev = Some((b.clone(), b.len() - 1));
-        }
-        Ok(keep)
+/// Column `c` of `b` as integers: the typed slice of a non-NULL `Int`
+/// column, else row by row (a NULL or non-`Int` value is a `what` error).
+fn endpoints<'a>(b: &'a RowBatch, c: usize, what: &str) -> EngineResult<Cow<'a, [i64]>> {
+    match b.column(c).ints() {
+        Some((v, None)) => Ok(Cow::Borrowed(v)),
+        _ => (0..b.len()).map(|i| int_in(b, c, i, what)).collect(),
     }
+}
+
+/// The rows of `all` (data columns, then `ts`, `te`) that α keeps,
+/// ascending. Within a group of value-equivalent rows in (`ts` ascending,
+/// `te` descending) order, a row is kept iff its `te` exceeds every `te`
+/// before it: a row whose `te` does not is covered by an earlier one —
+/// properly contained, or an exact duplicate.
+fn survivors(all: &RowBatch) -> EngineResult<Vec<u32>> {
+    let (n, data) = (all.len(), all.width() - 2);
+    let ts = endpoints(all, data, "absorb ts")?;
+    let te = endpoints(all, data + 1, "absorb te")?;
+    for i in 0..n {
+        check_interval("absorb", ts[i], te[i])?;
+    }
+    let (group, groups) = group_rows(&all.columns()[..data], n);
+    // Counting-sort the rows into one contiguous run per group.
+    let mut starts = vec![0u32; groups + 1];
+    for &g in &group {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        starts[g + 1] += starts[g];
+    }
+    let mut fill = starts.clone();
+    let mut order = vec![0u32; n];
+    for (i, &g) in group.iter().enumerate() {
+        order[fill[g as usize] as usize] = i as u32;
+        fill[g as usize] += 1;
+    }
+    let mut keep = vec![false; n];
+    for w in starts.windows(2) {
+        let run = &mut order[w[0] as usize..w[1] as usize];
+        run.sort_unstable_by_key(|&i| (ts[i as usize], Reverse(te[i as usize])));
+        let mut max_te = None;
+        for &i in run.iter() {
+            let e = te[i as usize];
+            if max_te.is_none_or(|m| e > m) {
+                keep[i as usize] = true;
+                max_te = Some(e);
+            }
+        }
+    }
+    Ok((0..n as u32).filter(|&i| keep[i as usize]).collect())
 }
 
 impl ExecNode for AbsorbExec {
@@ -170,17 +190,17 @@ impl ExecNode for AbsorbExec {
         self.input.schema()
     }
 
-    /// Filter a whole sorted input batch through the absorb state per
-    /// call. Loops past fully absorbed batches — `Some` batches
-    /// are never empty.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        while let Some(batch) = self.input.next_batch(state)? {
-            let keep = self.admit(&batch)?;
-            if keep.contains(&true) {
-                return Ok(Some(batch.filter(&keep)));
-            }
+        if self.out.is_none() {
+            let all = collect_batch(self.input.as_mut(), state)?;
+            let keep = survivors(&all)?;
+            self.out = Some((all, keep));
         }
-        Ok(None)
+        let (all, keep) = self.out.as_ref().expect("computed above");
+        let end = (self.pos + BATCH_SIZE).min(keep.len());
+        let chunk = &keep[self.pos..end];
+        self.pos = end;
+        Ok((!chunk.is_empty()).then(|| all.gather(chunk)))
     }
 }
 
@@ -274,6 +294,107 @@ mod tests {
             let slow = absorb_ref(&r).unwrap();
             assert!(fast.same_set(&slow), "case {rows:?}: {fast} vs {slow}");
         }
+    }
+
+    /// A bag over `(k Int, name Str)` — NULLs in both, few distinct values —
+    /// or over no data column, with intervals in `[0, 12)`: value-equivalent
+    /// tuples that overlap, nest, share a start or an end, repeat exactly,
+    /// and chains of containment, in random order.
+    fn random_bag(seed: u64, with_data: bool) -> TemporalRelation {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut pick = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as i64
+        };
+        let mut rows: Vec<(Vec<Value>, Interval)> = Vec::new();
+        for _ in 0..pick(24) {
+            let data = match with_data {
+                false => vec![],
+                true => vec![
+                    [Value::Null, Value::Int(1), Value::Int(2)][pick(3) as usize].clone(),
+                    [Value::Null, Value::str("a"), Value::str("")][pick(3) as usize].clone(),
+                ],
+            };
+            let s = pick(11);
+            let iv = Interval::of(s, s + 1 + pick(12 - s as u64 - 1));
+            // Now and then a chain of containment around it, or a copy.
+            match pick(5) {
+                0 => {
+                    for d in 1..=pick(3) {
+                        rows.push((data.clone(), Interval::of(iv.start() - d, iv.end() + d)));
+                    }
+                }
+                1 => rows.push((data.clone(), iv)),
+                _ => {}
+            }
+            rows.push((data, iv));
+        }
+        let cols = match with_data {
+            false => vec![],
+            true => vec![
+                Column::new("k", DataType::Int),
+                Column::new("name", DataType::Str),
+            ],
+        };
+        TemporalRelation::from_rows(Schema::new(cols), rows).unwrap()
+    }
+
+    /// α against its quadratic reference and the snapshot oracle: the
+    /// same rows, each once, and at every time point the same snapshot as
+    /// its input (α drops only tuples another one covers).
+    #[test]
+    fn hashed_absorb_agrees_with_the_reference_and_keeps_every_snapshot() {
+        use crate::reference::snapshot_eval;
+        use crate::semantics::TemporalOp;
+        for seed in 0..400 {
+            let r = random_bag(seed, seed % 4 != 0);
+            let got = absorbed(&r).unwrap();
+            let want = absorb_ref(&r).unwrap();
+            assert!(
+                got.same_set(&want),
+                "seed {seed}: {r}\ngot {got}\nwant {want}"
+            );
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "seed {seed}: a duplicate survived: {got}"
+            );
+            let all = TemporalOp::Projection {
+                attrs: (0..r.data_width()).collect(),
+            };
+            for t in r.endpoints() {
+                let mut before = snapshot_eval(&all, &[&r], t).unwrap();
+                let mut after = snapshot_eval(&all, &[&got], t).unwrap();
+                before.sort();
+                after.sort();
+                assert_eq!(before, after, "seed {seed}, snapshot at {t}: {r}\n{got}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_bound_is_an_in_band_error() {
+        let schema = crate::trel::temporal_schema(vec![Column::new("v", DataType::Int)]);
+        let run = |ts: Value, te: Value| {
+            let rows = vec![
+                vec![Value::Int(1), Value::Int(0), Value::Int(4)],
+                vec![Value::Int(1), ts, te],
+            ];
+            let rel = Relation::from_values(schema.clone(), rows).unwrap();
+            let plan = AbsorbNode::plan(LogicalPlan::inline_scan(rel));
+            Planner::default()
+                .run(&plan, &temporal_engine::catalog::Catalog::new())
+                .unwrap_err()
+                .to_string()
+        };
+        let err = run(Value::Null, Value::Int(3));
+        assert!(err.contains("absorb ts: expected int, got null"), "{err}");
+        let err = run(Value::Int(2), Value::str("x"));
+        assert!(err.contains("absorb te: expected int, got str"), "{err}");
+        let err = run(Value::Int(5), Value::Int(5));
+        assert!(err.contains("absorb: empty interval [5, 5)"), "{err}");
     }
 
     #[test]

@@ -257,6 +257,14 @@ impl ExtensionNode for AdjustmentNode {
         self.out_schema.clone()
     }
 
+    /// The same sweep reading the same columns.
+    fn same_computation(&self, other: &dyn ExtensionNode) -> bool {
+        other
+            .as_any()
+            .downcast_ref::<AdjustmentNode>()
+            .is_some_and(|o| (o.mode, o.p1, o.p2) == (self.mode, self.p1, self.p2))
+    }
+
     /// The cost estimates of Sec. 6.2/6.3: every input tuple yields at most
     /// three (alignment) or two (normalization) output tuples, at a cost of
     /// two (resp. one) tuple comparisons each — expressed through the

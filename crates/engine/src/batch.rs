@@ -733,6 +733,17 @@ pub(crate) fn hash_rows(keys: &[Arc<ColumnVec>], n: usize) -> Vec<u64> {
     hashes
 }
 
+/// Number rows `0..n` of key columns `keys` by group of structurally equal
+/// keys (NULL = NULL, as GROUP BY), groups in first-seen order: each row's
+/// group and the number of groups. The engine's one hash table in group
+/// mode, for operators outside the engine (α groups value-equivalent
+/// tuples by it).
+pub fn group_rows(keys: &[Arc<ColumnVec>], n: usize) -> (Vec<u32>, usize) {
+    let mut table = KeyTable::new(KeyEq::Group, keys.len());
+    let ids = table.insert(keys, &hash_rows(keys, n), 0..n);
+    (ids, table.len())
+}
+
 /// How a [`KeyTable`] compares keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KeyEq {

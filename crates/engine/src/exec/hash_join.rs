@@ -21,6 +21,15 @@
 //! never compares TRUE and `Int`↔`Double` coerces — the ordered path does
 //! not second-guess the comparison).
 //!
+//! **Derived bounds.** The overlap test bounds *two* build columns: with
+//! buckets ordered by `s.te` (bounded below by `r.ts`), `s.ts < r.te`
+//! bounds `s.ts` only. When both columns are all `Int`, the build keeps
+//! each bucket's least and greatest `s.te − s.ts` (every difference
+//! checked), and the second column's bounds become bounds on the first:
+//! `s.ts < v` gives `s.te < v + max`, `s.ts > v` gives `s.te > v + min`.
+//! A bucket is then cut from both ends. An addition that overflows gives
+//! no bound; the residual still decides every match.
+//!
 //! **Keys.** The build side's keys are grouped by the engine's one
 //! [`KeyTable`] in join mode: equi-keys match exactly when the replaced
 //! `=` conjuncts are TRUE (a NULL never matches; an `Int` matches the
@@ -64,6 +73,9 @@ pub(crate) struct RangeSpec {
     /// Index into the build row.
     col: usize,
     bounds: Vec<(CmpOp, BoundOperand)>,
+    /// Another build column the residual bounds, with its bounds: through
+    /// a bucket's spread of `col − second` they bound `col` too.
+    second: Option<(usize, Vec<(CmpOp, BoundOperand)>)>,
 }
 
 impl RangeSpec {
@@ -108,12 +120,23 @@ impl RangeSpec {
             .map(|&(c, ..)| c)
             .find(|&c| bounded(c, true) && bounded(c, false))
             .or_else(|| found.first().map(|&(c, ..)| c))?;
-        let bounds = found
-            .into_iter()
-            .filter(|&(c, ..)| c == col)
-            .map(|(_, op, v)| (op, v))
-            .collect();
-        Some(RangeSpec { col, bounds })
+        let bounds_on = |c: usize| -> Vec<(CmpOp, BoundOperand)> {
+            found
+                .iter()
+                .filter(|&&(fc, ..)| fc == c)
+                .map(|&(_, op, v)| (op, v))
+                .collect()
+        };
+        let second = found
+            .iter()
+            .map(|&(c, ..)| c)
+            .find(|&c| c != col)
+            .map(|c| (c, bounds_on(c)));
+        Some(RangeSpec {
+            col,
+            bounds: bounds_on(col),
+            second,
+        })
     }
 
     /// The range column's index in the build row.
@@ -121,26 +144,54 @@ impl RangeSpec {
         self.col
     }
 
+    /// The second bounded build column, if the residual has one.
+    fn second_col(&self) -> Option<usize> {
+        self.second.as_ref().map(|&(c, _)| c)
+    }
+
     /// The sub-slice of an ordered bucket (`keys` ascending) outside which
     /// row `li` of probe batch `left` fails a bound; the whole slice when
-    /// one of the row's bounds is not an integer.
-    fn narrow(&self, keys: &[i64], left: &RowBatch, li: usize) -> Range<usize> {
+    /// one of the row's bounds on the range column is not an integer.
+    /// `spread`, the bucket's least and greatest `range column − second
+    /// column`, turns the second column's bounds into bounds on the range
+    /// column.
+    fn narrow(
+        &self,
+        keys: &[i64],
+        spread: Option<(i64, i64)>,
+        left: &RowBatch,
+        li: usize,
+    ) -> Range<usize> {
+        let value = |operand: BoundOperand| match operand {
+            BoundOperand::Int(x) => Some(x),
+            BoundOperand::ProbeCol(i) => left.columns().get(i).and_then(|c| c.int_at(li)),
+        };
         let (mut lo, mut hi) = (0, keys.len());
+        let mut cut = |op: CmpOp, v: i64| match op {
+            CmpOp::Gt => lo = lo.max(keys.partition_point(|&k| k <= v)),
+            CmpOp::Ge => lo = lo.max(keys.partition_point(|&k| k < v)),
+            CmpOp::Lt => hi = hi.min(keys.partition_point(|&k| k < v)),
+            CmpOp::Le => hi = hi.min(keys.partition_point(|&k| k <= v)),
+            CmpOp::Eq | CmpOp::Ne => unreachable!("not a range bound"),
+        };
         for &(op, operand) in &self.bounds {
-            let v = match operand {
-                BoundOperand::Int(x) => x,
-                BoundOperand::ProbeCol(i) => match left.columns().get(i).and_then(|c| c.int_at(li))
-                {
-                    Some(x) => x,
-                    None => return 0..keys.len(),
-                },
-            };
-            match op {
-                CmpOp::Gt => lo = lo.max(keys.partition_point(|&k| k <= v)),
-                CmpOp::Ge => lo = lo.max(keys.partition_point(|&k| k < v)),
-                CmpOp::Lt => hi = hi.min(keys.partition_point(|&k| k < v)),
-                CmpOp::Le => hi = hi.min(keys.partition_point(|&k| k <= v)),
-                CmpOp::Eq | CmpOp::Ne => unreachable!("not a range bound"),
+            match value(operand) {
+                Some(v) => cut(op, v),
+                None => return 0..keys.len(),
+            }
+        }
+        if let (Some((_, second)), Some((min, max))) = (&self.second, spread) {
+            // `col = second + d` with `d` in `[min, max]`: `second < v`
+            // puts `col` below `v + max`, `second > v` above `v + min`.
+            for &(op, operand) in second {
+                let far = if matches!(op, CmpOp::Lt | CmpOp::Le) {
+                    max
+                } else {
+                    min
+                };
+                if let Some(v) = value(operand).and_then(|v| v.checked_add(far)) {
+                    cut(op, v);
+                }
             }
         }
         lo.min(hi)..hi
@@ -161,13 +212,24 @@ struct BuildTable {
     /// The range column of `order`'s rows, position for position; empty
     /// unless the buckets are range-ordered.
     range_keys: Vec<i64>,
+    /// Per group, the least and greatest `range column − second column`
+    /// of its rows; empty unless both columns are all `Int` and no
+    /// difference overflows.
+    spread: Vec<(i64, i64)>,
 }
 
 impl BuildTable {
     /// Lay out the buckets: counting-sort the build rows by group (`ids`,
     /// the group of each row in `table`), ordering each bucket by
-    /// `range_col[index]` when the range column was all integers.
-    fn assemble(table: KeyTable, ids: &[u32], range_col: Option<Vec<i64>>) -> BuildTable {
+    /// `range_col[index]` when the range column was all integers, and
+    /// noting each bucket's spread of `range_col − second_col` when the
+    /// second column was too.
+    fn assemble(
+        table: KeyTable,
+        ids: &[u32],
+        range_col: Option<Vec<i64>>,
+        second_col: Option<Vec<i64>>,
+    ) -> BuildTable {
         let groups = table.len();
         let mut bounds = vec![0u32; groups + 1];
         for &g in ids.iter().filter(|&&g| g != NULL_ROW) {
@@ -182,18 +244,33 @@ impl BuildTable {
             order[fill[g as usize] as usize] = i as u32;
             fill[g as usize] += 1;
         }
-        let mut range_keys = Vec::new();
+        let (mut range_keys, mut spread) = (Vec::new(), Vec::new());
         if let Some(c) = range_col {
             for w in bounds.windows(2) {
                 order[w[0] as usize..w[1] as usize].sort_unstable_by_key(|&i| (c[i as usize], i));
             }
             range_keys = order.iter().map(|&i| c[i as usize]).collect();
+            if let Some(c2) = second_col {
+                let bucket_spread = |rows: &[u32]| {
+                    rows.iter()
+                        .try_fold((i64::MAX, i64::MIN), |(min, max), &i| {
+                            let d = c[i as usize].checked_sub(c2[i as usize])?;
+                            Some((min.min(d), max.max(d)))
+                        })
+                };
+                spread = bounds
+                    .windows(2)
+                    .map(|w| bucket_spread(&order[w[0] as usize..w[1] as usize]))
+                    .collect::<Option<Vec<_>>>()
+                    .unwrap_or_default();
+            }
         }
         BuildTable {
             groups: table,
             bounds,
             order,
             range_keys,
+            spread,
         }
     }
 
@@ -215,7 +292,8 @@ impl BuildTable {
             let (start, end) = (self.bounds[g] as usize, self.bounds[g + 1] as usize);
             out.push(match range {
                 Some(spec) if !self.range_keys.is_empty() => {
-                    let within = spec.narrow(&self.range_keys[start..end], left, li);
+                    let spread = self.spread.get(g).copied();
+                    let within = spec.narrow(&self.range_keys[start..end], spread, left, li);
                     start + within.start..start + within.end
                 }
                 _ => start..end,
@@ -304,12 +382,18 @@ impl HashJoinExec {
         let mut groups = KeyTable::new(KeyEq::Join, keys.len());
         let ids = groups.insert(&keys, &hashes, 0..build.len());
         // An all-`Int` range column orders the buckets; one holding a NULL
-        // or a Double does not.
-        let range_col: Option<Vec<i64>> = self.range.as_ref().and_then(|spec| {
-            let c = build.column(spec.col);
+        // or a Double does not. The second bounded column likewise.
+        let ints = |c: usize| -> Option<Vec<i64>> {
+            let c = build.column(c);
             (0..build.len()).map(|i| c.int_at(i)).collect()
-        });
-        self.table = Some(BuildTable::assemble(groups, &ids, range_col));
+        };
+        let range_col = self.range.as_ref().and_then(|spec| ints(spec.col));
+        let second_col = self
+            .range
+            .as_ref()
+            .and_then(RangeSpec::second_col)
+            .and_then(ints);
+        self.table = Some(BuildTable::assemble(groups, &ids, range_col, second_col));
         self.build_matched = vec![false; build.len()];
         self.build = build;
         Ok(())
@@ -524,18 +608,27 @@ mod tests {
         assert_eq!(run_hash(&[(1, 1)], &[], JoinType::Anti, None).len(), 1);
     }
 
-    /// Random `(k, lo, hi)` probe rows and `(k, c)` build rows. `c` always
-    /// has duplicates; with `mixed` it also holds NULLs and Doubles (so the
-    /// build stays in build order). Probe bounds are always mixed, so some
-    /// probe rows fall back to their whole bucket either way.
-    fn range_tables(seed: u64, mixed: bool) -> (Arc<Relation>, Arc<Relation>) {
+    /// Random `(k, lo, hi)` probe rows and `(k, c, d)` build rows. `c` and
+    /// `d` always have duplicates; with `mixed` they also hold NULLs and
+    /// Doubles (so the build stays in build order). Probe bounds are always
+    /// mixed, so some probe rows fall back to their whole bucket either
+    /// way. With `edges` the integers sit next to `i64::MIN`, 0 and
+    /// `i64::MAX`, where a difference or a derived bound overflows.
+    fn range_tables(seed: u64, mixed: bool, edges: bool) -> (Arc<Relation>, Arc<Relation>) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
+        let int = |rng: &mut StdRng| match edges {
+            false => rng.gen_range(0..20),
+            true => {
+                let base = [i64::MIN, 0, i64::MAX][rng.gen_range(0..3)];
+                base.saturating_add(rng.gen_range(-3..4))
+            }
+        };
         let noisy = |rng: &mut StdRng, mixed: bool| match rng.gen_range(0..10) {
             0 if mixed => Value::Null,
             1 if mixed => Value::Double(rng.gen_range(0..40) as f64 / 2.0),
-            _ => Value::Int(rng.gen_range(0..20)),
+            _ => Value::Int(int(rng)),
         };
         let key = |rng: &mut StdRng| match rng.gen_range(0..12) {
             0 => Value::Null,
@@ -553,13 +646,21 @@ mod tests {
             .map(|_| vec![key(&mut rng), noisy(&mut rng, true), noisy(&mut rng, true)])
             .collect();
         let build: Vec<Vec<Value>> = (0..120)
-            .map(|_| vec![key(&mut rng), noisy(&mut rng, mixed)])
+            .map(|_| {
+                let c = noisy(&mut rng, mixed);
+                // Mostly `c` plus a short length, sometimes below `c`.
+                let d = match (&c, rng.gen_range(0..8)) {
+                    (Value::Int(c), 0..=5) => Value::Int(c.saturating_add(rng.gen_range(-1..5))),
+                    _ => noisy(&mut rng, mixed),
+                };
+                vec![key(&mut rng), c, d]
+            })
             .collect();
         (
             Relation::from_values(int_cols(&["k", "lo", "hi"]), probe)
                 .unwrap()
                 .into_shared(),
-            Relation::from_values(int_cols(&["k", "c"]), build)
+            Relation::from_values(int_cols(&["k", "c", "d"]), build)
                 .unwrap()
                 .into_shared(),
         )
@@ -568,8 +669,11 @@ mod tests {
     #[test]
     fn range_ordered_buckets_agree_with_brute_force_on_every_path() {
         use crate::expr::lit;
-        // Concatenated row: probe (k, lo, hi) = 0..3, build (k, c) = 3..5.
-        let (lo, hi, c) = (col(1), col(2), col(4));
+        // Concatenated row: probe (k, lo, hi) = 0..3, build (k, c, d) =
+        // 3..6. The overlap residuals read the build row as an interval
+        // `[c, d)`: ordered by `d`, their bounds on `c` derive bounds on
+        // `d` from each bucket's spread of `d − c`.
+        let (lo, hi, c, d) = (col(1), col(2), col(4), col(5));
         let residuals = [
             (
                 "both strict",
@@ -595,11 +699,39 @@ mod tests {
             ),
             (
                 "bounds beside another conjunct",
-                c.clone().gt(lo).and(c.clone().ne(lit(5i64))).and(c.lt(hi)),
+                c.clone()
+                    .gt(lo.clone())
+                    .and(c.clone().ne(lit(5i64)))
+                    .and(c.clone().lt(hi.clone())),
+            ),
+            (
+                "overlap",
+                lo.clone().lt(d.clone()).and(c.clone().lt(hi.clone())),
+            ),
+            (
+                "overlap, inclusive and swapped",
+                d.clone().ge(lo.clone()).and(hi.clone().ge(c.clone())),
+            ),
+            (
+                "overlap, second column bounded below",
+                d.clone().lt(hi.clone()).and(c.clone().gt(lo.clone())),
+            ),
+            (
+                "overlap with literal bounds",
+                d.clone().gt(lit(2i64)).and(c.clone().le(lit(9i64))),
             ),
         ];
-        for (mixed, seed) in [(false, 11), (true, 12), (false, 13), (true, 14)] {
-            let (probe, build) = range_tables(seed, mixed);
+        let cases = [
+            (false, false, 11),
+            (true, false, 12),
+            (false, false, 13),
+            (true, false, 14),
+            (false, true, 15),
+            (true, true, 16),
+            (false, true, 17),
+        ];
+        for (mixed, edges, seed) in cases {
+            let (probe, build) = range_tables(seed, mixed, edges);
             // What an unordered probe scans: every probe row's whole bucket.
             let whole_buckets: u64 = probe
                 .rows()
@@ -616,7 +748,8 @@ mod tests {
                     JoinType::Semi,
                     JoinType::Anti,
                 ] {
-                    let label = format!("{name}, {jt:?}, mixed build = {mixed}, seed {seed}");
+                    let label =
+                        format!("{name}, {jt:?}, mixed = {mixed}, edges = {edges}, seed {seed}");
                     let stats = Arc::new(OperatorStats::default());
                     let node = Box::new(
                         HashJoinExec::new(
@@ -635,15 +768,55 @@ mod tests {
                     assert!(batch.same_bag(&oracle), "{label}: {batch} vs {oracle}");
 
                     // The bounds save work exactly when the build column
-                    // is all integers.
+                    // is all integers (near the edges they may cut nothing).
                     if mixed {
                         assert_eq!(checked, whole_buckets, "{label}");
-                    } else {
+                    } else if !edges {
                         assert!(checked < whole_buckets, "{label}: {checked}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn overlap_buckets_are_cut_from_both_ends() {
+        // One key; build intervals `[c, c + 3)` along 0..300, probe
+        // intervals `[x, x + 2)`. Ordered by the end `d`, `lo < d` alone
+        // leaves every interval ending after `lo`; `c < hi` with the
+        // bucket's spread (3) also drops those ending at `hi + 3` or later.
+        let build: Vec<(i64, i64)> = (0..300).map(|c| (c, c + 3)).collect();
+        let probe: Vec<(i64, i64)> = (0..300).step_by(7).map(|x| (x, x + 2)).collect();
+        let rel = |name: &str, rows: &[(i64, i64)]| {
+            let cols = ["k", name, "e"].map(|n| Column::new(n, DataType::Int));
+            let rows = rows
+                .iter()
+                .map(|&(s, e)| vec![Value::Int(1), Value::Int(s), Value::Int(e)])
+                .collect();
+            Relation::from_values(Schema::new(cols.to_vec()), rows)
+                .unwrap()
+                .into_shared()
+        };
+        let (probe, build) = (rel("lo", &probe), rel("c", &build));
+        let overlap = col(1).lt(col(5)).and(col(4).lt(col(2)));
+        let stats = Arc::new(OperatorStats::default());
+        let node = HashJoinExec::new(
+            Box::new(SeqScanExec::new(probe.clone())),
+            Box::new(SeqScanExec::new(build.clone())),
+            vec![(0, 0)],
+            Some(overlap.clone()),
+            JoinType::Left,
+        )
+        .with_ledger(stats.clone());
+        let out = collect(Box::new(node), &ExecutionState::default()).unwrap();
+        let theta = col(0).eq(col(3)).and(overlap);
+        let oracle = brute_join(&probe, &build, JoinType::Left, Some(&theta)).unwrap();
+        assert!(out.same_bag(&oracle), "{out} vs {oracle}");
+        // Each probe row tests the intervals ending in `(lo, hi + 3)`:
+        // four, all of them matches.
+        let checked = stats.candidates_checked.load(Ordering::Relaxed);
+        assert_eq!(checked, out.len() as u64);
+        assert!(checked <= 4 * probe.len() as u64, "{checked}");
     }
 
     #[test]

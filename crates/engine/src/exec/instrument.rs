@@ -88,6 +88,10 @@ impl OperatorStats {
 #[derive(Debug, Default)]
 pub struct Instrumentation {
     ops: Mutex<HashMap<usize, Arc<OperatorStats>>>,
+    /// Per shared spool input (its address), the spool occurrence whose
+    /// pull ran it: its time is inside that occurrence's, so `EXPLAIN
+    /// ANALYZE` prints the input there.
+    spool_fillers: Mutex<HashMap<usize, usize>>,
 }
 
 impl Instrumentation {
@@ -101,6 +105,19 @@ impl Instrumentation {
     pub fn get(&self, key: usize) -> Option<Arc<OperatorStats>> {
         let map = self.ops.lock().unwrap_or_else(|e| e.into_inner());
         map.get(&key).cloned()
+    }
+
+    /// Spool occurrence `node` ran the shared input at `input`.
+    pub fn note_spool_filler(&self, input: usize, node: usize) {
+        let mut map = self.spool_fillers.lock().unwrap_or_else(|e| e.into_inner());
+        map.insert(input, node);
+    }
+
+    /// The spool occurrence that ran the shared input at `input`, if one
+    /// did.
+    pub fn spool_filler(&self, input: usize) -> Option<usize> {
+        let map = self.spool_fillers.lock().unwrap_or_else(|e| e.into_inner());
+        map.get(&input).copied()
     }
 }
 

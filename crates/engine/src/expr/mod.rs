@@ -30,7 +30,7 @@ use crate::schema::{DataType, Schema};
 use crate::value::Value;
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -66,7 +66,7 @@ impl CmpOp {
 }
 
 /// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     Add,
     Sub,
@@ -86,7 +86,7 @@ impl ArithOp {
 }
 
 /// Built-in scalar functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Func {
     /// `DUR(ts, te)` — duration of the period `[ts, te)`, the UDF from the
     /// paper's SQL examples (Sec. 6.2).
@@ -114,8 +114,9 @@ impl Func {
     }
 }
 
-/// A scalar expression tree.
-#[derive(Debug, Clone, PartialEq)]
+/// A scalar expression tree. Equality and hashing are structural:
+/// literals compare as [`Value`]s do (`Int(1) != Double(1.0)`).
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Input column by index.
     Col(usize),
@@ -485,7 +486,7 @@ impl fmt::Display for Expr {
 }
 
 /// Aggregate functions supported by [`crate::exec::HashAggregateExec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` — counts rows.
     CountStar,
@@ -520,7 +521,7 @@ impl AggFunc {
 }
 
 /// An aggregate call: function plus optional argument expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct AggCall {
     pub func: AggFunc,
     /// `None` only for `CountStar`.
@@ -544,7 +545,7 @@ impl AggCall {
 }
 
 /// One sort criterion.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SortKey {
     pub expr: Expr,
     pub desc: bool,

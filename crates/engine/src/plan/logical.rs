@@ -4,6 +4,7 @@
 //! same mechanism by which the paper adds `ALIGN`/`NORMALIZE` nodes to
 //! PostgreSQL's query tree without touching the relational core.
 
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,8 +16,20 @@ use crate::plan::{JoinType, SetOpKind};
 use crate::relation::Relation;
 use crate::schema::{Column, Schema};
 
+/// Any `'static` type as [`Any`], so an [`ExtensionNode`] can recognize
+/// another node of its own type ([`ExtensionNode::same_computation`]).
+pub trait AsAny {
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
 /// A user-defined logical operator (e.g. the temporal adjustment primitives).
-pub trait ExtensionNode: fmt::Debug + Send + Sync {
+pub trait ExtensionNode: AsAny + fmt::Debug + Send + Sync {
     /// Short name for EXPLAIN output.
     fn name(&self) -> &str;
 
@@ -49,6 +62,17 @@ pub trait ExtensionNode: fmt::Debug + Send + Sync {
     fn passthrough_column(&self, out_col: usize) -> Option<(usize, usize)> {
         let _ = out_col;
         None
+    }
+
+    /// Does `other` compute what this node computes from equal inputs —
+    /// the same operator with the same parameters? The planner evaluates
+    /// a subplan that occurs twice in a statement once when every node of
+    /// the two occurrences agrees ([`crate::plan::share`]); the caller has
+    /// already compared the names, output column types and inputs. The
+    /// default, "never", keeps every occurrence of an extension node.
+    fn same_computation(&self, other: &dyn ExtensionNode) -> bool {
+        let _ = other;
+        false
     }
 
     /// One-line description for EXPLAIN.
@@ -289,6 +313,23 @@ impl LogicalPlan {
             LogicalPlan::SetOp { left, .. } => left.schema(),
             LogicalPlan::Limit { input, .. } => input.schema(),
             LogicalPlan::Extension { node } => node.schema(),
+        }
+    }
+
+    /// Direct children in left-to-right order (empty for leaves).
+    pub fn children(&self) -> Vec<&LogicalPlan> {
+        match self {
+            LogicalPlan::TableScan { .. } | LogicalPlan::InlineScan { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                vec![left, right]
+            }
+            LogicalPlan::Extension { node } => node.inputs(),
         }
     }
 

@@ -6,12 +6,14 @@ mod logical;
 mod optimizer;
 mod physical;
 pub mod rewrite;
+pub mod share;
 mod spool;
 
 pub use cost::{CostModel, PlanStats, DISABLE_COST};
 pub use logical::{ExtensionNode, LogicalPlan};
 pub use optimizer::{Planner, PlannerConfig, SettingValue};
 pub use physical::PhysicalPlan;
+pub use share::cheap_to_rescan;
 pub use spool::{SpoolExec, SpoolNode};
 
 /// Join types. The temporal algebra reduces to all six (Table 2 of the

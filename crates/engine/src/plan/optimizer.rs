@@ -15,6 +15,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecutionState;
 use crate::expr::{col, detect_overlap_pattern, fold, split_join_condition, CmpOp, Expr, SortKey};
 use crate::plan::cost::{CostModel, DISABLE_COST};
+use crate::plan::spool::is_spool;
 use crate::plan::{JoinType, LogicalPlan, PhysicalPlan};
 use crate::relation::Relation;
 use crate::storage::ZoneBounds;
@@ -186,10 +187,14 @@ impl Planner {
         Planner { config }
     }
 
-    /// Plan a logical tree, resolving table scans against `catalog`. The
-    /// logical rewrites (constant folding, filter pushdown, projection
-    /// pruning) run first unless `enable_rewrites` is off.
+    /// Plan a logical tree, resolving table scans against `catalog`. A
+    /// composed subplan the tree repeats is put behind one spool first
+    /// ([`crate::plan::share`]); the logical rewrites (constant folding,
+    /// filter pushdown, projection pruning) then run unless
+    /// `enable_rewrites` is off.
     pub fn plan(&self, lp: &LogicalPlan, catalog: &Catalog) -> EngineResult<PhysicalPlan> {
+        let shared = crate::plan::share::share_repeated(lp);
+        let lp = shared.as_ref().unwrap_or(lp);
         // Shared extension nodes (a spool referenced from several plan
         // occurrences) are planned once and the physical subtree reused.
         let mut memo = HashMap::new();
@@ -307,9 +312,15 @@ impl Planner {
                 for i in node.inputs() {
                     children.push(self.plan_inner(i, catalog, memo)?);
                 }
-                let planned = PhysicalPlan::Extension {
-                    node: node.clone(),
-                    children,
+                // Every occurrence of a spool holds one `Arc` of its input.
+                let planned = match is_spool(node.as_ref()) {
+                    true => PhysicalPlan::Spool {
+                        input: Arc::new(children.remove(0)),
+                    },
+                    false => PhysicalPlan::Extension {
+                        node: node.clone(),
+                        children,
+                    },
                 };
                 memo.insert(key, planned.clone());
                 planned

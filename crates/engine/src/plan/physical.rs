@@ -1,6 +1,7 @@
 //! Physical plans: the engine's "plan tree" with concrete algorithm
 //! choices, executable into a tree of pull operators.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use std::sync::atomic::Ordering;
@@ -16,6 +17,7 @@ use crate::exec::{
 use crate::expr::{AggCall, Expr, JoinPred, SortKey};
 use crate::plan::cost::{CostModel, PlanStats};
 use crate::plan::logical::ExtensionNode;
+use crate::plan::spool::SpoolExec;
 use crate::plan::{JoinType, SetOpKind};
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -120,6 +122,12 @@ pub enum PhysicalPlan {
         node: Arc<dyn ExtensionNode>,
         children: Vec<PhysicalPlan>,
     },
+    /// One occurrence of a shared materialization: every occurrence holds
+    /// the same `Arc` of the planned input, which runs once per execution
+    /// ([`crate::plan::SpoolNode`]).
+    Spool {
+        input: Arc<PhysicalPlan>,
+    },
 }
 
 impl PhysicalPlan {
@@ -164,6 +172,7 @@ impl PhysicalPlan {
             PhysicalPlan::HashSetOp { left, .. } => left.schema(),
             PhysicalPlan::Limit { input, .. } => input.schema(),
             PhysicalPlan::Extension { node, .. } => node.schema(),
+            PhysicalPlan::Spool { input } => input.schema(),
         }
     }
 
@@ -187,7 +196,44 @@ impl PhysicalPlan {
             | PhysicalPlan::IntervalJoin { left, right, .. }
             | PhysicalPlan::HashSetOp { left, right, .. } => vec![left, right],
             PhysicalPlan::Extension { children, .. } => children.iter().collect(),
+            PhysicalPlan::Spool { input } => vec![input],
         }
+    }
+
+    /// Visit this tree in pre-order with each node's depth, entering the
+    /// input of a shared spool once: under the occurrence that ran it when
+    /// `state` instruments and one did, else under the first. `f` gets
+    /// `false` for the other occurrences — the shared input runs once, so
+    /// `EXPLAIN`, traces and tests see it once, and its time nests inside
+    /// the occurrence whose pull it took.
+    fn walk(&self, state: Option<&ExecutionState>, f: &mut impl FnMut(&PhysicalPlan, usize, bool)) {
+        fn go(
+            p: &PhysicalPlan,
+            depth: usize,
+            filler: &dyn Fn(usize) -> Option<usize>,
+            seen: &mut HashSet<usize>,
+            f: &mut impl FnMut(&PhysicalPlan, usize, bool),
+        ) {
+            let first = match p {
+                PhysicalPlan::Spool { input } => {
+                    let key = Arc::as_ptr(input) as usize;
+                    match filler(key) {
+                        Some(node) => node == p.node_key(),
+                        None => seen.insert(key),
+                    }
+                }
+                _ => true,
+            };
+            f(p, depth, first);
+            if first {
+                for c in p.children() {
+                    go(c, depth + 1, filler, seen, f);
+                }
+            }
+        }
+        let ins = state.and_then(ExecutionState::instrumentation);
+        let filler = |input| ins.and_then(|ins| ins.spool_filler(input));
+        go(self, 0, &filler, &mut HashSet::new(), f)
     }
 
     /// Build the executor tree for one execution under `state`. Plans
@@ -441,6 +487,9 @@ impl PhysicalPlan {
                 }
                 node.build_exec(built)?
             }
+            // The input is built when the spool fills, by the occurrence
+            // pulled first.
+            PhysicalPlan::Spool { input } => Box::new(SpoolExec::new(input, self.node_key())),
         })
     }
 
@@ -558,6 +607,7 @@ impl PhysicalPlan {
                 let stats: Vec<PlanStats> = children.iter().map(|c| c.stats(model)).collect();
                 node.estimate(&stats, model)
             }
+            PhysicalPlan::Spool { input } => model.spool(input.stats(model)),
         }
     }
 
@@ -565,21 +615,25 @@ impl PhysicalPlan {
     pub fn explain(&self) -> String {
         let model = CostModel::default();
         let mut out = String::new();
-        self.explain_into(&mut out, 0, &model);
+        self.walk(None, &mut |p, depth, first| {
+            let st = p.stats(&model);
+            out.push_str(&format!(
+                "{}{}  (rows≈{:.0} cost≈{:.2})\n",
+                "  ".repeat(depth),
+                p.label(first),
+                st.rows,
+                st.cost
+            ));
+        });
         out
     }
 
-    fn explain_into(&self, out: &mut String, indent: usize, model: &CostModel) {
-        let pad = "  ".repeat(indent);
-        let st = self.stats(model);
-        out.push_str(&format!(
-            "{pad}{}  (rows≈{:.0} cost≈{:.2})\n",
-            self.node_label(),
-            st.rows,
-            st.cost
-        ));
-        for c in self.children() {
-            c.explain_into(out, indent + 1, model);
+    /// [`Self::node_label`], with a spool occurrence whose shared input
+    /// is printed under another occurrence marked so.
+    fn label(&self, first: bool) -> String {
+        match (self, first) {
+            (PhysicalPlan::Spool { .. }, false) => "Spool (shared, input printed once)".to_string(),
+            _ => self.node_label(),
         }
     }
 
@@ -665,6 +719,7 @@ impl PhysicalPlan {
             PhysicalPlan::HashSetOp { kind, .. } => format!("HashSetOp[{}]", kind.name()),
             PhysicalPlan::Limit { n, .. } => format!("Limit {n}"),
             PhysicalPlan::Extension { node, .. } => node.explain(),
+            PhysicalPlan::Spool { .. } => "Spool (shared materialization)".to_string(),
         }
     }
 
@@ -681,20 +736,23 @@ impl PhysicalPlan {
     pub fn explain_analyze(&self, state: &ExecutionState) -> String {
         let model = CostModel::default();
         let mut out = String::new();
-        self.explain_analyze_into(&mut out, 0, &model, state);
+        self.walk(Some(state), &mut |p, depth, first| {
+            let st = p.stats(&model);
+            out.push_str(&format!(
+                "{}{}  (rows≈{:.0} cost≈{:.2}){}\n",
+                "  ".repeat(depth),
+                p.label(first),
+                st.rows,
+                st.cost,
+                p.actual(state)
+            ));
+        });
         out
     }
 
-    fn explain_analyze_into(
-        &self,
-        out: &mut String,
-        indent: usize,
-        model: &CostModel,
-        state: &ExecutionState,
-    ) {
-        let pad = "  ".repeat(indent);
-        let st = self.stats(model);
-        let actual = match state
+    /// The `(actual …)` annotation of this node under `state`.
+    fn actual(&self, state: &ExecutionState) -> String {
+        match state
             .instrumentation()
             .and_then(|ins| ins.get(self.node_key()))
         {
@@ -740,15 +798,6 @@ impl PhysicalPlan {
                 s
             }
             None => " (never executed)".to_string(),
-        };
-        out.push_str(&format!(
-            "{pad}{}  (rows≈{:.0} cost≈{:.2}){actual}\n",
-            self.node_label(),
-            st.rows,
-            st.cost
-        ));
-        for c in self.children() {
-            c.explain_analyze_into(out, indent + 1, model, state);
         }
     }
 
@@ -760,37 +809,25 @@ impl PhysicalPlan {
         state: &ExecutionState,
     ) -> Vec<(usize, String, Arc<OperatorStats>)> {
         let mut out = Vec::new();
-        self.operator_stats_into(state, 0, &mut out);
+        let Some(ins) = state.instrumentation() else {
+            return out;
+        };
+        self.walk(Some(state), &mut |p, depth, _| {
+            if let Some(op) = ins.get(p.node_key()) {
+                out.push((depth, p.node_label(), op));
+            }
+        });
         out
-    }
-
-    fn operator_stats_into(
-        &self,
-        state: &ExecutionState,
-        depth: usize,
-        out: &mut Vec<(usize, String, Arc<OperatorStats>)>,
-    ) {
-        if let Some(op) = state
-            .instrumentation()
-            .and_then(|ins| ins.get(self.node_key()))
-        {
-            out.push((depth, self.node_label(), op));
-        }
-        for c in self.children() {
-            c.operator_stats_into(state, depth + 1, out);
-        }
     }
 
     /// Count the nodes of this (single) physical tree satisfying `pred` —
     /// used by tests asserting that composed temporal queries plan without
-    /// intermediate materialization barriers.
+    /// intermediate materialization barriers. A shared spool's input
+    /// counts once.
     pub fn count_nodes(&self, pred: &dyn Fn(&PhysicalPlan) -> bool) -> usize {
-        usize::from(pred(self))
-            + self
-                .children()
-                .into_iter()
-                .map(|c| c.count_nodes(pred))
-                .sum::<usize>()
+        let mut n = 0;
+        self.walk(None, &mut |p, _, _| n += usize::from(pred(p)));
+        n
     }
 
     /// The name of the join algorithm at the root, if the root is a join —

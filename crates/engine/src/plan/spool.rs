@@ -5,12 +5,24 @@
 //! θ-join aligns `r` against `s` **and** `s` against `r`, and a reduced
 //! group-based operator normalizes its input against itself, so composing
 //! whole temporal queries into a single plan duplicates the operand
-//! subtree. Duplicated *base* scans are free (they share the relation),
-//! but a duplicated composed subtree would re-execute. [`SpoolNode`] is
-//! the engine's equivalent of PostgreSQL's shared CTE scan: every clone of
-//! the wrapped plan shares one result cache, so the subtree runs exactly
-//! once per query execution no matter how many times the reduction rules
-//! mention it.
+//! subtree. A duplicated composed subtree would re-execute. [`SpoolNode`]
+//! is the engine's equivalent of PostgreSQL's shared CTE scan: every clone
+//! of the wrapped plan shares one result cache, so the subtree runs
+//! exactly once per query execution no matter how many times the
+//! reduction rules mention it. The planner puts every composed subtree a
+//! statement repeats behind one ([`crate::plan::share`]).
+//!
+//! Duplicated *base* scans stay unshared. Rescanning an inline relation
+//! is free (the scans share its rows), but rescanning a persisted heap
+//! larger than the buffer pool is not: every page of every scan is a pool
+//! miss (the `normalize` workload's `N_pcn` statement scans its table
+//! three times, at 0.73–1.0 ms a scan). A spool would still cost more: it would
+//! hold the whole table in memory, which is what paged storage avoids.
+//!
+//! In a physical plan a spool is [`PhysicalPlan::Spool`]: its occurrences
+//! share one `Arc` of the planned input, which the first occurrence to be
+//! pulled builds and drains. `EXPLAIN` prints that input once, under the
+//! first occurrence.
 //!
 //! The cache lives in the per-query [`ExecutionState`] spool registry,
 //! keyed by the spool node's identity — not in the plan. A plan therefore
@@ -21,10 +33,11 @@
 use std::sync::Arc;
 
 use crate::batch::RowBatch;
-use crate::error::EngineResult;
-use crate::exec::{collect, BoxedExec, ExecNode, ExecutionState};
+use crate::error::{EngineError, EngineResult};
+use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::plan::cost::{CostModel, PlanStats};
 use crate::plan::logical::{ExtensionNode, LogicalPlan};
+use crate::plan::PhysicalPlan;
 use crate::relation::Relation;
 use crate::schema::Schema;
 
@@ -43,14 +56,11 @@ impl SpoolNode {
         let schema = input.schema();
         LogicalPlan::extension(Arc::new(SpoolNode { input, schema }))
     }
+}
 
-    /// Registry key: the node's address. Occurrences of the same spool
-    /// share the node (behind one `Arc`), so they build executors with the
-    /// same key; a rebuilt node ([`ExtensionNode::with_new_inputs`]) is a
-    /// new allocation and therefore a new key.
-    fn cache_key(&self) -> usize {
-        self as *const SpoolNode as usize
-    }
+/// Is `node` a [`SpoolNode`]?
+pub(crate) fn is_spool(node: &dyn ExtensionNode) -> bool {
+    node.as_any().is::<SpoolNode>()
 }
 
 impl ExtensionNode for SpoolNode {
@@ -77,34 +87,39 @@ impl ExtensionNode for SpoolNode {
         model.spool(input_stats[0])
     }
 
-    fn build_exec(&self, mut children: Vec<BoxedExec>) -> EngineResult<BoxedExec> {
-        Ok(Box::new(SpoolExec {
-            child: Some(children.remove(0)),
-            schema: self.schema.clone(),
-            key: self.cache_key(),
-            local: None,
-            pos: 0,
-        }))
+    /// A spool adds nothing to its input's computation.
+    fn same_computation(&self, other: &dyn ExtensionNode) -> bool {
+        is_spool(other)
+    }
+
+    /// Never called: the planner plans a spool as [`PhysicalPlan::Spool`],
+    /// whose occurrences share their input's plan, not a built child.
+    fn build_exec(&self, _children: Vec<BoxedExec>) -> EngineResult<BoxedExec> {
+        Err(EngineError::Internal(
+            "a spool executes as PhysicalPlan::Spool".to_string(),
+        ))
     }
 
     // No passthrough: pushing a filter below a *shared* node would detach
-    // this occurrence from the cache (with_new_inputs makes a fresh node,
-    // hence a fresh cache key) and silently drop the sharing the spool
-    // exists for.
+    // this occurrence from the others (with_new_inputs makes a fresh
+    // node) and silently drop the sharing the spool exists for.
 
     fn explain(&self) -> String {
         "Spool (shared materialization)".to_string()
     }
 }
 
-/// Executor for [`SpoolNode`]: the first stream to pull drains the child
-/// into the execution state's spool registry; every stream then serves
-/// rows from the shared materialization (resolved once per stream, then
-/// read lock-free).
+/// Executor for one occurrence of a [`PhysicalPlan::Spool`]: the first
+/// occurrence to pull builds and drains the shared input into the
+/// execution state's spool registry (keyed by the input's address); every
+/// occurrence then serves rows from that materialization (resolved once
+/// per stream, then read lock-free).
 pub struct SpoolExec {
-    child: Option<BoxedExec>,
+    input: Arc<PhysicalPlan>,
+    /// The address of this occurrence's plan node, noted as the filler
+    /// when its pull runs the input under instrumentation.
+    node: usize,
     schema: Schema,
-    key: usize,
     /// Local handle to the materialized relation, filled on first pull so
     /// the registry is consulted once per stream, not once per batch.
     local: Option<Arc<Relation>>,
@@ -112,14 +127,27 @@ pub struct SpoolExec {
 }
 
 impl SpoolExec {
+    /// The occurrence at address `node` of a spool over `input`.
+    pub(crate) fn new(input: &Arc<PhysicalPlan>, node: usize) -> SpoolExec {
+        SpoolExec {
+            input: Arc::clone(input),
+            node,
+            schema: input.schema(),
+            local: None,
+            pos: 0,
+        }
+    }
+
     /// Materialize (or attach to) the shared cache in `state`: the first
-    /// stream to pull drains the child.
+    /// stream to pull runs the input.
     fn materialized(&mut self, state: &ExecutionState) -> EngineResult<&Relation> {
         if self.local.is_none() {
-            let child = &mut self.child;
-            let rel = state.spool_get_or_fill(self.key, || {
-                let node = child.take().expect("spool child built exactly once");
-                collect(node, state)
+            let key = Arc::as_ptr(&self.input) as usize;
+            let rel = state.spool_get_or_fill(key, || {
+                if let Some(ins) = state.instrumentation() {
+                    ins.note_spool_filler(key, self.node);
+                }
+                self.input.collect(state)
             })?;
             self.local = Some(rel);
         }
@@ -152,29 +180,6 @@ mod tests {
     use crate::plan::{JoinType, Planner};
     use crate::schema::{Column, DataType};
     use crate::value::Value;
-    use std::sync::Mutex;
-
-    /// An exec that counts how many times its source is drained, via a
-    /// shared counter.
-    struct CountingScan {
-        rel: Relation,
-        pos: usize,
-        drains: Arc<Mutex<usize>>,
-    }
-
-    impl ExecNode for CountingScan {
-        fn schema(&self) -> &Schema {
-            self.rel.schema()
-        }
-        fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-            if self.pos == 0 {
-                *self.drains.lock().unwrap() += 1;
-            }
-            let rows = self.rel.rows()[self.pos..].to_vec();
-            self.pos += rows.len();
-            Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.rel.schema().clone(), &rows)))
-        }
-    }
 
     fn rel() -> Relation {
         Relation::from_values(
@@ -185,32 +190,33 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_materialization() {
-        let drains = Arc::new(Mutex::new(0usize));
-        // Build a spool by hand around a counting child executor.
-        let node = SpoolNode {
-            input: LogicalPlan::inline_scan(rel()),
-            schema: rel().schema().clone(),
+    fn occurrences_share_one_materialization() {
+        let input = Arc::new(PhysicalPlan::SeqScan {
+            rel: Arc::new(rel()),
+            label: "t".to_string(),
+        });
+        let spool = PhysicalPlan::Spool { input };
+        let twice = PhysicalPlan::HashSetOp {
+            kind: crate::plan::SetOpKind::Union,
+            left: Box::new(spool.clone()),
+            right: Box::new(spool),
         };
-        let mk_child = || -> BoxedExec {
-            Box::new(CountingScan {
-                rel: rel(),
-                pos: 0,
-                drains: Arc::clone(&drains),
-            })
-        };
-        let state = ExecutionState::default();
-        let mut a = node.build_exec(vec![mk_child()]).unwrap();
-        let mut b = node.build_exec(vec![mk_child()]).unwrap();
-        let mut n = 0;
-        while let Some(batch) = a.next_batch(&state).unwrap() {
-            n += batch.len();
-        }
-        while let Some(batch) = b.next_batch(&state).unwrap() {
-            n += batch.len();
-        }
-        assert_eq!(n, 10);
-        assert_eq!(*drains.lock().unwrap(), 1, "child must be drained once");
+        let state = ExecutionState::default().with_instrumentation();
+        assert_eq!(twice.collect(&state).unwrap().len(), 5);
+        // The scan ran once, under one occurrence, and is printed once.
+        let scans = twice.operator_stats(&state);
+        let scans: Vec<_> = scans
+            .iter()
+            .filter(|(_, l, _)| l.starts_with("SeqScan"))
+            .collect();
+        assert_eq!(scans.len(), 1);
+        assert_eq!(
+            scans[0].2.rows.load(std::sync::atomic::Ordering::Relaxed),
+            5
+        );
+        let text = twice.explain_analyze(&state);
+        assert_eq!(text.matches("SeqScan").count(), 1, "{text}");
+        assert_eq!(text.matches("input printed once").count(), 1, "{text}");
     }
 
     #[test]

@@ -81,28 +81,36 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Invert [`escape`]. Unknown escapes keep the escaped character; a
-/// trailing lone backslash is kept literally.
+/// trailing lone backslash is kept literally. The result is allocated
+/// once, at `s`'s length.
 pub fn unescape(s: &str) -> String {
-    // Most fields hold no escape: copy them whole.
-    let Some(first) = s.find('\\') else {
-        return s.to_string();
-    };
+    let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
-    out.push_str(&s[..first]);
-    let mut chars = s[first..].chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+    // `run..` is the part of `s` not yet copied; escapes are ASCII, so
+    // every cut falls on a character boundary.
+    let (mut run, mut from) = (0, 0);
+    while let Some(at) = bytes[from..].iter().position(|&b| b == b'\\') {
+        let at = from + at;
+        out.push_str(&s[run..at]);
+        let decoded = match bytes.get(at + 1) {
+            Some(b't') => Some('\t'),
+            Some(b'n') => Some('\n'),
+            Some(b'r') => Some('\r'),
+            // Any other escaped character is itself: it opens the next
+            // run. A lone trailing backslash is the run.
+            _ => None,
+        };
+        match decoded {
+            Some(c) => {
+                out.push(c);
+                run = at + 2;
+            }
+            None if at + 1 == bytes.len() => run = at,
+            None => run = at + 1,
         }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
+        from = (at + 2).min(bytes.len());
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -356,56 +364,59 @@ impl Response {
     }
 }
 
-/// Read the next line into `line` (reused from line to line) and return
-/// it without its line break.
-fn read_line<'a, R: BufRead>(r: &mut R, line: &'a mut String) -> io::Result<&'a str> {
-    line.clear();
-    let n = r.read_line(line)?;
-    if n == 0 {
+/// Read the next line into `buf` (reused from line to line) and return it
+/// without its line break (`\n`, and any `\r` before it), checked as
+/// UTF-8 once.
+fn read_line<'a, R: BufRead>(r: &mut R, buf: &'a mut Vec<u8>) -> io::Result<&'a str> {
+    buf.clear();
+    if r.read_until(b'\n', buf)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-response",
         ));
     }
-    Ok(line.trim_end_matches(['\n', '\r']))
+    let end = buf
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |i| i + 1);
+    std::str::from_utf8(&buf[..end]).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Read one full response from the server.
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
-    let mut buf = String::new();
-    let status = read_line(r, &mut buf)?.to_string();
+    let mut buf = Vec::new();
+    let status = read_line(r, &mut buf)?;
     if status == "OK" {
         return Ok(Response::Ok);
     }
     if let Some(rest) = status.strip_prefix("AFFECTED ") {
-        let n = rest.trim().parse::<u64>().map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad count: {status}"))
-        })?;
+        let n = rest
+            .trim()
+            .parse::<u64>()
+            .map_err(|_| invalid(format!("bad count: {status}")))?;
         return Ok(Response::Affected(n));
     }
-    if let Some(msg) = error_message(&status) {
+    if let Some(msg) = error_message(status) {
         return Ok(Response::Error(msg));
     }
     let Some(rest) = status.strip_prefix("ROWS ") else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected response line: {status}"),
-        ));
+        return Err(invalid(format!("unexpected response line: {status}")));
     };
-    let ncols = rest.trim().parse::<usize>().map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad ROWS header: {status}"),
-        )
-    })?;
-    let columns: Vec<String> = fields(read_line(r, &mut buf)?, ncols)
-        .map(unescape)
-        .collect();
+    let ncols = rest
+        .trim()
+        .parse::<usize>()
+        .map_err(|_| invalid(format!("bad ROWS header: {status}")))?;
+    let mut columns = Vec::with_capacity(ncols);
+    decode_line(read_line(r, &mut buf)?, ncols, &mut columns, unescape);
     if columns.len() != ncols {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("header has {} columns, expected {ncols}", columns.len()),
-        ));
+        return Err(invalid(format!(
+            "header has {} columns, expected {ncols}",
+            columns.len()
+        )));
     }
     let mut rows = Vec::new();
     loop {
@@ -414,22 +425,19 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
             break;
         }
         let mut row = Vec::with_capacity(ncols);
-        row.extend(fields(line, ncols).map(decode_field));
+        decode_line(line, ncols, &mut row, decode_field);
         if row.len() != ncols {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("row has {} fields, expected {ncols}", row.len()),
-            ));
+            return Err(invalid(format!(
+                "row has {} fields, expected {ncols}",
+                row.len()
+            )));
         }
         rows.push(row);
     }
     let trailer = read_line(r, &mut buf)?;
     if let Some(n) = trailer.strip_prefix("END ") {
         if n.trim().parse::<usize>().ok() != Some(rows.len()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{trailer} after {} rows", rows.len()),
-            ));
+            return Err(invalid(format!("{trailer} after {} rows", rows.len())));
         }
         return Ok(Response::Rows { columns, rows });
     }
@@ -437,18 +445,25 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
     // its result.
     match error_message(trailer) {
         Some(msg) => Ok(Response::Error(msg)),
-        None => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("missing END trailer, got: {trailer}"),
-        )),
+        None => Err(invalid(format!("missing END trailer, got: {trailer}"))),
     }
 }
 
-/// The tab-separated fields of a line of an `ncols`-column block (the
-/// lines of a 0-column block are empty).
-fn fields(line: &str, ncols: usize) -> impl Iterator<Item = &str> {
-    line.split('\t')
-        .take(if ncols == 0 { 0 } else { usize::MAX })
+/// Decode the tab-separated fields of a line of an `ncols`-column block
+/// into `out` (the lines of a 0-column block are empty): one pass over
+/// the bytes finds each field's end, and `decode` builds its value.
+fn decode_line<T>(line: &str, ncols: usize, out: &mut Vec<T>, decode: impl Fn(&str) -> T) {
+    if ncols == 0 {
+        return;
+    }
+    let mut start = 0;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if b == b'\t' {
+            out.push(decode(&line[start..i]));
+            start = i + 1;
+        }
+    }
+    out.push(decode(&line[start..]));
 }
 
 /// The unescaped message of an `ERR` line, if `line` is one.
@@ -563,6 +578,179 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The decoder [`read_response`] replaced: a `String` per line, then
+    /// `split` and `unescape` per field. Kept as the reference.
+    mod reference {
+        use super::super::{error_message, Response, END_OF_ROWS};
+        use std::io::{self, BufRead};
+
+        fn unescape(s: &str) -> String {
+            let Some(first) = s.find('\\') else {
+                return s.to_string();
+            };
+            let mut out = String::with_capacity(s.len());
+            out.push_str(&s[..first]);
+            let mut chars = s[first..].chars();
+            while let Some(c) = chars.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                match chars.next() {
+                    Some('t') => out.push('\t'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some(other) => out.push(other),
+                    None => out.push('\\'),
+                }
+            }
+            out
+        }
+
+        fn read_line<'a, R: BufRead>(r: &mut R, line: &'a mut String) -> io::Result<&'a str> {
+            line.clear();
+            if r.read_line(line)? == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            Ok(line.trim_end_matches(['\n', '\r']))
+        }
+
+        fn fields(line: &str, ncols: usize) -> impl Iterator<Item = &str> {
+            line.split('\t')
+                .take(if ncols == 0 { 0 } else { usize::MAX })
+        }
+
+        pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
+            let bad = || io::Error::from(io::ErrorKind::InvalidData);
+            let mut buf = String::new();
+            let status = read_line(r, &mut buf)?.to_string();
+            if status == "OK" {
+                return Ok(Response::Ok);
+            }
+            if let Some(rest) = status.strip_prefix("AFFECTED ") {
+                return Ok(Response::Affected(rest.trim().parse().map_err(|_| bad())?));
+            }
+            if let Some(msg) = error_message(&status) {
+                return Ok(Response::Error(msg));
+            }
+            let rest = status.strip_prefix("ROWS ").ok_or_else(bad)?;
+            let ncols = rest.trim().parse::<usize>().map_err(|_| bad())?;
+            let columns: Vec<String> = fields(read_line(r, &mut buf)?, ncols)
+                .map(unescape)
+                .collect();
+            if columns.len() != ncols {
+                return Err(bad());
+            }
+            let mut rows = Vec::new();
+            loop {
+                let line = read_line(r, &mut buf)?;
+                if line == END_OF_ROWS {
+                    break;
+                }
+                let row: Vec<Option<String>> = fields(line, ncols)
+                    .map(|f| (f != "\\N").then(|| unescape(f)))
+                    .collect();
+                if row.len() != ncols {
+                    return Err(bad());
+                }
+                rows.push(row);
+            }
+            let trailer = read_line(r, &mut buf)?;
+            if let Some(n) = trailer.strip_prefix("END ") {
+                if n.trim().parse::<usize>().ok() != Some(rows.len()) {
+                    return Err(bad());
+                }
+                return Ok(Response::Rows { columns, rows });
+            }
+            error_message(trailer).map(Response::Error).ok_or_else(bad)
+        }
+    }
+
+    #[test]
+    fn the_decoder_agrees_with_the_line_per_string_decoder() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pick = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        let pieces = [
+            "", "a", "\t", "\n", "\r", "\\", "\\N", "N", "é", " ", "\\t", "x\\",
+        ];
+        let text = |pick: &mut dyn FnMut(u64) -> usize| -> String {
+            (0..pick(4))
+                .map(|_| pieces[pick(pieces.len() as u64)])
+                .collect()
+        };
+        for case in 0..300 {
+            let width = pick(5);
+            let names: Vec<String> = (0..width)
+                .map(|i| format!("c{i}{}", text(&mut pick)))
+                .collect();
+            let schema = Schema::new(
+                names
+                    .iter()
+                    .map(|n| Column::new(n.as_str(), DataType::Str))
+                    .collect(),
+            );
+            let rows: Vec<Row> = (0..pick(6))
+                .map(|_| {
+                    (0..width)
+                        .map(|_| match pick(5) {
+                            0 => Value::Null,
+                            _ => Value::str(text(&mut pick)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let rel = Relation::new(schema, rows).unwrap();
+            let mut wire = Vec::new();
+            write_output(&mut wire, &SqlOutput::Rows(rel)).unwrap();
+            // A failure after the rows, and CR LF line ends, now and then.
+            if pick(4) == 0 {
+                let end =
+                    wire.len() - wire.iter().rev().skip(1).position(|&b| b == b'\n').unwrap() - 1;
+                wire.truncate(end);
+                write_error(&mut wire, "failed\tlate").unwrap();
+            }
+            if pick(3) == 0 {
+                wire = String::from_utf8(wire)
+                    .unwrap()
+                    .replace('\n', "\r\n")
+                    .into_bytes();
+            }
+            let got = read_response(&mut wire.as_slice()).unwrap();
+            let want = reference::read_response(&mut wire.as_slice()).unwrap();
+            assert_eq!(got, want, "case {case}: {}", String::from_utf8_lossy(&wire));
+        }
+    }
+
+    #[test]
+    fn malformed_blocks_are_refused() {
+        for wire in [
+            "ROWS 2\na\tb\n1\n\\.\nEND 1\n",
+            "ROWS 1\na\n1\n\\.\nEND 2\n",
+            "ROWS 1\na\tb\n\\.\nEND 0\n",
+            "ROWS 1\na\n1\n\\.\nnope\n",
+            "ROWS 1\na\n1\n",
+            "ROWS x\n",
+        ] {
+            let err = read_response(&mut wire.as_bytes()).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{wire:?}: {err}"
+            );
+            assert!(reference::read_response(&mut wire.as_bytes()).is_err());
+        }
+        let not_utf8: &[u8] = b"ROWS 1\na\n\xff\n\\.\nEND 1\n";
+        let err = read_response(&mut &not_utf8[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

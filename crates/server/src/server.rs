@@ -244,13 +244,14 @@ const RESPONSE_BUFFER_BYTES: usize = 64 * 1024;
 /// Drive one connection: read a statement per line, execute it on the
 /// connection's session, write one framed response while it executes.
 /// Lines starting with `.` are server commands (currently `.stats`);
-/// everything else is SQL. Errors are reported in-band as `ERR …`; only
-/// I/O failures (a client gone mid-reply among them) end the loop early.
+/// everything else is SQL. Errors — a line that is not UTF-8 among them —
+/// are reported in-band as `ERR …`; only I/O failures (a client gone
+/// mid-reply among them) end the loop early.
 /// `writer` must buffer: the response goes into it field by field and is
 /// flushed once per statement.
 fn serve_connection<R: BufRead, W: Write>(
     mut session: Session,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<()> {
     session
@@ -259,8 +260,17 @@ fn serve_connection<R: BufRead, W: Write>(
         .counter("server.connections")
         .inc();
     let statements = session.database().metrics().counter("server.statements");
-    for line in reader.lines() {
-        let line = line?;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if reader.read_until(b'\n', &mut raw)? == 0 {
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            protocol::write_error(&mut writer, "request is not valid UTF-8")?;
+            writer.flush()?;
+            continue;
+        };
         let stmt = line.trim();
         if stmt.is_empty() {
             continue;
@@ -387,6 +397,27 @@ mod tests {
         c.execute("INSERT INTO t VALUES (1, 0, 2)").unwrap();
         match c.execute("SELECT x FROM t").unwrap() {
             Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn a_request_that_is_not_utf8_is_an_error_reply_and_the_session_goes_on() {
+        use std::io::{BufRead, BufReader, Write};
+        let handle = Server::bind(Database::default(), "127.0.0.1:0")
+            .expect("bind")
+            .spawn();
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .write_all(b"SELECT \xff FROM nowhere\nSELECT 1 + 1 AS two\n")
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "ERR request is not valid UTF-8\n");
+        match crate::protocol::read_response(&mut reader).unwrap() {
+            Response::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("2".to_string())]]),
             other => panic!("expected rows, got {other:?}"),
         }
         handle.stop();

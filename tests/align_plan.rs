@@ -8,11 +8,17 @@
 //! ordering: bag-duplicate `r` tuples, value-equivalent overlapping `r`
 //! tuples, `s` tuples with the same intersection, tuples without a match
 //! (ω), NULL data and `Int = Double` keys.
+//!
+//! The last tests write the paper's reduction of a self outer join out in
+//! SQL (the `outer_join` workload's O3): its two alignments are one
+//! computation, which the planner evaluates once behind a spool, and
+//! each alignment join cuts its range-ordered buckets from both ends.
 use temporal_alignment::core::prelude::*;
 use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::prelude::*;
-use temporal_datasets::drand;
+use temporal_alignment::sql::{Session, SqlOutput};
+use temporal_datasets::{drand, incumben, IncumbenSpec};
 
 mod common;
 
@@ -285,4 +291,148 @@ fn int_keys_equal_to_double_keys_under_every_join() {
         ],
     );
     check_every_join("Int = Double", &r, &s);
+}
+
+/// `inc ⟗ᵀ_{pcn} inc` by its reduction, as the `outer_join` workload
+/// writes it: two alignments of `inc` with itself (one computation), a
+/// full outer join on equal intervals, and α.
+const O3: &str = "SELECT ABSORB x.ssn, x.pcn, y.ssn, y.pcn, coalesce(x.ts, y.ts) ts, \
+                  coalesce(x.te, y.te) te \
+                  FROM (inc r1 ALIGN inc r2 ON r1.pcn = r2.pcn) x \
+                  FULL OUTER JOIN (inc r2 ALIGN inc r1 ON r2.pcn = r1.pcn) y \
+                  ON x.pcn = y.pcn AND x.ts = y.ts AND x.te = y.te";
+
+fn inc_session(rows: usize) -> (Session, TemporalRelation) {
+    let inc = incumben(IncumbenSpec::scaled(rows));
+    let mut session = Session::new();
+    session.register("inc", &inc).unwrap();
+    (session, inc)
+}
+
+fn explain(session: &mut Session, sql: &str) -> String {
+    match session.execute(sql).unwrap() {
+        SqlOutput::Explain(text) => text,
+        other => panic!("{sql}: expected a plan, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_self_outer_join_aligns_once_and_matches_the_oracle_under_every_join() {
+    let (mut session, inc) = inc_session(200);
+    let theta = Some(col(1).eq(col(5)));
+    let want = evaluate_oracle(&TemporalOp::FullOuterJoin { theta }, &[&inc, &inc]).unwrap();
+    for (join, config) in join_methods(true) {
+        for (name, on) in [
+            ("enable_hashjoin", config.enable_hashjoin),
+            ("enable_mergejoin", config.enable_mergejoin),
+            ("enable_nestloop", config.enable_nestloop),
+        ] {
+            session.execute(&format!("SET {name} = {on}")).unwrap();
+        }
+        let got = session.query_temporal(O3).unwrap();
+        assert!(got.same_set(&want), "{join}:\ngot:\n{got}\nwant:\n{want}");
+        // One spool feeds both sides of the full join: the alignment is
+        // planned (and printed) once.
+        let plan = explain(&mut session, &format!("EXPLAIN {O3}"));
+        let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+        assert_eq!(
+            plan.matches("TemporalAligner").count(),
+            1,
+            "{join}:\n{plan}"
+        );
+        let full = lines
+            .iter()
+            .position(|l| l.contains("[Full]"))
+            .unwrap_or_else(|| panic!("{join}: no full join in\n{plan}"));
+        assert_eq!(
+            plan.matches("Spool (shared materialization)").count(),
+            1,
+            "{plan}"
+        );
+        assert_eq!(
+            plan.matches("Spool (shared, input printed once)").count(),
+            1,
+            "{plan}"
+        );
+        assert!(
+            lines[full..]
+                .iter()
+                .filter(|l| l.starts_with("Spool"))
+                .count()
+                == 2,
+            "{join}: both sides of the full join read the spool:\n{plan}"
+        );
+    }
+}
+
+#[test]
+fn subplans_that_differ_are_not_shared() {
+    let (mut session, inc) = inc_session(60);
+    session.register("inc2", &inc).unwrap();
+    let outer = |x: &str, y: &str| {
+        format!(
+            "EXPLAIN SELECT * FROM {x} x FULL OUTER JOIN {y} y \
+             ON x.pcn = y.pcn AND x.ts = y.ts AND x.te = y.te"
+        )
+    };
+    let align = |t: &str, on: &str| format!("({t} a ALIGN {t} b ON {on})");
+    let join = |kind: &str| {
+        format!(
+            "(SELECT a.ssn, a.pcn, a.ts, a.te FROM inc a {kind} JOIN inc b \
+             ON a.pcn = b.pcn AND a.ts < b.ts)"
+        )
+    };
+    let same = align("inc", "a.pcn = b.pcn");
+    assert!(explain(&mut session, &outer(&same, &same)).contains("Spool"));
+    for (what, x, y) in [
+        ("two tables", same.clone(), align("inc2", "a.pcn = b.pcn")),
+        (
+            "θ on pcn, θ on ssn",
+            same.clone(),
+            align("inc", "a.ssn = b.ssn"),
+        ),
+        (
+            "a differing literal",
+            align("inc", "a.pcn = b.pcn AND a.ssn > 3"),
+            align("inc", "a.pcn = b.pcn AND a.ssn > 4"),
+        ),
+        ("a differing join type", join("INNER"), join("LEFT")),
+    ] {
+        let plan = explain(&mut session, &outer(&x, &y));
+        // Both alignments (or joins) run; only a subplan they do repeat —
+        // `DISTINCT inc` under two alignments of `inc` — may be shared.
+        let (aligners, joins) = (
+            plan.matches("TemporalAligner").count(),
+            plan.matches("Join[").count(),
+        );
+        match what {
+            "a differing join type" => assert_eq!((aligners, joins), (0, 3), "{what}:\n{plan}"),
+            _ => assert_eq!((aligners, joins), (2, 3), "{what}:\n{plan}"),
+        }
+        if matches!(what, "two tables" | "a differing join type") {
+            assert!(!plan.contains("Spool"), "{what}:\n{plan}");
+        }
+    }
+}
+
+#[test]
+fn an_o3_alignment_join_tests_few_candidates() {
+    // At n = 4 000 each alignment join emits ≈ 18 500 rows; with buckets
+    // cut at one end only it tested ≈ 124 000 candidates.
+    let (mut session, _) = inc_session(4_000);
+    let plan = explain(&mut session, &format!("EXPLAIN ANALYZE {O3}"));
+    let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+    let aligner = lines
+        .iter()
+        .position(|l| l.starts_with("TemporalAligner"))
+        .unwrap_or_else(|| panic!("no aligner in\n{plan}"));
+    let join = lines[aligner + 2];
+    assert!(join.starts_with("HashJoin[Left]"), "{plan}");
+    let candidates: u64 = join
+        .split("candidates=")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no candidates in {join}"));
+    assert!(candidates <= 40_000, "{candidates} candidates:\n{plan}");
 }
