@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use temporal_engine::batch::{group_rows, RowBatch, BATCH_SIZE};
+use temporal_engine::batch::{group_rows, group_runs, RowBatch, BATCH_SIZE};
 use temporal_engine::exec::{collect_batch, ExecNode, ExecutionState};
 
 use crate::primitives::adjustment::{check_interval, int_in};
@@ -155,20 +155,7 @@ fn survivors(all: &RowBatch) -> EngineResult<Vec<u32>> {
         check_interval("absorb", ts[i], te[i])?;
     }
     let (group, groups) = group_rows(&all.columns()[..data], n);
-    // Counting-sort the rows into one contiguous run per group.
-    let mut starts = vec![0u32; groups + 1];
-    for &g in &group {
-        starts[g as usize + 1] += 1;
-    }
-    for g in 0..groups {
-        starts[g + 1] += starts[g];
-    }
-    let mut fill = starts.clone();
-    let mut order = vec![0u32; n];
-    for (i, &g) in group.iter().enumerate() {
-        order[fill[g as usize] as usize] = i as u32;
-        fill[g as usize] += 1;
-    }
+    let (starts, mut order) = group_runs(&group, groups);
     let mut keep = vec![false; n];
     for w in starts.windows(2) {
         let run = &mut order[w[0] as usize..w[1] as usize];

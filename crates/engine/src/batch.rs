@@ -744,6 +744,26 @@ pub fn group_rows(keys: &[Arc<ColumnVec>], n: usize) -> (Vec<u32>, usize) {
     (ids, table.len())
 }
 
+/// Counting-sort rows into one run per group: `ids[i]` is row `i`'s group
+/// among `groups` ([`NULL_ROW`]: none). Returns `bounds` and `order`, group
+/// `g`'s rows being `order[bounds[g]..bounds[g + 1]]`, ascending.
+pub fn group_runs(ids: &[u32], groups: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut bounds = vec![0u32; groups + 1];
+    for &g in ids.iter().filter(|&&g| g != NULL_ROW) {
+        bounds[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        bounds[g + 1] += bounds[g];
+    }
+    let mut fill = bounds.clone();
+    let mut order = vec![0u32; bounds[groups] as usize];
+    for (i, &g) in ids.iter().enumerate().filter(|&(_, &g)| g != NULL_ROW) {
+        order[fill[g as usize] as usize] = i as u32;
+        fill[g as usize] += 1;
+    }
+    (bounds, order)
+}
+
 /// How a [`KeyTable`] compares keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KeyEq {

@@ -43,7 +43,7 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::batch::{hash_rows, ColumnVec, KeyEq, KeyTable, RowBatch, NULL_ROW};
+use crate::batch::{group_runs, hash_rows, ColumnVec, KeyEq, KeyTable, RowBatch};
 use crate::error::EngineResult;
 use crate::exec::{
     collect_batch, join_left_row, BoxedExec, ExecNode, ExecutionState, JoinPairs, OperatorStats,
@@ -230,20 +230,7 @@ impl BuildTable {
         range_col: Option<Vec<i64>>,
         second_col: Option<Vec<i64>>,
     ) -> BuildTable {
-        let groups = table.len();
-        let mut bounds = vec![0u32; groups + 1];
-        for &g in ids.iter().filter(|&&g| g != NULL_ROW) {
-            bounds[g as usize + 1] += 1;
-        }
-        for g in 0..groups {
-            bounds[g + 1] += bounds[g];
-        }
-        let mut fill = bounds.clone();
-        let mut order = vec![0u32; bounds[groups] as usize];
-        for (i, &g) in ids.iter().enumerate().filter(|&(_, &g)| g != NULL_ROW) {
-            order[fill[g as usize] as usize] = i as u32;
-            fill[g as usize] += 1;
-        }
+        let (bounds, mut order) = group_runs(ids, table.len());
         let (mut range_keys, mut spread) = (Vec::new(), Vec::new());
         if let Some(c) = range_col {
             for w in bounds.windows(2) {
