@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
+use crate::batch::{ColumnData, ColumnVec, RowBatch, BATCH_SIZE};
 use crate::catalog::{Catalog, TableSource};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -496,10 +497,34 @@ impl Database {
         self.state().storage.as_ref().map(|r| r.wal.mode())
     }
 
-    /// Append rows to table `name` (arity-checked). In-memory tables get
-    /// copy-on-write appends; persisted tables append through the buffer
-    /// pool and the manifest row count is refreshed. Returns the number
-    /// of appended rows.
+    /// Append rows to table `name` (arity-checked): transposed into one
+    /// batch for [`Database::insert_batch`]. Returns the number of
+    /// appended rows.
+    pub fn insert_rows(&self, name: &str, rows: Vec<Row>) -> EngineResult<usize> {
+        let schema = self.state().catalog.schema_of(name)?;
+        if let Some((i, row)) = rows
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.len() != schema.len())
+        {
+            return Err(EngineError::SchemaMismatch(format!(
+                "row {i} has {} values, table '{name}' has {} columns",
+                row.len(),
+                schema.len()
+            )));
+        }
+        let batch = RowBatch::from_rows(schema, &rows);
+        drop(rows);
+        self.insert_batch(name, batch)
+    }
+
+    /// Append the rows of `batch` to table `name` — the one append path
+    /// of every surface (`INSERT`, `COPY … FROM`, [`Database::insert_rows`]).
+    /// The whole batch is checked against the table's schema first, so a
+    /// bad value cannot leave a prefix appended. In-memory tables get a
+    /// copy-on-write append of the batch; persisted tables append through
+    /// the heap's bulk path and the manifest row count is refreshed.
+    /// Returns the number of appended rows.
     ///
     /// Concurrency: writers serialize on the writer lock (bounded wait,
     /// then [`EngineError::Busy`]), but the append itself and the
@@ -507,19 +532,16 @@ impl Database {
     /// readers keep scanning, and the fsync happens after the writer lock
     /// is released, so concurrent committers batch through the WAL's
     /// group-commit flusher instead of paying one fsync each.
-    pub fn insert_rows(&self, name: &str, rows: Vec<Row>) -> EngineResult<usize> {
-        let n = rows.len();
+    pub fn insert_batch(&self, name: &str, batch: RowBatch) -> EngineResult<usize> {
         let writer = self.writer_lock()?;
         let source = self.state().catalog.source(name)?;
-        // Validate the whole batch up front so a bad row cannot leave a
-        // prefix durably appended, or a value of the wrong type in a
-        // column.
-        let rows = conform_rows(name, source.schema(), rows)?;
+        let batch = conform_batch(name, source.schema(), batch)?;
+        let n = batch.len();
         match source {
             TableSource::Stored(table) => {
                 // Appends publish to new snapshots atomically: readers see
                 // the whole batch or none of it.
-                table.append_rows(rows.iter())?;
+                table.append_rows(&batch)?;
                 let epoch = self.bump_epoch();
                 let wal = {
                     // Short exclusive section: manifest row count +
@@ -548,10 +570,19 @@ impl Database {
                 }
             }
             TableSource::Mem(rel) => {
-                let mut new_rel = (*rel).clone();
-                for r in rows {
-                    new_rel.push(r)?;
+                // The batch joins the stored ones; a short last batch
+                // absorbs it, so row-at-a-time inserts still scan in
+                // full batches.
+                let schema = rel.schema().clone();
+                let mut batches = rel.batches().to_vec();
+                match batches.last_mut() {
+                    _ if batch.is_empty() => {}
+                    Some(last) if last.len() < BATCH_SIZE => {
+                        *last = RowBatch::concat(schema.clone(), &[last.clone(), batch]);
+                    }
+                    _ => batches.push(batch),
                 }
+                let new_rel = Relation::from_batches(schema, batches)?;
                 self.bump_epoch();
                 self.state_mut().catalog.register_or_replace(name, new_rel);
             }
@@ -744,39 +775,75 @@ fn remove_persisted(root: &mut StorageRoot, name: &str, epoch: u64) -> EngineRes
 }
 
 /// Check a batch bound for a table of `schema` before anything is
-/// appended: each row's arity, and each value's type against its
-/// column's. NULL fits any column and an `Int` bound for a `double`
-/// column is widened; any other mismatch names the row and the column.
-fn conform_rows(name: &str, schema: &Schema, rows: Vec<Row>) -> EngineResult<Vec<Row>> {
-    let arity = schema.len();
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            if row.len() != arity {
-                return Err(EngineError::SchemaMismatch(format!(
-                    "row {i} has {} values, table '{name}' has {arity} columns",
-                    row.len()
-                )));
-            }
-            let mut widened: Option<Vec<Value>> = None;
-            for (c, (v, col)) in row.values().iter().zip(schema.cols()).enumerate() {
-                match (v, v.dtype()) {
-                    (_, None) => {}
-                    (_, Some(t)) if t == col.dtype => {}
-                    (Value::Int(x), _) if col.dtype == DataType::Double => {
-                        widened.get_or_insert_with(|| row.to_vec())[c] = Value::Double(*x as f64);
-                    }
-                    (_, Some(t)) => {
-                        return Err(EngineError::SchemaMismatch(format!(
-                            "row {i}: column '{}' of table '{name}' is {}, got {t} {v}",
-                            col.name, col.dtype
-                        )))
-                    }
+/// appended: its width, and each value's type against its column's. NULL
+/// fits any column and an `Int` bound for a `double` column is widened;
+/// any other mismatch names the first offending row and its column. A
+/// batch whose columns are all stored as their table columns' types
+/// passes through untouched.
+fn conform_batch(name: &str, schema: &Schema, batch: RowBatch) -> EngineResult<RowBatch> {
+    if batch.width() != schema.len() {
+        return Err(EngineError::SchemaMismatch(format!(
+            "batch has {} columns, table '{name}' has {} columns",
+            batch.width(),
+            schema.len()
+        )));
+    }
+    let mut rebuilt = Vec::new();
+    // The first offending (row, column), in row order.
+    let mut bad: Option<(usize, usize)> = None;
+    for (c, (column, col)) in batch.columns().iter().zip(schema.cols()).enumerate() {
+        match conform_column(column, col.dtype) {
+            Ok(None) => {}
+            Ok(Some(column)) => rebuilt.push((c, column)),
+            Err(i) => {
+                if bad.is_none_or(|(row, _)| i < row) {
+                    bad = Some((i, c));
                 }
             }
-            Ok(widened.map_or(row, Row::new))
+        }
+    }
+    if let Some((i, c)) = bad {
+        let v = batch.value(c, i);
+        let col = &schema.cols()[c];
+        return Err(EngineError::SchemaMismatch(format!(
+            "row {i}: column '{}' of table '{name}' is {}, got {} {v}",
+            col.name,
+            col.dtype,
+            v.dtype().expect("NULL fits any column")
+        )));
+    }
+    if rebuilt.is_empty() {
+        return Ok(batch);
+    }
+    let mut columns = batch.columns().to_vec();
+    for (c, column) in rebuilt {
+        columns[c] = Arc::new(column);
+    }
+    Ok(RowBatch::new(batch.schema().clone(), batch.len(), columns))
+}
+
+/// `column` rebuilt as a column of `dtype` value by value (NULLs kept,
+/// `Int`s widened for a `double` column), or `None` when it is stored as
+/// one already. `Err` names the first row whose value does not fit.
+fn conform_column(column: &ColumnVec, dtype: DataType) -> Result<Option<ColumnVec>, usize> {
+    let stored_as = match column.data() {
+        ColumnData::Int(_) => Some(DataType::Int),
+        ColumnData::Double(_) => Some(DataType::Double),
+        ColumnData::Bool(_) => Some(DataType::Bool),
+        ColumnData::Str(_) => Some(DataType::Str),
+        ColumnData::Mixed(_) => None,
+    };
+    if stored_as == Some(dtype) {
+        return Ok(None);
+    }
+    let values = (0..column.len())
+        .map(|i| match (column.value(i), dtype) {
+            (Value::Int(x), DataType::Double) => Ok(Value::Double(x as f64)),
+            (v, _) if v.dtype().is_none_or(|t| t == dtype) => Ok(v),
+            _ => Err(i),
         })
-        .collect()
+        .collect::<Result<Vec<Value>, usize>>()?;
+    Ok(Some(ColumnVec::from_values(values)))
 }
 
 #[cfg(test)]
@@ -945,6 +1012,39 @@ mod tests {
         assert!(mem.insert_rows("staff", vec![bad]).is_err());
         assert_eq!(rows_of(&mem, "staff"), 4);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_batch_is_checked_whole_before_anything_is_appended() {
+        let schema = Schema::new(vec![
+            Column::new("x", DataType::Double),
+            Column::new("n", DataType::Str),
+            Column::new("ts", DataType::Int),
+            Column::new("te", DataType::Int),
+        ]);
+        let db = Database::new();
+        db.register("t", Relation::empty(schema)).unwrap();
+        // An `Int` for a `double` column widens; NULL fits any column.
+        let (int, dbl, null) = (Value::Int, Value::Double, Value::Null);
+        let row = |v: [Value; 4]| Row::new(v.to_vec());
+        let widened = vec![
+            row([int(1), null.clone(), int(0), int(1)]),
+            row([dbl(0.5), Value::str("a"), null.clone(), int(2)]),
+        ];
+        db.insert_rows("t", widened).unwrap();
+        let rel = db.relation("t").unwrap();
+        assert_eq!(rel.rows()[0][0], Value::Double(1.0));
+        assert_eq!(rel.rows()[1][2], Value::Null);
+        // The first bad value in row order is named (row 0's `te` before
+        // row 1's `n`), and no row of the batch is appended.
+        let bad = vec![
+            row([dbl(1.0), Value::str("ok"), int(0), Value::str("x")]),
+            row([dbl(1.0), int(7), int(0), int(1)]),
+        ];
+        let err = db.insert_rows("t", bad).unwrap_err().to_string();
+        let want = "row 0: column 'te' of table 't' is int";
+        assert!(err.contains(want), "{err}");
+        assert_eq!(db.relation("t").unwrap().len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Physical plans: the engine's "plan tree" with concrete algorithm
 //! choices, executable into a tree of pull operators.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use std::sync::atomic::Ordering;
@@ -499,9 +499,36 @@ impl PhysicalPlan {
         collect(self.execute(state)?, state)
     }
 
-    /// Estimated rows/cost for this subtree.
+    /// Estimated rows/cost for this subtree, as a plan of its own: the
+    /// input of a spool it holds twice is costed once.
     pub fn stats(&self, model: &CostModel) -> PlanStats {
-        match self {
+        self.estimate(model, &mut HashMap::new(), &mut |_, _| {})
+    }
+
+    /// Every node's estimate within this plan, by node address — what
+    /// `EXPLAIN` prints. Each node is estimated as part of the whole plan:
+    /// the first occurrence of a shared spool (left to right) carries its
+    /// input's cost, a later one only the re-read of the materialized rows.
+    fn estimates(&self, model: &CostModel) -> HashMap<usize, PlanStats> {
+        let mut out = HashMap::new();
+        self.estimate(model, &mut HashMap::new(), &mut |p, st| {
+            out.insert(p.node_key(), st);
+        });
+        out
+    }
+
+    /// [`Self::stats`] with the spool inputs already costed in `costed`
+    /// (by input address, with their estimates): the first occurrence of
+    /// a shared input, left to right, costs it in full, and a later one
+    /// the re-read of its rows. `note` hears every node's estimate.
+    fn estimate(
+        &self,
+        model: &CostModel,
+        costed: &mut HashMap<usize, PlanStats>,
+        note: &mut impl FnMut(&PhysicalPlan, PlanStats),
+    ) -> PlanStats {
+        let mut est = |p: &PhysicalPlan| p.estimate(model, costed, note);
+        let st = match self {
             PhysicalPlan::SeqScan { rel, .. } => model.scan(rel.len() as f64),
             // StorageScan keeps the page-blind estimate even when bounds
             // are attached: pruning narrows pages read, not rows emitted
@@ -520,24 +547,20 @@ impl PhysicalPlan {
                     sel * (rows * model.cpu_operator_cost + heap),
                 )
             }
-            PhysicalPlan::Filter { input, predicate } => {
-                model.filter(input.stats(model), predicate)
-            }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                model.project(input.stats(model), exprs.len())
-            }
-            PhysicalPlan::Sort { input, .. } => model.sort(input.stats(model)),
+            PhysicalPlan::Filter { input, predicate } => model.filter(est(input), predicate),
+            PhysicalPlan::Project { input, exprs, .. } => model.project(est(input), exprs.len()),
+            PhysicalPlan::Sort { input, .. } => model.sort(est(input)),
             PhysicalPlan::HashAggregate {
                 input, group, aggs, ..
-            } => model.aggregate(input.stats(model), group.len(), aggs.len()),
-            PhysicalPlan::Distinct { input } => model.distinct(input.stats(model)),
+            } => model.aggregate(est(input), group.len(), aggs.len()),
+            PhysicalPlan::Distinct { input } => model.distinct(est(input)),
             PhysicalPlan::NestedLoopJoin {
                 left,
                 right,
                 join_type,
                 condition,
             } => {
-                let (l, r) = (left.stats(model), right.stats(model));
+                let (l, r) = (est(left), est(right));
                 let rows = model.join_rows(
                     l,
                     r,
@@ -555,7 +578,7 @@ impl PhysicalPlan {
                 keys,
                 ..
             } => {
-                let (l, r) = (left.stats(model), right.stats(model));
+                let (l, r) = (est(left), est(right));
                 let rows = model.join_rows(
                     l,
                     r,
@@ -572,7 +595,7 @@ impl PhysicalPlan {
                 keys,
                 ..
             } => {
-                let (l, r) = (left.stats(model), right.stats(model));
+                let (l, r) = (est(left), est(right));
                 let rows = model.join_rows(
                     l,
                     r,
@@ -588,7 +611,7 @@ impl PhysicalPlan {
                 join_type,
                 ..
             } => {
-                let (l, r) = (left.stats(model), right.stats(model));
+                let (l, r) = (est(left), est(right));
                 let rows = model.join_rows(
                     l,
                     r,
@@ -599,24 +622,34 @@ impl PhysicalPlan {
                 // sort both sides + sweep
                 model.merge_join(model.sort(l), model.sort(r), rows)
             }
-            PhysicalPlan::HashSetOp { left, right, .. } => {
-                model.set_op(left.stats(model), right.stats(model))
-            }
-            PhysicalPlan::Limit { input, n } => model.limit(input.stats(model), *n),
+            PhysicalPlan::HashSetOp { left, right, .. } => model.set_op(est(left), est(right)),
+            PhysicalPlan::Limit { input, n } => model.limit(est(input), *n),
             PhysicalPlan::Extension { node, children } => {
-                let stats: Vec<PlanStats> = children.iter().map(|c| c.stats(model)).collect();
+                let stats: Vec<PlanStats> = children.iter().map(&mut est).collect();
                 node.estimate(&stats, model)
             }
-            PhysicalPlan::Spool { input } => model.spool(input.stats(model)),
-        }
+            PhysicalPlan::Spool { input } => {
+                let key = Arc::as_ptr(input) as usize;
+                match costed.get(&key) {
+                    Some(input) => model.spool(PlanStats::new(input.rows, 0.0)),
+                    None => {
+                        let input = input.estimate(model, costed, note);
+                        costed.insert(key, input);
+                        model.spool(input)
+                    }
+                }
+            }
+        };
+        note(self, st);
+        st
     }
 
     /// Pretty-printed physical plan with row estimates (EXPLAIN).
     pub fn explain(&self) -> String {
-        let model = CostModel::default();
+        let estimates = self.estimates(&CostModel::default());
         let mut out = String::new();
         self.walk(None, &mut |p, depth, first| {
-            let st = p.stats(&model);
+            let st = estimates[&p.node_key()];
             out.push_str(&format!(
                 "{}{}  (rows≈{:.0} cost≈{:.2})\n",
                 "  ".repeat(depth),
@@ -734,10 +767,10 @@ impl PhysicalPlan {
     /// identity is the plan node address, so a different plan clone (or a
     /// fresh state) renders every node as `never executed`.
     pub fn explain_analyze(&self, state: &ExecutionState) -> String {
-        let model = CostModel::default();
+        let estimates = self.estimates(&CostModel::default());
         let mut out = String::new();
         self.walk(Some(state), &mut |p, depth, first| {
-            let st = p.stats(&model);
+            let st = estimates[&p.node_key()];
             out.push_str(&format!(
                 "{}{}  (rows≈{:.0} cost≈{:.2}){}\n",
                 "  ".repeat(depth),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use temporal_store::{HeapSnapshot, IndexRows, Page, PageId, SlotId, TableHeap};
 
-use crate::batch::{BatchBuilder, ColumnBuilder};
+use crate::batch::{BatchBuilder, ColumnBuilder, ColumnData, RowBatch};
 use crate::error::{EngineError, EngineResult};
 use crate::hashing::mix_bytes;
 use crate::relation::Relation;
@@ -105,43 +105,61 @@ const TAG_INT: u8 = 2;
 const TAG_DOUBLE: u8 = 3;
 const TAG_STR: u8 = 4;
 
-/// Append the encoding of `row` to `buf` (tag byte per value, fixed-width
-/// numerics, length-prefixed strings).
-pub fn encode_row(row: &Row, buf: &mut Vec<u8>) {
-    for v in row.values() {
-        match v {
-            Value::Null => buf.push(TAG_NULL),
-            Value::Bool(b) => {
-                buf.push(TAG_BOOL);
-                buf.push(u8::from(*b));
-            }
-            Value::Int(i) => {
-                buf.push(TAG_INT);
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                buf.push(TAG_DOUBLE);
-                buf.extend_from_slice(&d.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                buf.push(TAG_STR);
-                let bytes = s.as_bytes();
-                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(bytes);
-            }
+/// Append the encoding of row `i` of `batch` to `buf` — the one record
+/// encoder: a tag byte per value, fixed-width numerics, length-prefixed
+/// strings. Typed columns encode without building a [`Value`].
+pub fn encode_record(batch: &RowBatch, i: usize, buf: &mut Vec<u8>) {
+    for col in batch.columns() {
+        if col.is_null(i) {
+            buf.push(TAG_NULL);
+            continue;
+        }
+        match col.data() {
+            ColumnData::Int(v) => put_int(buf, v[i]),
+            ColumnData::Double(v) => put_double(buf, v[i]),
+            ColumnData::Bool(v) => put_bool(buf, v[i]),
+            ColumnData::Str(v) => put_str(buf, &v[i]),
+            ColumnData::Mixed(v) => match &v[i] {
+                Value::Null => buf.push(TAG_NULL),
+                Value::Int(x) => put_int(buf, *x),
+                Value::Double(x) => put_double(buf, *x),
+                Value::Bool(x) => put_bool(buf, *x),
+                Value::Str(x) => put_str(buf, x),
+            },
         }
     }
 }
 
-/// Decode a record produced by [`encode_row`] back into a row of `arity`
-/// values.
+fn put_int(buf: &mut Vec<u8>, x: i64) {
+    buf.push(TAG_INT);
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_double(buf: &mut Vec<u8>, x: f64) {
+    buf.push(TAG_DOUBLE);
+    buf.extend_from_slice(&x.to_bits().to_le_bytes());
+}
+
+fn put_bool(buf: &mut Vec<u8>, x: bool) {
+    buf.push(TAG_BOOL);
+    buf.push(u8::from(x));
+}
+
+fn put_str(buf: &mut Vec<u8>, x: &str) {
+    buf.push(TAG_STR);
+    buf.extend_from_slice(&(x.len() as u32).to_le_bytes());
+    buf.extend_from_slice(x.as_bytes());
+}
+
+/// Decode a record produced by [`encode_record`] back into a row of
+/// `arity` values.
 pub fn decode_row(rec: &[u8], arity: usize) -> EngineResult<Row> {
     let mut values = Vec::with_capacity(arity);
     decode_record(rec, arity, |_, v| values.push(v))?;
     Ok(Row::new(values))
 }
 
-/// Decode a record produced by [`encode_row`] straight into one column
+/// Decode a record produced by [`encode_record`] straight into one column
 /// builder per value — the scan's decode, which builds no row.
 pub fn decode_into(rec: &[u8], out: &mut [ColumnBuilder]) -> EngineResult<()> {
     decode_record(rec, out.len(), |c, v| match v {
@@ -397,15 +415,8 @@ impl StoredTable {
         self.heap.pool().capacity()
     }
 
-    /// Append one row; see [`Self::append_rows`]. Returns the heap page
-    /// the row landed on.
-    pub fn append_row(&self, row: &Row) -> EngineResult<PageId> {
-        Ok(self.append_rows([row])?.expect("one row appended"))
-    }
-
-    /// Append one row, collecting what the index learns of it into
-    /// `indexed`.
-    fn append_row_inner(&self, row: &Row, indexed: &mut IndexRows) -> EngineResult<PageId> {
+    /// Append one row (arity-checked); see [`Self::append_rows`].
+    pub fn append_row(&self, row: &Row) -> EngineResult<()> {
         if row.len() != self.schema.len() {
             return Err(EngineError::SchemaMismatch(format!(
                 "row has {} values, stored table '{}' has {} columns",
@@ -414,53 +425,84 @@ impl StoredTable {
                 self.schema.len()
             )));
         }
-        let mut buf = Vec::with_capacity(64);
-        encode_row(row, &mut buf);
-        let (page, slot) = self.heap.append(&buf)?;
-        if self.temporal.is_some() {
-            self.index_row(row.values(), page, slot, indexed);
-        }
-        Ok(page)
+        self.append_rows(&RowBatch::from_rows(self.schema.clone(), &[row]))
     }
 
-    /// Note in `indexed` what the index learns of the row in slot `slot`
-    /// of heap page `page`. A NULL (or non-Int) temporal attribute
-    /// poisons the page's time zone, and the row's index entry admits
-    /// every bound on that side, so a bound on the other side alone still
-    /// finds it. A NULL key poisons the page's key zone and filter.
-    fn index_row(&self, values: &[Value], page: PageId, slot: SlotId, indexed: &mut IndexRows) {
-        let int = |col: usize| match values[col] {
-            Value::Int(v) => Some(v),
-            _ => None,
-        };
+    /// Note in `indexed` what the index learns of the record in slot
+    /// `slot` of heap page `page`, whose column `c` holds the integer
+    /// `int(c)` (`None`: NULL or not an integer). A NULL temporal
+    /// attribute poisons the page's time zone, and the row's index entry
+    /// admits every bound on that side, so a bound on the other side
+    /// alone still finds it. A NULL key poisons the page's key zone and
+    /// filter.
+    fn index_row(
+        &self,
+        int: impl Fn(usize) -> Option<i64>,
+        page: PageId,
+        slot: SlotId,
+        indexed: &mut IndexRows,
+    ) {
         let (tsi, tei) = self.temporal.expect("only temporal tables are indexed");
         indexed.add(page, slot, int(tsi), int(tei), self.key_col.and_then(int));
     }
 
-    /// Append rows (each arity-checked against the table schema),
-    /// maintaining the interval index. New snapshots see the rows only
-    /// once the index holds them, and all of them at once. A row that
-    /// fails ends the batch: the rows before it stay appended, indexed and
-    /// published. Returns the heap page of the
-    /// last row.
-    pub fn append_rows<'r>(
-        &self,
-        rows: impl IntoIterator<Item = &'r Row>,
-    ) -> EngineResult<Option<PageId>> {
+    /// Append the rows of `batch` (its width checked against the table
+    /// schema; its values are taken to conform) through the heap's one
+    /// append path, maintaining the interval index. New snapshots see the
+    /// rows only once the index holds them, and all of them at once. A
+    /// row that fails ends the batch: the rows before it stay appended,
+    /// indexed and published.
+    pub fn append_rows(&self, batch: &RowBatch) -> EngineResult<()> {
+        if batch.width() != self.schema.len() {
+            return Err(EngineError::SchemaMismatch(format!(
+                "batch has {} columns, stored table '{}' has {}",
+                batch.width(),
+                self.name,
+                self.schema.len()
+            )));
+        }
         // Publication waits for the batch scope, closed after the index
         // update.
-        let batch = self.heap.begin_batch();
+        let scope = self.heap.begin_batch();
         let mut indexed = IndexRows::default();
-        let mut last = None;
-        let appended = rows.into_iter().try_for_each(|r| {
-            last = Some(self.append_row_inner(r, &mut indexed)?);
-            Ok(())
-        });
+        let appended = self.append_indexed(std::slice::from_ref(batch), &mut indexed);
         if let Some(index) = &self.index {
             index.append(indexed);
         }
-        drop(batch);
-        appended.map(|()| last)
+        drop(scope);
+        appended
+    }
+
+    /// Append the rows of `batches`, in order, to the heap as one batch,
+    /// collecting into `indexed` what the index learns of each row that
+    /// lands.
+    fn append_indexed(&self, batches: &[RowBatch], indexed: &mut IndexRows) -> EngineResult<()> {
+        // Row `i` of the whole is row `i - starts[b]` of batch `b`.
+        let starts: Vec<usize> = batches
+            .iter()
+            .scan(0, |start, b| {
+                let at = *start;
+                *start += b.len();
+                Some(at)
+            })
+            .collect();
+        let locate = |i: usize| {
+            let b = starts.partition_point(|&start| start <= i) - 1;
+            (&batches[b], i - starts[b])
+        };
+        Ok(self.heap.append_batch(
+            batches.iter().map(RowBatch::len).sum(),
+            |i, buf| {
+                let (batch, row) = locate(i);
+                encode_record(batch, row, buf)
+            },
+            |i, page, slot| {
+                if self.temporal.is_some() {
+                    let (batch, row) = locate(i);
+                    self.index_row(|c| batch.column(c).int_at(row), page, slot, indexed);
+                }
+            },
+        )?)
     }
 
     /// Drop from `slots` — ascending by page — the ranges of every page
@@ -542,7 +584,7 @@ impl StoredTable {
                     let row = decode_row(rec?, arity).map_err(|e| {
                         temporal_store::StoreError::Corrupt(format!("page {page_no}: {e}"))
                     })?;
-                    self.index_row(row.values(), page_no, slot, &mut indexed);
+                    self.index_row(|c| row[c].as_int(), page_no, slot, &mut indexed);
                 }
                 Ok(())
             })?;
@@ -647,9 +689,7 @@ impl StoredTable {
             let table =
                 StoredTable::create(&tmp, name, rel.schema().clone(), pool_pages, counters)?;
             let mut indexed = IndexRows::default();
-            for r in rel.rows() {
-                table.append_row_inner(r, &mut indexed)?;
-            }
+            table.append_indexed(rel.batches(), &mut indexed)?;
             // Close, not flush: the pool's drop hook would sync the file
             // a second time.
             table.close()?;
@@ -726,6 +766,18 @@ mod tests {
             Value::Int(ts),
             Value::Int(te),
         ])
+    }
+
+    /// The record [`encode_record`] writes for `row`.
+    fn encoded(row: &Row) -> Vec<u8> {
+        let schema = Schema::new(
+            (0..row.len())
+                .map(|c| Column::new(format!("c{c}"), DataType::Int))
+                .collect(),
+        );
+        let mut buf = Vec::new();
+        encode_record(&RowBatch::from_rows(schema, &[row]), 0, &mut buf);
+        buf
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -952,17 +1004,32 @@ mod tests {
             row("ünïcode-ω", -0.0, true, 1, 2),
         ];
         for r in &rows {
-            let mut buf = Vec::new();
-            encode_row(r, &mut buf);
-            let back = decode_row(&buf, r.len()).unwrap();
+            let back = decode_row(&encoded(r), r.len()).unwrap();
             assert_eq!(&back, r);
+        }
+        // A row encodes alike from a batch of many rows (NULLs in typed
+        // columns) and from a column holding values of several types.
+        let mut mixed = rows.clone();
+        mixed.push(Row::new(vec![
+            Value::Int(7),
+            Value::str("s"),
+            Value::Double(0.5),
+            Value::Bool(true),
+            Value::Null,
+        ]));
+        let batch = RowBatch::from_rows(schema(), &mixed);
+        assert!(matches!(batch.column(0).data(), ColumnData::Mixed(_)));
+        for (i, r) in mixed.iter().enumerate() {
+            let mut buf = Vec::new();
+            encode_record(&batch, i, &mut buf);
+            assert_eq!(buf, encoded(r), "row {i}");
+            assert_eq!(&decode_row(&buf, r.len()).unwrap(), r);
         }
     }
 
     #[test]
     fn decode_rejects_corruption() {
-        let mut buf = Vec::new();
-        encode_row(&row("x", 1.0, true, 1, 2), &mut buf);
+        let buf = encoded(&row("x", 1.0, true, 1, 2));
         assert!(decode_row(&buf[..buf.len() - 1], 5).is_err()); // truncated
         assert!(decode_row(&buf, 4).is_err()); // trailing bytes
         let mut bad = buf.clone();
@@ -982,11 +1049,6 @@ mod tests {
             })
             .is_none());
         let as_of_5 = t.record_bounds(&ZoneBounds::as_of(5)).unwrap();
-        let encoded = |r: &Row| {
-            let mut buf = Vec::new();
-            encode_row(r, &mut buf);
-            buf
-        };
         // Half-open [ts, te): the walk crosses a string, a double and a
         // bool to reach the pair.
         assert!(as_of_5.may_match(&encoded(&row("ann", 1.5, true, 5, 6))));
@@ -1038,7 +1100,8 @@ mod tests {
             .collect();
         {
             let t = StoredTable::create(&path, "t", schema(), 4, &PoolCounters::default()).unwrap();
-            t.append_rows(&rows).unwrap();
+            t.append_rows(&RowBatch::from_rows(schema(), &rows))
+                .unwrap();
             t.flush().unwrap();
             assert_eq!(t.row_count(), 500);
             assert!(t.page_count() > 4, "table must exceed its pool");
@@ -1050,6 +1113,24 @@ mod tests {
         let wrong = Schema::new(vec![Column::new("z", DataType::Int)]);
         assert!(StoredTable::open(&path, "t", wrong, 4, &PoolCounters::default()).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A relation of several batches is persisted as one heap batch:
+    /// each page written once, the rows in order.
+    #[test]
+    fn persisting_writes_each_page_once() {
+        let dir = tmp("persist_once");
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows: Vec<Row> = (0..5_000)
+            .map(|i| row(&format!("r{i}"), 0.5, true, i, i + 1))
+            .collect();
+        let rel = Relation::new(schema(), rows).unwrap();
+        assert!(rel.batches().len() > 1);
+        let counters = PoolCounters::default();
+        let t = StoredTable::persist_relation(&dir, "t", &rel, 4, &counters).unwrap();
+        assert_eq!(counters.io_writes.get(), u64::from(t.page_count()));
+        assert_eq!(t.read_all().unwrap().rows(), rel.rows());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use temporal_engine::prelude::*;
 
 use crate::analyzer::Analyzer;
 use crate::ast::{AstExpr, CopyDirection, SelectStmt, Statement};
-use crate::csv::{relation_to_csv, rows_from_csv};
+use crate::csv::{batch_from_csv, relation_to_csv};
 use crate::error::{SqlError, SqlResult};
 use crate::parser::parse_statement;
 
@@ -388,8 +388,11 @@ impl Session {
                         .map_err(SqlError::from)?;
                     let text = std::fs::read_to_string(&path)
                         .map_err(|e| SqlError::Engine(format!("read {path}: {e}")))?;
-                    let rows = rows_from_csv(&text, &schema)?;
-                    let n = self.db.insert_rows(&table, rows)?;
+                    // The whole file is parsed and checked before the
+                    // first row is appended.
+                    let batch = batch_from_csv(&text, &schema)?;
+                    drop(text);
+                    let n = self.db.insert_batch(&table, batch)?;
                     Ok(SqlOutput::Affected(n))
                 }
                 CopyDirection::To => {

@@ -259,8 +259,14 @@ impl BufferPool {
     /// and a guard over the (already dirty-free, just-written) frame.
     /// A frame is secured *before* the disk append, so a pool with every
     /// frame pinned fails cleanly without having written phantom bytes.
-    /// The append stays under the map-guard — appends are rare and the id
-    /// must be mapped atomically with its assignment.
+    /// The append stays under the map-guard — the id must be mapped
+    /// atomically with its assignment.
+    ///
+    /// Write-ahead is the caller's: the page carries an LSN, and letting
+    /// it reach disk before the log would let a crash truncate the WAL
+    /// below an LSN that is already on a data page (a later image at that
+    /// LSN would then be skipped as "applied"). The heap logs a run of
+    /// fresh pages and syncs the log once before allocating any of them.
     pub fn allocate(&self, page: Page) -> StoreResult<(PageId, PageGuard<'_>)> {
         let mut state = self.lock_state();
         let mut attempts = 0;
@@ -279,14 +285,7 @@ impl BufferPool {
                 Err(e) => return Err(e),
             }
         };
-        // Write-ahead applies to appends too: the new page carries an LSN,
-        // and letting it reach disk before the log would let a crash
-        // truncate the WAL below an LSN that is already on a data page
-        // (a later image at that LSN would then be skipped as "applied").
-        let id = match self
-            .write_ahead()
-            .and_then(|()| self.disk.allocate_page(&page))
-        {
+        let id = match self.disk.allocate_page(&page) {
             Ok(id) => id,
             Err(e) => {
                 // The claimed frame was never mapped: just drop the claim.

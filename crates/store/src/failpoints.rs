@@ -65,6 +65,11 @@ mod armed {
         POWER_CUT.store(false, Ordering::SeqCst);
     }
 
+    /// Is an action armed and not yet fired?
+    pub fn is_armed() -> bool {
+        ARMED.lock().unwrap_or_else(|e| e.into_inner()).is_some()
+    }
+
     /// Has a crash-style action tripped the power-cut switch?
     pub fn power_cut() -> bool {
         POWER_CUT.load(Ordering::SeqCst)
@@ -96,7 +101,7 @@ mod armed {
 }
 
 #[cfg(feature = "failpoints")]
-pub use armed::{arm, arm_nth, hit, power_cut, reset, trip_power_cut};
+pub use armed::{arm, arm_nth, hit, is_armed, power_cut, reset, trip_power_cut};
 
 #[cfg(not(feature = "failpoints"))]
 mod inert {

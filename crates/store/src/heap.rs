@@ -3,16 +3,16 @@
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::buffer::{BufferPool, PoolCounters};
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
 use crate::page::{Page, PageId, SlotId, PAGE_SIZE};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::Wal;
 
 /// Where a logged heap sends its append records.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct WalSink {
     wal: Arc<Wal>,
     table: String,
@@ -105,8 +105,9 @@ pub struct TableHeap {
     tail: Mutex<Option<PageId>>,
     /// When attached, every append is logged here before it is
     /// acknowledged: a full-page image on the page's first touch per
-    /// checkpoint epoch, a logical record afterwards.
-    wal: Mutex<Option<WalSink>>,
+    /// checkpoint epoch (and for every fresh page), a logical record
+    /// afterwards.
+    wal: OnceLock<WalSink>,
     /// Published prefix watermark, packed `(pages << 16) | tail_tuples`
     /// — what [`TableHeap::snapshot`] reads, lock-free.
     visible: AtomicU64,
@@ -138,7 +139,7 @@ impl TableHeap {
             fingerprint,
             rows: AtomicU64::new(0),
             tail: Mutex::new(None),
-            wal: Mutex::new(None),
+            wal: OnceLock::new(),
             visible: AtomicU64::new(0),
             visible_rows: AtomicU64::new(0),
             pending: AtomicU64::new(0),
@@ -189,7 +190,7 @@ impl TableHeap {
             fingerprint,
             rows: AtomicU64::new(rows),
             tail: Mutex::new(pages.checked_sub(1)),
-            wal: Mutex::new(None),
+            wal: OnceLock::new(),
             visible: AtomicU64::new(0),
             visible_rows: AtomicU64::new(0),
             pending: AtomicU64::new(0),
@@ -220,7 +221,7 @@ impl TableHeap {
                 fingerprint,
                 rows: AtomicU64::new(0),
                 tail: Mutex::new(pages.checked_sub(1)),
-                wal: Mutex::new(None),
+                wal: OnceLock::new(),
                 visible: AtomicU64::new(0),
                 visible_rows: AtomicU64::new(0),
                 pending: AtomicU64::new(0),
@@ -232,13 +233,16 @@ impl TableHeap {
 
     /// Route every future append through `wal`, tagged as `table`. Also
     /// hooks the buffer pool so dirty write-backs sync the log first
-    /// (the write-ahead invariant).
+    /// (the write-ahead invariant). A heap is attached once; a second
+    /// call is ignored.
     pub fn attach_wal(&self, wal: Arc<Wal>, table: impl Into<String>) {
         self.pool.attach_wal(Arc::clone(&wal));
-        *self.wal.lock().unwrap_or_else(|e| e.into_inner()) = Some(WalSink {
+        let sink = WalSink {
             wal,
             table: table.into(),
-        });
+        };
+        let attached = self.wal.set(sink).is_ok();
+        debug_assert!(attached, "a heap is attached to one WAL");
     }
 
     /// The schema fingerprint every page of this heap carries.
@@ -320,75 +324,150 @@ impl TableHeap {
     /// full. Returns the page and slot that took the record — the heap
     /// position an interval index entry points at.
     pub fn append(&self, record: &[u8]) -> StoreResult<(PageId, SlotId)> {
-        let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(id) = *tail {
-            let guard = self.pool.fetch(id)?;
-            // Validate before trusting the header's free-space pointers:
-            // a corrupt tail must surface as an error, not as pointer
-            // arithmetic inside `Page::insert`.
-            let fits = {
-                let page = guard.read();
-                page.validate(self.fingerprint)?;
-                page.fits(record.len())
-            };
-            if fits {
-                let mut page = guard.write();
-                let slot = page
-                    .insert(record)?
-                    .expect("the free-space check guaranteed a fit");
-                self.log_append(&mut page, id, record)?;
-                let tail_tuples = page.tuple_count();
-                drop(page);
-                self.rows.fetch_add(1, Ordering::Relaxed);
-                self.note_append(id + 1, tail_tuples);
-                return Ok((id, slot));
-            }
-        }
-        // Tail missing or full: start a new page.
-        let mut page = Page::init(self.fingerprint);
-        let Some(slot) = page.insert(record)? else {
-            return Err(StoreError::Capacity(format!(
-                "record of {} bytes does not fit an empty page",
-                record.len()
-            )));
-        };
-        // The tail lock serializes allocations on this heap, so the next
-        // page id is known before `allocate` runs — the WAL record (and
-        // the page's LSN) must exist before the page can hit disk.
-        let next = self.pool.disk().page_count();
-        self.log_append(&mut page, next, record)?;
-        let tail_tuples = page.tuple_count();
-        let (id, _guard) = self.pool.allocate(page)?;
-        debug_assert_eq!(id, next, "tail lock serializes heap allocation");
-        *tail = Some(id);
-        self.rows.fetch_add(1, Ordering::Relaxed);
-        self.note_append(id + 1, tail_tuples);
-        Ok((id, slot))
+        let mut at = None;
+        self.append_batch(
+            1,
+            |_, buf| buf.extend_from_slice(record),
+            |_, page, slot| at = Some((page, slot)),
+        )?;
+        Ok(at.expect("one record appended"))
     }
 
-    /// Log one acknowledged append to the attached WAL (no-op when
-    /// detached): a full-page image the first time `id` is touched in
-    /// the current checkpoint epoch, a logical record afterwards. The
-    /// returned LSN is stamped onto the in-memory page so redo can tell
-    /// whether the on-disk copy already contains this change.
-    fn log_append(&self, page: &mut Page, id: PageId, record: &[u8]) -> StoreResult<()> {
-        let sink = self.wal.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let Some(sink) = sink else { return Ok(()) };
-        let lsn = if sink.wal.first_touch(&sink.table, id) {
-            sink.wal.append(&WalRecord::HeapPageImage {
-                table: sink.table.clone(),
-                fingerprint: self.fingerprint,
-                page: id,
-                image: Box::new(*page.as_bytes()),
-            })?
-        } else {
-            sink.wal.append(&WalRecord::HeapAppend {
-                table: sink.table.clone(),
-                fingerprint: self.fingerprint,
-                page: id,
-                record: record.to_vec(),
-            })?
+    /// Append `n` records in order — the one append path. Record `i` is
+    /// encoded by `encode(i, buf)` into an empty buffer, and `placed(i,
+    /// page, slot)` hears where it landed once it is in the heap.
+    ///
+    /// Records that fit the tail page go into it through the pool, each
+    /// logged on its own (an image on the page's first touch this epoch,
+    /// the record alone afterwards). The rest fill fresh pages in memory
+    /// under the same greedy rule — a record goes to the last page if it
+    /// fits, else starts a new one — so pages break where one-by-one
+    /// appends would break them. Fresh pages go out in runs of at most
+    /// the pool's capacity: one image each, logged in ascending page
+    /// order, then one WAL sync for the run (the write-ahead point of
+    /// all its pages), then each page written once and mapped clean.
+    ///
+    /// New snapshots see the records once the outermost batch scope
+    /// closes (this call opens one). A record that fails ends the batch:
+    /// the records before it that reached the heap stay appended, and
+    /// the error is returned.
+    pub fn append_batch(
+        &self,
+        n: usize,
+        mut encode: impl FnMut(usize, &mut Vec<u8>),
+        mut placed: impl FnMut(usize, PageId, SlotId),
+    ) -> StoreResult<()> {
+        let _batch = self.begin_batch();
+        let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
+        let mut buf = Vec::with_capacity(64);
+        // Fresh pages not yet written, with the index of each one's first
+        // record; the last one takes appends.
+        let mut run: Vec<(Page, usize)> = Vec::new();
+        let filled = (|| {
+            let mut tail_page = match *tail {
+                Some(id) if n > 0 => Some((id, self.pool.fetch(id)?)),
+                _ => None,
+            };
+            if let Some((_, guard)) = &tail_page {
+                // Validate before trusting the header's free-space
+                // pointers: a corrupt tail must surface as an error, not
+                // as pointer arithmetic inside `Page::insert`.
+                guard.read().validate(self.fingerprint)?;
+            }
+            for i in 0..n {
+                buf.clear();
+                encode(i, &mut buf);
+                if let Some((id, guard)) = &tail_page {
+                    let mut page = guard.write();
+                    if let Some(slot) = page.insert(&buf)? {
+                        self.log_change(&mut page, *id, Some(&buf))?;
+                        let tail_tuples = page.tuple_count();
+                        drop(page);
+                        self.rows.fetch_add(1, Ordering::Relaxed);
+                        self.note_append(id + 1, tail_tuples);
+                        placed(i, *id, slot);
+                        continue;
+                    }
+                }
+                // The tail is full (or missing): from here on every record
+                // goes to a fresh page, and the tail's pin is released so
+                // a small pool has a frame for the run.
+                tail_page = None;
+                if let Some((page, _)) = run.last_mut() {
+                    if page.insert(&buf)?.is_some() {
+                        continue;
+                    }
+                }
+                if run.len() == self.pool.capacity() {
+                    self.write_run(&mut tail, &mut run, &mut placed)?;
+                }
+                let mut page = Page::init(self.fingerprint);
+                if page.insert(&buf)?.is_none() {
+                    return Err(StoreError::Capacity(format!(
+                        "record of {} bytes does not fit an empty page",
+                        buf.len()
+                    )));
+                }
+                run.push((page, i));
+            }
+            Ok(())
+        })();
+        // The pages packed before a failure hold records that precede it:
+        // they are appended like any other.
+        let written = self.write_run(&mut tail, &mut run, &mut placed);
+        filled.and(written)
+    }
+
+    /// Log, write and publish a run of fresh pages (ascending from the
+    /// heap's current page count), emptying `run`. Each page is logged as
+    /// its full image, one WAL sync makes all of them durable, and only
+    /// then is each page written — once, as a clean frame of the pool.
+    fn write_run(
+        &self,
+        tail: &mut MutexGuard<'_, Option<PageId>>,
+        run: &mut Vec<(Page, usize)>,
+        placed: &mut impl FnMut(usize, PageId, SlotId),
+    ) -> StoreResult<()> {
+        // Taken, not borrowed: after a failure the run is gone, never
+        // logged or written twice.
+        let mut run = std::mem::take(run);
+        if run.is_empty() {
+            return Ok(());
+        }
+        let first = self.pool.disk().page_count();
+        for ((page, _), id) in run.iter_mut().zip(first..) {
+            self.log_change(page, id, None)?;
+        }
+        if let Some(sink) = self.wal.get() {
+            sink.wal.sync_for_write_ahead()?;
+        }
+        for ((page, first_record), logged_as) in run.into_iter().zip(first..) {
+            let tail_tuples = page.tuple_count();
+            let (id, _guard) = self.pool.allocate(page)?;
+            debug_assert_eq!(id, logged_as, "the tail lock serializes heap allocation");
+            **tail = Some(id);
+            self.rows
+                .fetch_add(u64::from(tail_tuples), Ordering::Relaxed);
+            self.note_append(id + 1, tail_tuples);
+            for slot in 0..tail_tuples {
+                placed(first_record + usize::from(slot), id, slot);
+            }
+        }
+        Ok(())
+    }
+
+    /// Log a change to page `id` to the attached WAL (no-op when
+    /// detached): `record` was just inserted into it, or, for `None`, the
+    /// page is fresh. The returned LSN is stamped onto the in-memory page
+    /// so redo can tell whether the on-disk copy already contains this
+    /// change.
+    fn log_change(&self, page: &mut Page, id: PageId, record: Option<&[u8]>) -> StoreResult<()> {
+        let Some(sink) = self.wal.get() else {
+            return Ok(());
         };
+        let lsn =
+            sink.wal
+                .log_heap_change(&sink.table, self.fingerprint, id, record, page.as_bytes())?;
         page.set_lsn(lsn);
         Ok(())
     }
@@ -537,6 +616,7 @@ impl TableHeap {
 mod tests {
     use super::*;
     use crate::index::ALL_SLOTS;
+    use crate::wal::WalRecord;
     use std::path::PathBuf;
 
     fn heap_path(name: &str) -> PathBuf {
@@ -631,6 +711,144 @@ mod tests {
                 WalRecord::HeapAppend { table, page: 0, .. } if table == "t"
             ));
         }
+    }
+
+    /// Record `i` of the batch tests: lengths that vary, so pages break
+    /// at different slot counts.
+    fn varied(i: usize) -> Vec<u8> {
+        vec![i as u8; 40 + (i * 37) % 300]
+    }
+
+    /// Every page of `heap` as its records.
+    fn pages_of(heap: &TableHeap) -> Vec<Vec<Vec<u8>>> {
+        (0..heap.page_count())
+            .map(|id| {
+                heap.with_page(id, |p| p.records().map(|r| Ok(r?.to_vec())).collect())
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_lays_out_pages_as_one_by_one_appends_do() {
+        for (pool, before, n) in [
+            (2, 0, 150),
+            (2, 5, 150),
+            (4, 3, 1),
+            (64, 7, 400),
+            (1, 2, 60),
+        ] {
+            let one = TableHeap::create(heap_path("one.heap"), 5, pool, &PoolCounters::default())
+                .unwrap();
+            let bulk = TableHeap::create(heap_path("bulk.heap"), 5, pool, &PoolCounters::default())
+                .unwrap();
+            for i in 0..before {
+                one.append(&varied(i)).unwrap();
+                bulk.append(&varied(i)).unwrap();
+            }
+            let mut want = Vec::new();
+            for i in before..before + n {
+                want.push(one.append(&varied(i)).unwrap());
+            }
+            let mut got = Vec::new();
+            bulk.append_batch(
+                n,
+                |i, buf| buf.extend_from_slice(&varied(before + i)),
+                |i, page, slot| got.push((i, page, slot)),
+            )
+            .unwrap();
+            let case = format!("pool {pool}, {before} rows first, {n} in the batch");
+            let got: Vec<(PageId, SlotId)> = got
+                .into_iter()
+                .enumerate()
+                .map(|(k, (i, page, slot))| {
+                    assert_eq!(k, i, "{case}: records are placed in order");
+                    (page, slot)
+                })
+                .collect();
+            assert_eq!(got, want, "{case}: positions");
+            assert_eq!(bulk.page_count(), one.page_count(), "{case}");
+            assert_eq!(bulk.row_count(), one.row_count(), "{case}");
+            assert_eq!(
+                pages_of(&bulk),
+                pages_of(&one),
+                "{case}: records by (page, slot)"
+            );
+            assert_eq!(bulk.snapshot(), one.snapshot(), "{case}: published");
+        }
+    }
+
+    #[test]
+    fn a_batch_logs_each_fresh_page_once_and_syncs_once_per_run() {
+        let dir = wal_dir("bulk");
+        let metrics = crate::metrics::MetricsRegistry::new();
+        let (wal, _) = Wal::open(&dir, &metrics).unwrap();
+        let wal = Arc::new(wal);
+        let counters = PoolCounters::default();
+        let path = dir.join("t.heap");
+        let heap = TableHeap::create(&path, 9, 4, &counters).unwrap();
+        heap.attach_wal(Arc::clone(&wal), "t");
+        heap.append(&varied(0)).unwrap();
+        let syncs = metrics.counter("wal.syncs");
+        let (syncs_before, writes_before) = (syncs.get(), counters.io_writes.get());
+        let n = 200;
+        heap.append_batch(
+            n,
+            |i, buf| buf.extend_from_slice(&varied(i + 1)),
+            |_, _, _| {},
+        )
+        .unwrap();
+        let fresh = heap.page_count() - 1;
+        assert!(
+            fresh > 8,
+            "the batch spans several runs of 4 pages: {fresh}"
+        );
+        // One sync per run of at most the pool's 4 frames, one write per
+        // fresh page, and one for the old tail page, which the batch
+        // filled in the pool and the runs evicted.
+        assert_eq!(syncs.get() - syncs_before, u64::from(fresh.div_ceil(4)));
+        assert_eq!(
+            counters.io_writes.get() - writes_before,
+            u64::from(fresh) + 1
+        );
+        wal.commit().unwrap();
+        let expected = pages_of(&heap);
+        // Crash: nothing more reaches the heap file.
+        std::mem::forget(heap);
+        drop(wal);
+
+        let (_, scan) = Wal::open(&dir, &crate::metrics::MetricsRegistry::new()).unwrap();
+        // The tail page's records one by one, then each fresh page once,
+        // as its image, in ascending order.
+        let images: Vec<PageId> = scan
+            .records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::HeapPageImage { page, .. } => Some(*page),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(images, (0..=fresh).collect::<Vec<_>>());
+        // Page 0 was imaged by its first record, so its others are logged
+        // alone.
+        let appends = scan.records.len() - images.len();
+        assert_eq!(appends, expected[0].len() - 1);
+        let (heap, _) =
+            TableHeap::open_for_recovery(&path, 9, 4, &PoolCounters::default()).unwrap();
+        for (lsn, rec) in &scan.records {
+            match rec {
+                WalRecord::HeapPageImage { page, image, .. } => {
+                    heap.redo_page_image(*page, image, *lsn).unwrap();
+                }
+                WalRecord::HeapAppend { page, record, .. } => {
+                    heap.redo_append(*page, record, *lsn).unwrap();
+                }
+                other => panic!("unexpected record {other:?}"),
+            }
+        }
+        assert_eq!(heap.recount_rows().unwrap(), n as u64 + 1);
+        assert_eq!(pages_of(&heap), expected);
+        heap.close().unwrap();
     }
 
     #[test]

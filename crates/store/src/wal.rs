@@ -35,9 +35,12 @@
 //! later appends to the same page log the record bytes alone. Replay
 //! therefore always restores a torn or partially written page wholesale
 //! before logical appends land on it — the same reason PostgreSQL writes
-//! full pages after checkpoints. [`Wal::first_touch`] tracks the set of
-//! imaged pages, cleared at each checkpoint (and per table on
-//! create/drop, so a replaced table's fresh pages are re-imaged).
+//! full pages after checkpoints. [`Wal::log_heap_change`] decides
+//! between the two under the log lock, from the set of imaged pages,
+//! cleared at each checkpoint (and per table on create/drop, so a
+//! replaced table's fresh pages are re-imaged). A bulk append fills
+//! fresh pages in memory and logs each once, as its image; one sync then
+//! covers the run of images before any of the pages is written.
 //!
 //! ## Checkpoints and sync policy
 //!
@@ -69,12 +72,12 @@
 //! concurrent commits — `wal.syncs / wal.commits < 1` as soon as two
 //! sessions commit at once.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::crc32c::{crc32c, crc32c_append};
 use crate::error::{StoreError, StoreResult};
@@ -246,9 +249,43 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The payload of a [`WalRecord::HeapAppend`], encoded from borrowed parts.
+fn put_heap_append(
+    out: &mut Vec<u8>,
+    table: &str,
+    fingerprint: u64,
+    page: PageId,
+    record: &[u8],
+) -> StoreResult<()> {
+    out.push(TAG_HEAP_APPEND);
+    put_str(out, table)?;
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&page.to_le_bytes());
+    out.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    out.extend_from_slice(record);
+    Ok(())
+}
+
+/// The payload of a [`WalRecord::HeapPageImage`], encoded from borrowed
+/// parts.
+fn put_page_image(
+    out: &mut Vec<u8>,
+    table: &str,
+    fingerprint: u64,
+    page: PageId,
+    image: &[u8; PAGE_SIZE],
+) -> StoreResult<()> {
+    out.push(TAG_HEAP_PAGE_IMAGE);
+    put_str(out, table)?;
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&page.to_le_bytes());
+    out.extend_from_slice(image);
+    Ok(())
+}
+
 impl WalRecord {
-    fn encode(&self) -> StoreResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(64);
+    /// Append the payload encoding to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) -> StoreResult<()> {
         match self {
             WalRecord::TableUpsert {
                 name,
@@ -258,44 +295,31 @@ impl WalRecord {
                 schema,
             } => {
                 out.push(TAG_TABLE_UPSERT);
-                put_str(&mut out, name)?;
-                put_str(&mut out, file)?;
+                put_str(out, name)?;
+                put_str(out, file)?;
                 out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.extend_from_slice(&rows.to_le_bytes());
-                put_str(&mut out, schema)?;
+                put_str(out, schema)?;
             }
             WalRecord::TableDrop { name } => {
                 out.push(TAG_TABLE_DROP);
-                put_str(&mut out, name)?;
+                put_str(out, name)?;
             }
             WalRecord::HeapAppend {
                 table,
                 fingerprint,
                 page,
                 record,
-            } => {
-                out.push(TAG_HEAP_APPEND);
-                put_str(&mut out, table)?;
-                out.extend_from_slice(&fingerprint.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-                out.extend_from_slice(record);
-            }
+            } => put_heap_append(out, table, *fingerprint, *page, record)?,
             WalRecord::HeapPageImage {
                 table,
                 fingerprint,
                 page,
                 image,
-            } => {
-                out.push(TAG_HEAP_PAGE_IMAGE);
-                put_str(&mut out, table)?;
-                out.extend_from_slice(&fingerprint.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&image[..]);
-            }
+            } => put_page_image(out, table, *fingerprint, *page, image)?,
             WalRecord::Checkpoint => out.push(TAG_CHECKPOINT),
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode(payload: &[u8]) -> StoreResult<WalRecord> {
@@ -367,8 +391,13 @@ struct WalInner {
     file: File,
     next_lsn: u64,
     bytes_since_checkpoint: u64,
-    /// Heap pages already carrying a full-page image this checkpoint epoch.
-    imaged: HashSet<(String, PageId)>,
+    /// Heap pages already carrying a full-page image this checkpoint
+    /// epoch, by table (keyed by `Arc<str>` so a lookup by `&str` does
+    /// not allocate).
+    imaged: HashMap<Arc<str>, HashSet<PageId>>,
+    /// The frame being written, reused so a record allocates nothing:
+    /// the header's [`FRAME_HEADER`] bytes, then the payload.
+    frame: Vec<u8>,
 }
 
 /// The write-ahead log of one database directory. Thread-safe; cheap to
@@ -513,7 +542,8 @@ impl Wal {
                 file,
                 next_lsn: max_lsn + 1,
                 bytes_since_checkpoint: (valid_end - HEADER.len()) as u64,
-                imaged: HashSet::new(),
+                imaged: HashMap::new(),
+                frame: Vec::new(),
             }),
         };
         let scan = WalScan {
@@ -559,72 +589,124 @@ impl Wal {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Record that `page` of `table` is about to be modified; returns
-    /// `true` when this is its first touch this checkpoint epoch, i.e.
-    /// the caller must log a full-page image instead of a logical append.
-    pub fn first_touch(&self, table: &str, page: PageId) -> bool {
-        self.lock().imaged.insert((table.to_string(), page))
-    }
-
     /// Append one record, returning its LSN. Under `always` the record
     /// is fsynced before returning; under `commit` the caller ends the
     /// logical operation with [`Wal::commit`].
     pub fn append(&self, rec: &WalRecord) -> StoreResult<u64> {
-        if failpoints::power_cut() {
-            return Err(failpoints::power_cut_error());
-        }
-        let payload = rec.encode()?;
+        let mut inner = self.lock();
+        let lsn = self.write_frame(&mut inner, |out| rec.encode_into(out))?;
         // Creating or dropping a table invalidates any imaged-page
         // bookkeeping for its name: a replacement heap's pages must be
         // re-imaged before logical appends may target them.
-        let reset_table = match rec {
-            WalRecord::TableUpsert { name, .. } | WalRecord::TableDrop { name } => {
-                Some(name.clone())
-            }
-            _ => None,
-        };
+        if let WalRecord::TableUpsert { name, .. } | WalRecord::TableDrop { name } = rec {
+            inner.imaged.remove(name.as_str());
+        }
+        self.synced_if_always(inner, lsn)
+    }
+
+    /// Log a change to page `page` of heap `table` whose contents are now
+    /// `image`, returning the record's LSN. The record is the whole
+    /// image when `record` is `None` (a fresh page) or when this is the
+    /// page's first change since the last checkpoint, and otherwise
+    /// `record` alone — the bytes just inserted. The first-touch decision
+    /// and the write happen under one lock; the page counts as imaged
+    /// once its image is written.
+    pub fn log_heap_change(
+        &self,
+        table: &str,
+        fingerprint: u64,
+        page: PageId,
+        record: Option<&[u8]>,
+        image: &[u8; PAGE_SIZE],
+    ) -> StoreResult<u64> {
         let mut inner = self.lock();
-        let lsn = inner.next_lsn;
-        let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &payload);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        match failpoints::hit("wal::append") {
-            Some(Action::Crash) => {
-                #[cfg(feature = "failpoints")]
-                failpoints::trip_power_cut();
-                return Err(failpoints::power_cut_error());
+        let imaged = inner
+            .imaged
+            .get(table)
+            .is_some_and(|pages| pages.contains(&page));
+        let lsn = match record {
+            Some(record) if imaged => self.write_frame(&mut inner, |out| {
+                put_heap_append(out, table, fingerprint, page, record)
+            })?,
+            _ => {
+                let lsn = self.write_frame(&mut inner, |out| {
+                    put_page_image(out, table, fingerprint, page, image)
+                })?;
+                match inner.imaged.get_mut(table) {
+                    Some(pages) => {
+                        pages.insert(page);
+                    }
+                    None => {
+                        inner.imaged.insert(table.into(), HashSet::from([page]));
+                    }
+                }
+                lsn
             }
-            Some(Action::Torn { keep }) => {
-                let keep = keep.min(frame.len());
-                inner.file.write_all(&frame[..keep])?;
-                #[cfg(feature = "failpoints")]
-                failpoints::trip_power_cut();
-                return Err(failpoints::power_cut_error());
-            }
-            Some(Action::FlipBit { offset }) => {
-                let off = offset % frame.len();
-                frame[off] ^= 1;
-            }
-            None => {}
-        }
-        inner.file.write_all(&frame)?;
-        inner.next_lsn += 1;
-        inner.bytes_since_checkpoint += frame.len() as u64;
-        if let Some(name) = reset_table {
-            inner.imaged.retain(|(t, _)| *t != name);
-        }
-        self.last_lsn.store(lsn, Ordering::SeqCst);
-        self.bytes.add(frame.len() as u64);
+        };
+        self.synced_if_always(inner, lsn)
+    }
+
+    /// Under `always`, wait until `lsn` is durable — through the group
+    /// flusher, so concurrent appenders share one fsync instead of
+    /// queueing their own. Releases the log lock first.
+    fn synced_if_always(&self, inner: MutexGuard<'_, WalInner>, lsn: u64) -> StoreResult<u64> {
+        drop(inner);
         if self.mode() == SyncMode::Always {
-            // Per-record durability, but through the group flusher:
-            // concurrent appenders share one fsync instead of queueing
-            // their own.
-            drop(inner);
             self.commit_upto(lsn)?;
         }
+        Ok(lsn)
+    }
+
+    /// Frame the payload `encode` writes and append it to the log under
+    /// the held lock, honouring the `wal::append` failpoint. Returns the
+    /// frame's LSN.
+    fn write_frame(
+        &self,
+        inner: &mut WalInner,
+        encode: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
+    ) -> StoreResult<u64> {
+        if failpoints::power_cut() {
+            return Err(failpoints::power_cut_error());
+        }
+        let mut frame = std::mem::take(&mut inner.frame);
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        let written = encode(&mut frame).and_then(|()| {
+            let lsn = inner.next_lsn;
+            let len = (frame.len() - FRAME_HEADER) as u32;
+            let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &frame[FRAME_HEADER..]);
+            frame[..4].copy_from_slice(&len.to_le_bytes());
+            frame[4..8].copy_from_slice(&crc.to_le_bytes());
+            frame[8..16].copy_from_slice(&lsn.to_le_bytes());
+            match failpoints::hit("wal::append") {
+                Some(Action::Crash) => {
+                    #[cfg(feature = "failpoints")]
+                    failpoints::trip_power_cut();
+                    return Err(failpoints::power_cut_error());
+                }
+                Some(Action::Torn { keep }) => {
+                    let keep = keep.min(frame.len());
+                    inner.file.write_all(&frame[..keep])?;
+                    #[cfg(feature = "failpoints")]
+                    failpoints::trip_power_cut();
+                    return Err(failpoints::power_cut_error());
+                }
+                Some(Action::FlipBit { offset }) => {
+                    let off = offset % frame.len();
+                    frame[off] ^= 1;
+                }
+                None => {}
+            }
+            inner.file.write_all(&frame)?;
+            Ok(lsn)
+        });
+        let bytes = frame.len() as u64;
+        inner.frame = frame;
+        let lsn = written?;
+        inner.next_lsn += 1;
+        inner.bytes_since_checkpoint += bytes;
+        self.last_lsn.store(lsn, Ordering::SeqCst);
+        self.bytes.add(bytes);
         Ok(lsn)
     }
 
@@ -752,7 +834,8 @@ impl Wal {
         }
         let mut inner = self.lock();
         let lsn = inner.next_lsn;
-        let payload = WalRecord::Checkpoint.encode()?;
+        let mut payload = Vec::new();
+        WalRecord::Checkpoint.encode_into(&mut payload)?;
         let crc = crc32c_append(crc32c(&lsn.to_le_bytes()), &payload);
         let tmp = self.path.with_extension("log.tmp");
         let mut out = File::create(&tmp)?;
@@ -795,6 +878,12 @@ mod tests {
         dir
     }
 
+    fn encode(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_into(&mut out).unwrap();
+        out
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::TableUpsert {
@@ -829,7 +918,7 @@ mod tests {
     #[test]
     fn record_codec_roundtrips() {
         for rec in sample_records().into_iter().chain([WalRecord::Checkpoint]) {
-            let mut bytes = rec.encode().unwrap();
+            let mut bytes = encode(&rec);
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
             // A byte the format never wrote is corruption.
             bytes.push(0);
@@ -935,21 +1024,39 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_tracks_per_epoch_and_per_table() {
+    fn a_page_is_imaged_on_its_first_change_per_epoch_and_per_table() {
         let dir = tmpdir("first_touch");
         let (wal, _) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
-        assert!(wal.first_touch("r", 0));
-        assert!(!wal.first_touch("r", 0));
-        assert!(wal.first_touch("r", 1));
-        assert!(wal.first_touch("s", 0));
+        let image = [7u8; PAGE_SIZE];
+        // Whether logging a change wrote the page's image (and not the
+        // record alone), read off the bytes it added.
+        let logs_image = |table: &str, page: PageId, record: Option<&[u8]>| {
+            let before = wal.bytes_since_checkpoint();
+            wal.log_heap_change(table, 1, page, record, &image).unwrap();
+            wal.bytes_since_checkpoint() - before > PAGE_SIZE as u64
+        };
+        assert!(logs_image("r", 0, Some(b"x")));
+        assert!(!logs_image("r", 0, Some(b"x")));
+        assert!(logs_image("r", 1, Some(b"x")));
+        assert!(logs_image("s", 0, Some(b"x")));
+        // A fresh page is imaged whatever the epoch has seen.
+        assert!(logs_image("s", 0, None));
         // Dropping a table forgets its pages; an unrelated table keeps its.
         wal.append(&WalRecord::TableDrop { name: "r".into() })
             .unwrap();
-        assert!(wal.first_touch("r", 0));
-        assert!(!wal.first_touch("s", 0));
+        assert!(logs_image("r", 0, Some(b"x")));
+        assert!(!logs_image("s", 0, Some(b"x")));
         // A checkpoint forgets everything.
         wal.checkpoint().unwrap();
-        assert!(wal.first_touch("s", 0));
+        assert!(logs_image("s", 0, Some(b"x")));
+        drop(wal);
+        // What was logged reads back as the records the choices named.
+        let (_, scan) = Wal::open(&dir, &MetricsRegistry::new()).unwrap();
+        assert!(matches!(
+            &scan.records[0].1,
+            WalRecord::HeapPageImage { table, page: 0, image: img, .. }
+                if table == "s" && img[..] == image[..]
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

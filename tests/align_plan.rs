@@ -436,3 +436,40 @@ fn an_o3_alignment_join_tests_few_candidates() {
         .unwrap_or_else(|| panic!("no candidates in {join}"));
     assert!(candidates <= 40_000, "{candidates} candidates:\n{plan}");
 }
+
+/// A shared spool's input is costed once per plan: the first occurrence
+/// carries the alignment's cost plus writing its rows, the other only the
+/// re-read of those rows, so the full join above both counts the
+/// alignment once.
+#[test]
+fn o3_costs_its_shared_alignment_once() {
+    let (mut session, _) = inc_session(400);
+    let plan = explain(&mut session, &format!("EXPLAIN {O3}"));
+    let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+    let find = |what: &str| {
+        lines
+            .iter()
+            .position(|l| l.contains(what))
+            .unwrap_or_else(|| panic!("no {what} in\n{plan}"))
+    };
+    let cost = |at: usize| -> f64 {
+        lines[at]
+            .split("cost≈")
+            .nth(1)
+            .and_then(|rest| rest.split(')').next())
+            .and_then(|c| c.parse().ok())
+            .unwrap_or_else(|| panic!("no cost in {}", lines[at]))
+    };
+    let full = find("[Full]");
+    let first = find("Spool (shared materialization)");
+    let later = find("Spool (shared, input printed once)");
+    assert_eq!(first, full + 1, "{plan}");
+    let (input, reread) = (cost(first + 1), cost(later));
+    assert!((cost(first) - input - reread).abs() < 0.01, "{plan}");
+    assert!(reread < input / 2.0, "{plan}");
+    // The join's right side is a projection of the re-read: it holds no
+    // second alignment.
+    assert!(lines[later - 1].starts_with("Project"), "{plan}");
+    assert!(cost(later - 1) < input, "{plan}");
+    assert!(cost(full) > cost(first) + cost(later - 1), "{plan}");
+}

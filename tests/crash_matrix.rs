@@ -7,9 +7,12 @@
 //!
 //! For every injection site in [`temporal_store::failpoints::SITES`] ×
 //! crash / torn-write / bit-flip actions × hit-skip counts × sync
-//! modes, a scripted workload (register a base table, insert rows one
+//! modes, a scripted workload (register a base table, append one
+//! committed batch that spans many fresh pages, insert rows one
 //! committed batch at a time, checkpoint mid-stream) runs with the
-//! failpoint armed. Crash-style actions trip the store-wide power-cut
+//! failpoint armed. The low hit counts of the WAL and page-write sites
+//! land inside the bulk batch — on its fresh pages' images, their one
+//! sync per run and their page writes — which the matrix checks. Crash-style actions trip the store-wide power-cut
 //! switch, so nothing after the injected failure can reach disk — just
 //! like pulling the plug. The directory is then reopened and the
 //! recovered state must be a **prefix of the committed history**:
@@ -86,12 +89,16 @@ fn run_as_of(db: &Database, table: &str, v: i64) -> Vec<Row> {
 }
 
 const INSERTS: i64 = 20;
-const BASE_N: usize = 40;
+/// The base table nearly fills its one page (131 rows of three integers
+/// fit), so the bulk batch spills into fresh pages after three rows.
+const BASE_N: usize = 128;
+/// Rows of the bulk batch: about 23 fresh pages, in runs of two.
+const BULK: i64 = 3_000;
 const POOL: usize = 2; // force pool spills so disk::* sites are hit
 
-/// One cell of the matrix. Returns a human-readable case tag for
-/// failure messages.
-fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
+/// One cell of the matrix (`case` tags its failure messages). Returns
+/// whether the armed fault fired inside the bulk batch.
+fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) -> bool {
     failpoints::reset();
     let dir = scratch(case);
     let (base, _) = ddisj(BASE_N);
@@ -101,14 +108,27 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
     db.set("sync_mode", mode, None).unwrap();
     failpoints::arm_nth(site, action, skip);
 
-    // Scripted workload; `acked` counts operations acknowledged with Ok
+    // Scripted workload; `acked` counts rows acknowledged with Ok
     // *before* any failure. Crash-style faults trip the power cut, so
     // every later write fails too — the acked set is a strict prefix.
     let registered = db.register("r", &base).is_ok();
     let mut attempted = Vec::new();
     let mut acked = 0usize;
     let mut failed = !registered;
+    let mut fired_in_bulk = false;
     if registered {
+        let bulk: Vec<Row> = (0..BULK)
+            .map(|j| row(200_000 + j, 7 * j, 7 * j + 3))
+            .collect();
+        attempted.extend(bulk.iter().cloned());
+        let armed = failpoints::is_armed();
+        let result = db.insert_rows("r", bulk);
+        fired_in_bulk = armed && !failpoints::is_armed();
+        match result {
+            Ok(n) if !failed => acked += n,
+            Ok(_) => {}
+            Err(_) => failed = true,
+        }
         for i in 0..INSERTS {
             if i == INSERTS / 2 {
                 // A mid-stream fuzzy checkpoint exercises wal::checkpoint,
@@ -142,7 +162,7 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
                 "[{case}] bit flip surfaced an unrelated error: {e}"
             );
             std::fs::remove_dir_all(&dir).unwrap();
-            return;
+            return fired_in_bulk;
         }
         Err(e) => panic!("[{case}] refused to reopen after the fault: {e}"),
     };
@@ -156,7 +176,7 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
         );
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
-        return;
+        return fired_in_bulk;
     }
 
     // Prefix consistency: the recovered rows are exactly the base
@@ -221,6 +241,7 @@ fn run_case(site: &str, action: Action, skip: usize, mode: &str, case: &str) {
     assert_eq!(after.len(), rows.len() + 1, "[{case}] clean reopen drifted");
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
+    fired_in_bulk
 }
 
 /// The full matrix, serialized in one test because the failpoint
@@ -238,12 +259,16 @@ fn every_site_offset_and_mode_recovers_prefix_consistent() {
         Action::FlipBit { offset: 21 },
     ];
     let mut cases = 0usize;
+    // (mode, site, action) triples whose fault fired inside the bulk batch.
+    let mut in_bulk = std::collections::HashSet::new();
     for mode in ["off", "commit", "always"] {
         for site in failpoints::SITES {
             for (ai, action) in actions.iter().enumerate() {
                 for skip in [0usize, 1, 3, 7, 25] {
                     let case = format!("{}-{mode}-a{ai}-s{skip}", site.replace("::", "_"));
-                    run_case(site, *action, skip, mode, &case);
+                    if run_case(site, *action, skip, mode, &case) {
+                        in_bulk.insert((mode, *site, ai));
+                    }
                     cases += 1;
                 }
             }
@@ -251,5 +276,20 @@ fn every_site_offset_and_mode_recovers_prefix_consistent() {
     }
     // 3 modes × 6 sites × 6 actions × 5 skips.
     assert_eq!(cases, 540);
+    // Every action of the log and page-write sites strikes a bulk append
+    // in every mode that reaches the site (`off` never syncs the log).
+    for mode in ["off", "commit", "always"] {
+        for site in ["wal::append", "wal::sync", "disk::write_page"] {
+            if (mode, site) == ("off", "wal::sync") {
+                continue;
+            }
+            for ai in 0..actions.len() {
+                assert!(
+                    in_bulk.contains(&(mode, site, ai)),
+                    "{site} action {ai} never fired inside the bulk batch under {mode}"
+                );
+            }
+        }
+    }
     failpoints::reset();
 }

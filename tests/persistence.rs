@@ -238,3 +238,139 @@ fn replace_does_not_leak_heap_files() {
     assert!(!heap.exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every heap page of stored table `name`, as the rows in its slots.
+fn pages_of(db: &Database, name: &str) -> Vec<Vec<Row>> {
+    use temporal_alignment::engine::batch::BatchBuilder;
+    use temporal_alignment::engine::storage::ALL_SLOTS;
+    let TableSource::Stored(table) = db.read(|catalog, _| catalog.source(name)).unwrap() else {
+        panic!("table {name} is not stored");
+    };
+    (0..table.page_count())
+        .map(|page| {
+            let mut out = BatchBuilder::new(table.schema().len());
+            table
+                .decode_page(page, [ALL_SLOTS], None, &mut out)
+                .unwrap();
+            out.finish(table.schema().clone()).to_rows()
+        })
+        .collect()
+}
+
+/// Row `i` of the bulk-load tests and its CSV line: names of varied
+/// length, some quoted (a comma inside), some NULL, some the empty string.
+fn bulk_row(i: i64) -> (Row, String) {
+    let (name, field) = match i % 17 {
+        0 => (Value::Null, String::new()),
+        1 => (Value::str(""), "\"\"".to_string()),
+        2 => (Value::str(format!("a,{i}")), format!("\"a,{i}\"")),
+        _ => {
+            let text = format!("n{i}{}", "x".repeat((i % 40) as usize));
+            (Value::str(&text), text)
+        }
+    };
+    let te = i + 1 + i % 5;
+    let row = Row::new(vec![name, Value::Int(i), Value::Int(i), Value::Int(te)]);
+    (row, format!("{field},{i},{i},{te}\n"))
+}
+
+const BULK_COLUMNS: &str = "name str, k int, ts int, te int";
+
+/// A `COPY` lays its rows out as one `INSERT` per row would: the same page
+/// count and the same row in every `(page, slot)`. A `kill -9` right
+/// after it (no checkpoint) reopens to the same pages — also when no page
+/// write reached the heap file, so recovery rebuilds every fresh page from
+/// its logged image.
+#[test]
+fn a_copy_lays_out_pages_as_single_inserts_do() {
+    const ROWS: i64 = 3_000;
+    const POOL: usize = 4;
+    let dir = scratch("copy-layout");
+    let (rows, lines): (Vec<Row>, Vec<String>) = (0..ROWS).map(bulk_row).unzip();
+    // The COPY follows five single inserts, under a header line.
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv_path = dir.join("t.csv");
+    std::fs::write(&csv_path, format!("name,k,ts,te\n{}", lines[5..].concat())).unwrap();
+
+    let one_by_one = {
+        let db = Database::open_with_pool(dir.join("single"), POOL).unwrap();
+        db.set("sync_mode", "off", None).unwrap();
+        db.sql(&format!("CREATE TABLE t ({BULK_COLUMNS}) PERSISTED"))
+            .unwrap();
+        for row in &rows {
+            db.insert_rows("t", vec![row.clone()]).unwrap();
+        }
+        pages_of(&db, "t")
+    };
+    assert!(one_by_one.len() > 3 * POOL, "several runs of fresh pages");
+
+    for lose_page_writes in [false, true] {
+        let data = dir.join(format!("copy-{lose_page_writes}"));
+        let db = Database::open_with_pool(&data, POOL).unwrap();
+        db.sql(&format!("CREATE TABLE t ({BULK_COLUMNS}) PERSISTED"))
+            .unwrap();
+        // A few rows first, so the COPY starts on a tail page that has room.
+        db.insert_rows("t", rows[..5].to_vec()).unwrap();
+        db.checkpoint().unwrap();
+        let heap = data.join("t.heap");
+        let checkpointed = std::fs::metadata(&heap).unwrap().len();
+        db.sql(&format!("COPY t FROM '{}'", csv_path.display()))
+            .unwrap();
+        assert_eq!(pages_of(&db, "t"), one_by_one, "COPY layout");
+        std::mem::forget(db);
+        if lose_page_writes {
+            // Only the checkpointed prefix of the heap file survives.
+            let file = std::fs::OpenOptions::new().write(true).open(&heap).unwrap();
+            file.set_len(checkpointed).unwrap();
+        }
+        let db = Database::open_with_pool(&data, POOL).unwrap();
+        assert_eq!(
+            pages_of(&db, "t"),
+            one_by_one,
+            "after a kill -9 (page writes lost: {lose_page_writes})"
+        );
+        assert_eq!(collect_rows(&db, "t"), rows);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `COPY` whose line 9 000 of 10 000 holds a bad `int` fails with the
+/// parser's message and appends nothing: the persisted table keeps its
+/// row and page counts, also across a reopen.
+#[test]
+fn a_copy_with_one_bad_line_appends_nothing() {
+    let dir = scratch("copy-atomic");
+    let db = Database::open(&dir).unwrap();
+    db.sql(&format!("CREATE TABLE t ({BULK_COLUMNS}) PERSISTED"))
+        .unwrap();
+    let (first, _): (Vec<Row>, Vec<String>) = (0..500).map(bulk_row).unzip();
+    db.insert_rows("t", first).unwrap();
+    let counts = |db: &Database| {
+        db.read(|catalog, _| match catalog.source("t").unwrap() {
+            TableSource::Stored(t) => (t.row_count(), t.page_count()),
+            TableSource::Mem(_) => panic!("t is not stored"),
+        })
+    };
+    let before = counts(&db);
+    let csv: String = (0..10_000)
+        .map(|i| match i {
+            8_999 => "bad,x9000,1,2\n".to_string(),
+            i => bulk_row(i).1,
+        })
+        .collect();
+    let csv_path = dir.join("bad.csv");
+    std::fs::write(&csv_path, csv).unwrap();
+    let err = db
+        .sql(&format!("COPY t FROM '{}'", csv_path.display()))
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "parse error: CSV line 9000, column k: cannot parse \"x9000\" as int"
+    );
+    assert_eq!(counts(&db), before);
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(counts(&db), before);
+    assert_eq!(collect_rows(&db, "t").len(), 500);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
