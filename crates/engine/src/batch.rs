@@ -404,8 +404,11 @@ impl ColumnVec {
 pub struct ColumnBuilder {
     /// `None` until the first non-NULL value.
     data: Option<ColumnData>,
-    valid: Vec<bool>,
-    has_null: bool,
+    /// Values pushed so far.
+    len: usize,
+    /// The validity mask (`false` = NULL), kept from the first NULL on;
+    /// until then every value is valid and no mask is written.
+    valid: Option<Vec<bool>>,
 }
 
 impl ColumnBuilder {
@@ -415,15 +418,19 @@ impl ColumnBuilder {
         match &mut self.data {
             Some(ColumnData::Int(v)) => {
                 v.push(x);
-                self.valid.push(true);
+                if let Some(valid) = &mut self.valid {
+                    valid.push(true);
+                }
+                self.len += 1;
             }
             _ => self.push(Value::Int(x)),
         }
     }
 
     pub fn push(&mut self, value: Value) {
+        let n = self.len;
+        self.len += 1;
         if value.is_null() {
-            self.has_null = true;
             match &mut self.data {
                 None => {}
                 Some(ColumnData::Int(v)) => v.push(0),
@@ -432,10 +439,9 @@ impl ColumnBuilder {
                 Some(ColumnData::Str(v)) => v.push(empty_str()),
                 Some(ColumnData::Mixed(v)) => v.push(Value::Null),
             }
-            self.valid.push(false);
+            self.valid.get_or_insert_with(|| vec![true; n]).push(false);
             return;
         }
-        let n = self.valid.len();
         match (&mut self.data, value) {
             (Some(ColumnData::Int(v)), Value::Int(x)) => v.push(x),
             (Some(ColumnData::Double(v)), Value::Double(x)) => v.push(x),
@@ -460,38 +466,41 @@ impl ColumnBuilder {
                 self.data = Some(data);
             }
             (Some(other), x) => {
-                // A second type: fall back to a column of values.
+                // A second type: fall back to a column of values, which
+                // holds its NULLs inline.
                 let old = ColumnVec {
                     data: std::mem::replace(other, ColumnData::Mixed(Vec::new())),
-                    valid: Some(std::mem::take(&mut self.valid)),
+                    valid: self.valid.take(),
                 };
                 let mut vals: Vec<Value> = (0..n).map(|i| old.value(i)).collect();
                 vals.push(x);
-                self.valid = vec![true; n];
                 *other = ColumnData::Mixed(vals);
+                return;
             }
         }
-        self.valid.push(true);
+        if let Some(valid) = &mut self.valid {
+            valid.push(true);
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.valid.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.valid.is_empty()
+        self.len == 0
     }
 
     pub fn finish(self) -> ColumnVec {
         match self.data {
-            None => ColumnVec::nulls(self.valid.len()),
+            None => ColumnVec::nulls(self.len),
             Some(ColumnData::Mixed(v)) => ColumnVec {
                 data: ColumnData::Mixed(v),
                 valid: None,
             },
             Some(data) => ColumnVec {
                 data,
-                valid: self.has_null.then_some(self.valid),
+                valid: self.valid,
             },
         }
     }
@@ -1141,6 +1150,21 @@ mod tests {
     fn column_types_follow_the_values() {
         let ints = ColumnVec::from_values([Value::Null, Value::Int(1)]);
         assert!(matches!(ints.data(), ColumnData::Int(_)));
+        // A mask is kept only from the first NULL, wherever it comes.
+        assert_eq!(ints.ints(), Some((&[0, 1][..], Some(&[false, true][..]))));
+        let mut b = ColumnBuilder::default();
+        for x in [3, 4] {
+            b.push_int(x);
+        }
+        b.push(Value::Null);
+        b.push_int(5);
+        let late = b.finish();
+        assert_eq!(
+            late.ints().and_then(|(_, m)| m),
+            Some(&[true, true, false, true][..])
+        );
+        let dense = ColumnVec::from_values([Value::Int(1), Value::Int(2)]);
+        assert_eq!(dense.ints(), Some((&[1, 2][..], None)));
         let mixed = ColumnVec::from_values([Value::Int(1), Value::Null, Value::Double(1.0)]);
         assert!(matches!(mixed.data(), ColumnData::Mixed(_)));
         assert_eq!(mixed.value(2), Value::Double(1.0));
